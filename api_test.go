@@ -343,7 +343,12 @@ func TestAutoSplitAPI(t *testing.T) {
 	}
 }
 
-func TestStripedIntraAPIEquivalence(t *testing.T) {
+// Every vector variant sends the long subject down the one long-path
+// kernel, whatever its first-pass precision; the scalar variant and searches
+// with routing disabled reach the same scores without it. The long subject's
+// score is far over a byte, so the 8-bit escalation counter tells the two
+// routes of an "-8bit" search apart.
+func TestLongPathAPIEquivalence(t *testing.T) {
 	long := make([]byte, 3300)
 	for i := range long {
 		long[i] = "ARNDCQEGHILKMFPSTWYV"[i%20]
@@ -357,21 +362,32 @@ func TestStripedIntraAPIEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", string(long[100:400]))
-	wave, err := db.Search(q, Options{})
+	ref, err := db.Search(q, Options{Variant: VariantNoVecSP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	striped, err := db.Search(q, Options{IntraKernel: "striped"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wave.Scores {
-		if wave.Scores[i] != striped.Scores[i] {
-			t.Fatalf("intra kernels disagree at %d: %d vs %d", i, wave.Scores[i], striped.Scores[i])
+	for _, tc := range []struct {
+		opt        Options
+		overflows8 int64
+	}{
+		{Options{}, 0},
+		{Options{Variant: VariantGuidedQP}, 0},
+		{Options{LongSeqThreshold: -1}, 0},
+		{Options{Variant: VariantIntrinsicSP8}, 0},
+		{Options{Variant: VariantIntrinsicSP8, LongSeqThreshold: -1}, 1},
+	} {
+		res, err := db.Search(q, tc.opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := db.Search(q, Options{IntraKernel: "systolic"}); err == nil {
-		t.Fatal("bogus intra kernel accepted")
+		for i := range ref.Scores {
+			if res.Scores[i] != ref.Scores[i] {
+				t.Fatalf("%+v: score %d = %d, want %d", tc.opt, i, res.Scores[i], ref.Scores[i])
+			}
+		}
+		if res.Overflows8 != tc.overflows8 {
+			t.Fatalf("%+v: Overflows8 = %d, want %d", tc.opt, res.Overflows8, tc.overflows8)
+		}
 	}
 }
 

@@ -310,25 +310,24 @@ func BenchmarkKernelDNANuc(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
 
-// Intra-task kernel microbenchmarks: Farrar's striped layout vs the
-// anti-diagonal wavefront on one long pair (the two long-sequence engines).
-func benchIntra(b *testing.B, striped bool) {
-	seqs := datagen.Generate(datagen.Config{Sequences: 1, Seed: 17, MeanLen: 8000, SigmaLog: 0.01, MaxLen: 9000})
-	subject := seqs[0]
-	q := profile.NewQuery(datagen.GenerateQueries(7)[9].Residues, submat.BLOSUM62) // 1000 aa
+// Long-subject kernel microbenchmarks: the fused striped kernel on one long
+// pair, through the engine. The unrelated pair finishes the lazy-F loop
+// within a stripe or two per column; the planted one holds an 80%-identity
+// copy of the query, which keeps F alive across segment boundaries (the
+// kernel's slow case).
+func benchIntra(b *testing.B, query, subject *sequence.Sequence) {
 	db := seqdb.New([]*sequence.Sequence{subject}, true)
 	eng, err := core.NewEngine(db, device.Xeon())
 	if err != nil {
 		b.Fatal(err)
 	}
 	opt := core.SearchOptions{
-		Params:       core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
-		StripedIntra: striped,
+		Params: core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
 	}
-	cells := float64(q.Len()) * float64(subject.Len())
+	cells := float64(query.Len()) * float64(subject.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Search(&sequence.Sequence{ID: "q", Residues: q.Seq}, opt); err != nil {
+		if _, err := eng.Search(query, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,8 +335,39 @@ func benchIntra(b *testing.B, striped bool) {
 	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
 
-func BenchmarkIntraWavefront(b *testing.B) { benchIntra(b, false) }
-func BenchmarkIntraStriped(b *testing.B)   { benchIntra(b, true) }
+// benchIntraPair is the 1000 aa paper query and an ~8000-residue subject.
+func benchIntraPair() (query, subject *sequence.Sequence) {
+	seqs := datagen.Generate(datagen.Config{Sequences: 1, Seed: 17, MeanLen: 8000, SigmaLog: 0.01, MaxLen: 9000})
+	return datagen.GenerateQueries(7)[9], seqs[0]
+}
+
+func BenchmarkIntraStriped(b *testing.B) {
+	query, subject := benchIntraPair()
+	benchIntra(b, query, subject)
+}
+
+func BenchmarkIntraStripedPlanted(b *testing.B) {
+	query, subject := benchIntraPair()
+	// Overwrite the middle of the subject with the query, one position in
+	// five substituted and an indel every 50.
+	rng := rand.New(rand.NewSource(17))
+	at := subject.Len()/2 - query.Len()/2
+	for i, c := range query.Residues {
+		switch {
+		case i%50 == 25: // deletion
+			continue
+		case i%50 == 0: // insertion
+			subject.Residues[at] = alphabet.Code(rng.Intn(20))
+			at++
+		}
+		if rng.Intn(5) == 0 {
+			c = alphabet.Code(rng.Intn(20))
+		}
+		subject.Residues[at] = c
+		at++
+	}
+	benchIntra(b, query, subject)
+}
 
 // BenchmarkSearchEndToEnd measures the full parallel functional search
 // (Algorithm 1) on the host.

@@ -27,15 +27,32 @@ import (
 // sequences") and small enough that the full variant sweep stays fast.
 const confDBSeqs = 96
 
+// confLongSeqs subjects of some 4,400 residues join the corpus for the
+// long-path leg: over the long-sequence threshold, so they leave the lane
+// groups for the striped kernel and the .swdb carries intra shapes.
+const confLongSeqs = 3
+
 // confSetup writes the shared conformance corpus once per test: a FASTA
 // file, the .swdb index built from it, and two queries (one a planted
-// fragment of a database sequence, one unrelated).
-func confSetup(t *testing.T) (fastaPath, swdbPath string, queries []Sequence) {
+// fragment of a database sequence, one unrelated). With long set the
+// corpus also holds the confLongSeqs long subjects.
+func confSetup(t *testing.T, long bool) (fastaPath, swdbPath string, queries []Sequence) {
 	t.Helper()
 	dir := t.TempDir()
 	seqs := wrapSeqs(datagen.Generate(datagen.Config{
 		Sequences: confDBSeqs, Seed: 4242, MeanLen: 90, SigmaLog: 0.5, MaxLen: 4000,
 	}))
+	if long {
+		tail := wrapSeqs(datagen.Generate(datagen.Config{
+			Sequences: confLongSeqs, Seed: 4243, MeanLen: 4400, SigmaLog: 0.05, MaxLen: 6000,
+		}))
+		for _, s := range tail {
+			if s.Len() <= 3072 {
+				t.Fatalf("long-path subject of %d residues stays in the lane groups", s.Len())
+			}
+		}
+		seqs = append(seqs, tail...)
+	}
 	fastaPath = filepath.Join(dir, "conf.fasta")
 	if err := WriteFASTAFile(fastaPath, seqs); err != nil {
 		t.Fatal(err)
@@ -182,13 +199,14 @@ func confTopK(rep ReportOptions) int {
 // reporting phases, each asserted byte-identical between the FASTA load
 // path and the .swdb load path on all five entry points.
 func TestConformanceFASTAvsIndex(t *testing.T) {
-	fastaPath, swdbPath, queries := confSetup(t)
-
 	type confCase struct {
 		name string
 		opts ClusterOptions
 		rep  ReportOptions
 	}
+	// longLeg searches the corpus with the long subjects: an "-8bit" search
+	// whose long subjects take the 16-bit striped pass.
+	const longLeg = "long-path"
 	cases := []confCase{
 		{"scalar-QP", ClusterOptions{Options: Options{Variant: VariantNoVecQP}}, ReportOptions{TopK: 5}},
 		{"scalar-SP", ClusterOptions{Options: Options{Variant: VariantNoVecSP}}, ReportOptions{TopK: 5}},
@@ -202,14 +220,21 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 			ReportOptions{TopK: 5, Alignments: true}},
 		{"guided-evalue", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "guided"},
 			ReportOptions{TopK: 5, Alignments: true, EValues: true}},
-		{"ladder-striped-intra", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8, IntraKernel: "striped"}, Dist: "dynamic"},
+		{longLeg, ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8}, Dist: "dynamic"},
 			ReportOptions{TopK: 5}},
 		{"three-device", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}},
 			ReportOptions{TopK: 5}},
 	}
 
+	fastaPath, swdbPath, queries := confSetup(t, false)
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			fastaPath, swdbPath, wantSeqs := fastaPath, swdbPath, confDBSeqs
+			if tc.name == longLeg {
+				fastaPath, swdbPath, _ = confSetup(t, true)
+				wantSeqs += confLongSeqs
+			}
 			results := make(map[string]map[string][]byte, 2)
 			for _, load := range []struct{ kind, path string }{
 				{"fasta", fastaPath},
@@ -219,8 +244,8 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", load.kind, err)
 				}
-				if db.Len() != confDBSeqs {
-					t.Fatalf("%s: %d sequences, want %d", load.kind, db.Len(), confDBSeqs)
+				if db.Len() != wantSeqs {
+					t.Fatalf("%s: %d sequences, want %d", load.kind, db.Len(), wantSeqs)
 				}
 				cl, err := NewCluster(db, tc.opts)
 				if err != nil {
@@ -252,7 +277,7 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 	if !vec.Native() {
 		t.Skipf("vec backend is %q; native vs portable conformance is vacuous", vec.Backend())
 	}
-	fastaPath, _, queries := confSetup(t)
+	fastaPath, _, queries := confSetup(t, false)
 
 	cases := []struct {
 		name string

@@ -11,8 +11,11 @@
 //     profile}), cache blocking, an adaptive precision ladder (an 8-bit
 //     biased first pass with twice the lanes per vector word, escalating
 //     saturated lanes 8 -> 16 -> 32 bits; select it with the
-//     "intrinsic-SP-8bit" / "intrinsic-QP-8bit" variant names), and
-//     intra-task handling of extremely long subjects — see
+//     "intrinsic-SP-8bit" / "intrinsic-QP-8bit" variant names), and one
+//     intra-task kernel for subjects over Options.LongSeqThreshold:
+//     Farrar's striped layout, each column of it one call of the fused
+//     inter-task column step (stripes as rows, query segments as lanes),
+//     16-bit with 32-bit scalar recomputation on saturation — see
 //     Database.Search;
 //   - the heterogeneous CPU+coprocessor execution of the paper's
 //     Algorithm 2, with a static workload split and overlapped offload —

@@ -142,7 +142,6 @@ func TestIntegrationConfigurationMatrix(t *testing.T) {
 			}
 		}
 	}
-	check("striped-intra", Options{IntraKernel: "striped"})
 	check("no-blocking", Options{NoBlocking: true})
 	check("block-rows-17", Options{BlockRows: 17})
 	check("no-routing", Options{LongSeqThreshold: -1})

@@ -38,6 +38,29 @@ type partKey struct {
 type partition struct {
 	groups []*seqdb.LaneGroup
 	long   []int // database indices (caller order)
+	// order is the dispatch order over the work items, which are numbered
+	// groups first, then long subjects (the numbering the per-item cost
+	// vector keeps, so the simulated schedule does not depend on the real
+	// dispatch order). The long subjects go out first, heaviest first, so
+	// the one indivisible titin-class item starts with the search instead
+	// of after the last lane group; the groups follow in packing order.
+	order []int
+}
+
+// dispatchOrder builds partition.order for nGroups lane groups and long
+// subjects of the given lengths.
+func dispatchOrder(nGroups int, longLens []int) []int {
+	order := make([]int, len(longLens), nGroups+len(longLens))
+	for i := range order {
+		order[i] = nGroups + i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return longLens[order[a]-nGroups] > longLens[order[b]-nGroups]
+	})
+	for i := 0; i < nGroups; i++ {
+		order = append(order, i)
+	}
+	return order
 }
 
 // NewEngine builds an engine over a database for a device model.
@@ -70,7 +93,11 @@ func (e *Engine) partitionFor(lanes, longThreshold int) *partition {
 		return p
 	}
 	groups, long := e.db.Partition(lanes, longThreshold)
-	p := &partition{groups: groups, long: long}
+	longLens := make([]int, len(long))
+	for i, idx := range long {
+		longLens[i] = e.db.Seq(idx).Len()
+	}
+	p := &partition{groups: groups, long: long, order: dispatchOrder(len(groups), longLens)}
 	e.parts[key] = p
 	return p
 }
@@ -97,11 +124,6 @@ type SearchOptions struct {
 	// intra-task kernel (see DefaultLongSeqThreshold). 0 selects the
 	// default for vector variants; negative disables routing.
 	LongSeqThreshold int
-	// StripedIntra selects Farrar's striped kernel [13] instead of the
-	// anti-diagonal wavefront for routed long sequences. Scores are
-	// identical; the kernels differ in memory access shape and real
-	// (wall-clock) throughput.
-	StripedIntra bool
 	// TopK truncates the hit list (all hits when 0).
 	TopK int
 }
@@ -221,15 +243,16 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	// Per-worker scratch; sized lazily inside the kernels.
 	bufs := make([]*Buffers, workers)
 	statsPer := make([]Stats, workers)
-	items := len(groups) + len(long)
+	items := len(part.order)
 	costs := make([]float64, items)
 	scores := make([]int32, e.db.Len())
 
 	start := time.Now()
-	sched.Parallel(items, workers, func(i, worker int) {
+	sched.Parallel(items, workers, func(pos, worker int) {
 		if bufs[worker] == nil {
 			bufs[worker] = NewBuffers(lanes)
 		}
+		i := part.order[pos]
 		if i < len(groups) {
 			g := groups[i]
 			got, st := AlignGroup(qp, g, opt.Params, bufs[worker])
@@ -251,11 +274,7 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			Cells: cells, PaddedCells: cells, IntraCells: cells,
 			Columns: int64(len(subject)), Alignments: 1, Groups: 1,
 		}
-		if opt.StripedIntra {
-			scores[idx] = alignPairStripedLadder(qp, subject, opt.Params, prec8, bufs[worker], &st)
-		} else {
-			scores[idx] = alignPairIntra(qp, subject, opt.Params, bufs[worker])
-		}
+		scores[idx] = alignPairStriped(qp, subject, opt.Params, bufs[worker], &st)
 		statsPer[worker].Add(st)
 		shape := device.Shape{Width: len(subject), Lanes: 1, Residues: int64(len(subject)), Intra: true}
 		costs[i] = e.dev.GroupCost(class, m, shape, threads, 0)

@@ -90,23 +90,19 @@ type Buffers struct {
 
 	// 16-bit state for the intrinsic kernels. he16 is one contiguous slab
 	// holding both the H and E tile arrays ((rows+1)*lanes each) so the
-	// fused column steps walk a single cache-friendly block; h16/e16 are
-	// the striped kernel's row scratch.
-	h16, e16    []int16 // striped row state, tiles * lanes
+	// fused column steps walk a single cache-friendly block.
 	he16        []int16 // intrinsic tile state, 2 * (rows+1) * lanes
 	hb16, fb16  []int16 // block boundary rows, width * lanes
 	f16, diag16 vec.I16 // lane temporaries
 	max16       vec.I16
 
 	// 8-bit state for the ladder's first pass.
-	h8, e8           []uint8 // striped row state, tiles * lanes
 	he8              []uint8 // intrinsic tile state, 2 * (rows+1) * lanes
 	hb8, fb8         []uint8 // block boundary rows, width * lanes
 	f8, diag8        vec.U8  // lane temporaries
 	max8             vec.U8
 	sr8              *profile.ScoreRows8
 	lane16H, lane16E []int16 // 16-bit scalar recompute state, query length + 1
-	striped8         []uint8 // striped 8-bit profile scratch
 
 	// 32-bit state for the guided kernels.
 	h32, e32     []int32
@@ -120,8 +116,12 @@ type Buffers struct {
 	sr  *profile.ScoreRows
 	idx []uint8 // current column residues (lane view)
 
-	// Striped-kernel scratch.
-	striped []int16
+	// Striped-kernel state: the query's striped profile, the H and E
+	// stripe arrays (one slab, stripes * stripedLanes each) and the three
+	// lane temporaries (diag, F, max tracker).
+	striped    []int16
+	stripedHE  []int16
+	stripedVec [3 * stripedLanes]int16
 }
 
 // NewBuffers allocates kernel scratch for a lane width.

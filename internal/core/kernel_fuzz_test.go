@@ -91,12 +91,12 @@ func fuzzDatabase(raw []byte, sorted bool, alpha *alphabet.Alphabet) *seqdb.Data
 
 // FuzzKernelParity drives random queries and databases through every
 // scoring path — the scalar kernel, the guided and intrinsic lane kernels
-// (16-bit with 32-bit overflow escalation), and both intra-task kernels
-// (anti-diagonal wavefront and Farrar's striped layout) — and requires
-// bit-identical scores against the swalign oracle. The seed corpus covers
-// the int16 saturation boundary, 1-residue sequences on both sides,
-// lane-count edges (one sequence more than a full lane group) and zero
-// gap penalties (the lazy-F worst case).
+// (16-bit with 32-bit overflow escalation), and the long-subject kernel
+// (Farrar's striped layout over the fused column step, 32-bit scalar
+// recomputation on saturation) — and requires bit-identical scores against
+// the swalign oracle. The seed corpus covers the int16 saturation boundary,
+// 1-residue sequences on both sides, lane-count edges (one sequence more
+// than a full lane group) and zero gap penalties (the lazy-F worst case).
 func FuzzKernelParity(f *testing.F) {
 	w := byte(17) // 'W', the highest-scoring self-match in BLOSUM62
 	wRun := bytes.Repeat([]byte{w}, 3000)
@@ -213,26 +213,22 @@ func FuzzKernelParity(f *testing.F) {
 			vec.ForcePortable(prev)
 		}
 
-		buf := NewBuffers(stripedLanes8)
-		intra := make([]int32, db.Len())
-		striped := make([]int32, db.Len())
-		ladder := make([]int32, db.Len())
-		p8 := p
-		p8.Variant = IntrinsicSP
-		p8.Prec = Prec8
-		for i := 0; i < db.Len(); i++ {
-			subject := db.Seq(i).Residues
-			intra[i] = alignPairIntra(qp, subject, p, buf)
-			striped[i] = alignPairStriped(qp, subject, p, buf)
-			if ladderOK {
+		// The long-subject kernel, on every database sequence whatever its
+		// length, natively and with the portable loops forced.
+		long := make([]int32, db.Len())
+		runLong := func(tag string) {
+			buf := NewBuffers(stripedLanes)
+			for i := range long {
 				var st Stats
-				ladder[i] = alignPairStripedLadder(qp, subject, p8, qp.Bias8Viable(), buf, &st)
+				long[i] = alignPairStriped(qp, db.Seq(i).Residues, p, buf, &st)
 			}
+			check("long-striped"+tag, long)
 		}
-		check("intra-wavefront", intra)
-		check("intra-striped", striped)
-		if ladderOK {
-			check("intra-striped-8bit", ladder)
+		runLong("")
+		if vec.Native() {
+			prev := vec.ForcePortable(true)
+			runLong(" [portable]")
+			vec.ForcePortable(prev)
 		}
 
 		// DNA leg: the same raw input mapped onto the 15-letter IUPAC

@@ -16,14 +16,22 @@ const negInf32 = int32(-(1 << 29))
 //
 //sw:hotpath
 func scalarLane(q *profile.Query, g *seqdb.LaneGroup, lane int, p Params, h, e []int32) int32 {
+	return scalarSeq(q, g.Interleaved[lane:], g.Lanes, g.Lens[lane], p, h, e)
+}
+
+// scalarSeq is the recurrence behind scalarLane over any strided residue
+// view: residue j of the n-residue subject is res[j*stride]. A lane of an
+// interleaved group strides by the lane count; a plain subject (the long
+// path's 32-bit recomputation) by one.
+//
+//sw:hotpath
+func scalarSeq(q *profile.Query, res []uint8, stride, n int, p Params, h, e []int32) int32 {
 	m := q.Len()
-	n := g.Lens[lane]
 	if m == 0 || n == 0 {
 		return 0
 	}
 	qr := int32(p.GapOpen + p.GapExtend)
 	r := int32(p.GapExtend)
-	L := g.Lanes
 
 	for i := 0; i <= m; i++ {
 		h[i] = 0
@@ -31,7 +39,7 @@ func scalarLane(q *profile.Query, g *seqdb.LaneGroup, lane int, p Params, h, e [
 	}
 	best := int32(0)
 	for j := 0; j < n; j++ {
-		d := int(g.Interleaved[j*L+lane])
+		d := int(res[j*stride])
 		// The scalar SP/QP distinction is purely an access pattern (and
 		// cost-model) difference: both read V(q_i, d).
 		row := q.ExtRow(d) // V(*, d); symmetric matrix, so V(q_i,d) = row[q_i]

@@ -6,22 +6,41 @@ import (
 	"heterosw/internal/vec"
 )
 
-// alignPairStriped is Farrar's striped Smith-Waterman [13] — the
-// intra-task vectorisation the paper contrasts with its inter-task scheme —
-// implemented over the emulated 16-bit lanes with saturation escalation.
+// DefaultLongSeqThreshold is the database-sequence length above which the
+// engine leaves the inter-task lane kernel for the intra-task striped
+// kernel below. The value follows CUDASW++ [14] (cited by the paper for its
+// database pre-processing), which routes subjects longer than 3072 residues
+// to an intra-task path.
 //
-// The query is split into L segments of length t = ceil(M/L); vector
-// element k of stripe i covers query position k*t + i. The inner loop
-// walks stripes, so the F (query-direction gap) dependency crosses vector
-// elements only at segment boundaries; the main pass assumes no such flow
-// and the lazy-F loop afterwards propagates boundary-crossing gaps until
-// they can no longer raise any H. Scores saturating the int16 ceiling are
-// recomputed exactly by the 32-bit anti-diagonal kernel.
-//
-// stripedLanes is fixed at 16 (the Xeon model's width); the algorithm is
-// width-agnostic and the cost model charges intra-task work identically
-// for both intra kernels.
+// Rationale, on the host that runs the code: in the inter-task scheme one
+// database sequence occupies one SIMD lane for its whole length and a lane
+// group is as wide as its longest member, so the long tail packs badly (a
+// 16-lane group around a 35,213-residue entry is 563k padded residues for
+// some 51k useful ones), stays one indivisible work item, and needs
+// boundary rows proportional to that width (over 2 MB per worker). The
+// paper is silent on the issue. The striped kernel vectorises along the
+// query instead, pads nothing on the subject side, keeps O(query) state and
+// runs on the inter-task kernel's fused column step, so routing costs
+// little; below the threshold the length-sorted groups are already dense.
+const DefaultLongSeqThreshold = 3072
+
+// stripedLanes is the kernel's vector width: the 16 int16 lanes of one
+// 256-bit register. The engine's lane width does not enter; a long subject
+// is aligned alone.
 const stripedLanes = 16
+
+// stripedTileRows is the most stripes one fused column step takes: the
+// step selects a row's score vector through a byte index.
+const stripedTileRows = 256
+
+// stripeIndex is the identity "query" handed to vec.StepCol16SP, so that
+// row i of a tile scores with row i of the tile's profile slab.
+var stripeIndex = func() (idx [stripedTileRows]uint8) {
+	for i := range idx {
+		idx[i] = uint8(i)
+	}
+	return idx
+}()
 
 // stripedProfile builds the striped query profile for the current query:
 // for every residue index e, t stripe vectors of V(e, q[k*t+i]) with
@@ -29,13 +48,9 @@ const stripedLanes = 16
 // prof[((e*t)+i)*L + k].
 //
 //sw:hotpath
-func stripedProfile(q *profile.Query, dst []int16, t int) []int16 {
+func stripedProfile(q *profile.Query, buf *Buffers, t int) []int16 {
 	L := stripedLanes
-	need := q.Width * t * L
-	if cap(dst) < need {
-		dst = make([]int16, need)
-	}
-	dst = dst[:need]
+	dst := grow16(&buf.striped, q.Width*t*L)
 	m := q.Len()
 	for e := 0; e < q.Width; e++ {
 		row := q.ExtRow(e)
@@ -54,31 +69,47 @@ func stripedProfile(q *profile.Query, dst []int16, t int) []int16 {
 	return dst
 }
 
-// vshift shifts a stripe vector one lane upward: element k receives
-// element k-1, element 0 receives the boundary value 0 for H (the caller
-// passes boundary explicitly for F). This is the element-shift that maps
-// the last stripe onto the first stripe's diagonal predecessors.
-func vshift(dst, src vec.I16, boundary int16) {
-	for k := len(src) - 1; k >= 1; k-- {
-		dst[k] = src[k-1]
-	}
-	dst[0] = boundary
-}
-
-// alignPairStriped computes the Smith-Waterman score of one pair,
-// recomputing saturated scores exactly with the 32-bit anti-diagonal
-// kernel.
-func alignPairStriped(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers) int32 {
+// alignPairStriped scores one query/subject pair for the long-subject
+// path: the 16-bit striped pass, and on int16 saturation an exact 32-bit
+// recomputation with the scalar recurrence, counted in st like a saturated
+// lane of the inter-task kernels.
+//
+//sw:hotpath
+func alignPairStriped(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers, st *Stats) int32 {
 	best, saturated := alignPairStriped16(q, subject, p, buf)
-	if saturated {
-		return alignPairIntra(q, subject, p, buf)
+	if !saturated {
+		return best
 	}
-	return best
+	m := q.Len()
+	st.Overflows++
+	st.OverflowCells += int64(m) * int64(len(subject))
+	h := grow32(&buf.h32, m+1)
+	e := grow32(&buf.e32, m+1)
+	return scalarSeq(q, alphabet.BytesView(subject), 1, len(subject), p, h, e)
 }
 
-// alignPairStriped16 is the 16-bit striped pass; the second return value
-// reports int16 saturation (the score may be clipped and the caller must
-// recompute at 32 bits).
+// alignPairStriped16 is Farrar's striped Smith-Waterman [13] — the
+// intra-task vectorisation the paper contrasts with its inter-task scheme —
+// over 16-bit lanes. The second return value reports int16 saturation (the
+// score may be clipped and the caller must recompute at 32 bits).
+//
+// The query is split into L segments of length t = ceil(M/L); vector
+// element k of stripe i covers query position k*t + i. Walking the stripes
+// of one subject column, the F (query-direction gap) dependency crosses
+// vector elements only at segment boundaries, so the main pass assumes no
+// such flow and the lazy-F loop afterwards propagates boundary-crossing
+// gaps until they can no longer raise any H.
+//
+// One column of that main pass is one call of the fused inter-task column
+// step: with rows = stripes, lanes = segments, the column residue's slab of
+// the striped profile as the score table and stripeIndex as the query (row
+// i scores with slab row i), vec.StepCol16SP computes
+// H = max(0, diag+score, E, F), the E and F updates, the diagonal carry
+// from the previous column's H (updated in place) and the maximum tracker.
+// The caller only pre-loads diag with the last stripe shifted up one lane
+// (query position k*t-1 lives in lane k-1) and F with -inf. Queries over
+// L*stripedTileRows residues issue one call per tile; F and diag carry from
+// one tile into the next exactly as they do from row to row.
 //
 //sw:hotpath
 func alignPairStriped16(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers) (int32, bool) {
@@ -87,261 +118,69 @@ func alignPairStriped16(q *profile.Query, subject []alphabet.Code, p Params, buf
 	if m == 0 || n == 0 {
 		return 0, false
 	}
-	L := stripedLanes
+	const L = stripedLanes
 	t := (m + L - 1) / L
-	qr := int16(p.GapOpen + p.GapExtend)
-	r := int16(p.GapExtend)
-	qOnly := int16(p.GapOpen)
+	open, r := int32(p.GapOpen), int32(p.GapExtend)
+	qr := open + r
 
-	buf.striped = stripedProfile(q, buf.striped, t)
-	prof := buf.striped
+	prof := stripedProfile(q, buf, t)
 
-	// Striped state: two H column buffers (previous/current), E, and lane
-	// temporaries. Reuses the 16-bit scratch pools.
-	hPrev := grow16(&buf.h16, t*L)
-	hCur := grow16(&buf.e16, t*L)
-	eCol := grow16(&buf.hb16, t*L)
-	for i := range hPrev {
-		hPrev[i] = 0
-		eCol[i] = vec.MinI16
+	he := grow16(&buf.stripedHE, 2*t*L)
+	h, e := he[:t*L], he[t*L:]
+	for i := range h {
+		h[i] = 0
+		e[i] = vec.MinI16
 	}
-	vH := make(vec.I16, L)
-	vF := make(vec.I16, L)
-	vMax := make(vec.I16, L)
-	vTmp := make(vec.I16, L)
-	vec.Set1(vMax, 0)
+	last := h[(t-1)*L:]
+	diag := vec.I16(buf.stripedVec[0*L : 1*L])
+	f := vec.I16(buf.stripedVec[1*L : 2*L])
+	maxv := vec.I16(buf.stripedVec[2*L : 3*L])
+	vec.Set1(maxv, 0)
 
 	for j := 0; j < n; j++ {
-		pBase := int(subject[j]) * t * L
-		// Diagonal for stripe 0: last stripe of the previous column,
-		// shifted one lane up (query position k*t-1 lives in lane k-1).
-		vshift(vH, hPrev[(t-1)*L:t*L], 0)
-		vec.Set1(vF, vec.MinI16)
-		for i := 0; i < t; i++ {
-			hp := vec.I16(hPrev[i*L : (i+1)*L])
-			hc := vec.I16(hCur[i*L : (i+1)*L])
-			ev := vec.I16(eCol[i*L : (i+1)*L])
-			pv := vec.I16(prof[pBase+i*L : pBase+(i+1)*L])
-			// H = max(0, diag+score, E, F); track the maximum.
-			vec.AddSat(vH, vH, pv)
-			vec.Max(vH, vH, ev)
-			vec.Max(vH, vH, vF)
-			vec.MaxConst(vH, vH, 0)
-			vec.MaxInto(vMax, vH)
-			copy(hc, vH)
-			// E and F updates for the next column / next row.
-			vec.SubSatConst(vTmp, vH, qr)
-			vec.SubSatConst(ev, ev, r)
-			vec.Max(ev, ev, vTmp)
-			vec.SubSatConst(vF, vF, r)
-			vec.Max(vF, vF, vTmp)
-			// Next stripe's diagonal is this stripe of the previous
-			// column.
-			copy(vH, hp)
+		slab := prof[int(subject[j])*t*L:][:t*L]
+		copy(diag[1:], last)
+		diag[0] = 0
+		vec.Set1(f, vec.MinI16)
+		for i0 := 0; i0 < t; i0 += stripedTileRows {
+			rows := t - i0
+			if rows > stripedTileRows {
+				rows = stripedTileRows
+			}
+			vec.StepCol16SP(vec.I16(h[i0*L:]), vec.I16(e[i0*L:]), f, diag, maxv,
+				slab[i0*L:], stripeIndex[:rows], rows, L, int16(qr), int16(r))
 		}
 
-		// Lazy-F: propagate query-direction gaps across segment
-		// boundaries. Each pass shifts F into the next segment and decays
-		// it along the stripes, improving H (and refreshing E) where it
-		// still wins. Farrar's termination test applies: once F <= H - q
-		// in every lane, any onward flow (F - r) is dominated by the
-		// H - q - r refreshes the main pass already propagated, so the
-		// column is done. F can cross at most L-1 boundaries, bounding
-		// the passes even with a zero extension penalty.
-	lazyF:
-		for pass := 0; pass < L; pass++ {
-			vshift(vF, vF, vec.MinI16)
-			for i := 0; i < t; i++ {
-				hc := vec.I16(hCur[i*L : (i+1)*L])
-				// Check against the pre-update H: once F <= H - q in
-				// every lane, F cannot improve this H, and its onward
-				// flow (F - r) is dominated by the H - q - r refresh the
-				// main pass already propagated from this unchanged H.
-				vec.SubSatConst(vTmp, hc, qOnly)
-				if !vec.AnyGT(vF, vTmp) {
-					break lazyF
+		// Lazy-F: f now holds the F leaving each segment's last stripe;
+		// walk it into the next segment, one lane at a time, raising H (and
+		// refreshing E) where it still wins. The walk stops once
+		// F <= max(H - q, 0): below H - q its onward flow F - r is dominated
+		// by the H - q - r the main pass already propagated from this
+		// unchanged H (Farrar's test), and a non-positive F can never raise
+		// an H that is clamped at zero. An F that survives a whole segment
+		// replaces that segment's outgoing F, so lanes in ascending order
+		// see every boundary crossing. A raised H is an earlier H of this
+		// column less a gap, so the maximum tracker needs no update.
+		for k := 1; k < L; k++ {
+			fin := int32(f[k-1])
+			i := k
+			for ; i < len(h) && fin > 0 && fin > int32(h[i])-open; i += L {
+				hv := int32(h[i])
+				if fin > hv {
+					hv = fin
+					h[i] = int16(hv)
 				}
-				vec.Max(hc, hc, vF)
-				vec.MaxInto(vMax, hc)
-				ev := vec.I16(eCol[i*L : (i+1)*L])
-				vec.SubSatConst(vTmp, hc, qr)
-				vec.Max(ev, ev, vTmp)
-				vec.SubSatConst(vF, vF, r)
+				if ev := hv - qr; ev > int32(e[i]) {
+					e[i] = int16(ev)
+				}
+				fin -= r
+			}
+			if i >= len(h) && fin > int32(f[k]) {
+				f[k] = int16(fin)
 			}
 		}
-		hPrev, hCur = hCur, hPrev
 	}
 
-	best := vec.HorizontalMax(vMax)
+	best := vec.HorizontalMax(maxv)
 	return int32(best), best == vec.MaxI16
-}
-
-// alignPairStripedLadder runs the striped kernel for one pair at the
-// requested first-pass precision, escalating on saturation — 8-bit striped
-// to 16-bit striped to the 32-bit anti-diagonal kernel — and folding the
-// per-tier escalation counts and recomputation cells into st.
-//
-//sw:hotpath
-func alignPairStripedLadder(q *profile.Query, subject []alphabet.Code, p Params, prec8 bool, buf *Buffers, st *Stats) int32 {
-	m := q.Len()
-	cells := int64(m) * int64(len(subject))
-	if prec8 {
-		s, sat8 := alignPairStriped8(q, subject, p, buf)
-		if !sat8 {
-			return s
-		}
-		st.Overflows8++
-		st.OverflowCells += cells
-	}
-	s, sat16 := alignPairStriped16(q, subject, p, buf)
-	if !sat16 {
-		return s
-	}
-	st.Overflows++
-	st.OverflowCells += cells
-	return alignPairIntra(q, subject, p, buf)
-}
-
-// stripedLanes8 is the byte-lane count of the 8-bit striped pass: the same
-// 256-bit register as stripedLanes, twice the lanes.
-const stripedLanes8 = 32
-
-// stripedProfile8 builds the biased uint8 striped query profile; padding
-// positions hold 0, the strongest representable penalty. Layout matches
-// stripedProfile. Only valid when q.Bias8Viable().
-//
-//sw:hotpath
-func stripedProfile8(q *profile.Query, dst []uint8, t int) []uint8 {
-	L := stripedLanes8
-	need := q.Width * t * L
-	if cap(dst) < need {
-		dst = make([]uint8, need)
-	}
-	dst = dst[:need]
-	m := q.Len()
-	for e := 0; e < q.Width; e++ {
-		row := q.Ext8[e*q.Width : (e+1)*q.Width]
-		base := e * t * L
-		for i := 0; i < t; i++ {
-			for k := 0; k < L; k++ {
-				p := k*t + i
-				if p < m {
-					dst[base+i*L+k] = row[q.Seq[p]]
-				} else {
-					dst[base+i*L+k] = 0
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// vshiftU8 is vshift over byte lanes.
-func vshiftU8(dst, src vec.U8, boundary uint8) {
-	for k := len(src) - 1; k >= 1; k-- {
-		dst[k] = src[k-1]
-	}
-	dst[0] = boundary
-}
-
-// clampU8 clamps a non-negative penalty constant to the byte rail; a
-// saturating subtract of 255 always floors at zero, which is the correct
-// clamped value of any deeper penalty.
-func clampU8(v int) uint8 {
-	if v > vec.MaxU8 {
-		return vec.MaxU8
-	}
-	return uint8(v)
-}
-
-// alignPairStriped8 is the ladder's 8-bit striped pass: Farrar's layout
-// over unsigned byte lanes with biased scores, 32 lanes per 256-bit word.
-// H/E/F hold true cell values clamped at zero (see alignGroupIntrinsic8
-// for the soundness argument). The second return value reports biased-rail
-// saturation, in which case the caller escalates to the 16-bit striped
-// pass. Only valid when q.Bias8Viable().
-//
-//sw:hotpath
-func alignPairStriped8(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers) (int32, bool) {
-	m := q.Len()
-	n := len(subject)
-	if m == 0 || n == 0 {
-		return 0, false
-	}
-	L := stripedLanes8
-	t := (m + L - 1) / L
-	bias := q.Bias
-	qr := clampU8(p.GapOpen + p.GapExtend)
-	r := clampU8(p.GapExtend)
-	qOnly := clampU8(p.GapOpen)
-	safe := ladderSafe8(q, n)
-
-	buf.striped8 = stripedProfile8(q, buf.striped8, t)
-	prof := buf.striped8
-
-	hPrev := grow8(&buf.h8, t*L)
-	hCur := grow8(&buf.e8, t*L)
-	eCol := grow8(&buf.hb8, t*L)
-	for i := range hPrev {
-		hPrev[i] = 0
-		eCol[i] = 0
-	}
-	vH := make(vec.U8, L)
-	vF := make(vec.U8, L)
-	vMax := make(vec.U8, L)
-	vTmp := make(vec.U8, L)
-	vec.Set1U8(vMax, 0)
-
-	for j := 0; j < n; j++ {
-		pBase := int(subject[j]) * t * L
-		vshiftU8(vH, hPrev[(t-1)*L:t*L], 0)
-		vec.Set1U8(vF, 0)
-		for i := 0; i < t; i++ {
-			hp := vec.U8(hPrev[i*L : (i+1)*L])
-			hc := vec.U8(hCur[i*L : (i+1)*L])
-			ev := vec.U8(eCol[i*L : (i+1)*L])
-			pv := vec.U8(prof[pBase+i*L : pBase+(i+1)*L])
-			// H = max(diag+score, E, F) with the zero floor supplied by
-			// the unsigned clamp; track the maximum.
-			vec.AddSatU8(vH, vH, pv)
-			vec.SubSatU8Const(vH, vH, bias)
-			vec.MaxU8s(vH, vH, ev)
-			vec.MaxU8s(vH, vH, vF)
-			vec.MaxIntoU8(vMax, vH)
-			copy(hc, vH)
-			vec.SubSatU8Const(vTmp, vH, qr)
-			vec.SubSatU8Const(ev, ev, r)
-			vec.MaxU8s(ev, ev, vTmp)
-			vec.SubSatU8Const(vF, vF, r)
-			vec.MaxU8s(vF, vF, vTmp)
-			copy(vH, hp)
-		}
-
-		// Lazy-F over byte lanes; Farrar's termination test as in the
-		// 16-bit pass.
-	lazyF:
-		for pass := 0; pass < L; pass++ {
-			vshiftU8(vF, vF, 0)
-			for i := 0; i < t; i++ {
-				hc := vec.U8(hCur[i*L : (i+1)*L])
-				vec.SubSatU8Const(vTmp, hc, qOnly)
-				if !vec.AnyGTU8(vF, vTmp) {
-					break lazyF
-				}
-				vec.MaxU8s(hc, hc, vF)
-				vec.MaxIntoU8(vMax, hc)
-				ev := vec.U8(eCol[i*L : (i+1)*L])
-				vec.SubSatU8Const(vTmp, hc, qr)
-				vec.MaxU8s(ev, ev, vTmp)
-				vec.SubSatU8Const(vF, vF, r)
-			}
-		}
-		hPrev, hCur = hCur, hPrev
-	}
-
-	best := int32(vec.HorizontalMaxU8(vMax))
-	if safe {
-		return best, false
-	}
-	return best, best >= int32(vec.MaxU8)-int32(bias)
 }

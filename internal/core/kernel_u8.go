@@ -185,3 +185,13 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	}
 	return scores, st
 }
+
+// clampU8 clamps a non-negative penalty constant to the byte rail; a
+// saturating subtract of 255 always floors at zero, which is the correct
+// clamped value of any deeper penalty.
+func clampU8(v int) uint8 {
+	if v > vec.MaxU8 {
+		return vec.MaxU8
+	}
+	return uint8(v)
+}

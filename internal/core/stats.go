@@ -33,7 +33,9 @@ type Stats struct {
 	// already escalated once.
 	Overflows int64
 	// Overflows8 counts lanes whose 8-bit first pass saturated and were
-	// recomputed at 16 bits (only the Prec8 ladder produces these).
+	// recomputed at 16 bits (only the Prec8 ladder produces these). Long
+	// subjects never count here: the intra-task kernel starts at 16 bits
+	// whatever the search's first-pass precision.
 	Overflows8 int64
 	// Safe8Groups counts lane groups whose score upper bound provably fits
 	// the biased byte rail, so the 8-bit pass skipped saturation detection.
@@ -41,9 +43,9 @@ type Stats struct {
 	// OverflowCells counts the extra cell updates spent on escalation
 	// recomputations, across both ladder tiers.
 	OverflowCells int64
-	// IntraCells counts cell updates performed by the intra-task
-	// (anti-diagonal) kernel that handles extremely long database
-	// sequences. They are also included in Cells.
+	// IntraCells counts cell updates performed by the intra-task (striped)
+	// kernel that handles extremely long database sequences. They are also
+	// included in Cells.
 	IntraCells int64
 }
 

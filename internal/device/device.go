@@ -127,11 +127,11 @@ type Model struct {
 	SeqCycles      float64 // per alignment finalisation
 	DispatchCycles float64 // per scheduler chunk dispatch
 
-	// IntraCellCycles is the per-cell cost of the intra-task
-	// (anti-diagonal) kernel that long database sequences are routed to
-	// (fitted). It is an order of magnitude below the scalar cost but
-	// above the per-lane inter-task cost, reflecting the wavefront's
-	// shift/gather overhead.
+	// IntraCellCycles is the per-cell cost of the intra-task kernel that
+	// long database sequences are routed to (fitted). It is an order of
+	// magnitude below the scalar cost but above the per-lane inter-task
+	// cost, reflecting an intra-task layout's shift and gap fix-up
+	// overhead.
 	IntraCellCycles float64
 
 	// Memory system.

@@ -142,10 +142,6 @@ type Options struct {
 	// LongSeqThreshold routes subjects longer than this to the intra-task
 	// kernel (3072 when zero; negative disables routing).
 	LongSeqThreshold int
-	// IntraKernel selects the long-sequence kernel: "wavefront"
-	// (anti-diagonal, the default) or "striped" (Farrar's striped layout
-	// with lazy-F). Scores are identical.
-	IntraKernel string
 }
 
 // toCore resolves the options against the target database's alphabet,
@@ -196,13 +192,6 @@ func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
 		if gapExtend == 0 {
 			gapExtend = 2
 		}
-	}
-	switch o.IntraKernel {
-	case "", "wavefront":
-	case "striped":
-		out.StripedIntra = true
-	default:
-		return out, fmt.Errorf("heterosw: unknown intra kernel %q (have wavefront, striped)", o.IntraKernel)
 	}
 	out.Params = core.Params{
 		Variant:   v,
