@@ -344,10 +344,10 @@ func TestAutoSplitAPI(t *testing.T) {
 }
 
 // Every vector variant sends the long subject down the one long-path
-// kernel, whatever its first-pass precision; the scalar variant and searches
-// with routing disabled reach the same scores without it. The long subject's
-// score is far over a byte, so the 8-bit escalation counter tells the two
-// routes of an "-8bit" search apart.
+// kernel; the scalar variant and searches with routing disabled reach the
+// same scores without it. The long subject's score is far over a byte, so
+// the 8-bit escalation counter tells the two routes of an intrinsic search
+// apart: the long path starts at 16 bits, a byte lane escalates.
 func TestLongPathAPIEquivalence(t *testing.T) {
 	long := make([]byte, 3300)
 	for i := range long {
@@ -372,9 +372,9 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 	}{
 		{Options{}, 0},
 		{Options{Variant: VariantGuidedQP}, 0},
-		{Options{LongSeqThreshold: -1}, 0},
-		{Options{Variant: VariantIntrinsicSP8}, 0},
-		{Options{Variant: VariantIntrinsicSP8, LongSeqThreshold: -1}, 1},
+		{Options{Variant: VariantGuidedQP, LongSeqThreshold: -1}, 0},
+		{Options{Variant: VariantIntrinsicQP}, 0},
+		{Options{LongSeqThreshold: -1}, 1},
 	} {
 		res, err := db.Search(q, tc.opt)
 		if err != nil {
@@ -391,17 +391,17 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 	}
 }
 
-// The "-8bit" variant spec must run the precision ladder end to end:
-// identical scores, per-tier overflow accounting, and twice the lanes on
-// every device model.
+// The intrinsic variants run the precision ladder end to end: scores
+// identical to the 32-bit guided kernel's, per-tier overflow accounting,
+// and byte lanes on every device model.
 func TestSearchLadderVariant(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLA")
-	ref, err := db.Search(q, Options{Variant: VariantIntrinsicSP})
+	ref, err := db.Search(q, Options{Variant: VariantGuidedSP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, variant := range []string{VariantIntrinsicSP8, VariantIntrinsicQP8} {
+	for _, variant := range []string{VariantIntrinsicSP, VariantIntrinsicQP} {
 		for _, dev := range []DeviceKind{DeviceXeon, DevicePhi} {
 			got, err := db.Search(q, Options{Variant: variant, Device: dev})
 			if err != nil {
@@ -427,7 +427,7 @@ func TestSearchLadderVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sat.Search(NewSequence("q", strings.Repeat("W", 23)), Options{Variant: VariantIntrinsicSP8})
+	res, err := sat.Search(NewSequence("q", strings.Repeat("W", 23)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,8 +438,10 @@ func TestSearchLadderVariant(t *testing.T) {
 		t.Fatalf("escalations %d/%d, want 1/0", res.Overflows8, res.Overflows)
 	}
 
-	// The suffix is rejected on non-intrinsic variants.
-	if _, err := db.Search(q, Options{Variant: "simd-SP-8bit"}); err == nil {
-		t.Fatal("simd-SP-8bit accepted")
+	// The "-8bit" variant names are gone with the knob.
+	for _, old := range []string{"intrinsic-SP-8bit", "intrinsic-QP-8bit"} {
+		if _, err := db.Search(q, Options{Variant: old}); err == nil {
+			t.Fatalf("%s accepted", old)
+		}
 	}
 }

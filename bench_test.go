@@ -226,25 +226,24 @@ func BenchmarkKernelIntrinsicQPPortable(b *testing.B) { benchKernelPortable(b, c
 // Precision-ladder microbenchmark: the 8-bit first pass vs the 16-bit
 // pass over short-sequence lane groups — the packing the ladder exists
 // for, since a length-sorted protein database is dominated by subjects
-// whose scores provably fit a byte. Wall Mcells/s reports the emulation's
-// host throughput; sim-GCUPS is the deterministic device-model number the
-// regression gate compares (byte lanes halve the group count per residue,
-// so the model shows the ~2x the real hardware trick delivers).
-func benchLadder(b *testing.B, prec core.Precision) {
+// whose scores provably fit a byte. The lane width picks the rung, as it
+// does in a search: 32-lane groups start in byte lanes, 16-lane groups at
+// 16 bits. Wall Mcells/s reports the host throughput; sim-GCUPS is the
+// deterministic device-model number the regression gate compares (byte
+// lanes halve the group count per residue, so the model shows the ~2x the
+// real hardware trick delivers).
+func benchLadder(b *testing.B, lanes int) {
 	seqs := datagen.Generate(datagen.Config{Sequences: 512, Seed: 42, MeanLen: 120, MaxLen: 240})
 	db := seqdb.New(seqs, true)
 	dev := device.Xeon()
-	params := core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true, Prec: prec}
-	lanes := dev.Lanes
-	if prec == core.Prec8 {
-		lanes = dev.ByteLanes()
-	}
+	params := core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true}
 	groups, _ := db.Partition(lanes, 0)
 	q := profile.NewQuery(datagen.GenerateQueries(7)[2].Residues, submat.BLOSUM62) // 222 aa
 	bufs := core.NewBuffers(lanes)
 	cells := int64(q.Len()) * db.Residues()
 	threads := dev.MaxThreads()
 	class := params.KernelClass()
+	class.EightBit = lanes == dev.ByteLanes()
 	var cycles float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -261,8 +260,50 @@ func benchLadder(b *testing.B, prec core.Precision) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
 
-func BenchmarkKernelLadderShort8(b *testing.B)  { benchLadder(b, core.Prec8) }
-func BenchmarkKernelLadderShort16(b *testing.B) { benchLadder(b, core.Prec16) }
+func BenchmarkKernelLadderShort8(b *testing.B)  { benchLadder(b, device.Xeon().ByteLanes()) }
+func BenchmarkKernelLadderShort16(b *testing.B) { benchLadder(b, device.Xeon().Lanes) }
+
+// The ladder's slow case: a database rich in homologs of the query, so a
+// tenth or a third of the byte lanes saturate and are re-packed for the
+// 16-bit rung. One engine, one worker — a per-thread figure to read beside
+// LadderShort8 (no escalation) and LadderShort16 (what a 16-bit-first
+// search would pay for every subject).
+func benchLadderHomologRich(b *testing.B, percent int) {
+	rng := rand.New(rand.NewSource(int64(percent)))
+	query := datagen.GenerateQueries(7)[11] // 2005 aa
+	seqs := datagen.Generate(datagen.Config{Sequences: 1024, Seed: 43, MeanLen: 120, MaxLen: 240})
+	for i, s := range seqs {
+		if i*percent%100 < percent && s.Len() >= 60 {
+			off := rng.Intn(query.Len() - 59)
+			copy(s.Residues[rng.Intn(s.Len()-59):], query.Residues[off:off+60])
+		}
+	}
+	db := seqdb.New(seqs, true)
+	eng, err := core.NewEngine(db, device.Xeon())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.SearchOptions{
+		Params:  core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
+		Workers: 1,
+	}
+	cells := float64(query.Len()) * float64(db.Residues())
+	var escalated int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Search(query, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		escalated = res.Stats.Overflows8
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(escalated)/float64(db.Len()), "escalated/subject")
+	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+}
+
+func BenchmarkKernelLadderHomologRich10(b *testing.B) { benchLadderHomologRich(b, 10) }
+func BenchmarkKernelLadderHomologRich30(b *testing.B) { benchLadderHomologRich(b, 30) }
 
 // BenchmarkKernelDNANuc is the nucleotide twin of the kernel
 // microbenchmarks: intrinsic-SP over a seeded random DNA database under

@@ -758,6 +758,27 @@ func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
 	return q, per
 }
 
+// LadderStats is the cumulative precision-ladder accounting of every search
+// the cluster has completed (cache hits and joined queries compute
+// nothing and count nothing).
+type LadderStats struct {
+	// Escalated8 counts lanes whose byte pass saturated and went to the
+	// 16-bit lane pass; Escalated16 those that saturated 16 bits and were
+	// recomputed at 32.
+	Escalated8  int64 `json:"escalated_8to16"`
+	Escalated16 int64 `json:"escalated_16to32"`
+	// EscalatedCells counts the cell updates those recomputations cost.
+	EscalatedCells int64 `json:"escalated_cells"`
+}
+
+// LadderStats reports the cumulative escalation counts. Escalated8 per
+// searched subject is the share of the traffic's subjects that are
+// homologs of their queries; the swserve /healthz endpoint serves it.
+func (c *Cluster) LadderStats() LadderStats {
+	st := c.engine().disp.KernelStats()
+	return LadderStats{Escalated8: st.Overflows8, Escalated16: st.Overflows, EscalatedCells: st.OverflowCells}
+}
+
 // CacheStats reports the cluster result cache's hit/miss counters and
 // current entry count (all zero when caching is disabled).
 func (c *Cluster) CacheStats() (hits, misses int64, entries int) {

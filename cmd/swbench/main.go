@@ -44,7 +44,7 @@ func main() {
 		dbPath  = flag.String("db", "", "cluster mode: plan over this database (FASTA or .swdb) instead of the synthetic corpus")
 		dist    = flag.String("dist", "", "cluster mode: compare only this distribution (default: all)")
 		qlen    = flag.Int("qlen", 1000, "cluster mode: query length")
-		variant = flag.String("variant", "intrinsic-SP", "cluster mode: kernel variant spec (append -8bit for the precision ladder)")
+		variant = flag.String("variant", "intrinsic-SP", "cluster mode: kernel variant (the intrinsic ones plan the 8/16/32-bit ladder's byte lanes)")
 	)
 	flag.Parse()
 
@@ -150,17 +150,17 @@ func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale flo
 		}
 		dists = []core.Distribution{d}
 	}
-	v, prec, err := core.ParseVariantSpec(variant)
+	v, err := core.ParseVariant(variant)
 	if err != nil {
 		return err
 	}
 	opt := core.DispatchOptions{Search: core.SearchOptions{
-		Params:   core.Params{Variant: v, GapOpen: 10, GapExtend: 2, Blocked: true, Prec: prec},
+		Params:   core.Params{Variant: v, GapOpen: 10, GapExtend: 2, Blocked: true},
 		Schedule: sched.Dynamic,
 	}}
 
 	fmt.Fprintf(out, "# cluster: %s over %d sequences (%d residues), query %d aa, variant %s\n",
-		roster, len(lengths), residues, queryLen, core.VariantSpec(v, prec))
+		roster, len(lengths), residues, queryLen, v)
 	fmt.Fprintf(out, "# static shares are model-balanced (OptimalShares); GCUPS is simulated throughput\n\n")
 	fmt.Fprintf(out, "%-8s %12s %10s", "dist", "makespan s", "GCUPS")
 	for _, n := range names {

@@ -43,7 +43,7 @@ func main() {
 		dist       = flag.String("dist", "static", "cluster workload distribution with -devices: static, dynamic, guided")
 		shares     = flag.String("shares", "", "comma-separated static residue shares with -devices (model-balanced when empty)")
 		device     = flag.String("device", "xeon", "device model: xeon or phi")
-		variant    = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP; append -8bit to an intrinsic variant for the adaptive 8/16/32-bit scoring ladder")
+		variant    = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP (the intrinsic ones run the adaptive 8/16/32-bit scoring ladder)")
 		matrix     = flag.String("matrix", "", "substitution matrix: BLOSUM45/50/62/80, PAM250, NUC (default: BLOSUM62 for protein, NUC for DNA)")
 		matrixFile = flag.String("matrixfile", "", "custom substitution matrix file in the NCBI textual format (overrides -matrix)")
 		gapOpen    = flag.Int("gapopen", 10, "gap open penalty q (gap of length x costs q + r*x)")

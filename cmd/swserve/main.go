@@ -85,7 +85,7 @@ func main() {
 		devices   = flag.String("devices", "xeon,phi", "comma-separated cluster roster (e.g. xeon,phi,phi)")
 		dist      = flag.String("dist", "dynamic", "workload distribution: static, dynamic, guided")
 		shares    = flag.String("shares", "", "comma-separated static residue shares (model-balanced when empty)")
-		variant   = flag.String("variant", "intrinsic-SP", "kernel variant")
+		variant   = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP (the intrinsic ones run the adaptive 8/16/32-bit scoring ladder)")
 		matrix    = flag.String("matrix", "", "substitution matrix (default: BLOSUM62 for protein, NUC for DNA)")
 		dna       = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database under the IUPAC DNA alphabet")
 		inflight  = flag.Int("inflight", 0, "max micro-batches in flight (0 = default)")

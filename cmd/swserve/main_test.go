@@ -62,7 +62,13 @@ func TestShutdownUnderLoad(t *testing.T) {
 	}
 	replies := make([]reply, clients)
 	var wg sync.WaitGroup
-	httpc := &http.Client{Timeout: 30 * time.Second}
+	// One connection per request. With keep-alives, a request that answers
+	// while the others are still dialling hands its connection to one of
+	// them, and that one's own dial lands on the server as a connection
+	// that never sends a request — which http.Server.Shutdown waits five
+	// seconds for, longer than the flush window. (The first request runs
+	// at once, in a couple of milliseconds; the rest park in the window.)
+	httpc := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {

@@ -17,7 +17,8 @@ import (
 // The cross-path conformance harness: a FASTA-loaded database and a
 // .swdb-loaded database must be indistinguishable through every entry
 // point — Cluster.Search, SearchBatch, SearchScheduled, Stream.Submit and
-// POST /search — for every kernel variant including the 8-bit ladder.
+// POST /search — for every kernel variant, the intrinsic ones with their
+// precision ladder climbing on a homolog-rich corpus.
 // Byte-identical here means the canonical JSON serialisations of the
 // results are equal after zeroing host wall-clock fields (the only
 // nondeterministic outputs); scores, hit order, alignments, E-values,
@@ -32,17 +33,42 @@ const confDBSeqs = 96
 // groups for the striped kernel and the .swdb carries intra shapes.
 const confLongSeqs = 3
 
+// confCorpus selects a variation of the conformance corpus.
+type confCorpus int
+
+const (
+	confPlain confCorpus = iota
+	// confWithLong adds the confLongSeqs long subjects.
+	confWithLong
+	// confHomologRich turns every third subject into a near-copy of the
+	// planted query's donor, so that query saturates a third of the byte
+	// lanes and the ladder's re-packed 16-bit rung — whole escalation
+	// groups and under-filled ones, on every backend and chunk — takes
+	// part in whatever the leg compares.
+	confHomologRich
+)
+
 // confSetup writes the shared conformance corpus once per test: a FASTA
 // file, the .swdb index built from it, and two queries (one a planted
-// fragment of a database sequence, one unrelated). With long set the
-// corpus also holds the confLongSeqs long subjects.
-func confSetup(t *testing.T, long bool) (fastaPath, swdbPath string, queries []Sequence) {
+// fragment of a database sequence, one unrelated).
+func confSetup(t *testing.T, corpus confCorpus) (fastaPath, swdbPath string, queries []Sequence) {
 	t.Helper()
 	dir := t.TempDir()
 	seqs := wrapSeqs(datagen.Generate(datagen.Config{
 		Sequences: confDBSeqs, Seed: 4242, MeanLen: 90, SigmaLog: 0.5, MaxLen: 4000,
 	}))
-	if long {
+	donor := seqs[confDBSeqs/2]
+	if corpus == confHomologRich {
+		const letters = "ARNDCQEGHILKMFPSTWYV"
+		for i := 1; i < len(seqs); i += 3 {
+			copyOf := []byte(donor.String())
+			for pos := i % 9; pos < len(copyOf); pos += 9 {
+				copyOf[pos] = letters[(pos+i)%len(letters)]
+			}
+			seqs[i] = NewSequence(seqs[i].ID(), string(copyOf))
+		}
+	}
+	if corpus == confWithLong {
 		tail := wrapSeqs(datagen.Generate(datagen.Config{
 			Sequences: confLongSeqs, Seed: 4243, MeanLen: 4400, SigmaLog: 0.05, MaxLen: 6000,
 		}))
@@ -67,7 +93,6 @@ func confSetup(t *testing.T, long bool) (fastaPath, swdbPath string, queries []S
 	}
 	// A fragment of a real subject guarantees a strong alignment; the
 	// second query exercises the unrelated-noise path.
-	donor := seqs[confDBSeqs/2]
 	frag := donor.String()
 	if len(frag) > 64 {
 		frag = frag[:64]
@@ -75,6 +100,15 @@ func confSetup(t *testing.T, long bool) (fastaPath, swdbPath string, queries []S
 	queries = []Sequence{
 		NewSequence("planted", frag),
 		NewSequence("random", "MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF"),
+	}
+	if corpus == confHomologRich {
+		res, err := db.Search(queries[0], Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Overflows8 < confDBSeqs/3 {
+			t.Fatalf("homolog-rich corpus: %d byte lanes escalate, want a third of %d", res.Overflows8, confDBSeqs)
+		}
 	}
 	return fastaPath, swdbPath, queries
 }
@@ -195,44 +229,47 @@ func confTopK(rep ReportOptions) int {
 }
 
 // TestConformanceFASTAvsIndex is the harness table: every kernel variant
-// (including both 8-bit ladder forms), the three distributions and the
-// reporting phases, each asserted byte-identical between the FASTA load
-// path and the .swdb load path on all five entry points.
+// (the intrinsic ones also on the homolog-rich corpus), the three
+// distributions and the reporting phases, each asserted byte-identical
+// between the FASTA load path and the .swdb load path on all five entry
+// points.
 func TestConformanceFASTAvsIndex(t *testing.T) {
 	type confCase struct {
-		name string
-		opts ClusterOptions
-		rep  ReportOptions
+		name   string
+		opts   ClusterOptions
+		rep    ReportOptions
+		corpus confCorpus
 	}
-	// longLeg searches the corpus with the long subjects: an "-8bit" search
-	// whose long subjects take the 16-bit striped pass.
-	const longLeg = "long-path"
 	cases := []confCase{
-		{"scalar-QP", ClusterOptions{Options: Options{Variant: VariantNoVecQP}}, ReportOptions{TopK: 5}},
-		{"scalar-SP", ClusterOptions{Options: Options{Variant: VariantNoVecSP}}, ReportOptions{TopK: 5}},
-		{"simd-QP", ClusterOptions{Options: Options{Variant: VariantGuidedQP}}, ReportOptions{TopK: 5}},
-		{"simd-SP", ClusterOptions{Options: Options{Variant: VariantGuidedSP}}, ReportOptions{TopK: 5}},
-		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}},
-		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}},
-		{"ladder-QP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP8}}, ReportOptions{TopK: 5}},
-		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8}}, ReportOptions{TopK: 5}},
+		{"scalar-QP", ClusterOptions{Options: Options{Variant: VariantNoVecQP}}, ReportOptions{TopK: 5}, confPlain},
+		{"scalar-SP", ClusterOptions{Options: Options{Variant: VariantNoVecSP}}, ReportOptions{TopK: 5}, confPlain},
+		{"simd-QP", ClusterOptions{Options: Options{Variant: VariantGuidedQP}}, ReportOptions{TopK: 5}, confPlain},
+		{"simd-SP", ClusterOptions{Options: Options{Variant: VariantGuidedSP}}, ReportOptions{TopK: 5}, confPlain},
+		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, confPlain},
+		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, confPlain},
+		{"ladder-QP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, confHomologRich},
+		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, confHomologRich},
 		{"dynamic-aligned", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "dynamic"},
-			ReportOptions{TopK: 5, Alignments: true}},
+			ReportOptions{TopK: 5, Alignments: true}, confPlain},
 		{"guided-evalue", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "guided"},
-			ReportOptions{TopK: 5, Alignments: true, EValues: true}},
-		{longLeg, ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8}, Dist: "dynamic"},
-			ReportOptions{TopK: 5}},
+			ReportOptions{TopK: 5, Alignments: true, EValues: true}, confPlain},
+		// The long subjects take the 16-bit striped pass beside byte-lane
+		// groups.
+		{"long-path", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "dynamic"},
+			ReportOptions{TopK: 5}, confWithLong},
 		{"three-device", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}},
-			ReportOptions{TopK: 5}},
+			ReportOptions{TopK: 5}, confPlain},
 	}
 
-	fastaPath, swdbPath, queries := confSetup(t, false)
+	fastaPath, swdbPath, queries := confSetup(t, confPlain)
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fastaPath, swdbPath, wantSeqs := fastaPath, swdbPath, confDBSeqs
-			if tc.name == longLeg {
-				fastaPath, swdbPath, _ = confSetup(t, true)
+			if tc.corpus != confPlain {
+				fastaPath, swdbPath, _ = confSetup(t, tc.corpus)
+			}
+			if tc.corpus == confWithLong {
 				wantSeqs += confLongSeqs
 			}
 			results := make(map[string]map[string][]byte, 2)
@@ -271,26 +308,29 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 // harness: on hosts where internal/vec selected the native AVX2 backend,
 // every result served off the native column kernels must be byte-identical
 // to the same search with the portable pure-Go loops forced — across the
-// plain, 8-bit-ladder and full-reporting variants, on all five entry
-// points. Skipped (vacuous) where the portable backend is the only one.
+// plain variants, the ladder climbing on the homolog-rich corpus and full
+// reporting, on all five entry points. Skipped (vacuous) where the portable
+// backend is the only one.
 func TestConformanceNativeVsPortable(t *testing.T) {
 	if !vec.Native() {
 		t.Skipf("vec backend is %q; native vs portable conformance is vacuous", vec.Backend())
 	}
-	fastaPath, _, queries := confSetup(t, false)
+	plainPath, _, queries := confSetup(t, confPlain)
+	homologPath, _, _ := confSetup(t, confHomologRich)
 
 	cases := []struct {
-		name string
-		opts ClusterOptions
-		rep  ReportOptions
+		name      string
+		opts      ClusterOptions
+		rep       ReportOptions
+		fastaPath string
 	}{
-		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}},
-		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}},
-		{"simd-SP", ClusterOptions{Options: Options{Variant: VariantGuidedSP}}, ReportOptions{TopK: 5}},
-		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8}}, ReportOptions{TopK: 5}},
-		{"ladder-QP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP8}}, ReportOptions{TopK: 5}},
+		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, plainPath},
+		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, plainPath},
+		{"simd-SP", ClusterOptions{Options: Options{Variant: VariantGuidedSP}}, ReportOptions{TopK: 5}, plainPath},
+		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, homologPath},
+		{"ladder-QP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, homologPath},
 		{"aligned-evalue", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "dynamic"},
-			ReportOptions{TopK: 5, Alignments: true, EValues: true}},
+			ReportOptions{TopK: 5, Alignments: true, EValues: true}, plainPath},
 	}
 
 	for _, tc := range cases {
@@ -301,7 +341,7 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 					prev := vec.ForcePortable(true)
 					defer vec.ForcePortable(prev)
 				}
-				db, err := LoadDatabaseFile(fastaPath)
+				db, err := LoadDatabaseFile(tc.fastaPath)
 				if err != nil {
 					t.Fatalf("%s: %v", backend, err)
 				}
@@ -394,7 +434,6 @@ func TestConformanceDNAFASTAvsIndex(t *testing.T) {
 		{"scalar-SP", ClusterOptions{Options: Options{Variant: VariantNoVecSP}}, ReportOptions{TopK: 5}},
 		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}},
 		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}},
-		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8}}, ReportOptions{TopK: 5}},
 		{"dynamic-aligned-evalue", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "dynamic"},
 			ReportOptions{TopK: 5, Alignments: true, EValues: true}},
 	}

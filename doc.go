@@ -8,10 +8,12 @@
 //     traceback for pairwise use — see Align, Score and ScoreBanded;
 //   - a parallel database-search engine with the paper's six kernel
 //     variants ({no-vec, guided-simd, intrinsic} x {query profile, score
-//     profile}), cache blocking, an adaptive precision ladder (an 8-bit
-//     biased first pass with twice the lanes per vector word, escalating
-//     saturated lanes 8 -> 16 -> 32 bits; select it with the
-//     "intrinsic-SP-8bit" / "intrinsic-QP-8bit" variant names), and one
+//     profile}), the intrinsic variants' adaptive precision ladder (an
+//     8-bit biased first pass with twice the lanes per vector word
+//     wherever the matrix fits a byte — there is nothing to select —
+//     with saturated lanes re-packed for a 16-bit lane pass and, from
+//     there, recomputed in 32 bits; Result.Overflows8, Overflows and
+//     OverflowCells count the climb), and one
 //     intra-task kernel for subjects over Options.LongSeqThreshold:
 //     Farrar's striped layout, each column of it one call of the fused
 //     inter-task column step (stripes as rows, query segments as lanes),
@@ -95,8 +97,8 @@
 // shards split from the same index share backend engines across loads.
 // Loading from .swdb and loading from FASTA are conformant: every entry
 // point returns byte-identical results over either path (pinned by the
-// conformance harness for all kernel variants, including the 8-bit
-// ladder).
+// conformance harness for all kernel variants, the ladder's escalation
+// rungs included).
 //
 // # Quick start
 //

@@ -19,21 +19,15 @@ func shapeCosts(lengths []int, m int, dev *device.Model, opt SearchOptions) (cos
 		threads = dev.MaxThreads()
 	}
 	class := opt.Params.KernelClass()
-	lanes := dev.Lanes
-	if class.EightBit {
-		// The ladder's 8-bit first pass packs byte lanes: twice as many
-		// subjects per group, half as many groups to schedule. (The cost
-		// estimate optimistically assumes no escalation recomputes; over a
-		// realistic protein database the saturating tail is negligible.)
-		lanes = dev.ByteLanes()
-	}
+	// The same rule as Engine.Search. (With byte lanes the estimate
+	// optimistically assumes no escalation recomputes; over a realistic
+	// protein database the saturating tail is negligible.)
+	lanes, eightBit := firstRung(opt.Variant, opt.byteViable(), dev)
+	class.EightBit = eightBit
 	longThr := opt.LongSeqThreshold
 	switch {
 	case longThr < 0 || class.Scalar:
 		longThr = 0
-		if class.Scalar {
-			lanes = 1
-		}
 	case longThr == 0:
 		longThr = DefaultLongSeqThreshold
 	}

@@ -49,6 +49,9 @@ type EngineBackend struct {
 	name    string
 	model   *device.Model
 	threads int
+	// pool is the kernel scratch every engine of this backend borrows
+	// from: one set per backend, not one per cached chunk engine.
+	pool *bufferPool
 
 	mu      sync.Mutex
 	engines map[any]*Engine
@@ -61,6 +64,7 @@ func NewBackend(name string, m *device.Model, threads int) *EngineBackend {
 		name:    name,
 		model:   m,
 		threads: threads,
+		pool:    newBufferPool(),
 		engines: make(map[any]*Engine),
 	}
 }
@@ -113,6 +117,7 @@ func (b *EngineBackend) Search(ctx context.Context, db *seqdb.Database, query *s
 		if err != nil {
 			return nil, err
 		}
+		eng.pool = b.pool
 		b.mu.Lock()
 		if cached, again := b.engines[key]; again {
 			eng = cached
@@ -248,6 +253,7 @@ type Dispatcher struct {
 	totalsMu sync.Mutex
 	queries  int64           //sw:guardedBy(totalsMu)
 	totals   []BackendTotals //sw:guardedBy(totalsMu)
+	stats    Stats           //sw:guardedBy(totalsMu)
 }
 
 // shardSet is one cached static split.
@@ -378,14 +384,26 @@ func (d *Dispatcher) Totals() (queries int64, per []BackendTotals) {
 	return d.queries, append([]BackendTotals(nil), d.totals...)
 }
 
+// KernelStats reports the kernel operation counts summed over every search
+// the dispatcher has completed — among them the precision ladder's
+// escalations (Overflows8, Overflows, OverflowCells), where a homolog-rich
+// traffic mix shows before it shows in latency. See Totals for the snapshot
+// semantics.
+func (d *Dispatcher) KernelStats() Stats {
+	d.totalsMu.Lock()
+	defer d.totalsMu.Unlock()
+	return d.stats
+}
+
 // totalsDelta is one search's contribution to the cumulative accounting:
-// functionally executed work grants and residues per backend, plus the
-// per-backend simulated busy time. Deltas are committed only for searches
+// functionally executed work grants and residues per backend, the
+// per-backend simulated busy time and the kernel operation counts. Deltas are committed only for searches
 // whose results reach the caller, so a failed batch that gets retried
 // query-by-query never counts its discarded partial work twice.
 type totalsDelta struct {
 	grants, residues []int64
 	simSeconds       []float64
+	stats            Stats
 }
 
 // commitTotals folds completed searches into the cumulative accounting.
@@ -402,6 +420,7 @@ func (d *Dispatcher) commitTotals(deltas []totalsDelta) {
 			d.totals[i].Residues += td.residues[i]
 			d.totals[i].SimSeconds += td.simSeconds[i]
 		}
+		d.stats.Add(td.stats)
 	}
 }
 
@@ -692,6 +711,7 @@ func (d *Dispatcher) SearchBatchContext(ctx context.Context, queries []*sequence
 // Algorithm 2 degenerates to Algorithm 1 at a 0% coprocessor share.
 func (d *Dispatcher) searchStatic(ctx context.Context, query *sequence.Sequence, opt DispatchOptions, set *shardSet) (*ClusterResult, totalsDelta, error) {
 	n := len(d.backends)
+	opt.Search.profile = new(sharedProfile)
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	start := time.Now()
@@ -749,7 +769,7 @@ func (d *Dispatcher) searchStatic(ctx context.Context, query *sequence.Sequence,
 	out.Scores = scores
 	out.WallSeconds = wall
 	d.finishResult(out, opt)
-	return out, totalsDelta{grants: grants, residues: residues, simSeconds: simSeconds}, nil
+	return out, totalsDelta{grants: grants, residues: residues, simSeconds: simSeconds, stats: out.Stats}, nil
 }
 
 // searchDynamic drains a shared chunk queue with one worker goroutine per
@@ -761,6 +781,7 @@ func (d *Dispatcher) searchStatic(ctx context.Context, query *sequence.Sequence,
 // internal/sched separates Parallel from Simulate.
 func (d *Dispatcher) searchDynamic(ctx context.Context, query *sequence.Sequence, opt DispatchOptions, set *chunkSet) (*ClusterResult, totalsDelta, error) {
 	n := len(d.backends)
+	opt.Search.profile = new(sharedProfile)
 	scores := make([]int32, d.db.Len())
 	statsPer := make([]Stats, n)
 	claimed := make([]int64, n)
@@ -838,7 +859,7 @@ func (d *Dispatcher) searchDynamic(ctx context.Context, query *sequence.Sequence
 	}
 	out.SimSeconds = plan.Makespan
 	d.finishResult(out, opt)
-	return out, totalsDelta{grants: claimed, residues: claimedRes, simSeconds: plan.Seconds}, nil
+	return out, totalsDelta{grants: claimed, residues: claimedRes, simSeconds: plan.Seconds, stats: out.Stats}, nil
 }
 
 // finishResult computes the derived fields shared by both distributions:

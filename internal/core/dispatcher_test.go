@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"heterosw/internal/device"
@@ -414,5 +415,63 @@ func TestSearchBatchContextCancellation(t *testing.T) {
 	res, err := disp.SearchBatchContext(context.Background(), queries, DispatchOptions{Search: defaultSearchOptions()})
 	if err != nil || len(res) != len(queries) {
 		t.Fatalf("live context: %v, %d results", err, len(res))
+	}
+}
+
+// profileSpy is an EngineBackend that records the shared profile handle of
+// every chunk search it is given.
+type profileSpy struct {
+	*EngineBackend
+	mu   sync.Mutex
+	seen []*sharedProfile
+}
+
+func (b *profileSpy) Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt SearchOptions) (*Result, error) {
+	b.mu.Lock()
+	b.seen = append(b.seen, opt.profile)
+	b.mu.Unlock()
+	return b.EngineBackend.Search(ctx, db, query, opt)
+}
+
+// All chunk searches of one query, on every backend and under every
+// distribution, share one profile build; the next query gets its own.
+func TestDispatcherBuildsQueryProfileOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(406))
+	db := randDB(rng, 300, 120, true)
+	spies := []*profileSpy{
+		{EngineBackend: NewBackend("xeon0", device.Xeon(), 0)},
+		{EngineBackend: NewBackend("phi0", device.Phi(), 0)},
+	}
+	disp, err := NewDispatcher(db, []Backend{spies[0], spies[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *sharedProfile
+	for _, dist := range []Distribution{DistDynamic, DistStatic} {
+		for q := 0; q < 2; q++ {
+			query := randProtein(rng, 60)
+			if _, err := disp.Search(query, DispatchOptions{Search: defaultSearchOptions(), Dist: dist}); err != nil {
+				t.Fatal(err)
+			}
+			var shared *sharedProfile
+			searches := 0
+			for _, spy := range spies {
+				for _, p := range spy.seen {
+					if p == nil || (shared != nil && p != shared) {
+						t.Fatalf("%v: chunk searches of one query got profile handles %p and %p", dist, shared, p)
+					}
+					shared = p
+					searches++
+				}
+				spy.seen = nil
+			}
+			if searches < 2 || shared == last {
+				t.Fatalf("%v: %d chunk searches, handle %p after %p", dist, searches, shared, last)
+			}
+			if shared.qp == nil || &shared.qp.Seq[0] != &query.Residues[0] {
+				t.Fatalf("%v: the shared profile was not built from the query", dist)
+			}
+			last = shared
+		}
 	}
 }

@@ -24,6 +24,9 @@ import (
 type Engine struct {
 	db  *seqdb.Database
 	dev *device.Model
+	// pool lends the workers their kernel scratch; an EngineBackend shares
+	// one among the engines of all its chunks.
+	pool *bufferPool
 
 	mu    sync.Mutex // guards parts
 	parts map[partKey]*partition
@@ -63,6 +66,65 @@ func dispatchOrder(nGroups int, longLens []int) []int {
 	return order
 }
 
+// bufferPool keeps kernel scratch between searches, by lane width, so a
+// search borrows its workers' Buffers instead of building them: a
+// dispatcher runs one Engine.Search per database chunk, some fifty per
+// query, and every one of them used to allocate its own.
+type bufferPool struct {
+	mu sync.Mutex
+	//sw:guardedBy(mu)
+	free map[int][]*Buffers
+}
+
+func newBufferPool() *bufferPool {
+	return &bufferPool{free: make(map[int][]*Buffers)}
+}
+
+// get returns scratch for a lane width, pooled when there is one.
+func (p *bufferPool) get(lanes int) *Buffers {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	free := p.free[lanes]
+	if n := len(free); n > 0 {
+		b := free[n-1]
+		p.free[lanes] = free[:n-1]
+		return b
+	}
+	return NewBuffers(lanes)
+}
+
+// put returns scratch to the pool. The pool keeps what one search's workers
+// borrow; the surplus of concurrent searches is left to the collector.
+func (p *bufferPool) put(b *Buffers) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if free := p.free[b.lanes]; len(free) < runtime.GOMAXPROCS(0) {
+		p.free[b.lanes] = append(free, b)
+	}
+}
+
+// sharedProfile lets the searches of one query over many databases — the
+// chunks of a dispatcher, on all its backends — build the query's profiles
+// once. Without it every chunk search built them again: for a
+// 2,000-residue query 8 MB of identical tables, garbage that cost a server
+// more resident memory than all the scratch the pools keep. The build
+// waits for the first search, which has checked the matrix against the
+// query's alphabet.
+type sharedProfile struct {
+	once sync.Once
+	qp   *profile.Query
+}
+
+// get returns the profiles, building them on first use; a nil receiver
+// builds a private one.
+func (s *sharedProfile) get(query *sequence.Sequence, m *submat.Matrix) *profile.Query {
+	if s == nil {
+		return profile.NewQuery(query.Residues, m)
+	}
+	s.once.Do(func() { s.qp = profile.NewQuery(query.Residues, m) })
+	return s.qp
+}
+
 // NewEngine builds an engine over a database for a device model.
 func NewEngine(db *seqdb.Database, dev *device.Model) (*Engine, error) {
 	if db == nil {
@@ -74,7 +136,7 @@ func NewEngine(db *seqdb.Database, dev *device.Model) (*Engine, error) {
 	if err := dev.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{db: db, dev: dev, parts: make(map[partKey]*partition)}, nil
+	return &Engine{db: db, dev: dev, pool: newBufferPool(), parts: make(map[partKey]*partition)}, nil
 }
 
 // DB returns the engine's database.
@@ -126,6 +188,10 @@ type SearchOptions struct {
 	LongSeqThreshold int
 	// TopK truncates the hit list (all hits when 0).
 	TopK int
+
+	// profile is set by a dispatcher on the options of one query's chunk
+	// searches.
+	profile *sharedProfile
 }
 
 // matrixFor resolves the substitution matrix against a database alphabet:
@@ -141,8 +207,29 @@ func (o SearchOptions) matrixFor(alpha *alphabet.Alphabet) *submat.Matrix {
 	return submat.BLOSUM62
 }
 
-func (o SearchOptions) kernelClass() device.KernelClass {
-	return o.Params.KernelClass()
+// byteViable reports whether the search's matrix admits the ladder's byte
+// pass, before any query profile exists. The alphabet defaults (BLOSUM62,
+// NUC) do.
+func (o SearchOptions) byteViable() bool {
+	if o.Matrix == nil {
+		return true
+	}
+	_, ok := profile.ByteBias(o.Matrix)
+	return ok
+}
+
+// firstRung resolves the lane width a search on dev packs its groups for
+// and whether its intrinsic kernels start in byte lanes — from the variant,
+// from whether the matrix is byte-viable and from the device's register, so
+// the kernels, the engine and the shape-level planner cannot disagree.
+func firstRung(v Variant, viable bool, dev *device.Model) (lanes int, eightBit bool) {
+	switch {
+	case v.Vec() == VecNone:
+		return 1, false
+	case v.Vec() == VecIntrinsic && byteLanes(viable, dev.ByteLanes()):
+		return dev.ByteLanes(), true
+	}
+	return dev.Lanes, false
 }
 
 // Hit is one database match.
@@ -209,18 +296,8 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		return nil, fmt.Errorf("core: %s query %s against a %s database",
 			qa.Name(), query.ID, alpha.Name())
 	}
-	qp := profile.NewQuery(query.Residues, matrix)
-	// The 8-bit first pass doubles the lanes per vector word; it needs the
-	// biased byte profiles, so a matrix whose score range exceeds a byte
-	// silently starts the ladder at 16 bits instead.
-	prec8 := opt.Prec == Prec8 && opt.Variant.Vec() == VecIntrinsic && qp.Bias8Viable()
-	lanes := e.dev.Lanes
-	switch {
-	case opt.Variant.Vec() == VecNone:
-		lanes = 1
-	case prec8:
-		lanes = e.dev.ByteLanes()
-	}
+	qp := opt.profile.get(query, matrix)
+	lanes, eightBit := firstRung(opt.Variant, qp.Bias8Viable(), e.dev)
 	longThr := opt.LongSeqThreshold
 	switch {
 	case longThr < 0 || opt.Variant.Vec() == VecNone:
@@ -232,38 +309,60 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	}
 	part := e.partitionFor(lanes, longThr)
 	groups, long := part.groups, part.long
-	class := opt.kernelClass()
-	class.EightBit = prec8
+	class := opt.KernelClass()
+	class.EightBit = eightBit
+	intrinsic := opt.Variant.Vec() == VecIntrinsic
 	m := qp.Len()
 
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Per-worker scratch; sized lazily inside the kernels.
+	// Per-worker scratch, borrowed on a worker's first item.
 	bufs := make([]*Buffers, workers)
 	statsPer := make([]Stats, workers)
 	items := len(part.order)
+	// overflow holds each group's escalation recompute cells, the one input
+	// of its simulated cost that is not known when its first pass returns.
+	overflow := make([]int64, len(groups))
 	costs := make([]float64, items)
 	scores := make([]int32, e.db.Len())
+	// settle stores the scores of byte lanes back from the 16-bit rung.
+	settle := func(done []escalation) {
+		for i := range done {
+			d := &done[i]
+			scores[d.g.SeqIdx[d.lane]] = d.score
+			if d.wide() {
+				overflow[d.item] += int64(m) * int64(d.g.Lens[d.lane])
+			}
+		}
+	}
 
 	start := time.Now()
 	sched.Parallel(items, workers, func(pos, worker int) {
 		if bufs[worker] == nil {
-			bufs[worker] = NewBuffers(lanes)
+			bufs[worker] = e.pool.get(lanes)
 		}
+		buf := bufs[worker]
 		i := part.order[pos]
 		if i < len(groups) {
 			g := groups[i]
-			got, st := AlignGroup(qp, g, opt.Params, bufs[worker])
-			statsPer[worker].Add(st)
+			var got []int32
+			var st Stats
+			if intrinsic {
+				got = buf.laneScores[:g.Lanes]
+				st = alignGroupLadder(qp, g, opt.Params, buf, got, i)
+			} else {
+				got, st = AlignGroup(qp, g, opt.Params, buf)
+			}
 			for l, idx := range g.SeqIdx {
 				if idx >= 0 {
 					scores[idx] = got[l]
 				}
 			}
-			shape := device.Shape{Width: g.Width, Lanes: g.Lanes, Residues: g.Residues}
-			costs[i] = e.dev.GroupCost(class, m, shape, threads, st.OverflowCells)
+			overflow[i] = st.OverflowCells
+			statsPer[worker].Add(st)
+			settle(buf.escalate(qp, opt.Params, &statsPer[worker], false))
 			return
 		}
 		// Long sequences: intra-task kernel, one chunk per sequence.
@@ -274,12 +373,24 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			Cells: cells, PaddedCells: cells, IntraCells: cells,
 			Columns: int64(len(subject)), Alignments: 1, Groups: 1,
 		}
-		scores[idx] = alignPairStriped(qp, subject, opt.Params, bufs[worker], &st)
+		scores[idx] = alignPairStriped(qp, subject, opt.Params, buf, &st)
 		statsPer[worker].Add(st)
 		shape := device.Shape{Width: len(subject), Lanes: 1, Residues: int64(len(subject)), Intra: true}
 		costs[i] = e.dev.GroupCost(class, m, shape, threads, 0)
 	})
+	// Each worker's sweep ends with fewer than one escalation group queued;
+	// the workers run those last groups side by side.
+	sched.Parallel(workers, workers, func(w, _ int) {
+		if buf := bufs[w]; buf != nil {
+			settle(buf.escalate(qp, opt.Params, &statsPer[w], true))
+			e.pool.put(buf)
+		}
+	})
 	wall := time.Since(start).Seconds()
+	for i, g := range groups {
+		shape := device.Shape{Width: g.Width, Lanes: g.Lanes, Residues: g.Residues}
+		costs[i] = e.dev.GroupCost(class, m, shape, threads, overflow[i])
+	}
 
 	var stats Stats
 	for i := range statsPer {

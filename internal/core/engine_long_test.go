@@ -86,7 +86,7 @@ func TestPartitionRouting(t *testing.T) {
 	}
 }
 
-// A Prec8 search runs long subjects through the 16-bit striped pass: the
+// A byte-lane search runs long subjects through the 16-bit striped pass: the
 // long subject here holds a copy of the query, whose score would saturate a
 // byte lane, yet the 8-bit escalation counter stays untouched.
 func TestEngineLongSubjectsPrec8(t *testing.T) {
@@ -102,9 +102,7 @@ func TestEngineLongSubjectsPrec8(t *testing.T) {
 	}
 	e := testEngine(t, db)
 
-	opt := defaultSearchOptions()
-	opt.Prec = Prec8
-	res, err := e.Search(query, opt)
+	res, err := e.Search(query, defaultSearchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +173,9 @@ func TestEngineDispatchOrderKeepsResults(t *testing.T) {
 	opt := defaultSearchOptions()
 
 	qp := profile.NewQuery(query.Residues, submat.BLOSUM62)
-	groups, long := db.Partition(e.dev.Lanes, DefaultLongSeqThreshold)
-	buf := NewBuffers(e.dev.Lanes)
+	lanes := e.dev.ByteLanes() // BLOSUM62 fits a byte: the search packs byte lanes
+	groups, long := db.Partition(lanes, DefaultLongSeqThreshold)
+	buf := NewBuffers(lanes)
 	var want Stats
 	for _, g := range groups {
 		_, st := AlignGroup(qp, g, opt.Params, buf)

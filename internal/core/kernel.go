@@ -15,24 +15,36 @@ type Params struct {
 	Variant   Variant
 	GapOpen   int // q >= 0
 	GapExtend int // r >= 0
-	// Blocked enables the cache-blocking optimisation (Figure 7): the
-	// query dimension is processed in tiles of BlockRows rows, carrying
-	// boundary state, so the hot working set is O(BlockRows) instead of
-	// O(query length).
+	// Blocked enables the cache-blocking optimisation of the device model
+	// (Figure 7): the modelled kernel processes the query dimension in
+	// tiles of BlockRows rows, so its hot working set is O(BlockRows)
+	// instead of O(query length). Both are inputs of the simulated
+	// accounting only; the real kernels size their tiles for the host
+	// (see tileBytes).
 	Blocked   bool
 	BlockRows int
-	// Prec selects the first-pass precision of the intrinsic kernels:
-	// Prec16 (the default) is the classic 16-bit pass with 32-bit
-	// escalation; Prec8 puts an 8-bit biased pass in front, doubling the
-	// lanes per vector word and escalating saturated lanes 8 -> 16 -> 32.
-	// Ignored by the scalar and guided kernels (always 32-bit).
-	Prec Precision
 }
 
-// DefaultBlockRows is the query-tile height used when Params.Blocked is set
-// without an explicit BlockRows. 256 rows x 32 lanes x 2 arrays x 2 bytes
-// = 32 KiB comfortably fits the per-thread share of both devices' caches.
+// DefaultBlockRows is the modelled query-tile height when Params.Blocked is
+// set without an explicit BlockRows. 256 rows x 32 lanes x 2 arrays x 2
+// bytes = 32 KiB comfortably fits the per-thread share of both devices'
+// caches.
 const DefaultBlockRows = 256
+
+// tileBytes is the working set the real kernels give one query tile: the H
+// and E state of its rows, the slab a column step walks top to bottom once
+// per database column. It is sized for the machine that runs the code, not
+// for the modelled Phi: every tile rebuilds the score rows of every column
+// and moves a boundary row per column, so the 256-row tiles of the model
+// (8-16 KiB) pay that twenty times over for a long query, while an untiled
+// slab falls out of L2 on a very long one. Measured on the 2-core AVX2
+// host, one thread, Gcells/s at 16 KiB / 64 KiB / 256 KiB / untiled: byte
+// lanes 9.4 / 10.0 / 10.4 / 10.6 at M = 5478 and 9.3 / 9.9 / 9.9 / 8.2 at
+// M = 40000; 16-bit lanes 2.9 / 4.2 / 4.7 / 4.8 at both. 64 KiB takes most
+// of that and keeps the scratch a server's workers hold (resident for the
+// life of the process, see bufferPool) where it was: at 256 KiB the peak
+// RSS of a batch of long queries rose 8%.
+const tileBytes = 64 << 10
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
@@ -50,17 +62,12 @@ func (p Params) Validate() error {
 	if p.GapOpen+p.GapExtend > 16384 {
 		return fmt.Errorf("core: gap penalties q+r = %d exceed the supported maximum 16384", p.GapOpen+p.GapExtend)
 	}
-	if p.Prec != Prec16 && p.Prec != Prec8 {
-		return fmt.Errorf("core: invalid precision %d", int(p.Prec))
-	}
-	if p.Prec == Prec8 && p.Variant.Vec() != VecIntrinsic {
-		return fmt.Errorf("core: the 8-bit first pass requires an intrinsic variant, got %v", p.Variant)
-	}
 	return nil
 }
 
 // KernelClass maps the parameters to the architecture-neutral descriptor
-// the device cost model consumes.
+// the device cost model consumes. EightBit is not a parameter: a search
+// sets it from what it observes (see firstRung).
 func (p Params) KernelClass() device.KernelClass {
 	return device.KernelClass{
 		Scalar:       p.Variant.Vec() == VecNone,
@@ -68,18 +75,7 @@ func (p Params) KernelClass() device.KernelClass {
 		QueryProfile: p.Variant.Prof() == ProfQuery,
 		Blocked:      p.Blocked,
 		BlockRows:    p.BlockRows,
-		EightBit:     p.Prec == Prec8 && p.Variant.Vec() == VecIntrinsic,
 	}
-}
-
-func (p Params) blockRows() int {
-	if !p.Blocked {
-		return 0
-	}
-	if p.BlockRows == 0 {
-		return DefaultBlockRows
-	}
-	return p.BlockRows
 }
 
 // Buffers holds per-worker kernel scratch so the hot loops never allocate.
@@ -87,6 +83,9 @@ func (p Params) blockRows() int {
 // use.
 type Buffers struct {
 	lanes int
+	// tileRows, when positive, replaces the host-sized query tile height
+	// (see tileBytes); the seam tests set it to force small tiles.
+	tileRows int
 
 	// 16-bit state for the intrinsic kernels. he16 is one contiguous slab
 	// holding both the H and E tile arrays ((rows+1)*lanes each) so the
@@ -97,12 +96,20 @@ type Buffers struct {
 	max16       vec.I16
 
 	// 8-bit state for the ladder's first pass.
-	he8              []uint8 // intrinsic tile state, 2 * (rows+1) * lanes
-	hb8, fb8         []uint8 // block boundary rows, width * lanes
-	f8, diag8        vec.U8  // lane temporaries
-	max8             vec.U8
-	sr8              *profile.ScoreRows8
-	lane16H, lane16E []int16 // 16-bit scalar recompute state, query length + 1
+	he8       []uint8 // intrinsic tile state, 2 * (rows+1) * lanes
+	hb8, fb8  []uint8 // block boundary rows, width * lanes
+	f8, diag8 vec.U8  // lane temporaries
+	max8      vec.U8
+	sr8       *profile.ScoreRows8
+
+	// Ladder escalation (kernel_u8.go): byte lanes that saturated wait in
+	// pend[:npend] until escLanes of them fill escGroup, which runs through
+	// the 16-bit kernel on esc, a Buffers of that width made on first use.
+	pend      []escalation
+	npend     int
+	esc       *Buffers
+	escGroup  seqdb.LaneGroup
+	escScores [escLanes]int32
 
 	// 32-bit state for the guided kernels.
 	h32, e32     []int32
@@ -116,6 +123,11 @@ type Buffers struct {
 	sr  *profile.ScoreRows
 	idx []uint8 // current column residues (lane view)
 
+	// laneScores is the per-group score vector the engine reads the
+	// intrinsic kernels' results from, one per worker instead of one per
+	// group.
+	laneScores []int32
+
 	// Striped-kernel state: the query's striped profile, the H and E
 	// stripe arrays (one slab, stripes * stripedLanes each) and the three
 	// lane temporaries (diag, F, max tracker).
@@ -127,22 +139,40 @@ type Buffers struct {
 // NewBuffers allocates kernel scratch for a lane width.
 func NewBuffers(lanes int) *Buffers {
 	b := &Buffers{
-		lanes:  lanes,
-		f16:    make(vec.I16, lanes),
-		diag16: make(vec.I16, lanes),
-		max16:  make(vec.I16, lanes),
-		f32:    make([]int32, lanes),
-		max32:  make([]int32, lanes),
-		diag32: make([]int32, lanes),
-		up32:   make([]int32, lanes),
-		sr:     profile.NewScoreRows(lanes),
-		idx:    make([]uint8, lanes),
-		f8:     make(vec.U8, lanes),
-		diag8:  make(vec.U8, lanes),
-		max8:   make(vec.U8, lanes),
-		sr8:    profile.NewScoreRows8(lanes),
+		lanes:      lanes,
+		f16:        make(vec.I16, lanes),
+		diag16:     make(vec.I16, lanes),
+		max16:      make(vec.I16, lanes),
+		f32:        make([]int32, lanes),
+		max32:      make([]int32, lanes),
+		diag32:     make([]int32, lanes),
+		up32:       make([]int32, lanes),
+		sr:         profile.NewScoreRows(lanes),
+		idx:        make([]uint8, lanes),
+		f8:         make(vec.U8, lanes),
+		diag8:      make(vec.U8, lanes),
+		max8:       make(vec.U8, lanes),
+		sr8:        profile.NewScoreRows8(lanes),
+		laneScores: make([]int32, lanes),
+		// One group queues at most lanes saturations on top of a
+		// remainder shorter than one escalation group.
+		pend: make([]escalation, lanes+escLanes),
 	}
 	return b
+}
+
+// tile returns the query tile height for a query of m rows whose H and E
+// state takes elem bytes per lane: tileBytes worth of rows, the whole query
+// when it is shorter.
+func (b *Buffers) tile(m, lanes, elem int) int {
+	rows := b.tileRows
+	if rows <= 0 {
+		rows = tileBytes / (2 * lanes * elem)
+	}
+	if rows > m {
+		rows = m
+	}
+	return rows
 }
 
 //sw:hotpath
@@ -173,6 +203,10 @@ func grow32(p *[]int32, n int) []int32 {
 // per-lane optimal local-alignment scores (padding lanes score 0) plus the
 // structural operation counts. buf must have been created with
 // NewBuffers(g.Lanes) for the lane kernels; no-vec ignores the lane width.
+//
+// The intrinsic variants run the precision ladder: byte lanes first when
+// the group allows them (see byteLanes), the 16-bit pass otherwise, with
+// every saturated lane escalated before the call returns.
 func AlignGroup(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([]int32, Stats) {
 	if err := p.Validate(); err != nil {
 		panic(err)
@@ -182,10 +216,24 @@ func AlignGroup(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([
 		return alignGroupScalar(q, g, p)
 	case VecGuided:
 		return alignGroupGuided(q, g, p, buf)
-	default:
-		if p.Prec == Prec8 && q.Bias8Viable() {
-			return alignGroupIntrinsic8(q, g, p, buf)
-		}
-		return alignGroupIntrinsic(q, g, p, buf)
 	}
+	scores := make([]int32, g.Lanes)
+	st := alignGroupLadder(q, g, p, buf, scores, 0)
+	for _, e := range buf.escalate(q, p, &st, true) {
+		scores[e.lane] = e.score
+	}
+	return scores, st
+}
+
+// alignGroupLadder runs the first rung of the precision ladder over one
+// group, writing lane scores to scores (g.Lanes long). Byte lanes that
+// saturate are queued in buf under the caller's item tag; their scores
+// arrive from buf.escalate.
+//
+//sw:hotpath
+func alignGroupLadder(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32, item int) Stats {
+	if byteLanes(q.Bias8Viable(), g.Lanes) {
+		return alignGroupIntrinsic8(q, g, p, buf, scores, item)
+	}
+	return alignGroupIntrinsic(q, g, p, buf, scores)
 }

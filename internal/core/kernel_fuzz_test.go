@@ -24,8 +24,8 @@ const (
 	fuzzMaxSeqs   = 64
 )
 
-// fuzzLadderMaxCells bounds the inputs that additionally run the 8-bit
-// ladder passes. A fully saturating input pays up to three full passes per
+// fuzzLadderMaxCells bounds the inputs that additionally start the ladder
+// in byte lanes. A fully saturating input pays up to three full passes per
 // subject (8, 16 and 32 bits), so running the ladder on the 3000-residue
 // int16-saturation seed would triple that seed's cost and trip the fuzz
 // engine's per-input hang budget under coverage instrumentation. Every
@@ -90,11 +90,12 @@ func fuzzDatabase(raw []byte, sorted bool, alpha *alphabet.Alphabet) *seqdb.Data
 }
 
 // FuzzKernelParity drives random queries and databases through every
-// scoring path — the scalar kernel, the guided and intrinsic lane kernels
-// (16-bit with 32-bit overflow escalation), and the long-subject kernel
-// (Farrar's striped layout over the fused column step, 32-bit scalar
-// recomputation on saturation) — and requires bit-identical scores against
-// the swalign oracle. The seed corpus covers the int16 saturation boundary,
+// scoring path — the scalar kernel, the guided lane kernel, the intrinsic
+// ladder from both its first rungs (byte lanes with saturated lanes
+// re-packed for the 16-bit rung, and the 16-bit pass with 32-bit overflow
+// escalation), and the long-subject kernel (Farrar's striped layout over
+// the fused column step, 32-bit scalar recomputation on saturation) — and
+// requires bit-identical scores against the swalign oracle. The seed corpus covers the int16 saturation boundary,
 // 1-residue sequences on both sides, lane-count edges (one sequence more
 // than a full lane group) and zero gap penalties (the lazy-F worst case).
 func FuzzKernelParity(f *testing.F) {
@@ -138,6 +139,22 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(w23, append(bytes.Repeat([]byte{w, fuzzSeqDelim}, 32), w23...), uint8(7), paperPens, uint8(2)) // 33 lanes, saturating tail lane
 	f.Add(wRun[:128], bytes.Repeat([]byte{w, fuzzSeqDelim}, 31), uint8(7), uint8(0), uint8(0))           // 31 lanes: just under the u8 group width
 
+	// High-identity databases for the re-packed 16-bit rung: some twenty
+	// near-copies of the query saturate their byte lanes together, so the
+	// escalation queue fills whole groups and leaves a remainder, across
+	// byte groups of 32 and 64 lanes and odd widths, with small tiles.
+	homolog := []byte("MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPFDEHVK")
+	var family []byte
+	for i := 0; i < 21; i++ {
+		member := append([]byte{}, homolog[i%5:]...)
+		member[7+i] = w
+		member[(11*i)%len(member)] = byte(i)
+		family = append(append(family, member...), fuzzSeqDelim)
+	}
+	f.Add(homolog, family, uint8(6), paperPens, uint8(0))                                                      // 21 saturating lanes of 32
+	f.Add(homolog, append(append([]byte{}, family...), lane33...), uint8(7), paperPens, uint8(5))              // 64 lanes, saturating and tiny lanes mixed, 7-row tiles
+	f.Add(homolog, append(bytes.Repeat([]byte{w, fuzzSeqDelim}, 16), family...), uint8(2), uint8(0), uint8(3)) // 3 lanes: one saturation per group trickles into the queue
+
 	lanesTable := []int{1, 2, 3, 4, 8, 16, 32, 64}
 	blockTable := []int{0, 1, 7, 64}
 
@@ -173,33 +190,46 @@ func FuzzKernelParity(f *testing.F) {
 		}
 
 		ladderOK := int64(len(query))*db.Residues() <= fuzzLadderMaxCells
+		// bytes starts the intrinsic ladder in byte lanes at every lane
+		// width (AlignGroup would only at whole byte registers); without it
+		// the intrinsic variants start at the 16-bit rung.
 		specs := []struct {
-			v    Variant
-			prec Precision
+			v     Variant
+			bytes bool
 		}{
-			{NoVecSP, Prec16},
-			{GuidedQP, Prec16},
-			{IntrinsicSP, Prec16},
-			{IntrinsicSP, Prec8},
-			{IntrinsicQP, Prec8},
+			{NoVecSP, false},
+			{GuidedQP, false},
+			{IntrinsicSP, false},
+			{IntrinsicSP, true},
+			{IntrinsicQP, true},
+		}
+		runSpec := func(db *seqdb.Database, qp *profile.Query, v Variant, bytes bool) (string, []int32) {
+			pv := p
+			pv.Variant = v
+			switch {
+			case v.Vec() == VecNone:
+				got, _ := runVariantQuiet(db, qp, pv, 1)
+				return v.String(), got
+			case v.Vec() == VecGuided:
+				got, _ := runVariantQuiet(db, qp, pv, lanes)
+				return v.String(), got
+			case bytes:
+				got, _ := runRung(db, qp, pv, lanes, true)
+				return v.String() + " from 8 bits", got
+			}
+			got, _ := runRung(db, qp, pv, lanes, false)
+			return v.String() + " from 16 bits", got
 		}
 		runSpecs := func(tag string, vecOnly bool) {
 			for _, s := range specs {
-				if s.prec == Prec8 && !ladderOK {
+				if s.bytes && !ladderOK {
 					continue
 				}
 				if vecOnly && s.v.Vec() == VecNone {
 					continue
 				}
-				pv := p
-				pv.Variant = s.v
-				pv.Prec = s.prec
-				vl := lanes
-				if s.v.Vec() == VecNone {
-					vl = 1
-				}
-				got, _ := runVariantQuiet(db, qp, pv, vl)
-				check(VariantSpec(s.v, s.prec)+tag, got)
+				name, got := runSpec(db, qp, s.v, s.bytes)
+				check(name+tag, got)
 			}
 		}
 		runSpecs("", false)
@@ -235,7 +265,7 @@ func FuzzKernelParity(f *testing.F) {
 		// nucleotide alphabet and scored with the NUC match/mismatch matrix
 		// against the oracle — pins that no kernel, profile or packing path
 		// still assumes the 24-letter protein table. A reduced kernel set
-		// (scalar, intrinsic 16-bit, ladder 8-bit) bounds the extra cost;
+		// (scalar, the ladder from 16 and from 8 bits) bounds the extra cost;
 		// the protein leg above already sweeps the full variant matrix.
 		dnaQuery := fuzzResiduesAlpha(qRaw, fuzzMaxQuery, alphabet.DNA)
 		dnaDB := fuzzDatabase(dbRaw, lanesSel&1 == 0, alphabet.DNA)
@@ -247,28 +277,21 @@ func FuzzKernelParity(f *testing.F) {
 				dwant[i] = int32(swalign.Score(dnaQuery, dnaDB.Seq(i).Residues, dsc))
 			}
 			for _, s := range []struct {
-				v    Variant
-				prec Precision
+				v     Variant
+				bytes bool
 			}{
-				{NoVecSP, Prec16},
-				{IntrinsicSP, Prec16},
-				{IntrinsicSP, Prec8},
+				{NoVecSP, false},
+				{IntrinsicSP, false},
+				{IntrinsicSP, true},
 			} {
-				if s.prec == Prec8 && !ladderOK {
+				if s.bytes && !ladderOK {
 					continue
 				}
-				pv := p
-				pv.Variant = s.v
-				pv.Prec = s.prec
-				vl := lanes
-				if s.v.Vec() == VecNone {
-					vl = 1
-				}
-				got, _ := runVariantQuiet(dnaDB, dqp, pv, vl)
+				name, got := runSpec(dnaDB, dqp, s.v, s.bytes)
 				for i := range dwant {
 					if got[i] != dwant[i] {
 						t.Fatalf("dna %s (lanes=%d, q=%dnt, penalties %d/%d): seq %d (%dnt) scored %d, oracle %d",
-							VariantSpec(s.v, s.prec), vl, len(dnaQuery), p.GapOpen, p.GapExtend,
+							name, lanes, len(dnaQuery), p.GapOpen, p.GapExtend,
 							i, dnaDB.Seq(i).Len(), got[i], dwant[i])
 					}
 				}

@@ -10,12 +10,12 @@ import (
 // over 32-bit integers — the shape a compiler auto-vectorises — processing
 // the whole lane group column by column.
 //
-// Blocking and non-blocking share one driver: the query dimension is
-// processed in tiles of blockRows rows (a single tile when unblocked),
-// carrying H and F boundary rows across tiles. The boundary columns of the
-// DP matrix make the single-tile case degenerate correctly: the boundary
-// arrays start at H[0][j] = 0 and F = -inf and are only consumed where a
-// previous tile's last row would be.
+// The query dimension is processed in host-sized tiles (Buffers.tile; a
+// single tile for all but very long queries), carrying H and F boundary
+// rows across tiles. The boundary columns of the DP matrix make the
+// single-tile case degenerate correctly: the boundary arrays start at
+// H[0][j] = 0 and F = -inf and are only consumed where a previous tile's
+// last row would be.
 //
 //sw:hotpath
 func alignGroupGuided(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([]int32, Stats) {
@@ -33,10 +33,7 @@ func alignGroupGuided(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffe
 	if M == 0 || N == 0 {
 		return scores, st
 	}
-	B := p.blockRows()
-	if B == 0 || B > M {
-		B = M
-	}
+	B := buf.tile(M, L, 4)
 	qr := int32(p.GapOpen + p.GapExtend)
 	r := int32(p.GapExtend)
 	isQP := p.Variant.Prof() == ProfQuery

@@ -12,31 +12,31 @@ import (
 // operation sequence an intrinsics implementation issues per cell. Lanes
 // whose running maximum reaches the int16 ceiling are recomputed with the
 // scalar 32-bit kernel (the standard saturation-escalation scheme of
-// SIMD Smith-Waterman implementations).
+// SIMD Smith-Waterman implementations). It is the second rung of the
+// precision ladder — the byte pass hands it its saturated lanes, re-packed
+// (Buffers.escalate) — and the first for groups the byte pass cannot take.
+// Lane scores go to scores, g.Lanes long.
 //
 // The tile driver is identical to the guided kernel's; see
 // alignGroupGuided for the boundary hand-off invariants.
 //
 //sw:hotpath
-func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([]int32, Stats) {
+func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
 	L := g.Lanes
 	M := q.Len()
 	N := g.Width
-	scores := make([]int32, L)
 	var st Stats
 	st.Groups = 1
 	for lane := 0; lane < L; lane++ {
+		scores[lane] = 0
 		if g.SeqIdx[lane] >= 0 {
 			st.Alignments++
 		}
 	}
 	if M == 0 || N == 0 {
-		return scores, st
+		return st
 	}
-	B := p.blockRows()
-	if B == 0 || B > M {
-		B = M
-	}
+	B := buf.tile(M, L, 2)
 	qr := int16(p.GapOpen + p.GapExtend)
 	r := int16(p.GapExtend)
 	isQP := p.Variant.Prof() == ProfQuery
@@ -126,5 +126,5 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 	} else {
 		st.SPBuilds = st.Columns
 	}
-	return scores, st
+	return st
 }

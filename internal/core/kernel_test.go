@@ -45,20 +45,7 @@ func oracleScores(db *seqdb.Database, query []alphabet.Code) []int {
 
 func runVariant(t *testing.T, db *seqdb.Database, q *profile.Query, p Params, lanes int) ([]int32, Stats) {
 	t.Helper()
-	groups := db.Groups(lanes)
-	buf := NewBuffers(lanes)
-	scores := make([]int32, db.Len())
-	var st Stats
-	for _, g := range groups {
-		got, s := AlignGroup(q, g, p, buf)
-		st.Add(s)
-		for l, idx := range g.SeqIdx {
-			if idx >= 0 {
-				scores[idx] = got[l]
-			}
-		}
-	}
-	return scores, st
+	return runVariantQuiet(db, q, p, lanes)
 }
 
 func allParams() []Params {
@@ -325,13 +312,17 @@ func TestRandomPenaltiesProperty(t *testing.T) {
 }
 
 // runVariantQuiet is runVariant without the testing.T plumbing, usable
-// inside quick.Check property functions.
+// inside quick.Check property functions. The kernels size their query tiles
+// for the host, far taller than any test query, so Blocked params here also
+// force BlockRows-row tiles: the seam cases keep crossing tile boundaries.
 func runVariantQuiet(db *seqdb.Database, q *profile.Query, p Params, lanes int) ([]int32, Stats) {
-	groups := db.Groups(lanes)
 	buf := NewBuffers(lanes)
+	if p.Blocked {
+		buf.tileRows = p.BlockRows
+	}
 	scores := make([]int32, db.Len())
 	var st Stats
-	for _, g := range groups {
+	for _, g := range db.Groups(lanes) {
 		got, s := AlignGroup(q, g, p, buf)
 		st.Add(s)
 		for l, idx := range g.SeqIdx {
@@ -340,5 +331,40 @@ func runVariantQuiet(db *seqdb.Database, q *profile.Query, p Params, lanes int) 
 			}
 		}
 	}
+	return scores, st
+}
+
+// runRung scores db starting at one rung of the ladder whatever the lane
+// width — AlignGroup picks byte lanes only at widths the native byte kernel
+// takes — driving the byte pass the way the engine does: saturated lanes
+// deferred, full escalation groups run after every group, the under-filled
+// remainder at the end.
+func runRung(db *seqdb.Database, q *profile.Query, p Params, lanes int, bytes bool) ([]int32, Stats) {
+	buf := NewBuffers(lanes)
+	if p.Blocked {
+		buf.tileRows = p.BlockRows
+	}
+	scores := make([]int32, db.Len())
+	got := make([]int32, lanes)
+	var st Stats
+	settle := func(all bool) {
+		for _, e := range buf.escalate(q, p, &st, all) {
+			scores[e.g.SeqIdx[e.lane]] = e.score
+		}
+	}
+	for i, g := range db.Groups(lanes) {
+		if bytes {
+			st.Add(alignGroupIntrinsic8(q, g, p, buf, got, i))
+		} else {
+			st.Add(alignGroupIntrinsic(q, g, p, buf, got))
+		}
+		for l, idx := range g.SeqIdx {
+			if idx >= 0 {
+				scores[idx] = got[l]
+			}
+		}
+		settle(false)
+	}
+	settle(true)
 	return scores, st
 }

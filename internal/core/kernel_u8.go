@@ -11,10 +11,28 @@ import (
 // unsigned byte lanes with biased substitution scores (the SSW Library's
 // representation): twice the lanes per vector word as the 16-bit pass, so
 // short-sequence lane groups — the bulk of a length-sorted protein
-// database — pack twice as many subjects per vector iteration. Saturation
-// escalates per lane, 8 -> 16 -> 32 bits, exactly mirroring the existing
-// 16 -> 32 scheme; lane groups whose score upper bound provably fits a
-// byte skip saturation detection entirely.
+// database — pack twice as many subjects per vector iteration. It is where
+// every intrinsic search starts that can (byteLanes). Lanes that saturate
+// are not recomputed one by one: they are re-packed, escLanes at a time,
+// into a lane group of their own that runs through the 16-bit inter-task
+// kernel (Buffers.escalate), which in turn recomputes what saturates int16
+// at 32 bits. A search over a database full of the query's homologs thus
+// costs the byte pass plus the saturated share at 16-bit lane speed. Lane
+// groups whose score upper bound provably fits a byte skip saturation
+// detection entirely.
+
+// byteRegister is the byte-lane count of one 256-bit register: the byte
+// kernel takes groups that are whole registers wide.
+const byteRegister = 32
+
+// byteLanes reports whether the ladder starts in byte lanes: the matrix's
+// biased scores fit a byte (profile.Query.Bias8Viable, profile.ByteBias)
+// and the lane width is one the byte kernel accepts. Everything else — a
+// matrix whose range exceeds a byte, a 16-lane group — starts at the 16-bit
+// rung.
+func byteLanes(viable bool, lanes int) bool {
+	return viable && lanes >= byteRegister && lanes%byteRegister == 0
+}
 
 // scoreBound returns an upper bound on any Smith-Waterman score of the
 // query against a subject of at most n residues: an alignment has at most
@@ -46,32 +64,28 @@ func ladderSafe8(q *profile.Query, n int) bool {
 // standard unsigned-SIMD argument); the per-cell sequence is a saturating
 // add of the biased score, a saturating subtract of the bias, the three-way
 // max, and saturating gap updates. A lane whose tracked maximum reaches
-// MaxU8-Bias may have clipped and is recomputed at 16 bits (scalarLane16);
-// should that saturate too, at 32 bits (scalarLane).
+// MaxU8-Bias may have clipped: it is queued in buf under the caller's item
+// tag, its score left at zero until buf.escalate delivers it.
 //
-// Callers must ensure q.Bias8Viable(); AlignGroup falls back to the 16-bit
-// kernel otherwise.
+// Callers must ensure q.Bias8Viable(); alignGroupLadder does.
 //
 //sw:hotpath
-func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([]int32, Stats) {
+func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32, item int) Stats {
 	L := g.Lanes
 	M := q.Len()
 	N := g.Width
-	scores := make([]int32, L)
 	var st Stats
 	st.Groups = 1
 	for lane := 0; lane < L; lane++ {
+		scores[lane] = 0
 		if g.SeqIdx[lane] >= 0 {
 			st.Alignments++
 		}
 	}
 	if M == 0 || N == 0 {
-		return scores, st
+		return st
 	}
-	B := p.blockRows()
-	if B == 0 || B > M {
-		B = M
-	}
+	B := buf.tile(M, L, 1)
 	bias := int32(q.Bias)
 	qr := int32(p.GapOpen + p.GapExtend)
 	r := int32(p.GapExtend)
@@ -139,12 +153,10 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		}
 	}
 
-	// Score extraction with ladder escalation: provably-safe groups skip
-	// detection entirely; otherwise a lane whose tracked maximum reached
-	// the biased rail is recomputed at the next tier.
+	// Score extraction: provably-safe groups skip detection entirely;
+	// otherwise a lane whose tracked maximum reached the biased rail waits
+	// for the next rung.
 	rail := int32(vec.MaxU8) - bias
-	var h16, e16 []int16
-	var h32, e32 []int32
 	for l := 0; l < L; l++ {
 		if g.SeqIdx[l] < 0 {
 			continue
@@ -153,26 +165,11 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 			scores[l] = int32(maxv[l])
 			continue
 		}
-		// 8-bit saturation: recompute the lane at 16 bits.
-		if h16 == nil {
-			h16 = grow16(&buf.lane16H, M+1)
-			e16 = grow16(&buf.lane16E, M+1)
-		}
 		st.Overflows8++
 		st.OverflowCells += int64(M) * int64(g.Lens[l])
-		s, sat := scalarLane16(q, g, l, p, h16, e16)
-		if !sat {
-			scores[l] = s
-			continue
-		}
-		// 16-bit saturation: the top rung, exact 32-bit recomputation.
-		if h32 == nil {
-			h32 = grow32(&buf.h32, M+1)
-			e32 = grow32(&buf.e32, M+1)
-		}
-		st.Overflows++
-		st.OverflowCells += int64(M) * int64(g.Lens[l])
-		scores[l] = scalarLane(q, g, l, p, h32, e32)
+		e := &buf.pend[buf.npend]
+		e.g, e.lane, e.item = g, l, item
+		buf.npend++
 	}
 	st.Cells = int64(M) * g.Residues
 	st.VecIters = int64(M) * int64(N)
@@ -183,7 +180,95 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	} else {
 		st.SPBuilds = st.Columns
 	}
-	return scores, st
+	return st
+}
+
+// escLanes is the width of the escalation group: the 16 int16 lanes of one
+// 256-bit register, whatever byte-lane width the search packed.
+const escLanes = 16
+
+// escalation is one byte lane waiting for, or back from, the 16-bit rung.
+type escalation struct {
+	g    *seqdb.LaneGroup
+	lane int
+	// item is the caller's tag for the group (the engine's work item).
+	item  int
+	score int32
+}
+
+// wide reports whether the lane climbed on to 32 bits: the 16-bit pass
+// clips only downwards, so it saturated exactly when the true score reaches
+// the int16 rail.
+func (e *escalation) wide() bool { return e.score >= vec.MaxI16 }
+
+// escalate runs the queued byte-lane saturations through the 16-bit rung,
+// escLanes at a time, and returns the settled entries with their scores;
+// with all set it also runs the last, under-filled group, otherwise fewer
+// than escLanes stay queued for the next call. The 16 -> 32 escalations of
+// the rung are counted into st (the 8 -> 16 ones were when they queued).
+// The result aliases the queue: read it before the next kernel call on b.
+//
+//sw:hotpath
+func (b *Buffers) escalate(q *profile.Query, p Params, st *Stats, all bool) []escalation {
+	n := b.npend
+	keep := n % escLanes
+	if all {
+		keep = 0
+	}
+	for hi := n; hi > keep; hi -= escLanes {
+		lo := hi - escLanes
+		if lo < keep {
+			lo = keep
+		}
+		b.escalateGroup(q, p, b.pend[lo:hi], st)
+	}
+	b.npend = keep
+	return b.pend[keep:n]
+}
+
+// escalateGroup packs up to escLanes saturated lanes into the scratch group
+// and scores them with the 16-bit inter-task kernel.
+//
+//sw:hotpath
+func (b *Buffers) escalateGroup(q *profile.Query, p Params, batch []escalation, st *Stats) {
+	if b.esc == nil {
+		b.esc = NewBuffers(escLanes)
+		b.escGroup.Lanes = escLanes
+		b.escGroup.SeqIdx = make([]int, escLanes)
+		b.escGroup.Lens = make([]int, escLanes)
+	}
+	b.esc.tileRows = b.tileRows
+	g := &b.escGroup
+	g.Width, g.Residues = 0, 0
+	for k := 0; k < escLanes; k++ {
+		g.SeqIdx[k], g.Lens[k] = -1, 0
+		if k < len(batch) {
+			n := batch[k].g.Lens[batch[k].lane]
+			g.SeqIdx[k], g.Lens[k] = k, n
+			g.Residues += int64(n)
+			if n > g.Width {
+				g.Width = n
+			}
+		}
+	}
+	inter := grow8(&g.Interleaved, g.Width*escLanes)
+	pad := uint8(q.Pad)
+	for i := range inter {
+		inter[i] = pad
+	}
+	for k := range batch {
+		src, stride, lane := batch[k].g.Interleaved, batch[k].g.Lanes, batch[k].lane
+		for j := 0; j < g.Lens[k]; j++ {
+			inter[j*escLanes+k] = src[j*stride+lane]
+		}
+	}
+	g.Interleaved = inter
+	rung := alignGroupIntrinsic(q, g, p, b.esc, b.escScores[:])
+	st.Overflows += rung.Overflows
+	st.OverflowCells += rung.OverflowCells
+	for k := range batch {
+		batch[k].score = b.escScores[k]
+	}
 }
 
 // clampU8 clamps a non-negative penalty constant to the byte rail; a

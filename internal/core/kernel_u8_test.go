@@ -1,29 +1,35 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"heterosw/internal/device"
 	"heterosw/internal/profile"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 	"heterosw/internal/submat"
+	"heterosw/internal/vec"
 )
 
-// ladderParams returns intrinsic params with the 8-bit first pass enabled.
+// ladderParams returns intrinsic params; blocked forces blockRows-row
+// query tiles on the test helpers' scratch (see runVariantQuiet).
 func ladderParams(v Variant, blocked bool, blockRows int) Params {
 	p := testParamsBase
 	p.Variant = v
 	p.Blocked = blocked
 	p.BlockRows = blockRows
-	p.Prec = Prec8
 	return p
 }
 
 // The 8-bit first pass must be score-identical to the oracle across both
-// profile modes, every lane width and blocking shape — saturating lanes
-// escalate transparently.
+// profile modes, every lane width and tile shape — saturating lanes
+// escalate transparently — whether the engine's deferred escalation drives
+// it or AlignGroup settles every group on its own.
 func TestLadderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
 	db := randDB(rng, 41, 70, true)
@@ -37,15 +43,85 @@ func TestLadderMatchesOracle(t *testing.T) {
 		for _, blk := range [][2]int{{0, 0}, {1, 1}, {1, 7}, {1, 64}} {
 			for _, lanes := range []int{1, 4, 8, 32, 64} {
 				p := ladderParams(v, blk[0] == 1, blk[1])
-				got, _ := runVariantQuiet(db, q, p, lanes)
+				got, st := runRung(db, q, p, lanes, true)
+				if byteLanes(true, lanes) {
+					// A width AlignGroup itself starts in byte lanes.
+					viaGroup, stGroup := runVariantQuiet(db, q, p, lanes)
+					if stGroup != st {
+						t.Fatalf("%v lanes=%d: AlignGroup stats %+v, deferred %+v", v, lanes, stGroup, st)
+					}
+					for i := range got {
+						if viaGroup[i] != got[i] {
+							t.Fatalf("%v lanes=%d: seq %d scores %d via AlignGroup, %d deferred", v, lanes, i, viaGroup[i], got[i])
+						}
+					}
+				}
 				for i := range want {
 					if int(got[i]) != want[i] {
-						t.Fatalf("%s blocked=%v/%d lanes=%d: seq %d score %d, want %d",
-							VariantSpec(v, Prec8), p.Blocked, p.BlockRows, lanes, i, got[i], want[i])
+						t.Fatalf("%v blocked=%v/%d lanes=%d: seq %d score %d, want %d",
+							v, p.Blocked, p.BlockRows, lanes, i, got[i], want[i])
 					}
 				}
 			}
 		}
+	}
+}
+
+// What decides byte lanes: a byte-viable matrix and a lane width of whole
+// byte registers. AlignGroup on a 16-lane group, or under a matrix whose
+// range exceeds a byte, starts at the 16-bit rung and never counts an
+// 8 -> 16 escalation.
+func TestLadderFirstRung(t *testing.T) {
+	for _, tc := range []struct {
+		viable bool
+		lanes  int
+		want   bool
+	}{
+		{true, 32, true}, {true, 64, true}, {true, 96, true},
+		{true, 16, false}, {true, 48, false}, {true, 1, false}, {true, 8, false},
+		{false, 32, false}, {false, 64, false},
+	} {
+		if got := byteLanes(tc.viable, tc.lanes); got != tc.want {
+			t.Errorf("byteLanes(%v, %d) = %v, want %v", tc.viable, tc.lanes, got, tc.want)
+		}
+	}
+	for _, dev := range []*device.Model{device.Xeon(), device.Phi()} {
+		if lanes, eight := firstRung(IntrinsicSP, true, dev); lanes != dev.ByteLanes() || !eight {
+			t.Errorf("%s intrinsic, viable: %d lanes, byte=%v", dev.Short, lanes, eight)
+		}
+		if lanes, eight := firstRung(IntrinsicQP, false, dev); lanes != dev.Lanes || eight {
+			t.Errorf("%s intrinsic, wide matrix: %d lanes, byte=%v", dev.Short, lanes, eight)
+		}
+		if lanes, eight := firstRung(GuidedSP, true, dev); lanes != dev.Lanes || eight {
+			t.Errorf("%s guided: %d lanes, byte=%v", dev.Short, lanes, eight)
+		}
+		if lanes, eight := firstRung(NoVecSP, true, dev); lanes != 1 || eight {
+			t.Errorf("%s scalar: %d lanes, byte=%v", dev.Short, lanes, eight)
+		}
+	}
+
+	w := strings.Repeat("W", 23) // 253 > 255-bias: saturates a byte lane
+	db := seqdb.New([]*sequence.Sequence{sequence.FromString("mid", w)}, true)
+	query := sequence.FromString("q", w)
+	p := ladderParams(IntrinsicSP, false, 0)
+	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
+	for _, lanes := range []int{16, 32} {
+		got, st := runVariantQuiet(db, q, p, lanes)
+		want8 := int64(0)
+		if lanes == 32 {
+			want8 = 1
+		}
+		if got[0] != 253 || st.Overflows8 != want8 || st.Overflows != 0 {
+			t.Fatalf("lanes=%d: score %d Overflows8=%d Overflows=%d, want 253, %d, 0", lanes, got[0], st.Overflows8, st.Overflows, want8)
+		}
+	}
+	// A query without byte profiles (a matrix range wider than a byte; the
+	// int8 matrices of internal/submat never are): 16-bit first.
+	wq := *q
+	wq.Ext8, wq.QP8 = nil, nil
+	got, st := runVariantQuiet(db, &wq, p, 32)
+	if got[0] != 253 || st.Overflows8 != 0 || st.Safe8Groups != 0 {
+		t.Fatalf("no byte profiles: score %d Overflows8=%d Safe8Groups=%d", got[0], st.Overflows8, st.Safe8Groups)
 	}
 }
 
@@ -66,10 +142,10 @@ func TestLadderEscalationTiers(t *testing.T) {
 	want := oracleScores(db, query.Residues)
 
 	for _, blocked := range []bool{false, true} {
-		p := ladderParams(IntrinsicSP, blocked, 0)
+		p := ladderParams(IntrinsicSP, blocked, 256)
 		// lanes=1: one group per subject, so the short group is provably
 		// byte-safe on its own.
-		got, st := runVariantQuiet(db, q, p, 1)
+		got, st := runRung(db, q, p, 1, true)
 		for i := range want {
 			if int(got[i]) != want[i] {
 				t.Fatalf("blocked=%v: seq %d score %d, want %d", blocked, i, got[i], want[i])
@@ -91,67 +167,225 @@ func TestLadderEscalationTiers(t *testing.T) {
 	}
 }
 
-// The 16-bit middle rung must agree with the oracle on scores that fit
-// int16 and report saturation on scores that do not.
-func TestScalarLane16(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
-	db := randDB(rng, 15, 60, true)
-	query := randProtein(rng, 48)
-	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
-	want := oracleScores(db, query.Residues)
-	p := testParamsBase
-	p.Variant = IntrinsicSP
-	groups := db.Groups(4)
-	h := make([]int16, q.Len()+1)
-	e := make([]int16, q.Len()+1)
-	for _, g := range groups {
-		for l, idx := range g.SeqIdx {
-			if idx < 0 {
-				continue
-			}
-			s, sat := scalarLane16(q, g, l, p, h, e)
-			if sat {
-				t.Fatalf("seq %d: unexpected saturation", idx)
-			}
-			if int(s) != want[idx] {
-				t.Fatalf("seq %d: score %d, want %d", idx, s, want[idx])
-			}
+// plantedDB builds n unrelated subjects of 60-220 residues and overwrites a
+// window of every planted one — spread over the length-sorted order, the
+// longest subject included whenever any is planted — with a 60-residue
+// fragment of the query, enough to saturate a byte lane under BLOSUM62.
+func plantedDB(rng *rand.Rand, query *sequence.Sequence, n, planted int) *seqdb.Database {
+	seqs := make([]*sequence.Sequence, n)
+	longest := 0
+	for i := range seqs {
+		seqs[i] = randProtein(rng, 60+rng.Intn(160))
+		if seqs[i].Len() > seqs[longest].Len() {
+			longest = i
 		}
 	}
+	plant := func(i int) {
+		off := rng.Intn(query.Len() - 59)
+		copy(seqs[i].Residues[rng.Intn(seqs[i].Len()-59):], query.Residues[off:off+60])
+	}
+	if planted > 0 {
+		plant(longest)
+	}
+	for k, i := 1, 0; k < planted; i++ {
+		if i != longest && i%(n/planted) == 0 {
+			plant(i)
+			k++
+		}
+	}
+	return seqdb.New(seqs, true)
+}
 
+// Homolog-rich databases: with 0, 2, 10 and 30% of the subjects saturating
+// their byte lanes the search stays exact, counts exactly the planted
+// subjects as 8 -> 16 escalations, and pays for them only the 16-bit lane
+// pass — no 32-bit cell, no cell beyond one recompute of each saturated
+// subject. 88 subjects leave the last byte group under-filled (with the
+// longest, planted, subject in it) and the escalation queue with a partial
+// last group for every worker count.
+func TestLadderHomologRich(t *testing.T) {
+	const subjects = 88
+	type homologCase struct {
+		name              string
+		query             *sequence.Sequence
+		db                *seqdb.Database
+		want              []int
+		saturating, cells int64
+	}
+	var cases []homologCase
+	for _, m := range []int{75, 375, 2000} {
+		if testing.Short() && m > 375 {
+			continue
+		}
+		for _, pct := range []int{0, 2, 10, 30} {
+			rng := rand.New(rand.NewSource(int64(1000*m + pct)))
+			c := homologCase{name: fmt.Sprintf("M=%d %d%%", m, pct), query: randProtein(rng, m)}
+			planted := subjects * pct / 100
+			c.db = plantedDB(rng, c.query, subjects, planted)
+			c.want = oracleScores(c.db, c.query.Residues)
+			for i, s := range c.want {
+				if s >= vec.MaxU8-4 { // the biased rail under BLOSUM62
+					c.saturating++
+					c.cells += int64(m) * int64(c.db.Seq(i).Len())
+				}
+			}
+			if c.saturating != int64(planted) {
+				t.Fatalf("%s: %d subjects reach the byte rail, planted %d", c.name, c.saturating, planted)
+			}
+			cases = append(cases, c)
+		}
+	}
+	bothBackends(t, func(t *testing.T) {
+		for _, c := range cases {
+			for d, dev := range []*device.Model{device.Xeon(), device.Phi()} {
+				e, err := NewEngine(c.db, dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w, workers := range []int{1, 3} {
+					if c.query.Len() > 375 && d == w {
+						continue // the long query: xeon x 3 workers, phi x 1
+					}
+					opt := defaultSearchOptions()
+					opt.Workers = workers
+					res, err := e.Search(c.query, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s %s workers=%d", c.name, dev.Short, workers)
+					for i := range c.want {
+						if int(res.Scores[i]) != c.want[i] {
+							t.Fatalf("%s: seq %d score %d, want %d", name, i, res.Scores[i], c.want[i])
+						}
+					}
+					st := res.Stats
+					if st.Overflows8 != c.saturating || st.Overflows != 0 || st.OverflowCells != c.cells {
+						t.Fatalf("%s: Overflows8=%d Overflows=%d OverflowCells=%d, want %d, 0, %d",
+							name, st.Overflows8, st.Overflows, st.OverflowCells, c.saturating, c.cells)
+					}
+				}
+			}
+		}
+	})
+}
+
+// A lane that saturates the 16-bit rung inside a re-packed group climbs on
+// alone: its neighbours in the escalation group keep their 16-bit scores,
+// and the simulated cost charges the extra recompute to the lane's own
+// work item whatever the worker count.
+func TestLadderRepackedRungEscalates(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
 	long := strings.Repeat("W", 3000)
-	ldb := seqdb.New([]*sequence.Sequence{sequence.FromString("l", long)}, true)
-	lq := profile.NewQuery(sequence.FromString("q", long).Residues, submat.BLOSUM62)
-	lh := make([]int16, lq.Len()+1)
-	le := make([]int16, lq.Len()+1)
-	if _, sat := scalarLane16(lq, ldb.Groups(1)[0], 0, p, lh, le); !sat {
-		t.Fatal("33000-scoring pair did not report int16 saturation")
+	query := sequence.FromString("q", long)
+	seqs := []*sequence.Sequence{sequence.FromString("wide", long)}
+	for i := 0; i < 40; i++ {
+		s := randProtein(rng, 100+rng.Intn(100))
+		if i%2 == 0 {
+			copy(s.Residues[10:], query.Residues[:40]) // 440: a byte is not enough, int16 is
+		}
+		seqs = append(seqs, s)
+	}
+	db := seqdb.New(seqs, true)
+	want := oracleScores(db, query.Residues)
+	e := testEngine(t, db)
+	var first *Result
+	for _, workers := range []int{1, 2, 5} {
+		opt := defaultSearchOptions()
+		opt.Workers = workers
+		res, err := e.Search(query, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if int(res.Scores[i]) != want[i] {
+				t.Fatalf("workers=%d: seq %d score %d, want %d", workers, i, res.Scores[i], want[i])
+			}
+		}
+		if res.Stats.Overflows8 != 21 || res.Stats.Overflows != 1 {
+			t.Fatalf("workers=%d: Overflows8=%d Overflows=%d, want 21 and 1", workers, res.Stats.Overflows8, res.Stats.Overflows)
+		}
+		if first == nil {
+			first = res
+		} else if res.Stats != first.Stats || res.SimSeconds != first.SimSeconds {
+			t.Fatalf("workers=%d: stats or simulated time moved: %+v %v vs %+v %v",
+				workers, res.Stats, res.SimSeconds, first.Stats, first.SimSeconds)
+		}
 	}
 }
 
-func TestVariantSpecRoundTrip(t *testing.T) {
-	for _, v := range Variants() {
-		got, prec, err := ParseVariantSpec(v.String())
-		if err != nil || got != v || prec != Prec16 {
-			t.Fatalf("ParseVariantSpec(%q) = %v/%v/%v", v.String(), got, prec, err)
+// Once warm, the byte pass, the queue and the re-packed 16-bit rung run
+// without allocating: the scratch group and its Buffers are reused.
+func TestLadderEscalationNoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	query := randProtein(rng, 90)
+	db := plantedDB(rng, query, 50, 20)
+	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
+	bothBackends(t, func(t *testing.T) {
+		for _, v := range []Variant{IntrinsicSP, IntrinsicQP} {
+			p := ladderParams(v, false, 0)
+			groups := db.Groups(32)
+			buf := NewBuffers(32)
+			scores := make([]int32, 32)
+			var st Stats
+			sweep := func() {
+				for i, g := range groups {
+					st.Add(alignGroupIntrinsic8(q, g, p, buf, scores, i))
+					buf.escalate(q, p, &st, false)
+				}
+				buf.escalate(q, p, &st, true)
+			}
+			sweep()
+			if st.Overflows8 != 20 {
+				t.Fatalf("%v: Overflows8 = %d, want 20; the case pins nothing", v, st.Overflows8)
+			}
+			esc := buf.esc
+			if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+				t.Errorf("%v: %v allocations per warmed sweep", v, allocs)
+			}
+			if buf.esc != esc {
+				t.Errorf("%v: the escalation scratch was rebuilt", v)
+			}
 		}
-	}
-	for _, v := range []Variant{IntrinsicQP, IntrinsicSP} {
-		spec := VariantSpec(v, Prec8)
-		got, prec, err := ParseVariantSpec(spec)
-		if err != nil || got != v || prec != Prec8 {
-			t.Fatalf("ParseVariantSpec(%q) = %v/%v/%v", spec, got, prec, err)
+	})
+}
+
+// A search borrows its workers' scratch from the engine's pool and returns
+// it: a second search builds no Buffers, and concurrent searches leave the
+// pool no more than one search's worth.
+func TestEnginePoolsBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	db := randDB(rng, 200, 80, true)
+	query := randProtein(rng, 50)
+	e := testEngine(t, db)
+	opt := defaultSearchOptions()
+	opt.Workers = 1
+	lanes := e.dev.ByteLanes()
+	var pooled *Buffers
+	for i := 0; i < 2; i++ {
+		if _, err := e.Search(query, opt); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, bad := range []string{"simd-SP-8bit", "no-vec-QP-8bit", "intrinsic-XX-8bit"} {
-		if _, _, err := ParseVariantSpec(bad); err == nil {
-			t.Fatalf("ParseVariantSpec(%q) accepted", bad)
+		free := e.pool.free[lanes]
+		if len(free) != 1 || (pooled != nil && free[0] != pooled) {
+			t.Fatalf("search %d: pool holds %d buffers of %d lanes, kept scratch reused: %v",
+				i, len(free), lanes, pooled == nil || free[0] == pooled)
 		}
+		pooled = free[0]
 	}
-	if ok := func() bool {
-		p := Params{Variant: GuidedSP, GapOpen: 10, GapExtend: 2, Prec: Prec8}
-		return p.Validate() != nil
-	}(); !ok {
-		t.Fatal("Params.Validate accepted Prec8 on a guided variant")
+
+	opt.Workers = 3
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Search(query, opt); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(e.pool.free[lanes]); n < 1 || n > runtime.GOMAXPROCS(0) {
+		t.Fatalf("pool holds %d buffers after concurrent searches, want 1..GOMAXPROCS", n)
 	}
 }

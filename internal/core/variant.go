@@ -1,16 +1,12 @@
 // Package core implements the paper's contribution: the portable
 // Smith-Waterman database-search engine evaluated on the Xeon and Xeon Phi
 // models. It provides the six kernel variants of Section V ({no-vec,
-// guided-simd, intrinsic} x {query profile, score profile}), optional
-// blocking, 16-bit saturating arithmetic with 32-bit overflow escalation,
-// the single-device search of Algorithm 1 and the heterogeneous search of
-// Algorithm 2.
+// guided-simd, intrinsic} x {query profile, score profile}), the intrinsic
+// kernels' 8 -> 16 -> 32-bit precision ladder, the single-device search of
+// Algorithm 1 and the heterogeneous search of Algorithm 2.
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // VecMode selects how the inner loop is (emulated-)vectorised, matching the
 // three columns of the paper's figures.
@@ -25,8 +21,9 @@ const (
 	// from portable source.
 	VecGuided
 	// VecIntrinsic models hand-tuned vectorisation: explicit fixed-width
-	// 16-bit saturating vector operations with 32-bit recomputation of
-	// overflowed lanes.
+	// saturating vector operations, byte lanes first where the matrix and
+	// the lane width allow, saturated lanes escalated to 16 and then 32
+	// bits.
 	VecIntrinsic
 )
 
@@ -110,63 +107,4 @@ func ParseVariant(s string) (Variant, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: unknown variant %q", s)
-}
-
-// Precision selects the first-pass element width of the intrinsic kernels'
-// scoring ladder.
-type Precision int
-
-const (
-	// Prec16 is the classic two-tier scheme: a 16-bit first pass with
-	// saturated lanes recomputed in 32 bits.
-	Prec16 Precision = iota
-	// Prec8 is the adaptive three-tier ladder: an 8-bit biased unsigned
-	// first pass with twice the lanes per vector word, escalating
-	// saturated lanes to 16 bits and, should those saturate too, to 32
-	// bits. Lane groups whose score upper bound provably fits a byte skip
-	// saturation detection entirely.
-	Prec8
-)
-
-// String returns the flag-friendly precision name.
-func (p Precision) String() string {
-	if p == Prec8 {
-		return "8"
-	}
-	return "16"
-}
-
-// variantPrecSuffix is the variant-spec suffix selecting the 8-bit first
-// pass, e.g. "intrinsic-SP-8bit".
-const variantPrecSuffix = "-8bit"
-
-// VariantSpec renders a variant plus first-pass precision as a single
-// parseable label: the plain variant name for Prec16, the name suffixed
-// with "-8bit" for Prec8.
-func VariantSpec(v Variant, prec Precision) string {
-	if prec == Prec8 {
-		return v.String() + variantPrecSuffix
-	}
-	return v.String()
-}
-
-// ParseVariantSpec parses a variant label with an optional "-8bit"
-// precision suffix. The suffix is only meaningful on the intrinsic
-// variants: the guided and scalar kernels already run 32-bit lanes, so an
-// 8-bit first pass does not exist for them.
-func ParseVariantSpec(s string) (Variant, Precision, error) {
-	prec := Prec16
-	name := s
-	if cut, ok := strings.CutSuffix(s, variantPrecSuffix); ok {
-		prec = Prec8
-		name = cut
-	}
-	v, err := ParseVariant(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	if prec == Prec8 && v.Vec() != VecIntrinsic {
-		return 0, 0, fmt.Errorf("core: variant %q: the 8-bit first pass requires an intrinsic variant", s)
-	}
-	return v, prec, nil
 }

@@ -79,6 +79,17 @@ type Query struct {
 // Bias8Viable reports whether the 8-bit biased profiles were built.
 func (q *Query) Bias8Viable() bool { return q.Ext8 != nil }
 
+// ByteBias returns the bias that makes every score of m non-negative,
+// max(0, -m.Min()), and whether the biased range fits a byte. It is what a
+// Query built under m will report through Bias and Bias8Viable, for code
+// that plans a search before any query exists.
+func ByteBias(m *submat.Matrix) (bias int, ok bool) {
+	if m.Min() < 0 {
+		bias = -m.Min()
+	}
+	return bias, bias <= 255 && m.Max()+bias <= 255
+}
+
 // gatherPad16 and gatherPad8 are the spare capacities (in elements) the
 // profile tables carry past their logical length, so the native vector
 // backend's wide loads may over-read: vpgatherdd fetches a dword per
@@ -134,13 +145,9 @@ func NewQuery(seq []alphabet.Code, m *submat.Matrix) *Query {
 // by construction); padding entries store 0, the strongest representable
 // penalty. The build is skipped when the matrix range does not fit a byte.
 func (q *Query) buildBias8() {
-	m := q.Matrix
-	bias := 0
-	if m.Min() < 0 {
-		bias = -m.Min()
-	}
-	if bias > 255 || m.Max()+bias > 255 {
-		return // matrix range exceeds a byte; ladder starts at 16 bits
+	bias, ok := ByteBias(q.Matrix)
+	if !ok {
+		return // ladder starts at 16 bits
 	}
 	q.Bias = uint8(bias)
 	q.Ext8 = padded8(len(q.Ext))

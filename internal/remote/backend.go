@@ -90,6 +90,7 @@ func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequenc
 	r.Stats.Cells = resp.Cells
 	r.Stats.Overflows = resp.Overflows
 	r.Stats.Overflows8 = resp.Overflows8
+	r.Stats.OverflowCells = resp.OverflowCells
 	return r, nil
 }
 

@@ -75,6 +75,9 @@ type ShardSearchResponse struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Overflows   int64   `json:"overflows,omitempty"`
 	Overflows8  int64   `json:"overflows8,omitempty"`
+	// OverflowCells counts the cells the node's ladder escalations
+	// recomputed; the coordinator sums it into its own accounting.
+	OverflowCells int64 `json:"overflow_cells,omitempty"`
 }
 
 // ShardAlignRequest is the POST /shard/align body: traceback the listed

@@ -159,13 +159,14 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	resp := remote.ShardSearchResponse{
-		Scores:      make([]int32, len(res.Scores)),
-		Cells:       res.Cells,
-		Threads:     res.Threads,
-		SimSeconds:  res.SimSeconds,
-		WallSeconds: res.WallSeconds,
-		Overflows:   res.Overflows,
-		Overflows8:  res.Overflows8,
+		Scores:        make([]int32, len(res.Scores)),
+		Cells:         res.Cells,
+		Threads:       res.Threads,
+		SimSeconds:    res.SimSeconds,
+		WallSeconds:   res.WallSeconds,
+		Overflows:     res.Overflows,
+		Overflows8:    res.Overflows8,
+		OverflowCells: res.OverflowCells,
 	}
 	for i, sc := range res.Scores {
 		resp.Scores[i] = int32(sc)

@@ -71,29 +71,26 @@ func Devices() []DeviceInfo {
 }
 
 // Variant names. See the paper's Section V: vectorisation mode x
-// substitution-score layout. The intrinsic variants additionally accept an
-// "-8bit" suffix selecting the adaptive precision ladder: an 8-bit biased
-// first pass with twice the lanes per vector word, escalating saturated
-// lanes to 16 and then 32 bits.
+// substitution-score layout. The intrinsic variants run the adaptive
+// precision ladder: an 8-bit biased first pass with twice the lanes per
+// vector word wherever the matrix's score range fits a byte, saturated
+// lanes escalated to 16 and then 32 bits.
 const (
-	VariantNoVecQP      = "no-vec-QP"
-	VariantNoVecSP      = "no-vec-SP"
-	VariantGuidedQP     = "simd-QP"
-	VariantGuidedSP     = "simd-SP"
-	VariantIntrinsicQP  = "intrinsic-QP"
-	VariantIntrinsicSP  = "intrinsic-SP"
-	VariantIntrinsicQP8 = "intrinsic-QP-8bit"
-	VariantIntrinsicSP8 = "intrinsic-SP-8bit"
+	VariantNoVecQP     = "no-vec-QP"
+	VariantNoVecSP     = "no-vec-SP"
+	VariantGuidedQP    = "simd-QP"
+	VariantGuidedSP    = "simd-SP"
+	VariantIntrinsicQP = "intrinsic-QP"
+	VariantIntrinsicSP = "intrinsic-SP"
 )
 
-// Variants lists the kernel variant names in the paper's order, followed
-// by the 8-bit ladder forms of the intrinsic variants.
+// Variants lists the kernel variant names in the paper's order.
 func Variants() []string {
-	out := make([]string, 0, 8)
+	out := make([]string, 0, 6)
 	for _, v := range core.Variants() {
 		out = append(out, v.String())
 	}
-	return append(out, VariantIntrinsicQP8, VariantIntrinsicSP8)
+	return out
 }
 
 // Options configures a database search. The zero value reproduces the
@@ -121,10 +118,12 @@ type Options struct {
 	GapOpen, GapExtend int
 	// NoGapDefaults disables the 10/2 defaulting above.
 	NoGapDefaults bool
-	// NoBlocking disables the cache-blocking optimisation (Figure 7's
-	// "non-blocking" curves).
+	// NoBlocking disables the cache-blocking optimisation of the device
+	// model (Figure 7's "non-blocking" curves). It moves simulated time
+	// only; the real kernels size their query tiles for the host.
 	NoBlocking bool
-	// BlockRows overrides the blocking tile height (256 when zero).
+	// BlockRows overrides the modelled blocking tile height (256 when
+	// zero).
 	BlockRows int
 	// Threads is the simulated device thread count (device maximum when
 	// zero).
@@ -159,7 +158,7 @@ func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
 	if variant == "" {
 		variant = VariantIntrinsicSP
 	}
-	v, prec, err := core.ParseVariantSpec(variant)
+	v, err := core.ParseVariant(variant)
 	if err != nil {
 		return out, err
 	}
@@ -199,7 +198,6 @@ func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
 		GapExtend: gapExtend,
 		Blocked:   !o.NoBlocking,
 		BlockRows: o.BlockRows,
-		Prec:      prec,
 	}
 	out.Matrix = m
 	out.Schedule = pol

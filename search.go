@@ -166,23 +166,29 @@ type Result struct {
 	// recomputation — the ladder's top tier, reached from the 16-bit first
 	// pass or from an already-escalated 8-bit lane.
 	Overflows int64
-	// Overflows8 counts 8-bit first-pass saturations escalated to 16-bit
-	// recomputation; always zero unless the search ran an "-8bit" variant.
+	// Overflows8 counts 8-bit first-pass saturations escalated to the
+	// 16-bit lane pass. The intrinsic variants start in byte lanes, so
+	// every subject scoring above some 250 counts here; zero for the
+	// scalar and guided variants.
 	Overflows8 int64
+	// OverflowCells counts the cell updates the escalations recomputed,
+	// across both tiers.
+	OverflowCells int64
 }
 
 func wrapResult(r *core.Result) *Result {
 	out := &Result{
-		Hits:        make([]Hit, len(r.Hits)),
-		Scores:      make([]int, len(r.Scores)),
-		Cells:       r.Stats.Cells,
-		Threads:     r.Threads,
-		SimSeconds:  r.SimSeconds,
-		SimGCUPS:    r.SimGCUPS,
-		WallSeconds: r.WallSeconds,
-		WallGCUPS:   r.WallGCUPS,
-		Overflows:   r.Stats.Overflows,
-		Overflows8:  r.Stats.Overflows8,
+		Hits:          make([]Hit, len(r.Hits)),
+		Scores:        make([]int, len(r.Scores)),
+		Cells:         r.Stats.Cells,
+		Threads:       r.Threads,
+		SimSeconds:    r.SimSeconds,
+		SimGCUPS:      r.SimGCUPS,
+		WallSeconds:   r.WallSeconds,
+		WallGCUPS:     r.WallGCUPS,
+		Overflows:     r.Stats.Overflows,
+		Overflows8:    r.Stats.Overflows8,
+		OverflowCells: r.Stats.OverflowCells,
 	}
 	for i, h := range r.Hits {
 		out.Hits[i] = Hit{Index: h.SeqIndex, ID: h.ID, Score: int(h.Score)}

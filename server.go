@@ -169,6 +169,10 @@ type HealthJSON struct {
 		Misses  int64 `json:"misses"`
 		Entries int   `json:"entries"`
 	} `json:"cache"`
+	// Ladder is the cumulative precision-ladder escalation count of the
+	// searches actually computed: lanes gone from 8 to 16 bits, from 16 to
+	// 32, and the cells recomputed. A homolog-rich traffic mix shows here.
+	Ladder LadderStats `json:"ladder"`
 	// Topology is the live-topology snapshot of a distributed
 	// coordinator — per-node health states, probe latency quantiles,
 	// failure streaks and per-shard replica routing; absent on a local
@@ -616,6 +620,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.Scheduler.BatchedQueries = st.BatchedQueries
 	h.Scheduler.Joined = st.Joined
 	h.Scheduler.CacheHits = st.CacheHits
+	h.Ladder = s.c.LadderStats()
 	hits, misses, entries := s.c.CacheStats()
 	h.Cache.Hits = hits
 	h.Cache.Misses = misses

@@ -118,6 +118,43 @@ func TestHTTPBatchOrderAndHealthz(t *testing.T) {
 	}
 }
 
+// /healthz counts the ladder escalations of the searches actually computed:
+// a subject over the byte rail escalates once, and the cached repeat of the
+// query adds nothing.
+func TestHealthzLadder(t *testing.T) {
+	w := strings.Repeat("W", 23) // self-score 253, over the biased byte rail
+	db, err := NewDatabase([]Sequence{NewSequence("sat", w), NewSequence("tiny", "ARND")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(db, ClusterOptions{Dist: "dynamic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHTTPHandler(cl))
+	defer func() { ts.Close(); cl.CloseNow() }()
+	for i := 0; i < 2; i++ {
+		if resp, body := postJSON(t, ts.URL+"/search", map[string]any{"residues": w}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	hres, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hres.Body.Close()
+	var h HealthJSON
+	if err := json.NewDecoder(hres.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Ladder.Escalated8 != 1 || h.Ladder.Escalated16 != 0 || h.Ladder.EscalatedCells != 23*23 {
+		t.Fatalf("healthz ladder %+v, want one 8->16 escalation of %d cells", h.Ladder, 23*23)
+	}
+	if h.Cache.Hits != 1 {
+		t.Fatalf("healthz cache %+v, want the repeat served from it", h.Cache)
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	ts, _, _ := testServer(t)
 	cases := []struct {

@@ -125,6 +125,7 @@ func (c *Cluster) mergeFrames(e *engineState, res []*core.ClusterResult, frames 
 		merged.WallSeconds += w.WallSeconds
 		merged.Overflows += w.Overflows
 		merged.Overflows8 += w.Overflows8
+		merged.OverflowCells += w.OverflowCells
 		for b := range merged.Backends {
 			merged.Backends[b].Chunks += w.Backends[b].Chunks
 			merged.Backends[b].SimSeconds += w.Backends[b].SimSeconds
