@@ -1,6 +1,9 @@
 package heterosw
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -38,11 +41,8 @@ func TestSearchDefaults(t *testing.T) {
 			t.Fatal("hits not sorted")
 		}
 	}
-	if res.SimGCUPS <= 0 || res.SimSeconds <= 0 {
-		t.Fatalf("timing: %+v", res)
-	}
-	if res.Threads != 32 { // Xeon default
-		t.Fatalf("threads = %d", res.Threads)
+	if res.WallSeconds <= 0 || res.Cells != 6*db.Residues() {
+		t.Fatalf("accounting: %+v", res)
 	}
 }
 
@@ -75,7 +75,6 @@ func TestSearchOptionErrors(t *testing.T) {
 		{Matrix: "BLOSUM13"},
 		{Schedule: "fifo"},
 		{Device: "gpu"},
-		{Threads: 10000},
 	}
 	for i, opt := range cases {
 		if _, err := db.Search(q, opt); err == nil {
@@ -87,83 +86,6 @@ func TestSearchOptionErrors(t *testing.T) {
 	}
 	if _, err := NewDatabase([]Sequence{{}}); err == nil {
 		t.Error("zero-value database sequence accepted")
-	}
-}
-
-func TestSearchHetero(t *testing.T) {
-	db, _ := tinyDB(t)
-	q := NewSequence("q", "MKWVLA")
-	single, err := db.Search(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	het, err := db.SearchHetero(q, HeteroOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range single.Scores {
-		if het.Scores[i] != single.Scores[i] {
-			t.Fatalf("hetero score %d differs", i)
-		}
-	}
-	if het.PhiShare <= 0 || het.CPUShare <= 0 {
-		t.Fatalf("shares: %+v", het)
-	}
-	if het.SimSeconds != max(het.CPUSeconds, het.PhiSeconds) {
-		t.Fatalf("SimSeconds %v != max(%v, %v)", het.SimSeconds, het.CPUSeconds, het.PhiSeconds)
-	}
-	if _, err := db.SearchHetero(q, HeteroOptions{PhiShare: 2}); err == nil {
-		t.Error("PhiShare 2 accepted")
-	}
-}
-
-// NoShareDefault makes a literal zero coprocessor share expressible
-// without the legacy negative sentinel, while zero-value options keep the
-// paper's 0.55 default.
-func TestHeteroNoShareDefault(t *testing.T) {
-	db, seqs := tinyDB(t)
-	q := seqs[0]
-	zero, err := db.SearchHetero(q, HeteroOptions{NoShareDefault: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero.PhiShare != 0 || zero.CPUShare != 1 {
-		t.Fatalf("explicit zero share realised as %+v", zero)
-	}
-	if zero.PhiSeconds != 0 {
-		t.Fatalf("Phi busy %v with a zero share", zero.PhiSeconds)
-	}
-	// The legacy sentinel still works for existing callers...
-	legacy, err := db.SearchHetero(q, HeteroOptions{PhiShare: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.PhiShare != 0 {
-		t.Fatalf("legacy sentinel realised as %+v", legacy)
-	}
-	// ...but is rejected when the explicit mode is on.
-	if _, err := db.SearchHetero(q, HeteroOptions{PhiShare: -1, NoShareDefault: true}); err == nil {
-		t.Error("negative share accepted with NoShareDefault")
-	}
-	// A set share behaves identically in both modes.
-	a, err := db.SearchHetero(q, HeteroOptions{PhiShare: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.SearchHetero(q, HeteroOptions{PhiShare: 0.4, NoShareDefault: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PhiShare != b.PhiShare || a.Scores[0] != b.Scores[0] {
-		t.Fatalf("explicit mode changed a set share: %v vs %v", a.PhiShare, b.PhiShare)
-	}
-	// Zero-value options still mean the paper's 0.55.
-	def, err := db.SearchHetero(q, HeteroOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.PhiShare == 0 {
-		t.Fatal("zero-value options lost the paper default")
 	}
 }
 
@@ -323,23 +245,85 @@ func TestSignificanceAPI(t *testing.T) {
 	}
 }
 
+// With no Shares, the static plan of Algorithm 2's pair derives
+// model-balanced shares, and beats a lopsided pinned split.
 func TestAutoSplitAPI(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.002, true)
-	res, err := db.SearchHetero(queries[4], HeteroOptions{AutoSplit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PhiShare <= 0 || res.PhiShare >= 1 {
-		t.Fatalf("auto split share %v", res.PhiShare)
-	}
-	single, err := db.Search(queries[4], Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range single.Scores {
-		if res.Scores[i] != single.Scores[i] {
-			t.Fatalf("auto-split scores differ at %d", i)
+	qlen := queries[4].Len()
+	plan := func(shares []float64) *Plan {
+		t.Helper()
+		cl, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{DevicePhi, DeviceXeon}, Shares: shares})
+		if err != nil {
+			t.Fatal(err)
 		}
+		p, err := cl.Plan(qlen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	auto := plan(nil)
+	if phi := auto.Devices[0].Share; phi <= 0 || phi >= 1 {
+		t.Fatalf("auto split share %v", phi)
+	}
+	if lopsided := plan([]float64{0.9, 0.1}); auto.Seconds > lopsided.Seconds*1.02 {
+		t.Fatalf("auto split (%v s) worse than a 90%% Phi share (%v s)", auto.Seconds, lopsided.Seconds)
+	}
+}
+
+// Database.Simulate is Algorithm 1 on the device model: the planner's
+// estimate for one device over the database's lengths (pinned by
+// internal/core's plan_golden.json over the same synthetic corpus), with
+// Options.Device and Options.Threads as its inputs.
+func TestDatabaseSimulate(t *testing.T) {
+	db, _ := SyntheticSwissProt(0.01, false)
+	raw, err := os.ReadFile("internal/core/testdata/plan_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Estimates []struct {
+			Device   DeviceKind `json:"device"`
+			QueryLen int        `json:"query_len"`
+			Seconds  float64    `json:"seconds"`
+		} `json:"estimates"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range golden.Estimates {
+		sim, err := db.Simulate(e.QueryLen, Options{Device: e.Device})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sim.Seconds-e.Seconds) > 1e-12*e.Seconds {
+			t.Errorf("%s, %d residues: %v s, golden %v", e.Device, e.QueryLen, sim.Seconds, e.Seconds)
+		}
+		if want := float64(e.QueryLen) * float64(db.Residues()) / sim.Seconds / 1e9; sim.GCUPS != want {
+			t.Errorf("%s: GCUPS %v, want %v", e.Device, sim.GCUPS, want)
+		}
+		if d := sim.Devices; len(d) != 1 || d[0].Device != e.Device || d[0].Share != 1 {
+			t.Errorf("%s: devices %+v", e.Device, d)
+		}
+	}
+	few, err := db.Simulate(1000, Options{Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := db.Simulate(1000, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if few.Devices[0].Threads != 4 || all.Devices[0].Threads != 32 || few.Seconds <= all.Seconds {
+		t.Fatalf("4 threads: %+v; all threads: %+v", few, all)
+	}
+	for _, bad := range []Options{{Threads: 1000}, {Device: "gpu"}, {Variant: "nope"}} {
+		if _, err := db.Simulate(1000, bad); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	if _, err := db.Simulate(0, Options{}); err == nil {
+		t.Error("zero query length accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"heterosw/internal/core"
+	"heterosw/internal/device"
 	"heterosw/internal/qsched"
 	"heterosw/internal/sequence"
 	"heterosw/internal/stats"
@@ -43,35 +45,38 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 
 // ClusterOptions configures a Cluster over a database.
 //
-// The paper's Algorithm 2 hardcodes one Xeon host and one Xeon Phi and
-// names a dynamic distribution strategy as future work; ClusterOptions
-// generalises the roster to any number of modelled devices and makes the
-// distribution strategy selectable. The scheduling knobs below tune the
-// concurrent micro-batching query scheduler behind the streaming and
-// serving paths (Stream, SearchScheduled, the swserve HTTP front end).
+// A Cluster executes on the host: whatever the options say, a search is one
+// engine pass over the whole database with GOMAXPROCS workers. Devices,
+// Threads, Dist, Shares and ChunkResidues describe the modelled roster that
+// Cluster.Plan prices — the paper's Algorithm 2 hardcodes one Xeon host and
+// one Xeon Phi and names a dynamic distribution strategy as future work;
+// the planner generalises the roster to any number of modelled devices and
+// makes the distribution strategy selectable. The scheduling knobs below
+// tune the concurrent micro-batching query scheduler behind the streaming
+// and serving paths (Stream, SearchScheduled, the swserve HTTP front end).
 type ClusterOptions struct {
 	// Options carries the shared kernel configuration (variant, matrix,
-	// gaps, blocking, schedule). Its Device and Threads fields are
-	// ignored: the roster comes from Devices and per-backend threads from
-	// Threads below.
+	// gaps) and the planner's (blocking, schedule). Its Device and Threads
+	// fields are ignored: the modelled roster comes from Devices and
+	// per-device threads from Threads below.
 	Options
-	// Devices is the backend roster, e.g. {DeviceXeon, DevicePhi,
+	// Devices is the modelled roster, e.g. {DeviceXeon, DevicePhi,
 	// DevicePhi}. Empty selects the paper's pair {DeviceXeon, DevicePhi}.
 	Devices []DeviceKind
-	// Threads optionally sets each backend's simulated thread count
-	// (device maximum when 0 or when the slice is shorter than the
-	// roster).
+	// Threads optionally sets each device's modelled thread count (device
+	// maximum when 0 or when the slice is shorter than the roster).
 	Threads []int
-	// Dist selects the workload distribution: "static" (Algorithm 2's
-	// residue split, the default), "dynamic" (a device-level work queue
-	// of equal-residue chunks) or "guided" (shrinking chunks).
+	// Dist selects the planned workload distribution: "static" (Algorithm
+	// 2's residue split, the default), "dynamic" (a device-level work
+	// queue of equal-residue chunks) or "guided" (shrinking chunks).
 	Dist string
-	// Shares pins the static residue fraction per backend; nil derives
-	// model-balanced shares from the device cost models (the paper's
-	// proposed model-driven strategy). Ignored by dynamic distributions.
+	// Shares pins the planned static residue fraction per device; nil
+	// derives model-balanced shares from the device cost models (the
+	// paper's proposed model-driven strategy). Ignored by dynamic
+	// distributions.
 	Shares []float64
-	// ChunkResidues is the dynamic chunk granularity in residues (0
-	// derives a default from the database size and roster).
+	// ChunkResidues is the planned dynamic chunk granularity in residues
+	// (0 derives a default from the database size and roster).
 	ChunkResidues int64
 
 	// MaxInFlight caps the micro-batches a scheduler runs concurrently
@@ -121,31 +126,9 @@ func defaultCacheSize(dbLen int) int {
 	return n
 }
 
-// BackendReport describes one backend's part in a cluster search.
-type BackendReport struct {
-	// Name identifies the backend within the roster (the device kind
-	// suffixed with its roster position, e.g. "phi#1").
-	Name string
-	// Device is the backend's device kind.
-	Device DeviceKind
-	// Share is the realised fraction of database residues the backend
-	// processed (static) or was scheduled in simulation (dynamic).
-	Share float64
-	// Chunks counts the backend's work grants: 1 shard under static
-	// distribution, claimed queue chunks under dynamic ones.
-	Chunks int
-	// SimSeconds is the backend's simulated busy time including PCIe
-	// transfers; Threads its simulated thread count (0 if it got no work).
-	SimSeconds float64
-	Threads    int
-}
-
-// ClusterResult reports a cluster search: the merged result plus
-// per-backend accounting.
+// ClusterResult reports a cluster search.
 type ClusterResult struct {
 	Result
-	// Backends has one entry per roster backend, in roster order.
-	Backends []BackendReport
 	// Significance is the Gumbel null model fitted over the full score
 	// distribution when the search requested ReportOptions.EValues; nil
 	// otherwise.
@@ -160,10 +143,10 @@ type ClusterResult struct {
 type ReportOptions struct {
 	// Alignments enables reporting phase two: after the vectorised score
 	// pass selects the top-K hits, the query is re-aligned against just
-	// those K database sequences — fanned out across the cluster roster —
-	// and each hit gains coordinates, a CIGAR and identity counts
-	// (Hit.Alignment). The traceback phase only ever aligns K sequences,
-	// never the full database.
+	// those K database sequences — on the host's workers, or on the shard
+	// nodes of a coordinator — and each hit gains coordinates, a CIGAR and
+	// identity counts (Hit.Alignment). The traceback phase only ever aligns
+	// K sequences, never the full database.
 	Alignments bool
 	// EValues fits a Gumbel null model over the full score distribution
 	// (see Result.FitSignificance) and decorates every reported hit with
@@ -265,10 +248,11 @@ type reportQuery struct {
 }
 
 // engineState is one immutable topology generation: the dispatcher and
-// the per-backend roster labels, always read together. See Cluster.eng.
+// the label its backends carry in Totals (DeviceHost or DeviceRemote),
+// always read together. See Cluster.eng.
 type engineState struct {
-	disp  *core.Dispatcher
-	kinds []DeviceKind
+	disp *core.Dispatcher
+	kind DeviceKind
 }
 
 // engine snapshots the cluster's current engine. Callers must hold the
@@ -279,30 +263,40 @@ func (c *Cluster) engine() *engineState { return c.eng.Load() }
 // the cluster has completed, whichever concurrent batch or stream it
 // arrived on.
 type BackendTotals struct {
-	// Name identifies the backend within the roster; Device is its kind.
+	// Name identifies the backend; Device is DeviceHost for a local
+	// cluster's one backend, DeviceRemote for a coordinator's shard nodes.
 	Name   string
 	Device DeviceKind
-	// Grants counts executed work grants (shards under static, claimed
-	// chunks under dynamic distributions); Residues the database residues
-	// processed; SimSeconds the accumulated simulated busy time.
-	Grants     int64
-	Residues   int64
-	SimSeconds float64
+	// Workers is the host backend's goroutine count per search (0 for a
+	// remote node, whose parallelism is its own).
+	Workers int
+	// Grants counts the searches the backend has run (one per query);
+	// Residues the database residues and Cells the cell updates they
+	// covered; WallSeconds their accumulated wall time, so
+	// Cells/WallSeconds is the backend's realised rate.
+	Grants      int64
+	Residues    int64
+	Cells       int64
+	WallSeconds float64
 	// Tracebacks counts the aligned-hit tracebacks the backend has run in
 	// reporting phase two (ReportOptions.Alignments).
 	Tracebacks int64
 }
 
-// Cluster is an N-device search cluster over a Database: the paper's
-// Algorithm 2 generalised to a device-count-agnostic dispatcher with
-// batched, streaming and scheduled entry points. A Cluster is safe for
-// concurrent use; shard splits, chunk partitions and per-backend lane
-// packings are cached so repeated and batched queries amortise all
-// pre-processing, and the scheduled paths share one LRU result cache so
-// repeated queries are free.
+// Cluster is a search service over a Database with batched, streaming and
+// scheduled entry points. A local Cluster (NewCluster) runs every search on
+// the host, one engine pass over the whole database, and prices the
+// configured device roster on the side (Plan); a coordinator
+// (NewDistributedCluster) fans searches out to shard nodes. A Cluster is
+// safe for concurrent use; lane packings are cached so repeated and batched
+// queries amortise all pre-processing, and the scheduled paths share one
+// LRU result cache so repeated queries are free.
 type Cluster struct {
 	db   *Database
 	dopt core.DispatchOptions
+	// roster is the modelled roster Plan prices (nil on a coordinator);
+	// nothing executes on it.
+	roster []core.Device
 
 	// eng is the cluster's current engine: the dispatcher plus the roster
 	// labels its reports carry, bundled so a topology swap replaces both
@@ -337,8 +331,14 @@ type Cluster struct {
 	closed bool
 }
 
-// NewCluster builds a cluster over the database with the given roster and
-// distribution strategy.
+// hostWidth is the lane geometry of the host backend: the 256-bit register
+// internal/vec dispatches (16 word lanes, 32 byte lanes), which is the Xeon
+// model's.
+func hostWidth() *device.Model { return device.Xeon() }
+
+// NewCluster builds a cluster over the database: one host backend that
+// searches the whole database, and the modelled roster and distribution
+// strategy of opt for Plan.
 func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	if db == nil {
 		return nil, fmt.Errorf("heterosw: nil database")
@@ -347,7 +347,7 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	if len(kinds) == 0 {
 		kinds = []DeviceKind{DeviceXeon, DevicePhi}
 	}
-	backends := make([]core.Backend, len(kinds))
+	roster := make([]core.Device, len(kinds))
 	for i, k := range kinds {
 		m, err := k.model()
 		if err != nil {
@@ -358,10 +358,10 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 			threads = opt.Threads[i]
 		}
 		if threads < 0 || threads > m.MaxThreads() {
-			return nil, fmt.Errorf("heterosw: backend %d (%s): %d threads exceeds %d",
+			return nil, fmt.Errorf("heterosw: device %d (%s): %d threads exceeds %d",
 				i, k, threads, m.MaxThreads())
 		}
-		backends[i] = core.NewBackend(fmt.Sprintf("%s#%d", k, i), m, threads)
+		roster[i] = core.Device{Model: m, Threads: threads}
 	}
 	dist := opt.Dist
 	if dist == "" {
@@ -378,7 +378,7 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	disp, err := core.NewDispatcher(db.db, backends)
+	disp, err := core.NewDispatcher(db.db, []core.Backend{core.NewBackend("host", hostWidth(), 0)})
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +387,8 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 		cacheSize = defaultCacheSize(db.Len())
 	}
 	c := &Cluster{
-		db: db,
+		db:     db,
+		roster: roster,
 		dopt: core.DispatchOptions{
 			Search:        search,
 			Dist:          d,
@@ -401,40 +402,106 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 		},
 		cache: qsched.NewCache[*ClusterResult](cacheSize),
 	}
-	c.eng.Store(&engineState{disp: disp, kinds: kinds})
-	// The cache key pairs the query residues with every option that can
-	// change a result; within one cluster the options are fixed, so the
-	// fingerprint is a constant prefix.
-	c.keyBase = fmt.Sprintf("%v|%v|%d|%+v|", c.dopt.Dist, c.dopt.Shares, c.dopt.ChunkResidues, c.dopt.Search)
+	c.eng.Store(&engineState{disp: disp, kind: DeviceHost})
+	c.keyBase = cacheKeyBase(search)
 	return c, nil
 }
 
-// Devices returns the cluster's roster.
-func (c *Cluster) Devices() []DeviceKind {
-	e := c.engine()
-	return append([]DeviceKind(nil), e.kinds...)
+// cacheKeyBase fingerprints every option that can change a result; within
+// one cluster the options are fixed, so it is the constant prefix of the
+// scheduler cache keys (see cacheKey).
+func cacheKeyBase(search core.SearchOptions) string {
+	return fmt.Sprintf("%+v|", search)
 }
 
-func (c *Cluster) wrap(e *engineState, r *core.ClusterResult) *ClusterResult {
-	out := &ClusterResult{
-		Result:   *wrapResult(&r.Result),
-		Backends: make([]BackendReport, len(r.PerBackend)),
+// Devices returns the modelled roster Plan prices (nil on a coordinator).
+func (c *Cluster) Devices() []DeviceKind {
+	kinds := make([]DeviceKind, len(c.roster))
+	for i, d := range c.roster {
+		kinds[i] = DeviceKind(d.Model.Short)
 	}
-	for i, st := range r.PerBackend {
-		out.Backends[i] = BackendReport{
-			Name:       st.Name,
-			Device:     e.kinds[i],
-			Share:      st.Share,
-			Chunks:     st.Chunks,
-			SimSeconds: st.SimSeconds,
-			Threads:    st.Threads,
+	return kinds
+}
+
+// DevicePlan is one modelled device's part in a Plan.
+type DevicePlan struct {
+	// Name is the device kind suffixed with its roster position, e.g.
+	// "phi#1"; Device the kind; Threads the modelled thread count.
+	Name    string
+	Device  DeviceKind
+	Threads int
+	// Share is the fraction of database residues scheduled onto the
+	// device; Chunks its work grants (one shard under the static
+	// distribution, claimed queue chunks under the dynamic ones); Seconds
+	// its predicted busy time, PCIe transfers included.
+	Share   float64
+	Chunks  int
+	Seconds float64
+}
+
+// Plan is what the device model predicts for one search: nothing ran.
+type Plan struct {
+	// Dist is the planned workload distribution.
+	Dist string
+	// Seconds is the predicted completion time — the slowest device plus
+	// the host-side sort of the merged score list — and GCUPS the
+	// simulated throughput queryLen x residues / Seconds, the axis of the
+	// paper's figures.
+	Seconds float64
+	GCUPS   float64
+	// Devices has one entry per roster device, in roster order.
+	Devices []DevicePlan
+}
+
+// Plan prices one search of a queryLen-residue query on the cluster's
+// modelled roster (ClusterOptions.Devices, Threads) under its distribution
+// strategy (Dist, Shares, ChunkResidues): Algorithm 2 and its N-device
+// generalisations, from the paper's Xeon and Xeon Phi cost models over the
+// database's sequence lengths. No kernels run, and what the cluster's
+// searches execute does not depend on any of it.
+func (c *Cluster) Plan(queryLen int) (*Plan, error) {
+	if c.roster == nil {
+		return nil, fmt.Errorf("heterosw: Plan needs a local cluster (a coordinator has no modelled roster)")
+	}
+	return planFor(c.db, queryLen, c.roster, c.dopt)
+}
+
+// planFor is the one bridge to the planner, shared by Cluster.Plan and
+// Database.Simulate.
+func planFor(db *Database, queryLen int, roster []core.Device, dopt core.DispatchOptions) (*Plan, error) {
+	if queryLen <= 0 {
+		return nil, fmt.Errorf("heterosw: query length %d", queryLen)
+	}
+	p, err := core.PlanLengths(db.db.OrderLengths(), queryLen, roster, dopt)
+	if err != nil {
+		return nil, err
+	}
+	out := &Plan{Dist: p.Dist.String(), Seconds: p.Makespan, Devices: make([]DevicePlan, len(roster))}
+	if p.Makespan > 0 {
+		out.GCUPS = float64(queryLen) * float64(db.Residues()) / p.Makespan / 1e9
+	}
+	for i, d := range roster {
+		threads := d.Threads
+		if threads == 0 {
+			threads = d.Model.MaxThreads()
+		}
+		out.Devices[i] = DevicePlan{
+			Name:    fmt.Sprintf("%s#%d", d.Model.Short, i),
+			Device:  DeviceKind(d.Model.Short),
+			Threads: threads,
+			Share:   p.Shares[i],
+			Chunks:  p.Chunks[i],
+			Seconds: p.Seconds[i],
 		}
 	}
-	return out
+	return out, nil
 }
 
-// Search distributes one query across the cluster's backends and merges
-// the score lists — Algorithm 2 with N devices. An optional ReportOptions
+func wrapCluster(r *core.ClusterResult) *ClusterResult {
+	return &ClusterResult{Result: *wrapResult(r)}
+}
+
+// Search runs one query over the database. An optional ReportOptions
 // enables the aligned-hit reporting phases: tracebacks over the top-K hits
 // and/or an E-value fit over the score distribution. Search bypasses the
 // scheduler and cache; serving traffic should prefer SearchScheduled. It
@@ -466,7 +533,7 @@ func (c *Cluster) SearchContext(ctx context.Context, query Sequence, report ...R
 	if err != nil {
 		return nil, err
 	}
-	out := c.wrap(e, res)
+	out := wrapCluster(res)
 	if err := c.decorate(ctx, e, query, out, rep, c.dopt); err != nil {
 		return nil, err
 	}
@@ -507,7 +574,7 @@ func (c *Cluster) SearchMatrixContext(ctx context.Context, query Sequence, matri
 	if err != nil {
 		return nil, err
 	}
-	out := c.wrap(e, res)
+	out := wrapCluster(res)
 	if err := c.decorate(ctx, e, query, out, rep, dopt); err != nil {
 		return nil, err
 	}
@@ -530,10 +597,10 @@ func (c *Cluster) doptWithMatrix(matrixText string) (core.DispatchOptions, error
 	return dopt, nil
 }
 
-// SearchBatch runs a batch of queries, amortising the shard split, chunk
-// partition and per-backend lane packings across the whole batch. Results
-// are returned in query order; an optional ReportOptions applies to every
-// query of the batch. It is the context-free convenience root;
+// SearchBatch runs a batch of queries, amortising the lane packings across
+// the whole batch. Results are returned in query order; an optional
+// ReportOptions applies to every query of the batch. It is the
+// context-free convenience root;
 // cancellable callers use SearchBatchContext.
 //
 //sw:ctxroot
@@ -578,7 +645,7 @@ func (c *Cluster) searchBatchCtx(ctx context.Context, rqs []reportQuery) ([]*Clu
 	}
 	out := make([]*ClusterResult, len(res))
 	for i, r := range res {
-		out[i] = c.wrap(e, r)
+		out[i] = wrapCluster(r)
 		if err := c.decorate(ctx, e, rqs[i].seq, out[i], rqs[i].rep, c.dopt); err != nil {
 			return nil, err
 		}
@@ -738,21 +805,30 @@ func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ..
 }
 
 // Totals reports the number of completed query searches and cumulative
-// per-backend accounting (work grants, residues processed, simulated busy
-// seconds) across every entry point and concurrent batch. The swserve
-// /healthz endpoint serves this snapshot.
+// per-backend accounting (searches, residues, cells, wall seconds) across
+// every entry point and concurrent batch: one host backend on a local
+// cluster, one per shard on a coordinator. The swserve /healthz endpoint
+// serves this snapshot.
 func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
 	e := c.engine()
 	q, raw := e.disp.Totals()
+	workers := 0
+	if e.kind == DeviceHost {
+		if workers = c.dopt.Search.Workers; workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	}
 	per = make([]BackendTotals, len(raw))
 	for i, bt := range raw {
 		per[i] = BackendTotals{
-			Name:       bt.Name,
-			Device:     e.kinds[i],
-			Grants:     bt.Grants,
-			Residues:   bt.Residues,
-			SimSeconds: bt.SimSeconds,
-			Tracebacks: bt.Tracebacks,
+			Name:        bt.Name,
+			Device:      e.kind,
+			Workers:     workers,
+			Grants:      bt.Grants,
+			Residues:    bt.Residues,
+			Cells:       bt.Cells,
+			WallSeconds: bt.WallSeconds,
+			Tracebacks:  bt.Tracebacks,
 		}
 	}
 	return q, per

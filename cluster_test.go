@@ -2,8 +2,12 @@ package heterosw
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+
+	"heterosw/internal/core"
 )
 
 func TestClusterMatchesSingleDevice(t *testing.T) {
@@ -30,18 +34,75 @@ func TestClusterMatchesSingleDevice(t *testing.T) {
 				t.Fatalf("%s: score %d: cluster %d != single %d", dist, i, res.Scores[i], single.Scores[i])
 			}
 		}
-		if len(res.Backends) != 3 {
-			t.Fatalf("%s: %d backend reports", dist, len(res.Backends))
+		// The roster and the distribution are what Plan prices.
+		plan, err := cl.Plan(q.Len())
+		if err != nil {
+			t.Fatalf("%s: %v", dist, err)
+		}
+		if len(plan.Devices) != 3 || plan.Dist != dist {
+			t.Fatalf("%s: plan %+v", dist, plan)
 		}
 		var share float64
-		for _, b := range res.Backends {
-			share += b.Share
+		for _, d := range plan.Devices {
+			share += d.Share
 		}
 		if share < 0.999 || share > 1.001 {
 			t.Fatalf("%s: shares sum to %v", dist, share)
 		}
-		if res.SimSeconds <= 0 || res.SimGCUPS <= 0 {
-			t.Fatalf("%s: timing %+v", dist, res.Result)
+		if plan.Seconds <= 0 || plan.GCUPS <= 0 {
+			t.Fatalf("%s: timing %+v", dist, plan)
+		}
+	}
+}
+
+// Whatever roster and distribution a local cluster is configured with, a
+// query is one engine search over the whole database on one host backend:
+// one query profile, one lane partition, one worker sweep.
+func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
+	db, queries := SyntheticSwissProt(0.001, true)
+	// The whole-database partition a default search packs: byte lanes of
+	// the host register, long subjects routed out.
+	groups, long := db.db.Partition(hostWidth().ByteLanes(), core.DefaultLongSeqThreshold)
+	wantGroups := int64(len(groups) + len(long))
+
+	var first *ClusterResult
+	for _, opt := range []ClusterOptions{
+		{},
+		{Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}, Dist: "dynamic"},
+	} {
+		cl, err := NewCluster(db, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, q := range queries[:3] {
+			before := cl.engine().disp.KernelStats()
+			res, err := cl.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := cl.engine().disp.KernelStats()
+			if got := after.Groups - before.Groups; got != wantGroups {
+				t.Fatalf("%v: query %d ran %d work items, want the whole-database partition's %d",
+					opt.Devices, n, got, wantGroups)
+			}
+			nq, per := cl.Totals()
+			if len(per) != 1 || per[0].Name != "host" || per[0].Device != DeviceHost {
+				t.Fatalf("%v: backends %+v, want a single host", opt.Devices, per)
+			}
+			if want := int64(n + 1); nq != want || per[0].Grants != want {
+				t.Fatalf("%v: %d queries took %d engine searches, want %d each", opt.Devices, nq, per[0].Grants, want)
+			}
+			if per[0].Workers != runtime.GOMAXPROCS(0) || per[0].Cells != after.Cells || per[0].WallSeconds <= 0 {
+				t.Fatalf("%v: host totals %+v against kernel cells %d", opt.Devices, per[0], after.Cells)
+			}
+			if n > 0 {
+				continue
+			}
+			if first == nil {
+				first = res
+			} else if !reflect.DeepEqual(res.Hits, first.Hits) || !reflect.DeepEqual(res.Scores, first.Scores) || res.Cells != first.Cells {
+				t.Fatalf("%v: results differ from the zero ClusterOptions'", opt.Devices)
+			}
 		}
 	}
 }
@@ -215,8 +276,8 @@ func TestClusterOptionErrors(t *testing.T) {
 
 // TestClusterConcurrentHammer drives concurrent Search, SearchBatch and
 // plain Database.Search traffic over one Database from many goroutines.
-// Run under -race (as CI does) it proves the lazy engine caches, shard and
-// chunk caches and score merges are properly synchronised.
+// Run under -race (as CI does) it proves the lazy engine caches and the
+// engine's scratch pool are properly synchronised.
 func TestClusterConcurrentHammer(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.0003, true)
 	static, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}})

@@ -12,8 +12,8 @@
 //
 // By default the full 541,561-sequence synthetic Swiss-Prot is simulated
 // (fast: the device models consume shape information only; see DESIGN.md).
-// GCUPS values are simulated-device throughput; run cmd/swverify or the
-// examples for functional (wall-clock) execution.
+// GCUPS values are simulated-device throughput. This is where a roster is
+// priced: swsearch and swserve run on the host and report wall-clock.
 package main
 
 import (
@@ -112,7 +112,7 @@ func main() {
 // the comparison runs in milliseconds at any scale.
 func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale float64, queryLen int) error {
 	models := device.Devices()
-	var backends []core.Backend
+	var devices []core.Device
 	var names []string
 	for i, d := range strings.Split(roster, ",") {
 		d = strings.TrimSpace(d)
@@ -120,9 +120,8 @@ func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale flo
 		if !ok {
 			return fmt.Errorf("unknown device %q (have xeon, phi)", d)
 		}
-		name := fmt.Sprintf("%s#%d", d, i)
-		backends = append(backends, core.NewBackend(name, m, 0))
-		names = append(names, name)
+		devices = append(devices, core.Device{Model: m})
+		names = append(names, fmt.Sprintf("%s#%d", d, i))
 	}
 	var lengths []int
 	if dbPath != "" {
@@ -170,12 +169,12 @@ func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale flo
 	for _, d := range dists {
 		o := opt
 		o.Dist = d
-		p, err := core.PlanLengths(lengths, queryLen, backends, o)
+		p, err := core.PlanLengths(lengths, queryLen, devices, o)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "%-8s %12.4f %10.2f", d, p.Makespan, cells/p.Makespan/1e9)
-		for i := range backends {
+		for i := range devices {
 			fmt.Fprintf(out, "  %5.1f%% (%2d chk)", p.Shares[i]*100, p.Chunks[i])
 		}
 		fmt.Fprintln(out)

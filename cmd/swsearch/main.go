@@ -1,29 +1,27 @@
-// Command swsearch runs a Smith-Waterman database search: the paper's
-// Algorithm 1 (single device), Algorithm 2 (heterogeneous CPU+Phi) or its
-// N-device cluster generalisation, printing the top hits with optional
+// Command swsearch runs a Smith-Waterman database search on this host (the
+// paper's Algorithm 1 over every core), printing the top hits with optional
 // alignments. Protein is the default alphabet; -dna searches nucleotide
 // databases and -translate runs a six-frame translated (blastx-style)
-// search of DNA queries against a protein database.
+// search of DNA queries against a protein database. What a search would
+// take on the paper's Xeon and Xeon Phi is swbench's question (swbench
+// -devices xeon,phi -dist dynamic), not a flag here.
 //
 // Usage:
 //
 //	swsearch -db db.fasta -query q.fasta [flags]
 //	swsearch -synthetic 0.01 -queryindex 3 [flags]
-//	swsearch -synthetic 0.01 -devices xeon,phi,phi -dist dynamic
 //	swsearch -db genes.fasta -query reads.fasta -dna -outfmt tsv
 //	swsearch -db prot.swdb -query reads.fasta -translate -outfmt sam
 //	swsearch -db prot.swdb -query many.fasta -batch -blast
 //
-// Flags select the kernel variant, device model, thread count, scheduling
-// policy, substitution matrix (built-in by name, or a custom file with
-// -matrixfile) and gap penalties; see -help.
+// Flags select the kernel variant, substitution matrix (built-in by name,
+// or a custom file with -matrixfile) and gap penalties; see -help.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -37,20 +35,11 @@ func main() {
 		queryPath  = flag.String("query", "", "query FASTA file (first record is searched unless -queryindex)")
 		synthetic  = flag.Float64("synthetic", 0, "use a synthetic Swiss-Prot database at this scale instead of -db")
 		queryIndex = flag.Int("queryindex", 0, "index of the query record (within -query, or among the 20 paper queries with -synthetic)")
-		hetero     = flag.Bool("hetero", false, "run the heterogeneous CPU+Phi search (Algorithm 2)")
-		phiShare   = flag.Float64("phishare", 0.55, "fraction of the database offloaded to the Phi with -hetero")
-		devices    = flag.String("devices", "", "comma-separated cluster roster (e.g. xeon,phi,phi); overrides -hetero/-device")
-		dist       = flag.String("dist", "static", "cluster workload distribution with -devices: static, dynamic, guided")
-		shares     = flag.String("shares", "", "comma-separated static residue shares with -devices (model-balanced when empty)")
-		device     = flag.String("device", "xeon", "device model: xeon or phi")
 		variant    = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP (the intrinsic ones run the adaptive 8/16/32-bit scoring ladder)")
 		matrix     = flag.String("matrix", "", "substitution matrix: BLOSUM45/50/62/80, PAM250, NUC (default: BLOSUM62 for protein, NUC for DNA)")
 		matrixFile = flag.String("matrixfile", "", "custom substitution matrix file in the NCBI textual format (overrides -matrix)")
 		gapOpen    = flag.Int("gapopen", 10, "gap open penalty q (gap of length x costs q + r*x)")
 		gapExtend  = flag.Int("gapextend", 2, "gap extension penalty r")
-		threads    = flag.Int("threads", 0, "simulated device threads (0 = device maximum)")
-		schedule   = flag.String("schedule", "dynamic", "OpenMP loop policy: static, dynamic, guided")
-		noBlock    = flag.Bool("noblocking", false, "disable the cache-blocking optimisation")
 		topK       = flag.Int("top", 10, "number of hits to print")
 		showAlign  = flag.Int("align", 0, "print full alignments for the first N hits")
 		blast      = flag.Bool("blast", false, "run the two-phase aligned search (score pass, then tracebacks over the top hits) and print a BLAST-style report")
@@ -110,16 +99,12 @@ func main() {
 	query := queries[*queryIndex]
 
 	opt := heterosw.Options{
-		Device:    heterosw.DeviceKind(*device),
 		Variant:   *variant,
 		Matrix:    *matrix,
 		GapOpen:   *gapOpen,
 		GapExtend: *gapExtend,
-		Threads:   *threads,
-		Schedule:  *schedule,
 		TopK:      *topK,
 	}
-	opt.NoBlocking = *noBlock
 	if *matrixFile != "" {
 		text, rerr := os.ReadFile(*matrixFile)
 		if rerr != nil {
@@ -129,16 +114,11 @@ func main() {
 	}
 
 	if *blast || *outfmt != "" || *translated || *batch {
-		// The two-phase reporting pipeline: the vectorised score pass over
-		// the roster selects the top hits, then the traceback phase
-		// re-aligns the query against just those hits. A bare -blast runs
-		// a single-device roster of -device; -batch feeds every query
-		// record through the cluster's batch scheduler in one pass.
-		roster := *devices
-		if roster == "" {
-			roster = *device
-		}
-		cl, cerr := heterosw.NewCluster(db, clusterOptions(opt, roster, *dist, *shares, *threads))
+		// The two-phase reporting pipeline: the vectorised score pass
+		// selects the top hits, then the traceback phase re-aligns the
+		// query against just those hits. -batch feeds every query record
+		// through the cluster in one pass.
+		cl, cerr := heterosw.NewCluster(db, heterosw.ClusterOptions{Options: opt})
 		if cerr != nil {
 			fatal(cerr)
 		}
@@ -183,13 +163,14 @@ func main() {
 			}
 		}
 		if format == "blast" {
-			var gcups, sim float64
+			var cells int64
+			var wall float64
 			for _, res := range results {
-				gcups = res.SimGCUPS
-				sim += res.SimSeconds
+				cells += res.Cells
+				wall += res.WallSeconds
 			}
-			fmt.Printf("\nperformance: %.2f GCUPS simulated (%.4fs on model), %v real\n",
-				gcups, sim, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("\nperformance: %.3f GCUPS wall in the score pass, %v real in all\n",
+				float64(cells)/wall/1e9, time.Since(start).Round(time.Millisecond))
 		}
 		return
 	}
@@ -203,42 +184,15 @@ func main() {
 	fmt.Printf("vec:      %s\n", hostdev.HostSIMD())
 
 	start := time.Now()
-	var res *heterosw.Result
-	if *devices != "" {
-		cl, cerr := heterosw.NewCluster(db, clusterOptions(opt, *devices, *dist, *shares, *threads))
-		if cerr != nil {
-			fatal(cerr)
-		}
-		cres, cerr := cl.Search(query)
-		if cerr != nil {
-			fatal(cerr)
-		}
-		fmt.Printf("cluster:  %d backends, %s distribution\n", len(cres.Backends), *dist)
-		for _, b := range cres.Backends {
-			fmt.Printf("  %-8s %5.1f%% of residues, %3d chunk(s), %8.4fs simulated, %d threads\n",
-				b.Name, b.Share*100, b.Chunks, b.SimSeconds, b.Threads)
-		}
-		res = &cres.Result
-	} else if *hetero {
-		hres, herr := db.SearchHetero(query, heterosw.HeteroOptions{Options: opt, PhiShare: *phiShare})
-		if herr != nil {
-			fatal(herr)
-		}
-		fmt.Printf("hetero:   CPU %.0f%% / Phi %.0f%% of residues; CPU %.3fs, Phi %.3fs (simulated)\n",
-			hres.CPUShare*100, hres.PhiShare*100, hres.CPUSeconds, hres.PhiSeconds)
-		res = &hres.Result
-	} else {
-		res, err = db.Search(query, opt)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := db.Search(query, opt)
+	if err != nil {
+		fatal(err)
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("performance: %.2f GCUPS simulated (%.4fs on model), %.3f GCUPS wall (%v real)\n",
-		res.SimGCUPS, res.SimSeconds, res.WallGCUPS, elapsed.Round(time.Millisecond))
-	fmt.Printf("cells: %d, simulated threads: %d, overflow escalations: %d to 16-bit, %d to 32-bit\n\n",
-		res.Cells, res.Threads, res.Overflows8, res.Overflows)
+	fmt.Printf("performance: %.3f GCUPS wall (%v real)\n", res.WallGCUPS, elapsed.Round(time.Millisecond))
+	fmt.Printf("cells: %d, overflow escalations: %d to 16-bit, %d to 32-bit\n\n",
+		res.Cells, res.Overflows8, res.Overflows)
 
 	fmt.Printf("%4s %-16s %7s\n", "#", "subject", "score")
 	for i, h := range res.Hits {
@@ -253,40 +207,6 @@ func main() {
 			fatal(aerr)
 		}
 		fmt.Printf("\n>%s (CIGAR %s)\n%s", h.ID, al.CIGAR(), al.Format(60))
-	}
-}
-
-// clusterOptions assembles ClusterOptions from the shared cluster flags:
-// the comma-separated roster and static shares, and -threads applied to
-// every backend (0 = each device's maximum).
-func clusterOptions(opt heterosw.Options, devices, dist, shares string, threads int) heterosw.ClusterOptions {
-	kinds := []heterosw.DeviceKind{}
-	for _, d := range strings.Split(devices, ",") {
-		kinds = append(kinds, heterosw.DeviceKind(strings.TrimSpace(d)))
-	}
-	var shareList []float64
-	if shares != "" {
-		for _, s := range strings.Split(shares, ",") {
-			v, perr := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if perr != nil {
-				fatal(perr)
-			}
-			shareList = append(shareList, v)
-		}
-	}
-	var perBackend []int
-	if threads > 0 {
-		perBackend = make([]int, len(kinds))
-		for i := range perBackend {
-			perBackend[i] = threads
-		}
-	}
-	return heterosw.ClusterOptions{
-		Options: opt,
-		Devices: kinds,
-		Threads: perBackend,
-		Dist:    dist,
-		Shares:  shareList,
 	}
 }
 

@@ -1,20 +1,22 @@
 // Command swserve fronts a Smith-Waterman search cluster with an HTTP
 // JSON API, turning the library into a long-running query service: the
-// SwissAlign-webserver serving shape over the N-device dispatcher, with
-// every request routed through the cluster's concurrent micro-batching
-// scheduler (requests arriving together coalesce into micro-batches,
-// identical queries share one execution, repeats hit the LRU cache).
+// SwissAlign-webserver serving shape, with every request routed through
+// the cluster's concurrent micro-batching scheduler (requests arriving
+// together coalesce into micro-batches, identical queries share one
+// execution, repeats hit the LRU cache). Searches run on this host, every
+// core on each query; the paper's device roster is priced by swbench, not
+// served.
 //
 // Usage:
 //
 //	swserve -synthetic 0.01 -listen :7734
-//	swserve -db swissprot.fasta -devices xeon,phi,phi -dist dynamic
+//	swserve -db swissprot.swdb
 //
 // Endpoints:
 //
 //	POST /search   {"id": "q1", "residues": "MKWVLA...", "top_k": 10}
 //	POST /batch    {"queries": [{"id": "a", "residues": "..."}], "top_k": 5}
-//	GET  /healthz  database, roster, scheduler and cache snapshot
+//	GET  /healthz  database, host backend, scheduler and cache snapshot
 //
 // Example session:
 //
@@ -68,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -82,9 +83,6 @@ func main() {
 		listen    = flag.String("listen", ":7734", "HTTP listen address")
 		dbPath    = flag.String("db", "", "database file: FASTA or a swindex-built .swdb index")
 		synthetic = flag.Float64("synthetic", 0, "use a synthetic Swiss-Prot database at this scale instead of -db")
-		devices   = flag.String("devices", "xeon,phi", "comma-separated cluster roster (e.g. xeon,phi,phi)")
-		dist      = flag.String("dist", "dynamic", "workload distribution: static, dynamic, guided")
-		shares    = flag.String("shares", "", "comma-separated static residue shares (model-balanced when empty)")
 		variant   = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP (the intrinsic ones run the adaptive 8/16/32-bit scoring ladder)")
 		matrix    = flag.String("matrix", "", "substitution matrix (default: BLOSUM62 for protein, NUC for DNA)")
 		dna       = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database under the IUPAC DNA alphabet")
@@ -108,26 +106,10 @@ func main() {
 
 	opt := heterosw.ClusterOptions{
 		Options:     heterosw.Options{Variant: *variant, Matrix: *matrix},
-		Dist:        *dist,
 		MaxInFlight: *inflight,
 		BatchWindow: *window,
 		MaxBatch:    *maxBatch,
 		CacheSize:   *cacheSize,
-	}
-	for _, d := range strings.Split(*devices, ",") {
-		d = strings.TrimSpace(d)
-		if d != "" {
-			opt.Devices = append(opt.Devices, heterosw.DeviceKind(d))
-		}
-	}
-	if *shares != "" {
-		for _, s := range strings.Split(*shares, ",") {
-			v, perr := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if perr != nil {
-				fatal(fmt.Errorf("bad share %q: %v", s, perr))
-			}
-			opt.Shares = append(opt.Shares, v)
-		}
 	}
 
 	if *shardsFlag != "" {
@@ -192,7 +174,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("swserve: roster %v, dist %s\n", opt.Devices, *dist)
+		logHost(cl)
 	}
 
 	srv := &http.Server{
@@ -201,7 +183,6 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Printf("swserve: %s\n", db)
-	fmt.Printf("swserve: vec backend %s\n", device.HostSIMD())
 	fmt.Printf("swserve: listening on %s\n", *listen)
 	var reload func() error
 	if *manifest != "" {
@@ -211,6 +192,13 @@ func main() {
 		reload = func() error { return cl.ReloadManifest(context.Background()) }
 	}
 	serve(srv, *drain, cl.Close, cl.CloseNow, reload)
+}
+
+// logHost says what a local cluster's searches run on: the SIMD tier
+// internal/vec dispatched and the worker goroutines per query.
+func logHost(cl *heterosw.Cluster) {
+	_, per := cl.Totals()
+	fmt.Printf("swserve: host: %s, %d workers\n", device.HostSIMD(), per[0].Workers)
 }
 
 // runNode serves the shard execution protocol for the listed shard .swdb
@@ -242,7 +230,7 @@ func runNode(listen string, shardFiles []string, opt heterosw.ClusterOptions, dr
 		Handler:           ss.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	fmt.Printf("swserve: vec backend %s\n", device.HostSIMD())
+	logHost(clusters[0])
 	fmt.Printf("swserve: node serving %d shard(s) on %s\n", len(shardFiles), listen)
 	serve(srv, drain, ss.Close, ss.CloseNow, nil)
 }

@@ -10,16 +10,19 @@ import (
 	"time"
 
 	"heterosw/internal/core"
-	"heterosw/internal/device"
 	"heterosw/internal/qsched"
 	"heterosw/internal/remote"
 	"heterosw/internal/seqdb"
 )
 
-// DeviceRemote is the roster label of a remote shard node in a
-// distributed cluster's reports. It is not constructible through
-// ClusterOptions.Devices — remote backends come from NewDistributedCluster.
-const DeviceRemote = DeviceKind("remote")
+// DeviceHost and DeviceRemote label the backends of Cluster.Totals: the
+// host a local cluster runs on, and a remote shard node of a distributed
+// cluster. Neither is a modelled device: they are not constructible through
+// ClusterOptions.Devices.
+const (
+	DeviceHost   = DeviceKind("host")
+	DeviceRemote = DeviceKind("remote")
+)
 
 // DistributedOptions configures a coordinator over remote shard nodes.
 type DistributedOptions struct {
@@ -141,7 +144,7 @@ func (t *liveTopology) kick(url string, err error) {
 }
 
 // NewDistributedCluster builds a coordinator: a Cluster whose backends
-// are remote shard nodes instead of local device models. The manifest
+// are remote shard nodes instead of the local host. The manifest
 // (written by swindex split) names the shard cut of the parent database;
 // nodes are probed for which shard keys they serve, and each shard's
 // owners become the replica set its requests route (and hedge) across.
@@ -229,10 +232,7 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 	c := &Cluster{
 		db:   db,
 		topo: topo,
-		dopt: core.DispatchOptions{
-			Search: search,
-			Dist:   core.DistStatic,
-		},
+		dopt: core.DispatchOptions{Search: search},
 		schedOpt: qsched.Options{
 			MaxBatch:    opt.MaxBatch,
 			Window:      opt.BatchWindow,
@@ -241,7 +241,7 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 		cache: qsched.NewCache[*ClusterResult](cacheSize),
 	}
 	c.eng.Store(eng)
-	c.keyBase = fmt.Sprintf("%v|%v|%d|%+v|", c.dopt.Dist, c.dopt.Shares, c.dopt.ChunkResidues, c.dopt.Search)
+	c.keyBase = cacheKeyBase(search)
 	topo.prober.Start()
 	return c, nil
 }
@@ -277,7 +277,6 @@ func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober,
 	backends := make([]core.Backend, len(man.Shards))
 	shardDBs := make([]*seqdb.Database, len(man.Shards))
 	shardIdx := make([][]int, len(man.Shards))
-	kinds := make([]DeviceKind, len(man.Shards))
 	sets := make([]*remote.ReplicaSet, len(man.Shards))
 	for i, sh := range man.Shards {
 		urls := owners[sh.Key]
@@ -293,18 +292,15 @@ func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober,
 				i, sh.Key, sdb.Residues(), sh.Residues)
 		}
 		sets[i] = remote.NewReplicaSet(urls)
-		// device.Xeon is a planning placeholder only: under a fixed shard
-		// assignment the cut is the plan, so the model is never consulted.
-		backends[i] = remote.NewBackendSet(fmt.Sprintf("remote#%d", i), client, sets[i], device.Xeon())
+		backends[i] = remote.NewBackendSet(fmt.Sprintf("remote#%d", i), client, sets[i])
 		shardDBs[i] = sdb
 		shardIdx[i] = sh.ParentIndex
-		kinds[i] = DeviceRemote
 	}
 	disp, err := core.NewDispatcherShards(db.db, backends, shardDBs, shardIdx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &engineState{disp: disp, kinds: kinds}, keys, sets, nil
+	return &engineState{disp: disp, kind: DeviceRemote}, keys, sets, nil
 }
 
 // probeSuffix folds node probe failures into a shard-ownership error, so

@@ -113,17 +113,13 @@ func fastDistribOptions() DistributedOptions {
 	}
 }
 
-// canonDistrib canonicalises a result for cross-topology comparison:
-// wall times, simulated timing, thread counts and per-backend accounting
-// legitimately differ between one local backend and N remote shards;
+// canonDistrib canonicalises a result for cross-topology comparison: wall
+// times legitimately differ between one local backend and N remote shards;
 // scores, hits, alignments, significance and cell counts must not.
 func canonDistrib(t testing.TB, res *ClusterResult) []byte {
 	t.Helper()
 	c := *res
 	c.WallSeconds, c.WallGCUPS = 0, 0
-	c.SimSeconds, c.SimGCUPS = 0, 0
-	c.Threads = 0
-	c.Backends = nil
 	raw, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatal(err)

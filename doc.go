@@ -19,15 +19,16 @@
 //     inter-task column step (stripes as rows, query segments as lanes),
 //     16-bit with 32-bit scalar recomputation on saturation — see
 //     Database.Search;
-//   - the heterogeneous CPU+coprocessor execution of the paper's
-//     Algorithm 2, with a static workload split and overlapped offload —
-//     see Database.SearchHetero;
-//   - an N-device cluster dispatcher generalising Algorithm 2 to any
-//     roster of modelled devices, with static (residue split), dynamic
-//     and guided (device-level chunk queue) workload distributions,
-//     batched multi-query search and a streaming Submit/Results pipeline
-//     — see NewCluster, Cluster.Search, Cluster.SearchBatch and
-//     Cluster.Submit;
+//   - a search service object over a database, with batched multi-query
+//     search and a streaming Submit/Results pipeline, every search one
+//     pass of all the host's cores over the whole database — see
+//     NewCluster, Cluster.Search, Cluster.SearchBatch and Cluster.Submit;
+//   - a pure planner that prices the paper's Algorithm 1 on one modelled
+//     device and its Algorithm 2 — the heterogeneous CPU+coprocessor split
+//     — generalised to any roster of modelled devices under static
+//     (residue split), dynamic and guided (device-level chunk queue)
+//     workload distributions, from sequence lengths alone, no kernels run
+//     — see Database.Simulate, Cluster.Plan and cmd/swbench;
 //   - a concurrent micro-batching query scheduler behind every streaming
 //     and serving path: submissions coalesce into adaptive micro-batches,
 //     several batches run in flight, identical queries share one
@@ -36,7 +37,7 @@
 //     HTTP front end;
 //   - two-phase aligned-hit reporting: after the vectorised score pass
 //     selects the top-K hits, a traceback phase re-aligns the query
-//     against just those K subjects across the roster and decorates each
+//     against just those K subjects and decorates each
 //     hit with coordinates, a CIGAR, identity counts and (optionally) a
 //     bit score and E-value from a Gumbel null model fitted over the full
 //     score distribution — see ReportOptions, Hit.Alignment,
@@ -49,8 +50,9 @@
 //     set HETEROSW_VEC=portable (or build with -tags purego) to force
 //     the portable backend; both backends return bit-identical scores;
 //   - deterministic performance models of the paper's two devices (dual
-//     Xeon E5-2670 host, 60-core Xeon Phi) that report simulated GCUPS
-//     alongside the real wall-clock throughput of the Go kernels;
+//     Xeon E5-2670 host, 60-core Xeon Phi) behind that planner: simulated
+//     GCUPS come from it alone, search results report the real wall-clock
+//     throughput of the Go kernels;
 //   - a synthetic Swiss-Prot workload generator matching the statistics of
 //     the paper's benchmark database, plus FASTA I/O for real data;
 //   - a persistent preprocessed database format (.swdb): a versioned,
@@ -93,8 +95,8 @@
 //	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{...})
 //
 // A corrupted or truncated index fails to open with an error wrapping
-// ErrBadIndex — never a panic — and a checksum-derived identity key lets
-// shards split from the same index share backend engines across loads.
+// ErrBadIndex — never a panic — and a checksum-derived identity key is
+// what coordinator and shard nodes address a shard by.
 // Loading from .swdb and loading from FASTA are conformant: every entry
 // point returns byte-identical results over either path (pinned by the
 // conformance harness for all kernel variants, the ladder's escalation
@@ -109,20 +111,22 @@
 //	    fmt.Println(h.ID, h.Score)
 //	}
 //
-// # Cluster search
+// # Cluster search, and the device model
 //
-// The paper statically splits the database between exactly one Xeon and
-// one Xeon Phi and names a dynamic distribution strategy as future work.
-// NewCluster builds that future work: a dispatcher over any device roster,
-// with the static split reproducing Algorithm 2 exactly when the roster is
-// {xeon, phi}, and a work-stealing chunk queue ("dynamic"/"guided") that
-// lets idle devices claim lane-group chunks as they drain:
+// A Cluster runs on the host. The paper statically splits the database
+// between exactly one Xeon and one Xeon Phi and names a dynamic
+// distribution strategy as future work; ClusterOptions describes such a
+// roster and strategy — the static split is Algorithm 2 when the roster is
+// {xeon, phi}, "dynamic"/"guided" a device-level chunk queue — and
+// Cluster.Plan prices it on the device models, while searches execute the
+// same whatever it says:
 //
 //	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{
 //	    Devices: []heterosw.DeviceKind{heterosw.DeviceXeon, heterosw.DevicePhi, heterosw.DevicePhi},
 //	    Dist:    "dynamic",
 //	})
-//	results, err := cl.SearchBatch(queries) // amortises pre-processing
+//	results, err := cl.SearchBatch(queries) // on the host; amortises pre-processing
+//	plan, err := cl.Plan(queries[0].Len())  // on the model: plan.Seconds, plan.GCUPS
 //
 // # Streaming and serving
 //
@@ -152,7 +156,7 @@
 // the two-phase reporting pipeline of production search services (the
 // SSW Library's score-then-traceback design): phase one is the vectorised
 // score pass over the whole database, phase two re-aligns the query
-// against only the top-K hits, fanned out across the cluster roster:
+// against only the top-K hits:
 //
 //	res, err := cl.Search(query, heterosw.ReportOptions{
 //	    Alignments: true, // coordinates, CIGAR, identities per hit
@@ -190,11 +194,11 @@
 //
 // The cmd/swindex tool builds, inspects and shards .swdb indexes
 // (swindex build db.fasta -o db.swdb; swindex split db.swdb -n 4);
-// cmd/swbench regenerates every figure of the
-// paper's evaluation and compares distribution strategies over arbitrary
-// rosters (-devices xeon,phi,phi -dist dynamic), planning over a real
-// database with -db; cmd/swserve fronts a cluster with the JSON search
-// API (/search, /batch, /healthz) — give it a .swdb and restarts are
+// cmd/swbench is the device model's CLI: it regenerates every figure of
+// the paper's evaluation and prices arbitrary rosters under the
+// distribution strategies (-devices xeon,phi,phi -dist dynamic), planning
+// over a real database with -db; cmd/swserve fronts a cluster with the
+// JSON search API (/search, /batch, /healthz) — give it a .swdb and restarts are
 // near-instant, a -shards node and a -manifest/-nodes coordinator make
 // it multi-node — and examples/loadgen load-tests it; see DESIGN.md for
 // the system inventory and EXPERIMENTS.md for the paper-versus-measured

@@ -1,8 +1,8 @@
 // Cluster demonstrates the N-device generalisation of the paper's
-// Algorithm 2: a search cluster of one Xeon host and two Xeon Phi
-// coprocessors, comparing the static residue split against the dynamic
-// device-level chunk queue the paper names as future work, then running a
-// batched search and a streaming Submit/Results session.
+// Algorithm 2 on the device model — a roster of one Xeon host and two Xeon
+// Phi coprocessors, priced under the static residue split and under the
+// dynamic device-level chunk queue the paper names as future work — then
+// runs a batched search and a streaming Submit/Results session on the host.
 //
 // Run with: go run ./examples/cluster [-scale 0.003]
 package main
@@ -26,26 +26,26 @@ func main() {
 
 	roster := []heterosw.DeviceKind{heterosw.DeviceXeon, heterosw.DevicePhi, heterosw.DevicePhi}
 
-	// One search per distribution strategy. Scores are identical by
-	// construction; only the simulated schedule changes.
+	// One plan per distribution strategy: nothing runs, the device model
+	// prices the roster over the database's sequence lengths.
 	for _, dist := range []string{"static", "dynamic", "guided"} {
 		cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Devices: roster, Dist: dist})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := cl.Search(query)
+		plan, err := cl.Plan(query.Len())
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-8s %8.2f simulated GCUPS, makespan %.4fs\n", dist, res.SimGCUPS, res.SimSeconds)
-		for _, b := range res.Backends {
+		fmt.Printf("%-8s %8.2f simulated GCUPS, makespan %.4fs\n", dist, plan.GCUPS, plan.Seconds)
+		for _, d := range plan.Devices {
 			fmt.Printf("  %-8s %5.1f%% of residues, %2d chunk(s), %8.4fs busy\n",
-				b.Name, b.Share*100, b.Chunks, b.SimSeconds)
+				d.Name, d.Share*100, d.Chunks, d.Seconds)
 		}
 	}
 
-	// Batched search: the shard split and per-backend lane packings are
-	// built once and reused for every query in the batch.
+	// Batched search, on the host: the lane packings are built once and
+	// reused for every query in the batch.
 	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Devices: roster, Dist: "dynamic", Options: heterosw.Options{TopK: 1}})
 	if err != nil {
 		log.Fatal(err)
@@ -74,7 +74,7 @@ func main() {
 		if sr.Err != nil {
 			log.Fatal(sr.Err)
 		}
-		fmt.Printf("  #%d %-12s -> top hit %-12s (%.2f GCUPS simulated)\n",
-			sr.Index, sr.Query.ID(), sr.Result.Hits[0].ID, sr.Result.SimGCUPS)
+		fmt.Printf("  #%d %-12s -> top hit %-12s (%.2f GCUPS wall-clock)\n",
+			sr.Index, sr.Query.ID(), sr.Result.Hits[0].ID, sr.Result.WallGCUPS)
 	}
 }

@@ -24,8 +24,9 @@ func main() {
 	query := queries[2] // a 222-residue query, quick to align everywhere
 	fmt.Printf("query:    %s (%d aa)\n\n", query.ID(), query.Len())
 
-	// The paper's Xeon+Phi pair with the dynamic work queue; any roster
-	// works (e.g. Devices: []heterosw.DeviceKind{heterosw.DeviceXeon}).
+	// The cluster searches on this host. Its options also describe a
+	// modelled roster — by default the paper's Xeon+Phi pair, here under
+	// the dynamic work queue — which Plan prices without running anything.
 	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Dist: "dynamic"})
 	if err != nil {
 		log.Fatal(err)
@@ -41,8 +42,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("%.2f simulated GCUPS across %d backends (%.3f GCUPS wall-clock)\n\n",
-		res.SimGCUPS, len(res.Backends), res.WallGCUPS)
+	plan, err := cl.Plan(query.Len())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%.3f GCUPS wall-clock on this host; the device model prices the same search at %.2f GCUPS on %v\n\n",
+		res.WallGCUPS, plan.GCUPS, cl.Devices())
 	for i, h := range res.Hits {
 		fmt.Printf("  %d. %-12s score %5d  bits %6.1f  E-value %.2g  CIGAR %s\n",
 			i+1, h.ID, h.Score,

@@ -9,7 +9,6 @@ import (
 
 	"heterosw/internal/alphabet"
 	"heterosw/internal/device"
-	"heterosw/internal/offload"
 	"heterosw/internal/profile"
 	"heterosw/internal/sched"
 	"heterosw/internal/seqdb"
@@ -17,15 +16,17 @@ import (
 	"heterosw/internal/submat"
 )
 
-// Engine is a single-device Smith-Waterman database-search engine: the
-// paper's Algorithm 1. It owns a database (already pre-processed per step
-// 2), a device model for simulated timing, and cached lane-group packings.
-// An Engine is safe for concurrent Search calls.
+// Engine is a Smith-Waterman database-search engine: the paper's Algorithm
+// 1 on the host that runs it. It owns a database (already pre-processed per
+// step 2), the lane geometry its groups are packed for, and cached
+// lane-group packings. An Engine is safe for concurrent Search calls.
 type Engine struct {
-	db  *seqdb.Database
+	db *seqdb.Database
+	// dev supplies the lane geometry (Lanes, ByteLanes) and nothing else:
+	// what a search would cost on the modelled device is the planner's
+	// business (plan.go).
 	dev *device.Model
-	// pool lends the workers their kernel scratch; an EngineBackend shares
-	// one among the engines of all its chunks.
+	// pool lends the workers their kernel scratch.
 	pool *bufferPool
 
 	mu    sync.Mutex // guards parts
@@ -42,11 +43,10 @@ type partition struct {
 	groups []*seqdb.LaneGroup
 	long   []int // database indices (caller order)
 	// order is the dispatch order over the work items, which are numbered
-	// groups first, then long subjects (the numbering the per-item cost
-	// vector keeps, so the simulated schedule does not depend on the real
-	// dispatch order). The long subjects go out first, heaviest first, so
-	// the one indivisible titin-class item starts with the search instead
-	// of after the last lane group; the groups follow in packing order.
+	// groups first, then long subjects. The long subjects go out first,
+	// heaviest first, so the one indivisible titin-class item starts with
+	// the search instead of after the last lane group; the groups follow in
+	// packing order.
 	order []int
 }
 
@@ -67,9 +67,7 @@ func dispatchOrder(nGroups int, longLens []int) []int {
 }
 
 // bufferPool keeps kernel scratch between searches, by lane width, so a
-// search borrows its workers' Buffers instead of building them: a
-// dispatcher runs one Engine.Search per database chunk, some fifty per
-// query, and every one of them used to allocate its own.
+// search borrows its workers' Buffers instead of building them.
 type bufferPool struct {
 	mu sync.Mutex
 	//sw:guardedBy(mu)
@@ -103,29 +101,8 @@ func (p *bufferPool) put(b *Buffers) {
 	}
 }
 
-// sharedProfile lets the searches of one query over many databases — the
-// chunks of a dispatcher, on all its backends — build the query's profiles
-// once. Without it every chunk search built them again: for a
-// 2,000-residue query 8 MB of identical tables, garbage that cost a server
-// more resident memory than all the scratch the pools keep. The build
-// waits for the first search, which has checked the matrix against the
-// query's alphabet.
-type sharedProfile struct {
-	once sync.Once
-	qp   *profile.Query
-}
-
-// get returns the profiles, building them on first use; a nil receiver
-// builds a private one.
-func (s *sharedProfile) get(query *sequence.Sequence, m *submat.Matrix) *profile.Query {
-	if s == nil {
-		return profile.NewQuery(query.Residues, m)
-	}
-	s.once.Do(func() { s.qp = profile.NewQuery(query.Residues, m) })
-	return s.qp
-}
-
-// NewEngine builds an engine over a database for a device model.
+// NewEngine builds an engine over a database; dev supplies the lane
+// geometry the groups are packed for.
 func NewEngine(db *seqdb.Database, dev *device.Model) (*Engine, error) {
 	if db == nil {
 		return nil, fmt.Errorf("core: nil database")
@@ -141,9 +118,6 @@ func NewEngine(db *seqdb.Database, dev *device.Model) (*Engine, error) {
 
 // DB returns the engine's database.
 func (e *Engine) DB() *seqdb.Database { return e.db }
-
-// Device returns the engine's device model.
-func (e *Engine) Device() *device.Model { return e.dev }
 
 // partitionFor returns (and caches) the work decomposition for a lane
 // width and long-sequence threshold.
@@ -164,23 +138,23 @@ func (e *Engine) partitionFor(lanes, longThreshold int) *partition {
 	return p
 }
 
-// SearchOptions configures one database search.
+// SearchOptions configures one database search, and what the planner
+// assumes when it prices one.
 type SearchOptions struct {
-	// Params selects the kernel variant, gap penalties and blocking.
+	// Params selects the kernel variant and gap penalties; its blocking
+	// fields are planner inputs.
 	Params
 	// Matrix is the substitution matrix (BLOSUM62 when nil, as in the
 	// paper).
 	Matrix *submat.Matrix
-	// Threads is the simulated device thread count (device maximum when
-	// 0).
-	Threads int
-	// Schedule is the OpenMP scheduling policy for the group loop; the
-	// paper found dynamic to perform best.
-	Schedule sched.Policy
-	// ChunkSize is the scheduling chunk (1 when 0).
+	// Threads, Schedule and ChunkSize are planner inputs only, ignored by
+	// Engine.Search: the modelled device's thread count (device maximum
+	// when 0), the OpenMP scheduling policy of its group loop (the paper
+	// found dynamic to perform best) and the scheduling chunk (1 when 0).
+	Threads   int
+	Schedule  sched.Policy
 	ChunkSize int
-	// Workers caps real host goroutines for the functional execution
-	// (GOMAXPROCS when 0). It does not affect simulated time.
+	// Workers caps the host goroutines of a search (GOMAXPROCS when 0).
 	Workers int
 	// LongSeqThreshold routes database sequences longer than this to the
 	// intra-task kernel (see DefaultLongSeqThreshold). 0 selects the
@@ -189,9 +163,9 @@ type SearchOptions struct {
 	// TopK truncates the hit list (all hits when 0).
 	TopK int
 
-	// profile is set by a dispatcher on the options of one query's chunk
-	// searches.
-	profile *sharedProfile
+	// scoresOnly is set by a dispatcher that merges several backends' score
+	// lists and sorts the merged list itself: the search returns no Hits.
+	scoresOnly bool
 }
 
 // matrixFor resolves the substitution matrix against a database alphabet:
@@ -242,8 +216,8 @@ type Hit struct {
 	Score int32
 }
 
-// Result reports one search: the score list of step 4, plus functional and
-// simulated performance accounting.
+// Result reports one search: the score list of step 4 and what the host
+// did to compute it.
 type Result struct {
 	// Hits is sorted by descending score (ties by database order) and
 	// truncated to TopK when requested.
@@ -253,38 +227,20 @@ type Result struct {
 	Scores []int32
 	// Stats aggregates kernel operation counts.
 	Stats Stats
-	// Threads is the simulated thread count used.
-	Threads int
-	// SimSeconds is the simulated wall time on the device model,
-	// including offload transfers for coprocessors; SimGCUPS is
-	// Stats.Cells/SimSeconds.
-	SimSeconds float64
-	SimGCUPS   float64
-	// Imbalance is the simulated schedule's load imbalance.
-	Imbalance float64
-	// WallSeconds and WallGCUPS report the real execution of the pure-Go
-	// kernels on the host, for transparency.
+	// WallSeconds and WallGCUPS report the execution on the host.
 	WallSeconds float64
 	WallGCUPS   float64
 }
 
 // Search performs Algorithm 1: alignments of the query against every
-// database sequence in parallel, returning sorted similarity scores with
-// functional and simulated timing.
+// database sequence in parallel, returning sorted similarity scores, the
+// kernel operation counts and the wall time.
 func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, error) {
 	if query == nil {
 		return nil, fmt.Errorf("core: nil query")
 	}
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
-	}
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = e.dev.MaxThreads()
-	}
-	if threads > e.dev.MaxThreads() {
-		return nil, fmt.Errorf("core: %d threads exceeds %s's %d hardware threads",
-			threads, e.dev.Short, e.dev.MaxThreads())
 	}
 	alpha := e.db.Alphabet()
 	matrix := opt.matrixFor(alpha)
@@ -296,8 +252,8 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		return nil, fmt.Errorf("core: %s query %s against a %s database",
 			qa.Name(), query.ID, alpha.Name())
 	}
-	qp := opt.profile.get(query, matrix)
-	lanes, eightBit := firstRung(opt.Variant, qp.Bias8Viable(), e.dev)
+	qp := profile.NewQuery(query.Residues, matrix)
+	lanes, _ := firstRung(opt.Variant, qp.Bias8Viable(), e.dev)
 	longThr := opt.LongSeqThreshold
 	switch {
 	case longThr < 0 || opt.Variant.Vec() == VecNone:
@@ -309,8 +265,6 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	}
 	part := e.partitionFor(lanes, longThr)
 	groups, long := part.groups, part.long
-	class := opt.KernelClass()
-	class.EightBit = eightBit
 	intrinsic := opt.Variant.Vec() == VecIntrinsic
 	m := qp.Len()
 
@@ -321,25 +275,17 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	// Per-worker scratch, borrowed on a worker's first item.
 	bufs := make([]*Buffers, workers)
 	statsPer := make([]Stats, workers)
-	items := len(part.order)
-	// overflow holds each group's escalation recompute cells, the one input
-	// of its simulated cost that is not known when its first pass returns.
-	overflow := make([]int64, len(groups))
-	costs := make([]float64, items)
 	scores := make([]int32, e.db.Len())
 	// settle stores the scores of byte lanes back from the 16-bit rung.
 	settle := func(done []escalation) {
 		for i := range done {
 			d := &done[i]
 			scores[d.g.SeqIdx[d.lane]] = d.score
-			if d.wide() {
-				overflow[d.item] += int64(m) * int64(d.g.Lens[d.lane])
-			}
 		}
 	}
 
 	start := time.Now()
-	sched.Parallel(items, workers, func(pos, worker int) {
+	sched.Parallel(len(part.order), workers, func(pos, worker int) {
 		if bufs[worker] == nil {
 			bufs[worker] = e.pool.get(lanes)
 		}
@@ -351,7 +297,7 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			var st Stats
 			if intrinsic {
 				got = buf.laneScores[:g.Lanes]
-				st = alignGroupLadder(qp, g, opt.Params, buf, got, i)
+				st = alignGroupLadder(qp, g, opt.Params, buf, got)
 			} else {
 				got, st = AlignGroup(qp, g, opt.Params, buf)
 			}
@@ -360,7 +306,6 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 					scores[idx] = got[l]
 				}
 			}
-			overflow[i] = st.OverflowCells
 			statsPer[worker].Add(st)
 			settle(buf.escalate(qp, opt.Params, &statsPer[worker], false))
 			return
@@ -375,8 +320,6 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		}
 		scores[idx] = alignPairStriped(qp, subject, opt.Params, buf, &st)
 		statsPer[worker].Add(st)
-		shape := device.Shape{Width: len(subject), Lanes: 1, Residues: int64(len(subject)), Intra: true}
-		costs[i] = e.dev.GroupCost(class, m, shape, threads, 0)
 	})
 	// Each worker's sweep ends with fewer than one escalation group queued;
 	// the workers run those last groups side by side.
@@ -387,48 +330,26 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		}
 	})
 	wall := time.Since(start).Seconds()
-	for i, g := range groups {
-		shape := device.Shape{Width: g.Width, Lanes: g.Lanes, Residues: g.Residues}
-		costs[i] = e.dev.GroupCost(class, m, shape, threads, overflow[i])
-	}
 
-	var stats Stats
+	res := &Result{Scores: scores, WallSeconds: wall}
 	for i := range statsPer {
-		stats.Add(statsPer[i])
-	}
-	sim := sched.Simulate(costs, threads, opt.Schedule, opt.ChunkSize, e.dev.DispatchCycles)
-	seconds := e.dev.Seconds(sim.Makespan, threads)
-	if e.dev.OffloadRequired {
-		in := offload.QueryBytes(m) + offload.DatabaseBytes(e.db.Residues(), e.db.Len())
-		out := offload.ScoreBytes(e.db.Len())
-		seconds = offload.RegionSeconds(e.dev, in, out, seconds)
-	}
-	// Step 4: serial host-side sort of the score list.
-	seconds += device.HostSortSeconds(e.db.Len())
-
-	res := &Result{
-		Scores:      scores,
-		Stats:       stats,
-		Threads:     threads,
-		SimSeconds:  seconds,
-		Imbalance:   sim.Imbalance(),
-		WallSeconds: wall,
-	}
-	if seconds > 0 {
-		res.SimGCUPS = float64(stats.Cells) / seconds / 1e9
+		res.Stats.Add(statsPer[i])
 	}
 	if wall > 0 {
-		res.WallGCUPS = float64(stats.Cells) / wall / 1e9
+		res.WallGCUPS = float64(res.Stats.Cells) / wall / 1e9
 	}
-	res.Hits = e.sortHits(scores, opt.TopK)
+	if !opt.scoresOnly {
+		res.Hits = sortHits(e.db, scores, opt.TopK)
+	}
 	return res, nil
 }
 
-// sortHits implements step 4: similarity scores in descending order.
-func (e *Engine) sortHits(scores []int32, topK int) []Hit {
+// sortHits implements step 4: similarity scores in descending order, ties
+// in database order.
+func sortHits(db *seqdb.Database, scores []int32, topK int) []Hit {
 	hits := make([]Hit, len(scores))
 	for i, s := range scores {
-		hits[i] = Hit{SeqIndex: i, ID: e.db.Seq(i).ID, Score: s}
+		hits[i] = Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: s}
 	}
 	sort.SliceStable(hits, func(a, b int) bool { return hits[a].Score > hits[b].Score })
 	if topK > 0 && topK < len(hits) {

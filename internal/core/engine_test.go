@@ -93,53 +93,6 @@ func TestSearchTopK(t *testing.T) {
 	}
 }
 
-func TestSearchSimTimingSane(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	// Enough sequences that every thread count has plenty of lane groups
-	// (chunk starvation legitimately makes HT counterproductive).
-	db := randDB(rng, 2000, 120, true)
-	query := randProtein(rng, 300)
-	e := testEngine(t, db)
-
-	prev := 0.0
-	for _, threads := range []int{1, 4, 16, 32} {
-		opt := defaultSearchOptions()
-		opt.Threads = threads
-		res, err := e.Search(query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SimSeconds <= 0 || res.SimGCUPS <= 0 {
-			t.Fatalf("threads=%d: non-positive sim timing %v / %v", threads, res.SimSeconds, res.SimGCUPS)
-		}
-		if prev > 0 && res.SimSeconds >= prev {
-			t.Fatalf("threads=%d: sim time %v did not improve on %v", threads, res.SimSeconds, prev)
-		}
-		prev = res.SimSeconds
-		if res.Threads != threads {
-			t.Fatalf("Threads = %d", res.Threads)
-		}
-	}
-}
-
-func TestSearchOnPhiChargesTransfers(t *testing.T) {
-	rng := rand.New(rand.NewSource(204))
-	db := randDB(rng, 100, 100, true)
-	query := randProtein(rng, 200)
-	phiEng, err := NewEngine(db, device.Phi())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := phiEng.Search(query, defaultSearchOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The transfer+latency floor: at least two PCIe latencies.
-	if res.SimSeconds < 2*device.Phi().PCIeLatencySec {
-		t.Fatalf("Phi search %vs does not include transfer costs", res.SimSeconds)
-	}
-}
-
 func TestSearchErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	db := randDB(rng, 5, 20, true)
@@ -148,11 +101,6 @@ func TestSearchErrors(t *testing.T) {
 		t.Error("nil query accepted")
 	}
 	opt := defaultSearchOptions()
-	opt.Threads = 1000
-	if _, err := e.Search(randProtein(rng, 5), opt); err == nil {
-		t.Error("absurd thread count accepted")
-	}
-	opt = defaultSearchOptions()
 	opt.GapOpen = -3
 	if _, err := e.Search(randProtein(rng, 5), opt); err == nil {
 		t.Error("negative gap accepted")
@@ -162,68 +110,5 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if _, err := NewEngine(db, nil); err == nil {
 		t.Error("nil device accepted")
-	}
-}
-
-func TestHeteroMatchesSingleDeviceScores(t *testing.T) {
-	rng := rand.New(rand.NewSource(206))
-	db := randDB(rng, 80, 70, true)
-	query := randProtein(rng, 60)
-	want := oracleScores(db, query.Residues)
-
-	for _, share := range []float64{0, 0.3, 0.55, 1} {
-		res, err := SearchHetero(db, query, HeteroOptions{
-			Search:   defaultSearchOptions(),
-			MICShare: share,
-		})
-		if err != nil {
-			t.Fatalf("share %v: %v", share, err)
-		}
-		for i := range want {
-			if int(res.Scores[i]) != want[i] {
-				t.Fatalf("share %v: seq %d score %d, want %d", share, i, res.Scores[i], want[i])
-			}
-		}
-		if len(res.Hits) != db.Len() {
-			t.Fatalf("share %v: %d hits", share, len(res.Hits))
-		}
-		gotShare := res.MICShare
-		if gotShare < share-0.06 || gotShare > share+0.06 {
-			t.Fatalf("realised MIC share %v, want ~%v", gotShare, share)
-		}
-	}
-}
-
-func TestHeteroOverlapTiming(t *testing.T) {
-	rng := rand.New(rand.NewSource(207))
-	db := randDB(rng, 150, 100, true)
-	query := randProtein(rng, 200)
-	res, err := SearchHetero(db, query, HeteroOptions{
-		Search:   defaultSearchOptions(),
-		MICShare: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMax := res.CPUSeconds
-	if res.MICSeconds > wantMax {
-		wantMax = res.MICSeconds
-	}
-	if res.SimSeconds != wantMax {
-		t.Fatalf("SimSeconds %v != max(%v, %v)", res.SimSeconds, res.CPUSeconds, res.MICSeconds)
-	}
-	if res.Stats.Cells != int64(query.Len())*db.Residues() {
-		t.Fatalf("combined cells %d", res.Stats.Cells)
-	}
-}
-
-func TestHeteroBadShare(t *testing.T) {
-	rng := rand.New(rand.NewSource(208))
-	db := randDB(rng, 5, 20, true)
-	if _, err := SearchHetero(db, randProtein(rng, 5), HeteroOptions{Search: defaultSearchOptions(), MICShare: 1.5}); err == nil {
-		t.Error("share 1.5 accepted")
-	}
-	if _, err := SearchHetero(nil, randProtein(rng, 5), HeteroOptions{Search: defaultSearchOptions()}); err == nil {
-		t.Error("nil db accepted")
 	}
 }

@@ -218,7 +218,7 @@ func AlignGroup(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([
 		return alignGroupGuided(q, g, p, buf)
 	}
 	scores := make([]int32, g.Lanes)
-	st := alignGroupLadder(q, g, p, buf, scores, 0)
+	st := alignGroupLadder(q, g, p, buf, scores)
 	for _, e := range buf.escalate(q, p, &st, true) {
 		scores[e.lane] = e.score
 	}
@@ -227,13 +227,12 @@ func AlignGroup(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([
 
 // alignGroupLadder runs the first rung of the precision ladder over one
 // group, writing lane scores to scores (g.Lanes long). Byte lanes that
-// saturate are queued in buf under the caller's item tag; their scores
-// arrive from buf.escalate.
+// saturate are queued in buf; their scores arrive from buf.escalate.
 //
 //sw:hotpath
-func alignGroupLadder(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32, item int) Stats {
+func alignGroupLadder(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
 	if byteLanes(q.Bias8Viable(), g.Lanes) {
-		return alignGroupIntrinsic8(q, g, p, buf, scores, item)
+		return alignGroupIntrinsic8(q, g, p, buf, scores)
 	}
 	return alignGroupIntrinsic(q, g, p, buf, scores)
 }

@@ -352,9 +352,9 @@ func runRung(db *seqdb.Database, q *profile.Query, p Params, lanes int, bytes bo
 			scores[e.g.SeqIdx[e.lane]] = e.score
 		}
 	}
-	for i, g := range db.Groups(lanes) {
+	for _, g := range db.Groups(lanes) {
 		if bytes {
-			st.Add(alignGroupIntrinsic8(q, g, p, buf, got, i))
+			st.Add(alignGroupIntrinsic8(q, g, p, buf, got))
 		} else {
 			st.Add(alignGroupIntrinsic(q, g, p, buf, got))
 		}

@@ -64,13 +64,13 @@ func ladderSafe8(q *profile.Query, n int) bool {
 // standard unsigned-SIMD argument); the per-cell sequence is a saturating
 // add of the biased score, a saturating subtract of the bias, the three-way
 // max, and saturating gap updates. A lane whose tracked maximum reaches
-// MaxU8-Bias may have clipped: it is queued in buf under the caller's item
-// tag, its score left at zero until buf.escalate delivers it.
+// MaxU8-Bias may have clipped: it is queued in buf, its score left at zero
+// until buf.escalate delivers it.
 //
 // Callers must ensure q.Bias8Viable(); alignGroupLadder does.
 //
 //sw:hotpath
-func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32, item int) Stats {
+func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
 	L := g.Lanes
 	M := q.Len()
 	N := g.Width
@@ -168,7 +168,7 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		st.Overflows8++
 		st.OverflowCells += int64(M) * int64(g.Lens[l])
 		e := &buf.pend[buf.npend]
-		e.g, e.lane, e.item = g, l, item
+		e.g, e.lane = g, l
 		buf.npend++
 	}
 	st.Cells = int64(M) * g.Residues
@@ -189,17 +189,10 @@ const escLanes = 16
 
 // escalation is one byte lane waiting for, or back from, the 16-bit rung.
 type escalation struct {
-	g    *seqdb.LaneGroup
-	lane int
-	// item is the caller's tag for the group (the engine's work item).
-	item  int
+	g     *seqdb.LaneGroup
+	lane  int
 	score int32
 }
-
-// wide reports whether the lane climbed on to 32 bits: the 16-bit pass
-// clips only downwards, so it saturated exactly when the true score reaches
-// the int16 rail.
-func (e *escalation) wide() bool { return e.score >= vec.MaxI16 }
 
 // escalate runs the queued byte-lane saturations through the 16-bit rung,
 // escLanes at a time, and returns the settled entries with their scores;

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 
 	"heterosw/internal/alphabet"
-	"heterosw/internal/offload"
+	"heterosw/internal/sched"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 	"heterosw/internal/swalign"
@@ -44,7 +44,7 @@ type AlignmentDetail struct {
 }
 
 // ShardAligner is the optional traceback capability of a Backend: given
-// the shard it owns (a fixed-assignment dispatcher's shardDBs[i]) and hits
+// the shard it owns (NewDispatcherShards' shardDBs[i]) and hits
 // whose SeqIndex values are shard-local caller indices, it returns one
 // AlignmentDetail per hit, in hits order, with shard-local SeqIndex. The
 // remote backend implements it by fanning the traceback out to the node
@@ -65,15 +65,13 @@ func scoringFor(opt SearchOptions, alpha *alphabet.Alphabet) swalign.Scoring {
 	}
 }
 
-// AlignHits runs the traceback phase over the dispatcher's roster: the K
-// hits form a work queue drained by one host worker per backend, so the
-// fan-out width scales with the roster size. (The workers are functional
-// host goroutines — the traceback phase has no device-model pacing, and
-// the per-backend traceback counts record which worker happened to drain
-// each hit, not simulated device time.) Results are returned in hits
-// order. ctx is checked at every queue pop, a worker failure aborts the
-// remaining queue, and per-worker traceback counts are folded into the
-// dispatcher's cumulative totals.
+// AlignHits runs the traceback phase. A local dispatcher re-aligns the K
+// hits on the host, over the parent database, with the search's worker
+// count; a pre-cut shard assignment routes each hit to the backend owning
+// its subject's shard (alignHitsSharded). Results are returned in hits
+// order. ctx is checked before every traceback, a failure aborts the
+// remaining ones, and the traceback counts are folded into the dispatcher's
+// cumulative totals.
 func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hits []Hit, opt DispatchOptions) ([]AlignmentDetail, error) {
 	if query == nil {
 		return nil, fmt.Errorf("core: nil query")
@@ -84,92 +82,66 @@ func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hi
 	if len(hits) == 0 {
 		return nil, nil
 	}
-	if d.fixed != nil {
+	if d.owner != nil {
 		return d.alignHitsSharded(ctx, query, hits, opt)
 	}
 	sc := scoringFor(opt.Search, d.db.Alphabet())
 	details := make([]AlignmentDetail, len(hits))
-	errs := make([]error, len(d.backends))
-	done := make([]int64, len(d.backends))
-
-	// A worker failure flips failed, so its siblings stop at their next
-	// pop instead of burning full DP tracebacks on a doomed phase.
+	errs := make([]error, len(hits))
+	// A failure flips failed, so the other workers stop at their next hit
+	// instead of burning full DP tracebacks on a doomed phase.
 	var failed atomic.Bool
-	var next int64
-	var mu sync.Mutex
-	pop := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if failed.Load() || next >= int64(len(hits)) {
-			return -1
+	sched.Parallel(len(hits), opt.Search.Workers, func(i, _ int) {
+		if failed.Load() {
+			return
 		}
-		c := int(next)
-		next++
-		return c
-	}
-	workers := len(d.backends)
-	if workers > len(hits) {
-		workers = len(hits)
-	}
-	sigs := make([]*offload.Signal, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		sigs[w] = offload.Start(func() {
-			for {
-				if ctx.Err() != nil {
-					errs[w] = ctx.Err()
-					failed.Store(true)
-					return
-				}
-				i := pop()
-				if i < 0 {
-					return
-				}
-				h := hits[i]
-				if h.SeqIndex < 0 || h.SeqIndex >= d.db.Len() {
-					errs[w] = fmt.Errorf("core: hit %d references sequence %d outside the %d-sequence database", i, h.SeqIndex, d.db.Len())
-					failed.Store(true)
-					return
-				}
-				subject := d.db.Seq(h.SeqIndex)
-				al := swalign.Align(query.Residues, subject.Residues, sc)
-				if int32(al.Score) != h.Score {
-					errs[w] = fmt.Errorf("core: traceback score %d for %s disagrees with kernel score %d", al.Score, subject.ID, h.Score)
-					failed.Store(true)
-					return
-				}
-				details[i] = AlignmentDetail{
-					SeqIndex:     h.SeqIndex,
-					Score:        int32(al.Score),
-					QueryStart:   al.AStart,
-					QueryEnd:     al.AEnd,
-					SubjectStart: al.BStart,
-					SubjectEnd:   al.BEnd,
-					CIGAR:        al.CIGAR(),
-					Identities:   al.Identities,
-					Columns:      len(al.Ops),
-				}
-				done[w]++
-			}
-		})
-	}
-	for _, sig := range sigs {
-		sig.Wait()
-	}
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			details[i], errs[i] = d.alignOnHost(query, hits[i], i, sc)
+		}
+		if errs[i] != nil {
+			failed.Store(true)
+		}
+	})
 	if err := firstErr(errs...); err != nil {
 		return nil, err
 	}
-	d.commitTracebacks(done)
+	// The host ran them all; with several local backends (tests only) the
+	// first one stands for it.
+	d.commitTracebacks(0, int64(len(hits)))
 	return details, nil
 }
 
-// alignHitsSharded is the traceback phase over a fixed shard assignment:
+// alignOnHost re-aligns the query against one hit's subject with the
+// reference full-matrix alignment, which needs only the parent database,
+// and checks the traceback score against the kernel's.
+func (d *Dispatcher) alignOnHost(query *sequence.Sequence, h Hit, pos int, sc swalign.Scoring) (AlignmentDetail, error) {
+	if h.SeqIndex < 0 || h.SeqIndex >= d.db.Len() {
+		return AlignmentDetail{}, fmt.Errorf("core: hit %d references sequence %d outside the %d-sequence database", pos, h.SeqIndex, d.db.Len())
+	}
+	subject := d.db.Seq(h.SeqIndex)
+	al := swalign.Align(query.Residues, subject.Residues, sc)
+	if int32(al.Score) != h.Score {
+		return AlignmentDetail{}, fmt.Errorf("core: traceback score %d for %s disagrees with kernel score %d", al.Score, subject.ID, h.Score)
+	}
+	return AlignmentDetail{
+		SeqIndex:     h.SeqIndex,
+		Score:        int32(al.Score),
+		QueryStart:   al.AStart,
+		QueryEnd:     al.AEnd,
+		SubjectStart: al.BStart,
+		SubjectEnd:   al.BEnd,
+		CIGAR:        al.CIGAR(),
+		Identities:   al.Identities,
+		Columns:      len(al.Ops),
+	}, nil
+}
+
+// alignHitsSharded is the traceback phase over a pre-cut shard assignment:
 // each hit is routed to the backend owning its subject's shard, one
 // concurrent launch per backend with work. ShardAligner backends run the
 // tracebacks where the shard lives (the remote node); other backends fall
-// back to the host-side reference alignment, which needs only the parent
-// database. Results return in hits order with parent SeqIndex values, so
-// callers see exactly AlignHits' contract.
+// back to the host-side reference alignment. Results return in hits order
+// with parent SeqIndex values, so callers see exactly AlignHits' contract.
 func (d *Dispatcher) alignHitsSharded(ctx context.Context, query *sequence.Sequence, hits []Hit, opt DispatchOptions) ([]AlignmentDetail, error) {
 	per := make([][]int, len(d.backends)) // positions in hits, per owning backend
 	for pos, h := range hits {
@@ -181,86 +153,63 @@ func (d *Dispatcher) alignHitsSharded(ctx context.Context, query *sequence.Seque
 	}
 	details := make([]AlignmentDetail, len(hits))
 	errs := make([]error, len(d.backends))
-	done := make([]int64, len(d.backends))
-	sigs := make([]*offload.Signal, len(d.backends))
+	var wg sync.WaitGroup
 	for i, b := range d.backends {
 		if len(per[i]) == 0 {
 			continue
 		}
-		i, b := i, b
-		sigs[i] = offload.Start(func() {
+		wg.Add(1)
+		go func(i int, b Backend) {
+			defer wg.Done()
 			positions := per[i]
-			if al, ok := b.(ShardAligner); ok {
-				local := make([]Hit, len(positions))
-				for k, pos := range positions {
-					h := hits[pos]
-					local[k] = Hit{SeqIndex: d.owner[h.SeqIndex].local, ID: h.ID, Score: h.Score}
+			al, ok := b.(ShardAligner)
+			if !ok {
+				sc := scoringFor(opt.Search, d.db.Alphabet())
+				for _, pos := range positions {
+					if errs[i] = ctx.Err(); errs[i] == nil {
+						details[pos], errs[i] = d.alignOnHost(query, hits[pos], pos, sc)
+					}
+					if errs[i] != nil {
+						return
+					}
 				}
-				ds, err := al.AlignShard(ctx, query, d.fixed.dbs[i], local, opt.Search)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if len(ds) != len(positions) {
-					errs[i] = fmt.Errorf("core: backend %s returned %d alignments for %d hits", b.Name(), len(ds), len(positions))
-					return
-				}
-				for k, pos := range positions {
-					det := ds[k]
-					det.SeqIndex = hits[pos].SeqIndex // shard-local -> parent
-					details[pos] = det
-				}
-				done[i] += int64(len(positions))
 				return
 			}
-			sc := scoringFor(opt.Search, d.db.Alphabet())
-			for _, pos := range positions {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					return
-				}
+			local := make([]Hit, len(positions))
+			for k, pos := range positions {
 				h := hits[pos]
-				subject := d.db.Seq(h.SeqIndex)
-				al := swalign.Align(query.Residues, subject.Residues, sc)
-				if int32(al.Score) != h.Score {
-					errs[i] = fmt.Errorf("core: traceback score %d for %s disagrees with kernel score %d", al.Score, subject.ID, h.Score)
-					return
-				}
-				details[pos] = AlignmentDetail{
-					SeqIndex:     h.SeqIndex,
-					Score:        int32(al.Score),
-					QueryStart:   al.AStart,
-					QueryEnd:     al.AEnd,
-					SubjectStart: al.BStart,
-					SubjectEnd:   al.BEnd,
-					CIGAR:        al.CIGAR(),
-					Identities:   al.Identities,
-					Columns:      len(al.Ops),
-				}
-				done[i]++
+				local[k] = Hit{SeqIndex: d.owner[h.SeqIndex].local, ID: h.ID, Score: h.Score}
 			}
-		})
+			ds, err := al.AlignShard(ctx, query, d.shards[i], local, opt.Search)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if len(ds) != len(positions) {
+				errs[i] = fmt.Errorf("core: backend %s returned %d alignments for %d hits", b.Name(), len(ds), len(positions))
+				return
+			}
+			for k, pos := range positions {
+				det := ds[k]
+				det.SeqIndex = hits[pos].SeqIndex // shard-local -> parent
+				details[pos] = det
+			}
+		}(i, b)
 	}
-	for _, sig := range sigs {
-		if sig != nil {
-			sig.Wait()
-		}
-	}
+	wg.Wait()
 	if err := firstErr(errs...); err != nil {
 		return nil, err
 	}
-	d.commitTracebacks(done)
+	for i := range per {
+		d.commitTracebacks(i, int64(len(per[i])))
+	}
 	return details, nil
 }
 
-// commitTracebacks folds one traceback phase's per-worker alignment counts
-// into the cumulative totals. Worker w drains the queue on behalf of
-// backend w; the split between backends records which worker happened to
-// claim each hit, the sum the total tracebacks run.
-func (d *Dispatcher) commitTracebacks(done []int64) {
+// commitTracebacks folds n tracebacks run by one backend into the
+// cumulative totals.
+func (d *Dispatcher) commitTracebacks(backend int, n int64) {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	for w, n := range done {
-		d.totals[w].Tracebacks += n
-	}
+	d.totals[backend].Tracebacks += n
 }

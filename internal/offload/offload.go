@@ -1,40 +1,14 @@
 // Package offload models the Intel offload runtime the paper drives with
 // #pragma offload target(mic) in Algorithms 1 and 2: explicit in/out data
-// transfers over the PCIe link, asynchronous kernel launch with
-// signal/wait semantics, and the byte-level sizing of what a Smith-Waterman
-// database search actually ships to the coprocessor.
-//
-// Functional execution uses Start/Wait (real goroutines standing in for the
-// asynchronous offload); simulated timing uses RegionSeconds over the
-// device's PCIe model.
+// transfers over the PCIe link, and the byte-level sizing of what a
+// Smith-Waterman database search actually ships to the coprocessor. It is
+// part of the device model: RegionSeconds prices a region over the device's
+// PCIe link, and nothing here executes.
 package offload
 
 import (
 	"heterosw/internal/device"
 )
-
-// Signal is the handle of an asynchronous offload region, mirroring the
-// signal/wait clauses of Algorithm 2: the host launches the region, keeps
-// computing its own share, then waits.
-type Signal struct {
-	done chan struct{}
-}
-
-// Start launches fn asynchronously and returns its completion signal.
-func Start(fn func()) *Signal {
-	s := &Signal{done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		fn()
-	}()
-	return s
-}
-
-// Wait blocks until the offloaded region has completed (the wait(sem)
-// clause).
-func (s *Signal) Wait() {
-	<-s.done
-}
 
 // Transfer sizing. The offload in Algorithm 2 ships the query, the
 // substitution matrix and the device's database partition in, and the

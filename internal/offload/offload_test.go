@@ -1,35 +1,10 @@
 package offload
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"heterosw/internal/device"
 )
-
-func TestStartWait(t *testing.T) {
-	var ran atomic.Bool
-	s := Start(func() { ran.Store(true) })
-	s.Wait()
-	if !ran.Load() {
-		t.Fatal("offloaded region did not run before Wait returned")
-	}
-	s.Wait() // Wait must be idempotent
-}
-
-func TestConcurrentRegions(t *testing.T) {
-	var counter atomic.Int32
-	sigs := make([]*Signal, 8)
-	for i := range sigs {
-		sigs[i] = Start(func() { counter.Add(1) })
-	}
-	for _, s := range sigs {
-		s.Wait()
-	}
-	if counter.Load() != 8 {
-		t.Fatalf("%d regions ran, want 8", counter.Load())
-	}
-}
 
 func TestByteSizing(t *testing.T) {
 	if got := DatabaseBytes(1000, 10); got != 1000+160 {

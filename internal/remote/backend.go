@@ -6,51 +6,30 @@ import (
 
 	"heterosw/internal/alphabet"
 	"heterosw/internal/core"
-	"heterosw/internal/device"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 )
 
 // Backend adapts a remote swserve node to core.Backend, so the dispatcher
-// drives it exactly like a local device backend: Search scores the shard
-// it is handed (always its own fixed shard under a sharded dispatcher)
-// and AlignShard fans tracebacks out to the node holding the shard bytes.
+// drives it exactly like the local host backend: Search scores the shard
+// it is handed (always its own shard under a sharded dispatcher) and
+// AlignShard fans tracebacks out to the node holding the shard bytes.
 type Backend struct {
 	name     string
 	client   *Client
 	replicas *ReplicaSet
-	model    *device.Model
-}
-
-// NewBackend builds a backend over one shard's fixed replica URLs. model
-// is the device model the planner should assume for the remote node; it
-// has no effect under a fixed shard assignment (the cut is the plan) but
-// keeps the Backend contract total.
-func NewBackend(name string, client *Client, urls []string, model *device.Model) *Backend {
-	return NewBackendSet(name, client, NewReplicaSet(urls), model)
 }
 
 // NewBackendSet builds a backend over a live replica set: each request
 // snapshots the set's current URLs, so the coordinator's health prober
 // can rewrite shard ownership — failover, readoption, rebalance — under
 // running traffic without touching the backend.
-func NewBackendSet(name string, client *Client, replicas *ReplicaSet, model *device.Model) *Backend {
-	return &Backend{name: name, client: client, replicas: replicas, model: model}
+func NewBackendSet(name string, client *Client, replicas *ReplicaSet) *Backend {
+	return &Backend{name: name, client: client, replicas: replicas}
 }
 
 // Name implements core.Backend.
 func (b *Backend) Name() string { return b.name }
-
-// Model implements core.Backend.
-func (b *Backend) Model() *device.Model { return b.model }
-
-// Threads implements core.Backend. The remote node's parallelism is its
-// own configuration; the coordinator reports what the node answered per
-// search, so the static capability is 0.
-func (b *Backend) Threads() int { return 0 }
-
-// URLs returns a snapshot of the replica URLs this backend routes to.
-func (b *Backend) URLs() []string { return b.replicas.URLs() }
 
 // residueBytes copies encoded residues into wire bytes. alphabet.Code is
 // a uint8, so this is a widening-free copy, not a re-encode — the node
@@ -81,12 +60,7 @@ func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequenc
 		return nil, fmt.Errorf("remote: backend %s answered %d scores for the %d-sequence shard %s",
 			b.name, len(resp.Scores), db.Len(), db.Key())
 	}
-	r := &core.Result{
-		Scores:      resp.Scores,
-		Threads:     resp.Threads,
-		SimSeconds:  resp.SimSeconds,
-		WallSeconds: resp.WallSeconds,
-	}
+	r := &core.Result{Scores: resp.Scores, WallSeconds: resp.WallSeconds}
 	r.Stats.Cells = resp.Cells
 	r.Stats.Overflows = resp.Overflows
 	r.Stats.Overflows8 = resp.Overflows8

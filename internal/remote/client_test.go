@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,6 +51,27 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	}
 	if len(resp.Scores) != 3 || resp.Scores[0] != 7 {
 		t.Fatalf("unexpected scores %v", resp.Scores)
+	}
+}
+
+// TestShardSearchAcceptsOlderNodeBody pins the rolling-upgrade direction
+// coordinator first: a node still answering the body that carried the
+// device model's fields (threads, sim_seconds) is decoded, those fields
+// ignored.
+func TestShardSearchAcceptsOlderNodeBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"scores":[7,8,9],"cells":90,"threads":32,"sim_seconds":0.25,`+
+			`"wall_seconds":0.5,"overflows8":2,"overflow_cells":60}`)
+	}))
+	defer srv.Close()
+
+	resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+	if err != nil {
+		t.Fatalf("ShardSearch: %v", err)
+	}
+	want := ShardSearchResponse{Scores: []int32{7, 8, 9}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60}
+	if !reflect.DeepEqual(*resp, want) {
+		t.Fatalf("decoded %+v, want %+v", *resp, want)
 	}
 }
 

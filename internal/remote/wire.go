@@ -2,7 +2,7 @@
 // JSON wire types spoken between a coordinator and swserve shard nodes, the
 // shard manifest that carries the durable checksum identity of each cut, a
 // retrying/hedging HTTP client, and a Backend implementing core.Backend so
-// a remote node slots into the dispatcher exactly like a local device.
+// a remote node slots into the dispatcher exactly like the local host.
 //
 // The protocol is deliberately small — three endpoints on every node:
 //
@@ -66,12 +66,9 @@ type ShardSearchResponse struct {
 	// Cells counts useful DP cell updates (query length x shard residues);
 	// summed across shards it reproduces the single-node cell count
 	// exactly, whatever the cut.
-	Cells   int64 `json:"cells"`
-	Threads int   `json:"threads"`
-	// SimSeconds and WallSeconds report the node-local timing of the
-	// execution that produced this result (cache hits repeat the original
-	// search's figures).
-	SimSeconds  float64 `json:"sim_seconds"`
+	Cells int64 `json:"cells"`
+	// WallSeconds is the node-local wall time of the execution that
+	// produced this result (cache hits repeat the original search's).
 	WallSeconds float64 `json:"wall_seconds"`
 	Overflows   int64   `json:"overflows,omitempty"`
 	Overflows8  int64   `json:"overflows8,omitempty"`

@@ -161,8 +161,6 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 	resp := remote.ShardSearchResponse{
 		Scores:        make([]int32, len(res.Scores)),
 		Cells:         res.Cells,
-		Threads:       res.Threads,
-		SimSeconds:    res.SimSeconds,
 		WallSeconds:   res.WallSeconds,
 		Overflows:     res.Overflows,
 		Overflows8:    res.Overflows8,

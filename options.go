@@ -93,12 +93,16 @@ func Variants() []string {
 	return out
 }
 
-// Options configures a database search. The zero value reproduces the
-// paper's best configuration: intrinsic-SP kernels with blocking, BLOSUM62,
-// gap open 10 / extend 2, dynamic scheduling, all device threads.
+// Options configures a database search (Database.Search, the kernel options
+// of a Cluster) and what the device model assumes when it prices one
+// (Database.Simulate, Cluster.Plan). The zero value reproduces the paper's
+// best configuration: intrinsic-SP kernels with blocking, BLOSUM62, gap
+// open 10 / extend 2, dynamic scheduling, all device threads.
 type Options struct {
-	// Device selects the performance model used for simulated timing
-	// (DeviceXeon when empty).
+	// Device is the modelled device Database.Simulate prices (DeviceXeon
+	// when empty). Database.Search takes only the device's vector width
+	// from it — the lane groups are packed 16/32 wide for DeviceXeon, 32/64
+	// for DevicePhi — and scores never depend on it.
 	Device DeviceKind
 	// Variant is a kernel variant name (VariantIntrinsicSP when empty).
 	Variant string
@@ -118,23 +122,23 @@ type Options struct {
 	GapOpen, GapExtend int
 	// NoGapDefaults disables the 10/2 defaulting above.
 	NoGapDefaults bool
-	// NoBlocking disables the cache-blocking optimisation of the device
-	// model (Figure 7's "non-blocking" curves). It moves simulated time
-	// only; the real kernels size their query tiles for the host.
+	// NoBlocking, BlockRows, Threads, Schedule and ChunkSize are inputs of
+	// the device model only; a search executes the same whatever they say.
+	//
+	// NoBlocking disables the model's cache-blocking optimisation (Figure
+	// 7's "non-blocking" curves; the real kernels size their query tiles
+	// for the host) and BlockRows overrides its tile height (256 when
+	// zero). Threads is the modelled device's thread count (device maximum
+	// when zero), Schedule its OpenMP loop policy — "dynamic" (default),
+	// "static" or "guided" — and ChunkSize the scheduling chunk (1 when
+	// zero).
 	NoBlocking bool
-	// BlockRows overrides the modelled blocking tile height (256 when
+	BlockRows  int
+	Threads    int
+	Schedule   string
+	ChunkSize  int
+	// Workers caps the host goroutines of a search (GOMAXPROCS when
 	// zero).
-	BlockRows int
-	// Threads is the simulated device thread count (device maximum when
-	// zero).
-	Threads int
-	// Schedule is the OpenMP loop policy: "dynamic" (default), "static"
-	// or "guided".
-	Schedule string
-	// ChunkSize is the scheduling chunk (1 when zero).
-	ChunkSize int
-	// Workers caps real host goroutines for functional execution
-	// (GOMAXPROCS when zero); it does not affect simulated time.
 	Workers int
 	// TopK truncates the hit list (all hits when zero).
 	TopK int

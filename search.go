@@ -12,9 +12,9 @@ import (
 // searching. Build one with NewDatabase, ReadFASTA + NewDatabase, or
 // SyntheticSwissProt. A Database is safe for concurrent searches.
 //
-// Engines (one per device model) are created lazily and cache their lane
-// packings, so repeated searches amortise pre-processing exactly as the
-// paper's step 2 does.
+// Engines (one per lane geometry, see Options.Device) are created lazily
+// and cache their lane packings, so repeated searches amortise
+// pre-processing exactly as the paper's step 2 does.
 type Database struct {
 	db *seqdb.Database
 
@@ -153,13 +153,9 @@ type Result struct {
 	// Cells is the number of dynamic-programming cell updates (the GCUPS
 	// numerator).
 	Cells int64
-	// Threads is the simulated thread count used.
-	Threads int
-	// SimSeconds and SimGCUPS report the device-model timing (the
-	// figures' axis); WallSeconds and WallGCUPS report the real pure-Go
-	// execution on the host.
-	SimSeconds  float64
-	SimGCUPS    float64
+	// WallSeconds and WallGCUPS report the execution on the host. (What
+	// the search would take on the modelled devices is Database.Simulate's
+	// and Cluster.Plan's answer.)
 	WallSeconds float64
 	WallGCUPS   float64
 	// Overflows counts 16-bit lane saturations escalated to 32-bit
@@ -181,9 +177,6 @@ func wrapResult(r *core.Result) *Result {
 		Hits:          make([]Hit, len(r.Hits)),
 		Scores:        make([]int, len(r.Scores)),
 		Cells:         r.Stats.Cells,
-		Threads:       r.Threads,
-		SimSeconds:    r.SimSeconds,
-		SimGCUPS:      r.SimGCUPS,
 		WallSeconds:   r.WallSeconds,
 		WallGCUPS:     r.WallGCUPS,
 		Overflows:     r.Stats.Overflows,
@@ -201,7 +194,7 @@ func wrapResult(r *core.Result) *Result {
 
 // Search aligns the query against every database sequence (the paper's
 // Algorithm 1) and returns scores sorted in descending order, with
-// simulated and wall-clock performance accounting.
+// wall-clock performance accounting.
 func (d *Database) Search(query Sequence, opt Options) (*Result, error) {
 	if query.impl == nil {
 		return nil, fmt.Errorf("heterosw: zero-value query")
@@ -221,83 +214,20 @@ func (d *Database) Search(query Sequence, opt Options) (*Result, error) {
 	return wrapResult(res), nil
 }
 
-// HeteroOptions configures the heterogeneous search of Algorithm 2.
-type HeteroOptions struct {
-	// Options carries the shared kernel configuration. Its Device field
-	// is ignored; Threads applies to the CPU side.
-	Options
-	// PhiShare is the fraction of database residues offloaded to the
-	// coprocessor. The paper's best configuration is ~0.55; that is the
-	// default when PhiShare is zero, unless NoShareDefault is set.
-	PhiShare float64
-	// NoShareDefault disables the 0.55 defaulting above, so a literal
-	// PhiShare of 0 means "everything on the host" — mirroring how
-	// NoGapDefaults makes literal zero gap penalties expressible. It
-	// replaces the old negative-means-zero sentinel, which remains
-	// honoured for existing callers.
-	NoShareDefault bool
-	// PhiThreads is the coprocessor's simulated thread count (240 when
-	// zero).
-	PhiThreads int
-	// AutoSplit derives the split from the device cost models instead of
-	// PhiShare: the completion times of both devices over the whole
-	// database are predicted and the share balancing them is used.
-	AutoSplit bool
-}
-
-// HeteroResult reports a heterogeneous search.
-type HeteroResult struct {
-	Result
-	// CPUSeconds and PhiSeconds are the simulated per-device times; the
-	// Phi time includes PCIe transfers. The total SimSeconds is their
-	// maximum (host compute overlaps the offload region).
-	CPUSeconds, PhiSeconds float64
-	// CPUShare and PhiShare are the realised residue fractions.
-	CPUShare, PhiShare float64
-}
-
-// SearchHetero performs Algorithm 2: a static split of the database
-// between the Xeon host and the Xeon Phi coprocessor, with the coprocessor
-// share running as an asynchronous offload region overlapped with host
-// compute, and a merged, sorted score list.
-func (d *Database) SearchHetero(query Sequence, opt HeteroOptions) (*HeteroResult, error) {
-	if query.impl == nil {
-		return nil, fmt.Errorf("heterosw: zero-value query")
-	}
-	share := opt.PhiShare
-	switch {
-	case opt.NoShareDefault:
-		if share < 0 {
-			return nil, fmt.Errorf("heterosw: PhiShare %v < 0 with NoShareDefault", opt.PhiShare)
-		}
-	case share == 0:
-		share = 0.55 // the paper's best configuration
-	case share < 0:
-		share = 0 // legacy sentinel for a true zero share
-	}
-	if share > 1 {
-		return nil, fmt.Errorf("heterosw: PhiShare %v > 1", opt.PhiShare)
-	}
-	copt, err := opt.Options.toCore(d.db.Alphabet())
+// Simulate prices Algorithm 1 on the device model: what one search of a
+// queryLen-residue query over this database would take on opt.Device with
+// opt.Threads threads, under opt's variant, blocking and loop schedule. No
+// kernels run, and the model always prices the length-sorted packing. The
+// answer is a Plan with a single device.
+func (d *Database) Simulate(queryLen int, opt Options) (*Plan, error) {
+	m, err := opt.Device.model()
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.SearchHetero(d.db, query.impl, core.HeteroOptions{
-		Search:     copt,
-		CPUThreads: opt.Threads,
-		MICThreads: opt.PhiThreads,
-		MICShare:   share,
-		AutoSplit:  opt.AutoSplit,
-	})
+	copt, err := opt.toCore(d.db.Alphabet())
 	if err != nil {
 		return nil, err
 	}
-	out := &HeteroResult{
-		Result:     *wrapResult(&res.Result),
-		CPUSeconds: res.CPUSeconds,
-		PhiSeconds: res.MICSeconds,
-		CPUShare:   res.CPUShare,
-		PhiShare:   res.MICShare,
-	}
-	return out, nil
+	roster := []core.Device{{Model: m, Threads: opt.Threads}}
+	return planFor(d, queryLen, roster, core.DispatchOptions{Search: copt, Shares: []float64{1}})
 }

@@ -26,7 +26,7 @@ import (
 //
 // /search and /batch answer with SearchJSON (respectively a BatchJSON
 // wrapping one SearchJSON per query, in request order); /healthz serves a
-// HealthJSON snapshot of database, roster, scheduler and cache state.
+// HealthJSON snapshot of database, backend, scheduler and cache state.
 // Disconnected clients abandon only their wait: the computation finishes
 // and its result stays in the cluster cache for the next asker.
 //
@@ -120,13 +120,10 @@ type SearchJSON struct {
 	// Significance summarises the fitted Gumbel null model when the
 	// request set evalue.
 	Significance string `json:"significance,omitempty"`
-	// Cells is the dynamic-programming cell count; SimSeconds and
-	// SimGCUPS the device-model timing; WallSeconds the real host time of
-	// the search that produced this result (shared by every query of its
-	// micro-batch era and 0 for pure cache hits' wait).
+	// Cells is the dynamic-programming cell count; WallSeconds the host
+	// time of the search that produced this result (a cache hit repeats
+	// the original search's).
 	Cells       int64   `json:"cells"`
-	SimSeconds  float64 `json:"sim_seconds"`
-	SimGCUPS    float64 `json:"sim_gcups"`
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
@@ -135,14 +132,19 @@ type BatchJSON struct {
 	Results []SearchJSON `json:"results"`
 }
 
-// BackendJSON is one roster entry of /healthz.
+// BackendJSON is one backend of /healthz: the host of a local cluster, or
+// one shard node of a coordinator. Cells over WallSeconds is the backend's
+// realised rate in cell updates per second; Workers the host's goroutines
+// per search (0 for a remote node).
 type BackendJSON struct {
-	Name       string  `json:"name"`
-	Device     string  `json:"device"`
-	Grants     int64   `json:"grants"`
-	Residues   int64   `json:"residues"`
-	SimSeconds float64 `json:"sim_seconds"`
-	Tracebacks int64   `json:"tracebacks"`
+	Name        string  `json:"name"`
+	Device      string  `json:"device"`
+	Workers     int     `json:"workers"`
+	Grants      int64   `json:"grants"`
+	Residues    int64   `json:"residues"`
+	Cells       int64   `json:"cells"`
+	WallSeconds float64 `json:"wall_seconds"`
+	Tracebacks  int64   `json:"tracebacks"`
 }
 
 // HealthJSON is the /healthz response. Status is "ok", or "degraded" on
@@ -297,8 +299,6 @@ func toSearchJSON(id string, res *ClusterResult, topK int) SearchJSON {
 		ID:          id,
 		Hits:        make([]HitJSON, n),
 		Cells:       res.Cells,
-		SimSeconds:  res.SimSeconds,
-		SimGCUPS:    res.SimGCUPS,
 		WallSeconds: res.WallSeconds,
 	}
 	if res.Significance != nil {
@@ -606,12 +606,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.Backends = make([]BackendJSON, len(per))
 	for i, bt := range per {
 		h.Backends[i] = BackendJSON{
-			Name:       bt.Name,
-			Device:     string(bt.Device),
-			Grants:     bt.Grants,
-			Residues:   bt.Residues,
-			SimSeconds: bt.SimSeconds,
-			Tracebacks: bt.Tracebacks,
+			Name:        bt.Name,
+			Device:      string(bt.Device),
+			Workers:     bt.Workers,
+			Grants:      bt.Grants,
+			Residues:    bt.Residues,
+			Cells:       bt.Cells,
+			WallSeconds: bt.WallSeconds,
+			Tracebacks:  bt.Tracebacks,
 		}
 	}
 	st := s.c.SchedulerStats()

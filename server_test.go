@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -95,13 +98,22 @@ func TestHTTPBatchOrderAndHealthz(t *testing.T) {
 		t.Fatal("repeated query diverged across the batch")
 	}
 
+	// Responses carry what the host did and nothing of the device model.
+	if bytes.Contains(body, []byte("sim_")) || !bytes.Contains(body, []byte(`"wall_seconds"`)) {
+		t.Fatalf("/batch body: %s", body)
+	}
+
 	hres, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hres.Body.Close()
+	raw, err := io.ReadAll(hres.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var h HealthJSON
-	if err := json.NewDecoder(hres.Body).Decode(&h); err != nil {
+	if err := json.Unmarshal(raw, &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || h.Sequences != db.Len() || h.Residues != db.Residues() {
@@ -113,8 +125,29 @@ func TestHTTPBatchOrderAndHealthz(t *testing.T) {
 	if h.Scheduler.Submitted < 3 {
 		t.Fatalf("healthz scheduler %+v", h.Scheduler)
 	}
-	if len(h.Backends) != 2 || h.Backends[0].Name == "" {
+	// One host backend, whose cells over wall_seconds is the wall rate.
+	if len(h.Backends) != 1 {
 		t.Fatalf("healthz backends %+v", h.Backends)
+	}
+	b := h.Backends[0]
+	if b.Name != "host" || b.Device != "host" || b.Workers != runtime.GOMAXPROCS(0) ||
+		b.Grants != h.Queries || b.Residues != h.Queries*db.Residues() ||
+		b.Cells != 6*b.Residues || b.WallSeconds <= 0 {
+		t.Fatalf("healthz host backend %+v after %d 6-residue queries", b, h.Queries)
+	}
+	var shape struct {
+		Backends []map[string]any `json:"backends"`
+	}
+	if err := json.Unmarshal(raw, &shape); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range shape.Backends[0] {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "cells device grants name residues tracebacks wall_seconds workers"; got != want {
+		t.Fatalf("healthz backend fields %q, want %q", got, want)
 	}
 }
 

@@ -96,7 +96,7 @@ func (c *Cluster) searchTranslated(ctx context.Context, query Sequence, dopt cor
 	if err != nil {
 		return nil, err
 	}
-	merged, frameOf := c.mergeFrames(e, res, used)
+	merged, frameOf := c.mergeFrames(res, used)
 	if err := c.decorateTranslated(ctx, e, impls, used, frameOf, merged, rep, dopt); err != nil {
 		return nil, err
 	}
@@ -109,11 +109,11 @@ func (c *Cluster) searchTranslated(ctx context.Context, query Sequence, dopt cor
 // merged scores with the cluster-wide truncation. The second return value
 // maps each database index to the index (into frames) of its winning
 // frame.
-func (c *Cluster) mergeFrames(e *engineState, res []*core.ClusterResult, frames []*translate.Frame) (*ClusterResult, []int) {
-	merged := c.wrap(e, res[0])
+func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Frame) (*ClusterResult, []int) {
+	merged := wrapCluster(res[0])
 	frameOf := make([]int, len(merged.Scores))
 	for i := 1; i < len(res); i++ {
-		w := c.wrap(e, res[i])
+		w := wrapCluster(res[i])
 		for s, v := range w.Scores {
 			if v > merged.Scores[s] {
 				merged.Scores[s] = v
@@ -121,18 +121,10 @@ func (c *Cluster) mergeFrames(e *engineState, res []*core.ClusterResult, frames 
 			}
 		}
 		merged.Cells += w.Cells
-		merged.SimSeconds += w.SimSeconds
 		merged.WallSeconds += w.WallSeconds
 		merged.Overflows += w.Overflows
 		merged.Overflows8 += w.Overflows8
 		merged.OverflowCells += w.OverflowCells
-		for b := range merged.Backends {
-			merged.Backends[b].Chunks += w.Backends[b].Chunks
-			merged.Backends[b].SimSeconds += w.Backends[b].SimSeconds
-		}
-	}
-	if merged.SimSeconds > 0 {
-		merged.SimGCUPS = float64(merged.Cells) / merged.SimSeconds / 1e9
 	}
 	if merged.WallSeconds > 0 {
 		merged.WallGCUPS = float64(merged.Cells) / merged.WallSeconds / 1e9
