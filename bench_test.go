@@ -429,6 +429,60 @@ func BenchmarkSearchEndToEnd(b *testing.B) {
 	b.ReportMetric(res.WallGCUPS*1000, "wall-McUPS")
 }
 
+// servingDB builds n unrelated protein sequences of 50-400 residues, the
+// shape of the database behind a serving node, and a 75-residue query.
+func servingDB(tb testing.TB, n int) (*Database, Sequence) {
+	tb.Helper()
+	const letters = "ARNDCQEGHILKMFPSTWYV"
+	rng := rand.New(rand.NewSource(int64(n)))
+	draw := func(id string, length int) Sequence {
+		res := make([]byte, length)
+		for i := range res {
+			res[i] = letters[rng.Intn(len(letters))]
+		}
+		return NewSequence(id, string(res))
+	}
+	seqs := make([]Sequence, n)
+	for i := range seqs {
+		seqs[i] = draw(fmt.Sprintf("s%d", i), 50+rng.Intn(351))
+	}
+	db, err := NewDatabase(seqs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, draw("q", 75)
+}
+
+// BenchmarkSearchServing measures one serving-length request on the direct
+// path: a 75-residue query, the ten best hits, 16,000 subjects. At this
+// length what a search costs beyond its cells — selection, result plumbing,
+// per-group kernel set-up — is a visible share, and B/op shows whether any
+// of it still scales with the database beyond the score list.
+func BenchmarkSearchServing(b *testing.B) {
+	db, q := servingDB(b, 16000)
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.CloseNow()
+	rep := ReportOptions{TopK: 10}
+	if _, err := cl.Search(q, rep); err != nil { // pack the lane groups
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cells int64
+	for i := 0; i < b.N; i++ {
+		res, err := cl.Search(q, rep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = res.Cells
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "wall-McUPS")
+}
+
 // BenchmarkPairwiseAlign measures the reference full-matrix alignment with
 // traceback.
 func BenchmarkPairwiseAlign(b *testing.B) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,27 +94,31 @@ type ClusterOptions struct {
 	MaxBatch int
 	// CacheSize is the capacity, in entries, of the cluster's LRU result
 	// cache, shared by every scheduled path so repeated queries are free.
-	// Each cached result holds a database-length score list and hit
-	// table, so the zero-value default is derived from the database size
-	// against a ~512 MB budget (at most 512 entries, at least 8 — about
-	// 14 entries on the full 541k-sequence Swiss-Prot). Negative disables
-	// caching.
+	// Each cached result holds a database-length score list and the K hits
+	// its request asked for, so the zero-value default is derived from the
+	// database size against a ~512 MB budget (at most 512 entries, at
+	// least 8 — 123 entries on the full 541k-sequence Swiss-Prot).
+	// Negative disables caching.
 	CacheSize int
 }
 
 // Cache sizing when ClusterOptions.CacheSize is zero: a memory budget
-// divided by the estimated per-entry cost (scores, hits, IDs — roughly
-// cacheBytesPerSeq bytes per database sequence), clamped to
-// [minCacheSize, maxCacheSize].
+// divided by the estimated per-entry cost, clamped to [minCacheSize,
+// maxCacheSize]. What grows with the database in an entry is Result.Scores,
+// one int (cacheBytesPerSeq) per sequence — a shard node's entry holds the
+// int32 wire scores instead, half that; the hit list is as long as the
+// request's K, and cacheEntryBytes covers ten hits with their IDs,
+// tracebacks and E-values several times over.
 const (
 	cacheBudgetBytes = 512 << 20
-	cacheBytesPerSeq = 96
+	cacheBytesPerSeq = 8
+	cacheEntryBytes  = 4096
 	minCacheSize     = 8
 	maxCacheSize     = 512
 )
 
 func defaultCacheSize(dbLen int) int {
-	per := int64(dbLen)*cacheBytesPerSeq + 4096
+	per := int64(dbLen)*cacheBytesPerSeq + cacheEntryBytes
 	n := int(cacheBudgetBytes / per)
 	if n > maxCacheSize {
 		return maxCacheSize
@@ -133,6 +136,11 @@ type ClusterResult struct {
 	// distribution when the search requested ReportOptions.EValues; nil
 	// otherwise.
 	Significance *Significance
+
+	// wire is the score list of a shard node's search, as the engine
+	// produced it and as /shard/search encodes it; such a result carries no
+	// Hits and no Scores.
+	wire []int32
 }
 
 // ReportOptions selects the optional reporting phases of one search call.
@@ -154,13 +162,16 @@ type ReportOptions struct {
 	// returned as ClusterResult.Significance. Fails with ErrNoSignificance
 	// on databases with fewer than a few dozen sequences.
 	EValues bool
-	// TopK truncates this call's hit list, overriding the cluster-wide
-	// Options.TopK for this search only (0 keeps the cluster default).
-	// With Alignments set it is K, the number of sequences the traceback
-	// phase aligns. When a reporting phase is requested and both TopK and
-	// the cluster default are 0, the reported hit list is bounded at
-	// defaultReportHits, so every returned hit is decorated and an
-	// unbounded search never re-aligns the whole database.
+	// TopK is this call's K, the length of its hit list, overriding the
+	// cluster-wide Options.TopK for this search only (0 keeps the cluster
+	// default). It is resolved before the score pass and travels with the
+	// query to the engine, which selects exactly K hits — nothing
+	// downstream orders or holds more. With Alignments set it is the
+	// number of sequences the traceback phase aligns. When a reporting
+	// phase is requested and both TopK and the cluster default are 0, the
+	// reported hit list is bounded at defaultReportHits, so every returned
+	// hit is decorated and an unbounded search never re-aligns the whole
+	// database.
 	TopK int
 	// EValueTrim is the top fraction of scores excluded from the
 	// significance fit as suspected homologs (0 selects the 1% default).
@@ -178,9 +189,10 @@ func (rep ReportOptions) validate() error {
 	return nil
 }
 
-// key fingerprints the report options for the scheduler cache. The zero
-// value maps to the empty string, so score-only traffic keeps the compact
-// pre-report cache keys.
+// key fingerprints the report options for the scheduler cache, K included:
+// an entry holds the K hits of the request that computed it. The zero value
+// — a library caller that leaves K to the cluster — maps to the empty
+// string.
 func (rep ReportOptions) key() string {
 	if rep == (ReportOptions{}) {
 		return ""
@@ -220,16 +232,9 @@ func (c *Cluster) checkReport(rep ReportOptions) error {
 		}
 	}
 	if rep.Alignments {
-		// The K the traceback phase would actually align: the per-call
-		// override, else the cluster-wide truncation, else the default
-		// bound — capped by the database itself.
-		k := rep.TopK
-		if k <= 0 {
-			k = c.dopt.Search.TopK
-		}
-		if k <= 0 {
-			k = defaultReportHits
-		}
+		// The K the traceback phase would actually align, capped by the
+		// database itself.
+		k := c.topK(rep)
 		if k > c.db.Len() {
 			k = c.db.Len()
 		}
@@ -240,11 +245,32 @@ func (c *Cluster) checkReport(rep ReportOptions) error {
 	return nil
 }
 
+// topK resolves the K of one request before its score pass runs: the
+// per-call override, else the cluster-wide Options.TopK, else — when a
+// reporting phase would otherwise decorate the whole database — the default
+// bound. 0 means every hit.
+func (c *Cluster) topK(rep ReportOptions) int {
+	k := rep.TopK
+	if k <= 0 {
+		k = c.dopt.Search.TopK
+	}
+	if k <= 0 && (rep.Alignments || rep.EValues) {
+		k = defaultReportHits
+	}
+	if k < 0 {
+		k = 0
+	}
+	return k
+}
+
 // reportQuery pairs a query with its report options; it is the unit the
 // scheduler batches, dedups and caches.
 type reportQuery struct {
 	seq Sequence
 	rep ReportOptions
+	// wire marks a shard node's search for its coordinator: the score list
+	// as the engine produced it and no hit list (ClusterResult.wire).
+	wire bool
 }
 
 // engineState is one immutable topology generation: the dispatcher and
@@ -501,6 +527,29 @@ func wrapCluster(r *core.ClusterResult) *ClusterResult {
 	return &ClusterResult{Result: *wrapResult(r)}
 }
 
+// wireResult wraps a shard node's search: the accounting of wrapResult, the
+// engine's score list as it is, and neither Hits nor Scores.
+func wireResult(r *core.ClusterResult) *ClusterResult {
+	acct := core.Result{Stats: r.Stats, WallSeconds: r.WallSeconds, WallGCUPS: r.WallGCUPS}
+	return &ClusterResult{Result: *wrapResult(&acct), wire: r.Scores}
+}
+
+// searchOne is the direct (unscheduled) path of one query under dopt: K
+// resolved, one dispatcher search, the reporting phases.
+func (c *Cluster) searchOne(ctx context.Context, query Sequence, rep ReportOptions, dopt core.DispatchOptions) (*ClusterResult, error) {
+	dopt.Search.TopK = c.topK(rep)
+	e := c.engine()
+	res, err := e.disp.SearchContext(ctx, query.impl, dopt)
+	if err != nil {
+		return nil, err
+	}
+	out := wrapCluster(res)
+	if err := c.decorate(ctx, e, query, out, rep, dopt); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Search runs one query over the database. An optional ReportOptions
 // enables the aligned-hit reporting phases: tracebacks over the top-K hits
 // and/or an E-value fit over the score distribution. Search bypasses the
@@ -528,16 +577,7 @@ func (c *Cluster) SearchContext(ctx context.Context, query Sequence, report ...R
 	if query.impl == nil {
 		return nil, fmt.Errorf("heterosw: zero-value query")
 	}
-	e := c.engine()
-	res, err := e.disp.SearchContext(ctx, query.impl, c.dopt)
-	if err != nil {
-		return nil, err
-	}
-	out := wrapCluster(res)
-	if err := c.decorate(ctx, e, query, out, rep, c.dopt); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.searchOne(ctx, query, rep, c.dopt)
 }
 
 // SearchMatrix is Search with a request-scoped substitution matrix: text
@@ -569,16 +609,7 @@ func (c *Cluster) SearchMatrixContext(ctx context.Context, query Sequence, matri
 	if err != nil {
 		return nil, err
 	}
-	e := c.engine()
-	res, err := e.disp.SearchContext(ctx, query.impl, dopt)
-	if err != nil {
-		return nil, err
-	}
-	out := wrapCluster(res)
-	if err := c.decorate(ctx, e, query, out, rep, dopt); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.searchOne(ctx, query, rep, dopt)
 }
 
 // doptWithMatrix copies the cluster's dispatch options, replacing the
@@ -632,19 +663,29 @@ func (c *Cluster) SearchBatchContext(ctx context.Context, queries []Sequence, re
 // searchBatchCtx is the batch executor behind SearchBatch and every
 // scheduler: queries must already be validated non-zero, report options
 // validated. The score pass runs for the whole batch first (amortising
-// pre-processing), then each query's reporting phases decorate its result.
+// pre-processing), each query selecting the K hits its own request asked
+// for, then each query's reporting phases decorate its result.
 func (c *Cluster) searchBatchCtx(ctx context.Context, rqs []reportQuery) ([]*ClusterResult, error) {
 	impls := make([]*sequence.Sequence, len(rqs))
+	topK := make([]int, len(rqs))
 	for i, rq := range rqs {
 		impls[i] = rq.seq.impl
+		topK[i] = c.topK(rq.rep)
+		if rq.wire {
+			topK[i] = -1 // scores only
+		}
 	}
 	e := c.engine()
-	res, err := e.disp.SearchBatchContext(ctx, impls, c.dopt)
+	res, err := e.disp.SearchBatchContext(ctx, impls, c.dopt, topK)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*ClusterResult, len(res))
 	for i, r := range res {
+		if rqs[i].wire {
+			out[i] = wireResult(r)
+			continue
+		}
 		out[i] = wrapCluster(r)
 		if err := c.decorate(ctx, e, rqs[i].seq, out[i], rqs[i].rep, c.dopt); err != nil {
 			return nil, err
@@ -653,32 +694,14 @@ func (c *Cluster) searchBatchCtx(ctx context.Context, rqs []reportQuery) ([]*Clu
 	return out, nil
 }
 
-// decorate runs the reporting phases over a freshly wrapped result: the
-// per-call hit truncation, the significance fit and the traceback fan-out.
+// decorate runs the reporting phases over a freshly wrapped result, whose
+// hit list is already the request's K long: the significance fit and the
+// traceback fan-out.
 // It must only ever see results this call owns — cached results are
 // decorated before they enter the cache, never after. e must be the same
 // engine snapshot that scored the result, so the traceback fan-out routes
 // over the topology generation the scores came from.
 func (c *Cluster) decorate(ctx context.Context, e *engineState, query Sequence, res *ClusterResult, rep ReportOptions, dopt core.DispatchOptions) error {
-	if rep == (ReportOptions{}) {
-		return nil
-	}
-	if rep.TopK > 0 && rep.TopK > len(res.Hits) && len(res.Hits) < len(res.Scores) {
-		// The score pass truncated the hit list to the cluster-wide
-		// Options.TopK before this call's larger K was seen; the full
-		// score list is still here, so re-select the top hits rather than
-		// silently under-delivering.
-		res.Hits = c.hitsFromScores(res.Scores)
-	}
-	if rep.TopK > 0 && rep.TopK < len(res.Hits) {
-		res.Hits = res.Hits[:rep.TopK]
-	} else if (rep.Alignments || rep.EValues) && rep.TopK <= 0 &&
-		c.dopt.Search.TopK <= 0 && len(res.Hits) > defaultReportHits {
-		// No explicit K anywhere: bound the reported list so the phases
-		// below decorate every returned hit — never a partially decorated
-		// full-database list, and never a full-database traceback.
-		res.Hits = res.Hits[:defaultReportHits]
-	}
 	if rep.EValues {
 		sig, err := res.FitSignificance(rep.EValueTrim)
 		if err != nil {
@@ -720,28 +743,19 @@ func (c *Cluster) decorate(ctx context.Context, e *engineState, query Sequence, 
 	return nil
 }
 
-// hitsFromScores rebuilds the full descending hit list from a result's
-// database-order score list, with the same stable tie order (database
-// order) as the score pass's own sort, so a prefix of it is exactly what a
-// larger cluster-wide TopK would have returned.
-func (c *Cluster) hitsFromScores(scores []int) []Hit {
-	hits := make([]Hit, len(scores))
-	for i, s := range scores {
-		hits[i] = Hit{Index: i, ID: c.db.Seq(i).ID(), Score: s}
-	}
-	sort.SliceStable(hits, func(a, b int) bool { return hits[a].Score > hits[b].Score })
-	return hits
-}
-
 // cacheKey derives the scheduler dedup/cache key of a query: the cluster's
-// option fingerprint, the report-option fingerprint (empty for score-only
-// traffic, so an aligned result and a score-only result never alias) plus
-// the raw encoded residues (the encoding is injective, so no decode pass
+// option fingerprint, the report-option fingerprint (its K included, since
+// a cached entry holds K hits; empty for the zero ReportOptions; an aligned
+// result, a score-only result and a shard node's wire result never alias)
+// plus the raw encoded residues (the encoding is injective, so no decode pass
 // is needed) — sequences with equal residues share one result whatever
 // their IDs.
 func (c *Cluster) cacheKey(rq reportQuery) (string, bool) {
 	res := rq.seq.impl.Residues
 	rk := rq.rep.key()
+	if rq.wire {
+		rk = "W|"
+	}
 	b := make([]byte, len(c.keyBase)+len(rk)+len(res))
 	n := copy(b, c.keyBase)
 	n += copy(b[n:], rk)
@@ -793,11 +807,17 @@ func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ..
 	if query.impl == nil {
 		return nil, fmt.Errorf("heterosw: zero-value query")
 	}
+	return c.scheduled(ctx, reportQuery{seq: query, rep: rep})
+}
+
+// scheduled submits one validated query to the serving scheduler and waits
+// for its result.
+func (c *Cluster) scheduled(ctx context.Context, rq reportQuery) (*ClusterResult, error) {
 	s, err := c.servingScheduler()
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.Do(ctx, reportQuery{seq: query, rep: rep})
+	res, err := s.Do(ctx, rq)
 	if errors.Is(err, qsched.ErrClosed) {
 		return nil, ErrClusterClosed
 	}

@@ -355,3 +355,59 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDefaultCacheSize pins the derived LRU capacity. An entry costs
+// 8 B per database sequence (Result.Scores) plus 4 KiB for its K hits, and
+// the budget is 512 MiB:
+//
+//	541,561 sequences (Swiss-Prot 2013_11): 541,561 x 8 + 4,096 = 4,336,584 B;
+//	536,870,912 / 4,336,584 = 123.8 -> 123 entries
+//
+// clamped to [8, 512]: 130,000 sequences still get all 512 (1,044,096 B an
+// entry -> 514, cut to 512) where 135,000 get 495, and the floor of 8 binds
+// beyond 8.4 million sequences (a hundred million would get 0).
+func TestDefaultCacheSize(t *testing.T) {
+	for _, tc := range []struct{ dbLen, want int }{
+		{0, 512},
+		{130_000, 512},
+		{135_000, 495},
+		{541_561, 123},
+		{100_000_000, 8},
+	} {
+		if got := defaultCacheSize(tc.dbLen); got != tc.want {
+			t.Errorf("defaultCacheSize(%d) = %d, want %d", tc.dbLen, got, tc.want)
+		}
+	}
+}
+
+// TestSearchAllocationIsBounded pins what a serving-shaped search leaves on
+// the heap: the two score lists that are as long as the database (the
+// engine's int32 scores and Result.Scores, 12 B a sequence) and nothing
+// else that grows with it. An N-long hit list (32 B a sequence in core, 56
+// in the public result) or an N-long sort buffer would not fit the bound.
+func TestSearchAllocationIsBounded(t *testing.T) {
+	const n = 4000
+	db, q := servingDB(t, n)
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.CloseNow()
+	search := func() {
+		res, err := cl.Search(q, ReportOptions{TopK: 10})
+		if err != nil || len(res.Hits) != 10 || len(res.Scores) != n {
+			t.Fatalf("search: %v (%d hits, %d scores)", err, len(res.Hits), len(res.Scores))
+		}
+	}
+	search() // lane packings and worker scratch are built once
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	testing.AllocsPerRun(runs, search) // runs+1 searches on one P
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("%d B per search", perRun)
+	if limit := uint64(16*n + 64<<10); perRun >= limit {
+		t.Fatalf("one top-10 search over %d sequences allocates %d B, want under %d", n, perRun, limit)
+	}
+}

@@ -168,9 +168,17 @@
 //	}
 //
 // The traceback phase only ever aligns K sequences, never the full
-// database. Report options are part of the scheduler's dedup/cache key,
-// so an aligned result and a score-only result of the same query never
-// alias. WriteReport renders a decorated result as a BLAST-style text
+// database. K — ReportOptions.TopK, else the cluster-wide Options.TopK,
+// else 10 when a reporting phase is on, else 0 for every hit — is
+// resolved before the score pass and travels with the query to the
+// engine, whose one bounded selection returns exactly K hits in the
+// order of the paper's step 4 (score descending, ties in database
+// order); nothing downstream orders or holds more, so Result.Hits is K
+// long in a cached entry too, while Result.Scores stays database-long.
+// Report options, K included, are part of the scheduler's dedup/cache
+// key, so an aligned result and a score-only result of the same query
+// never alias, nor do two different K; the HTTP front end's top_k is that
+// K, for score-only requests as well. WriteReport renders a decorated result as a BLAST-style text
 // report (swsearch -blast); WriteFormat adds SAM 1.6 and BLAST tabular
 // TSV renderings (swsearch -outfmt sam|tsv); the HTTP front end exposes
 // the same phases as the align, evalue and format request fields.

@@ -276,7 +276,7 @@ func (d *Dispatcher) Search(query *sequence.Sequence, opt DispatchOptions) (*Clu
 // SearchContext is Search with cancellation (see SearchBatchContext for
 // the semantics).
 func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence, opt DispatchOptions) (*ClusterResult, error) {
-	res, err := d.SearchBatchContext(ctx, []*sequence.Sequence{query}, opt)
+	res, err := d.SearchBatchContext(ctx, []*sequence.Sequence{query}, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +289,7 @@ func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence
 //
 //sw:ctxroot
 func (d *Dispatcher) SearchBatch(queries []*sequence.Sequence, opt DispatchOptions) ([]*ClusterResult, error) {
-	return d.SearchBatchContext(context.Background(), queries, opt)
+	return d.SearchBatchContext(context.Background(), queries, opt, nil)
 }
 
 // SearchBatchContext is SearchBatch with cancellation: the context is
@@ -297,9 +297,17 @@ func (d *Dispatcher) SearchBatch(queries []*sequence.Sequence, opt DispatchOptio
 // a disconnected HTTP client) stops burning backend time mid-batch instead
 // of running to completion. Kernels already launched finish their current
 // query; nothing is left running after the call returns.
-func (d *Dispatcher) SearchBatchContext(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions) ([]*ClusterResult, error) {
+//
+// topK, when non-nil, holds one hit-list bound per query in place of
+// opt.Search.TopK, so the queries a scheduler coalesced each pay for the
+// hits their own request asked for: 0 selects every hit, a negative bound
+// no hit list at all (the result carries Scores only).
+func (d *Dispatcher) SearchBatchContext(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions, topK []int) ([]*ClusterResult, error) {
 	if len(queries) == 0 {
 		return nil, nil
+	}
+	if topK != nil && len(topK) != len(queries) {
+		return nil, fmt.Errorf("core: %d hit-list bounds for %d queries", len(topK), len(queries))
 	}
 	for i, q := range queries {
 		if q == nil {
@@ -312,7 +320,11 @@ func (d *Dispatcher) SearchBatchContext(ctx context.Context, queries []*sequence
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, per, err := d.search(ctx, q, opt.Search)
+		so := opt.Search
+		if topK != nil {
+			so.TopK, so.scoresOnly = topK[i], topK[i] < 0
+		}
+		r, per, err := d.search(ctx, q, so)
 		if err != nil {
 			return nil, err
 		}
@@ -327,9 +339,9 @@ func (d *Dispatcher) SearchBatchContext(ctx context.Context, queries []*sequence
 
 // search is the dispatcher's one execution path: every backend with a
 // non-empty shard searches it, concurrently, and the score lists merge by
-// shard index maps. A lone backend over the parent itself answers
-// directly, hit list included. The per-backend results are returned for the
-// totals.
+// shard index maps, the hit list selected over the merged scores. A lone
+// backend over the parent itself answers directly, hit list included. The
+// per-backend results are returned for the totals.
 func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt SearchOptions) (*ClusterResult, []*Result, error) {
 	n := len(d.backends)
 	results := make([]*Result, n)
@@ -341,8 +353,8 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 		results[0] = r
 		return r, results, nil
 	}
-	topK := opt.TopK
-	opt.TopK, opt.scoresOnly = 0, true
+	topK, wantHits := opt.TopK, !opt.scoresOnly
+	opt.scoresOnly = true
 	errs := make([]error, n)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -376,7 +388,9 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 	if wall > 0 {
 		out.WallGCUPS = float64(out.Stats.Cells) / wall / 1e9
 	}
-	out.Hits = sortHits(d.db, out.Scores, topK)
+	if wantHits {
+		out.Hits = TopHits(d.db, out.Scores, topK)
+	}
 	return out, results, nil
 }
 

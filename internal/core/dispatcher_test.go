@@ -221,14 +221,14 @@ func TestSearchBatchContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: not even the first query may run
-	if _, err := disp.SearchBatchContext(ctx, queries, DispatchOptions{Search: defaultSearchOptions()}); err != context.Canceled {
+	if _, err := disp.SearchBatchContext(ctx, queries, DispatchOptions{Search: defaultSearchOptions()}, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if nq, _ := disp.Totals(); nq != 0 {
 		t.Fatalf("%d queries ran under a cancelled context", nq)
 	}
 	// A live context still completes the batch.
-	res, err := disp.SearchBatchContext(context.Background(), queries, DispatchOptions{Search: defaultSearchOptions()})
+	res, err := disp.SearchBatchContext(context.Background(), queries, DispatchOptions{Search: defaultSearchOptions()}, nil)
 	if err != nil || len(res) != len(queries) {
 		t.Fatalf("live context: %v, %d results", err, len(res))
 	}

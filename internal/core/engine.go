@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,8 +59,8 @@ func dispatchOrder(nGroups int, longLens []int) []int {
 	for i := range order {
 		order[i] = nGroups + i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return longLens[order[a]-nGroups] > longLens[order[b]-nGroups]
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(longLens[b-nGroups], longLens[a-nGroups])
 	})
 	for i := 0; i < nGroups; i++ {
 		order = append(order, i)
@@ -163,8 +165,10 @@ type SearchOptions struct {
 	// TopK truncates the hit list (all hits when 0).
 	TopK int
 
-	// scoresOnly is set by a dispatcher that merges several backends' score
-	// lists and sorts the merged list itself: the search returns no Hits.
+	// scoresOnly is set by the dispatcher when nobody reads this search's
+	// hit list — it merges several backends' scores and selects over the
+	// merged list itself, or its caller asked for no hits: the search
+	// returns Scores and no Hits.
 	scoresOnly bool
 }
 
@@ -220,7 +224,7 @@ type Hit struct {
 // did to compute it.
 type Result struct {
 	// Hits is sorted by descending score (ties by database order) and
-	// truncated to TopK when requested.
+	// TopK long when one was requested (see TopHits).
 	Hits []Hit
 	// Scores holds the raw score of every database sequence, indexed by
 	// caller order, regardless of TopK.
@@ -339,21 +343,53 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		res.WallGCUPS = float64(res.Stats.Cells) / wall / 1e9
 	}
 	if !opt.scoresOnly {
-		res.Hits = sortHits(e.db, scores, opt.TopK)
+		res.Hits = TopHits(e.db, scores, opt.TopK)
 	}
 	return res, nil
 }
 
-// sortHits implements step 4: similarity scores in descending order, ties
-// in database order.
-func sortHits(db *seqdb.Database, scores []int32, topK int) []Hit {
-	hits := make([]Hit, len(scores))
-	for i, s := range scores {
-		hits[i] = Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: s}
+// TopHits implements step 4 for a caller that wants the k best hits: the
+// similarity scores in descending order, ties in database order, cut at k
+// (every hit when k is 0, or k exceeds the database). It is the one
+// selection every search path shares, so they cannot disagree on tie order.
+//
+// Each (score, index) pair packs into one uint64 that orders, ascending, as
+// score descending then index ascending, so selecting moves 8-byte words and
+// a Hit is built only for a survivor. A bounded k costs one scan of scores
+// against the worst key kept so far, over a buffer of 2k keys that is sorted
+// and cut back to k whenever it fills: O(N + k log k) once the bar has
+// risen, never an N-long sort.
+func TopHits(db *seqdb.Database, scores []int32, k int) []Hit {
+	n := len(scores)
+	if k <= 0 || k > n {
+		k = n
 	}
-	sort.SliceStable(hits, func(a, b int) bool { return hits[a].Score > hits[b].Score })
-	if topK > 0 && topK < len(hits) {
-		hits = hits[:topK]
+	room := 2 * k
+	if room > n {
+		room = n
+	}
+	keys := make([]uint64, 0, room)
+	bar := ^uint64(0)
+	for i, s := range scores {
+		key := uint64(uint32(math.MaxInt32-int64(s)))<<32 | uint64(uint32(i))
+		if key >= bar {
+			continue
+		}
+		keys = append(keys, key)
+		if len(keys) == room && i+1 < n {
+			slices.Sort(keys)
+			keys = keys[:k]
+			bar = keys[k-1]
+		}
+	}
+	slices.Sort(keys)
+	if len(keys) > k {
+		keys = keys[:k]
+	}
+	hits := make([]Hit, len(keys))
+	for j, key := range keys {
+		i := int(uint32(key))
+		hits[j] = Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: scores[i]}
 	}
 	return hits
 }

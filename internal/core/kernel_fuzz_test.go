@@ -155,6 +155,9 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(homolog, append(append([]byte{}, family...), lane33...), uint8(7), paperPens, uint8(5))              // 64 lanes, saturating and tiny lanes mixed, 7-row tiles
 	f.Add(homolog, append(bytes.Repeat([]byte{w, fuzzSeqDelim}, 16), family...), uint8(2), uint8(0), uint8(3)) // 3 lanes: one saturation per group trickles into the queue
 
+	f.Add(homolog[:64], family, uint8(6), paperPens, uint8(7)) // the query is exactly one 64-row tile
+	f.Add(homolog[:8], family, uint8(7), paperPens, uint8(5))  // one 7-row tile and a one-row last tile
+
 	lanesTable := []int{1, 2, 3, 4, 8, 16, 32, 64}
 	blockTable := []int{0, 1, 7, 64}
 

@@ -17,8 +17,10 @@ import (
 // (Buffers.escalate) — and the first for groups the byte pass cannot take.
 // Lane scores go to scores, g.Lanes long.
 //
-// The tile driver is identical to the guided kernel's; see
-// alignGroupGuided for the boundary hand-off invariants.
+// The tile driver hands H and F across tile seams as the guided kernel's
+// does (see alignGroupGuided for the invariants), but only across seams
+// that exist: the first tile takes its boundary from the matrix edge and
+// the last stores none.
 //
 //sw:hotpath
 func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
@@ -42,20 +44,23 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 	isQP := p.Variant.Prof() == ProfQuery
 
 	// H and E share one contiguous slab so a tile's hot state is a single
-	// block; each holds (B+1)*L entries with row 0 the tile boundary row.
+	// block; each holds (B+1)*L entries, the tile's rows from row 1. hb and
+	// fb carry H and F across a tile seam, one row each per column: every
+	// tile but the last writes them and every tile but the first reads what
+	// the tile above wrote, so they are never cleared and a query of one
+	// tile has none.
 	he := grow16(&buf.he16, 2*(B+1)*L)
 	h, e := he[:(B+1)*L], he[(B+1)*L:]
-	hb := grow16(&buf.hb16, (N+1)*L)
-	fb := grow16(&buf.fb16, (N+1)*L)
+	var hb, fb []int16
+	if B < M {
+		hb = grow16(&buf.hb16, (N+1)*L)
+		fb = grow16(&buf.fb16, (N+1)*L)
+	}
 	maxv := buf.max16
 	fcol := buf.f16
 	diagv := buf.diag16
 
 	vec.Set1(maxv, 0)
-	for i := range hb {
-		hb[i] = 0
-		fb[i] = vec.MinI16
-	}
 
 	// The per-row vector-op sequence (AddSat diag+score; Max with E, F,
 	// zero; MaxInto tracker; SubSatConst/Max updates of E and F) is fused
@@ -71,17 +76,20 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 			i1 = M
 		}
 		rows := i1 - i0 + 1
-		for i := 0; i < (rows+1)*L; i++ {
-			h[i] = 0
-			e[i] = vec.MinI16
-		}
-		vec.Set1(diagv, 0)
+		first, last := i0 == 1, i1 == M
+		clear(h[L : (rows+1)*L])
+		vec.Set1(vec.I16(e[L:(rows+1)*L]), vec.MinI16)
+		clear(diagv)
 		tileSeq := seqBytes[i0-1 : i1]
 		tileQP := q.QP[(i0-1)*q.Width:]
 		for jj := 1; jj <= N; jj++ {
 			col := g.Interleaved[(jj-1)*L : jj*L]
-			fbRow := vec.I16(fb[jj*L : jj*L+L])
-			copy(fcol, fbRow)
+			// F entering the tile's first row: -inf above the first tile.
+			if first {
+				vec.Set1(fcol, vec.MinI16)
+			} else {
+				copy(fcol, fb[jj*L:jj*L+L])
+			}
 			if isQP {
 				vec.StepCol16QP(vec.I16(h[L:]), vec.I16(e[L:]), fcol, diagv, maxv,
 					tileQP, q.Width, col, rows, L, qr, r)
@@ -90,10 +98,17 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 				vec.StepCol16SP(vec.I16(h[L:]), vec.I16(e[L:]), fcol, diagv, maxv,
 					buf.sr.Raw(), tileSeq, rows, L, qr, r)
 			}
-			hbRow := vec.I16(hb[jj*L : jj*L+L])
-			copy(diagv, hbRow)
-			copy(hbRow, h[rows*L:(rows+1)*L])
-			copy(fbRow, fcol)
+			// The next column's diagonal is H of the row above the tile at
+			// this column: row 0 of the matrix, all zero, above the first.
+			if first {
+				clear(diagv)
+			} else {
+				copy(diagv, hb[jj*L:jj*L+L])
+			}
+			if !last {
+				copy(hb[jj*L:jj*L+L], h[rows*L:(rows+1)*L])
+				copy(fb[jj*L:jj*L+L], fcol)
+			}
 		}
 	}
 

@@ -95,20 +95,23 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		st.Safe8Groups = 1
 	}
 
-	// H and E share one contiguous slab, mirroring the 16-bit kernel.
+	// H and E share one contiguous slab, mirroring the 16-bit kernel. hb and
+	// fb carry H and F across a tile seam, one row each per column: every
+	// tile but the last writes them and every tile but the first reads what
+	// the tile above wrote, so they are never cleared and a query of one
+	// tile has none.
 	he := grow8(&buf.he8, 2*(B+1)*L)
 	h, e := he[:(B+1)*L], he[(B+1)*L:]
-	hb := grow8(&buf.hb8, (N+1)*L)
-	fb := grow8(&buf.fb8, (N+1)*L)
+	var hb, fb []uint8
+	if B < M {
+		hb = grow8(&buf.hb8, (N+1)*L)
+		fb = grow8(&buf.fb8, (N+1)*L)
+	}
 	maxv := buf.max8
 	fcol := buf.f8
 	diagv := buf.diag8
 
 	vec.Set1U8(maxv, 0)
-	for i := range hb {
-		hb[i] = 0
-		fb[i] = 0 // true -inf clamps to the unsigned floor
-	}
 
 	// Gap penalties clamp to the byte rail exactly: H <= 255, so a
 	// saturating subtract of min(penalty, 255) equals the wide subtract
@@ -127,17 +130,21 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 			i1 = M
 		}
 		rows := i1 - i0 + 1
-		for i := 0; i < (rows+1)*L; i++ {
-			h[i] = 0
-			e[i] = 0
-		}
-		vec.Set1U8(diagv, 0)
+		first, last := i0 == 1, i1 == M
+		clear(h[L : (rows+1)*L])
+		clear(e[L : (rows+1)*L])
+		clear(diagv)
 		tileSeq := seqBytes[i0-1 : i1]
 		tileQP := q.QP8[(i0-1)*q.Width:]
 		for jj := 1; jj <= N; jj++ {
 			col := g.Interleaved[(jj-1)*L : jj*L]
-			fbRow := vec.U8(fb[jj*L : jj*L+L])
-			copy(fcol, fbRow)
+			// F entering the tile's first row: above the first tile it is
+			// true -inf, which clamps to the unsigned floor.
+			if first {
+				clear(fcol)
+			} else {
+				copy(fcol, fb[jj*L:jj*L+L])
+			}
 			if isQP {
 				vec.StepCol8QP(vec.U8(h[L:]), vec.U8(e[L:]), fcol, diagv, maxv,
 					tileQP, q.Width, col, rows, L, q.Bias, qr8, r8)
@@ -146,10 +153,17 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 				vec.StepCol8SP(vec.U8(h[L:]), vec.U8(e[L:]), fcol, diagv, maxv,
 					buf.sr8.Raw(), tileSeq, rows, L, q.Bias, qr8, r8)
 			}
-			hbRow := vec.U8(hb[jj*L : jj*L+L])
-			copy(diagv, hbRow)
-			copy(hbRow, h[rows*L:(rows+1)*L])
-			copy(fbRow, fcol)
+			// The next column's diagonal is H of the row above the tile at
+			// this column: row 0 of the matrix, all zero, above the first.
+			if first {
+				clear(diagv)
+			} else {
+				copy(diagv, hb[jj*L:jj*L+L])
+			}
+			if !last {
+				copy(hb[jj*L:jj*L+L], h[rows*L:(rows+1)*L])
+				copy(fb[jj*L:jj*L+L], fcol)
+			}
 		}
 	}
 

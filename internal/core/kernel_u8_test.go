@@ -67,6 +67,54 @@ func TestLadderMatchesOracle(t *testing.T) {
 	}
 }
 
+// The tile drivers hand H and F across a seam only where there is one: the
+// first tile reads no boundary, the last stores none, and nothing is cleared
+// in between. Both rungs must stay exact for a query that is exactly one
+// tile (tile height M and M+1), one with a one-row last tile (M-1) and ones
+// of many tiles (7, 1) — over a padded last lane group, with a lane that
+// reaches the byte rail only in the query's last rows, far from the first
+// tile (TestLadderEscalationTiers does the same to the int16 rail, a dozen
+// 256-row tiles down).
+func TestTileSeams(t *testing.T) {
+	rng := rand.New(rand.NewSource(215))
+	// 41 subjects leave 23 padding lanes in the second 32-lane group. The
+	// query's last 23 rows are the W run that saturates a byte lane of the
+	// planted subject: at every height but M and M+1 in a tile that is not
+	// the first.
+	w23 := strings.Repeat("W", 23)
+	query := sequence.FromString("q", randProtein(rng, 29).String()+w23)
+	seqs := make([]*sequence.Sequence, 41)
+	for i := range seqs {
+		seqs[i] = randProtein(rng, rng.Intn(70)+1)
+	}
+	seqs[17] = sequence.FromString("planted", "ARND"+w23+"CQEG")
+	// And one whose best alignment skips query rows 13-17: a vertical gap,
+	// F carried across every seam inside it.
+	seqs[5] = sequence.FromString("gapped", query.String()[:12]+query.String()[17:29])
+	db := seqdb.New(seqs, true)
+	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
+	want := oracleScores(db, query.Residues)
+	m := query.Len()
+	for _, bytes := range []bool{true, false} {
+		for _, v := range []Variant{IntrinsicQP, IntrinsicSP} {
+			for _, rows := range []int{1, m - 1, m, m + 1, 7} {
+				got, st := runRung(db, q, ladderParams(v, true, rows), 32, bytes)
+				for i := range want {
+					if int(got[i]) != want[i] {
+						t.Fatalf("%v from bytes=%v, %d-row tiles: seq %d score %d, want %d",
+							v, bytes, rows, i, got[i], want[i])
+					}
+				}
+				// Only the byte rung escalates, and only the planted lane.
+				if (st.Overflows8 == 1) != bytes || st.Overflows != 0 {
+					t.Fatalf("%v from bytes=%v, %d-row tiles: escalations %d/%d",
+						v, bytes, rows, st.Overflows8, st.Overflows)
+				}
+			}
+		}
+	}
+}
+
 // What decides byte lanes: a byte-viable matrix and a lane width of whole
 // byte registers. AlignGroup on a 16-lane group, or under a matrix whose
 // range exceeds a byte, starts at the 16-bit rung and never counts an

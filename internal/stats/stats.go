@@ -11,7 +11,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // EValueModel is a fitted Gumbel null model for one search's score list.
@@ -63,28 +62,67 @@ func FitViable(n int, trimFrac float64) error {
 	return err
 }
 
+// maxScore bounds the scores a fit accepts: no alignment this system
+// computes comes near it (a 65,536-residue query at 127 a column scores
+// under 2^23), and a histogram is this long at most.
+const maxScore = 1 << 24
+
 // FitEValues fits a Gumbel null model to a search's score list by the
 // method of moments, after trimming the top trimFrac fraction of scores
 // (suspected homologs; 0 selects the 1% default). At least 30 usable
-// scores are required (see FitViable).
+// scores are required (see FitViable). Scores are Smith-Waterman scores:
+// non-negative.
 func FitEValues(scores []int, trimFrac float64) (*EValueModel, error) {
-	n := len(scores)
+	top := 0
+	for _, s := range scores {
+		if s < 0 || s > maxScore {
+			return nil, fmt.Errorf("stats: score %d outside [0, %d]", s, maxScore)
+		}
+		if s > top {
+			top = s
+		}
+	}
+	counts := make([]int, top+1)
+	for _, s := range scores {
+		counts[s]++
+	}
+	return FitHistogram(counts, trimFrac)
+}
+
+// FitHistogram is FitEValues over a score histogram: counts[s] subjects
+// scored s. The moments of the trimmed sample are sums of integers, which
+// float64 holds exactly below 2^53, so the fit equals the one over the
+// sorted score list bit for bit whatever order the scores were counted in —
+// without the copy and the sort.
+func FitHistogram(counts []int, trimFrac float64) (*EValueModel, error) {
+	n := 0
+	for s, c := range counts {
+		if c < 0 {
+			return nil, fmt.Errorf("stats: negative count %d for score %d", c, s)
+		}
+		n += c
+	}
 	trim, err := fitPlan(n, trimFrac)
 	if err != nil {
 		return nil, err
 	}
-	sorted := append([]int(nil), scores...)
-	sort.Ints(sorted)
-	sample := sorted[:n-trim]
-
+	// The sample is the n-trim lowest scores: whole buckets from the
+	// bottom, and the part of the boundary bucket that still fits.
 	var sum, sumSq float64
-	for _, s := range sample {
+	left := n - trim
+	for s := 0; left > 0; s++ {
+		c := counts[s]
+		if c > left {
+			c = left
+		}
+		left -= c
 		v := float64(s)
-		sum += v
-		sumSq += v * v
+		sum += float64(c) * v
+		sumSq += float64(c) * (v * v)
 	}
-	mean := sum / float64(len(sample))
-	variance := sumSq/float64(len(sample)) - mean*mean
+	size := float64(n - trim)
+	mean := sum / size
+	variance := sumSq/size - mean*mean
 	if variance <= 0 {
 		return nil, fmt.Errorf("stats: degenerate score distribution (variance %v)", variance)
 	}

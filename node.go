@@ -153,23 +153,21 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	res, err := cl.SearchScheduled(r.Context(), q)
+	// The coordinator owns the selection: the node computes no hit list and
+	// ships the engine's own score list.
+	res, err := cl.scheduled(r.Context(), reportQuery{seq: q, wire: true})
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
-	resp := remote.ShardSearchResponse{
-		Scores:        make([]int32, len(res.Scores)),
+	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
+		Scores:        res.wire,
 		Cells:         res.Cells,
 		WallSeconds:   res.WallSeconds,
 		Overflows:     res.Overflows,
 		Overflows8:    res.Overflows8,
 		OverflowCells: res.OverflowCells,
-	}
-	for i, sc := range res.Scores {
-		resp.Scores[i] = int32(sc)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 func (s *ShardServer) handleShardAlign(w http.ResponseWriter, r *http.Request) {

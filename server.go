@@ -244,26 +244,23 @@ func decodeStatus(err error) int {
 }
 
 // reportFor validates the response-shaping fields shared by /search and
-// /batch and resolves them into the library's ReportOptions. topK
-// defaults to defaultResponseHits; score-only requests resolve to the
-// zero ReportOptions so they keep sharing one cache entry across top_k
-// values (trimming happens at serialisation).
-func reportFor(topK int, align, evalue bool) (ReportOptions, int, error) {
+// /batch and resolves them into the library's ReportOptions. top_k
+// defaults to defaultResponseHits and always travels with the request —
+// score-only ones too — so the engine selects exactly the hits the response
+// carries; it is therefore part of the cache key.
+func reportFor(topK int, align, evalue bool) (ReportOptions, error) {
 	switch {
 	case topK < 0:
-		return ReportOptions{}, 0, fmt.Errorf("negative top_k %d", topK)
+		return ReportOptions{}, fmt.Errorf("negative top_k %d", topK)
 	case topK > maxResponseHits:
-		return ReportOptions{}, 0, fmt.Errorf("top_k %d exceeds the %d limit", topK, maxResponseHits)
+		return ReportOptions{}, fmt.Errorf("top_k %d exceeds the %d limit", topK, maxResponseHits)
 	case topK == 0:
 		topK = defaultResponseHits
 	}
-	if !align && !evalue {
-		return ReportOptions{}, topK, nil
-	}
 	if align && topK > maxAlignHits {
-		return ReportOptions{}, 0, fmt.Errorf("top_k %d exceeds the %d limit for aligned reports", topK, maxAlignHits)
+		return ReportOptions{}, fmt.Errorf("top_k %d exceeds the %d limit for aligned reports", topK, maxAlignHits)
 	}
-	return ReportOptions{Alignments: align, EValues: evalue, TopK: topK}, topK, nil
+	return ReportOptions{Alignments: align, EValues: evalue, TopK: topK}, nil
 }
 
 // toQuery validates one request query, encoding it under the named
@@ -285,27 +282,19 @@ func toQuery(q QueryJSON, pos, alpha string) (Sequence, error) {
 	return NewSequence(id, q.Residues), nil
 }
 
-// toSearchJSON trims a result for transport, carrying any phase-two
-// decorations along.
-func toSearchJSON(id string, res *ClusterResult, topK int) SearchJSON {
-	if topK <= 0 {
-		topK = defaultResponseHits
-	}
-	n := topK
-	if n > len(res.Hits) {
-		n = len(res.Hits)
-	}
+// toSearchJSON renders a result for transport, carrying any phase-two
+// decorations along. The hit list is already the request's top_k long.
+func toSearchJSON(id string, res *ClusterResult) SearchJSON {
 	out := SearchJSON{
 		ID:          id,
-		Hits:        make([]HitJSON, n),
+		Hits:        make([]HitJSON, len(res.Hits)),
 		Cells:       res.Cells,
 		WallSeconds: res.WallSeconds,
 	}
 	if res.Significance != nil {
 		out.Significance = res.Significance.String()
 	}
-	for i := 0; i < n; i++ {
-		h := res.Hits[i]
+	for i, h := range res.Hits {
 		hj := HitJSON{Index: h.Index, ID: h.ID, Score: h.Score, Frame: h.Frame}
 		if h.Alignment != nil {
 			a := h.Alignment
@@ -381,7 +370,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The SAM and TSV renderings only carry hits with tracebacks.
 	align := req.Align || format == "sam" || format == "tsv"
-	rep, topK, err := reportFor(req.TopK, align, req.EValue)
+	rep, err := reportFor(req.TopK, align, req.EValue)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -402,15 +391,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if format == "json" {
-		writeJSON(w, http.StatusOK, toSearchJSON(req.ID, res, topK))
+		writeJSON(w, http.StatusOK, toSearchJSON(req.ID, res))
 		return
-	}
-	// A score-only result (cached, possibly shared) can carry more hits
-	// than this request's top_k: render a trimmed shallow copy.
-	if len(res.Hits) > topK {
-		trimmed := *res
-		trimmed.Hits = res.Hits[:topK]
-		res = &trimmed
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
@@ -444,7 +426,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	rep, topK, err := reportFor(req.TopK, req.Align, req.EValue)
+	rep, err := reportFor(req.TopK, req.Align, req.EValue)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -507,7 +489,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, searchStatus(r, err), fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		out.Results[i] = toSearchJSON(req.Queries[i].ID, res, topK)
+		out.Results[i] = toSearchJSON(req.Queries[i].ID, res)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -3,7 +3,6 @@ package heterosw
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"heterosw/internal/alphabet"
 	"heterosw/internal/core"
@@ -91,12 +90,18 @@ func (c *Cluster) searchTranslated(ctx context.Context, query Sequence, dopt cor
 		return nil, fmt.Errorf("heterosw: query %s is too short to translate (%d nt)",
 			query.ID(), query.Len())
 	}
+	// The frames are searched for their scores alone; the one hit list is
+	// selected over the merged scores.
+	noHits := make([]int, len(impls))
+	for i := range noHits {
+		noHits[i] = -1
+	}
 	e := c.engine()
-	res, err := e.disp.SearchBatchContext(ctx, impls, dopt)
+	res, err := e.disp.SearchBatchContext(ctx, impls, dopt, noHits)
 	if err != nil {
 		return nil, err
 	}
-	merged, frameOf := c.mergeFrames(res, used)
+	merged, frameOf := c.mergeFrames(res, used, c.topK(rep))
 	if err := c.decorateTranslated(ctx, e, impls, used, frameOf, merged, rep, dopt); err != nil {
 		return nil, err
 	}
@@ -105,68 +110,42 @@ func (c *Cluster) searchTranslated(ctx context.Context, query Sequence, dopt cor
 
 // mergeFrames folds the per-frame results into one: each subject keeps its
 // best frame score (ties to the earlier frame, in +1..+3, -1..-3 order),
-// cost accounting sums over frames, and the hit list is rebuilt from the
-// merged scores with the cluster-wide truncation. The second return value
-// maps each database index to the index (into frames) of its winning
-// frame.
-func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Frame) (*ClusterResult, []int) {
-	merged := wrapCluster(res[0])
-	frameOf := make([]int, len(merged.Scores))
-	for i := 1; i < len(res); i++ {
-		w := wrapCluster(res[i])
-		for s, v := range w.Scores {
-			if v > merged.Scores[s] {
-				merged.Scores[s] = v
-				frameOf[s] = i
+// cost accounting sums over frames, and the k best hits (all when 0) are
+// selected over the merged scores, each stamped with its winning frame. The
+// second return value maps each database index to the index (into frames)
+// of its winning frame.
+func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Frame, k int) (*ClusterResult, []int) {
+	best := res[0]
+	frameOf := make([]int, len(best.Scores))
+	for i, r := range res[1:] {
+		for s, v := range r.Scores {
+			if v > best.Scores[s] {
+				best.Scores[s] = v
+				frameOf[s] = i + 1
 			}
 		}
-		merged.Cells += w.Cells
-		merged.WallSeconds += w.WallSeconds
-		merged.Overflows += w.Overflows
-		merged.Overflows8 += w.Overflows8
-		merged.OverflowCells += w.OverflowCells
+		best.Stats.Add(r.Stats)
+		best.WallSeconds += r.WallSeconds
 	}
-	if merged.WallSeconds > 0 {
-		merged.WallGCUPS = float64(merged.Cells) / merged.WallSeconds / 1e9
+	if best.WallSeconds > 0 {
+		best.WallGCUPS = float64(best.Stats.Cells) / best.WallSeconds / 1e9
 	}
-	merged.Hits = c.translatedHits(merged.Scores, frames, frameOf)
-	if k := c.dopt.Search.TopK; k > 0 && k < len(merged.Hits) {
-		merged.Hits = merged.Hits[:k]
+	best.Hits = core.TopHits(c.db.db, best.Scores, k)
+	merged := wrapCluster(best)
+	for i := range merged.Hits {
+		h := &merged.Hits[i]
+		h.Frame = frames[frameOf[h.Index]].Index
 	}
 	return merged, frameOf
 }
 
-// translatedHits builds the full descending hit list over merged scores,
-// stamping each hit with its winning frame. The stable tie order matches
-// hitsFromScores (database order).
-func (c *Cluster) translatedHits(scores []int, frames []*translate.Frame, frameOf []int) []Hit {
-	hits := make([]Hit, len(scores))
-	for i, s := range scores {
-		hits[i] = Hit{Index: i, ID: c.db.Seq(i).ID(), Score: s, Frame: frames[frameOf[i]].Index}
-	}
-	sort.SliceStable(hits, func(a, b int) bool { return hits[a].Score > hits[b].Score })
-	return hits
-}
-
 // decorateTranslated mirrors decorate for a merged translated result: the
-// same trim and significance rules, with the traceback phase fanned out
+// same significance rule, with the traceback phase fanned out
 // per winning frame so every hit is re-aligned against the frame that
 // produced its score, then mapped back to nucleotide coordinates.
 func (c *Cluster) decorateTranslated(ctx context.Context, e *engineState, impls []*sequence.Sequence,
 	frames []*translate.Frame, frameOf []int, res *ClusterResult, rep ReportOptions,
 	dopt core.DispatchOptions) error {
-	if rep == (ReportOptions{}) {
-		return nil
-	}
-	if rep.TopK > 0 && rep.TopK > len(res.Hits) && len(res.Hits) < len(res.Scores) {
-		res.Hits = c.translatedHits(res.Scores, frames, frameOf)
-	}
-	if rep.TopK > 0 && rep.TopK < len(res.Hits) {
-		res.Hits = res.Hits[:rep.TopK]
-	} else if (rep.Alignments || rep.EValues) && rep.TopK <= 0 &&
-		c.dopt.Search.TopK <= 0 && len(res.Hits) > defaultReportHits {
-		res.Hits = res.Hits[:defaultReportHits]
-	}
 	if rep.EValues {
 		sig, err := res.FitSignificance(rep.EValueTrim)
 		if err != nil {
