@@ -215,8 +215,7 @@ func BenchmarkKernelIntrinsicSPBlocked(b *testing.B) {
 func benchKernelPortable(b *testing.B, variant core.Variant, lanes int) {
 	b.Helper()
 	kb := newKernelBench(b, variant, lanes, false)
-	prev := vec.ForcePortable(true)
-	defer vec.ForcePortable(prev)
+	defer vec.CapTier(vec.CapTier(vec.TierPortable))
 	kb.run(b)
 }
 

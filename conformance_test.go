@@ -305,9 +305,10 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 }
 
 // TestConformanceNativeVsPortable is the cross-backend leg of the same
-// harness: on hosts where internal/vec selected the native AVX2 backend,
-// every result served off the native column kernels must be byte-identical
-// to the same search with the portable pure-Go loops forced — across the
+// harness: on hosts where internal/vec selected a native tier, every result
+// served off the native column kernels must be byte-identical to the same
+// search under every tier below it — AVX2's vpshufb byte lookup where the
+// host runs VBMI's vpermb, and the portable pure-Go loops — across the
 // plain variants, the ladder climbing on the homolog-rich corpus and full
 // reporting, on all five entry points. Skipped (vacuous) where the portable
 // backend is the only one.
@@ -315,6 +316,8 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 	if !vec.Native() {
 		t.Skipf("vec backend is %q; native vs portable conformance is vacuous", vec.Backend())
 	}
+	tiers := vec.Tiers()
+	top := tiers[len(tiers)-1]
 	plainPath, _, queries := confSetup(t, confPlain)
 	homologPath, _, _ := confSetup(t, confHomologRich)
 
@@ -335,30 +338,31 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			results := make(map[string]map[string][]byte, 2)
-			for _, backend := range []string{"native", "portable"} {
-				if backend == "portable" {
-					prev := vec.ForcePortable(true)
-					defer vec.ForcePortable(prev)
-				}
-				db, err := LoadDatabaseFile(tc.fastaPath)
-				if err != nil {
-					t.Fatalf("%s: %v", backend, err)
-				}
-				cl, err := NewCluster(db, tc.opts)
-				if err != nil {
-					t.Fatalf("%s: %v", backend, err)
-				}
-				results[backend] = confEntryPoints(t, cl, queries, tc.rep)
+			results := make(map[vec.Tier]map[string][]byte, len(tiers))
+			for _, tr := range tiers {
+				func() {
+					defer vec.CapTier(vec.CapTier(tr))
+					db, err := LoadDatabaseFile(tc.fastaPath)
+					if err != nil {
+						t.Fatalf("%v: %v", tr, err)
+					}
+					cl, err := NewCluster(db, tc.opts)
+					if err != nil {
+						t.Fatalf("%v: %v", tr, err)
+					}
+					results[tr] = confEntryPoints(t, cl, queries, tc.rep)
+				}()
 			}
 			for _, entry := range []string{"Search", "SearchBatch", "SearchScheduled", "Stream", "HTTP"} {
-				n, p := results["native"][entry], results["portable"][entry]
-				if n == nil || p == nil {
-					t.Fatalf("%s: missing surface output", entry)
-				}
-				if !bytes.Equal(n, p) {
-					t.Errorf("%s: native and portable results diverge\n--- native ---\n%s\n--- portable ---\n%s",
-						entry, truncate(n), truncate(p))
+				for _, tr := range tiers[:len(tiers)-1] {
+					n, p := results[top][entry], results[tr][entry]
+					if n == nil || p == nil {
+						t.Fatalf("%s: missing surface output", entry)
+					}
+					if !bytes.Equal(n, p) {
+						t.Errorf("%s: %v and %v results diverge\n--- %v ---\n%s\n--- %v ---\n%s",
+							entry, top, tr, top, truncate(n), tr, truncate(p))
+					}
 				}
 			}
 		})

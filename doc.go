@@ -10,7 +10,9 @@
 //     variants ({no-vec, guided-simd, intrinsic} x {query profile, score
 //     profile}), the intrinsic variants' adaptive precision ladder (an
 //     8-bit biased first pass with twice the lanes per vector word
-//     wherever the matrix fits a byte — there is nothing to select —
+//     wherever the matrix fits a byte — there is nothing to select; both
+//     profile modes look their byte scores up in-register from the query
+//     profile, a row of which fits one vector register —
 //     with saturated lanes re-packed for a 16-bit lane pass and, from
 //     there, recomputed in 32 bits; Result.Overflows8, Overflows and
 //     OverflowCells count the climb), and one
@@ -42,13 +44,15 @@
 //     bit score and E-value from a Gumbel null model fitted over the full
 //     score distribution — see ReportOptions, Hit.Alignment,
 //     Hit.Significance and WriteReport;
-//   - a native AVX2 vector backend for the kernels' SIMD primitive set
-//     (internal/vec): on amd64 hosts with AVX2 the inter-task kernels run
-//     hand-written assembly column steps (16x int16 / 32x uint8 lanes per
-//     256-bit register) selected by runtime CPU detection, with the
-//     portable pure-Go loops as the verified fallback everywhere else —
-//     set HETEROSW_VEC=portable (or build with -tags purego) to force
-//     the portable backend; both backends return bit-identical scores;
+//   - a native vector backend for the kernels' SIMD primitive set
+//     (internal/vec), in tiers selected by runtime CPU detection: on
+//     amd64 hosts with AVX2 the inter-task kernels run hand-written
+//     assembly column steps (16x int16 / 32x uint8 lanes per 256-bit
+//     register), hosts with AVX-512VBMI additionally do the byte lanes'
+//     score lookup in one vpermb, and the portable pure-Go loops are the
+//     verified fallback everywhere else — set HETEROSW_VEC=portable (or
+//     build with -tags purego) to force them, HETEROSW_VEC=avx2 to stop
+//     at AVX2; every tier returns bit-identical scores;
 //   - deterministic performance models of the paper's two devices (dual
 //     Xeon E5-2670 host, 60-core Xeon Phi) behind that planner: simulated
 //     GCUPS come from it alone, search results report the real wall-clock

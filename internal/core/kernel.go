@@ -34,13 +34,15 @@ const DefaultBlockRows = 256
 // tileBytes is the working set the real kernels give one query tile: the H
 // and E state of its rows, the slab a column step walks top to bottom once
 // per database column. It is sized for the machine that runs the code, not
-// for the modelled Phi: every tile rebuilds the score rows of every column
-// and moves a boundary row per column, so the 256-row tiles of the model
-// (8-16 KiB) pay that twenty times over for a long query, while an untiled
-// slab falls out of L2 on a very long one. Measured on the 2-core AVX2
-// host, one thread, Gcells/s at 16 KiB / 64 KiB / 256 KiB / untiled: byte
-// lanes 9.4 / 10.0 / 10.4 / 10.6 at M = 5478 and 9.3 / 9.9 / 9.9 / 8.2 at
-// M = 40000; 16-bit lanes 2.9 / 4.2 / 4.7 / 4.8 at both. 64 KiB takes most
+// for the modelled Phi: every tile moves a boundary row per column (and on
+// the 16-bit SP rung rebuilds the column's score rows), so the 256-row
+// tiles of the model (8-16 KiB) pay that twenty times over for a long
+// query, while an untiled slab falls out of L2 on a very long one.
+// Measured on the 2-core AVX2 host, one thread, Gcells/s at 16 KiB /
+// 64 KiB / 256 KiB / untiled: byte lanes 9.4 / 10.0 / 10.4 / 10.6 at
+// M = 5478 and 9.3 / 9.9 / 9.9 / 8.2 at M = 40000; 16-bit lanes 2.9 / 4.2 /
+// 4.7 / 4.8 at both (byte lanes as measured when they too built score rows
+// per column). 64 KiB takes most
 // of that and keeps the scratch a server's workers hold (resident for the
 // life of the process, see bufferPool) where it was: at 256 KiB the peak
 // RSS of a batch of long queries rose 8%.
@@ -100,7 +102,6 @@ type Buffers struct {
 	hb8, fb8  []uint8 // block boundary rows, width * lanes
 	f8, diag8 vec.U8  // lane temporaries
 	max8      vec.U8
-	sr8       *profile.ScoreRows8
 
 	// Ladder escalation (kernel_u8.go): byte lanes that saturated wait in
 	// pend[:npend] until escLanes of them fill escGroup, which runs through
@@ -152,7 +153,6 @@ func NewBuffers(lanes int) *Buffers {
 		f8:         make(vec.U8, lanes),
 		diag8:      make(vec.U8, lanes),
 		max8:       make(vec.U8, lanes),
-		sr8:        profile.NewScoreRows8(lanes),
 		laneScores: make([]int32, lanes),
 		// One group queues at most lanes saturations on top of a
 		// remainder shorter than one escalation group.

@@ -236,32 +236,29 @@ func FuzzKernelParity(f *testing.F) {
 			}
 		}
 		runSpecs("", false)
-		// On AVX2 hosts the pass above ran the native backend; replay the
-		// vectorised kernels with the portable loops forced so every input
-		// pins native == portable == oracle. Without AVX2 both passes would
-		// be identical, so the replay is skipped.
-		if vec.Native() {
-			prev := vec.ForcePortable(true)
-			runSpecs(" [portable]", true)
-			vec.ForcePortable(prev)
+		// The pass above ran the highest vec tier the host has; replay the
+		// vectorised kernels under every tier below it (the vpshufb byte
+		// lookup where the host runs vpermb, then the portable loops) so
+		// every input pins all tiers == oracle.
+		tiers := vec.Tiers()
+		for _, tr := range tiers[:len(tiers)-1] {
+			prev := vec.CapTier(tr)
+			runSpecs(" ["+tr.String()+"]", true)
+			vec.CapTier(prev)
 		}
 
 		// The long-subject kernel, on every database sequence whatever its
-		// length, natively and with the portable loops forced.
+		// length, under every tier.
 		long := make([]int32, db.Len())
-		runLong := func(tag string) {
+		for _, tr := range tiers {
+			prev := vec.CapTier(tr)
 			buf := NewBuffers(stripedLanes)
 			for i := range long {
 				var st Stats
 				long[i] = alignPairStriped(qp, db.Seq(i).Residues, p, buf, &st)
 			}
-			check("long-striped"+tag, long)
-		}
-		runLong("")
-		if vec.Native() {
-			prev := vec.ForcePortable(true)
-			runLong(" [portable]")
-			vec.ForcePortable(prev)
+			check("long-striped ["+tr.String()+"]", long)
+			vec.CapTier(prev)
 		}
 
 		// DNA leg: the same raw input mapped onto the 15-letter IUPAC
@@ -290,12 +287,22 @@ func FuzzKernelParity(f *testing.F) {
 				if s.bytes && !ladderOK {
 					continue
 				}
-				name, got := runSpec(dnaDB, dqp, s.v, s.bytes)
-				for i := range dwant {
-					if got[i] != dwant[i] {
-						t.Fatalf("dna %s (lanes=%d, q=%dnt, penalties %d/%d): seq %d (%dnt) scored %d, oracle %d",
-							name, lanes, len(dnaQuery), p.GapOpen, p.GapExtend,
-							i, dnaDB.Seq(i).Len(), got[i], dwant[i])
+				// The byte rung again under every tier: the DNA profile is
+				// the 16-wide table of the in-register lookup.
+				over := tiers[len(tiers)-1:]
+				if s.bytes {
+					over = tiers
+				}
+				for _, tr := range over {
+					prev := vec.CapTier(tr)
+					name, got := runSpec(dnaDB, dqp, s.v, s.bytes)
+					vec.CapTier(prev)
+					for i := range dwant {
+						if got[i] != dwant[i] {
+							t.Fatalf("dna %s [%v] (lanes=%d, q=%dnt, penalties %d/%d): seq %d (%dnt) scored %d, oracle %d",
+								name, tr, lanes, len(dnaQuery), p.GapOpen, p.GapExtend,
+								i, dnaDB.Seq(i).Len(), got[i], dwant[i])
+						}
 					}
 				}
 			}

@@ -30,19 +30,20 @@ var (
 	lazyFGaps = [][2]int{{10, 2}, {0, 1}, {12, 0}, {0, 0}, {1, 1}}
 )
 
-// bothBackends runs fn on the native vec backend, where the host has one,
-// and with the portable loops forced.
-func bothBackends(t *testing.T, fn func(t *testing.T)) {
+// everyTier runs fn under every vec tier the host runs: the portable loops,
+// AVX2 and, where CPUID allows, AVX2+VBMI.
+func everyTier(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	if vec.Native() {
-		t.Run(vec.Backend(), fn)
+	for _, tr := range vec.Tiers() {
+		t.Run(tr.String(), func(t *testing.T) {
+			defer vec.CapTier(vec.CapTier(tr))
+			fn(t)
+		})
 	}
-	defer vec.ForcePortable(vec.ForcePortable(true))
-	t.Run("portable", fn)
 }
 
 // checkLongKernel requires alignPairStriped == swalign.Score on every case
-// under both backends. One Buffers serves all cases of a backend, so the
+// under every tier. One Buffers serves all cases of a tier, so the
 // table also covers scratch reuse across query lengths.
 func checkLongKernel(t *testing.T, cases []longCase) {
 	t.Helper()
@@ -51,7 +52,7 @@ func checkLongKernel(t *testing.T, cases []longCase) {
 		sc := swalign.Scoring{Matrix: submat.BLOSUM62, GapOpen: c.open, GapExtend: c.extend}
 		want[i] = swalign.Score(c.query, c.subject, sc)
 	}
-	bothBackends(t, func(t *testing.T) {
+	everyTier(t, func(t *testing.T) {
 		buf := NewBuffers(stripedLanes)
 		for i, c := range cases {
 			p := Params{Variant: IntrinsicSP, GapOpen: c.open, GapExtend: c.extend}
@@ -233,7 +234,7 @@ func TestStripedEmpty(t *testing.T) {
 func TestStripedSaturationEscalation(t *testing.T) {
 	// A tryptophan self-alignment scores 11 per residue: 2978 residues
 	// stay under the int16 ceiling, 3100 clip at it and must be reported.
-	bothBackends(t, func(t *testing.T) {
+	everyTier(t, func(t *testing.T) {
 		buf := NewBuffers(stripedLanes)
 		for _, c := range []struct {
 			n   int
@@ -275,7 +276,7 @@ func TestStripedLadderMatchesOracle(t *testing.T) {
 	}
 	checkLongKernel(t, cases)
 
-	bothBackends(t, func(t *testing.T) {
+	everyTier(t, func(t *testing.T) {
 		w := sequence.FromString("q", strings.Repeat("W", 3100)).Residues
 		q := profile.NewQuery(w, submat.BLOSUM62)
 		p := ladderParams(IntrinsicSP, true, 0)
@@ -312,7 +313,7 @@ func TestStripedNoAllocs(t *testing.T) {
 	query := randProtein(rng, 375).Residues
 	subject := planted(rng, mutate(rng, query, 0.8), DefaultLongSeqThreshold+1)
 	w := sequence.FromString("w", strings.Repeat("W", 3100)).Residues
-	bothBackends(t, func(t *testing.T) {
+	everyTier(t, func(t *testing.T) {
 		buf := NewBuffers(stripedLanes)
 		for _, c := range []struct {
 			name           string

@@ -210,6 +210,17 @@ func TestStatsStructure(t *testing.T) {
 		t.Errorf("QP variant counts: Gathers=%d VecIters=%d SPBuilds=%d", st.Gathers, st.VecIters, st.SPBuilds)
 	}
 
+	// A 32-lane group starts in byte lanes, whose one score lookup is the
+	// in-register query-profile row whatever the variant: gathers, no
+	// score-row builds.
+	for _, v := range []Variant{IntrinsicSP, IntrinsicQP} {
+		p.Variant = v
+		_, st = runVariant(t, db, q, p, 32)
+		if st.Gathers != st.VecIters || st.SPBuilds != 0 {
+			t.Errorf("%v byte lanes: Gathers=%d VecIters=%d SPBuilds=%d", v, st.Gathers, st.VecIters, st.SPBuilds)
+		}
+	}
+
 	p.Variant = NoVecQP
 	_, st = runVariant(t, db, q, p, 1)
 	if st.PaddedCells != st.Cells {

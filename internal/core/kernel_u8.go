@@ -1,7 +1,6 @@
 package core
 
 import (
-	"heterosw/internal/alphabet"
 	"heterosw/internal/profile"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/vec"
@@ -67,6 +66,12 @@ func ladderSafe8(q *profile.Query, n int) bool {
 // MaxU8-Bias may have clipped: it is queued in buf, its score left at zero
 // until buf.escalate delivers it.
 //
+// The rung has one score lookup whatever the variant's profile mode: a
+// biased query-profile row (q.QP8, at most 32 letters) fits one vector
+// register, so vec.StepCol8QP indexes it in-register by the column's
+// residues and no per-column score rows are built. The variant still picks
+// the 16-bit rung's profile mode and the kernel class the planner prices.
+//
 // Callers must ensure q.Bias8Viable(); alignGroupLadder does.
 //
 //sw:hotpath
@@ -89,7 +94,6 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	bias := int32(q.Bias)
 	qr := int32(p.GapOpen + p.GapExtend)
 	r := int32(p.GapExtend)
-	isQP := p.Variant.Prof() == ProfQuery
 	safe := ladderSafe8(q, N)
 	if safe {
 		st.Safe8Groups = 1
@@ -119,11 +123,11 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	qr8 := clampU8(int(qr))
 	r8 := clampU8(int(r))
 
-	// The byte-lane op sequence (AddSatU8 diag+biased score; SubSatU8Const
-	// bias; MaxU8s with E and F; MaxIntoU8 tracker; SubSatU8Const updates
-	// of E and F) is fused into one vec column step per database column;
-	// internal/vec holds the unfused reference semantics.
-	seqBytes := alphabet.BytesView(q.Seq)
+	// The byte-lane op sequence (GatherU8 of the biased score; AddSatU8
+	// diag+score; SubSatU8Const bias; MaxU8s with E and F; MaxIntoU8
+	// tracker; SubSatU8Const updates of E and F) is fused into one vec
+	// column step per database column; internal/vec holds the unfused
+	// reference semantics.
 	for i0 := 1; i0 <= M; i0 += B {
 		i1 := i0 + B - 1
 		if i1 > M {
@@ -134,7 +138,6 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		clear(h[L : (rows+1)*L])
 		clear(e[L : (rows+1)*L])
 		clear(diagv)
-		tileSeq := seqBytes[i0-1 : i1]
 		tileQP := q.QP8[(i0-1)*q.Width:]
 		for jj := 1; jj <= N; jj++ {
 			col := g.Interleaved[(jj-1)*L : jj*L]
@@ -145,14 +148,8 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 			} else {
 				copy(fcol, fb[jj*L:jj*L+L])
 			}
-			if isQP {
-				vec.StepCol8QP(vec.U8(h[L:]), vec.U8(e[L:]), fcol, diagv, maxv,
-					tileQP, q.Width, col, rows, L, q.Bias, qr8, r8)
-			} else {
-				buf.sr8.Build(q, col)
-				vec.StepCol8SP(vec.U8(h[L:]), vec.U8(e[L:]), fcol, diagv, maxv,
-					buf.sr8.Raw(), tileSeq, rows, L, q.Bias, qr8, r8)
-			}
+			vec.StepCol8QP(vec.U8(h[L:]), vec.U8(e[L:]), fcol, diagv, maxv,
+				tileQP, q.Width, col, rows, L, q.Bias, qr8, r8)
 			// The next column's diagonal is H of the row above the tile at
 			// this column: row 0 of the matrix, all zero, above the first.
 			if first {
@@ -189,11 +186,7 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	st.VecIters = int64(M) * int64(N)
 	st.PaddedCells = st.VecIters * int64(L)
 	st.Columns = int64(N)
-	if isQP {
-		st.Gathers = st.VecIters
-	} else {
-		st.SPBuilds = st.Columns
-	}
+	st.Gathers = st.VecIters
 	return st
 }
 

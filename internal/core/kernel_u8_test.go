@@ -74,7 +74,8 @@ func TestLadderMatchesOracle(t *testing.T) {
 // of many tiles (7, 1) — over a padded last lane group, with a lane that
 // reaches the byte rail only in the query's last rows, far from the first
 // tile (TestLadderEscalationTiers does the same to the int16 rail, a dozen
-// 256-row tiles down).
+// 256-row tiles down). Replayed under every vec tier: the seam traffic is
+// the same, the byte rung's score lookup is not.
 func TestTileSeams(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
 	// 41 subjects leave 23 padding lanes in the second 32-lane group. The
@@ -95,24 +96,26 @@ func TestTileSeams(t *testing.T) {
 	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
 	want := oracleScores(db, query.Residues)
 	m := query.Len()
-	for _, bytes := range []bool{true, false} {
-		for _, v := range []Variant{IntrinsicQP, IntrinsicSP} {
-			for _, rows := range []int{1, m - 1, m, m + 1, 7} {
-				got, st := runRung(db, q, ladderParams(v, true, rows), 32, bytes)
-				for i := range want {
-					if int(got[i]) != want[i] {
-						t.Fatalf("%v from bytes=%v, %d-row tiles: seq %d score %d, want %d",
-							v, bytes, rows, i, got[i], want[i])
+	everyTier(t, func(t *testing.T) {
+		for _, bytes := range []bool{true, false} {
+			for _, v := range []Variant{IntrinsicQP, IntrinsicSP} {
+				for _, rows := range []int{1, m - 1, m, m + 1, 7} {
+					got, st := runRung(db, q, ladderParams(v, true, rows), 32, bytes)
+					for i := range want {
+						if int(got[i]) != want[i] {
+							t.Fatalf("%v from bytes=%v, %d-row tiles: seq %d score %d, want %d",
+								v, bytes, rows, i, got[i], want[i])
+						}
 					}
-				}
-				// Only the byte rung escalates, and only the planted lane.
-				if (st.Overflows8 == 1) != bytes || st.Overflows != 0 {
-					t.Fatalf("%v from bytes=%v, %d-row tiles: escalations %d/%d",
-						v, bytes, rows, st.Overflows8, st.Overflows)
+					// Only the byte rung escalates, and only the planted lane.
+					if (st.Overflows8 == 1) != bytes || st.Overflows != 0 {
+						t.Fatalf("%v from bytes=%v, %d-row tiles: escalations %d/%d",
+							v, bytes, rows, st.Overflows8, st.Overflows)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // What decides byte lanes: a byte-viable matrix and a lane width of whole
@@ -166,7 +169,7 @@ func TestLadderFirstRung(t *testing.T) {
 	// A query without byte profiles (a matrix range wider than a byte; the
 	// int8 matrices of internal/submat never are): 16-bit first.
 	wq := *q
-	wq.Ext8, wq.QP8 = nil, nil
+	wq.QP8 = nil
 	got, st := runVariantQuiet(db, &wq, p, 32)
 	if got[0] != 253 || st.Overflows8 != 0 || st.Safe8Groups != 0 {
 		t.Fatalf("no byte profiles: score %d Overflows8=%d Safe8Groups=%d", got[0], st.Overflows8, st.Safe8Groups)
@@ -283,7 +286,7 @@ func TestLadderHomologRich(t *testing.T) {
 			cases = append(cases, c)
 		}
 	}
-	bothBackends(t, func(t *testing.T) {
+	everyTier(t, func(t *testing.T) {
 		for _, c := range cases {
 			for d, dev := range []*device.Model{device.Xeon(), device.Phi()} {
 				e, err := NewEngine(c.db, dev)
@@ -366,7 +369,7 @@ func TestLadderEscalationNoAllocs(t *testing.T) {
 	query := randProtein(rng, 90)
 	db := plantedDB(rng, query, 50, 20)
 	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
-	bothBackends(t, func(t *testing.T) {
+	everyTier(t, func(t *testing.T) {
 		for _, v := range []Variant{IntrinsicSP, IntrinsicQP} {
 			p := ladderParams(v, false, 0)
 			groups := db.Groups(32)

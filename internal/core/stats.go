@@ -18,10 +18,11 @@ type Stats struct {
 	// Columns counts database-column passes (outer-loop iterations).
 	Columns int64
 	// SPBuilds counts score-profile row constructions (one per column per
-	// group in SP mode; each builds TableWidth lane vectors).
+	// group in SP mode; each builds TableWidth lane vectors). Byte-lane
+	// groups never build score rows.
 	SPBuilds int64
 	// Gathers counts indexed score loads (one per inner iteration in QP
-	// mode).
+	// mode, and of every byte-lane group whatever the mode).
 	Gathers int64
 	// Groups counts lane groups processed.
 	Groups int64

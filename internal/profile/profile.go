@@ -9,6 +9,10 @@
 //     rebuilt as the kernel advances through the database group so the inner
 //     loop performs a single contiguous vector load.
 //
+// The 16-bit kernels run either; the byte lanes of the precision ladder's
+// first rung read only the biased uint8 query profile (Query.QP8), whose
+// rows fit one vector register and are looked up in-register.
+//
 // Both layouts are extended with a padding pseudo-residue used by the
 // inter-task kernels to neutralise the tails of lanes shorter than their
 // group: the pad scores so negatively that padded cells can never raise a
@@ -66,18 +70,16 @@ type Query struct {
 
 	// Bias is the unsigned-byte score bias of the 8-bit first pass:
 	// max(0, -Matrix.Min()), so every biased substitution score is
-	// non-negative. QP8 and Ext8 are the biased uint8 mirrors of QP and
-	// Ext; padding entries hold 0 (an effective score of -Bias, which can
-	// never raise a lane maximum). They are nil when the matrix range does
-	// not fit a byte (Bias8Viable false), in which case the ladder starts
-	// at 16 bits.
+	// non-negative. QP8 is the biased uint8 mirror of QP; padding entries
+	// hold 0 (an effective score of -Bias, which can never raise a lane
+	// maximum). It is nil when the matrix range does not fit a byte
+	// (Bias8Viable false), in which case the ladder starts at 16 bits.
 	Bias uint8
 	QP8  []uint8
-	Ext8 []uint8
 }
 
-// Bias8Viable reports whether the 8-bit biased profiles were built.
-func (q *Query) Bias8Viable() bool { return q.Ext8 != nil }
+// Bias8Viable reports whether the 8-bit biased profile was built.
+func (q *Query) Bias8Viable() bool { return q.QP8 != nil }
 
 // ByteBias returns the bias that makes every score of m non-negative,
 // max(0, -m.Min()), and whether the biased range fits a byte. It is what a
@@ -94,9 +96,9 @@ func ByteBias(m *submat.Matrix) (bias int, ok bool) {
 // profile tables carry past their logical length, so the native vector
 // backend's wide loads may over-read: vpgatherdd fetches a dword per
 // 16-bit entry (one element of over-read at the table end), and the 8-bit
-// shuffle lookup loads each Width-element row as 16-byte chunks (up to
-// 32-Width bytes past the final row — 32 covers every alphabet down to a
-// one-letter one). internal/vec dispatches its gathering paths only when
+// in-register lookup loads each Width-element row as a full 32 bytes (up
+// to 32-Width bytes past the final row — 32 covers every alphabet down to
+// a one-letter one). internal/vec dispatches its gathering paths only when
 // the backing array has this headroom (checked via cap), so the padding
 // here is what makes the native QP and SP-build paths eligible.
 const (
@@ -140,26 +142,27 @@ func NewQuery(seq []alphabet.Code, m *submat.Matrix) *Query {
 	return q
 }
 
-// buildBias8 derives the biased uint8 profiles of the ladder's 8-bit first
-// pass. Every real substitution score s is stored as s+Bias (non-negative
-// by construction); padding entries store 0, the strongest representable
-// penalty. The build is skipped when the matrix range does not fit a byte.
+// buildBias8 derives the biased uint8 query profile of the ladder's 8-bit
+// first pass. Every real substitution score s is stored as s+Bias
+// (non-negative by construction); padding entries store 0, the strongest
+// representable penalty. The build is skipped when the matrix range does
+// not fit a byte.
 func (q *Query) buildBias8() {
 	bias, ok := ByteBias(q.Matrix)
 	if !ok {
 		return // ladder starts at 16 bits
 	}
 	q.Bias = uint8(bias)
-	q.Ext8 = padded8(len(q.Ext))
+	ext8 := make([]uint8, len(q.Ext))
 	for i, s := range q.Ext {
 		if int(s) == PadScore {
 			continue // padding stays 0
 		}
-		q.Ext8[i] = uint8(int(s) + bias)
+		ext8[i] = uint8(int(s) + bias)
 	}
 	q.QP8 = padded8(len(q.QP))
-	for i := range q.Seq {
-		copy(q.QP8[i*q.Width:(i+1)*q.Width], q.Ext8[int(q.Seq[i])*q.Width:(int(q.Seq[i])+1)*q.Width])
+	for i, r := range q.Seq {
+		copy(q.QP8[i*q.Width:(i+1)*q.Width], ext8[int(r)*q.Width:(int(r)+1)*q.Width])
 	}
 }
 
@@ -228,36 +231,3 @@ func (sr *ScoreRows) Row(e int) vec.I16 {
 // built query), the form the fused column kernels in internal/vec consume
 // directly.
 func (sr *ScoreRows) Raw() []int16 { return sr.rows }
-
-// ScoreRows8 is the biased uint8 score-profile scratch of the ladder's
-// 8-bit first pass, laid out exactly like ScoreRows.
-type ScoreRows8 struct {
-	lanes int
-	rows  []uint8 // Width * lanes of the last built query
-}
-
-// NewScoreRows8 allocates 8-bit score-profile scratch for a lane count.
-func NewScoreRows8(lanes int) *ScoreRows8 {
-	return &ScoreRows8{lanes: lanes, rows: make([]uint8, TableWidth*lanes)}
-}
-
-// Build fills the biased score rows for the current column's lane residues
-// from the query's Ext8 table; only valid when q.Bias8Viable().
-//
-//sw:hotpath
-func (sr *ScoreRows8) Build(q *Query, residues []uint8) {
-	n := q.Width * sr.lanes
-	if cap(sr.rows) < n {
-		sr.rows = make([]uint8, n)
-	}
-	sr.rows = sr.rows[:n]
-	vec.BuildRows8(sr.rows, q.Ext8, residues, q.Width, sr.lanes, q.Width)
-}
-
-// Row returns the L-lane biased score vector for query residue index e.
-func (sr *ScoreRows8) Row(e int) vec.U8 {
-	return vec.U8(sr.rows[int(e)*sr.lanes : (int(e)+1)*sr.lanes])
-}
-
-// Raw exposes the packed biased row table (stride Lanes, Width rows).
-func (sr *ScoreRows8) Raw() []uint8 { return sr.rows }

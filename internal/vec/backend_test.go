@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 // The differential suite: every native routine must be lane-exact against
 // its portable generic on adversarial inputs (saturation rails, negatives,
 // zero, full-range randoms) at every register-multiple width. Skipped
-// where the host has no AVX2 backend.
+// where no assembly tier is selected.
 
 func requireNative(t *testing.T) {
 	t.Helper()
@@ -318,6 +319,8 @@ func (s *stepState8) diff(t *testing.T, op string, o *stepState8) {
 	eqU8(t, op+" maxv", s.maxv, o.maxv)
 }
 
+// TestNativeStepCol8 covers the score-profile byte step; the query-profile
+// one, the kernel the ladder runs, has TestStepCol8QPTiers.
 func TestNativeStepCol8(t *testing.T) {
 	requireNative(t)
 	rng := rand.New(rand.NewSource(64))
@@ -340,23 +343,48 @@ func TestNativeStepCol8(t *testing.T) {
 				stepCol8SPGeneric(generic.h, generic.e, generic.f, generic.diag, generic.maxv,
 					score, seq, rows, lanes, bias, qr, r)
 				native.diff(t, "stepCol8SP", generic)
-
-				qp := make([]uint8, rows*testStride, (rows-1)*testStride+32)
-				for i := range qp {
-					qp[i] = uint8(rng.Intn(256))
-				}
-				col := make([]uint8, lanes)
-				for i := range col {
-					col[i] = uint8(rng.Intn(testStride))
-				}
-				native, generic = st.clone(), st.clone()
-				stepCol8QP(&native.h[0], &native.e[0], &native.f[0], &native.diag[0], &native.maxv[0],
-					&qp[0], testStride, &col[0], rows, lanes, int(bias), int(qr), int(r))
-				stepCol8QPGeneric(generic.h, generic.e, generic.f, generic.diag, generic.maxv,
-					qp, testStride, col, rows, lanes, bias, qr, r)
-				native.diff(t, "stepCol8QP", generic)
 			}
 		}
+	}
+}
+
+// TestStepCol8QPTiers replays the byte rung's one kernel through its
+// exported entry point under every tier the host runs — the portable loop,
+// the vpshufb pair and, where CPUID allows, the vpermb body — against the
+// generic reference. Table widths cover the protein profile (25), a full
+// register (32) and the DNA profile (16); the first lanes of every column
+// pin the indices at the edges of the two 16-byte halves; and each profile
+// has exactly the capacity the wrapper demands, so the last row's 32-byte
+// load ends flush with the backing array.
+func TestStepCol8QPTiers(t *testing.T) {
+	for _, tr := range Tiers() {
+		t.Run(tr.String(), func(t *testing.T) {
+			defer CapTier(CapTier(tr))
+			rng := rand.New(rand.NewSource(67))
+			for _, stride := range []int{16, 25, 32} {
+				for _, lanes := range []int{32, 64, 128} {
+					for _, rows := range []int{1, 2, 7, 33} {
+						for trial := 0; trial < 10; trial++ {
+							st := randStep8(rng, rows, lanes)
+							bias, qr, r := uint8(rng.Intn(32)), uint8(rng.Intn(256)), uint8(rng.Intn(64))
+							qp := make([]uint8, rows*stride, (rows-1)*stride+32)
+							for i := range qp {
+								qp[i] = uint8(rng.Intn(256))
+							}
+							col := make([]uint8, lanes)
+							for i := range col {
+								col[i] = uint8(rng.Intn(stride))
+							}
+							copy(col, []uint8{0, 15, uint8(min(16, stride-1)), uint8(stride - 1)})
+							got, want := st.clone(), st.clone()
+							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, bias, qr, r)
+							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, bias, qr, r)
+							got.diff(t, fmt.Sprintf("StepCol8QP stride=%d", stride), want)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -382,17 +410,6 @@ func TestNativeBuildRows(t *testing.T) {
 				buildRows16Generic(want, table, idx, nrows, lanes, testStride)
 				eqI16(t, "buildRows16", got, want)
 			}
-			if lanes%32 == 0 {
-				table := make([]uint8, nrows*testStride, (nrows-1)*testStride+32)
-				for i := range table {
-					table[i] = uint8(rng.Intn(256))
-				}
-				got := make([]uint8, nrows*lanes)
-				want := make([]uint8, nrows*lanes)
-				buildRows8(&got[0], &table[0], &idx[0], nrows, lanes, testStride)
-				buildRows8Generic(want, table, idx, nrows, lanes, testStride)
-				eqU8(t, "buildRows8", got, want)
-			}
 		}
 	}
 }
@@ -407,19 +424,23 @@ func TestDispatchFallbacks(t *testing.T) {
 	if native8(31) || native8(33) || native8(0) {
 		t.Fatal("native8 accepted a non-multiple-of-32 width")
 	}
-	prev := ForcePortable(true)
+	prev := CapTier(TierPortable)
 	if native16(16) || native8(32) {
-		t.Fatal("forced-portable override did not disable native dispatch")
+		t.Fatal("portable cap did not disable native dispatch")
 	}
-	if Backend() != "portable" || Native() {
-		t.Fatal("Backend()/Native() disagree with the forced override")
+	if Backend() != "portable" || Native() || len(Tiers()) != 1 {
+		t.Fatal("Backend()/Native()/Tiers() disagree with the portable cap")
 	}
-	if !Info().Forced {
-		t.Fatal("Info().Forced false under override")
+	if Info().Forced != (hostTier != TierPortable) {
+		t.Fatal("Info().Forced does not report the cap")
 	}
-	if got := ForcePortable(prev); got != true {
-		t.Fatal("ForcePortable did not report the previous override")
+	if got := CapTier(TierAVX2); got != TierPortable {
+		t.Fatal("CapTier did not report the previous cap")
 	}
+	if want := min(hostTier, TierAVX2); tier() != want || Backend() != want.String() {
+		t.Fatalf("capped at avx2 the host runs %q, want %q", Backend(), want)
+	}
+	CapTier(prev)
 }
 
 // TestForcedPortableParityExported runs a sample of exported entry points
@@ -431,16 +452,61 @@ func TestForcedPortableParityExported(t *testing.T) {
 	nat, port := make(I16, 64), make(I16, 64)
 
 	AddSat(nat, a, b)
-	prev := ForcePortable(true)
+	prev := CapTier(TierPortable)
 	AddSat(port, a, b)
-	ForcePortable(prev)
+	CapTier(prev)
 	eqI16(t, "AddSat backends", nat, port)
 
 	au, bu := railsU8(rng, 64), railsU8(rng, 64)
 	natu, portu := make(U8, 64), make(U8, 64)
 	AddSatU8(natu, au, bu)
-	prev = ForcePortable(true)
+	prev = CapTier(TierPortable)
 	AddSatU8(portu, au, bu)
-	ForcePortable(prev)
+	CapTier(prev)
 	eqU8(t, "AddSatU8 backends", natu, portu)
+}
+
+// BenchmarkStepCol8QP times the byte rung's one kernel, a 32-lane column
+// step over a protein-width profile, under every tier the host runs and at
+// serving (30, 75, 120 rows) and tile-filling (1000) query lengths: the
+// vec-layer roof the lane-group and search benchmarks are read against.
+// One iteration sweeps the 2,048 columns often enough (after a warm-up
+// sweep) that CI's single -benchtime=1x sample times milliseconds of work.
+func BenchmarkStepCol8QP(b *testing.B) {
+	const lanes, columns = 32, 2048
+	rng := rand.New(rand.NewSource(69))
+	cols := make([]uint8, columns*lanes)
+	for i := range cols {
+		cols[i] = uint8(rng.Intn(testStride))
+	}
+	for _, tr := range Tiers() {
+		for _, rows := range []int{30, 75, 120, 1000} {
+			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
+				defer CapTier(CapTier(tr))
+				st := randStep8(rng, rows, lanes)
+				qp := make([]uint8, rows*testStride, (rows-1)*testStride+32)
+				for i := range qp {
+					qp[i] = uint8(rng.Intn(16))
+				}
+				sweep := func() {
+					for c := 0; c < columns; c++ {
+						StepCol8QP(st.h, st.e, st.f, st.diag, st.maxv, qp, testStride, cols[c*lanes:(c+1)*lanes], rows, lanes, 4, 12, 2)
+					}
+				}
+				budget := 1 << 26 // cells per iteration
+				if tr == TierPortable {
+					budget = 1 << 22
+				}
+				sweeps := max(1, budget/(rows*lanes*columns))
+				sweep()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for s := 0; s < sweeps; s++ {
+						sweep()
+					}
+				}
+				b.ReportMetric(float64(b.N)*float64(sweeps*rows*lanes*columns)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+			})
+		}
+	}
 }

@@ -5,111 +5,137 @@ import (
 	"sync/atomic"
 )
 
-// Backend selection. The package ships two implementations of every
-// primitive: the portable pure-Go loops (the verified reference, and the
-// only implementation on non-amd64 hosts or under the purego build tag)
-// and hand-written AVX2 assembly in vec_amd64.s. The assembly is selected
-// per call when
+// Backend selection. The package ships the portable pure-Go loops (the
+// verified reference, and the only implementation on non-amd64 hosts or
+// under the purego build tag) and hand-written assembly in vec_amd64.s,
+// in tiers ordered so that a host that runs one runs every tier below it:
+//
+//	portable   pure Go
+//	avx2       every primitive and fused column kernel over 256-bit registers
+//	avx2+vbmi  the same, with the byte query-profile lookup of StepCol8QP
+//	           as one vpermb instead of a vpshufb pair (AVX-512VBMI+VL)
+//
+// The highest tier the host supports (CPUID + XGETBV, checked once at
+// process start) is selected per call when
 //
 //   - the binary was built with the native backend compiled in
 //     (GOARCH=amd64 and no purego tag),
-//   - the host CPU and OS support AVX2 (CPUID + XGETBV, checked once at
-//     process start),
-//   - the portable override is off (HETEROSW_VEC=portable in the
-//     environment, or ForcePortable(true) from a test), and
+//   - no lower cap is set (HETEROSW_VEC=portable or =avx2 in the
+//     environment, or CapTier from a test), and
 //   - the lane count is a whole number of 256-bit registers (16 int16 or
 //     32 uint8 lanes); odd widths always take the portable loops.
 //
-// The two backends are lane-exact: every assembly routine computes the
-// same saturating two's-complement results as the Go reference, so kernel
+// The tiers are lane-exact: every assembly routine computes the same
+// saturating two's-complement results as the Go reference, so kernel
 // output is byte-identical whichever is selected. That property is pinned
 // by the differential tests in this package, by core's FuzzKernelParity
-// (which replays the intrinsic kernels under both backends) and by the
-// repository's cross-backend conformance test.
+// (which replays the intrinsic kernels under every tier the host runs) and
+// by the repository's cross-backend conformance test.
 
-// EnvPortable is the environment variable consulted once at process
-// start: set HETEROSW_VEC=portable to force the pure-Go backend even on
-// AVX2-capable hosts (benchmark baselines, fallback-path CI legs).
-const EnvPortable = "HETEROSW_VEC"
+// Tier identifies a backend tier.
+type Tier int32
+
+const (
+	TierPortable Tier = iota
+	TierAVX2
+	TierVBMI
+)
+
+var tierNames = [...]string{"portable", "avx2", "avx2+vbmi"}
+
+func (t Tier) String() string { return tierNames[t] }
+
+// EnvTier is the environment variable consulted once at process start:
+// HETEROSW_VEC=portable forces the pure-Go backend and HETEROSW_VEC=avx2
+// stops at the AVX2 tier, whatever the host supports (benchmark baselines,
+// CI legs for the tiers below the runner's own).
+const EnvTier = "HETEROSW_VEC"
 
 var (
-	// hasAVX2 is fixed at init: the binary has the assembly compiled in
-	// and the host CPU+OS can execute it.
-	hasAVX2 bool
-	// forcedPortable is the runtime override. Atomic so tests can flip
-	// backends while kernels run on other goroutines (conformance and
-	// parity tests); reads on the hot path are plain loads on amd64.
-	forcedPortable atomic.Bool
+	// hostTier is fixed at init: the highest tier the binary has compiled
+	// in and the host CPU+OS can execute.
+	hostTier Tier
+	// tierCap is the runtime override. Atomic so tests can switch tiers
+	// while kernels run on other goroutines (conformance and parity
+	// tests); reads on the hot path are plain loads on amd64.
+	tierCap atomic.Int32
 )
 
 func init() {
-	hasAVX2 = asmSupported && detectNative()
-	if os.Getenv(EnvPortable) == "portable" {
-		forcedPortable.Store(true)
+	if asmSupported {
+		hostTier = detectTier()
+	}
+	tierCap.Store(int32(TierVBMI))
+	env := os.Getenv(EnvTier)
+	for t, name := range tierNames {
+		if env == name {
+			tierCap.Store(int32(t))
+		}
 	}
 }
 
-// enabled reports whether the native backend is selected right now.
-func enabled() bool { return hasAVX2 && !forcedPortable.Load() }
+// tier returns the tier selected right now.
+func tier() Tier { return min(hostTier, Tier(tierCap.Load())) }
 
 // native16 reports whether a call over n int16 lanes dispatches to the
-// AVX2 backend. With asmSupported a compile-time false (non-amd64 or
-// purego), the whole test folds away.
-func native16(n int) bool { return asmSupported && n >= 16 && n&15 == 0 && enabled() }
+// assembly. With asmSupported a compile-time false (non-amd64 or purego),
+// the whole test folds away.
+func native16(n int) bool { return asmSupported && n >= 16 && n&15 == 0 && Native() }
 
 // native8 is native16 for uint8 lanes (32 per 256-bit register).
-func native8(n int) bool { return asmSupported && n >= 32 && n&31 == 0 && enabled() }
+func native8(n int) bool { return asmSupported && n >= 32 && n&31 == 0 && Native() }
 
-// Native reports whether the AVX2 backend is currently selected for
+// Native reports whether an assembly tier is currently selected for
 // register-width lane counts.
-func Native() bool { return enabled() }
+func Native() bool { return tier() != TierPortable }
 
-// Backend names the currently selected backend: "avx2" or "portable".
-func Backend() string {
-	if enabled() {
-		return "avx2"
-	}
-	return "portable"
+// Backend names the currently selected tier: "portable", "avx2" or
+// "avx2+vbmi".
+func Backend() string { return tier().String() }
+
+// Tiers lists the tiers selectable right now, lowest first up to the
+// selected one, for tests and benchmarks that replay a kernel under each
+// (a process started under HETEROSW_VEC never runs a tier above it).
+func Tiers() []Tier {
+	return []Tier{TierPortable, TierAVX2, TierVBMI}[:tier()+1]
 }
 
-// ForcePortable switches the portable backend on or off at runtime and
-// returns the previous override, so tests can restore it:
+// CapTier caps the selected tier at runtime and returns the previous cap,
+// so tests can restore it:
 //
-//	defer vec.ForcePortable(vec.ForcePortable(true))
+//	defer vec.CapTier(vec.CapTier(vec.TierPortable))
 //
-// Forcing portable is always honoured; ForcePortable(false) re-enables
-// the native backend only where the host supports it.
-func ForcePortable(force bool) bool {
-	return forcedPortable.Swap(force)
-}
+// A cap only ever lowers the selection: capping above what the host
+// supports runs the host's own tier.
+func CapTier(t Tier) Tier { return Tier(tierCap.Swap(int32(t))) }
 
 // BackendInfo describes the selected vector backend, for surfacing in
 // health endpoints and benchmark artifacts so performance numbers are
 // attributable to real or emulated lanes.
 type BackendInfo struct {
-	// Backend is "avx2" or "portable".
+	// Backend is the tier that runs: "portable", "avx2" or "avx2+vbmi".
 	Backend string `json:"backend"`
-	// AVX2 reports host capability (true even when the portable override
-	// masks it).
+	// AVX2 reports host capability (true even when a cap masks it).
 	AVX2 bool `json:"avx2"`
-	// Forced reports an active portable override (env var or
-	// ForcePortable).
+	// Forced reports an active cap below the host's tier (env var or
+	// CapTier).
 	Forced bool `json:"forced"`
 	// Lanes16 and Lanes8 are the native register lane counts the selected
-	// backend executes per instruction: 16/32 under AVX2, 0 for the
-	// portable loops (which have no fixed hardware width).
+	// backend executes per instruction: 16/32 under both assembly tiers, 0
+	// for the portable loops (which have no fixed hardware width).
 	Lanes16 int `json:"lanes16"`
 	Lanes8  int `json:"lanes8"`
 }
 
 // Info snapshots the backend selection.
 func Info() BackendInfo {
+	t := tier()
 	info := BackendInfo{
-		Backend: Backend(),
-		AVX2:    hasAVX2,
-		Forced:  forcedPortable.Load(),
+		Backend: t.String(),
+		AVX2:    hostTier >= TierAVX2,
+		Forced:  t < hostTier,
 	}
-	if enabled() {
+	if t != TierPortable {
 		info.Lanes16, info.Lanes8 = 16, 32
 	}
 	return info
@@ -118,12 +144,12 @@ func Info() BackendInfo {
 // String renders the selection as a one-line summary for startup logs.
 func (b BackendInfo) String() string {
 	switch {
-	case b.Backend == "avx2":
+	case b.Backend == TierVBMI.String():
+		return "avx2+vbmi (16x int16 / 32x uint8 lanes per register; vpermb byte lookup)"
+	case b.Backend == TierAVX2.String():
 		return "avx2 (16x int16 / 32x uint8 lanes per register)"
-	case b.Forced && b.AVX2:
+	case b.Forced:
 		return "portable (pure Go; avx2 available but overridden)"
-	case b.AVX2:
-		return "portable (pure Go)"
 	default:
 		return "portable (pure Go; host lacks AVX2 or binary built without it)"
 	}

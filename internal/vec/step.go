@@ -28,11 +28,14 @@ package vec
 // The SP forms read the column's score profile (row stride = lanes) with
 // the row selected by the query residue seq[ri]; the QP forms read the
 // query profile (row stride = stride, row ri at qp[ri*stride:]) indexed by
-// the column residues col[l]. The native QP and BuildRows paths use true
-// vector gathers / in-register shuffles that read a few bytes past the
-// last table row; they dispatch only when the table's backing array has
-// the spare capacity (internal/profile over-allocates its tables for
-// exactly this), and fall back to the portable loops otherwise.
+// the column residues col[l]. The byte rung of core's precision ladder runs
+// StepCol8QP only: a profile row of up to 32 letters fits one register, so
+// the lookup is an in-register permute with no per-column table to build.
+// The native QP and BuildRows16 paths use true vector gathers / in-register
+// shuffles that read a few bytes past the last table row; they dispatch
+// only when the table's backing array has the spare capacity
+// (internal/profile over-allocates its tables for exactly this), and fall
+// back to the portable loops otherwise.
 
 // StepCol16SP advances one database column of the 16-bit score-profile
 // kernel. score is the column's score-row table (stride lanes) and seq the
@@ -173,6 +176,11 @@ func stepCol16QPGeneric(h, e, f, diag, maxv I16, qp []int16, stride int, col []u
 // saturates at the unsigned floor. bias, qr and r are pre-clamped to the
 // byte range by the caller (a penalty >= 255 zeroes any byte lane, so
 // clamping is exact).
+//
+// No kernel in this repository calls it any more (the byte rung looks its
+// scores up with StepCol8QP); it stays exported and unchanged because
+// bench/ladder times it as the vec.stepcol8sp_gcells_s rung. ROADMAP item 1
+// re-points that rung and deletes this.
 func StepCol8SP(h, e, f, diag, maxv U8, score []uint8, seq []uint8, rows, lanes int, bias, qr, r uint8) {
 	if rows <= 0 {
 		return
@@ -238,18 +246,23 @@ func stepCol8SPGeneric(h, e, f, diag, maxv U8, score []uint8, seq []uint8, rows,
 }
 
 // StepCol8QP advances one database column of the 8-bit biased
-// query-profile kernel. The native path replaces the per-lane gather with
-// two in-register vpshufb table lookups (profile rows fit two 16-byte
-// halves when stride <= 32), loading each row with a pair of 16-byte
-// broadcasts that read up to 32 bytes from the row start; it requires
-// stride <= 32, every col[l] < stride, and cap(qp) >= (rows-1)*stride+32,
-// falling back to the portable loop otherwise.
+// query-profile kernel. The native paths replace the per-lane gather with
+// an in-register table lookup (profile rows fit one 32-byte register when
+// stride <= 32): one vpermb on the avx2+vbmi tier; on the avx2 tier two
+// vpshufb over the row's 16-byte halves, blended. Both read 32 bytes from
+// each row start and require stride <= 32, every col[l] < stride, and
+// cap(qp) >= (rows-1)*stride+32, falling back to the portable loop
+// otherwise.
 func StepCol8QP(h, e, f, diag, maxv U8, qp []uint8, stride int, col []uint8, rows, lanes int, bias, qr, r uint8) {
 	if rows <= 0 {
 		return
 	}
 	if native8(lanes) && stride <= 32 && cap(qp) >= (rows-1)*stride+32 {
-		stepCol8QP(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))
+		if tier() == TierVBMI {
+			stepCol8QPVBMI(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))
+		} else {
+			stepCol8QP(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))
+		}
 		return
 	}
 	stepCol8QPGeneric(h, e, f, diag, maxv, qp, stride, col, rows, lanes, bias, qr, r)
@@ -325,27 +338,6 @@ func BuildRows16(dst, table []int16, idx []uint8, nrows, lanes, stride int) {
 func buildRows16Generic(dst, table []int16, idx []uint8, nrows, lanes, stride int) {
 	// Walk lane-major: each lane copies one strided column of the table,
 	// the transposition the real SP code performs with vector inserts.
-	for l, d := range idx[:lanes] {
-		src := table[int(d):]
-		for e := 0; e < nrows; e++ {
-			dst[e*lanes+l] = src[e*stride]
-		}
-	}
-}
-
-// BuildRows8 is BuildRows16 over biased uint8 tables, using the vpshufb
-// two-half lookup; the native path requires stride <= 32, idx values <
-// stride, and cap(table) >= (nrows-1)*stride+32.
-func BuildRows8(dst, table, idx []uint8, nrows, lanes, stride int) {
-	if native8(lanes) && stride <= 32 && cap(table) >= (nrows-1)*stride+32 {
-		buildRows8(&dst[0], &table[0], &idx[0], nrows, lanes, stride)
-		return
-	}
-	buildRows8Generic(dst, table, idx, nrows, lanes, stride)
-}
-
-//sw:hotpath
-func buildRows8Generic(dst, table, idx []uint8, nrows, lanes, stride int) {
 	for l, d := range idx[:lanes] {
 		src := table[int(d):]
 		for e := 0; e < nrows; e++ {

@@ -2,17 +2,20 @@
 
 package vec
 
-// asmSupported marks binaries with the AVX2 backend compiled in; the
+// asmSupported marks binaries with the assembly backend compiled in; the
 // runtime CPU check still gates execution.
 const asmSupported = true
 
-// detectNative reports whether the host CPU and OS can execute the AVX2
-// backend: CPUID advertises AVX2 and OSXSAVE, and XGETBV confirms the OS
-// saves the full YMM state on context switch.
-func detectNative() bool {
+// detectTier reports the highest tier the host CPU and OS can execute.
+// AVX2: CPUID advertises AVX2 and OSXSAVE, and XGETBV confirms the OS
+// saves the full YMM state on context switch. VBMI on top of that:
+// AVX512F/BW/VL/VBMI, and the OS saves opmask and ZMM state too — an
+// EVEX-encoded instruction faults without it even when, as here, it only
+// touches ymm registers.
+func detectTier() Tier {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return TierPortable
 	}
 	_, _, ecx1, _ := cpuidex(1, 0)
 	const (
@@ -20,14 +23,21 @@ func detectNative() bool {
 		avxBit     = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return TierPortable
 	}
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 { // XMM and YMM state enabled by the OS
-		return false
+		return TierPortable
 	}
-	_, ebx7, _, _ := cpuidex(7, 0)
-	return ebx7&(1<<5) != 0 // AVX2
+	_, ebx7, ecx7, _ := cpuidex(7, 0)
+	if ebx7&(1<<5) == 0 { // AVX2
+		return TierPortable
+	}
+	const avx512FBWVL = 1<<16 | 1<<30 | 1<<31
+	if ebx7&avx512FBWVL != avx512FBWVL || ecx7&(1<<1) == 0 || xcr0&0xE6 != 0xE6 {
+		return TierAVX2
+	}
+	return TierVBMI
 }
 
 // cpuidex executes CPUID with the given leaf and subleaf.
@@ -122,7 +132,7 @@ func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lane
 func stepCol8QP(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
 
 //go:noescape
-func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int)
+func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
 
 //go:noescape
-func buildRows8(dst, table, idx *uint8, nrows, lanes, stride int)
+func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int)

@@ -1,6 +1,7 @@
 //go:build amd64 && !purego
 
-// AVX2 backend for the vec primitive set and the fused column kernels.
+// AVX2 backend for the vec primitive set and the fused column kernels,
+// plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI).
 //
 // Every routine computes bit-identical results to the portable Go loops in
 // vec.go / step.go; the differential tests in this package and core's
@@ -14,6 +15,7 @@
 //   VPCMPGTW Yb, Ya, Yd      d = (a > b)
 //   VPSHUFB  Yctl, Ysrc, Yd  d = shuffle(src, ctl)
 //   VPBLENDVB Ym, Yb, Ya, Yd d = m ? b : a
+//   VPERMB   tbl, Yidx, Yd    d[i] = tbl[idx[i] & 31]
 //   VPACKUSDW Yb, Ya, Yd     per 128-bit lane: [a words, b words]
 
 #include "textflag.h"
@@ -652,7 +654,9 @@ rowloop:
 // wrapper-checked spare capacity), then vpshufb looks up idx in the low
 // half and idx-16 in the high half (indices with the sign bit set shuffle
 // to zero), and vpblendvb selects by idx > 15. Y10 idx, Y11 idx-16,
-// Y12 blend mask, all strip-invariant.
+// Y12 blend mask, all strip-invariant. The row loop is 103 bytes: aligned,
+// it sits in two 64-byte fetch lines wherever the linker puts the function
+// (three cost 9% on the reference host).
 TEXT ·stepCol8QP(SB), NOSPLIT, $0-104
 	MOVQ lanes+72(FP), R10    // row stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
@@ -690,12 +694,84 @@ strip:
 	ADDQ R11, SI
 	MOVQ qp+40(FP), R8
 	MOVQ rows+64(FP), R9
+	PCALIGN $64
 rowloop:
 	VBROADCASTI128 (R8), Y13  // profile row bytes 0-15 in both lanes
 	VBROADCASTI128 16(R8), Y14 // bytes 16-31 (over-read past row end)
 	VPSHUFB   Y10, Y13, Y13   // low-half lookup
 	VPSHUFB   Y11, Y14, Y14   // high-half lookup
 	VPBLENDVB Y12, Y14, Y13, Y6
+	VPADDUSB Y0, Y6, Y6
+	VPSUBUSB Y9, Y6, Y6
+	VMOVDQU  (DI), Y7
+	VMOVDQU  (SI), Y8
+	VPMAXUB  Y8, Y6, Y6
+	VPMAXUB  Y1, Y6, Y6
+	VPMAXUB  Y6, Y2, Y2
+	VMOVDQU  Y6, (DI)
+	VPSUBUSB Y3, Y6, Y6
+	VPSUBUSB Y4, Y8, Y8
+	VPMAXUB  Y6, Y8, Y8
+	VMOVDQU  Y8, (SI)
+	VPSUBUSB Y4, Y1, Y1
+	VPMAXUB  Y6, Y1, Y1
+	VMOVDQA  Y7, Y0
+	ADDQ     R12, R8          // next query-profile row
+	ADDQ     R10, DI
+	ADDQ     R10, SI
+	DECQ     R9
+	JNZ      rowloop
+	MOVQ diag+24(FP), AX
+	VMOVDQU Y0, (AX)(R11*1)
+	MOVQ f+16(FP), AX
+	VMOVDQU Y1, (AX)(R11*1)
+	MOVQ maxv+32(FP), AX
+	VMOVDQU Y2, (AX)(R11*1)
+	ADDQ $32, R11
+	CMPQ R11, R10
+	JLT  strip
+	VZEROUPPER
+	RET
+
+// func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
+//
+// stepCol8QP on the avx2+vbmi tier: vpermb indexes all 32 bytes of its
+// table operand by the low five bits of each index byte, so the lookup is
+// one instruction straight from the profile row in memory (the same 32
+// bytes the two broadcasts of stepCol8QP read) and the strip keeps only
+// the residue indices, Y10. Everything else is VEX-encoded ymm code, which
+// mixes with the one EVEX instruction at no cost.
+TEXT ·stepCol8QPVBMI(SB), NOSPLIT, $0-104
+	MOVQ lanes+72(FP), R10    // row stride in bytes
+	MOVQ stride+48(FP), R12   // profile row stride in bytes
+	MOVQ bias+80(FP), AX
+	MOVQ AX, X9
+	VPBROADCASTB X9, Y9
+	MOVQ qr+88(FP), AX
+	MOVQ AX, X3
+	VPBROADCASTB X3, Y3
+	MOVQ r+96(FP), AX
+	MOVQ AX, X4
+	VPBROADCASTB X4, Y4
+	XORQ R11, R11             // strip byte offset
+strip:
+	MOVQ col+56(FP), AX
+	VMOVDQU (AX)(R11*1), Y10  // residue indices, one byte per lane
+	MOVQ diag+24(FP), AX
+	VMOVDQU (AX)(R11*1), Y0
+	MOVQ f+16(FP), AX
+	VMOVDQU (AX)(R11*1), Y1
+	MOVQ maxv+32(FP), AX
+	VMOVDQU (AX)(R11*1), Y2
+	MOVQ h+0(FP), DI
+	ADDQ R11, DI
+	MOVQ e+8(FP), SI
+	ADDQ R11, SI
+	MOVQ qp+40(FP), R8
+	MOVQ rows+64(FP), R9
+	PCALIGN $64
+rowloop:
+	VPERMB   (R8), Y10, Y6    // score[l] = row[idx[l]]
 	VPADDUSB Y0, Y6, Y6
 	VPSUBUSB Y9, Y6, Y6
 	VMOVDQU  (DI), Y7
@@ -766,47 +842,6 @@ rowloop:
 	JNZ  rowloop
 	ADDQ $32, R11
 	ADDQ $16, R13
-	CMPQ R11, R10
-	JLT  strip
-	VZEROUPPER
-	RET
-
-// func buildRows8(dst, table, idx *uint8, nrows, lanes, stride int)
-//
-// The biased-byte transposition via the two-half vpshufb lookup of
-// stepCol8QP.
-TEXT ·buildRows8(SB), NOSPLIT, $0-48
-	MOVQ lanes+32(FP), R10    // dst row stride in bytes
-	MOVQ stride+40(FP), R12   // table row stride in bytes
-	XORQ R11, R11             // strip byte offset
-strip:
-	MOVQ idx+16(FP), AX
-	ADDQ R11, AX
-	VMOVDQU (AX), Y10
-	MOVQ $0x1010101010101010, AX
-	MOVQ AX, X11
-	VPBROADCASTQ X11, Y11
-	VPSUBB Y11, Y10, Y11
-	MOVQ $0x0F0F0F0F0F0F0F0F, AX
-	MOVQ AX, X12
-	VPBROADCASTQ X12, Y12
-	VPCMPGTB Y12, Y10, Y12
-	MOVQ dst+0(FP), DI
-	ADDQ R11, DI
-	MOVQ table+8(FP), R8
-	MOVQ nrows+24(FP), R9
-rowloop:
-	VBROADCASTI128 (R8), Y13
-	VBROADCASTI128 16(R8), Y14
-	VPSHUFB   Y10, Y13, Y13
-	VPSHUFB   Y11, Y14, Y14
-	VPBLENDVB Y12, Y14, Y13, Y6
-	VMOVDQU   Y6, (DI)
-	ADDQ R12, R8
-	ADDQ R10, DI
-	DECQ R9
-	JNZ  rowloop
-	ADDQ $32, R11
 	CMPQ R11, R10
 	JLT  strip
 	VZEROUPPER

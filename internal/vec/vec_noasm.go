@@ -2,13 +2,13 @@
 
 package vec
 
-// asmSupported is false in binaries without the AVX2 backend (non-amd64
+// asmSupported is false in binaries without the assembly backend (non-amd64
 // hosts, or any host under the purego build tag); every native16/native8
 // test then folds to false at compile time and the stubs below are
 // unreachable.
 const asmSupported = false
 
-func detectNative() bool { return false }
+func detectTier() Tier { return TierPortable }
 
 func addSat16(dst, a, b *int16, n int)                      { panic("vec: no asm") }
 func subSatConst16(dst, a *int16, n, c int)                 { panic("vec: no asm") }
@@ -41,5 +41,7 @@ func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lane
 func stepCol8QP(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int) {
 	panic("vec: no asm")
 }
+func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int) {
+	panic("vec: no asm")
+}
 func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int) { panic("vec: no asm") }
-func buildRows8(dst, table, idx *uint8, nrows, lanes, stride int)         { panic("vec: no asm") }
