@@ -26,7 +26,9 @@
 // dispatch regression) costs an order of magnitude and must fail CI. Pass
 // a negative -max-regress-wall to restore info-only wall reporting. The
 // exit status is 1 when any gated benchmark regressed beyond its
-// threshold (fractions; 0.20 = 20%).
+// threshold (fractions; 0.20 = 20%). A benchmark the new artifact carries
+// and the baseline does not is listed as "ungated (no baseline)" and never
+// fails the run: add its row to the baseline to gate it.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -123,25 +126,32 @@ func readArtifact(path string) (*Artifact, error) {
 
 // diff compares two artifacts on the benchmarks they share: "sim"-sourced
 // gcups gate at maxRegress, "wall"-sourced at maxRegressWall (negative
-// disables wall gating). It returns the number of gated regressions.
-func diff(oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
+// disables wall gating). Benchmarks only the new artifact carries are
+// listed as ungated, so one added without a baseline row is seen rather
+// than silently skipped. It writes the table to w and returns the number
+// of gated regressions.
+func diff(w io.Writer, oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
 	oldBy := make(map[string]Benchmark, len(oldArt.Benchmarks))
 	for _, b := range oldArt.Benchmarks {
 		oldBy[b.Name] = b
 	}
 	names := make([]string, 0, len(newArt.Benchmarks))
+	var ungated []string
 	for _, b := range newArt.Benchmarks {
 		if _, ok := oldBy[b.Name]; ok {
 			names = append(names, b.Name)
+		} else {
+			ungated = append(ungated, b.Name)
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(ungated)
 	newBy := make(map[string]Benchmark, len(newArt.Benchmarks))
 	for _, b := range newArt.Benchmarks {
 		newBy[b.Name] = b
 	}
 	regressions := 0
-	fmt.Printf("%-40s %12s %12s %8s  %s\n", "benchmark", "old gcups", "new gcups", "delta", "verdict")
+	fmt.Fprintf(w, "%-40s %12s %12s %8s  %s\n", "benchmark", "old gcups", "new gcups", "delta", "verdict")
 	for _, name := range names {
 		o, n := oldBy[name], newBy[name]
 		if o.GCUPS == 0 || n.GCUPS == 0 {
@@ -164,7 +174,14 @@ func diff(oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
 			verdict = fmt.Sprintf("REGRESSION (> %.0f%%)", maxRegress*100)
 			regressions++
 		}
-		fmt.Printf("%-40s %12.3f %12.3f %+7.1f%%  %s\n", name, o.GCUPS, n.GCUPS, delta*100, verdict)
+		fmt.Fprintf(w, "%-40s %12.3f %12.3f %+7.1f%%  %s\n", name, o.GCUPS, n.GCUPS, delta*100, verdict)
+	}
+	for _, name := range ungated {
+		gcups := "-"
+		if n := newBy[name]; n.GCUPS != 0 {
+			gcups = strconv.FormatFloat(n.GCUPS, 'f', 3, 64)
+		}
+		fmt.Fprintf(w, "%-40s %12s %12s %8s  %s\n", name, "-", gcups, "", "ungated (no baseline)")
 	}
 	return regressions
 }
@@ -191,7 +208,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		if n := diff(oldArt, newArt, *maxRegress, *maxRegressWall); n > 0 {
+		if n := diff(os.Stdout, oldArt, newArt, *maxRegress, *maxRegressWall); n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d GCUPS regression(s) beyond threshold (sim %.0f%%, wall %.0f%%)\n",
 				n, *maxRegress*100, *maxRegressWall*100)
 			os.Exit(1)

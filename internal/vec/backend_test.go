@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -440,7 +441,25 @@ func TestDispatchFallbacks(t *testing.T) {
 	if want := min(hostTier, TierAVX2); tier() != want || Backend() != want.String() {
 		t.Fatalf("capped at avx2 the host runs %q, want %q", Backend(), want)
 	}
+	if capped := strings.Contains(Info().String(), "capped"); capped != (hostTier == TierVBMI) {
+		t.Fatalf("capped at avx2 on a %v host, Info().String() = %q", hostTier, Info().String())
+	}
 	CapTier(prev)
+
+	for _, c := range []struct {
+		info BackendInfo
+		want string
+	}{
+		{BackendInfo{Backend: "avx2+vbmi", AVX2: true}, "avx2+vbmi (16x int16 / 32x uint8 lanes per register; vpermb byte lookup)"},
+		{BackendInfo{Backend: "avx2", AVX2: true}, "avx2 (16x int16 / 32x uint8 lanes per register)"},
+		{BackendInfo{Backend: "avx2", AVX2: true, Forced: true}, "avx2 (16x int16 / 32x uint8 lanes per register; avx2+vbmi available but capped)"},
+		{BackendInfo{Backend: "portable", AVX2: true, Forced: true}, "portable (pure Go; avx2 available but overridden)"},
+		{BackendInfo{Backend: "portable"}, "portable (pure Go; host lacks AVX2 or binary built without it)"},
+	} {
+		if got := c.info.String(); got != c.want {
+			t.Errorf("%+v.String() = %q, want %q", c.info, got, c.want)
+		}
+	}
 }
 
 // TestForcedPortableParityExported runs a sample of exported entry points
@@ -470,8 +489,10 @@ func TestForcedPortableParityExported(t *testing.T) {
 // step over a protein-width profile, under every tier the host runs and at
 // serving (30, 75, 120 rows) and tile-filling (1000) query lengths: the
 // vec-layer roof the lane-group and search benchmarks are read against.
-// One iteration sweeps the 2,048 columns often enough (after a warm-up
-// sweep) that CI's single -benchtime=1x sample times milliseconds of work.
+// The 1- and 8-row cases expose the per-call floor, which ns/call reports
+// beside the cell rate: a fixed cost per call (such as the ~172 ns
+// legacy-SSE transition TestAsmVEXClean forbids) shows as a 30-row rate
+// far below the 1000-row one.
 func BenchmarkStepCol8QP(b *testing.B) {
 	const lanes, columns = 32, 2048
 	rng := rand.New(rand.NewSource(69))
@@ -480,33 +501,76 @@ func BenchmarkStepCol8QP(b *testing.B) {
 		cols[i] = uint8(rng.Intn(testStride))
 	}
 	for _, tr := range Tiers() {
-		for _, rows := range []int{30, 75, 120, 1000} {
+		for _, rows := range []int{1, 8, 30, 75, 120, 1000} {
 			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
-				defer CapTier(CapTier(tr))
 				st := randStep8(rng, rows, lanes)
 				qp := make([]uint8, rows*testStride, (rows-1)*testStride+32)
 				for i := range qp {
 					qp[i] = uint8(rng.Intn(16))
 				}
-				sweep := func() {
-					for c := 0; c < columns; c++ {
-						StepCol8QP(st.h, st.e, st.f, st.diag, st.maxv, qp, testStride, cols[c*lanes:(c+1)*lanes], rows, lanes, 4, 12, 2)
-					}
-				}
-				budget := 1 << 26 // cells per iteration
-				if tr == TierPortable {
-					budget = 1 << 22
-				}
-				sweeps := max(1, budget/(rows*lanes*columns))
-				sweep()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for s := 0; s < sweeps; s++ {
-						sweep()
-					}
-				}
-				b.ReportMetric(float64(b.N)*float64(sweeps*rows*lanes*columns)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+				benchColumns(b, tr, rows*lanes, columns, func(c int) {
+					StepCol8QP(st.h, st.e, st.f, st.diag, st.maxv, qp, testStride, cols[c*lanes:(c+1)*lanes], rows, lanes, 4, 12, 2)
+				})
 			})
 		}
 	}
+}
+
+// BenchmarkStepCol16SP times the 16-bit rung's column step, 16 lanes over a
+// score-profile table, under every tier the host runs at a serving (30)
+// and a tile-filling (1000) query length. It is the kernel of the ladder's
+// escalation rung and of the striped long-sequence path.
+func BenchmarkStepCol16SP(b *testing.B) {
+	const lanes, columns = 16, 2048
+	rng := rand.New(rand.NewSource(70))
+	score := make([]int16, testStride*lanes)
+	for i := range score {
+		score[i] = int16(rng.Intn(15) - 4)
+	}
+	for _, tr := range Tiers() {
+		for _, rows := range []int{30, 1000} {
+			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
+				h, e := make(I16, rows*lanes), make(I16, rows*lanes)
+				f, diag, maxv := make(I16, lanes), make(I16, lanes), make(I16, lanes)
+				set1Generic(e, MinI16)
+				set1Generic(f, MinI16)
+				seq := make([]uint8, rows)
+				for i := range seq {
+					seq[i] = uint8(rng.Intn(testStride))
+				}
+				benchColumns(b, tr, rows*lanes, columns, func(int) {
+					StepCol16SP(h, e, f, diag, maxv, score, seq, rows, lanes, 12, 2)
+				})
+			})
+		}
+	}
+}
+
+// benchColumns times step(c) for c in [0, columns), each call computing
+// cells cells, with the tier capped at tr. One iteration sweeps the
+// columns often enough (after a warm-up sweep) that CI's single
+// -benchtime=1x sample times milliseconds of work. It reports the cell
+// rate and the cost per call.
+func benchColumns(b *testing.B, tr Tier, cells, columns int, step func(c int)) {
+	defer CapTier(CapTier(tr))
+	budget := 1 << 26 // cells per iteration
+	if tr == TierPortable {
+		budget = 1 << 22
+	}
+	sweeps := max(1, budget/(cells*columns))
+	sweep := func() {
+		for c := 0; c < columns; c++ {
+			step(c)
+		}
+	}
+	sweep()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for s := 0; s < sweeps; s++ {
+			sweep()
+		}
+	}
+	calls := float64(b.N) * float64(sweeps*columns)
+	b.ReportMetric(calls*float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/calls, "ns/call")
 }

@@ -141,11 +141,15 @@ func Info() BackendInfo {
 	return info
 }
 
-// String renders the selection as a one-line summary for startup logs.
+// String renders the selection as a one-line summary for startup logs. A
+// cap below the host's tier is named, so a number read under it is not
+// attributed to the host's own tier.
 func (b BackendInfo) String() string {
 	switch {
 	case b.Backend == TierVBMI.String():
 		return "avx2+vbmi (16x int16 / 32x uint8 lanes per register; vpermb byte lookup)"
+	case b.Backend == TierAVX2.String() && b.Forced:
+		return "avx2 (16x int16 / 32x uint8 lanes per register; avx2+vbmi available but capped)"
 	case b.Backend == TierAVX2.String():
 		return "avx2 (16x int16 / 32x uint8 lanes per register)"
 	case b.Forced:
