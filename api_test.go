@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func tinyDB(t *testing.T) (*Database, []Sequence) {
+func tinyDB(t testing.TB) (*Database, []Sequence) {
 	t.Helper()
 	seqs := []Sequence{
 		NewSequence("s1", "MKWVLAARND"),

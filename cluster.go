@@ -1,11 +1,9 @@
 package heterosw
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +11,12 @@ import (
 	"heterosw/internal/core"
 	"heterosw/internal/device"
 	"heterosw/internal/qsched"
-	"heterosw/internal/sequence"
 	"heterosw/internal/stats"
-	"heterosw/internal/submat"
 )
 
-// ErrClusterClosed is returned by the scheduled entry points
-// (SearchScheduled and the HTTP front end) after Cluster.CloseNow. Direct
-// Search and SearchBatch calls remain usable.
+// ErrClusterClosed is returned by the scheduled doors (Do, DoBatch,
+// SearchScheduled and the HTTP front end) after Cluster.CloseNow. The
+// direct Search and streams from NewStream remain usable.
 var ErrClusterClosed = errors.New("heterosw: cluster closed")
 
 // ErrNoSignificance is returned when ReportOptions.EValues is requested
@@ -52,7 +48,7 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 // the planner generalises the roster to any number of modelled devices and
 // makes the distribution strategy selectable. The scheduling knobs below
 // tune the concurrent micro-batching query scheduler behind the streaming
-// and serving paths (Stream, SearchScheduled, the swserve HTTP front end).
+// and serving paths (Stream, Do, DoBatch, the swserve HTTP front end).
 type ClusterOptions struct {
 	// Options carries the shared kernel configuration (variant, matrix,
 	// gaps) and the planner's (blocking, schedule). Its Device and Threads
@@ -181,10 +177,10 @@ type ReportOptions struct {
 // validate rejects unusable report options.
 func (rep ReportOptions) validate() error {
 	if rep.TopK < 0 {
-		return fmt.Errorf("heterosw: negative report TopK %d", rep.TopK)
+		return badRequest("negative report TopK %d", rep.TopK)
 	}
 	if !(rep.EValueTrim >= 0 && rep.EValueTrim < 0.5) { // rejects NaN too
-		return fmt.Errorf("heterosw: report EValueTrim %v outside [0, 0.5)", rep.EValueTrim)
+		return badRequest("report EValueTrim %v outside [0, 0.5)", rep.EValueTrim)
 	}
 	return nil
 }
@@ -198,18 +194,6 @@ func (rep ReportOptions) key() string {
 		return ""
 	}
 	return fmt.Sprintf("R:a=%t,e=%t,k=%d,t=%g|", rep.Alignments, rep.EValues, rep.TopK, rep.EValueTrim)
-}
-
-// oneReport resolves the optional trailing ReportOptions of the search
-// entry points: absent means the zero value, and at most one is accepted.
-func oneReport(report []ReportOptions) (ReportOptions, error) {
-	switch len(report) {
-	case 0:
-		return ReportOptions{}, nil
-	case 1:
-		return report[0], report[0].validate()
-	}
-	return ReportOptions{}, fmt.Errorf("heterosw: at most one ReportOptions per call")
 }
 
 // defaultReportHits bounds the traceback phase when neither the call nor
@@ -263,16 +247,6 @@ func (c *Cluster) topK(rep ReportOptions) int {
 	return k
 }
 
-// reportQuery pairs a query with its report options; it is the unit the
-// scheduler batches, dedups and caches.
-type reportQuery struct {
-	seq Sequence
-	rep ReportOptions
-	// wire marks a shard node's search for its coordinator: the score list
-	// as the engine produced it and no hit list (ClusterResult.wire).
-	wire bool
-}
-
 // engineState is one immutable topology generation: the dispatcher and
 // the label its backends carry in Totals (DeviceHost or DeviceRemote),
 // always read together. See Cluster.eng.
@@ -309,14 +283,17 @@ type BackendTotals struct {
 	Tracebacks int64
 }
 
-// Cluster is a search service over a Database with batched, streaming and
-// scheduled entry points. A local Cluster (NewCluster) runs every search on
-// the host, one engine pass over the whole database, and prices the
-// configured device roster on the side (Plan); a coordinator
-// (NewDistributedCluster) fans searches out to shard nodes. A Cluster is
-// safe for concurrent use; lane packings are cached so repeated and batched
-// queries amortise all pre-processing, and the scheduled paths share one
-// LRU result cache so repeated queries are free.
+// Cluster is a search service over a Database. Every search is a Request
+// through one of its doors — Do and DoBatch on the serving scheduler,
+// Stream.Submit on a streaming session's, Search straight to the executor —
+// and every door runs the same validation and the same batch executor. A
+// local Cluster (NewCluster) runs every search on the host, one engine pass
+// over the whole database, and prices the configured device roster on the
+// side (Plan); a coordinator (NewDistributedCluster) fans searches out to
+// shard nodes. A Cluster is safe for concurrent use; lane packings are
+// cached so repeated and batched queries amortise all pre-processing, and
+// the scheduled doors share one LRU result cache so repeated requests are
+// free.
 type Cluster struct {
 	db   *Database
 	dopt core.DispatchOptions
@@ -343,15 +320,9 @@ type Cluster struct {
 	keyBase  string
 
 	mu sync.Mutex
-	// lazy; SearchScheduled and the HTTP front end
+	// lazy; Do, DoBatch and the HTTP front end
 	//sw:guardedBy(mu)
-	serving *qsched.Scheduler[reportQuery, *ClusterResult]
-	// lazy; the Submit/Results/Close compatibility surface
-	//sw:guardedBy(mu)
-	defStream *Stream
-	// Close seen before the default stream existed
-	//sw:guardedBy(mu)
-	defClosed bool
+	serving *qsched.Scheduler[job, *ClusterResult]
 	// set by CloseNow; scheduled paths refuse new work
 	//sw:guardedBy(mu)
 	closed bool
@@ -534,296 +505,6 @@ func wireResult(r *core.ClusterResult) *ClusterResult {
 	return &ClusterResult{Result: *wrapResult(&acct), wire: r.Scores}
 }
 
-// searchOne is the direct (unscheduled) path of one query under dopt: K
-// resolved, one dispatcher search, the reporting phases.
-func (c *Cluster) searchOne(ctx context.Context, query Sequence, rep ReportOptions, dopt core.DispatchOptions) (*ClusterResult, error) {
-	dopt.Search.TopK = c.topK(rep)
-	e := c.engine()
-	res, err := e.disp.SearchContext(ctx, query.impl, dopt)
-	if err != nil {
-		return nil, err
-	}
-	out := wrapCluster(res)
-	if err := c.decorate(ctx, e, query, out, rep, dopt); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Search runs one query over the database. An optional ReportOptions
-// enables the aligned-hit reporting phases: tracebacks over the top-K hits
-// and/or an E-value fit over the score distribution. Search bypasses the
-// scheduler and cache; serving traffic should prefer SearchScheduled. It
-// is the context-free convenience root; cancellable callers use
-// SearchContext.
-//
-//sw:ctxroot
-func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*ClusterResult, error) {
-	return c.SearchContext(context.Background(), query, report...)
-}
-
-// SearchContext is Search with cancellation: ctx is threaded through the
-// score pass (checked at query boundaries, carried to remote shard nodes)
-// and the reporting phases, so a dead caller aborts traceback decoration
-// instead of fanning it out.
-func (c *Cluster) SearchContext(ctx context.Context, query Sequence, report ...ReportOptions) (*ClusterResult, error) {
-	rep, err := oneReport(report)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkReport(rep); err != nil {
-		return nil, err
-	}
-	if query.impl == nil {
-		return nil, fmt.Errorf("heterosw: zero-value query")
-	}
-	return c.searchOne(ctx, query, rep, c.dopt)
-}
-
-// SearchMatrix is Search with a request-scoped substitution matrix: text
-// in the NCBI format, parsed against the database's alphabet, replacing
-// the cluster-wide matrix for this one query. Parse failures wrap
-// ErrBadMatrix. Like Search it bypasses the scheduler and cache — a
-// per-request matrix changes the scores, so such results must never share
-// cache entries with the cluster-wide configuration.
-//
-//sw:ctxroot
-func (c *Cluster) SearchMatrix(query Sequence, matrixText string, report ...ReportOptions) (*ClusterResult, error) {
-	return c.SearchMatrixContext(context.Background(), query, matrixText, report...)
-}
-
-// SearchMatrixContext is SearchMatrix with cancellation (see
-// SearchContext for the semantics).
-func (c *Cluster) SearchMatrixContext(ctx context.Context, query Sequence, matrixText string, report ...ReportOptions) (*ClusterResult, error) {
-	rep, err := oneReport(report)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkReport(rep); err != nil {
-		return nil, err
-	}
-	if query.impl == nil {
-		return nil, fmt.Errorf("heterosw: zero-value query")
-	}
-	dopt, err := c.doptWithMatrix(matrixText)
-	if err != nil {
-		return nil, err
-	}
-	return c.searchOne(ctx, query, rep, dopt)
-}
-
-// doptWithMatrix copies the cluster's dispatch options, replacing the
-// substitution matrix with one parsed from user-supplied text against the
-// database's alphabet. Empty text returns the options unchanged.
-func (c *Cluster) doptWithMatrix(matrixText string) (core.DispatchOptions, error) {
-	dopt := c.dopt
-	if matrixText == "" {
-		return dopt, nil
-	}
-	m, err := submat.Parse("custom", strings.NewReader(matrixText), c.db.db.Alphabet())
-	if err != nil {
-		return dopt, err
-	}
-	dopt.Search.Matrix = m
-	return dopt, nil
-}
-
-// SearchBatch runs a batch of queries, amortising the lane packings across
-// the whole batch. Results are returned in query order; an optional
-// ReportOptions applies to every query of the batch. It is the
-// context-free convenience root;
-// cancellable callers use SearchBatchContext.
-//
-//sw:ctxroot
-func (c *Cluster) SearchBatch(queries []Sequence, report ...ReportOptions) ([]*ClusterResult, error) {
-	return c.SearchBatchContext(context.Background(), queries, report...)
-}
-
-// SearchBatchContext is SearchBatch with cancellation: the context is
-// checked at every query boundary of the score pass and threaded into
-// each query's reporting phases.
-func (c *Cluster) SearchBatchContext(ctx context.Context, queries []Sequence, report ...ReportOptions) ([]*ClusterResult, error) {
-	rep, err := oneReport(report)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkReport(rep); err != nil {
-		return nil, err
-	}
-	rqs := make([]reportQuery, len(queries))
-	for i, q := range queries {
-		if q.impl == nil {
-			return nil, fmt.Errorf("heterosw: zero-value query %d", i)
-		}
-		rqs[i] = reportQuery{seq: q, rep: rep}
-	}
-	return c.searchBatchCtx(ctx, rqs)
-}
-
-// searchBatchCtx is the batch executor behind SearchBatch and every
-// scheduler: queries must already be validated non-zero, report options
-// validated. The score pass runs for the whole batch first (amortising
-// pre-processing), each query selecting the K hits its own request asked
-// for, then each query's reporting phases decorate its result.
-func (c *Cluster) searchBatchCtx(ctx context.Context, rqs []reportQuery) ([]*ClusterResult, error) {
-	impls := make([]*sequence.Sequence, len(rqs))
-	topK := make([]int, len(rqs))
-	for i, rq := range rqs {
-		impls[i] = rq.seq.impl
-		topK[i] = c.topK(rq.rep)
-		if rq.wire {
-			topK[i] = -1 // scores only
-		}
-	}
-	e := c.engine()
-	res, err := e.disp.SearchBatchContext(ctx, impls, c.dopt, topK)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ClusterResult, len(res))
-	for i, r := range res {
-		if rqs[i].wire {
-			out[i] = wireResult(r)
-			continue
-		}
-		out[i] = wrapCluster(r)
-		if err := c.decorate(ctx, e, rqs[i].seq, out[i], rqs[i].rep, c.dopt); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// decorate runs the reporting phases over a freshly wrapped result, whose
-// hit list is already the request's K long: the significance fit and the
-// traceback fan-out.
-// It must only ever see results this call owns — cached results are
-// decorated before they enter the cache, never after. e must be the same
-// engine snapshot that scored the result, so the traceback fan-out routes
-// over the topology generation the scores came from.
-func (c *Cluster) decorate(ctx context.Context, e *engineState, query Sequence, res *ClusterResult, rep ReportOptions, dopt core.DispatchOptions) error {
-	if rep.EValues {
-		sig, err := res.FitSignificance(rep.EValueTrim)
-		if err != nil {
-			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
-		}
-		res.Significance = sig
-		for i := range res.Hits {
-			h := &res.Hits[i]
-			h.Significance = &HitSignificance{
-				BitScore: sig.BitScore(h.Score),
-				EValue:   sig.EValue(h.Score),
-			}
-		}
-	}
-	if rep.Alignments {
-		k := len(res.Hits)
-		hits := make([]core.Hit, k)
-		for i := 0; i < k; i++ {
-			h := res.Hits[i]
-			hits[i] = core.Hit{SeqIndex: h.Index, ID: h.ID, Score: int32(h.Score)}
-		}
-		details, err := e.disp.AlignHits(ctx, query.impl, hits, dopt)
-		if err != nil {
-			return err
-		}
-		for i := range details {
-			d := &details[i]
-			res.Hits[i].Alignment = &HitAlignment{
-				QueryStart:   d.QueryStart,
-				QueryEnd:     d.QueryEnd,
-				SubjectStart: d.SubjectStart,
-				SubjectEnd:   d.SubjectEnd,
-				CIGAR:        d.CIGAR,
-				Identities:   d.Identities,
-				Columns:      d.Columns,
-			}
-		}
-	}
-	return nil
-}
-
-// cacheKey derives the scheduler dedup/cache key of a query: the cluster's
-// option fingerprint, the report-option fingerprint (its K included, since
-// a cached entry holds K hits; empty for the zero ReportOptions; an aligned
-// result, a score-only result and a shard node's wire result never alias)
-// plus the raw encoded residues (the encoding is injective, so no decode pass
-// is needed) — sequences with equal residues share one result whatever
-// their IDs.
-func (c *Cluster) cacheKey(rq reportQuery) (string, bool) {
-	res := rq.seq.impl.Residues
-	rk := rq.rep.key()
-	if rq.wire {
-		rk = "W|"
-	}
-	b := make([]byte, len(c.keyBase)+len(rk)+len(res))
-	n := copy(b, c.keyBase)
-	n += copy(b[n:], rk)
-	for i, code := range res {
-		b[n+i] = byte(code)
-	}
-	return string(b), true
-}
-
-// newScheduler builds a micro-batching scheduler over this cluster's batch
-// executor, sharing the cluster-wide result cache.
-func (c *Cluster) newScheduler() *qsched.Scheduler[reportQuery, *ClusterResult] {
-	return qsched.New(c.searchBatchCtx, c.cacheKey, c.cache, c.schedOpt)
-}
-
-// servingScheduler returns the cluster-wide scheduler used by
-// SearchScheduled and the HTTP front end, creating it on first use.
-func (c *Cluster) servingScheduler() (*qsched.Scheduler[reportQuery, *ClusterResult], error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClusterClosed
-	}
-	if c.serving == nil {
-		c.serving = c.newScheduler()
-	}
-	return c.serving, nil
-}
-
-// SearchScheduled routes one query through the cluster's serving
-// scheduler: concurrent callers coalesce into micro-batches (amortising
-// pre-processing exactly as SearchBatch does), identical in-flight queries
-// share one execution, and results are served from the cluster's LRU cache
-// when possible. An optional ReportOptions requests the aligned-hit
-// reporting phases; it is part of the dedup/cache key. ctx bounds the
-// caller's wait — cancelling it abandons the wait, not the computation, so
-// the result still lands in the cache for the next asker. This is the
-// entry point the swserve HTTP front end uses.
-//
-// Results may be shared between callers; treat them as read-only.
-func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ...ReportOptions) (*ClusterResult, error) {
-	rep, err := oneReport(report)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkReport(rep); err != nil {
-		return nil, err
-	}
-	if query.impl == nil {
-		return nil, fmt.Errorf("heterosw: zero-value query")
-	}
-	return c.scheduled(ctx, reportQuery{seq: query, rep: rep})
-}
-
-// scheduled submits one validated query to the serving scheduler and waits
-// for its result.
-func (c *Cluster) scheduled(ctx context.Context, rq reportQuery) (*ClusterResult, error) {
-	s, err := c.servingScheduler()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Do(ctx, rq)
-	if errors.Is(err, qsched.ErrClosed) {
-		return nil, ErrClusterClosed
-	}
-	return res, err
-}
-
 // Totals reports the number of completed query searches and cumulative
 // per-backend accounting (searches, residues, cells, wall seconds) across
 // every entry point and concurrent batch: one host backend on a local
@@ -897,7 +578,7 @@ type SchedulerStats struct {
 }
 
 // SchedulerStats reports the serving scheduler's activity (zero until the
-// first SearchScheduled or HTTP request).
+// first Do, DoBatch or HTTP request).
 func (c *Cluster) SchedulerStats() SchedulerStats {
 	c.mu.Lock()
 	s := c.serving
@@ -912,5 +593,32 @@ func (c *Cluster) SchedulerStats() SchedulerStats {
 		BatchedQueries: st.Batched,
 		Joined:         st.Joined,
 		CacheHits:      st.CacheHits,
+	}
+}
+
+// Close releases the cluster's background work: a coordinator's health
+// prober stops. Every door stays usable; streams from NewStream close on
+// their own. Close is idempotent.
+func (c *Cluster) Close() {
+	if c.topo != nil {
+		c.topo.prober.Stop()
+	}
+}
+
+// CloseNow tears down the cluster's serving scheduler: queued requests are
+// dropped, in-flight batches cancelled at their next query boundary, and
+// Do and DoBatch fail with ErrClusterClosed from then on. It stops a
+// coordinator's prober as Close does. The direct Search and streams from
+// NewStream remain usable.
+func (c *Cluster) CloseNow() {
+	c.mu.Lock()
+	c.closed = true
+	s := c.serving
+	c.mu.Unlock()
+	if s != nil {
+		s.CloseNow()
+	}
+	if c.topo != nil {
+		c.topo.prober.Stop()
 	}
 }

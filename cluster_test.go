@@ -1,6 +1,8 @@
 package heterosw
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -136,7 +138,7 @@ func TestClusterSearchBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := queries[:3]
-	results, err := cl.SearchBatch(batch)
+	results, err := cl.DoBatch(context.Background(), requests(batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +156,21 @@ func TestClusterSearchBatch(t *testing.T) {
 			}
 		}
 	}
-	if _, err := cl.SearchBatch([]Sequence{{}}); err == nil {
-		t.Error("zero-value query accepted in batch")
+	if _, err := cl.DoBatch(context.Background(), []Request{{}}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("zero-value query in a batch: err = %v, want ErrBadRequest", err)
 	}
+}
+
+// requests wraps queries as direct-search requests.
+func requests(queries []Sequence, rep ...ReportOptions) []Request {
+	out := make([]Request, len(queries))
+	for i, q := range queries {
+		out[i] = Request{Query: q}
+		if len(rep) > 0 {
+			out[i].Report = rep[0]
+		}
+	}
+	return out
 }
 
 func TestClusterStreaming(t *testing.T) {
@@ -166,14 +180,15 @@ func TestClusterStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 5
+	st := cl.NewStream(context.Background())
 	for i := 0; i < n; i++ {
-		if err := cl.Submit(queries[i]); err != nil {
+		if err := st.Submit(Request{Query: queries[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cl.Close()
+	st.Close()
 	got := 0
-	for sr := range cl.Results() {
+	for sr := range st.Results() {
 		if sr.Err != nil {
 			t.Fatalf("stream result %d: %v", sr.Index, sr.Err)
 		}
@@ -195,10 +210,10 @@ func TestClusterStreaming(t *testing.T) {
 	if got != n {
 		t.Fatalf("drained %d of %d results", got, n)
 	}
-	if err := cl.Submit(queries[0]); err == nil {
+	if err := st.Submit(Request{Query: queries[0]}); err == nil {
 		t.Error("Submit after Close accepted")
 	}
-	cl.Close() // idempotent
+	st.Close() // idempotent
 }
 
 // The submit-everything-then-drain pattern must work for batches far
@@ -212,14 +227,15 @@ func TestClusterStreamingLargeBacklog(t *testing.T) {
 	}
 	const n = 200
 	q := NewSequence("q", "MKWVLA")
+	st := cl.NewStream(context.Background())
 	for i := 0; i < n; i++ {
-		if err := cl.Submit(q); err != nil {
+		if err := st.Submit(Request{Query: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cl.Close()
+	st.Close()
 	got := 0
-	for sr := range cl.Results() {
+	for sr := range st.Results() {
 		if sr.Err != nil {
 			t.Fatal(sr.Err)
 		}
@@ -233,15 +249,24 @@ func TestClusterStreamingLargeBacklog(t *testing.T) {
 	}
 }
 
+// A stream closed before any submission closes Results without a delivery
+// goroutine, and Cluster.Close — which only stops background work — leaves
+// every door open.
 func TestClusterCloseWithoutSubmit(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Close()
-	if _, ok := <-cl.Results(); ok {
+	st := cl.NewStream(context.Background())
+	st.Close()
+	if _, ok := <-st.Results(); ok {
 		t.Fatal("Results not closed")
+	}
+	cl.Close()
+	cl.Close() // idempotent
+	if _, err := cl.Do(context.Background(), Request{Query: NewSequence("q", "MKWVLA")}); err != nil {
+		t.Fatalf("Do after Close: %v", err)
 	}
 }
 
@@ -266,16 +291,20 @@ func TestClusterOptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Search(Sequence{}); err == nil {
-		t.Error("zero-value query accepted")
+	if _, err := cl.Search(Sequence{}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("zero-value query: err = %v, want ErrBadRequest", err)
 	}
-	if err := cl.Submit(Sequence{}); err == nil {
-		t.Error("zero-value query submitted")
+	if err := cl.NewStream(context.Background()).Submit(Request{}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("zero-value query submitted: err = %v, want ErrBadRequest", err)
+	}
+	// A query under the wrong alphabet never reaches a scheduler.
+	if _, err := cl.Do(context.Background(), Request{Query: NewDNASequence("d", "ACGT")}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("DNA query against a protein database: err = %v, want ErrBadRequest", err)
 	}
 }
 
-// TestClusterConcurrentHammer drives concurrent Search, SearchBatch and
-// plain Database.Search traffic over one Database from many goroutines.
+// TestClusterConcurrentHammer drives concurrent Search, DoBatch and plain
+// Database.Search traffic over one Database from many goroutines.
 // Run under -race (as CI does) it proves the lazy engine caches and the
 // engine's scratch pool are properly synchronised.
 func TestClusterConcurrentHammer(t *testing.T) {
@@ -323,7 +352,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			batch, err := dynamic.SearchBatch([]Sequence{queries[0], queries[0]})
+			batch, err := dynamic.DoBatch(context.Background(), requests([]Sequence{queries[0], queries[0]}))
 			if err != nil {
 				errc <- err
 				return

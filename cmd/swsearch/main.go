@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -127,28 +128,14 @@ func main() {
 		if *batch {
 			sel = queries
 		}
+		reqs := make([]heterosw.Request, len(sel))
+		for i, q := range sel {
+			reqs[i] = heterosw.Request{Query: q, Translate: *translated, Report: rep}
+		}
 		start := time.Now()
-		var results []*heterosw.ClusterResult
-		switch {
-		case *translated:
-			for _, q := range sel {
-				res, rerr := cl.SearchTranslated(q, rep)
-				if rerr != nil {
-					fatal(rerr)
-				}
-				results = append(results, res)
-			}
-		case len(sel) > 1:
-			results, err = cl.SearchBatch(sel, rep)
-			if err != nil {
-				fatal(err)
-			}
-		default:
-			res, rerr := cl.Search(sel[0], rep)
-			if rerr != nil {
-				fatal(rerr)
-			}
-			results = []*heterosw.ClusterResult{res}
+		results, err := cl.DoBatch(context.Background(), reqs)
+		if err != nil {
+			fatal(err)
 		}
 		format := *outfmt
 		if format == "" {

@@ -8,17 +8,20 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"heterosw/internal/datagen"
+	"heterosw/internal/submat"
 	"heterosw/internal/vec"
 )
 
 // The cross-path conformance harness: a FASTA-loaded database and a
-// .swdb-loaded database must be indistinguishable through every entry
-// point — Cluster.Search, SearchBatch, SearchScheduled, Stream.Submit and
-// POST /search — for every kernel variant, the intrinsic ones with their
-// precision ladder climbing on a homolog-rich corpus.
+// .swdb-loaded database must be indistinguishable through every door —
+// Cluster.Search, Do, DoBatch, Stream.Submit and POST /search — for every
+// kernel variant, the intrinsic ones with their precision ladder climbing
+// on a homolog-rich corpus, and for translated and custom-matrix requests;
+// and within one load path every library door must answer the same bytes.
 // Byte-identical here means the canonical JSON serialisations of the
 // results are equal after zeroing host wall-clock fields (the only
 // nondeterministic outputs); scores, hit order, alignments, E-values,
@@ -126,77 +129,113 @@ func canonResult(t *testing.T, res *ClusterResult) []byte {
 	return raw
 }
 
-// confEntryPoints runs one (cluster, queries, report) tuple through every
-// serving surface and returns the canonical bytes per entry point, in a
-// fixed order. The cluster is closed afterwards.
-func confEntryPoints(t *testing.T, cl *Cluster, queries []Sequence, rep ReportOptions) map[string][]byte {
+// confDoors lists the doors confEntryPoints drives, in a fixed order.
+var confDoors = []string{"Search", "Do", "DoBatch", "Stream", "HTTP"}
+
+// confMatrix is the custom-matrix legs' request-scoped matrix: BLOSUM50 in
+// NCBI text, scoring differently from the cluster's BLOSUM62.
+var confMatrix = submat.Format(submat.BLOSUM50)
+
+// confRequests builds one request per query. A translated request searches
+// the query back-translated to DNA (one codon per standard residue), so its
+// frame +1 is the protein query itself.
+func confRequests(t *testing.T, queries []Sequence, rep ReportOptions, matrix string, translated bool) []Request {
+	t.Helper()
+	reqs := make([]Request, len(queries))
+	for i, q := range queries {
+		if translated {
+			standard := strings.Map(func(r rune) rune {
+				if strings.ContainsRune("ARNDCQEGHILKMFPSTWYV", r) {
+					return r
+				}
+				return -1
+			}, q.String())
+			q = NewDNASequence(q.ID(), goldenBackTranslate(t, standard))
+		}
+		reqs[i] = Request{Query: q, Matrix: matrix, Translate: translated, Report: rep}
+	}
+	return reqs
+}
+
+// confEntryPoints runs one (cluster, requests) tuple through every door
+// and returns the canonical bytes per door. Search takes neither a matrix
+// nor a translation, so it runs direct requests only. Every library door
+// must agree with Do byte for byte: they share one validation and one
+// executor. The cluster is closed afterwards.
+func confEntryPoints(t *testing.T, cl *Cluster, reqs []Request) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, []byte("\n")) }
+	ctx := context.Background()
 
-	// Cluster.Search, one call per query.
-	var direct [][]byte
-	for _, q := range queries {
-		res, err := cl.Search(q, rep)
-		if err != nil {
-			t.Fatalf("Search: %v", err)
+	// Cluster.Search, one call per direct request: the executor without
+	// the scheduler.
+	if reqs[0].Matrix == "" && !reqs[0].Translate {
+		var direct [][]byte
+		for _, req := range reqs {
+			res, err := cl.Search(req.Query, req.Report)
+			if err != nil {
+				t.Fatalf("Search: %v", err)
+			}
+			direct = append(direct, canonResult(t, res))
 		}
-		direct = append(direct, canonResult(t, res))
+		out["Search"] = join(direct...)
 	}
-	out["Search"] = join(direct...)
 
-	// SearchBatch over the whole query list.
-	batch, err := cl.SearchBatch(queries, rep)
+	// Do, one request at a time through the serving scheduler.
+	var scheduled [][]byte
+	for _, req := range reqs {
+		res, err := cl.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		scheduled = append(scheduled, canonResult(t, res))
+	}
+	out["Do"] = join(scheduled...)
+
+	// DoBatch over the whole request list.
+	batch, err := cl.DoBatch(ctx, reqs)
 	if err != nil {
-		t.Fatalf("SearchBatch: %v", err)
+		t.Fatalf("DoBatch: %v", err)
 	}
 	var batched [][]byte
 	for _, res := range batch {
 		batched = append(batched, canonResult(t, res))
 	}
-	out["SearchBatch"] = join(batched...)
-
-	// SearchScheduled through the serving scheduler.
-	var scheduled [][]byte
-	for _, q := range queries {
-		res, err := cl.SearchScheduled(context.Background(), q, rep)
-		if err != nil {
-			t.Fatalf("SearchScheduled: %v", err)
-		}
-		scheduled = append(scheduled, canonResult(t, res))
-	}
-	out["SearchScheduled"] = join(scheduled...)
+	out["DoBatch"] = join(batched...)
 
 	// Stream.Submit with ordered delivery.
-	st := cl.NewStream(context.Background())
-	for _, q := range queries {
-		if err := st.Submit(q, rep); err != nil {
+	st := cl.NewStream(ctx)
+	for _, req := range reqs {
+		if err := st.Submit(req); err != nil {
 			t.Fatalf("Stream.Submit: %v", err)
 		}
 	}
 	st.Close()
-	streamed := make([][]byte, 0, len(queries))
+	streamed := make([][]byte, 0, len(reqs))
 	for sr := range st.Results() {
 		if sr.Err != nil {
 			t.Fatalf("stream result %d: %v", sr.Index, sr.Err)
 		}
 		streamed = append(streamed, canonResult(t, sr.Result))
 	}
-	if len(streamed) != len(queries) {
-		t.Fatalf("stream delivered %d results for %d queries", len(streamed), len(queries))
+	if len(streamed) != len(reqs) {
+		t.Fatalf("stream delivered %d results for %d requests", len(streamed), len(reqs))
 	}
 	out["Stream"] = join(streamed...)
 
 	// POST /search: compare the canonical HTTP response bodies.
 	ts := httptest.NewServer(NewHTTPHandler(cl))
 	var http [][]byte
-	for _, q := range queries {
+	for _, req := range reqs {
 		resp, body := postJSON(t, ts.URL+"/search", map[string]any{
-			"id":       q.ID(),
-			"residues": q.String(),
-			"top_k":    confTopK(rep),
-			"align":    rep.Alignments,
-			"evalue":   rep.EValues,
+			"id":        req.Query.ID(),
+			"residues":  req.Query.String(),
+			"top_k":     confTopK(req.Report),
+			"align":     req.Report.Alignments,
+			"evalue":    req.Report.EValues,
+			"matrix":    req.Matrix,
+			"translate": req.Translate,
 		})
 		if resp.StatusCode != 200 {
 			t.Fatalf("POST /search: status %d: %s", resp.StatusCode, body)
@@ -215,8 +254,33 @@ func confEntryPoints(t *testing.T, cl *Cluster, queries []Sequence, rep ReportOp
 	ts.Close()
 	out["HTTP"] = join(http...)
 
+	for _, door := range []string{"Search", "DoBatch", "Stream"} {
+		if got, ok := out[door]; ok && !bytes.Equal(got, out["Do"]) {
+			t.Errorf("%s and Do answer differently\n--- %s ---\n%s\n--- Do ---\n%s",
+				door, door, truncate(got), truncate(out["Do"]))
+		}
+	}
 	cl.CloseNow()
 	return out
+}
+
+// confCompare asserts two load paths' (or tiers') door outputs identical,
+// door by door.
+func confCompare(t *testing.T, a, b map[string][]byte, aName, bName string) {
+	t.Helper()
+	for _, door := range confDoors {
+		x, y := a[door], b[door]
+		if x == nil && y == nil && door == "Search" {
+			continue // a matrix or translated leg
+		}
+		if x == nil || y == nil {
+			t.Fatalf("%s: missing door output", door)
+		}
+		if !bytes.Equal(x, y) {
+			t.Errorf("%s: %s and %s results diverge\n--- %s ---\n%s\n--- %s ---\n%s",
+				door, aName, bName, aName, truncate(x), bName, truncate(y))
+		}
+	}
 }
 
 // confTopK mirrors what the HTTP layer would resolve for the library-side
@@ -230,35 +294,43 @@ func confTopK(rep ReportOptions) int {
 
 // TestConformanceFASTAvsIndex is the harness table: every kernel variant
 // (the intrinsic ones also on the homolog-rich corpus), the three
-// distributions and the reporting phases, each asserted byte-identical
-// between the FASTA load path and the .swdb load path on all five entry
-// points.
+// distributions, the reporting phases, and translated and custom-matrix
+// requests, each asserted byte-identical between the FASTA load path and
+// the .swdb load path on every door.
 func TestConformanceFASTAvsIndex(t *testing.T) {
 	type confCase struct {
-		name   string
-		opts   ClusterOptions
-		rep    ReportOptions
-		corpus confCorpus
+		name       string
+		opts       ClusterOptions
+		rep        ReportOptions
+		corpus     confCorpus
+		matrix     string
+		translated bool
 	}
 	cases := []confCase{
-		{"scalar-QP", ClusterOptions{Options: Options{Variant: VariantNoVecQP}}, ReportOptions{TopK: 5}, confPlain},
-		{"scalar-SP", ClusterOptions{Options: Options{Variant: VariantNoVecSP}}, ReportOptions{TopK: 5}, confPlain},
-		{"simd-QP", ClusterOptions{Options: Options{Variant: VariantGuidedQP}}, ReportOptions{TopK: 5}, confPlain},
-		{"simd-SP", ClusterOptions{Options: Options{Variant: VariantGuidedSP}}, ReportOptions{TopK: 5}, confPlain},
-		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, confPlain},
-		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, confPlain},
-		{"ladder-QP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, confHomologRich},
-		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, confHomologRich},
+		{"scalar-QP", ClusterOptions{Options: Options{Variant: VariantNoVecQP}}, ReportOptions{TopK: 5}, confPlain, "", false},
+		{"scalar-SP", ClusterOptions{Options: Options{Variant: VariantNoVecSP}}, ReportOptions{TopK: 5}, confPlain, "", false},
+		{"simd-QP", ClusterOptions{Options: Options{Variant: VariantGuidedQP}}, ReportOptions{TopK: 5}, confPlain, "", false},
+		{"simd-SP", ClusterOptions{Options: Options{Variant: VariantGuidedSP}}, ReportOptions{TopK: 5}, confPlain, "", false},
+		{"intrinsic-QP", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, confPlain, "", false},
+		{"intrinsic-SP", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, confPlain, "", false},
+		{"ladder-QP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}}, ReportOptions{TopK: 5}, confHomologRich, "", false},
+		{"ladder-SP-8bit", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}}, ReportOptions{TopK: 5}, confHomologRich, "", false},
 		{"dynamic-aligned", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "dynamic"},
-			ReportOptions{TopK: 5, Alignments: true}, confPlain},
+			ReportOptions{TopK: 5, Alignments: true}, confPlain, "", false},
 		{"guided-evalue", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "guided"},
-			ReportOptions{TopK: 5, Alignments: true, EValues: true}, confPlain},
+			ReportOptions{TopK: 5, Alignments: true, EValues: true}, confPlain, "", false},
 		// The long subjects take the 16-bit striped pass beside byte-lane
 		// groups.
 		{"long-path", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "dynamic"},
-			ReportOptions{TopK: 5}, confWithLong},
+			ReportOptions{TopK: 5}, confWithLong, "", false},
 		{"three-device", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}},
-			ReportOptions{TopK: 5}, confPlain},
+			ReportOptions{TopK: 5}, confPlain, "", false},
+		{"translated", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}},
+			ReportOptions{TopK: 5, Alignments: true, EValues: true}, confPlain, "", true},
+		{"custom-matrix", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}},
+			ReportOptions{TopK: 5, Alignments: true, EValues: true}, confPlain, confMatrix, false},
+		{"translated-matrix", ClusterOptions{Options: Options{Variant: VariantIntrinsicQP}},
+			ReportOptions{TopK: 5, Alignments: true}, confPlain, confMatrix, true},
 	}
 
 	fastaPath, swdbPath, queries := confSetup(t, confPlain)
@@ -288,18 +360,9 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", load.kind, err)
 				}
-				results[load.kind] = confEntryPoints(t, cl, queries, tc.rep)
+				results[load.kind] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, tc.matrix, tc.translated))
 			}
-			for _, entry := range []string{"Search", "SearchBatch", "SearchScheduled", "Stream", "HTTP"} {
-				f, s := results["fasta"][entry], results["swdb"][entry]
-				if f == nil || s == nil {
-					t.Fatalf("%s: missing surface output", entry)
-				}
-				if !bytes.Equal(f, s) {
-					t.Errorf("%s: FASTA and swdb results diverge\n--- fasta ---\n%s\n--- swdb ---\n%s",
-						entry, truncate(f), truncate(s))
-				}
-			}
+			confCompare(t, results["fasta"], results["swdb"], "fasta", "swdb")
 		})
 	}
 }
@@ -310,8 +373,8 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 // search under every tier below it — AVX2's vpshufb byte lookup where the
 // host runs VBMI's vpermb, and the portable pure-Go loops — across the
 // plain variants, the ladder climbing on the homolog-rich corpus and full
-// reporting, on all five entry points. Skipped (vacuous) where the portable
-// backend is the only one.
+// reporting, on every door. Skipped (vacuous) where the portable backend is
+// the only one.
 func TestConformanceNativeVsPortable(t *testing.T) {
 	if !vec.Native() {
 		t.Skipf("vec backend is %q; native vs portable conformance is vacuous", vec.Backend())
@@ -350,20 +413,11 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v: %v", tr, err)
 					}
-					results[tr] = confEntryPoints(t, cl, queries, tc.rep)
+					results[tr] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, "", false))
 				}()
 			}
-			for _, entry := range []string{"Search", "SearchBatch", "SearchScheduled", "Stream", "HTTP"} {
-				for _, tr := range tiers[:len(tiers)-1] {
-					n, p := results[top][entry], results[tr][entry]
-					if n == nil || p == nil {
-						t.Fatalf("%s: missing surface output", entry)
-					}
-					if !bytes.Equal(n, p) {
-						t.Errorf("%s: %v and %v results diverge\n--- %v ---\n%s\n--- %v ---\n%s",
-							entry, top, tr, top, truncate(n), tr, truncate(p))
-					}
-				}
+			for _, tr := range tiers[:len(tiers)-1] {
+				confCompare(t, results[top], results[tr], top.String(), tr.String())
 			}
 		})
 	}
@@ -470,18 +524,9 @@ func TestConformanceDNAFASTAvsIndex(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", load.kind, err)
 				}
-				results[load.kind] = confEntryPoints(t, cl, queries, tc.rep)
+				results[load.kind] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, "", false))
 			}
-			for _, entry := range []string{"Search", "SearchBatch", "SearchScheduled", "Stream", "HTTP"} {
-				f, s := results["fasta"][entry], results["swdb"][entry]
-				if f == nil || s == nil {
-					t.Fatalf("%s: missing surface output", entry)
-				}
-				if !bytes.Equal(f, s) {
-					t.Errorf("%s: FASTA and swdb results diverge\n--- fasta ---\n%s\n--- swdb ---\n%s",
-						entry, truncate(f), truncate(s))
-				}
-			}
+			confCompare(t, results["fasta"], results["swdb"], "fasta", "swdb")
 		})
 	}
 }

@@ -6,9 +6,20 @@ import (
 	"testing"
 )
 
+// prepared validates a request on the cluster, failing the test if the
+// doors would refuse it.
+func prepared(t *testing.T, cl *Cluster, req Request) job {
+	t.Helper()
+	jb, err := cl.prepare(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jb
+}
+
 // TestSearchContextCancelled proves a dead caller aborts the whole search:
-// a pre-cancelled context fails the score pass at the first query boundary
-// with context.Canceled, not a partial result.
+// a pre-cancelled context fails the executor's score pass at the first
+// query boundary with context.Canceled, not a partial result.
 func TestSearchContextCancelled(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
@@ -17,12 +28,13 @@ func TestSearchContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := cl.SearchContext(ctx, NewSequence("q", "MKWVLA"))
+	jobs := []job{prepared(t, cl, Request{Query: NewSequence("q", "MKWVLA")})}
+	res, err := cl.execute(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Fatalf("cancelled search returned a result: %+v", res)
+		t.Fatalf("cancelled search returned results: %+v", res)
 	}
 }
 
@@ -36,19 +48,20 @@ func TestDecorateCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", "MKWVLA")
-	res, err := cl.SearchContext(context.Background(), q)
+	res, err := cl.Search(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jb := prepared(t, cl, Request{Query: q, Report: ReportOptions{Alignments: true}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = cl.decorate(ctx, cl.engine(), q, res, ReportOptions{Alignments: true}, cl.dopt)
+	err = cl.decorate(ctx, cl.engine(), cl.dopt, &jb, res, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled decorate: err = %v, want context.Canceled", err)
 	}
 	// The same call with a live context succeeds, so the failure above is
 	// the cancellation, not the inputs.
-	if err := cl.decorate(context.Background(), cl.engine(), q, res, ReportOptions{Alignments: true}, cl.dopt); err != nil {
+	if err := cl.decorate(context.Background(), cl.engine(), cl.dopt, &jb, res, nil); err != nil {
 		t.Fatalf("live decorate: %v", err)
 	}
 	for _, h := range res.Hits {
@@ -58,19 +71,30 @@ func TestDecorateCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchTranslatedContextCancelled covers the translated path: the
-// per-frame batch search shares the request context, so cancellation stops
-// the six-frame fan-out too.
+// TestSearchTranslatedContextCancelled covers the translated path: a
+// translated job's frames are queries of the executor's one score pass, so
+// cancellation stops the six-frame fan-out at a frame boundary too.
 func TestSearchTranslatedContextCancelled(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	jb := prepared(t, cl, Request{Query: NewDNASequence("d", "ATGAAATGGGTACTGGCT"), Translate: true})
+	if len(jb.frames) != 6 {
+		t.Fatalf("%d frames, want 6", len(jb.frames))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = cl.SearchTranslatedContext(ctx, NewDNASequence("d", "ATGAAATGGGTACTGGCT"))
-	if !errors.Is(err, context.Canceled) {
+	if _, err := cl.execute(ctx, []job{jb}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled translated search: err = %v, want context.Canceled", err)
+	}
+	// Live, the same job merges its six frames into one result.
+	res, err := cl.execute(context.Background(), []job{jb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || len(res[0].Scores) != db.Len() || res[0].Hits[0].Frame == 0 {
+		t.Fatalf("translated result: %+v", res)
 	}
 }

@@ -168,10 +168,11 @@ func (t *liveTopology) kick(url string, err error) {
 // re-reads the manifest for a re-cut shard layout; Topology snapshots
 // the whole state for /healthz.
 //
-// Every scheduled entry point works unchanged: SearchScheduled and the
-// HTTP front end coalesce, dedup and cache exactly as on a local
-// cluster. Aligned reports fan tracebacks out to the nodes owning each
-// hit's shard.
+// Every door works unchanged — Do, DoBatch and the HTTP front end
+// coalesce, dedup and cache exactly as on a local cluster — except that a
+// request-scoped Request.Matrix fails with ErrBadMatrix: nodes score under
+// their own options. Aligned reports fan tracebacks out to the nodes owning
+// each hit's shard.
 //
 // ctx bounds the construction-time node probes (which run concurrently):
 // cancelling it aborts the topology discovery (a caller-side startup

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -172,9 +173,9 @@ func TestCoordinatorConformance(t *testing.T) {
 			t.Errorf("query %s: coordinator result differs from single-node:\nwant %s\ngot  %s", q.ID(), w, g)
 		}
 		// The scheduled path must agree too (it is what swserve serves).
-		sched, err := coord.SearchScheduled(context.Background(), q, rep)
+		sched, err := coord.Do(context.Background(), Request{Query: q, Report: rep})
 		if err != nil {
-			t.Fatalf("coordinator SearchScheduled(%s): %v", q.ID(), err)
+			t.Fatalf("coordinator Do(%s): %v", q.ID(), err)
 		}
 		if w, g := canonDistrib(t, want), canonDistrib(t, sched); !bytes.Equal(w, g) {
 			t.Errorf("query %s: scheduled coordinator result differs from single-node", q.ID())
@@ -196,6 +197,69 @@ func TestCoordinatorConformance(t *testing.T) {
 		if want.Cells != got.Cells {
 			t.Errorf("query %s: cells %d != single-node %d", q.ID(), got.Cells, want.Cells)
 		}
+	}
+}
+
+// TestCoordinatorRejectsRequestMatrix pins the distributed matrix
+// contract: the shard wire carries query codes, not options, so nodes score
+// under their own configured matrix and a coordinator cannot honour a
+// request-scoped one. It refuses the request — ErrBadMatrix, HTTP 400 —
+// rather than answer under the nodes' matrix as if it had applied the
+// caller's.
+func TestCoordinatorRejectsRequestMatrix(t *testing.T) {
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
+	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{nodeA.URL, nodeB.URL}, fastDistribOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.CloseNow()
+	refDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCluster(refDB, distribOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.CloseNow()
+
+	ctx := context.Background()
+	q := queries[1]
+	matrix := matchOnlyMatrix(9, "match-only")
+	top := ReportOptions{TopK: 1}
+	// The premise: the matrix changes this query's answer on one node.
+	custom, err := ref.Do(ctx, Request{Query: q, Matrix: matrix, Report: top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ref.Do(ctx, Request{Query: q, Report: top})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if custom.Hits[0].Score == plain.Hits[0].Score {
+		t.Fatalf("the matrix leaves the top score at %d; the test proves nothing", plain.Hits[0].Score)
+	}
+
+	if _, err := coord.Do(ctx, Request{Query: q, Matrix: matrix, Report: top}); !errors.Is(err, ErrBadMatrix) {
+		t.Fatalf("coordinator Do with a request matrix: err = %v, want ErrBadMatrix", err)
+	}
+	ts := httptest.NewServer(NewHTTPHandler(coord))
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/search", map[string]any{"residues": q.String(), "matrix": matrix, "top_k": 1})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("coordinator POST /search with a matrix: status %d (%s), want 400", resp.StatusCode, body)
+	}
+	// Without the matrix the coordinator answers as the single node does.
+	resp, body = postJSON(t, ts.URL+"/search", map[string]any{"residues": q.String(), "top_k": 1})
+	var sr SearchJSON
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sr) != nil || len(sr.Hits) != 1 || sr.Hits[0].Score != plain.Hits[0].Score {
+		t.Fatalf("coordinator POST /search: status %d: %s, want the single node's top score %d", resp.StatusCode, body, plain.Hits[0].Score)
 	}
 }
 
@@ -363,8 +427,8 @@ func TestCoordinatorHedgeSlowReplica(t *testing.T) {
 
 // BenchmarkCoordinatorLoopback measures a coordinator fanning one query
 // out to two loopback shard nodes — wire encoding, HTTP round trips and
-// the score merge included. Search (not SearchScheduled) is used so the
-// LRU cache cannot short-circuit repeated queries.
+// the score merge included. Search (not Do) is used so the LRU cache
+// cannot short-circuit repeated queries.
 func BenchmarkCoordinatorLoopback(b *testing.B) {
 	parentPath, manifestPath, shardPaths, queries := distribSetup(b)
 	nodeA, _ := startShardNode(b, shardPaths[:1], nil)

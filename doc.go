@@ -21,10 +21,13 @@
 //     inter-task column step (stripes as rows, query segments as lanes),
 //     16-bit with 32-bit scalar recomputation on saturation — see
 //     Database.Search;
-//   - a search service object over a database, with batched multi-query
-//     search and a streaming Submit/Results pipeline, every search one
-//     pass of all the host's cores over the whole database — see
-//     NewCluster, Cluster.Search, Cluster.SearchBatch and Cluster.Submit;
+//   - a search service object over a database: every search is one
+//     Request — a query, an optional request-scoped matrix, an optional
+//     six-frame translation and the reporting options — through one of its
+//     doors, and every door runs one validation and one batch executor,
+//     each search one pass of all the host's cores over the whole database
+//     — see NewCluster, Request, Cluster.Do, Cluster.DoBatch,
+//     Cluster.NewStream and Cluster.Search;
 //   - a pure planner that prices the paper's Algorithm 1 on one modelled
 //     device and its Algorithm 2 — the heterogeneous CPU+coprocessor split
 //     — generalised to any roster of modelled devices under static
@@ -32,11 +35,10 @@
 //     workload distributions, from sequence lengths alone, no kernels run
 //     — see Database.Simulate, Cluster.Plan and cmd/swbench;
 //   - a concurrent micro-batching query scheduler behind every streaming
-//     and serving path: submissions coalesce into adaptive micro-batches,
-//     several batches run in flight, identical queries share one
+//     and serving door: submissions coalesce into adaptive micro-batches,
+//     several batches run in flight, identical requests share one
 //     execution and repeats come from a cluster-wide LRU cache — see
-//     Cluster.NewStream, Cluster.SearchScheduled and the cmd/swserve
-//     HTTP front end;
+//     Cluster.Do, Cluster.NewStream and the cmd/swserve HTTP front end;
 //   - two-phase aligned-hit reporting: after the vectorised score pass
 //     selects the top-K hits, a traceback phase re-aligns the query
 //     against just those K subjects and decorates each
@@ -69,9 +71,9 @@
 //     scoring (NewDNASequence, ReadDNAFASTAFile, LoadDNADatabaseFile),
 //     blastx-style six-frame translated search of DNA queries against
 //     protein databases with per-hit frames and DNA coordinates
-//     (Cluster.SearchTranslated), user-supplied substitution matrices in
-//     NCBI textual form (Options.MatrixText, Cluster.SearchMatrix, the
-//     ErrBadMatrix error family), and SAM 1.6 / BLAST tabular output of
+//     (Request.Translate), user-supplied substitution matrices in NCBI
+//     textual form (Options.MatrixText, Request.Matrix, the ErrBadMatrix
+//     error family), and SAM 1.6 / BLAST tabular output of
 //     aligned results (WriteFormat, swsearch -outfmt, the format field
 //     on POST /search);
 //   - distributed multi-node serving over .swdb shards: swindex split
@@ -129,10 +131,28 @@
 //	    Devices: []heterosw.DeviceKind{heterosw.DeviceXeon, heterosw.DevicePhi, heterosw.DevicePhi},
 //	    Dist:    "dynamic",
 //	})
-//	results, err := cl.SearchBatch(queries) // on the host; amortises pre-processing
-//	plan, err := cl.Plan(queries[0].Len())  // on the model: plan.Seconds, plan.GCUPS
+//	res, err := cl.Do(ctx, heterosw.Request{Query: q}) // on the host
+//	plan, err := cl.Plan(q.Len())                       // on the model: plan.Seconds, plan.GCUPS
 //
-// # Streaming and serving
+// # Requests and doors
+//
+// A Request is the whole search: Query, Matrix (request-scoped NCBI
+// matrix text), Translate (six-frame translated search) and Report (the
+// reporting phases). Do runs one through the cluster's serving scheduler —
+// concurrent callers coalesce into micro-batches, identical in-flight
+// requests share one execution, and repeats are answered from the
+// cluster's LRU result cache, whose key holds the matrix's parsed content,
+// the translate flag and the report options, so a translated or
+// custom-matrix request is cached like any other. Do's context bounds the
+// caller's wait, not the computation: an abandoned request still finishes
+// into the cache for the next asker. Results may be shared between
+// callers, translated and custom-matrix ones included; treat them as
+// read-only. DoBatch submits a batch and gathers the results in request
+// order; the cmd/swserve HTTP server's /search is one Do and its /batch
+// one DoBatch. ClusterOptions.MaxInFlight, BatchWindow, MaxBatch and
+// CacheSize tune the scheduler. Search (and SearchScheduled, Do in
+// variadic form) serve direct searches only; Search runs the executor
+// without the scheduler or cache.
 //
 // Streams deliver results in submission order whatever order the
 // concurrent micro-batches complete in; Submit never blocks, and a
@@ -143,30 +163,27 @@
 // closes Results, so an abandoned consumer never strands a worker:
 //
 //	st := cl.NewStream(ctx)
-//	for _, q := range queries { st.Submit(q) }
+//	for _, q := range queries { st.Submit(heterosw.Request{Query: q}) }
 //	st.Close()
 //	for sr := range st.Results() { ... } // sr.Index is the submission order
 //
-// SearchScheduled is the one-call serving entry point (used by the
-// cmd/swserve HTTP server): concurrent callers coalesce into micro-batches
-// and repeated queries are answered from the cluster's LRU result cache.
-// ClusterOptions.MaxInFlight, BatchWindow, MaxBatch and CacheSize tune the
-// scheduler.
+// A request the validation refuses fails at its door, before any
+// scheduler sees it: malformed requests wrap ErrBadRequest, rejected
+// matrix text ErrBadMatrix, unsatisfiable reports ErrNoSignificance or
+// ErrTooManyAlignments.
 //
 // # Aligned-hit reporting
 //
-// Every Cluster entry point — Search, SearchBatch, SearchScheduled and
-// Stream.Submit — accepts an optional trailing ReportOptions selecting
-// the two-phase reporting pipeline of production search services (the
-// SSW Library's score-then-traceback design): phase one is the vectorised
-// score pass over the whole database, phase two re-aligns the query
-// against only the top-K hits:
+// Request.Report selects the two-phase reporting pipeline of production
+// search services (the SSW Library's score-then-traceback design): phase
+// one is the vectorised score pass over the whole database, phase two
+// re-aligns the query against only the top-K hits:
 //
-//	res, err := cl.Search(query, heterosw.ReportOptions{
+//	res, err := cl.Do(ctx, heterosw.Request{Query: q, Report: heterosw.ReportOptions{
 //	    Alignments: true, // coordinates, CIGAR, identities per hit
 //	    EValues:    true, // bit score + E-value from a fitted null model
 //	    TopK:       10,   // K: the number of hits reported and aligned
-//	})
+//	}})
 //	for _, h := range res.Hits {
 //	    fmt.Println(h.ID, h.Score, h.Alignment.CIGAR, h.Significance.EValue)
 //	}
@@ -194,13 +211,13 @@
 // -dna) encodes under the 15-letter IUPAC nucleotide alphabet — case
 // insensitive, with unrecognised bytes becoming N — and searches default
 // to the blastn-style NUC +2/-3 matrix; .swdb indexes persist the
-// alphabet and restore it on load. SearchTranslated searches a DNA query
+// alphabet and restore it on load. Request.Translate searches a DNA query
 // against a protein database in all six reading frames and merges the
 // per-frame results, reporting each hit's winning frame and the aligned
-// region's forward-strand DNA coordinates. SearchMatrix (and the
-// MatrixText option, the -matrixfile flag and the HTTP matrix field)
-// scores one request with a user matrix parsed from NCBI textual form;
-// rejected matrix text wraps ErrBadMatrix.
+// region's forward-strand DNA coordinates. Request.Matrix (the HTTP
+// matrix field) scores one request with a user matrix parsed from NCBI
+// textual form, as the MatrixText option and the -matrixfile flag do for a
+// whole cluster; rejected matrix text wraps ErrBadMatrix.
 //
 // # Tools
 //

@@ -2,12 +2,13 @@
 // Algorithm 2 on the device model — a roster of one Xeon host and two Xeon
 // Phi coprocessors, priced under the static residue split and under the
 // dynamic device-level chunk queue the paper names as future work — then
-// runs a batched search and a streaming Submit/Results session on the host.
+// runs a batch of requests and a streaming session on the host.
 //
 // Run with: go run ./examples/cluster [-scale 0.003]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,33 +45,39 @@ func main() {
 		}
 	}
 
-	// Batched search, on the host: the lane packings are built once and
-	// reused for every query in the batch.
+	// A batch of requests, on the host: submitted together, they coalesce
+	// into micro-batches whose lane packings serve every query.
+	ctx := context.Background()
 	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Devices: roster, Dist: "dynamic", Options: heterosw.Options{TopK: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	batch := queries[:5]
-	results, err := cl.SearchBatch(batch)
+	batch := make([]heterosw.Request, 5)
+	for i, q := range queries[:5] {
+		batch[i] = heterosw.Request{Query: q}
+	}
+	results, err := cl.DoBatch(ctx, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nbatch of 5 queries (amortised pre-processing):")
 	for i, r := range results {
+		q := batch[i].Query
 		fmt.Printf("  %-12s (%4d aa) top hit %-12s score %5d\n",
-			batch[i].ID(), batch[i].Len(), r.Hits[0].ID, r.Hits[0].Score)
+			q.ID(), q.Len(), r.Hits[0].ID, r.Hits[0].Score)
 	}
 
 	// Streaming session: submissions return immediately; results arrive
 	// in submission order on the Results channel.
+	st := cl.NewStream(ctx)
 	for _, q := range queries[5:8] {
-		if err := cl.Submit(q); err != nil {
+		if err := st.Submit(heterosw.Request{Query: q}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	cl.Close()
+	st.Close()
 	fmt.Println("\nstreaming session:")
-	for sr := range cl.Results() {
+	for sr := range st.Results() {
 		if sr.Err != nil {
 			log.Fatal(sr.Err)
 		}

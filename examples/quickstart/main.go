@@ -2,12 +2,13 @@
 // two-phase aligned search — the vectorised score pass selects the top
 // hits, the traceback phase decorates them with coordinates, CIGARs and
 // identities, and a fitted null model adds bit scores and E-values — all
-// from a single Cluster.Search call.
+// from a single Cluster.Do call.
 //
 // Run with: go run ./examples/quickstart
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,11 +33,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One call: score pass + tracebacks over the top 5 hits + E-values.
-	res, err := cl.Search(query, heterosw.ReportOptions{
-		Alignments: true,
-		EValues:    true,
-		TopK:       5,
+	// One request: score pass + tracebacks over the top 5 hits + E-values.
+	res, err := cl.Do(context.Background(), heterosw.Request{
+		Query: query,
+		Report: heterosw.ReportOptions{
+			Alignments: true,
+			EValues:    true,
+			TopK:       5,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

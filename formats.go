@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"heterosw/internal/sequence"
 	"heterosw/internal/translate"
 )
 
@@ -31,19 +30,15 @@ func WriteFormat(w io.Writer, format string, query Sequence, db *Database, res *
 }
 
 // frameQueries translates a DNA query into its six frame proteins, keyed
-// by frame index (+1..+3, -1..-3), as Sequence values whose IDs match the
-// frame queries SearchTranslated runs.
+// by frame index (+1..+3, -1..-3), as the frame queries a translated
+// search runs.
 func frameQueries(query Sequence) map[int]Sequence {
 	out := make(map[int]Sequence, 6)
 	if query.impl == nil {
 		return out
 	}
 	for _, f := range translate.Frames(query.impl.Residues) {
-		out[f.Index] = Sequence{impl: &sequence.Sequence{
-			ID:       fmt.Sprintf("%s|frame%+d", query.impl.ID, f.Index),
-			Desc:     query.impl.Desc,
-			Residues: f.Protein,
-		}}
+		out[f.Index] = Sequence{impl: frameSeq(query, f)}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package heterosw
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -195,7 +196,7 @@ func goldenTranslatedSetup(t *testing.T) (*Database, Sequence, *Cluster) {
 // report, and the SAM and TSV renderings.
 func TestGoldenTranslatedSearch(t *testing.T) {
 	db, query, cl := goldenTranslatedSetup(t)
-	res, err := cl.SearchTranslated(query, ReportOptions{Alignments: true, EValues: true, TopK: goldenDNATopK})
+	res, err := cl.Do(context.Background(), Request{Query: query, Translate: true, Report: ReportOptions{Alignments: true, EValues: true, TopK: goldenDNATopK}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestGoldenTranslatedMatchesProtein(t *testing.T) {
 		t.Fatal(err)
 	}
 	dna := NewDNASequence("fwd", goldenBackTranslate(t, query.String()))
-	tres, err := cl.SearchTranslated(dna, ReportOptions{TopK: goldenDNATopK})
+	tres, err := cl.Do(context.Background(), Request{Query: dna, Translate: true, Report: ReportOptions{TopK: goldenDNATopK}})
 	if err != nil {
 		t.Fatal(err)
 	}

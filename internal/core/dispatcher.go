@@ -265,37 +265,22 @@ func (d *Dispatcher) commitTotals(searches [][]*Result) {
 func (d *Dispatcher) DB() *seqdb.Database { return d.db }
 
 // Search distributes one query over the cluster and merges the score
-// lists into caller order. It is the context-free convenience root;
-// serving paths use SearchContext.
+// lists into caller order. It is the context-free convenience root; the
+// serving paths run SearchBatchContext.
 //
 //sw:ctxroot
 func (d *Dispatcher) Search(query *sequence.Sequence, opt DispatchOptions) (*ClusterResult, error) {
-	return d.SearchContext(context.Background(), query, opt)
-}
-
-// SearchContext is Search with cancellation (see SearchBatchContext for
-// the semantics).
-func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence, opt DispatchOptions) (*ClusterResult, error) {
-	res, err := d.SearchBatchContext(ctx, []*sequence.Sequence{query}, opt, nil)
+	res, err := d.SearchBatchContext(context.Background(), []*sequence.Sequence{query}, opt, nil)
 	if err != nil {
 		return nil, err
 	}
 	return res[0], nil
 }
 
-// SearchBatch runs a batch of queries over the cluster, one after the
-// other. It is the context-free convenience root; serving paths use
-// SearchBatchContext.
-//
-//sw:ctxroot
-func (d *Dispatcher) SearchBatch(queries []*sequence.Sequence, opt DispatchOptions) ([]*ClusterResult, error) {
-	return d.SearchBatchContext(context.Background(), queries, opt, nil)
-}
-
-// SearchBatchContext is SearchBatch with cancellation: the context is
-// checked at every query boundary, so an abandoned batch (a closed stream,
-// a disconnected HTTP client) stops burning backend time mid-batch instead
-// of running to completion. Kernels already launched finish their current
+// SearchBatchContext runs a batch of queries over the cluster, one after
+// the other. The context is checked at every query boundary, so an
+// abandoned batch (a closed stream, a disconnected HTTP client) stops
+// burning backend time mid-batch instead of running to completion. Kernels already launched finish their current
 // query; nothing is left running after the call returns.
 //
 // topK, when non-nil, holds one hit-list bound per query in place of

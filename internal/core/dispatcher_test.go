@@ -80,7 +80,7 @@ func TestDispatcherThreeBackendsScores(t *testing.T) {
 	}
 }
 
-// SearchBatch must agree with query-at-a-time Search.
+// SearchBatchContext must agree with query-at-a-time Search.
 func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	db := randDB(rng, 80, 70, true)
@@ -95,7 +95,7 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	}
 	for _, dist := range []Distribution{DistStatic, DistDynamic} {
 		opt := DispatchOptions{Search: defaultSearchOptions(), Dist: dist}
-		batch, err := disp.SearchBatch(queries, opt)
+		batch, err := disp.SearchBatchContext(context.Background(), queries, opt, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", dist, err)
 		}
@@ -115,7 +115,7 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	if res, err := disp.SearchBatch(nil, DispatchOptions{Search: defaultSearchOptions()}); err != nil || res != nil {
+	if res, err := disp.SearchBatchContext(context.Background(), nil, DispatchOptions{Search: defaultSearchOptions()}, nil); err != nil || res != nil {
 		t.Fatalf("empty batch: %v %v", res, err)
 	}
 }
@@ -165,7 +165,7 @@ func TestDispatcherTotalsAcrossConcurrentBatches(t *testing.T) {
 		errc := make(chan error, batches)
 		for g := 0; g < batches; g++ {
 			go func() {
-				_, err := disp.SearchBatch(queries, opt)
+				_, err := disp.SearchBatchContext(context.Background(), queries, opt, nil)
 				errc <- err
 			}()
 		}

@@ -121,6 +121,19 @@ func (m *Matrix) Score(a, b alphabet.Code) int { return int(m.scores[int(a)*m.n+
 // is exposed so profile construction can copy rows without per-cell calls.
 func (m *Matrix) Row(a alphabet.Code) []int8 { return m.scores[int(a)*m.n : (int(a)+1)*m.n] }
 
+// Fingerprint identifies the matrix by content: its alphabet and score
+// table, not its name. Two matrices with equal fingerprints score every
+// residue pair alike.
+func (m *Matrix) Fingerprint() string {
+	b := make([]byte, 0, len(m.alpha.Name())+1+len(m.scores))
+	b = append(b, m.alpha.Name()...)
+	b = append(b, ':')
+	for _, s := range m.scores {
+		b = append(b, byte(s))
+	}
+	return string(b)
+}
+
 // Max returns the largest score in the matrix (the best possible per-cell
 // gain, used for overflow-threshold computation in 16-bit kernels).
 func (m *Matrix) Max() int { return m.max }

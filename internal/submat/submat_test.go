@@ -118,6 +118,30 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	}
 }
 
+// A fingerprint names the score table, not the text or the name it came
+// from: a reparsed built-in matches the original, and different tables —
+// BLOSUM62 and BLOSUM50, or one score apart — never match.
+func TestFingerprint(t *testing.T) {
+	back, err := Parse("custom", strings.NewReader("# reformatted\n"+Format(BLOSUM62)), alphabet.Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Fingerprint() != BLOSUM62.Fingerprint() {
+		t.Fatal("reparsed BLOSUM62 has a different fingerprint")
+	}
+	a, err := ParseProtein("a", strings.NewReader("A R\nA 4 -3\nR -3 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ParseProtein("a", strings.NewReader("A R\nA 4 -3\nR -3 6\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if BLOSUM62.Fingerprint() == BLOSUM50.Fingerprint() || a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("different score tables share a fingerprint")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":        "",

@@ -72,7 +72,8 @@ func (s *ShardServer) Handler() http.Handler {
 	return mux
 }
 
-// Close drains every shard cluster's streaming session gracefully.
+// Close releases every shard cluster's background work (see
+// Cluster.Close).
 func (s *ShardServer) Close() {
 	for _, key := range s.keys {
 		s.shards[key].Close()
@@ -155,7 +156,7 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 	}
 	// The coordinator owns the selection: the node computes no hit list and
 	// ships the engine's own score list.
-	res, err := cl.scheduled(r.Context(), reportQuery{seq: q, wire: true})
+	res, err := cl.scheduled(r.Context(), job{query: q, wire: true})
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return

@@ -12,12 +12,13 @@ import (
 )
 
 // ErrBadMatrix is the family sentinel wrapped by every rejected
-// user-supplied substitution matrix (Options.MatrixText, the swsearch
-// -matrixfile flag, the HTTP "matrix" field): test with errors.Is. The
-// three members name the specific defect — an alphabet line that does not
-// match the target alphabet, a non-square or asymmetric score table, and
-// scores outside the int8 range the 8-bit ladder's bias arithmetic
-// requires.
+// user-supplied substitution matrix (Options.MatrixText, Request.Matrix,
+// the swsearch -matrixfile flag, the HTTP "matrix" field): test with
+// errors.Is. The three members name the specific defect — an alphabet line
+// that does not match the target alphabet, a non-square or asymmetric score
+// table, and scores outside the int8 range the 8-bit ladder's bias
+// arithmetic requires. A Request.Matrix sent to a distributed coordinator
+// wraps the family root alone.
 var (
 	ErrBadMatrix         = submat.ErrBadMatrix
 	ErrBadMatrixAlphabet = submat.ErrBadAlphabet

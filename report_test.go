@@ -46,8 +46,8 @@ func TestSearchReportMatchesAlignOracle(t *testing.T) {
 				h.ID, a.QueryStart, a.QueryEnd, a.SubjectStart, a.SubjectEnd, qs, qe, ss, se)
 		}
 	}
-	// SearchBatch carries the same report options across the batch.
-	batch, err := cl.SearchBatch([]Sequence{q, seqs[1]}, ReportOptions{Alignments: true, TopK: 2})
+	// DoBatch carries each request's report options.
+	batch, err := cl.DoBatch(context.Background(), requests([]Sequence{q, seqs[1]}, ReportOptions{Alignments: true, TopK: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,22 +126,46 @@ func TestReportOptionsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", "MKWVLA")
-	if _, err := cl.Search(q, ReportOptions{TopK: -1}); err == nil {
-		t.Error("negative TopK accepted")
+	if _, err := cl.Search(q, ReportOptions{TopK: -1}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("negative TopK: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := cl.Search(q, ReportOptions{EValueTrim: 0.7}); err == nil {
-		t.Error("EValueTrim 0.7 accepted")
+	if _, err := cl.Search(q, ReportOptions{EValueTrim: 0.7}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("EValueTrim 0.7: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := cl.Search(q, ReportOptions{}, ReportOptions{}); err == nil {
-		t.Error("two ReportOptions accepted")
+	if _, err := cl.Search(q, ReportOptions{}, ReportOptions{}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("two ReportOptions: err = %v, want ErrBadRequest", err)
 	}
-	if err := cl.Submit(q, ReportOptions{TopK: -2}); err == nil {
-		t.Error("stream Submit accepted negative TopK")
+	if err := cl.NewStream(context.Background()).Submit(Request{Query: q, Report: ReportOptions{TopK: -2}}); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("stream Submit of negative TopK: err = %v, want ErrBadRequest", err)
 	}
 }
 
-// Score-only and aligned results of the same query must not alias in the
-// serving scheduler's cache, in either direction.
+// matchOnlyMatrix is NCBI matrix text scoring score for an exact match of
+// M, K, W, V, L or A and -score for a mismatch between them; comment leads
+// the text, so two texts can differ while their tables do not.
+func matchOnlyMatrix(score int, comment string) string {
+	const letters = "MKWVLA"
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# %s\n%s\n", comment, strings.Join(strings.Split(letters, ""), " "))
+	for i := range letters {
+		sb.WriteByte(letters[i])
+		for j := range letters {
+			s := -score
+			if i == j {
+				s = score
+			}
+			fmt.Fprintf(&sb, " %d", s)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// Requests that differ in anything that shapes a result must not alias in
+// the serving scheduler's cache, in either direction: score-only and
+// aligned reports, a translated query and a direct one with the same code
+// bytes, two matrices, a matrix and the cluster default. Repeats of each —
+// translated and custom-matrix ones included — are cache hits.
 func TestReportCacheKeysNeverAlias(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.0001, false)
 	cl, err := NewCluster(db, ClusterOptions{})
@@ -182,6 +206,52 @@ func TestReportCacheKeysNeverAlias(t *testing.T) {
 	}
 	if hits, _, _ := cl.CacheStats(); hits < 2 {
 		t.Fatalf("repeats were not cache hits (hits=%d)", hits)
+	}
+
+	// Each request is asked twice: the first must miss, the second hit
+	// and answer the first's result.
+	twice := func(name string, req, again Request) *ClusterResult {
+		t.Helper()
+		h0, m0, _ := cl.CacheStats()
+		s0 := cl.SchedulerStats().CacheHits
+		first, err := cl.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if h1, m1, _ := cl.CacheStats(); h1 != h0 || m1 != m0+1 {
+			t.Fatalf("%s: first ask was not a cache miss (hits %d -> %d, misses %d -> %d)", name, h0, h1, m0, m1)
+		}
+		second, err := cl.Do(ctx, again)
+		if err != nil {
+			t.Fatalf("%s repeat: %v", name, err)
+		}
+		if h2, _, _ := cl.CacheStats(); h2 != h0+1 || cl.SchedulerStats().CacheHits != s0+1 || second != first {
+			t.Fatalf("%s: repeat was not served from the cache (hits %d -> %d)", name, h0, h2)
+		}
+		return first
+	}
+
+	// DNA's A, C, G, T and protein's A, R, N, D encode as the same codes.
+	dna := NewDNASequence("d", strings.Repeat("ACGT", 12))
+	twin := NewSequence("p", strings.Repeat("ARND", 12))
+	for i, c := range dna.impl.Residues {
+		if twin.impl.Residues[i] != c {
+			t.Fatalf("residue %d: DNA code %d, protein code %d", i, c, twin.impl.Residues[i])
+		}
+	}
+	translated := twice("translated", Request{Query: dna, Translate: true}, Request{Query: dna, Translate: true})
+	direct := twice("direct twin", Request{Query: twin}, Request{Query: twin})
+	if translated.Hits[0].Frame == 0 || direct.Hits[0].Frame != 0 {
+		t.Fatalf("translated and direct results aliased: frames %+d and %+d", translated.Hits[0].Frame, direct.Hits[0].Frame)
+	}
+
+	// Two matrices, and a matrix beside the cluster default (the plain
+	// search above): the repeat's text differs only in its comment, and
+	// the key fingerprints the parsed table.
+	nine := twice("matrix 9", Request{Query: q, Matrix: matchOnlyMatrix(9, "nine")}, Request{Query: q, Matrix: matchOnlyMatrix(9, "nine again")})
+	five := twice("matrix 5", Request{Query: q, Matrix: matchOnlyMatrix(5, "five")}, Request{Query: q, Matrix: matchOnlyMatrix(5, "five")})
+	if s9, s5, s := nine.Hits[0].Score, five.Hits[0].Score, plain.Hits[0].Score; s9 == s5 || s9 == s || s5 == s {
+		t.Fatalf("matrix results aliased: top scores %d (match 9), %d (match 5), %d (default)", s9, s5, s)
 	}
 }
 
@@ -379,8 +449,8 @@ func TestAlignmentCapEnforced(t *testing.T) {
 	if _, err := cl.Search(q, ReportOptions{Alignments: true, TopK: 500000}); !errors.Is(err, ErrTooManyAlignments) {
 		t.Fatalf("Search accepted a 500000-traceback report: %v", err)
 	}
-	if _, err := cl.SearchBatch([]Sequence{q}, ReportOptions{Alignments: true, TopK: MaxAlignHits + 1}); !errors.Is(err, ErrTooManyAlignments) {
-		t.Fatalf("SearchBatch accepted TopK %d: %v", MaxAlignHits+1, err)
+	if _, err := cl.DoBatch(context.Background(), requests([]Sequence{q}, ReportOptions{Alignments: true, TopK: MaxAlignHits + 1})); !errors.Is(err, ErrTooManyAlignments) {
+		t.Fatalf("DoBatch accepted TopK %d: %v", MaxAlignHits+1, err)
 	}
 	if _, err := cl.SearchScheduled(context.Background(), q, ReportOptions{Alignments: true, TopK: MaxAlignHits + 1}); !errors.Is(err, ErrTooManyAlignments) {
 		t.Fatalf("SearchScheduled accepted TopK %d: %v", MaxAlignHits+1, err)

@@ -2,6 +2,7 @@ package heterosw
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -208,7 +209,7 @@ func TestGoldenSAMStructure(t *testing.T) {
 // validator guards the writer itself, not just the checked-in goldens.
 func TestFreshSAMStructure(t *testing.T) {
 	db, query, cl := goldenTranslatedSetup(t)
-	res, err := cl.SearchTranslated(query, ReportOptions{Alignments: true, EValues: true, TopK: goldenDNATopK})
+	res, err := cl.Do(context.Background(), Request{Query: query, Translate: true, Report: ReportOptions{Alignments: true, EValues: true, TopK: goldenDNATopK}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ type Hit struct {
 	// Score is the optimal Smith-Waterman score.
 	Score int
 	// Frame is the reading frame (+1, +2, +3, -1, -2, -3) the hit's best
-	// score was found in, for translated searches (SearchTranslated); 0
+	// score was found in, for translated searches (Request.Translate); 0
 	// for direct protein or DNA searches.
 	Frame int
 	// Alignment carries the phase-two traceback detail (coordinates,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"heterosw/internal/device"
-	"heterosw/internal/qsched"
 	"heterosw/internal/remote"
 	"heterosw/internal/vec"
 )
@@ -35,10 +34,10 @@ import (
 // "blast", "sam", "tsv" — the latter two imply align), "translate" (six-
 // frame translated search of a DNA query against a protein database) and
 // "matrix" (request-scoped substitution matrix text in the NCBI format;
-// rejected text answers 400 wrapping ErrBadMatrix). Translated and
-// custom-matrix searches bypass the micro-batching scheduler and cache,
-// since their results are not interchangeable with the cluster-wide
-// configuration's.
+// rejected text answers 400 wrapping ErrBadMatrix). Every /search is one
+// Cluster.Do and every /batch one Cluster.DoBatch, so translated and
+// custom-matrix requests coalesce, dedup and cache like any other: the
+// matrix's content and the translate flag are part of the cache key.
 
 // maxRequestBytes bounds an HTTP request body: the longest real protein is
 // ~36k residues, so even a generous batch fits comfortably.
@@ -56,7 +55,7 @@ const maxQueryResidues = 65536
 const maxResponseHits = 10000
 
 // maxAlignHits caps top_k when align is requested, mirroring the
-// library-level MaxAlignHits cap enforced by Cluster.checkReport.
+// library-level MaxAlignHits cap every door enforces.
 const maxAlignHits = MaxAlignHits
 
 // defaultResponseHits caps the hits serialised per query when a request
@@ -194,7 +193,7 @@ type server struct {
 
 // NewHTTPHandler wraps a cluster in the JSON search API served by
 // cmd/swserve. Every /search and /batch request is routed through the
-// cluster's serving scheduler (SearchScheduled), so concurrent requests
+// cluster's serving scheduler (Do, DoBatch), so concurrent requests
 // coalesce into micro-batches, identical in-flight queries share one
 // execution and repeated queries hit the LRU cache.
 func NewHTTPHandler(c *Cluster) http.Handler {
@@ -375,17 +374,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var res *ClusterResult
-	switch {
-	case req.Translate && req.Matrix != "":
-		res, err = s.c.SearchTranslatedMatrixContext(r.Context(), q, req.Matrix, rep)
-	case req.Translate:
-		res, err = s.c.SearchTranslatedContext(r.Context(), q, rep)
-	case req.Matrix != "":
-		res, err = s.c.SearchMatrixContext(r.Context(), q, req.Matrix, rep)
-	default:
-		res, err = s.c.SearchScheduled(r.Context(), q, rep)
-	}
+	res, err := s.c.Do(r.Context(), Request{Query: q, Matrix: req.Matrix, Translate: req.Translate, Report: rep})
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return
@@ -431,12 +420,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Reject unsatisfiable reports before anything reaches the scheduler,
-	// so one bad batch cannot poison its coalesced neighbours.
-	if err := s.c.checkReport(rep); err != nil {
-		writeError(w, searchStatus(r, err), err)
-		return
-	}
 	alpha := s.c.db.Alphabet()
 	if req.FASTA != "" {
 		recs, ferr := fastaQueries(req.FASTA, alpha)
@@ -446,49 +429,22 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Queries = append(req.Queries, recs...)
 	}
-	queries := make([]Sequence, len(req.Queries))
+	reqs := make([]Request, len(req.Queries))
 	for i, qj := range req.Queries {
 		q, err := toQuery(qj, fmt.Sprintf("query %d", i), alpha)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		queries[i] = q
+		reqs[i] = Request{Query: q, Report: rep}
 	}
-	// Submit every query to the serving scheduler up front — tickets are
-	// futures, so this spawns no per-query goroutines however large the
-	// batch — then gather in request order. The submissions coalesce into
-	// micro-batches alongside concurrent requests.
-	sched, err := s.c.servingScheduler()
+	results, err := s.c.DoBatch(r.Context(), reqs)
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
-	tickets := make([]*qsched.Ticket[*ClusterResult], len(queries))
-	for i, q := range queries {
-		t, err := sched.Submit(reportQuery{seq: q, rep: rep})
-		if err != nil {
-			if errors.Is(err, qsched.ErrClosed) {
-				err = ErrClusterClosed
-			}
-			writeError(w, searchStatus(r, err), fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-		tickets[i] = t
-	}
-	out := BatchJSON{Results: make([]SearchJSON, len(queries))}
-	for i, t := range tickets {
-		res, err := t.Wait(r.Context())
-		if err != nil {
-			// Wait surfaces scheduler teardown as qsched.ErrClosed; map it to
-			// the cluster-level sentinel so searchStatus answers the retryable
-			// 503, exactly as the Submit path above does.
-			if errors.Is(err, qsched.ErrClosed) {
-				err = ErrClusterClosed
-			}
-			writeError(w, searchStatus(r, err), fmt.Errorf("query %d: %w", i, err))
-			return
-		}
+	out := BatchJSON{Results: make([]SearchJSON, len(results))}
+	for i, res := range results {
 		out.Results[i] = toSearchJSON(req.Queries[i].ID, res)
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -525,8 +481,9 @@ func fastaQueries(text, alpha string) ([]QueryJSON, error) {
 // cluster gets the retryable 503, a disconnected or timed-out client a
 // request-timeout code (unsendable when truly gone, but meaningful under
 // a deadline), an E-value request the database cannot satisfy the
-// non-retryable 422, anything else a server-side failure. Both /search
-// and /batch route every failure through here so the two endpoints agree.
+// non-retryable 422, a request the doors' validation refused 400,
+// anything else a server-side failure. Both /search and /batch route every
+// failure through here so the two endpoints agree.
 //
 // Order matters twice over. A cluster teardown cancels in-flight waits
 // through a context too, and under CloseNow the request context is often
@@ -558,9 +515,12 @@ func searchStatus(r *http.Request, err error) int {
 	if errors.Is(err, ErrNoSignificance) {
 		return http.StatusUnprocessableEntity
 	}
-	if errors.Is(err, ErrBadMatrix) {
+	if errors.Is(err, ErrBadMatrix) || errors.Is(err, ErrBadRequest) {
 		// Rejected user-supplied matrix text (bad alphabet line, non-square
-		// table, scores outside the 8-bit ladder's range): a client error.
+		// table, scores outside the 8-bit ladder's range, any matrix sent to
+		// a coordinator) or a request the doors refused as malformed (a
+		// translated query too short to translate, or against a DNA
+		// database): a client error.
 		return http.StatusBadRequest
 	}
 	if errors.Is(err, ErrTooManyAlignments) {

@@ -253,16 +253,39 @@ func TestHTTPErrors(t *testing.T) {
 		// the non-retryable 422, not a hard 500.
 		{"/search", `{"residues":"MKV","evalue":true}`, http.StatusUnprocessableEntity},
 		{"/batch", `{"queries":[{"residues":"MKV"}],"evalue":true}`, http.StatusUnprocessableEntity},
+		// Two nucleotides hold no codon: nothing to translate is the
+		// client's input, not a server failure.
+		{"/search", `{"residues":"AC","translate":true}`, http.StatusBadRequest},
+		{"/search", `{"residues":"ATGAAATGG","translate":true}`, http.StatusOK},
 	}
-	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
+	post := func(url, body string) int {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != tc.status {
-			t.Errorf("POST %s %q: status %d, want %d", tc.path, tc.body, resp.StatusCode, tc.status)
+		return resp.StatusCode
+	}
+	for _, tc := range cases {
+		if got := post(ts.URL+tc.path, tc.body); got != tc.status {
+			t.Errorf("POST %s %q: status %d, want %d", tc.path, tc.body, got, tc.status)
 		}
+	}
+	// A translated request against a DNA database is the client's error
+	// too: translation needs a protein database.
+	dnaDB, err := NewDatabase([]Sequence{NewDNASequence("g1", "ATGAAATGGGTACTG"), NewDNASequence("g2", "CCGGTTAA")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dna, err := NewCluster(dnaDB, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dts := httptest.NewServer(NewHTTPHandler(dna))
+	defer func() { dts.Close(); dna.CloseNow() }()
+	if got := post(dts.URL+"/search", `{"residues":"ATGAAATGG","translate":true}`); got != http.StatusBadRequest {
+		t.Errorf("translated search of a DNA database: status %d, want 400", got)
 	}
 	// Method checks.
 	if resp, err := http.Get(ts.URL + "/search"); err != nil {
@@ -468,12 +491,12 @@ func TestHTTPMatrixErrors(t *testing.T) {
 				t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
 			}
 			// The same text through the library surfaces the typed sentinels.
-			_, err := cl.SearchMatrix(NewSequence("q", "MKWVLA"), tc.matrix)
+			_, err := cl.Do(context.Background(), Request{Query: NewSequence("q", "MKWVLA"), Matrix: tc.matrix})
 			if !errors.Is(err, ErrBadMatrix) {
-				t.Fatalf("SearchMatrix error %v does not wrap ErrBadMatrix", err)
+				t.Fatalf("Do error %v does not wrap ErrBadMatrix", err)
 			}
 			if !errors.Is(err, tc.want) {
-				t.Fatalf("SearchMatrix error %v does not wrap %v", err, tc.want)
+				t.Fatalf("Do error %v does not wrap %v", err, tc.want)
 			}
 		})
 	}

@@ -13,7 +13,7 @@ type StreamResult struct {
 	// Index is the query's submission order, starting at 0; results are
 	// delivered in submission order.
 	Index int
-	// Query is the submitted query.
+	// Query is the submitted request's query.
 	Query Sequence
 	// Result is the search outcome; nil when Err is set. Results may be
 	// shared with other submissions of the same residues (the scheduler
@@ -34,11 +34,10 @@ type streamSub struct {
 	ticket *qsched.Ticket[*ClusterResult]
 }
 
-// Stream is one streaming session over a Cluster, replacing the PR-1
-// single-worker pipeline with the concurrent micro-batching scheduler:
-// submissions coalesce into adaptive micro-batches, up to MaxInFlight
-// batches run concurrently, and a reorder buffer delivers results in
-// submission order on Results.
+// Stream is one streaming session over a Cluster on a micro-batching
+// scheduler of its own: submissions coalesce into adaptive micro-batches,
+// up to MaxInFlight batches run concurrently on the cluster's executor, and
+// a reorder buffer delivers results in submission order on Results.
 //
 // Lifecycle: Close ends intake and lets queued work drain; CloseNow (or
 // cancelling the context passed to NewStream) additionally drops queued
@@ -46,15 +45,15 @@ type streamSub struct {
 // abandoned consumer never strands a worker goroutine. Results is closed
 // in every case.
 type Stream struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	sched  *qsched.Scheduler[reportQuery, *ClusterResult]
-	check  func(ReportOptions) error // the cluster's checkReport
-	out    chan StreamResult
-	stop   func() bool // releases the context.AfterFunc registration
+	ctx     context.Context
+	cancel  context.CancelFunc
+	sched   *qsched.Scheduler[job, *ClusterResult]
+	prepare func(Request) (job, error) // the cluster's validation
+	out     chan StreamResult
+	stop    func() bool // releases the context.AfterFunc registration
 
-	// window bounds forwarded-but-undelivered submissions: queries past
-	// it wait in `waiting` (holding only a Sequence reference) until
+	// window bounds forwarded-but-undelivered submissions: requests past
+	// it wait in `waiting` (holding only the prepared request) until
 	// delivery frees a slot, so completed-result memory stays bounded
 	// however far the producer runs ahead of the Results consumer.
 	window int
@@ -63,7 +62,7 @@ type Stream struct {
 	cond *sync.Cond
 	// submitted, not yet handed to the scheduler
 	//sw:guardedBy(mu)
-	waiting []reportQuery
+	waiting []job
 	// in the scheduler, awaiting ordered delivery
 	//sw:guardedBy(mu)
 	subs []streamSub
@@ -98,12 +97,12 @@ func (c *Cluster) NewStream(ctx context.Context) *Stream {
 		maxInFlight = qsched.DefaultMaxInFlight
 	}
 	st := &Stream{
-		ctx:    sctx,
-		cancel: cancel,
-		sched:  c.newScheduler(),
-		check:  c.checkReport,
-		out:    make(chan StreamResult, streamBuffer),
-		window: streamBuffer + maxBatch*maxInFlight,
+		ctx:     sctx,
+		cancel:  cancel,
+		sched:   c.newScheduler(),
+		prepare: c.prepare,
+		out:     make(chan StreamResult, streamBuffer),
+		window:  streamBuffer + maxBatch*maxInFlight,
 	}
 	st.cond = sync.NewCond(&st.mu)
 	st.stop = context.AfterFunc(sctx, st.abort)
@@ -116,46 +115,40 @@ func (c *Cluster) NewStream(ctx context.Context) *Stream {
 //sw:locked(mu)
 func (st *Stream) forwardLocked() {
 	for len(st.waiting) > 0 && len(st.subs) < st.window && !st.aborted {
-		rq := st.waiting[0]
-		st.waiting[0] = reportQuery{} // release for GC
+		jb := st.waiting[0]
+		st.waiting[0] = job{} // release for GC
 		st.waiting = st.waiting[1:]
-		t, err := st.sched.Submit(rq)
+		t, err := st.sched.Submit(jb)
 		if err != nil {
 			// The scheduler is already torn down (an abort race); the
 			// stream is going away with it.
 			return
 		}
-		st.subs = append(st.subs, streamSub{query: rq.seq, ticket: t})
+		st.subs = append(st.subs, streamSub{query: jb.query, ticket: t})
 	}
 }
 
-// Submit enqueues a query on the stream and returns immediately; the
-// matching StreamResult arrives on Results in submission order. An
-// optional ReportOptions requests the aligned-hit reporting phases for
-// this submission. Submit never blocks (the intake queue is unbounded in
-// queries, which cost only a reference each), so the
+// Submit validates a request, enqueues it on the stream and returns
+// immediately; the matching StreamResult arrives on Results in submission
+// order. A request the cluster's validation refuses (see Do) fails here,
+// before it is queued. Submit never blocks (the intake queue is unbounded
+// in requests, which cost only a reference each), so the
 // submit-everything-then-drain pattern is safe for any backlog size; the
 // scheduler is fed at most the stream's forwarding window (streamBuffer
 // plus one scheduler pipeline, MaxBatch x MaxInFlight) ahead of the
 // Results consumer, which bounds completed-result memory however large
 // the backlog. Submit fails after Close.
-func (st *Stream) Submit(query Sequence, report ...ReportOptions) error {
-	rep, err := oneReport(report)
+func (st *Stream) Submit(req Request) error {
+	jb, err := st.prepare(req)
 	if err != nil {
 		return err
-	}
-	if err := st.check(rep); err != nil {
-		return err
-	}
-	if query.impl == nil {
-		return fmt.Errorf("heterosw: zero-value query")
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return fmt.Errorf("heterosw: cluster stream closed")
 	}
-	st.waiting = append(st.waiting, reportQuery{seq: query, rep: rep})
+	st.waiting = append(st.waiting, jb)
 	st.forwardLocked()
 	if !st.delivering {
 		st.delivering = true
@@ -273,78 +266,5 @@ func (st *Stream) deliver() {
 		case <-st.ctx.Done():
 			return
 		}
-	}
-}
-
-// defaultStream returns the cluster's lazily created compatibility stream
-// backing Cluster.Submit/Results/Close. If Close or CloseNow ran before
-// the stream existed, it is created already closed (respectively aborted),
-// so Submit fails and Results is closed. The stream lives for the
-// cluster's lifetime, not any one request's, so it roots its own context.
-//
-//sw:ctxroot
-func (c *Cluster) defaultStream() *Stream {
-	c.mu.Lock()
-	if c.defStream == nil {
-		c.defStream = c.NewStream(context.Background())
-	}
-	st := c.defStream
-	aborted, closed := c.closed, c.defClosed
-	c.mu.Unlock()
-	// Both are idempotent; apply the stronger state.
-	if aborted {
-		st.CloseNow()
-	} else if closed {
-		st.Close()
-	}
-	return st
-}
-
-// Submit enqueues a query on the cluster's default streaming session (see
-// Stream.Submit). Independent sessions — with their own ordering and
-// cancellation — come from NewStream.
-func (c *Cluster) Submit(query Sequence, report ...ReportOptions) error {
-	return c.defaultStream().Submit(query, report...)
-}
-
-// Results returns the default streaming session's delivery channel (see
-// Stream.Results).
-func (c *Cluster) Results() <-chan StreamResult { return c.defaultStream().Results() }
-
-// Close ends the default streaming session gracefully (see Stream.Close).
-// Search, SearchBatch and SearchScheduled remain usable. A cluster that
-// never streamed just records the closure — a later Results() returns an
-// already-closed channel — without constructing stream machinery.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	c.defClosed = true
-	ds := c.defStream
-	c.mu.Unlock()
-	if ds != nil {
-		ds.Close()
-	}
-	if c.topo != nil {
-		c.topo.prober.Stop()
-	}
-}
-
-// CloseNow tears down the cluster's scheduled paths: the default streaming
-// session is aborted (queued work dropped, in-flight batches cancelled at
-// their next query boundary) and the serving scheduler stops accepting
-// queries. Direct Search and SearchBatch calls remain usable.
-func (c *Cluster) CloseNow() {
-	c.mu.Lock()
-	c.closed = true
-	ds := c.defStream
-	s := c.serving
-	c.mu.Unlock()
-	if ds != nil {
-		ds.CloseNow()
-	}
-	if s != nil {
-		s.CloseNow()
-	}
-	if c.topo != nil {
-		c.topo.prober.Stop()
 	}
 }

@@ -100,7 +100,7 @@ func runScheduler(b *testing.B, cl *Cluster, stream []Sequence) {
 	st := cl.NewStream(nil)
 	go func() {
 		for _, q := range stream {
-			if err := st.Submit(q); err != nil {
+			if err := st.Submit(Request{Query: q}); err != nil {
 				b.Error(err)
 				return
 			}

@@ -64,7 +64,7 @@ func TestStreamAbandonedConsumerLeavesNoGoroutines(t *testing.T) {
 	// delivery goroutine is guaranteed to end up blocked on the Results
 	// send — exactly where the PR-1 worker leaked forever.
 	for i := 0; i < 3*streamBuffer; i++ {
-		if err := st.Submit(queries[i]); err != nil {
+		if err := st.Submit(Request{Query: queries[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,13 +77,13 @@ func TestStreamAbandonedConsumerLeavesNoGoroutines(t *testing.T) {
 	if _, open := <-drain(st.Results()); open {
 		t.Fatal("Results not closed after CloseNow")
 	}
-	if err := st.Submit(queries[0]); err == nil {
+	if err := st.Submit(Request{Query: queries[0]}); err == nil {
 		t.Fatal("Submit accepted after CloseNow")
 	}
 	waitGoroutines(t, base)
 	// The cluster survives an aborted stream: a fresh session works.
 	st2 := cl.NewStream(context.Background())
-	if err := st2.Submit(queries[0]); err != nil {
+	if err := st2.Submit(Request{Query: queries[0]}); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -107,7 +107,7 @@ func TestStreamBacklogBoundsForwarding(t *testing.T) {
 	const n = 600
 	queries := shortQueries(n, 12)
 	for _, q := range queries {
-		if err := st.Submit(q); err != nil {
+		if err := st.Submit(Request{Query: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestStreamContextCancelStopsWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	st := cl.NewStream(ctx)
 	for i := 0; i < 2*streamBuffer; i++ {
-		if err := st.Submit(queries[i]); err != nil {
+		if err := st.Submit(Request{Query: queries[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestStreamOrderedDeliveryUnderConcurrency(t *testing.T) {
 		for i := 0; i < n; i++ {
 			q := queries[i%len(queries)]
 			want[i] = q.ID()
-			if err := st.Submit(q); err != nil {
+			if err := st.Submit(Request{Query: q}); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
 			}
@@ -261,9 +261,9 @@ func TestStreamAlignedOrderedNoLeak(t *testing.T) {
 		q := queries[i%len(queries)]
 		var err error
 		if i%2 == 0 {
-			err = st.Submit(q, rep) // aligned
+			err = st.Submit(Request{Query: q, Report: rep}) // aligned
 		} else {
-			err = st.Submit(q) // score-only, same residues as i-1
+			err = st.Submit(Request{Query: q}) // score-only, same residues as i-1
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -342,7 +342,7 @@ func TestSchedulerCacheServesRepeats(t *testing.T) {
 	}
 	// A stream over the same cluster shares the cache.
 	sess := cl.NewStream(context.Background())
-	if err := sess.Submit(q); err != nil {
+	if err := sess.Submit(Request{Query: q}); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
@@ -397,8 +397,9 @@ func TestSearchScheduledContextCancel(t *testing.T) {
 	}
 }
 
-// Cluster.CloseNow tears down the default stream and the serving
-// scheduler; direct searches stay usable.
+// Cluster.CloseNow tears down the serving scheduler: every scheduled door
+// answers ErrClusterClosed, while the direct Search and an independent
+// stream stay usable.
 func TestClusterCloseNow(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.0002, false)
 	queries := shortQueries(1, 60)
@@ -406,18 +407,31 @@ func TestClusterCloseNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(queries[0]); err != nil {
+	ctx := context.Background()
+	req := Request{Query: queries[0]}
+	if _, err := cl.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	cl.CloseNow()
-	if _, open := <-drain(cl.Results()); open {
-		t.Fatal("Results not closed after CloseNow")
+	if _, err := cl.Do(ctx, req); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("Do after CloseNow: err = %v, want ErrClusterClosed", err)
 	}
-	if _, err := cl.SearchScheduled(context.Background(), queries[0]); !errors.Is(err, ErrClusterClosed) {
+	if _, err := cl.DoBatch(ctx, []Request{req}); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("DoBatch after CloseNow: err = %v, want ErrClusterClosed", err)
+	}
+	if _, err := cl.SearchScheduled(ctx, queries[0]); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("SearchScheduled after CloseNow: err = %v, want ErrClusterClosed", err)
 	}
 	if _, err := cl.Search(queries[0]); err != nil {
 		t.Fatalf("direct Search broken after CloseNow: %v", err)
+	}
+	st := cl.NewStream(ctx)
+	if err := st.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if sr := <-st.Results(); sr.Err != nil {
+		t.Fatalf("stream after CloseNow: %v", sr.Err)
 	}
 }
 
@@ -432,7 +446,7 @@ func TestClusterTotals(t *testing.T) {
 	if _, err := cl.Search(queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.SearchBatch(queries[1:3]); err != nil {
+	if _, err := cl.DoBatch(context.Background(), requests(queries[1:3])); err != nil {
 		t.Fatal(err)
 	}
 	n, per := cl.Totals()
