@@ -23,9 +23,19 @@ func tinyDB(t testing.TB) (*Database, []Sequence) {
 	return db, seqs
 }
 
+// searchDB runs one plain search of query over db through a fresh local
+// cluster configured with opt: Cluster.Search, the direct door.
+func searchDB(db *Database, query Sequence, opt Options) (*ClusterResult, error) {
+	cl, err := NewCluster(db, ClusterOptions{Options: opt})
+	if err != nil {
+		return nil, err
+	}
+	return cl.Search(query)
+}
+
 func TestSearchDefaults(t *testing.T) {
 	db, _ := tinyDB(t)
-	res, err := db.Search(NewSequence("q", "MKWVLA"), Options{})
+	res, err := searchDB(db, NewSequence("q", "MKWVLA"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,23 +56,28 @@ func TestSearchDefaults(t *testing.T) {
 	}
 }
 
+// The variant is a planner input: every label searches with the same
+// ladder and returns the same scores and accounting.
 func TestSearchAllVariantsAgree(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLARN")
-	var want []int
+	var want *ClusterResult
 	for _, v := range Variants() {
-		res, err := db.Search(q, Options{Variant: v, Device: DevicePhi})
+		res, err := searchDB(db, q, Options{Variant: v})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
 		if want == nil {
-			want = res.Scores
+			want = res
 			continue
 		}
-		for i := range want {
-			if res.Scores[i] != want[i] {
-				t.Fatalf("%s: score %d differs: %d vs %d", v, i, res.Scores[i], want[i])
+		for i := range want.Scores {
+			if res.Scores[i] != want.Scores[i] {
+				t.Fatalf("%s: score %d differs: %d vs %d", v, i, res.Scores[i], want.Scores[i])
 			}
+		}
+		if res.Cells != want.Cells || res.Overflows8 != want.Overflows8 || res.Overflows != want.Overflows {
+			t.Fatalf("%s: accounting %+v, %s %+v", v, res.Result, Variants()[0], want.Result)
 		}
 	}
 }
@@ -70,18 +85,19 @@ func TestSearchAllVariantsAgree(t *testing.T) {
 func TestSearchOptionErrors(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLA")
+	// (A cluster ignores Options.Device; Database.Simulate, which reads
+	// it, rejects an unknown one — TestDatabaseSimulate.)
 	cases := []Options{
 		{Variant: "avx512-madness"},
 		{Matrix: "BLOSUM13"},
 		{Schedule: "fifo"},
-		{Device: "gpu"},
 	}
 	for i, opt := range cases {
-		if _, err := db.Search(q, opt); err == nil {
+		if _, err := searchDB(db, q, opt); err == nil {
 			t.Errorf("case %d accepted: %+v", i, opt)
 		}
 	}
-	if _, err := db.Search(Sequence{}, Options{}); err == nil {
+	if _, err := searchDB(db, Sequence{}, Options{}); err == nil {
 		t.Error("zero-value query accepted")
 	}
 	if _, err := NewDatabase([]Sequence{{}}); err == nil {
@@ -144,7 +160,7 @@ func TestSyntheticSwissProt(t *testing.T) {
 		t.Fatal("query lengths mismatch")
 	}
 	// A planted query's top hit must be itself (perfect score).
-	res, err := db.Search(queries[0], Options{TopK: 1})
+	res, err := searchDB(db, queries[0], Options{TopK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +207,7 @@ func TestUnsortedDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(NewSequence("q", "ARND"), Options{})
+	res, err := searchDB(db, NewSequence("q", "ARND"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +233,7 @@ func TestSequenceBasics(t *testing.T) {
 
 func TestSignificanceAPI(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.002, true)
-	res, err := db.Search(queries[4], Options{})
+	res, err := searchDB(db, queries[4], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +343,11 @@ func TestDatabaseSimulate(t *testing.T) {
 	}
 }
 
-// Every vector variant sends the long subject down the one long-path
-// kernel; the scalar variant and searches with routing disabled reach the
-// same scores without it. The long subject's score is far over a byte, so
-// the 8-bit escalation counter tells the two routes of an intrinsic search
-// apart: the long path starts at 16 bits, a byte lane escalates.
+// Every search sends the long subject down the one long-path kernel, and
+// searches with routing disabled reach the same scores without it. The long
+// subject's score is far over a byte, so the 8-bit escalation counter tells
+// the two routes apart: the long path starts at 16 bits, a byte lane
+// escalates. The variant label changes neither.
 func TestLongPathAPIEquivalence(t *testing.T) {
 	long := make([]byte, 3300)
 	for i := range long {
@@ -346,7 +362,7 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", string(long[100:400]))
-	ref, err := db.Search(q, Options{Variant: VariantNoVecSP})
+	ref, err := searchDB(db, q, Options{Variant: VariantNoVecSP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +372,11 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 	}{
 		{Options{}, 0},
 		{Options{Variant: VariantGuidedQP}, 0},
-		{Options{Variant: VariantGuidedQP, LongSeqThreshold: -1}, 0},
+		{Options{Variant: VariantGuidedQP, LongSeqThreshold: -1}, 1},
 		{Options{Variant: VariantIntrinsicQP}, 0},
 		{Options{LongSeqThreshold: -1}, 1},
 	} {
-		res, err := db.Search(q, tc.opt)
+		res, err := searchDB(db, q, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,19 +391,19 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 	}
 }
 
-// The intrinsic variants run the precision ladder end to end: scores
-// identical to the 32-bit guided kernel's, per-tier overflow accounting,
-// and byte lanes on every device model.
+// Every search runs the precision ladder end to end, whatever the variant
+// label or the Options.Device: identical scores, per-tier overflow
+// accounting.
 func TestSearchLadderVariant(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLA")
-	ref, err := db.Search(q, Options{Variant: VariantGuidedSP})
+	ref, err := searchDB(db, q, Options{Variant: VariantGuidedSP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, variant := range []string{VariantIntrinsicSP, VariantIntrinsicQP} {
 		for _, dev := range []DeviceKind{DeviceXeon, DevicePhi} {
-			got, err := db.Search(q, Options{Variant: variant, Device: dev})
+			got, err := searchDB(db, q, Options{Variant: variant, Device: dev})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", variant, dev, err)
 			}
@@ -411,7 +427,7 @@ func TestSearchLadderVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sat.Search(NewSequence("q", strings.Repeat("W", 23)), Options{})
+	res, err := searchDB(sat, NewSequence("q", strings.Repeat("W", 23)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +440,7 @@ func TestSearchLadderVariant(t *testing.T) {
 
 	// The "-8bit" variant names are gone with the knob.
 	for _, old := range []string{"intrinsic-SP-8bit", "intrinsic-QP-8bit"} {
-		if _, err := db.Search(q, Options{Variant: old}); err == nil {
+		if _, err := searchDB(db, q, Options{Variant: old}); err == nil {
 			t.Fatalf("%s accepted", old)
 		}
 	}

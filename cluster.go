@@ -50,8 +50,8 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 // tune the concurrent micro-batching query scheduler behind the streaming
 // and serving paths (Stream, Do, DoBatch, the swserve HTTP front end).
 type ClusterOptions struct {
-	// Options carries the shared kernel configuration (variant, matrix,
-	// gaps) and the planner's (blocking, schedule). Its Device and Threads
+	// Options carries the shared kernel configuration (matrix, gaps) and
+	// the planner's (variant, blocking, schedule). Its Device and Threads
 	// fields are ignored: the modelled roster comes from Devices and
 	// per-device threads from Threads below.
 	Options

@@ -15,7 +15,7 @@ import (
 func TestClusterMatchesSingleDevice(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.001, true)
 	q := queries[2]
-	single, err := db.Search(q, Options{})
+	single, err := searchDB(db, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestClusterSearchBatch(t *testing.T) {
 		t.Fatalf("%d results", len(results))
 	}
 	for i, q := range batch {
-		single, err := db.Search(q, Options{})
+		single, err := searchDB(db, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestClusterStreaming(t *testing.T) {
 		if sr.Query.ID() != queries[sr.Index].ID() {
 			t.Fatalf("result %d carries query %q", sr.Index, sr.Query.ID())
 		}
-		single, err := db.Search(queries[sr.Index], Options{})
+		single, err := searchDB(db, queries[sr.Index], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,10 +303,10 @@ func TestClusterOptionErrors(t *testing.T) {
 	}
 }
 
-// TestClusterConcurrentHammer drives concurrent Search, DoBatch and plain
-// Database.Search traffic over one Database from many goroutines.
-// Run under -race (as CI does) it proves the lazy engine caches and the
-// engine's scratch pool are properly synchronised.
+// TestClusterConcurrentHammer drives concurrent Search, DoBatch and Do
+// traffic over one Database from many goroutines. Run under -race (as CI
+// does) it proves the lazy engine caches, the scheduler and the engine's
+// scratch pool are properly synchronised.
 func TestClusterConcurrentHammer(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.0003, true)
 	static, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}})
@@ -320,7 +320,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Search(queries[0], Options{})
+	want, err := searchDB(db, queries[0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,11 @@ func TestClusterConcurrentHammer(t *testing.T) {
 				}
 			}
 		}()
-		go func(dev DeviceKind) {
+		go func() {
 			defer wg.Done()
 			for k := 0; k < 2; k++ {
-				res, err := db.Search(queries[0], Options{Device: dev})
-				if err == nil {
+				res, err := static.Do(context.Background(), Request{Query: queries[k]})
+				if err == nil && k == 0 {
 					err = check(res.Scores)
 				}
 				if err != nil {
@@ -376,7 +376,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 					return
 				}
 			}
-		}(map[int]DeviceKind{0: DeviceXeon, 1: DevicePhi}[g%2])
+		}()
 	}
 	wg.Wait()
 	close(errc)

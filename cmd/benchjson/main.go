@@ -27,8 +27,12 @@
 // a negative -max-regress-wall to restore info-only wall reporting. The
 // exit status is 1 when any gated benchmark regressed beyond its
 // threshold (fractions; 0.20 = 20%). A benchmark the new artifact carries
-// and the baseline does not is listed as "ungated (no baseline)" and never
-// fails the run: add its row to the baseline to gate it.
+// and the baseline does not is listed as "ungated (no baseline)", and one
+// the baseline carries and the new artifact does not as "missing (no
+// current row)"; neither ever fails the run. Add a new benchmark's row to
+// the baseline to gate it; a missing row is a deleted or renamed benchmark
+// (drop its baseline row) or one that only runs on some hosts, such as a
+// vec tier the runner lacks.
 package main
 
 import (
@@ -127,9 +131,9 @@ func readArtifact(path string) (*Artifact, error) {
 // diff compares two artifacts on the benchmarks they share: "sim"-sourced
 // gcups gate at maxRegress, "wall"-sourced at maxRegressWall (negative
 // disables wall gating). Benchmarks only the new artifact carries are
-// listed as ungated, so one added without a baseline row is seen rather
-// than silently skipped. It writes the table to w and returns the number
-// of gated regressions.
+// listed as ungated and baseline rows it lacks as missing, so neither an
+// added benchmark nor a vanished one passes unseen; both are info only. It
+// writes the table to w and returns the number of gated regressions.
 func diff(w io.Writer, oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
 	oldBy := make(map[string]Benchmark, len(oldArt.Benchmarks))
 	for _, b := range oldArt.Benchmarks {
@@ -150,6 +154,13 @@ func diff(w io.Writer, oldArt, newArt *Artifact, maxRegress, maxRegressWall floa
 	for _, b := range newArt.Benchmarks {
 		newBy[b.Name] = b
 	}
+	var missing []string
+	for _, b := range oldArt.Benchmarks {
+		if _, ok := newBy[b.Name]; !ok {
+			missing = append(missing, b.Name)
+		}
+	}
+	sort.Strings(missing)
 	regressions := 0
 	fmt.Fprintf(w, "%-40s %12s %12s %8s  %s\n", "benchmark", "old gcups", "new gcups", "delta", "verdict")
 	for _, name := range names {
@@ -182,6 +193,13 @@ func diff(w io.Writer, oldArt, newArt *Artifact, maxRegress, maxRegressWall floa
 			gcups = strconv.FormatFloat(n.GCUPS, 'f', 3, 64)
 		}
 		fmt.Fprintf(w, "%-40s %12s %12s %8s  %s\n", name, "-", gcups, "", "ungated (no baseline)")
+	}
+	for _, name := range missing {
+		gcups := "-"
+		if o := oldBy[name]; o.GCUPS != 0 {
+			gcups = strconv.FormatFloat(o.GCUPS, 'f', 3, 64)
+		}
+		fmt.Fprintf(w, "%-40s %12s %12s %8s  %s\n", name, gcups, "-", "", "missing (no current row)")
 	}
 	return regressions
 }

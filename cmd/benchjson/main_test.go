@@ -45,3 +45,38 @@ func TestDiffListsUngated(t *testing.T) {
 		t.Errorf("ungated row does not show its gcups: %q", lines["BenchmarkNew/rows=1"])
 	}
 }
+
+// TestDiffListsMissing pins that a baseline row with no current row — a
+// deleted benchmark, or a tier-specific one the runner cannot run — is
+// listed as missing with its baseline gcups and never counted as a
+// regression, however far the shared rows stay within their thresholds.
+func TestDiffListsMissing(t *testing.T) {
+	oldArt := &Artifact{Benchmarks: []Benchmark{
+		wallRow("BenchmarkKept", 10),
+		wallRow("BenchmarkGone", 7),
+		wallRow("BenchmarkStepCol8QP/avx2+vbmi/rows=30", 12),
+	}}
+	newArt := &Artifact{Benchmarks: []Benchmark{wallRow("BenchmarkKept", 10)}}
+	var out bytes.Buffer
+	if n := diff(&out, oldArt, newArt, 0.20, 0.50); n != 0 {
+		t.Fatalf("diff counted %d regressions, want 0:\n%s", n, out.String())
+	}
+	lines := map[string]string{}
+	for _, l := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			lines[f[0]] = l
+		}
+	}
+	for name, want := range map[string]string{
+		"BenchmarkKept":                         "ok (wall)",
+		"BenchmarkGone":                         "missing (no current row)",
+		"BenchmarkStepCol8QP/avx2+vbmi/rows=30": "missing (no current row)",
+	} {
+		if !strings.Contains(lines[name], want) {
+			t.Errorf("%s: line %q, want it to contain %q\n%s", name, lines[name], want, out.String())
+		}
+	}
+	if !strings.Contains(lines["BenchmarkGone"], "7.000") {
+		t.Errorf("missing row does not show its baseline gcups: %q", lines["BenchmarkGone"])
+	}
+}

@@ -14,8 +14,10 @@
 //	swsearch -db prot.swdb -query reads.fasta -translate -outfmt sam
 //	swsearch -db prot.swdb -query many.fasta -batch -blast
 //
-// Flags select the kernel variant, substitution matrix (built-in by name,
-// or a custom file with -matrixfile) and gap penalties; see -help.
+// Flags select the substitution matrix (built-in by name, or a custom file
+// with -matrixfile) and gap penalties; see -help. Every search runs the
+// 8/16/32-bit scoring ladder. The paper's kernel variants are labels the
+// device model prices (swbench -variant), not kernels this host runs.
 package main
 
 import (
@@ -36,7 +38,6 @@ func main() {
 		queryPath  = flag.String("query", "", "query FASTA file (first record is searched unless -queryindex)")
 		synthetic  = flag.Float64("synthetic", 0, "use a synthetic Swiss-Prot database at this scale instead of -db")
 		queryIndex = flag.Int("queryindex", 0, "index of the query record (within -query, or among the 20 paper queries with -synthetic)")
-		variant    = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP (the intrinsic ones run the adaptive 8/16/32-bit scoring ladder)")
 		matrix     = flag.String("matrix", "", "substitution matrix: BLOSUM45/50/62/80, PAM250, NUC (default: BLOSUM62 for protein, NUC for DNA)")
 		matrixFile = flag.String("matrixfile", "", "custom substitution matrix file in the NCBI textual format (overrides -matrix)")
 		gapOpen    = flag.Int("gapopen", 10, "gap open penalty q (gap of length x costs q + r*x)")
@@ -100,7 +101,6 @@ func main() {
 	query := queries[*queryIndex]
 
 	opt := heterosw.Options{
-		Variant:   *variant,
 		Matrix:    *matrix,
 		GapOpen:   *gapOpen,
 		GapExtend: *gapExtend,
@@ -114,15 +114,15 @@ func main() {
 		opt.MatrixText = string(text)
 	}
 
+	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Options: opt})
+	if err != nil {
+		fatal(err)
+	}
 	if *blast || *outfmt != "" || *translated || *batch {
 		// The two-phase reporting pipeline: the vectorised score pass
 		// selects the top hits, then the traceback phase re-aligns the
 		// query against just those hits. -batch feeds every query record
 		// through the cluster in one pass.
-		cl, cerr := heterosw.NewCluster(db, heterosw.ClusterOptions{Options: opt})
-		if cerr != nil {
-			fatal(cerr)
-		}
 		rep := heterosw.ReportOptions{Alignments: true, EValues: *evalue, TopK: *topK}
 		sel := []heterosw.Sequence{query}
 		if *batch {
@@ -171,7 +171,7 @@ func main() {
 	fmt.Printf("vec:      %s\n", hostdev.HostSIMD())
 
 	start := time.Now()
-	res, err := db.Search(query, opt)
+	res, err := cl.Search(query)
 	if err != nil {
 		fatal(err)
 	}

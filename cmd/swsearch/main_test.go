@@ -21,7 +21,8 @@ func buildSelf(t *testing.T) string {
 
 // A synthetic search reports what this host did — wall GCUPS, the planted
 // query as its own top hit — and nothing of the device model; the flags
-// that used to select a modelled device, roster or schedule are gone.
+// that used to select a modelled device, roster, schedule or kernel
+// variant are gone.
 func TestSmoke(t *testing.T) {
 	bin := buildSelf(t)
 	out, err := exec.Command(bin, "-synthetic", "0.001", "-top", "3").CombinedOutput()
@@ -40,7 +41,7 @@ func TestSmoke(t *testing.T) {
 
 	for _, gone := range []string{
 		"-hetero", "-phishare=0.5", "-devices=xeon,phi", "-dist=dynamic", "-shares=0.5,0.5",
-		"-device=phi", "-threads=4", "-schedule=static", "-noblocking",
+		"-device=phi", "-threads=4", "-schedule=static", "-noblocking", "-variant=simd-SP",
 	} {
 		out, err := exec.Command(bin, "-synthetic", "0.001", gone).CombinedOutput()
 		var exit *exec.ExitError

@@ -83,7 +83,6 @@ func main() {
 		listen    = flag.String("listen", ":7734", "HTTP listen address")
 		dbPath    = flag.String("db", "", "database file: FASTA or a swindex-built .swdb index")
 		synthetic = flag.Float64("synthetic", 0, "use a synthetic Swiss-Prot database at this scale instead of -db")
-		variant   = flag.String("variant", "intrinsic-SP", "kernel variant: no-vec-QP, no-vec-SP, simd-QP, simd-SP, intrinsic-QP, intrinsic-SP (the intrinsic ones run the adaptive 8/16/32-bit scoring ladder)")
 		matrix    = flag.String("matrix", "", "substitution matrix (default: BLOSUM62 for protein, NUC for DNA)")
 		dna       = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database under the IUPAC DNA alphabet")
 		inflight  = flag.Int("inflight", 0, "max micro-batches in flight (0 = default)")
@@ -105,7 +104,7 @@ func main() {
 	flag.Parse()
 
 	opt := heterosw.ClusterOptions{
-		Options:     heterosw.Options{Variant: *variant, Matrix: *matrix},
+		Options:     heterosw.Options{Matrix: *matrix},
 		MaxInFlight: *inflight,
 		BatchWindow: *window,
 		MaxBatch:    *maxBatch,

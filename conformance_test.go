@@ -18,10 +18,12 @@ import (
 
 // The cross-path conformance harness: a FASTA-loaded database and a
 // .swdb-loaded database must be indistinguishable through every door —
-// Cluster.Search, Do, DoBatch, Stream.Submit and POST /search — for every
-// kernel variant, the intrinsic ones with their precision ladder climbing
-// on a homolog-rich corpus, and for translated and custom-matrix requests;
-// and within one load path every library door must answer the same bytes.
+// Cluster.Search, Do, DoBatch, Stream.Submit and POST /search — under every
+// kernel variant label, with the precision ladder climbing on a
+// homolog-rich corpus, and for translated and custom-matrix requests;
+// within one load path every library door must answer the same bytes; and
+// configurations that differ only in what the planner reads (the variant,
+// the roster) must answer the same bytes too.
 // Byte-identical here means the canonical JSON serialisations of the
 // results are equal after zeroing host wall-clock fields (the only
 // nondeterministic outputs); scores, hit order, alignments, E-values,
@@ -105,7 +107,7 @@ func confSetup(t *testing.T, corpus confCorpus) (fastaPath, swdbPath string, que
 		NewSequence("random", "MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF"),
 	}
 	if corpus == confHomologRich {
-		res, err := db.Search(queries[0], Options{})
+		res, err := searchDB(db, queries[0], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,10 +295,12 @@ func confTopK(rep ReportOptions) int {
 }
 
 // TestConformanceFASTAvsIndex is the harness table: every kernel variant
-// (the intrinsic ones also on the homolog-rich corpus), the three
+// label (the intrinsic ones also on the homolog-rich corpus), the three
 // distributions, the reporting phases, and translated and custom-matrix
 // requests, each asserted byte-identical between the FASTA load path and
-// the .swdb load path on every door.
+// the .swdb load path on every door. The variant labels and the roster are
+// planner inputs that select no kernel, so legs that differ only in them
+// are asserted byte-identical to each other as well.
 func TestConformanceFASTAvsIndex(t *testing.T) {
 	type confCase struct {
 		name       string
@@ -335,6 +339,20 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 
 	fastaPath, swdbPath, queries := confSetup(t, confPlain)
 
+	// first holds, per request shape, the first leg that ran it and what
+	// it answered over the FASTA load path.
+	type shape struct {
+		corpus     confCorpus
+		rep        ReportOptions
+		matrix     string
+		translated bool
+	}
+	type leg struct {
+		name string
+		out  map[string][]byte
+	}
+	first := make(map[shape]leg)
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fastaPath, swdbPath, wantSeqs := fastaPath, swdbPath, confDBSeqs
@@ -363,6 +381,12 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 				results[load.kind] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, tc.matrix, tc.translated))
 			}
 			confCompare(t, results["fasta"], results["swdb"], "fasta", "swdb")
+			key := shape{tc.corpus, tc.rep, tc.matrix, tc.translated}
+			if ref, ok := first[key]; ok {
+				confCompare(t, ref.out, results["fasta"], ref.name, tc.name)
+			} else {
+				first[key] = leg{tc.name, results["fasta"]}
+			}
 		})
 	}
 }
@@ -480,9 +504,14 @@ func confDNASetup(t *testing.T) (fastaPath, swdbPath string, queries []Sequence)
 // a nucleotide FASTA parsed under IUPAC-DNA and the .swdb built from it
 // (which records the alphabet in its header) must be indistinguishable on
 // every entry point, under the NUC match/mismatch matrix the cluster
-// selects by default for DNA databases.
+// selects by default for DNA databases; legs that differ only in the
+// variant label must answer the same bytes.
 func TestConformanceDNAFASTAvsIndex(t *testing.T) {
 	fastaPath, swdbPath, queries := confDNASetup(t)
+	var (
+		refName string
+		ref     map[string][]byte
+	)
 
 	cases := []struct {
 		name string
@@ -527,6 +556,13 @@ func TestConformanceDNAFASTAvsIndex(t *testing.T) {
 				results[load.kind] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, "", false))
 			}
 			confCompare(t, results["fasta"], results["swdb"], "fasta", "swdb")
+			if tc.rep == (ReportOptions{TopK: 5}) {
+				if ref == nil {
+					refName, ref = tc.name, results["fasta"]
+				} else {
+					confCompare(t, ref, results["fasta"], refName, tc.name)
+				}
+			}
 		})
 	}
 }

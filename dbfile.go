@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"heterosw/internal/alphabet"
-	"heterosw/internal/core"
 	"heterosw/internal/seqdb/index"
 )
 
@@ -38,7 +37,7 @@ func OpenIndexFile(path string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{db: ix.Database(), engines: make(map[DeviceKind]*core.Engine)}, nil
+	return &Database{db: ix.Database()}, nil
 }
 
 // LoadDatabaseFile opens either database representation, sniffed by
@@ -50,7 +49,7 @@ func LoadDatabaseFile(path string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{db: db, engines: make(map[DeviceKind]*core.Engine)}, nil
+	return &Database{db: db}, nil
 }
 
 // LoadDNADatabaseFile is LoadDatabaseFile for nucleotide databases: a
@@ -62,7 +61,7 @@ func LoadDNADatabaseFile(path string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{db: db, engines: make(map[DeviceKind]*core.Engine)}, nil
+	return &Database{db: db}, nil
 }
 
 // IsIndexFile reports whether path begins with the .swdb magic. A missing

@@ -6,21 +6,20 @@
 //
 //   - exact local alignment (Smith-Waterman with affine gaps) with
 //     traceback for pairwise use — see Align, Score and ScoreBanded;
-//   - a parallel database-search engine with the paper's six kernel
-//     variants ({no-vec, guided-simd, intrinsic} x {query profile, score
-//     profile}), the intrinsic variants' adaptive precision ladder (an
-//     8-bit biased first pass with twice the lanes per vector word
-//     wherever the matrix fits a byte — there is nothing to select; both
-//     profile modes look their byte scores up in-register from the query
-//     profile, a row of which fits one vector register —
-//     with saturated lanes re-packed for a 16-bit lane pass and, from
-//     there, recomputed in 32 bits; Result.Overflows8, Overflows and
-//     OverflowCells count the climb), and one
-//     intra-task kernel for subjects over Options.LongSeqThreshold:
+//   - a parallel database-search engine that executes one kernel, an
+//     adaptive precision ladder (an 8-bit biased first pass with twice
+//     the lanes per vector word wherever the matrix fits a byte, its
+//     scores looked up in-register from the query profile, a row of which
+//     fits one vector register, with saturated lanes re-packed for a
+//     16-bit score-profile pass and, from there, recomputed in 32 bits;
+//     Result.Overflows8, Overflows and OverflowCells count the climb), and
+//     one intra-task kernel for subjects over Options.LongSeqThreshold:
 //     Farrar's striped layout, each column of it one call of the fused
 //     inter-task column step (stripes as rows, query segments as lanes),
-//     16-bit with 32-bit scalar recomputation on saturation — see
-//     Database.Search;
+//     16-bit with 32-bit scalar recomputation on saturation. The paper's
+//     six kernel variants ({no-vec, guided-simd, intrinsic} x {query
+//     profile, score profile}) are Options.Variant labels the planner
+//     prices; no search reads them — see NewCluster and Cluster.Search;
 //   - a search service object over a database: every search is one
 //     Request — a query, an optional request-scoped matrix, an optional
 //     six-frame translation and the reporting options — through one of its
@@ -46,7 +45,7 @@
 //     bit score and E-value from a Gumbel null model fitted over the full
 //     score distribution — see ReportOptions, Hit.Alignment,
 //     Hit.Significance and WriteReport;
-//   - a native vector backend for the kernels' SIMD primitive set
+//   - a native vector backend for the kernels' fused column steps
 //     (internal/vec), in tiers selected by runtime CPU detection: on
 //     amd64 hosts with AVX2 the inter-task kernels run hand-written
 //     assembly column steps (16x int16 / 32x uint8 lanes per 256-bit
@@ -105,13 +104,15 @@
 // what coordinator and shard nodes address a shard by.
 // Loading from .swdb and loading from FASTA are conformant: every entry
 // point returns byte-identical results over either path (pinned by the
-// conformance harness for all kernel variants, the ladder's escalation
+// conformance harness under every variant label, the ladder's escalation
 // rungs included).
 //
 // # Quick start
 //
 //	db, queries := heterosw.SyntheticSwissProt(0.01, true)
-//	res, err := db.Search(queries[0], heterosw.Options{TopK: 10})
+//	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Options: heterosw.Options{TopK: 10}})
+//	if err != nil { ... }
+//	res, err := cl.Search(queries[0])
 //	if err != nil { ... }
 //	for _, h := range res.Hits {
 //	    fmt.Println(h.ID, h.Score)
@@ -229,7 +230,7 @@
 // over a real database with -db; cmd/swserve fronts a cluster with the
 // JSON search API (/search, /batch, /healthz) — give it a .swdb and restarts are
 // near-instant, a -shards node and a -manifest/-nodes coordinator make
-// it multi-node — and examples/loadgen load-tests it; see DESIGN.md for
-// the system inventory and EXPERIMENTS.md for the paper-versus-measured
-// comparison.
+// it multi-node — and bench/'s serve_* workloads load-test it; see
+// DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// paper-versus-measured comparison.
 package heterosw

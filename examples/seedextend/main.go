@@ -68,8 +68,12 @@ func main() {
 	fmt.Printf("query:    %s (%d aa), k=%d band=%d\n\n", query.ID(), query.Len(), *k, *band)
 
 	// Ground truth: exhaustive Smith-Waterman over the whole database.
+	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	t0 := time.Now()
-	exact, err := db.Search(query, heterosw.Options{})
+	exact, err := cl.Search(query)
 	if err != nil {
 		log.Fatal(err)
 	}

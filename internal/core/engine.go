@@ -143,8 +143,8 @@ func (e *Engine) partitionFor(lanes, longThreshold int) *partition {
 // SearchOptions configures one database search, and what the planner
 // assumes when it prices one.
 type SearchOptions struct {
-	// Params selects the kernel variant and gap penalties; its blocking
-	// fields are planner inputs.
+	// Params holds the gap penalties; its variant and blocking fields are
+	// planner inputs.
 	Params
 	// Matrix is the substitution matrix (BLOSUM62 when nil, as in the
 	// paper).
@@ -160,7 +160,7 @@ type SearchOptions struct {
 	Workers int
 	// LongSeqThreshold routes database sequences longer than this to the
 	// intra-task kernel (see DefaultLongSeqThreshold). 0 selects the
-	// default for vector variants; negative disables routing.
+	// default; negative disables routing.
 	LongSeqThreshold int
 	// TopK truncates the hit list (all hits when 0).
 	TopK int
@@ -196,10 +196,12 @@ func (o SearchOptions) byteViable() bool {
 	return ok
 }
 
-// firstRung resolves the lane width a search on dev packs its groups for
-// and whether its intrinsic kernels start in byte lanes — from the variant,
-// from whether the matrix is byte-viable and from the device's register, so
-// the kernels, the engine and the shape-level planner cannot disagree.
+// firstRung resolves the lane width a variant packs its groups for on dev
+// and whether its kernels start in byte lanes — from the variant, from
+// whether the matrix is byte-viable and from the device's register. The
+// planner prices every variant through it; Engine.Search asks it for
+// IntrinsicSP, the ladder every search runs, so the engine and the
+// planner's pricing of that variant cannot disagree.
 func firstRung(v Variant, viable bool, dev *device.Model) (lanes int, eightBit bool) {
 	switch {
 	case v.Vec() == VecNone:
@@ -257,19 +259,16 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			qa.Name(), query.ID, alpha.Name())
 	}
 	qp := profile.NewQuery(query.Residues, matrix)
-	lanes, _ := firstRung(opt.Variant, qp.Bias8Viable(), e.dev)
+	lanes, _ := firstRung(IntrinsicSP, qp.Bias8Viable(), e.dev)
 	longThr := opt.LongSeqThreshold
 	switch {
-	case longThr < 0 || opt.Variant.Vec() == VecNone:
-		// The scalar kernel has no lane-occupancy problem; every
-		// sequence already is its own chunk.
+	case longThr < 0:
 		longThr = 0
 	case longThr == 0:
 		longThr = DefaultLongSeqThreshold
 	}
 	part := e.partitionFor(lanes, longThr)
 	groups, long := part.groups, part.long
-	intrinsic := opt.Variant.Vec() == VecIntrinsic
 	m := qp.Len()
 
 	workers := opt.Workers
@@ -297,14 +296,8 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		i := part.order[pos]
 		if i < len(groups) {
 			g := groups[i]
-			var got []int32
-			var st Stats
-			if intrinsic {
-				got = buf.laneScores[:g.Lanes]
-				st = alignGroupLadder(qp, g, opt.Params, buf, got)
-			} else {
-				got, st = AlignGroup(qp, g, opt.Params, buf)
-			}
+			got := buf.laneScores[:g.Lanes]
+			st := alignGroupLadder(qp, g, opt.Params, buf, got)
 			for l, idx := range g.SeqIdx {
 				if idx >= 0 {
 					scores[idx] = got[l]

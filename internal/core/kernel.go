@@ -35,7 +35,7 @@ const DefaultBlockRows = 256
 // and E state of its rows, the slab a column step walks top to bottom once
 // per database column. It is sized for the machine that runs the code, not
 // for the modelled Phi: every tile moves a boundary row per column (and on
-// the 16-bit SP rung rebuilds the column's score rows), so the 256-row
+// the 16-bit rung rebuilds the column's score rows), so the 256-row
 // tiles of the model (8-16 KiB) pay that twenty times over for a long
 // query, while an untiled slab falls out of L2 on a very long one.
 // Measured on the 2-core AVX2 host, one thread, Gcells/s at 16 KiB /
@@ -68,8 +68,10 @@ func (p Params) Validate() error {
 }
 
 // KernelClass maps the parameters to the architecture-neutral descriptor
-// the device cost model consumes. EightBit is not a parameter: a search
-// sets it from what it observes (see firstRung).
+// the device cost model consumes: the paper's variant, priced as the
+// figures price it, though every search executes the precision ladder.
+// EightBit is not a parameter: the planner sets it from the matrix and the
+// device (see firstRung).
 func (p Params) KernelClass() device.KernelClass {
 	return device.KernelClass{
 		Scalar:       p.Variant.Vec() == VecNone,
@@ -112,17 +114,11 @@ type Buffers struct {
 	escGroup  seqdb.LaneGroup
 	escScores [escLanes]int32
 
-	// 32-bit state for the guided kernels.
-	h32, e32     []int32
-	hb32, fb32   []int32
-	f32, max32   []int32
-	diag32, up32 []int32
+	// 32-bit state of the ladder's top rung (scalarSeq), per query row.
+	h32, e32 []int32
 
-	// Scalar state for no-vec and overflow recomputation.
-	hS, fS []int32
-
-	sr  *profile.ScoreRows
-	idx []uint8 // current column residues (lane view)
+	// sr holds the 16-bit rung's score rows for the current column.
+	sr *profile.ScoreRows
 
 	// laneScores is the per-group score vector the engine reads the
 	// intrinsic kernels' results from, one per worker instead of one per
@@ -144,12 +140,7 @@ func NewBuffers(lanes int) *Buffers {
 		f16:        make(vec.I16, lanes),
 		diag16:     make(vec.I16, lanes),
 		max16:      make(vec.I16, lanes),
-		f32:        make([]int32, lanes),
-		max32:      make([]int32, lanes),
-		diag32:     make([]int32, lanes),
-		up32:       make([]int32, lanes),
 		sr:         profile.NewScoreRows(lanes),
-		idx:        make([]uint8, lanes),
 		f8:         make(vec.U8, lanes),
 		diag8:      make(vec.U8, lanes),
 		max8:       make(vec.U8, lanes),
@@ -202,20 +193,15 @@ func grow32(p *[]int32, n int) []int32 {
 // AlignGroup aligns the query against every lane of group g and returns the
 // per-lane optimal local-alignment scores (padding lanes score 0) plus the
 // structural operation counts. buf must have been created with
-// NewBuffers(g.Lanes) for the lane kernels; no-vec ignores the lane width.
+// NewBuffers(g.Lanes).
 //
-// The intrinsic variants run the precision ladder: byte lanes first when
-// the group allows them (see byteLanes), the 16-bit pass otherwise, with
-// every saturated lane escalated before the call returns.
+// Every group runs the precision ladder, whatever p.Variant names (the
+// variant is a planner input): byte lanes first when the group allows them
+// (see byteLanes), the 16-bit pass otherwise, with every saturated lane
+// escalated before the call returns.
 func AlignGroup(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([]int32, Stats) {
 	if err := p.Validate(); err != nil {
 		panic(err)
-	}
-	switch p.Variant.Vec() {
-	case VecNone:
-		return alignGroupScalar(q, g, p)
-	case VecGuided:
-		return alignGroupGuided(q, g, p, buf)
 	}
 	scores := make([]int32, g.Lanes)
 	st := alignGroupLadder(q, g, p, buf, scores)

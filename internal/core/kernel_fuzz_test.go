@@ -90,12 +90,13 @@ func fuzzDatabase(raw []byte, sorted bool, alpha *alphabet.Alphabet) *seqdb.Data
 }
 
 // FuzzKernelParity drives random queries and databases through every
-// scoring path — the scalar kernel, the guided lane kernel, the intrinsic
-// ladder from both its first rungs (byte lanes with saturated lanes
-// re-packed for the 16-bit rung, and the 16-bit pass with 32-bit overflow
-// escalation), and the long-subject kernel (Farrar's striped layout over
-// the fused column step, 32-bit scalar recomputation on saturation) — and
-// requires bit-identical scores against the swalign oracle. The seed corpus covers the int16 saturation boundary,
+// scoring path — the precision ladder as AlignGroup runs it and from both
+// its first rungs (byte lanes with saturated lanes re-packed for the 16-bit
+// rung, and the 16-bit pass with 32-bit overflow escalation), and the
+// long-subject kernel (Farrar's striped layout over the fused column step,
+// 32-bit scalar recomputation on saturation) — under every vec tier, and
+// requires bit-identical scores against the swalign oracle. The seed
+// corpus covers the int16 saturation boundary,
 // 1-residue sequences on both sides, lane-count edges (one sequence more
 // than a full lane group) and zero gap penalties (the lazy-F worst case).
 func FuzzKernelParity(f *testing.F) {
@@ -193,57 +194,43 @@ func FuzzKernelParity(f *testing.F) {
 		}
 
 		ladderOK := int64(len(query))*db.Residues() <= fuzzLadderMaxCells
-		// bytes starts the intrinsic ladder in byte lanes at every lane
-		// width (AlignGroup would only at whole byte registers); without it
-		// the intrinsic variants start at the 16-bit rung.
-		specs := []struct {
-			v     Variant
-			bytes bool
-		}{
-			{NoVecSP, false},
-			{GuidedQP, false},
-			{IntrinsicSP, false},
-			{IntrinsicSP, true},
-			{IntrinsicQP, true},
-		}
-		runSpec := func(db *seqdb.Database, qp *profile.Query, v Variant, bytes bool) (string, []int32) {
-			pv := p
-			pv.Variant = v
-			switch {
-			case v.Vec() == VecNone:
-				got, _ := runVariantQuiet(db, qp, pv, 1)
-				return v.String(), got
-			case v.Vec() == VecGuided:
-				got, _ := runVariantQuiet(db, qp, pv, lanes)
-				return v.String(), got
-			case bytes:
-				got, _ := runRung(db, qp, pv, lanes, true)
-				return v.String() + " from 8 bits", got
+		// The ladder three ways: as AlignGroup runs it (byte lanes only at
+		// whole byte registers), and forced to start at the 16-bit rung or in
+		// byte lanes at every lane width, saturated byte lanes deferred as the
+		// engine defers them.
+		const (
+			viaGroup = iota
+			from16
+			from8
+		)
+		runSpec := func(db *seqdb.Database, qp *profile.Query, spec int) (string, []int32) {
+			switch spec {
+			case viaGroup:
+				got, _ := runVariantQuiet(db, qp, p, lanes)
+				return "AlignGroup", got
+			case from8:
+				got, _ := runRung(db, qp, p, lanes, true)
+				return "ladder from 8 bits", got
 			}
-			got, _ := runRung(db, qp, pv, lanes, false)
-			return v.String() + " from 16 bits", got
+			got, _ := runRung(db, qp, p, lanes, false)
+			return "ladder from 16 bits", got
 		}
-		runSpecs := func(tag string, vecOnly bool) {
-			for _, s := range specs {
-				if s.bytes && !ladderOK {
+		runSpecs := func(tag string) {
+			for _, spec := range []int{viaGroup, from16, from8} {
+				if spec == from8 && !ladderOK {
 					continue
 				}
-				if vecOnly && s.v.Vec() == VecNone {
-					continue
-				}
-				name, got := runSpec(db, qp, s.v, s.bytes)
+				name, got := runSpec(db, qp, spec)
 				check(name+tag, got)
 			}
 		}
-		runSpecs("", false)
-		// The pass above ran the highest vec tier the host has; replay the
-		// vectorised kernels under every tier below it (the vpshufb byte
-		// lookup where the host runs vpermb, then the portable loops) so
-		// every input pins all tiers == oracle.
+		// Every input pins every tier the host runs == oracle: the highest,
+		// then the vpshufb byte lookup where the host runs vpermb, then the
+		// portable loops.
 		tiers := vec.Tiers()
-		for _, tr := range tiers[:len(tiers)-1] {
-			prev := vec.CapTier(tr)
-			runSpecs(" ["+tr.String()+"]", true)
+		for i := len(tiers) - 1; i >= 0; i-- {
+			prev := vec.CapTier(tiers[i])
+			runSpecs(" [" + tiers[i].String() + "]")
 			vec.CapTier(prev)
 		}
 
@@ -264,9 +251,7 @@ func FuzzKernelParity(f *testing.F) {
 		// DNA leg: the same raw input mapped onto the 15-letter IUPAC
 		// nucleotide alphabet and scored with the NUC match/mismatch matrix
 		// against the oracle — pins that no kernel, profile or packing path
-		// still assumes the 24-letter protein table. A reduced kernel set
-		// (scalar, the ladder from 16 and from 8 bits) bounds the extra cost;
-		// the protein leg above already sweeps the full variant matrix.
+		// still assumes the 24-letter protein table.
 		dnaQuery := fuzzResiduesAlpha(qRaw, fuzzMaxQuery, alphabet.DNA)
 		dnaDB := fuzzDatabase(dbRaw, lanesSel&1 == 0, alphabet.DNA)
 		if dnaDB != nil {
@@ -276,26 +261,19 @@ func FuzzKernelParity(f *testing.F) {
 			for i := 0; i < dnaDB.Len(); i++ {
 				dwant[i] = int32(swalign.Score(dnaQuery, dnaDB.Seq(i).Residues, dsc))
 			}
-			for _, s := range []struct {
-				v     Variant
-				bytes bool
-			}{
-				{NoVecSP, false},
-				{IntrinsicSP, false},
-				{IntrinsicSP, true},
-			} {
-				if s.bytes && !ladderOK {
+			for _, spec := range []int{viaGroup, from16, from8} {
+				if spec == from8 && !ladderOK {
 					continue
 				}
 				// The byte rung again under every tier: the DNA profile is
 				// the 16-wide table of the in-register lookup.
 				over := tiers[len(tiers)-1:]
-				if s.bytes {
+				if spec == from8 {
 					over = tiers
 				}
 				for _, tr := range over {
 					prev := vec.CapTier(tr)
-					name, got := runSpec(dnaDB, dqp, s.v, s.bytes)
+					name, got := runSpec(dnaDB, dqp, spec)
 					vec.CapTier(prev)
 					for i := range dwant {
 						if got[i] != dwant[i] {

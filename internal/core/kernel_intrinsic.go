@@ -7,20 +7,20 @@ import (
 	"heterosw/internal/vec"
 )
 
-// alignGroupIntrinsic is the hand-vectorised kernel: explicit fixed-width
-// 16-bit saturating vector operations from internal/vec, exactly the
-// operation sequence an intrinsics implementation issues per cell. Lanes
-// whose running maximum reaches the int16 ceiling are recomputed with the
-// scalar 32-bit kernel (the standard saturation-escalation scheme of
-// SIMD Smith-Waterman implementations). It is the second rung of the
-// precision ladder — the byte pass hands it its saturated lanes, re-packed
-// (Buffers.escalate) — and the first for groups the byte pass cannot take.
-// Lane scores go to scores, g.Lanes long.
+// alignGroupIntrinsic is the 16-bit rung of the precision ladder: the
+// score-profile column step of internal/vec, the saturating operation
+// sequence an intrinsics implementation issues per cell, over score rows
+// built per database column. Lanes whose running maximum reaches the int16
+// ceiling are recomputed with the scalar 32-bit kernel (the standard
+// saturation-escalation scheme of SIMD Smith-Waterman implementations).
+// The byte pass hands it its saturated lanes, re-packed (Buffers.escalate),
+// and it is the first rung for groups the byte pass cannot take. Lane
+// scores go to scores, g.Lanes long.
 //
-// The tile driver hands H and F across tile seams as the guided kernel's
-// does (see alignGroupGuided for the invariants), but only across seams
-// that exist: the first tile takes its boundary from the matrix edge and
-// the last stores none.
+// The query dimension is processed in host-sized tiles (Buffers.tile; a
+// single tile for all but very long queries). Tiles hand H and F across
+// the seams that exist: the first tile takes its boundary from the matrix
+// edge (H = 0, F = -inf) and the last stores none.
 //
 //sw:hotpath
 func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
@@ -41,7 +41,6 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 	B := buf.tile(M, L, 2)
 	qr := int16(p.GapOpen + p.GapExtend)
 	r := int16(p.GapExtend)
-	isQP := p.Variant.Prof() == ProfQuery
 
 	// H and E share one contiguous slab so a tile's hot state is a single
 	// block; each holds (B+1)*L entries, the tile's rows from row 1. hb and
@@ -62,13 +61,12 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 
 	vec.Set1(maxv, 0)
 
-	// The per-row vector-op sequence (AddSat diag+score; Max with E, F,
-	// zero; MaxInto tracker; SubSatConst/Max updates of E and F) is fused
+	// The per-row vector-op sequence (saturating diag+score; maximum with
+	// E, F and zero; tracker update; saturating E and F updates) is fused
 	// into one vec column step per database column, amortising dispatch
 	// across the whole tile and keeping F, the diagonal and the tracker
-	// register-resident on the native backend. internal/vec holds the
-	// unfused reference semantics; the device model costs the individual
-	// operations.
+	// register-resident on the native backend; the device model costs the
+	// individual operations.
 	seqBytes := alphabet.BytesView(q.Seq)
 	for i0 := 1; i0 <= M; i0 += B {
 		i1 := i0 + B - 1
@@ -81,7 +79,6 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 		vec.Set1(vec.I16(e[L:(rows+1)*L]), vec.MinI16)
 		clear(diagv)
 		tileSeq := seqBytes[i0-1 : i1]
-		tileQP := q.QP[(i0-1)*q.Width:]
 		for jj := 1; jj <= N; jj++ {
 			col := g.Interleaved[(jj-1)*L : jj*L]
 			// F entering the tile's first row: -inf above the first tile.
@@ -90,14 +87,9 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 			} else {
 				copy(fcol, fb[jj*L:jj*L+L])
 			}
-			if isQP {
-				vec.StepCol16QP(vec.I16(h[L:]), vec.I16(e[L:]), fcol, diagv, maxv,
-					tileQP, q.Width, col, rows, L, qr, r)
-			} else {
-				buf.sr.Build(q, col)
-				vec.StepCol16SP(vec.I16(h[L:]), vec.I16(e[L:]), fcol, diagv, maxv,
-					buf.sr.Raw(), tileSeq, rows, L, qr, r)
-			}
+			buf.sr.Build(q, col)
+			vec.StepCol16SP(vec.I16(h[L:]), vec.I16(e[L:]), fcol, diagv, maxv,
+				buf.sr.Raw(), tileSeq, rows, L, qr, r)
 			// The next column's diagonal is H of the row above the tile at
 			// this column: row 0 of the matrix, all zero, above the first.
 			if first {
@@ -136,10 +128,6 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 	st.VecIters = int64(M) * int64(N)
 	st.PaddedCells = st.VecIters * int64(L)
 	st.Columns = int64(N)
-	if isQP {
-		st.Gathers = st.VecIters
-	} else {
-		st.SPBuilds = st.Columns
-	}
+	st.SPBuilds = st.Columns
 	return st
 }

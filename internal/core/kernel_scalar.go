@@ -8,9 +8,8 @@ import (
 const negInf32 = int32(-(1 << 29))
 
 // scalarLane runs the plain 32-bit Smith-Waterman recurrence for a single
-// lane of an interleaved group. It is both the no-vec kernel body and the
-// top rung of the precision ladder: the recomputation path for lanes that
-// saturate 16-bit arithmetic. h and e
+// lane of an interleaved group: the top rung of the precision ladder, the
+// recomputation path for lanes that saturate 16-bit arithmetic. h and e
 // must have at least len(q.Seq)+1 entries: h carries the previous column's
 // H values per query row, e the database-direction gap state per query row.
 //
@@ -40,8 +39,6 @@ func scalarSeq(q *profile.Query, res []uint8, stride, n int, p Params, h, e []in
 	best := int32(0)
 	for j := 0; j < n; j++ {
 		d := int(res[j*stride])
-		// The scalar SP/QP distinction is purely an access pattern (and
-		// cost-model) difference: both read V(q_i, d).
 		row := q.ExtRow(d) // V(*, d); symmetric matrix, so V(q_i,d) = row[q_i]
 		var diag, fcol int32 = 0, negInf32
 		for i := 1; i <= m; i++ {
@@ -76,31 +73,4 @@ func scalarSeq(q *profile.Query, res []uint8, stride, n int, p Params, h, e []in
 		}
 	}
 	return best
-}
-
-// alignGroupScalar is the no-vec kernel: each lane of the group is aligned
-// sequentially with scalar arithmetic. Padding never enters the loop, so
-// PaddedCells equals Cells.
-//
-//sw:hotpath
-func alignGroupScalar(q *profile.Query, g *seqdb.LaneGroup, p Params) ([]int32, Stats) {
-	scores := make([]int32, g.Lanes)
-	m := q.Len()
-	h := make([]int32, m+1)
-	e := make([]int32, m+1)
-	var st Stats
-	st.Groups = 1
-	for lane := 0; lane < g.Lanes; lane++ {
-		if g.SeqIdx[lane] < 0 {
-			continue
-		}
-		scores[lane] = scalarLane(q, g, lane, p, h, e)
-		cells := int64(m) * int64(g.Lens[lane])
-		st.Cells += cells
-		st.PaddedCells += cells
-		st.VecIters += cells // scalar iterations
-		st.Columns += int64(g.Lens[lane])
-		st.Alignments++
-	}
-	return scores, st
 }

@@ -279,7 +279,7 @@ func TestStripedLadderMatchesOracle(t *testing.T) {
 	everyTier(t, func(t *testing.T) {
 		w := sequence.FromString("q", strings.Repeat("W", 3100)).Residues
 		q := profile.NewQuery(w, submat.BLOSUM62)
-		p := ladderParams(IntrinsicSP, true, 0)
+		p := ladderParams(true, 0)
 		buf := NewBuffers(stripedLanes)
 		var st Stats
 		if got := alignPairStriped(q, w, p, buf, &st); got != 11*3100 {

@@ -48,6 +48,9 @@ func runVariant(t *testing.T, db *seqdb.Database, q *profile.Query, p Params, la
 	return runVariantQuiet(db, q, p, lanes)
 }
 
+// allParams crosses every variant label with the tile shapes. The labels
+// are planner inputs and select no kernel, so every one of them must reach
+// the oracle's scores through the same ladder.
 func allParams() []Params {
 	var out []Params
 	for _, v := range Variants() {
@@ -160,23 +163,6 @@ func TestIntrinsicOverflowEscalation(t *testing.T) {
 	}
 }
 
-func TestGuidedNoOverflowForLargeScores(t *testing.T) {
-	// The 32-bit guided kernel must handle >int16 scores directly.
-	long := strings.Repeat("W", 3100)
-	db := seqdb.New([]*sequence.Sequence{sequence.FromString("l", long)}, true)
-	query := sequence.FromString("q", long)
-	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
-	p := testParamsBase
-	p.Variant = GuidedSP
-	got, st := runVariant(t, db, q, p, 4)
-	if int(got[0]) != 11*3100 {
-		t.Fatalf("score %d, want %d", got[0], 11*3100)
-	}
-	if st.Overflows != 0 {
-		t.Fatalf("guided kernel reported overflows: %d", st.Overflows)
-	}
-}
-
 func TestStatsStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	db := randDB(rng, 20, 40, true)
@@ -204,30 +190,28 @@ func TestStatsStructure(t *testing.T) {
 		t.Errorf("Groups = %d, want %d", st.Groups, len(groups))
 	}
 
-	p.Variant = IntrinsicQP
-	_, st = runVariant(t, db, q, p, 8)
-	if st.Gathers != st.VecIters || st.SPBuilds != 0 {
-		t.Errorf("QP variant counts: Gathers=%d VecIters=%d SPBuilds=%d", st.Gathers, st.VecIters, st.SPBuilds)
-	}
-
-	// A 32-lane group starts in byte lanes, whose one score lookup is the
-	// in-register query-profile row whatever the variant: gathers, no
-	// score-row builds.
-	for _, v := range []Variant{IntrinsicSP, IntrinsicQP} {
+	// The variant is a planner label: every one counts what the ladder did.
+	for _, v := range Variants() {
 		p.Variant = v
-		_, st = runVariant(t, db, q, p, 32)
-		if st.Gathers != st.VecIters || st.SPBuilds != 0 {
-			t.Errorf("%v byte lanes: Gathers=%d VecIters=%d SPBuilds=%d", v, st.Gathers, st.VecIters, st.SPBuilds)
+		if _, got := runVariant(t, db, q, p, 8); got != st {
+			t.Errorf("%v counts %+v, intrinsic-SP %+v", v, got, st)
 		}
 	}
 
-	p.Variant = NoVecQP
+	// A 32-lane group starts in byte lanes, whose one score lookup is the
+	// in-register query-profile row: gathers, no score-row builds.
+	_, st = runVariant(t, db, q, p, 32)
+	if st.Gathers != st.VecIters || st.SPBuilds != 0 {
+		t.Errorf("byte lanes: Gathers=%d VecIters=%d SPBuilds=%d", st.Gathers, st.VecIters, st.SPBuilds)
+	}
+
+	// One-lane groups are exactly as wide as their subject: no padding.
 	_, st = runVariant(t, db, q, p, 1)
 	if st.PaddedCells != st.Cells {
-		t.Errorf("no-vec padded %d != cells %d", st.PaddedCells, st.Cells)
+		t.Errorf("one lane: padded %d != cells %d", st.PaddedCells, st.Cells)
 	}
 	if st.VecIters != st.Cells {
-		t.Errorf("no-vec iters %d != cells %d", st.VecIters, st.Cells)
+		t.Errorf("one lane: iters %d != cells %d", st.VecIters, st.Cells)
 	}
 }
 

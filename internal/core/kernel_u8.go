@@ -11,7 +11,7 @@ import (
 // representation): twice the lanes per vector word as the 16-bit pass, so
 // short-sequence lane groups — the bulk of a length-sorted protein
 // database — pack twice as many subjects per vector iteration. It is where
-// every intrinsic search starts that can (byteLanes). Lanes that saturate
+// every search starts that can (byteLanes). Lanes that saturate
 // are not recomputed one by one: they are re-packed, escLanes at a time,
 // into a lane group of their own that runs through the 16-bit inter-task
 // kernel (Buffers.escalate), which in turn recomputes what saturates int16
@@ -66,11 +66,10 @@ func ladderSafe8(q *profile.Query, n int) bool {
 // MaxU8-Bias may have clipped: it is queued in buf, its score left at zero
 // until buf.escalate delivers it.
 //
-// The rung has one score lookup whatever the variant's profile mode: a
-// biased query-profile row (q.QP8, at most 32 letters) fits one vector
-// register, so vec.StepCol8QP indexes it in-register by the column's
-// residues and no per-column score rows are built. The variant still picks
-// the 16-bit rung's profile mode and the kernel class the planner prices.
+// The rung's score lookup is the biased query profile: a row (q.QP8, at
+// most 32 letters) fits one vector register, so vec.StepCol8QP indexes it
+// in-register by the column's residues and no per-column score rows are
+// built.
 //
 // Callers must ensure q.Bias8Viable(); alignGroupLadder does.
 //
@@ -123,11 +122,10 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	qr8 := clampU8(int(qr))
 	r8 := clampU8(int(r))
 
-	// The byte-lane op sequence (GatherU8 of the biased score; AddSatU8
-	// diag+score; SubSatU8Const bias; MaxU8s with E and F; MaxIntoU8
-	// tracker; SubSatU8Const updates of E and F) is fused into one vec
-	// column step per database column; internal/vec holds the unfused
-	// reference semantics.
+	// The byte-lane op sequence (lookup of the biased score; saturating
+	// diag+score; bias removal floored at zero; maximum with E and F;
+	// tracker update; floored E and F updates) is fused into one vec column
+	// step per database column.
 	for i0 := 1; i0 <= M; i0 += B {
 		i1 := i0 + B - 1
 		if i1 > M {

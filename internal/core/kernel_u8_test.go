@@ -16,20 +16,19 @@ import (
 	"heterosw/internal/vec"
 )
 
-// ladderParams returns intrinsic params; blocked forces blockRows-row
+// ladderParams returns the test penalties; blocked forces blockRows-row
 // query tiles on the test helpers' scratch (see runVariantQuiet).
-func ladderParams(v Variant, blocked bool, blockRows int) Params {
+func ladderParams(blocked bool, blockRows int) Params {
 	p := testParamsBase
-	p.Variant = v
 	p.Blocked = blocked
 	p.BlockRows = blockRows
 	return p
 }
 
-// The 8-bit first pass must be score-identical to the oracle across both
-// profile modes, every lane width and tile shape — saturating lanes
-// escalate transparently — whether the engine's deferred escalation drives
-// it or AlignGroup settles every group on its own.
+// The 8-bit first pass must be score-identical to the oracle across every
+// lane width and tile shape — saturating lanes escalate transparently —
+// whether the engine's deferred escalation drives it or AlignGroup settles
+// every group on its own.
 func TestLadderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
 	db := randDB(rng, 41, 70, true)
@@ -39,28 +38,26 @@ func TestLadderMatchesOracle(t *testing.T) {
 		t.Fatal("BLOSUM62 must be byte-viable")
 	}
 	want := oracleScores(db, query.Residues)
-	for _, v := range []Variant{IntrinsicQP, IntrinsicSP} {
-		for _, blk := range [][2]int{{0, 0}, {1, 1}, {1, 7}, {1, 64}} {
-			for _, lanes := range []int{1, 4, 8, 32, 64} {
-				p := ladderParams(v, blk[0] == 1, blk[1])
-				got, st := runRung(db, q, p, lanes, true)
-				if byteLanes(true, lanes) {
-					// A width AlignGroup itself starts in byte lanes.
-					viaGroup, stGroup := runVariantQuiet(db, q, p, lanes)
-					if stGroup != st {
-						t.Fatalf("%v lanes=%d: AlignGroup stats %+v, deferred %+v", v, lanes, stGroup, st)
-					}
-					for i := range got {
-						if viaGroup[i] != got[i] {
-							t.Fatalf("%v lanes=%d: seq %d scores %d via AlignGroup, %d deferred", v, lanes, i, viaGroup[i], got[i])
-						}
+	for _, blk := range [][2]int{{0, 0}, {1, 1}, {1, 7}, {1, 64}} {
+		for _, lanes := range []int{1, 4, 8, 32, 64} {
+			p := ladderParams(blk[0] == 1, blk[1])
+			got, st := runRung(db, q, p, lanes, true)
+			if byteLanes(true, lanes) {
+				// A width AlignGroup itself starts in byte lanes.
+				viaGroup, stGroup := runVariantQuiet(db, q, p, lanes)
+				if stGroup != st {
+					t.Fatalf("lanes=%d: AlignGroup stats %+v, deferred %+v", lanes, stGroup, st)
+				}
+				for i := range got {
+					if viaGroup[i] != got[i] {
+						t.Fatalf("lanes=%d: seq %d scores %d via AlignGroup, %d deferred", lanes, i, viaGroup[i], got[i])
 					}
 				}
-				for i := range want {
-					if int(got[i]) != want[i] {
-						t.Fatalf("%v blocked=%v/%d lanes=%d: seq %d score %d, want %d",
-							v, p.Blocked, p.BlockRows, lanes, i, got[i], want[i])
-					}
+			}
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("blocked=%v/%d lanes=%d: seq %d score %d, want %d",
+						p.Blocked, p.BlockRows, lanes, i, got[i], want[i])
 				}
 			}
 		}
@@ -98,20 +95,18 @@ func TestTileSeams(t *testing.T) {
 	m := query.Len()
 	everyTier(t, func(t *testing.T) {
 		for _, bytes := range []bool{true, false} {
-			for _, v := range []Variant{IntrinsicQP, IntrinsicSP} {
-				for _, rows := range []int{1, m - 1, m, m + 1, 7} {
-					got, st := runRung(db, q, ladderParams(v, true, rows), 32, bytes)
-					for i := range want {
-						if int(got[i]) != want[i] {
-							t.Fatalf("%v from bytes=%v, %d-row tiles: seq %d score %d, want %d",
-								v, bytes, rows, i, got[i], want[i])
-						}
+			for _, rows := range []int{1, m - 1, m, m + 1, 7} {
+				got, st := runRung(db, q, ladderParams(true, rows), 32, bytes)
+				for i := range want {
+					if int(got[i]) != want[i] {
+						t.Fatalf("from bytes=%v, %d-row tiles: seq %d score %d, want %d",
+							bytes, rows, i, got[i], want[i])
 					}
-					// Only the byte rung escalates, and only the planted lane.
-					if (st.Overflows8 == 1) != bytes || st.Overflows != 0 {
-						t.Fatalf("%v from bytes=%v, %d-row tiles: escalations %d/%d",
-							v, bytes, rows, st.Overflows8, st.Overflows)
-					}
+				}
+				// Only the byte rung escalates, and only the planted lane.
+				if (st.Overflows8 == 1) != bytes || st.Overflows != 0 {
+					t.Fatalf("from bytes=%v, %d-row tiles: escalations %d/%d",
+						bytes, rows, st.Overflows8, st.Overflows)
 				}
 			}
 		}
@@ -154,7 +149,7 @@ func TestLadderFirstRung(t *testing.T) {
 	w := strings.Repeat("W", 23) // 253 > 255-bias: saturates a byte lane
 	db := seqdb.New([]*sequence.Sequence{sequence.FromString("mid", w)}, true)
 	query := sequence.FromString("q", w)
-	p := ladderParams(IntrinsicSP, false, 0)
+	p := ladderParams(false, 0)
 	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
 	for _, lanes := range []int{16, 32} {
 		got, st := runVariantQuiet(db, q, p, lanes)
@@ -193,7 +188,7 @@ func TestLadderEscalationTiers(t *testing.T) {
 	want := oracleScores(db, query.Residues)
 
 	for _, blocked := range []bool{false, true} {
-		p := ladderParams(IntrinsicSP, blocked, 256)
+		p := ladderParams(blocked, 256)
 		// lanes=1: one group per subject, so the short group is provably
 		// byte-safe on its own.
 		got, st := runRung(db, q, p, 1, true)
@@ -370,30 +365,28 @@ func TestLadderEscalationNoAllocs(t *testing.T) {
 	db := plantedDB(rng, query, 50, 20)
 	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
 	everyTier(t, func(t *testing.T) {
-		for _, v := range []Variant{IntrinsicSP, IntrinsicQP} {
-			p := ladderParams(v, false, 0)
-			groups := db.Groups(32)
-			buf := NewBuffers(32)
-			scores := make([]int32, 32)
-			var st Stats
-			sweep := func() {
-				for _, g := range groups {
-					st.Add(alignGroupIntrinsic8(q, g, p, buf, scores))
-					buf.escalate(q, p, &st, false)
-				}
-				buf.escalate(q, p, &st, true)
+		p := ladderParams(false, 0)
+		groups := db.Groups(32)
+		buf := NewBuffers(32)
+		scores := make([]int32, 32)
+		var st Stats
+		sweep := func() {
+			for _, g := range groups {
+				st.Add(alignGroupIntrinsic8(q, g, p, buf, scores))
+				buf.escalate(q, p, &st, false)
 			}
-			sweep()
-			if st.Overflows8 != 20 {
-				t.Fatalf("%v: Overflows8 = %d, want 20; the case pins nothing", v, st.Overflows8)
-			}
-			esc := buf.esc
-			if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
-				t.Errorf("%v: %v allocations per warmed sweep", v, allocs)
-			}
-			if buf.esc != esc {
-				t.Errorf("%v: the escalation scratch was rebuilt", v)
-			}
+			buf.escalate(q, p, &st, true)
+		}
+		sweep()
+		if st.Overflows8 != 20 {
+			t.Fatalf("Overflows8 = %d, want 20; the case pins nothing", st.Overflows8)
+		}
+		esc := buf.esc
+		if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+			t.Errorf("%v allocations per warmed sweep", allocs)
+		}
+		if buf.esc != esc {
+			t.Errorf("the escalation scratch was rebuilt")
 		}
 	})
 }

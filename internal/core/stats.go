@@ -12,17 +12,17 @@ type Stats struct {
 	// PaddedCells counts all cell updates performed, including lane
 	// padding; the gap to Cells is packing waste.
 	PaddedCells int64
-	// VecIters counts inner-loop iterations: vector iterations for the
-	// lane kernels, scalar iterations for no-vec.
+	// VecIters counts inner-loop iterations: rows times columns of every
+	// lane group (a one-lane group's are its cells).
 	VecIters int64
 	// Columns counts database-column passes (outer-loop iterations).
 	Columns int64
-	// SPBuilds counts score-profile row constructions (one per column per
-	// group in SP mode; each builds TableWidth lane vectors). Byte-lane
+	// SPBuilds counts score-profile row constructions (one per column of
+	// every 16-bit group; each builds TableWidth lane vectors). Byte-lane
 	// groups never build score rows.
 	SPBuilds int64
-	// Gathers counts indexed score loads (one per inner iteration in QP
-	// mode, and of every byte-lane group whatever the mode).
+	// Gathers counts indexed score loads: one per inner iteration of every
+	// byte-lane group, whose scores are looked up in the query profile.
 	Gathers int64
 	// Groups counts lane groups processed.
 	Groups int64

@@ -1,15 +1,19 @@
 // Package core implements the paper's contribution: the portable
 // Smith-Waterman database-search engine evaluated on the Xeon and Xeon Phi
-// models. It provides the six kernel variants of Section V ({no-vec,
-// guided-simd, intrinsic} x {query profile, score profile}), the intrinsic
-// kernels' 8 -> 16 -> 32-bit precision ladder, the single-device search of
-// Algorithm 1 and the heterogeneous search of Algorithm 2.
+// models. It executes one kernel, the 8 -> 16 -> 32-bit precision ladder
+// (byte lanes with an in-register query profile, 16-bit score-profile lanes,
+// 32-bit scalar recomputation, and a striped 16-bit pass for long subjects),
+// in the single-device search of Algorithm 1. The six kernel variants of
+// Section V ({no-vec, guided-simd, intrinsic} x {query profile, score
+// profile}) are labels the planner (plan.go) prices as the paper's figures
+// do, along with the heterogeneous distributions of Algorithm 2; no search
+// reads them.
 package core
 
 import "fmt"
 
-// VecMode selects how the inner loop is (emulated-)vectorised, matching the
-// three columns of the paper's figures.
+// VecMode is how the paper's inner loop is vectorised, matching the three
+// columns of its figures; the device model prices each.
 type VecMode int
 
 const (
@@ -27,7 +31,8 @@ const (
 	VecIntrinsic
 )
 
-// ProfMode selects the substitution-score layout (Section IV).
+// ProfMode is the paper's substitution-score layout (Section IV), priced by
+// the device model.
 type ProfMode int
 
 const (
@@ -39,7 +44,8 @@ const (
 	ProfScore
 )
 
-// Variant is one of the six algorithm variants evaluated by the paper.
+// Variant is one of the six algorithm variants evaluated by the paper: an
+// input of the planner, which prices it; every search runs the ladder.
 type Variant int
 
 const (

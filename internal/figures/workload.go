@@ -9,7 +9,8 @@
 // level: the device cost models consume only lane-group geometry, so the
 // full 541,561-sequence database is simulated exactly without materialising
 // residues (see DESIGN.md). Functional score verification is exercised by
-// the engine tests and the swverify tool on smaller materialised databases.
+// the engine tests, the kernel parity fuzzer and the conformance harness
+// on smaller materialised databases.
 package figures
 
 import (

@@ -9,9 +9,11 @@
 //     rebuilt as the kernel advances through the database group so the inner
 //     loop performs a single contiguous vector load.
 //
-// The 16-bit kernels run either; the byte lanes of the precision ladder's
-// first rung read only the biased uint8 query profile (Query.QP8), whose
-// rows fit one vector register and are looked up in-register.
+// The engine runs one of each: the byte lanes of the precision ladder's
+// first rung read the biased uint8 query profile (Query.QP8), whose rows fit
+// one vector register and are looked up in-register; the 16-bit rung builds
+// score rows per database column (ScoreRows). Which layout the paper's
+// figures attribute to a variant is the device model's business.
 //
 // Both layouts are extended with a padding pseudo-residue used by the
 // inter-task kernels to neutralise the tails of lanes shorter than their
@@ -43,24 +45,21 @@ const TableWidth = alphabet.Size + 1
 // PadScore is the substitution score of the padding pseudo-residue against
 // anything. It is negative enough that a padded column always strictly
 // decreases H (the largest real substitution score is ~17), yet small
-// enough that no int32 arithmetic in the guided kernels can wrap.
+// enough that no 16-bit arithmetic of the kernels can wrap.
 const PadScore = -1024
 
 // Query carries everything the kernels need about one query sequence: the
-// encoded residues, the query profile, and the pad-extended substitution
-// table used to build score profiles.
+// encoded residues, the biased byte query profile, and the pad-extended
+// substitution table used to build score profiles.
 type Query struct {
 	// Seq is the encoded query of length M.
 	Seq []alphabet.Code
 	// Matrix is the substitution matrix the profiles were built from.
 	Matrix *submat.Matrix
 	// Pad is the padding residue index: the matrix alphabet's size.
-	// Width is the profile table width: Pad + 1. Every row of QP and Ext
+	// Width is the profile table width: Pad + 1. Every row of QP8 and Ext
 	// has Width entries; interleaved lane groups must pad with Pad.
 	Pad, Width int
-	// QP is the query profile, row-major (M rows x Width columns):
-	// QP[(i-1)*Width + e] = V(q_i, e). The Pad column holds PadScore.
-	QP []int16
 	// Ext is the pad-extended substitution table:
 	// Ext[e*Width + d] = V(e, d), with PadScore wherever either index
 	// is the padding pseudo-residue.
@@ -70,8 +69,9 @@ type Query struct {
 
 	// Bias is the unsigned-byte score bias of the 8-bit first pass:
 	// max(0, -Matrix.Min()), so every biased substitution score is
-	// non-negative. QP8 is the biased uint8 mirror of QP; padding entries
-	// hold 0 (an effective score of -Bias, which can never raise a lane
+	// non-negative. QP8 is the biased query profile, row-major (M rows x
+	// Width columns): QP8[(i-1)*Width + e] = V(q_i, e) + Bias, with 0 in the
+	// Pad column (an effective score of -Bias, which can never raise a lane
 	// maximum). It is nil when the matrix range does not fit a byte
 	// (Bias8Viable false), in which case the ladder starts at 16 bits.
 	Bias uint8
@@ -94,13 +94,13 @@ func ByteBias(m *submat.Matrix) (bias int, ok bool) {
 
 // gatherPad16 and gatherPad8 are the spare capacities (in elements) the
 // profile tables carry past their logical length, so the native vector
-// backend's wide loads may over-read: vpgatherdd fetches a dword per
-// 16-bit entry (one element of over-read at the table end), and the 8-bit
-// in-register lookup loads each Width-element row as a full 32 bytes (up
-// to 32-Width bytes past the final row — 32 covers every alphabet down to
-// a one-letter one). internal/vec dispatches its gathering paths only when
-// the backing array has this headroom (checked via cap), so the padding
-// here is what makes the native QP and SP-build paths eligible.
+// backend's wide loads may over-read: the score-row build's vpgatherdd
+// fetches a dword per 16-bit Ext entry (one element of over-read at the
+// table end), and the 8-bit in-register lookup loads each Width-element QP8
+// row as a full 32 bytes (up to 32-Width bytes past the final row — 32
+// covers every alphabet down to a one-letter one). internal/vec dispatches
+// those paths only when the backing array has this headroom (checked via
+// cap), so the padding here is what makes the native paths eligible.
 const (
 	gatherPad16 = 2
 	gatherPad8  = 32
@@ -119,7 +119,6 @@ func NewQuery(seq []alphabet.Code, m *submat.Matrix) *Query {
 		Matrix:   m,
 		Pad:      size,
 		Width:    width,
-		QP:       padded16(len(seq) * width),
 		Ext:      padded16(width * width),
 		MaxScore: m.Max(),
 	}
@@ -135,45 +134,34 @@ func NewQuery(seq []alphabet.Code, m *submat.Matrix) *Query {
 	for d := 0; d < width; d++ {
 		q.Ext[padBase+d] = PadScore
 	}
-	for i, r := range seq {
-		copy(q.QP[i*width:(i+1)*width], q.Ext[int(r)*width:(int(r)+1)*width])
-	}
 	q.buildBias8()
 	return q
 }
 
 // buildBias8 derives the biased uint8 query profile of the ladder's 8-bit
-// first pass. Every real substitution score s is stored as s+Bias
-// (non-negative by construction); padding entries store 0, the strongest
-// representable penalty. The build is skipped when the matrix range does
-// not fit a byte.
+// first pass straight from Ext: every real substitution score s is stored
+// as s+Bias (non-negative by construction); padding entries store 0, the
+// strongest representable penalty. The build is skipped when the matrix
+// range does not fit a byte.
 func (q *Query) buildBias8() {
 	bias, ok := ByteBias(q.Matrix)
 	if !ok {
 		return // ladder starts at 16 bits
 	}
 	q.Bias = uint8(bias)
-	ext8 := make([]uint8, len(q.Ext))
-	for i, s := range q.Ext {
-		if int(s) == PadScore {
-			continue // padding stays 0
-		}
-		ext8[i] = uint8(int(s) + bias)
-	}
-	q.QP8 = padded8(len(q.QP))
+	q.QP8 = padded8(len(q.Seq) * q.Width)
 	for i, r := range q.Seq {
-		copy(q.QP8[i*q.Width:(i+1)*q.Width], ext8[int(r)*q.Width:(int(r)+1)*q.Width])
+		dst := q.QP8[i*q.Width : (i+1)*q.Width]
+		for e, s := range q.ExtRow(int(r)) {
+			if int(s) != PadScore { // padding stays 0
+				dst[e] = uint8(int(s) + bias)
+			}
+		}
 	}
 }
 
 // Len returns the query length M.
 func (q *Query) Len() int { return len(q.Seq) }
-
-// QPRow returns the query-profile row for query position i (0-based): the
-// scores of q_i against every residue index including the pad.
-func (q *Query) QPRow(i int) []int16 {
-	return q.QP[i*q.Width : (i+1)*q.Width]
-}
 
 // QPRow8 returns the biased uint8 query-profile row for query position i;
 // only valid when Bias8Viable.
@@ -189,7 +177,7 @@ func (q *Query) ExtRow(e int) []int16 {
 // ScoreRows is the score-profile scratch for one database column: for every
 // residue index e, an L-lane vector of V(e, d_l) where d_l is lane l's
 // current database residue. Laid out row-major with stride = lane count, so
-// Row(e) is the contiguous vector the paper's SP inner loop loads. The row
+// row e is the contiguous vector the paper's SP inner loop loads. The row
 // count follows the query's table width; the scratch grows on first use
 // and is reused across queries of any alphabet.
 type ScoreRows struct {
@@ -220,11 +208,6 @@ func (sr *ScoreRows) Build(q *Query, residues []uint8) {
 	}
 	sr.rows = sr.rows[:n]
 	vec.BuildRows16(sr.rows, q.Ext, residues, q.Width, sr.lanes, q.Width)
-}
-
-// Row returns the L-lane score vector for query residue index e.
-func (sr *ScoreRows) Row(e int) vec.I16 {
-	return vec.I16(sr.rows[int(e)*sr.lanes : (int(e)+1)*sr.lanes])
 }
 
 // Raw exposes the packed row table (stride Lanes, Width rows of the last

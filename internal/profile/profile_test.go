@@ -24,18 +24,22 @@ func TestQueryProfileMatchesMatrix(t *testing.T) {
 	if q.Len() != 200 {
 		t.Fatalf("Len = %d", q.Len())
 	}
+	bias, ok := ByteBias(submat.BLOSUM62)
+	if !ok || !q.Bias8Viable() || int(q.Bias) != bias {
+		t.Fatalf("BLOSUM62 byte profile: bias %d (ByteBias %d, %t), viable %t", q.Bias, bias, ok, q.Bias8Viable())
+	}
 	for i, r := range seq {
-		row := q.QPRow(i)
+		row := q.QPRow8(i)
 		if len(row) != TableWidth {
 			t.Fatalf("row width %d", len(row))
 		}
 		for e := 0; e < alphabet.Size; e++ {
-			if int(row[e]) != submat.BLOSUM62.Score(r, alphabet.Code(e)) {
-				t.Fatalf("QP[%d][%d] = %d, want %d", i, e, row[e], submat.BLOSUM62.Score(r, alphabet.Code(e)))
+			if want := submat.BLOSUM62.Score(r, alphabet.Code(e)) + bias; int(row[e]) != want {
+				t.Fatalf("QP8[%d][%d] = %d, want %d", i, e, row[e], want)
 			}
 		}
-		if row[PadIndex] != PadScore {
-			t.Fatalf("QP pad column = %d", row[PadIndex])
+		if row[PadIndex] != 0 {
+			t.Fatalf("QP8 pad column = %d", row[PadIndex])
 		}
 	}
 }
@@ -84,7 +88,7 @@ func TestScoreRowsBuild(t *testing.T) {
 	}
 	sr.Build(q, residues)
 	for e := 0; e < TableWidth; e++ {
-		row := sr.Row(e)
+		row := sr.Raw()[e*L : (e+1)*L]
 		for l := 0; l < L; l++ {
 			want := q.ExtRow(e)[residues[l]]
 			if row[l] != want {
@@ -115,7 +119,7 @@ func TestScoreRowsProperty(t *testing.T) {
 				} else {
 					want = int16(submat.BLOSUM50.Score(alphabet.Code(e), alphabet.Code(d)))
 				}
-				if sr.Row(e)[l] != want {
+				if sr.Raw()[e*8+l] != want {
 					return false
 				}
 			}

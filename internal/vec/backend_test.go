@@ -62,54 +62,16 @@ func TestNativeI16Primitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range testWidths16 {
 		for trial := 0; trial < 50; trial++ {
-			a, b := railsI16(rng, n), railsI16(rng, n)
+			a := railsI16(rng, n)
 			c := int16(rng.Intn(1 << 16))
-			thr := int16(rng.Intn(1 << 16))
 
 			got, want := make(I16, n), make(I16, n)
-			addSat16(&got[0], &a[0], &b[0], n)
-			addSatGeneric(want, a, b)
-			eqI16(t, "addSat16", got, want)
-
-			subSatConst16(&got[0], &a[0], n, int(c))
-			subSatConstGeneric(want, a, c)
-			eqI16(t, "subSatConst16", got, want)
-
-			max16(&got[0], &a[0], &b[0], n)
-			maxGeneric(want, a, b)
-			eqI16(t, "max16", got, want)
-
-			maxConst16(&got[0], &a[0], n, int(c))
-			maxConstGeneric(want, a, c)
-			eqI16(t, "maxConst16", got, want)
-
-			copy(got, b)
-			copy(want, b)
-			maxInto16(&got[0], &a[0], n)
-			maxIntoGeneric(want, a)
-			eqI16(t, "maxInto16", got, want)
-
 			set1x16(&got[0], n, int(c))
 			set1Generic(want, c)
 			eqI16(t, "set1x16", got, want)
 
-			table := railsI16(rng, 25)
-			idx := make([]uint8, n)
-			for i := range idx {
-				idx[i] = uint8(rng.Intn(25))
-			}
-			gather16(&got[0], &table[0], &idx[0], n)
-			gatherGeneric(want, table, idx)
-			eqI16(t, "gather16", got, want)
-
 			if g, w := hmax16(&a[0], n), horizontalMaxGeneric(a); g != w {
 				t.Fatalf("hmax16(n=%d) = %d, generic %d", n, g, w)
-			}
-			if g, w := anyGE16(&a[0], n, int(thr)), anyGEGeneric(a, thr); g != w {
-				t.Fatalf("anyGE16(n=%d, thr=%d) = %v, generic %v", n, thr, g, w)
-			}
-			if g, w := anyGT16(&a[0], &b[0], n), anyGTGeneric(a, b); g != w {
-				t.Fatalf("anyGT16(n=%d) = %v, generic %v", n, g, w)
 			}
 		}
 	}
@@ -120,51 +82,11 @@ func TestNativeU8Primitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, n := range testWidths8 {
 		for trial := 0; trial < 50; trial++ {
-			a, b := railsU8(rng, n), railsU8(rng, n)
 			c := uint8(rng.Intn(256))
-			thr := uint8(rng.Intn(256))
-
 			got, want := make(U8, n), make(U8, n)
-			addSatU8x(&got[0], &a[0], &b[0], n)
-			addSatU8Generic(want, a, b)
-			eqU8(t, "addSatU8x", got, want)
-
-			subSatConstU8(&got[0], &a[0], n, int(c))
-			subSatU8ConstGeneric(want, a, c)
-			eqU8(t, "subSatConstU8", got, want)
-
-			maxU8x(&got[0], &a[0], &b[0], n)
-			maxU8sGeneric(want, a, b)
-			eqU8(t, "maxU8x", got, want)
-
-			copy(got, b)
-			copy(want, b)
-			maxIntoU8x(&got[0], &a[0], n)
-			maxIntoU8Generic(want, a)
-			eqU8(t, "maxIntoU8x", got, want)
-
 			set1U8x(&got[0], n, int(c))
 			set1U8Generic(want, c)
 			eqU8(t, "set1U8x", got, want)
-
-			table := railsU8(rng, 25)
-			idx := make([]uint8, n)
-			for i := range idx {
-				idx[i] = uint8(rng.Intn(25))
-			}
-			gatherU8x(&got[0], &table[0], &idx[0], n)
-			gatherU8Generic(want, table, idx)
-			eqU8(t, "gatherU8x", got, want)
-
-			if g, w := hmaxU8(&a[0], n), horizontalMaxU8Generic(a); g != w {
-				t.Fatalf("hmaxU8(n=%d) = %d, generic %d", n, g, w)
-			}
-			if g, w := anyGEU8x(&a[0], n, int(thr)), anyGEU8Generic(a, thr); g != w {
-				t.Fatalf("anyGEU8x(n=%d, thr=%d) = %v, generic %v", n, thr, g, w)
-			}
-			if g, w := anyGTU8x(&a[0], &b[0], n), anyGTU8Generic(a, b); g != w {
-				t.Fatalf("anyGTU8x(n=%d) = %v, generic %v", n, g, w)
-			}
 		}
 	}
 }
@@ -267,20 +189,6 @@ func TestNativeStepCol16(t *testing.T) {
 					score, seq, rows, lanes, qr, r)
 				native.diff(t, "stepCol16SP", generic)
 
-				qp := make([]int16, rows*testStride, rows*testStride+2)
-				for i := range qp {
-					qp[i] = int16(rng.Intn(1 << 16))
-				}
-				col := make([]uint8, lanes)
-				for i := range col {
-					col[i] = uint8(rng.Intn(testStride))
-				}
-				native, generic = st.clone(), st.clone()
-				stepCol16QP(&native.h[0], &native.e[0], &native.f[0], &native.diag[0], &native.maxv[0],
-					&qp[0], testStride, &col[0], rows, lanes, int(qr), int(r))
-				stepCol16QPGeneric(generic.h, generic.e, generic.f, generic.diag, generic.maxv,
-					qp, testStride, col, rows, lanes, qr, r)
-				native.diff(t, "stepCol16QP", generic)
 			}
 		}
 	}
@@ -462,27 +370,27 @@ func TestDispatchFallbacks(t *testing.T) {
 	}
 }
 
-// TestForcedPortableParityExported runs a sample of exported entry points
+// TestForcedPortableParityExported runs the exported 16-bit entry points
 // under both backends on the same inputs; on non-AVX2 hosts both runs take
 // the generic path and the test degenerates to self-consistency.
 func TestForcedPortableParityExported(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	a, b := railsI16(rng, 64), railsI16(rng, 64)
-	nat, port := make(I16, 64), make(I16, 64)
-
-	AddSat(nat, a, b)
+	const rows, lanes = 7, 64
+	st := randStep16(rng, rows, lanes)
+	score := railsI16(rng, testStride*lanes)
+	seq := make([]uint8, rows)
+	for i := range seq {
+		seq[i] = uint8(rng.Intn(testStride))
+	}
+	nat, port := st.clone(), st.clone()
+	StepCol16SP(nat.h, nat.e, nat.f, nat.diag, nat.maxv, score, seq, rows, lanes, 12, 2)
 	prev := CapTier(TierPortable)
-	AddSat(port, a, b)
+	StepCol16SP(port.h, port.e, port.f, port.diag, port.maxv, score, seq, rows, lanes, 12, 2)
 	CapTier(prev)
-	eqI16(t, "AddSat backends", nat, port)
-
-	au, bu := railsU8(rng, 64), railsU8(rng, 64)
-	natu, portu := make(U8, 64), make(U8, 64)
-	AddSatU8(natu, au, bu)
-	prev = CapTier(TierPortable)
-	AddSatU8(portu, au, bu)
-	CapTier(prev)
-	eqU8(t, "AddSatU8 backends", natu, portu)
+	nat.diff(t, "StepCol16SP backends", port)
+	if g, w := HorizontalMax(nat.maxv), horizontalMaxGeneric(port.maxv); g != w {
+		t.Fatalf("HorizontalMax = %d, generic %d", g, w)
+	}
 }
 
 // BenchmarkStepCol8QP times the byte rung's one kernel, a 32-lane column

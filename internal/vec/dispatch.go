@@ -11,7 +11,7 @@ import (
 // in tiers ordered so that a host that runs one runs every tier below it:
 //
 //	portable   pure Go
-//	avx2       every primitive and fused column kernel over 256-bit registers
+//	avx2       every column kernel and helper over 256-bit registers
 //	avx2+vbmi  the same, with the byte query-profile lookup of StepCol8QP
 //	           as one vpermb instead of a vpshufb pair (AVX-512VBMI+VL)
 //

@@ -1,18 +1,15 @@
 package vec
 
-// Fused column kernels. The per-op primitives in vec.go are the reference
-// granularity — one emulated vector instruction per call — but at 16–64
-// lanes the call and bounds-check overhead of that granularity dwarfs the
-// arithmetic, so the inter-task kernels in internal/core advance the DP
-// through these fused entry points instead: one call processes one
-// database column across every row of the current query tile, keeping F,
-// the diagonal vector and the running-maximum tracker register-resident
-// for the whole column. The portable generics below are the semantic
-// definition (they reproduce, lane for lane, the sequence of vec.go
-// primitives a per-op kernel would issue); vec_amd64.s implements the same
-// loops over real 256-bit registers.
+// Fused column kernels. At 16–64 lanes the call and bounds-check overhead
+// of one call per vector instruction would dwarf the arithmetic, so the
+// inter-task kernels in internal/core advance the DP through these fused
+// entry points: one call processes one database column across every row of
+// the current query tile, keeping F, the diagonal vector and the
+// running-maximum tracker register-resident for the whole column. The
+// portable generics below are the semantic definition; vec_amd64.s
+// implements the same loops over real 256-bit registers.
 //
-// Layout contract shared by all four column steps:
+// Layout contract shared by the column steps:
 //
 //   - h and e hold the tile's H and E state for rows query rows, row ri at
 //     h[ri*lanes : (ri+1)*lanes]. On entry h carries the previous column's
@@ -22,20 +19,20 @@ package vec
 //     vertical-gap state entering each row, the diagonal H value entering
 //     row 0, and the running score maximum.
 //   - qr is the gap-open+extend penalty and r the extend penalty, both
-//     non-negative; the 16-bit forms rely on qr <= 16384 (enforced by
+//     non-negative; the 16-bit form relies on qr <= 16384 (enforced by
 //     core.Params.Validate) so gap arithmetic cannot wrap below MinI16.
 //
 // The SP forms read the column's score profile (row stride = lanes) with
-// the row selected by the query residue seq[ri]; the QP forms read the
+// the row selected by the query residue seq[ri]; the QP form reads the
 // query profile (row stride = stride, row ri at qp[ri*stride:]) indexed by
 // the column residues col[l]. The byte rung of core's precision ladder runs
 // StepCol8QP only: a profile row of up to 32 letters fits one register, so
 // the lookup is an in-register permute with no per-column table to build.
-// The native QP and BuildRows16 paths use true vector gathers / in-register
-// shuffles that read a few bytes past the last table row; they dispatch
-// only when the table's backing array has the spare capacity
-// (internal/profile over-allocates its tables for exactly this), and fall
-// back to the portable loops otherwise.
+// The 16-bit rung runs StepCol16SP over rows BuildRows16 fills. The native
+// StepCol8QP and BuildRows16 paths read a few bytes past the last table
+// row; they dispatch only when the table's backing array has the spare
+// capacity (internal/profile over-allocates its tables for exactly this),
+// and fall back to the portable loops otherwise.
 
 // StepCol16SP advances one database column of the 16-bit score-profile
 // kernel. score is the column's score-row table (stride lanes) and seq the
@@ -81,73 +78,6 @@ func stepCol16SPGeneric(h, e, f, diag, maxv I16, score []int16, seq []uint8, row
 				maxv[l] = h16
 			}
 			uv := hv - int32(qr) // no saturation: 0 <= hv <= MaxI16, qr <= 16384
-			e2 := int32(ev) - int32(r)
-			if e2 < MinI16 {
-				e2 = MinI16
-			}
-			if uv > e2 {
-				e2 = uv
-			}
-			erow[l] = int16(e2)
-			f2 := int32(fv) - int32(r)
-			if f2 < MinI16 {
-				f2 = MinI16
-			}
-			if uv > f2 {
-				f2 = uv
-			}
-			f[l] = int16(f2)
-			diag[l] = up
-			hrow[l] = h16
-		}
-	}
-}
-
-// StepCol16QP advances one database column of the 16-bit query-profile
-// kernel. qp is the query profile positioned at the tile's first row (row
-// ri at qp[ri*stride:]); col holds the column's lane residues, each <
-// stride. The native path gathers profile entries with vpgatherdd, which
-// loads a dword per lane and so reads one element past qp[rows*stride-1];
-// it requires cap(qp) >= rows*stride+1 and falls back to the portable
-// loop otherwise.
-func StepCol16QP(h, e, f, diag, maxv I16, qp []int16, stride int, col []uint8, rows, lanes int, qr, r int16) {
-	if rows <= 0 {
-		return
-	}
-	if native16(lanes) && cap(qp) >= rows*stride+1 {
-		stepCol16QP(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(qr), int(r))
-		return
-	}
-	stepCol16QPGeneric(h, e, f, diag, maxv, qp, stride, col, rows, lanes, qr, r)
-}
-
-//sw:hotpath
-func stepCol16QPGeneric(h, e, f, diag, maxv I16, qp []int16, stride int, col []uint8, rows, lanes int, qr, r int16) {
-	for ri := 0; ri < rows; ri++ {
-		hrow := h[ri*lanes : (ri+1)*lanes]
-		erow := e[ri*lanes : (ri+1)*lanes]
-		row := qp[ri*stride : ri*stride+stride]
-		for l := 0; l < lanes; l++ {
-			up := hrow[l]
-			hv := int32(diag[l]) + int32(row[col[l]])
-			if hv > MaxI16 {
-				hv = MaxI16
-			}
-			ev, fv := erow[l], f[l]
-			if int32(ev) > hv {
-				hv = int32(ev)
-			}
-			if int32(fv) > hv {
-				hv = int32(fv)
-			}
-			if hv < 0 {
-				hv = 0
-			}
-			h16 := int16(hv)
-			if h16 > maxv[l] {
-				maxv[l] = h16
-			}
-			uv := hv - int32(qr)
 			e2 := int32(ev) - int32(r)
 			if e2 < MinI16 {
 				e2 = MinI16

@@ -1,38 +1,23 @@
-// Package vec implements the fixed-width integer SIMD primitive set the
-// alignment kernels in internal/core are written against, exactly as
-// hand-vectorised C would be written against immintrin.h: saturating
-// 16-bit and unsigned 8-bit adds and subtractions, lane-wise maxima,
-// broadcasts, and the gather operation whose presence (Phi) or absence
-// (Xeon) drives the query-profile results in the paper.
+// Package vec implements the fixed-width integer SIMD column kernels of the
+// alignment engine in internal/core: fused column steps (step.go) that
+// advance one database column of the Smith-Waterman DP across a whole query
+// tile per call, in saturating 16-bit and biased unsigned 8-bit lanes, plus
+// the few whole-register helpers the kernels need around them (broadcast,
+// horizontal maximum) and the score-profile row build.
 //
 // Two backends implement the set (see dispatch.go): portable pure-Go
-// loops — the verified reference, and the emulation used to model the
-// paper's devices at widths the host does not have — and native AVX2
-// assembly selected at runtime on capable amd64 hosts, which turns the
-// emulated registers into real 256-bit ones. Both produce bit-identical
-// lane results. Beyond the per-op primitives, the package exports fused
-// column kernels (step.go) that advance an entire database column per
-// call, the granularity at which the native backend pays off.
+// loops — the verified reference, and the emulation used at widths the host
+// does not have — and native AVX2 assembly selected at runtime on capable
+// amd64 hosts, which turns the emulated registers into real 256-bit ones.
+// Both produce bit-identical lane results.
 //
-// The lane-count emulation remains semantic, not temporal: the cycle cost
-// of each operation class is attributed by internal/device from the
-// structural counts reported by the kernels, independent of which backend
-// executed the lanes.
+// The lane-count emulation is semantic, not temporal: the cycle cost the
+// device model (internal/device) charges a kernel comes from the structural
+// counts the kernels report, independent of which backend executed the
+// lanes.
 package vec
 
 import "math"
-
-// Width is the number of 16-bit lanes in an emulated vector register.
-type Width int
-
-const (
-	// Lanes256 is the lane count of a 256-bit register holding int16
-	// elements (the Xeon model).
-	Lanes256 Width = 16
-	// Lanes512 is the lane count of a 512-bit register holding int16
-	// elements (the Xeon Phi model).
-	Lanes512 Width = 32
-)
 
 // MaxI16 and MinI16 are the saturation rails of 16-bit lanes.
 const (
@@ -41,112 +26,9 @@ const (
 )
 
 // I16 is an emulated vector register of int16 lanes. Slices are used
-// rather than fixed arrays so both widths share one implementation; kernels
-// allocate them with exactly the device lane count and the helpers assume
-// len(dst) == len(src) for every operand.
+// rather than fixed arrays so every width shares one implementation;
+// kernels allocate them with exactly the lane count they run.
 type I16 []int16
-
-func sat(v int32) int16 {
-	if v > MaxI16 {
-		return MaxI16
-	}
-	if v < MinI16 {
-		return MinI16
-	}
-	return int16(v)
-}
-
-// AddSat sets dst = a + b with signed 16-bit saturation (vpaddsw).
-func AddSat(dst, a, b I16) {
-	if native16(len(dst)) {
-		addSat16(&dst[0], &a[0], &b[0], len(dst))
-		return
-	}
-	addSatGeneric(dst, a, b)
-}
-
-//sw:hotpath
-func addSatGeneric(dst, a, b I16) {
-	for l := range dst {
-		dst[l] = sat(int32(a[l]) + int32(b[l]))
-	}
-}
-
-// SubSatConst sets dst = a - c with signed 16-bit saturation (vpsubsw with
-// a broadcast operand).
-func SubSatConst(dst, a I16, c int16) {
-	if native16(len(dst)) {
-		subSatConst16(&dst[0], &a[0], len(dst), int(c))
-		return
-	}
-	subSatConstGeneric(dst, a, c)
-}
-
-//sw:hotpath
-func subSatConstGeneric(dst, a I16, c int16) {
-	for l := range dst {
-		dst[l] = sat(int32(a[l]) - int32(c))
-	}
-}
-
-// Max sets dst = max(a, b) lane-wise (vpmaxsw).
-func Max(dst, a, b I16) {
-	if native16(len(dst)) {
-		max16(&dst[0], &a[0], &b[0], len(dst))
-		return
-	}
-	maxGeneric(dst, a, b)
-}
-
-//sw:hotpath
-func maxGeneric(dst, a, b I16) {
-	for l := range dst {
-		if a[l] > b[l] {
-			dst[l] = a[l]
-		} else {
-			dst[l] = b[l]
-		}
-	}
-}
-
-// MaxConst sets dst = max(a, c) lane-wise against a broadcast constant.
-func MaxConst(dst, a I16, c int16) {
-	if native16(len(dst)) {
-		maxConst16(&dst[0], &a[0], len(dst), int(c))
-		return
-	}
-	maxConstGeneric(dst, a, c)
-}
-
-//sw:hotpath
-func maxConstGeneric(dst, a I16, c int16) {
-	for l := range dst {
-		if a[l] > c {
-			dst[l] = a[l]
-		} else {
-			dst[l] = c
-		}
-	}
-}
-
-// MaxInto sets dst = max(dst, a) lane-wise; the running-maximum update of
-// the score tracker.
-func MaxInto(dst, a I16) {
-	if native16(len(dst)) {
-		maxInto16(&dst[0], &a[0], len(dst))
-		return
-	}
-	maxIntoGeneric(dst, a)
-}
-
-//sw:hotpath
-func maxIntoGeneric(dst, a I16) {
-	for l := range dst {
-		if a[l] > dst[l] {
-			dst[l] = a[l]
-		}
-	}
-}
 
 // Set1 broadcasts c into every lane (vpbroadcastw).
 func Set1(dst I16, c int16) {
@@ -161,29 +43,6 @@ func Set1(dst I16, c int16) {
 func set1Generic(dst I16, c int16) {
 	for l := range dst {
 		dst[l] = c
-	}
-}
-
-// Gather sets dst[l] = table[idx[l]] (vpgatherdd-style indexed load). On
-// the Xeon model this operation has no hardware equivalent and is costed by
-// the device model as a shuffle/insert sequence; on the Phi it maps to the
-// native gather. idx values must be valid table offsets. (The native
-// backend performs the loads scalar too — the insert sequence — because an
-// arbitrary caller table carries no over-read padding guarantee; the fused
-// column kernels in step.go use true vpgatherdd against the padded profile
-// tables.)
-func Gather(dst I16, table []int16, idx []uint8) {
-	if native16(len(dst)) {
-		gather16(&dst[0], &table[0], &idx[0], len(dst))
-		return
-	}
-	gatherGeneric(dst, table, idx)
-}
-
-//sw:hotpath
-func gatherGeneric(dst I16, table []int16, idx []uint8) {
-	for l := range dst {
-		dst[l] = table[idx[l]]
 	}
 }
 
@@ -207,140 +66,22 @@ func horizontalMaxGeneric(a I16) int16 {
 	return m
 }
 
-// AnyGE reports whether any lane is >= threshold; kernels use it to detect
-// potential 16-bit saturation and trigger 32-bit recomputation.
-func AnyGE(a I16, threshold int16) bool {
-	if native16(len(a)) {
-		return anyGE16(&a[0], len(a), int(threshold))
-	}
-	return anyGEGeneric(a, threshold)
-}
-
-//sw:hotpath
-func anyGEGeneric(a I16, threshold int16) bool {
-	for _, v := range a {
-		if v >= threshold {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyGT reports whether any lane of a exceeds the corresponding lane of b
-// (vpcmpgtw + movemask); the lazy-F termination test of striped kernels.
-func AnyGT(a, b I16) bool {
-	if native16(len(a)) {
-		return anyGT16(&a[0], &b[0], len(a))
-	}
-	return anyGTGeneric(a, b)
-}
-
-//sw:hotpath
-func anyGTGeneric(a, b I16) bool {
-	for l := range a {
-		if a[l] > b[l] {
-			return true
-		}
-	}
-	return false
-}
-
 // ---- 8-bit unsigned lanes ----
 //
 // The 8-bit first pass of the precision ladder scores in unsigned byte
 // lanes with biased substitution scores, the SSW Library's representation:
-// a register holds twice as many lanes as the 16-bit form (32 on the Xeon's
-// 256-bit vectors, 64 on the Phi's 512-bit vectors), H/E/F values are true
-// non-negative cell values in [0, 255], and substitution scores are stored
-// as score+bias so the per-cell add is a single unsigned saturating add
-// followed by an unsigned saturating subtract of the bias. Saturation of
+// a register holds twice as many lanes as the 16-bit form, H/E/F values are
+// true non-negative cell values in [0, 255], and substitution scores are
+// stored as score+bias so the per-cell add is a single unsigned saturating
+// add followed by an unsigned saturating subtract of the bias. Saturation of
 // the top rail marks a lane for 16-bit recomputation.
 
 // MaxU8 is the top saturation rail of unsigned 8-bit lanes.
 const MaxU8 = 255
 
 // U8 is an emulated vector register of unsigned 8-bit lanes, the element
-// type of the ladder's first pass. As with I16, slices let both device
-// widths share one implementation.
+// type of the ladder's first pass.
 type U8 []uint8
-
-// AddSatU8 sets dst = a + b with unsigned 8-bit saturation (vpaddusb).
-func AddSatU8(dst, a, b U8) {
-	if native8(len(dst)) {
-		addSatU8x(&dst[0], &a[0], &b[0], len(dst))
-		return
-	}
-	addSatU8Generic(dst, a, b)
-}
-
-//sw:hotpath
-func addSatU8Generic(dst, a, b U8) {
-	for l := range dst {
-		v := uint16(a[l]) + uint16(b[l])
-		if v > MaxU8 {
-			v = MaxU8
-		}
-		dst[l] = uint8(v)
-	}
-}
-
-// SubSatU8Const sets dst = a - c with unsigned 8-bit saturation at zero
-// (vpsubusb with a broadcast operand).
-func SubSatU8Const(dst, a U8, c uint8) {
-	if native8(len(dst)) {
-		subSatConstU8(&dst[0], &a[0], len(dst), int(c))
-		return
-	}
-	subSatU8ConstGeneric(dst, a, c)
-}
-
-//sw:hotpath
-func subSatU8ConstGeneric(dst, a U8, c uint8) {
-	for l := range dst {
-		if a[l] > c {
-			dst[l] = a[l] - c
-		} else {
-			dst[l] = 0
-		}
-	}
-}
-
-// MaxU8s sets dst = max(a, b) lane-wise (vpmaxub).
-func MaxU8s(dst, a, b U8) {
-	if native8(len(dst)) {
-		maxU8x(&dst[0], &a[0], &b[0], len(dst))
-		return
-	}
-	maxU8sGeneric(dst, a, b)
-}
-
-//sw:hotpath
-func maxU8sGeneric(dst, a, b U8) {
-	for l := range dst {
-		if a[l] > b[l] {
-			dst[l] = a[l]
-		} else {
-			dst[l] = b[l]
-		}
-	}
-}
-
-// MaxIntoU8 sets dst = max(dst, a) lane-wise; the running-maximum update.
-func MaxIntoU8(dst, a U8) {
-	if native8(len(dst)) {
-		maxIntoU8x(&dst[0], &a[0], len(dst))
-		return
-	}
-	maxIntoU8Generic(dst, a)
-}
-
-func maxIntoU8Generic(dst, a U8) {
-	for l := range dst {
-		if a[l] > dst[l] {
-			dst[l] = a[l]
-		}
-	}
-}
 
 // Set1U8 broadcasts c into every lane (vpbroadcastb).
 func Set1U8(dst U8, c uint8) {
@@ -355,76 +96,4 @@ func set1U8Generic(dst U8, c uint8) {
 	for l := range dst {
 		dst[l] = c
 	}
-}
-
-// GatherU8 sets dst[l] = table[idx[l]]; the byte-granularity indexed load
-// of the 8-bit query-profile kernels. As with Gather, the native backend
-// issues the loads scalar for arbitrary tables; the fused 8-bit column
-// kernels use the in-register vpshufb table permute instead.
-func GatherU8(dst U8, table []uint8, idx []uint8) {
-	if native8(len(dst)) {
-		gatherU8x(&dst[0], &table[0], &idx[0], len(dst))
-		return
-	}
-	gatherU8Generic(dst, table, idx)
-}
-
-func gatherU8Generic(dst U8, table []uint8, idx []uint8) {
-	for l := range dst {
-		dst[l] = table[idx[l]]
-	}
-}
-
-// HorizontalMaxU8 returns the maximum lane value.
-func HorizontalMaxU8(a U8) uint8 {
-	if native8(len(a)) {
-		return hmaxU8(&a[0], len(a))
-	}
-	return horizontalMaxU8Generic(a)
-}
-
-func horizontalMaxU8Generic(a U8) uint8 {
-	m := a[0]
-	for _, v := range a[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// AnyGEU8 reports whether any lane is >= threshold; the ladder's 8-bit
-// saturation test.
-func AnyGEU8(a U8, threshold uint8) bool {
-	if native8(len(a)) {
-		return anyGEU8x(&a[0], len(a), int(threshold))
-	}
-	return anyGEU8Generic(a, threshold)
-}
-
-func anyGEU8Generic(a U8, threshold uint8) bool {
-	for _, v := range a {
-		if v >= threshold {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyGTU8 reports whether any lane of a exceeds the corresponding lane of
-// b; the lazy-F termination test of the 8-bit striped pass.
-func AnyGTU8(a, b U8) bool {
-	if native8(len(a)) {
-		return anyGTU8x(&a[0], &b[0], len(a))
-	}
-	return anyGTU8Generic(a, b)
-}
-
-func anyGTU8Generic(a, b U8) bool {
-	for l := range a {
-		if a[l] > b[l] {
-			return true
-		}
-	}
-	return false
 }

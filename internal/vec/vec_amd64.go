@@ -46,70 +46,20 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (requires OSXSAVE).
 func xgetbv0() (eax, edx uint32)
 
-// ---- 16-bit lane primitives ----
+// ---- whole-register helpers ----
 //
 // All stubs require n to be a positive multiple of 16 (int16) or 32
 // (uint8); the exported wrappers in vec.go enforce that before
 // dispatching.
 
 //go:noescape
-func addSat16(dst, a, b *int16, n int)
-
-//go:noescape
-func subSatConst16(dst, a *int16, n, c int)
-
-//go:noescape
-func max16(dst, a, b *int16, n int)
-
-//go:noescape
-func maxConst16(dst, a *int16, n, c int)
-
-//go:noescape
-func maxInto16(dst, a *int16, n int)
-
-//go:noescape
 func set1x16(dst *int16, n, c int)
-
-//go:noescape
-func gather16(dst *int16, table *int16, idx *uint8, n int)
 
 //go:noescape
 func hmax16(a *int16, n int) int16
 
 //go:noescape
-func anyGE16(a *int16, n, threshold int) bool
-
-//go:noescape
-func anyGT16(a, b *int16, n int) bool
-
-// ---- 8-bit lane primitives ----
-
-//go:noescape
-func addSatU8x(dst, a, b *uint8, n int)
-
-//go:noescape
-func subSatConstU8(dst, a *uint8, n, c int)
-
-//go:noescape
-func maxU8x(dst, a, b *uint8, n int)
-
-//go:noescape
-func maxIntoU8x(dst, a *uint8, n int)
-
-//go:noescape
 func set1U8x(dst *uint8, n, c int)
-
-//go:noescape
-func gatherU8x(dst *uint8, table *uint8, idx *uint8, n int)
-
-//go:noescape
-func hmaxU8(a *uint8, n int) uint8
-
-//go:noescape
-func anyGEU8x(a *uint8, n, threshold int) bool
-
-//go:noescape
-func anyGTU8x(a, b *uint8, n int) bool
 
 // ---- fused column kernels ----
 //
@@ -121,9 +71,6 @@ func anyGTU8x(a, b *uint8, n int) bool
 
 //go:noescape
 func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lanes, qr, r int)
-
-//go:noescape
-func stepCol16QP(h, e, f, diag, maxv *int16, qp *int16, stride int, col *uint8, rows, lanes, qr, r int)
 
 //go:noescape
 func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lanes, bias, qr, r int)

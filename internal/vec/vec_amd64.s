@@ -1,7 +1,7 @@
 //go:build amd64 && !purego
 
-// AVX2 backend for the vec primitive set and the fused column kernels,
-// plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI).
+// AVX2 backend for the fused column kernels and their whole-register
+// helpers, plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI).
 //
 // Every routine computes bit-identical results to the portable Go loops in
 // vec.go / step.go; the differential tests in this package and core's
@@ -21,7 +21,7 @@
 //
 // Plan 9 operand order reminders (reversed from Intel syntax):
 //   VPSUBSW  Yb, Ya, Yd      d = a - b
-//   VPCMPGTW Yb, Ya, Yd      d = (a > b)
+//   VPCMPGTB Yb, Ya, Yd      d = (a > b)
 //   VPSHUFB  Yctl, Ysrc, Yd  d = shuffle(src, ctl)
 //   VPBLENDVB Ym, Yb, Ya, Yd d = m ? b : a
 //   VPERMB   tbl, Yidx, Yd    d[i] = tbl[idx[i] & 31]
@@ -48,100 +48,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// ---- 16-bit lane primitives ----
-
-// func addSat16(dst, a, b *int16, n int)
-TEXT ·addSat16(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHLQ $1, CX
-	XORQ AX, AX
-loop:
-	VMOVDQU (SI)(AX*1), Y0
-	VPADDSW (DX)(AX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(AX*1)
-	ADDQ $32, AX
-	CMPQ AX, CX
-	JLT  loop
-	VZEROUPPER
-	RET
-
-// func subSatConst16(dst, a *int16, n, c int)
-TEXT ·subSatConst16(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ c+24(FP), AX
-	VMOVQ AX, X1
-	VPBROADCASTW X1, Y1
-	SHLQ $1, CX
-	XORQ AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VPSUBSW  Y1, Y0, Y0
-	VMOVDQU  Y0, (DI)(AX*1)
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VZEROUPPER
-	RET
-
-// func max16(dst, a, b *int16, n int)
-TEXT ·max16(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHLQ $1, CX
-	XORQ AX, AX
-loop:
-	VMOVDQU (SI)(AX*1), Y0
-	VPMAXSW (DX)(AX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func maxConst16(dst, a *int16, n, c int)
-TEXT ·maxConst16(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ c+24(FP), AX
-	VMOVQ AX, X1
-	VPBROADCASTW X1, Y1
-	SHLQ $1, CX
-	XORQ AX, AX
-loop:
-	VMOVDQU (SI)(AX*1), Y0
-	VPMAXSW Y1, Y0, Y0
-	VMOVDQU Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func maxInto16(dst, a *int16, n int)
-TEXT ·maxInto16(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHLQ $1, CX
-	XORQ AX, AX
-loop:
-	VMOVDQU (SI)(AX*1), Y0
-	VPMAXSW (DI)(AX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
+// ---- whole-register helpers ----
 
 // func set1x16(dst *int16, n, c int)
 TEXT ·set1x16(SB), NOSPLIT, $0-24
@@ -158,25 +65,6 @@ loop:
 	CMPQ    AX, CX
 	JLT     loop
 	VZEROUPPER
-	RET
-
-// func gather16(dst *int16, table *int16, idx *uint8, n int)
-//
-// Scalar loads: the hardware "insert sequence" form, safe for arbitrary
-// caller tables (no over-read).
-TEXT ·gather16(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ table+8(FP), SI
-	MOVQ idx+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-loop:
-	MOVBQZX (DX)(AX*1), R8
-	MOVWQZX (SI)(R8*2), R9
-	MOVW    R9, (DI)(AX*2)
-	INCQ    AX
-	CMPQ    AX, CX
-	JLT     loop
 	RET
 
 // func hmax16(a *int16, n int) int16
@@ -206,125 +94,6 @@ cond:
 	VZEROUPPER
 	RET
 
-// func anyGE16(a *int16, n, threshold int) bool
-//
-// a >= t per lane as (max(a, t) == a), ORed across chunks.
-TEXT ·anyGE16(SB), NOSPLIT, $0-25
-	MOVQ a+0(FP), SI
-	MOVQ n+8(FP), CX
-	MOVQ threshold+16(FP), AX
-	VMOVQ AX, X2
-	VPBROADCASTW X2, Y2
-	VPXOR Y3, Y3, Y3
-	SHLQ  $1, CX
-	XORQ  AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VPMAXSW  Y2, Y0, Y1
-	VPCMPEQW Y0, Y1, Y1
-	VPOR     Y1, Y3, Y3
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VPMOVMSKB Y3, AX
-	TESTL AX, AX
-	SETNE ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func anyGT16(a, b *int16, n int) bool
-TEXT ·anyGT16(SB), NOSPLIT, $0-25
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DX
-	MOVQ n+16(FP), CX
-	VPXOR Y3, Y3, Y3
-	SHLQ  $1, CX
-	XORQ  AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VMOVDQU  (DX)(AX*1), Y1
-	VPCMPGTW Y1, Y0, Y1
-	VPOR     Y1, Y3, Y3
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VPMOVMSKB Y3, AX
-	TESTL AX, AX
-	SETNE ret+24(FP)
-	VZEROUPPER
-	RET
-
-// ---- 8-bit lane primitives ----
-
-// func addSatU8x(dst, a, b *uint8, n int)
-TEXT ·addSatU8x(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VPADDUSB (DX)(AX*1), Y0, Y0
-	VMOVDQU  Y0, (DI)(AX*1)
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VZEROUPPER
-	RET
-
-// func subSatConstU8(dst, a *uint8, n, c int)
-TEXT ·subSatConstU8(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ c+24(FP), AX
-	VMOVQ AX, X1
-	VPBROADCASTB X1, Y1
-	XORQ AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VPSUBUSB Y1, Y0, Y0
-	VMOVDQU  Y0, (DI)(AX*1)
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VZEROUPPER
-	RET
-
-// func maxU8x(dst, a, b *uint8, n int)
-TEXT ·maxU8x(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-loop:
-	VMOVDQU (SI)(AX*1), Y0
-	VPMAXUB (DX)(AX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
-// func maxIntoU8x(dst, a *uint8, n int)
-TEXT ·maxIntoU8x(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ n+16(FP), CX
-	XORQ AX, AX
-loop:
-	VMOVDQU (SI)(AX*1), Y0
-	VPMAXUB (DI)(AX*1), Y0, Y0
-	VMOVDQU Y0, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JLT     loop
-	VZEROUPPER
-	RET
-
 // func set1U8x(dst *uint8, n, c int)
 TEXT ·set1U8x(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
@@ -338,100 +107,6 @@ loop:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     loop
-	VZEROUPPER
-	RET
-
-// func gatherU8x(dst *uint8, table *uint8, idx *uint8, n int)
-TEXT ·gatherU8x(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ table+8(FP), SI
-	MOVQ idx+16(FP), DX
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-loop:
-	MOVBQZX (DX)(AX*1), R8
-	MOVBQZX (SI)(R8*1), R9
-	MOVB    R9, (DI)(AX*1)
-	INCQ    AX
-	CMPQ    AX, CX
-	JLT     loop
-	RET
-
-// func hmaxU8(a *uint8, n int) uint8
-TEXT ·hmaxU8(SB), NOSPLIT, $0-17
-	MOVQ a+0(FP), SI
-	MOVQ n+8(FP), CX
-	VMOVDQU (SI), Y0
-	MOVQ $32, AX
-	JMP  cond
-loop:
-	VPMAXUB (SI)(AX*1), Y0, Y0
-	ADDQ    $32, AX
-cond:
-	CMPQ AX, CX
-	JLT  loop
-	VEXTRACTI128 $1, Y0, X1
-	VPMAXUB X1, X0, X0
-	VPSHUFD $0x4E, X0, X1
-	VPMAXUB X1, X0, X0
-	VPSHUFD $0xB1, X0, X1
-	VPMAXUB X1, X0, X0
-	VPSRLD  $16, X0, X1
-	VPMAXUB X1, X0, X0
-	VPSRLW  $8, X0, X1
-	VPMAXUB X1, X0, X0
-	VMOVQ   X0, AX
-	MOVB    AX, ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func anyGEU8x(a *uint8, n, threshold int) bool
-TEXT ·anyGEU8x(SB), NOSPLIT, $0-25
-	MOVQ a+0(FP), SI
-	MOVQ n+8(FP), CX
-	MOVQ threshold+16(FP), AX
-	VMOVQ AX, X2
-	VPBROADCASTB X2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VPMAXUB  Y2, Y0, Y1
-	VPCMPEQB Y0, Y1, Y1
-	VPOR     Y1, Y3, Y3
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VPMOVMSKB Y3, AX
-	TESTL AX, AX
-	SETNE ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func anyGTU8x(a, b *uint8, n int) bool
-//
-// No unsigned byte greater-than exists; a lane satisfies a <= b exactly
-// when max(a, b) == b, so the accumulated AND of those masks is all-ones
-// iff no lane of a exceeds b.
-TEXT ·anyGTU8x(SB), NOSPLIT, $0-25
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DX
-	MOVQ n+16(FP), CX
-	VPCMPEQB Y3, Y3, Y3
-	XORQ AX, AX
-loop:
-	VMOVDQU  (SI)(AX*1), Y0
-	VMOVDQU  (DX)(AX*1), Y1
-	VPMAXUB  Y1, Y0, Y2
-	VPCMPEQB Y1, Y2, Y2
-	VPAND    Y2, Y3, Y3
-	ADDQ     $32, AX
-	CMPQ     AX, CX
-	JLT      loop
-	VPMOVMSKB Y3, AX
-	NOTL  AX
-	TESTL AX, AX
-	SETNE ret+24(FP)
 	VZEROUPPER
 	RET
 
@@ -499,88 +174,6 @@ rowloop:
 	MOVQ maxv+32(FP), AX
 	VMOVDQU Y2, (AX)(R11*1)
 	ADDQ $32, R11
-	CMPQ R11, R10
-	JLT  strip
-	VZEROUPPER
-	RET
-
-// func stepCol16QP(h, e, f, diag, maxv *int16, qp *int16, stride int, col *uint8, rows, lanes, qr, r int)
-//
-// The score vector is gathered from the query-profile row with vpgatherdd
-// (dword loads at word indices; the high halves are masked and the pair
-// packed back to words). Y10/Y11 hold the strip's zero-extended column
-// residues, Y15 the 0x0000FFFF dword mask, Y12 the per-gather mask.
-// Requires one spare element past the last profile row (wrapper-checked).
-TEXT ·stepCol16QP(SB), NOSPLIT, $0-96
-	MOVQ lanes+72(FP), R10
-	SHLQ $1, R10              // row stride in bytes
-	MOVQ stride+48(FP), R12
-	SHLQ $1, R12              // profile row stride in bytes
-	MOVQ qr+80(FP), AX
-	VMOVQ AX, X3
-	VPBROADCASTW X3, Y3
-	MOVQ r+88(FP), AX
-	VMOVQ AX, X4
-	VPBROADCASTW X4, Y4
-	VPXOR    Y5, Y5, Y5
-	VPCMPEQD Y15, Y15, Y15
-	VPSRLD   $16, Y15, Y15    // 0x0000FFFF per dword
-	XORQ R11, R11             // strip byte offset (state arrays)
-	XORQ R13, R13             // strip byte offset (col residues)
-strip:
-	MOVQ col+56(FP), AX
-	ADDQ R13, AX
-	VPMOVZXBD (AX), Y10       // lanes 0-7 residue indices as dwords
-	VPMOVZXBD 8(AX), Y11      // lanes 8-15
-	MOVQ diag+24(FP), AX
-	VMOVDQU (AX)(R11*1), Y0
-	MOVQ f+16(FP), AX
-	VMOVDQU (AX)(R11*1), Y1
-	MOVQ maxv+32(FP), AX
-	VMOVDQU (AX)(R11*1), Y2
-	MOVQ h+0(FP), DI
-	ADDQ R11, DI
-	MOVQ e+8(FP), SI
-	ADDQ R11, SI
-	MOVQ qp+40(FP), R8
-	MOVQ rows+64(FP), R9
-rowloop:
-	VPCMPEQD   Y12, Y12, Y12
-	VPGATHERDD Y12, (R8)(Y10*2), Y13
-	VPCMPEQD   Y12, Y12, Y12
-	VPGATHERDD Y12, (R8)(Y11*2), Y14
-	VPAND      Y15, Y13, Y13
-	VPAND      Y15, Y14, Y14
-	VPACKUSDW  Y14, Y13, Y6
-	VPERMQ     $0xD8, Y6, Y6  // undo the per-128-lane interleave
-	VPADDSW Y0, Y6, Y6
-	VMOVDQU (DI), Y7
-	VMOVDQU (SI), Y8
-	VPMAXSW Y8, Y6, Y6
-	VPMAXSW Y1, Y6, Y6
-	VPMAXSW Y5, Y6, Y6
-	VPMAXSW Y6, Y2, Y2
-	VMOVDQU Y6, (DI)
-	VPSUBSW Y3, Y6, Y6
-	VPSUBSW Y4, Y8, Y8
-	VPMAXSW Y6, Y8, Y8
-	VMOVDQU Y8, (SI)
-	VPSUBSW Y4, Y1, Y1
-	VPMAXSW Y6, Y1, Y1
-	VMOVDQA Y7, Y0
-	ADDQ    R12, R8           // next query-profile row
-	ADDQ    R10, DI
-	ADDQ    R10, SI
-	DECQ    R9
-	JNZ     rowloop
-	MOVQ diag+24(FP), AX
-	VMOVDQU Y0, (AX)(R11*1)
-	MOVQ f+16(FP), AX
-	VMOVDQU Y1, (AX)(R11*1)
-	MOVQ maxv+32(FP), AX
-	VMOVDQU Y2, (AX)(R11*1)
-	ADDQ $32, R11
-	ADDQ $16, R13
 	CMPQ R11, R10
 	JLT  strip
 	VZEROUPPER
@@ -816,7 +409,11 @@ rowloop:
 // func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int)
 //
 // The score-profile transposition as nrows vpgatherdd word gathers per
-// strip (same dword-load/mask/pack scheme as stepCol16QP).
+// strip: each gather loads a dword at a word index (one element of
+// over-read, wrapper-checked), the high halves are masked off and the two
+// gathers of a strip packed back to words. Y10/Y11 hold the strip's
+// zero-extended residue indices, Y15 the 0x0000FFFF dword mask, Y12 the
+// per-gather mask.
 TEXT ·buildRows16(SB), NOSPLIT, $0-48
 	MOVQ lanes+32(FP), R10
 	SHLQ $1, R10              // dst row stride in bytes

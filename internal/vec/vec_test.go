@@ -6,52 +6,101 @@ import (
 	"testing/quick"
 )
 
+// The saturating lane arithmetic of the alignment kernels — add, subtract
+// a broadcast constant, lane-wise maximum, indexed score lookup, rail
+// detection — lives inside the fused column steps. The tests below pin each
+// operation at hand-computed values, rails included, through the exported
+// steps under every tier the host runs; the differential tests in
+// backend_test.go then hold native and portable lane-exact on random state.
+
+// row16 is the uniform input of one 16-lane StepCol16SP row: every lane
+// starts with the same diagonal, score, E, F and tracker.
+type row16 struct {
+	diag, score, e, f, maxv int16
+	qr, r                   int16
+}
+
+// out16 is what one row16 leaves behind, per lane.
+type out16 struct{ h, e, f, maxv int16 }
+
+// run steps the row under every tier, failing if a tier or a lane
+// disagrees, and returns the common result.
+func (in row16) run(t *testing.T) out16 {
+	t.Helper()
+	const lanes = 16
+	var first out16
+	for i, tr := range Tiers() {
+		func() {
+			defer CapTier(CapTier(tr))
+			h, e, f := make(I16, lanes), make(I16, lanes), make(I16, lanes)
+			diag, maxv, score := make(I16, lanes), make(I16, lanes), make([]int16, lanes)
+			Set1(e, in.e)
+			Set1(f, in.f)
+			Set1(diag, in.diag)
+			Set1(maxv, in.maxv)
+			Set1(I16(score), in.score)
+			StepCol16SP(h, e, f, diag, maxv, score, []uint8{0}, 1, lanes, in.qr, in.r)
+			got := out16{h[0], e[0], f[0], maxv[0]}
+			for l := 1; l < lanes; l++ {
+				if (out16{h[l], e[l], f[l], maxv[l]}) != got {
+					t.Fatalf("%v: lane %d differs from lane 0 on uniform input %+v", tr, l, in)
+				}
+			}
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%+v: %v computes %+v, %v %+v", in, tr, got, Tiers()[0], first)
+			}
+		}()
+	}
+	return first
+}
+
 func TestAddSatSaturates(t *testing.T) {
-	a := I16{30000, -30000, 100, MaxI16}
-	b := I16{10000, -10000, 28, 1}
-	dst := make(I16, 4)
-	AddSat(dst, a, b)
-	want := I16{MaxI16, MinI16, 128, MaxI16}
-	for l := range want {
-		if dst[l] != want[l] {
-			t.Errorf("lane %d: got %d want %d", l, dst[l], want[l])
-		}
+	// diag + score clips at the rail instead of wrapping negative (and then
+	// clamping to zero), so the lane is seen to saturate.
+	got := row16{diag: 30000, score: 10000, e: MinI16, f: MinI16, qr: 12, r: 2}.run(t)
+	if got.h != MaxI16 || got.maxv != MaxI16 {
+		t.Errorf("30000+10000: H %d, tracker %d, want both %d", got.h, got.maxv, MaxI16)
+	}
+	if got := (row16{diag: 100, score: 28, e: MinI16, f: MinI16, qr: 12, r: 2}).run(t); got.h != 128 {
+		t.Errorf("100+28: H = %d", got.h)
 	}
 }
 
 func TestSubSatConst(t *testing.T) {
-	a := I16{MinI16, 0, 5}
-	dst := make(I16, 3)
-	SubSatConst(dst, a, 10)
-	want := I16{MinI16, -10, -5}
-	for l := range want {
-		if dst[l] != want[l] {
-			t.Errorf("lane %d: got %d want %d", l, dst[l], want[l])
-		}
+	// E and F decay by r per row; at the -inf rail the subtract saturates.
+	// A wrapping MinI16-5 would be 32763 and win the maximum with H-q.
+	got := row16{diag: 0, score: -5, e: MinI16, f: MinI16, qr: 16384, r: 5}.run(t)
+	if got.h != 0 || got.e != -16384 || got.f != -16384 {
+		t.Errorf("at the rail: H %d E %d F %d, want 0 -16384 -16384", got.h, got.e, got.f)
+	}
+	got = row16{diag: 0, score: -5, e: 1000, f: 700, qr: 12, r: 2}.run(t)
+	if got.h != 1000 || got.e != 998 || got.f != 988 {
+		t.Errorf("decay: H %d E %d F %d, want 1000 998 988 (F takes H-q)", got.h, got.e, got.f)
 	}
 }
 
 func TestMaxVariants(t *testing.T) {
-	a := I16{1, 5, -3}
-	b := I16{2, 4, -7}
-	dst := make(I16, 3)
-	Max(dst, a, b)
-	if dst[0] != 2 || dst[1] != 5 || dst[2] != -3 {
-		t.Errorf("Max = %v", dst)
-	}
-	MaxConst(dst, a, 0)
-	if dst[0] != 1 || dst[1] != 5 || dst[2] != 0 {
-		t.Errorf("MaxConst = %v", dst)
-	}
-	acc := I16{0, 10, -5}
-	MaxInto(acc, a)
-	if acc[0] != 1 || acc[1] != 10 || acc[2] != -3 {
-		t.Errorf("MaxInto = %v", acc)
+	// H is the four-way maximum of diag+score, E, F and zero.
+	for _, c := range []struct {
+		in   row16
+		want int16
+	}{
+		{row16{diag: 40, score: 5, e: 30, f: 20}, 45},
+		{row16{diag: 40, score: 5, e: 50, f: 20}, 50},
+		{row16{diag: 40, score: 5, e: 30, f: 60}, 60},
+		{row16{diag: 3, score: -9, e: -4, f: MinI16}, 0},
+	} {
+		c.in.qr, c.in.r = 12, 2
+		if got := c.in.run(t); got.h != c.want {
+			t.Errorf("%+v: H = %d, want %d", c.in, got.h, c.want)
+		}
 	}
 }
 
 func TestSet1AndHorizontalMax(t *testing.T) {
-	dst := make(I16, int(Lanes512))
+	dst := make(I16, 32)
 	Set1(dst, -7)
 	for l, v := range dst {
 		if v != -7 {
@@ -65,154 +114,166 @@ func TestSet1AndHorizontalMax(t *testing.T) {
 }
 
 func TestGather(t *testing.T) {
-	table := []int16{10, 20, 30, 40}
-	idx := []uint8{3, 0, 2}
-	dst := make(I16, 3)
-	Gather(dst, table, idx)
-	if dst[0] != 40 || dst[1] != 10 || dst[2] != 30 {
-		t.Fatalf("Gather = %v", dst)
+	// The byte step scores lane l with its column residue's entry of the
+	// profile row, row[col[l]], across both 16-byte halves of the row.
+	const lanes, stride = 32, 25
+	for _, tr := range Tiers() {
+		func() {
+			defer CapTier(CapTier(tr))
+			qp := make([]uint8, stride, 32)
+			for i := range qp {
+				qp[i] = uint8(3*i + 1)
+			}
+			col := make([]uint8, lanes)
+			for l := range col {
+				col[l] = uint8((7 * l) % stride)
+			}
+			h, e, f := make(U8, lanes), make(U8, lanes), make(U8, lanes)
+			diag, maxv := make(U8, lanes), make(U8, lanes)
+			StepCol8QP(h, e, f, diag, maxv, qp, stride, col, 1, lanes, 0, 255, 255)
+			for l := range h {
+				if want := qp[col[l]]; h[l] != want {
+					t.Fatalf("%v: lane %d (residue %d) scored %d, want %d", tr, l, col[l], h[l], want)
+				}
+			}
+		}()
 	}
 }
 
 func TestAnyGE(t *testing.T) {
-	a := I16{1, 2, 3}
-	if AnyGE(a, 4) {
-		t.Error("AnyGE(3-max, 4) = true")
+	// One saturated lane shows in the tracker's horizontal maximum, the
+	// striped path's escalation test; unsaturated lanes never reach it.
+	const lanes = 16
+	h, e, f := make(I16, lanes), make(I16, lanes), make(I16, lanes)
+	diag, maxv, score := make(I16, lanes), make(I16, lanes), make([]int16, lanes)
+	Set1(e, MinI16)
+	Set1(f, MinI16)
+	Set1(I16(score), 11)
+	StepCol16SP(h, e, f, diag, maxv, score, []uint8{0}, 1, lanes, 12, 2)
+	if got := HorizontalMax(maxv); got != 11 {
+		t.Fatalf("unsaturated tracker max = %d", got)
 	}
-	if !AnyGE(a, 3) {
-		t.Error("AnyGE(3-max, 3) = false")
+	diag[9] = MaxI16 - 3
+	StepCol16SP(h, e, f, diag, maxv, score, []uint8{0}, 1, lanes, 12, 2)
+	if got := HorizontalMax(maxv); got != MaxI16 {
+		t.Fatalf("tracker max with lane 9 saturated = %d, want %d", got, MaxI16)
 	}
 }
 
-// Property: AddSat equals clamped wide addition on random lanes.
+// Property: H equals the clamped wide four-way maximum on random lanes.
 func TestAddSatProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	f := func() bool {
-		n := rng.Intn(int(Lanes512)) + 1
-		a, b, dst := make(I16, n), make(I16, n), make(I16, n)
-		for l := 0; l < n; l++ {
-			a[l] = int16(rng.Intn(1 << 16))
-			b[l] = int16(rng.Intn(1 << 16))
-		}
-		AddSat(dst, a, b)
-		for l := 0; l < n; l++ {
-			wide := int32(a[l]) + int32(b[l])
-			if wide > MaxI16 {
-				wide = MaxI16
-			}
-			if wide < MinI16 {
-				wide = MinI16
-			}
-			if int32(dst[l]) != wide {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Max is commutative, idempotent and bounded by its operands.
-func TestMaxProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
 	f := func(uint8) bool {
-		n := rng.Intn(int(Lanes256)) + 1
-		a, b, ab, ba := make(I16, n), make(I16, n), make(I16, n), make(I16, n)
-		for l := 0; l < n; l++ {
-			a[l] = int16(rng.Intn(1 << 16))
-			b[l] = int16(rng.Intn(1 << 16))
+		in := row16{
+			diag:  int16(rng.Intn(MaxI16 + 1)),
+			score: int16(rng.Intn(1100) - 1024),
+			e:     int16(rng.Intn(1 << 16)),
+			f:     int16(rng.Intn(1 << 16)),
+			qr:    int16(rng.Intn(100)),
+			r:     int16(rng.Intn(30)),
 		}
-		Max(ab, a, b)
-		Max(ba, b, a)
-		for l := 0; l < n; l++ {
-			if ab[l] != ba[l] {
-				return false
-			}
-			if ab[l] < a[l] || ab[l] < b[l] {
-				return false
-			}
-			if ab[l] != a[l] && ab[l] != b[l] {
-				return false
-			}
-		}
-		return true
+		want := min(int32(in.diag)+int32(in.score), MaxI16)
+		want = max(want, int32(in.e), int32(in.f), 0)
+		return int32(in.run(t).h) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestAnyGT(t *testing.T) {
-	a := I16{1, 5, -3}
-	b := I16{1, 4, -3}
-	if !AnyGT(a, b) {
-		t.Error("AnyGT missed 5>4")
+// Property: the tracker leaves every row as max(tracker, H), never lower
+// than it entered.
+func TestMaxProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	f := func(uint8) bool {
+		in := row16{
+			diag:  int16(rng.Intn(MaxI16 + 1)),
+			score: int16(rng.Intn(40) - 20),
+			e:     int16(rng.Intn(1 << 16)),
+			f:     int16(rng.Intn(1 << 16)),
+			maxv:  int16(rng.Intn(MaxI16 + 1)),
+			qr:    12,
+			r:     2,
+		}
+		got := in.run(t)
+		return got.maxv == max(in.maxv, got.h)
 	}
-	if AnyGT(b, a) && b[1] >= a[1] {
-		t.Error("AnyGT(b,a) true with no greater lane")
-	}
-	if AnyGT(a, a) {
-		t.Error("AnyGT(a,a) = true")
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
-// ---- 8-bit unsigned lane primitives ----
+// ---- 8-bit unsigned lanes ----
+
+// row8 steps one 32-lane StepCol8QP row with uniform lanes (every column
+// residue 0, whose biased score is score) under every tier and returns
+// lane 0's H, E, F and tracker.
+func row8(t *testing.T, diag, score, e, f, maxv, bias, qr, r uint8) [4]uint8 {
+	t.Helper()
+	const lanes, stride = 32, 25
+	var first [4]uint8
+	for i, tr := range Tiers() {
+		func() {
+			defer CapTier(CapTier(tr))
+			qp := make([]uint8, stride, 32)
+			qp[0] = score
+			h, ev, fv := make(U8, lanes), make(U8, lanes), make(U8, lanes)
+			dv, mv := make(U8, lanes), make(U8, lanes)
+			Set1U8(ev, e)
+			Set1U8(fv, f)
+			Set1U8(dv, diag)
+			Set1U8(mv, maxv)
+			StepCol8QP(h, ev, fv, dv, mv, qp, stride, make([]uint8, lanes), 1, lanes, bias, qr, r)
+			got := [4]uint8{h[0], ev[0], fv[0], mv[0]}
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%v computes %v, %v %v", tr, got, Tiers()[0], first)
+			}
+		}()
+	}
+	return first
+}
 
 func TestU8Saturation(t *testing.T) {
-	a := U8{0, 100, 200, 255}
-	b := U8{0, 100, 100, 1}
-	dst := make(U8, 4)
-	AddSatU8(dst, a, b)
-	for i, want := range []uint8{0, 200, 255, 255} {
-		if dst[i] != want {
-			t.Errorf("AddSatU8 lane %d = %d, want %d", i, dst[i], want)
-		}
+	// The biased add clips at 255 before the bias comes off: a saturated
+	// lane reads 255-bias and escalates.
+	if got := row8(t, 250, 20, 0, 0, 0, 4, 12, 2); got[0] != 251 {
+		t.Errorf("250+(20 biased by 4) = %d, want 251 (clipped at 255, less the bias)", got[0])
 	}
-	SubSatU8Const(dst, a, 150)
-	for i, want := range []uint8{0, 0, 50, 105} {
-		if dst[i] != want {
-			t.Errorf("SubSatU8Const lane %d = %d, want %d", i, dst[i], want)
-		}
+	// Removing the bias floors at zero, and so do the gap decays.
+	if got := row8(t, 0, 1, 1, 3, 0, 4, 12, 2); got != [4]uint8{3, 0, 1, 3} {
+		t.Errorf("floors: H E F tracker = %v, want [3 0 1 3]", got)
 	}
 }
 
 func TestU8MaxOps(t *testing.T) {
-	a := U8{1, 200, 7}
-	b := U8{3, 100, 7}
-	dst := make(U8, 3)
-	MaxU8s(dst, a, b)
-	if dst[0] != 3 || dst[1] != 200 || dst[2] != 7 {
-		t.Errorf("MaxU8s = %v", dst)
-	}
-	tracker := U8{2, 150, 9}
-	MaxIntoU8(tracker, a)
-	if tracker[0] != 2 || tracker[1] != 200 || tracker[2] != 9 {
-		t.Errorf("MaxIntoU8 = %v", tracker)
-	}
-	if HorizontalMaxU8(a) != 200 {
-		t.Errorf("HorizontalMaxU8 = %d", HorizontalMaxU8(a))
+	// H is the four-way maximum of diag+score-bias, E, F and zero, and the
+	// tracker keeps the larger of itself and H.
+	for _, c := range []struct {
+		diag, score, e, f, maxv uint8
+		wantH, wantMax          uint8
+	}{
+		{40, 9, 30, 20, 0, 45, 45},
+		{40, 9, 50, 20, 0, 50, 50},
+		{40, 9, 30, 60, 0, 60, 60},
+		{40, 9, 30, 20, 200, 45, 200},
+	} {
+		got := row8(t, c.diag, c.score, c.e, c.f, c.maxv, 4, 12, 2)
+		if got[0] != c.wantH || got[3] != c.wantMax {
+			t.Errorf("%+v: H %d tracker %d", c, got[0], got[3])
+		}
 	}
 }
 
 func TestU8BroadcastGatherTests(t *testing.T) {
-	dst := make(U8, 5)
-	Set1U8(dst, 42)
-	for _, v := range dst {
-		if v != 42 {
-			t.Fatalf("Set1U8 = %v", dst)
+	for _, n := range []int{5, 32, 64} {
+		dst := make(U8, n)
+		Set1U8(dst, 42)
+		for _, v := range dst {
+			if v != 42 {
+				t.Fatalf("Set1U8(n=%d) = %v", n, dst)
+			}
 		}
-	}
-	table := []uint8{9, 8, 7, 6}
-	GatherU8(dst[:3], table, []uint8{3, 0, 2})
-	if dst[0] != 6 || dst[1] != 9 || dst[2] != 7 {
-		t.Errorf("GatherU8 = %v", dst[:3])
-	}
-	if !AnyGEU8(U8{1, 250}, 250) || AnyGEU8(U8{1, 249}, 250) {
-		t.Error("AnyGEU8 threshold wrong")
-	}
-	if !AnyGTU8(U8{1, 5}, U8{1, 4}) || AnyGTU8(U8{1, 4}, U8{1, 4}) {
-		t.Error("AnyGTU8 wrong")
 	}
 }

@@ -72,10 +72,12 @@ func Devices() []DeviceInfo {
 }
 
 // Variant names. See the paper's Section V: vectorisation mode x
-// substitution-score layout. The intrinsic variants run the adaptive
-// precision ladder: an 8-bit biased first pass with twice the lanes per
-// vector word wherever the matrix's score range fits a byte, saturated
-// lanes escalated to 16 and then 32 bits.
+// substitution-score layout. A variant is a device-model input: the planner
+// (Database.Simulate, Cluster.Plan) prices each as the paper's figures do,
+// while every search runs one kernel, the adaptive precision ladder — an
+// 8-bit biased first pass with twice the lanes per vector word wherever the
+// matrix's score range fits a byte, saturated lanes escalated to 16 and
+// then 32 bits.
 const (
 	VariantNoVecQP     = "no-vec-QP"
 	VariantNoVecSP     = "no-vec-SP"
@@ -94,18 +96,18 @@ func Variants() []string {
 	return out
 }
 
-// Options configures a database search (Database.Search, the kernel options
-// of a Cluster) and what the device model assumes when it prices one
-// (Database.Simulate, Cluster.Plan). The zero value reproduces the paper's
-// best configuration: intrinsic-SP kernels with blocking, BLOSUM62, gap
-// open 10 / extend 2, dynamic scheduling, all device threads.
+// Options configures a database search (the kernel options of a Cluster)
+// and what the device model assumes when it prices one (Database.Simulate,
+// Cluster.Plan). The zero value reproduces the paper's best configuration:
+// intrinsic-SP kernels with blocking, BLOSUM62, gap open 10 / extend 2,
+// dynamic scheduling, all device threads.
 type Options struct {
 	// Device is the modelled device Database.Simulate prices (DeviceXeon
-	// when empty). Database.Search takes only the device's vector width
-	// from it — the lane groups are packed 16/32 wide for DeviceXeon, 32/64
-	// for DevicePhi — and scores never depend on it.
+	// when empty); a Cluster ignores it.
 	Device DeviceKind
-	// Variant is a kernel variant name (VariantIntrinsicSP when empty).
+	// Variant is the kernel variant name the planner prices
+	// (VariantIntrinsicSP when empty). It must be one of Variants(), and it
+	// changes nothing a search executes.
 	Variant string
 	// Matrix is a built-in substitution matrix name: BLOSUM45/50/62/80,
 	// PAM250 or NUC (the blastn +2/-3 nucleotide scheme). When empty the
@@ -124,7 +126,8 @@ type Options struct {
 	// NoGapDefaults disables the 10/2 defaulting above.
 	NoGapDefaults bool
 	// NoBlocking, BlockRows, Threads, Schedule and ChunkSize are inputs of
-	// the device model only; a search executes the same whatever they say.
+	// the device model only, as Variant is; a search executes the same
+	// whatever they say.
 	//
 	// NoBlocking disables the model's cache-blocking optimisation (Figure
 	// 7's "non-blocking" curves; the real kernels size their query tiles

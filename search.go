@@ -1,25 +1,18 @@
 package heterosw
 
 import (
-	"fmt"
-	"sync"
-
 	"heterosw/internal/core"
 	"heterosw/internal/seqdb"
 )
 
 // Database is an indexed collection of target sequences ready for
 // searching. Build one with NewDatabase, ReadFASTA + NewDatabase, or
-// SyntheticSwissProt. A Database is safe for concurrent searches.
-//
-// Engines (one per lane geometry, see Options.Device) are created lazily
-// and cache their lane packings, so repeated searches amortise
-// pre-processing exactly as the paper's step 2 does.
+// SyntheticSwissProt, and search it through a Cluster (NewCluster), whose
+// engine caches the lane packings so repeated searches amortise
+// pre-processing exactly as the paper's step 2 does. A Database is
+// immutable and safe for concurrent use.
 type Database struct {
 	db *seqdb.Database
-
-	mu      sync.Mutex // guards engines
-	engines map[DeviceKind]*core.Engine
 }
 
 // NewDatabase indexes sequences with the paper's pre-processing: the
@@ -41,10 +34,7 @@ func newDatabase(seqs []Sequence, sorted bool) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Database{
-		db:      seqdb.New(raw, sorted),
-		engines: make(map[DeviceKind]*core.Engine),
-	}, nil
+	return &Database{db: seqdb.New(raw, sorted)}, nil
 }
 
 // Len returns the number of sequences.
@@ -68,27 +58,6 @@ func (d *Database) Seq(i int) Sequence { return Sequence{impl: d.db.Seq(i)} }
 
 // String summarises the database.
 func (d *Database) String() string { return d.db.String() }
-
-func (d *Database) engineFor(kind DeviceKind) (*core.Engine, error) {
-	if kind == "" {
-		kind = DeviceXeon
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if e, ok := d.engines[kind]; ok {
-		return e, nil
-	}
-	m, err := kind.model()
-	if err != nil {
-		return nil, err
-	}
-	e, err := core.NewEngine(d.db, m)
-	if err != nil {
-		return nil, err
-	}
-	d.engines[kind] = e
-	return e, nil
-}
 
 // Hit is one database match.
 type Hit struct {
@@ -163,9 +132,8 @@ type Result struct {
 	// pass or from an already-escalated 8-bit lane.
 	Overflows int64
 	// Overflows8 counts 8-bit first-pass saturations escalated to the
-	// 16-bit lane pass. The intrinsic variants start in byte lanes, so
-	// every subject scoring above some 250 counts here; zero for the
-	// scalar and guided variants.
+	// 16-bit lane pass. Searches start in byte lanes wherever the matrix
+	// allows, so every subject scoring above some 250 counts here.
 	Overflows8 int64
 	// OverflowCells counts the cell updates the escalations recomputed,
 	// across both tiers.
@@ -190,28 +158,6 @@ func wrapResult(r *core.Result) *Result {
 		out.Scores[i] = int(s)
 	}
 	return out
-}
-
-// Search aligns the query against every database sequence (the paper's
-// Algorithm 1) and returns scores sorted in descending order, with
-// wall-clock performance accounting.
-func (d *Database) Search(query Sequence, opt Options) (*Result, error) {
-	if query.impl == nil {
-		return nil, fmt.Errorf("heterosw: zero-value query")
-	}
-	eng, err := d.engineFor(opt.Device)
-	if err != nil {
-		return nil, err
-	}
-	copt, err := opt.toCore(d.db.Alphabet())
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Search(query.impl, copt)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
 }
 
 // Simulate prices Algorithm 1 on the device model: what one search of a
