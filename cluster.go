@@ -12,6 +12,7 @@ import (
 	"heterosw/internal/device"
 	"heterosw/internal/qsched"
 	"heterosw/internal/stats"
+	"heterosw/internal/vec"
 )
 
 // ErrClusterClosed is returned by the scheduled doors (Do, DoBatch,
@@ -328,10 +329,20 @@ type Cluster struct {
 	closed bool
 }
 
-// hostWidth is the lane geometry of the host backend: the 256-bit register
-// internal/vec dispatches (16 word lanes, 32 byte lanes), which is the Xeon
-// model's.
-func hostWidth() *device.Model { return device.Xeon() }
+// hostWidth is the lane geometry of the host backend, read from the vec
+// tier selected when the cluster is built: a byte lane group is one
+// register of the byte rung's kernel — 64 lanes (a zmm) on avx2+vbmi, 32
+// (a ymm) on avx2 and under the portable loops. The model's 16-bit lane
+// count, the group width of matrices too wide for a byte, is half that.
+// The engine reads nothing from the model but its width; the rest is the
+// Xeon's.
+func hostWidth() *device.Model {
+	m := *device.Xeon()
+	if l := vec.Info().Lanes8; l > 0 {
+		m.Lanes = l / 2
+	}
+	return &m
+}
 
 // NewCluster builds a cluster over the database: one host backend that
 // searches the whole database, and the modelled roster and distribution

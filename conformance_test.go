@@ -397,8 +397,10 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 // search under every tier below it — AVX2's vpshufb byte lookup where the
 // host runs VBMI's vpermb, and the portable pure-Go loops — across the
 // plain variants, the ladder climbing on the homolog-rich corpus and full
-// reporting, on every door. Skipped (vacuous) where the portable backend is
-// the only one.
+// reporting, on every door. Each cluster is built under its tier's cap, so
+// the comparison also spans lane geometries: the avx2+vbmi cluster packs
+// 64-lane byte groups (one zmm), the avx2-capped and portable ones 32.
+// Skipped (vacuous) where the portable backend is the only one.
 func TestConformanceNativeVsPortable(t *testing.T) {
 	if !vec.Native() {
 		t.Skipf("vec backend is %q; native vs portable conformance is vacuous", vec.Backend())
@@ -438,6 +440,13 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 						t.Fatalf("%v: %v", tr, err)
 					}
 					results[tr] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, "", false))
+					// Byte groups pad PaddedCells to lanes x VecIters; the
+					// long path's are its IntraCells.
+					st := cl.engine().disp.KernelStats()
+					want := map[vec.Tier]int64{vec.TierPortable: 32, vec.TierAVX2: 32, vec.TierVBMI: 64}[tr]
+					if got := (st.PaddedCells - st.IntraCells) / st.VecIters; got != want {
+						t.Fatalf("%v: cluster packed %d byte lanes, want %d", tr, got, want)
+					}
 				}()
 			}
 			for _, tr := range tiers[:len(tiers)-1] {

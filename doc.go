@@ -49,8 +49,9 @@
 //     (internal/vec), in tiers selected by runtime CPU detection: on
 //     amd64 hosts with AVX2 the inter-task kernels run hand-written
 //     assembly column steps (16x int16 / 32x uint8 lanes per 256-bit
-//     register), hosts with AVX-512VBMI additionally do the byte lanes'
-//     score lookup in one vpermb, and the portable pure-Go loops are the
+//     register), hosts with AVX-512VBMI run the byte lanes 64 to a 512-bit
+//     register with the score lookup in one vpermb (and pack their lane
+//     groups 64 wide to match), and the portable pure-Go loops are the
 //     verified fallback everywhere else — set HETEROSW_VEC=portable (or
 //     build with -tags purego) to force them, HETEROSW_VEC=avx2 to stop
 //     at AVX2; every tier returns bit-identical scores;

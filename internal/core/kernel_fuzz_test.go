@@ -123,15 +123,24 @@ func FuzzKernelParity(f *testing.F) {
 	// per-lane (not per-group) escalation.
 	w11, w12 := bytes.Repeat([]byte{w}, 11), bytes.Repeat([]byte{w}, 12)
 	w22, w23 := bytes.Repeat([]byte{w}, 22), bytes.Repeat([]byte{w}, 23)
-	f.Add(w11, append(append([]byte{}, w11...), append([]byte{fuzzSeqDelim}, w12...)...), uint8(4), paperPens, uint8(0)) // straddles 127
-	f.Add(w12, w12, uint8(0), paperPens, uint8(1))                                                                       // just over 127
-	f.Add(w23, append(append([]byte{}, w22...), append([]byte{fuzzSeqDelim}, w23...)...), uint8(4), paperPens, uint8(2)) // straddles 255-bias
-	f.Add(w23, w23, uint8(2), uint8(0), uint8(0))                                                                        // 8-bit rail, zero penalties
-	f.Add(w23, append(append([]byte{}, w23...), fuzzSeqDelim, w), uint8(1), paperPens, uint8(0))                         // saturating lane beside a 1-residue lane
-	f.Add(wRun[:256], wRun[:256], uint8(6), uint8(0), uint8(3))                                                          // deep zero-penalty plateau over the rail
+	type railSeed struct {
+		q, db                    []byte
+		lanesSel, pens, blockSel uint8
+	}
+	railSeeds := []railSeed{
+		{w11, append(append([]byte{}, w11...), append([]byte{fuzzSeqDelim}, w12...)...), 4, paperPens, 0}, // straddles 127
+		{w12, w12, 0, paperPens, 1}, // just over 127
+		{w23, append(append([]byte{}, w22...), append([]byte{fuzzSeqDelim}, w23...)...), 4, paperPens, 2}, // straddles 255-bias
+		{w23, w23, 2, 0, 0}, // 8-bit rail, zero penalties
+		{w23, append(append([]byte{}, w23...), fuzzSeqDelim, w), 1, paperPens, 0}, // saturating lane beside a 1-residue lane
+		{wRun[:256], wRun[:256], 6, 0, 3},                                         // deep zero-penalty plateau over the rail
+	}
+	for _, sd := range railSeeds {
+		f.Add(sd.q, sd.db, sd.lanesSel, sd.pens, sd.blockSel)
+	}
 
-	// Backend-dispatch edges: the native AVX2 column kernels only engage
-	// on full 16-lane (int16) / 32-lane (uint8) groups, so sequence counts
+	// Backend-dispatch edges: the native column kernels only engage on full
+	// 16-lane (int16) / 32-lane (uint8) groups, so sequence counts
 	// one past a group boundary exercise the mixed native-group +
 	// portable-tail packing, and a saturating lane inside an odd tail pins
 	// the rails on both sides of the dispatch split.
@@ -158,6 +167,19 @@ func FuzzKernelParity(f *testing.F) {
 
 	f.Add(homolog[:64], family, uint8(6), paperPens, uint8(7)) // the query is exactly one 64-row tile
 	f.Add(homolog[:8], family, uint8(7), paperPens, uint8(5))  // one 7-row tile and a one-row last tile
+
+	// The byte-rail seeds again in 64-lane groups (lanesSel 7): one zmm
+	// register of the avx2+vbmi tier's byte kernel, the width the host
+	// packs its groups for there.
+	for _, sd := range railSeeds {
+		f.Add(sd.q, sd.db, uint8(7), sd.pens, sd.blockSel)
+	}
+	// Gapped homologs under the byte rail, in 64-lane groups: a 3-residue
+	// deletion and a 3-residue insertion in the middle of the query, so
+	// the best alignments extend a vertical (F) and a horizontal (E) gap.
+	gapped := append(append(append([]byte{}, homolog[:12]...), homolog[15:30]...), fuzzSeqDelim)
+	gapped = append(append(append(gapped, homolog[:12]...), 'P', 'P', 'P'), homolog[12:30]...)
+	f.Add(homolog[:30], gapped, uint8(7), paperPens, uint8(0))
 
 	lanesTable := []int{1, 2, 3, 4, 8, 16, 32, 64}
 	blockTable := []int{0, 1, 7, 64}

@@ -24,7 +24,8 @@ import (
 // so with MOVQ a 30-row column (~40 ns of arithmetic) cost 340-800 ns and
 // serve_distinct lost more than half its qps. Do not turn a VMOVQ back
 // into a MOVQ. Rule (b) keeps the dirty state from leaking into the Go
-// code and runtime that run after the routine returns.
+// code and runtime that run after the routine returns; a zmm write
+// dirties that state just as a ymm write does.
 //
 // The check is a plain text scan, so it runs on every GOARCH; the
 // fixtures prove each rule can fail.
@@ -44,6 +45,7 @@ func TestAsmVEXClean(t *testing.T) {
 		{"ymm body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVPXOR Y0, Y0, Y0\n\tRET\n"},
 		{"ymm write after VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVZEROUPPER\n\tVMOVDQU (SI), Y0\n\tRET\n"},
 		{"early RET before VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVMOVDQU (SI), Y0\n\tJZ done\n\tRET\ndone:\n\tVZEROUPPER\n\tRET\n"},
+		{"zmm body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVBROADCASTI64X4 (R8), Z13\n\tVPERMB Z13, Z10, Z6\n\tVMOVDQU8 Z6, (DI)\n\tRET\n"},
 	}
 	for _, f := range fixtures {
 		if len(asmVEXViolations(f.src)) == 0 {
@@ -54,7 +56,11 @@ func TestAsmVEXClean(t *testing.T) {
 	clean := "TEXT ·f(SB), NOSPLIT, $0-8\n" +
 		"\tMOVQ c+0(FP), AX // scalar moves are fine\n" +
 		"\tVMOVQ AX, X1\n\tVPBROADCASTB X1, Y1\n\tVZEROUPPER\n\tRET\n" +
-		"TEXT ·g(SB), NOSPLIT, $0-8\n\tMOVQ AX, BX\n\tRET\n"
+		"TEXT ·g(SB), NOSPLIT, $0-8\n\tMOVQ AX, BX\n\tRET\n" +
+		"TEXT ·h(SB), NOSPLIT, $0-8\n" +
+		"\tVPBROADCASTB X1, Z1 // the EVEX forms of the zmm body\n" +
+		"\tVMOVDQU8 (AX)(R11*1), Z10\n\tVBROADCASTI64X4 (R8), Z13\n\tVPERMB Z13, Z10, Z6\n" +
+		"\tVMOVDQU8 Z6, (DI)\n\tVMOVDQA64 Z7, Z0\n\tVZEROUPPER\n\tRET\n"
 	if v := asmVEXViolations(clean); len(v) != 0 {
 		t.Errorf("clean fixture flagged: %v", v)
 	}

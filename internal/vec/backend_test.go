@@ -259,19 +259,27 @@ func TestNativeStepCol8(t *testing.T) {
 
 // TestStepCol8QPTiers replays the byte rung's one kernel through its
 // exported entry point under every tier the host runs — the portable loop,
-// the vpshufb pair and, where CPUID allows, the vpermb body — against the
-// generic reference. Table widths cover the protein profile (25), a full
-// register (32) and the DNA profile (16); the first lanes of every column
-// pin the indices at the edges of the two 16-byte halves; and each profile
-// has exactly the capacity the wrapper demands, so the last row's 32-byte
-// load ends flush with the backing array.
+// the vpshufb pair over ymm strips and, where CPUID allows, the vpermb body
+// over zmm strips — against the generic reference. Lane counts cover one
+// and two zmm registers (64, 128) and 96, three ymm registers, which the
+// avx2+vbmi tier must hand to the vpshufb body. Table widths cover the
+// protein profile (25), a full row register (32) and the DNA profile (16);
+// the first lanes of every column pin the indices at the edges of the two
+// 16-byte halves; and each profile has exactly the capacity the wrapper
+// demands, so the last row's 32-byte load ends flush with the backing
+// array.
 func TestStepCol8QPTiers(t *testing.T) {
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
 			defer CapTier(CapTier(tr))
+			for lanes, want := range map[int]bool{32: false, 64: tr == TierVBMI, 96: false, 128: tr == TierVBMI} {
+				if got := zmm8(lanes); got != want {
+					t.Errorf("zmm8(%d) = %v under %v, want %v", lanes, got, tr, want)
+				}
+			}
 			rng := rand.New(rand.NewSource(67))
 			for _, stride := range []int{16, 25, 32} {
-				for _, lanes := range []int{32, 64, 128} {
+				for _, lanes := range []int{32, 64, 96, 128} {
 					for _, rows := range []int{1, 2, 7, 33} {
 						for trial := 0; trial < 10; trial++ {
 							st := randStep8(rng, rows, lanes)
@@ -353,12 +361,20 @@ func TestDispatchFallbacks(t *testing.T) {
 		t.Fatalf("capped at avx2 on a %v host, Info().String() = %q", hostTier, Info().String())
 	}
 	CapTier(prev)
+	for _, tr := range Tiers() {
+		prev := CapTier(tr)
+		info := Info()
+		CapTier(prev)
+		if want := [...]int{0, 32, 64}[tr]; info.Lanes8 != want || info.Lanes16 != min(want, 16) {
+			t.Errorf("under %v Info() reports %d/%d int16/uint8 lanes, want %d/%d", tr, info.Lanes16, info.Lanes8, min(want, 16), want)
+		}
+	}
 
 	for _, c := range []struct {
 		info BackendInfo
 		want string
 	}{
-		{BackendInfo{Backend: "avx2+vbmi", AVX2: true}, "avx2+vbmi (16x int16 / 32x uint8 lanes per register; vpermb byte lookup)"},
+		{BackendInfo{Backend: "avx2+vbmi", AVX2: true}, "avx2+vbmi (16x int16 lanes per ymm; 64x uint8 lanes per zmm; vpermb byte lookup)"},
 		{BackendInfo{Backend: "avx2", AVX2: true}, "avx2 (16x int16 / 32x uint8 lanes per register)"},
 		{BackendInfo{Backend: "avx2", AVX2: true, Forced: true}, "avx2 (16x int16 / 32x uint8 lanes per register; avx2+vbmi available but capped)"},
 		{BackendInfo{Backend: "portable", AVX2: true, Forced: true}, "portable (pure Go; avx2 available but overridden)"},
@@ -393,22 +409,25 @@ func TestForcedPortableParityExported(t *testing.T) {
 	}
 }
 
-// BenchmarkStepCol8QP times the byte rung's one kernel, a 32-lane column
-// step over a protein-width profile, under every tier the host runs and at
-// serving (30, 75, 120 rows) and tile-filling (1000) query lengths: the
+// BenchmarkStepCol8QP times the byte rung's one kernel, a column step over
+// a protein-width profile one register of the tier wide (64 lanes, a zmm,
+// on avx2+vbmi; 32, a ymm, on avx2 and for the portable loop) — the width
+// the host packs its lane groups for — under every tier the host runs and
+// at serving (30, 75, 120 rows) and tile-filling (1000) query lengths: the
 // vec-layer roof the lane-group and search benchmarks are read against.
 // The 1- and 8-row cases expose the per-call floor, which ns/call reports
 // beside the cell rate: a fixed cost per call (such as the ~172 ns
 // legacy-SSE transition TestAsmVEXClean forbids) shows as a 30-row rate
 // far below the 1000-row one.
 func BenchmarkStepCol8QP(b *testing.B) {
-	const lanes, columns = 32, 2048
+	const columns = 2048
 	rng := rand.New(rand.NewSource(69))
-	cols := make([]uint8, columns*lanes)
+	cols := make([]uint8, columns*byteWidth(TierVBMI))
 	for i := range cols {
 		cols[i] = uint8(rng.Intn(testStride))
 	}
 	for _, tr := range Tiers() {
+		lanes := max(byteWidth(tr), byteWidth(TierAVX2))
 		for _, rows := range []int{1, 8, 30, 75, 120, 1000} {
 			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
 				st := randStep8(rng, rows, lanes)

@@ -12,8 +12,10 @@ import (
 //
 //	portable   pure Go
 //	avx2       every column kernel and helper over 256-bit registers
-//	avx2+vbmi  the same, with the byte query-profile lookup of StepCol8QP
-//	           as one vpermb instead of a vpshufb pair (AVX-512VBMI+VL)
+//	avx2+vbmi  the same, except that StepCol8QP, the byte rung's kernel,
+//	           runs over 512-bit registers: 64 byte lanes per zmm, the
+//	           profile row looked up with one vpermb instead of a vpshufb
+//	           pair (AVX-512F/BW/VL/VBMI)
 //
 // The highest tier the host supports (CPUID + XGETBV, checked once at
 // process start) is selected per call when
@@ -23,7 +25,9 @@ import (
 //   - no lower cap is set (HETEROSW_VEC=portable or =avx2 in the
 //     environment, or CapTier from a test), and
 //   - the lane count is a whole number of 256-bit registers (16 int16 or
-//     32 uint8 lanes); odd widths always take the portable loops.
+//     32 uint8 lanes); odd widths always take the portable loops. On
+//     avx2+vbmi, StepCol8QP runs its zmm body at whole zmm registers (64
+//     uint8 lanes) and the avx2 body at the other multiples of 32.
 //
 // The tiers are lane-exact: every assembly routine computes the same
 // saturating two's-complement results as the Go reference, so kernel
@@ -85,6 +89,15 @@ func native16(n int) bool { return asmSupported && n >= 16 && n&15 == 0 && Nativ
 // native8 is native16 for uint8 lanes (32 per 256-bit register).
 func native8(n int) bool { return asmSupported && n >= 32 && n&31 == 0 && Native() }
 
+// zmm8 reports whether a native StepCol8QP call over n uint8 lanes runs
+// the avx2+vbmi tier's 512-bit body: the tier is selected and n is a whole
+// number of zmm registers.
+func zmm8(n int) bool { return n&63 == 0 && tier() == TierVBMI }
+
+// byteWidth is the uint8 lane count of one register of tier t's byte
+// kernel: a zmm on avx2+vbmi, a ymm on avx2, none for the portable loops.
+func byteWidth(t Tier) int { return [...]int{0, 32, 64}[t] }
+
 // Native reports whether an assembly tier is currently selected for
 // register-width lane counts.
 func Native() bool { return tier() != TierPortable }
@@ -121,8 +134,10 @@ type BackendInfo struct {
 	// CapTier).
 	Forced bool `json:"forced"`
 	// Lanes16 and Lanes8 are the native register lane counts the selected
-	// backend executes per instruction: 16/32 under both assembly tiers, 0
-	// for the portable loops (which have no fixed hardware width).
+	// backend executes per instruction: 16 int16 lanes (a ymm) under both
+	// assembly tiers; 32 uint8 lanes (a ymm) under avx2 and 64 (a zmm)
+	// under avx2+vbmi, the byte width the host packs its lane groups for;
+	// 0 for the portable loops (which have no fixed hardware width).
 	Lanes16 int `json:"lanes16"`
 	Lanes8  int `json:"lanes8"`
 }
@@ -136,7 +151,7 @@ func Info() BackendInfo {
 		Forced:  t < hostTier,
 	}
 	if t != TierPortable {
-		info.Lanes16, info.Lanes8 = 16, 32
+		info.Lanes16, info.Lanes8 = 16, byteWidth(t)
 	}
 	return info
 }
@@ -147,7 +162,7 @@ func Info() BackendInfo {
 func (b BackendInfo) String() string {
 	switch {
 	case b.Backend == TierVBMI.String():
-		return "avx2+vbmi (16x int16 / 32x uint8 lanes per register; vpermb byte lookup)"
+		return "avx2+vbmi (16x int16 lanes per ymm; 64x uint8 lanes per zmm; vpermb byte lookup)"
 	case b.Backend == TierAVX2.String() && b.Forced:
 		return "avx2 (16x int16 / 32x uint8 lanes per register; avx2+vbmi available but capped)"
 	case b.Backend == TierAVX2.String():

@@ -7,7 +7,8 @@ package vec
 // the current query tile, keeping F, the diagonal vector and the
 // running-maximum tracker register-resident for the whole column. The
 // portable generics below are the semantic definition; vec_amd64.s
-// implements the same loops over real 256-bit registers.
+// implements the same loops over real 256-bit registers, and StepCol8QP's
+// over 512-bit ones on the avx2+vbmi tier.
 //
 // Layout contract shared by the column steps:
 //
@@ -178,9 +179,10 @@ func stepCol8SPGeneric(h, e, f, diag, maxv U8, score []uint8, seq []uint8, rows,
 // StepCol8QP advances one database column of the 8-bit biased
 // query-profile kernel. The native paths replace the per-lane gather with
 // an in-register table lookup (profile rows fit one 32-byte register when
-// stride <= 32): one vpermb on the avx2+vbmi tier; on the avx2 tier two
-// vpshufb over the row's 16-byte halves, blended. Both read 32 bytes from
-// each row start and require stride <= 32, every col[l] < stride, and
+// stride <= 32): on the avx2+vbmi tier, at lane counts that are multiples
+// of 64, one vpermb per 64-lane zmm strip; otherwise two vpshufb over the
+// row's 16-byte halves per 32-lane ymm strip, blended. Both read 32 bytes
+// from each row start and require stride <= 32, every col[l] < stride, and
 // cap(qp) >= (rows-1)*stride+32, falling back to the portable loop
 // otherwise.
 func StepCol8QP(h, e, f, diag, maxv U8, qp []uint8, stride int, col []uint8, rows, lanes int, bias, qr, r uint8) {
@@ -188,7 +190,7 @@ func StepCol8QP(h, e, f, diag, maxv U8, qp []uint8, stride int, col []uint8, row
 		return
 	}
 	if native8(lanes) && stride <= 32 && cap(qp) >= (rows-1)*stride+32 {
-		if tier() == TierVBMI {
+		if zmm8(lanes) {
 			stepCol8QPVBMI(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))
 		} else {
 			stepCol8QP(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))

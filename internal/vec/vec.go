@@ -7,8 +7,10 @@
 //
 // Two backends implement the set (see dispatch.go): portable pure-Go
 // loops — the verified reference, and the emulation used at widths the host
-// does not have — and native AVX2 assembly selected at runtime on capable
-// amd64 hosts, which turns the emulated registers into real 256-bit ones.
+// does not have — and native assembly selected at runtime on capable amd64
+// hosts, which turns the emulated registers into real 256-bit ones (AVX2)
+// and, for the byte rung's StepCol8QP on hosts with AVX-512VBMI, 512-bit
+// ones.
 // Both produce bit-identical lane results.
 //
 // The lane-count emulation is semantic, not temporal: the cycle cost the

@@ -1,7 +1,8 @@
 //go:build amd64 && !purego
 
 // AVX2 backend for the fused column kernels and their whole-register
-// helpers, plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI).
+// helpers, plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI, the
+// byte query-profile step over 512-bit registers).
 //
 // Every routine computes bit-identical results to the portable Go loops in
 // vec.go / step.go; the differential tests in this package and core's
@@ -12,11 +13,11 @@
 //
 // VEX-only rule: every instruction that names an X, Y or Z register is
 // VEX- (or EVEX-) encoded — VMOVQ, never MOVQ, between a general register
-// and an xmm — and every routine that touches a ymm register executes
-// VZEROUPPER before it returns. Go assembles MOVQ AX, X3 to the legacy-SSE
-// form, and a legacy-SSE instruction after a ymm write in the same routine
-// costs ~172 ns on the benchmarks' Sapphire Rapids Xeon (VMOVQ: 1.5 ns),
-// more than a 120-row column's arithmetic. TestAsmVEXClean enforces both
+// and an xmm — and every routine that touches a ymm or zmm register
+// executes VZEROUPPER before it returns. Go assembles MOVQ AX, X3 to the
+// legacy-SSE form, and a legacy-SSE instruction after a ymm write in the
+// same routine costs ~172 ns on the benchmarks' Sapphire Rapids Xeon
+// (VMOVQ: 1.5 ns), more than a 120-row column's arithmetic. TestAsmVEXClean enforces both
 // halves of the rule.
 //
 // Plan 9 operand order reminders (reversed from Intel syntax):
@@ -24,7 +25,7 @@
 //   VPCMPGTB Yb, Ya, Yd      d = (a > b)
 //   VPSHUFB  Yctl, Ysrc, Yd  d = shuffle(src, ctl)
 //   VPBLENDVB Ym, Yb, Ya, Yd d = m ? b : a
-//   VPERMB   tbl, Yidx, Yd    d[i] = tbl[idx[i] & 31]
+//   VPERMB   Ztbl, Zidx, Zd  d[i] = tbl[idx[i] & 63]
 //   VPACKUSDW Yb, Ya, Yd     per 128-bit lane: [a words, b words]
 
 #include "textflag.h"
@@ -337,34 +338,36 @@ rowloop:
 
 // func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
 //
-// stepCol8QP on the avx2+vbmi tier: vpermb indexes all 32 bytes of its
-// table operand by the low five bits of each index byte, so the lookup is
-// one instruction straight from the profile row in memory (the same 32
-// bytes the two broadcasts of stepCol8QP read) and the strip keeps only
-// the residue indices, Y10. Everything else is VEX-encoded ymm code, which
-// mixes with the one EVEX instruction at no cost.
+// stepCol8QP on the avx2+vbmi tier, over 64-lane zmm strips (the wrapper
+// guarantees lanes is a multiple of 64). VBROADCASTI64X4 copies the
+// profile row's 32 bytes (the same bytes the two broadcasts of stepCol8QP
+// read) into both 256-bit halves of Z13, and vpermb indexes its table
+// operand by the low six bits of each index byte, so with every index
+// below 32 the lookup is one instruction and the strip keeps only the
+// residue indices, Z10. The op sequence is stepCol8QP's after the lookup,
+// EVEX-encoded over twice the lanes.
 TEXT ·stepCol8QPVBMI(SB), NOSPLIT, $0-104
 	MOVQ lanes+72(FP), R10    // row stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
 	MOVQ bias+80(FP), AX
 	VMOVQ AX, X9
-	VPBROADCASTB X9, Y9
+	VPBROADCASTB X9, Z9
 	MOVQ qr+88(FP), AX
 	VMOVQ AX, X3
-	VPBROADCASTB X3, Y3
+	VPBROADCASTB X3, Z3
 	MOVQ r+96(FP), AX
 	VMOVQ AX, X4
-	VPBROADCASTB X4, Y4
+	VPBROADCASTB X4, Z4
 	XORQ R11, R11             // strip byte offset
 strip:
 	MOVQ col+56(FP), AX
-	VMOVDQU (AX)(R11*1), Y10  // residue indices, one byte per lane
+	VMOVDQU8 (AX)(R11*1), Z10 // residue indices, one byte per lane
 	MOVQ diag+24(FP), AX
-	VMOVDQU (AX)(R11*1), Y0
+	VMOVDQU8 (AX)(R11*1), Z0
 	MOVQ f+16(FP), AX
-	VMOVDQU (AX)(R11*1), Y1
+	VMOVDQU8 (AX)(R11*1), Z1
 	MOVQ maxv+32(FP), AX
-	VMOVDQU (AX)(R11*1), Y2
+	VMOVDQU8 (AX)(R11*1), Z2
 	MOVQ h+0(FP), DI
 	ADDQ R11, DI
 	MOVQ e+8(FP), SI
@@ -373,34 +376,35 @@ strip:
 	MOVQ rows+64(FP), R9
 	PCALIGN $64
 rowloop:
-	VPERMB   (R8), Y10, Y6    // score[l] = row[idx[l]]
-	VPADDUSB Y0, Y6, Y6
-	VPSUBUSB Y9, Y6, Y6
-	VMOVDQU  (DI), Y7
-	VMOVDQU  (SI), Y8
-	VPMAXUB  Y8, Y6, Y6
-	VPMAXUB  Y1, Y6, Y6
-	VPMAXUB  Y6, Y2, Y2
-	VMOVDQU  Y6, (DI)
-	VPSUBUSB Y3, Y6, Y6
-	VPSUBUSB Y4, Y8, Y8
-	VPMAXUB  Y6, Y8, Y8
-	VMOVDQU  Y8, (SI)
-	VPSUBUSB Y4, Y1, Y1
-	VPMAXUB  Y6, Y1, Y1
-	VMOVDQA  Y7, Y0
+	VBROADCASTI64X4 (R8), Z13 // profile row bytes 0-31 in both halves
+	VPERMB   Z13, Z10, Z6     // score[l] = row[idx[l]]
+	VPADDUSB Z0, Z6, Z6
+	VPSUBUSB Z9, Z6, Z6
+	VMOVDQU8 (DI), Z7
+	VMOVDQU8 (SI), Z8
+	VPMAXUB  Z8, Z6, Z6
+	VPMAXUB  Z1, Z6, Z6
+	VPMAXUB  Z6, Z2, Z2
+	VMOVDQU8 Z6, (DI)
+	VPSUBUSB Z3, Z6, Z6
+	VPSUBUSB Z4, Z8, Z8
+	VPMAXUB  Z6, Z8, Z8
+	VMOVDQU8 Z8, (SI)
+	VPSUBUSB Z4, Z1, Z1
+	VPMAXUB  Z6, Z1, Z1
+	VMOVDQA64 Z7, Z0
 	ADDQ     R12, R8          // next query-profile row
 	ADDQ     R10, DI
 	ADDQ     R10, SI
 	DECQ     R9
 	JNZ      rowloop
 	MOVQ diag+24(FP), AX
-	VMOVDQU Y0, (AX)(R11*1)
+	VMOVDQU8 Z0, (AX)(R11*1)
 	MOVQ f+16(FP), AX
-	VMOVDQU Y1, (AX)(R11*1)
+	VMOVDQU8 Z1, (AX)(R11*1)
 	MOVQ maxv+32(FP), AX
-	VMOVDQU Y2, (AX)(R11*1)
-	ADDQ $32, R11
+	VMOVDQU8 Z2, (AX)(R11*1)
+	ADDQ $64, R11
 	CMPQ R11, R10
 	JLT  strip
 	VZEROUPPER
