@@ -418,21 +418,22 @@ func TestSearchLadderVariant(t *testing.T) {
 		}
 	}
 
-	// A subject over the biased byte rail escalates once; the counter
-	// surfaces at the API level.
+	// A subject at the byte rail (a cell of 255) escalates once; the
+	// counter surfaces at the API level.
+	rail := strings.Repeat("W", 22) + "CA" // 11*22 + 9 + 4 = 255
 	sat, err := NewDatabase([]Sequence{
-		NewSequence("sat", strings.Repeat("W", 23)),
+		NewSequence("sat", rail),
 		NewSequence("tiny", "ARND"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := searchDB(sat, NewSequence("q", strings.Repeat("W", 23)), Options{})
+	res, err := searchDB(sat, NewSequence("q", rail), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scores[0] != 11*23 {
-		t.Fatalf("saturating subject scored %d, want %d", res.Scores[0], 11*23)
+	if res.Scores[0] != 255 {
+		t.Fatalf("saturating subject scored %d, want 255", res.Scores[0])
 	}
 	if res.Overflows8 != 1 || res.Overflows != 0 {
 		t.Fatalf("escalations %d/%d, want 1/0", res.Overflows8, res.Overflows)

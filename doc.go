@@ -7,8 +7,8 @@
 //   - exact local alignment (Smith-Waterman with affine gaps) with
 //     traceback for pairwise use — see Align, Score and ScoreBanded;
 //   - a parallel database-search engine that executes one kernel, an
-//     adaptive precision ladder (an 8-bit biased first pass with twice
-//     the lanes per vector word wherever the matrix fits a byte, its
+//     adaptive precision ladder (an 8-bit signed first pass with twice
+//     the lanes per vector word wherever the gap penalties fit a byte, its
 //     scores looked up in-register from the query profile, a row of which
 //     fits one vector register, with saturated lanes re-packed for a
 //     16-bit score-profile pass and, from there, recomputed in 32 bits;
@@ -48,10 +48,12 @@
 //   - a native vector backend for the kernels' fused column steps
 //     (internal/vec), in tiers selected by runtime CPU detection: on
 //     amd64 hosts with AVX2 the inter-task kernels run hand-written
-//     assembly column steps (16x int16 / 32x uint8 lanes per 256-bit
+//     assembly column steps (16x int16 / 32x int8 lanes per 256-bit
 //     register), hosts with AVX-512VBMI run the byte lanes 64 to a 512-bit
-//     register with the score lookup in one vpermb (and pack their lane
-//     groups 64 wide to match), and the portable pure-Go loops are the
+//     register with the score lookup in one vpermb and three of each
+//     row's maxes as compare-into-mask plus masked blend, to spread the
+//     work over two issue ports (and pack their lane groups 64 wide to
+//     match), and the portable pure-Go loops are the
 //     verified fallback everywhere else — set HETEROSW_VEC=portable (or
 //     build with -tags purego) to force them, HETEROSW_VEC=avx2 to stop
 //     at AVX2; every tier returns bit-identical scores;

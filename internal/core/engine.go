@@ -185,23 +185,12 @@ func (o SearchOptions) matrixFor(alpha *alphabet.Alphabet) *submat.Matrix {
 	return submat.BLOSUM62
 }
 
-// byteViable reports whether the search's matrix admits the ladder's byte
-// pass, before any query profile exists. The alphabet defaults (BLOSUM62,
-// NUC) do.
-func (o SearchOptions) byteViable() bool {
-	if o.Matrix == nil {
-		return true
-	}
-	_, ok := profile.ByteBias(o.Matrix)
-	return ok
-}
-
 // firstRung resolves the lane width a variant packs its groups for on dev
 // and whether its kernels start in byte lanes — from the variant, from
-// whether the matrix is byte-viable and from the device's register. The
-// planner prices every variant through it; Engine.Search asks it for
-// IntrinsicSP, the ladder every search runs, so the engine and the
-// planner's pricing of that variant cannot disagree.
+// whether the gap penalties fit a byte (Params.byteGaps) and from the
+// device's register. The planner prices every variant through it;
+// Engine.Search asks it for IntrinsicSP, the ladder every search runs, so
+// the engine and the planner's pricing of that variant cannot disagree.
 func firstRung(v Variant, viable bool, dev *device.Model) (lanes int, eightBit bool) {
 	switch {
 	case v.Vec() == VecNone:
@@ -259,7 +248,7 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			qa.Name(), query.ID, alpha.Name())
 	}
 	qp := profile.NewQuery(query.Residues, matrix)
-	lanes, _ := firstRung(IntrinsicSP, qp.Bias8Viable(), e.dev)
+	lanes, _ := firstRung(IntrinsicSP, opt.Params.byteGaps(), e.dev)
 	longThr := opt.LongSeqThreshold
 	switch {
 	case longThr < 0:

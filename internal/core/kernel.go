@@ -99,11 +99,12 @@ type Buffers struct {
 	f16, diag16 vec.I16 // lane temporaries
 	max16       vec.I16
 
-	// 8-bit state for the ladder's first pass.
-	he8       []uint8 // intrinsic tile state, 2 * (rows+1) * lanes
-	hb8, fb8  []uint8 // block boundary rows, width * lanes
-	f8, diag8 vec.U8  // lane temporaries
-	max8      vec.U8
+	// 8-bit state for the ladder's first pass, in signed lanes offset by
+	// -128; floor8 holds the cell value zero in every lane.
+	he8          []int8 // intrinsic tile state, 2 * (rows+1) * lanes
+	hb8, fb8     []int8 // block boundary rows, width * lanes
+	f8, diag8    vec.I8 // lane temporaries
+	max8, floor8 vec.I8
 
 	// Ladder escalation (kernel_u8.go): byte lanes that saturated wait in
 	// pend[:npend] until escLanes of them fill escGroup, which runs through
@@ -141,14 +142,16 @@ func NewBuffers(lanes int) *Buffers {
 		diag16:     make(vec.I16, lanes),
 		max16:      make(vec.I16, lanes),
 		sr:         profile.NewScoreRows(lanes),
-		f8:         make(vec.U8, lanes),
-		diag8:      make(vec.U8, lanes),
-		max8:       make(vec.U8, lanes),
+		f8:         make(vec.I8, lanes),
+		diag8:      make(vec.I8, lanes),
+		max8:       make(vec.I8, lanes),
+		floor8:     make(vec.I8, lanes),
 		laneScores: make([]int32, lanes),
 		// One group queues at most lanes saturations on top of a
 		// remainder shorter than one escalation group.
 		pend: make([]escalation, lanes+escLanes),
 	}
+	vec.Set1I8(b.floor8, vec.MinI8)
 	return b
 }
 
@@ -167,9 +170,9 @@ func (b *Buffers) tile(m, lanes, elem int) int {
 }
 
 //sw:hotpath
-func grow8(p *[]uint8, n int) []uint8 {
+func grow8[T int8 | uint8](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]uint8, n)
+		*p = make([]T, n)
 	}
 	return (*p)[:n]
 }
@@ -217,7 +220,7 @@ func AlignGroup(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers) ([
 //
 //sw:hotpath
 func alignGroupLadder(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
-	if byteLanes(q.Bias8Viable(), g.Lanes) {
+	if byteLanes(p.byteGaps(), g.Lanes) {
 		return alignGroupIntrinsic8(q, g, p, buf, scores)
 	}
 	return alignGroupIntrinsic(q, g, p, buf, scores)

@@ -115,10 +115,9 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add([]byte("AAAA"), bytes.Repeat([]byte{0, fuzzSeqDelim}, 40), uint8(7), uint8(5), uint8(7)) // many tiny sequences, 64 lanes
 
 	// int8-saturation seeds for the 8-bit ladder: W self-alignments score
-	// 11/residue, so these straddle the signed-byte boundary (121 vs 132
-	// over 127) and the biased unsigned rail (242 vs 253 over 255-bias=251)
-	// — the group-safety bound and the escalation test both flip inside
-	// this window. Zero penalties keep saturated H plateaus alive through
+	// 11/residue, so these straddle 127 (121 vs 132) and the rail the byte
+	// rung used to have, 255-bias = 251 (242 vs 253); the seeds after the
+	// gapped homologs pin today's rail, 255. Zero penalties keep saturated H plateaus alive through
 	// padding, and a 1-residue pair against a saturating neighbour pins
 	// per-lane (not per-group) escalation.
 	w11, w12 := bytes.Repeat([]byte{w}, 11), bytes.Repeat([]byte{w}, 12)
@@ -180,6 +179,21 @@ func FuzzKernelParity(f *testing.F) {
 	gapped := append(append(append([]byte{}, homolog[:12]...), homolog[15:30]...), fuzzSeqDelim)
 	gapped = append(append(append(gapped, homolog[:12]...), 'P', 'P', 'P'), homolog[12:30]...)
 	f.Add(homolog[:30], gapped, uint8(7), paperPens, uint8(0))
+
+	// The byte rail itself, a cell of 255, in 64-lane groups: against a W
+	// run, W23 then F (code 13) scores 254 and stays in bytes, W23 then Y
+	// (code 18) scores 255 and escalates, untiled and in 7-row tiles. The
+	// DNA leg takes the same bytes as A and C (codes 0 and 1) under +2/-3:
+	// A127 scores 254, and A66 C A63 scores 2*129-3 = 255 though neither of
+	// its halves reaches 133.
+	w30 := bytes.Repeat([]byte{w}, 30)
+	railPair := append(append(append(append([]byte{}, w23...), 13, fuzzSeqDelim), w23...), 18)
+	f.Add(w30, railPair, uint8(7), paperPens, uint8(0))
+	f.Add(w30, append(append(railPair, fuzzSeqDelim), w30...), uint8(7), paperPens, uint8(5))
+	a := func(n int) []byte { return make([]byte, n) }
+	dnaPair := append(append(append(append(a(127), fuzzSeqDelim), a(66)...), 1), a(63)...)
+	f.Add(a(130), dnaPair, uint8(7), paperPens, uint8(0))
+	f.Add(a(130), dnaPair, uint8(7), paperPens, uint8(5))
 
 	lanesTable := []int{1, 2, 3, 4, 8, 16, 32, 64}
 	blockTable := []int{0, 1, 7, 64}

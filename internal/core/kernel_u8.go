@@ -7,31 +7,34 @@ import (
 )
 
 // The 8-bit first pass of the precision ladder. Scores are computed in
-// unsigned byte lanes with biased substitution scores (the SSW Library's
-// representation): twice the lanes per vector word as the 16-bit pass, so
-// short-sequence lane groups — the bulk of a length-sorted protein
-// database — pack twice as many subjects per vector iteration. It is where
-// every search starts that can (byteLanes). Lanes that saturate
-// are not recomputed one by one: they are re-packed, escLanes at a time,
-// into a lane group of their own that runs through the 16-bit inter-task
-// kernel (Buffers.escalate), which in turn recomputes what saturates int16
-// at 32 bits. A search over a database full of the query's homologs thus
-// costs the byte pass plus the saturated share at 16-bit lane speed. Lane
-// groups whose score upper bound provably fits a byte skip saturation
-// detection entirely.
+// signed byte lanes holding cell values offset by -128 (vec.I8): twice the
+// lanes per vector word as the 16-bit pass, so short-sequence lane groups
+// — the bulk of a length-sorted protein database — pack twice as many
+// subjects per vector iteration. It is where every search starts that can
+// (byteLanes). Lanes that saturate are not recomputed one by one: they are
+// re-packed, escLanes at a time, into a lane group of their own that runs
+// through the 16-bit inter-task kernel (Buffers.escalate), which in turn
+// recomputes what saturates int16 at 32 bits. A search over a database full
+// of the query's homologs thus costs the byte pass plus the saturated share
+// at 16-bit lane speed. Lane groups whose score upper bound provably fits a
+// byte skip saturation detection entirely.
 
 // byteRegister is the byte-lane count of one 256-bit register: the byte
 // kernel takes groups that are whole registers wide.
 const byteRegister = 32
 
-// byteLanes reports whether the ladder starts in byte lanes: the matrix's
-// biased scores fit a byte (profile.Query.Bias8Viable, profile.ByteBias)
-// and the lane width is one the byte kernel accepts. Everything else — a
-// matrix whose range exceeds a byte, a 16-lane group — starts at the 16-bit
-// rung.
+// byteLanes reports whether the ladder starts in byte lanes: the gap
+// penalties fit the signed byte rung (Params.byteGaps) and the lane width
+// is one the byte kernel accepts. Everything else — penalties over a
+// byte's reach, a 16-lane group — starts at the 16-bit rung.
 func byteLanes(viable bool, lanes int) bool {
 	return viable && lanes >= byteRegister && lanes%byteRegister == 0
 }
+
+// byteGaps reports whether the gap penalties fit the signed byte rung,
+// whose saturating subtracts take at most vec.MaxI8. Every substitution
+// matrix does: internal/submat stores int8 scores.
+func (p Params) byteGaps() bool { return p.GapOpen+p.GapExtend <= vec.MaxI8 }
 
 // scoreBound returns an upper bound on any Smith-Waterman score of the
 // query against a subject of at most n residues: an alignment has at most
@@ -49,29 +52,34 @@ func scoreBound(q *profile.Query, n int) int64 {
 	return int64(m) * int64(q.MaxScore)
 }
 
+// byteRail is the cell value of a saturated byte lane, vec.MaxI8 in the
+// offset representation. A lane whose tracked maximum reaches it may have
+// clipped; one below it is exact.
+const byteRail = vec.MaxI8 - vec.MinI8
+
 // ladderSafe8 reports whether every lane of a width-n group provably stays
-// below the biased uint8 saturation rail, so the 8-bit pass needs no
-// saturation detection and no lane can ever need escalation.
+// below the byte rail, so the 8-bit pass needs no saturation detection and
+// no lane can ever need escalation.
 func ladderSafe8(q *profile.Query, n int) bool {
-	return scoreBound(q, n)+int64(q.Bias) < vec.MaxU8
+	return scoreBound(q, n) < byteRail
 }
 
 // alignGroupIntrinsic8 is the ladder's first-pass kernel: the intrinsic
-// tile driver of alignGroupIntrinsic run over unsigned byte lanes with
-// biased scores. H, E and F hold true non-negative cell values clamped at
-// zero (lifting a negative E/F to zero never changes H = max(0, ...), the
-// standard unsigned-SIMD argument); the per-cell sequence is a saturating
-// add of the biased score, a saturating subtract of the bias, the three-way
-// max, and saturating gap updates. A lane whose tracked maximum reaches
-// MaxU8-Bias may have clipped: it is queued in buf, its score left at zero
-// until buf.escalate delivers it.
+// tile driver of alignGroupIntrinsic run over signed byte lanes. H, E and F
+// hold cell values offset by -128, so the lane floor vec.MinI8 is the cell
+// value zero (lifting a negative E/F to zero never changes H = max(0, ...),
+// the standard saturating-SIMD argument); the per-cell sequence is a
+// saturating add of the plain score, the three-way max, and saturating gap
+// updates. A lane whose tracked maximum reaches byteRail may have clipped:
+// it is queued in buf, its score left at zero until buf.escalate delivers
+// it.
 //
-// The rung's score lookup is the biased query profile: a row (q.QP8, at
-// most 32 letters) fits one vector register, so vec.StepCol8QP indexes it
+// The rung's score lookup is the int8 query profile: a row (q.QP8, at most
+// 32 letters) fits one vector register, so vec.StepCol8QP indexes it
 // in-register by the column's residues and no per-column score rows are
 // built.
 //
-// Callers must ensure q.Bias8Viable(); alignGroupLadder does.
+// Callers must ensure p.byteGaps(); alignGroupLadder does.
 //
 //sw:hotpath
 func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Buffers, scores []int32) Stats {
@@ -90,9 +98,8 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		return st
 	}
 	B := buf.tile(M, L, 1)
-	bias := int32(q.Bias)
-	qr := int32(p.GapOpen + p.GapExtend)
-	r := int32(p.GapExtend)
+	qr := int8(p.GapOpen + p.GapExtend)
+	r := int8(p.GapExtend)
 	safe := ladderSafe8(q, N)
 	if safe {
 		st.Safe8Groups = 1
@@ -101,31 +108,24 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	// H and E share one contiguous slab, mirroring the 16-bit kernel. hb and
 	// fb carry H and F across a tile seam, one row each per column: every
 	// tile but the last writes them and every tile but the first reads what
-	// the tile above wrote, so they are never cleared and a query of one
-	// tile has none.
+	// the tile above wrote, so they are never reset and a query of one tile
+	// has none. The other resets fill lanes with the floor, vec.MinI8, the
+	// cell value zero: a broadcast for the tile slabs, a copy of buf.floor8
+	// for the per-column vectors, which costs what a clear would.
 	he := grow8(&buf.he8, 2*(B+1)*L)
 	h, e := he[:(B+1)*L], he[(B+1)*L:]
-	var hb, fb []uint8
+	var hb, fb []int8
 	if B < M {
 		hb = grow8(&buf.hb8, (N+1)*L)
 		fb = grow8(&buf.fb8, (N+1)*L)
 	}
-	maxv := buf.max8
-	fcol := buf.f8
-	diagv := buf.diag8
+	maxv, fcol, diagv, floor := buf.max8, buf.f8, buf.diag8, buf.floor8
+	copy(maxv, floor)
 
-	vec.Set1U8(maxv, 0)
-
-	// Gap penalties clamp to the byte rail exactly: H <= 255, so a
-	// saturating subtract of min(penalty, 255) equals the wide subtract
-	// clamped at zero.
-	qr8 := clampU8(int(qr))
-	r8 := clampU8(int(r))
-
-	// The byte-lane op sequence (lookup of the biased score; saturating
-	// diag+score; bias removal floored at zero; maximum with E and F;
-	// tracker update; floored E and F updates) is fused into one vec column
-	// step per database column.
+	// The byte-lane op sequence (lookup of the score; saturating
+	// diag+score floored at zero; maximum with E and F; tracker update;
+	// floored E and F updates) is fused into one vec column step per
+	// database column.
 	for i0 := 1; i0 <= M; i0 += B {
 		i1 := i0 + B - 1
 		if i1 > M {
@@ -133,25 +133,25 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		}
 		rows := i1 - i0 + 1
 		first, last := i0 == 1, i1 == M
-		clear(h[L : (rows+1)*L])
-		clear(e[L : (rows+1)*L])
-		clear(diagv)
+		vec.Set1I8(h[L:(rows+1)*L], vec.MinI8)
+		vec.Set1I8(e[L:(rows+1)*L], vec.MinI8)
+		copy(diagv, floor)
 		tileQP := q.QP8[(i0-1)*q.Width:]
 		for jj := 1; jj <= N; jj++ {
 			col := g.Interleaved[(jj-1)*L : jj*L]
 			// F entering the tile's first row: above the first tile it is
-			// true -inf, which clamps to the unsigned floor.
+			// true -inf, which clamps to the floor.
 			if first {
-				clear(fcol)
+				copy(fcol, floor)
 			} else {
 				copy(fcol, fb[jj*L:jj*L+L])
 			}
-			vec.StepCol8QP(vec.U8(h[L:]), vec.U8(e[L:]), fcol, diagv, maxv,
-				tileQP, q.Width, col, rows, L, q.Bias, qr8, r8)
+			vec.StepCol8QP(h[L:], e[L:], fcol, diagv, maxv,
+				tileQP, q.Width, col, rows, L, qr, r)
 			// The next column's diagonal is H of the row above the tile at
 			// this column: row 0 of the matrix, all zero, above the first.
 			if first {
-				clear(diagv)
+				copy(diagv, floor)
 			} else {
 				copy(diagv, hb[jj*L:jj*L+L])
 			}
@@ -163,15 +163,14 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	}
 
 	// Score extraction: provably-safe groups skip detection entirely;
-	// otherwise a lane whose tracked maximum reached the biased rail waits
-	// for the next rung.
-	rail := int32(vec.MaxU8) - bias
+	// otherwise a lane whose tracked maximum reached the rail waits for the
+	// next rung.
 	for l := 0; l < L; l++ {
 		if g.SeqIdx[l] < 0 {
 			continue
 		}
-		if safe || int32(maxv[l]) < rail {
-			scores[l] = int32(maxv[l])
+		if safe || maxv[l] < vec.MaxI8 {
+			scores[l] = int32(maxv[l]) - vec.MinI8
 			continue
 		}
 		st.Overflows8++
@@ -267,14 +266,4 @@ func (b *Buffers) escalateGroup(q *profile.Query, p Params, batch []escalation, 
 	for k := range batch {
 		batch[k].score = b.escScores[k]
 	}
-}
-
-// clampU8 clamps a non-negative penalty constant to the byte rail; a
-// saturating subtract of 255 always floors at zero, which is the correct
-// clamped value of any deeper penalty.
-func clampU8(v int) uint8 {
-	if v > vec.MaxU8 {
-		return vec.MaxU8
-	}
-	return uint8(v)
 }

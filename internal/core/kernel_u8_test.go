@@ -13,7 +13,7 @@ import (
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 	"heterosw/internal/submat"
-	"heterosw/internal/vec"
+	"heterosw/internal/swalign"
 )
 
 // ladderParams returns the test penalties; blocked forces blockRows-row
@@ -34,9 +34,6 @@ func TestLadderMatchesOracle(t *testing.T) {
 	db := randDB(rng, 41, 70, true)
 	query := randProtein(rng, 52)
 	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
-	if !q.Bias8Viable() {
-		t.Fatal("BLOSUM62 must be byte-viable")
-	}
 	want := oracleScores(db, query.Residues)
 	for _, blk := range [][2]int{{0, 0}, {1, 1}, {1, 7}, {1, 64}} {
 		for _, lanes := range []int{1, 4, 8, 32, 64} {
@@ -76,16 +73,16 @@ func TestLadderMatchesOracle(t *testing.T) {
 func TestTileSeams(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
 	// 41 subjects leave 23 padding lanes in the second 32-lane group. The
-	// query's last 23 rows are the W run that saturates a byte lane of the
-	// planted subject: at every height but M and M+1 in a tile that is not
-	// the first.
-	w23 := strings.Repeat("W", 23)
-	query := sequence.FromString("q", randProtein(rng, 29).String()+w23)
+	// query's last 24 rows are the run that saturates a byte lane of the
+	// planted subject, reaching the rail at the run's last residue: at
+	// every height but M and M+1 in a tile that is not the first.
+	run := railRun
+	query := sequence.FromString("q", randProtein(rng, 29).String()+run)
 	seqs := make([]*sequence.Sequence, 41)
 	for i := range seqs {
 		seqs[i] = randProtein(rng, rng.Intn(70)+1)
 	}
-	seqs[17] = sequence.FromString("planted", "ARND"+w23+"CQEG")
+	seqs[17] = sequence.FromString("planted", "ARND"+run+"CQEG")
 	// And one whose best alignment skips query rows 13-17: a vertical gap,
 	// F carried across every seam inside it.
 	seqs[5] = sequence.FromString("gapped", query.String()[:12]+query.String()[17:29])
@@ -113,9 +110,13 @@ func TestTileSeams(t *testing.T) {
 	})
 }
 
-// What decides byte lanes: a byte-viable matrix and a lane width of whole
-// byte registers. AlignGroup on a 16-lane group, or under a matrix whose
-// range exceeds a byte, starts at the 16-bit rung and never counts an
+// railRun self-aligns to 11*22 + 9 + 4 = 255 under BLOSUM62, exactly the
+// byte rail: a subject that escalates by the smallest margin there is.
+var railRun = strings.Repeat("W", 22) + "CA"
+
+// What decides byte lanes: gap penalties within a signed byte's reach and
+// a lane width of whole byte registers. AlignGroup on a 16-lane group, or
+// with q+r over 127, starts at the 16-bit rung and never counts an
 // 8 -> 16 escalation.
 func TestLadderFirstRung(t *testing.T) {
 	for _, tc := range []struct {
@@ -136,7 +137,7 @@ func TestLadderFirstRung(t *testing.T) {
 			t.Errorf("%s intrinsic, viable: %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
 		if lanes, eight := firstRung(IntrinsicQP, false, dev); lanes != dev.Lanes || eight {
-			t.Errorf("%s intrinsic, wide matrix: %d lanes, byte=%v", dev.Short, lanes, eight)
+			t.Errorf("%s intrinsic, wide gaps: %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
 		if lanes, eight := firstRung(GuidedSP, true, dev); lanes != dev.Lanes || eight {
 			t.Errorf("%s guided: %d lanes, byte=%v", dev.Short, lanes, eight)
@@ -146,38 +147,112 @@ func TestLadderFirstRung(t *testing.T) {
 		}
 	}
 
-	w := strings.Repeat("W", 23) // 253 > 255-bias: saturates a byte lane
-	db := seqdb.New([]*sequence.Sequence{sequence.FromString("mid", w)}, true)
-	query := sequence.FromString("q", w)
-	p := ladderParams(false, 0)
+	for _, c := range []struct {
+		p    Params
+		want bool
+	}{
+		{Params{GapOpen: 10, GapExtend: 2}, true},
+		{Params{GapOpen: 120, GapExtend: 7}, true},
+		{Params{GapOpen: 120, GapExtend: 8}, false},
+		{Params{GapOpen: 0, GapExtend: 128}, false},
+	} {
+		if got := c.p.byteGaps(); got != c.want {
+			t.Errorf("%d/%d: byteGaps = %v, want %v", c.p.GapOpen, c.p.GapExtend, got, c.want)
+		}
+	}
+
+	db := seqdb.New([]*sequence.Sequence{sequence.FromString("mid", railRun)}, true)
+	query := sequence.FromString("q", railRun)
 	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
 	for _, lanes := range []int{16, 32} {
-		got, st := runVariantQuiet(db, q, p, lanes)
+		got, st := runVariantQuiet(db, q, ladderParams(false, 0), lanes)
 		want8 := int64(0)
 		if lanes == 32 {
 			want8 = 1
 		}
-		if got[0] != 253 || st.Overflows8 != want8 || st.Overflows != 0 {
-			t.Fatalf("lanes=%d: score %d Overflows8=%d Overflows=%d, want 253, %d, 0", lanes, got[0], st.Overflows8, st.Overflows, want8)
+		if got[0] != 255 || st.Overflows8 != want8 || st.Overflows != 0 {
+			t.Fatalf("lanes=%d: score %d Overflows8=%d Overflows=%d, want 255, %d, 0", lanes, got[0], st.Overflows8, st.Overflows, want8)
 		}
 	}
-	// A query without byte profiles (a matrix range wider than a byte; the
-	// int8 matrices of internal/submat never are): 16-bit first.
-	wq := *q
-	wq.QP8 = nil
-	got, st := runVariantQuiet(db, &wq, p, 32)
-	if got[0] != 253 || st.Overflows8 != 0 || st.Safe8Groups != 0 {
-		t.Fatalf("no byte profiles: score %d Overflows8=%d Safe8Groups=%d", got[0], st.Overflows8, st.Safe8Groups)
+	// Penalties a signed byte cannot subtract: 16-bit first.
+	got, st := runVariantQuiet(db, q, Params{GapOpen: 120, GapExtend: 10}, 32)
+	if got[0] != 255 || st.Overflows8 != 0 || st.Safe8Groups != 0 {
+		t.Fatalf("gaps 120/10: score %d Overflows8=%d Safe8Groups=%d", got[0], st.Overflows8, st.Safe8Groups)
+	}
+}
+
+// The byte rail sits at a cell of 255: a lane scoring 254 stays in bytes
+// and one scoring 255 escalates, in 32- and 64-lane groups (a ymm and a zmm
+// strip of the avx2+vbmi tier) under every tier, whatever the tiling.
+func TestLadderByteRailBoundary(t *testing.T) {
+	// Against a W query, W scores 11, F 1 and Y 2: 253+1 and 253+2.
+	db := seqdb.New([]*sequence.Sequence{
+		sequence.FromString("at254", strings.Repeat("W", 23)+"F"),
+		sequence.FromString("at255", strings.Repeat("W", 23)+"Y"),
+		sequence.FromString("tiny", "W"),
+	}, false)
+	query := sequence.FromString("q", strings.Repeat("W", 30))
+	q := profile.NewQuery(query.Residues, submat.BLOSUM62)
+	want := []int32{254, 255, 11}
+	everyTier(t, func(t *testing.T) {
+		for _, lanes := range []int{32, 64} {
+			for _, rows := range []int{0, 7} {
+				got, st := runRung(db, q, ladderParams(rows > 0, rows), lanes, true)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("lanes=%d tile=%d: seq %d scored %d, want %d", lanes, rows, i, got[i], want[i])
+					}
+				}
+				if st.Overflows8 != 1 || st.OverflowCells != int64(q.Len())*24 || st.Safe8Groups != 0 {
+					t.Fatalf("lanes=%d tile=%d: Overflows8=%d OverflowCells=%d Safe8Groups=%d, want only at255 escalated",
+						lanes, rows, st.Overflows8, st.OverflowCells, st.Safe8Groups)
+				}
+			}
+		}
+	})
+}
+
+// Gap penalties over a signed byte's reach (q+r > 127) start the whole
+// search at the 16-bit rung: exact against the oracle, with no 8 -> 16
+// escalation, through the engine and the planner's lane width alike.
+func TestLadderWideGaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(216))
+	query := randProtein(rng, 60)
+	db := plantedDB(rng, query, 40, 8)
+	opt := defaultSearchOptions()
+	opt.Params.GapOpen, opt.Params.GapExtend = 120, 10
+	sc := swalign.Scoring{Matrix: submat.BLOSUM62, GapOpen: 120, GapExtend: 10}
+	for _, dev := range []*device.Model{device.Xeon(), device.Phi()} {
+		if lanes, eight := firstRung(IntrinsicSP, opt.Params.byteGaps(), dev); lanes != dev.Lanes || eight {
+			t.Fatalf("%s: gaps 120/10 plan %d lanes, byte=%v", dev.Short, lanes, eight)
+		}
+		e, err := NewEngine(db, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Search(query, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < db.Len(); i++ {
+			if want := int32(swalign.Score(query.Residues, db.Seq(i).Residues, sc)); res.Scores[i] != want {
+				t.Fatalf("%s: seq %d score %d, want %d", dev.Short, i, res.Scores[i], want)
+			}
+		}
+		if st := res.Stats; st.Overflows8 != 0 || st.Safe8Groups != 0 || st.Overflows != 0 {
+			t.Fatalf("%s: gaps 120/10 counted Overflows8=%d Safe8Groups=%d Overflows=%d, want none",
+				dev.Short, st.Overflows8, st.Safe8Groups, st.Overflows)
+		}
 	}
 }
 
 // Three subjects pinned to the three rungs of the ladder: a short one that
 // resolves in the provably-safe 8-bit pass, a mid one that saturates the
-// biased byte rail but fits 16 bits, and a long one that climbs to 32
-// bits. Per-tier overflow counters must record exactly the escalations.
+// byte rail but fits 16 bits, and a long one that climbs to 32 bits.
+// Per-tier overflow counters must record exactly the escalations.
 func TestLadderEscalationTiers(t *testing.T) {
-	w := strings.Repeat("W", 23)      // 11*23 = 253 > 255-bias(4) = 251: needs 16 bits
-	long := strings.Repeat("W", 3000) // 33000 > MaxInt16: needs 32 bits
+	w := strings.Repeat("W", 23) + "Y" // 11*23 + 2 = 255 against W: the byte rail, needs 16 bits
+	long := strings.Repeat("W", 3000)  // 33000 > MaxInt16: needs 32 bits
 	db := seqdb.New([]*sequence.Sequence{
 		sequence.FromString("short", "ARNDARND"),
 		sequence.FromString("mid", w),
@@ -270,7 +345,7 @@ func TestLadderHomologRich(t *testing.T) {
 			c.db = plantedDB(rng, c.query, subjects, planted)
 			c.want = oracleScores(c.db, c.query.Residues)
 			for i, s := range c.want {
-				if s >= vec.MaxU8-4 { // the biased rail under BLOSUM62
+				if s >= byteRail {
 					c.saturating++
 					c.cells += int64(m) * int64(c.db.Seq(i).Len())
 				}

@@ -116,7 +116,7 @@ func shapeCosts(lengths []int, m int, dev *device.Model, opt SearchOptions) (cos
 	// The same rule as Engine.Search. (With byte lanes the estimate
 	// optimistically assumes no escalation recomputes; over a realistic
 	// protein database the saturating tail is negligible.)
-	lanes, eightBit := firstRung(opt.Variant, opt.byteViable(), dev)
+	lanes, eightBit := firstRung(opt.Variant, opt.Params.byteGaps(), dev)
 	class.EightBit = eightBit
 	longThr := opt.LongSeqThreshold
 	switch {

@@ -39,7 +39,8 @@ type Stats struct {
 	// whatever the search's first-pass precision.
 	Overflows8 int64
 	// Safe8Groups counts lane groups whose score upper bound provably fits
-	// the biased byte rail, so the 8-bit pass skipped saturation detection.
+	// below the byte rail (a cell of 255), so the 8-bit pass skipped
+	// saturation detection.
 	Safe8Groups int64
 	// OverflowCells counts the extra cell updates spent on escalation
 	// recomputations, across both ladder tiers.

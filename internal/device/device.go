@@ -287,7 +287,7 @@ func (m *Model) workingSet(k KernelClass, M int, lanes int) int64 {
 	state := int64(rows+1) * int64(lanes) * elem * 2 // H and E tiles
 	scoreElem := int64(2)
 	if k.EightBit {
-		scoreElem = 1 // biased byte profiles
+		scoreElem = 1 // int8 byte profiles
 	}
 	var prof int64
 	if k.QueryProfile {

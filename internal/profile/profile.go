@@ -10,8 +10,8 @@
 //     loop performs a single contiguous vector load.
 //
 // The engine runs one of each: the byte lanes of the precision ladder's
-// first rung read the biased uint8 query profile (Query.QP8), whose rows fit
-// one vector register and are looked up in-register; the 16-bit rung builds
+// first rung read the int8 query profile (Query.QP8), whose rows fit one
+// vector register and are looked up in-register; the 16-bit rung builds
 // score rows per database column (ScoreRows). Which layout the paper's
 // figures attribute to a variant is the device model's business.
 //
@@ -48,8 +48,12 @@ const TableWidth = alphabet.Size + 1
 // enough that no 16-bit arithmetic of the kernels can wrap.
 const PadScore = -1024
 
+// PadScore8 is PadScore in the byte profile: the lowest int8, which the
+// signed byte rung's saturating add floors at the cell value zero.
+const PadScore8 = vec.MinI8
+
 // Query carries everything the kernels need about one query sequence: the
-// encoded residues, the biased byte query profile, and the pad-extended
+// encoded residues, the byte query profile, and the pad-extended
 // substitution table used to build score profiles.
 type Query struct {
 	// Seq is the encoded query of length M.
@@ -67,29 +71,11 @@ type Query struct {
 	// MaxScore is Matrix.Max(), cached for overflow thresholds.
 	MaxScore int
 
-	// Bias is the unsigned-byte score bias of the 8-bit first pass:
-	// max(0, -Matrix.Min()), so every biased substitution score is
-	// non-negative. QP8 is the biased query profile, row-major (M rows x
-	// Width columns): QP8[(i-1)*Width + e] = V(q_i, e) + Bias, with 0 in the
-	// Pad column (an effective score of -Bias, which can never raise a lane
-	// maximum). It is nil when the matrix range does not fit a byte
-	// (Bias8Viable false), in which case the ladder starts at 16 bits.
-	Bias uint8
-	QP8  []uint8
-}
-
-// Bias8Viable reports whether the 8-bit biased profile was built.
-func (q *Query) Bias8Viable() bool { return q.QP8 != nil }
-
-// ByteBias returns the bias that makes every score of m non-negative,
-// max(0, -m.Min()), and whether the biased range fits a byte. It is what a
-// Query built under m will report through Bias and Bias8Viable, for code
-// that plans a search before any query exists.
-func ByteBias(m *submat.Matrix) (bias int, ok bool) {
-	if m.Min() < 0 {
-		bias = -m.Min()
-	}
-	return bias, bias <= 255 && m.Max()+bias <= 255
+	// QP8 is the byte query profile of the ladder's 8-bit first pass,
+	// row-major (M rows x Width columns): QP8[(i-1)*Width + e] = V(q_i, e),
+	// with PadScore8 in the Pad column, a score that can never raise a lane
+	// maximum. Every matrix stores int8 scores, so every query has one.
+	QP8 []int8
 }
 
 // gatherPad16 and gatherPad8 are the spare capacities (in elements) the
@@ -107,7 +93,7 @@ const (
 )
 
 func padded16(n int) []int16 { return make([]int16, n+gatherPad16)[:n] }
-func padded8(n int) []uint8  { return make([]uint8, n+gatherPad8)[:n] }
+func padded8(n int) []int8   { return make([]int8, n+gatherPad8)[:n] }
 
 // NewQuery builds the profiles for a query under a substitution matrix.
 // The query residues must be encoded under the matrix's alphabet.
@@ -134,38 +120,20 @@ func NewQuery(seq []alphabet.Code, m *submat.Matrix) *Query {
 	for d := 0; d < width; d++ {
 		q.Ext[padBase+d] = PadScore
 	}
-	q.buildBias8()
+	q.QP8 = padded8(len(seq) * width)
+	for i, r := range seq {
+		dst := q.QP8[i*width : (i+1)*width]
+		copy(dst, m.Row(r))
+		dst[size] = PadScore8
+	}
 	return q
-}
-
-// buildBias8 derives the biased uint8 query profile of the ladder's 8-bit
-// first pass straight from Ext: every real substitution score s is stored
-// as s+Bias (non-negative by construction); padding entries store 0, the
-// strongest representable penalty. The build is skipped when the matrix
-// range does not fit a byte.
-func (q *Query) buildBias8() {
-	bias, ok := ByteBias(q.Matrix)
-	if !ok {
-		return // ladder starts at 16 bits
-	}
-	q.Bias = uint8(bias)
-	q.QP8 = padded8(len(q.Seq) * q.Width)
-	for i, r := range q.Seq {
-		dst := q.QP8[i*q.Width : (i+1)*q.Width]
-		for e, s := range q.ExtRow(int(r)) {
-			if int(s) != PadScore { // padding stays 0
-				dst[e] = uint8(int(s) + bias)
-			}
-		}
-	}
 }
 
 // Len returns the query length M.
 func (q *Query) Len() int { return len(q.Seq) }
 
-// QPRow8 returns the biased uint8 query-profile row for query position i;
-// only valid when Bias8Viable.
-func (q *Query) QPRow8(i int) []uint8 {
+// QPRow8 returns the byte query-profile row for query position i.
+func (q *Query) QPRow8(i int) []int8 {
 	return q.QP8[i*q.Width : (i+1)*q.Width]
 }
 

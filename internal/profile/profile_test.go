@@ -24,22 +24,18 @@ func TestQueryProfileMatchesMatrix(t *testing.T) {
 	if q.Len() != 200 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	bias, ok := ByteBias(submat.BLOSUM62)
-	if !ok || !q.Bias8Viable() || int(q.Bias) != bias {
-		t.Fatalf("BLOSUM62 byte profile: bias %d (ByteBias %d, %t), viable %t", q.Bias, bias, ok, q.Bias8Viable())
-	}
 	for i, r := range seq {
 		row := q.QPRow8(i)
 		if len(row) != TableWidth {
 			t.Fatalf("row width %d", len(row))
 		}
 		for e := 0; e < alphabet.Size; e++ {
-			if want := submat.BLOSUM62.Score(r, alphabet.Code(e)) + bias; int(row[e]) != want {
+			if want := submat.BLOSUM62.Score(r, alphabet.Code(e)); int(row[e]) != want {
 				t.Fatalf("QP8[%d][%d] = %d, want %d", i, e, row[e], want)
 			}
 		}
-		if row[PadIndex] != 0 {
-			t.Fatalf("QP8 pad column = %d", row[PadIndex])
+		if row[PadIndex] != PadScore8 {
+			t.Fatalf("QP8 pad column = %d, want %d", row[PadIndex], PadScore8)
 		}
 	}
 }

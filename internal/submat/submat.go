@@ -29,7 +29,7 @@ var (
 	// header, an asymmetric table, or missing matrix data.
 	ErrNotSquare = fmt.Errorf("%w: malformed shape", ErrBadMatrix)
 	// ErrScoreRange marks a score outside int8 — the storage cells use and
-	// exactly the range the 8-bit kernel ladder's bias arithmetic assumes.
+	// exactly the range the 8-bit kernel ladder's signed lanes assume.
 	ErrScoreRange = fmt.Errorf("%w: score outside int8", ErrBadMatrix)
 )
 

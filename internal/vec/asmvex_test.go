@@ -12,8 +12,8 @@ import (
 //
 //	(a) no instruction without the V prefix (the legacy-SSE encodings)
 //	    names an X, Y or Z register, and
-//	(b) every TEXT body that names a Y or Z register executes VZEROUPPER
-//	    before each of its RETs.
+//	(b) every TEXT body that names a Y, Z or opmask (K) register executes
+//	    VZEROUPPER before each of its RETs.
 //
 // Rule (a) is not style. Go assembles MOVQ AX, X3 to the legacy
 // 66 REX.W 0F 6E form, and a legacy-SSE instruction executed while the
@@ -25,7 +25,8 @@ import (
 // serve_distinct lost more than half its qps. Do not turn a VMOVQ back
 // into a MOVQ. Rule (b) keeps the dirty state from leaking into the Go
 // code and runtime that run after the routine returns; a zmm write
-// dirties that state just as a ymm write does.
+// dirties that state just as a ymm write does, and an opmask names an
+// AVX-512 body, held to the same rule.
 //
 // The check is a plain text scan, so it runs on every GOARCH; the
 // fixtures prove each rule can fail.
@@ -46,6 +47,7 @@ func TestAsmVEXClean(t *testing.T) {
 		{"ymm write after VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVZEROUPPER\n\tVMOVDQU (SI), Y0\n\tRET\n"},
 		{"early RET before VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVMOVDQU (SI), Y0\n\tJZ done\n\tRET\ndone:\n\tVZEROUPPER\n\tRET\n"},
 		{"zmm body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVBROADCASTI64X4 (R8), Z13\n\tVPERMB Z13, Z10, Z6\n\tVMOVDQU8 Z6, (DI)\n\tRET\n"},
+		{"opmask body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVPCMPB $6, X6, X8, K1\n\tKMOVQ K1, AX\n\tRET\n"},
 	}
 	for _, f := range fixtures {
 		if len(asmVEXViolations(f.src)) == 0 {
@@ -60,7 +62,8 @@ func TestAsmVEXClean(t *testing.T) {
 		"TEXT ·h(SB), NOSPLIT, $0-8\n" +
 		"\tVPBROADCASTB X1, Z1 // the EVEX forms of the zmm body\n" +
 		"\tVMOVDQU8 (AX)(R11*1), Z10\n\tVBROADCASTI64X4 (R8), Z13\n\tVPERMB Z13, Z10, Z6\n" +
-		"\tVMOVDQU8 Z6, (DI)\n\tVMOVDQA64 Z7, Z0\n\tVZEROUPPER\n\tRET\n"
+		"\tVMOVDQU8 Z6, (DI)\n\tVMOVDQA64 Z7, Z0\n" +
+		"\tVPCMPB $6, Z6, Z8, K1 // the opmask forms\n\tVPBLENDMB Z8, Z6, K1, Z6\n\tVZEROUPPER\n\tRET\n"
 	if v := asmVEXViolations(clean); len(v) != 0 {
 		t.Errorf("clean fixture flagged: %v", v)
 	}
@@ -68,13 +71,13 @@ func TestAsmVEXClean(t *testing.T) {
 
 var (
 	asmVecReg  = regexp.MustCompile(`\b[XYZ]([0-9]|[12][0-9]|3[01])\b`)
-	asmWideReg = regexp.MustCompile(`\b[YZ]([0-9]|[12][0-9]|3[01])\b`)
+	asmWideReg = regexp.MustCompile(`\b([YZ]([0-9]|[12][0-9]|3[01])|K[0-7])\b`)
 )
 
 // asmVEXViolations scans Go assembly source for breaches of the two rules
 // TestAsmVEXClean documents, one message per breach. Rule (b) is checked
 // in text order: a RET passes only if a VZEROUPPER comes after the body's
-// last ymm/zmm instruction above it.
+// last ymm/zmm/opmask instruction above it.
 func asmVEXViolations(src string) []string {
 	var out []string
 	fn := ""

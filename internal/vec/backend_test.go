@@ -54,6 +54,16 @@ func railsU8(rng *rand.Rand, n int) U8 {
 	return out
 }
 
+// railsI8 is railsU8 in the signed byte rung's offset representation: the
+// unsigned rails 0 and 255 land on MinI8 and MaxI8.
+func railsI8(rng *rand.Rand, n int) I8 {
+	out := make(I8, n)
+	for i, v := range railsU8(rng, n) {
+		out[i] = int8(v ^ 0x80)
+	}
+	return out
+}
+
 var testWidths16 = []int{16, 32, 48, 64, 128}
 var testWidths8 = []int{32, 64, 96, 128}
 
@@ -82,11 +92,11 @@ func TestNativeU8Primitives(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, n := range testWidths8 {
 		for trial := 0; trial < 50; trial++ {
-			c := uint8(rng.Intn(256))
-			got, want := make(U8, n), make(U8, n)
-			set1U8x(&got[0], n, int(c))
-			set1U8Generic(want, c)
-			eqU8(t, "set1U8x", got, want)
+			c := int8(rng.Intn(256) + MinI8)
+			got, want := make(I8, n), make(I8, n)
+			set1x8(&got[0], n, int(c))
+			set1I8Generic(want, c)
+			eq8(t, "set1x8", got, want)
 		}
 	}
 }
@@ -100,7 +110,7 @@ func eqI16(t *testing.T, op string, got, want I16) {
 	}
 }
 
-func eqU8(t *testing.T, op string, got, want U8) {
+func eq8[T int8 | uint8](t *testing.T, op string, got, want []T) {
 	t.Helper()
 	for i := range got {
 		if got[i] != want[i] {
@@ -194,38 +204,48 @@ func TestNativeStepCol16(t *testing.T) {
 	}
 }
 
-type stepState8 struct {
-	h, e, f, diag, maxv U8
+// stepState8 is the byte steps' state: unsigned for StepCol8SP, signed for
+// StepCol8QP.
+type stepState8[T int8 | uint8] struct {
+	h, e, f, diag, maxv []T
 }
 
-func randStep8(rng *rand.Rand, rows, lanes int) *stepState8 {
-	s := &stepState8{
-		h:    railsU8(rng, rows*lanes),
-		e:    railsU8(rng, rows*lanes),
-		f:    railsU8(rng, lanes),
-		diag: railsU8(rng, lanes),
-		maxv: railsU8(rng, lanes),
-	}
-	return s
-}
-
-func (s *stepState8) clone() *stepState8 {
-	return &stepState8{
-		h:    append(U8(nil), s.h...),
-		e:    append(U8(nil), s.e...),
-		f:    append(U8(nil), s.f...),
-		diag: append(U8(nil), s.diag...),
-		maxv: append(U8(nil), s.maxv...),
+func randStep8[T int8 | uint8](rng *rand.Rand, rows, lanes int, rails func(*rand.Rand, int) []T) *stepState8[T] {
+	return &stepState8[T]{
+		h:    rails(rng, rows*lanes),
+		e:    rails(rng, rows*lanes),
+		f:    rails(rng, lanes),
+		diag: rails(rng, lanes),
+		maxv: rails(rng, lanes),
 	}
 }
 
-func (s *stepState8) diff(t *testing.T, op string, o *stepState8) {
+// randU8 and randI8 draw unsigned and signed byte-step state.
+func randU8(rng *rand.Rand, rows, lanes int) *stepState8[uint8] {
+	return randStep8(rng, rows, lanes, func(rng *rand.Rand, n int) []uint8 { return railsU8(rng, n) })
+}
+
+func randI8(rng *rand.Rand, rows, lanes int) *stepState8[int8] {
+	return randStep8(rng, rows, lanes, func(rng *rand.Rand, n int) []int8 { return railsI8(rng, n) })
+}
+
+func (s *stepState8[T]) clone() *stepState8[T] {
+	return &stepState8[T]{
+		h:    append([]T(nil), s.h...),
+		e:    append([]T(nil), s.e...),
+		f:    append([]T(nil), s.f...),
+		diag: append([]T(nil), s.diag...),
+		maxv: append([]T(nil), s.maxv...),
+	}
+}
+
+func (s *stepState8[T]) diff(t *testing.T, op string, o *stepState8[T]) {
 	t.Helper()
-	eqU8(t, op+" h", s.h, o.h)
-	eqU8(t, op+" e", s.e, o.e)
-	eqU8(t, op+" f", s.f, o.f)
-	eqU8(t, op+" diag", s.diag, o.diag)
-	eqU8(t, op+" maxv", s.maxv, o.maxv)
+	eq8(t, op+" h", s.h, o.h)
+	eq8(t, op+" e", s.e, o.e)
+	eq8(t, op+" f", s.f, o.f)
+	eq8(t, op+" diag", s.diag, o.diag)
+	eq8(t, op+" maxv", s.maxv, o.maxv)
 }
 
 // TestNativeStepCol8 covers the score-profile byte step; the query-profile
@@ -236,7 +256,7 @@ func TestNativeStepCol8(t *testing.T) {
 	for _, lanes := range []int{32, 64, 128} {
 		for _, rows := range []int{1, 2, 7, 33} {
 			for trial := 0; trial < 20; trial++ {
-				st := randStep8(rng, rows, lanes)
+				st := randU8(rng, rows, lanes)
 				bias := uint8(rng.Intn(32))
 				qr := uint8(rng.Intn(256))
 				r := uint8(rng.Intn(64))
@@ -267,7 +287,8 @@ func TestNativeStepCol8(t *testing.T) {
 // the first lanes of every column pin the indices at the edges of the two
 // 16-byte halves; and each profile has exactly the capacity the wrapper
 // demands, so the last row's 32-byte load ends flush with the backing
-// array.
+// array. Scores are drawn over all of int8 and the penalties over the
+// kernel's contract, [0, MaxI8].
 func TestStepCol8QPTiers(t *testing.T) {
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
@@ -282,11 +303,11 @@ func TestStepCol8QPTiers(t *testing.T) {
 				for _, lanes := range []int{32, 64, 96, 128} {
 					for _, rows := range []int{1, 2, 7, 33} {
 						for trial := 0; trial < 10; trial++ {
-							st := randStep8(rng, rows, lanes)
-							bias, qr, r := uint8(rng.Intn(32)), uint8(rng.Intn(256)), uint8(rng.Intn(64))
-							qp := make([]uint8, rows*stride, (rows-1)*stride+32)
+							st := randI8(rng, rows, lanes)
+							qr, r := int8(rng.Intn(MaxI8+1)), int8(rng.Intn(MaxI8+1))
+							qp := make([]int8, rows*stride, (rows-1)*stride+32)
 							for i := range qp {
-								qp[i] = uint8(rng.Intn(256))
+								qp[i] = int8(rng.Intn(256) + MinI8)
 							}
 							col := make([]uint8, lanes)
 							for i := range col {
@@ -294,8 +315,8 @@ func TestStepCol8QPTiers(t *testing.T) {
 							}
 							copy(col, []uint8{0, 15, uint8(min(16, stride-1)), uint8(stride - 1)})
 							got, want := st.clone(), st.clone()
-							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, bias, qr, r)
-							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, bias, qr, r)
+							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, qr, r)
+							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, qr, r)
 							got.diff(t, fmt.Sprintf("StepCol8QP stride=%d", stride), want)
 						}
 					}
@@ -430,13 +451,13 @@ func BenchmarkStepCol8QP(b *testing.B) {
 		lanes := max(byteWidth(tr), byteWidth(TierAVX2))
 		for _, rows := range []int{1, 8, 30, 75, 120, 1000} {
 			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
-				st := randStep8(rng, rows, lanes)
-				qp := make([]uint8, rows*testStride, (rows-1)*testStride+32)
+				st := randI8(rng, rows, lanes)
+				qp := make([]int8, rows*testStride, (rows-1)*testStride+32)
 				for i := range qp {
-					qp[i] = uint8(rng.Intn(16))
+					qp[i] = int8(rng.Intn(16) - 4)
 				}
 				benchColumns(b, tr, rows*lanes, columns, func(c int) {
-					StepCol8QP(st.h, st.e, st.f, st.diag, st.maxv, qp, testStride, cols[c*lanes:(c+1)*lanes], rows, lanes, 4, 12, 2)
+					StepCol8QP(st.h, st.e, st.f, st.diag, st.maxv, qp, testStride, cols[c*lanes:(c+1)*lanes], rows, lanes, 12, 2)
 				})
 			})
 		}

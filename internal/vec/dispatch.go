@@ -15,7 +15,8 @@ import (
 //	avx2+vbmi  the same, except that StepCol8QP, the byte rung's kernel,
 //	           runs over 512-bit registers: 64 byte lanes per zmm, the
 //	           profile row looked up with one vpermb instead of a vpshufb
-//	           pair (AVX-512F/BW/VL/VBMI)
+//	           pair, and three of each row's maxes as a compare into an
+//	           opmask plus a masked blend (AVX-512F/BW/VL/VBMI)
 //
 // The highest tier the host supports (CPUID + XGETBV, checked once at
 // process start) is selected per call when
@@ -25,9 +26,9 @@ import (
 //   - no lower cap is set (HETEROSW_VEC=portable or =avx2 in the
 //     environment, or CapTier from a test), and
 //   - the lane count is a whole number of 256-bit registers (16 int16 or
-//     32 uint8 lanes); odd widths always take the portable loops. On
+//     32 byte lanes); odd widths always take the portable loops. On
 //     avx2+vbmi, StepCol8QP runs its zmm body at whole zmm registers (64
-//     uint8 lanes) and the avx2 body at the other multiples of 32.
+//     byte lanes) and the avx2 body at the other multiples of 32.
 //
 // The tiers are lane-exact: every assembly routine computes the same
 // saturating two's-complement results as the Go reference, so kernel
@@ -86,10 +87,10 @@ func tier() Tier { return min(hostTier, Tier(tierCap.Load())) }
 // the whole test folds away.
 func native16(n int) bool { return asmSupported && n >= 16 && n&15 == 0 && Native() }
 
-// native8 is native16 for uint8 lanes (32 per 256-bit register).
+// native8 is native16 for byte lanes (32 per 256-bit register).
 func native8(n int) bool { return asmSupported && n >= 32 && n&31 == 0 && Native() }
 
-// zmm8 reports whether a native StepCol8QP call over n uint8 lanes runs
+// zmm8 reports whether a native StepCol8QP call over n byte lanes runs
 // the avx2+vbmi tier's 512-bit body: the tier is selected and n is a whole
 // number of zmm registers.
 func zmm8(n int) bool { return n&63 == 0 && tier() == TierVBMI }
@@ -135,7 +136,7 @@ type BackendInfo struct {
 	Forced bool `json:"forced"`
 	// Lanes16 and Lanes8 are the native register lane counts the selected
 	// backend executes per instruction: 16 int16 lanes (a ymm) under both
-	// assembly tiers; 32 uint8 lanes (a ymm) under avx2 and 64 (a zmm)
+	// assembly tiers; 32 byte lanes (a ymm) under avx2 and 64 (a zmm)
 	// under avx2+vbmi, the byte width the host packs its lane groups for;
 	// 0 for the portable loops (which have no fixed hardware width).
 	Lanes16 int `json:"lanes16"`

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"syscall"
 	"testing"
+	"unsafe"
 )
 
 // TestStepCol8QPGuardPage places query profiles against an unmapped page:
@@ -28,6 +29,8 @@ func TestStepCol8QPGuardPage(t *testing.T) {
 	for i := range mem[:page] {
 		mem[i] = uint8(rng.Intn(256))
 	}
+	// The profile is int8; view the mapping as such, guard page included.
+	mem8 := unsafe.Slice((*int8)(unsafe.Pointer(&mem[0])), len(mem))
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
 			defer CapTier(CapTier(tr))
@@ -36,15 +39,15 @@ func TestStepCol8QPGuardPage(t *testing.T) {
 					for _, rows := range []int{1, 7} {
 						for short := 0; short <= 1 && rows*stride <= (rows-1)*stride+32-short; short++ {
 							base := page - ((rows-1)*stride + 32 - short)
-							qp := mem[base : base+rows*stride : page]
+							qp := mem8[base : base+rows*stride : page]
 							col := make([]uint8, lanes)
 							for i := range col {
 								col[i] = uint8(rng.Intn(stride))
 							}
-							st := randStep8(rng, rows, lanes)
+							st := randI8(rng, rows, lanes)
 							got, want := st.clone(), st.clone()
-							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, 4, 12, 2)
-							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, 4, 12, 2)
+							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, 12, 2)
+							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, 12, 2)
 							got.diff(t, fmt.Sprintf("StepCol8QP at the guard page, %d lanes", lanes), want)
 						}
 					}

@@ -21,13 +21,14 @@ package vec
 //     row 0, and the running score maximum.
 //   - qr is the gap-open+extend penalty and r the extend penalty, both
 //     non-negative; the 16-bit form relies on qr <= 16384 (enforced by
-//     core.Params.Validate) so gap arithmetic cannot wrap below MinI16.
+//     core.Params.Validate) so gap arithmetic cannot wrap below MinI16, and
+//     the signed byte form on qr <= MaxI8.
 //
 // The SP forms read the column's score profile (row stride = lanes) with
 // the row selected by the query residue seq[ri]; the QP form reads the
 // query profile (row stride = stride, row ri at qp[ri*stride:]) indexed by
 // the column residues col[l]. The byte rung of core's precision ladder runs
-// StepCol8QP only: a profile row of up to 32 letters fits one register, so
+// StepCol8QP only, in signed lanes (I8): a profile row of up to 32 letters fits one register, so
 // the lookup is an in-register permute with no per-column table to build.
 // The 16-bit rung runs StepCol16SP over rows BuildRows16 fills. The native
 // StepCol8QP and BuildRows16 paths read a few bytes past the last table
@@ -176,32 +177,41 @@ func stepCol8SPGeneric(h, e, f, diag, maxv U8, score []uint8, seq []uint8, rows,
 	}
 }
 
-// StepCol8QP advances one database column of the 8-bit biased
-// query-profile kernel. The native paths replace the per-lane gather with
-// an in-register table lookup (profile rows fit one 32-byte register when
-// stride <= 32): on the avx2+vbmi tier, at lane counts that are multiples
-// of 64, one vpermb per 64-lane zmm strip; otherwise two vpshufb over the
-// row's 16-byte halves per 32-lane ymm strip, blended. Both read 32 bytes
-// from each row start and require stride <= 32, every col[l] < stride, and
+// StepCol8QP advances one database column of the ladder's signed byte
+// kernel. h, e, f, diag and maxv hold cell values offset by -128 (see I8);
+// qp holds plain substitution scores, and a score of MinI8 (the profile's
+// pad) can never raise a lane's maximum. Per cell: one signed saturating
+// add of the score, whose MinI8 floor is the clamp at zero; the maximum
+// with E and F; the tracker update; and E and F decayed by signed
+// saturating subtracts of r and of qr from H, floored at MinI8 again. qr
+// and r must lie in [0, MaxI8]; core starts a search whose penalties exceed
+// that at the 16-bit rung.
+//
+// The native paths replace the per-lane gather with an in-register table
+// lookup (profile rows fit one 32-byte register when stride <= 32): on the
+// avx2+vbmi tier, at lane counts that are multiples of 64, one vpermb per
+// 64-lane zmm strip; otherwise two vpshufb over the row's 16-byte halves
+// per 32-lane ymm strip, blended. Both read 32 bytes from each row start
+// and require stride <= 32, every col[l] < stride, and
 // cap(qp) >= (rows-1)*stride+32, falling back to the portable loop
 // otherwise.
-func StepCol8QP(h, e, f, diag, maxv U8, qp []uint8, stride int, col []uint8, rows, lanes int, bias, qr, r uint8) {
+func StepCol8QP(h, e, f, diag, maxv I8, qp []int8, stride int, col []uint8, rows, lanes int, qr, r int8) {
 	if rows <= 0 {
 		return
 	}
 	if native8(lanes) && stride <= 32 && cap(qp) >= (rows-1)*stride+32 {
 		if zmm8(lanes) {
-			stepCol8QPVBMI(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))
+			stepCol8QPVBMI(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(qr), int(r))
 		} else {
-			stepCol8QP(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(bias), int(qr), int(r))
+			stepCol8QP(&h[0], &e[0], &f[0], &diag[0], &maxv[0], &qp[0], stride, &col[0], rows, lanes, int(qr), int(r))
 		}
 		return
 	}
-	stepCol8QPGeneric(h, e, f, diag, maxv, qp, stride, col, rows, lanes, bias, qr, r)
+	stepCol8QPGeneric(h, e, f, diag, maxv, qp, stride, col, rows, lanes, qr, r)
 }
 
 //sw:hotpath
-func stepCol8QPGeneric(h, e, f, diag, maxv U8, qp []uint8, stride int, col []uint8, rows, lanes int, bias, qr, r uint8) {
+func stepCol8QPGeneric(h, e, f, diag, maxv I8, qp []int8, stride int, col []uint8, rows, lanes int, qr, r int8) {
 	for ri := 0; ri < rows; ri++ {
 		hrow := h[ri*lanes : (ri+1)*lanes]
 		erow := e[ri*lanes : (ri+1)*lanes]
@@ -209,44 +219,39 @@ func stepCol8QPGeneric(h, e, f, diag, maxv U8, qp []uint8, stride int, col []uin
 		for l := 0; l < lanes; l++ {
 			up := hrow[l]
 			hv := int32(diag[l]) + int32(row[col[l]])
-			if hv > MaxU8 {
-				hv = MaxU8
+			if hv > MaxI8 {
+				hv = MaxI8 // vpaddsb clip: the lane will escalate
 			}
-			hv -= int32(bias)
-			if hv < 0 {
-				hv = 0
+			if hv < MinI8 {
+				hv = MinI8 // the clamp at zero
 			}
-			ev, fv := erow[l], f[l]
-			if int32(ev) > hv {
-				hv = int32(ev)
+			ev, fv := int32(erow[l]), int32(f[l])
+			if ev > hv {
+				hv = ev
 			}
-			if int32(fv) > hv {
-				hv = int32(fv)
+			if fv > hv {
+				hv = fv
 			}
-			h8 := uint8(hv)
+			h8 := int8(hv)
 			if h8 > maxv[l] {
 				maxv[l] = h8
 			}
+			// The subtracts only floor (hv <= MaxI8 and 0 <= qr, r), and
+			// uv >= MinI8 floors E and F too.
 			uv := hv - int32(qr)
-			if uv < 0 {
-				uv = 0
+			if uv < MinI8 {
+				uv = MinI8
 			}
-			e2 := int32(ev) - int32(r)
-			if e2 < 0 {
-				e2 = 0
-			}
+			e2 := ev - int32(r)
 			if uv > e2 {
 				e2 = uv
 			}
-			erow[l] = uint8(e2)
-			f2 := int32(fv) - int32(r)
-			if f2 < 0 {
-				f2 = 0
-			}
+			erow[l] = int8(e2)
+			f2 := fv - int32(r)
 			if uv > f2 {
 				f2 = uv
 			}
-			f[l] = uint8(f2)
+			f[l] = int8(f2)
 			diag[l] = up
 			hrow[l] = h8
 		}

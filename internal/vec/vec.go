@@ -1,8 +1,8 @@
 // Package vec implements the fixed-width integer SIMD column kernels of the
 // alignment engine in internal/core: fused column steps (step.go) that
 // advance one database column of the Smith-Waterman DP across a whole query
-// tile per call, in saturating 16-bit and biased unsigned 8-bit lanes, plus
-// the few whole-register helpers the kernels need around them (broadcast,
+// tile per call, in saturating 16-bit and signed 8-bit lanes, plus the few
+// whole-register helpers the kernels need around them (broadcast,
 // horizontal maximum) and the score-profile row build.
 //
 // Two backends implement the set (see dispatch.go): portable pure-Go
@@ -68,34 +68,53 @@ func horizontalMaxGeneric(a I16) int16 {
 	return m
 }
 
-// ---- 8-bit unsigned lanes ----
+// ---- 8-bit signed lanes ----
 //
-// The 8-bit first pass of the precision ladder scores in unsigned byte
-// lanes with biased substitution scores, the SSW Library's representation:
-// a register holds twice as many lanes as the 16-bit form, H/E/F values are
-// true non-negative cell values in [0, 255], and substitution scores are
-// stored as score+bias so the per-cell add is a single unsigned saturating
-// add followed by an unsigned saturating subtract of the bias. Saturation of
-// the top rail marks a lane for 16-bit recomputation.
+// The 8-bit first pass of the precision ladder scores in signed byte lanes,
+// twice as many per register as the 16-bit form. H, E and F are stored
+// offset by -128: a lane holding v means the cell value v+128, in
+// [0, 255]. Substitution scores are the matrix's own int8 values, so the
+// per-cell add is one signed saturating add, whose floor at MinI8 is the
+// Smith-Waterman clamp at zero and whose top rail, MaxI8 (a cell of 255),
+// marks a lane for 16-bit recomputation.
 
-// MaxU8 is the top saturation rail of unsigned 8-bit lanes.
-const MaxU8 = 255
+// MinI8 and MaxI8 are the saturation rails of signed 8-bit lanes: the cell
+// values 0 and 255 of the offset representation.
+const (
+	MinI8 = math.MinInt8
+	MaxI8 = math.MaxInt8
+)
 
-// U8 is an emulated vector register of unsigned 8-bit lanes, the element
+// I8 is an emulated vector register of signed 8-bit lanes, the element
 // type of the ladder's first pass.
-type U8 []uint8
+type I8 []int8
 
-// Set1U8 broadcasts c into every lane (vpbroadcastb).
-func Set1U8(dst U8, c uint8) {
+// Set1I8 broadcasts c into every lane (vpbroadcastb): how the byte rung
+// fills its tile state with the MinI8 floor.
+func Set1I8(dst I8, c int8) {
 	if native8(len(dst)) {
-		set1U8x(&dst[0], len(dst), int(c))
+		set1x8(&dst[0], len(dst), int(c))
 		return
 	}
-	set1U8Generic(dst, c)
+	set1I8Generic(dst, c)
 }
 
-func set1U8Generic(dst U8, c uint8) {
+func set1I8Generic(dst I8, c int8) {
 	for l := range dst {
 		dst[l] = c
 	}
 }
+
+// ---- 8-bit unsigned lanes ----
+//
+// The biased unsigned byte form the SSW Library uses, which only
+// StepCol8SP still computes: H/E/F are true cell values in [0, 255] and
+// substitution scores are stored as score+bias, so the per-cell add is an
+// unsigned saturating add followed by an unsigned saturating subtract of
+// the bias.
+
+// MaxU8 is the top saturation rail of unsigned 8-bit lanes.
+const MaxU8 = 255
+
+// U8 is an emulated vector register of unsigned 8-bit lanes.
+type U8 []uint8

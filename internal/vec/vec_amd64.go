@@ -59,7 +59,7 @@ func set1x16(dst *int16, n, c int)
 func hmax16(a *int16, n int) int16
 
 //go:noescape
-func set1U8x(dst *uint8, n, c int)
+func set1x8(dst *int8, n, c int)
 
 // ---- fused column kernels ----
 //
@@ -76,10 +76,10 @@ func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lan
 func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lanes, bias, qr, r int)
 
 //go:noescape
-func stepCol8QP(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
+func stepCol8QP(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
 
 //go:noescape
-func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
+func stepCol8QPVBMI(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
 
 //go:noescape
 func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int)

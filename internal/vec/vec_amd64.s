@@ -2,23 +2,24 @@
 
 // AVX2 backend for the fused column kernels and their whole-register
 // helpers, plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI, the
-// byte query-profile step over 512-bit registers).
+// signed byte query-profile step over 512-bit registers, whose header gives
+// its per-row port budget).
 //
 // Every routine computes bit-identical results to the portable Go loops in
 // vec.go / step.go; the differential tests in this package and core's
 // kernel parity fuzzing pin that equivalence. Callers (the Go wrappers)
 // guarantee n is a positive multiple of 16 for int16 routines and 32 for
-// uint8 routines, and that gathered tables carry the documented spare
+// byte routines, and that gathered tables carry the documented spare
 // capacity, so no tail or bounds handling appears here.
 //
 // VEX-only rule: every instruction that names an X, Y or Z register is
 // VEX- (or EVEX-) encoded — VMOVQ, never MOVQ, between a general register
-// and an xmm — and every routine that touches a ymm or zmm register
-// executes VZEROUPPER before it returns. Go assembles MOVQ AX, X3 to the
-// legacy-SSE form, and a legacy-SSE instruction after a ymm write in the
-// same routine costs ~172 ns on the benchmarks' Sapphire Rapids Xeon
-// (VMOVQ: 1.5 ns), more than a 120-row column's arithmetic. TestAsmVEXClean enforces both
-// halves of the rule.
+// and an xmm — and every routine that touches a ymm, zmm or opmask
+// register executes VZEROUPPER before it returns. Go assembles
+// MOVQ AX, X3 to the legacy-SSE form, and a legacy-SSE instruction after a
+// ymm write in the same routine costs ~172 ns on the benchmarks' Sapphire
+// Rapids Xeon (VMOVQ: 1.5 ns), more than a 120-row column's arithmetic.
+// TestAsmVEXClean enforces both halves of the rule.
 //
 // Plan 9 operand order reminders (reversed from Intel syntax):
 //   VPSUBSW  Yb, Ya, Yd      d = a - b
@@ -26,6 +27,8 @@
 //   VPSHUFB  Yctl, Ysrc, Yd  d = shuffle(src, ctl)
 //   VPBLENDVB Ym, Yb, Ya, Yd d = m ? b : a
 //   VPERMB   Ztbl, Zidx, Zd  d[i] = tbl[idx[i] & 63]
+//   VPCMPB   $6, Zb, Za, Kd  k[i] = (a[i] > b[i]), signed
+//   VPBLENDMB Zb, Za, Km, Zd d = m ? b : a
 //   VPACKUSDW Yb, Ya, Yd     per 128-bit lane: [a words, b words]
 
 #include "textflag.h"
@@ -95,8 +98,8 @@ cond:
 	VZEROUPPER
 	RET
 
-// func set1U8x(dst *uint8, n, c int)
-TEXT ·set1U8x(SB), NOSPLIT, $0-24
+// func set1x8(dst *int8, n, c int)
+TEXT ·set1x8(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), CX
 	MOVQ c+16(FP), AX
@@ -249,27 +252,28 @@ rowloop:
 	VZEROUPPER
 	RET
 
-// func stepCol8QP(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
+// func stepCol8QP(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
 //
-// Byte gather as an in-register table permute: the profile row's 32 bytes
-// are loaded as two 16-byte halves broadcast to both 128-bit lanes
-// (VBROADCASTI128, reading up to 32 bytes from the row start —
-// wrapper-checked spare capacity), then vpshufb looks up idx in the low
-// half and idx-16 in the high half (indices with the sign bit set shuffle
-// to zero), and vpblendvb selects by idx > 15. Y10 idx, Y11 idx-16,
-// Y12 blend mask, all strip-invariant. The row loop is 103 bytes: aligned,
-// it sits in two 64-byte fetch lines wherever the linker puts the function
-// (three cost 9% on the reference host).
-TEXT ·stepCol8QP(SB), NOSPLIT, $0-104
+// The signed byte pass over 32-lane ymm strips: H/E/F are cell values
+// offset by -128, so one saturating vpaddsb of the plain score both adds
+// and, at its -128 floor, clamps at zero. Byte gather as an in-register
+// table permute: the profile row's 32 bytes are loaded as two 16-byte
+// halves broadcast to both 128-bit lanes (VBROADCASTI128, reading up to 32
+// bytes from the row start — wrapper-checked spare capacity), then vpshufb
+// looks up idx in the low half and idx-16 in the high half (indices with
+// the sign bit set shuffle to zero), and vpblendvb selects by idx > 15.
+// Y10 idx, Y11 idx-16, Y12 blend mask, all strip-invariant. The up value
+// loads straight into Y0 once the add has consumed the diagonal, so no
+// register move carries it down the column. The row loop is 98 bytes:
+// aligned, it sits in two 64-byte fetch lines wherever the linker puts the
+// function (three cost 9% on the reference host); the zmm body's is 125.
+TEXT ·stepCol8QP(SB), NOSPLIT, $0-96
 	MOVQ lanes+72(FP), R10    // row stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
-	MOVQ bias+80(FP), AX
-	VMOVQ AX, X9
-	VPBROADCASTB X9, Y9
-	MOVQ qr+88(FP), AX
+	MOVQ qr+80(FP), AX
 	VMOVQ AX, X3
 	VPBROADCASTB X3, Y3
-	MOVQ r+96(FP), AX
+	MOVQ r+88(FP), AX
 	VMOVQ AX, X4
 	VPBROADCASTB X4, Y4
 	XORQ R11, R11             // strip byte offset
@@ -304,21 +308,19 @@ rowloop:
 	VPSHUFB   Y10, Y13, Y13   // low-half lookup
 	VPSHUFB   Y11, Y14, Y14   // high-half lookup
 	VPBLENDVB Y12, Y14, Y13, Y6
-	VPADDUSB Y0, Y6, Y6
-	VPSUBUSB Y9, Y6, Y6
-	VMOVDQU  (DI), Y7
-	VMOVDQU  (SI), Y8
-	VPMAXUB  Y8, Y6, Y6
-	VPMAXUB  Y1, Y6, Y6
-	VPMAXUB  Y6, Y2, Y2
+	VPADDSB  Y0, Y6, Y6       // H = diag + score, floored at zero
+	VMOVDQU  (DI), Y0         // up: the next row's diagonal
+	VMOVDQU  (SI), Y8         // E
+	VPMAXSB  Y8, Y6, Y6
+	VPMAXSB  Y1, Y6, Y6
+	VPMAXSB  Y6, Y2, Y2       // score tracker
 	VMOVDQU  Y6, (DI)
-	VPSUBUSB Y3, Y6, Y6
-	VPSUBUSB Y4, Y8, Y8
-	VPMAXUB  Y6, Y8, Y8
+	VPSUBSB  Y3, Y6, Y6       // uv = H - qr, floored
+	VPSUBSB  Y4, Y8, Y8
+	VPMAXSB  Y6, Y8, Y8
 	VMOVDQU  Y8, (SI)
-	VPSUBUSB Y4, Y1, Y1
-	VPMAXUB  Y6, Y1, Y1
-	VMOVDQA  Y7, Y0
+	VPSUBSB  Y4, Y1, Y1
+	VPMAXSB  Y6, Y1, Y1
 	ADDQ     R12, R8          // next query-profile row
 	ADDQ     R10, DI
 	ADDQ     R10, SI
@@ -336,7 +338,7 @@ rowloop:
 	VZEROUPPER
 	RET
 
-// func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int)
+// func stepCol8QPVBMI(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
 //
 // stepCol8QP on the avx2+vbmi tier, over 64-lane zmm strips (the wrapper
 // guarantees lanes is a multiple of 64). VBROADCASTI64X4 copies the
@@ -344,18 +346,25 @@ rowloop:
 // read) into both 256-bit halves of Z13, and vpermb indexes its table
 // operand by the low six bits of each index byte, so with every index
 // below 32 the lookup is one instruction and the strip keeps only the
-// residue indices, Z10. The op sequence is stepCol8QP's after the lookup,
-// EVEX-encoded over twice the lanes.
-TEXT ·stepCol8QPVBMI(SB), NOSPLIT, $0-104
+// residue indices, Z10.
+//
+// Port budget per row. On the Sapphire and Emerald Rapids parts the
+// benchmarks run on, every 512-bit saturating add/subtract and byte max
+// issues on port 0 alone, while vpermb, a compare into an opmask and
+// vpblendmb can issue on port 5. Three of the row's five maxes — H with E,
+// the score tracker and E' — are therefore a vpcmpb into K1-K3 (port 5)
+// and a vpblendmb (port 0 or 5). The two on F's loop-carried chain, H with
+// F and F', stay vpmaxsb: a compare and blend would add two cycles of
+// latency to it. That leaves 6 port-0 ops per row (the add, two maxes,
+// three subtracts) against 4 on port 5 and 3 on either, where the unsigned
+// biased form queued 10 on port 0.
+TEXT ·stepCol8QPVBMI(SB), NOSPLIT, $0-96
 	MOVQ lanes+72(FP), R10    // row stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
-	MOVQ bias+80(FP), AX
-	VMOVQ AX, X9
-	VPBROADCASTB X9, Z9
-	MOVQ qr+88(FP), AX
+	MOVQ qr+80(FP), AX
 	VMOVQ AX, X3
 	VPBROADCASTB X3, Z3
-	MOVQ r+96(FP), AX
+	MOVQ r+88(FP), AX
 	VMOVQ AX, X4
 	VPBROADCASTB X4, Z4
 	XORQ R11, R11             // strip byte offset
@@ -377,27 +386,28 @@ strip:
 	PCALIGN $64
 rowloop:
 	VBROADCASTI64X4 (R8), Z13 // profile row bytes 0-31 in both halves
-	VPERMB   Z13, Z10, Z6     // score[l] = row[idx[l]]
-	VPADDUSB Z0, Z6, Z6
-	VPSUBUSB Z9, Z6, Z6
-	VMOVDQU8 (DI), Z7
-	VMOVDQU8 (SI), Z8
-	VPMAXUB  Z8, Z6, Z6
-	VPMAXUB  Z1, Z6, Z6
-	VPMAXUB  Z6, Z2, Z2
-	VMOVDQU8 Z6, (DI)
-	VPSUBUSB Z3, Z6, Z6
-	VPSUBUSB Z4, Z8, Z8
-	VPMAXUB  Z6, Z8, Z8
-	VMOVDQU8 Z8, (SI)
-	VPSUBUSB Z4, Z1, Z1
-	VPMAXUB  Z6, Z1, Z1
-	VMOVDQA64 Z7, Z0
-	ADDQ     R12, R8          // next query-profile row
-	ADDQ     R10, DI
-	ADDQ     R10, SI
-	DECQ     R9
-	JNZ      rowloop
+	VPERMB    Z13, Z10, Z6    // p5: score[l] = row[idx[l]]
+	VPADDSB   Z0, Z6, Z6      // p0: H = diag + score, floored at zero
+	VMOVDQU8  (DI), Z0        // up: the next row's diagonal
+	VMOVDQU8  (SI), Z8        // E
+	VPCMPB    $6, Z6, Z8, K1  // p5: E > H
+	VPBLENDMB Z8, Z6, K1, Z6  // H = max(H, E)
+	VPMAXSB   Z1, Z6, Z6      // p0: H = max(H, F)
+	VPCMPB    $6, Z2, Z6, K2  // p5: H > tracker
+	VPBLENDMB Z6, Z2, K2, Z2  // tracker = max(tracker, H)
+	VMOVDQU8  Z6, (DI)
+	VPSUBSB   Z3, Z6, Z6      // p0: uv = H - qr, floored
+	VPSUBSB   Z4, Z8, Z8      // p0: E - r
+	VPCMPB    $6, Z8, Z6, K3  // p5: uv > E - r
+	VPBLENDMB Z6, Z8, K3, Z8  // E' = max(E - r, uv)
+	VMOVDQU8  Z8, (SI)
+	VPSUBSB   Z4, Z1, Z1      // p0: F - r
+	VPMAXSB   Z6, Z1, Z1      // p0: F' = max(F - r, uv)
+	ADDQ      R12, R8         // next query-profile row
+	ADDQ      R10, DI
+	ADDQ      R10, SI
+	DECQ      R9
+	JNZ       rowloop
 	MOVQ diag+24(FP), AX
 	VMOVDQU8 Z0, (AX)(R11*1)
 	MOVQ f+16(FP), AX

@@ -12,17 +12,17 @@ func detectTier() Tier { return TierPortable }
 
 func set1x16(dst *int16, n, c int) { panic("vec: no asm") }
 func hmax16(a *int16, n int) int16 { panic("vec: no asm") }
-func set1U8x(dst *uint8, n, c int) { panic("vec: no asm") }
+func set1x8(dst *int8, n, c int)   { panic("vec: no asm") }
 func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lanes, qr, r int) {
 	panic("vec: no asm")
 }
 func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lanes, bias, qr, r int) {
 	panic("vec: no asm")
 }
-func stepCol8QP(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int) {
+func stepCol8QP(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int) {
 	panic("vec: no asm")
 }
-func stepCol8QPVBMI(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, rows, lanes, bias, qr, r int) {
+func stepCol8QPVBMI(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int) {
 	panic("vec: no asm")
 }
 func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int) { panic("vec: no asm") }

@@ -115,22 +115,26 @@ func TestSet1AndHorizontalMax(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	// The byte step scores lane l with its column residue's entry of the
-	// profile row, row[col[l]], across both 16-byte halves of the row.
+	// profile row, row[col[l]], across both 16-byte halves of the row: from
+	// a diagonal of 0 (the cell value 128) with E and F at the floor, H is
+	// the score itself.
 	const lanes, stride = 32, 25
 	for _, tr := range Tiers() {
 		func() {
 			defer CapTier(CapTier(tr))
-			qp := make([]uint8, stride, 32)
+			qp := make([]int8, stride, 32)
 			for i := range qp {
-				qp[i] = uint8(3*i + 1)
+				qp[i] = int8(3*i - 40)
 			}
 			col := make([]uint8, lanes)
 			for l := range col {
 				col[l] = uint8((7 * l) % stride)
 			}
-			h, e, f := make(U8, lanes), make(U8, lanes), make(U8, lanes)
-			diag, maxv := make(U8, lanes), make(U8, lanes)
-			StepCol8QP(h, e, f, diag, maxv, qp, stride, col, 1, lanes, 0, 255, 255)
+			h, e, f := make(I8, lanes), make(I8, lanes), make(I8, lanes)
+			diag, maxv := make(I8, lanes), make(I8, lanes)
+			Set1I8(e, MinI8)
+			Set1I8(f, MinI8)
+			StepCol8QP(h, e, f, diag, maxv, qp, stride, col, 1, lanes, MaxI8, MaxI8)
 			for l := range h {
 				if want := qp[col[l]]; h[l] != want {
 					t.Fatalf("%v: lane %d (residue %d) scored %d, want %d", tr, l, col[l], h[l], want)
@@ -203,63 +207,75 @@ func TestMaxProperty(t *testing.T) {
 	}
 }
 
-// ---- 8-bit unsigned lanes ----
+// ---- 8-bit signed lanes ----
 
-// row8 steps one 32-lane StepCol8QP row with uniform lanes (every column
-// residue 0, whose biased score is score) under every tier and returns
-// lane 0's H, E, F and tracker.
-func row8(t *testing.T, diag, score, e, f, maxv, bias, qr, r uint8) [4]uint8 {
+// row8 steps one StepCol8QP row with uniform lanes (every column residue
+// 0, whose score is score) under every tier, at 32 lanes (a ymm strip) and
+// 64 (a zmm strip on avx2+vbmi), and returns lane 0's H, E, F and tracker.
+// Every value is in the signed rung's offset form: a lane holding v is the
+// cell value v+128.
+func row8(t *testing.T, diag, score, e, f, maxv, qr, r int8) [4]int8 {
 	t.Helper()
-	const lanes, stride = 32, 25
-	var first [4]uint8
+	const stride = 25
+	var first [4]int8
 	for i, tr := range Tiers() {
-		func() {
-			defer CapTier(CapTier(tr))
-			qp := make([]uint8, stride, 32)
-			qp[0] = score
-			h, ev, fv := make(U8, lanes), make(U8, lanes), make(U8, lanes)
-			dv, mv := make(U8, lanes), make(U8, lanes)
-			Set1U8(ev, e)
-			Set1U8(fv, f)
-			Set1U8(dv, diag)
-			Set1U8(mv, maxv)
-			StepCol8QP(h, ev, fv, dv, mv, qp, stride, make([]uint8, lanes), 1, lanes, bias, qr, r)
-			got := [4]uint8{h[0], ev[0], fv[0], mv[0]}
-			if i == 0 {
-				first = got
-			} else if got != first {
-				t.Fatalf("%v computes %v, %v %v", tr, got, Tiers()[0], first)
-			}
-		}()
+		for _, lanes := range []int{32, 64} {
+			func() {
+				defer CapTier(CapTier(tr))
+				qp := make([]int8, stride, 32)
+				qp[0] = score
+				h, ev, fv := make(I8, lanes), make(I8, lanes), make(I8, lanes)
+				dv, mv := make(I8, lanes), make(I8, lanes)
+				Set1I8(ev, e)
+				Set1I8(fv, f)
+				Set1I8(dv, diag)
+				Set1I8(mv, maxv)
+				StepCol8QP(h, ev, fv, dv, mv, qp, stride, make([]uint8, lanes), 1, lanes, qr, r)
+				got := [4]int8{h[0], ev[0], fv[0], mv[0]}
+				for l := 1; l < lanes; l++ {
+					if ([4]int8{h[l], ev[l], fv[l], mv[l]}) != got {
+						t.Fatalf("%v, %d lanes: lane %d differs from lane 0", tr, lanes, l)
+					}
+				}
+				if i == 0 && lanes == 32 {
+					first = got
+				} else if got != first {
+					t.Fatalf("%v at %d lanes computes %v, %v %v", tr, lanes, got, Tiers()[0], first)
+				}
+			}()
+		}
 	}
 	return first
 }
 
 func TestU8Saturation(t *testing.T) {
-	// The biased add clips at 255 before the bias comes off: a saturated
-	// lane reads 255-bias and escalates.
-	if got := row8(t, 250, 20, 0, 0, 0, 4, 12, 2); got[0] != 251 {
-		t.Errorf("250+(20 biased by 4) = %d, want 251 (clipped at 255, less the bias)", got[0])
+	// The add clips at MaxI8: the cell 250 plus a score of 20 reads 255, the
+	// rail, and the lane escalates. E and F then decay from it by qr.
+	if got := row8(t, 122, 20, MinI8, MinI8, MinI8, 12, 2); got != [4]int8{127, 115, 115, 127} {
+		t.Errorf("cell 250 + 20: H E F tracker = %v, want [127 115 115 127] (cells 255 243 243 255)", got)
 	}
-	// Removing the bias floors at zero, and so do the gap decays.
-	if got := row8(t, 0, 1, 1, 3, 0, 4, 12, 2); got != [4]uint8{3, 0, 1, 3} {
-		t.Errorf("floors: H E F tracker = %v, want [3 0 1 3]", got)
+	// The MinI8 floor is the clamp at zero, for the add and for the gap
+	// decays: cell 0 + -3 is 0, E (cell 1) and F (cell 3) win H, and E - r
+	// and H - qr floor at cell 0.
+	if got := row8(t, MinI8, -3, -127, -125, MinI8, 12, 2); got != [4]int8{-125, MinI8, -127, -125} {
+		t.Errorf("floors: H E F tracker = %v, want [-125 -128 -127 -125] (cells 3 0 1 3)", got)
 	}
 }
 
 func TestU8MaxOps(t *testing.T) {
-	// H is the four-way maximum of diag+score-bias, E, F and zero, and the
-	// tracker keeps the larger of itself and H.
+	// H is the maximum of diag+score, E and F (the floor being zero), and
+	// the tracker keeps the larger of itself and H. Cells: diag 40 + 5
+	// against E 30 and F 20, then E 50, F 60 and a tracker at 200.
 	for _, c := range []struct {
-		diag, score, e, f, maxv uint8
-		wantH, wantMax          uint8
+		diag, score, e, f, maxv int8
+		wantH, wantMax          int8
 	}{
-		{40, 9, 30, 20, 0, 45, 45},
-		{40, 9, 50, 20, 0, 50, 50},
-		{40, 9, 30, 60, 0, 60, 60},
-		{40, 9, 30, 20, 200, 45, 200},
+		{-88, 5, -98, -108, MinI8, -83, -83},
+		{-88, 5, -78, -108, MinI8, -78, -78},
+		{-88, 5, -98, -68, MinI8, -68, -68},
+		{-88, 5, -98, -108, 72, -83, 72},
 	} {
-		got := row8(t, c.diag, c.score, c.e, c.f, c.maxv, 4, 12, 2)
+		got := row8(t, c.diag, c.score, c.e, c.f, c.maxv, 12, 2)
 		if got[0] != c.wantH || got[3] != c.wantMax {
 			t.Errorf("%+v: H %d tracker %d", c, got[0], got[3])
 		}
@@ -268,11 +284,13 @@ func TestU8MaxOps(t *testing.T) {
 
 func TestU8BroadcastGatherTests(t *testing.T) {
 	for _, n := range []int{5, 32, 64} {
-		dst := make(U8, n)
-		Set1U8(dst, 42)
-		for _, v := range dst {
-			if v != 42 {
-				t.Fatalf("Set1U8(n=%d) = %v", n, dst)
+		for _, c := range []int8{42, MinI8} {
+			dst := make(I8, n)
+			Set1I8(dst, c)
+			for _, v := range dst {
+				if v != c {
+					t.Fatalf("Set1I8(n=%d, %d) = %v", n, c, dst)
+				}
 			}
 		}
 	}

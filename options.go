@@ -16,8 +16,8 @@ import (
 // the swsearch -matrixfile flag, the HTTP "matrix" field): test with
 // errors.Is. The three members name the specific defect — an alphabet line
 // that does not match the target alphabet, a non-square or asymmetric score
-// table, and scores outside the int8 range the 8-bit ladder's bias
-// arithmetic requires. A Request.Matrix sent to a distributed coordinator
+// table, and scores outside the int8 range the 8-bit ladder's signed
+// lanes require. A Request.Matrix sent to a distributed coordinator
 // wraps the family root alone.
 var (
 	ErrBadMatrix         = submat.ErrBadMatrix
@@ -75,9 +75,9 @@ func Devices() []DeviceInfo {
 // substitution-score layout. A variant is a device-model input: the planner
 // (Database.Simulate, Cluster.Plan) prices each as the paper's figures do,
 // while every search runs one kernel, the adaptive precision ladder — an
-// 8-bit biased first pass with twice the lanes per vector word wherever the
-// matrix's score range fits a byte, saturated lanes escalated to 16 and
-// then 32 bits.
+// 8-bit signed first pass with twice the lanes per vector word wherever the
+// gap penalties fit a byte (q+r <= 127), saturated lanes escalated to 16
+// and then 32 bits.
 const (
 	VariantNoVecQP     = "no-vec-QP"
 	VariantNoVecSP     = "no-vec-SP"

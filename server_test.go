@@ -195,7 +195,7 @@ func TestHTTPBatchOrderAndHealthz(t *testing.T) {
 // a subject over the byte rail escalates once, and the cached repeat of the
 // query adds nothing.
 func TestHealthzLadder(t *testing.T) {
-	w := strings.Repeat("W", 23) // self-score 253, over the biased byte rail
+	w := strings.Repeat("W", 22) + "CA" // self-score 255, the byte rail
 	db, err := NewDatabase([]Sequence{NewSequence("sat", w), NewSequence("tiny", "ARND")})
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +220,8 @@ func TestHealthzLadder(t *testing.T) {
 	if err := json.NewDecoder(hres.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Ladder.Escalated8 != 1 || h.Ladder.Escalated16 != 0 || h.Ladder.EscalatedCells != 23*23 {
-		t.Fatalf("healthz ladder %+v, want one 8->16 escalation of %d cells", h.Ladder, 23*23)
+	if h.Ladder.Escalated8 != 1 || h.Ladder.Escalated16 != 0 || h.Ladder.EscalatedCells != 24*24 {
+		t.Fatalf("healthz ladder %+v, want one 8->16 escalation of %d cells", h.Ladder, 24*24)
 	}
 	if h.Cache.Hits != 1 {
 		t.Fatalf("healthz cache %+v, want the repeat served from it", h.Cache)
