@@ -72,8 +72,8 @@ func (a *Alignment) CIGAR() string { return a.impl.CIGAR() }
 func (a *Alignment) Format(width int) string { return a.impl.Format(width) }
 
 // Align computes the optimal local alignment between two sequences with
-// the full dynamic-programming matrix and backtracking (Section II of the
-// paper, steps 1-4).
+// the dynamic-programming recurrence and backtracking (Section II of the
+// paper, steps 1-4), holding at most one byte per len(a) × len(b) cell.
 func Align(a, b Sequence, opt AlignOptions) (*Alignment, error) {
 	if a.impl == nil || b.impl == nil {
 		return nil, fmt.Errorf("heterosw: zero-value sequence")

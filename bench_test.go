@@ -475,19 +475,31 @@ func BenchmarkSearchServing(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "wall-McUPS")
 }
 
-// BenchmarkPairwiseAlign measures the reference full-matrix alignment with
-// traceback.
+// BenchmarkPairwiseAlign measures the pairwise alignment with traceback:
+// two paper queries (464x222), and a serving-length query against typical
+// top-hit subject lengths (75x400, 75x1200), the traceback every aligned
+// hit of a served request pays.
 func BenchmarkPairwiseAlign(b *testing.B) {
 	qs := datagen.GenerateQueries(3)
-	a := qs[4].Residues // 464
-	c := qs[2].Residues // 222
+	long := qs[len(qs)-1].Residues // 5478
 	sc := swalign.Scoring{Matrix: submat.BLOSUM62, GapOpen: 10, GapExtend: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		swalign.Align(a, c, sc)
+	for _, c := range []struct {
+		name string
+		a, s []alphabet.Code
+	}{
+		{"464x222", qs[4].Residues, qs[2].Residues},
+		{"75x400", qs[0].Residues[:75], long[:400]},
+		{"75x1200", qs[0].Residues[:75], long[:1200]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				swalign.Align(c.a, c.s, sc)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(len(c.a))*float64(len(c.s))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(a))*float64(len(c))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
 
 // BenchmarkPairwiseBanded measures banded rescoring (the seed-and-extend

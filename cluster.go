@@ -27,7 +27,7 @@ var ErrNoSignificance = errors.New("heterosw: significance fit unavailable")
 
 // MaxAlignHits caps how many hits one search call may decorate with
 // tracebacks (ReportOptions.Alignments): every aligned hit costs an
-// O(query x subject) full-matrix re-alignment, so the aligned report is
+// O(query x subject) re-alignment, so the aligned report is
 // bounded far tighter than the score-only one. The cap is enforced at the
 // library boundary — the HTTP front end merely mirrors it — so an
 // over-eager ReportOptions.TopK (or a huge cluster-wide Options.TopK)

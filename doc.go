@@ -193,8 +193,11 @@
 //	}
 //
 // The traceback phase only ever aligns K sequences, never the full
-// database. K — ReportOptions.TopK, else the cluster-wide Options.TopK,
-// else 10 when a reporting phase is on, else 0 for every hit — is
+// database, and each traceback holds at most one byte per query × subject
+// cell: a linear-space pass finds the alignment's end cell, and direction
+// bytes over the rectangle up to it record the path. K —
+// ReportOptions.TopK, else the cluster-wide Options.TopK, else 10 when a
+// reporting phase is on, else 0 for every hit — is
 // resolved before the score pass and travels with the query to the
 // engine, whose one bounded selection returns exactly K hits in the
 // order of the paper's step 4 (score descending, ties in database

@@ -15,8 +15,8 @@ import (
 
 // The traceback executor is the second phase of aligned-hit reporting: the
 // vectorised score pass of Algorithm 1/2 selects the top-K hits, then the
-// query is re-aligned against just those K database sequences with the full
-// dynamic-programming matrix and backtracking (the paper's Section II,
+// query is re-aligned against just those K database sequences with the
+// dynamic-programming recurrence and backtracking (the paper's Section II,
 // steps 1-4), recovering coordinates, the CIGAR path and identity counts.
 // This is the SSW Library's score-then-traceback two-phase design: the
 // O(query x database) bulk runs score-only on the fast kernels, and the
@@ -112,7 +112,7 @@ func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hi
 }
 
 // alignOnHost re-aligns the query against one hit's subject with the
-// reference full-matrix alignment, which needs only the parent database,
+// reference alignment (swalign.Align), which needs only the parent database,
 // and checks the traceback score against the kernel's.
 func (d *Dispatcher) alignOnHost(query *sequence.Sequence, h Hit, pos int, sc swalign.Scoring) (AlignmentDetail, error) {
 	if h.SeqIndex < 0 || h.SeqIndex >= d.db.Len() {

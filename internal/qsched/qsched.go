@@ -105,8 +105,15 @@ func resolvedTicket[R any](v R, cached bool) *Ticket[R] {
 // Done is closed once the ticket has resolved.
 func (t *Ticket[R]) Done() <-chan struct{} { return t.done }
 
-// Wait blocks until the ticket resolves or ctx is cancelled.
+// Wait blocks until the ticket resolves or ctx is cancelled. A cancelled
+// caller always gets ctx.Err(), even when the result is already there:
+// whether the computation finished first is a race the caller cannot see,
+// so it does not decide the answer.
 func (t *Ticket[R]) Wait(ctx context.Context) (R, error) {
+	if err := ctx.Err(); err != nil {
+		var zero R
+		return zero, err
+	}
 	select {
 	case <-t.done:
 		return t.val, t.err

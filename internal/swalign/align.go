@@ -2,6 +2,7 @@ package swalign
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"heterosw/internal/alphabet"
@@ -37,134 +38,135 @@ type Alignment struct {
 	a, b []alphabet.Code
 }
 
-// Align computes the optimal local alignment between a and b using the full
-// O(M*N) matrix of Section II and recovers the alignment by backtracking
-// from the global maximum (Eq. 6) to the nearest zero cell. Ties are broken
-// preferring diagonal moves, then gaps in B, matching common tool
-// behaviour. Align panics on invalid scoring; it returns a zero-score,
-// empty alignment when either sequence is empty or no positive-scoring pair
-// exists.
+// Direction bytes, one per cell of the rectangle the traceback can visit.
+// Bits 0-1 name H's source in the backtracker's order of preference; bit 2
+// is set when E opens from H rather than extending, bit 3 likewise for F.
+const (
+	dirZero byte = iota // H is 0: the path starts here
+	dirDiag
+	dirE
+	dirF
+	dirSrc   = 3
+	dirEOpen = 1 << 2
+	dirFOpen = 1 << 3
+)
+
+// Align computes the optimal local alignment between a and b and recovers
+// it by backtracking from the global maximum (Eq. 6) to the nearest zero
+// cell. A linear-space pass finds the first maximal cell in row-major
+// order (bestI, bestJ); a second pass over a[:bestI] × b[:bestJ] alone
+// keeps one direction byte per cell, and the walk reads the path from
+// those bytes. Memory is one byte per cell of that rectangle plus
+// O(len(b)) words, where three int32 matrices take 12 bytes per cell of
+// (m+1)×(n+1). Ties are broken preferring diagonal moves, then gaps in B,
+// matching common tool behaviour. Align panics on invalid scoring; it
+// returns a zero-score, empty alignment when either sequence is empty or
+// no positive-scoring pair exists.
 func Align(a, b []alphabet.Code, sc Scoring) *Alignment {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
 	out := &Alignment{a: a, b: b}
-	m, n := len(a), len(b)
-	if m == 0 || n == 0 {
-		return out
-	}
-	qr := sc.GapOpen + sc.GapExtend
-	r := sc.GapExtend
-
-	// Full matrices, row-major, (m+1) x (n+1). Initialisation per Eq. 1.
-	stride := n + 1
-	H := make([]int32, (m+1)*stride)
-	E := make([]int32, (m+1)*stride)
-	F := make([]int32, (m+1)*stride)
-	for j := 0; j <= n; j++ {
-		E[j], F[j] = negInf, negInf
-	}
-	bestI, bestJ, best := 0, 0, int32(0)
-	for i := 1; i <= m; i++ {
-		row := sc.Matrix.Row(a[i-1])
-		base := i * stride
-		prev := base - stride
-		E[base], F[base] = negInf, negInf
-		for j := 1; j <= n; j++ {
-			e := E[base+j-1] - int32(r)
-			if v := H[base+j-1] - int32(qr); v > e {
-				e = v
-			}
-			E[base+j] = e
-			f := F[prev+j] - int32(r)
-			if v := H[prev+j] - int32(qr); v > f {
-				f = v
-			}
-			F[base+j] = f
-			h := H[prev+j-1] + int32(row[b[j-1]])
-			if e > h {
-				h = e
-			}
-			if f > h {
-				h = f
-			}
-			if h < 0 {
-				h = 0
-			}
-			H[base+j] = h
-			if h > best {
-				best, bestI, bestJ = h, i, j
-			}
-		}
-	}
-	out.Score = int(best)
+	n := len(b)
+	rows := make([]int, 2*n)
+	best, bestI, bestJ := scoreEnd(a, b, sc, rows[:n], rows[n:])
+	out.Score = best
 	if best == 0 {
 		return out
 	}
+	// Every cell of the rectangle depends only on cells above and left of
+	// it, so its bytes hold the choices the full matrices would.
+	d := make([]byte, bestI*bestJ)
+	directions(a[:bestI], b[:bestJ], sc, rows[:bestJ], rows[n:n+bestJ], d)
 
-	// Backtracking state machine over (H, E, F).
-	type state byte
-	const (
-		inH state = iota
-		inE
-		inF
-	)
-	var ops []Op
-	i, j, st := bestI, bestJ, inH
-	for {
-		idx := i*stride + j
-		switch st {
-		case inH:
-			h := H[idx]
-			if h == 0 {
-				goto done
+	ops := make([]Op, bestI+bestJ)
+	k := len(ops)
+	i, j := bestI, bestJ
+walk:
+	for i > 0 && j > 0 {
+		cell := d[(i-1)*bestJ+j-1]
+		switch cell & dirSrc {
+		case dirZero:
+			break walk
+		case dirDiag:
+			k--
+			ops[k] = OpMatch
+			if a[i-1] == b[j-1] {
+				out.Identities++
 			}
-			switch {
-			case i > 0 && j > 0 && h == H[idx-stride-1]+int32(sc.Matrix.Score(a[i-1], b[j-1])):
-				ops = append(ops, OpMatch)
-				if a[i-1] == b[j-1] {
-					out.Identities++
+			i, j = i-1, j-1
+		case dirE: // gaps consuming b, back to the cell E opened from
+			for {
+				k--
+				ops[k] = OpDeleteB
+				j--
+				if cell&dirEOpen != 0 {
+					break
 				}
-				i, j = i-1, j-1
-			case h == E[idx]:
-				st = inE
-			case h == F[idx]:
-				st = inF
-			default:
-				panic(fmt.Sprintf("swalign: inconsistent H cell at (%d,%d)", i, j))
+				cell = d[(i-1)*bestJ+j-1]
 			}
-		case inE: // gap consuming b[j-1]
-			ops = append(ops, OpDeleteB)
-			e := E[idx]
-			prevH := H[idx-1] - int32(qr)
-			j--
-			if e == prevH {
-				st = inH
-			} else if e != E[idx-1]-int32(r) {
-				panic(fmt.Sprintf("swalign: inconsistent E cell at (%d,%d)", i, j+1))
-			}
-		case inF: // gap consuming a[i-1]
-			ops = append(ops, OpInsertA)
-			f := F[idx]
-			prevH := H[idx-stride] - int32(qr)
-			i--
-			if f == prevH {
-				st = inH
-			} else if f != F[idx-stride]-int32(r) {
-				panic(fmt.Sprintf("swalign: inconsistent F cell at (%d,%d)", i+1, j))
+		case dirF: // gaps consuming a
+			for {
+				k--
+				ops[k] = OpInsertA
+				i--
+				if cell&dirFOpen != 0 {
+					break
+				}
+				cell = d[(i-1)*bestJ+j-1]
 			}
 		}
 	}
-done:
-	// ops were collected tail-to-head; reverse.
-	for l, rr := 0, len(ops)-1; l < rr; l, rr = l+1, rr-1 {
-		ops[l], ops[rr] = ops[rr], ops[l]
-	}
-	out.Ops = ops
+	out.Ops = ops[k:]
 	out.AStart, out.AEnd = i, bestI
 	out.BStart, out.BEnd = j, bestJ
 	return out
 }
+
+// directions reruns scoreEnd's recurrence over a × b and writes each
+// cell's direction byte to d, row-major, len(a)·len(b) bytes. h and f are
+// scratch of len(b) entries. The bits come from the sign bits of
+// differences rather than from branches: open-versus-extend is a coin flip
+// on unrelated sequences, and a mispredicted branch per cell halves the
+// rate.
+//
+//sw:hotpath
+func directions(a, b []alphabet.Code, sc Scoring, h, f []int, d []byte) {
+	qr := sc.GapOpen + sc.GapExtend
+	r := sc.GapExtend
+	n := len(b)
+	h, f = h[:n], f[:n]
+	for j := range h {
+		h[j], f[j] = 0, negInf
+	}
+	for i, c := range a {
+		row := sc.Matrix.Row(c)
+		dr := d[i*n : (i+1)*n]
+		diag, left, e := 0, 0, negInf
+		for j, cb := range b {
+			up := h[j]
+			eExt, eOpen := e-r, left-qr
+			e = max(eExt, eOpen)
+			fExt, fOpen := f[j]-r, up-qr
+			fij := max(fExt, fOpen)
+			f[j] = fij
+			gaps := (1-neg(eOpen-eExt))<<2 | (1-neg(fOpen-fExt))<<3
+			dg := diag + int(row[cb])
+			hij := max(max(dg, fij, 0), e) // e last, as in scoreEnd
+			diag, left, h[j] = up, hij, hij
+			// src is dirZero when hij is 0, else the first of dirDiag, dirE
+			// and dirF whose candidate equals hij. hij is at least each
+			// candidate, so one equals it exactly when candidate-hij is not
+			// negative.
+			notDiag := neg(dg - hij)
+			src := (1 + notDiag + notDiag&neg(e-hij)) & -neg(-hij)
+			dr[j] = byte(src | gaps)
+		}
+	}
+}
+
+// neg is 1 when x < 0 and 0 otherwise.
+func neg(x int) int { return int(uint(x) >> (bits.UintSize - 1)) }
 
 // CIGAR renders the op path in run-length CIGAR notation, e.g. "12M2D5M".
 func (al *Alignment) CIGAR() string {

@@ -1,13 +1,15 @@
 // Package swalign implements the reference Smith-Waterman local alignment
-// of Section II of the paper: the full dynamic-programming matrix with
+// of Section II of the paper: the dynamic-programming recurrence with
 // affine gap penalties (Gotoh's formulation of Eqs. 2-5), the maximum
 // similarity score (Eq. 6), and the backtracking step that recovers the
 // highest-scoring pair of segments.
 //
-// This package is deliberately simple and allocation-heavy: it is the
-// oracle against which every optimised kernel in internal/core is verified,
-// and the engine behind the pairwise-alignment public API. The database
-// search path never uses it.
+// It is the oracle against which every optimised kernel in internal/core is
+// verified, and the engine behind the pairwise-alignment public API and the
+// traceback of reported hits. Score runs in O(len(b)) space; Align keeps
+// one direction byte per cell of the rectangle up to the alignment's end
+// cell, at most len(a)·len(b) bytes plus O(len(b)). The database search
+// path never uses it.
 //
 // Gap model: a gap of length x costs g(x) = q + r*x (Eq. 5), with q the
 // open penalty and r the extension penalty, both >= 0. The paper's C
@@ -51,61 +53,55 @@ func Score(a, b []alphabet.Code, sc Scoring) int {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
+	rows := make([]int, 2*len(b))
+	best, _, _ := scoreEnd(a, b, sc, rows[:len(b)], rows[len(b):])
+	return best
+}
+
+// scoreEnd runs the recurrence of Eqs. 2-5 in linear space and returns the
+// best score with the first cell reaching it in row-major order, as 1-based
+// (bestI, bestJ); (0, 0) when best is 0. h and f are scratch of len(b)
+// entries: h[j] holds H[i-1][j+1] entering row i and H[i][j+1] after the
+// inner loop passes it, f[j] likewise F. E depends only on the current
+// row's previous column, so it is a scalar carried along the row.
+//
+//sw:hotpath
+func scoreEnd(a, b []alphabet.Code, sc Scoring, h, f []int) (best, bestI, bestJ int) {
 	qr := sc.GapOpen + sc.GapExtend
 	r := sc.GapExtend
-
-	// h[j] holds H[i-1][j] entering row i (and H[i][j] after the inner loop
-	// passes column j); f[j] holds F[*][j] for the column-direction gaps.
-	// E depends only on the current row's previous column, so it is a
-	// scalar carried along the row.
-	h := make([]int, len(b)+1)
-	f := make([]int, len(b)+1)
-	for j := range f {
-		f[j] = negInf
+	h, f = h[:len(b)], f[:len(b)]
+	for j := range h {
+		h[j], f[j] = 0, negInf
 	}
-	best := 0
-	for i := 1; i <= len(a); i++ {
-		row := sc.Matrix.Row(a[i-1])
-		diag := h[0] // H[i-1][0] == 0
-		h[0] = 0
-		e := negInf
-		for j := 1; j <= len(b); j++ {
-			up := h[j] // H[i-1][j]
+	for i, c := range a {
+		row := sc.Matrix.Row(c)
+		diag, left, e, rowMax := 0, 0, negInf, 0
+		for j, cb := range b {
+			up := h[j] // H[i-1][j+1]
 			// E: gap consuming b (row gap, the paper's F).
-			// E[i][j] = max(E[i][j-1], H[i][j-1]-q) - r.
-			e -= r
-			if v := h[j-1] - qr; v > e {
-				e = v
-			}
+			e = max(e-r, left-qr)
 			// F: gap consuming a (column gap, the paper's C).
-			// F[i][j] = max(F[i-1][j], H[i-1][j]-q) - r.
-			fij := f[j] - r
-			if v := up - qr; v > fij {
-				fij = v
-			}
+			fij := max(f[j]-r, up-qr)
 			f[j] = fij
-			// H per Eq. 2.
-			hij := diag + int(row[b[j-1]])
-			if e > hij {
-				hij = e
-			}
-			if fij > hij {
-				hij = fij
-			}
-			if hij < 0 {
-				hij = 0
-			}
+			// H per Eq. 2. e is the only operand carried from the previous
+			// column, so it joins last and the carried chain stays short.
+			left = max(max(diag+int(row[cb]), fij, 0), e)
 			diag = up
-			h[j] = hij
-			if hij > best {
-				best = hij
+			h[j] = left
+			rowMax = max(rowMax, left)
+		}
+		// Rescan only a row that raises the best, for its first column.
+		if rowMax > best {
+			best, bestI = rowMax, i+1
+			for j, v := range h {
+				if v == rowMax {
+					bestJ = j + 1
+					break
+				}
 			}
 		}
 	}
-	return best
+	return best, bestI, bestJ
 }
 
 // Cells returns the number of DP cells a Score/Align call evaluates, the

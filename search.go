@@ -81,8 +81,9 @@ type Hit struct {
 }
 
 // HitAlignment is the traceback decoration of one hit: the aligned
-// segments recovered by re-aligning the query against the subject with the
-// full dynamic-programming matrix (reporting phase two).
+// segments recovered by re-aligning the query against the subject with
+// the dynamic-programming recurrence and backtracking (reporting phase
+// two).
 type HitAlignment struct {
 	// QueryStart/QueryEnd and SubjectStart/SubjectEnd delimit the aligned
 	// segments as half-open residue ranges. For translated searches the

@@ -1,6 +1,7 @@
 package heterosw
 
 import (
+	"context"
 	"testing"
 
 	"heterosw/internal/core"
@@ -29,7 +30,9 @@ import (
 // The score is pinned through the serving door (Cluster.Search), through
 // core.AlignGroup at both of the ladder's lane widths under every vec tier
 // the host runs, and through the pairwise oracle (internal/swalign and the
-// public Align).
+// public Align). The published path itself, the segments, the CIGAR 2M1I2M
+// (the G of the query against the gap) and 4 identities, is pinned through
+// swalign.Align, the public Align and Cluster.Do's traceback phase.
 func TestTextbookDurbinHEAGAWGHEE(t *testing.T) {
 	const (
 		query   = "HEAGAWGHEE"
@@ -77,19 +80,98 @@ func TestTextbookDurbinHEAGAWGHEE(t *testing.T) {
 		}()
 	}
 
-	// The pairwise oracle, and the public traceback's segments.
+	// The pairwise oracle.
 	sc := swalign.Scoring{Matrix: submat.BLOSUM50, GapOpen: 0, GapExtend: 8}
 	if got := swalign.Score(q.Residues, sdb.Seq(0).Residues, sc); got != want {
 		t.Errorf("swalign.Score = %d, want %d", got, want)
 	}
-	al, err := Align(NewSequence("q", query), NewSequence("s", subject),
-		AlignOptions{Matrix: "BLOSUM50", GapOpen: 0, GapExtend: 8, NoGapDefaults: true})
+	checkAnchorPath(t, db, query, subject, "textbook", opt, anchorPath{want, 4, 9, 1, 5, "2M1I2M", 4})
+}
+
+// TestHandDerivedAffineGap anchors a traceback whose optimal path holds a
+// two-residue gap under an affine penalty with a nonzero open cost: the
+// query WWWWGGWWWW against the subject WWWWWWWW, BLOSUM62, the paper's gap
+// open 10 and extend 2, so a gap of x residues costs 10 + 2x (Eq. 5).
+//
+//   - Gapping the query's GG and matching all eight subject W's scores
+//     8 × 11 (W/W) − (10 + 2·2) = 88 − 14 = 74, CIGAR 4M2I4M over the
+//     whole of both sequences, 8 identities.
+//   - Eight W/W columns need the query's two G's out of the way, and the
+//     cheapest way is one gap of 2 (14; two gaps of 1 cost 24). Seven W/W
+//     columns without a gap are impossible: the G's split the query's W's
+//     4 + 4, so an ungapped diagonal matches at most 6 of them with both
+//     G's against W (BLOSUM62 −2 each): 66 − 4 = 62. With a gap of one, at
+//     least one G stays against a W: 4 × 11 − 12 − 2 + 3 × 11 = 63.
+//   - Any path with the gap elsewhere than over GG leaves a G against a W
+//     and one W/W column fewer, so the path is unique.
+func TestHandDerivedAffineGap(t *testing.T) {
+	const (
+		query   = "WWWWGGWWWW"
+		subject = "WWWWWWWW"
+	)
+	db, err := NewDatabase([]Sequence{
+		NewSequence("other1", "MKTAYIAKQR"),
+		NewSequence("anchor", subject),
+		NewSequence("other2", "GGSGGSGG"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, qe, ss, se := al.Coordinates()
-	if al.Score() != want || qs != 4 || qe != 9 || ss != 1 || se != 5 {
-		t.Errorf("Align: score %d over query [%d:%d] and subject [%d:%d], want %d over [4:9] and [1:5]",
-			al.Score(), qs, qe, ss, se, want)
+	opt := Options{Matrix: "BLOSUM62", GapOpen: 10, GapExtend: 2}
+	checkAnchorPath(t, db, query, subject, "anchor", opt, anchorPath{74, 0, 10, 0, 8, "4M2I4M", 8})
+}
+
+// anchorPath is a hand-derived local alignment: its score, the query and
+// subject segments as half-open ranges, its CIGAR and identities.
+type anchorPath struct {
+	score          int
+	qs, qe, ss, se int
+	cigar          string
+	identities     int
+}
+
+// checkAnchorPath pins want through the pairwise oracle (internal/swalign),
+// the public Align and Cluster.Do's traceback phase, where the hit named
+// id in db must come first.
+func checkAnchorPath(t *testing.T, db *Database, query, subject, id string, opt Options, want anchorPath) {
+	t.Helper()
+	m, err := submat.ByName(opt.Matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := swalign.Scoring{Matrix: m, GapOpen: opt.GapOpen, GapExtend: opt.GapExtend}
+	al := swalign.Align(sequence.FromString("q", query).Residues, sequence.FromString("s", subject).Residues, sc)
+	got := anchorPath{al.Score, al.AStart, al.AEnd, al.BStart, al.BEnd, al.CIGAR(), al.Identities}
+	if got != want {
+		t.Errorf("swalign.Align = %+v, want %+v", got, want)
+	}
+
+	pub, err := Align(NewSequence("q", query), NewSequence("s", subject),
+		AlignOptions{Matrix: opt.Matrix, GapOpen: opt.GapOpen, GapExtend: opt.GapExtend, NoGapDefaults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = anchorPath{score: pub.Score(), cigar: pub.CIGAR(), identities: pub.Identities()}
+	got.qs, got.qe, got.ss, got.se = pub.Coordinates()
+	if got != want {
+		t.Errorf("Align = %+v, want %+v", got, want)
+	}
+
+	cl, err := NewCluster(db, ClusterOptions{Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.Do(context.Background(), Request{Query: NewSequence("q", query), Report: ReportOptions{Alignments: true, TopK: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) != 1 || res.Hits[0].ID != id || res.Hits[0].Alignment == nil {
+		t.Fatalf("Cluster.Do: hits %+v, want %s first with an alignment", res.Hits, id)
+	}
+	h, ha := res.Hits[0], res.Hits[0].Alignment
+	got = anchorPath{h.Score, ha.QueryStart, ha.QueryEnd, ha.SubjectStart, ha.SubjectEnd, ha.CIGAR, ha.Identities}
+	if got != want {
+		t.Errorf("Cluster.Do = %+v, want %+v", got, want)
 	}
 }
