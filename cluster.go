@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"heterosw/internal/core"
 	"heterosw/internal/device"
@@ -47,9 +46,9 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 // Cluster.Plan prices — the paper's Algorithm 2 hardcodes one Xeon host and
 // one Xeon Phi and names a dynamic distribution strategy as future work;
 // the planner generalises the roster to any number of modelled devices and
-// makes the distribution strategy selectable. The scheduling knobs below
-// tune the concurrent micro-batching query scheduler behind the streaming
-// and serving paths (Stream, Do, DoBatch, the swserve HTTP front end).
+// makes the distribution strategy selectable. MaxInFlight and CacheSize
+// tune the query scheduler behind the streaming and serving paths (Stream,
+// Do, DoBatch, the swserve HTTP front end).
 type ClusterOptions struct {
 	// Options carries the shared kernel configuration (matrix, gaps) and
 	// the planner's (variant, blocking, schedule). Its Device and Threads
@@ -75,20 +74,11 @@ type ClusterOptions struct {
 	// (0 derives a default from the database size and roster).
 	ChunkResidues int64
 
-	// MaxInFlight caps the micro-batches a scheduler runs concurrently
-	// (default 4). More in-flight batches keep multi-core hosts busy
-	// under bursty traffic; 1 serialises batches.
+	// MaxInFlight caps the queries a scheduler runs concurrently (default
+	// 4), each over every worker; the rest wait in submission order. More
+	// in flight keeps a multi-core host busy between one query's phases;
+	// 1 runs queries one at a time.
 	MaxInFlight int
-	// BatchWindow is the micro-batch coalescing window: once batches are
-	// in flight, the intake collector waits this long for more
-	// submissions before dispatching a partial batch, so backlogs
-	// coalesce into fuller batches (default 500µs; negative disables).
-	// Dispatch is immediate while the scheduler is idle, so the window
-	// adds no latency to an unloaded system.
-	BatchWindow time.Duration
-	// MaxBatch caps the queries coalesced into one micro-batch
-	// (default 32).
-	MaxBatch int
 	// CacheSize is the capacity, in entries, of the cluster's LRU result
 	// cache, shared by every scheduled path so repeated queries are free.
 	// Each cached result holds a database-length score list and the K hits
@@ -203,13 +193,11 @@ func (rep ReportOptions) key() string {
 const defaultReportHits = 10
 
 // checkReport rejects report options this cluster can never satisfy —
-// before the query reaches the scheduler. An EValues request over a
-// too-small database would otherwise fail deterministically inside every
-// micro-batch it joins, poisoning the batch and degrading its coalesced
-// neighbours to serial per-query retries. (A degenerate zero-variance
-// score distribution can still fail inside the fit — only computing the
-// scores reveals it — where the scheduler's per-query retry isolates the
-// failure to the one query.)
+// before the query reaches the scheduler, so an EValues request over a
+// too-small database fails at its door without computing its scores. (A
+// degenerate zero-variance score distribution can still fail inside the
+// fit — only computing the scores reveals it — and fails that query
+// alone.)
 func (c *Cluster) checkReport(rep ReportOptions) error {
 	if rep.EValues {
 		if err := stats.FitViable(c.db.Len(), rep.EValueTrim); err != nil {
@@ -261,8 +249,7 @@ type engineState struct {
 func (c *Cluster) engine() *engineState { return c.eng.Load() }
 
 // BackendTotals is one backend's cumulative accounting across every search
-// the cluster has completed, whichever concurrent batch or stream it
-// arrived on.
+// the cluster has completed, whichever door or stream it arrived on.
 type BackendTotals struct {
 	// Name identifies the backend; Device is DeviceHost for a local
 	// cluster's one backend, DeviceRemote for a coordinator's shard nodes.
@@ -287,14 +274,13 @@ type BackendTotals struct {
 // Cluster is a search service over a Database. Every search is a Request
 // through one of its doors — Do and DoBatch on the serving scheduler,
 // Stream.Submit on a streaming session's, Search straight to the executor —
-// and every door runs the same validation and the same batch executor. A
+// and every door runs the same validation and the same executor. A
 // local Cluster (NewCluster) runs every search on the host, one engine pass
 // over the whole database, and prices the configured device roster on the
 // side (Plan); a coordinator (NewDistributedCluster) fans searches out to
 // shard nodes. A Cluster is safe for concurrent use; lane packings are
-// cached so repeated and batched queries amortise all pre-processing, and
-// the scheduled doors share one LRU result cache so repeated requests are
-// free.
+// built once so every query reuses them, and the scheduled doors share one
+// LRU result cache so repeated requests are free.
 type Cluster struct {
 	db   *Database
 	dopt core.DispatchOptions
@@ -403,12 +389,8 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 			Shares:        opt.Shares,
 			ChunkResidues: opt.ChunkResidues,
 		},
-		schedOpt: qsched.Options{
-			MaxBatch:    opt.MaxBatch,
-			Window:      opt.BatchWindow,
-			MaxInFlight: opt.MaxInFlight,
-		},
-		cache: qsched.NewCache[*ClusterResult](cacheSize),
+		schedOpt: qsched.Options{MaxInFlight: opt.MaxInFlight},
+		cache:    qsched.NewCache[*ClusterResult](cacheSize),
 	}
 	c.eng.Store(&engineState{disp: disp, kind: DeviceHost})
 	c.keyBase = cacheKeyBase(search)
@@ -518,7 +500,7 @@ func wireResult(r *core.ClusterResult) *ClusterResult {
 
 // Totals reports the number of completed query searches and cumulative
 // per-backend accounting (searches, residues, cells, wall seconds) across
-// every entry point and concurrent batch: one host backend on a local
+// every entry point and concurrent caller: one host backend on a local
 // cluster, one per shard on a coordinator. The swserve /healthz endpoint
 // serves this snapshot.
 func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
@@ -576,12 +558,8 @@ func (c *Cluster) CacheStats() (hits, misses int64, entries int) {
 
 // SchedulerStats is a snapshot of the serving scheduler's activity.
 type SchedulerStats struct {
-	// Submitted counts scheduled submissions; Batches the dispatched
-	// micro-batches and BatchedQueries the queries they carried
-	// (BatchedQueries/Batches is the realised mean batch size).
-	Submitted      int64
-	Batches        int64
-	BatchedQueries int64
+	// Submitted counts scheduled submissions.
+	Submitted int64
 	// Joined counts submissions that attached to an identical in-flight
 	// query; CacheHits those answered straight from the cache.
 	Joined    int64
@@ -598,13 +576,7 @@ func (c *Cluster) SchedulerStats() SchedulerStats {
 		return SchedulerStats{}
 	}
 	st := s.Stats()
-	return SchedulerStats{
-		Submitted:      st.Submitted,
-		Batches:        st.Batches,
-		BatchedQueries: st.Batched,
-		Joined:         st.Joined,
-		CacheHits:      st.CacheHits,
-	}
+	return SchedulerStats{Submitted: st.Submitted, Joined: st.Joined, CacheHits: st.CacheHits}
 }
 
 // Close releases the cluster's background work: a coordinator's health
@@ -617,7 +589,7 @@ func (c *Cluster) Close() {
 }
 
 // CloseNow tears down the cluster's serving scheduler: queued requests are
-// dropped, in-flight batches cancelled at their next query boundary, and
+// dropped, in-flight ones cancelled at their next cancellation check, and
 // Do and DoBatch fail with ErrClusterClosed from then on. It stops a
 // coordinator's prober as Close does. The direct Search and streams from
 // NewStream remain usable.

@@ -1,11 +1,11 @@
 // Command swserve fronts a Smith-Waterman search cluster with an HTTP
 // JSON API, turning the library into a long-running query service: the
 // SwissAlign-webserver serving shape, with every request routed through
-// the cluster's concurrent micro-batching scheduler (requests arriving
-// together coalesce into micro-batches, identical queries share one
-// execution, repeats hit the LRU cache). Searches run on this host, every
-// core on each query; the paper's device roster is priced by swbench, not
-// served.
+// the cluster's query scheduler (up to -inflight queries run at once,
+// identical queries share one execution, repeats hit the LRU cache, and a
+// /batch runs its queries one after another). Searches run on this host,
+// every core on each query; the paper's device roster is priced by
+// swbench, not served.
 //
 // Usage:
 //
@@ -85,9 +85,7 @@ func main() {
 		synthetic = flag.Float64("synthetic", 0, "use a synthetic Swiss-Prot database at this scale instead of -db")
 		matrix    = flag.String("matrix", "", "substitution matrix (default: BLOSUM62 for protein, NUC for DNA)")
 		dna       = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database under the IUPAC DNA alphabet")
-		inflight  = flag.Int("inflight", 0, "max micro-batches in flight (0 = default)")
-		window    = flag.Duration("window", 0, "micro-batch coalescing window (0 = default, negative disables)")
-		maxBatch  = flag.Int("maxbatch", 0, "max queries per micro-batch (0 = default)")
+		inflight  = flag.Int("inflight", 0, "max queries in flight (0 = default)")
 		cacheSize = flag.Int("cache", 0, "LRU result cache entries (0 = default, negative disables)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 
@@ -106,8 +104,6 @@ func main() {
 	opt := heterosw.ClusterOptions{
 		Options:     heterosw.Options{Matrix: *matrix},
 		MaxInFlight: *inflight,
-		BatchWindow: *window,
-		MaxBatch:    *maxBatch,
 		CacheSize:   *cacheSize,
 	}
 
@@ -154,8 +150,6 @@ func main() {
 		cl, err = heterosw.NewDistributedCluster(context.Background(), db, *manifest, nodeURLs, heterosw.DistributedOptions{
 			Options:        opt.Options,
 			MaxInFlight:    *inflight,
-			BatchWindow:    *window,
-			MaxBatch:       *maxBatch,
 			CacheSize:      *cacheSize,
 			Timeout:        *nodeTimeout,
 			Retries:        *nodeRetries,

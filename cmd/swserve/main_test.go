@@ -42,14 +42,17 @@ func startServer(t *testing.T, cl *heterosw.Cluster) (*http.Server, string) {
 // shutdownServer now tears down the scheduled paths first and then waits
 // out a flush window for the unblocked handlers' writes.
 func TestShutdownUnderLoad(t *testing.T) {
-	// A huge coalescing window clogs the scheduler deterministically:
-	// every request parks in the micro-batch window far longer than the
-	// drain, so teardown is guaranteed to find them in flight.
+	// One in-flight slot clogs the scheduler: the eight aligned top-64
+	// requests run one at a time, each re-aligning 64 hits, and together
+	// outlast the drain several times over, so teardown is guaranteed to
+	// find requests still queued. The traceback phase checks the
+	// scheduler context at every hit, so CloseNow cuts the in-flight one
+	// short well inside the flush window, even on the portable vec tier,
+	// whose score pass cannot be interrupted.
 	cl := testCluster(t, heterosw.ClusterOptions{
 		Devices:     []heterosw.DeviceKind{heterosw.DeviceXeon},
 		Dist:        "static",
-		BatchWindow: time.Hour,
-		MaxBatch:    1024,
+		MaxInFlight: 1,
 		CacheSize:   -1,
 	})
 	srv, base := startServer(t, cl)
@@ -67,14 +70,14 @@ func TestShutdownUnderLoad(t *testing.T) {
 	// them, and that one's own dial lands on the server as a connection
 	// that never sends a request — which http.Server.Shutdown waits five
 	// seconds for, longer than the flush window. (The first request runs
-	// at once, in a couple of milliseconds; the rest park in the window.)
+	// at once; the rest queue behind it.)
 	httpc := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"id":"q%d","residues":"MKWVTFISLLLLFSSAYSRGV%sARND"}`,
-				i, strings.Repeat("A", i+1))
+			body := fmt.Sprintf(`{"id":"q%d","residues":"%s%sARND","align":true,"top_k":64}`,
+				i, strings.Repeat("MKWVTFISLLLLFSSAYSRGV", 15), strings.Repeat("A", i+1))
 			resp, err := httpc.Post(base+"/search", "application/json", strings.NewReader(body))
 			if err != nil {
 				replies[i] = reply{err: err}
@@ -128,9 +131,8 @@ func TestShutdownUnderLoad(t *testing.T) {
 func TestShutdownCleanDrain(t *testing.T) {
 	closedNow := false
 	cl := testCluster(t, heterosw.ClusterOptions{
-		Devices:     []heterosw.DeviceKind{heterosw.DeviceXeon},
-		Dist:        "static",
-		BatchWindow: -1, // execute immediately
+		Devices: []heterosw.DeviceKind{heterosw.DeviceXeon},
+		Dist:    "static",
 	})
 	srv, base := startServer(t, cl)
 

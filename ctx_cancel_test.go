@@ -18,8 +18,8 @@ func prepared(t *testing.T, cl *Cluster, req Request) job {
 }
 
 // TestSearchContextCancelled proves a dead caller aborts the whole search:
-// a pre-cancelled context fails the executor's score pass at the first
-// query boundary with context.Canceled, not a partial result.
+// a pre-cancelled context fails the executor's score pass before it starts
+// with context.Canceled, not a partial result.
 func TestSearchContextCancelled(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
@@ -28,8 +28,8 @@ func TestSearchContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := []job{prepared(t, cl, Request{Query: NewSequence("q", "MKWVLA")})}
-	res, err := cl.execute(ctx, jobs)
+	jb := prepared(t, cl, Request{Query: NewSequence("q", "MKWVLA")})
+	res, err := cl.execute(ctx, jb)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
 	}
@@ -72,8 +72,8 @@ func TestDecorateCancelled(t *testing.T) {
 }
 
 // TestSearchTranslatedContextCancelled covers the translated path: a
-// translated job's frames are queries of the executor's one score pass, so
-// cancellation stops the six-frame fan-out at a frame boundary too.
+// translated job's frames are score passes of their own, so cancellation
+// stops the six-frame fan-out at a frame boundary too.
 func TestSearchTranslatedContextCancelled(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
@@ -86,15 +86,15 @@ func TestSearchTranslatedContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.execute(ctx, []job{jb}); !errors.Is(err, context.Canceled) {
+	if _, err := cl.execute(ctx, jb); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled translated search: err = %v, want context.Canceled", err)
 	}
 	// Live, the same job merges its six frames into one result.
-	res, err := cl.execute(context.Background(), []job{jb})
+	res, err := cl.execute(context.Background(), jb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || len(res[0].Scores) != db.Len() || res[0].Hits[0].Frame == 0 {
+	if len(res.Scores) != db.Len() || res.Hits[0].Frame == 0 {
 		t.Fatalf("translated result: %+v", res)
 	}
 }

@@ -34,12 +34,9 @@ type DistributedOptions struct {
 	// coordinator identically for the merged result to be meaningful.
 	Options
 
-	// MaxInFlight, BatchWindow, MaxBatch and CacheSize tune the
-	// coordinator's serving scheduler and result cache exactly as the
-	// same-named ClusterOptions fields do.
+	// MaxInFlight and CacheSize tune the coordinator's serving scheduler
+	// and result cache exactly as the same-named ClusterOptions fields do.
 	MaxInFlight int
-	BatchWindow time.Duration
-	MaxBatch    int
 	CacheSize   int
 
 	// Timeout bounds each node request attempt; Retries and Backoff shape
@@ -169,7 +166,7 @@ func (t *liveTopology) kick(url string, err error) {
 // the whole state for /healthz.
 //
 // Every door works unchanged — Do, DoBatch and the HTTP front end
-// coalesce, dedup and cache exactly as on a local cluster — except that a
+// schedule, dedup and cache exactly as on a local cluster — except that a
 // request-scoped Request.Matrix fails with ErrBadMatrix: nodes score under
 // their own options. Aligned reports fan tracebacks out to the nodes owning
 // each hit's shard.
@@ -231,15 +228,11 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 		cacheSize = defaultCacheSize(db.Len())
 	}
 	c := &Cluster{
-		db:   db,
-		topo: topo,
-		dopt: core.DispatchOptions{Search: search},
-		schedOpt: qsched.Options{
-			MaxBatch:    opt.MaxBatch,
-			Window:      opt.BatchWindow,
-			MaxInFlight: opt.MaxInFlight,
-		},
-		cache: qsched.NewCache[*ClusterResult](cacheSize),
+		db:       db,
+		topo:     topo,
+		dopt:     core.DispatchOptions{Search: search},
+		schedOpt: qsched.Options{MaxInFlight: opt.MaxInFlight},
+		cache:    qsched.NewCache[*ClusterResult](cacheSize),
 	}
 	c.eng.Store(eng)
 	c.keyBase = cacheKeyBase(search)

@@ -23,7 +23,7 @@
 //   - a search service object over a database: every search is one
 //     Request — a query, an optional request-scoped matrix, an optional
 //     six-frame translation and the reporting options — through one of its
-//     doors, and every door runs one validation and one batch executor,
+//     doors, and every door runs one validation and one executor,
 //     each search one pass of all the host's cores over the whole database
 //     — see NewCluster, Request, Cluster.Do, Cluster.DoBatch,
 //     Cluster.NewStream and Cluster.Search;
@@ -33,11 +33,11 @@
 //     (residue split), dynamic and guided (device-level chunk queue)
 //     workload distributions, from sequence lengths alone, no kernels run
 //     — see Database.Simulate, Cluster.Plan and cmd/swbench;
-//   - a concurrent micro-batching query scheduler behind every streaming
-//     and serving door: submissions coalesce into adaptive micro-batches,
-//     several batches run in flight, identical requests share one
-//     execution and repeats come from a cluster-wide LRU cache — see
-//     Cluster.Do, Cluster.NewStream and the cmd/swserve HTTP front end;
+//   - a concurrent query scheduler behind every streaming and serving
+//     door: several queries run in flight, each resolving as soon as its
+//     own result is ready, identical requests share one execution and
+//     repeats come from a cluster-wide LRU cache — see Cluster.Do,
+//     Cluster.NewStream and the cmd/swserve HTTP front end;
 //   - two-phase aligned-hit reporting: after the vectorised score pass
 //     selects the top-K hits, a traceback phase re-aligns the query
 //     against just those K subjects and decorates each
@@ -143,28 +143,30 @@
 // A Request is the whole search: Query, Matrix (request-scoped NCBI
 // matrix text), Translate (six-frame translated search) and Report (the
 // reporting phases). Do runs one through the cluster's serving scheduler —
-// concurrent callers coalesce into micro-batches, identical in-flight
-// requests share one execution, and repeats are answered from the
+// up to ClusterOptions.MaxInFlight requests run at once and each resolves
+// as soon as its own result is decorated, identical in-flight requests
+// share one execution, and repeats are answered from the
 // cluster's LRU result cache, whose key holds the matrix's parsed content,
 // the translate flag and the report options, so a translated or
 // custom-matrix request is cached like any other. Do's context bounds the
 // caller's wait, not the computation: an abandoned request still finishes
 // into the cache for the next asker. Results may be shared between
 // callers, translated and custom-matrix ones included; treat them as
-// read-only. DoBatch submits a batch and gathers the results in request
-// order; the cmd/swserve HTTP server's /search is one Do and its /batch
-// one DoBatch. ClusterOptions.MaxInFlight, BatchWindow, MaxBatch and
-// CacheSize tune the scheduler. Search (and SearchScheduled, Do in
+// read-only. DoBatch runs a batch one request after another, so it holds
+// one request's working memory at a time, and returns the results in
+// request order; the cmd/swserve HTTP server's /search is one Do and its
+// /batch one DoBatch. ClusterOptions.MaxInFlight and CacheSize tune the
+// scheduler. Search (and SearchScheduled, Do in
 // variadic form) serve direct searches only; Search runs the executor
 // without the scheduler or cache.
 //
 // Streams deliver results in submission order whatever order the
-// concurrent micro-batches complete in; Submit never blocks, and a
+// concurrent queries complete in; Submit never blocks, and a
 // bounded forwarding window keeps completed-result memory finite however
 // far the producer runs ahead of the consumer. Close drains
 // gracefully; CloseNow — or cancelling the NewStream context — drops
-// queued work, aborts in-flight batches at their next query boundary and
-// closes Results, so an abandoned consumer never strands a worker:
+// queued work, aborts in-flight queries at their next cancellation check
+// and closes Results, so an abandoned consumer never strands a worker:
 //
 //	st := cl.NewStream(ctx)
 //	for _, q := range queries { st.Submit(heterosw.Request{Query: q}) }

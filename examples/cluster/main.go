@@ -45,8 +45,8 @@ func main() {
 		}
 	}
 
-	// A batch of requests, on the host: submitted together, they coalesce
-	// into micro-batches whose lane packings serve every query.
+	// A batch of requests, on the host: they run one after another, every
+	// query on the lane packings the cluster built once.
 	ctx := context.Background()
 	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Devices: roster, Dist: "dynamic", Options: heterosw.Options{TopK: 1}})
 	if err != nil {
@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nbatch of 5 queries (amortised pre-processing):")
+	fmt.Println("\nbatch of 5 queries (shared lane packings):")
 	for i, r := range results {
 		q := batch[i].Query
 		fmt.Printf("  %-12s (%4d aa) top hit %-12s score %5d\n",

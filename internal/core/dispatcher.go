@@ -238,26 +238,22 @@ func (d *Dispatcher) KernelStats() Stats {
 	return d.stats
 }
 
-// commitTotals folds completed searches — one per-backend result list per
-// query — into the cumulative accounting. Searches are committed only when
-// their results reach the caller, so a failed batch that gets retried
-// query-by-query never counts its discarded partial work twice.
-func (d *Dispatcher) commitTotals(searches [][]*Result) {
+// commitTotals folds one completed search — its per-backend results —
+// into the cumulative accounting.
+func (d *Dispatcher) commitTotals(per []*Result) {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	for _, per := range searches {
-		d.queries++
-		for i, r := range per {
-			if r == nil {
-				continue
-			}
-			t := &d.totals[i]
-			t.Grants++
-			t.Residues += d.shards[i].Residues()
-			t.Cells += r.Stats.Cells
-			t.WallSeconds += r.WallSeconds
-			d.stats.Add(r.Stats)
+	d.queries++
+	for i, r := range per {
+		if r == nil {
+			continue
 		}
+		t := &d.totals[i]
+		t.Grants++
+		t.Residues += d.shards[i].Residues()
+		t.Cells += r.Stats.Cells
+		t.WallSeconds += r.WallSeconds
+		d.stats.Add(r.Stats)
 	}
 }
 
@@ -265,61 +261,35 @@ func (d *Dispatcher) commitTotals(searches [][]*Result) {
 func (d *Dispatcher) DB() *seqdb.Database { return d.db }
 
 // Search distributes one query over the cluster and merges the score
-// lists into caller order. It is the context-free convenience root; the
-// serving paths run SearchBatchContext.
+// lists into caller order, the hit list bounded by opt.Search.TopK. It is
+// the context-free convenience root; the serving paths run SearchContext.
 //
 //sw:ctxroot
 func (d *Dispatcher) Search(query *sequence.Sequence, opt DispatchOptions) (*ClusterResult, error) {
-	res, err := d.SearchBatchContext(context.Background(), []*sequence.Sequence{query}, opt, nil)
+	return d.SearchContext(context.Background(), query, opt, max(opt.Search.TopK, 0))
+}
+
+// SearchContext runs one query over the cluster with topK in place of
+// opt.Search.TopK, so each request pays for the hits it asked for: 0
+// selects every hit, a negative bound no hit list at all (the result
+// carries Scores only). A context already cancelled runs nothing; kernels
+// already launched finish their current query, and nothing is left running
+// after the call returns.
+func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence, opt DispatchOptions, topK int) (*ClusterResult, error) {
+	if query == nil {
+		return nil, fmt.Errorf("core: nil query")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	so := opt.Search
+	so.TopK, so.scoresOnly = topK, topK < 0
+	r, per, err := d.search(ctx, query, so)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
-}
-
-// SearchBatchContext runs a batch of queries over the cluster, one after
-// the other. The context is checked at every query boundary, so an
-// abandoned batch (a closed stream, a disconnected HTTP client) stops
-// burning backend time mid-batch instead of running to completion. Kernels already launched finish their current
-// query; nothing is left running after the call returns.
-//
-// topK, when non-nil, holds one hit-list bound per query in place of
-// opt.Search.TopK, so the queries a scheduler coalesced each pay for the
-// hits their own request asked for: 0 selects every hit, a negative bound
-// no hit list at all (the result carries Scores only).
-func (d *Dispatcher) SearchBatchContext(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions, topK []int) ([]*ClusterResult, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	if topK != nil && len(topK) != len(queries) {
-		return nil, fmt.Errorf("core: %d hit-list bounds for %d queries", len(topK), len(queries))
-	}
-	for i, q := range queries {
-		if q == nil {
-			return nil, fmt.Errorf("core: nil query %d", i)
-		}
-	}
-	out := make([]*ClusterResult, len(queries))
-	searches := make([][]*Result, len(queries))
-	for i, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		so := opt.Search
-		if topK != nil {
-			so.TopK, so.scoresOnly = topK[i], topK[i] < 0
-		}
-		r, per, err := d.search(ctx, q, so)
-		if err != nil {
-			return nil, err
-		}
-		out[i], searches[i] = r, per
-	}
-	// Totals commit only when the whole batch succeeds: results of a
-	// failed batch are discarded by the caller (and typically retried),
-	// so counting their partial work would double-book the retry.
-	d.commitTotals(searches)
-	return out, nil
+	d.commitTotals(per)
+	return r, nil
 }
 
 // search is the dispatcher's one execution path: every backend with a

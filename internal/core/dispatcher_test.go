@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"heterosw/internal/device"
@@ -80,7 +81,10 @@ func TestDispatcherThreeBackendsScores(t *testing.T) {
 	}
 }
 
-// SearchBatchContext must agree with query-at-a-time Search.
+// A batch of queries run one by one through SearchContext, each with its
+// own hit-list bound, must agree with query-at-a-time Search: the same
+// scores, the bound's prefix of Search's hit list, and no hit list for a
+// negative bound.
 func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	db := randDB(rng, 80, 70, true)
@@ -89,34 +93,39 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 		randProtein(rng, 90),
 		randProtein(rng, 140),
 	}
+	bounds := []int{-1, 0, 5}
 	disp, err := NewDispatcher(db, threeBackends())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dist := range []Distribution{DistStatic, DistDynamic} {
 		opt := DispatchOptions{Search: defaultSearchOptions(), Dist: dist}
-		batch, err := disp.SearchBatchContext(context.Background(), queries, opt, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", dist, err)
-		}
-		if len(batch) != len(queries) {
-			t.Fatalf("%v: %d results for %d queries", dist, len(batch), len(queries))
-		}
 		for qi, q := range queries {
+			got, err := disp.SearchContext(context.Background(), q, opt, bounds[qi])
+			if err != nil {
+				t.Fatalf("%v: %v", dist, err)
+			}
 			single, err := disp.Search(q, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range single.Scores {
-				if batch[qi].Scores[i] != single.Scores[i] {
-					t.Fatalf("%v: query %d seq %d: batch %d != single %d",
-						dist, qi, i, batch[qi].Scores[i], single.Scores[i])
+				if got.Scores[i] != single.Scores[i] {
+					t.Fatalf("%v: query %d seq %d: SearchContext %d != Search %d",
+						dist, qi, i, got.Scores[i], single.Scores[i])
 				}
 			}
+			want := single.Hits
+			switch k := bounds[qi]; {
+			case k < 0:
+				want = nil
+			case k > 0:
+				want = want[:k]
+			}
+			if !reflect.DeepEqual(got.Hits, want) {
+				t.Fatalf("%v: query %d bound %d: hits %v, want %v", dist, qi, bounds[qi], got.Hits, want)
+			}
 		}
-	}
-	if res, err := disp.SearchBatchContext(context.Background(), nil, DispatchOptions{Search: defaultSearchOptions()}, nil); err != nil || res != nil {
-		t.Fatalf("empty batch: %v %v", res, err)
 	}
 }
 
@@ -146,9 +155,8 @@ func TestDispatcherErrors(t *testing.T) {
 	}
 }
 
-// Totals must accumulate per-backend work across concurrent batches, and
-// SearchBatchContext must stop at a query boundary once its context is
-// cancelled.
+// Totals must accumulate per-backend work across concurrent batches of
+// queries, each batch run one query after another through SearchContext.
 func TestDispatcherTotalsAcrossConcurrentBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	db := randDB(rng, 120, 70, true)
@@ -165,8 +173,13 @@ func TestDispatcherTotalsAcrossConcurrentBatches(t *testing.T) {
 		errc := make(chan error, batches)
 		for g := 0; g < batches; g++ {
 			go func() {
-				_, err := disp.SearchBatchContext(context.Background(), queries, opt, nil)
-				errc <- err
+				for _, q := range queries {
+					if _, err := disp.SearchContext(context.Background(), q, opt, 0); err != nil {
+						errc <- err
+						return
+					}
+				}
+				errc <- nil
 			}()
 		}
 		for g := 0; g < batches; g++ {
@@ -208,29 +221,31 @@ func TestDispatcherTotalsAcrossConcurrentBatches(t *testing.T) {
 	}
 }
 
-func TestSearchBatchContextCancellation(t *testing.T) {
+// SearchContext under a cancelled context must run nothing and count
+// nothing; a live context still searches.
+func TestSearchContextCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(405))
 	db := randDB(rng, 60, 60, true)
 	disp, err := NewDispatcher(db, threeBackends())
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]*sequence.Sequence, 8)
-	for i := range queries {
-		queries[i] = randProtein(rng, 40)
-	}
+	query := randProtein(rng, 40)
+	opt := DispatchOptions{Search: defaultSearchOptions()}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: not even the first query may run
-	if _, err := disp.SearchBatchContext(ctx, queries, DispatchOptions{Search: defaultSearchOptions()}, nil); err != context.Canceled {
+	cancel()
+	if _, err := disp.SearchContext(ctx, query, opt, 0); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if nq, _ := disp.Totals(); nq != 0 {
 		t.Fatalf("%d queries ran under a cancelled context", nq)
 	}
-	// A live context still completes the batch.
-	res, err := disp.SearchBatchContext(context.Background(), queries, DispatchOptions{Search: defaultSearchOptions()}, nil)
-	if err != nil || len(res) != len(queries) {
-		t.Fatalf("live context: %v, %d results", err, len(res))
+	res, err := disp.SearchContext(context.Background(), query, opt, 0)
+	if err != nil || len(res.Scores) != db.Len() {
+		t.Fatalf("live context: %v", err)
+	}
+	if nq, _ := disp.Totals(); nq != 1 {
+		t.Fatalf("%d queries recorded, want 1", nq)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"heterosw/internal/device"
-	"heterosw/internal/offload"
 	"heterosw/internal/sched"
 	"heterosw/internal/seqdb"
 )
@@ -156,9 +155,9 @@ func estimateComputeSeconds(lengths []int, m int, dev *device.Model, opt SearchO
 	sim := sched.Simulate(costs, threads, opt.Schedule, chunk, dev.DispatchCycles)
 	seconds := dev.Seconds(sim.Makespan, threads)
 	if dev.OffloadRequired {
-		in := offload.QueryBytes(m) + offload.DatabaseBytes(residues, len(lengths))
-		out := offload.ScoreBytes(len(lengths))
-		seconds = offload.RegionSeconds(dev, in, out, seconds)
+		in := device.QueryBytes(m) + device.DatabaseBytes(residues, len(lengths))
+		out := device.ScoreBytes(len(lengths))
+		seconds = dev.OffloadSeconds(in, out, seconds)
 	}
 	return seconds
 }
@@ -368,7 +367,7 @@ func planChunkLengths(chunkLens [][]int, queryLen int, roster []Device, opt Disp
 		m := d.Model
 		seed[i] = m.RegionSeconds
 		if m.OffloadRequired {
-			seed[i] += m.TransferSeconds(offload.QueryBytes(queryLen))
+			seed[i] += m.TransferSeconds(device.QueryBytes(queryLen))
 		}
 	}
 	s := sched.ScheduleChunks(len(chunkLens), n, seed, func(chunk, worker int) float64 {
@@ -452,9 +451,9 @@ func chunkSeconds(lengths []int, m int, dev *device.Model, opt SearchOptions) fl
 	}
 	seconds := cycles / (float64(threads) * dev.ThreadRate(threads))
 	if dev.OffloadRequired {
-		in := offload.DatabaseBytes(residues, len(lengths))
-		out := offload.ScoreBytes(len(lengths))
-		seconds = offload.RegionSeconds(dev, in, out, seconds)
+		in := device.DatabaseBytes(residues, len(lengths))
+		out := device.ScoreBytes(len(lengths))
+		seconds = dev.OffloadSeconds(in, out, seconds)
 	}
 	return seconds
 }

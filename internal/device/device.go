@@ -252,6 +252,41 @@ func (m *Model) TransferSeconds(bytes int64) float64 {
 	return m.PCIeLatencySec + float64(bytes)/m.PCIeBytesPerSec
 }
 
+// OffloadSeconds returns the simulated wall time of one offload region —
+// the paper's #pragma offload target(mic) in Algorithms 1 and 2 — on the
+// device: transfer in, compute, transfer out, with the link latency
+// charged per transfer direction. For host devices (no offload) it is just
+// the compute time.
+func (m *Model) OffloadSeconds(inBytes, outBytes int64, computeSeconds float64) float64 {
+	return m.TransferSeconds(inBytes) + computeSeconds + m.TransferSeconds(outBytes)
+}
+
+// Offload transfer sizing. The offload in Algorithm 2 ships the query, the
+// substitution matrix and the device's database partition in, and the
+// similarity scores out.
+const (
+	perSequenceMetaBytes = 16 // length + offset bookkeeping per sequence
+	matrixBytes          = profileTableWidth * profileTableWidth * 2
+	perScoreBytes        = 8 // score + sequence index
+)
+
+// DatabaseBytes returns the size of a database partition transfer: one byte
+// per residue plus per-sequence metadata.
+func DatabaseBytes(residues int64, sequences int) int64 {
+	return residues + int64(sequences)*perSequenceMetaBytes
+}
+
+// QueryBytes returns the size of the query-side transfer: the encoded
+// query, its precomputed query profile and the substitution matrix.
+func QueryBytes(queryLen int) int64 {
+	return int64(queryLen) + int64(queryLen)*profileTableWidth*2 + matrixBytes
+}
+
+// ScoreBytes returns the size of the out transfer of similarity scores.
+func ScoreBytes(sequences int) int64 {
+	return int64(sequences) * perScoreBytes
+}
+
 const (
 	// profileTableWidth mirrors profile.TableWidth (alphabet + pad)
 	// without importing it.

@@ -189,6 +189,34 @@ func TestTransferSeconds(t *testing.T) {
 	}
 }
 
+func TestByteSizing(t *testing.T) {
+	if got := DatabaseBytes(1000, 10); got != 1000+160 {
+		t.Errorf("DatabaseBytes = %d", got)
+	}
+	if got := QueryBytes(100); got != 100+100*50+matrixBytes {
+		t.Errorf("QueryBytes = %d", got)
+	}
+	if got := ScoreBytes(541561); got != 541561*8 {
+		t.Errorf("ScoreBytes = %d", got)
+	}
+}
+
+func TestOffloadSecondsPhiVsHost(t *testing.T) {
+	phi := Phi()
+	xeon := Xeon()
+	compute := 2.0
+	// Host regions add no transfer time.
+	if got := xeon.OffloadSeconds(1<<30, 1<<20, compute); got != compute {
+		t.Errorf("host region = %v, want %v", got, compute)
+	}
+	// Phi regions add both directions plus latency.
+	got := phi.OffloadSeconds(6_000_000_000, 0, compute)
+	want := compute + 1.0 + 2*phi.PCIeLatencySec
+	if got < want*0.99 || got > want*1.01 {
+		t.Errorf("phi region = %v, want ~%v", got, want)
+	}
+}
+
 func TestGatherContentionRaisesQPCostWithCores(t *testing.T) {
 	m := Xeon()
 	s := Shape{Width: 355, Lanes: 16, Residues: 16 * 350}

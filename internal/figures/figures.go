@@ -6,7 +6,6 @@ import (
 
 	"heterosw/internal/core"
 	"heterosw/internal/device"
-	"heterosw/internal/offload"
 	"heterosw/internal/sched"
 )
 
@@ -343,8 +342,8 @@ func TransferImpact(w *Workload) *Figure {
 	for _, q := range w.Queries() {
 		total, _ := w.SimSearch(cfg, q.Length)
 		dbIn := phi.TransferSeconds(offloadDatabaseBytes(w))
-		other := phi.TransferSeconds(offload.QueryBytes(q.Length)) +
-			phi.TransferSeconds(offload.ScoreBytes(w.Sequences()))
+		other := phi.TransferSeconds(device.QueryBytes(q.Length)) +
+			phi.TransferSeconds(device.ScoreBytes(w.Sequences()))
 		compute := total - dbIn - other
 		perQuery.X = append(perQuery.X, float64(q.Length))
 		perQuery.Y = append(perQuery.Y, (dbIn+other)/total*100)
@@ -357,5 +356,5 @@ func TransferImpact(w *Workload) *Figure {
 }
 
 func offloadDatabaseBytes(w *Workload) int64 {
-	return offload.DatabaseBytes(w.Residues(), w.Sequences())
+	return device.DatabaseBytes(w.Residues(), w.Sequences())
 }

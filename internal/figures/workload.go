@@ -19,7 +19,6 @@ import (
 	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/device"
-	"heterosw/internal/offload"
 	"heterosw/internal/sched"
 	"heterosw/internal/seqdb"
 )
@@ -154,9 +153,9 @@ func (w *Workload) SimSearch(c Config, m int) (seconds float64, cells int64) {
 	sim := sched.Simulate(costs, threads, c.Policy, c.chunk(), c.Dev.DispatchCycles)
 	seconds = c.Dev.Seconds(sim.Makespan, threads)
 	if c.Dev.OffloadRequired {
-		in := offload.QueryBytes(m) + offload.DatabaseBytes(w.residues, len(w.lengths))
-		out := offload.ScoreBytes(len(w.lengths))
-		seconds = offload.RegionSeconds(c.Dev, in, out, seconds)
+		in := device.QueryBytes(m) + device.DatabaseBytes(w.residues, len(w.lengths))
+		out := device.ScoreBytes(len(w.lengths))
+		seconds = c.Dev.OffloadSeconds(in, out, seconds)
 	}
 	// Step 4: the serial host-side sort of the similarity scores.
 	seconds += device.HostSortSeconds(len(w.lengths))

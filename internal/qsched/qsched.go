@@ -1,28 +1,23 @@
-// Package qsched implements the concurrent micro-batching query scheduler
-// behind the cluster's streaming and serving paths.
+// Package qsched implements the concurrent query scheduler behind the
+// cluster's streaming and serving paths.
 //
-// The PR-1 streaming pipeline ran one query at a time through a single
-// worker goroutine — the opposite of a serving path. SWAPHI (Liu &
-// Schmidt, 2014) shows that multi-query batching is where coprocessor-class
-// search throughput comes from: per-batch pre-processing amortises, and
-// several batches in flight keep every device busy. qsched packages that
-// shape generically:
+// The unit it schedules is one query, which already runs on every worker;
+// the one knob, MaxInFlight, is how many run at once — the inter-task
+// against intra-task split that SWAPHI (Liu & Schmidt, 2014) and the KNL
+// study of Rucci et al. measure:
 //
 //   - Submit enqueues a query and returns a Ticket (a future) immediately;
-//   - an intake collector coalesces queued queries into adaptive
-//     micro-batches: dispatch is immediate while the scheduler is idle, but
-//     once batches are in flight the collector waits a short window so the
-//     backlog coalesces into fuller batches (up to MaxBatch);
-//   - up to MaxInFlight batches run concurrently through the caller's
-//     batch function;
+//   - up to MaxInFlight queries run concurrently through the caller's run
+//     function, the rest wait in submission order, and each ticket
+//     resolves as soon as its own query is done;
 //   - identical in-flight queries (same cache key) share one Ticket, and
 //     completed results land in an LRU cache so repeated queries are free;
 //   - Close drains gracefully, CloseNow cancels the scheduler context so
-//     queued work is dropped and in-flight batches abort at their next
-//     query boundary — an abandoned consumer never strands a worker.
+//     queued queries are dropped and in-flight ones abort at their next
+//     cancellation check — an abandoned consumer never strands a worker.
 //
-// The scheduler spawns no permanent goroutines: the collector starts on
-// demand and exits as soon as the intake queue is empty.
+// The scheduler spawns no permanent goroutines: a runner starts per free
+// slot on demand and exits as soon as the queue is empty.
 package qsched
 
 import (
@@ -30,14 +25,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrClosed is returned by Submit and Do after Close or CloseNow.
 var ErrClosed = errors.New("qsched: scheduler closed")
 
 // errClosedNow resolves tickets stranded by CloseNow: queued jobs that
-// never ran and in-flight batches aborted by the scheduler context. It
+// never ran and in-flight queries aborted by the scheduler context. It
 // wraps both ErrClosed (so serving layers classify the failure as a
 // retryable shutdown, never a generic server error) and context.Canceled
 // (the mechanism that aborted the work, which callers select on).
@@ -46,41 +40,13 @@ var errClosedNow = fmt.Errorf("%w (%w)", ErrClosed, context.Canceled)
 // Options tunes a Scheduler. The zero value selects the defaults noted on
 // each field.
 type Options struct {
-	// MaxBatch caps the queries coalesced into one micro-batch
-	// (DefaultMaxBatch when 0).
-	MaxBatch int
-	// Window is how long the collector waits for more arrivals before
-	// dispatching a partial batch while other batches are in flight
-	// (DefaultWindow when 0, negative disables waiting). While the
-	// scheduler is idle dispatch is always immediate, so the window costs
-	// no latency on an unloaded system.
-	Window time.Duration
-	// MaxInFlight caps concurrently running micro-batches
-	// (DefaultMaxInFlight when 0).
+	// MaxInFlight caps concurrently running queries (DefaultMaxInFlight
+	// when 0).
 	MaxInFlight int
 }
 
-// Default knob values.
-const (
-	DefaultMaxBatch    = 32
-	DefaultWindow      = 500 * time.Microsecond
-	DefaultMaxInFlight = 4
-)
-
-func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.Window == 0 {
-		o.Window = DefaultWindow
-	} else if o.Window < 0 {
-		o.Window = 0
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = DefaultMaxInFlight
-	}
-	return o
-}
+// DefaultMaxInFlight is the MaxInFlight of the zero Options.
+const DefaultMaxInFlight = 4
 
 // Ticket is the future of one submitted query. Multiple submissions of the
 // same cache key may share one Ticket; treat the resolved value as
@@ -133,10 +99,6 @@ func (t *Ticket[R]) Cached() bool { return t.cached }
 type Stats struct {
 	// Submitted counts Submit calls (including cache hits and joins).
 	Submitted int64
-	// Batches counts dispatched micro-batches; Batched the queries they
-	// carried. Batched/Batches is the realised mean batch size.
-	Batches int64
-	Batched int64
 	// Joined counts submissions that attached to an identical in-flight
 	// query instead of queueing their own.
 	Joined int64
@@ -151,28 +113,27 @@ type job[Q, R any] struct {
 	hasKey bool
 }
 
-// Scheduler coalesces submitted queries into micro-batches and runs them
-// through a caller-supplied batch function, up to MaxInFlight batches
-// concurrently. It is safe for concurrent use.
+// Scheduler runs submitted queries through a caller-supplied run
+// function, up to MaxInFlight at once and the rest in submission order. It
+// is safe for concurrent use.
 type Scheduler[Q, R any] struct {
-	run   func(ctx context.Context, batch []Q) ([]R, error)
-	key   func(q Q) (string, bool)
-	cache *Cache[R]
-	opt   Options
+	run         func(ctx context.Context, q Q) (R, error)
+	key         func(q Q) (string, bool)
+	cache       *Cache[R]
+	maxInFlight int
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	slots  chan struct{} // counting semaphore: len == batches in flight
 
-	mu         sync.Mutex
-	queue      []*job[Q, R]          //sw:guardedBy(mu)
-	pending    map[string]*Ticket[R] //sw:guardedBy(mu)
-	collecting bool                  //sw:guardedBy(mu)
-	closed     bool                  //sw:guardedBy(mu)
-	stats      Stats                 //sw:guardedBy(mu)
+	mu      sync.Mutex
+	queue   []*job[Q, R]          //sw:guardedBy(mu)
+	pending map[string]*Ticket[R] //sw:guardedBy(mu)
+	running int                   //sw:guardedBy(mu)
+	closed  bool                  //sw:guardedBy(mu)
+	stats   Stats                 //sw:guardedBy(mu)
 }
 
-// New builds a scheduler over a batch function. key derives the cache /
+// New builds a scheduler over a run function. key derives the cache /
 // dedup key of a query (nil, or a false second return, disables caching
 // for that query); cache may be nil (no caching) or shared between
 // schedulers. The scheduler's context is its own lifetime root — it is
@@ -181,7 +142,7 @@ type Scheduler[Q, R any] struct {
 //
 //sw:ctxroot
 func New[Q, R any](
-	run func(ctx context.Context, batch []Q) ([]R, error),
+	run func(ctx context.Context, q Q) (R, error),
 	key func(q Q) (string, bool),
 	cache *Cache[R],
 	opt Options,
@@ -189,17 +150,18 @@ func New[Q, R any](
 	if run == nil {
 		panic("qsched: nil run function")
 	}
-	opt = opt.withDefaults()
+	if opt.MaxInFlight <= 0 {
+		opt.MaxInFlight = DefaultMaxInFlight
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Scheduler[Q, R]{
-		run:     run,
-		key:     key,
-		cache:   cache,
-		opt:     opt,
-		ctx:     ctx,
-		cancel:  cancel,
-		slots:   make(chan struct{}, opt.MaxInFlight),
-		pending: make(map[string]*Ticket[R]),
+		run:         run,
+		key:         key,
+		cache:       cache,
+		maxInFlight: opt.MaxInFlight,
+		ctx:         ctx,
+		cancel:      cancel,
+		pending:     make(map[string]*Ticket[R]),
 	}
 }
 
@@ -241,10 +203,12 @@ func (s *Scheduler[Q, R]) Submit(q Q) (*Ticket[R], error) {
 	if hasKey {
 		s.pending[key] = t
 	}
-	s.queue = append(s.queue, &job[Q, R]{q: q, t: t, key: key, hasKey: hasKey})
-	if !s.collecting {
-		s.collecting = true
-		go s.collect()
+	j := &job[Q, R]{q: q, t: t, key: key, hasKey: hasKey}
+	if s.running < s.maxInFlight {
+		s.running++
+		go s.runFrom(j)
+	} else {
+		s.queue = append(s.queue, j)
 	}
 	return t, nil
 }
@@ -271,146 +235,71 @@ func (s *Scheduler[Q, R]) Close() {
 }
 
 // CloseNow stops intake and cancels the scheduler context: queued queries
-// resolve with the cancellation error without running, and in-flight
-// batches abort at their next query boundary. Idempotent.
+// resolve with the cancellation error without running, and in-flight ones
+// abort at their next cancellation check. Idempotent.
 func (s *Scheduler[Q, R]) CloseNow() {
 	s.mu.Lock()
 	s.closed = true
-	s.mu.Unlock()
-	s.cancel()
-	s.failQueued(errClosedNow)
-}
-
-// failQueued resolves every queued (not yet dispatched) job with err.
-func (s *Scheduler[Q, R]) failQueued(err error) {
-	s.mu.Lock()
 	queued := s.queue
 	s.queue = nil
 	s.mu.Unlock()
+	s.cancel()
 	var zero R
 	for _, j := range queued {
-		s.resolve(j, zero, err, false)
+		s.resolve(j, zero, errClosedNow)
 	}
 }
 
-// collect is the intake loop: it runs only while the queue is non-empty,
-// coalescing jobs into micro-batches and dispatching them as in-flight
-// slots free up.
-func (s *Scheduler[Q, R]) collect() {
-	for {
+// runFrom holds one in-flight slot: it runs j, then keeps taking the
+// oldest queued job until the queue is empty, and gives the slot back.
+func (s *Scheduler[Q, R]) runFrom(j *job[Q, R]) {
+	for j != nil {
+		s.runOne(j)
 		s.mu.Lock()
 		if len(s.queue) == 0 {
-			s.collecting = false
-			s.mu.Unlock()
-			return
+			j = nil
+			s.running--
+		} else {
+			j = s.queue[0]
+			s.queue[0] = nil // release for GC
+			s.queue = s.queue[1:]
 		}
-		// Adaptive coalescing: while batches are in flight and this one is
-		// not yet full, wait a short window so the backlog coalesces into
-		// fewer, fuller batches. When the scheduler is idle, dispatch
-		// immediately — the window never delays an unloaded system.
-		if s.opt.Window > 0 && len(s.queue) < s.opt.MaxBatch && len(s.slots) > 0 && !s.closed {
-			s.mu.Unlock()
-			select {
-			case <-time.After(s.opt.Window):
-			case <-s.ctx.Done():
-				s.failQueued(errClosedNow)
-				s.mu.Lock()
-				s.collecting = false
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Lock()
-		}
-		n := len(s.queue)
-		if n == 0 {
-			// CloseNow drained the queue while we slept in the window.
-			s.collecting = false
-			s.mu.Unlock()
-			return
-		}
-		if n > s.opt.MaxBatch {
-			n = s.opt.MaxBatch
-		}
-		batch := make([]*job[Q, R], n)
-		copy(batch, s.queue)
-		s.queue = s.queue[n:]
-		s.stats.Batches++
-		s.stats.Batched += int64(n)
 		s.mu.Unlock()
-
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.ctx.Done():
-			err := errClosedNow
-			var zero R
-			for _, j := range batch {
-				s.resolve(j, zero, err, false)
-			}
-			s.failQueued(err)
-			s.mu.Lock()
-			s.collecting = false
-			s.mu.Unlock()
-			return
-		}
-		go s.runBatch(batch)
 	}
 }
 
-// runBatch executes one micro-batch and resolves its tickets. A batch-wide
-// failure falls back to per-query execution so one poisoned query cannot
-// fail its batch neighbours.
-func (s *Scheduler[Q, R]) runBatch(batch []*job[Q, R]) {
-	defer func() { <-s.slots }()
-	qs := make([]Q, len(batch))
-	for i, j := range batch {
-		qs[i] = j.q
-	}
-	rs, err := s.run(s.ctx, qs)
-	if err == nil && len(rs) != len(batch) {
-		err = fmt.Errorf("qsched: batch function returned %d results for %d queries", len(rs), len(batch))
-	}
-	if err != nil && len(batch) > 1 && s.ctx.Err() == nil {
-		// Failure isolation: retry queries individually.
-		var zero R
-		for _, j := range batch {
-			r, jerr := s.run(s.ctx, []Q{j.q})
-			switch {
-			case jerr != nil:
-				s.resolve(j, zero, jerr, false)
-			case len(r) != 1:
-				s.resolve(j, zero, fmt.Errorf("qsched: batch function returned %d results for 1 query", len(r)), false)
-			default:
-				s.resolve(j, r[0], nil, true)
-			}
-		}
-		return
+// runOne executes one query and resolves its ticket. A query that fails
+// because CloseNow cancelled the scheduler context — or that CloseNow
+// reached before it started — resolves with the shutdown error, so waiters
+// see a retryable closed scheduler rather than a bare cancellation.
+func (s *Scheduler[Q, R]) runOne(j *job[Q, R]) {
+	var (
+		v   R
+		err = s.ctx.Err()
+	)
+	if err == nil {
+		v, err = s.run(s.ctx, j.q)
 	}
 	if err != nil && s.ctx.Err() != nil {
-		// The batch died because CloseNow cancelled the scheduler context,
-		// not on its own merits: resolve with the shutdown error so waiters
-		// see a retryable closed scheduler rather than a bare cancellation.
 		err = errClosedNow
 	}
-	var zero R
-	for i, j := range batch {
-		if err != nil {
-			s.resolve(j, zero, err, false)
-		} else {
-			s.resolve(j, rs[i], nil, true)
-		}
-	}
+	s.resolve(j, v, err)
 }
 
 // resolve completes one job's ticket, retires its pending-key entry and,
 // on success, caches the value.
-func (s *Scheduler[Q, R]) resolve(j *job[Q, R], v R, err error, cacheable bool) {
+func (s *Scheduler[Q, R]) resolve(j *job[Q, R], v R, err error) {
+	if err != nil {
+		var zero R
+		v = zero
+	}
 	if j.hasKey {
 		s.mu.Lock()
 		if s.pending[j.key] == j.t {
 			delete(s.pending, j.key)
 		}
 		s.mu.Unlock()
-		if err == nil && cacheable && s.cache != nil {
+		if err == nil && s.cache != nil {
 			s.cache.Add(j.key, v)
 		}
 	}

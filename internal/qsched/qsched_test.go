@@ -5,26 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// echoRun returns a run function that maps each query string to "R:"+q and
-// appends every batch it executes to the shared log.
-func echoRun(mu *sync.Mutex, batches *[][]string) func(context.Context, []string) ([]string, error) {
-	return func(ctx context.Context, qs []string) ([]string, error) {
-		mu.Lock()
-		*batches = append(*batches, append([]string(nil), qs...))
-		mu.Unlock()
-		out := make([]string, len(qs))
-		for i, q := range qs {
-			out[i] = "R:" + q
-		}
-		return out, nil
-	}
-}
+// echo is a run function that maps each query string to "R:"+q.
+func echo(ctx context.Context, q string) (string, error) { return "R:" + q, nil }
 
 func waitTicket(t *testing.T, tk *Ticket[string]) (string, error) {
 	t.Helper()
@@ -38,9 +27,7 @@ func waitTicket(t *testing.T, tk *Ticket[string]) (string, error) {
 }
 
 func TestSubmitResolvesEachQuery(t *testing.T) {
-	var mu sync.Mutex
-	var batches [][]string
-	s := New(echoRun(&mu, &batches), nil, nil, Options{})
+	s := New(echo, nil, nil, Options{})
 	defer s.CloseNow()
 	var tickets []*Ticket[string]
 	for i := 0; i < 10; i++ {
@@ -61,69 +48,93 @@ func TestSubmitResolvesEachQuery(t *testing.T) {
 	}
 }
 
-// A backlog accumulated while a batch is in flight must coalesce into
-// micro-batches instead of running one query at a time.
-func TestBacklogCoalesces(t *testing.T) {
-	gate := make(chan struct{})
-	first := make(chan struct{})
-	var once sync.Once
-	var mu sync.Mutex
-	var batches [][]string
-	run := func(ctx context.Context, qs []string) ([]string, error) {
-		held := false
-		once.Do(func() { held = true })
-		if held {
-			close(first)
-			<-gate // hold the only in-flight slot so the backlog builds
+// A ticket resolves as soon as its own query is done: a query that is
+// still running holds no other ticket back.
+func TestTicketResolvesWithoutNeighbours(t *testing.T) {
+	gateX, gateC := make(chan struct{}), make(chan struct{})
+	startedX, startedC := make(chan struct{}), make(chan struct{})
+	run := func(ctx context.Context, q string) (string, error) {
+		switch q {
+		case "X":
+			close(startedX)
+			<-gateX
+		case "C":
+			close(startedC)
+			<-gateC
 		}
-		mu.Lock()
-		batches = append(batches, append([]string(nil), qs...))
-		mu.Unlock()
-		out := make([]string, len(qs))
-		copy(out, qs)
-		return out, nil
+		return "R:" + q, nil
 	}
-	s := New(run, nil, nil, Options{MaxBatch: 4, MaxInFlight: 1, Window: 5 * time.Millisecond})
+	s := New(run, nil, nil, Options{MaxInFlight: 3})
 	defer s.CloseNow()
+	defer close(gateX)
+	defer close(gateC)
 
-	tk0, err := s.Submit("q0")
+	x, err := s.Submit("X")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-first // first batch is in flight, holding the slot
-	var rest []*Ticket[string]
-	for i := 1; i <= 8; i++ {
-		tk, err := s.Submit(fmt.Sprintf("q%d", i))
-		if err != nil {
-			t.Fatal(err)
+	<-startedX // X holds a slot
+	b, err := s.Submit("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Submit("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-startedC // C is blocked on its own gate
+	if v, err := waitTicket(t, b); err != nil || v != "R:B" {
+		t.Fatalf("B: %q, %v", v, err)
+	}
+	for name, tk := range map[string]*Ticket[string]{"X": x, "C": c} {
+		select {
+		case <-tk.Done():
+			t.Fatalf("%s resolved while gated", name)
+		default:
 		}
-		rest = append(rest, tk)
 	}
-	close(gate)
-	waitTicket(t, tk0)
-	for _, tk := range rest {
-		waitTicket(t, tk)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	total := 0
-	for _, b := range batches {
-		if len(b) > 4 {
-			t.Fatalf("batch of %d exceeds MaxBatch 4: %v", len(b), b)
+}
+
+// At most MaxInFlight queries run at once, and a backlog runs in
+// submission order.
+func TestInFlightBoundAndOrder(t *testing.T) {
+	for _, limit := range []int{1, 2} {
+		var mu sync.Mutex
+		var ran []string
+		running, peak := 0, 0
+		run := func(ctx context.Context, q string) (string, error) {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			ran = append(ran, q)
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			running--
+			mu.Unlock()
+			return "R:" + q, nil
 		}
-		total += len(b)
-	}
-	if total != 9 {
-		t.Fatalf("ran %d queries, want 9", total)
-	}
-	// 8 backlogged queries at MaxBatch 4 need only 2 batches; allow 3 for
-	// scheduling jitter, but 8 singleton batches means coalescing failed.
-	if len(batches) > 4 {
-		t.Fatalf("backlog ran as %d batches, want coalesced (<= 4): %v", len(batches), batches)
-	}
-	st := s.Stats()
-	if st.Submitted != 9 || st.Batched != 9 {
-		t.Fatalf("stats %+v", st)
+		s := New(run, nil, nil, Options{MaxInFlight: limit})
+		var tks []*Ticket[string]
+		for i := 0; i < 12; i++ {
+			tk, err := s.Submit(fmt.Sprintf("q%02d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		for _, tk := range tks {
+			waitTicket(t, tk)
+		}
+		s.CloseNow()
+		mu.Lock()
+		if peak > limit {
+			t.Errorf("MaxInFlight %d: %d queries ran at once", limit, peak)
+		}
+		if limit == 1 && !sort.StringsAreSorted(ran) {
+			t.Errorf("MaxInFlight 1 ran the backlog out of order: %v", ran)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -132,7 +143,7 @@ func TestInFlightJoinAndCache(t *testing.T) {
 	started := make(chan struct{})
 	var calls int64
 	var mu sync.Mutex
-	run := func(ctx context.Context, qs []string) ([]string, error) {
+	run := func(ctx context.Context, q string) (string, error) {
 		mu.Lock()
 		calls++
 		first := calls == 1
@@ -141,11 +152,7 @@ func TestInFlightJoinAndCache(t *testing.T) {
 			close(started)
 			<-gate
 		}
-		out := make([]string, len(qs))
-		for i, q := range qs {
-			out[i] = "R:" + q
-		}
-		return out, nil
+		return "R:" + q, nil
 	}
 	key := func(q string) (string, bool) { return q, true }
 	cache := NewCache[string](8)
@@ -193,23 +200,17 @@ func TestInFlightJoinAndCache(t *testing.T) {
 	}
 }
 
-// A batch-wide failure must be retried per query so one poisoned query
-// cannot fail its neighbours.
+// A failing query fails only its own ticket: the queries around it still
+// succeed.
 func TestFailureIsolation(t *testing.T) {
 	poison := errors.New("poisoned query")
-	run := func(ctx context.Context, qs []string) ([]string, error) {
-		out := make([]string, len(qs))
-		for i, q := range qs {
-			if strings.Contains(q, "bad") {
-				return nil, poison
-			}
-			out[i] = "R:" + q
+	run := func(ctx context.Context, q string) (string, error) {
+		if strings.Contains(q, "bad") {
+			return "", poison
 		}
-		return out, nil
+		return "R:" + q, nil
 	}
-	// Window large enough that all three coalesce into one batch behind a
-	// blocked slot is unnecessary: submit them before the collector runs.
-	s := New(run, nil, nil, Options{MaxBatch: 8, MaxInFlight: 1, Window: -1})
+	s := New(run, nil, nil, Options{MaxInFlight: 1})
 	defer s.CloseNow()
 	tks := make([]*Ticket[string], 0, 3)
 	for _, q := range []string{"ok1", "bad", "ok2"} {
@@ -231,9 +232,7 @@ func TestFailureIsolation(t *testing.T) {
 }
 
 func TestCloseStopsIntakeButDrains(t *testing.T) {
-	var mu sync.Mutex
-	var batches [][]string
-	s := New(echoRun(&mu, &batches), nil, nil, Options{})
+	s := New(echo, nil, nil, Options{})
 	tk, err := s.Submit("q")
 	if err != nil {
 		t.Fatal(err)
@@ -249,12 +248,12 @@ func TestCloseStopsIntakeButDrains(t *testing.T) {
 
 func TestCloseNowCancelsQueuedAndInFlight(t *testing.T) {
 	started := make(chan struct{})
-	run := func(ctx context.Context, qs []string) ([]string, error) {
+	run := func(ctx context.Context, q string) (string, error) {
 		close(started)
 		<-ctx.Done() // a long search aborted by cancellation
-		return nil, ctx.Err()
+		return "", ctx.Err()
 	}
-	s := New(run, nil, nil, Options{MaxInFlight: 1, Window: -1})
+	s := New(run, nil, nil, Options{MaxInFlight: 1})
 	inflight, err := s.Submit("slow")
 	if err != nil {
 		t.Fatal(err)
@@ -273,13 +272,11 @@ func TestCloseNowCancelsQueuedAndInFlight(t *testing.T) {
 	}
 }
 
-// The scheduler must not keep goroutines alive while idle: the collector
+// The scheduler must not keep goroutines alive while idle: every runner
 // exits once the queue drains.
 func TestNoGoroutinesWhileIdle(t *testing.T) {
 	base := runtime.NumGoroutine()
-	var mu sync.Mutex
-	var batches [][]string
-	s := New(echoRun(&mu, &batches), nil, nil, Options{})
+	s := New(echo, nil, nil, Options{})
 	for round := 0; round < 3; round++ {
 		var tks []*Ticket[string]
 		for i := 0; i < 20; i++ {
@@ -335,15 +332,8 @@ func TestCacheLRUEviction(t *testing.T) {
 
 // Hammer the scheduler from many goroutines under the race detector.
 func TestConcurrentSubmitHammer(t *testing.T) {
-	run := func(ctx context.Context, qs []string) ([]string, error) {
-		out := make([]string, len(qs))
-		for i, q := range qs {
-			out[i] = "R:" + q
-		}
-		return out, nil
-	}
 	key := func(q string) (string, bool) { return q, true }
-	s := New(run, key, NewCache[string](32), Options{MaxBatch: 8, MaxInFlight: 4})
+	s := New(echo, key, NewCache[string](32), Options{MaxInFlight: 4})
 	defer s.CloseNow()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -21,9 +21,9 @@ import (
 // manifest routes to this node only for bytes both sides agree on.
 //
 // Each shard search runs through its cluster's serving scheduler, so
-// concurrent coordinator fan-outs coalesce into micro-batches and
-// repeated shard queries hit the per-shard LRU cache, exactly like
-// front-door /search traffic on a single node.
+// concurrent coordinator fan-outs share its in-flight slots and repeated
+// shard queries hit the per-shard LRU cache, exactly like front-door
+// /search traffic on a single node.
 type ShardServer struct {
 	shards map[string]*Cluster
 	keys   []string // shard keys in construction order, for stable listings

@@ -51,13 +51,12 @@ func badRequest(format string, args ...any) error {
 }
 
 // job is one validated request as the executor runs it — the unit the
-// scheduler batches, dedups and caches.
+// scheduler runs, dedups and caches.
 type job struct {
 	query Sequence
 	rep   ReportOptions
 	// matrix is the request-scoped substitution matrix (nil: the cluster's)
-	// and mkey its content fingerprint, the executor's grouping key and
-	// part of the cache key.
+	// and mkey its content fingerprint, part of the cache key.
 	matrix *submat.Matrix
 	mkey   string
 	// frames are a translated query's reading frames and fseqs their
@@ -70,19 +69,9 @@ type job struct {
 	wire bool
 }
 
-// scored returns the queries the job's score pass runs: the query itself,
-// or the translated query's frames.
-func (j *job) scored() []*sequence.Sequence {
-	if j.frames != nil {
-		return j.fseqs
-	}
-	return []*sequence.Sequence{j.query.impl}
-}
-
 // prepare is the one validation every door runs: it checks a request
 // against this cluster and resolves it into the job the executor runs, so a
-// request that can never succeed is refused before it reaches a scheduler,
-// where its deterministic failure would poison the micro-batch it joined.
+// request that can never succeed is refused before it reaches a scheduler.
 func (c *Cluster) prepare(req Request) (job, error) {
 	if err := req.Report.validate(); err != nil {
 		return job{}, err
@@ -170,11 +159,7 @@ func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*ClusterResul
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.execute(context.Background(), []job{jb})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return c.execute(context.Background(), jb)
 }
 
 // SearchScheduled is Do for a direct search of query with an optional
@@ -187,9 +172,10 @@ func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ..
 	return c.Do(ctx, req)
 }
 
-// Do runs one request through the cluster's serving scheduler: concurrent
-// callers coalesce into micro-batches, identical in-flight requests share
-// one execution, and repeats are answered from the cluster's LRU cache —
+// Do runs one request through the cluster's serving scheduler: it runs as
+// soon as one of the MaxInFlight slots is free and resolves as soon as its
+// own result is decorated, identical in-flight requests share one
+// execution, and repeats are answered from the cluster's LRU cache —
 // direct, translated and custom-matrix requests alike, since the matrix's
 // content, the translate flag and the report options are all part of the
 // cache key. ctx bounds the caller's wait, not the computation: cancelling
@@ -205,15 +191,14 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*ClusterResult, error) {
 	return c.scheduled(ctx, jb)
 }
 
-// DoBatch runs a batch of requests through the serving scheduler and
-// returns the results in request order. Every request is validated before
-// any is submitted, so a malformed one fails the call at no cost to the
-// others; then every request is submitted — tickets are futures, so this
-// spawns no goroutine per request — and the results are gathered in order.
-// The submissions coalesce into micro-batches with each other and with
-// concurrent callers'. ctx bounds the wait, as in Do. A failure names the
-// request it came from ("query 2: ...") and wraps its cause. POST /batch is
-// one DoBatch.
+// DoBatch runs a batch of requests through the serving scheduler in order
+// and returns the results in request order. Every request is validated
+// before any is submitted, so a malformed one fails the call at no cost to
+// the others; then request i+1 is submitted when request i has resolved,
+// so a batch holds one request's working memory at a time and shares the
+// in-flight slots with concurrent callers one query at a time. ctx bounds
+// the wait, as in Do. A failure names the request it came from ("query 2:
+// ...") and wraps its cause. POST /batch is one DoBatch.
 func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult, error) {
 	jobs := make([]job, len(reqs))
 	for i, req := range reqs {
@@ -227,17 +212,9 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 	if err != nil {
 		return nil, err
 	}
-	tickets := make([]*qsched.Ticket[*ClusterResult], len(jobs))
+	out := make([]*ClusterResult, len(jobs))
 	for i, jb := range jobs {
-		t, err := s.Submit(jb)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, closedErr(err))
-		}
-		tickets[i] = t
-	}
-	out := make([]*ClusterResult, len(tickets))
-	for i, t := range tickets {
-		res, err := t.Wait(ctx)
+		res, err := s.Do(ctx, jb)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, closedErr(err))
 		}
@@ -267,85 +244,54 @@ func closedErr(err error) error {
 	return err
 }
 
-// execute is the one batch executor behind every door: Search calls it
-// directly, and it is the batch function of every scheduler. jobs come from
-// prepare, or are a shard node's wire jobs. The jobs sharing a matrix get
-// one score pass together —
-// amortising pre-processing, each query selecting the K hits its own
-// request asked for, a translated job's frames selecting none — and then
-// each job's result is assembled and decorated. The context is checked at
-// every query and frame boundary of the score pass and threaded into the
-// traceback fan-out.
-func (c *Cluster) execute(ctx context.Context, jobs []job) ([]*ClusterResult, error) {
+// execute is the one executor behind every door: Search calls it
+// directly, and it is the run function of every scheduler. jb comes from
+// prepare, or is a shard node's wire job. A direct job is one score pass
+// that selects the K hits its request asked for; a translated job is one
+// score pass per frame, merged before the hits are selected. The result is
+// then decorated. ctx is checked before every score pass and threaded into
+// the traceback fan-out.
+func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 	e := c.engine()
-	out := make([]*ClusterResult, len(jobs))
-	done := make([]bool, len(jobs))
-	for i := range jobs {
-		if done[i] {
-			continue
-		}
-		var group []int
-		for k := i; k < len(jobs); k++ {
-			if !done[k] && jobs[k].mkey == jobs[i].mkey {
-				group = append(group, k)
-				done[k] = true
-			}
-		}
-		if err := c.executeGroup(ctx, e, jobs, group, out); err != nil {
+	dopt := c.dopt
+	if jb.matrix != nil {
+		dopt.Search.Matrix = jb.matrix
+	}
+	if jb.wire {
+		// Scores only: the coordinator selects over the merged shard scores.
+		r, err := e.disp.SearchContext(ctx, jb.query.impl, dopt, -1)
+		if err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// executeGroup runs the score pass of the jobs at indices group, which
-// share one matrix, and assembles and decorates their results into out.
-func (c *Cluster) executeGroup(ctx context.Context, e *engineState, jobs []job, group []int, out []*ClusterResult) error {
-	dopt := c.dopt
-	if m := jobs[group[0]].matrix; m != nil {
-		dopt.Search.Matrix = m
+		return wireResult(r), nil
 	}
 	var (
-		impls []*sequence.Sequence
-		topK  []int
+		res    *ClusterResult
+		winner []int
 	)
-	for _, k := range group {
-		jb := &jobs[k]
-		bound := c.topK(jb.rep)
-		if jb.wire || jb.frames != nil {
-			// Scores only: a coordinator selects over the merged shard
-			// scores, a translated search over the merged frame scores.
-			bound = -1
+	if jb.frames != nil {
+		// Scores only per frame: the hits are selected over the merged
+		// frame scores.
+		per := make([]*core.ClusterResult, len(jb.fseqs))
+		for i, q := range jb.fseqs {
+			r, err := e.disp.SearchContext(ctx, q, dopt, -1)
+			if err != nil {
+				return nil, err
+			}
+			per[i] = r
 		}
-		for _, q := range jb.scored() {
-			impls = append(impls, q)
-			topK = append(topK, bound)
+		res, winner = c.mergeFrames(per, jb.frames, c.topK(jb.rep))
+	} else {
+		r, err := e.disp.SearchContext(ctx, jb.query.impl, dopt, c.topK(jb.rep))
+		if err != nil {
+			return nil, err
 		}
+		res = wrapCluster(r)
 	}
-	res, err := e.disp.SearchBatchContext(ctx, impls, dopt, topK)
-	if err != nil {
-		return err
+	if err := c.decorate(ctx, e, dopt, &jb, res, winner); err != nil {
+		return nil, err
 	}
-	for _, k := range group {
-		jb := &jobs[k]
-		n := len(jb.scored())
-		mine := res[:n]
-		res = res[n:]
-		var winner []int
-		switch {
-		case jb.wire:
-			out[k] = wireResult(mine[0])
-			continue
-		case jb.frames != nil:
-			out[k], winner = c.mergeFrames(mine, jb.frames, c.topK(jb.rep))
-		default:
-			out[k] = wrapCluster(mine[0])
-		}
-		if err := c.decorate(ctx, e, dopt, jb, out[k], winner); err != nil {
-			return err
-		}
-	}
-	return nil
+	return res, nil
 }
 
 // mergeFrames folds a translated job's per-frame results into one: each
@@ -407,7 +353,10 @@ func (c *Cluster) decorate(ctx context.Context, e *engineState, dopt core.Dispat
 	if !jb.rep.Alignments {
 		return nil
 	}
-	queries := jb.scored()
+	queries := jb.fseqs
+	if jb.frames == nil {
+		queries = []*sequence.Sequence{jb.query.impl}
+	}
 	byQuery := make([][]int, len(queries))
 	for i, h := range res.Hits {
 		qi := 0
@@ -482,8 +431,8 @@ func (c *Cluster) cacheKey(jb job) (string, bool) {
 	return b.String(), true
 }
 
-// newScheduler builds a micro-batching scheduler over the cluster's
-// executor, sharing the cluster-wide result cache.
+// newScheduler builds a scheduler over the cluster's executor, sharing the
+// cluster-wide result cache.
 func (c *Cluster) newScheduler() *qsched.Scheduler[job, *ClusterResult] {
 	return qsched.New(c.execute, c.cacheKey, c.cache, c.schedOpt)
 }

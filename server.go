@@ -15,8 +15,8 @@ import (
 
 // The HTTP front end exposes a Cluster as a JSON search service — the
 // serving shape of the SwissAlign webserver precedent, backed by the
-// concurrent micro-batching scheduler so that independent HTTP requests
-// coalesce into micro-batches exactly like stream submissions.
+// cluster's query scheduler so that independent HTTP requests share its
+// in-flight slots, dedup and cache exactly like stream submissions.
 //
 //	POST /search   {"id": "q1", "residues": "MKWVLA...", "top_k": 10}
 //	POST /batch    {"queries": [{...}, ...], "top_k": 10}
@@ -36,7 +36,7 @@ import (
 // "matrix" (request-scoped substitution matrix text in the NCBI format;
 // rejected text answers 400 wrapping ErrBadMatrix). Every /search is one
 // Cluster.Do and every /batch one Cluster.DoBatch, so translated and
-// custom-matrix requests coalesce, dedup and cache like any other: the
+// custom-matrix requests schedule, dedup and cache like any other: the
 // matrix's content and the translate flag are part of the cache key.
 
 // maxRequestBytes bounds an HTTP request body: the longest real protein is
@@ -46,7 +46,7 @@ const maxRequestBytes = 16 << 20
 // maxQueryResidues bounds one query: roughly 2x titin, the longest known
 // protein. Without a cap a single request could submit a multi-megabyte
 // "query" whose O(query x database) computation cannot be cancelled once
-// batched — a trivial denial of service.
+// its score pass starts — a trivial denial of service.
 const maxQueryResidues = 65536
 
 // maxResponseHits bounds top_k: the full score list of a half-million-
@@ -159,11 +159,9 @@ type HealthJSON struct {
 	VecBackend    vec.BackendInfo `json:"vec_backend"`
 	Backends      []BackendJSON   `json:"backends"`
 	Scheduler     struct {
-		Submitted      int64 `json:"submitted"`
-		Batches        int64 `json:"batches"`
-		BatchedQueries int64 `json:"batched_queries"`
-		Joined         int64 `json:"joined"`
-		CacheHits      int64 `json:"cache_hits"`
+		Submitted int64 `json:"submitted"`
+		Joined    int64 `json:"joined"`
+		CacheHits int64 `json:"cache_hits"`
 	} `json:"scheduler"`
 	Cache struct {
 		Hits    int64 `json:"hits"`
@@ -193,9 +191,9 @@ type server struct {
 
 // NewHTTPHandler wraps a cluster in the JSON search API served by
 // cmd/swserve. Every /search and /batch request is routed through the
-// cluster's serving scheduler (Do, DoBatch), so concurrent requests
-// coalesce into micro-batches, identical in-flight queries share one
-// execution and repeated queries hit the LRU cache.
+// cluster's serving scheduler (Do, DoBatch), so concurrent requests share
+// its in-flight slots, identical in-flight queries share one execution and
+// repeated queries hit the LRU cache.
 func NewHTTPHandler(c *Cluster) http.Handler {
 	s := &server{c: c, start: time.Now()}
 	mux := http.NewServeMux()
@@ -560,8 +558,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.c.SchedulerStats()
 	h.Scheduler.Submitted = st.Submitted
-	h.Scheduler.Batches = st.Batches
-	h.Scheduler.BatchedQueries = st.BatchedQueries
 	h.Scheduler.Joined = st.Joined
 	h.Scheduler.CacheHits = st.CacheHits
 	h.Ladder = s.c.LadderStats()

@@ -380,7 +380,7 @@ func TestHTTPBatchAligned(t *testing.T) {
 	}
 }
 
-// Concurrent HTTP clients must coalesce through the serving scheduler and
+// Concurrent HTTP clients must share the serving scheduler and
 // all receive correct answers — the serving-path analogue of the stream
 // ordering test. Run under -race in CI.
 func TestHTTPConcurrentClients(t *testing.T) {

@@ -25,7 +25,7 @@ type StreamResult struct {
 
 // streamBuffer is the Results channel depth: completed results waiting for
 // a slow consumer are bounded by this many deliveries plus the reorder
-// window of in-flight batches.
+// window of in-flight queries.
 const streamBuffer = 64
 
 // streamSub is one submission awaiting ordered delivery.
@@ -34,16 +34,16 @@ type streamSub struct {
 	ticket *qsched.Ticket[*ClusterResult]
 }
 
-// Stream is one streaming session over a Cluster on a micro-batching
-// scheduler of its own: submissions coalesce into adaptive micro-batches,
-// up to MaxInFlight batches run concurrently on the cluster's executor, and
-// a reorder buffer delivers results in submission order on Results.
+// Stream is one streaming session over a Cluster on a query scheduler of
+// its own: up to MaxInFlight submissions run concurrently on the cluster's
+// executor, the rest wait in submission order, and a reorder buffer
+// delivers results in submission order on Results.
 //
 // Lifecycle: Close ends intake and lets queued work drain; CloseNow (or
 // cancelling the context passed to NewStream) additionally drops queued
-// work and aborts in-flight batches at their next query boundary, so an
-// abandoned consumer never strands a worker goroutine. Results is closed
-// in every case.
+// work and aborts in-flight queries at their next cancellation check, so
+// an abandoned consumer never strands a worker goroutine. Results is
+// closed in every case.
 type Stream struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -88,10 +88,6 @@ func (c *Cluster) NewStream(ctx context.Context) *Stream {
 		ctx = context.Background()
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	maxBatch := c.schedOpt.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = qsched.DefaultMaxBatch
-	}
 	maxInFlight := c.schedOpt.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = qsched.DefaultMaxInFlight
@@ -102,7 +98,7 @@ func (c *Cluster) NewStream(ctx context.Context) *Stream {
 		sched:   c.newScheduler(),
 		prepare: c.prepare,
 		out:     make(chan StreamResult, streamBuffer),
-		window:  streamBuffer + maxBatch*maxInFlight,
+		window:  streamBuffer + maxInFlight,
 	}
 	st.cond = sync.NewCond(&st.mu)
 	st.stop = context.AfterFunc(sctx, st.abort)
@@ -135,9 +131,9 @@ func (st *Stream) forwardLocked() {
 // in requests, which cost only a reference each), so the
 // submit-everything-then-drain pattern is safe for any backlog size; the
 // scheduler is fed at most the stream's forwarding window (streamBuffer
-// plus one scheduler pipeline, MaxBatch x MaxInFlight) ahead of the
-// Results consumer, which bounds completed-result memory however large
-// the backlog. Submit fails after Close.
+// plus MaxInFlight) ahead of the Results consumer, which bounds
+// completed-result memory however large the backlog. Submit fails after
+// Close.
 func (st *Stream) Submit(req Request) error {
 	jb, err := st.prepare(req)
 	if err != nil {
@@ -190,7 +186,7 @@ func (st *Stream) Close() {
 }
 
 // CloseNow ends the session immediately: intake stops, queued queries are
-// dropped, in-flight micro-batches abort at their next query boundary and
+// dropped, in-flight queries abort at their next cancellation check and
 // Results closes without delivering the remainder. Safe to call from any
 // goroutine, any number of times, including after Close.
 func (st *Stream) CloseNow() {
@@ -230,7 +226,7 @@ func (st *Stream) finish() {
 }
 
 // deliver is the reorder buffer: it walks submissions in order, waits for
-// each ticket and forwards the result, so out-of-order batch completions
+// each ticket and forwards the result, so out-of-order completions
 // are delivered in submission order. It exits — closing Results — when the
 // stream is closed and drained, or as soon as the stream context is
 // cancelled. Consumed submissions are popped from the front of subs (a

@@ -1,8 +1,7 @@
 package heterosw
 
-// Streaming throughput benchmarks: the acceptance evidence that the
-// micro-batching scheduler beats the PR-1 per-query worker on a >= 64
-// query stream.
+// Streaming throughput benchmarks: the evidence that the query scheduler
+// beats the PR-1 per-query worker on a >= 64 query stream.
 //
 // Two workloads:
 //
@@ -12,9 +11,9 @@ package heterosw
 //     in-flight queries, so it does a quarter of the kernel work; the
 //     serial worker recomputes all 64.
 //   - Distinct: 64 unique queries — the scheduler's worst case, included
-//     to show micro-batching costs nothing when there is nothing to
-//     share. On multi-core hosts MaxInFlight batches overlap and win;
-//     on a single core this is parity.
+//     to show scheduling costs nothing when there is nothing to share. On
+//     multi-core hosts MaxInFlight queries overlap and win; on a single
+//     core this is parity.
 //
 // Each iteration builds a fresh cluster so the cache never carries over
 // between iterations; both sides pay identical engine/lane-packing setup.
@@ -93,8 +92,8 @@ func runSerialWorker(b *testing.B, cl *Cluster, stream []Sequence) {
 	}
 }
 
-// runScheduler pushes the same stream through the micro-batching
-// scheduler and drains in order.
+// runScheduler pushes the same stream through the query scheduler and
+// drains in order.
 func runScheduler(b *testing.B, cl *Cluster, stream []Sequence) {
 	b.Helper()
 	st := cl.NewStream(nil)

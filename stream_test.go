@@ -49,8 +49,8 @@ func shortQueries(n, length int) []Sequence {
 // Regression for the PR-1 goroutine leak: the old streamWorker blocked
 // forever on its unconditional channel send when the Results consumer
 // walked away. Now an abandoned consumer calls CloseNow (or cancels the
-// stream context) and every goroutine — delivery, collector, batch
-// workers — exits.
+// stream context) and every goroutine — delivery and scheduler runners —
+// exits.
 func TestStreamAbandonedConsumerLeavesNoGoroutines(t *testing.T) {
 	db, _ := tinyDB(t) // searches are microseconds: this test times the scheduler, not kernels
 	queries := shortQueries(3*streamBuffer, 12)
@@ -176,7 +176,7 @@ func TestStreamContextCancelStopsWorkers(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// The acceptance pin: under concurrent micro-batches, delivery must stay
+// The acceptance pin: under concurrent in-flight queries, delivery must stay
 // in submission order, results must be correct, and graceful shutdown must
 // drain completely. Run under -race in CI.
 func TestStreamOrderedDeliveryUnderConcurrency(t *testing.T) {
@@ -186,8 +186,6 @@ func TestStreamOrderedDeliveryUnderConcurrency(t *testing.T) {
 		Devices:     []DeviceKind{DeviceXeon, DevicePhi},
 		Dist:        "dynamic",
 		MaxInFlight: 4,
-		MaxBatch:    4,
-		BatchWindow: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +246,6 @@ func TestStreamAlignedOrderedNoLeak(t *testing.T) {
 	cl, err := NewCluster(db, ClusterOptions{
 		Dist:        "dynamic",
 		MaxInFlight: 4,
-		MaxBatch:    4,
-		BatchWindow: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
