@@ -246,7 +246,7 @@ func TestSignificanceAPI(t *testing.T) {
 		t.Fatalf("self-hit EValue %v", e)
 	}
 	// A mid-distribution score is unremarkable.
-	mid := res.Scores[len(res.Scores)/2]
+	mid := int(res.Scores[len(res.Scores)/2])
 	if e := sig.EValue(mid); e < 1 {
 		t.Fatalf("median score EValue %v, want >> 1", e)
 	}

@@ -84,7 +84,7 @@ type ClusterOptions struct {
 	// Each cached result holds a database-length score list and the K hits
 	// its request asked for, so the zero-value default is derived from the
 	// database size against a ~512 MB budget (at most 512 entries, at
-	// least 8 — 123 entries on the full 541k-sequence Swiss-Prot).
+	// least 8 — 247 entries on the full 541k-sequence Swiss-Prot).
 	// Negative disables caching.
 	CacheSize int
 }
@@ -92,13 +92,12 @@ type ClusterOptions struct {
 // Cache sizing when ClusterOptions.CacheSize is zero: a memory budget
 // divided by the estimated per-entry cost, clamped to [minCacheSize,
 // maxCacheSize]. What grows with the database in an entry is Result.Scores,
-// one int (cacheBytesPerSeq) per sequence — a shard node's entry holds the
-// int32 wire scores instead, half that; the hit list is as long as the
+// one int32 (cacheBytesPerSeq) per sequence; the hit list is as long as the
 // request's K, and cacheEntryBytes covers ten hits with their IDs,
 // tracebacks and E-values several times over.
 const (
 	cacheBudgetBytes = 512 << 20
-	cacheBytesPerSeq = 8
+	cacheBytesPerSeq = 4
 	cacheEntryBytes  = 4096
 	minCacheSize     = 8
 	maxCacheSize     = 512
@@ -123,11 +122,6 @@ type ClusterResult struct {
 	// distribution when the search requested ReportOptions.EValues; nil
 	// otherwise.
 	Significance *Significance
-
-	// wire is the score list of a shard node's search, as the engine
-	// produced it and as /shard/search encodes it; such a result carries no
-	// Hits and no Scores.
-	wire []int32
 }
 
 // ReportOptions selects the optional reporting phases of one search call.
@@ -249,26 +243,27 @@ type engineState struct {
 func (c *Cluster) engine() *engineState { return c.eng.Load() }
 
 // BackendTotals is one backend's cumulative accounting across every search
-// the cluster has completed, whichever door or stream it arrived on.
+// the cluster has completed, whichever door or stream it arrived on; the
+// swserve /healthz endpoint lists one per backend.
 type BackendTotals struct {
 	// Name identifies the backend; Device is DeviceHost for a local
 	// cluster's one backend, DeviceRemote for a coordinator's shard nodes.
-	Name   string
-	Device DeviceKind
+	Name   string     `json:"name"`
+	Device DeviceKind `json:"device"`
 	// Workers is the host backend's goroutine count per search (0 for a
 	// remote node, whose parallelism is its own).
-	Workers int
+	Workers int `json:"workers"`
 	// Grants counts the searches the backend has run (one per query);
 	// Residues the database residues and Cells the cell updates they
 	// covered; WallSeconds their accumulated wall time, so
 	// Cells/WallSeconds is the backend's realised rate.
-	Grants      int64
-	Residues    int64
-	Cells       int64
-	WallSeconds float64
+	Grants      int64   `json:"grants"`
+	Residues    int64   `json:"residues"`
+	Cells       int64   `json:"cells"`
+	WallSeconds float64 `json:"wall_seconds"`
 	// Tracebacks counts the aligned-hit tracebacks the backend has run in
 	// reporting phase two (ReportOptions.Alignments).
-	Tracebacks int64
+	Tracebacks int64 `json:"tracebacks"`
 }
 
 // Cluster is a search service over a Database. Every search is a Request
@@ -491,13 +486,6 @@ func wrapCluster(r *core.ClusterResult) *ClusterResult {
 	return &ClusterResult{Result: *wrapResult(r)}
 }
 
-// wireResult wraps a shard node's search: the accounting of wrapResult, the
-// engine's score list as it is, and neither Hits nor Scores.
-func wireResult(r *core.ClusterResult) *ClusterResult {
-	acct := core.Result{Stats: r.Stats, WallSeconds: r.WallSeconds, WallGCUPS: r.WallGCUPS}
-	return &ClusterResult{Result: *wrapResult(&acct), wire: r.Scores}
-}
-
 // Totals reports the number of completed query searches and cumulative
 // per-backend accounting (searches, residues, cells, wall seconds) across
 // every entry point and concurrent caller: one host backend on a local
@@ -549,21 +537,29 @@ func (c *Cluster) LadderStats() LadderStats {
 	return LadderStats{Escalated8: st.Overflows8, Escalated16: st.Overflows, EscalatedCells: st.OverflowCells}
 }
 
+// CacheStats is a snapshot of the cluster result cache.
+type CacheStats struct {
+	// Hits and Misses count lookups; Entries is the current entry count.
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
+}
+
 // CacheStats reports the cluster result cache's hit/miss counters and
 // current entry count (all zero when caching is disabled).
-func (c *Cluster) CacheStats() (hits, misses int64, entries int) {
+func (c *Cluster) CacheStats() CacheStats {
 	s := c.cache.Stats()
-	return s.Hits, s.Misses, s.Entries
+	return CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries}
 }
 
 // SchedulerStats is a snapshot of the serving scheduler's activity.
 type SchedulerStats struct {
 	// Submitted counts scheduled submissions.
-	Submitted int64
+	Submitted int64 `json:"submitted"`
 	// Joined counts submissions that attached to an identical in-flight
 	// query; CacheHits those answered straight from the cache.
-	Joined    int64
-	CacheHits int64
+	Joined    int64 `json:"joined"`
+	CacheHits int64 `json:"cache_hits"`
 }
 
 // SchedulerStats reports the serving scheduler's activity (zero until the

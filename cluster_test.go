@@ -327,7 +327,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
-	check := func(scores []int) error {
+	check := func(scores []int32) error {
 		for i := range want.Scores {
 			if scores[i] != want.Scores[i] {
 				return fmt.Errorf("score %d diverged under concurrency", i)
@@ -386,21 +386,21 @@ func TestClusterConcurrentHammer(t *testing.T) {
 }
 
 // TestDefaultCacheSize pins the derived LRU capacity. An entry costs
-// 8 B per database sequence (Result.Scores) plus 4 KiB for its K hits, and
-// the budget is 512 MiB:
+// 4 B per database sequence (Result.Scores, int32) plus 4 KiB for its K
+// hits, and the budget is 512 MiB:
 //
-//	541,561 sequences (Swiss-Prot 2013_11): 541,561 x 8 + 4,096 = 4,336,584 B;
-//	536,870,912 / 4,336,584 = 123.8 -> 123 entries
+//	541,561 sequences (Swiss-Prot 2013_11): 541,561 x 4 + 4,096 = 2,170,340 B;
+//	536,870,912 / 2,170,340 = 247.4 -> 247 entries
 //
-// clamped to [8, 512]: 130,000 sequences still get all 512 (1,044,096 B an
-// entry -> 514, cut to 512) where 135,000 get 495, and the floor of 8 binds
-// beyond 8.4 million sequences (a hundred million would get 0).
+// clamped to [8, 512]: 261,000 sequences still get all 512 (1,048,096 B an
+// entry -> 512.2) where 262,000 get 510, and the floor of 8 binds beyond
+// 16.8 million sequences (a hundred million would get 1).
 func TestDefaultCacheSize(t *testing.T) {
 	for _, tc := range []struct{ dbLen, want int }{
 		{0, 512},
-		{130_000, 512},
-		{135_000, 495},
-		{541_561, 123},
+		{261_000, 512},
+		{262_000, 510},
+		{541_561, 247},
 		{100_000_000, 8},
 	} {
 		if got := defaultCacheSize(tc.dbLen); got != tc.want {
@@ -410,10 +410,11 @@ func TestDefaultCacheSize(t *testing.T) {
 }
 
 // TestSearchAllocationIsBounded pins what a serving-shaped search leaves on
-// the heap: the two score lists that are as long as the database (the
-// engine's int32 scores and Result.Scores, 12 B a sequence) and nothing
-// else that grows with it. An N-long hit list (32 B a sequence in core, 56
-// in the public result) or an N-long sort buffer would not fit the bound.
+// the heap: the one score list that is as long as the database (the
+// engine's int32 scores, which Result.Scores shares, 4 B a sequence) and
+// nothing else that grows with it. A copy of the scores, an N-long hit
+// list (32 B a sequence in core, 56 in the public result) or an N-long sort
+// buffer would not fit the bound.
 func TestSearchAllocationIsBounded(t *testing.T) {
 	const n = 4000
 	db, q := servingDB(t, n)
@@ -436,7 +437,7 @@ func TestSearchAllocationIsBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
 	t.Logf("%d B per search", perRun)
-	if limit := uint64(16*n + 64<<10); perRun >= limit {
+	if limit := uint64(4*n + 16<<10); perRun >= limit {
 		t.Fatalf("one top-10 search over %d sequences allocates %d B, want under %d", n, perRun, limit)
 	}
 }

@@ -1,9 +1,9 @@
 // Command swindex builds and inspects persistent preprocessed database
 // indexes (.swdb): a binary image of the fully preprocessed search
 // database — encoded residues packed in length-sorted order into one
-// contiguous arena, the sort permutation, header strings and precomputed
-// lane-group shapes — so swsearch, swserve and swbench start in O(1) work
-// per sequence instead of re-parsing and re-sorting FASTA on every boot.
+// contiguous arena, the sort permutation and header strings — so swsearch,
+// swserve and swbench start in O(1) work per sequence instead of
+// re-parsing and re-sorting FASTA on every boot.
 //
 // Usage:
 //
@@ -131,17 +131,6 @@ func info(args []string) {
 	fmt.Printf("file:      %s (swdb v%d, opened in %v)\n", fs.Arg(0), index.Version, opened.Round(time.Microsecond))
 	fmt.Printf("checksum:  %016x (engine key %s)\n", ix.Checksum, ix.Key())
 	fmt.Printf("database:  %s\n", db)
-	for _, tk := range ix.ShapeTables() {
-		shapes, _ := ix.Shapes(tk.Lanes, tk.LongThreshold)
-		intra := 0
-		for _, s := range shapes {
-			if s.Intra {
-				intra++
-			}
-		}
-		fmt.Printf("shapes:    %d lanes (long > %d): %d chunks (%d intra)\n",
-			tk.Lanes, tk.LongThreshold, len(shapes), intra)
-	}
 }
 
 func split(args []string) {

@@ -1,10 +1,11 @@
 // Command swsearch runs a Smith-Waterman database search on this host (the
-// paper's Algorithm 1 over every core), printing the top hits with optional
-// alignments. Protein is the default alphabet; -dna searches nucleotide
-// databases and -translate runs a six-frame translated (blastx-style)
-// search of DNA queries against a protein database. What a search would
-// take on the paper's Xeon and Xeon Phi is swbench's question (swbench
-// -devices xeon,phi -dist dynamic), not a flag here.
+// paper's Algorithm 1 over every core), printing the top hits; -blast and
+// -outfmt print their alignments from the search's own traceback phase.
+// Protein is the default alphabet; -dna searches nucleotide databases and
+// -translate runs a six-frame translated (blastx-style) search of DNA
+// queries against a protein database. What a search would take on the
+// paper's Xeon and Xeon Phi is swbench's question (swbench -devices
+// xeon,phi -dist dynamic), not a flag here.
 //
 // Usage:
 //
@@ -43,7 +44,6 @@ func main() {
 		gapOpen    = flag.Int("gapopen", 10, "gap open penalty q (gap of length x costs q + r*x)")
 		gapExtend  = flag.Int("gapextend", 2, "gap extension penalty r")
 		topK       = flag.Int("top", 10, "number of hits to print")
-		showAlign  = flag.Int("align", 0, "print full alignments for the first N hits")
 		blast      = flag.Bool("blast", false, "run the two-phase aligned search (score pass, then tracebacks over the top hits) and print a BLAST-style report")
 		evalue     = flag.Bool("evalue", false, "with -blast: fit a null model over the score distribution and report bit scores and E-values")
 		dna        = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database and queries under the IUPAC DNA alphabet")
@@ -100,11 +100,13 @@ func main() {
 	}
 	query := queries[*queryIndex]
 
+	// The gap flags carry their own 10/2 defaults, so zeros are literal.
 	opt := heterosw.Options{
-		Matrix:    *matrix,
-		GapOpen:   *gapOpen,
-		GapExtend: *gapExtend,
-		TopK:      *topK,
+		Matrix:        *matrix,
+		GapOpen:       *gapOpen,
+		GapExtend:     *gapExtend,
+		NoGapDefaults: true,
+		TopK:          *topK,
 	}
 	if *matrixFile != "" {
 		text, rerr := os.ReadFile(*matrixFile)
@@ -184,16 +186,6 @@ func main() {
 	fmt.Printf("%4s %-16s %7s\n", "#", "subject", "score")
 	for i, h := range res.Hits {
 		fmt.Printf("%4d %-16s %7d\n", i+1, h.ID, h.Score)
-	}
-	for i := 0; i < *showAlign && i < len(res.Hits); i++ {
-		h := res.Hits[i]
-		al, aerr := heterosw.Align(query, db.Seq(h.Index), heterosw.AlignOptions{
-			Matrix: *matrix, GapOpen: *gapOpen, GapExtend: *gapExtend,
-		})
-		if aerr != nil {
-			fatal(aerr)
-		}
-		fmt.Printf("\n>%s (CIGAR %s)\n%s", h.ID, al.CIGAR(), al.Format(60))
 	}
 }
 

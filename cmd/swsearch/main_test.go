@@ -22,7 +22,8 @@ func buildSelf(t *testing.T) string {
 // A synthetic search reports what this host did — wall GCUPS, the planted
 // query as its own top hit — and nothing of the device model; the flags
 // that used to select a modelled device, roster, schedule or kernel
-// variant are gone.
+// variant are gone, and so is -align, whose re-alignment ignored
+// -matrixfile (-blast prints the search's own tracebacks).
 func TestSmoke(t *testing.T) {
 	bin := buildSelf(t)
 	out, err := exec.Command(bin, "-synthetic", "0.001", "-top", "3").CombinedOutput()
@@ -42,12 +43,31 @@ func TestSmoke(t *testing.T) {
 	for _, gone := range []string{
 		"-hetero", "-phishare=0.5", "-devices=xeon,phi", "-dist=dynamic", "-shares=0.5,0.5",
 		"-device=phi", "-threads=4", "-schedule=static", "-noblocking", "-variant=simd-SP",
+		"-align=3",
 	} {
 		out, err := exec.Command(bin, "-synthetic", "0.001", gone).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
 			t.Errorf("%s: err %v, want flag's exit 2\n%s", gone, err, out)
 		}
+	}
+}
+
+// Zero gap penalties are literal: gaps cost nothing, so WWWWWWWW against
+// WWWWGGWWWW aligns all eight tryptophans at BLOSUM62's 11 each, 88,
+// across a free two-residue deletion — not 74, the score under the 10/2
+// defaults.
+func TestZeroGapPenalties(t *testing.T) {
+	bin := buildSelf(t)
+	dir := t.TempDir()
+	db := writeFile(t, dir, "db.fasta", ">subject\nWWWWGGWWWW\n")
+	query := writeFile(t, dir, "q.fasta", ">query\nWWWWWWWW\n")
+	out, err := exec.Command(bin, "-db", db, "-query", query, "-gapopen", "0", "-gapextend", "0", "-top", "1").CombinedOutput()
+	if err != nil {
+		t.Fatalf("swsearch: %v\n%s", err, out)
+	}
+	if want := "   1 subject               88\n"; !strings.Contains(string(out), want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
 	}
 }
 

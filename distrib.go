@@ -268,7 +268,7 @@ func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober,
 		keys[i] = sh.Key
 	}
 	owners := prober.Owners(keys)
-	backends := make([]core.Backend, len(man.Shards))
+	backends := make([]core.ShardBackend, len(man.Shards))
 	shardDBs := make([]*seqdb.Database, len(man.Shards))
 	shardIdx := make([][]int, len(man.Shards))
 	sets := make([]*remote.ReplicaSet, len(man.Shards))

@@ -204,7 +204,8 @@
 // engine, whose one bounded selection returns exactly K hits in the
 // order of the paper's step 4 (score descending, ties in database
 // order); nothing downstream orders or holds more, so Result.Hits is K
-// long in a cached entry too, while Result.Scores stays database-long.
+// long in a cached entry too, while Result.Scores stays database-long: the
+// engine's own []int32, 4 bytes a sequence, shared rather than copied.
 // Report options, K included, are part of the scheduler's dedup/cache
 // key, so an aligned result and a score-only result of the same query
 // never alias, nor do two different K; the HTTP front end's top_k is that

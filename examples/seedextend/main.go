@@ -83,7 +83,7 @@ func main() {
 	}
 	var truth []scored
 	for i, s := range exact.Scores {
-		truth = append(truth, scored{i, s})
+		truth = append(truth, scored{i, int(s)})
 	}
 	sort.Slice(truth, func(a, b int) bool { return truth[a].score > truth[b].score })
 	const topN = 10

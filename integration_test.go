@@ -106,7 +106,7 @@ func TestIntegrationConfigurationMatrix(t *testing.T) {
 	}
 	query := NewSequence("q", string(qb))
 
-	var want []int
+	var want []int32
 	check := func(label string, opt Options) {
 		t.Helper()
 		res, err := searchDB(db, query, opt)

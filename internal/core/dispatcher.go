@@ -102,10 +102,12 @@ type Dispatcher struct {
 	shards []*seqdb.Database
 	idx    [][]int
 	// owner maps each parent sequence index to its owning backend and
-	// shard-local index, for the traceback fan-out of a pre-cut assignment
-	// (NewDispatcherShards); nil for a local dispatcher, whose tracebacks
-	// run on the host over the parent.
-	owner []shardRef
+	// shard-local index, and aligners holds the backends again as the
+	// ShardBackends that run the tracebacks, for the traceback fan-out of
+	// a pre-cut assignment (NewDispatcherShards); both nil for a local
+	// dispatcher, whose tracebacks run on the host over the parent.
+	owner    []shardRef
+	aligners []ShardBackend
 
 	totalsMu sync.Mutex
 	queries  int64           //sw:guardedBy(totalsMu)
@@ -161,9 +163,13 @@ type shardRef struct {
 // back to the parent database through shardIdx[i]. This is the distributed
 // coordinator's construction — the shards were cut ahead of time (swindex
 // split) and each backend is a remote node that can only search the shard
-// it holds. The shards must cover the parent exactly: every parent index
-// appears in exactly one shard.
-func NewDispatcherShards(db *seqdb.Database, backends []Backend, shardDBs []*seqdb.Database, shardIdx [][]int) (*Dispatcher, error) {
+// it holds, and whose tracebacks run there too. The shards must cover the
+// parent exactly: every parent index appears in exactly one shard.
+func NewDispatcherShards(db *seqdb.Database, aligners []ShardBackend, shardDBs []*seqdb.Database, shardIdx [][]int) (*Dispatcher, error) {
+	backends := make([]Backend, len(aligners))
+	for i, b := range aligners {
+		backends[i] = b
+	}
 	d, err := newDispatcher(db, backends)
 	if err != nil {
 		return nil, err
@@ -196,7 +202,7 @@ func NewDispatcherShards(db *seqdb.Database, backends []Backend, shardDBs []*seq
 	if covered != db.Len() {
 		return nil, fmt.Errorf("core: shards cover %d of %d parent sequences", covered, db.Len())
 	}
-	d.shards, d.idx, d.owner = shardDBs, shardIdx, owner
+	d.shards, d.idx, d.owner, d.aligners = shardDBs, shardIdx, owner, aligners
 	return d, nil
 }
 

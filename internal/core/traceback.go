@@ -23,34 +23,38 @@ import (
 // O(query x subject) tracebacks are paid for K subjects, never the whole
 // database.
 
-// AlignmentDetail is the traceback decoration of one hit.
+// AlignmentDetail is the traceback decoration of one hit, and the element
+// a shard node's /shard/align answer carries (with a shard-local index).
 type AlignmentDetail struct {
 	// SeqIndex is the subject's database index (caller order), matching
 	// Hit.SeqIndex.
-	SeqIndex int
+	SeqIndex int `json:"index"`
 	// Score is the traceback score; it always equals the kernel score of
 	// the same pair (the executor verifies and fails otherwise).
-	Score int32
+	Score int32 `json:"score"`
 	// QueryStart/QueryEnd and SubjectStart/SubjectEnd delimit the aligned
 	// segments as half-open residue ranges.
-	QueryStart, QueryEnd     int
-	SubjectStart, SubjectEnd int
+	QueryStart   int `json:"query_start"`
+	QueryEnd     int `json:"query_end"`
+	SubjectStart int `json:"subject_start"`
+	SubjectEnd   int `json:"subject_end"`
 	// CIGAR is the alignment path in run-length notation ("12M2D5M");
 	// Identities counts exactly-matching columns and Columns the total
 	// alignment length.
-	CIGAR      string
-	Identities int
-	Columns    int
+	CIGAR      string `json:"cigar"`
+	Identities int    `json:"identities"`
+	Columns    int    `json:"columns"`
 }
 
-// ShardAligner is the optional traceback capability of a Backend: given
-// the shard it owns (NewDispatcherShards' shardDBs[i]) and hits
-// whose SeqIndex values are shard-local caller indices, it returns one
-// AlignmentDetail per hit, in hits order, with shard-local SeqIndex. The
-// remote backend implements it by fanning the traceback out to the node
-// that holds the shard; backends without it fall back to the host-side
-// reference alignment over the parent database.
-type ShardAligner interface {
+// ShardBackend is a Backend of a pre-cut shard assignment
+// (NewDispatcherShards), which also runs the tracebacks of its shard: given
+// the shard it owns (shardDBs[i]) and hits whose SeqIndex values are
+// shard-local caller indices, AlignShard returns one AlignmentDetail per
+// hit, in hits order, with shard-local SeqIndex. The remote backend
+// implements it by fanning the traceback out to the node that holds the
+// shard.
+type ShardBackend interface {
+	Backend
 	AlignShard(ctx context.Context, query *sequence.Sequence, shard *seqdb.Database, hits []Hit, opt SearchOptions) ([]AlignmentDetail, error)
 }
 
@@ -138,10 +142,9 @@ func (d *Dispatcher) alignOnHost(query *sequence.Sequence, h Hit, pos int, sc sw
 
 // alignHitsSharded is the traceback phase over a pre-cut shard assignment:
 // each hit is routed to the backend owning its subject's shard, one
-// concurrent launch per backend with work. ShardAligner backends run the
-// tracebacks where the shard lives (the remote node); other backends fall
-// back to the host-side reference alignment. Results return in hits order
-// with parent SeqIndex values, so callers see exactly AlignHits' contract.
+// concurrent launch per backend with work, which runs the tracebacks where
+// the shard lives (the remote node). Results return in hits order with
+// parent SeqIndex values, so callers see exactly AlignHits' contract.
 func (d *Dispatcher) alignHitsSharded(ctx context.Context, query *sequence.Sequence, hits []Hit, opt DispatchOptions) ([]AlignmentDetail, error) {
 	per := make([][]int, len(d.backends)) // positions in hits, per owning backend
 	for pos, h := range hits {
@@ -154,33 +157,20 @@ func (d *Dispatcher) alignHitsSharded(ctx context.Context, query *sequence.Seque
 	details := make([]AlignmentDetail, len(hits))
 	errs := make([]error, len(d.backends))
 	var wg sync.WaitGroup
-	for i, b := range d.backends {
+	for i, b := range d.aligners {
 		if len(per[i]) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, b Backend) {
+		go func(i int, b ShardBackend) {
 			defer wg.Done()
 			positions := per[i]
-			al, ok := b.(ShardAligner)
-			if !ok {
-				sc := scoringFor(opt.Search, d.db.Alphabet())
-				for _, pos := range positions {
-					if errs[i] = ctx.Err(); errs[i] == nil {
-						details[pos], errs[i] = d.alignOnHost(query, hits[pos], pos, sc)
-					}
-					if errs[i] != nil {
-						return
-					}
-				}
-				return
-			}
 			local := make([]Hit, len(positions))
 			for k, pos := range positions {
 				h := hits[pos]
 				local[k] = Hit{SeqIndex: d.owner[h.SeqIndex].local, ID: h.ID, Score: h.Score}
 			}
-			ds, err := al.AlignShard(ctx, query, d.shards[i], local, opt.Search)
+			ds, err := b.AlignShard(ctx, query, d.shards[i], local, opt.Search)
 			if err != nil {
 				errs[i] = err
 				return

@@ -68,7 +68,7 @@ func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequenc
 	return r, nil
 }
 
-// AlignShard implements core.ShardAligner: tracebacks run on the node
+// AlignShard implements core.ShardBackend: tracebacks run on the node
 // that holds the shard, and come back as shard-local details the
 // dispatcher remaps to parent indices.
 func (b *Backend) AlignShard(ctx context.Context, query *sequence.Sequence, shard *seqdb.Database, hits []core.Hit, opt core.SearchOptions) ([]core.AlignmentDetail, error) {
@@ -90,22 +90,10 @@ func (b *Backend) AlignShard(ctx context.Context, query *sequence.Sequence, shar
 	if len(resp.Alignments) != len(hits) {
 		return nil, fmt.Errorf("remote: backend %s answered %d alignments for %d hits", b.name, len(resp.Alignments), len(hits))
 	}
-	out := make([]core.AlignmentDetail, len(hits))
-	for i, w := range resp.Alignments {
-		if w.Index != hits[i].SeqIndex {
-			return nil, fmt.Errorf("remote: backend %s answered alignment %d for index %d (want %d)", b.name, i, w.Index, hits[i].SeqIndex)
-		}
-		out[i] = core.AlignmentDetail{
-			SeqIndex:     w.Index,
-			Score:        w.Score,
-			QueryStart:   w.QueryStart,
-			QueryEnd:     w.QueryEnd,
-			SubjectStart: w.SubjectStart,
-			SubjectEnd:   w.SubjectEnd,
-			CIGAR:        w.CIGAR,
-			Identities:   w.Identities,
-			Columns:      w.Columns,
+	for i, a := range resp.Alignments {
+		if a.SeqIndex != hits[i].SeqIndex {
+			return nil, fmt.Errorf("remote: backend %s answered alignment %d for index %d (want %d)", b.name, i, a.SeqIndex, hits[i].SeqIndex)
 		}
 	}
-	return out, nil
+	return resp.Alignments, nil
 }

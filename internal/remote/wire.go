@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"heterosw/internal/core"
 )
 
 // ShardInfo describes one shard a node owns.
@@ -91,24 +93,10 @@ type ShardAlignRequest struct {
 	Scores  []int32 `json:"scores"`
 }
 
-// AlignmentWire is one traceback result, mirroring core.AlignmentDetail
-// with a shard-local Index.
-type AlignmentWire struct {
-	Index        int    `json:"index"`
-	Score        int32  `json:"score"`
-	QueryStart   int    `json:"query_start"`
-	QueryEnd     int    `json:"query_end"`
-	SubjectStart int    `json:"subject_start"`
-	SubjectEnd   int    `json:"subject_end"`
-	CIGAR        string `json:"cigar"`
-	Identities   int    `json:"identities"`
-	Columns      int    `json:"columns"`
-}
-
 // ShardAlignResponse answers /shard/align: one alignment per requested
-// index, in request order.
+// index, in request order, each with its shard-local index.
 type ShardAlignResponse struct {
-	Alignments []AlignmentWire `json:"alignments"`
+	Alignments []core.AlignmentDetail `json:"alignments"`
 }
 
 // errorJSON mirrors the server's error body.

@@ -18,9 +18,9 @@
 //	16      8         sequence count N
 //	24      8         residue arena length R (bytes)
 //	32      8         header-string blob length H
-//	40      8         shape-table section length S
+//	40      8         reserved section length S (written 0)
 //	48      4         max sequence length
-//	52      4         shape-table count
+//	52      4         reserved count (written 0, not read)
 //	56      8         checksum: CRC-32C (Castagnoli) over bytes
 //	                  [0,56) ++ [64,EOF), widened to uint64
 //	64      A         alphabet letters (the database alphabet's letter
@@ -31,15 +31,13 @@
 //	...     4N        processing order, uint32: order[i] = caller index
 //	...     H         header blob: per sequence, uvarint(len(ID)) ID
 //	                  uvarint(len(Desc)) Desc, caller order
-//	...     S         shape tables (see below)
+//	...     S         reserved: skipped on read
 //	...     R         residue arena: encoded residues packed back-to-back
 //	                  in processing order
 //
-// Each shape table precomputes the lane-group partition geometry
-// (device.Shape) one SIMD lane width produces over the processing order:
-// uint32 lanes, uint32 long-sequence threshold, uint32 count, then count
-// entries of {uint32 width, uint32 lanes, uint64 residues, uint8 intra}.
-// Planning tools can price a database without touching the arena.
+// The reserved section once held precomputed lane-group shape tables, which
+// nothing read; files that still carry them open unchanged, since a reader
+// skips the S bytes (the size check and the checksum still cover them).
 //
 // The checksum covers the whole file except its own field, so any flipped
 // bit — header or payload — is detected at open. CRC-32C is chosen over a
@@ -62,11 +60,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"unsafe"
 
 	"heterosw/internal/alphabet"
-	"heterosw/internal/device"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 )
@@ -122,37 +118,7 @@ func checksum(header, payload []byte) uint64 {
 	return uint64(crc32.Update(crc, crcTable, payload))
 }
 
-// defaultLongSeqThreshold mirrors core.DefaultLongSeqThreshold (this
-// package sits below core in the dependency order; the equality is pinned
-// by a test). Shape tables are precomputed at this routing threshold, the
-// one every vector search path uses by default.
-const defaultLongSeqThreshold = 3072
-
-// shapeLanes lists the lane widths shape tables are precomputed for: the
-// 16-bit lane counts of the modelled devices plus their 8-bit ladder
-// (byte-lane) widths.
-func shapeLanes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, name := range []string{"xeon", "phi"} {
-		m := device.Devices()[name]
-		for _, l := range []int{m.Lanes, m.ByteLanes()} {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
-	}
-	return out
-}
-
-// TableKey identifies one precomputed shape table.
-type TableKey struct {
-	Lanes, LongThreshold int
-}
-
-// Index is an opened .swdb image: the restored database plus the
-// precomputed metadata the format carries.
+// Index is an opened .swdb image: the restored database and its identity.
 type Index struct {
 	// Checksum is the file's CRC-32C content fingerprint (widened to the
 	// format's 8-byte field); matching checksums with matching headline
@@ -161,8 +127,7 @@ type Index struct {
 	// Sorted reports whether the processing order is length-sorted.
 	Sorted bool
 
-	db     *seqdb.Database
-	shapes map[TableKey][]device.Shape
+	db *seqdb.Database
 }
 
 // Database returns the restored database. Its sequences alias the index's
@@ -175,31 +140,6 @@ func (ix *Index) Database() *seqdb.Database { return ix.db }
 // database's headline counts.
 func (ix *Index) Key() string {
 	return checksumKey(ix.Checksum, uint64(ix.db.Len()), uint64(ix.db.Residues()))
-}
-
-// Shapes returns the precomputed lane-group partition geometry for a lane
-// width and long-sequence routing threshold, or ok=false when the table
-// was not precomputed for that combination.
-func (ix *Index) Shapes(lanes, longThreshold int) (shapes []device.Shape, ok bool) {
-	s, ok := ix.shapes[TableKey{lanes, longThreshold}]
-	return s, ok
-}
-
-// ShapeTables lists the (lanes, longThreshold) combinations the file
-// actually carries shape tables for — whatever writer produced them —
-// sorted for deterministic reporting.
-func (ix *Index) ShapeTables() []TableKey {
-	out := make([]TableKey, 0, len(ix.shapes))
-	for k := range ix.shapes {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Lanes != out[b].Lanes {
-			return out[a].Lanes < out[b].Lanes
-		}
-		return out[a].LongThreshold < out[b].LongThreshold
-	})
-	return out
 }
 
 // checksumKey derives the engine-sharing identity key: the checksum plus
@@ -262,35 +202,6 @@ func Write(w io.Writer, db *seqdb.Database) (uint64, error) {
 	}
 	blobLen := payload.Len() - blobStart
 
-	// Shape tables: the partition geometry each modelled lane width
-	// produces over the processing order.
-	shapesStart := payload.Len()
-	lengths := db.OrderLengths()
-	lanesSet := shapeLanes()
-	for _, lanes := range lanesSet {
-		shapes := seqdb.PackShapes(lengths, lanes, false, defaultLongSeqThreshold)
-		binary.LittleEndian.PutUint32(u32[:], uint32(lanes))
-		payload.Write(u32[:])
-		binary.LittleEndian.PutUint32(u32[:], uint32(defaultLongSeqThreshold))
-		payload.Write(u32[:])
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(shapes)))
-		payload.Write(u32[:])
-		for _, s := range shapes {
-			binary.LittleEndian.PutUint32(u32[:], uint32(s.Width))
-			payload.Write(u32[:])
-			binary.LittleEndian.PutUint32(u32[:], uint32(s.Lanes))
-			payload.Write(u32[:])
-			binary.LittleEndian.PutUint64(u64[:], uint64(s.Residues))
-			payload.Write(u64[:])
-			if s.Intra {
-				payload.WriteByte(1)
-			} else {
-				payload.WriteByte(0)
-			}
-		}
-	}
-	shapesLen := payload.Len() - shapesStart
-
 	// Residue arena: raw codes packed back-to-back in processing order,
 	// one memcpy per sequence via the byte view.
 	for _, si := range order {
@@ -312,9 +223,7 @@ func Write(w io.Writer, db *seqdb.Database) (uint64, error) {
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(db.Residues()))
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(blobLen))
-	binary.LittleEndian.PutUint64(hdr[40:48], uint64(shapesLen))
 	binary.LittleEndian.PutUint32(hdr[48:52], uint32(db.MaxLen()))
-	binary.LittleEndian.PutUint32(hdr[52:56], uint32(len(lanesSet)))
 
 	sum := checksum(hdr[:56], payload.Bytes())
 	binary.LittleEndian.PutUint64(hdr[56:64], sum)
@@ -389,8 +298,7 @@ func Read(data []byte) (*Index, error) {
 	nSeqs := binary.LittleEndian.Uint64(data[16:24])
 	arenaLen := binary.LittleEndian.Uint64(data[24:32])
 	blobLen := binary.LittleEndian.Uint64(data[32:40])
-	shapesLen := binary.LittleEndian.Uint64(data[40:48])
-	nTables := binary.LittleEndian.Uint32(data[52:56])
+	reservedLen := binary.LittleEndian.Uint64(data[40:48])
 	wantSum := binary.LittleEndian.Uint64(data[56:64])
 
 	if nSeqs > uint64(^uint32(0)) {
@@ -398,7 +306,7 @@ func Read(data []byte) (*Index, error) {
 	}
 	// Exact size check before anything else: a truncated (or padded) file
 	// is reported as such, not as a checksum mismatch.
-	total, ok := addAll(headerSize, alphaLen, 16*nSeqs, blobLen, shapesLen, arenaLen)
+	total, ok := addAll(headerSize, alphaLen, 16*nSeqs, blobLen, reservedLen, arenaLen)
 	if !ok {
 		return nil, fmt.Errorf("%w: section sizes overflow", ErrBadLayout)
 	}
@@ -433,9 +341,7 @@ func Read(data []byte) (*Index, error) {
 	}
 
 	blob := data[pos : pos+blobLen]
-	pos += blobLen
-	shapesRaw := data[pos : pos+shapesLen]
-	pos += shapesLen
+	pos += blobLen + reservedLen
 	arena := alphabet.CodesView(data[pos : pos+arenaLen])
 	if !alpha.ValidCodes(arena) {
 		return nil, fmt.Errorf("%w: arena holds out-of-range residue codes", ErrBadLayout)
@@ -471,16 +377,11 @@ func Read(data []byte) (*Index, error) {
 		return nil, fmt.Errorf("%w: %d trailing header-blob bytes", ErrBadLayout, len(blob)-bpos)
 	}
 
-	shapes, err := readShapeTables(shapesRaw, nTables)
-	if err != nil {
-		return nil, err
-	}
-
 	db, err := seqdb.Restore(seqs, order, flags&flagSorted != 0, checksumKey(wantSum, nSeqs, arenaLen))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadLayout, err)
 	}
-	return &Index{Checksum: wantSum, Sorted: flags&flagSorted != 0, db: db, shapes: shapes}, nil
+	return &Index{Checksum: wantSum, Sorted: flags&flagSorted != 0, db: db}, nil
 }
 
 // blobString reads one uvarint-length-prefixed string at *pos, advancing
@@ -558,44 +459,6 @@ func LoadDatabaseAlpha(path string, fastaAlpha *alphabet.Alphabet) (*seqdb.Datab
 		return nil, "", err
 	}
 	return seqdb.New(seqs, true), "fasta", nil
-}
-
-// readShapeTables parses the shape-table section.
-func readShapeTables(raw []byte, nTables uint32) (map[TableKey][]device.Shape, error) {
-	out := make(map[TableKey][]device.Shape, nTables)
-	pos := 0
-	for t := uint32(0); t < nTables; t++ {
-		if len(raw)-pos < 12 {
-			return nil, fmt.Errorf("%w: shape table %d header", ErrBadLayout, t)
-		}
-		lanes := int(binary.LittleEndian.Uint32(raw[pos:]))
-		longThr := int(binary.LittleEndian.Uint32(raw[pos+4:]))
-		count := int(binary.LittleEndian.Uint32(raw[pos+8:]))
-		pos += 12
-		// Division avoids count*17 overflowing int on 32-bit platforms —
-		// a hostile count must error, never wrap past the guard and panic.
-		if count < 0 || count > (len(raw)-pos)/17 {
-			return nil, fmt.Errorf("%w: shape table %d entries", ErrBadLayout, t)
-		}
-		var shapes []device.Shape
-		if count > 0 {
-			shapes = make([]device.Shape, count)
-		}
-		for i := range shapes {
-			shapes[i] = device.Shape{
-				Width:    int(binary.LittleEndian.Uint32(raw[pos:])),
-				Lanes:    int(binary.LittleEndian.Uint32(raw[pos+4:])),
-				Residues: int64(binary.LittleEndian.Uint64(raw[pos+8:])),
-				Intra:    raw[pos+16] != 0,
-			}
-			pos += 17
-		}
-		out[TableKey{lanes, longThr}] = shapes
-	}
-	if pos != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing shape-table bytes", ErrBadLayout, len(raw)-pos)
-	}
-	return out, nil
 }
 
 // addAll sums uint64s, reporting overflow.

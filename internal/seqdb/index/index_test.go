@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"heterosw/internal/core"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 )
@@ -125,39 +125,32 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 }
 
-// TestShapeTables pins that the precomputed shape tables are exactly what
-// PackShapes derives over the processing order, for every modelled lane
-// width, at the engine's default long-sequence threshold.
-func TestShapeTables(t *testing.T) {
-	seqs := append(randSeqs(5, 120, 500), sequence.FromString("titin", string(bytes.Repeat([]byte("MKWV"), 2000))))
+// TestOpenShapeTableFile opens golden_db_shapes.swdb, which an earlier
+// writer built from golden_db.fasta with shape tables in the reserved
+// section: the reader skips them and restores the same sequences, order and
+// key. A fresh write of the same database leaves the section empty.
+func TestOpenShapeTableFile(t *testing.T) {
+	ix, err := Open(filepath.Join("..", "..", "..", "testdata", "golden_db_shapes.swdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ix.Key(), "swdb:03b4f546-48-5183"; got != want || ix.Database().Key() != want {
+		t.Fatalf("key %q (database %q), want %q", got, ix.Database().Key(), want)
+	}
+	seqs, err := sequence.ReadFASTAFile(filepath.Join("..", "..", "..", "testdata", "golden_db.fasta"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := seqdb.New(seqs, true)
+	checkEqual(t, db, ix.Database())
+
 	var buf bytes.Buffer
 	if _, err := Write(&buf, db); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Read(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if defaultLongSeqThreshold != core.DefaultLongSeqThreshold {
-		t.Fatalf("defaultLongSeqThreshold = %d, core uses %d", defaultLongSeqThreshold, core.DefaultLongSeqThreshold)
-	}
-	tables := ix.ShapeTables()
-	if len(tables) != 3 {
-		t.Fatalf("ShapeTables = %v, want the three modelled lane widths", tables)
-	}
-	for _, lanes := range []int{16, 32, 64} {
-		got, ok := ix.Shapes(lanes, core.DefaultLongSeqThreshold)
-		if !ok {
-			t.Fatalf("no shape table for %d lanes", lanes)
-		}
-		want := seqdb.PackShapes(db.OrderLengths(), lanes, false, core.DefaultLongSeqThreshold)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d-lane shapes diverge from PackShapes", lanes)
-		}
-	}
-	if _, ok := ix.Shapes(8, core.DefaultLongSeqThreshold); ok {
-		t.Fatal("unexpected shape table for 8 lanes")
+	hdr := buf.Bytes()
+	if s, n := binary.LittleEndian.Uint64(hdr[40:48]), binary.LittleEndian.Uint32(hdr[52:56]); s != 0 || n != 0 {
+		t.Fatalf("reserved section written with %d bytes, count %d", s, n)
 	}
 }
 
@@ -221,7 +214,7 @@ func TestLoadDatabaseSniffs(t *testing.T) {
 
 // TestSplitSharesKeys pins the key propagation that lets shards of one
 // index share engines: equal splits of two loads of the same index carry
-// equal keys, different windows different keys.
+// equal keys, different shards different keys.
 func TestSplitSharesKeys(t *testing.T) {
 	db := seqdb.New(randSeqs(9, 60, 200), true)
 	var buf bytes.Buffer
@@ -249,15 +242,6 @@ func TestSplitSharesKeys(t *testing.T) {
 	}
 	if as[0].Key() == as[1].Key() {
 		t.Fatal("distinct shards share a key")
-	}
-	aw, _ := a.OrderSlice(0, 10)
-	bw, _ := b.OrderSlice(0, 10)
-	if aw.Key() == "" || aw.Key() != bw.Key() {
-		t.Fatalf("window keys %q vs %q", aw.Key(), bw.Key())
-	}
-	cw, _ := a.OrderSlice(10, 20)
-	if cw.Key() == aw.Key() {
-		t.Fatal("distinct windows share a key")
 	}
 }
 

@@ -265,21 +265,6 @@ func PaddingEfficiency(groups []*LaneGroup) float64 {
 	return float64(useful) / float64(padded)
 }
 
-// Split partitions the database into two databases holding approximately
-// frac and 1-frac of the residues — the static workload distribution of
-// Algorithm 2 (first return value plays the coprocessor's part). Sequences
-// are dealt greedily in processing order so both halves inherit the full
-// length distribution; each half preserves the parent's sort mode.
-//
-// firstIdx and secondIdx map each half's caller-visible sequence order
-// back to the parent database's indices, so per-sequence results computed
-// on a half can be merged into parent order without relying on pointer
-// identity.
-func (db *Database) Split(frac float64) (first, second *Database, firstIdx, secondIdx []int) {
-	parts, idx := db.SplitN([]float64{frac, 1 - frac})
-	return parts[0], parts[1], idx[0], idx[1]
-}
-
 // DealGreedy deals items with the given lengths (in input order) into
 // len(fracs) parts holding approximately the requested residue fractions:
 // each item goes to the eligible part furthest below its residue target —
@@ -327,8 +312,8 @@ func DealGreedy(lengths []int, fracs []float64) [][]int {
 	return parts
 }
 
-// SplitN generalises Split to N shards: fracs[i] is the target residue
-// fraction of shard i. Sequences are dealt greedily in processing order
+// SplitN partitions the database into N shards: fracs[i] is the target
+// residue fraction of shard i. Sequences are dealt greedily in processing order
 // (see DealGreedy), so every shard inherits the full length distribution —
 // the static workload distribution of Algorithm 2 extended to an N-device
 // cluster.
@@ -380,32 +365,6 @@ func (db *Database) Select(indices []int, key string) (*Database, error) {
 	out := New(seqs, db.sorted)
 	out.key = key
 	return out, nil
-}
-
-// OrderSlice returns a database over the window [start, end) of the
-// processing order, plus the parent indices (caller order) of its members —
-// the building block of the cluster dispatcher's device-level chunk queue.
-func (db *Database) OrderSlice(start, end int) (*Database, []int) {
-	if start < 0 {
-		start = 0
-	}
-	if end > len(db.order) {
-		end = len(db.order)
-	}
-	if end < start {
-		end = start
-	}
-	seqs := make([]*sequence.Sequence, 0, end-start)
-	idx := make([]int, 0, end-start)
-	for _, si := range db.order[start:end] {
-		seqs = append(seqs, db.seqs[si])
-		idx = append(idx, si)
-	}
-	out := New(seqs, db.sorted)
-	if db.key != "" {
-		out.key = fmt.Sprintf("%s|win%d-%d", db.key, start, end)
-	}
-	return out, idx
 }
 
 // OrderLengths returns the sequence lengths in processing order.

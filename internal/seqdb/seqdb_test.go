@@ -167,7 +167,8 @@ func TestSplitFractions(t *testing.T) {
 	seqs := makeSeqs(rng, 400, 120)
 	db := New(seqs, true)
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.55, 0.9} {
-		first, second, firstIdx, secondIdx := db.Split(frac)
+		parts, idx := db.SplitN([]float64{frac, 1 - frac})
+		first, second, firstIdx, secondIdx := parts[0], parts[1], idx[0], idx[1]
 		if first.Len()+second.Len() != db.Len() {
 			t.Fatalf("frac %.2f: split loses sequences", frac)
 		}
@@ -193,13 +194,13 @@ func TestSplitFractions(t *testing.T) {
 
 func TestSplitEdges(t *testing.T) {
 	db := New(makeSeqs(rand.New(rand.NewSource(24)), 10, 30), true)
-	first, second, _, _ := db.Split(0)
-	if first.Len() != 0 || second.Len() != 10 {
-		t.Fatalf("Split(0) = %d/%d", first.Len(), second.Len())
+	parts, _ := db.SplitN([]float64{0, 1})
+	if parts[0].Len() != 0 || parts[1].Len() != 10 {
+		t.Fatalf("SplitN(0, 1) = %d/%d", parts[0].Len(), parts[1].Len())
 	}
-	first, second, _, _ = db.Split(1)
-	if first.Len() != 10 || second.Len() != 0 {
-		t.Fatalf("Split(1) = %d/%d", first.Len(), second.Len())
+	parts, _ = db.SplitN([]float64{1, 0})
+	if parts[0].Len() != 10 || parts[1].Len() != 0 {
+		t.Fatalf("SplitN(1, 0) = %d/%d", parts[0].Len(), parts[1].Len())
 	}
 }
 
@@ -245,31 +246,6 @@ func TestSplitNMapping(t *testing.T) {
 	}
 }
 
-// SplitN with a two-element fraction vector must reproduce Split exactly:
-// the N-way greedy deal generalises, it does not replace, the two-way one.
-func TestSplitNMatchesSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	db := New(makeSeqs(rng, 300, 90), true)
-	for _, frac := range []float64{0, 0.25, 0.55, 1} {
-		a, b, ai, bi := db.Split(frac)
-		shards, idx := db.SplitN([]float64{frac, 1 - frac})
-		if a.Len() != shards[0].Len() || b.Len() != shards[1].Len() {
-			t.Fatalf("frac %.2f: Split %d/%d != SplitN %d/%d",
-				frac, a.Len(), b.Len(), shards[0].Len(), shards[1].Len())
-		}
-		for j := range ai {
-			if ai[j] != idx[0][j] {
-				t.Fatalf("frac %.2f: first mapping diverges at %d", frac, j)
-			}
-		}
-		for j := range bi {
-			if bi[j] != idx[1][j] {
-				t.Fatalf("frac %.2f: second mapping diverges at %d", frac, j)
-			}
-		}
-	}
-}
-
 func TestDealGreedyEdges(t *testing.T) {
 	if got := DealGreedy([]int{5, 7}, nil); got != nil {
 		t.Fatalf("empty fracs: %v", got)
@@ -284,42 +260,6 @@ func TestDealGreedyEdges(t *testing.T) {
 	}
 }
 
-func TestOrderSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	db := New(makeSeqs(rng, 100, 60), true)
-	lens := db.OrderLengths()
-	if !sort.IntsAreSorted(lens) {
-		t.Fatal("processing order not length-sorted")
-	}
-	seen := make(map[int]bool)
-	for start := 0; start < db.Len(); start += 33 {
-		end := start + 33
-		chunk, idx := db.OrderSlice(start, end)
-		if end > db.Len() {
-			end = db.Len()
-		}
-		if chunk.Len() != end-start {
-			t.Fatalf("window [%d,%d): %d sequences", start, end, chunk.Len())
-		}
-		for j, pi := range idx {
-			if chunk.Seq(j) != db.Seq(pi) {
-				t.Fatalf("window [%d,%d): idx[%d]=%d maps wrong", start, end, j, pi)
-			}
-			if seen[pi] {
-				t.Fatalf("parent index %d appears in two windows", pi)
-			}
-			seen[pi] = true
-		}
-	}
-	if len(seen) != db.Len() {
-		t.Fatalf("windows cover %d of %d sequences", len(seen), db.Len())
-	}
-	empty, idx := db.OrderSlice(5, 5)
-	if empty.Len() != 0 || len(idx) != 0 {
-		t.Fatal("empty window not empty")
-	}
-}
-
 // Property: for any lane width and any split fraction, no sequence is lost
 // or duplicated across the split.
 func TestSplitPartitionProperty(t *testing.T) {
@@ -328,7 +268,8 @@ func TestSplitPartitionProperty(t *testing.T) {
 		seqs := makeSeqs(rng, int(n%60)+1, 50)
 		db := New(seqs, true)
 		frac := float64(fr%101) / 100
-		a, b, _, _ := db.Split(frac)
+		parts, _ := db.SplitN([]float64{frac, 1 - frac})
+		a, b := parts[0], parts[1]
 		ids := make(map[*sequence.Sequence]int)
 		for i := 0; i < a.Len(); i++ {
 			ids[a.Seq(i)]++
@@ -442,10 +383,6 @@ func TestEmptyDatabase(t *testing.T) {
 		if len(parts) != 2 || parts[0].Len()+parts[1].Len() != 0 || len(idx[0])+len(idx[1]) != 0 {
 			t.Fatal("empty SplitN misbehaved")
 		}
-		win, widx := db.OrderSlice(0, 5)
-		if win.Len() != 0 || len(widx) != 0 {
-			t.Fatal("empty OrderSlice misbehaved")
-		}
 	}
 }
 
@@ -498,8 +435,7 @@ func TestKeyPropagation(t *testing.T) {
 		t.Fatalf("ad-hoc database has key %q", db.Key())
 	}
 	parts, _ := db.SplitN([]float64{0.5, 0.5})
-	win, _ := db.OrderSlice(0, 10)
-	if parts[0].Key() != "" || win.Key() != "" {
+	if parts[0].Key() != "" || parts[1].Key() != "" {
 		t.Fatal("children of a keyless database gained keys")
 	}
 }

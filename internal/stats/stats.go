@@ -72,14 +72,14 @@ const maxScore = 1 << 24
 // (suspected homologs; 0 selects the 1% default). At least 30 usable
 // scores are required (see FitViable). Scores are Smith-Waterman scores:
 // non-negative.
-func FitEValues(scores []int, trimFrac float64) (*EValueModel, error) {
+func FitEValues[S ~int | ~int32](scores []S, trimFrac float64) (*EValueModel, error) {
 	top := 0
 	for _, s := range scores {
 		if s < 0 || s > maxScore {
 			return nil, fmt.Errorf("stats: score %d outside [0, %d]", s, maxScore)
 		}
-		if s > top {
-			top = s
+		if int(s) > top {
+			top = int(s)
 		}
 	}
 	counts := make([]int, top+1)

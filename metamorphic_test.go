@@ -81,7 +81,7 @@ func TestMetamorphicThroughDo(t *testing.T) {
 		}
 		return out
 	}
-	do := func(db []Sequence, gapOpen, gapExtend int, req Request) ([]int, LadderStats) {
+	do := func(db []Sequence, gapOpen, gapExtend int, req Request) ([]int32, LadderStats) {
 		t.Helper()
 		d, err := NewDatabase(db)
 		if err != nil {
@@ -111,7 +111,7 @@ func TestMetamorphicThroughDo(t *testing.T) {
 					if rev[i] != base[i] {
 						t.Errorf("[%v] %s: subject %d reversed scored %d, forward %d", tr, tc.name, i, rev[i], base[i])
 					}
-					if up[i] != tc.c*base[i] {
+					if up[i] != int32(tc.c)*base[i] {
 						t.Errorf("[%v] %s: subject %d scaled scored %d, want %d x %d", tr, tc.name, i, up[i], tc.c, base[i])
 					}
 				}

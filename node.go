@@ -162,7 +162,7 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
-		Scores:        res.wire,
+		Scores:        res.Scores,
 		Cells:         res.Cells,
 		WallSeconds:   res.WallSeconds,
 		Overflows:     res.Overflows,
@@ -204,21 +204,7 @@ func (s *ShardServer) handleShardAlign(w http.ResponseWriter, r *http.Request) {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
-	resp := remote.ShardAlignResponse{Alignments: make([]remote.AlignmentWire, len(details))}
-	for i, d := range details {
-		resp.Alignments[i] = remote.AlignmentWire{
-			Index:        d.SeqIndex,
-			Score:        d.Score,
-			QueryStart:   d.QueryStart,
-			QueryEnd:     d.QueryEnd,
-			SubjectStart: d.SubjectStart,
-			SubjectEnd:   d.SubjectEnd,
-			CIGAR:        d.CIGAR,
-			Identities:   d.Identities,
-			Columns:      d.Columns,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, remote.ShardAlignResponse{Alignments: details})
 }
 
 // shardHealthJSON is the node /healthz response.

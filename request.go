@@ -65,7 +65,7 @@ type job struct {
 	frames []*translate.Frame
 	fseqs  []*sequence.Sequence
 	// wire marks a shard node's search for its coordinator: the score list
-	// as the engine produced it and no hit list (ClusterResult.wire).
+	// and no hit list.
 	wire bool
 }
 
@@ -263,7 +263,7 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wireResult(r), nil
+		return wrapCluster(r), nil
 	}
 	var (
 		res    *ClusterResult

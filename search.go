@@ -83,24 +83,27 @@ type Hit struct {
 // HitAlignment is the traceback decoration of one hit: the aligned
 // segments recovered by re-aligning the query against the subject with
 // the dynamic-programming recurrence and backtracking (reporting phase
-// two).
+// two). It is also the "alignment" object of a /search hit.
 type HitAlignment struct {
 	// QueryStart/QueryEnd and SubjectStart/SubjectEnd delimit the aligned
 	// segments as half-open residue ranges. For translated searches the
 	// query coordinates count residues of the hit's reading frame.
-	QueryStart, QueryEnd     int
-	SubjectStart, SubjectEnd int
+	QueryStart   int `json:"query_start"`
+	QueryEnd     int `json:"query_end"`
+	SubjectStart int `json:"subject_start"`
+	SubjectEnd   int `json:"subject_end"`
 	// QueryDNAStart/QueryDNAEnd delimit, for translated searches, the
 	// half-open nucleotide range of the original DNA query (forward-strand
 	// coordinates) the aligned frame segment was translated from; both
-	// zero for direct searches.
-	QueryDNAStart, QueryDNAEnd int
+	// zero, and absent from JSON, for direct searches.
+	QueryDNAStart int `json:"query_dna_start,omitempty"`
+	QueryDNAEnd   int `json:"query_dna_end,omitempty"`
 	// CIGAR is the alignment path in run-length notation, e.g. "12M2D5M".
-	CIGAR string
+	CIGAR string `json:"cigar"`
 	// Identities counts exactly-matching columns; Columns is the total
 	// alignment length.
-	Identities int
-	Columns    int
+	Identities int `json:"identities"`
+	Columns    int `json:"columns"`
 }
 
 // HitSignificance is a hit's statistical significance under the fitted
@@ -118,8 +121,9 @@ type Result struct {
 	// Hits is sorted by descending score (the paper's step 4), truncated
 	// to TopK when requested.
 	Hits []Hit
-	// Scores holds every subject's score in database order.
-	Scores []int
+	// Scores holds every subject's score in database order: the list the
+	// engine produced, not a copy.
+	Scores []int32
 	// Cells is the number of dynamic-programming cell updates (the GCUPS
 	// numerator).
 	Cells int64
@@ -144,7 +148,7 @@ type Result struct {
 func wrapResult(r *core.Result) *Result {
 	out := &Result{
 		Hits:          make([]Hit, len(r.Hits)),
-		Scores:        make([]int, len(r.Scores)),
+		Scores:        r.Scores,
 		Cells:         r.Stats.Cells,
 		WallSeconds:   r.WallSeconds,
 		WallGCUPS:     r.WallGCUPS,
@@ -154,9 +158,6 @@ func wrapResult(r *core.Result) *Result {
 	}
 	for i, h := range r.Hits {
 		out.Hits[i] = Hit{Index: h.SeqIndex, ID: h.ID, Score: int(h.Score)}
-	}
-	for i, s := range r.Scores {
-		out.Scores[i] = int(s)
 	}
 	return out
 }

@@ -84,30 +84,10 @@ type HitJSON struct {
 	Frame int `json:"frame,omitempty"`
 	// Alignment is the traceback detail; present only when the request
 	// set align.
-	Alignment *AlignmentJSON `json:"alignment,omitempty"`
+	Alignment *HitAlignment `json:"alignment,omitempty"`
 	// BitScore and EValue are present only when the request set evalue.
 	BitScore *float64 `json:"bit_score,omitempty"`
 	EValue   *float64 `json:"evalue,omitempty"`
-}
-
-// AlignmentJSON is the phase-two traceback detail of one hit.
-type AlignmentJSON struct {
-	// QueryStart/QueryEnd and SubjectStart/SubjectEnd delimit the aligned
-	// segments as half-open residue ranges.
-	QueryStart   int `json:"query_start"`
-	QueryEnd     int `json:"query_end"`
-	SubjectStart int `json:"subject_start"`
-	SubjectEnd   int `json:"subject_end"`
-	// QueryDNAStart/QueryDNAEnd delimit, for translated searches, the
-	// half-open nucleotide range of the DNA query (forward strand) the
-	// aligned frame segment came from; absent for direct searches.
-	QueryDNAStart int `json:"query_dna_start,omitempty"`
-	QueryDNAEnd   int `json:"query_dna_end,omitempty"`
-	// CIGAR is the alignment path ("12M2D5M"); Identities counts
-	// exactly-matching columns out of Columns total.
-	CIGAR      string `json:"cigar"`
-	Identities int    `json:"identities"`
-	Columns    int    `json:"columns"`
 }
 
 // SearchJSON is the /search response and the per-query element of /batch.
@@ -131,21 +111,6 @@ type BatchJSON struct {
 	Results []SearchJSON `json:"results"`
 }
 
-// BackendJSON is one backend of /healthz: the host of a local cluster, or
-// one shard node of a coordinator. Cells over WallSeconds is the backend's
-// realised rate in cell updates per second; Workers the host's goroutines
-// per search (0 for a remote node).
-type BackendJSON struct {
-	Name        string  `json:"name"`
-	Device      string  `json:"device"`
-	Workers     int     `json:"workers"`
-	Grants      int64   `json:"grants"`
-	Residues    int64   `json:"residues"`
-	Cells       int64   `json:"cells"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Tracebacks  int64   `json:"tracebacks"`
-}
-
 // HealthJSON is the /healthz response. Status is "ok", or "degraded" on
 // a distributed coordinator with at least one shard down to zero live
 // replicas — the signal a load balancer rotates on while the shard still
@@ -157,17 +122,11 @@ type HealthJSON struct {
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Queries       int64           `json:"queries"`
 	VecBackend    vec.BackendInfo `json:"vec_backend"`
-	Backends      []BackendJSON   `json:"backends"`
-	Scheduler     struct {
-		Submitted int64 `json:"submitted"`
-		Joined    int64 `json:"joined"`
-		CacheHits int64 `json:"cache_hits"`
-	} `json:"scheduler"`
-	Cache struct {
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-		Entries int   `json:"entries"`
-	} `json:"cache"`
+	// Backends lists the host of a local cluster, or each shard node of a
+	// coordinator; Cells over WallSeconds is a backend's realised rate.
+	Backends  []BackendTotals `json:"backends"`
+	Scheduler SchedulerStats  `json:"scheduler"`
+	Cache     CacheStats      `json:"cache"`
 	// Ladder is the cumulative precision-ladder escalation count of the
 	// searches actually computed: lanes gone from 8 to 16 bits, from 16 to
 	// 32, and the cells recomputed. A homolog-rich traffic mix shows here.
@@ -292,21 +251,7 @@ func toSearchJSON(id string, res *ClusterResult) SearchJSON {
 		out.Significance = res.Significance.String()
 	}
 	for i, h := range res.Hits {
-		hj := HitJSON{Index: h.Index, ID: h.ID, Score: h.Score, Frame: h.Frame}
-		if h.Alignment != nil {
-			a := h.Alignment
-			hj.Alignment = &AlignmentJSON{
-				QueryStart:    a.QueryStart,
-				QueryEnd:      a.QueryEnd,
-				SubjectStart:  a.SubjectStart,
-				SubjectEnd:    a.SubjectEnd,
-				QueryDNAStart: a.QueryDNAStart,
-				QueryDNAEnd:   a.QueryDNAEnd,
-				CIGAR:         a.CIGAR,
-				Identities:    a.Identities,
-				Columns:       a.Columns,
-			}
-		}
+		hj := HitJSON{Index: h.Index, ID: h.ID, Score: h.Score, Frame: h.Frame, Alignment: h.Alignment}
 		if h.Significance != nil {
 			bits, ev := h.Significance.BitScore, h.Significance.EValue
 			hj.BitScore, hj.EValue = &bits, &ev
@@ -535,36 +480,19 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	var h HealthJSON
-	h.Status = "ok"
-	h.Sequences = s.c.db.Len()
-	h.Residues = s.c.db.Residues()
-	h.UptimeSeconds = time.Since(s.start).Seconds()
-	h.VecBackend = device.HostSIMD()
 	queries, per := s.c.Totals()
-	h.Queries = queries
-	h.Backends = make([]BackendJSON, len(per))
-	for i, bt := range per {
-		h.Backends[i] = BackendJSON{
-			Name:        bt.Name,
-			Device:      string(bt.Device),
-			Workers:     bt.Workers,
-			Grants:      bt.Grants,
-			Residues:    bt.Residues,
-			Cells:       bt.Cells,
-			WallSeconds: bt.WallSeconds,
-			Tracebacks:  bt.Tracebacks,
-		}
+	h := HealthJSON{
+		Status:        "ok",
+		Sequences:     s.c.db.Len(),
+		Residues:      s.c.db.Residues(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
+		Queries:       queries,
+		VecBackend:    device.HostSIMD(),
+		Backends:      per,
+		Scheduler:     s.c.SchedulerStats(),
+		Cache:         s.c.CacheStats(),
+		Ladder:        s.c.LadderStats(),
 	}
-	st := s.c.SchedulerStats()
-	h.Scheduler.Submitted = st.Submitted
-	h.Scheduler.Joined = st.Joined
-	h.Scheduler.CacheHits = st.CacheHits
-	h.Ladder = s.c.LadderStats()
-	hits, misses, entries := s.c.CacheStats()
-	h.Cache.Hits = hits
-	h.Cache.Misses = misses
-	h.Cache.Entries = entries
 	if topo := s.c.Topology(); topo != nil {
 		h.Topology = topo
 		if topo.Uncovered() {

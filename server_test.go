@@ -418,7 +418,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if hits, _, _ := cl.CacheStats(); hits == 0 {
+	if cl.CacheStats().Hits == 0 {
 		st := cl.SchedulerStats()
 		if st.Joined == 0 {
 			t.Fatalf("identical concurrent requests neither joined nor hit the cache: %+v", st)

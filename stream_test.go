@@ -328,9 +328,9 @@ func TestSchedulerCacheServesRepeats(t *testing.T) {
 			t.Fatalf("scheduled score %d diverged from direct search", i)
 		}
 	}
-	hits, misses, entries := cl.CacheStats()
-	if hits < 1 || entries < 1 {
-		t.Fatalf("cache did not serve the repeat: hits=%d misses=%d entries=%d", hits, misses, entries)
+	cs := cl.CacheStats()
+	if cs.Hits < 1 || cs.Entries < 1 {
+		t.Fatalf("cache did not serve the repeat: %+v", cs)
 	}
 	st := cl.SchedulerStats()
 	if st.Submitted != 2 || st.CacheHits < 1 {
@@ -349,8 +349,8 @@ func TestSchedulerCacheServesRepeats(t *testing.T) {
 	if sr.Result.Hits[0].ID != direct.Hits[0].ID {
 		t.Fatalf("stream cache hit top %q != %q", sr.Result.Hits[0].ID, direct.Hits[0].ID)
 	}
-	if h2, _, _ := func() (int64, int64, int) { return cl.CacheStats() }(); h2 <= hits {
-		t.Fatalf("stream did not hit the shared cache (hits %d -> %d)", hits, h2)
+	if h2 := cl.CacheStats().Hits; h2 <= cs.Hits {
+		t.Fatalf("stream did not hit the shared cache (hits %d -> %d)", cs.Hits, h2)
 	}
 }
 
@@ -367,8 +367,8 @@ func TestCacheDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hits, _, entries := cl.CacheStats(); hits != 0 || entries != 0 {
-		t.Fatalf("disabled cache recorded hits=%d entries=%d", hits, entries)
+	if cs := cl.CacheStats(); cs.Hits != 0 || cs.Entries != 0 {
+		t.Fatalf("disabled cache recorded %+v", cs)
 	}
 }
 
