@@ -287,11 +287,11 @@ func TestAutoSplitAPI(t *testing.T) {
 	}
 }
 
-// Database.Simulate is Algorithm 1 on the device model: the planner's
-// estimate for one device over the database's lengths (pinned by
-// internal/core's plan_golden.json over the same synthetic corpus), with
-// Options.Device and Options.Threads as its inputs.
-func TestDatabaseSimulate(t *testing.T) {
+// Cluster.Plan over a one-device roster is Algorithm 1 on the device
+// model: the planner's estimate for that device over the database's
+// lengths, pinned by internal/core's plan_golden.json over the same
+// synthetic corpus.
+func TestClusterPlanEstimates(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.01, false)
 	raw, err := os.ReadFile("internal/core/testdata/plan_golden.json")
 	if err != nil {
@@ -307,21 +307,37 @@ func TestDatabaseSimulate(t *testing.T) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
+	if len(golden.Estimates) != 6 {
+		t.Fatalf("%d golden estimates, want 6", len(golden.Estimates))
+	}
 	for _, e := range golden.Estimates {
-		sim, err := db.Simulate(e.QueryLen, Options{Device: e.Device})
+		cl, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{e.Device}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(sim.Seconds-e.Seconds) > 1e-12*e.Seconds {
-			t.Errorf("%s, %d residues: %v s, golden %v", e.Device, e.QueryLen, sim.Seconds, e.Seconds)
+		plan, err := cl.Plan(e.QueryLen)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := float64(e.QueryLen) * float64(db.Residues()) / sim.Seconds / 1e9; sim.GCUPS != want {
-			t.Errorf("%s: GCUPS %v, want %v", e.Device, sim.GCUPS, want)
+		if math.Abs(plan.Seconds-e.Seconds) > 1e-12*e.Seconds {
+			t.Errorf("%s, %d residues: %v s, golden %v", e.Device, e.QueryLen, plan.Seconds, e.Seconds)
 		}
-		if d := sim.Devices; len(d) != 1 || d[0].Device != e.Device || d[0].Share != 1 {
+		if want := float64(e.QueryLen) * float64(db.Residues()) / plan.Seconds / 1e9; plan.GCUPS != want {
+			t.Errorf("%s: GCUPS %v, want %v", e.Device, plan.GCUPS, want)
+		}
+		if d := plan.Devices; len(d) != 1 || d[0].Device != e.Device || d[0].Share != 1 {
 			t.Errorf("%s: devices %+v", e.Device, d)
 		}
 	}
+	if _, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{"gpu"}}); err == nil {
+		t.Error("unknown device accepted")
+	}
+}
+
+// Database.Simulate prices one device with Options.Device and
+// Options.Threads as its inputs.
+func TestDatabaseSimulate(t *testing.T) {
+	db, _ := SyntheticSwissProt(0.01, false)
 	few, err := db.Simulate(1000, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
