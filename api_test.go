@@ -85,12 +85,9 @@ func TestSearchAllVariantsAgree(t *testing.T) {
 func TestSearchOptionErrors(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLA")
-	// (A cluster ignores Options.Device; Database.Simulate, which reads
-	// it, rejects an unknown one — TestDatabaseSimulate.)
 	cases := []Options{
 		{Variant: "avx512-madness"},
 		{Matrix: "BLOSUM13"},
-		{Schedule: "fifo"},
 	}
 	for i, opt := range cases {
 		if _, err := searchDB(db, q, opt); err == nil {
@@ -160,7 +157,11 @@ func TestSyntheticSwissProt(t *testing.T) {
 		t.Fatal("query lengths mismatch")
 	}
 	// A planted query's top hit must be itself (perfect score).
-	res, err := searchDB(db, queries[0], Options{TopK: 1})
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Search(queries[0], ReportOptions{TopK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +186,6 @@ func TestFASTARoundTripAPI(t *testing.T) {
 	}
 	if _, err := ReadFASTA(strings.NewReader(">x\nMKV\n")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDevicesInfo(t *testing.T) {
-	devs := Devices()
-	if len(devs) != 2 {
-		t.Fatalf("%d devices", len(devs))
-	}
-	if devs[0].Kind != DeviceXeon || devs[0].Threads != 32 {
-		t.Fatalf("xeon info: %+v", devs[0])
-	}
-	if devs[1].Kind != DevicePhi || devs[1].Threads != 240 || devs[1].Lanes != 32 {
-		t.Fatalf("phi info: %+v", devs[1])
 	}
 }
 
@@ -261,29 +249,21 @@ func TestSignificanceAPI(t *testing.T) {
 	}
 }
 
-// With no Shares, the static plan of Algorithm 2's pair derives
-// model-balanced shares, and beats a lopsided pinned split.
+// The static plan of Algorithm 2's pair derives model-balanced shares
+// (internal/core's TestOptimalSharesProperties checks they beat a lopsided
+// pinned split).
 func TestAutoSplitAPI(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.002, true)
-	qlen := queries[4].Len()
-	plan := func(shares []float64) *Plan {
-		t.Helper()
-		cl, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{DevicePhi, DeviceXeon}, Shares: shares})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := cl.Plan(qlen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	cl, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{DevicePhi, DeviceXeon}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	auto := plan(nil)
+	auto, err := cl.Plan(queries[4].Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if phi := auto.Devices[0].Share; phi <= 0 || phi >= 1 {
 		t.Fatalf("auto split share %v", phi)
-	}
-	if lopsided := plan([]float64{0.9, 0.1}); auto.Seconds > lopsided.Seconds*1.02 {
-		t.Fatalf("auto split (%v s) worse than a 90%% Phi share (%v s)", auto.Seconds, lopsided.Seconds)
 	}
 }
 
@@ -334,36 +314,12 @@ func TestClusterPlanEstimates(t *testing.T) {
 	}
 }
 
-// Database.Simulate prices one device with Options.Device and
-// Options.Threads as its inputs.
-func TestDatabaseSimulate(t *testing.T) {
-	db, _ := SyntheticSwissProt(0.01, false)
-	few, err := db.Simulate(1000, Options{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := db.Simulate(1000, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if few.Devices[0].Threads != 4 || all.Devices[0].Threads != 32 || few.Seconds <= all.Seconds {
-		t.Fatalf("4 threads: %+v; all threads: %+v", few, all)
-	}
-	for _, bad := range []Options{{Threads: 1000}, {Device: "gpu"}, {Variant: "nope"}} {
-		if _, err := db.Simulate(1000, bad); err == nil {
-			t.Errorf("%+v accepted", bad)
-		}
-	}
-	if _, err := db.Simulate(0, Options{}); err == nil {
-		t.Error("zero query length accepted")
-	}
-}
-
-// Every search sends the long subject down the one long-path kernel, and
-// searches with routing disabled reach the same scores without it. The long
-// subject's score is far over a byte, so the 8-bit escalation counter tells
-// the two routes apart: the long path starts at 16 bits, a byte lane
-// escalates. The variant label changes neither.
+// Every search sends the long subject down the one long-path kernel,
+// whatever the variant label, and reaches the scalar reference's scores.
+// The long subject's score is far over a byte, so the 8-bit escalation
+// counter shows the route: the long path starts at 16 bits, where a byte
+// lane would escalate. (internal/core's TestEngineRoutesLongSequences
+// searches the same input with routing disabled.)
 func TestLongPathAPIEquivalence(t *testing.T) {
 	long := make([]byte, 3300)
 	for i := range long {
@@ -382,34 +338,24 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		opt        Options
-		overflows8 int64
-	}{
-		{Options{}, 0},
-		{Options{Variant: VariantGuidedQP}, 0},
-		{Options{Variant: VariantGuidedQP, LongSeqThreshold: -1}, 1},
-		{Options{Variant: VariantIntrinsicQP}, 0},
-		{Options{LongSeqThreshold: -1}, 1},
-	} {
-		res, err := searchDB(db, q, tc.opt)
+	for _, opt := range []Options{{}, {Variant: VariantGuidedQP}, {Variant: VariantIntrinsicQP}} {
+		res, err := searchDB(db, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref.Scores {
 			if res.Scores[i] != ref.Scores[i] {
-				t.Fatalf("%+v: score %d = %d, want %d", tc.opt, i, res.Scores[i], ref.Scores[i])
+				t.Fatalf("%+v: score %d = %d, want %d", opt, i, res.Scores[i], ref.Scores[i])
 			}
 		}
-		if res.Overflows8 != tc.overflows8 {
-			t.Fatalf("%+v: Overflows8 = %d, want %d", tc.opt, res.Overflows8, tc.overflows8)
+		if res.Overflows8 != 0 {
+			t.Fatalf("%+v: Overflows8 = %d, want 0", opt, res.Overflows8)
 		}
 	}
 }
 
 // Every search runs the precision ladder end to end, whatever the variant
-// label or the Options.Device: identical scores, per-tier overflow
-// accounting.
+// label: identical scores, per-tier overflow accounting.
 func TestSearchLadderVariant(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLA")
@@ -418,19 +364,17 @@ func TestSearchLadderVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, variant := range []string{VariantIntrinsicSP, VariantIntrinsicQP} {
-		for _, dev := range []DeviceKind{DeviceXeon, DevicePhi} {
-			got, err := searchDB(db, q, Options{Variant: variant, Device: dev})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", variant, dev, err)
+		got, err := searchDB(db, q, Options{Variant: variant})
+		if err != nil {
+			t.Fatalf("%s: %v", variant, err)
+		}
+		for i := range ref.Scores {
+			if got.Scores[i] != ref.Scores[i] {
+				t.Fatalf("%s: seq %d score %d, want %d", variant, i, got.Scores[i], ref.Scores[i])
 			}
-			for i := range ref.Scores {
-				if got.Scores[i] != ref.Scores[i] {
-					t.Fatalf("%s on %s: seq %d score %d, want %d", variant, dev, i, got.Scores[i], ref.Scores[i])
-				}
-			}
-			if got.Overflows8 != 0 || got.Overflows != 0 {
-				t.Fatalf("%s on %s: unexpected escalations %d/%d on a tiny database", variant, dev, got.Overflows8, got.Overflows)
-			}
+		}
+		if got.Overflows8 != 0 || got.Overflows != 0 {
+			t.Fatalf("%s: unexpected escalations %d/%d on a tiny database", variant, got.Overflows8, got.Overflows)
 		}
 	}
 

@@ -29,9 +29,8 @@ var ErrNoSignificance = errors.New("heterosw: significance fit unavailable")
 // O(query x subject) re-alignment, so the aligned report is
 // bounded far tighter than the score-only one. The cap is enforced at the
 // library boundary — the HTTP front end merely mirrors it — so an
-// over-eager ReportOptions.TopK (or a huge cluster-wide Options.TopK)
-// fails fast with ErrTooManyAlignments instead of re-aligning an arbitrary
-// slice of the database.
+// over-eager ReportOptions.TopK fails fast with ErrTooManyAlignments
+// instead of re-aligning an arbitrary slice of the database.
 const MaxAlignHits = 64
 
 // ErrTooManyAlignments is returned when an aligned report would traceback
@@ -41,38 +40,27 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 // ClusterOptions configures a Cluster over a database.
 //
 // A Cluster executes on the host: whatever the options say, a search is one
-// engine pass over the whole database with GOMAXPROCS workers. Devices,
-// Threads, Dist, Shares and ChunkResidues describe the modelled roster that
-// Cluster.Plan prices — the paper's Algorithm 2 hardcodes one Xeon host and
-// one Xeon Phi and names a dynamic distribution strategy as future work;
-// the planner generalises the roster to any number of modelled devices and
-// makes the distribution strategy selectable. MaxInFlight and CacheSize
-// tune the query scheduler behind the streaming and serving paths (Stream,
-// Do, DoBatch, the swserve HTTP front end).
+// engine pass over the whole database with GOMAXPROCS workers. Devices and
+// Dist describe the modelled roster that Cluster.Plan prices — the paper's
+// Algorithm 2 hardcodes one Xeon host and one Xeon Phi and names a dynamic
+// distribution strategy as future work; the planner generalises the roster
+// to any number of modelled devices and makes the distribution strategy
+// selectable. MaxInFlight and CacheSize tune the query scheduler behind
+// the streaming and serving paths (Stream, Do, DoBatch, the swserve HTTP
+// front end).
 type ClusterOptions struct {
 	// Options carries the shared kernel configuration (matrix, gaps) and
-	// the planner's (variant, blocking, schedule). Its Device and Threads
-	// fields are ignored: the modelled roster comes from Devices and
-	// per-device threads from Threads below.
+	// the variant the planner prices.
 	Options
 	// Devices is the modelled roster, e.g. {DeviceXeon, DevicePhi,
 	// DevicePhi}. Empty selects the paper's pair {DeviceXeon, DevicePhi}.
+	// The planner prices every device at its maximum thread count.
 	Devices []DeviceKind
-	// Threads optionally sets each device's modelled thread count (device
-	// maximum when 0 or when the slice is shorter than the roster).
-	Threads []int
 	// Dist selects the planned workload distribution: "static" (Algorithm
-	// 2's residue split, the default), "dynamic" (a device-level work
-	// queue of equal-residue chunks) or "guided" (shrinking chunks).
+	// 2's residue split with model-balanced shares, the default),
+	// "dynamic" (a device-level work queue of equal-residue chunks) or
+	// "guided" (shrinking chunks).
 	Dist string
-	// Shares pins the planned static residue fraction per device; nil
-	// derives model-balanced shares from the device cost models (the
-	// paper's proposed model-driven strategy). Ignored by dynamic
-	// distributions.
-	Shares []float64
-	// ChunkResidues is the planned dynamic chunk granularity in residues
-	// (0 derives a default from the database size and roster).
-	ChunkResidues int64
 
 	// MaxInFlight caps the queries a scheduler runs concurrently (default
 	// 4), each over every worker; the rest wait in submission order. More
@@ -143,16 +131,13 @@ type ReportOptions struct {
 	// returned as ClusterResult.Significance. Fails with ErrNoSignificance
 	// on databases with fewer than a few dozen sequences.
 	EValues bool
-	// TopK is this call's K, the length of its hit list, overriding the
-	// cluster-wide Options.TopK for this search only (0 keeps the cluster
-	// default). It is resolved before the score pass and travels with the
-	// query to the engine, which selects exactly K hits — nothing
-	// downstream orders or holds more. With Alignments set it is the
-	// number of sequences the traceback phase aligns. When a reporting
-	// phase is requested and both TopK and the cluster default are 0, the
-	// reported hit list is bounded at defaultReportHits, so every returned
-	// hit is decorated and an unbounded search never re-aligns the whole
-	// database.
+	// TopK is this call's K, the length of its hit list; 0 reports every
+	// hit. It travels with the query to the engine, which selects exactly
+	// K hits — nothing downstream orders or holds more. With Alignments set
+	// it is the number of sequences the traceback phase aligns. When a
+	// reporting phase is requested and TopK is 0, the reported hit list is
+	// bounded at defaultReportHits, so every returned hit is decorated and
+	// an unbounded search never re-aligns the whole database.
 	TopK int
 	// EValueTrim is the top fraction of scores excluded from the
 	// significance fit as suspected homologs (0 selects the 1% default).
@@ -172,8 +157,7 @@ func (rep ReportOptions) validate() error {
 
 // key fingerprints the report options for the scheduler cache, K included:
 // an entry holds the K hits of the request that computed it. The zero value
-// — a library caller that leaves K to the cluster — maps to the empty
-// string.
+// — every hit, no reporting phase — maps to the empty string.
 func (rep ReportOptions) key() string {
 	if rep == (ReportOptions{}) {
 		return ""
@@ -181,9 +165,9 @@ func (rep ReportOptions) key() string {
 	return fmt.Sprintf("R:a=%t,e=%t,k=%d,t=%g|", rep.Alignments, rep.EValues, rep.TopK, rep.EValueTrim)
 }
 
-// defaultReportHits bounds the traceback phase when neither the call nor
-// the cluster set an explicit top-K: decorating an unbounded hit list
-// would re-align the entire database, defeating the two-phase design.
+// defaultReportHits bounds the reporting phases when the call sets no
+// top-K: decorating an unbounded hit list would re-align the entire
+// database, defeating the two-phase design.
 const defaultReportHits = 10
 
 // checkReport rejects report options this cluster can never satisfy —
@@ -201,7 +185,7 @@ func (c *Cluster) checkReport(rep ReportOptions) error {
 	if rep.Alignments {
 		// The K the traceback phase would actually align, capped by the
 		// database itself.
-		k := c.topK(rep)
+		k := topK(rep)
 		if k > c.db.Len() {
 			k = c.db.Len()
 		}
@@ -212,22 +196,14 @@ func (c *Cluster) checkReport(rep ReportOptions) error {
 	return nil
 }
 
-// topK resolves the K of one request before its score pass runs: the
-// per-call override, else the cluster-wide Options.TopK, else — when a
-// reporting phase would otherwise decorate the whole database — the default
-// bound. 0 means every hit.
-func (c *Cluster) topK(rep ReportOptions) int {
-	k := rep.TopK
-	if k <= 0 {
-		k = c.dopt.Search.TopK
+// topK resolves the K of one validated request before its score pass
+// runs: the request's own, else — when a reporting phase would otherwise
+// decorate the whole database — the default bound. 0 means every hit.
+func topK(rep ReportOptions) int {
+	if rep.TopK == 0 && (rep.Alignments || rep.EValues) {
+		return defaultReportHits
 	}
-	if k <= 0 && (rep.Alignments || rep.EValues) {
-		k = defaultReportHits
-	}
-	if k < 0 {
-		k = 0
-	}
-	return k
+	return rep.TopK
 }
 
 // engineState is one immutable topology generation: the dispatcher and
@@ -281,7 +257,7 @@ type Cluster struct {
 	dopt core.DispatchOptions
 	// roster is the modelled roster Plan prices (nil on a coordinator);
 	// nothing executes on it.
-	roster []core.Device
+	roster []*device.Model
 
 	// eng is the cluster's current engine: the dispatcher plus the roster
 	// labels its reports carry, bundled so a topology swap replaces both
@@ -336,21 +312,13 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	if len(kinds) == 0 {
 		kinds = []DeviceKind{DeviceXeon, DevicePhi}
 	}
-	roster := make([]core.Device, len(kinds))
+	roster := make([]*device.Model, len(kinds))
 	for i, k := range kinds {
 		m, err := k.model()
 		if err != nil {
 			return nil, err
 		}
-		threads := 0
-		if i < len(opt.Threads) {
-			threads = opt.Threads[i]
-		}
-		if threads < 0 || threads > m.MaxThreads() {
-			return nil, fmt.Errorf("heterosw: device %d (%s): %d threads exceeds %d",
-				i, k, threads, m.MaxThreads())
-		}
-		roster[i] = core.Device{Model: m, Threads: threads}
+		roster[i] = m
 	}
 	dist := opt.Dist
 	if dist == "" {
@@ -359,9 +327,6 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	d, err := core.ParseDistribution(dist)
 	if err != nil {
 		return nil, fmt.Errorf("heterosw: %s", err)
-	}
-	if opt.Shares != nil && len(opt.Shares) != len(kinds) {
-		return nil, fmt.Errorf("heterosw: %d shares for %d devices", len(opt.Shares), len(kinds))
 	}
 	search, err := opt.Options.toCore(db.db.Alphabet())
 	if err != nil {
@@ -376,14 +341,9 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 		cacheSize = defaultCacheSize(db.Len())
 	}
 	c := &Cluster{
-		db:     db,
-		roster: roster,
-		dopt: core.DispatchOptions{
-			Search:        search,
-			Dist:          d,
-			Shares:        opt.Shares,
-			ChunkResidues: opt.ChunkResidues,
-		},
+		db:       db,
+		roster:   roster,
+		dopt:     core.DispatchOptions{Search: search, Dist: d},
 		schedOpt: qsched.Options{MaxInFlight: opt.MaxInFlight},
 		cache:    qsched.NewCache[*ClusterResult](cacheSize),
 	}
@@ -402,8 +362,8 @@ func cacheKeyBase(search core.SearchOptions) string {
 // Devices returns the modelled roster Plan prices (nil on a coordinator).
 func (c *Cluster) Devices() []DeviceKind {
 	kinds := make([]DeviceKind, len(c.roster))
-	for i, d := range c.roster {
-		kinds[i] = DeviceKind(d.Model.Short)
+	for i, m := range c.roster {
+		kinds[i] = DeviceKind(m.Short)
 	}
 	return kinds
 }
@@ -411,7 +371,8 @@ func (c *Cluster) Devices() []DeviceKind {
 // DevicePlan is one modelled device's part in a Plan.
 type DevicePlan struct {
 	// Name is the device kind suffixed with its roster position, e.g.
-	// "phi#1"; Device the kind; Threads the modelled thread count.
+	// "phi#1"; Device the kind; Threads the modelled thread count, the
+	// device's maximum.
 	Name    string
 	Device  DeviceKind
 	Threads int
@@ -439,41 +400,31 @@ type Plan struct {
 }
 
 // Plan prices one search of a queryLen-residue query on the cluster's
-// modelled roster (ClusterOptions.Devices, Threads) under its distribution
-// strategy (Dist, Shares, ChunkResidues): Algorithm 2 and its N-device
-// generalisations, from the paper's Xeon and Xeon Phi cost models over the
-// database's sequence lengths. No kernels run, and what the cluster's
-// searches execute does not depend on any of it.
+// modelled roster (ClusterOptions.Devices) under its distribution strategy
+// (Dist): Algorithm 2 and its N-device generalisations, from the paper's
+// Xeon and Xeon Phi cost models over the database's sequence lengths. A
+// one-device roster prices Algorithm 1 on that device. No kernels run, and
+// what the cluster's searches execute does not depend on any of it.
 func (c *Cluster) Plan(queryLen int) (*Plan, error) {
 	if c.roster == nil {
 		return nil, fmt.Errorf("heterosw: Plan needs a local cluster (a coordinator has no modelled roster)")
 	}
-	return planFor(c.db, queryLen, c.roster, c.dopt)
-}
-
-// planFor is the one bridge to the planner, shared by Cluster.Plan and
-// Database.Simulate.
-func planFor(db *Database, queryLen int, roster []core.Device, dopt core.DispatchOptions) (*Plan, error) {
 	if queryLen <= 0 {
 		return nil, fmt.Errorf("heterosw: query length %d", queryLen)
 	}
-	p, err := core.PlanLengths(db.db.OrderLengths(), queryLen, roster, dopt)
+	p, err := core.PlanLengths(c.db.db.OrderLengths(), queryLen, c.roster, c.dopt)
 	if err != nil {
 		return nil, err
 	}
-	out := &Plan{Dist: p.Dist.String(), Seconds: p.Makespan, Devices: make([]DevicePlan, len(roster))}
+	out := &Plan{Dist: p.Dist.String(), Seconds: p.Makespan, Devices: make([]DevicePlan, len(c.roster))}
 	if p.Makespan > 0 {
-		out.GCUPS = float64(queryLen) * float64(db.Residues()) / p.Makespan / 1e9
+		out.GCUPS = float64(queryLen) * float64(c.db.Residues()) / p.Makespan / 1e9
 	}
-	for i, d := range roster {
-		threads := d.Threads
-		if threads == 0 {
-			threads = d.Model.MaxThreads()
-		}
+	for i, m := range c.roster {
 		out.Devices[i] = DevicePlan{
-			Name:    fmt.Sprintf("%s#%d", d.Model.Short, i),
-			Device:  DeviceKind(d.Model.Short),
-			Threads: threads,
+			Name:    fmt.Sprintf("%s#%d", m.Short, i),
+			Device:  DeviceKind(m.Short),
+			Threads: m.MaxThreads(),
 			Share:   p.Shares[i],
 			Chunks:  p.Chunks[i],
 			Seconds: p.Seconds[i],
@@ -496,9 +447,7 @@ func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
 	q, raw := e.disp.Totals()
 	workers := 0
 	if e.kind == DeviceHost {
-		if workers = c.dopt.Search.Workers; workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
 	per = make([]BackendTotals, len(raw))
 	for i, bt := range raw {

@@ -275,8 +275,6 @@ func TestClusterOptionErrors(t *testing.T) {
 	cases := []ClusterOptions{
 		{Devices: []DeviceKind{"gpu"}},
 		{Dist: "adaptive"},
-		{Devices: []DeviceKind{DeviceXeon}, Threads: []int{99999}},
-		{Devices: []DeviceKind{DeviceXeon, DevicePhi}, Shares: []float64{1}},
 		{Options: Options{Variant: "nope"}},
 	}
 	for i, opt := range cases {

@@ -11,7 +11,8 @@
 //	swbench -devices xeon,phi -db db.swdb
 //
 // By default the full 541,561-sequence synthetic Swiss-Prot is simulated
-// (fast: the device models consume shape information only; see DESIGN.md).
+// (fast: the device models consume shape information only; see the
+// README's "The device model: pricing a roster").
 // GCUPS values are simulated-device throughput. This is where a roster is
 // priced: swsearch and swserve run on the host and report wall-clock.
 package main
@@ -76,7 +77,7 @@ func main() {
 	fmt.Fprintf(out, "# swbench: %s\n", w)
 	fmt.Fprintf(out, "# devices: Xeon (16c/32t, 256-bit) + Xeon Phi (60c/240t, 512-bit); BLOSUM62, gaps 10/2\n")
 	fmt.Fprintf(out, "# vec backend: %s\n", device.HostSIMD())
-	fmt.Fprintf(out, "# GCUPS below are simulated-device throughput (see DESIGN.md section 6)\n\n")
+	fmt.Fprintf(out, "# GCUPS below are simulated-device throughput (see the README's \"Interpreting GCUPS\")\n\n")
 
 	var figs []*figures.Figure
 	if *fig == "all" {
@@ -112,7 +113,7 @@ func main() {
 // the comparison runs in milliseconds at any scale.
 func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale float64, queryLen int) error {
 	models := device.Devices()
-	var devices []core.Device
+	var devices []*device.Model
 	var names []string
 	for i, d := range strings.Split(roster, ",") {
 		d = strings.TrimSpace(d)
@@ -120,7 +121,7 @@ func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale flo
 		if !ok {
 			return fmt.Errorf("unknown device %q (have xeon, phi)", d)
 		}
-		devices = append(devices, core.Device{Model: m})
+		devices = append(devices, m)
 		names = append(names, fmt.Sprintf("%s#%d", d, i))
 	}
 	var lengths []int

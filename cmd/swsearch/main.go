@@ -106,7 +106,6 @@ func main() {
 		GapOpen:       *gapOpen,
 		GapExtend:     *gapExtend,
 		NoGapDefaults: true,
-		TopK:          *topK,
 	}
 	if *matrixFile != "" {
 		text, rerr := os.ReadFile(*matrixFile)
@@ -173,7 +172,7 @@ func main() {
 	fmt.Printf("vec:      %s\n", hostdev.HostSIMD())
 
 	start := time.Now()
-	res, err := cl.Search(query)
+	res, err := cl.Search(query, heterosw.ReportOptions{TopK: *topK})
 	if err != nil {
 		fatal(err)
 	}

@@ -71,6 +71,27 @@ func TestZeroGapPenalties(t *testing.T) {
 	}
 }
 
+// A negative -top is a bad request on every path: the plain score table
+// and the aligned report both exit 1 with the request's error, rather than
+// the plain path printing every hit.
+func TestNegativeTop(t *testing.T) {
+	bin := buildSelf(t)
+	db := filepath.Join("..", "..", "testdata", "golden_db.fasta")
+	query := filepath.Join("..", "..", "testdata", "golden_query.fasta")
+	for _, path := range [][]string{nil, {"-blast"}} {
+		args := append([]string{"-db", db, "-query", query, "-top", "-1"}, path...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err %v, want exit 1\n%s", path, err, out)
+			continue
+		}
+		if want := "bad request: negative report TopK -1"; !strings.Contains(string(out), want) {
+			t.Errorf("%v: output lacks %q:\n%s", path, want, out)
+		}
+	}
+}
+
 // writeFile writes a fixture into dir and returns its path.
 func writeFile(t *testing.T, dir, name, text string) string {
 	t.Helper()

@@ -26,12 +26,12 @@ const (
 
 // DistributedOptions configures a coordinator over remote shard nodes.
 type DistributedOptions struct {
-	// Options carries the kernel configuration used for the coordinator's
-	// own reporting (significance fit parameters, TopK, matrix for the
-	// local traceback fallback). The remote nodes execute shards under
-	// their OWN configured options — the coordinator ships queries, not
-	// search parameters — so operators must configure nodes and
-	// coordinator identically for the merged result to be meaningful.
+	// Options is validated as a local cluster's is and fingerprints the
+	// coordinator's cache keys. The remote nodes execute shards and
+	// tracebacks under their OWN configured options — the coordinator
+	// ships queries, not search parameters — so operators must configure
+	// nodes and coordinator identically for the merged result to be
+	// meaningful.
 	Options
 
 	// MaxInFlight and CacheSize tune the coordinator's serving scheduler

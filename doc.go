@@ -13,7 +13,7 @@
 //     fits one vector register, with saturated lanes re-packed for a
 //     16-bit score-profile pass and, from there, recomputed in 32 bits;
 //     Result.Overflows8, Overflows and OverflowCells count the climb), and
-//     one intra-task kernel for subjects over Options.LongSeqThreshold:
+//     one intra-task kernel for subjects over 3,072 residues:
 //     Farrar's striped layout, each column of it one call of the fused
 //     inter-task column step (stripes as rows, query segments as lanes),
 //     16-bit with 32-bit scalar recomputation on saturation. The paper's
@@ -32,7 +32,7 @@
 //     — generalised to any roster of modelled devices under static
 //     (residue split), dynamic and guided (device-level chunk queue)
 //     workload distributions, from sequence lengths alone, no kernels run
-//     — see Database.Simulate, Cluster.Plan and cmd/swbench;
+//     — see Cluster.Plan and cmd/swbench;
 //   - a concurrent query scheduler behind every streaming and serving
 //     door: several queries run in flight, each resolving as soon as its
 //     own result is ready, identical requests share one execution and
@@ -113,9 +113,9 @@
 // # Quick start
 //
 //	db, queries := heterosw.SyntheticSwissProt(0.01, true)
-//	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Options: heterosw.Options{TopK: 10}})
+//	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{})
 //	if err != nil { ... }
-//	res, err := cl.Search(queries[0])
+//	res, err := cl.Search(queries[0], heterosw.ReportOptions{TopK: 10})
 //	if err != nil { ... }
 //	for _, h := range res.Hits {
 //	    fmt.Println(h.ID, h.Score)
@@ -198,8 +198,8 @@
 // database, and each traceback holds at most one byte per query × subject
 // cell: a linear-space pass finds the alignment's end cell, and direction
 // bytes over the rectangle up to it record the path. K —
-// ReportOptions.TopK, else the cluster-wide Options.TopK, else 10 when a
-// reporting phase is on, else 0 for every hit — is
+// ReportOptions.TopK, else 10 when a reporting phase is on, else 0 for
+// every hit — is
 // resolved before the score pass and travels with the query to the
 // engine, whose one bounded selection returns exactly K hits in the
 // order of the paper's step 4 (score descending, ties in database
@@ -239,7 +239,7 @@
 // over a real database with -db; cmd/swserve fronts a cluster with the
 // JSON search API (/search, /batch, /healthz) — give it a .swdb and restarts are
 // near-instant, a -shards node and a -manifest/-nodes coordinator make
-// it multi-node — and bench/'s serve_* workloads load-test it; see
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison.
+// it multi-node — and bench/'s serve_* workloads load-test it. The
+// README's "The device model: pricing a roster" and "Interpreting GCUPS"
+// explain what the simulated numbers mean beside the wall-clock ones.
 package heterosw

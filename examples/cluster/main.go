@@ -48,13 +48,15 @@ func main() {
 	// A batch of requests, on the host: they run one after another, every
 	// query on the lane packings the cluster built once.
 	ctx := context.Background()
-	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Devices: roster, Dist: "dynamic", Options: heterosw.Options{TopK: 1}})
+	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Devices: roster, Dist: "dynamic"})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Every request asks for its best hit alone.
+	top1 := heterosw.ReportOptions{TopK: 1}
 	batch := make([]heterosw.Request, 5)
 	for i, q := range queries[:5] {
-		batch[i] = heterosw.Request{Query: q}
+		batch[i] = heterosw.Request{Query: q, Report: top1}
 	}
 	results, err := cl.DoBatch(ctx, batch)
 	if err != nil {
@@ -71,7 +73,7 @@ func main() {
 	// in submission order on the Results channel.
 	st := cl.NewStream(ctx)
 	for _, q := range queries[5:8] {
-		if err := st.Submit(heterosw.Request{Query: q}); err != nil {
+		if err := st.Submit(heterosw.Request{Query: q, Report: top1}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -40,8 +40,8 @@ type EngineBackend struct {
 }
 
 // NewBackend builds an EngineBackend. model supplies the lane geometry the
-// backend's engine packs its groups for; threads is unused (it was the
-// modelled thread count, which a roster now carries as Device.Threads).
+// backend's engine packs its groups for; threads is unused (the planner
+// prices every modelled device at its maximum thread count).
 func NewBackend(name string, model *device.Model, threads int) *EngineBackend {
 	return &EngineBackend{name: name, model: model}
 }
@@ -74,15 +74,12 @@ func (b *EngineBackend) Search(ctx context.Context, db *seqdb.Database, query *s
 type DispatchOptions struct {
 	// Search carries the shared kernel configuration.
 	Search SearchOptions
-	// Dist, Shares and ChunkResidues are planner inputs (PlanLengths) and do
-	// not change what Dispatcher.Search executes: the distribution the
-	// roster is planned under (DistStatic when zero), the static residue
-	// fraction per device (nil derives model-balanced OptimalShares), and
-	// the dynamic chunk granularity in residues (for DistGuided, the
-	// minimum chunk; 0 derives roughly chunksPerDevice chunks per device).
-	Dist          Distribution
-	Shares        []float64
-	ChunkResidues int64
+	// Dist and Shares are planner inputs (PlanLengths) and do not change
+	// what Dispatcher.Search executes: the distribution the roster is
+	// planned under (DistStatic when zero) and the static residue fraction
+	// per device (nil derives model-balanced OptimalShares).
+	Dist   Distribution
+	Shares []float64
 }
 
 // ClusterResult is what a dispatcher search reports: the merged Result.

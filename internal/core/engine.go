@@ -149,13 +149,10 @@ type SearchOptions struct {
 	// Matrix is the substitution matrix (BLOSUM62 when nil, as in the
 	// paper).
 	Matrix *submat.Matrix
-	// Threads, Schedule and ChunkSize are planner inputs only, ignored by
-	// Engine.Search: the modelled device's thread count (device maximum
-	// when 0), the OpenMP scheduling policy of its group loop (the paper
-	// found dynamic to perform best) and the scheduling chunk (1 when 0).
-	Threads   int
-	Schedule  sched.Policy
-	ChunkSize int
+	// Schedule is a planner input only, ignored by Engine.Search: the
+	// OpenMP scheduling policy of the modelled device's group loop (the
+	// paper found dynamic to perform best).
+	Schedule sched.Policy
 	// Workers caps the host goroutines of a search (GOMAXPROCS when 0).
 	Workers int
 	// LongSeqThreshold routes database sequences longer than this to the

@@ -16,50 +16,72 @@ import (
 // scores and account the work as intra-task cells.
 func TestEngineRoutesLongSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
-	seqs := []*sequence.Sequence{
+	random := []*sequence.Sequence{
 		randProtein(rng, 30),
 		randProtein(rng, 3073), // just above DefaultLongSeqThreshold
 		randProtein(rng, 100),
 		randProtein(rng, 4000),
 	}
-	db := seqdb.New(seqs, true)
-	query := randProtein(rng, 40)
-	want := oracleScores(db, query.Residues)
+	routeBothWays(t, random, randProtein(rng, 40), 3073+4000)
 
+	// A periodic 3,300-residue subject against a 300-residue window of
+	// itself scores far over a byte, so the 8-bit escalation counter tells
+	// the two routes apart: the long path starts at 16 bits, while a byte
+	// lane saturates and escalates once.
+	long := make([]byte, 3300)
+	for i := range long {
+		long[i] = "ARNDCQEGHILKMFPSTWYV"[i%20]
+	}
+	periodic := []*sequence.Sequence{
+		sequence.FromString("long", string(long)),
+		sequence.FromString("short", "MKWVLAARND"),
+	}
+	routed, unrouted := routeBothWays(t, periodic, sequence.FromString("q", string(long[100:400])), 3300)
+	if routed.Stats.Overflows8 != 0 || unrouted.Stats.Overflows8 != 1 {
+		t.Fatalf("Overflows8 routed %d, unrouted %d; want 0 and 1", routed.Stats.Overflows8, unrouted.Stats.Overflows8)
+	}
+}
+
+// routeBothWays searches seqs with the default long-sequence routing, which
+// must send exactly intraResidues subject residues down the intra-task
+// kernel, and with routing disabled, which must reach the oracle's scores
+// through the lane kernels alone (with heavy padding).
+func routeBothWays(t *testing.T, seqs []*sequence.Sequence, query *sequence.Sequence, intraResidues int) (routed, unrouted *Result) {
+	t.Helper()
+	db := seqdb.New(seqs, true)
+	want := oracleScores(db, query.Residues)
 	e := testEngine(t, db)
-	res, err := e.Search(query, defaultSearchOptions())
+	routed, err := e.Search(query, defaultSearchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if int(res.Scores[i]) != want[i] {
-			t.Fatalf("seq %d (len %d): score %d, want %d", i, seqs[i].Len(), res.Scores[i], want[i])
+		if int(routed.Scores[i]) != want[i] {
+			t.Fatalf("seq %d (len %d): score %d, want %d", i, seqs[i].Len(), routed.Scores[i], want[i])
 		}
 	}
-	wantIntra := int64(query.Len()) * int64(3073+4000)
-	if res.Stats.IntraCells != wantIntra {
-		t.Fatalf("IntraCells = %d, want %d", res.Stats.IntraCells, wantIntra)
+	if wantIntra := int64(query.Len()) * int64(intraResidues); routed.Stats.IntraCells != wantIntra {
+		t.Fatalf("IntraCells = %d, want %d", routed.Stats.IntraCells, wantIntra)
 	}
-	if res.Stats.Cells != int64(query.Len())*db.Residues() {
-		t.Fatalf("Cells = %d", res.Stats.Cells)
+	if routed.Stats.Cells != int64(query.Len())*db.Residues() {
+		t.Fatalf("Cells = %d", routed.Stats.Cells)
 	}
 
-	// Disabling routing must give identical scores through the lane
-	// kernels (with heavy padding).
 	opt := defaultSearchOptions()
 	opt.LongSeqThreshold = -1
-	res2, err := e.Search(query, opt)
+	unrouted, err = e.Search(query, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if res2.Scores[i] != res.Scores[i] {
-			t.Fatalf("routing changed scores at %d: %d vs %d", i, res2.Scores[i], res.Scores[i])
+		if unrouted.Scores[i] != routed.Scores[i] {
+			t.Fatalf("routing changed scores at %d: %d vs %d", i, unrouted.Scores[i], routed.Scores[i])
 		}
 	}
-	if res2.Stats.IntraCells != 0 {
-		t.Fatalf("routing disabled but IntraCells = %d", res2.Stats.IntraCells)
+	if unrouted.Stats.IntraCells != 0 {
+		t.Fatalf("routing disabled but IntraCells = %d", unrouted.Stats.IntraCells)
 	}
+	return routed, unrouted
 }
 
 func TestPartitionRouting(t *testing.T) {

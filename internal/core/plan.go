@@ -14,38 +14,22 @@ import (
 // roster under a workload distribution (PlanLengths) would take, using the
 // paper's Xeon and Xeon Phi cost models. It is the only producer of
 // simulated seconds; nothing on the execution path (Engine, Dispatcher)
-// calls it. swbench, the calibration tests and the public wrappers
-// Database.Simulate and Cluster.Plan do.
-
-// Device is one entry of a modelled roster: a performance model and the
-// thread count it is assumed to run with (the model's maximum when 0).
-type Device struct {
-	Model   *device.Model
-	Threads int
-}
-
-// searchOpt specialises the shared kernel options for the device.
-func (d Device) searchOpt(opt SearchOptions) SearchOptions {
-	opt.Threads = d.Threads
-	return opt
-}
+// calls it. swbench, the calibration tests and the public Cluster.Plan do.
+// A roster is a list of device models, each priced at its maximum thread
+// count with a scheduling chunk of one sequence group.
 
 // validateRoster rejects an empty roster and any device the cost models
 // cannot price.
-func validateRoster(roster []Device) error {
+func validateRoster(roster []*device.Model) error {
 	if len(roster) == 0 {
 		return fmt.Errorf("core: empty device roster")
 	}
-	for i, d := range roster {
-		if d.Model == nil {
+	for i, m := range roster {
+		if m == nil {
 			return fmt.Errorf("core: device %d: nil model", i)
 		}
-		if err := d.Model.Validate(); err != nil {
+		if err := m.Validate(); err != nil {
 			return fmt.Errorf("core: device %d: %w", i, err)
-		}
-		if d.Threads < 0 || d.Threads > d.Model.MaxThreads() {
-			return fmt.Errorf("core: device %d: %d threads outside %s's %d hardware threads",
-				i, d.Threads, d.Model.Short, d.Model.MaxThreads())
 		}
 	}
 	return nil
@@ -107,10 +91,7 @@ const chunksPerDevice = 24
 // (chunkSeconds), kept in one place so the two distribution strategies
 // can never drift apart.
 func shapeCosts(lengths []int, m int, dev *device.Model, opt SearchOptions) (costs []float64, residues int64, threads int) {
-	threads = opt.Threads
-	if threads <= 0 {
-		threads = dev.MaxThreads()
-	}
+	threads = dev.MaxThreads()
 	class := opt.Params.KernelClass()
 	// The same rule as Engine.Search. (With byte lanes the estimate
 	// optimistically assumes no escalation recomputes; over a realistic
@@ -148,11 +129,7 @@ func estimateComputeSeconds(lengths []int, m int, dev *device.Model, opt SearchO
 		return 0
 	}
 	costs, residues, threads := shapeCosts(lengths, m, dev, opt)
-	chunk := opt.ChunkSize
-	if chunk <= 0 {
-		chunk = 1
-	}
-	sim := sched.Simulate(costs, threads, opt.Schedule, chunk, dev.DispatchCycles)
+	sim := sched.Simulate(costs, threads, opt.Schedule, 1, dev.DispatchCycles)
 	seconds := dev.Seconds(sim.Makespan, threads)
 	if dev.OffloadRequired {
 		in := device.QueryBytes(m) + device.DatabaseBytes(residues, len(lengths))
@@ -182,7 +159,7 @@ func estimateSeconds(lengths []int, m int, dev *device.Model, opt SearchOptions)
 // proportional to each device's predicted throughput (1 / t_i). The
 // returned shares are normalised to sum to 1; equal shares are returned
 // when no prediction is possible (empty database, zero query length).
-func OptimalShares(lengths []int, queryLen int, opt SearchOptions, roster []Device) []float64 {
+func OptimalShares(lengths []int, queryLen int, opt SearchOptions, roster []*device.Model) []float64 {
 	n := len(roster)
 	shares := make([]float64, n)
 	if n == 0 {
@@ -198,8 +175,8 @@ func OptimalShares(lengths []int, queryLen int, opt SearchOptions, roster []Devi
 		return equal()
 	}
 	var sum float64
-	for i, d := range roster {
-		t := estimateSeconds(lengths, queryLen, d.Model, d.searchOpt(opt))
+	for i, dev := range roster {
+		t := estimateSeconds(lengths, queryLen, dev, opt)
 		if t <= 0 {
 			return equal()
 		}
@@ -236,17 +213,14 @@ func validateShares(shares []float64, devices int) error {
 // residues accumulate to the sched.ChunkSizes targets. Dynamic chunks are
 // returned heaviest-first (the reversed, longest-sequences-first order, as
 // sched.Simulate's in-device dynamic policy dispatches), Guided chunks in
-// front-to-back order so the shrinking grants end with the smallest.
-// target <= 0 derives the default granularity of roughly chunksPerDevice
-// chunks per worker.
-func chunkWindows(lengths []int, dist Distribution, workers int, target int64) [][2]int {
+// front-to-back order so the shrinking grants end with the smallest. The
+// target granularity is roughly chunksPerDevice chunks per worker.
+func chunkWindows(lengths []int, dist Distribution, workers int) [][2]int {
 	var total int64
 	for _, l := range lengths {
 		total += int64(l)
 	}
-	if target <= 0 {
-		target = total / int64(chunksPerDevice*workers)
-	}
+	target := total / int64(chunksPerDevice*workers)
 	if target < 1 {
 		target = 1
 	}
@@ -310,7 +284,7 @@ type Plan struct {
 // planStaticLengths prices one static split: per-part compute seconds,
 // realised residue shares, and the final host-side sort of the merged
 // list.
-func planStaticLengths(parts [][]int, queryLen int, roster []Device, opt DispatchOptions, dbLen int) *Plan {
+func planStaticLengths(parts [][]int, queryLen int, roster []*device.Model, opt DispatchOptions, dbLen int) *Plan {
 	p := &Plan{
 		Dist:    DistStatic,
 		Shares:  make([]float64, len(roster)),
@@ -325,14 +299,14 @@ func planStaticLengths(parts [][]int, queryLen int, roster []Device, opt Dispatc
 		}
 		total += residues[i]
 	}
-	for i, d := range roster {
+	for i, dev := range roster {
 		if total > 0 {
 			p.Shares[i] = float64(residues[i]) / float64(total)
 		}
 		if len(parts[i]) == 0 {
 			continue
 		}
-		p.Seconds[i] = estimateComputeSeconds(parts[i], queryLen, d.Model, d.searchOpt(opt.Search))
+		p.Seconds[i] = estimateComputeSeconds(parts[i], queryLen, dev, opt.Search)
 		p.Chunks[i] = 1
 		if p.Seconds[i] > p.Makespan {
 			p.Makespan = p.Seconds[i]
@@ -349,22 +323,21 @@ func planStaticLengths(parts [][]int, queryLen int, roster []Device, opt Dispatc
 // charges its own database shipment and score return for offload devices,
 // which is the true cost a dynamic distribution pays for flexibility. The
 // final host-side merge sort of the full score list closes the makespan.
-func planChunkLengths(chunkLens [][]int, queryLen int, roster []Device, opt DispatchOptions, dbLen int) *Plan {
+func planChunkLengths(chunkLens [][]int, queryLen int, roster []*device.Model, opt DispatchOptions, dbLen int) *Plan {
 	n := len(roster)
 	costs := make([][]float64, len(chunkLens))
 	residues := make([]int64, len(chunkLens))
 	for c, lens := range chunkLens {
 		costs[c] = make([]float64, n)
-		for i, d := range roster {
-			costs[c][i] = chunkSeconds(lens, queryLen, d.Model, d.searchOpt(opt.Search))
+		for i, dev := range roster {
+			costs[c][i] = chunkSeconds(lens, queryLen, dev, opt.Search)
 		}
 		for _, l := range lens {
 			residues[c] += int64(l)
 		}
 	}
 	seed := make([]float64, n)
-	for i, d := range roster {
-		m := d.Model
+	for i, m := range roster {
 		seed[i] = m.RegionSeconds
 		if m.OffloadRequired {
 			seed[i] += m.TransferSeconds(device.QueryBytes(queryLen))
@@ -397,11 +370,11 @@ func planChunkLengths(chunkLens [][]int, queryLen int, roster []Device, opt Disp
 // PlanLengths predicts the schedule of a roster under opt.Dist from
 // sequence lengths alone — no database materialisation, no kernels:
 // Algorithm 2's static residue split (opt.Shares, model-balanced when nil),
-// or the dynamic and guided device-level chunk queues (opt.ChunkResidues).
+// or the dynamic and guided device-level chunk queues.
 // This is what lets swbench compare distribution strategies over the full
 // 541,561-sequence Swiss-Prot in milliseconds, the same shape-level trick
 // the figures use.
-func PlanLengths(lengths []int, queryLen int, roster []Device, opt DispatchOptions) (*Plan, error) {
+func PlanLengths(lengths []int, queryLen int, roster []*device.Model, opt DispatchOptions) (*Plan, error) {
 	if err := validateRoster(roster); err != nil {
 		return nil, err
 	}
@@ -419,7 +392,7 @@ func PlanLengths(lengths []int, queryLen int, roster []Device, opt DispatchOptio
 		parts := seqdb.SplitLengthsN(sorted, shares)
 		return planStaticLengths(parts, queryLen, roster, opt, len(sorted)), nil
 	case DistDynamic, DistGuided:
-		windows := chunkWindows(sorted, opt.Dist, len(roster), opt.ChunkResidues)
+		windows := chunkWindows(sorted, opt.Dist, len(roster))
 		chunkLens := make([][]int, len(windows))
 		for c, w := range windows {
 			chunkLens[c] = sorted[w[0]:w[1]]

@@ -12,8 +12,8 @@ import (
 	"heterosw/internal/device"
 )
 
-func xeonPhiPhi() []Device {
-	return []Device{{Model: device.Xeon()}, {Model: device.Phi()}, {Model: device.Phi()}}
+func xeonPhiPhi() []*device.Model {
+	return []*device.Model{device.Xeon(), device.Phi(), device.Phi()}
 }
 
 func randLengths(rng *rand.Rand, n, lo, span int) []int {
@@ -72,9 +72,9 @@ func TestPlanGolden(t *testing.T) {
 		same(e.Device+" estimateSeconds", estimateSeconds(lengths, e.QueryLen, models[e.Device], opt), e.Seconds)
 	}
 	for _, p := range g.Plans {
-		var roster []Device
+		var roster []*device.Model
 		for _, kind := range strings.Split(p.Roster, ",") {
-			roster = append(roster, Device{Model: models[kind]})
+			roster = append(roster, models[kind])
 		}
 		dist, err := ParseDistribution(p.Dist)
 		if err != nil {
@@ -93,26 +93,6 @@ func TestPlanGolden(t *testing.T) {
 				t.Errorf("%s: device %d chunks = %d, golden %d", name, i, got.Chunks[i], p.Chunks[i])
 			}
 		}
-	}
-}
-
-func TestSearchSimTimingSane(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	// Enough sequences that every thread count has plenty of lane groups
-	// (chunk starvation legitimately makes HT counterproductive).
-	lengths := randLengths(rng, 2000, 1, 120)
-	prev := 0.0
-	for _, threads := range []int{1, 4, 16, 32} {
-		opt := defaultSearchOptions()
-		opt.Threads = threads
-		sec := estimateSeconds(lengths, 300, device.Xeon(), opt)
-		if sec <= 0 {
-			t.Fatalf("threads=%d: non-positive sim timing %v", threads, sec)
-		}
-		if prev > 0 && sec >= prev {
-			t.Fatalf("threads=%d: sim time %v did not improve on %v", threads, sec, prev)
-		}
-		prev = sec
 	}
 }
 
@@ -177,7 +157,7 @@ func TestDispatcherDynamicBeatsBestStatic(t *testing.T) {
 
 func TestPlanLengthsErrors(t *testing.T) {
 	lengths := []int{30, 40, 50}
-	plan := func(roster []Device, o DispatchOptions) error {
+	plan := func(roster []*device.Model, o DispatchOptions) error {
 		o.Search = defaultSearchOptions()
 		_, err := PlanLengths(lengths, 20, roster, o)
 		return err
@@ -185,11 +165,8 @@ func TestPlanLengthsErrors(t *testing.T) {
 	if plan(nil, DispatchOptions{}) == nil {
 		t.Error("empty roster accepted")
 	}
-	if plan([]Device{{}}, DispatchOptions{}) == nil {
+	if plan([]*device.Model{nil}, DispatchOptions{}) == nil {
 		t.Error("nil device model accepted")
-	}
-	if plan([]Device{{Model: device.Xeon(), Threads: 1000}}, DispatchOptions{}) == nil {
-		t.Error("absurd thread count accepted")
 	}
 	if plan(xeonPhiPhi(), DispatchOptions{Shares: []float64{0.5, 0.5}}) == nil {
 		t.Error("share/device count mismatch accepted")
@@ -234,6 +211,20 @@ func TestOptimalSharesProperties(t *testing.T) {
 	// The two identical Phi devices must receive identical shares.
 	if math.Abs(shares[1]-shares[2]) > 1e-9 {
 		t.Fatalf("identical devices got different shares: %v", shares)
+	}
+	// Model-balanced shares of Algorithm 2's pair beat a lopsided pinned
+	// split that gives the Phi 90% of the residues.
+	static := func(shares []float64) float64 {
+		t.Helper()
+		opt := DispatchOptions{Search: defaultSearchOptions(), Shares: shares}
+		p, err := PlanLengths(lengths, 300, []*device.Model{device.Phi(), device.Xeon()}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Makespan
+	}
+	if auto, lopsided := static(nil), static([]float64{0.9, 0.1}); auto > lopsided*1.02 {
+		t.Fatalf("model-balanced split (%v s) worse than a 90%% Phi share (%v s)", auto, lopsided)
 	}
 	// Degenerate inputs fall back to equal shares.
 	eq := OptimalShares(nil, 300, defaultSearchOptions(), xeonPhiPhi())

@@ -20,7 +20,8 @@
 //
 // Constants marked "fitted" in params.go were calibrated once against the
 // GCUPS values the paper states in its text and then frozen; everything
-// else is mechanistic. See DESIGN.md §6.
+// else is mechanistic. See the README's "The device model: pricing a
+// roster" and "Interpreting GCUPS".
 package device
 
 import (

@@ -1,8 +1,8 @@
 package figures
 
 // Calibration lock: these tests pin the simulated figures to the GCUPS
-// values the paper states in its text (see EXPERIMENTS.md for the full
-// paper-vs-measured table). If a device constant in
+// values the paper states in its text (swbench -fig all prints them beside
+// the reproduced numbers). If a device constant in
 // internal/device/params.go changes, the failing assertion names the paper
 // number that broke.
 

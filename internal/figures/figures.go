@@ -25,7 +25,7 @@ type Figure struct {
 	YLabel string
 	Series []Series
 	// PaperNotes records the values the paper states in its text for
-	// this experiment, for EXPERIMENTS.md-style reporting.
+	// this experiment, printed beside the reproduced numbers.
 	PaperNotes []string
 }
 

@@ -8,7 +8,8 @@
 // Figures are computed over the synthetic Swiss-Prot workload at shape
 // level: the device cost models consume only lane-group geometry, so the
 // full 541,561-sequence database is simulated exactly without materialising
-// residues (see DESIGN.md). Functional score verification is exercised by
+// residues (see the README's "The device model: pricing a roster").
+// Functional score verification is exercised by
 // the engine tests, the kernel parity fuzzer and the conformance harness
 // on smaller materialised databases.
 package figures
@@ -91,10 +92,8 @@ type Config struct {
 	// Unblocked disables the cache-blocking optimisation (figures default
 	// to the blocked baseline, as the paper's code does).
 	Unblocked bool
-	BlockRows int
 	Threads   int // device maximum when 0
 	Policy    sched.Policy
-	ChunkSize int  // scheduling chunk; sensible default when 0
 	Unsorted  bool // skip the length-sorting pre-processing
 }
 
@@ -104,7 +103,6 @@ func (c Config) params() core.Params {
 		GapOpen:   10,
 		GapExtend: 2,
 		Blocked:   !c.Unblocked,
-		BlockRows: c.BlockRows,
 	}
 }
 
@@ -113,16 +111,6 @@ func (c Config) threads() int {
 		return c.Dev.MaxThreads()
 	}
 	return c.Threads
-}
-
-func (c Config) chunk() int {
-	if c.ChunkSize > 0 {
-		return c.ChunkSize
-	}
-	// OpenMP dynamic's default chunk: one iteration per dispatch. Larger
-	// chunks on the longest-first order would glue the longest sequences
-	// into one over-heavy chunk.
-	return 1
 }
 
 // SimSearch simulates one database search with a query of length m,
@@ -150,7 +138,10 @@ func (w *Workload) SimSearch(c Config, m int) (seconds float64, cells int64) {
 			costs[i] = coeffs.Cost(s)
 		}
 	}
-	sim := sched.Simulate(costs, threads, c.Policy, c.chunk(), c.Dev.DispatchCycles)
+	// OpenMP dynamic's default chunk, one iteration per dispatch: larger
+	// chunks on the longest-first order would glue the longest sequences
+	// into one over-heavy chunk.
+	sim := sched.Simulate(costs, threads, c.Policy, 1, c.Dev.DispatchCycles)
 	seconds = c.Dev.Seconds(sim.Makespan, threads)
 	if c.Dev.OffloadRequired {
 		in := device.QueryBytes(m) + device.DatabaseBytes(w.residues, len(w.lengths))

@@ -49,13 +49,15 @@ type ProberOptions struct {
 	// DeadAfter is the consecutive-failure count that demotes a node from
 	// degraded to dead (3 when 0).
 	DeadAfter int
-	// EWMAAlpha weights the newest latency sample in the per-node
-	// exponentially weighted moving average (0.3 when 0).
-	EWMAAlpha float64
-	// Window is how many latency samples the per-node quantile ring keeps
-	// (64 when 0).
-	Window int
 }
+
+// Per-node latency accounting: ewmaAlpha weights the newest sample in the
+// exponentially weighted moving average, and latencyWindow is how many
+// samples the quantile ring keeps.
+const (
+	ewmaAlpha     = 0.3
+	latencyWindow = 64
+)
 
 func (o ProberOptions) withDefaults() ProberOptions {
 	if o.Interval == 0 {
@@ -65,12 +67,6 @@ func (o ProberOptions) withDefaults() ProberOptions {
 	}
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3
-	}
-	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
-		o.EWMAAlpha = 0.3
-	}
-	if o.Window <= 0 {
-		o.Window = 64
 	}
 	return o
 }
@@ -280,13 +276,13 @@ func (p *Prober) probe(ctx context.Context, url string) {
 	if st.ewma == 0 {
 		st.ewma = lat
 	} else {
-		st.ewma = p.opt.EWMAAlpha*lat + (1-p.opt.EWMAAlpha)*st.ewma
+		st.ewma = ewmaAlpha*lat + (1-ewmaAlpha)*st.ewma
 	}
-	if len(st.window) < p.opt.Window {
+	if len(st.window) < latencyWindow {
 		st.window = append(st.window, lat)
 	} else {
 		st.window[st.wnext] = lat
-		st.wnext = (st.wnext + 1) % p.opt.Window
+		st.wnext = (st.wnext + 1) % latencyWindow
 	}
 }
 

@@ -213,13 +213,14 @@ func TestProberOnChange(t *testing.T) {
 func TestProberQuantilesOrdered(t *testing.T) {
 	px := proxiedNode(t, "k0")
 	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1, Window: 8}, nil)
-	for i := 0; i < 12; i++ { // overfill the window to exercise the ring wrap
+	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1}, nil)
+	const probes = latencyWindow + 8 // overfill the window to exercise the ring wrap
+	for i := 0; i < probes; i++ {
 		p.ProbeAll(context.Background())
 	}
 	h := stateOf(t, p, px.URL())
-	if h.Probes != 12 {
-		t.Fatalf("Probes = %d, want 12", h.Probes)
+	if h.Probes != probes {
+		t.Fatalf("Probes = %d, want %d", h.Probes, probes)
 	}
 	if h.LatencyP50 <= 0 || h.LatencyP50 > h.LatencyP90 || h.LatencyP90 > h.LatencyP99 {
 		t.Fatalf("quantiles out of order: p50 %v p90 %v p99 %v", h.LatencyP50, h.LatencyP90, h.LatencyP99)

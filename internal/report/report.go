@@ -1,6 +1,5 @@
 // Package report renders reproduced figures as aligned text tables and CSV
-// so the benchmark harness can print exactly the rows/series the paper
-// plots, and EXPERIMENTS.md can be regenerated mechanically.
+// so swbench can print exactly the rows/series the paper plots.
 package report
 
 import (

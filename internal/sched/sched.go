@@ -54,16 +54,6 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy converts an OpenMP policy name to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{Static, Dynamic, Guided} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown policy %q", s)
-}
-
 // Result summarises a simulated schedule.
 type Result struct {
 	// Makespan is the finish time of the last thread, in the cost units

@@ -211,18 +211,6 @@ func TestParallelZero(t *testing.T) {
 	}
 }
 
-func TestPolicyStringRoundTrip(t *testing.T) {
-	for _, p := range []Policy{Static, Dynamic, Guided} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: %v %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("auto"); err == nil {
-		t.Fatal("ParsePolicy accepted junk")
-	}
-}
-
 func TestScheduleChunksBalance(t *testing.T) {
 	// Worker 1 is 3x faster than worker 0; over many equal chunks it must
 	// claim roughly 3x as many, and the makespan must stay within one

@@ -48,32 +48,9 @@ func (k DeviceKind) model() (*device.Model, error) {
 	return nil, fmt.Errorf("heterosw: unknown device %q (have xeon, phi)", string(k))
 }
 
-// DeviceInfo describes a modelled device.
-type DeviceInfo struct {
-	Kind     DeviceKind
-	Name     string
-	Cores    int
-	Threads  int
-	Lanes    int
-	TDPWatts float64
-}
-
-// Devices lists the modelled devices.
-func Devices() []DeviceInfo {
-	out := make([]DeviceInfo, 0, 2)
-	for _, k := range []DeviceKind{DeviceXeon, DevicePhi} {
-		m, _ := k.model()
-		out = append(out, DeviceInfo{
-			Kind: k, Name: m.Name, Cores: m.Cores,
-			Threads: m.MaxThreads(), Lanes: m.Lanes, TDPWatts: m.TDPWatts,
-		})
-	}
-	return out
-}
-
 // Variant names. See the paper's Section V: vectorisation mode x
 // substitution-score layout. A variant is a device-model input: the planner
-// (Database.Simulate, Cluster.Plan) prices each as the paper's figures do,
+// (Cluster.Plan) prices each as the paper's figures do,
 // while every search runs one kernel, the adaptive precision ladder — an
 // 8-bit signed first pass with twice the lanes per vector word wherever the
 // gap penalties fit a byte (q+r <= 127), saturated lanes escalated to 16
@@ -97,14 +74,12 @@ func Variants() []string {
 }
 
 // Options configures a database search (the kernel options of a Cluster)
-// and what the device model assumes when it prices one (Database.Simulate,
-// Cluster.Plan). The zero value reproduces the paper's best configuration:
-// intrinsic-SP kernels with blocking, BLOSUM62, gap open 10 / extend 2,
-// dynamic scheduling, all device threads.
+// and the kernel variant the device model prices (Cluster.Plan). The zero
+// value reproduces the paper's best configuration: intrinsic-SP kernels,
+// BLOSUM62, gap open 10 / extend 2. The planner prices every device with
+// cache blocking, dynamic scheduling and all its threads; the paper's
+// sweeps over those are swbench's figures.
 type Options struct {
-	// Device is the modelled device Database.Simulate prices (DeviceXeon
-	// when empty); a Cluster ignores it.
-	Device DeviceKind
 	// Variant is the kernel variant name the planner prices
 	// (VariantIntrinsicSP when empty). It must be one of Variants(), and it
 	// changes nothing a search executes.
@@ -125,43 +100,13 @@ type Options struct {
 	GapOpen, GapExtend int
 	// NoGapDefaults disables the 10/2 defaulting above.
 	NoGapDefaults bool
-	// NoBlocking, BlockRows, Threads, Schedule and ChunkSize are inputs of
-	// the device model only, as Variant is; a search executes the same
-	// whatever they say.
-	//
-	// NoBlocking disables the model's cache-blocking optimisation (Figure
-	// 7's "non-blocking" curves; the real kernels size their query tiles
-	// for the host) and BlockRows overrides its tile height (256 when
-	// zero). Threads is the modelled device's thread count (device maximum
-	// when zero), Schedule its OpenMP loop policy — "dynamic" (default),
-	// "static" or "guided" — and ChunkSize the scheduling chunk (1 when
-	// zero).
-	NoBlocking bool
-	BlockRows  int
-	Threads    int
-	Schedule   string
-	ChunkSize  int
-	// Workers caps the host goroutines of a search (GOMAXPROCS when
-	// zero).
-	Workers int
-	// TopK truncates the hit list (all hits when zero).
-	TopK int
-	// LongSeqThreshold routes subjects longer than this to the intra-task
-	// kernel (3072 when zero; negative disables routing).
-	LongSeqThreshold int
 }
 
 // toCore resolves the options against the target database's alphabet,
 // which governs the default matrix and the alphabet custom matrix text is
 // parsed under.
 func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
-	out := core.SearchOptions{
-		Threads:          o.Threads,
-		ChunkSize:        o.ChunkSize,
-		Workers:          o.Workers,
-		TopK:             o.TopK,
-		LongSeqThreshold: o.LongSeqThreshold,
-	}
+	out := core.SearchOptions{Schedule: sched.Dynamic}
 	variant := o.Variant
 	if variant == "" {
 		variant = VariantIntrinsicSP
@@ -183,14 +128,6 @@ func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
 	if err != nil {
 		return out, err
 	}
-	schedule := o.Schedule
-	if schedule == "" {
-		schedule = "dynamic"
-	}
-	pol, err := sched.ParsePolicy(schedule)
-	if err != nil {
-		return out, err
-	}
 	gapOpen, gapExtend := o.GapOpen, o.GapExtend
 	if !o.NoGapDefaults {
 		if gapOpen == 0 {
@@ -204,10 +141,8 @@ func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
 		Variant:   v,
 		GapOpen:   gapOpen,
 		GapExtend: gapExtend,
-		Blocked:   !o.NoBlocking,
-		BlockRows: o.BlockRows,
+		Blocked:   true,
 	}
 	out.Matrix = m
-	out.Schedule = pol
 	return out, nil
 }

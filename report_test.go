@@ -361,76 +361,9 @@ func TestReportWrappedGapRowCoordinates(t *testing.T) {
 	}
 }
 
-// A per-call ReportOptions.TopK larger than the cluster-wide Options.TopK
-// must expand the hit selection from the retained score list (the score
-// pass had already truncated Hits), not silently under-deliver; a smaller
-// per-call K still truncates.
-func TestReportTopKOverridesClusterTopK(t *testing.T) {
-	db, _ := tinyDB(t)
-	truncated, err := NewCluster(db, ClusterOptions{Options: Options{TopK: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewCluster(db, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewSequence("q", "MKWVLA")
-	want, err := full.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Expansion: call K of 4 against a cluster that keeps only 2.
-	res, err := truncated.Search(q, ReportOptions{Alignments: true, TopK: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 4 {
-		t.Fatalf("expanded hit list has %d hits, want 4", len(res.Hits))
-	}
-	for i, h := range res.Hits {
-		if h.Index != want.Hits[i].Index || h.Score != want.Hits[i].Score {
-			t.Fatalf("expanded hit %d = {%d, %d}, want {%d, %d}",
-				i, h.Index, h.Score, want.Hits[i].Index, want.Hits[i].Score)
-		}
-		if h.Alignment == nil {
-			t.Fatalf("expanded hit %d undecorated", i)
-		}
-	}
-
-	// Expansion without alignments behaves identically.
-	res, err = truncated.Search(q, ReportOptions{TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 3 {
-		t.Fatalf("plain expansion returned %d hits, want 3", len(res.Hits))
-	}
-
-	// Truncation: a smaller per-call K still wins.
-	res, err = truncated.Search(q, ReportOptions{TopK: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 1 || res.Hits[0].Index != want.Hits[0].Index {
-		t.Fatalf("truncation returned %+v, want the single best hit", res.Hits)
-	}
-
-	// A K beyond the database is satisfied with every sequence.
-	res, err = truncated.Search(q, ReportOptions{TopK: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != db.Len() {
-		t.Fatalf("over-database K returned %d hits, want %d", len(res.Hits), db.Len())
-	}
-}
-
 // Library-side tracebacks are capped at MaxAlignHits on every entry point:
-// a huge per-call TopK — or a huge cluster-wide Options.TopK — with
-// Alignments fails fast instead of re-aligning an arbitrary slice of the
-// database.
+// a huge TopK with Alignments fails fast instead of re-aligning an
+// arbitrary slice of the database.
 func TestAlignmentCapEnforced(t *testing.T) {
 	seqs := make([]Sequence, 100)
 	for i := range seqs {
@@ -465,17 +398,13 @@ func TestAlignmentCapEnforced(t *testing.T) {
 		t.Fatalf("cap-sized report: %d hits, last decorated=%v", len(res.Hits), res.Hits[len(res.Hits)-1].Alignment != nil)
 	}
 
-	// A cluster-wide TopK above the cap is just as rejected when the call
-	// requests alignments without its own K.
-	big, err := NewCluster(db, ClusterOptions{Options: Options{TopK: MaxAlignHits + 10}})
+	// Score-only reporting is unaffected by the cap, and a K beyond the
+	// database is satisfied with every sequence.
+	res, err = cl.Search(q, ReportOptions{TopK: 500})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := big.Search(q, ReportOptions{Alignments: true}); !errors.Is(err, ErrTooManyAlignments) {
-		t.Fatalf("cluster-wide TopK above the cap accepted: %v", err)
-	}
-	// Score-only reporting is unaffected by the cap.
-	if _, err := big.Search(q, ReportOptions{TopK: 90}); err != nil {
 		t.Fatalf("score-only report rejected: %v", err)
+	}
+	if len(res.Hits) != db.Len() {
+		t.Fatalf("over-database K returned %d hits, want %d", len(res.Hits), db.Len())
 	}
 }

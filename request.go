@@ -280,9 +280,9 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 			}
 			per[i] = r
 		}
-		res, winner = c.mergeFrames(per, jb.frames, c.topK(jb.rep))
+		res, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
 	} else {
-		r, err := e.disp.SearchContext(ctx, jb.query.impl, dopt, c.topK(jb.rep))
+		r, err := e.disp.SearchContext(ctx, jb.query.impl, dopt, topK(jb.rep))
 		if err != nil {
 			return nil, err
 		}

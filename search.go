@@ -128,8 +128,8 @@ type Result struct {
 	// numerator).
 	Cells int64
 	// WallSeconds and WallGCUPS report the execution on the host. (What
-	// the search would take on the modelled devices is Database.Simulate's
-	// and Cluster.Plan's answer.)
+	// the search would take on the modelled devices is Cluster.Plan's
+	// answer.)
 	WallSeconds float64
 	WallGCUPS   float64
 	// Overflows counts 16-bit lane saturations escalated to 32-bit
@@ -160,22 +160,4 @@ func wrapResult(r *core.Result) *Result {
 		out.Hits[i] = Hit{Index: h.SeqIndex, ID: h.ID, Score: int(h.Score)}
 	}
 	return out
-}
-
-// Simulate prices Algorithm 1 on the device model: what one search of a
-// queryLen-residue query over this database would take on opt.Device with
-// opt.Threads threads, under opt's variant, blocking and loop schedule. No
-// kernels run, and the model always prices the length-sorted packing. The
-// answer is a Plan with a single device.
-func (d *Database) Simulate(queryLen int, opt Options) (*Plan, error) {
-	m, err := opt.Device.model()
-	if err != nil {
-		return nil, err
-	}
-	copt, err := opt.toCore(d.db.Alphabet())
-	if err != nil {
-		return nil, err
-	}
-	roster := []core.Device{{Model: m, Threads: opt.Threads}}
-	return planFor(d, queryLen, roster, core.DispatchOptions{Search: copt, Shares: []float64{1}})
 }

@@ -467,9 +467,9 @@ func searchStatus(r *http.Request, err error) int {
 		return http.StatusBadRequest
 	}
 	if errors.Is(err, ErrTooManyAlignments) {
-		// The request-level top_k is pre-validated, but a cluster-wide
-		// Options.TopK above the cap still surfaces here; the request
-		// cannot succeed on retry.
+		// reportFor checks top_k against the same cap first, so this only
+		// fences the library's own check; the request cannot succeed on
+		// retry.
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

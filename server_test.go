@@ -48,67 +48,53 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func TestHTTPSearch(t *testing.T) {
 	db, _ := tinyDB(t)
-	unbounded, err := NewCluster(db, ClusterOptions{})
+	cl, err := NewCluster(db, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The HTTP path must agree with the direct search of a cluster that
-	// truncates nothing, hit for hit, over exactly top_k hits.
-	direct, err := unbounded.Search(NewSequence("q1", "MKWVLA"))
+	defer cl.CloseNow()
+	// The HTTP path must agree with the direct search of every hit, hit
+	// for hit, over exactly top_k hits.
+	direct, err := cl.Search(NewSequence("q1", "MKWVLA"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name           string
-		clusterK, topK int
-	}{
-		{"top_k below the database", 0, 2},
-		// top_k travels with the request, so a cluster-wide Options.TopK
-		// below it no longer caps a score-only response at the cluster's
-		// count.
-		{"top_k above the cluster-wide TopK", 2, 4},
-	} {
-		cl, err := NewCluster(db, ClusterOptions{Options: Options{TopK: tc.clusterK}})
-		if err != nil {
-			t.Fatal(err)
+	const topK = 2 // below the database
+	ts := httptest.NewServer(NewHTTPHandler(cl))
+	defer ts.Close()
+	check := func(endpoint string, body []byte, sr SearchJSON) {
+		t.Helper()
+		if sr.ID != "q1" || len(sr.Hits) != topK {
+			t.Fatalf("%s: response %s", endpoint, body)
 		}
-		ts := httptest.NewServer(NewHTTPHandler(cl))
-		check := func(endpoint string, body []byte, sr SearchJSON) {
-			t.Helper()
-			if sr.ID != "q1" || len(sr.Hits) != tc.topK {
-				t.Fatalf("%s, %s: response %s", tc.name, endpoint, body)
-			}
-			for i, h := range sr.Hits {
-				if w := direct.Hits[i]; h.Index != w.Index || h.ID != w.ID || h.Score != w.Score {
-					t.Fatalf("%s, %s: hit %d is %+v, direct search has %+v", tc.name, endpoint, i, h, w)
-				}
+		for i, h := range sr.Hits {
+			if w := direct.Hits[i]; h.Index != w.Index || h.ID != w.ID || h.Score != w.Score {
+				t.Fatalf("%s: hit %d is %+v, direct search has %+v", endpoint, i, h, w)
 			}
 		}
-		resp, body := postJSON(t, ts.URL+"/search", map[string]any{
-			"id": "q1", "residues": "MKWVLA", "top_k": tc.topK,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, body)
-		}
-		var sr SearchJSON
-		if err := json.Unmarshal(body, &sr); err != nil {
-			t.Fatalf("bad body %s: %v", body, err)
-		}
-		check("/search", body, sr)
-		resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
-			"queries": []QueryJSON{{ID: "q1", Residues: "MKWVLA"}}, "top_k": tc.topK,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: batch status %d: %s", tc.name, resp.StatusCode, body)
-		}
-		var br BatchJSON
-		if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 1 {
-			t.Fatalf("bad batch body %s: %v", body, err)
-		}
-		check("/batch", body, br.Results[0])
-		ts.Close()
-		cl.CloseNow()
 	}
+	resp, body := postJSON(t, ts.URL+"/search", map[string]any{
+		"id": "q1", "residues": "MKWVLA", "top_k": topK,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var sr SearchJSON
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatalf("bad body %s: %v", body, err)
+	}
+	check("/search", body, sr)
+	resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
+		"queries": []QueryJSON{{ID: "q1", Residues: "MKWVLA"}}, "top_k": topK,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	var br BatchJSON
+	if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 1 {
+		t.Fatalf("bad batch body %s: %v", body, err)
+	}
+	check("/batch", body, br.Results[0])
 }
 
 func TestHTTPBatchOrderAndHealthz(t *testing.T) {
