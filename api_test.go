@@ -308,6 +308,9 @@ func TestClusterPlanEstimates(t *testing.T) {
 		if d := plan.Devices; len(d) != 1 || d[0].Device != e.Device || d[0].Share != 1 {
 			t.Errorf("%s: devices %+v", e.Device, d)
 		}
+		if _, err := cl.Plan(0); err == nil {
+			t.Errorf("%s: zero query length accepted", e.Device)
+		}
 	}
 	if _, err := NewCluster(db, ClusterOptions{Devices: []DeviceKind{"gpu"}}); err == nil {
 		t.Error("unknown device accepted")

@@ -533,7 +533,7 @@ func BenchmarkScheduleSimulation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.Simulate(costs, 240, sched.Dynamic, 1, phi.DispatchCycles)
+		sched.Simulate(costs, 240, sched.Dynamic, phi.DispatchCycles)
 	}
 }
 

@@ -125,5 +125,4 @@ func TestIntegrationConfigurationMatrix(t *testing.T) {
 	for _, v := range Variants() {
 		check(v, Options{Variant: v})
 	}
-	check("defaults", Options{})
 }

@@ -129,7 +129,7 @@ func estimateComputeSeconds(lengths []int, m int, dev *device.Model, opt SearchO
 		return 0
 	}
 	costs, residues, threads := shapeCosts(lengths, m, dev, opt)
-	sim := sched.Simulate(costs, threads, opt.Schedule, 1, dev.DispatchCycles)
+	sim := sched.Simulate(costs, threads, opt.Schedule, dev.DispatchCycles)
 	seconds := dev.Seconds(sim.Makespan, threads)
 	if dev.OffloadRequired {
 		in := device.QueryBytes(m) + device.DatabaseBytes(residues, len(lengths))

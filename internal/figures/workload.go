@@ -138,10 +138,7 @@ func (w *Workload) SimSearch(c Config, m int) (seconds float64, cells int64) {
 			costs[i] = coeffs.Cost(s)
 		}
 	}
-	// OpenMP dynamic's default chunk, one iteration per dispatch: larger
-	// chunks on the longest-first order would glue the longest sequences
-	// into one over-heavy chunk.
-	sim := sched.Simulate(costs, threads, c.Policy, 1, c.Dev.DispatchCycles)
+	sim := sched.Simulate(costs, threads, c.Policy, c.Dev.DispatchCycles)
 	seconds = c.Dev.Seconds(sim.Makespan, threads)
 	if c.Dev.OffloadRequired {
 		in := device.QueryBytes(m) + device.DatabaseBytes(w.residues, len(w.lengths))

@@ -106,26 +106,23 @@ func (h *threadHeap) Pop() any {
 }
 
 // Simulate schedules n = len(costs) iterations with the given per-iteration
-// costs onto `threads` simulated threads. chunkSize is the OpenMP chunk
-// parameter: for Dynamic it is the dispatch granularity (default 1); for
-// Guided it is the minimum chunk; Static ignores it and uses one contiguous
-// block per thread. dispatchOverhead is added to a thread's busy time per
-// dispatched chunk, modelling the cost of the worksharing construct (this
-// is what makes dynamic,1 more expensive than guided on balanced loads).
+// costs onto `threads` simulated threads, with OpenMP's default chunk of
+// one iteration: Dynamic dispatches one iteration at a time, Guided never
+// dispatches fewer than one, and Static uses one contiguous block per
+// thread. dispatchOverhead is added to a thread's busy time per dispatched
+// chunk, modelling the cost of the worksharing construct (this is what
+// makes dynamic,1 more expensive than guided on balanced loads).
 //
-// Dynamic dispatches chunks heaviest-first (longest-processing-time list
-// scheduling): self-scheduled Smith-Waterman engines iterate their
+// Dynamic dispatches iterations heaviest-first (longest-processing-time
+// list scheduling): self-scheduled Smith-Waterman engines iterate their
 // length-sorted database from the long end for exactly this reason — it
-// eliminates the end-of-loop tail where a thread starts a heavy chunk just
-// as the queue drains. Static and Guided consume the iteration space in
-// order, as the OpenMP constructs do.
-func Simulate(costs []float64, threads int, policy Policy, chunkSize int, dispatchOverhead float64) Result {
+// eliminates the end-of-loop tail where a thread starts a heavy iteration
+// just as the queue drains. Static and Guided consume the iteration space
+// in order, as the OpenMP constructs do.
+func Simulate(costs []float64, threads int, policy Policy, dispatchOverhead float64) Result {
 	n := len(costs)
 	if threads < 1 {
 		threads = 1
-	}
-	if chunkSize < 1 {
-		chunkSize = 1
 	}
 	res := Result{PerThread: make([]float64, threads)}
 	if n == 0 {
@@ -153,25 +150,13 @@ func Simulate(costs []float64, threads int, policy Policy, chunkSize int, dispat
 			addChunk(start, size)
 		}
 	case Dynamic:
-		for start := 0; start < n; start += chunkSize {
-			size := chunkSize
-			if start+size > n {
-				size = n - start
-			}
-			addChunk(start, size)
-		}
+		chunks = append(chunks, costs...)
 		// Heaviest-first list scheduling.
 		sort.Sort(sort.Reverse(sort.Float64Slice(chunks)))
 	case Guided:
 		next, remaining := 0, n
 		for next < n {
-			size := remaining / (2 * threads)
-			if size < chunkSize {
-				size = chunkSize
-			}
-			if size > remaining {
-				size = remaining
-			}
+			size := max(remaining/(2*threads), 1)
 			addChunk(next, size)
 			next += size
 			remaining -= size

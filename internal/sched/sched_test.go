@@ -26,7 +26,7 @@ func randCosts(rng *rand.Rand, n int, skew float64) []float64 {
 func TestSimulateSingleThread(t *testing.T) {
 	costs := []float64{3, 1, 4, 1, 5}
 	for _, p := range []Policy{Static, Dynamic, Guided} {
-		r := Simulate(costs, 1, p, 1, 0)
+		r := Simulate(costs, 1, p, 0)
 		if r.Makespan != 14 {
 			t.Errorf("%v: makespan %v, want 14", p, r.Makespan)
 		}
@@ -46,7 +46,7 @@ func TestSimulateMakespanBounds(t *testing.T) {
 			}
 		}
 		for _, p := range []Policy{Static, Dynamic, Guided} {
-			r := Simulate(costs, threads, p, 1, 0)
+			r := Simulate(costs, threads, p, 0)
 			lower := total / float64(threads)
 			if maxC > lower {
 				lower = maxC
@@ -78,9 +78,9 @@ func TestDynamicBeatsStaticOnSkewedLoad(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		costs[i] = 100
 	}
-	static := Simulate(costs, 16, Static, 1, 0)
-	dynamic := Simulate(costs, 16, Dynamic, 1, 0)
-	guided := Simulate(costs, 16, Guided, 1, 0)
+	static := Simulate(costs, 16, Static, 0)
+	dynamic := Simulate(costs, 16, Dynamic, 0)
+	guided := Simulate(costs, 16, Guided, 0)
 	if dynamic.Makespan >= static.Makespan {
 		t.Fatalf("dynamic %v >= static %v", dynamic.Makespan, static.Makespan)
 	}
@@ -94,7 +94,7 @@ func TestDynamicNearOptimalOnUniformLoad(t *testing.T) {
 	for i := range costs {
 		costs[i] = 2
 	}
-	r := Simulate(costs, 32, Dynamic, 1, 0)
+	r := Simulate(costs, 32, Dynamic, 0)
 	ideal := totalCost(costs) / 32
 	if r.Makespan > ideal*1.01 {
 		t.Fatalf("dynamic makespan %v far above ideal %v", r.Makespan, ideal)
@@ -109,34 +109,43 @@ func TestDispatchOverheadCounted(t *testing.T) {
 	for i := range costs {
 		costs[i] = 1
 	}
-	noOv := Simulate(costs, 4, Dynamic, 1, 0)
-	withOv := Simulate(costs, 4, Dynamic, 1, 0.5)
+	noOv := Simulate(costs, 4, Dynamic, 0)
+	withOv := Simulate(costs, 4, Dynamic, 0.5)
 	if withOv.Makespan <= noOv.Makespan {
 		t.Fatalf("overhead ignored: %v <= %v", withOv.Makespan, noOv.Makespan)
 	}
 	// Guided dispatches far fewer chunks than dynamic,1 on uniform loads.
-	guided := Simulate(costs, 4, Guided, 1, 0.5)
+	guided := Simulate(costs, 4, Guided, 0.5)
 	if guided.Chunks >= withOv.Chunks {
 		t.Fatalf("guided chunks %d >= dynamic chunks %d", guided.Chunks, withOv.Chunks)
 	}
 }
 
+// Dynamic dispatches one iteration at a time and Guided shrinks its
+// grants down to one iteration, so both cover every iteration; Static
+// dispatches one block per thread.
 func TestSimulateChunkSizes(t *testing.T) {
 	costs := randCosts(rand.New(rand.NewSource(61)), 333, 1)
-	for _, chunk := range []int{1, 4, 16, 100, 1000} {
-		r := Simulate(costs, 8, Dynamic, chunk, 0)
+	for _, c := range []struct {
+		p        Policy
+		min, max int
+	}{{Static, 8, 8}, {Dynamic, 333, 333}, {Guided, 9, 332}} {
+		r := Simulate(costs, 8, c.p, 0)
+		if r.Chunks < c.min || r.Chunks > c.max {
+			t.Errorf("%v: %d chunks, want %d to %d", c.p, r.Chunks, c.min, c.max)
+		}
 		if r.Makespan < totalCost(costs)/8-1e-9 {
-			t.Fatalf("chunk %d: impossible makespan", chunk)
+			t.Errorf("%v: impossible makespan", c.p)
 		}
 	}
 }
 
 func TestSimulateEmptyAndDegenerate(t *testing.T) {
-	r := Simulate(nil, 8, Dynamic, 1, 0)
+	r := Simulate(nil, 8, Dynamic, 0)
 	if r.Makespan != 0 || r.Chunks != 0 {
 		t.Fatalf("empty: %+v", r)
 	}
-	r = Simulate([]float64{5}, 0, Static, 0, 0) // threads/chunk clamped
+	r = Simulate([]float64{5}, 0, Static, 0) // threads clamped
 	if r.Makespan != 5 {
 		t.Fatalf("degenerate: %+v", r)
 	}
@@ -144,8 +153,8 @@ func TestSimulateEmptyAndDegenerate(t *testing.T) {
 
 func TestStaticDeterministicPartition(t *testing.T) {
 	costs := randCosts(rand.New(rand.NewSource(62)), 97, 1)
-	a := Simulate(costs, 10, Static, 1, 0)
-	b := Simulate(costs, 10, Static, 1, 0)
+	a := Simulate(costs, 10, Static, 0)
+	b := Simulate(costs, 10, Static, 0)
 	for i := range a.PerThread {
 		if a.PerThread[i] != b.PerThread[i] {
 			t.Fatal("static schedule not deterministic")
@@ -160,9 +169,9 @@ func TestDynamicMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		costs := randCosts(r, r.Intn(200)+1, 2)
-		prev := Simulate(costs, 1, Dynamic, 1, 0).Makespan
+		prev := Simulate(costs, 1, Dynamic, 0).Makespan
 		for _, th := range []int{2, 4, 8, 16} {
-			cur := Simulate(costs, th, Dynamic, 1, 0).Makespan
+			cur := Simulate(costs, th, Dynamic, 0).Makespan
 			if cur > prev+1e-9 {
 				return false
 			}
