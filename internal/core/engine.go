@@ -47,25 +47,33 @@ type partition struct {
 	// order is the dispatch order over the work items, which are numbered
 	// groups first, then long subjects. The long subjects go out first,
 	// heaviest first, so the one indivisible titin-class item starts with
-	// the search instead of after the last lane group; the groups follow in
-	// packing order.
+	// the search instead of after the last lane group. The groups follow
+	// widest first, so the last items handed out are the narrow ones that
+	// fill the other workers' tails.
 	order []int
 }
 
-// dispatchOrder builds partition.order for nGroups lane groups and long
-// subjects of the given lengths.
-func dispatchOrder(nGroups int, longLens []int) []int {
-	order := make([]int, len(longLens), nGroups+len(longLens))
-	for i := range order {
-		order[i] = nGroups + i
+// dispatchOrder builds partition.order for lane groups of the given widths
+// and long subjects of the given lengths.
+func dispatchOrder(groupWidths, longLens []int) []int {
+	n := len(groupWidths)
+	order := make([]int, 0, n+len(longLens))
+	for _, i := range descending(longLens) {
+		order = append(order, n+i)
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(longLens[b-nGroups], longLens[a-nGroups])
-	})
-	for i := 0; i < nGroups; i++ {
-		order = append(order, i)
+	return append(order, descending(groupWidths)...)
+}
+
+// descending returns the indices of lens by descending value, ties in index
+// order. It sorts rather than reverses: an unsorted database packs its
+// groups in no width order.
+func descending(lens []int) []int {
+	idx := make([]int, len(lens))
+	for i := range idx {
+		idx[i] = i
 	}
-	return order
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(lens[b], lens[a]) })
+	return idx
 }
 
 // bufferPool keeps kernel scratch between searches, by lane width, so a
@@ -131,11 +139,15 @@ func (e *Engine) partitionFor(lanes, longThreshold int) *partition {
 		return p
 	}
 	groups, long := e.db.Partition(lanes, longThreshold)
+	widths := make([]int, len(groups))
+	for i, g := range groups {
+		widths[i] = g.Width
+	}
 	longLens := make([]int, len(long))
 	for i, idx := range long {
 		longLens[i] = e.db.Seq(idx).Len()
 	}
-	p := &partition{groups: groups, long: long, order: dispatchOrder(len(groups), longLens)}
+	p := &partition{groups: groups, long: long, order: dispatchOrder(widths, longLens)}
 	e.parts[key] = p
 	return p
 }

@@ -142,24 +142,28 @@ func TestEngineLongSubjectsPrec8(t *testing.T) {
 }
 
 // Work items are numbered groups first, then long subjects; dispatch hands
-// out the long ones first, heaviest first (ties in numbering order), then
-// the groups in packing order.
+// out the long ones first, heaviest first, then the groups widest first
+// (ties in numbering order within each kind).
 func TestDispatchOrderHeaviestFirst(t *testing.T) {
-	got := dispatchOrder(3, []int{4000, 35213, 3100, 4000})
-	if want := []int{4, 3, 6, 5, 0, 1, 2}; !reflect.DeepEqual(got, want) {
+	got := dispatchOrder([]int{10, 20, 30}, []int{4000, 35213, 3100, 4000})
+	if want := []int{4, 3, 6, 5, 2, 1, 0}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dispatchOrder = %v, want %v", got, want)
 	}
-	if got := dispatchOrder(2, nil); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := dispatchOrder([]int{10, 20}, nil); !reflect.DeepEqual(got, []int{1, 0}) {
 		t.Fatalf("no long subjects: %v", got)
 	}
-	if got := dispatchOrder(0, []int{5, 9}); !reflect.DeepEqual(got, []int{1, 0}) {
+	if got := dispatchOrder(nil, []int{5, 9}); !reflect.DeepEqual(got, []int{1, 0}) {
 		t.Fatalf("no groups: %v", got)
 	}
+	if got := dispatchOrder([]int{40, 90, 40, 60}, nil); !reflect.DeepEqual(got, []int{1, 3, 0, 2}) {
+		t.Fatalf("tied widths: %v", got)
+	}
 
-	// Through the engine, on an unsorted database (long subjects arrive in
-	// caller order, not by length).
+	// Through the engine, on an unsorted database: long subjects arrive in
+	// caller order, not by length, and the groups are packed in caller
+	// order, not by width.
 	rng := rand.New(rand.NewSource(305))
-	lens := []int{50, 3100, 20, 9000, 70, 4000, 30}
+	lens := []int{50, 3100, 20, 9000, 70, 4000, 30, 200, 10, 15, 120, 90, 5}
 	seqs := make([]*sequence.Sequence, len(lens))
 	for i, n := range lens {
 		seqs[i] = randProtein(rng, n)
@@ -173,10 +177,18 @@ func TestDispatchOrderHeaviestFirst(t *testing.T) {
 	if want := []int{9000, 4000, 3100}; !reflect.DeepEqual(dispatched, want) {
 		t.Fatalf("long subjects dispatched as lengths %v, want %v", dispatched, want)
 	}
-	for pos, item := range part.order[len(part.long):] {
-		if item != pos {
-			t.Fatalf("groups dispatched as %v, want packing order", part.order[len(part.long):])
-		}
+	var packed, widths []int
+	for _, g := range part.groups {
+		packed = append(packed, g.Width)
+	}
+	for _, item := range part.order[len(part.long):] {
+		widths = append(widths, part.groups[item].Width)
+	}
+	if want := []int{70, 200, 90}; !reflect.DeepEqual(packed, want) {
+		t.Fatalf("groups packed with widths %v, want %v", packed, want)
+	}
+	if want := []int{200, 90, 70}; !reflect.DeepEqual(widths, want) {
+		t.Fatalf("groups dispatched as widths %v, want %v", widths, want)
 	}
 }
 

@@ -28,25 +28,24 @@ type Params struct {
 // DefaultBlockRows is the modelled query-tile height when Params.Blocked is
 // set without an explicit BlockRows. 256 rows x 32 lanes x 2 arrays x 2
 // bytes = 32 KiB comfortably fits the per-thread share of both devices'
-// caches.
+// caches. The host kernels use the same 32 KiB (see tileBytes).
 const DefaultBlockRows = 256
 
 // tileBytes is the working set the real kernels give one query tile: the H
 // and E state of its rows, the slab a column step walks top to bottom once
-// per database column. It is sized for the machine that runs the code, not
-// for the modelled Phi: every tile moves a boundary row per column (and on
-// the 16-bit rung rebuilds the column's score rows), so the 256-row
-// tiles of the model (8-16 KiB) pay that twenty times over for a long
-// query, while an untiled slab falls out of L2 on a very long one.
-// Measured on the 2-core AVX2 host, one thread, Gcells/s at 16 KiB /
-// 64 KiB / 256 KiB / untiled: byte lanes 9.4 / 10.0 / 10.4 / 10.6 at
-// M = 5478 and 9.3 / 9.9 / 9.9 / 8.2 at M = 40000; 16-bit lanes 2.9 / 4.2 /
-// 4.7 / 4.8 at both (byte lanes as measured when they too built score rows
-// per column). 64 KiB takes most
-// of that and keeps the scratch a server's workers hold (resident for the
-// life of the process, see bufferPool) where it was: at 256 KiB the peak
-// RSS of a batch of long queries rose 8%.
-const tileBytes = 64 << 10
+// per database column. Every rung gets the same budget, so a tile holds 256
+// rows of 64 byte lanes, 512 of 32 byte lanes and 512 of the 16 int16 lanes
+// of an escalation group, and the slab stays in the 32-48 KiB L1d of every
+// machine the native tiers run on. Past L1 the step slows: on the 2-core
+// avx2+vbmi host (Xeon, family 6 model 207, 48 KiB L1d) one thread of
+// BenchmarkStepCol8QP runs 64 byte lanes at 20.0-26.0 Gcells/s at 256 rows
+// and 17.5-20.4 at 512 (medians of ten, two sweeps; within a sweep 512
+// rows read 12-22% below 256, and the rate falls from 320 rows on). A
+// shorter tile only moves more boundary rows across seams, and a longer
+// 16-bit tile spills: with 24 KiB for byte lanes the paper's batch
+// (bench/, batch_short) ran 3.5% slower than at 32 KiB, and with 64 KiB
+// kept for the 16-bit rung 2.2% slower (four pairs each).
+const tileBytes = 32 << 10
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {

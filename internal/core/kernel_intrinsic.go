@@ -17,8 +17,8 @@ import (
 // and it is the first rung for groups the byte pass cannot take. Lane
 // scores go to scores, g.Lanes long.
 //
-// The query dimension is processed in host-sized tiles (Buffers.tile; a
-// single tile for all but very long queries). Tiles hand H and F across
+// The query dimension is processed in host-sized tiles (Buffers.tile: 512
+// rows at the 16 lanes of an escalation group). Tiles hand H and F across
 // the seams that exist: the first tile takes its boundary from the matrix
 // edge (H = 0, F = -inf) and the last stores none.
 //

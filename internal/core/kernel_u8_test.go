@@ -69,7 +69,9 @@ func TestLadderMatchesOracle(t *testing.T) {
 // reaches the byte rail only in the query's last rows, far from the first
 // tile (TestLadderEscalationTiers does the same to the int16 rail, a dozen
 // 256-row tiles down). Replayed under every vec tier: the seam traffic is
-// the same, the byte rung's score lookup is not.
+// the same, the byte rung's score lookup is not. The forced heights are
+// small; the production ones, from tileBytes, are crossed as well (see
+// checkHostTiles).
 func TestTileSeams(t *testing.T) {
 	rng := rand.New(rand.NewSource(215))
 	// 41 subjects leave 23 padding lanes in the second 32-lane group. The
@@ -108,6 +110,79 @@ func TestTileSeams(t *testing.T) {
 			}
 		}
 	})
+	checkHostTiles(t, rng)
+}
+
+// checkHostTiles is TestTileSeams at the tile heights the kernels size for
+// the host (tileRows unset): 64 and 32 byte lanes and the 16 int16 lanes of
+// an escalation group, over queries of one tile, of one tile and a one-row
+// last tile, and of 3 tiles and 7 rows, with the rail run ending the query
+// (in a tile that is not the first, where there are two) and a vertical gap
+// across the first seam. The H+E slab, 2*(rows+1)*lanes*elem bytes, holds
+// the tile's rows of H and E from row 1 of each array; the rows the column
+// step walks must fit tileBytes.
+func checkHostTiles(t *testing.T, rng *rand.Rand) {
+	for _, c := range []struct {
+		lanes int
+		bytes bool
+		tile  int
+	}{{64, true, 256}, {32, true, 512}, {escLanes, false, 512}} {
+		elem := 2
+		if c.bytes {
+			elem = 1
+		}
+		for _, m := range []int{c.tile, c.tile + 1, 3*c.tile + 7} {
+			query := sequence.FromString("q", randProtein(rng, m-len(railRun)).String()+railRun)
+			seqs := make([]*sequence.Sequence, 41)
+			for i := range seqs {
+				seqs[i] = randProtein(rng, rng.Intn(70)+1)
+			}
+			seqs[17] = sequence.FromString("planted", "ARND"+railRun+"CQEG")
+			if m > c.tile+29 {
+				// Skips query rows tile-2 .. tile+2.
+				s := query.String()
+				seqs[5] = sequence.FromString("gapped", s[c.tile-14:c.tile-2]+s[c.tile+3:c.tile+15])
+			}
+			db := seqdb.New(seqs, true)
+			q := profile.NewQuery(query.Residues, submat.BLOSUM62)
+			want := oracleScores(db, query.Residues)
+			t.Run(fmt.Sprintf("host/lanes=%d/elem=%d/M=%d", c.lanes, elem, m), func(t *testing.T) {
+				everyTier(t, func(t *testing.T) {
+					got, st := runRung(db, q, ladderParams(false, 0), c.lanes, c.bytes)
+					for i := range want {
+						if int(got[i]) != want[i] {
+							t.Fatalf("%d lanes, bytes=%v, M=%d: seq %d score %d, want %d",
+								c.lanes, c.bytes, m, i, got[i], want[i])
+						}
+					}
+					if (st.Overflows8 == 1) != c.bytes || st.Overflows != 0 {
+						t.Fatalf("%d lanes, bytes=%v, M=%d: escalations %d/%d",
+							c.lanes, c.bytes, m, st.Overflows8, st.Overflows)
+					}
+				})
+			})
+			// The slab the kernel allocated for this query: c.tile rows
+			// whenever the query is longer.
+			buf := NewBuffers(c.lanes)
+			g := db.Groups(c.lanes)[0]
+			var slab int
+			if c.bytes {
+				alignGroupIntrinsic8(q, g, ladderParams(false, 0), buf, make([]int32, c.lanes))
+				slab = len(buf.he8)
+			} else {
+				alignGroupIntrinsic(q, g, ladderParams(false, 0), buf, make([]int32, c.lanes))
+				slab = 2 * len(buf.he16)
+			}
+			rows := min(m, c.tile)
+			if want := 2 * (rows + 1) * c.lanes * elem; slab != want {
+				t.Fatalf("%d lanes of %d bytes, M=%d: H+E slab %d bytes, want %d", c.lanes, elem, m, slab, want)
+			}
+			if walked := 2 * rows * c.lanes * elem; walked > tileBytes {
+				t.Fatalf("%d lanes of %d bytes, M=%d: %d-row tile walks %d bytes, over %d",
+					c.lanes, elem, m, rows, walked, tileBytes)
+			}
+		}
+	}
 }
 
 // railRun self-aligns to 11*22 + 9 + 4 = 255 under BLOSUM62, exactly the

@@ -436,6 +436,9 @@ func TestForcedPortableParityExported(t *testing.T) {
 // the host packs its lane groups for — under every tier the host runs and
 // at serving (30, 75, 120 rows) and tile-filling (1000) query lengths: the
 // vec-layer roof the lane-group and search benchmarks are read against.
+// 256 and 512 rows are the byte tile's height on 64 lanes at a 32 KiB and
+// a 64 KiB budget (core's tileBytes): between them the 64-lane H+E slab
+// outgrows a 48 KiB L1d, and the rate drops by 12-22% on such a part.
 // The 1- and 8-row cases expose the per-call floor, which ns/call reports
 // beside the cell rate: a fixed cost per call (such as the ~172 ns
 // legacy-SSE transition TestAsmVEXClean forbids) shows as a 30-row rate
@@ -449,7 +452,7 @@ func BenchmarkStepCol8QP(b *testing.B) {
 	}
 	for _, tr := range Tiers() {
 		lanes := max(byteWidth(tr), byteWidth(TierAVX2))
-		for _, rows := range []int{1, 8, 30, 75, 120, 1000} {
+		for _, rows := range []int{1, 8, 30, 75, 120, 256, 512, 1000} {
 			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
 				st := randI8(rng, rows, lanes)
 				qp := make([]int8, rows*testStride, (rows-1)*testStride+32)
