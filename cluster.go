@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"heterosw/internal/core"
@@ -15,8 +14,8 @@ import (
 )
 
 // ErrClusterClosed is returned by the scheduled doors (Do, DoBatch,
-// SearchScheduled and the HTTP front end) after Cluster.CloseNow. The
-// direct Search and streams from NewStream remain usable.
+// SearchScheduled, the HTTP front end and a shard node's endpoints) after
+// Cluster.CloseNow. The direct Search remains usable.
 var ErrClusterClosed = errors.New("heterosw: cluster closed")
 
 // ErrNoSignificance is returned when ReportOptions.EValues is requested
@@ -45,9 +44,9 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 // Algorithm 2 hardcodes one Xeon host and one Xeon Phi and names a dynamic
 // distribution strategy as future work; the planner generalises the roster
 // to any number of modelled devices and makes the distribution strategy
-// selectable. MaxInFlight and CacheSize tune the query scheduler behind
-// the streaming and serving paths (Stream, Do, DoBatch, the swserve HTTP
-// front end).
+// selectable. MaxInFlight and CacheSize tune the cluster's one query
+// scheduler, behind every scheduled door (Do, DoBatch, SearchScheduled,
+// the swserve HTTP front end).
 type ClusterOptions struct {
 	// Options carries the shared kernel configuration (matrix, gaps) and
 	// the variant the planner prices.
@@ -62,7 +61,7 @@ type ClusterOptions struct {
 	// "guided" (shrinking chunks).
 	Dist string
 
-	// MaxInFlight caps the queries a scheduler runs concurrently (default
+	// MaxInFlight caps the queries the cluster runs concurrently (default
 	// 4), each over every worker; the rest wait in submission order. More
 	// in flight keeps a multi-core host busy between one query's phases;
 	// 1 runs queries one at a time.
@@ -219,7 +218,7 @@ type engineState struct {
 func (c *Cluster) engine() *engineState { return c.eng.Load() }
 
 // BackendTotals is one backend's cumulative accounting across every search
-// the cluster has completed, whichever door or stream it arrived on; the
+// the cluster has completed, whichever door it arrived on; the
 // swserve /healthz endpoint lists one per backend.
 type BackendTotals struct {
 	// Name identifies the backend; Device is DeviceHost for a local
@@ -243,9 +242,9 @@ type BackendTotals struct {
 }
 
 // Cluster is a search service over a Database. Every search is a Request
-// through one of its doors — Do and DoBatch on the serving scheduler,
-// Stream.Submit on a streaming session's, Search straight to the executor —
-// and every door runs the same validation and the same executor. A
+// through one of its doors — Do and DoBatch on the cluster's one
+// scheduler, Search straight to the executor — and every door runs the
+// same validation and the same executor. A
 // local Cluster (NewCluster) runs every search on the host, one engine pass
 // over the whole database, and prices the configured device roster on the
 // side (Plan); a coordinator (NewDistributedCluster) fans searches out to
@@ -273,17 +272,15 @@ type Cluster struct {
 	// clusters.
 	topo *liveTopology
 
-	schedOpt qsched.Options
-	cache    *qsched.Cache[*ClusterResult]
-	keyBase  string
-
-	mu sync.Mutex
-	// lazy; Do, DoBatch and the HTTP front end
-	//sw:guardedBy(mu)
-	serving *qsched.Scheduler[job, *ClusterResult]
-	// set by CloseNow; scheduled paths refuse new work
-	//sw:guardedBy(mu)
-	closed bool
+	// sched is the one query scheduler behind every scheduled door, built
+	// with the cluster; cache is its result cache and keyBase the constant
+	// prefix of its keys (see startScheduler).
+	sched   *qsched.Scheduler[job, *ClusterResult]
+	cache   *qsched.Cache[*ClusterResult]
+	keyBase string
+	// closed is set by CloseNow: a shard node's tracebacks, which bypass
+	// the scheduler, refuse work from then on too.
+	closed atomic.Bool
 }
 
 // hostWidth is the lane geometry of the host backend, read from the vec
@@ -336,27 +333,29 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cacheSize := opt.CacheSize
-	if cacheSize == 0 {
-		cacheSize = defaultCacheSize(db.Len())
-	}
 	c := &Cluster{
-		db:       db,
-		roster:   roster,
-		dopt:     core.DispatchOptions{Search: search, Dist: d},
-		schedOpt: qsched.Options{MaxInFlight: opt.MaxInFlight},
-		cache:    qsched.NewCache[*ClusterResult](cacheSize),
+		db:     db,
+		roster: roster,
+		dopt:   core.DispatchOptions{Search: search, Dist: d},
 	}
 	c.eng.Store(&engineState{disp: disp, kind: DeviceHost})
-	c.keyBase = cacheKeyBase(search)
+	c.startScheduler(opt.MaxInFlight, opt.CacheSize)
 	return c, nil
 }
 
-// cacheKeyBase fingerprints every option that can change a result; within
-// one cluster the options are fixed, so it is the constant prefix of the
-// scheduler cache keys (see cacheKey).
-func cacheKeyBase(search core.SearchOptions) string {
-	return fmt.Sprintf("%+v|", search)
+// startScheduler builds the cluster's one query scheduler and its result
+// cache; both constructors call it once the rest of the cluster is set.
+// cacheSize is ClusterOptions.CacheSize, 0 selecting the default sized
+// from the database. The key prefix fingerprints every option that can
+// change a result; within one cluster the options are fixed, so it is the
+// constant prefix of the scheduler cache keys (see cacheKey).
+func (c *Cluster) startScheduler(maxInFlight, cacheSize int) {
+	if cacheSize == 0 {
+		cacheSize = defaultCacheSize(c.db.Len())
+	}
+	c.cache = qsched.NewCache[*ClusterResult](cacheSize)
+	c.keyBase = fmt.Sprintf("%+v|", c.dopt.Search)
+	c.sched = qsched.New(c.execute, c.cacheKey, c.cache, maxInFlight)
 }
 
 // Devices returns the modelled roster Plan prices (nil on a coordinator).
@@ -501,7 +500,7 @@ func (c *Cluster) CacheStats() CacheStats {
 	return CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries}
 }
 
-// SchedulerStats is a snapshot of the serving scheduler's activity.
+// SchedulerStats is a snapshot of the cluster scheduler's activity.
 type SchedulerStats struct {
 	// Submitted counts scheduled submissions.
 	Submitted int64 `json:"submitted"`
@@ -511,41 +510,29 @@ type SchedulerStats struct {
 	CacheHits int64 `json:"cache_hits"`
 }
 
-// SchedulerStats reports the serving scheduler's activity (zero until the
-// first Do, DoBatch or HTTP request).
+// SchedulerStats reports the activity of the cluster's scheduler, which
+// every scheduled door shares.
 func (c *Cluster) SchedulerStats() SchedulerStats {
-	c.mu.Lock()
-	s := c.serving
-	c.mu.Unlock()
-	if s == nil {
-		return SchedulerStats{}
-	}
-	st := s.Stats()
+	st := c.sched.Stats()
 	return SchedulerStats{Submitted: st.Submitted, Joined: st.Joined, CacheHits: st.CacheHits}
 }
 
 // Close releases the cluster's background work: a coordinator's health
-// prober stops. Every door stays usable; streams from NewStream close on
-// their own. Close is idempotent.
+// prober stops. Every door stays usable. Close is idempotent.
 func (c *Cluster) Close() {
 	if c.topo != nil {
 		c.topo.prober.Stop()
 	}
 }
 
-// CloseNow tears down the cluster's serving scheduler: queued requests are
+// CloseNow tears down the cluster's scheduler: queued requests are
 // dropped, in-flight ones cancelled at their next cancellation check, and
-// Do and DoBatch fail with ErrClusterClosed from then on. It stops a
-// coordinator's prober as Close does. The direct Search and streams from
-// NewStream remain usable.
+// every scheduled door fails with ErrClusterClosed from then on. It stops
+// a coordinator's prober as Close does. The direct Search remains usable.
+// CloseNow is idempotent.
 func (c *Cluster) CloseNow() {
-	c.mu.Lock()
-	c.closed = true
-	s := c.serving
-	c.mu.Unlock()
-	if s != nil {
-		s.CloseNow()
-	}
+	c.closed.Store(true)
+	c.sched.CloseNow()
 	if c.topo != nil {
 		c.topo.prober.Stop()
 	}

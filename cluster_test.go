@@ -173,95 +173,13 @@ func requests(queries []Sequence, rep ...ReportOptions) []Request {
 	return out
 }
 
-func TestClusterStreaming(t *testing.T) {
-	db, queries := SyntheticSwissProt(0.001, true)
-	cl, err := NewCluster(db, ClusterOptions{Dist: "dynamic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	st := cl.NewStream(context.Background())
-	for i := 0; i < n; i++ {
-		if err := st.Submit(Request{Query: queries[i]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-	got := 0
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			t.Fatalf("stream result %d: %v", sr.Index, sr.Err)
-		}
-		if sr.Index != got {
-			t.Fatalf("result %d arrived out of order (want %d)", sr.Index, got)
-		}
-		if sr.Query.ID() != queries[sr.Index].ID() {
-			t.Fatalf("result %d carries query %q", sr.Index, sr.Query.ID())
-		}
-		single, err := searchDB(db, queries[sr.Index], Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.Result.Hits[0].ID != single.Hits[0].ID {
-			t.Fatalf("result %d top hit %q != %q", sr.Index, sr.Result.Hits[0].ID, single.Hits[0].ID)
-		}
-		got++
-	}
-	if got != n {
-		t.Fatalf("drained %d of %d results", got, n)
-	}
-	if err := st.Submit(Request{Query: queries[0]}); err == nil {
-		t.Error("Submit after Close accepted")
-	}
-	st.Close() // idempotent
-}
-
-// The submit-everything-then-drain pattern must work for batches far
-// larger than any internal buffer: Submit never blocks, so a producer
-// that only starts reading Results after its last Submit cannot deadlock.
-func TestClusterStreamingLargeBacklog(t *testing.T) {
-	db, _ := tinyDB(t)
-	cl, err := NewCluster(db, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	q := NewSequence("q", "MKWVLA")
-	st := cl.NewStream(context.Background())
-	for i := 0; i < n; i++ {
-		if err := st.Submit(Request{Query: q}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-	got := 0
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			t.Fatal(sr.Err)
-		}
-		if sr.Index != got {
-			t.Fatalf("result %d out of order (want %d)", sr.Index, got)
-		}
-		got++
-	}
-	if got != n {
-		t.Fatalf("drained %d of %d", got, n)
-	}
-}
-
-// A stream closed before any submission closes Results without a delivery
-// goroutine, and Cluster.Close — which only stops background work — leaves
-// every door open.
+// Cluster.Close — which only stops background work — leaves every door
+// open.
 func TestClusterCloseWithoutSubmit(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	st := cl.NewStream(context.Background())
-	st.Close()
-	if _, ok := <-st.Results(); ok {
-		t.Fatal("Results not closed")
 	}
 	cl.Close()
 	cl.Close() // idempotent
@@ -291,9 +209,6 @@ func TestClusterOptionErrors(t *testing.T) {
 	}
 	if _, err := cl.Search(Sequence{}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("zero-value query: err = %v, want ErrBadRequest", err)
-	}
-	if err := cl.NewStream(context.Background()).Submit(Request{}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("zero-value query submitted: err = %v, want ErrBadRequest", err)
 	}
 	// A query under the wrong alphabet never reaches a scheduler.
 	if _, err := cl.Do(context.Background(), Request{Query: NewDNASequence("d", "ACGT")}); !errors.Is(err, ErrBadRequest) {

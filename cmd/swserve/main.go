@@ -280,7 +280,7 @@ func serve(srv *http.Server, drain time.Duration, closeFn, closeNowFn func(), re
 // The previous ordering — Shutdown, then CloseNow with no second wait —
 // let the process exit while just-unblocked handlers were mid-write,
 // tearing their responses; and it used CloseNow even after a clean
-// drain, aborting queued stream work that had every chance to finish.
+// drain, aborting queued work that had every chance to finish.
 func shutdownServer(srv *http.Server, drain time.Duration, closeFn, closeNowFn func()) error {
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()

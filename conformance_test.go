@@ -18,7 +18,7 @@ import (
 
 // The cross-path conformance harness: a FASTA-loaded database and a
 // .swdb-loaded database must be indistinguishable through every door —
-// Cluster.Search, Do, DoBatch, Stream.Submit and POST /search — under every
+// Cluster.Search, Do, DoBatch and POST /search — under every
 // kernel variant label, with the precision ladder climbing on a
 // homolog-rich corpus, and for translated and custom-matrix requests;
 // within one load path every library door must answer the same bytes; and
@@ -132,7 +132,7 @@ func canonResult(t *testing.T, res *ClusterResult) []byte {
 }
 
 // confDoors lists the doors confEntryPoints drives, in a fixed order.
-var confDoors = []string{"Search", "Do", "DoBatch", "Stream", "HTTP"}
+var confDoors = []string{"Search", "Do", "DoBatch", "HTTP"}
 
 // confMatrix is the custom-matrix legs' request-scoped matrix: BLOSUM50 in
 // NCBI text, scoring differently from the cluster's BLOSUM62.
@@ -206,26 +206,6 @@ func confEntryPoints(t *testing.T, cl *Cluster, reqs []Request) map[string][]byt
 	}
 	out["DoBatch"] = join(batched...)
 
-	// Stream.Submit with ordered delivery.
-	st := cl.NewStream(ctx)
-	for _, req := range reqs {
-		if err := st.Submit(req); err != nil {
-			t.Fatalf("Stream.Submit: %v", err)
-		}
-	}
-	st.Close()
-	streamed := make([][]byte, 0, len(reqs))
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			t.Fatalf("stream result %d: %v", sr.Index, sr.Err)
-		}
-		streamed = append(streamed, canonResult(t, sr.Result))
-	}
-	if len(streamed) != len(reqs) {
-		t.Fatalf("stream delivered %d results for %d requests", len(streamed), len(reqs))
-	}
-	out["Stream"] = join(streamed...)
-
 	// POST /search: compare the canonical HTTP response bodies.
 	ts := httptest.NewServer(NewHTTPHandler(cl))
 	var http [][]byte
@@ -256,7 +236,7 @@ func confEntryPoints(t *testing.T, cl *Cluster, reqs []Request) map[string][]byt
 	ts.Close()
 	out["HTTP"] = join(http...)
 
-	for _, door := range []string{"Search", "DoBatch", "Stream"} {
+	for _, door := range []string{"Search", "DoBatch"} {
 		if got, ok := out[door]; ok && !bytes.Equal(got, out["Do"]) {
 			t.Errorf("%s and Do answer differently\n--- %s ---\n%s\n--- Do ---\n%s",
 				door, door, truncate(got), truncate(out["Do"]))

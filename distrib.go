@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"heterosw/internal/core"
-	"heterosw/internal/qsched"
 	"heterosw/internal/remote"
 	"heterosw/internal/seqdb"
 )
@@ -34,7 +33,7 @@ type DistributedOptions struct {
 	// meaningful.
 	Options
 
-	// MaxInFlight and CacheSize tune the coordinator's serving scheduler
+	// MaxInFlight and CacheSize tune the coordinator's scheduler
 	// and result cache exactly as the same-named ClusterOptions fields do.
 	MaxInFlight int
 	CacheSize   int
@@ -223,19 +222,13 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 	if err != nil {
 		return nil, err
 	}
-	cacheSize := opt.CacheSize
-	if cacheSize == 0 {
-		cacheSize = defaultCacheSize(db.Len())
-	}
 	c := &Cluster{
-		db:       db,
-		topo:     topo,
-		dopt:     core.DispatchOptions{Search: search},
-		schedOpt: qsched.Options{MaxInFlight: opt.MaxInFlight},
-		cache:    qsched.NewCache[*ClusterResult](cacheSize),
+		db:   db,
+		topo: topo,
+		dopt: core.DispatchOptions{Search: search},
 	}
 	c.eng.Store(eng)
-	c.keyBase = cacheKeyBase(search)
+	c.startScheduler(opt.MaxInFlight, opt.CacheSize)
 	topo.prober.Start()
 	return c, nil
 }

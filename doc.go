@@ -25,19 +25,19 @@
 //     six-frame translation and the reporting options — through one of its
 //     doors, and every door runs one validation and one executor,
 //     each search one pass of all the host's cores over the whole database
-//     — see NewCluster, Request, Cluster.Do, Cluster.DoBatch,
-//     Cluster.NewStream and Cluster.Search;
+//     — see NewCluster, Request, Cluster.Do, Cluster.DoBatch and
+//     Cluster.Search;
 //   - a pure planner that prices the paper's Algorithm 1 on one modelled
 //     device and its Algorithm 2 — the heterogeneous CPU+coprocessor split
 //     — generalised to any roster of modelled devices under static
 //     (residue split), dynamic and guided (device-level chunk queue)
 //     workload distributions, from sequence lengths alone, no kernels run
 //     — see Cluster.Plan and cmd/swbench;
-//   - a concurrent query scheduler behind every streaming and serving
+//   - one concurrent query scheduler per cluster, behind every scheduled
 //     door: several queries run in flight, each resolving as soon as its
 //     own result is ready, identical requests share one execution and
 //     repeats come from a cluster-wide LRU cache — see Cluster.Do,
-//     Cluster.NewStream and the cmd/swserve HTTP front end;
+//     Cluster.SchedulerStats and the cmd/swserve HTTP front end;
 //   - two-phase aligned-hit reporting: after the vectorised score pass
 //     selects the top-K hits, a traceback phase re-aligns the query
 //     against just those K subjects and decorates each
@@ -142,7 +142,7 @@
 //
 // A Request is the whole search: Query, Matrix (request-scoped NCBI
 // matrix text), Translate (six-frame translated search) and Report (the
-// reporting phases). Do runs one through the cluster's serving scheduler —
+// reporting phases). Do runs one through the cluster's one scheduler —
 // up to ClusterOptions.MaxInFlight requests run at once and each resolves
 // as soon as its own result is decorated, identical in-flight requests
 // share one execution, and repeats are answered from the
@@ -160,18 +160,21 @@
 // variadic form) serve direct searches only; Search runs the executor
 // without the scheduler or cache.
 //
-// Streams deliver results in submission order whatever order the
-// concurrent queries complete in; Submit never blocks, and a
-// bounded forwarding window keeps completed-result memory finite however
-// far the producer runs ahead of the consumer. Close drains
-// gracefully; CloseNow — or cancelling the NewStream context — drops
-// queued work, aborts in-flight queries at their next cancellation check
-// and closes Results, so an abandoned consumer never strands a worker:
+// A caller that wants several results in request order issues concurrent
+// Do calls and reads each result from its request's slot; they share the
+// in-flight slots with every other caller:
 //
-//	st := cl.NewStream(ctx)
-//	for _, q := range queries { st.Submit(heterosw.Request{Query: q}) }
-//	st.Close()
-//	for sr := range st.Results() { ... } // sr.Index is the submission order
+//	res := make([]*heterosw.ClusterResult, len(queries))
+//	var wg sync.WaitGroup
+//	for i, q := range queries {
+//	    wg.Add(1)
+//	    go func() { defer wg.Done(); res[i], _ = cl.Do(ctx, heterosw.Request{Query: q}) }()
+//	}
+//	wg.Wait() // res[i] answers queries[i]
+//
+// Cluster.CloseNow drops queued work and aborts in-flight queries at their
+// next cancellation check; the scheduled doors then fail with
+// ErrClusterClosed, so no caller waits on a torn-down scheduler.
 //
 // A request the validation refuses fails at its door, before any
 // scheduler sees it: malformed requests wrap ErrBadRequest, rejected

@@ -2,7 +2,7 @@
 // Algorithm 2 on the device model — a roster of one Xeon host and two Xeon
 // Phi coprocessors, priced under the static residue split and under the
 // dynamic device-level chunk queue the paper names as future work — then
-// runs a batch of requests and a streaming session on the host.
+// runs a batch of requests and a set of concurrent requests on the host.
 //
 // Run with: go run ./examples/cluster [-scale 0.003]
 package main
@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"sync"
 
 	"heterosw"
 )
@@ -69,21 +70,27 @@ func main() {
 			q.ID(), q.Len(), r.Hits[0].ID, r.Hits[0].Score)
 	}
 
-	// Streaming session: submissions return immediately; results arrive
-	// in submission order on the Results channel.
-	st := cl.NewStream(ctx)
-	for _, q := range queries[5:8] {
-		if err := st.Submit(heterosw.Request{Query: q, Report: top1}); err != nil {
-			log.Fatal(err)
-		}
+	// Concurrent requests: one Do per goroutine, sharing the cluster's
+	// in-flight slots; each result lands in its request's slot, so they
+	// print in request order whatever order they complete in.
+	concurrent := queries[5:8]
+	answers := make([]*heterosw.ClusterResult, len(concurrent))
+	errs := make([]error, len(concurrent))
+	var wg sync.WaitGroup
+	for i, q := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = cl.Do(ctx, heterosw.Request{Query: q, Report: top1})
+		}()
 	}
-	st.Close()
-	fmt.Println("\nstreaming session:")
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			log.Fatal(sr.Err)
+	wg.Wait()
+	fmt.Println("\nconcurrent requests:")
+	for i, r := range answers {
+		if errs[i] != nil {
+			log.Fatal(errs[i])
 		}
 		fmt.Printf("  #%d %-12s -> top hit %-12s (%.2f GCUPS wall-clock)\n",
-			sr.Index, sr.Query.ID(), sr.Result.Hits[0].ID, sr.Result.WallGCUPS)
+			i, concurrent[i].ID(), r.Hits[0].ID, r.WallGCUPS)
 	}
 }

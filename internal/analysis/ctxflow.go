@@ -13,7 +13,7 @@ import (
 // or context.TODO() call is reported unless:
 //
 //   - the enclosing function is annotated //sw:ctxroot — a documented
-//     process-lifetime root (scheduler construction, default streams) or
+//     process-lifetime root (scheduler construction) or
 //     a context-free convenience wrapper whose doc says so, or
 //   - the call sits inside an `if ctx == nil { ... }` default for a
 //     context parameter the function already accepts.

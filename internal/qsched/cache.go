@@ -5,10 +5,9 @@ import (
 	"sync"
 )
 
-// Cache is a thread-safe LRU result cache. One Cache may back several
-// Schedulers (a cluster shares one cache between its serving scheduler and
-// every stream), so repeated queries are free no matter which path they
-// arrive on. Values are shared on hit: treat them as read-only.
+// Cache is a thread-safe LRU result cache behind a Scheduler, so repeated
+// queries are free no matter which door they arrive on. Values are shared
+// on hit: treat them as read-only.
 type Cache[R any] struct {
 	mu  sync.Mutex
 	max int

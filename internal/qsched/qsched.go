@@ -1,20 +1,22 @@
-// Package qsched implements the concurrent query scheduler behind the
-// cluster's streaming and serving paths.
+// Package qsched implements the concurrent query scheduler behind a
+// cluster's scheduled doors: each cluster builds one, and every scheduled
+// search waits in its queue.
 //
 // The unit it schedules is one query, which already runs on every worker;
-// the one knob, MaxInFlight, is how many run at once — the inter-task
+// the one knob, maxInFlight, is how many run at once — the inter-task
 // against intra-task split that SWAPHI (Liu & Schmidt, 2014) and the KNL
 // study of Rucci et al. measure:
 //
-//   - Submit enqueues a query and returns a Ticket (a future) immediately;
-//   - up to MaxInFlight queries run concurrently through the caller's run
-//     function, the rest wait in submission order, and each ticket
-//     resolves as soon as its own query is done;
-//   - identical in-flight queries (same cache key) share one Ticket, and
-//     completed results land in an LRU cache so repeated queries are free;
-//   - Close drains gracefully, CloseNow cancels the scheduler context so
-//     queued queries are dropped and in-flight ones abort at their next
-//     cancellation check — an abandoned consumer never strands a worker.
+//   - Do submits a query and waits for its result;
+//   - up to maxInFlight queries run concurrently through the caller's run
+//     function, the rest wait in submission order, and each query's
+//     waiters resolve as soon as that query is done;
+//   - identical in-flight queries (same cache key) share one execution,
+//     and completed results land in an LRU cache so repeated queries are
+//     free;
+//   - CloseNow cancels the scheduler context so queued queries are dropped
+//     and in-flight ones abort at their next cancellation check — an
+//     abandoned caller never strands a worker.
 //
 // The scheduler spawns no permanent goroutines: a runner starts per free
 // slot on demand and exits as soon as the queue is empty.
@@ -27,7 +29,7 @@ import (
 	"sync"
 )
 
-// ErrClosed is returned by Submit and Do after Close or CloseNow.
+// ErrClosed is returned by Do after CloseNow.
 var ErrClosed = errors.New("qsched: scheduler closed")
 
 // errClosedNow resolves tickets stranded by CloseNow: queued jobs that
@@ -37,45 +39,32 @@ var ErrClosed = errors.New("qsched: scheduler closed")
 // (the mechanism that aborted the work, which callers select on).
 var errClosedNow = fmt.Errorf("%w (%w)", ErrClosed, context.Canceled)
 
-// Options tunes a Scheduler. The zero value selects the defaults noted on
-// each field.
-type Options struct {
-	// MaxInFlight caps concurrently running queries (DefaultMaxInFlight
-	// when 0).
-	MaxInFlight int
-}
+// defaultMaxInFlight is the in-flight bound New uses when given none.
+const defaultMaxInFlight = 4
 
-// DefaultMaxInFlight is the MaxInFlight of the zero Options.
-const DefaultMaxInFlight = 4
-
-// Ticket is the future of one submitted query. Multiple submissions of the
-// same cache key may share one Ticket; treat the resolved value as
+// ticket is the future of one submitted query. Multiple submissions of the
+// same cache key may share one ticket; treat the resolved value as
 // read-only.
-type Ticket[R any] struct {
-	done   chan struct{}
-	val    R
-	err    error
-	cached bool
+type ticket[R any] struct {
+	done chan struct{}
+	val  R
+	err  error
 }
 
-func newTicket[R any]() *Ticket[R] { return &Ticket[R]{done: make(chan struct{})} }
+func newTicket[R any]() *ticket[R] { return &ticket[R]{done: make(chan struct{})} }
 
-func resolvedTicket[R any](v R, cached bool) *Ticket[R] {
+func resolvedTicket[R any](v R) *ticket[R] {
 	t := newTicket[R]()
 	t.val = v
-	t.cached = cached
 	close(t.done)
 	return t
 }
-
-// Done is closed once the ticket has resolved.
-func (t *Ticket[R]) Done() <-chan struct{} { return t.done }
 
 // Wait blocks until the ticket resolves or ctx is cancelled. A cancelled
 // caller always gets ctx.Err(), even when the result is already there:
 // whether the computation finished first is a race the caller cannot see,
 // so it does not decide the answer.
-func (t *Ticket[R]) Wait(ctx context.Context) (R, error) {
+func (t *ticket[R]) Wait(ctx context.Context) (R, error) {
 	if err := ctx.Err(); err != nil {
 		var zero R
 		return zero, err
@@ -89,15 +78,9 @@ func (t *Ticket[R]) Wait(ctx context.Context) (R, error) {
 	}
 }
 
-// Cached reports whether the ticket was resolved straight from the cache
-// at Submit time, without scheduling any work. (Submissions that joined an
-// identical in-flight query share that query's ticket and report false;
-// they are counted in Stats.Joined.) Valid only after Done.
-func (t *Ticket[R]) Cached() bool { return t.cached }
-
 // Stats is a point-in-time snapshot of scheduler activity.
 type Stats struct {
-	// Submitted counts Submit calls (including cache hits and joins).
+	// Submitted counts submissions (including cache hits and joins).
 	Submitted int64
 	// Joined counts submissions that attached to an identical in-flight
 	// query instead of queueing their own.
@@ -108,13 +91,13 @@ type Stats struct {
 
 type job[Q, R any] struct {
 	q      Q
-	t      *Ticket[R]
+	t      *ticket[R]
 	key    string
 	hasKey bool
 }
 
 // Scheduler runs submitted queries through a caller-supplied run
-// function, up to MaxInFlight at once and the rest in submission order. It
+// function, up to maxInFlight at once and the rest in submission order. It
 // is safe for concurrent use.
 type Scheduler[Q, R any] struct {
 	run         func(ctx context.Context, q Q) (R, error)
@@ -127,41 +110,42 @@ type Scheduler[Q, R any] struct {
 
 	mu      sync.Mutex
 	queue   []*job[Q, R]          //sw:guardedBy(mu)
-	pending map[string]*Ticket[R] //sw:guardedBy(mu)
+	pending map[string]*ticket[R] //sw:guardedBy(mu)
 	running int                   //sw:guardedBy(mu)
 	closed  bool                  //sw:guardedBy(mu)
 	stats   Stats                 //sw:guardedBy(mu)
 }
 
-// New builds a scheduler over a run function. key derives the cache /
-// dedup key of a query (nil, or a false second return, disables caching
-// for that query); cache may be nil (no caching) or shared between
-// schedulers. The scheduler's context is its own lifetime root — it is
-// cancelled by Close/CloseNow, not by any request — while per-request
-// cancellation rides on the context each Ticket.Wait receives.
+// New builds a scheduler over a run function that runs up to maxInFlight
+// queries at once (defaultMaxInFlight when maxInFlight <= 0). key derives
+// the cache / dedup key of a query (nil, or a false second return,
+// disables caching for that query); cache may be nil (no caching). The
+// scheduler's context is its own lifetime root — it is cancelled by
+// CloseNow, not by any request — while per-request cancellation rides on
+// the context each Do receives.
 //
 //sw:ctxroot
 func New[Q, R any](
 	run func(ctx context.Context, q Q) (R, error),
 	key func(q Q) (string, bool),
 	cache *Cache[R],
-	opt Options,
+	maxInFlight int,
 ) *Scheduler[Q, R] {
 	if run == nil {
 		panic("qsched: nil run function")
 	}
-	if opt.MaxInFlight <= 0 {
-		opt.MaxInFlight = DefaultMaxInFlight
+	if maxInFlight <= 0 {
+		maxInFlight = defaultMaxInFlight
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Scheduler[Q, R]{
 		run:         run,
 		key:         key,
 		cache:       cache,
-		maxInFlight: opt.MaxInFlight,
+		maxInFlight: maxInFlight,
 		ctx:         ctx,
 		cancel:      cancel,
-		pending:     make(map[string]*Ticket[R]),
+		pending:     make(map[string]*ticket[R]),
 	}
 }
 
@@ -172,10 +156,10 @@ func (s *Scheduler[Q, R]) Stats() Stats {
 	return s.stats
 }
 
-// Submit enqueues a query and returns its Ticket immediately. Cached
+// submit enqueues a query and returns its ticket immediately. Cached
 // results resolve the ticket synchronously; an identical in-flight query
-// shares its ticket. Submit never blocks on query execution.
-func (s *Scheduler[Q, R]) Submit(q Q) (*Ticket[R], error) {
+// shares its ticket. submit never blocks on query execution.
+func (s *Scheduler[Q, R]) submit(q Q) (*ticket[R], error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -191,7 +175,7 @@ func (s *Scheduler[Q, R]) Submit(q Q) (*Ticket[R], error) {
 		if s.cache != nil {
 			if v, ok := s.cache.Get(key); ok {
 				s.stats.CacheHits++
-				return resolvedTicket(v, true), nil
+				return resolvedTicket(v), nil
 			}
 		}
 		if t, ok := s.pending[key]; ok {
@@ -217,21 +201,12 @@ func (s *Scheduler[Q, R]) Submit(q Q) (*Ticket[R], error) {
 // (cancelling ctx abandons the wait, not the computation: the result still
 // lands in the cache for the next asker).
 func (s *Scheduler[Q, R]) Do(ctx context.Context, q Q) (R, error) {
-	t, err := s.Submit(q)
+	t, err := s.submit(q)
 	if err != nil {
 		var zero R
 		return zero, err
 	}
 	return t.Wait(ctx)
-}
-
-// Close stops intake: queued and in-flight queries still complete, further
-// Submit calls fail. Close is idempotent and never blocks on query
-// execution.
-func (s *Scheduler[Q, R]) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 }
 
 // CloseNow stops intake and cancels the scheduler context: queued queries

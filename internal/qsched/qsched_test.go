@@ -15,7 +15,7 @@ import (
 // echo is a run function that maps each query string to "R:"+q.
 func echo(ctx context.Context, q string) (string, error) { return "R:" + q, nil }
 
-func waitTicket(t *testing.T, tk *Ticket[string]) (string, error) {
+func waitTicket(t *testing.T, tk *ticket[string]) (string, error) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -27,11 +27,11 @@ func waitTicket(t *testing.T, tk *Ticket[string]) (string, error) {
 }
 
 func TestSubmitResolvesEachQuery(t *testing.T) {
-	s := New(echo, nil, nil, Options{})
+	s := New(echo, nil, nil, 0)
 	defer s.CloseNow()
-	var tickets []*Ticket[string]
+	var tickets []*ticket[string]
 	for i := 0; i < 10; i++ {
-		tk, err := s.Submit(fmt.Sprintf("q%d", i))
+		tk, err := s.submit(fmt.Sprintf("q%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,21 +64,21 @@ func TestTicketResolvesWithoutNeighbours(t *testing.T) {
 		}
 		return "R:" + q, nil
 	}
-	s := New(run, nil, nil, Options{MaxInFlight: 3})
+	s := New(run, nil, nil, 3)
 	defer s.CloseNow()
 	defer close(gateX)
 	defer close(gateC)
 
-	x, err := s.Submit("X")
+	x, err := s.submit("X")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-startedX // X holds a slot
-	b, err := s.Submit("B")
+	b, err := s.submit("B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.Submit("C")
+	c, err := s.submit("C")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func TestTicketResolvesWithoutNeighbours(t *testing.T) {
 	if v, err := waitTicket(t, b); err != nil || v != "R:B" {
 		t.Fatalf("B: %q, %v", v, err)
 	}
-	for name, tk := range map[string]*Ticket[string]{"X": x, "C": c} {
+	for name, tk := range map[string]*ticket[string]{"X": x, "C": c} {
 		select {
-		case <-tk.Done():
+		case <-tk.done:
 			t.Fatalf("%s resolved while gated", name)
 		default:
 		}
@@ -114,10 +114,10 @@ func TestInFlightBoundAndOrder(t *testing.T) {
 			mu.Unlock()
 			return "R:" + q, nil
 		}
-		s := New(run, nil, nil, Options{MaxInFlight: limit})
-		var tks []*Ticket[string]
+		s := New(run, nil, nil, limit)
+		var tks []*ticket[string]
 		for i := 0; i < 12; i++ {
-			tk, err := s.Submit(fmt.Sprintf("q%02d", i))
+			tk, err := s.submit(fmt.Sprintf("q%02d", i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,15 +156,15 @@ func TestInFlightJoinAndCache(t *testing.T) {
 	}
 	key := func(q string) (string, bool) { return q, true }
 	cache := NewCache[string](8)
-	s := New(run, key, cache, Options{MaxInFlight: 1})
+	s := New(run, key, cache, 1)
 	defer s.CloseNow()
 
-	a, err := s.Submit("same")
+	a, err := s.submit("same")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	b, err := s.Submit("same") // joins the in-flight ticket
+	b, err := s.submit("same") // joins the in-flight ticket
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,20 +176,17 @@ func TestInFlightJoinAndCache(t *testing.T) {
 		t.Fatalf("got %q, %v", v, err)
 	}
 	// Now cached: a third submission resolves synchronously.
-	c, err := s.Submit("same")
+	c, err := s.submit("same")
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-c.Done():
+	case <-c.done:
 	default:
 		t.Fatal("cached submission did not resolve synchronously")
 	}
 	if v, _ := waitTicket(t, c); v != "R:same" {
 		t.Fatalf("cached value %q", v)
-	}
-	if !c.Cached() {
-		t.Fatal("cached ticket not marked Cached")
 	}
 	st := s.Stats()
 	if st.Joined != 1 || st.CacheHits != 1 {
@@ -210,11 +207,11 @@ func TestFailureIsolation(t *testing.T) {
 		}
 		return "R:" + q, nil
 	}
-	s := New(run, nil, nil, Options{MaxInFlight: 1})
+	s := New(run, nil, nil, 1)
 	defer s.CloseNow()
-	tks := make([]*Ticket[string], 0, 3)
+	tks := make([]*ticket[string], 0, 3)
 	for _, q := range []string{"ok1", "bad", "ok2"} {
-		tk, err := s.Submit(q)
+		tk, err := s.submit(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,21 +228,6 @@ func TestFailureIsolation(t *testing.T) {
 	}
 }
 
-func TestCloseStopsIntakeButDrains(t *testing.T) {
-	s := New(echo, nil, nil, Options{})
-	tk, err := s.Submit("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if _, err := s.Submit("late"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: %v", err)
-	}
-	if v, err := waitTicket(t, tk); err != nil || v != "R:q" {
-		t.Fatalf("queued query dropped by Close: %q, %v", v, err)
-	}
-}
-
 func TestCloseNowCancelsQueuedAndInFlight(t *testing.T) {
 	started := make(chan struct{})
 	run := func(ctx context.Context, q string) (string, error) {
@@ -253,13 +235,13 @@ func TestCloseNowCancelsQueuedAndInFlight(t *testing.T) {
 		<-ctx.Done() // a long search aborted by cancellation
 		return "", ctx.Err()
 	}
-	s := New(run, nil, nil, Options{MaxInFlight: 1})
-	inflight, err := s.Submit("slow")
+	s := New(run, nil, nil, 1)
+	inflight, err := s.submit("slow")
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := s.Submit("queued")
+	queued, err := s.submit("queued")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +252,20 @@ func TestCloseNowCancelsQueuedAndInFlight(t *testing.T) {
 	if _, err := waitTicket(t, queued); !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued err = %v", err)
 	}
+	if _, err := s.Do(context.Background(), "late"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Do after CloseNow: %v", err)
+	}
 }
 
 // The scheduler must not keep goroutines alive while idle: every runner
 // exits once the queue drains.
 func TestNoGoroutinesWhileIdle(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s := New(echo, nil, nil, Options{})
+	s := New(echo, nil, nil, 0)
 	for round := 0; round < 3; round++ {
-		var tks []*Ticket[string]
+		var tks []*ticket[string]
 		for i := 0; i < 20; i++ {
-			tk, err := s.Submit(fmt.Sprintf("r%dq%d", round, i))
+			tk, err := s.submit(fmt.Sprintf("r%dq%d", round, i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +318,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // Hammer the scheduler from many goroutines under the race detector.
 func TestConcurrentSubmitHammer(t *testing.T) {
 	key := func(q string) (string, bool) { return q, true }
-	s := New(echo, key, NewCache[string](32), Options{MaxInFlight: 4})
+	s := New(echo, key, NewCache[string](32), 4)
 	defer s.CloseNow()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -20,7 +20,7 @@ import (
 // addressed by their .swdb checksum key, so a coordinator holding a
 // manifest routes to this node only for bytes both sides agree on.
 //
-// Each shard search runs through its cluster's serving scheduler, so
+// Each shard search runs through its cluster's scheduler, so
 // concurrent coordinator fan-outs share its in-flight slots and repeated
 // shard queries hit the per-shard LRU cache, exactly like front-door
 // /search traffic on a single node.
@@ -238,10 +238,7 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // non-retryable failure by construction, since shard routing is keyed on
 // content checksums.
 func (c *Cluster) alignIndices(ctx context.Context, query Sequence, indices []int, scores []int32) ([]core.AlignmentDetail, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed.Load() {
 		return nil, ErrClusterClosed
 	}
 	if len(indices) != len(scores) {

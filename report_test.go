@@ -135,9 +135,6 @@ func TestReportOptionsValidation(t *testing.T) {
 	if _, err := cl.Search(q, ReportOptions{}, ReportOptions{}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("two ReportOptions: err = %v, want ErrBadRequest", err)
 	}
-	if err := cl.NewStream(context.Background()).Submit(Request{Query: q, Report: ReportOptions{TopK: -2}}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("stream Submit of negative TopK: err = %v, want ErrBadRequest", err)
-	}
 }
 
 // matchOnlyMatrix is NCBI matrix text scoring score for an exact match of

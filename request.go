@@ -172,7 +172,7 @@ func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ..
 	return c.Do(ctx, req)
 }
 
-// Do runs one request through the cluster's serving scheduler: it runs as
+// Do runs one request through the cluster's scheduler: it runs as
 // soon as one of the MaxInFlight slots is free and resolves as soon as its
 // own result is decorated, identical in-flight requests share one
 // execution, and repeats are answered from the cluster's LRU cache —
@@ -191,7 +191,7 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*ClusterResult, error) {
 	return c.scheduled(ctx, jb)
 }
 
-// DoBatch runs a batch of requests through the serving scheduler in order
+// DoBatch runs a batch of requests through the cluster's scheduler in order
 // and returns the results in request order. Every request is validated
 // before any is submitted, so a malformed one fails the call at no cost to
 // the others; then request i+1 is submitted when request i has resolved,
@@ -208,13 +208,9 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 		}
 		jobs[i] = jb
 	}
-	s, err := c.servingScheduler()
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*ClusterResult, len(jobs))
 	for i, jb := range jobs {
-		res, err := s.Do(ctx, jb)
+		res, err := c.sched.Do(ctx, jb)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, closedErr(err))
 		}
@@ -223,14 +219,10 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 	return out, nil
 }
 
-// scheduled submits one prepared job to the serving scheduler and waits
+// scheduled submits one prepared job to the cluster's scheduler and waits
 // for its result.
 func (c *Cluster) scheduled(ctx context.Context, jb job) (*ClusterResult, error) {
-	s, err := c.servingScheduler()
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.Do(ctx, jb)
+	res, err := c.sched.Do(ctx, jb)
 	return res, closedErr(err)
 }
 
@@ -429,24 +421,4 @@ func (c *Cluster) cacheKey(jb job) (string, bool) {
 		b.WriteByte(byte(code))
 	}
 	return b.String(), true
-}
-
-// newScheduler builds a scheduler over the cluster's executor, sharing the
-// cluster-wide result cache.
-func (c *Cluster) newScheduler() *qsched.Scheduler[job, *ClusterResult] {
-	return qsched.New(c.execute, c.cacheKey, c.cache, c.schedOpt)
-}
-
-// servingScheduler returns the cluster-wide scheduler behind Do, DoBatch
-// and the HTTP front end, creating it on first use.
-func (c *Cluster) servingScheduler() (*qsched.Scheduler[job, *ClusterResult], error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClusterClosed
-	}
-	if c.serving == nil {
-		c.serving = c.newScheduler()
-	}
-	return c.serving, nil
 }

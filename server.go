@@ -16,7 +16,7 @@ import (
 // The HTTP front end exposes a Cluster as a JSON search service — the
 // serving shape of the SwissAlign webserver precedent, backed by the
 // cluster's query scheduler so that independent HTTP requests share its
-// in-flight slots, dedup and cache exactly like stream submissions.
+// in-flight slots, dedup and cache with every other Do and DoBatch call.
 //
 //	POST /search   {"id": "q1", "residues": "MKWVLA...", "top_k": 10}
 //	POST /batch    {"queries": [{...}, ...], "top_k": 10}

@@ -366,9 +366,8 @@ func TestHTTPBatchAligned(t *testing.T) {
 	}
 }
 
-// Concurrent HTTP clients must share the serving scheduler and
-// all receive correct answers — the serving-path analogue of the stream
-// ordering test. Run under -race in CI.
+// Concurrent HTTP clients must share the cluster's scheduler and
+// all receive correct answers. Run under -race in CI.
 func TestHTTPConcurrentClients(t *testing.T) {
 	ts, cl, _ := testServer(t)
 	want, err := cl.Search(NewSequence("q", "MKWVLA"))

@@ -1,7 +1,8 @@
 package heterosw
 
-// Streaming throughput benchmarks: the evidence that the query scheduler
-// beats the PR-1 per-query worker on a >= 64 query stream.
+// Request-stream throughput benchmarks: the evidence that the cluster's
+// query scheduler, fed 64 concurrent Do calls, beats a serial per-query
+// worker on a >= 64 query stream.
 //
 // Two workloads:
 //
@@ -19,7 +20,9 @@ package heterosw
 // between iterations; both sides pay identical engine/lane-packing setup.
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -67,23 +70,31 @@ func benchDB(b *testing.B) *Database {
 	return benchStreamDB
 }
 
+// serialResult is one delivery of the serial worker.
+type serialResult struct {
+	index  int
+	query  Sequence
+	result *ClusterResult
+	err    error
+}
+
 // runSerialWorker replays the PR-1 streaming pipeline exactly: one worker
 // goroutine popping an intake queue, searching one query at a time and
 // sending into a buffered results channel drained by the consumer.
 func runSerialWorker(b *testing.B, cl *Cluster, stream []Sequence) {
 	b.Helper()
-	out := make(chan StreamResult, streamBuffer)
+	out := make(chan serialResult, benchStreamQueries)
 	go func() {
 		for i, q := range stream {
 			res, err := cl.Search(q)
-			out <- StreamResult{Index: i, Query: q, Result: res, Err: err}
+			out <- serialResult{index: i, query: q, result: res, err: err}
 		}
 		close(out)
 	}()
 	got := 0
 	for sr := range out {
-		if sr.Err != nil {
-			b.Fatal(sr.Err)
+		if sr.err != nil {
+			b.Fatal(sr.err)
 		}
 		got++
 	}
@@ -92,32 +103,26 @@ func runSerialWorker(b *testing.B, cl *Cluster, stream []Sequence) {
 	}
 }
 
-// runScheduler pushes the same stream through the query scheduler and
-// drains in order.
+// runScheduler pushes the same stream through the cluster's scheduler as
+// concurrent Do calls, one per request, and collects the results in
+// request order.
 func runScheduler(b *testing.B, cl *Cluster, stream []Sequence) {
 	b.Helper()
-	st := cl.NewStream(nil)
-	go func() {
-		for _, q := range stream {
-			if err := st.Submit(Request{Query: q}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-		st.Close()
-	}()
-	got := 0
-	for sr := range st.Results() {
-		if sr.Err != nil {
-			b.Fatal(sr.Err)
-		}
-		if sr.Index != got {
-			b.Fatalf("result %d out of order (want %d)", sr.Index, got)
-		}
-		got++
+	results := make([]*ClusterResult, len(stream))
+	errs := make([]error, len(stream))
+	var wg sync.WaitGroup
+	for i, q := range stream {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = cl.Do(context.Background(), Request{Query: q})
+		}()
 	}
-	if got != len(stream) {
-		b.Fatalf("drained %d of %d", got, len(stream))
+	wg.Wait()
+	for i := range stream {
+		if errs[i] != nil {
+			b.Fatalf("request %d: %v", i, errs[i])
+		}
 	}
 }
 

@@ -142,10 +142,11 @@ func TestHTTPWireKeys(t *testing.T) {
 }
 
 // TestCoordinatorWireKeys pins the keys of a shard node's /shard/search
-// and /shard/align answers, the two bodies a coordinator decodes.
+// and /shard/align answers, the two bodies a coordinator decodes, and
+// that /shard/align answers the retryable 503 once the node is closed.
 func TestCoordinatorWireKeys(t *testing.T) {
 	_, _, shardPaths, queries := distribSetup(t)
-	node, _ := startShardNode(t, shardPaths, nil)
+	node, ss := startShardNode(t, shardPaths, nil)
 	var shards remote.ShardsResponse
 	hr, err := http.Get(node.URL + "/shards")
 	if err != nil {
@@ -159,6 +160,7 @@ func TestCoordinatorWireKeys(t *testing.T) {
 	planted := queries[0]
 	codes := alphabet.BytesView(planted.impl.Residues)
 	escalated := false
+	var align remote.ShardAlignRequest
 	for _, sh := range shards.Shards {
 		resp, body := postJSON(t, node.URL+"/shard/search", remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Codes: codes})
 		if resp.StatusCode != 200 {
@@ -183,10 +185,11 @@ func TestCoordinatorWireKeys(t *testing.T) {
 				best = i
 			}
 		}
-		resp, body = postJSON(t, node.URL+"/shard/align", remote.ShardAlignRequest{
+		align = remote.ShardAlignRequest{
 			Shard: sh.Key, ID: planted.ID(), Codes: codes,
 			Indices: []int{best}, Scores: []int32{sr.Scores[best]},
-		})
+		}
+		resp, body = postJSON(t, node.URL+"/shard/align", align)
 		if resp.StatusCode != 200 {
 			t.Fatalf("/shard/align: status %d: %s", resp.StatusCode, body)
 		}
@@ -197,5 +200,12 @@ func TestCoordinatorWireKeys(t *testing.T) {
 	}
 	if !escalated {
 		t.Error("no shard escalated a byte lane: the ladder counters went unpinned")
+	}
+
+	// The same traceback request, refused once the node is closed.
+	ss.CloseNow()
+	resp, body := postJSON(t, node.URL+"/shard/align", align)
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), ErrClusterClosed.Error()) {
+		t.Fatalf("/shard/align after CloseNow: status %d: %s", resp.StatusCode, body)
 	}
 }
