@@ -45,11 +45,13 @@
 //     bit score and E-value from a Gumbel null model fitted over the full
 //     score distribution — see ReportOptions, Hit.Alignment,
 //     Hit.Significance and WriteReport;
-//   - a native vector backend for the kernels' fused column steps
+//   - a native vector backend for the kernels' fused DP loops
 //     (internal/vec), in tiers selected by runtime CPU detection: on
 //     amd64 hosts with AVX2 the inter-task kernels run hand-written
-//     assembly column steps (16x int16 / 32x int8 lanes per 256-bit
-//     register), hosts with AVX-512VBMI run the byte lanes 64 to a 512-bit
+//     assembly (16x int16 / 32x int8 lanes per 256-bit register) — the
+//     16-bit rung one call per database column, the byte rung one call
+//     per query tile with the column loop inside the kernel, as in the
+//     paper's Algorithm 1 — hosts with AVX-512VBMI run the byte lanes 64 to a 512-bit
 //     register with the score lookup in one vpermb and three of each
 //     row's maxes as compare-into-mask plus masked blend, to spread the
 //     work over two issue ports (and pack their lane groups 64 wide to

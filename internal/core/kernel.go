@@ -32,15 +32,18 @@ type Params struct {
 const DefaultBlockRows = 256
 
 // tileBytes is the working set the real kernels give one query tile: the H
-// and E state of its rows, the slab a column step walks top to bottom once
-// per database column. Every rung gets the same budget, so a tile holds 256
-// rows of 64 byte lanes, 512 of 32 byte lanes and 512 of the 16 int16 lanes
-// of an escalation group, and the slab stays in the 32-48 KiB L1d of every
-// machine the native tiers run on. Past L1 the step slows: on the 2-core
-// avx2+vbmi host (Xeon, family 6 model 207, 48 KiB L1d) one thread of
-// BenchmarkStepCol8QP runs 64 byte lanes at 20.0-26.0 Gcells/s at 256 rows
-// and 17.5-20.4 at 512 (medians of ten, two sweeps; within a sweep 512
-// rows read 12-22% below 256, and the rate falls from 320 rows on). A
+// and E state of its rows, the slab the kernels walk top to bottom once per
+// database column (the byte rung's sweep in one call per tile, the 16-bit
+// rung's column step in one call per column). Every rung gets the same
+// budget, so a tile holds 256 rows of 64 byte lanes, 512 of 32 byte lanes
+// and 512 of the 16 int16 lanes of an escalation group, and the slab stays
+// in the 32-48 KiB L1d of every machine the native tiers run on. Past L1
+// the kernels slow: on the 2-core avx2+vbmi host (Xeon, family 6 model
+// 207, 48 KiB L1d) one thread of the byte column step the sweep replaced
+// ran 64 lanes at 20.0-26.0 Gcells/s at 256 rows and 17.5-20.4 at 512
+// (medians of ten, two rounds; within a round 512 rows read 12-22% below
+// 256, and the rate falls from 320 rows on); BenchmarkStepCol8QP, now
+// timing the sweep, reads 19.7-23.3 and 18.3-21.3 (five samples each). A
 // shorter tile only moves more boundary rows across seams, and a longer
 // 16-bit tile spills: with 24 KiB for byte lanes the paper's batch
 // (bench/, batch_short) ran 3.5% slower than at 32 KiB, and with 64 KiB
@@ -99,11 +102,10 @@ type Buffers struct {
 	max16       vec.I16
 
 	// 8-bit state for the ladder's first pass, in signed lanes offset by
-	// -128; floor8 holds the cell value zero in every lane.
-	he8          []int8 // intrinsic tile state, 2 * (rows+1) * lanes
-	hb8, fb8     []int8 // block boundary rows, width * lanes
-	f8, diag8    vec.I8 // lane temporaries
-	max8, floor8 vec.I8
+	// -128.
+	he8      []int8 // intrinsic tile state, 2 * (rows+1) * lanes
+	hb8, fb8 []int8 // block boundary rows, width * lanes
+	max8     vec.I8 // score tracker
 
 	// Ladder escalation (kernel_u8.go): byte lanes that saturated wait in
 	// pend[:npend] until escLanes of them fill escGroup, which runs through
@@ -141,16 +143,12 @@ func NewBuffers(lanes int) *Buffers {
 		diag16:     make(vec.I16, lanes),
 		max16:      make(vec.I16, lanes),
 		sr:         profile.NewScoreRows(lanes),
-		f8:         make(vec.I8, lanes),
-		diag8:      make(vec.I8, lanes),
 		max8:       make(vec.I8, lanes),
-		floor8:     make(vec.I8, lanes),
 		laneScores: make([]int32, lanes),
 		// One group queues at most lanes saturations on top of a
 		// remainder shorter than one escalation group.
 		pend: make([]escalation, lanes+escLanes),
 	}
-	vec.Set1I8(b.floor8, vec.MinI8)
 	return b
 }
 

@@ -75,7 +75,7 @@ func ladderSafe8(q *profile.Query, n int) bool {
 // it.
 //
 // The rung's score lookup is the int8 query profile: a row (q.QP8, at most
-// 32 letters) fits one vector register, so vec.StepCol8QP indexes it
+// 32 letters) fits one vector register, so vec.Sweep8QP indexes it
 // in-register by the column's residues and no per-column score rows are
 // built.
 //
@@ -105,61 +105,32 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		st.Safe8Groups = 1
 	}
 
-	// H and E share one contiguous slab, mirroring the 16-bit kernel. hb and
-	// fb carry H and F across a tile seam, one row each per column: every
-	// tile but the last writes them and every tile but the first reads what
-	// the tile above wrote, so they are never reset and a query of one tile
-	// has none. The other resets fill lanes with the floor, vec.MinI8, the
-	// cell value zero: a broadcast for the tile slabs, a copy of buf.floor8
-	// for the per-column vectors, which costs what a clear would.
+	// H and E share one contiguous slab, mirroring the 16-bit kernel, and
+	// each tile starts them at the floor, vec.MinI8, the cell value zero.
+	// hb and fb carry H and F across a tile seam, one row each per column:
+	// every tile but the last writes them and every tile but the first
+	// reads what the tile above wrote (see vec.Sweep8QP), so they are never
+	// reset and a query of one tile has none.
 	he := grow8(&buf.he8, 2*(B+1)*L)
 	h, e := he[:(B+1)*L], he[(B+1)*L:]
 	var hb, fb []int8
 	if B < M {
-		hb = grow8(&buf.hb8, (N+1)*L)
-		fb = grow8(&buf.fb8, (N+1)*L)
+		hb = grow8(&buf.hb8, N*L)
+		fb = grow8(&buf.fb8, N*L)
 	}
-	maxv, fcol, diagv, floor := buf.max8, buf.f8, buf.diag8, buf.floor8
-	copy(maxv, floor)
+	maxv := buf.max8
+	vec.Set1I8(maxv, vec.MinI8)
 
 	// The byte-lane op sequence (lookup of the score; saturating
 	// diag+score floored at zero; maximum with E and F; tracker update;
-	// floored E and F updates) is fused into one vec column step per
-	// database column.
-	for i0 := 1; i0 <= M; i0 += B {
-		i1 := i0 + B - 1
-		if i1 > M {
-			i1 = M
-		}
-		rows := i1 - i0 + 1
-		first, last := i0 == 1, i1 == M
+	// floored E and F updates) is fused into one vec sweep per query tile,
+	// across every database column.
+	for i0 := 0; i0 < M; i0 += B {
+		rows := min(B, M-i0)
 		vec.Set1I8(h[L:(rows+1)*L], vec.MinI8)
 		vec.Set1I8(e[L:(rows+1)*L], vec.MinI8)
-		copy(diagv, floor)
-		tileQP := q.QP8[(i0-1)*q.Width:]
-		for jj := 1; jj <= N; jj++ {
-			col := g.Interleaved[(jj-1)*L : jj*L]
-			// F entering the tile's first row: above the first tile it is
-			// true -inf, which clamps to the floor.
-			if first {
-				copy(fcol, floor)
-			} else {
-				copy(fcol, fb[jj*L:jj*L+L])
-			}
-			vec.StepCol8QP(h[L:], e[L:], fcol, diagv, maxv,
-				tileQP, q.Width, col, rows, L, qr, r)
-			// The next column's diagonal is H of the row above the tile at
-			// this column: row 0 of the matrix, all zero, above the first.
-			if first {
-				copy(diagv, floor)
-			} else {
-				copy(diagv, hb[jj*L:jj*L+L])
-			}
-			if !last {
-				copy(hb[jj*L:jj*L+L], h[rows*L:(rows+1)*L])
-				copy(fb[jj*L:jj*L+L], fcol)
-			}
-		}
+		vec.Sweep8QP(h[L:], e[L:], hb, fb, maxv, q.QP8[i0*q.Width:], q.Width, g.Interleaved, N, rows, L,
+			qr, r, i0 == 0, i0+rows == M)
 	}
 
 	// Score extraction: provably-safe groups skip detection entirely;

@@ -204,42 +204,32 @@ func TestNativeStepCol16(t *testing.T) {
 	}
 }
 
-// stepState8 is the byte steps' state: unsigned for StepCol8SP, signed for
-// StepCol8QP.
-type stepState8[T int8 | uint8] struct {
-	h, e, f, diag, maxv []T
+// stepState8 is the score-profile byte step's state.
+type stepState8 struct {
+	h, e, f, diag, maxv U8
 }
 
-func randStep8[T int8 | uint8](rng *rand.Rand, rows, lanes int, rails func(*rand.Rand, int) []T) *stepState8[T] {
-	return &stepState8[T]{
-		h:    rails(rng, rows*lanes),
-		e:    rails(rng, rows*lanes),
-		f:    rails(rng, lanes),
-		diag: rails(rng, lanes),
-		maxv: rails(rng, lanes),
+func randU8(rng *rand.Rand, rows, lanes int) *stepState8 {
+	return &stepState8{
+		h:    railsU8(rng, rows*lanes),
+		e:    railsU8(rng, rows*lanes),
+		f:    railsU8(rng, lanes),
+		diag: railsU8(rng, lanes),
+		maxv: railsU8(rng, lanes),
 	}
 }
 
-// randU8 and randI8 draw unsigned and signed byte-step state.
-func randU8(rng *rand.Rand, rows, lanes int) *stepState8[uint8] {
-	return randStep8(rng, rows, lanes, func(rng *rand.Rand, n int) []uint8 { return railsU8(rng, n) })
-}
-
-func randI8(rng *rand.Rand, rows, lanes int) *stepState8[int8] {
-	return randStep8(rng, rows, lanes, func(rng *rand.Rand, n int) []int8 { return railsI8(rng, n) })
-}
-
-func (s *stepState8[T]) clone() *stepState8[T] {
-	return &stepState8[T]{
-		h:    append([]T(nil), s.h...),
-		e:    append([]T(nil), s.e...),
-		f:    append([]T(nil), s.f...),
-		diag: append([]T(nil), s.diag...),
-		maxv: append([]T(nil), s.maxv...),
+func (s *stepState8) clone() *stepState8 {
+	return &stepState8{
+		h:    append(U8(nil), s.h...),
+		e:    append(U8(nil), s.e...),
+		f:    append(U8(nil), s.f...),
+		diag: append(U8(nil), s.diag...),
+		maxv: append(U8(nil), s.maxv...),
 	}
 }
 
-func (s *stepState8[T]) diff(t *testing.T, op string, o *stepState8[T]) {
+func (s *stepState8) diff(t *testing.T, op string, o *stepState8) {
 	t.Helper()
 	eq8(t, op+" h", s.h, o.h)
 	eq8(t, op+" e", s.e, o.e)
@@ -249,7 +239,7 @@ func (s *stepState8[T]) diff(t *testing.T, op string, o *stepState8[T]) {
 }
 
 // TestNativeStepCol8 covers the score-profile byte step; the query-profile
-// one, the kernel the ladder runs, has TestStepCol8QPTiers.
+// sweep, the kernel the ladder runs, has TestSweep8QPTiers.
 func TestNativeStepCol8(t *testing.T) {
 	requireNative(t)
 	rng := rand.New(rand.NewSource(64))
@@ -277,19 +267,134 @@ func TestNativeStepCol8(t *testing.T) {
 	}
 }
 
-// TestStepCol8QPTiers replays the byte rung's one kernel through its
-// exported entry point under every tier the host runs — the portable loop,
-// the vpshufb pair over ymm strips and, where CPUID allows, the vpermb body
-// over zmm strips — against the generic reference. Lane counts cover one
-// and two zmm registers (64, 128) and 96, three ymm registers, which the
-// avx2+vbmi tier must hand to the vpshufb body. Table widths cover the
+// sweepState is the byte sweep's state: the tile's H and E, the seam rows
+// and the tracker.
+type sweepState struct {
+	h, e, hb, fb, maxv I8
+}
+
+func randSweep(rng *rand.Rand, rows, lanes, ncols int) *sweepState {
+	return &sweepState{
+		h:    railsI8(rng, rows*lanes),
+		e:    railsI8(rng, rows*lanes),
+		hb:   railsI8(rng, ncols*lanes),
+		fb:   railsI8(rng, ncols*lanes),
+		maxv: railsI8(rng, lanes),
+	}
+}
+
+func (s *sweepState) clone() *sweepState {
+	return &sweepState{
+		h:    append(I8(nil), s.h...),
+		e:    append(I8(nil), s.e...),
+		hb:   append(I8(nil), s.hb...),
+		fb:   append(I8(nil), s.fb...),
+		maxv: append(I8(nil), s.maxv...),
+	}
+}
+
+func (s *sweepState) diff(t *testing.T, op string, o *sweepState) {
+	t.Helper()
+	eq8(t, op+" h", s.h, o.h)
+	eq8(t, op+" e", s.e, o.e)
+	eq8(t, op+" hb", s.hb, o.hb)
+	eq8(t, op+" fb", s.fb, o.fb)
+	eq8(t, op+" maxv", s.maxv, o.maxv)
+}
+
+// sweep runs Sweep8QP on the state, passing nil seam rows for a query of
+// one tile as core does.
+func (s *sweepState) sweep(qp []int8, stride int, cols []uint8, ncols, rows, lanes int, qr, r int8, first, last bool) {
+	hb, fb := s.hb, s.fb
+	if first && last {
+		hb, fb = nil, nil
+	}
+	Sweep8QP(s.h, s.e, hb, fb, s.maxv, qp, stride, cols, ncols, rows, lanes, qr, r, first, last)
+}
+
+// sweepRef is the reference sweep: the generic column step over every lane
+// once per column, with the seam copies core made around each step before
+// the column loop moved into this package.
+func (s *sweepState) sweepRef(qp []int8, stride int, cols []uint8, ncols, rows, lanes int, qr, r int8, first, last bool) {
+	f, diag, floor := make(I8, lanes), make(I8, lanes), make(I8, lanes)
+	set1I8Generic(floor, MinI8)
+	copy(diag, floor)
+	for j := 0; j < ncols; j++ {
+		seam := s.hb[j*lanes : (j+1)*lanes]
+		if first {
+			copy(f, floor)
+		} else {
+			copy(f, s.fb[j*lanes:])
+		}
+		stepCol8QPGeneric(s.h, s.e, f, diag, s.maxv, qp, stride, cols[j*lanes:(j+1)*lanes], rows, lanes, qr, r)
+		if first {
+			copy(diag, floor)
+		} else {
+			copy(diag, seam)
+		}
+		if !last {
+			copy(seam, s.h[(rows-1)*lanes:rows*lanes])
+			copy(s.fb[j*lanes:], f)
+		}
+	}
+}
+
+// seamCases are the four places a tile can sit in its query: alone, or the
+// first, a middle or the last of several.
+var seamCases = []struct {
+	name        string
+	first, last bool
+}{
+	{"single", true, true},
+	{"first", true, false},
+	{"middle", false, false},
+	{"last", false, true},
+}
+
+// sweepInput draws a query profile with exactly the capacity the native
+// bodies demand, so the last row's 32-byte load ends flush with the backing
+// array, and the columns' residues. The profile's last letter is the pad,
+// MinI8 in every row, and its letter rail scores MaxI8 in every row. Lanes
+// 0-3 of every column pin the indices at the edges of the two 16-byte
+// halves, lane 3's being the pad, and lane 5 is a rail lane.
+func sweepInput(rng *rand.Rand, stride, rows, lanes, ncols int) (qp []int8, cols []uint8) {
+	pad, rail := stride-1, stride/2
+	qp = make([]int8, rows*stride, (rows-1)*stride+32)
+	for i := range qp {
+		switch i % stride {
+		case pad:
+			qp[i] = MinI8
+		case rail:
+			qp[i] = MaxI8
+		default:
+			qp[i] = int8(rng.Intn(256) + MinI8)
+		}
+	}
+	cols = make([]uint8, ncols*lanes)
+	for j := 0; j < ncols; j++ {
+		col := cols[j*lanes : (j+1)*lanes]
+		for i := range col {
+			col[i] = uint8(rng.Intn(stride))
+		}
+		copy(col, []uint8{0, 15, uint8(min(16, stride-1)), uint8(pad)})
+		col[5] = uint8(rail)
+	}
+	return qp, cols
+}
+
+// TestSweep8QPTiers replays the byte rung's one kernel through its exported
+// entry point under every tier the host runs — the portable loop, the
+// vpshufb pair over ymm strips and, where CPUID allows, the vpermb body
+// over zmm strips — against the reference sweep: the generic column step
+// per column with core's seam copies replayed around it. Lane counts cover
+// one and two zmm registers (64, 128) and 96, three ymm registers, which
+// the avx2+vbmi tier must hand to the vpshufb body. Table widths cover the
 // protein profile (25), a full row register (32) and the DNA profile (16);
-// the first lanes of every column pin the indices at the edges of the two
-// 16-byte halves; and each profile has exactly the capacity the wrapper
-// demands, so the last row's 32-byte load ends flush with the backing
-// array. Scores are drawn over all of int8 and the penalties over the
-// kernel's contract, [0, MaxI8].
-func TestStepCol8QPTiers(t *testing.T) {
+// every seam case runs, and every column has a pad lane and a lane that
+// reaches the byte rail (its H above the tile and on the tile's first row
+// sit at the rail too). State and scores are drawn over all of int8 and
+// the penalties over the kernel's contract, [0, MaxI8].
+func TestSweep8QPTiers(t *testing.T) {
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
 			defer CapTier(CapTier(tr))
@@ -302,28 +407,88 @@ func TestStepCol8QPTiers(t *testing.T) {
 			for _, stride := range []int{16, 25, 32} {
 				for _, lanes := range []int{32, 64, 96, 128} {
 					for _, rows := range []int{1, 2, 7, 33} {
-						for trial := 0; trial < 10; trial++ {
-							st := randI8(rng, rows, lanes)
-							qr, r := int8(rng.Intn(MaxI8+1)), int8(rng.Intn(MaxI8+1))
-							qp := make([]int8, rows*stride, (rows-1)*stride+32)
-							for i := range qp {
-								qp[i] = int8(rng.Intn(256) + MinI8)
+						for _, ncols := range []int{1, 2, 5} {
+							for _, sc := range seamCases {
+								for trial := 0; trial < 3; trial++ {
+									st := randSweep(rng, rows, lanes, ncols)
+									st.h[5], st.hb[5] = MaxI8, MaxI8
+									qr, r := int8(rng.Intn(MaxI8+1)), int8(rng.Intn(MaxI8+1))
+									qp, cols := sweepInput(rng, stride, rows, lanes, ncols)
+									got, want := st.clone(), st.clone()
+									got.sweep(qp, stride, cols, ncols, rows, lanes, qr, r, sc.first, sc.last)
+									want.sweepRef(qp, stride, cols, ncols, rows, lanes, qr, r, sc.first, sc.last)
+									got.diff(t, fmt.Sprintf("Sweep8QP stride=%d lanes=%d rows=%d ncols=%d %s", stride, lanes, rows, ncols, sc.name), want)
+									if (rows > 1 || !sc.first && ncols > 1) && want.maxv[5] != MaxI8 {
+										t.Fatalf("rows=%d ncols=%d %s: the rail lane stayed at %d", rows, ncols, sc.name, want.maxv[5])
+									}
+								}
 							}
-							col := make([]uint8, lanes)
-							for i := range col {
-								col[i] = uint8(rng.Intn(stride))
-							}
-							copy(col, []uint8{0, 15, uint8(min(16, stride-1)), uint8(stride - 1)})
-							got, want := st.clone(), st.clone()
-							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, qr, r)
-							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, qr, r)
-							got.diff(t, fmt.Sprintf("StepCol8QP stride=%d", stride), want)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// FuzzSweep8QP holds every tier's sweep to the reference on fuzzed shapes:
+// profile stride, lane count (mostly whole ymm and zmm registers, the rest
+// odd widths the portable loop takes), rows, columns and seam case, with
+// state, scores and residues drawn from the input bytes over all of int8
+// and the penalties over [0, MaxI8].
+func FuzzSweep8QP(f *testing.F) {
+	f.Add([]byte{0x7f, 0x80, 0, 1}, uint8(24), uint8(1), uint8(6), uint8(1), uint8(0), uint8(12), uint8(2))
+	f.Add([]byte{0xff, 0x7f, 0x7e, 0x80}, uint8(31), uint8(3), uint8(32), uint8(4), uint8(2), uint8(127), uint8(127))
+	f.Add([]byte{}, uint8(15), uint8(200), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, strideB, lanesB, rowsB, ncolsB, seam, qrB, rB uint8) {
+		stride := 1 + int(strideB)%40
+		lanes := 32 * (1 + int(lanesB)%4)
+		if lanesB >= 192 {
+			lanes = 1 + int(lanesB)%64
+		}
+		rows, ncols := 1+int(rowsB)%40, 1+int(ncolsB)%6
+		first, last := seam&1 != 0, seam&2 != 0
+		qr, r := int8(qrB%(MaxI8+1)), int8(rB%(MaxI8+1))
+
+		seed := int64(len(data))
+		for _, b := range data {
+			seed = seed*131 + int64(b)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		next := func() int8 {
+			if len(data) > 0 {
+				b := data[0]
+				data = data[1:]
+				return int8(b)
+			}
+			return int8(rng.Intn(256) + MinI8)
+		}
+		fill := func(n int) I8 {
+			out := make(I8, n)
+			for i := range out {
+				out[i] = next()
+			}
+			return out
+		}
+		st := &sweepState{h: fill(rows * lanes), e: fill(rows * lanes), hb: fill(ncols * lanes), fb: fill(ncols * lanes), maxv: fill(lanes)}
+		qp := make([]int8, rows*stride, max(rows*stride, (rows-1)*stride+32))
+		copy(qp, fill(rows*stride))
+		cols := make([]uint8, ncols*lanes)
+		for i := range cols {
+			cols[i] = uint8(next()) % uint8(stride)
+		}
+
+		want := st.clone()
+		want.sweepRef(qp, stride, cols, ncols, rows, lanes, qr, r, first, last)
+		for _, tr := range Tiers() {
+			func() {
+				defer CapTier(CapTier(tr))
+				got := st.clone()
+				got.sweep(qp, stride, cols, ncols, rows, lanes, qr, r, first, last)
+				got.diff(t, fmt.Sprintf("%v stride=%d lanes=%d rows=%d ncols=%d first=%v last=%v", tr, stride, lanes, rows, ncols, first, last), want)
+			}()
+		}
+	})
 }
 
 func TestNativeBuildRows(t *testing.T) {
@@ -430,37 +595,39 @@ func TestForcedPortableParityExported(t *testing.T) {
 	}
 }
 
-// BenchmarkStepCol8QP times the byte rung's one kernel, a column step over
-// a protein-width profile one register of the tier wide (64 lanes, a zmm,
-// on avx2+vbmi; 32, a ymm, on avx2 and for the portable loop) — the width
-// the host packs its lane groups for — under every tier the host runs and
-// at serving (30, 75, 120 rows) and tile-filling (1000) query lengths: the
-// vec-layer roof the lane-group and search benchmarks are read against.
-// 256 and 512 rows are the byte tile's height on 64 lanes at a 32 KiB and
-// a 64 KiB budget (core's tileBytes): between them the 64-lane H+E slab
-// outgrows a 48 KiB L1d, and the rate drops by 12-22% on such a part.
-// The 1- and 8-row cases expose the per-call floor, which ns/call reports
-// beside the cell rate: a fixed cost per call (such as the ~172 ns
-// legacy-SSE transition TestAsmVEXClean forbids) shows as a 30-row rate
-// far below the 1000-row one.
+// BenchmarkStepCol8QP times the byte rung's one kernel, a sweep of one
+// query tile across 2,048 columns over a protein-width profile one register
+// of the tier wide (64 lanes, a zmm, on avx2+vbmi; 32, a ymm, on avx2 and
+// for the portable loop) — the width the host packs its lane groups for —
+// under every tier the host runs and at serving (30, 75, 120 rows) and
+// tile-filling (1000) query lengths: the vec-layer roof the lane-group and
+// search benchmarks are read against. The name is the column step's the
+// sweep replaced, kept so the rows stay comparable with the committed
+// baseline. 256 and 512 rows are the byte tile's height on 64 lanes at a
+// 32 KiB and a 64 KiB budget (core's tileBytes): between them the 64-lane
+// H+E slab outgrows a 48 KiB L1d, and the rate drops by 12-22% on such a
+// part. The 1- and 8-row cases expose the per-column floor, which ns/col
+// reports beside the cell rate: a fixed cost per column (such as the ~172
+// ns legacy-SSE transition TestAsmVEXClean forbids, were it inside the
+// column loop) shows as a 30-row rate far below the 1000-row one.
 func BenchmarkStepCol8QP(b *testing.B) {
 	const columns = 2048
 	rng := rand.New(rand.NewSource(69))
-	cols := make([]uint8, columns*byteWidth(TierVBMI))
-	for i := range cols {
-		cols[i] = uint8(rng.Intn(testStride))
-	}
 	for _, tr := range Tiers() {
 		lanes := max(byteWidth(tr), byteWidth(TierAVX2))
+		cols := make([]uint8, columns*lanes)
+		for i := range cols {
+			cols[i] = uint8(rng.Intn(testStride))
+		}
 		for _, rows := range []int{1, 8, 30, 75, 120, 256, 512, 1000} {
 			b.Run(fmt.Sprintf("%v/rows=%d", tr, rows), func(b *testing.B) {
-				st := randI8(rng, rows, lanes)
+				st := randSweep(rng, rows, lanes, 0)
 				qp := make([]int8, rows*testStride, (rows-1)*testStride+32)
 				for i := range qp {
 					qp[i] = int8(rng.Intn(16) - 4)
 				}
-				benchColumns(b, tr, rows*lanes, columns, func(c int) {
-					StepCol8QP(st.h, st.e, st.f, st.diag, st.maxv, qp, testStride, cols[c*lanes:(c+1)*lanes], rows, lanes, 12, 2)
+				benchColumns(b, tr, rows*lanes, columns, func() {
+					Sweep8QP(st.h, st.e, nil, nil, st.maxv, qp, testStride, cols, columns, rows, lanes, 12, 2, true, true)
 				})
 			})
 		}
@@ -489,31 +656,28 @@ func BenchmarkStepCol16SP(b *testing.B) {
 				for i := range seq {
 					seq[i] = uint8(rng.Intn(testStride))
 				}
-				benchColumns(b, tr, rows*lanes, columns, func(int) {
-					StepCol16SP(h, e, f, diag, maxv, score, seq, rows, lanes, 12, 2)
+				benchColumns(b, tr, rows*lanes, columns, func() {
+					for c := 0; c < columns; c++ {
+						StepCol16SP(h, e, f, diag, maxv, score, seq, rows, lanes, 12, 2)
+					}
 				})
 			})
 		}
 	}
 }
 
-// benchColumns times step(c) for c in [0, columns), each call computing
-// cells cells, with the tier capped at tr. One iteration sweeps the
-// columns often enough (after a warm-up sweep) that CI's single
-// -benchtime=1x sample times milliseconds of work. It reports the cell
-// rate and the cost per call.
-func benchColumns(b *testing.B, tr Tier, cells, columns int, step func(c int)) {
+// benchColumns times sweep, one pass over columns database columns of
+// cells cells each, with the tier capped at tr. One iteration sweeps often
+// enough (after a warm-up sweep) that CI's single -benchtime=1x sample
+// times milliseconds of work. It reports the cell rate and the cost per
+// column.
+func benchColumns(b *testing.B, tr Tier, cells, columns int, sweep func()) {
 	defer CapTier(CapTier(tr))
 	budget := 1 << 26 // cells per iteration
 	if tr == TierPortable {
 		budget = 1 << 22
 	}
 	sweeps := max(1, budget/(cells*columns))
-	sweep := func() {
-		for c := 0; c < columns; c++ {
-			step(c)
-		}
-	}
 	sweep()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -521,7 +685,7 @@ func benchColumns(b *testing.B, tr Tier, cells, columns int, step func(c int)) {
 			sweep()
 		}
 	}
-	calls := float64(b.N) * float64(sweeps*columns)
-	b.ReportMetric(calls*float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/calls, "ns/call")
+	n := float64(b.N) * float64(sweeps*columns)
+	b.ReportMetric(n*float64(cells)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/col")
 }

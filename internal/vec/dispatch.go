@@ -11,8 +11,8 @@ import (
 // in tiers ordered so that a host that runs one runs every tier below it:
 //
 //	portable   pure Go
-//	avx2       every column kernel and helper over 256-bit registers
-//	avx2+vbmi  the same, except that StepCol8QP, the byte rung's kernel,
+//	avx2       every kernel and helper over 256-bit registers
+//	avx2+vbmi  the same, except that Sweep8QP, the byte rung's kernel,
 //	           runs over 512-bit registers: 64 byte lanes per zmm, the
 //	           profile row looked up with one vpermb instead of a vpshufb
 //	           pair, and three of each row's maxes as a compare into an
@@ -27,7 +27,7 @@ import (
 //     environment, or CapTier from a test), and
 //   - the lane count is a whole number of 256-bit registers (16 int16 or
 //     32 byte lanes); odd widths always take the portable loops. On
-//     avx2+vbmi, StepCol8QP runs its zmm body at whole zmm registers (64
+//     avx2+vbmi, Sweep8QP runs its zmm body at whole zmm registers (64
 //     byte lanes) and the avx2 body at the other multiples of 32.
 //
 // The tiers are lane-exact: every assembly routine computes the same
@@ -90,7 +90,7 @@ func native16(n int) bool { return asmSupported && n >= 16 && n&15 == 0 && Nativ
 // native8 is native16 for byte lanes (32 per 256-bit register).
 func native8(n int) bool { return asmSupported && n >= 32 && n&31 == 0 && Native() }
 
-// zmm8 reports whether a native StepCol8QP call over n byte lanes runs
+// zmm8 reports whether a native Sweep8QP call over n byte lanes runs
 // the avx2+vbmi tier's 512-bit body: the tier is selected and n is a whole
 // number of zmm registers.
 func zmm8(n int) bool { return n&63 == 0 && tier() == TierVBMI }

@@ -8,29 +8,43 @@ import (
 	"unsafe"
 )
 
-// TestStepCol8QPGuardPage places query profiles against an unmapped page:
-// with exactly the capacity the wrapper demands, the last row's 32-byte
-// load ends on the last mapped byte, so a native body reading any further
-// faults here instead of passing on allocator slack; one byte short of that
-// capacity the wrapper must take the portable loop, or it faults too. The
-// lane counts run the zmm body (64, 128) and, at 96, the vpshufb body the
-// avx2+vbmi tier hands widths that are not whole zmm registers.
-func TestStepCol8QPGuardPage(t *testing.T) {
+// guardedPage maps a readable page followed by an unmapped one and returns
+// the readable page, filled with random bytes: a slice ending at its end
+// ends flush against memory any read past it faults on.
+func guardedPage(t *testing.T, rng *rand.Rand) []byte {
+	t.Helper()
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
-	defer syscall.Munmap(mem)
+	t.Cleanup(func() { syscall.Munmap(mem) })
 	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	rng := rand.New(rand.NewSource(68))
 	for i := range mem[:page] {
 		mem[i] = uint8(rng.Intn(256))
 	}
-	// The profile is int8; view the mapping as such, guard page included.
-	mem8 := unsafe.Slice((*int8)(unsafe.Pointer(&mem[0])), len(mem))
+	return mem[:page]
+}
+
+// TestSweep8QPGuardPage places query profiles and column arrays against
+// unmapped pages. With exactly the capacity the wrapper demands, the
+// profile's last row's 32-byte load ends on the last mapped byte, so a
+// native body reading any further faults here instead of passing on
+// allocator slack; one byte short of that capacity the wrapper must take
+// the portable loop, or it faults too. The interleaved columns, ncols x
+// lanes bytes, end flush against a second guard page, which pins that no
+// body reads past the last column. The lane counts run the zmm body (64,
+// 128) and, at 96, the vpshufb body the avx2+vbmi tier hands widths that
+// are not whole zmm registers.
+func TestSweep8QPGuardPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	// The profile is int8; view its mapping as such.
+	qpPage := guardedPage(t, rng)
+	qpMem := unsafe.Slice((*int8)(unsafe.Pointer(&qpPage[0])), len(qpPage))
+	colPage := guardedPage(t, rng)
+	page := len(qpPage)
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
 			defer CapTier(CapTier(tr))
@@ -39,16 +53,17 @@ func TestStepCol8QPGuardPage(t *testing.T) {
 					for _, rows := range []int{1, 7} {
 						for short := 0; short <= 1 && rows*stride <= (rows-1)*stride+32-short; short++ {
 							base := page - ((rows-1)*stride + 32 - short)
-							qp := mem8[base : base+rows*stride : page]
-							col := make([]uint8, lanes)
-							for i := range col {
-								col[i] = uint8(rng.Intn(stride))
+							qp := qpMem[base : base+rows*stride : page]
+							const ncols = 3
+							cols := colPage[page-ncols*lanes:]
+							for i := range cols {
+								cols[i] = uint8(rng.Intn(stride))
 							}
-							st := randI8(rng, rows, lanes)
+							st := randSweep(rng, rows, lanes, ncols)
 							got, want := st.clone(), st.clone()
-							StepCol8QP(got.h, got.e, got.f, got.diag, got.maxv, qp, stride, col, rows, lanes, 12, 2)
-							stepCol8QPGeneric(want.h, want.e, want.f, want.diag, want.maxv, qp, stride, col, rows, lanes, 12, 2)
-							got.diff(t, fmt.Sprintf("StepCol8QP at the guard page, %d lanes", lanes), want)
+							got.sweep(qp, stride, cols, ncols, rows, lanes, 12, 2, false, false)
+							want.sweepRef(qp, stride, cols, ncols, rows, lanes, 12, 2, false, false)
+							got.diff(t, fmt.Sprintf("Sweep8QP at the guard pages, %d lanes", lanes), want)
 						}
 					}
 				}

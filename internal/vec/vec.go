@@ -1,7 +1,9 @@
-// Package vec implements the fixed-width integer SIMD column kernels of the
-// alignment engine in internal/core: fused column steps (step.go) that
-// advance one database column of the Smith-Waterman DP across a whole query
-// tile per call, in saturating 16-bit and signed 8-bit lanes, plus the few
+// Package vec implements the fixed-width integer SIMD kernels of the
+// alignment engine in internal/core (step.go): the 16-bit rung's fused
+// column steps, which advance one database column of the Smith-Waterman DP
+// across a whole query tile per call in saturating 16-bit lanes, and the
+// byte rung's sweep, which advances a whole query tile across every column
+// of a lane group per call in signed 8-bit lanes; plus the few
 // whole-register helpers the kernels need around them (broadcast,
 // horizontal maximum) and the score-profile row build.
 //
@@ -9,7 +11,7 @@
 // loops — the verified reference, and the emulation used at widths the host
 // does not have — and native assembly selected at runtime on capable amd64
 // hosts, which turns the emulated registers into real 256-bit ones (AVX2)
-// and, for the byte rung's StepCol8QP on hosts with AVX-512VBMI, 512-bit
+// and, for the byte rung's Sweep8QP on hosts with AVX-512VBMI, 512-bit
 // ones.
 // Both produce bit-identical lane results.
 //

@@ -61,13 +61,16 @@ func hmax16(a *int16, n int) int16
 //go:noescape
 func set1x8(dst *int8, n, c int)
 
-// ---- fused column kernels ----
+// ---- fused kernels ----
 //
-// One call advances a whole database column of the inter-task DP across
-// every row of the current query tile, so the call cost amortises over
-// rows x lanes cells; F, the diagonal and the score tracker stay in
-// registers for the entire column. See step.go for the layout contracts
-// and the portable reference semantics.
+// One call of a column step advances a whole database column of the
+// inter-task DP across every row of the current query tile, so the call
+// cost amortises over rows x lanes cells; F, the diagonal and the score
+// tracker stay in registers for the entire column. One call of a sweep
+// advances the tile across every column of the lane group, so they stay
+// in registers for the whole tile and the call cost amortises over
+// columns x rows x lanes cells. See step.go for the layout contracts and
+// the portable reference semantics.
 
 //go:noescape
 func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lanes, qr, r int)
@@ -76,10 +79,10 @@ func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lan
 func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lanes, bias, qr, r int)
 
 //go:noescape
-func stepCol8QP(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
+func sweep8QP(h, e, hb, fb, maxv *int8, qp *int8, stride int, cols *uint8, ncols, rows, lanes, qr, r int, first, last bool)
 
 //go:noescape
-func stepCol8QPVBMI(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
+func sweep8QPVBMI(h, e, hb, fb, maxv *int8, qp *int8, stride int, cols *uint8, ncols, rows, lanes, qr, r int, first, last bool)
 
 //go:noescape
 func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int)

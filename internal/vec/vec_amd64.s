@@ -1,9 +1,9 @@
 //go:build amd64 && !purego
 
-// AVX2 backend for the fused column kernels and their whole-register
-// helpers, plus the one routine of the avx2+vbmi tier (stepCol8QPVBMI, the
-// signed byte query-profile step over 512-bit registers, whose header gives
-// its per-row port budget).
+// AVX2 backend for the fused kernels and their whole-register helpers,
+// plus the one routine of the avx2+vbmi tier (sweep8QPVBMI, the signed
+// byte query-profile sweep over 512-bit registers, whose header gives its
+// per-row port budget).
 //
 // Every routine computes bit-identical results to the portable Go loops in
 // vec.go / step.go; the differential tests in this package and core's
@@ -23,7 +23,6 @@
 //
 // Plan 9 operand order reminders (reversed from Intel syntax):
 //   VPSUBSW  Yb, Ya, Yd      d = a - b
-//   VPCMPGTB Yb, Ya, Yd      d = (a > b)
 //   VPSHUFB  Yctl, Ysrc, Yd  d = shuffle(src, ctl)
 //   VPBLENDVB Ym, Yb, Ya, Yd d = m ? b : a
 //   VPERMB   Ztbl, Zidx, Zd  d[i] = tbl[idx[i] & 63]
@@ -114,7 +113,7 @@ loop:
 	VZEROUPPER
 	RET
 
-// ---- fused column kernels ----
+// ---- fused kernels ----
 
 // func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lanes, qr, r int)
 //
@@ -252,62 +251,75 @@ rowloop:
 	VZEROUPPER
 	RET
 
-// func stepCol8QP(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
+// func sweep8QP(h, e, hb, fb, maxv *int8, qp *int8, stride int, cols *uint8, ncols, rows, lanes, qr, r int, first, last bool)
 //
-// The signed byte pass over 32-lane ymm strips: H/E/F are cell values
-// offset by -128, so one saturating vpaddsb of the plain score both adds
-// and, at its -128 floor, clamps at zero. Byte gather as an in-register
-// table permute: the profile row's 32 bytes are loaded as two 16-byte
-// halves broadcast to both 128-bit lanes (VBROADCASTI128, reading up to 32
-// bytes from the row start — wrapper-checked spare capacity), then vpshufb
-// looks up idx in the low half and idx-16 in the high half (indices with
-// the sign bit set shuffle to zero), and vpblendvb selects by idx > 15.
-// Y10 idx, Y11 idx-16, Y12 blend mask, all strip-invariant. The up value
-// loads straight into Y0 once the add has consumed the diagonal, so no
-// register move carries it down the column. The row loop is 98 bytes:
-// aligned, it sits in two 64-byte fetch lines wherever the linker puts the
-// function (three cost 9% on the reference host); the zmm body's is 125.
-TEXT ·stepCol8QP(SB), NOSPLIT, $0-96
-	MOVQ lanes+72(FP), R10    // row stride in bytes
+// The signed byte sweep over 32-lane ymm strips: each strip runs every
+// column of the tile in turn, so the tracker (Y2) is loaded and stored once
+// per strip. H/E/F are cell values offset by -128, so one saturating
+// vpaddsb of the plain score both adds and, at its -128 floor (Y5), clamps
+// at zero. Byte gather as an in-register table permute: the profile row's
+// 32 bytes are loaded as two 16-byte halves broadcast to both 128-bit
+// lanes (VBROADCASTI128, reading up to 32 bytes from the row start —
+// wrapper-checked spare capacity), then vpshufb looks up idx in the low
+// half and idx-16 in the high half (indices with the sign bit set shuffle
+// to zero), and vpblendvb takes the low lookup where idx-16 has its sign
+// bit set. Y10 idx and Y11 idx-16 are per column. The up value loads
+// straight into Y0 once the add has consumed the diagonal, so no register
+// move carries it down the column, and uv goes to Y7 so Y6 leaves the row
+// loop holding the last row's H for the seam. The seam (see step.go): F
+// (Y1) enters each column from fb, or at the floor on the first tile, and
+// Y9 holds hb's old value, the next column's diagonal, while the last
+// row's H and F overwrite it. The row loop is 98 bytes: aligned, it sits
+// in two 64-byte fetch lines wherever the linker puts the function (three
+// cost 9% on the reference host); the zmm body's is 125.
+TEXT ·sweep8QP(SB), NOSPLIT, $0-106
+	MOVQ lanes+80(FP), R10    // row and column stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
-	MOVQ qr+80(FP), AX
+	MOVQ qr+88(FP), AX
 	VMOVQ AX, X3
 	VPBROADCASTB X3, Y3
-	MOVQ r+88(FP), AX
+	MOVQ r+96(FP), AX
 	VMOVQ AX, X4
 	VPBROADCASTB X4, Y4
-	XORQ R11, R11             // strip byte offset
-strip:
-	MOVQ col+56(FP), AX
-	ADDQ R11, AX
-	VMOVDQU (AX), Y10         // residue indices, one byte per lane
+	MOVQ $0x80, AX
+	VMOVQ AX, X5
+	VPBROADCASTB X5, Y5       // the floor, MinI8
 	MOVQ $0x1010101010101010, AX
-	VMOVQ AX, X11
-	VPBROADCASTQ X11, Y11
-	VPSUBB Y11, Y10, Y11      // idx - 16 (sign bit set for idx < 16)
-	MOVQ $0x0F0F0F0F0F0F0F0F, AX
 	VMOVQ AX, X12
 	VPBROADCASTQ X12, Y12
-	VPCMPGTB Y12, Y10, Y12    // idx > 15: take the high-half lookup
-	MOVQ diag+24(FP), AX
-	VMOVDQU (AX)(R11*1), Y0
-	MOVQ f+16(FP), AX
-	VMOVDQU (AX)(R11*1), Y1
+	XORQ R11, R11             // strip byte offset
+strip:
 	MOVQ maxv+32(FP), AX
 	VMOVDQU (AX)(R11*1), Y2
+	VMOVDQA Y5, Y0            // column 0's diagonal
+	MOVQ R11, DX              // the column's strip offset in cols, hb and fb
+	MOVQ ncols+64(FP), CX
+column:
+	MOVQ cols+56(FP), AX
+	VMOVDQU (AX)(DX*1), Y10   // residue indices, one byte per lane
+	VPSUBB Y12, Y10, Y11      // idx - 16 (sign bit set for idx < 16)
+	VMOVDQA Y5, Y1
+	VMOVDQA Y5, Y9
+	CMPB first+104(FP), $0
+	JNE  rows
+	MOVQ fb+24(FP), AX
+	VMOVDQU (AX)(DX*1), Y1    // F entering the tile's first row
+	MOVQ hb+16(FP), AX
+	VMOVDQU (AX)(DX*1), Y9    // H above the tile: the next column's diagonal
+rows:
 	MOVQ h+0(FP), DI
 	ADDQ R11, DI
 	MOVQ e+8(FP), SI
 	ADDQ R11, SI
 	MOVQ qp+40(FP), R8
-	MOVQ rows+64(FP), R9
+	MOVQ rows+72(FP), R9
 	PCALIGN $64
 rowloop:
 	VBROADCASTI128 (R8), Y13  // profile row bytes 0-15 in both lanes
 	VBROADCASTI128 16(R8), Y14 // bytes 16-31 (over-read past row end)
 	VPSHUFB   Y10, Y13, Y13   // low-half lookup
 	VPSHUFB   Y11, Y14, Y14   // high-half lookup
-	VPBLENDVB Y12, Y14, Y13, Y6
+	VPBLENDVB Y11, Y13, Y14, Y6
 	VPADDSB  Y0, Y6, Y6       // H = diag + score, floored at zero
 	VMOVDQU  (DI), Y0         // up: the next row's diagonal
 	VMOVDQU  (SI), Y8         // E
@@ -315,21 +327,28 @@ rowloop:
 	VPMAXSB  Y1, Y6, Y6
 	VPMAXSB  Y6, Y2, Y2       // score tracker
 	VMOVDQU  Y6, (DI)
-	VPSUBSB  Y3, Y6, Y6       // uv = H - qr, floored
+	VPSUBSB  Y3, Y6, Y7       // uv = H - qr, floored
 	VPSUBSB  Y4, Y8, Y8
-	VPMAXSB  Y6, Y8, Y8
+	VPMAXSB  Y7, Y8, Y8
 	VMOVDQU  Y8, (SI)
 	VPSUBSB  Y4, Y1, Y1
-	VPMAXSB  Y6, Y1, Y1
+	VPMAXSB  Y7, Y1, Y1
 	ADDQ     R12, R8          // next query-profile row
 	ADDQ     R10, DI
 	ADDQ     R10, SI
 	DECQ     R9
 	JNZ      rowloop
-	MOVQ diag+24(FP), AX
-	VMOVDQU Y0, (AX)(R11*1)
-	MOVQ f+16(FP), AX
-	VMOVDQU Y1, (AX)(R11*1)
+	CMPB last+105(FP), $0
+	JNE  next
+	MOVQ hb+16(FP), AX
+	VMOVDQU Y6, (AX)(DX*1)    // the last row's H and F, for the tile below
+	MOVQ fb+24(FP), AX
+	VMOVDQU Y1, (AX)(DX*1)
+next:
+	VMOVDQA Y9, Y0
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  column
 	MOVQ maxv+32(FP), AX
 	VMOVDQU Y2, (AX)(R11*1)
 	ADDQ $32, R11
@@ -338,15 +357,15 @@ rowloop:
 	VZEROUPPER
 	RET
 
-// func stepCol8QPVBMI(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int)
+// func sweep8QPVBMI(h, e, hb, fb, maxv *int8, qp *int8, stride int, cols *uint8, ncols, rows, lanes, qr, r int, first, last bool)
 //
-// stepCol8QP on the avx2+vbmi tier, over 64-lane zmm strips (the wrapper
-// guarantees lanes is a multiple of 64). VBROADCASTI64X4 copies the
-// profile row's 32 bytes (the same bytes the two broadcasts of stepCol8QP
-// read) into both 256-bit halves of Z13, and vpermb indexes its table
-// operand by the low six bits of each index byte, so with every index
-// below 32 the lookup is one instruction and the strip keeps only the
-// residue indices, Z10.
+// sweep8QP on the avx2+vbmi tier, over 64-lane zmm strips (the wrapper
+// guarantees lanes is a multiple of 64), with the same column loop and
+// seam. VBROADCASTI64X4 copies the profile row's 32 bytes (the same bytes
+// the two broadcasts of sweep8QP read) into both 256-bit halves of Z13,
+// and vpermb indexes its table operand by the low six bits of each index
+// byte, so with every index below 32 the lookup is one instruction and the
+// column keeps only the residue indices, Z10.
 //
 // Port budget per row. On the Sapphire and Emerald Rapids parts the
 // benchmarks run on, every 512-bit saturating add/subtract and byte max
@@ -358,31 +377,43 @@ rowloop:
 // latency to it. That leaves 6 port-0 ops per row (the add, two maxes,
 // three subtracts) against 4 on port 5 and 3 on either, where the unsigned
 // biased form queued 10 on port 0.
-TEXT ·stepCol8QPVBMI(SB), NOSPLIT, $0-96
-	MOVQ lanes+72(FP), R10    // row stride in bytes
+TEXT ·sweep8QPVBMI(SB), NOSPLIT, $0-106
+	MOVQ lanes+80(FP), R10    // row and column stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
-	MOVQ qr+80(FP), AX
+	MOVQ qr+88(FP), AX
 	VMOVQ AX, X3
 	VPBROADCASTB X3, Z3
-	MOVQ r+88(FP), AX
+	MOVQ r+96(FP), AX
 	VMOVQ AX, X4
 	VPBROADCASTB X4, Z4
+	MOVQ $0x80, AX
+	VMOVQ AX, X5
+	VPBROADCASTB X5, Z5       // the floor, MinI8
 	XORQ R11, R11             // strip byte offset
 strip:
-	MOVQ col+56(FP), AX
-	VMOVDQU8 (AX)(R11*1), Z10 // residue indices, one byte per lane
-	MOVQ diag+24(FP), AX
-	VMOVDQU8 (AX)(R11*1), Z0
-	MOVQ f+16(FP), AX
-	VMOVDQU8 (AX)(R11*1), Z1
 	MOVQ maxv+32(FP), AX
 	VMOVDQU8 (AX)(R11*1), Z2
+	VMOVDQA64 Z5, Z0          // column 0's diagonal
+	MOVQ R11, DX              // the column's strip offset in cols, hb and fb
+	MOVQ ncols+64(FP), CX
+column:
+	MOVQ cols+56(FP), AX
+	VMOVDQU8 (AX)(DX*1), Z10  // residue indices, one byte per lane
+	VMOVDQA64 Z5, Z1
+	VMOVDQA64 Z5, Z9
+	CMPB first+104(FP), $0
+	JNE  rows
+	MOVQ fb+24(FP), AX
+	VMOVDQU8 (AX)(DX*1), Z1   // F entering the tile's first row
+	MOVQ hb+16(FP), AX
+	VMOVDQU8 (AX)(DX*1), Z9   // H above the tile: the next column's diagonal
+rows:
 	MOVQ h+0(FP), DI
 	ADDQ R11, DI
 	MOVQ e+8(FP), SI
 	ADDQ R11, SI
 	MOVQ qp+40(FP), R8
-	MOVQ rows+64(FP), R9
+	MOVQ rows+72(FP), R9
 	PCALIGN $64
 rowloop:
 	VBROADCASTI64X4 (R8), Z13 // profile row bytes 0-31 in both halves
@@ -396,22 +427,29 @@ rowloop:
 	VPCMPB    $6, Z2, Z6, K2  // p5: H > tracker
 	VPBLENDMB Z6, Z2, K2, Z2  // tracker = max(tracker, H)
 	VMOVDQU8  Z6, (DI)
-	VPSUBSB   Z3, Z6, Z6      // p0: uv = H - qr, floored
+	VPSUBSB   Z3, Z6, Z7      // p0: uv = H - qr, floored
 	VPSUBSB   Z4, Z8, Z8      // p0: E - r
-	VPCMPB    $6, Z8, Z6, K3  // p5: uv > E - r
-	VPBLENDMB Z6, Z8, K3, Z8  // E' = max(E - r, uv)
+	VPCMPB    $6, Z8, Z7, K3  // p5: uv > E - r
+	VPBLENDMB Z7, Z8, K3, Z8  // E' = max(E - r, uv)
 	VMOVDQU8  Z8, (SI)
 	VPSUBSB   Z4, Z1, Z1      // p0: F - r
-	VPMAXSB   Z6, Z1, Z1      // p0: F' = max(F - r, uv)
+	VPMAXSB   Z7, Z1, Z1      // p0: F' = max(F - r, uv)
 	ADDQ      R12, R8         // next query-profile row
 	ADDQ      R10, DI
 	ADDQ      R10, SI
 	DECQ      R9
 	JNZ       rowloop
-	MOVQ diag+24(FP), AX
-	VMOVDQU8 Z0, (AX)(R11*1)
-	MOVQ f+16(FP), AX
-	VMOVDQU8 Z1, (AX)(R11*1)
+	CMPB last+105(FP), $0
+	JNE  next
+	MOVQ hb+16(FP), AX
+	VMOVDQU8 Z6, (AX)(DX*1)   // the last row's H and F, for the tile below
+	MOVQ fb+24(FP), AX
+	VMOVDQU8 Z1, (AX)(DX*1)
+next:
+	VMOVDQA64 Z9, Z0
+	ADDQ R10, DX
+	DECQ CX
+	JNZ  column
 	MOVQ maxv+32(FP), AX
 	VMOVDQU8 Z2, (AX)(R11*1)
 	ADDQ $64, R11

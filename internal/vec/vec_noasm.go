@@ -19,10 +19,10 @@ func stepCol16SP(h, e, f, diag, maxv *int16, score *int16, seq *uint8, rows, lan
 func stepCol8SP(h, e, f, diag, maxv *uint8, score *uint8, seq *uint8, rows, lanes, bias, qr, r int) {
 	panic("vec: no asm")
 }
-func stepCol8QP(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int) {
+func sweep8QP(h, e, hb, fb, maxv *int8, qp *int8, stride int, cols *uint8, ncols, rows, lanes, qr, r int, first, last bool) {
 	panic("vec: no asm")
 }
-func stepCol8QPVBMI(h, e, f, diag, maxv *int8, qp *int8, stride int, col *uint8, rows, lanes, qr, r int) {
+func sweep8QPVBMI(h, e, hb, fb, maxv *int8, qp *int8, stride int, cols *uint8, ncols, rows, lanes, qr, r int, first, last bool) {
 	panic("vec: no asm")
 }
 func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int) { panic("vec: no asm") }

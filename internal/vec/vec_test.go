@@ -114,29 +114,29 @@ func TestSet1AndHorizontalMax(t *testing.T) {
 }
 
 func TestGather(t *testing.T) {
-	// The byte step scores lane l with its column residue's entry of the
-	// profile row, row[col[l]], across both 16-byte halves of the row: from
-	// a diagonal of 0 (the cell value 128) with E and F at the floor, H is
-	// the score itself.
+	// The byte sweep scores lane l with its column residue's entry of the
+	// profile row, row[col[l]], across both 16-byte halves of the row: in a
+	// tile's first column, from the floor's diagonal (cell 0) with E and F
+	// at the floor, H is the cell value of a non-negative score itself.
 	const lanes, stride = 32, 25
 	for _, tr := range Tiers() {
 		func() {
 			defer CapTier(CapTier(tr))
 			qp := make([]int8, stride, 32)
 			for i := range qp {
-				qp[i] = int8(3*i - 40)
+				qp[i] = int8(3*i + 1)
 			}
 			col := make([]uint8, lanes)
 			for l := range col {
 				col[l] = uint8((7 * l) % stride)
 			}
-			h, e, f := make(I8, lanes), make(I8, lanes), make(I8, lanes)
-			diag, maxv := make(I8, lanes), make(I8, lanes)
+			h, e, maxv := make(I8, lanes), make(I8, lanes), make(I8, lanes)
+			Set1I8(h, MinI8)
 			Set1I8(e, MinI8)
-			Set1I8(f, MinI8)
-			StepCol8QP(h, e, f, diag, maxv, qp, stride, col, 1, lanes, MaxI8, MaxI8)
+			Set1I8(maxv, MinI8)
+			Sweep8QP(h, e, nil, nil, maxv, qp, stride, col, 1, 1, lanes, MaxI8, MaxI8, true, true)
 			for l := range h {
-				if want := qp[col[l]]; h[l] != want {
+				if want := qp[col[l]] + MinI8; h[l] != want {
 					t.Fatalf("%v: lane %d (residue %d) scored %d, want %d", tr, l, col[l], h[l], want)
 				}
 			}
@@ -209,43 +209,31 @@ func TestMaxProperty(t *testing.T) {
 
 // ---- 8-bit signed lanes ----
 
-// row8 steps one StepCol8QP row with uniform lanes (every column residue
-// 0, whose score is score) under every tier, at 32 lanes (a ymm strip) and
-// 64 (a zmm strip on avx2+vbmi), and returns lane 0's H, E, F and tracker.
-// Every value is in the signed rung's offset form: a lane holding v is the
-// cell value v+128.
+// row8 steps one row of the byte rung's generic column step with uniform
+// lanes (every column residue 0, whose score is score) and returns lane
+// 0's H, E, F and tracker. Every value is in the signed rung's offset
+// form: a lane holding v is the cell value v+128. The cell semantics are
+// pinned here, on the step whose inputs a test can set; TestSweep8QPTiers
+// and FuzzSweep8QP hold every tier's sweep to that step lane for lane.
 func row8(t *testing.T, diag, score, e, f, maxv, qr, r int8) [4]int8 {
 	t.Helper()
-	const stride = 25
-	var first [4]int8
-	for i, tr := range Tiers() {
-		for _, lanes := range []int{32, 64} {
-			func() {
-				defer CapTier(CapTier(tr))
-				qp := make([]int8, stride, 32)
-				qp[0] = score
-				h, ev, fv := make(I8, lanes), make(I8, lanes), make(I8, lanes)
-				dv, mv := make(I8, lanes), make(I8, lanes)
-				Set1I8(ev, e)
-				Set1I8(fv, f)
-				Set1I8(dv, diag)
-				Set1I8(mv, maxv)
-				StepCol8QP(h, ev, fv, dv, mv, qp, stride, make([]uint8, lanes), 1, lanes, qr, r)
-				got := [4]int8{h[0], ev[0], fv[0], mv[0]}
-				for l := 1; l < lanes; l++ {
-					if ([4]int8{h[l], ev[l], fv[l], mv[l]}) != got {
-						t.Fatalf("%v, %d lanes: lane %d differs from lane 0", tr, lanes, l)
-					}
-				}
-				if i == 0 && lanes == 32 {
-					first = got
-				} else if got != first {
-					t.Fatalf("%v at %d lanes computes %v, %v %v", tr, lanes, got, Tiers()[0], first)
-				}
-			}()
+	const stride, lanes = 25, 32
+	qp := make([]int8, stride)
+	qp[0] = score
+	h, ev, fv := make(I8, lanes), make(I8, lanes), make(I8, lanes)
+	dv, mv := make(I8, lanes), make(I8, lanes)
+	Set1I8(ev, e)
+	Set1I8(fv, f)
+	Set1I8(dv, diag)
+	Set1I8(mv, maxv)
+	stepCol8QPGeneric(h, ev, fv, dv, mv, qp, stride, make([]uint8, lanes), 1, lanes, qr, r)
+	got := [4]int8{h[0], ev[0], fv[0], mv[0]}
+	for l := 1; l < lanes; l++ {
+		if ([4]int8{h[l], ev[l], fv[l], mv[l]}) != got {
+			t.Fatalf("lane %d differs from lane 0", l)
 		}
 	}
-	return first
+	return got
 }
 
 func TestU8Saturation(t *testing.T) {
