@@ -48,6 +48,7 @@ func TestAsmVEXClean(t *testing.T) {
 		{"early RET before VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVMOVDQU (SI), Y0\n\tJZ done\n\tRET\ndone:\n\tVZEROUPPER\n\tRET\n"},
 		{"zmm body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVBROADCASTI64X4 (R8), Z13\n\tVPERMB Z13, Z10, Z6\n\tVMOVDQU8 Z6, (DI)\n\tRET\n"},
 		{"opmask body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVPCMPB $6, X6, X8, K1\n\tKMOVQ K1, AX\n\tRET\n"},
+		{"high zmm body without VZEROUPPER", "TEXT ·f(SB), NOSPLIT, $0-8\n\tVMOVDQU8 (DI), Z24\n\tRET\n"},
 	}
 	for _, f := range fixtures {
 		if len(asmVEXViolations(f.src)) == 0 {
@@ -63,7 +64,10 @@ func TestAsmVEXClean(t *testing.T) {
 		"\tVPBROADCASTB X1, Z1 // the EVEX forms of the zmm body\n" +
 		"\tVMOVDQU8 (AX)(R11*1), Z10\n\tVBROADCASTI64X4 (R8), Z13\n\tVPERMB Z13, Z10, Z6\n" +
 		"\tVMOVDQU8 Z6, (DI)\n\tVMOVDQA64 Z7, Z0\n" +
-		"\tVPCMPB $6, Z6, Z8, K1 // the opmask forms\n\tVPBLENDMB Z8, Z6, K1, Z6\n\tVZEROUPPER\n\tRET\n"
+		"\tVPCMPB $6, Z6, Z8, K1 // the opmask forms\n\tVPBLENDMB Z8, Z6, K1, Z6\n" +
+		"\tVPADDSB Z16, Z31, Z24 // the EVEX-only high registers\n\tVMOVDQU8 (DI)(R13*1), Z17\n" +
+		"\tVPCMPB $6, Z24, Z17, K4\n\tVPBLENDMB Z17, Z24, K4, Z24\n\tVPCMPB $6, Z2, Z29, K7\n" +
+		"\tVPMAXSB Z30, Z16, Z16\n\tVMOVDQU8 Z24, (DI)\n\tVZEROUPPER\n\tRET\n"
 	if v := asmVEXViolations(clean); len(v) != 0 {
 		t.Errorf("clean fixture flagged: %v", v)
 	}

@@ -356,7 +356,9 @@ var seamCases = []struct {
 // array, and the columns' residues. The profile's last letter is the pad,
 // MinI8 in every row, and its letter rail scores MaxI8 in every row. Lanes
 // 0-3 of every column pin the indices at the edges of the two 16-byte
-// halves, lane 3's being the pad, and lane 5 is a rail lane.
+// halves, lane 3's being the pad, and lane 5 is a rail lane. Lane 6
+// (pairLane) alternates: the pad in even columns, the left of each column
+// pair the native bodies sweep, and the rail letter in odd ones, the right.
 func sweepInput(rng *rand.Rand, stride, rows, lanes, ncols int) (qp []int8, cols []uint8) {
 	pad, rail := stride-1, stride/2
 	qp = make([]int8, rows*stride, (rows-1)*stride+32)
@@ -378,8 +380,31 @@ func sweepInput(rng *rand.Rand, stride, rows, lanes, ncols int) (qp []int8, cols
 		}
 		copy(col, []uint8{0, 15, uint8(min(16, stride-1)), uint8(pad)})
 		col[5] = uint8(rail)
+		col[pairLane] = uint8([]int{pad, rail}[j%2])
 	}
 	return qp, cols
+}
+
+// pairLane is the lane sweepInput gives the pad in even columns and the
+// rail letter in odd ones. railRight sets the state so that there the right
+// column of the first pair reaches the byte rail while the left column
+// cannot: the left column's E enters every row at zero, so its H feeds the
+// right column a non-negative diagonal, which the rail letter saturates;
+// and with the pad's score, F above the tile and the tracker below the
+// rail, nothing lifts the left column's H to it.
+const pairLane = 6
+
+func railRight(st *sweepState, rows, lanes int) {
+	for ri := 0; ri < rows; ri++ {
+		st.e[ri*lanes+pairLane] = 0
+	}
+	for j := 0; j*lanes < len(st.fb); j++ {
+		st.fb[j*lanes+pairLane] = min(st.fb[j*lanes+pairLane], MaxI8-1)
+	}
+	if len(st.hb) > 0 {
+		st.hb[pairLane] = 0
+	}
+	st.maxv[pairLane] = MinI8
 }
 
 // TestSweep8QPTiers replays the byte rung's one kernel through its exported
@@ -389,11 +414,15 @@ func sweepInput(rng *rand.Rand, stride, rows, lanes, ncols int) (qp []int8, cols
 // per column with core's seam copies replayed around it. Lane counts cover
 // one and two zmm registers (64, 128) and 96, three ymm registers, which
 // the avx2+vbmi tier must hand to the vpshufb body. Table widths cover the
-// protein profile (25), a full row register (32) and the DNA profile (16);
-// every seam case runs, and every column has a pad lane and a lane that
-// reaches the byte rail (its H above the tile and on the tile's first row
-// sit at the rail too). State and scores are drawn over all of int8 and
-// the penalties over the kernel's contract, [0, MaxI8].
+// protein profile (25), a full row register (32) and the DNA profile (16).
+// Column counts cover a lone column, one pair, a pair and an odd last
+// column, two pairs, and two pairs and an odd last column, each under every
+// seam case. Every column has a pad lane and a lane that reaches the byte
+// rail (its H above the tile and on the tile's first row sit at the rail
+// too), and pairLane reaches the rail in the right column of the first pair
+// only, so a body that dropped the right column's tracker fails. State and
+// scores are drawn over all of int8 and the penalties over the kernel's
+// contract, [0, MaxI8].
 func TestSweep8QPTiers(t *testing.T) {
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
@@ -407,10 +436,11 @@ func TestSweep8QPTiers(t *testing.T) {
 			for _, stride := range []int{16, 25, 32} {
 				for _, lanes := range []int{32, 64, 96, 128} {
 					for _, rows := range []int{1, 2, 7, 33} {
-						for _, ncols := range []int{1, 2, 5} {
+						for _, ncols := range []int{1, 2, 3, 4, 5} {
 							for _, sc := range seamCases {
 								for trial := 0; trial < 3; trial++ {
 									st := randSweep(rng, rows, lanes, ncols)
+									railRight(st, rows, lanes)
 									st.h[5], st.hb[5] = MaxI8, MaxI8
 									qr, r := int8(rng.Intn(MaxI8+1)), int8(rng.Intn(MaxI8+1))
 									qp, cols := sweepInput(rng, stride, rows, lanes, ncols)
@@ -420,6 +450,9 @@ func TestSweep8QPTiers(t *testing.T) {
 									got.diff(t, fmt.Sprintf("Sweep8QP stride=%d lanes=%d rows=%d ncols=%d %s", stride, lanes, rows, ncols, sc.name), want)
 									if (rows > 1 || !sc.first && ncols > 1) && want.maxv[5] != MaxI8 {
 										t.Fatalf("rows=%d ncols=%d %s: the rail lane stayed at %d", rows, ncols, sc.name, want.maxv[5])
+									}
+									if pair := ncols > 1 && (rows > 1 || !sc.first); pair != (want.maxv[pairLane] == MaxI8) {
+										t.Fatalf("rows=%d ncols=%d %s: lane %d ended at %d, want the rail only from a pair's right column", rows, ncols, sc.name, pairLane, want.maxv[pairLane])
 									}
 								}
 							}
@@ -446,7 +479,7 @@ func FuzzSweep8QP(f *testing.F) {
 		if lanesB >= 192 {
 			lanes = 1 + int(lanesB)%64
 		}
-		rows, ncols := 1+int(rowsB)%40, 1+int(ncolsB)%6
+		rows, ncols := 1+int(rowsB)%40, 1+int(ncolsB)%9
 		first, last := seam&1 != 0, seam&2 != 0
 		qr, r := int8(qrB%(MaxI8+1)), int8(rB%(MaxI8+1))
 
@@ -569,6 +602,18 @@ func TestDispatchFallbacks(t *testing.T) {
 		if got := c.info.String(); got != c.want {
 			t.Errorf("%+v.String() = %q, want %q", c.info, got, c.want)
 		}
+	}
+}
+
+// TestBackendInfo logs the vec tier that serves this run and the byte lane
+// width it packs, so a reader of a test log (CI runs it with -v) knows
+// which sweep body the suite exercised: the zmm body on avx2+vbmi, the
+// vpshufb body on avx2, the portable loop otherwise.
+func TestBackendInfo(t *testing.T) {
+	info := Info()
+	t.Logf("vec backend: %v; tiers: %v; %d byte lanes per group", info, Tiers(), info.Lanes8)
+	if info.Backend != Backend() {
+		t.Fatalf("Info().Backend = %q, Backend() = %q", info.Backend, Backend())
 	}
 }
 

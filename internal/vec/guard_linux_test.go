@@ -28,23 +28,27 @@ func guardedPage(t *testing.T, rng *rand.Rand) []byte {
 	return mem[:page]
 }
 
-// TestSweep8QPGuardPage places query profiles and column arrays against
-// unmapped pages. With exactly the capacity the wrapper demands, the
-// profile's last row's 32-byte load ends on the last mapped byte, so a
+// TestSweep8QPGuardPage places query profiles, column arrays and seam rows
+// against unmapped pages. With exactly the capacity the wrapper demands,
+// the profile's last row's 32-byte load ends on the last mapped byte, so a
 // native body reading any further faults here instead of passing on
 // allocator slack; one byte short of that capacity the wrapper must take
 // the portable loop, or it faults too. The interleaved columns, ncols x
-// lanes bytes, end flush against a second guard page, which pins that no
-// body reads past the last column. The lane counts run the zmm body (64,
-// 128) and, at 96, the vpshufb body the avx2+vbmi tier hands widths that
-// are not whole zmm registers.
+// lanes bytes, end flush against a second guard page, and the seam rows hb
+// and fb against a third and a fourth, which pins that no body reads or
+// writes past column ncols-1: at two columns the last is the right of a
+// pair, at three an odd last column, at four the right of the second pair,
+// each under every seam case. The lane counts run the zmm body (64, 128)
+// and, at 96, the vpshufb body the avx2+vbmi tier hands widths that are
+// not whole zmm registers.
 func TestSweep8QPGuardPage(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
-	// The profile is int8; view its mapping as such.
-	qpPage := guardedPage(t, rng)
-	qpMem := unsafe.Slice((*int8)(unsafe.Pointer(&qpPage[0])), len(qpPage))
+	// The profile and the seam rows are int8; view their mappings as such.
+	asI8 := func(b []byte) []int8 { return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b)) }
+	qpMem := asI8(guardedPage(t, rng))
 	colPage := guardedPage(t, rng)
-	page := len(qpPage)
+	hbMem, fbMem := asI8(guardedPage(t, rng)), asI8(guardedPage(t, rng))
+	page := len(qpMem)
 	for _, tr := range Tiers() {
 		t.Run(tr.String(), func(t *testing.T) {
 			defer CapTier(CapTier(tr))
@@ -54,16 +58,22 @@ func TestSweep8QPGuardPage(t *testing.T) {
 						for short := 0; short <= 1 && rows*stride <= (rows-1)*stride+32-short; short++ {
 							base := page - ((rows-1)*stride + 32 - short)
 							qp := qpMem[base : base+rows*stride : page]
-							const ncols = 3
-							cols := colPage[page-ncols*lanes:]
-							for i := range cols {
-								cols[i] = uint8(rng.Intn(stride))
+							for _, ncols := range []int{2, 3, 4} {
+								cols := colPage[page-ncols*lanes:]
+								for i := range cols {
+									cols[i] = uint8(rng.Intn(stride))
+								}
+								for _, sc := range seamCases {
+									st := randSweep(rng, rows, lanes, ncols)
+									got, want := st.clone(), st.clone()
+									got.hb, got.fb = hbMem[page-ncols*lanes:], fbMem[page-ncols*lanes:]
+									copy(got.hb, st.hb)
+									copy(got.fb, st.fb)
+									got.sweep(qp, stride, cols, ncols, rows, lanes, 12, 2, sc.first, sc.last)
+									want.sweepRef(qp, stride, cols, ncols, rows, lanes, 12, 2, sc.first, sc.last)
+									got.diff(t, fmt.Sprintf("Sweep8QP at the guard pages, %d lanes, %d columns, %s", lanes, ncols, sc.name), want)
+								}
 							}
-							st := randSweep(rng, rows, lanes, ncols)
-							got, want := st.clone(), st.clone()
-							got.sweep(qp, stride, cols, ncols, rows, lanes, 12, 2, false, false)
-							want.sweepRef(qp, stride, cols, ncols, rows, lanes, 12, 2, false, false)
-							got.diff(t, fmt.Sprintf("Sweep8QP at the guard pages, %d lanes", lanes), want)
 						}
 					}
 				}
