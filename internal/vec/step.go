@@ -211,14 +211,21 @@ func stepCol8SPGeneric(h, e, f, diag, maxv U8, score []uint8, seq []uint8, rows,
 // floored at MinI8 again. qr and r must lie in [0, MaxI8]; core starts a
 // search whose penalties exceed that at the 16-bit rung.
 //
-// The native paths replace the per-lane gather with an in-register table
-// lookup (profile rows fit one 32-byte register when stride <= 32): on the
-// avx2+vbmi tier, at lane counts that are multiples of 64, one vpermb per
-// 64-lane zmm strip; otherwise two vpshufb over the row's 16-byte halves
-// per 32-lane ymm strip, blended. Both read 32 bytes from each row start
-// and require stride <= 32, every residue in cols below stride, and
+// The native paths run the columns in pairs: each row loads its profile
+// row, H and E once for two columns, passes them through the left column
+// and then the right in registers (the left column's new H is the right
+// column's next diagonal, its E' the right column's E) and stores H and E
+// once. Each column of a pair keeps its own F and its own tracker, merged
+// once per strip; an odd last column runs a one-column loop. They replace
+// the per-lane gather with an in-register table lookup (profile rows fit
+// one 32-byte register when stride <= 32): on the avx2+vbmi tier, at lane
+// counts that are multiples of 64, one vpermb per 64-lane zmm strip;
+// otherwise two vpshufb over the row's 16-byte halves per 32-lane ymm
+// strip, blended. Both read 32 bytes from each row start and require
+// stride <= 32, every residue in cols below stride, and
 // cap(qp) >= (rows-1)*stride+32, falling back to the portable loop
-// otherwise; neither reads a byte of cols past column ncols-1.
+// otherwise; neither reads or writes a byte of cols, hb or fb past column
+// ncols-1.
 func Sweep8QP(h, e, hb, fb, maxv I8, qp []int8, stride int, cols []uint8, ncols, rows, lanes int, qr, r int8, first, last bool) {
 	if rows <= 0 || ncols <= 0 {
 		return
