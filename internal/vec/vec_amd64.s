@@ -286,8 +286,7 @@ rowloop:
 // hb and fb. An odd last column runs the one-column loop (the tail) with
 // Y10 idx and Y11 idx-16. Each row loop starts on a 64-byte fetch line
 // (PCALIGN), wherever the linker puts the function: the pair loop is 162
-// bytes, three lines for two columns, and the tail's 99, two lines, where
-// the one-column loop this replaced was 98.
+// bytes, three lines for two columns, and the tail's 99, two lines.
 TEXT ·sweep8QP(SB), NOSPLIT, $0-106
 	MOVQ lanes+80(FP), R10    // row and column stride in bytes
 	MOVQ stride+48(FP), R12   // profile row stride in bytes
@@ -486,9 +485,9 @@ merge:
 // Latency, not ports, bounds the one-column loop on the AMD EPYC (Zen 5,
 // family 26 model 2) the pairing was measured on: each row's tracker
 // update, a vpcmpb then a vpblendmb, waits on the row before, and the loop
-// held 39 Gcells/s per thread from 8 to 1,000 rows. The pair loop gives
+// held 38-39 Gcells/s per thread from 8 to 1,000 rows. The pair loop gives
 // each column its own tracker, so two such chains interleave, and it
-// halves the loads, stores and loop control per cell: 52-54 Gcells/s
+// halves the loads, stores and loop control per cell: 50-53 Gcells/s
 // there. The pair loop is 209 bytes, four fetch lines; the tail's is 124.
 TEXT ·sweep8QPVBMI(SB), NOSPLIT, $0-106
 	MOVQ lanes+80(FP), R10    // row and column stride in bytes
