@@ -250,7 +250,7 @@ func TestSignificanceAPI(t *testing.T) {
 }
 
 // The static plan of Algorithm 2's pair derives model-balanced shares
-// (internal/core's TestOptimalSharesProperties checks they beat a lopsided
+// (internal/model's TestOptimalSharesProperties checks they beat a lopsided
 // pinned split).
 func TestAutoSplitAPI(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.002, true)
@@ -269,11 +269,11 @@ func TestAutoSplitAPI(t *testing.T) {
 
 // Cluster.Plan over a one-device roster is Algorithm 1 on the device
 // model: the planner's estimate for that device over the database's
-// lengths, pinned by internal/core's plan_golden.json over the same
+// lengths, pinned by internal/model's plan_golden.json over the same
 // synthetic corpus.
 func TestClusterPlanEstimates(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.01, false)
-	raw, err := os.ReadFile("internal/core/testdata/plan_golden.json")
+	raw, err := os.ReadFile("internal/model/testdata/plan_golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/device"
-	"heterosw/internal/figures"
+	"heterosw/internal/model"
 	"heterosw/internal/profile"
 	"heterosw/internal/sched"
 	"heterosw/internal/seqdb"
@@ -33,9 +33,9 @@ const benchFigureScale = 0.05
 
 // benchWorkload is shared by the figure benchmarks (building it is cheap
 // but not free, and identical across iterations).
-var benchWorkload = figures.NewWorkload(benchFigureScale)
+var benchWorkload = model.NewWorkload(benchFigureScale)
 
-func reportSeriesMax(b *testing.B, fig *figures.Figure, label string) {
+func reportSeriesMax(b *testing.B, fig *model.Figure, label string) {
 	b.Helper()
 	for _, s := range fig.Series {
 		if s.Label != label {
@@ -56,9 +56,9 @@ func reportSeriesMax(b *testing.B, fig *figures.Figure, label string) {
 // BenchmarkFig03XeonThreadScaling regenerates Figure 3 (Xeon, 6 variants,
 // threads 1..32) and reports the intrinsic-SP peak.
 func BenchmarkFig03XeonThreadScaling(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Fig3(benchWorkload)
+		fig = model.Fig3(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "intrinsic-SP")
 }
@@ -66,9 +66,9 @@ func BenchmarkFig03XeonThreadScaling(b *testing.B) {
 // BenchmarkFig04XeonQueryLength regenerates Figure 4 (Xeon @32T over the
 // 20 query lengths).
 func BenchmarkFig04XeonQueryLength(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Fig4(benchWorkload)
+		fig = model.Fig4(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "intrinsic-SP")
 }
@@ -76,9 +76,9 @@ func BenchmarkFig04XeonQueryLength(b *testing.B) {
 // BenchmarkFig05PhiThreadScaling regenerates Figure 5 (Phi, 6 variants,
 // threads 30..240).
 func BenchmarkFig05PhiThreadScaling(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Fig5(benchWorkload)
+		fig = model.Fig5(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "intrinsic-SP")
 }
@@ -86,9 +86,9 @@ func BenchmarkFig05PhiThreadScaling(b *testing.B) {
 // BenchmarkFig06PhiQueryLength regenerates Figure 6 (Phi @240T over the 20
 // query lengths).
 func BenchmarkFig06PhiQueryLength(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Fig6(benchWorkload)
+		fig = model.Fig6(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "intrinsic-SP")
 }
@@ -96,9 +96,9 @@ func BenchmarkFig06PhiQueryLength(b *testing.B) {
 // BenchmarkFig07Blocking regenerates Figure 7 (blocking vs non-blocking on
 // both devices).
 func BenchmarkFig07Blocking(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Fig7(benchWorkload)
+		fig = model.Fig7(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "phi blocking")
 }
@@ -106,9 +106,9 @@ func BenchmarkFig07Blocking(b *testing.B) {
 // BenchmarkFig08HeteroSplit regenerates Figure 8 (the CPU/Phi workload-
 // distribution sweep) and reports the hybrid peak.
 func BenchmarkFig08HeteroSplit(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Fig8(benchWorkload)
+		fig = model.Fig8(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "hetero intrinsic-SP")
 }
@@ -116,9 +116,9 @@ func BenchmarkFig08HeteroSplit(b *testing.B) {
 // BenchmarkTableEfficiency regenerates the Section V.C.1 efficiency table
 // and reports intrinsic-SP efficiency at 16 threads (paper: 0.88).
 func BenchmarkTableEfficiency(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Efficiency(benchWorkload)
+		fig = model.Efficiency(benchWorkload)
 	}
 	for _, s := range fig.Series {
 		if s.Label == "intrinsic-SP" {
@@ -134,18 +134,18 @@ func BenchmarkTableEfficiency(b *testing.B) {
 // BenchmarkAblationSchedule regenerates the scheduling-policy ablation
 // (Section IV: dynamic > guided > static).
 func BenchmarkAblationSchedule(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.SchedulePolicies(benchWorkload)
+		fig = model.SchedulePolicies(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "sorted db")
 }
 
 // BenchmarkAblationPower regenerates the GCUPS/W extension of Figure 8.
 func BenchmarkAblationPower(b *testing.B) {
-	var fig *figures.Figure
+	var fig *model.Figure
 	for i := 0; i < b.N; i++ {
-		fig = figures.Power(benchWorkload)
+		fig = model.Power(benchWorkload)
 	}
 	reportSeriesMax(b, fig, "hetero GCUPS/W")
 }
@@ -533,7 +533,7 @@ func BenchmarkScheduleSimulation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.Simulate(costs, 240, sched.Dynamic, phi.DispatchCycles)
+		model.Simulate(costs, 240, sched.Dynamic, phi.DispatchCycles)
 	}
 }
 

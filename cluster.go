@@ -8,6 +8,7 @@ import (
 
 	"heterosw/internal/core"
 	"heterosw/internal/device"
+	"heterosw/internal/model"
 	"heterosw/internal/qsched"
 	"heterosw/internal/stats"
 	"heterosw/internal/vec"
@@ -411,7 +412,7 @@ func (c *Cluster) Plan(queryLen int) (*Plan, error) {
 	if queryLen <= 0 {
 		return nil, fmt.Errorf("heterosw: query length %d", queryLen)
 	}
-	p, err := core.PlanLengths(c.db.db.OrderLengths(), queryLen, c.roster, c.dopt)
+	p, err := model.PlanLengths(c.db.db.OrderLengths(), queryLen, c.roster, c.dopt)
 	if err != nil {
 		return nil, err
 	}

@@ -28,10 +28,10 @@ import (
 	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/device"
-	"heterosw/internal/figures"
-	"heterosw/internal/report"
+	"heterosw/internal/model"
 	"heterosw/internal/sched"
 	"heterosw/internal/seqdb/index"
+	"heterosw/internal/vec"
 )
 
 func main() {
@@ -73,18 +73,18 @@ func main() {
 	}
 
 	start := time.Now()
-	w := figures.NewWorkload(*scale)
+	w := model.NewWorkload(*scale)
 	fmt.Fprintf(out, "# swbench: %s\n", w)
 	fmt.Fprintf(out, "# devices: Xeon (16c/32t, 256-bit) + Xeon Phi (60c/240t, 512-bit); BLOSUM62, gaps 10/2\n")
-	fmt.Fprintf(out, "# vec backend: %s\n", device.HostSIMD())
+	fmt.Fprintf(out, "# vec backend: %s\n", vec.Info())
 	fmt.Fprintf(out, "# GCUPS below are simulated-device throughput (see the README's \"Interpreting GCUPS\")\n\n")
 
-	var figs []*figures.Figure
+	var figs []*model.Figure
 	if *fig == "all" {
-		figs = figures.All(w)
+		figs = model.All(w)
 	} else {
 		for _, id := range strings.Split(*fig, ",") {
-			f, err := figures.ByID(w, strings.TrimSpace(id))
+			f, err := model.ByID(w, strings.TrimSpace(id))
 			if err != nil {
 				fatal(err)
 			}
@@ -95,11 +95,11 @@ func main() {
 		var err error
 		switch {
 		case *summary:
-			err = report.Summary(out, f)
+			err = model.Summary(out, f)
 		case *csv:
-			err = report.CSV(out, f)
+			err = model.CSV(out, f)
 		default:
-			err = report.Table(out, f)
+			err = model.Table(out, f)
 		}
 		if err != nil {
 			fatal(err)
@@ -170,7 +170,7 @@ func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale flo
 	for _, d := range dists {
 		o := opt
 		o.Dist = d
-		p, err := core.PlanLengths(lengths, queryLen, devices, o)
+		p, err := model.PlanLengths(lengths, queryLen, devices, o)
 		if err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ import (
 	"time"
 
 	"heterosw"
-	hostdev "heterosw/internal/device"
+	"heterosw/internal/vec"
 )
 
 func main() {
@@ -169,7 +169,7 @@ func main() {
 	}
 	fmt.Printf("database: %s\n", db)
 	fmt.Printf("query:    %s (%d %s)\n", query.ID(), query.Len(), unit)
-	fmt.Printf("vec:      %s\n", hostdev.HostSIMD())
+	fmt.Printf("vec:      %s\n", vec.Info())
 
 	start := time.Now()
 	res, err := cl.Search(query, heterosw.ReportOptions{TopK: *topK})

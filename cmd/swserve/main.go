@@ -75,7 +75,7 @@ import (
 	"time"
 
 	"heterosw"
-	"heterosw/internal/device"
+	"heterosw/internal/vec"
 )
 
 func main() {
@@ -191,7 +191,7 @@ func main() {
 // internal/vec dispatched and the worker goroutines per query.
 func logHost(cl *heterosw.Cluster) {
 	_, per := cl.Totals()
-	fmt.Printf("swserve: host: %s, %d workers\n", device.HostSIMD(), per[0].Workers)
+	fmt.Printf("swserve: host: %s, %d workers\n", vec.Info(), per[0].Workers)
 }
 
 // runNode serves the shard execution protocol for the listed shard .swdb

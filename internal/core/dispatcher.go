@@ -15,7 +15,7 @@ import (
 // that runs Algorithm 1 over the database shard it owns. The stock
 // implementation is EngineBackend (this host); the distributed coordinator
 // plugs in one remote node per shard. What a search would cost on modelled
-// hardware is not a Backend's concern — see plan.go.
+// hardware is not a Backend's concern — see internal/model.
 type Backend interface {
 	// Name identifies the backend in totals and diagnostics.
 	Name() string
@@ -70,14 +70,58 @@ func (b *EngineBackend) Search(ctx context.Context, db *seqdb.Database, query *s
 	return eng.Search(query, opt)
 }
 
+// Distribution selects the workload-distribution strategy a roster is
+// planned under (internal/model's PlanLengths). It is a planner input: a
+// Dispatcher executes the same way whatever it says.
+type Distribution int
+
+const (
+	// DistStatic splits the database residues into one shard per device
+	// before the search starts — Algorithm 2's distribution, generalised
+	// from two devices to N.
+	DistStatic Distribution = iota
+	// DistDynamic runs a device-level work queue of equal-residue chunks
+	// that idle devices claim as they drain — the dynamic distribution
+	// strategy the paper names as future work, mirroring OpenMP
+	// schedule(dynamic) one level up.
+	DistDynamic
+	// DistGuided is DistDynamic with geometrically shrinking chunks
+	// (OpenMP schedule(guided) at the device level): large grants early,
+	// small ones to fill the load-balancing tail.
+	DistGuided
+)
+
+// String returns the distribution's flag-friendly name.
+func (d Distribution) String() string {
+	switch d {
+	case DistStatic:
+		return "static"
+	case DistDynamic:
+		return "dynamic"
+	case DistGuided:
+		return "guided"
+	}
+	return fmt.Sprintf("Distribution(%d)", int(d))
+}
+
+// ParseDistribution converts a distribution name to a Distribution.
+func ParseDistribution(s string) (Distribution, error) {
+	for _, d := range []Distribution{DistStatic, DistDynamic, DistGuided} {
+		if d.String() == s {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown distribution %q (have static, dynamic, guided)", s)
+}
+
 // DispatchOptions configures one cluster search.
 type DispatchOptions struct {
 	// Search carries the shared kernel configuration.
 	Search SearchOptions
-	// Dist and Shares are planner inputs (PlanLengths) and do not change
-	// what Dispatcher.Search executes: the distribution the roster is
-	// planned under (DistStatic when zero) and the static residue fraction
-	// per device (nil derives model-balanced OptimalShares).
+	// Dist and Shares are planner inputs (internal/model's PlanLengths)
+	// and do not change what Dispatcher.Search executes: the distribution
+	// the roster is planned under (DistStatic when zero) and the static
+	// residue fraction per device (nil derives model-balanced shares).
 	Dist   Distribution
 	Shares []float64
 }

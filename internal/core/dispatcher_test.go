@@ -271,3 +271,15 @@ func TestBackendReusesEngine(t *testing.T) {
 		t.Fatal("a different database did not get its own engine")
 	}
 }
+
+func TestParseDistribution(t *testing.T) {
+	for _, d := range []Distribution{DistStatic, DistDynamic, DistGuided} {
+		got, err := ParseDistribution(d.String())
+		if err != nil || got != d {
+			t.Fatalf("round trip %v: %v %v", d, got, err)
+		}
+	}
+	if _, err := ParseDistribution("adaptive"); err == nil {
+		t.Error("bogus distribution accepted")
+	}
+}

@@ -25,8 +25,8 @@ import (
 type Engine struct {
 	db *seqdb.Database
 	// dev supplies the lane geometry (Lanes, ByteLanes) and nothing else:
-	// what a search would cost on the modelled device is the planner's
-	// business (plan.go).
+	// what a search would cost on the modelled device is internal/model's
+	// business.
 	dev *device.Model
 	// pool lends the workers their kernel scratch.
 	pool *bufferPool
@@ -194,17 +194,17 @@ func (o SearchOptions) matrixFor(alpha *alphabet.Alphabet) *submat.Matrix {
 	return submat.BLOSUM62
 }
 
-// firstRung resolves the lane width a variant packs its groups for on dev
-// and whether its kernels start in byte lanes — from the variant, from
-// whether the gap penalties fit a byte (Params.byteGaps) and from the
-// device's register. The planner prices every variant through it;
-// Engine.Search asks it for IntrinsicSP, the ladder every search runs, so
-// the engine and the planner's pricing of that variant cannot disagree.
-func firstRung(v Variant, viable bool, dev *device.Model) (lanes int, eightBit bool) {
+// FirstRung resolves the lane width the variant packs its groups for on
+// dev and whether its kernels start in byte lanes — from the variant, from
+// whether the gap penalties fit a byte (byteGaps) and from the device's
+// register. Engine.Search asks it for IntrinsicSP, the ladder every search
+// runs, and internal/model prices the serving ladder through it, so the
+// engine and the planner cannot disagree about lanes.
+func (p Params) FirstRung(dev *device.Model) (lanes int, eightBit bool) {
 	switch {
-	case v.Vec() == VecNone:
+	case p.Variant.Vec() == VecNone:
 		return 1, false
-	case v.Vec() == VecIntrinsic && byteLanes(viable, dev.ByteLanes()):
+	case p.Variant.Vec() == VecIntrinsic && byteLanes(p.byteGaps(), dev.ByteLanes()):
 		return dev.ByteLanes(), true
 	}
 	return dev.Lanes, false
@@ -257,7 +257,9 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			qa.Name(), query.ID, alpha.Name())
 	}
 	qp := profile.NewQuery(query.Residues, matrix)
-	lanes, _ := firstRung(IntrinsicSP, opt.Params.byteGaps(), e.dev)
+	ladder := opt.Params
+	ladder.Variant = IntrinsicSP
+	lanes, _ := ladder.FirstRung(e.dev)
 	longThr := opt.LongSeqThreshold
 	switch {
 	case longThr < 0:

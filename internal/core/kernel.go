@@ -73,7 +73,7 @@ func (p Params) Validate() error {
 // the device cost model consumes: the paper's variant, priced as the
 // figures price it, though every search executes the precision ladder.
 // EightBit is not a parameter: the planner sets it from the matrix and the
-// device (see firstRung).
+// device (see FirstRung).
 func (p Params) KernelClass() device.KernelClass {
 	return device.KernelClass{
 		Scalar:       p.Variant.Vec() == VecNone,

@@ -208,16 +208,16 @@ func TestLadderFirstRung(t *testing.T) {
 		}
 	}
 	for _, dev := range []*device.Model{device.Xeon(), device.Phi()} {
-		if lanes, eight := firstRung(IntrinsicSP, true, dev); lanes != dev.ByteLanes() || !eight {
+		if lanes, eight := (Params{Variant: IntrinsicSP, GapOpen: 10, GapExtend: 2}).FirstRung(dev); lanes != dev.ByteLanes() || !eight {
 			t.Errorf("%s intrinsic, viable: %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
-		if lanes, eight := firstRung(IntrinsicQP, false, dev); lanes != dev.Lanes || eight {
+		if lanes, eight := (Params{Variant: IntrinsicQP, GapOpen: 120, GapExtend: 10}).FirstRung(dev); lanes != dev.Lanes || eight {
 			t.Errorf("%s intrinsic, wide gaps: %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
-		if lanes, eight := firstRung(GuidedSP, true, dev); lanes != dev.Lanes || eight {
+		if lanes, eight := (Params{Variant: GuidedSP}).FirstRung(dev); lanes != dev.Lanes || eight {
 			t.Errorf("%s guided: %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
-		if lanes, eight := firstRung(NoVecSP, true, dev); lanes != 1 || eight {
+		if lanes, eight := (Params{Variant: NoVecSP}).FirstRung(dev); lanes != 1 || eight {
 			t.Errorf("%s scalar: %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
 	}
@@ -298,7 +298,7 @@ func TestLadderWideGaps(t *testing.T) {
 	opt.Params.GapOpen, opt.Params.GapExtend = 120, 10
 	sc := swalign.Scoring{Matrix: submat.BLOSUM62, GapOpen: 120, GapExtend: 10}
 	for _, dev := range []*device.Model{device.Xeon(), device.Phi()} {
-		if lanes, eight := firstRung(IntrinsicSP, opt.Params.byteGaps(), dev); lanes != dev.Lanes || eight {
+		if lanes, eight := opt.Params.FirstRung(dev); lanes != dev.Lanes || eight {
 			t.Fatalf("%s: gaps 120/10 plan %d lanes, byte=%v", dev.Short, lanes, eight)
 		}
 		e, err := NewEngine(db, dev)

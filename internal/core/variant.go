@@ -5,9 +5,9 @@
 // 32-bit scalar recomputation, and a striped 16-bit pass for long subjects),
 // in the single-device search of Algorithm 1. The six kernel variants of
 // Section V ({no-vec, guided-simd, intrinsic} x {query profile, score
-// profile}) are labels the planner (plan.go) prices as the paper's figures
-// do, along with the heterogeneous distributions of Algorithm 2; no search
-// reads them.
+// profile}) are labels the device model (internal/model) prices, along
+// with the heterogeneous distributions of Algorithm 2; no search reads
+// them.
 package core
 
 import "fmt"

@@ -27,17 +27,7 @@ package device
 import (
 	"fmt"
 	"math"
-
-	"heterosw/internal/vec"
 )
-
-// HostSIMD reports the real vector backend executing the emulated lanes in
-// this process (AVX2 assembly or the portable Go loops), so tools can
-// print host capability beside the modelled device widths. The modelled
-// widths and the cost model are unaffected by the selection — simulated
-// cycles come from structural operation counts, wall throughput from the
-// backend.
-func HostSIMD() vec.BackendInfo { return vec.Info() }
 
 // HostSortSeconds models step 4 of the paper's pipeline: the final
 // descending sort of one similarity score per database sequence, performed

@@ -15,7 +15,7 @@ package device
 //	       34.9 GCUPS @ 240 threads.
 //	Hybrid: 62.6 GCUPS at a ~55% Phi share.
 //
-// The calibration is locked by internal/figures tests; if you change a
+// The calibration is locked by internal/model tests; if you change a
 // constant here, those tests tell you which paper number you broke.
 
 // Xeon returns the model of the host: 2x Intel Xeon E5-2670 (Sandy Bridge

@@ -1,4 +1,4 @@
-package figures
+package model
 
 import (
 	"testing"
@@ -23,12 +23,9 @@ func TestFiguresAgreeWithPlanner(t *testing.T) {
 		for _, m := range []int{144, 1000, 5478} {
 			for _, v := range core.Variants() {
 				fig, _ := w.SimSearch(Config{Dev: dev, Variant: v, Policy: sched.Dynamic}, m)
-				p, err := core.PlanLengths(lengths, m, []*device.Model{dev}, core.DispatchOptions{
-					Search: core.SearchOptions{
-						Params:   core.Params{Variant: v, GapOpen: 10, GapExtend: 2, Blocked: true},
-						Schedule: sched.Dynamic,
-					},
-				})
+				opt := defaultSearchOptions()
+				opt.Variant = v
+				p, err := PlanLengths(lengths, m, []*device.Model{dev}, core.DispatchOptions{Search: opt})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,4 +1,4 @@
-package figures
+package model
 
 // Calibration lock: these tests pin the simulated figures to the GCUPS
 // values the paper states in its text (swbench -fig all prints them beside

@@ -1,4 +1,4 @@
-package figures
+package model
 
 import (
 	"fmt"
@@ -315,7 +315,7 @@ func ByID(w *Workload, id string) (*Figure, error) {
 	case "transfer":
 		return TransferImpact(w), nil
 	}
-	return nil, fmt.Errorf("figures: unknown figure %q", id)
+	return nil, fmt.Errorf("model: unknown figure %q", id)
 }
 
 // TransferImpact addresses the paper's closing future-work question —

@@ -1,4 +1,4 @@
-package figures
+package model
 
 import (
 	"testing"

@@ -1,9 +1,10 @@
-package core
+package model
 
 import (
 	"fmt"
 	"sort"
 
+	"heterosw/internal/core"
 	"heterosw/internal/device"
 	"heterosw/internal/sched"
 	"heterosw/internal/seqdb"
@@ -11,72 +12,28 @@ import (
 
 // The planner prices a search on modelled devices without running it: from
 // sequence lengths alone it predicts what one device (estimateSeconds) or a
-// roster under a workload distribution (PlanLengths) would take, using the
-// paper's Xeon and Xeon Phi cost models. It is the only producer of
-// simulated seconds; nothing on the execution path (Engine, Dispatcher)
-// calls it. swbench, the calibration tests and the public Cluster.Plan do.
-// A roster is a list of device models, each priced at its maximum thread
-// count with a scheduling chunk of one sequence group.
+// roster under a workload distribution (PlanLengths) would take. It prices
+// the serving ladder's lanes (core.Params.FirstRung), so its numbers are
+// what the engine would do on the modelled hardware; nothing on the
+// execution path calls it. swbench, the calibration tests and the public
+// Cluster.Plan do. A roster is a list of device models, each priced at its
+// maximum thread count with a scheduling chunk of one sequence group.
 
 // validateRoster rejects an empty roster and any device the cost models
 // cannot price.
 func validateRoster(roster []*device.Model) error {
 	if len(roster) == 0 {
-		return fmt.Errorf("core: empty device roster")
+		return fmt.Errorf("model: empty device roster")
 	}
 	for i, m := range roster {
 		if m == nil {
-			return fmt.Errorf("core: device %d: nil model", i)
+			return fmt.Errorf("model: device %d: nil model", i)
 		}
 		if err := m.Validate(); err != nil {
-			return fmt.Errorf("core: device %d: %w", i, err)
+			return fmt.Errorf("model: device %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-// Distribution selects the workload-distribution strategy a roster is
-// planned under. It is a planner input: a Dispatcher executes the same way
-// whatever it says.
-type Distribution int
-
-const (
-	// DistStatic splits the database residues into one shard per device
-	// before the search starts — Algorithm 2's distribution, generalised
-	// from two devices to N.
-	DistStatic Distribution = iota
-	// DistDynamic runs a device-level work queue of equal-residue chunks
-	// that idle devices claim as they drain — the dynamic distribution
-	// strategy the paper names as future work, mirroring OpenMP
-	// schedule(dynamic) one level up.
-	DistDynamic
-	// DistGuided is DistDynamic with geometrically shrinking chunks
-	// (OpenMP schedule(guided) at the device level): large grants early,
-	// small ones to fill the load-balancing tail.
-	DistGuided
-)
-
-// String returns the distribution's flag-friendly name.
-func (d Distribution) String() string {
-	switch d {
-	case DistStatic:
-		return "static"
-	case DistDynamic:
-		return "dynamic"
-	case DistGuided:
-		return "guided"
-	}
-	return fmt.Sprintf("Distribution(%d)", int(d))
-}
-
-// ParseDistribution converts a distribution name to a Distribution.
-func ParseDistribution(s string) (Distribution, error) {
-	for _, d := range []Distribution{DistStatic, DistDynamic, DistGuided} {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown distribution %q (have static, dynamic, guided)", s)
 }
 
 // chunksPerDevice sets the default dynamic chunk granularity: enough
@@ -84,59 +41,39 @@ func ParseDistribution(s string) (Distribution, error) {
 // search, few enough that per-chunk dispatch and PCIe latency stay noise.
 const chunksPerDevice = 24
 
-// shapeCosts resolves the engine's lane-width and long-sequence routing
-// rules for a device, packs the lengths into scheduler-chunk shapes and
-// prices each one — the cost pipeline shared by the static share
-// estimator (estimateSeconds) and the dynamic chunk coster
-// (chunkSeconds), kept in one place so the two distribution strategies
-// can never drift apart.
-func shapeCosts(lengths []int, m int, dev *device.Model, opt SearchOptions) (costs []float64, residues int64, threads int) {
+// servingCosts packs the lengths as Engine.Search would on dev — the
+// serving ladder's first rung (core.Params.FirstRung) and its long-sequence
+// routing — and prices every shape, for the static share estimator
+// (estimateComputeSeconds) and the dynamic chunk coster (chunkSeconds)
+// alike, so the two distribution strategies can never drift apart. With
+// byte lanes the estimate optimistically assumes no escalation recomputes;
+// over a realistic protein database the saturating tail is negligible.
+func servingCosts(lengths []int, m int, dev *device.Model, opt core.SearchOptions) (costs []float64, threads int) {
 	threads = dev.MaxThreads()
 	class := opt.Params.KernelClass()
-	// The same rule as Engine.Search. (With byte lanes the estimate
-	// optimistically assumes no escalation recomputes; over a realistic
-	// protein database the saturating tail is negligible.)
-	lanes, eightBit := firstRung(opt.Variant, opt.Params.byteGaps(), dev)
+	lanes, eightBit := opt.Params.FirstRung(dev)
 	class.EightBit = eightBit
 	longThr := opt.LongSeqThreshold
 	switch {
 	case longThr < 0 || class.Scalar:
 		longThr = 0
 	case longThr == 0:
-		longThr = DefaultLongSeqThreshold
+		longThr = core.DefaultLongSeqThreshold
 	}
 	shapes := seqdb.PackShapes(lengths, lanes, true, longThr)
-	coeffs := dev.Coeffs(class, m, lanes, threads)
-	intra := dev.IntraCoeffs(m)
-	costs = make([]float64, len(shapes))
-	for i, s := range shapes {
-		if s.Intra {
-			costs[i] = intra.Cost(s)
-		} else {
-			costs[i] = coeffs.Cost(s)
-		}
-		residues += s.Residues
-	}
-	return costs, residues, threads
+	return costShapes(nil, shapes, m, dev, class, lanes, threads), threads
 }
 
 // estimateComputeSeconds predicts the parallel region and offload time of
 // a search over the given sequence lengths on one device — everything but
 // the final host-side score sort, which cluster planning charges once over
 // the merged list rather than per shard (see Plan).
-func estimateComputeSeconds(lengths []int, m int, dev *device.Model, opt SearchOptions) float64 {
+func estimateComputeSeconds(lengths []int, m int, dev *device.Model, opt core.SearchOptions) float64 {
 	if len(lengths) == 0 || m == 0 {
 		return 0
 	}
-	costs, residues, threads := shapeCosts(lengths, m, dev, opt)
-	sim := sched.Simulate(costs, threads, opt.Schedule, dev.DispatchCycles)
-	seconds := dev.Seconds(sim.Makespan, threads)
-	if dev.OffloadRequired {
-		in := device.QueryBytes(m) + device.DatabaseBytes(residues, len(lengths))
-		out := device.ScoreBytes(len(lengths))
-		seconds = dev.OffloadSeconds(in, out, seconds)
-	}
-	return seconds
+	costs, threads := servingCosts(lengths, m, dev, opt)
+	return replaySeconds(costs, m, sumLengths(lengths), len(lengths), dev, threads, opt.Schedule)
 }
 
 // estimateSeconds predicts the completion time of a search (Algorithm 1)
@@ -144,7 +81,7 @@ func estimateComputeSeconds(lengths []int, m int, dev *device.Model, opt SearchO
 // packing and long-sequence routing Engine.Search would apply, priced group
 // by group, replayed under the device's loop schedule, plus offload
 // transfers and the host-side sort.
-func estimateSeconds(lengths []int, m int, dev *device.Model, opt SearchOptions) float64 {
+func estimateSeconds(lengths []int, m int, dev *device.Model, opt core.SearchOptions) float64 {
 	if len(lengths) == 0 || m == 0 {
 		return 0
 	}
@@ -159,7 +96,7 @@ func estimateSeconds(lengths []int, m int, dev *device.Model, opt SearchOptions)
 // proportional to each device's predicted throughput (1 / t_i). The
 // returned shares are normalised to sum to 1; equal shares are returned
 // when no prediction is possible (empty database, zero query length).
-func OptimalShares(lengths []int, queryLen int, opt SearchOptions, roster []*device.Model) []float64 {
+func OptimalShares(lengths []int, queryLen int, opt core.SearchOptions, roster []*device.Model) []float64 {
 	n := len(roster)
 	shares := make([]float64, n)
 	if n == 0 {
@@ -193,42 +130,39 @@ func OptimalShares(lengths []int, queryLen int, opt SearchOptions, roster []*dev
 // size.
 func validateShares(shares []float64, devices int) error {
 	if len(shares) != devices {
-		return fmt.Errorf("core: %d shares for %d devices", len(shares), devices)
+		return fmt.Errorf("model: %d shares for %d devices", len(shares), devices)
 	}
 	var sum float64
 	for i, s := range shares {
 		if s < 0 {
-			return fmt.Errorf("core: negative share %v for device %d", s, i)
+			return fmt.Errorf("model: negative share %v for device %d", s, i)
 		}
 		sum += s
 	}
 	if sum == 0 {
-		return fmt.Errorf("core: shares sum to zero")
+		return fmt.Errorf("model: shares sum to zero")
 	}
 	return nil
 }
 
 // chunkWindows computes device-level chunk boundaries over a
 // length-sorted processing order: windows of consecutive sequences whose
-// residues accumulate to the sched.ChunkSizes targets. Dynamic chunks are
+// residues accumulate to the chunkSizes targets. Dynamic chunks are
 // returned heaviest-first (the reversed, longest-sequences-first order, as
-// sched.Simulate's in-device dynamic policy dispatches), Guided chunks in
+// Simulate's in-device dynamic policy dispatches), Guided chunks in
 // front-to-back order so the shrinking grants end with the smallest. The
 // target granularity is roughly chunksPerDevice chunks per worker.
-func chunkWindows(lengths []int, dist Distribution, workers int) [][2]int {
-	var total int64
-	for _, l := range lengths {
-		total += int64(l)
-	}
+func chunkWindows(lengths []int, dist core.Distribution, workers int) [][2]int {
+	total := sumLengths(lengths)
 	target := total / int64(chunksPerDevice*workers)
 	if target < 1 {
 		target = 1
 	}
 	policy := sched.Dynamic
-	if dist == DistGuided {
+	if dist == core.DistGuided {
 		policy = sched.Guided
 	}
-	sizes := sched.ChunkSizes(policy, total, workers, target)
+	sizes := chunkSizes(policy, total, workers, target)
 	var windows [][2]int
 	start := 0
 	for _, size := range sizes {
@@ -264,7 +198,7 @@ func chunkWindows(lengths []int, dist Distribution, workers int) [][2]int {
 // possible but the shape-level simulation is exact.
 type Plan struct {
 	// Dist is the planned distribution.
-	Dist Distribution
+	Dist core.Distribution
 	// Shares is the residue fraction scheduled onto each device.
 	Shares []float64
 	// Seconds is each device's predicted busy time, including region
@@ -284,9 +218,9 @@ type Plan struct {
 // planStaticLengths prices one static split: per-part compute seconds,
 // realised residue shares, and the final host-side sort of the merged
 // list.
-func planStaticLengths(parts [][]int, queryLen int, roster []*device.Model, opt DispatchOptions, dbLen int) *Plan {
+func planStaticLengths(parts [][]int, queryLen int, roster []*device.Model, opt core.DispatchOptions, dbLen int) *Plan {
 	p := &Plan{
-		Dist:    DistStatic,
+		Dist:    core.DistStatic,
 		Shares:  make([]float64, len(roster)),
 		Seconds: make([]float64, len(roster)),
 		Chunks:  make([]int, len(roster)),
@@ -294,9 +228,7 @@ func planStaticLengths(parts [][]int, queryLen int, roster []*device.Model, opt 
 	var total int64
 	residues := make([]int64, len(parts))
 	for i, part := range parts {
-		for _, l := range part {
-			residues[i] += int64(l)
-		}
+		residues[i] = sumLengths(part)
 		total += residues[i]
 	}
 	for i, dev := range roster {
@@ -323,7 +255,7 @@ func planStaticLengths(parts [][]int, queryLen int, roster []*device.Model, opt 
 // charges its own database shipment and score return for offload devices,
 // which is the true cost a dynamic distribution pays for flexibility. The
 // final host-side merge sort of the full score list closes the makespan.
-func planChunkLengths(chunkLens [][]int, queryLen int, roster []*device.Model, opt DispatchOptions, dbLen int) *Plan {
+func planChunkLengths(chunkLens [][]int, queryLen int, roster []*device.Model, opt core.DispatchOptions, dbLen int) *Plan {
 	n := len(roster)
 	costs := make([][]float64, len(chunkLens))
 	residues := make([]int64, len(chunkLens))
@@ -332,9 +264,7 @@ func planChunkLengths(chunkLens [][]int, queryLen int, roster []*device.Model, o
 		for i, dev := range roster {
 			costs[c][i] = chunkSeconds(lens, queryLen, dev, opt.Search)
 		}
-		for _, l := range lens {
-			residues[c] += int64(l)
-		}
+		residues[c] = sumLengths(lens)
 	}
 	seed := make([]float64, n)
 	for i, m := range roster {
@@ -343,7 +273,7 @@ func planChunkLengths(chunkLens [][]int, queryLen int, roster []*device.Model, o
 			seed[i] += m.TransferSeconds(device.QueryBytes(queryLen))
 		}
 	}
-	s := sched.ScheduleChunks(len(chunkLens), n, seed, func(chunk, worker int) float64 {
+	s := scheduleChunks(len(chunkLens), n, seed, func(chunk, worker int) float64 {
 		return costs[chunk][worker]
 	})
 	p := &Plan{
@@ -374,14 +304,14 @@ func planChunkLengths(chunkLens [][]int, queryLen int, roster []*device.Model, o
 // This is what lets swbench compare distribution strategies over the full
 // 541,561-sequence Swiss-Prot in milliseconds, the same shape-level trick
 // the figures use.
-func PlanLengths(lengths []int, queryLen int, roster []*device.Model, opt DispatchOptions) (*Plan, error) {
+func PlanLengths(lengths []int, queryLen int, roster []*device.Model, opt core.DispatchOptions) (*Plan, error) {
 	if err := validateRoster(roster); err != nil {
 		return nil, err
 	}
 	sorted := append([]int(nil), lengths...)
 	sort.Ints(sorted)
 	switch opt.Dist {
-	case DistStatic:
+	case core.DistStatic:
 		shares := opt.Shares
 		if shares == nil {
 			shares = OptimalShares(sorted, queryLen, opt.Search, roster)
@@ -391,7 +321,7 @@ func PlanLengths(lengths []int, queryLen int, roster []*device.Model, opt Dispat
 		}
 		parts := seqdb.SplitLengthsN(sorted, shares)
 		return planStaticLengths(parts, queryLen, roster, opt, len(sorted)), nil
-	case DistDynamic, DistGuided:
+	case core.DistDynamic, core.DistGuided:
 		windows := chunkWindows(sorted, opt.Dist, len(roster))
 		chunkLens := make([][]int, len(windows))
 		for c, w := range windows {
@@ -399,7 +329,7 @@ func PlanLengths(lengths []int, queryLen int, roster []*device.Model, opt Dispat
 		}
 		return planChunkLengths(chunkLens, queryLen, roster, opt, len(sorted)), nil
 	}
-	return nil, fmt.Errorf("core: unknown distribution %v", opt.Dist)
+	return nil, fmt.Errorf("model: unknown distribution %v", opt.Dist)
 }
 
 // chunkSeconds predicts one chunk's busy time on one device, plus the
@@ -413,18 +343,18 @@ func PlanLengths(lengths []int, queryLen int, roster []*device.Model, opt Dispat
 // distribution does), so a chunk's compute cost is its aggregate cycles
 // over the device's whole-device throughput; the end-of-search drain tail
 // is bounded by one lane group per thread and neglected.
-func chunkSeconds(lengths []int, m int, dev *device.Model, opt SearchOptions) float64 {
+func chunkSeconds(lengths []int, m int, dev *device.Model, opt core.SearchOptions) float64 {
 	if len(lengths) == 0 || m == 0 {
 		return 0
 	}
-	costs, residues, threads := shapeCosts(lengths, m, dev, opt)
+	costs, threads := servingCosts(lengths, m, dev, opt)
 	var cycles float64
 	for _, c := range costs {
 		cycles += c + dev.DispatchCycles
 	}
 	seconds := cycles / (float64(threads) * dev.ThreadRate(threads))
 	if dev.OffloadRequired {
-		in := device.DatabaseBytes(residues, len(lengths))
+		in := device.DatabaseBytes(sumLengths(lengths), len(lengths))
 		out := device.ScoreBytes(len(lengths))
 		seconds = dev.OffloadSeconds(in, out, seconds)
 	}

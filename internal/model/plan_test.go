@@ -1,4 +1,4 @@
-package core
+package model
 
 import (
 	"encoding/json"
@@ -8,9 +8,18 @@ import (
 	"strings"
 	"testing"
 
+	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/device"
+	"heterosw/internal/sched"
 )
+
+func defaultSearchOptions() core.SearchOptions {
+	return core.SearchOptions{
+		Params:   core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
+		Schedule: sched.Dynamic,
+	}
+}
 
 func xeonPhiPhi() []*device.Model {
 	return []*device.Model{device.Xeon(), device.Phi(), device.Phi()}
@@ -76,11 +85,11 @@ func TestPlanGolden(t *testing.T) {
 		for _, kind := range strings.Split(p.Roster, ",") {
 			roster = append(roster, models[kind])
 		}
-		dist, err := ParseDistribution(p.Dist)
+		dist, err := core.ParseDistribution(p.Dist)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := PlanLengths(lengths, p.QueryLen, roster, DispatchOptions{Search: opt, Dist: dist, Shares: p.FixedShares})
+		got, err := PlanLengths(lengths, p.QueryLen, roster, core.DispatchOptions{Search: opt, Dist: dist, Shares: p.FixedShares})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,14 +120,14 @@ func TestSearchOnPhiChargesTransfers(t *testing.T) {
 func TestDispatcherDynamicBeatsBestStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
 	lengths := randLengths(rng, 6000, 80, 500)
-	opt := DispatchOptions{Search: defaultSearchOptions()}
+	opt := core.DispatchOptions{Search: defaultSearchOptions()}
 	queryLen := 500
 
 	best := math.Inf(1)
 	var bestShares []float64
 	try := func(shares []float64) {
 		o := opt
-		o.Dist = DistStatic
+		o.Dist = core.DistStatic
 		o.Shares = shares
 		p, err := PlanLengths(lengths, queryLen, xeonPhiPhi(), o)
 		if err != nil {
@@ -141,7 +150,7 @@ func TestDispatcherDynamicBeatsBestStatic(t *testing.T) {
 		}
 	}
 
-	for _, dist := range []Distribution{DistDynamic, DistGuided} {
+	for _, dist := range []core.Distribution{core.DistDynamic, core.DistGuided} {
 		o := opt
 		o.Dist = dist
 		p, err := PlanLengths(lengths, queryLen, xeonPhiPhi(), o)
@@ -157,40 +166,28 @@ func TestDispatcherDynamicBeatsBestStatic(t *testing.T) {
 
 func TestPlanLengthsErrors(t *testing.T) {
 	lengths := []int{30, 40, 50}
-	plan := func(roster []*device.Model, o DispatchOptions) error {
+	plan := func(roster []*device.Model, o core.DispatchOptions) error {
 		o.Search = defaultSearchOptions()
 		_, err := PlanLengths(lengths, 20, roster, o)
 		return err
 	}
-	if plan(nil, DispatchOptions{}) == nil {
+	if plan(nil, core.DispatchOptions{}) == nil {
 		t.Error("empty roster accepted")
 	}
-	if plan([]*device.Model{nil}, DispatchOptions{}) == nil {
+	if plan([]*device.Model{nil}, core.DispatchOptions{}) == nil {
 		t.Error("nil device model accepted")
 	}
-	if plan(xeonPhiPhi(), DispatchOptions{Shares: []float64{0.5, 0.5}}) == nil {
+	if plan(xeonPhiPhi(), core.DispatchOptions{Shares: []float64{0.5, 0.5}}) == nil {
 		t.Error("share/device count mismatch accepted")
 	}
-	if plan(xeonPhiPhi(), DispatchOptions{Shares: []float64{-1, 1, 1}}) == nil {
+	if plan(xeonPhiPhi(), core.DispatchOptions{Shares: []float64{-1, 1, 1}}) == nil {
 		t.Error("negative share accepted")
 	}
-	if plan(xeonPhiPhi(), DispatchOptions{Shares: []float64{0, 0, 0}}) == nil {
+	if plan(xeonPhiPhi(), core.DispatchOptions{Shares: []float64{0, 0, 0}}) == nil {
 		t.Error("all-zero shares accepted")
 	}
-	if plan(xeonPhiPhi(), DispatchOptions{Dist: Distribution(9)}) == nil {
+	if plan(xeonPhiPhi(), core.DispatchOptions{Dist: core.Distribution(9)}) == nil {
 		t.Error("unknown distribution accepted")
-	}
-}
-
-func TestParseDistribution(t *testing.T) {
-	for _, d := range []Distribution{DistStatic, DistDynamic, DistGuided} {
-		got, err := ParseDistribution(d.String())
-		if err != nil || got != d {
-			t.Fatalf("round trip %v: %v %v", d, got, err)
-		}
-	}
-	if _, err := ParseDistribution("adaptive"); err == nil {
-		t.Error("bogus distribution accepted")
 	}
 }
 
@@ -216,7 +213,7 @@ func TestOptimalSharesProperties(t *testing.T) {
 	// split that gives the Phi 90% of the residues.
 	static := func(shares []float64) float64 {
 		t.Helper()
-		opt := DispatchOptions{Search: defaultSearchOptions(), Shares: shares}
+		opt := core.DispatchOptions{Search: defaultSearchOptions(), Shares: shares}
 		p, err := PlanLengths(lengths, 300, []*device.Model{device.Phi(), device.Xeon()}, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -1,18 +1,14 @@
-// Package report renders reproduced figures as aligned text tables and CSV
-// so swbench can print exactly the rows/series the paper plots.
-package report
+package model
 
 import (
 	"fmt"
 	"io"
 	"strings"
-
-	"heterosw/internal/figures"
 )
 
 // Table renders a figure as an aligned text table: one row per x value,
 // one column per series.
-func Table(w io.Writer, f *figures.Figure) error {
+func Table(w io.Writer, f *Figure) error {
 	if len(f.Series) == 0 {
 		_, err := fmt.Fprintf(w, "%s: (no data)\n", f.ID)
 		return err
@@ -45,7 +41,7 @@ func Table(w io.Writer, f *figures.Figure) error {
 }
 
 // CSV renders a figure as comma-separated values with a header row.
-func CSV(w io.Writer, f *figures.Figure) error {
+func CSV(w io.Writer, f *Figure) error {
 	var b strings.Builder
 	b.WriteString(csvEscape(f.XLabel))
 	for _, s := range f.Series {
@@ -84,7 +80,7 @@ func trimFloat(v float64) string {
 
 // Summary renders a one-line per-series summary (final value), used by the
 // harness's terse mode.
-func Summary(w io.Writer, f *figures.Figure) error {
+func Summary(w io.Writer, f *Figure) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:", f.ID)
 	for _, s := range f.Series {

@@ -1,17 +1,15 @@
-package report
+package model
 
 import (
 	"strings"
 	"testing"
-
-	"heterosw/internal/figures"
 )
 
-func testFigure() *figures.Figure {
-	return &figures.Figure{
+func testFigure() *Figure {
+	return &Figure{
 		ID: "fig3", Title: "Example", XLabel: "threads", YLabel: "GCUPS",
 		PaperNotes: []string{"paper: something"},
-		Series: []figures.Series{
+		Series: []Series{
 			{Label: "intrinsic-SP", X: []float64{1, 2}, Y: []float64{1.5, 3.01}},
 			{Label: "simd,QP", X: []float64{1, 2}, Y: []float64{0.7, 1.4}},
 		},
@@ -37,7 +35,7 @@ func TestTable(t *testing.T) {
 
 func TestTableEmpty(t *testing.T) {
 	var sb strings.Builder
-	if err := Table(&sb, &figures.Figure{ID: "x"}); err != nil {
+	if err := Table(&sb, &Figure{ID: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "no data") {

@@ -1,18 +1,4 @@
-// Package figures regenerates every figure and in-text table of the
-// paper's evaluation (Section V): Xeon and Phi thread scaling (Figs. 3, 5),
-// query-length sweeps (Figs. 4, 6), blocking (Fig. 7), the heterogeneous
-// workload-distribution sweep (Fig. 8), the parallel-efficiency numbers
-// quoted in the text, and the scheduling/sorting/power ablations the paper
-// discusses qualitatively.
-//
-// Figures are computed over the synthetic Swiss-Prot workload at shape
-// level: the device cost models consume only lane-group geometry, so the
-// full 541,561-sequence database is simulated exactly without materialising
-// residues (see the README's "The device model: pricing a roster").
-// Functional score verification is exercised by
-// the engine tests, the kernel parity fuzzer and the conformance harness
-// on smaller materialised databases.
-package figures
+package model
 
 import (
 	"fmt"
@@ -53,17 +39,15 @@ type shapeKey struct {
 // NewWorkload builds the benchmark workload at the given database scale.
 func NewWorkload(scale float64) *Workload {
 	cfg := datagen.SwissProtConfig(scale)
-	w := &Workload{
-		Scale:   scale,
-		lengths: datagen.Lengths(cfg),
-		queries: datagen.PaperQueries(),
-		shapes:  make(map[shapeKey][]device.Shape),
-		splits:  make(map[float64]*heteroParts),
+	lengths := datagen.Lengths(cfg)
+	return &Workload{
+		Scale:    scale,
+		lengths:  lengths,
+		residues: sumLengths(lengths),
+		queries:  datagen.PaperQueries(),
+		shapes:   make(map[shapeKey][]device.Shape),
+		splits:   make(map[float64]*heteroParts),
 	}
-	for _, l := range w.lengths {
-		w.residues += int64(l)
-	}
-	return w
 }
 
 // Residues returns the database residue count at this scale.
@@ -114,37 +98,20 @@ func (c Config) threads() int {
 }
 
 // SimSearch simulates one database search with a query of length m,
-// returning the simulated seconds and the useful cell count.
+// returning the simulated seconds and the useful cell count. It prices the
+// paper's kernel: the device's 16-bit lanes for the vectorised variants,
+// one lane and no long-sequence routing for the scalar one.
 func (w *Workload) SimSearch(c Config, m int) (seconds float64, cells int64) {
 	class := c.params().KernelClass()
 	lanes := c.Dev.Lanes
 	longThr := core.DefaultLongSeqThreshold
 	if class.Scalar {
 		lanes = 1
-		longThr = 0 // the scalar kernel needs no long-sequence routing
+		longThr = 0
 	}
 	threads := c.threads()
-	shapes := w.shapesFor(lanes, !c.Unsorted, longThr)
-	coeffs := c.Dev.Coeffs(class, m, lanes, threads)
-	intra := c.Dev.IntraCoeffs(m)
-	if cap(w.costs) < len(shapes) {
-		w.costs = make([]float64, len(shapes))
-	}
-	costs := w.costs[:len(shapes)]
-	for i, s := range shapes {
-		if s.Intra {
-			costs[i] = intra.Cost(s)
-		} else {
-			costs[i] = coeffs.Cost(s)
-		}
-	}
-	sim := sched.Simulate(costs, threads, c.Policy, c.Dev.DispatchCycles)
-	seconds = c.Dev.Seconds(sim.Makespan, threads)
-	if c.Dev.OffloadRequired {
-		in := device.QueryBytes(m) + device.DatabaseBytes(w.residues, len(w.lengths))
-		out := device.ScoreBytes(len(w.lengths))
-		seconds = c.Dev.OffloadSeconds(in, out, seconds)
-	}
+	w.costs = costShapes(w.costs, w.shapesFor(lanes, !c.Unsorted, longThr), m, c.Dev, class, lanes, threads)
+	seconds = replaySeconds(w.costs, m, w.residues, len(w.lengths), c.Dev, threads, c.Policy)
 	// Step 4: the serial host-side sort of the similarity scores.
 	seconds += device.HostSortSeconds(len(w.lengths))
 	return seconds, int64(m) * w.residues
@@ -182,11 +149,7 @@ func (w *Workload) partsFor(share float64) *heteroParts {
 	}
 	micLens, cpuLens := seqdb.SplitLengths(w.lengths, share)
 	mk := func(lens []int) *Workload {
-		sub := &Workload{lengths: lens, shapes: make(map[shapeKey][]device.Shape)}
-		for _, l := range lens {
-			sub.residues += int64(l)
-		}
-		return sub
+		return &Workload{lengths: lens, residues: sumLengths(lens), shapes: make(map[shapeKey][]device.Shape)}
 	}
 	p := &heteroParts{cpu: mk(cpuLens), mic: mk(micLens)}
 	w.splits[share] = p

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"heterosw/internal/device"
 	"heterosw/internal/remote"
 	"heterosw/internal/vec"
 )
@@ -487,7 +486,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Residues:      s.c.db.Residues(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Queries:       queries,
-		VecBackend:    device.HostSIMD(),
+		VecBackend:    vec.Info(),
 		Backends:      per,
 		Scheduler:     s.c.SchedulerStats(),
 		Cache:         s.c.CacheStats(),

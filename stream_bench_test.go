@@ -158,18 +158,18 @@ func benchSched(b *testing.B, stream []Sequence) {
 	reportStreamRate(b, len(stream))
 }
 
-func BenchmarkStreamSerialWorkerHot(b *testing.B) {
+func BenchmarkRequestsSerialWorkerHot(b *testing.B) {
 	benchSerial(b, benchStream(benchQueryPool(benchStreamDistinct), benchStreamQueries))
 }
 
-func BenchmarkStreamSchedulerHot(b *testing.B) {
+func BenchmarkRequestsSchedulerHot(b *testing.B) {
 	benchSched(b, benchStream(benchQueryPool(benchStreamDistinct), benchStreamQueries))
 }
 
-func BenchmarkStreamSerialWorkerDistinct(b *testing.B) {
+func BenchmarkRequestsSerialWorkerDistinct(b *testing.B) {
 	benchSerial(b, benchStream(benchQueryPool(benchStreamQueries), benchStreamQueries))
 }
 
-func BenchmarkStreamSchedulerDistinct(b *testing.B) {
+func BenchmarkRequestsSchedulerDistinct(b *testing.B) {
 	benchSched(b, benchStream(benchQueryPool(benchStreamQueries), benchStreamQueries))
 }
