@@ -14,9 +14,9 @@ import (
 	"heterosw/internal/vec"
 )
 
-// ErrClusterClosed is returned by the scheduled doors (Do, DoBatch,
-// SearchScheduled, the HTTP front end and a shard node's endpoints) after
-// Cluster.CloseNow. The direct Search remains usable.
+// ErrClusterClosed is returned by every door (Search, SearchScheduled, Do,
+// DoBatch, the HTTP front end and a shard node's endpoints) after
+// Cluster.CloseNow.
 var ErrClusterClosed = errors.New("heterosw: cluster closed")
 
 // ErrNoSignificance is returned when ReportOptions.EValues is requested
@@ -46,8 +46,8 @@ var ErrTooManyAlignments = errors.New("heterosw: aligned report exceeds MaxAlign
 // distribution strategy as future work; the planner generalises the roster
 // to any number of modelled devices and makes the distribution strategy
 // selectable. MaxInFlight and CacheSize tune the cluster's one query
-// scheduler, behind every scheduled door (Do, DoBatch, SearchScheduled,
-// the swserve HTTP front end).
+// scheduler, behind every door (Search, SearchScheduled, Do, DoBatch, the
+// swserve HTTP front end); Search takes a slot but never the cache.
 type ClusterOptions struct {
 	// Options carries the shared kernel configuration (matrix, gaps) and
 	// the variant the planner prices.
@@ -206,17 +206,9 @@ func topK(rep ReportOptions) int {
 	return rep.TopK
 }
 
-// engineState is one immutable topology generation: the dispatcher and
-// the label its backends carry in Totals (DeviceHost or DeviceRemote),
-// always read together. See Cluster.eng.
-type engineState struct {
-	disp *core.Dispatcher
-	kind DeviceKind
-}
-
-// engine snapshots the cluster's current engine. Callers must hold the
+// engine snapshots the cluster's current dispatcher. Callers must hold the
 // returned snapshot for the whole operation instead of re-loading.
-func (c *Cluster) engine() *engineState { return c.eng.Load() }
+func (c *Cluster) engine() *core.Dispatcher { return c.eng.Load() }
 
 // BackendTotals is one backend's cumulative accounting across every search
 // the cluster has completed, whichever door it arrived on; the
@@ -243,15 +235,15 @@ type BackendTotals struct {
 }
 
 // Cluster is a search service over a Database. Every search is a Request
-// through one of its doors — Do and DoBatch on the cluster's one
-// scheduler, Search straight to the executor — and every door runs the
-// same validation and the same executor. A
-// local Cluster (NewCluster) runs every search on the host, one engine pass
-// over the whole database, and prices the configured device roster on the
-// side (Plan); a coordinator (NewDistributedCluster) fans searches out to
+// through one of its doors — Search, SearchScheduled, Do and DoBatch — and
+// every door runs the same validation and enters the cluster's one
+// scheduler, whose run function is the one executor. A local Cluster
+// (NewCluster) runs every search on the host, one engine pass over the
+// whole database, and prices the configured device roster on the side
+// (Plan); a coordinator (NewDistributedCluster) fans searches out to
 // shard nodes. A Cluster is safe for concurrent use; lane packings are
-// built once so every query reuses them, and the scheduled doors share one
-// LRU result cache so repeated requests are free.
+// built once so every query reuses them, and every door but Search shares
+// one LRU result cache so repeated requests are free.
 type Cluster struct {
 	db   *Database
 	dopt core.DispatchOptions
@@ -259,22 +251,21 @@ type Cluster struct {
 	// nothing executes on it.
 	roster []*device.Model
 
-	// eng is the cluster's current engine: the dispatcher plus the roster
-	// labels its reports carry, bundled so a topology swap replaces both
-	// atomically. Every search path snapshots it exactly once and threads
-	// the snapshot through scoring, wrapping and decoration — a manifest
-	// hot-reload racing an in-flight query can therefore never tear a
-	// response or mismatch a result against the wrong roster. Local
-	// clusters store it once at construction and never again.
-	eng atomic.Pointer[engineState]
+	// eng is the cluster's current dispatcher, one immutable topology
+	// generation. Every search path snapshots it exactly once and threads
+	// the snapshot through scoring and decoration — a manifest hot-reload
+	// racing an in-flight query can therefore never tear a response or
+	// trace back hits against the wrong shards. Local clusters store it
+	// once at construction and never again.
+	eng atomic.Pointer[core.Dispatcher]
 
 	// topo is the live-topology controller of a distributed coordinator
 	// (health prober, replica sets, manifest hot-reload); nil for local
 	// clusters.
 	topo *liveTopology
 
-	// sched is the one query scheduler behind every scheduled door, built
-	// with the cluster; cache is its result cache and keyBase the constant
+	// sched is the one query scheduler behind every door, built with the
+	// cluster; cache is its result cache and keyBase the constant
 	// prefix of its keys (see startScheduler).
 	sched   *qsched.Scheduler[job, *ClusterResult]
 	cache   *qsched.Cache[*ClusterResult]
@@ -339,7 +330,7 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 		roster: roster,
 		dopt:   core.DispatchOptions{Search: search, Dist: d},
 	}
-	c.eng.Store(&engineState{disp: disp, kind: DeviceHost})
+	c.eng.Store(disp)
 	c.startScheduler(opt.MaxInFlight, opt.CacheSize)
 	return c, nil
 }
@@ -443,17 +434,16 @@ func wrapCluster(r *core.ClusterResult) *ClusterResult {
 // cluster, one per shard on a coordinator. The swserve /healthz endpoint
 // serves this snapshot.
 func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
-	e := c.engine()
-	q, raw := e.disp.Totals()
-	workers := 0
-	if e.kind == DeviceHost {
-		workers = runtime.GOMAXPROCS(0)
+	q, raw := c.engine().Totals()
+	kind, workers := DeviceRemote, 0
+	if c.topo == nil {
+		kind, workers = DeviceHost, runtime.GOMAXPROCS(0)
 	}
 	per = make([]BackendTotals, len(raw))
 	for i, bt := range raw {
 		per[i] = BackendTotals{
 			Name:        bt.Name,
-			Device:      e.kind,
+			Device:      kind,
 			Workers:     workers,
 			Grants:      bt.Grants,
 			Residues:    bt.Residues,
@@ -482,7 +472,7 @@ type LadderStats struct {
 // searched subject is the share of the traffic's subjects that are
 // homologs of their queries; the swserve /healthz endpoint serves it.
 func (c *Cluster) LadderStats() LadderStats {
-	st := c.engine().disp.KernelStats()
+	st := c.engine().KernelStats()
 	return LadderStats{Escalated8: st.Overflows8, Escalated16: st.Overflows, EscalatedCells: st.OverflowCells}
 }
 
@@ -503,7 +493,7 @@ func (c *Cluster) CacheStats() CacheStats {
 
 // SchedulerStats is a snapshot of the cluster scheduler's activity.
 type SchedulerStats struct {
-	// Submitted counts scheduled submissions.
+	// Submitted counts submissions through every door, Search included.
 	Submitted int64 `json:"submitted"`
 	// Joined counts submissions that attached to an identical in-flight
 	// query; CacheHits those answered straight from the cache.
@@ -512,7 +502,7 @@ type SchedulerStats struct {
 }
 
 // SchedulerStats reports the activity of the cluster's scheduler, which
-// every scheduled door shares.
+// every door shares.
 func (c *Cluster) SchedulerStats() SchedulerStats {
 	st := c.sched.Stats()
 	return SchedulerStats{Submitted: st.Submitted, Joined: st.Joined, CacheHits: st.CacheHits}
@@ -528,9 +518,8 @@ func (c *Cluster) Close() {
 
 // CloseNow tears down the cluster's scheduler: queued requests are
 // dropped, in-flight ones cancelled at their next cancellation check, and
-// every scheduled door fails with ErrClusterClosed from then on. It stops
-// a coordinator's prober as Close does. The direct Search remains usable.
-// CloseNow is idempotent.
+// every door fails with ErrClusterClosed from then on. It stops a
+// coordinator's prober as Close does. CloseNow is idempotent.
 func (c *Cluster) CloseNow() {
 	c.closed.Store(true)
 	c.sched.CloseNow()

@@ -77,12 +77,12 @@ func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n, q := range queries[:3] {
-			before := cl.engine().disp.KernelStats()
+			before := cl.engine().KernelStats()
 			res, err := cl.Search(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := cl.engine().disp.KernelStats()
+			after := cl.engine().KernelStats()
 			if got := after.Groups - before.Groups; got != wantGroups {
 				t.Fatalf("%v: query %d ran %d work items, want the whole-database partition's %d",
 					opt.Devices, n, got, wantGroups)

@@ -170,8 +170,8 @@ func confEntryPoints(t *testing.T, cl *Cluster, reqs []Request) map[string][]byt
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, []byte("\n")) }
 	ctx := context.Background()
 
-	// Cluster.Search, one call per direct request: the executor without
-	// the scheduler.
+	// Cluster.Search, one call per direct request: a scheduler slot that
+	// neither joins nor caches.
 	if reqs[0].Matrix == "" && !reqs[0].Translate {
 		var direct [][]byte
 		for _, req := range reqs {
@@ -422,7 +422,7 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 					results[tr] = confEntryPoints(t, cl, confRequests(t, queries, tc.rep, "", false))
 					// Byte groups pad PaddedCells to lanes x VecIters; the
 					// long path's are its IntraCells.
-					st := cl.engine().disp.KernelStats()
+					st := cl.engine().KernelStats()
 					want := map[vec.Tier]int64{vec.TierPortable: 32, vec.TierAVX2: 32, vec.TierVBMI: 64}[tr]
 					if got := (st.PaddedCells - st.IntraCells) / st.VecIters; got != want {
 						t.Fatalf("%v: cluster packed %d byte lanes, want %d", tr, got, want)

@@ -255,7 +255,7 @@ func validateManifestFor(db *Database, man *remote.Manifest) error {
 // reports, one remote backend per shard, and the sharded dispatcher.
 // A shard with no live owner fails the build — the caller keeps serving
 // the previous generation (hot-reload) or refuses to start (construction).
-func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober, client *remote.Client) (*engineState, []string, []*remote.ReplicaSet, error) {
+func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober, client *remote.Client) (*core.Dispatcher, []string, []*remote.ReplicaSet, error) {
 	keys := make([]string, len(man.Shards))
 	for i, sh := range man.Shards {
 		keys[i] = sh.Key
@@ -287,7 +287,7 @@ func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &engineState{disp: disp, kind: DeviceRemote}, keys, sets, nil
+	return disp, keys, sets, nil
 }
 
 // probeSuffix folds node probe failures into a shard-ownership error, so

@@ -33,8 +33,8 @@
 //     (residue split), dynamic and guided (device-level chunk queue)
 //     workload distributions, from sequence lengths alone, no kernels run
 //     — see Cluster.Plan and cmd/swbench;
-//   - one concurrent query scheduler per cluster, behind every scheduled
-//     door: several queries run in flight, each resolving as soon as its
+//   - one concurrent query scheduler per cluster, behind every door:
+//     several queries run in flight, each resolving as soon as its
 //     own result is ready, identical requests share one execution and
 //     repeats come from a cluster-wide LRU cache — see Cluster.Do,
 //     Cluster.SchedulerStats and the cmd/swserve HTTP front end;
@@ -158,9 +158,9 @@
 // one request's working memory at a time, and returns the results in
 // request order; the cmd/swserve HTTP server's /search is one Do and its
 // /batch one DoBatch. ClusterOptions.MaxInFlight and CacheSize tune the
-// scheduler. Search (and SearchScheduled, Do in
-// variadic form) serve direct searches only; Search runs the executor
-// without the scheduler or cache.
+// scheduler. Search (and SearchScheduled, Do in variadic form) serve direct
+// searches only; Search takes a scheduler slot like every door but is never
+// joined or cached, so every call computes.
 //
 // A caller that wants several results in request order issues concurrent
 // Do calls and reads each result from its request's slot; they share the
@@ -175,8 +175,8 @@
 //	wg.Wait() // res[i] answers queries[i]
 //
 // Cluster.CloseNow drops queued work and aborts in-flight queries at their
-// next cancellation check; the scheduled doors then fail with
-// ErrClusterClosed, so no caller waits on a torn-down scheduler.
+// next cancellation check; every door then fails with ErrClusterClosed, so
+// no caller waits on a torn-down scheduler.
 //
 // A request the validation refuses fails at its door, before any
 // scheduler sees it: malformed requests wrap ErrBadRequest, rejected

@@ -251,5 +251,5 @@ func (c *Cluster) alignIndices(ctx context.Context, query Sequence, indices []in
 		}
 		hits[i] = core.Hit{SeqIndex: si, ID: c.db.Seq(si).ID(), Score: scores[i]}
 	}
-	return c.engine().disp.AlignHits(ctx, query.impl, hits, c.dopt)
+	return c.engine().AlignHits(ctx, query.impl, hits, c.dopt)
 }

@@ -67,6 +67,9 @@ type job struct {
 	// wire marks a shard node's search for its coordinator: the score list
 	// and no hit list.
 	wire bool
+	// fresh marks a Search job: it has no cache key, so the scheduler runs
+	// it in a slot of its own, never joined and never cached.
+	fresh bool
 }
 
 // prepare is the one validation every door runs: it checks a request
@@ -142,9 +145,11 @@ func plainRequest(query Sequence, report []ReportOptions) (Request, error) {
 	return req, nil
 }
 
-// Search runs one query straight through the executor every door shares,
-// bypassing the scheduler and its cache — the door below the serving path,
-// for one-off searches and for timing that layer. An optional
+// Search computes one query through the cluster's scheduler: it waits for
+// one of the MaxInFlight slots like every other door and counts in
+// SchedulerStats, but it is never joined to an identical in-flight request
+// and never answered from or added to the cache, so every call computes —
+// for one-off searches and for timing repeats of one query. An optional
 // ReportOptions enables the reporting phases. It is the context-free
 // convenience root; serving traffic, translated and custom-matrix searches
 // use Do.
@@ -159,7 +164,8 @@ func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*ClusterResul
 	if err != nil {
 		return nil, err
 	}
-	return c.execute(context.Background(), jb)
+	jb.fresh = true
+	return c.scheduled(context.Background(), jb)
 }
 
 // SearchScheduled is Do for a direct search of query with an optional
@@ -210,9 +216,9 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 	}
 	out := make([]*ClusterResult, len(jobs))
 	for i, jb := range jobs {
-		res, err := c.sched.Do(ctx, jb)
+		res, err := c.scheduled(ctx, jb)
 		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, closedErr(err))
+			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 		out[i] = res
 	}
@@ -220,38 +226,32 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 }
 
 // scheduled submits one prepared job to the cluster's scheduler and waits
-// for its result.
+// for its result, the one submission every door makes. The scheduler's
+// teardown — at submission or, after CloseNow, while waiting — maps to
+// ErrClusterClosed, which the HTTP front end answers with the retryable 503.
 func (c *Cluster) scheduled(ctx context.Context, jb job) (*ClusterResult, error) {
 	res, err := c.sched.Do(ctx, jb)
-	return res, closedErr(err)
-}
-
-// closedErr maps the scheduler's teardown — at submission or, after
-// CloseNow, while waiting — to ErrClusterClosed, which the HTTP front end
-// answers with the retryable 503.
-func closedErr(err error) error {
 	if errors.Is(err, qsched.ErrClosed) {
-		return ErrClusterClosed
+		return nil, ErrClusterClosed
 	}
-	return err
+	return res, err
 }
 
-// execute is the one executor behind every door: Search calls it
-// directly, and it is the run function of every scheduler. jb comes from
-// prepare, or is a shard node's wire job. A direct job is one score pass
-// that selects the K hits its request asked for; a translated job is one
-// score pass per frame, merged before the hits are selected. The result is
-// then decorated. ctx is checked before every score pass and threaded into
+// execute is the one executor behind every door, the run function of the
+// cluster's scheduler. jb comes from prepare, or is a shard node's wire
+// job. A direct job is one score pass that selects the K hits its request
+// asked for; a translated job is one score pass per frame, merged before
+// the hits are selected. The result is then decorated. ctx is checked before every score pass and threaded into
 // the traceback fan-out.
 func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
-	e := c.engine()
+	disp := c.engine()
 	dopt := c.dopt
 	if jb.matrix != nil {
 		dopt.Search.Matrix = jb.matrix
 	}
 	if jb.wire {
 		// Scores only: the coordinator selects over the merged shard scores.
-		r, err := e.disp.SearchContext(ctx, jb.query.impl, dopt, -1)
+		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +266,7 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 		// frame scores.
 		per := make([]*core.ClusterResult, len(jb.fseqs))
 		for i, q := range jb.fseqs {
-			r, err := e.disp.SearchContext(ctx, q, dopt, -1)
+			r, err := disp.SearchContext(ctx, q, dopt, -1)
 			if err != nil {
 				return nil, err
 			}
@@ -274,13 +274,13 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 		}
 		res, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
 	} else {
-		r, err := e.disp.SearchContext(ctx, jb.query.impl, dopt, topK(jb.rep))
+		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, topK(jb.rep))
 		if err != nil {
 			return nil, err
 		}
 		res = wrapCluster(r)
 	}
-	if err := c.decorate(ctx, e, dopt, &jb, res, winner); err != nil {
+	if err := c.decorate(ctx, disp, dopt, &jb, res, winner); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -324,10 +324,11 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 // (winner maps a database index to its frame; nil for a direct search),
 // with the aligned segment mapped back to nucleotide coordinates. It must
 // only ever see results this call owns: cached results are decorated
-// before they enter the cache, never after. e must be the engine snapshot
-// that scored the result, so the tracebacks route over the topology
-// generation the scores came from, and dopt the options it scored under.
-func (c *Cluster) decorate(ctx context.Context, e *engineState, dopt core.DispatchOptions, jb *job, res *ClusterResult, winner []int) error {
+// before they enter the cache, never after. disp must be the engine
+// snapshot that scored the result, so the tracebacks route over the
+// topology generation the scores came from, and dopt the options it scored
+// under.
+func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *ClusterResult, winner []int) error {
 	if jb.rep.EValues {
 		sig, err := res.FitSignificance(jb.rep.EValueTrim)
 		if err != nil {
@@ -366,7 +367,7 @@ func (c *Cluster) decorate(ctx context.Context, e *engineState, dopt core.Dispat
 			h := res.Hits[i]
 			hits[j] = core.Hit{SeqIndex: h.Index, ID: h.ID, Score: int32(h.Score)}
 		}
-		details, err := e.disp.AlignHits(ctx, queries[qi], hits, dopt)
+		details, err := disp.AlignHits(ctx, queries[qi], hits, dopt)
 		if err != nil {
 			return err
 		}
@@ -398,8 +399,11 @@ func (c *Cluster) decorate(ctx context.Context, e *engineState, dopt core.Dispat
 // residues. Residue codes sit below every marker byte, so no two kinds of
 // request share a key, while sequences with equal residues share one result
 // whatever their IDs; the encoding is injective, so no decode pass is
-// needed.
+// needed. A fresh job (Search) has no key.
 func (c *Cluster) cacheKey(jb job) (string, bool) {
+	if jb.fresh {
+		return "", false
+	}
 	res := jb.query.impl.Residues
 	rk := jb.rep.key()
 	if jb.wire {

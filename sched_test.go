@@ -245,8 +245,45 @@ func TestSchedulerCacheServesRepeats(t *testing.T) {
 		t.Fatalf("cache did not serve the repeat: %+v", cs)
 	}
 	st := cl.SchedulerStats()
-	if st.Submitted != 2 || st.CacheHits < 1 {
+	if st.Submitted != 3 || st.CacheHits < 1 {
 		t.Fatalf("scheduler stats %+v", st)
+	}
+}
+
+// Search passes the cluster's one scheduler: it counts as a submission, is
+// never joined or cached and leaves the cache untouched, so a following Do
+// of the same query computes it afresh; after CloseNow it fails with
+// ErrClusterClosed like every other door.
+func TestSearchPassesScheduler(t *testing.T) {
+	db, _ := SyntheticSwissProt(0.0002, false)
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := shortQueries(1, 80)[0]
+	st0, cs0 := cl.SchedulerStats(), cl.CacheStats()
+	if _, err := cl.Search(q); err != nil {
+		t.Fatal(err)
+	}
+	if st := cl.SchedulerStats(); st.Submitted != st0.Submitted+1 || st.Joined != st0.Joined || st.CacheHits != st0.CacheHits {
+		t.Fatalf("scheduler stats %+v after one Search from %+v, want one more submission and nothing joined or cached", st, st0)
+	}
+	if cs := cl.CacheStats(); cs != cs0 {
+		t.Fatalf("cache stats %+v after one Search, want %+v unchanged", cs, cs0)
+	}
+	n0, _ := cl.Totals()
+	if _, err := cl.Do(context.Background(), Request{Query: q}); err != nil {
+		t.Fatal(err)
+	}
+	if cs := cl.CacheStats(); cs.Misses != cs0.Misses+1 || cs.Hits != cs0.Hits {
+		t.Fatalf("cache stats %+v after Search then Do, want one miss and no hit over %+v", cs, cs0)
+	}
+	if n, _ := cl.Totals(); n != n0+1 {
+		t.Fatalf("Do after Search ran %d engine searches, want 1", n-n0)
+	}
+	cl.CloseNow()
+	if _, err := cl.Search(q); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("Search after CloseNow: err = %v, want ErrClusterClosed", err)
 	}
 }
 
@@ -289,8 +326,8 @@ func TestSearchScheduledContextCancel(t *testing.T) {
 	}
 }
 
-// Cluster.CloseNow tears down the cluster's scheduler: every scheduled
-// door answers ErrClusterClosed, while the direct Search stays usable.
+// Cluster.CloseNow tears down the cluster's scheduler: every door, Search
+// included, answers ErrClusterClosed.
 func TestClusterCloseNow(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.0002, false)
 	queries := shortQueries(1, 60)
@@ -313,8 +350,8 @@ func TestClusterCloseNow(t *testing.T) {
 	if _, err := cl.SearchScheduled(ctx, queries[0]); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("SearchScheduled after CloseNow: err = %v, want ErrClusterClosed", err)
 	}
-	if _, err := cl.Search(queries[0]); err != nil {
-		t.Fatalf("direct Search broken after CloseNow: %v", err)
+	if _, err := cl.Search(queries[0]); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("Search after CloseNow: err = %v, want ErrClusterClosed", err)
 	}
 }
 
