@@ -3,9 +3,14 @@ package heterosw
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -371,4 +376,168 @@ func TestCoordinatorConstructionProbeFailureText(t *testing.T) {
 		!bytes.Contains([]byte(msg), []byte(pxDead.URL())) {
 		t.Fatalf("error should fold in the failed probe with its URL, got: %v", err)
 	}
+}
+
+// routeLog records every shard request a set of fault proxies receives:
+// the node it reached, the endpoint and the shard key from its body.
+type routeLog struct {
+	mu sync.Mutex
+	//sw:guardedBy(mu)
+	reqs []routedRequest
+}
+
+type routedRequest struct{ node, path, shard string }
+
+// watch makes px log each /shard/search and /shard/align request it
+// receives, before the proxy's script acts on it. The body is read for
+// its shard key and put back, so the request is forwarded unchanged.
+// Every request, probes included, matches px's script.
+func (l *routeLog) watch(t testing.TB, px *faultproxy.Proxy) {
+	node := px.URL()
+	px.Match(func(r *http.Request) bool {
+		if r.URL.Path != "/shard/search" && r.URL.Path != "/shard/align" {
+			return true
+		}
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("%s: reading %s body: %v", node, r.URL.Path, err)
+			return true
+		}
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		var body struct {
+			Shard string `json:"shard"`
+		}
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Errorf("%s: decoding %s body: %v", node, r.URL.Path, err)
+		}
+		l.mu.Lock()
+		l.reqs = append(l.reqs, routedRequest{node: node, path: r.URL.Path, shard: body.Shard})
+		l.mu.Unlock()
+		return true
+	})
+}
+
+// take returns and clears the log.
+func (l *routeLog) take() []routedRequest {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.reqs
+	l.reqs = nil
+	return out
+}
+
+// TestCoordinatorRoutesFromProber pins that the replicas Topology reports
+// are the ones requests use: at every step of a failover, a readoption
+// and a reload, each shard request goes first to the first URL of its
+// shard's Topology().Shards[i].Replicas. A "down" node answers every
+// request 503 (probes fail, shard requests retry elsewhere) but still
+// logs the shard requests it is sent, so a request routed to it first
+// shows up in the log; up nodes fail nothing, so every request they log
+// is the first attempt of its call.
+func TestCoordinatorRoutesFromProber(t *testing.T) {
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	dir3 := t.TempDir()
+	manifest3, err := SplitIndexFile(parentPath, 3, dir3, "re")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut3, err := os.ReadFile(manifest3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := func(i int) string { return filepath.Join(dir3, fmt.Sprintf("re-%02d.swdb", i)) }
+
+	// A serves the whole 2-way cut and re-00; B and C one 2-way shard
+	// each, B re-01 and re-02, C re-02 — so every phase below puts a
+	// different mix of nodes first.
+	pxA := proxiedShardNode(t, []string{shardPaths[0], shardPaths[1], re(0)})
+	pxB := proxiedShardNode(t, []string{shardPaths[0], re(1), re(2)})
+	pxC := proxiedShardNode(t, []string{shardPaths[1], re(2)})
+	var routes routeLog
+	for _, px := range []*faultproxy.Proxy{pxA, pxB, pxC} {
+		routes.watch(t, px)
+	}
+	A, B, C := pxA.URL(), pxB.URL(), pxC.URL()
+	down := make([]faultproxy.Step, 256)
+	for i := range down {
+		down[i] = faultproxy.Step{Act: faultproxy.Unavailable}
+	}
+
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath,
+		[]string{A, B, C}, liveDistribOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.CloseNow()
+	ctx := context.Background()
+	rep := ReportOptions{Alignments: true, TopK: 5}
+
+	// check compares Topology's replica lists with want (one list per
+	// shard), then runs every query and requires each shard request to
+	// reach the first replica of its shard, and nothing else.
+	check := func(phase string, want ...[]string) {
+		t.Helper()
+		topo := coord.Topology()
+		if len(topo.Shards) != len(want) {
+			t.Fatalf("%s: %d shards, want %d", phase, len(topo.Shards), len(want))
+		}
+		first := make(map[string]string, len(want))
+		for i, sh := range topo.Shards {
+			if !slices.Equal(sh.Replicas, want[i]) {
+				t.Fatalf("%s: shard %d replicas %v, want %v", phase, i, sh.Replicas, want[i])
+			}
+			first[sh.Key] = sh.Replicas[0]
+		}
+		routes.take()
+		for _, q := range queries {
+			if _, err := coord.Search(q, rep); err != nil {
+				t.Fatalf("%s: Search(%s): %v", phase, q.ID(), err)
+			}
+		}
+		searched := map[string]int{}
+		for _, r := range routes.take() {
+			if r.node != first[r.shard] {
+				t.Fatalf("%s: %s for shard %s went to %s, Topology puts %s first",
+					phase, r.path, r.shard, r.node, first[r.shard])
+			}
+			if r.path == "/shard/search" {
+				searched[r.shard]++
+			}
+		}
+		for key := range first {
+			if searched[key] != len(queries) {
+				t.Fatalf("%s: shard %s searched %d times for %d queries", phase, key, searched[key], len(queries))
+			}
+		}
+	}
+
+	check("construction", []string{A, B}, []string{A, C})
+
+	pxA.Program(down...)
+	if err := coord.ProbeNodes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("A degraded", []string{B, A}, []string{C, A})
+	if err := coord.ProbeNodes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("A dead", []string{B}, []string{C})
+
+	pxA.Program()
+	if err := coord.ProbeNodes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("A readopted", []string{A, B}, []string{A, C})
+
+	if err := os.WriteFile(manifestPath, cut3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.ReloadManifest(ctx); err != nil {
+		t.Fatalf("reload onto the 3-way cut: %v", err)
+	}
+	check("reloaded", []string{A}, []string{B}, []string{B, C})
 }
