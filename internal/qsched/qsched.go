@@ -261,8 +261,9 @@ func (s *Scheduler[Q, R]) runOne(j *job[Q, R]) {
 	s.resolve(j, v, err)
 }
 
-// resolve completes one job's ticket, retires its pending-key entry and,
-// on success, caches the value.
+// resolve completes one job's ticket and, on success, caches the value
+// before retiring its pending-key entry: a submit finds the key in one or
+// the other at every instant, so a key never runs twice.
 func (s *Scheduler[Q, R]) resolve(j *job[Q, R], v R, err error) {
 	if err != nil {
 		var zero R
@@ -270,13 +271,13 @@ func (s *Scheduler[Q, R]) resolve(j *job[Q, R], v R, err error) {
 	}
 	if j.hasKey {
 		s.mu.Lock()
+		if err == nil && s.cache != nil {
+			s.cache.Add(j.key, v)
+		}
 		if s.pending[j.key] == j.t {
 			delete(s.pending, j.key)
 		}
 		s.mu.Unlock()
-		if err == nil && s.cache != nil {
-			s.cache.Add(j.key, v)
-		}
 	}
 	j.t.val = v
 	j.t.err = err

@@ -341,3 +341,59 @@ func TestConcurrentSubmitHammer(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestResolvingKeyRunsOnce submits each key from several goroutines in
+// a tight loop until the cache holds it, so submissions keep arriving
+// while the key's one execution resolves. A resolving key must stay
+// findable, in the pending map or the cache, at every instant: each key
+// runs exactly once.
+func TestResolvingKeyRunsOnce(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	run := func(ctx context.Context, q string) (string, error) {
+		mu.Lock()
+		runs[q]++
+		mu.Unlock()
+		return "R:" + q, nil
+	}
+	key := func(q string) (string, bool) { return q, true }
+	s := New(run, key, NewCache[string](64), 4)
+	defer s.CloseNow()
+
+	const keys, submitters = 300, 4
+	for k := 0; k < keys; k++ {
+		q := fmt.Sprintf("q%d", k)
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tickets := map[*ticket[string]]bool{}
+				for {
+					if _, cached := s.cache.Get(q); cached {
+						break
+					}
+					tk, err := s.submit(q)
+					if err != nil {
+						t.Errorf("submit(%q): %v", q, err)
+						return
+					}
+					tickets[tk] = true
+				}
+				for tk := range tickets {
+					if v, err := tk.Wait(context.Background()); err != nil || v != "R:"+q {
+						t.Errorf("%q resolved %q, %v", q, v, err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for q, n := range runs {
+		if n != 1 {
+			t.Errorf("%s ran %d times, want 1", q, n)
+		}
+	}
+}

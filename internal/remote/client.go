@@ -178,9 +178,14 @@ type postResult struct {
 // primary fails. The first success wins and cancels the other request;
 // the attempt fails only when every launched request has failed.
 func (c *Client) attempt(ctx context.Context, urls []string, a int, path string, body []byte) ([]byte, error) {
-	actx, cancel := context.WithCancel(ctx)
+	var (
+		actx   context.Context
+		cancel context.CancelFunc
+	)
 	if c.opt.Timeout > 0 {
 		actx, cancel = context.WithTimeout(ctx, c.opt.Timeout)
+	} else {
+		actx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -278,5 +279,71 @@ func TestNoReplicas(t *testing.T) {
 	c := fastClient(Options{})
 	if _, err := c.ShardSearch(context.Background(), nil, searchReq()); err == nil {
 		t.Fatal("want error for zero replica URLs")
+	}
+}
+
+// afterFuncCtx is a never-cancelled context that counts the children
+// registered on it: context.WithCancel and WithTimeout register through
+// AfterFunc on a parent that has one (and is not itself a context-package
+// cancel context), and call the returned stop once the child is
+// cancelled. live is the registrations never stopped.
+type afterFuncCtx struct {
+	done chan struct{}
+	mu   sync.Mutex
+	//sw:guardedBy(mu)
+	live int
+}
+
+func (c *afterFuncCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *afterFuncCtx) Done() <-chan struct{}       { return c.done }
+func (c *afterFuncCtx) Err() error                  { return nil }
+func (c *afterFuncCtx) Value(any) any               { return nil }
+
+func (c *afterFuncCtx) AfterFunc(func()) func() bool {
+	c.mu.Lock()
+	c.live++
+	c.mu.Unlock()
+	var once sync.Once
+	return func() bool {
+		stopped := false
+		once.Do(func() {
+			c.mu.Lock()
+			c.live--
+			c.mu.Unlock()
+			stopped = true
+		})
+		return stopped
+	}
+}
+
+func (c *afterFuncCtx) Live() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.live
+}
+
+// TestAttemptReleasesItsContext pins that a finished request leaves no
+// child context registered on its caller's context. The coordinator's
+// callers pass the scheduler's lifetime context, so a leaked child there
+// lives until the cluster closes.
+func TestAttemptReleasesItsContext(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"scores":[7,8,9]}`)
+	}))
+	defer srv.Close()
+
+	for _, timeout := range []time.Duration{0, -1} { // default 10s, none
+		parent := &afterFuncCtx{done: make(chan struct{})}
+		c := NewClient(Options{Timeout: timeout})
+		const n = 20
+		for i := 0; i < n; i++ {
+			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq()); err != nil {
+				t.Fatalf("Timeout %v: ShardSearch %d: %v", timeout, i, err)
+			}
+		}
+		if live := parent.Live(); live != 0 {
+			t.Fatalf("Timeout %v: %d child contexts still registered on the caller's context after %d searches, want 0",
+				timeout, live, n)
+		}
 	}
 }
