@@ -139,18 +139,12 @@ type ReportOptions struct {
 	// bounded at defaultReportHits, so every returned hit is decorated and
 	// an unbounded search never re-aligns the whole database.
 	TopK int
-	// EValueTrim is the top fraction of scores excluded from the
-	// significance fit as suspected homologs (0 selects the 1% default).
-	EValueTrim float64
 }
 
 // validate rejects unusable report options.
 func (rep ReportOptions) validate() error {
 	if rep.TopK < 0 {
 		return badRequest("negative report TopK %d", rep.TopK)
-	}
-	if !(rep.EValueTrim >= 0 && rep.EValueTrim < 0.5) { // rejects NaN too
-		return badRequest("report EValueTrim %v outside [0, 0.5)", rep.EValueTrim)
 	}
 	return nil
 }
@@ -162,7 +156,7 @@ func (rep ReportOptions) key() string {
 	if rep == (ReportOptions{}) {
 		return ""
 	}
-	return fmt.Sprintf("R:a=%t,e=%t,k=%d,t=%g|", rep.Alignments, rep.EValues, rep.TopK, rep.EValueTrim)
+	return fmt.Sprintf("R:a=%t,e=%t,k=%d|", rep.Alignments, rep.EValues, rep.TopK)
 }
 
 // defaultReportHits bounds the reporting phases when the call sets no
@@ -178,7 +172,7 @@ const defaultReportHits = 10
 // alone.)
 func (c *Cluster) checkReport(rep ReportOptions) error {
 	if rep.EValues {
-		if err := stats.FitViable(c.db.Len(), rep.EValueTrim); err != nil {
+		if err := stats.FitViable(c.db.Len(), 0); err != nil {
 			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
 		}
 	}
@@ -260,7 +254,7 @@ type Cluster struct {
 	eng atomic.Pointer[core.Dispatcher]
 
 	// topo is the live-topology controller of a distributed coordinator
-	// (health prober, replica sets, manifest hot-reload); nil for local
+	// (health prober, manifest generation, hot-reload); nil for local
 	// clusters.
 	topo *liveTopology
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"time"
@@ -46,15 +45,12 @@ type DistributedOptions struct {
 	Retries    int
 	Backoff    time.Duration
 	HedgeDelay time.Duration
-	// HTTPClient optionally supplies the underlying HTTP client.
-	HTTPClient *http.Client
 
 	// ProbeInterval is the background health-probe period (15s when 0;
 	// negative disables the background loop, leaving probes to explicit
 	// ProbeNodes calls — the mode deterministic tests use). Each sweep
-	// re-probes every node, updates the per-node health state machine and
-	// recomputes every shard's replica set from the latest ownership
-	// reports.
+	// re-probes every node and updates its health state machine and its
+	// reported shard keys, which every request routes by.
 	ProbeInterval time.Duration
 	// ProbeDeadAfter is the consecutive probe-failure count that marks a
 	// node dead and fails its shards over to the surviving replicas (3
@@ -63,27 +59,18 @@ type DistributedOptions struct {
 }
 
 // liveTopology is a coordinator's mutable topology state: the manifest
-// generation currently serving, one live replica set per shard, and the
-// prober that keeps them converged with reality. The engine itself (the
-// dispatcher built over the shard cut) lives in Cluster.eng and is
-// swapped atomically on reload; this struct owns everything that changes
-// between and within generations.
+// generation currently serving, its reload counters, and the prober whose
+// latest ownership reports route every shard request. The engine itself
+// (the dispatcher built over the shard cut) lives in Cluster.eng and is
+// swapped atomically on reload.
 type liveTopology struct {
-	client       *remote.Client
 	prober       *remote.Prober
-	nodes        []string
 	manifestPath string
 	db           *Database
 
 	mu sync.Mutex
 	//sw:guardedBy(mu)
 	man *remote.Manifest
-	// keys mirrors man.Shards[i].Key; replicas[i] is shard i's live
-	// replica set, rewritten by refresh after every probe sweep.
-	//sw:guardedBy(mu)
-	keys []string
-	//sw:guardedBy(mu)
-	replicas []*remote.ReplicaSet
 	//sw:guardedBy(mu)
 	generation int
 	//sw:guardedBy(mu)
@@ -93,12 +80,10 @@ type liveTopology struct {
 }
 
 // install publishes a freshly validated topology generation.
-func (t *liveTopology) install(man *remote.Manifest, keys []string, sets []*remote.ReplicaSet) {
+func (t *liveTopology) install(man *remote.Manifest) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.man = man
-	t.keys = keys
-	t.replicas = sets
 	t.generation++
 }
 
@@ -113,26 +98,6 @@ func (t *liveTopology) noteReload(ok bool) {
 	}
 }
 
-// refresh is the prober's onChange hook: recompute every shard's replica
-// set from the latest ownership reports. A node that newly reports a
-// shard key joins that shard's replicas; a dead node leaves every set it
-// was in — failover and readoption are both exactly this rewrite. The
-// sets are updated in place, so in-flight requests (which snapshotted
-// their URL list already) are untouched.
-func (t *liveTopology) refresh() {
-	t.mu.Lock()
-	keys := t.keys
-	sets := t.replicas
-	t.mu.Unlock()
-	if len(keys) == 0 {
-		return // construction probe: nothing published yet
-	}
-	owners := t.prober.Owners(keys)
-	for i, key := range keys {
-		sets[i].Set(owners[key])
-	}
-}
-
 // kick forwards a request failure to the prober for an immediate
 // re-probe of the failing node.
 func (t *liveTopology) kick(url string, err error) {
@@ -143,7 +108,7 @@ func (t *liveTopology) kick(url string, err error) {
 // are remote shard nodes instead of the local host. The manifest
 // (written by swindex split) names the shard cut of the parent database;
 // nodes are probed for which shard keys they serve, and each shard's
-// owners become the replica set its requests route (and hedge) across.
+// current owners are the replicas its requests route (and hedge) across.
 //
 // db must be the parent .swdb index the manifest was cut from — the
 // checksum keys must agree — so the coordinator can reconstruct each
@@ -188,23 +153,18 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 		return nil, err
 	}
 
-	topo := &liveTopology{
-		nodes:        append([]string(nil), nodes...),
-		manifestPath: manifestPath,
-		db:           db,
-	}
-	topo.client = remote.NewClient(remote.Options{
-		HTTP:       opt.HTTPClient,
+	topo := &liveTopology{manifestPath: manifestPath, db: db}
+	client := remote.NewClient(remote.Options{
 		Timeout:    opt.Timeout,
 		Retries:    opt.Retries,
 		Backoff:    opt.Backoff,
 		HedgeDelay: opt.HedgeDelay,
 		OnFailure:  topo.kick,
 	})
-	topo.prober = remote.NewProber(topo.client, nodes, remote.ProberOptions{
+	topo.prober = remote.NewProber(client, nodes, remote.ProberOptions{
 		Interval:  opt.ProbeInterval,
 		DeadAfter: opt.ProbeDeadAfter,
-	}, topo.refresh)
+	})
 
 	// Probe every node (concurrently, under the caller's ctx) for the
 	// shard keys it serves. Individual probe failures are tolerated — a
@@ -212,11 +172,11 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 	// shard nobody owns is fatal: the merged result would silently miss
 	// its sequences.
 	topo.prober.ProbeAll(ctx)
-	eng, keys, sets, err := buildShardEngine(db, man, topo.prober, topo.client)
+	eng, err := buildShardEngine(db, man, topo.prober)
 	if err != nil {
 		return nil, err
 	}
-	topo.install(man, keys, sets)
+	topo.install(man)
 
 	search, err := opt.Options.toCore(db.db.Alphabet())
 	if err != nil {
@@ -251,43 +211,31 @@ func validateManifestFor(db *Database, man *remote.Manifest) error {
 }
 
 // buildShardEngine assembles one topology generation over a validated
-// manifest: per-shard replica sets from the prober's latest ownership
-// reports, one remote backend per shard, and the sharded dispatcher.
-// A shard with no live owner fails the build — the caller keeps serving
-// the previous generation (hot-reload) or refuses to start (construction).
-func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober, client *remote.Client) (*core.Dispatcher, []string, []*remote.ReplicaSet, error) {
-	keys := make([]string, len(man.Shards))
-	for i, sh := range man.Shards {
-		keys[i] = sh.Key
-	}
-	owners := prober.Owners(keys)
+// manifest: one remote backend per shard, routing by the prober's
+// ownership reports, and the sharded dispatcher. A shard with no live
+// owner fails the build — the caller keeps serving the previous
+// generation (hot-reload) or refuses to start (construction).
+func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober) (*core.Dispatcher, error) {
 	backends := make([]core.ShardBackend, len(man.Shards))
 	shardDBs := make([]*seqdb.Database, len(man.Shards))
 	shardIdx := make([][]int, len(man.Shards))
-	sets := make([]*remote.ReplicaSet, len(man.Shards))
 	for i, sh := range man.Shards {
-		urls := owners[sh.Key]
-		if len(urls) == 0 {
-			return nil, nil, nil, fmt.Errorf("heterosw: no node serves shard %d (%s)%s", i, sh.Key, probeSuffix(prober.ProbeErrors()))
+		if len(prober.Owners(sh.Key)) == 0 {
+			return nil, fmt.Errorf("heterosw: no node serves shard %d (%s)%s", i, sh.Key, probeSuffix(prober.ProbeErrors()))
 		}
 		sdb, err := db.db.Select(sh.ParentIndex, sh.Key)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("heterosw: shard %d (%s): %w", i, sh.Key, err)
+			return nil, fmt.Errorf("heterosw: shard %d (%s): %w", i, sh.Key, err)
 		}
 		if sdb.Residues() != sh.Residues {
-			return nil, nil, nil, fmt.Errorf("heterosw: shard %d (%s) selects %d residues, manifest declares %d",
+			return nil, fmt.Errorf("heterosw: shard %d (%s) selects %d residues, manifest declares %d",
 				i, sh.Key, sdb.Residues(), sh.Residues)
 		}
-		sets[i] = remote.NewReplicaSet(urls)
-		backends[i] = remote.NewBackendSet(fmt.Sprintf("remote#%d", i), client, sets[i])
+		backends[i] = remote.NewBackend(fmt.Sprintf("remote#%d", i), prober)
 		shardDBs[i] = sdb
 		shardIdx[i] = sh.ParentIndex
 	}
-	disp, err := core.NewDispatcherShards(db.db, backends, shardDBs, shardIdx)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return disp, keys, sets, nil
+	return core.NewDispatcherShards(db.db, backends, shardDBs, shardIdx)
 }
 
 // probeSuffix folds node probe failures into a shard-ownership error, so
@@ -302,12 +250,11 @@ func probeSuffix(probeErrs []error) string {
 
 // ProbeNodes runs one synchronous health-probe sweep over the node
 // roster: every node is probed concurrently, the per-node state machines
-// advance, and every shard's replica set is recomputed from the latest
-// ownership reports. The background prober does exactly this every
-// ProbeInterval; explicit calls serve deterministic tests (which disable
-// the background loop) and the POST /admin/probe endpoint. Fails only on
-// a non-distributed cluster — individual node failures are what the
-// sweep exists to record.
+// advance, and the next shard request routes by the reports it gathered.
+// The background prober does exactly this every ProbeInterval; explicit
+// calls serve deterministic tests (which disable the background loop) and
+// the POST /admin/probe endpoint. Fails only on a non-distributed
+// cluster — individual node failures are what the sweep exists to record.
 func (c *Cluster) ProbeNodes(ctx context.Context) error {
 	if c.topo == nil {
 		return fmt.Errorf("heterosw: ProbeNodes needs a distributed coordinator")
@@ -324,7 +271,8 @@ func (c *Cluster) ProbeNodes(ctx context.Context) error {
 // and built into a complete engine (nodes re-probed, every shard needing
 // at least one live owner) BEFORE anything is published; any failure
 // leaves the old topology serving untouched. In-flight queries hold the
-// engine snapshot they started with, so a reload never tears a response.
+// engine snapshot they started with, so a reload never tears a response;
+// their shard requests route to the current owners of each shard's key.
 //
 // The swap resets the per-backend Totals accounting (the new generation
 // has fresh backends); the result cache is kept — the conformance
@@ -346,12 +294,12 @@ func (c *Cluster) ReloadManifest(ctx context.Context) error {
 	// Re-probe before building so nodes newly serving the incoming cut's
 	// shards are discovered in this very call, not a sweep later.
 	t.prober.ProbeAll(ctx)
-	eng, keys, sets, err := buildShardEngine(t.db, man, t.prober, t.client)
+	eng, err := buildShardEngine(t.db, man, t.prober)
 	if err != nil {
 		t.noteReload(false)
 		return err
 	}
-	t.install(man, keys, sets)
+	t.install(man)
 	c.eng.Store(eng)
 	t.noteReload(true)
 	return nil
@@ -446,12 +394,11 @@ func (c *Cluster) Topology() *TopologyInfo {
 	out.Generation = t.generation
 	out.Reloads = t.reloads
 	out.ReloadFailures = t.reloadFailures
-	keys := t.keys
-	sets := t.replicas
+	man := t.man
 	t.mu.Unlock()
-	out.Shards = make([]ShardRouteInfo, len(keys))
-	for i, key := range keys {
-		out.Shards[i] = ShardRouteInfo{Key: key, Replicas: sets[i].URLs()}
+	out.Shards = make([]ShardRouteInfo, len(man.Shards))
+	for i, sh := range man.Shards {
+		out.Shards[i] = ShardRouteInfo{Key: sh.Key, Replicas: t.prober.Owners(sh.Key)}
 	}
 	return out
 }

@@ -3,8 +3,12 @@ package core
 // Stats aggregates the structural operation counts of kernel execution.
 // Counts are architecture-neutral facts about the computation (how many
 // vector iterations, how many profile builds, how many cells were useful
-// work versus padding); the device cost model in internal/device converts
-// them into simulated cycles.
+// work versus padding). Outside this package Cells divides wall time into
+// wall GCUPS, and Overflows, Overflows8 and OverflowCells become the
+// public result's ladder counts (the shard wire, /healthz "ladder",
+// swsearch's overflow line); the other counts are read by this package's
+// tests only. No device model reads them: the planner prices a search
+// from the database's shape, not from an executed search's counts.
 type Stats struct {
 	// Cells counts useful cell updates: query length times true database
 	// residues. This is the numerator of GCUPS.

@@ -15,17 +15,16 @@ import (
 // it is handed (always its own shard under a sharded dispatcher) and
 // AlignShard fans tracebacks out to the node holding the shard bytes.
 type Backend struct {
-	name     string
-	client   *Client
-	replicas *ReplicaSet
+	name   string
+	prober *Prober
 }
 
-// NewBackendSet builds a backend over a live replica set: each request
-// snapshots the set's current URLs, so the coordinator's health prober
-// can rewrite shard ownership — failover, readoption, rebalance — under
-// running traffic without touching the backend.
-func NewBackendSet(name string, client *Client, replicas *ReplicaSet) *Backend {
-	return &Backend{name: name, client: client, replicas: replicas}
+// NewBackend builds a backend that routes every request to the prober's
+// current owners of the shard's key, over the prober's client: failover,
+// readoption and rebalance reach running traffic at the probe that sees
+// them, with nothing to rewrite here.
+func NewBackend(name string, prober *Prober) *Backend {
+	return &Backend{name: name, prober: prober}
 }
 
 // Name implements core.Backend.
@@ -48,7 +47,7 @@ func residueBytes(codes []alphabet.Code) []byte {
 // so operators must configure nodes and coordinator identically (see the
 // README's distributed serving contract).
 func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt core.SearchOptions) (*core.Result, error) {
-	resp, err := b.client.ShardSearch(ctx, b.replicas.URLs(), &ShardSearchRequest{
+	resp, err := b.prober.client.ShardSearch(ctx, b.prober.Owners(db.Key()), &ShardSearchRequest{
 		Shard: db.Key(),
 		ID:    query.ID,
 		Codes: residueBytes(query.Residues),
@@ -83,7 +82,7 @@ func (b *Backend) AlignShard(ctx context.Context, query *sequence.Sequence, shar
 		req.Indices[i] = h.SeqIndex
 		req.Scores[i] = h.Score
 	}
-	resp, err := b.client.ShardAlign(ctx, b.replicas.URLs(), req)
+	resp, err := b.prober.client.ShardAlign(ctx, b.prober.Owners(shard.Key()), req)
 	if err != nil {
 		return nil, fmt.Errorf("remote: backend %s: %w", b.name, err)
 	}

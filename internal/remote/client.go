@@ -19,10 +19,6 @@ const maxNodeResponseBytes = 64 << 20
 // Options tunes a Client. The zero value selects the defaults noted on
 // each field.
 type Options struct {
-	// HTTP is the underlying client (http.DefaultClient family semantics
-	// when nil). Per-attempt deadlines come from Timeout, not from
-	// HTTP.Timeout, so hedged attempts can share one transport.
-	HTTP *http.Client
 	// Timeout bounds each individual attempt (10s when 0; negative
 	// disables). A slow node trips it and the next attempt routes to the
 	// next replica.
@@ -49,9 +45,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HTTP == nil {
-		o.HTTP = &http.Client{}
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 10 * time.Second
 	} else if o.Timeout < 0 {
@@ -73,7 +66,8 @@ func (o Options) withDefaults() Options {
 // Client talks to swserve shard nodes with per-attempt timeouts, bounded
 // retries over retryable failures, exponential backoff and optional
 // hedging across replicas. A Client is safe for concurrent use and is
-// shared by every Backend of one coordinator.
+// shared by every Backend of one coordinator. Requests go through
+// http.DefaultClient; per-attempt deadlines come from Options.Timeout.
 type Client struct {
 	opt Options
 }
@@ -250,7 +244,7 @@ func (c *Client) post(ctx context.Context, base, path string, body []byte) postR
 // read executes a prepared request, capping the body and converting
 // non-200 statuses to StatusError.
 func (c *Client) read(req *http.Request, base string) ([]byte, error) {
-	resp, err := c.opt.HTTP.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

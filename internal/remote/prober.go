@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,16 +103,15 @@ type nodeStatus struct {
 
 // Prober tracks the health of a fixed node roster by probing GET /shards:
 // periodically from a background loop, and immediately when Kick reports
-// a request failure against a node. Every sweep ends by invoking the
-// onChange callback, which the coordinator uses to recompute each shard's
-// replica set from the latest ownership reports — a node that newly
-// reports a shard key joins that shard's replicas, and a dead node's
-// shards fail over to the survivors, all without a coordinator restart.
+// a request failure against a node. It is the coordinator's one record of
+// shard ownership: every shard request routes to Owners of its key, so a
+// node that newly reports a key joins that shard's replicas, and a dead
+// node's shards fail over to the survivors, at the probe that saw it and
+// without a coordinator restart.
 type Prober struct {
-	client   *Client
-	nodes    []string // immutable roster, construction order
-	opt      ProberOptions
-	onChange func()
+	client *Client
+	nodes  []string // immutable roster, construction order
+	opt    ProberOptions
 
 	kick      chan string
 	stopc     chan struct{}
@@ -127,19 +127,16 @@ type Prober struct {
 	sweeps int64
 }
 
-// NewProber builds a prober over the node roster. onChange (may be nil)
-// runs after every probe sweep and every triggered single-node probe,
-// outside the prober's lock, so it may call back into Owners and Health.
-// The prober is inert until ProbeAll or Start is called.
-func NewProber(client *Client, nodes []string, opt ProberOptions, onChange func()) *Prober {
+// NewProber builds a prober over the node roster. The prober is inert
+// until ProbeAll or Start is called.
+func NewProber(client *Client, nodes []string, opt ProberOptions) *Prober {
 	p := &Prober{
-		client:   client,
-		nodes:    append([]string(nil), nodes...),
-		opt:      opt.withDefaults(),
-		onChange: onChange,
-		kick:     make(chan string, 2*len(nodes)+4),
-		stopc:    make(chan struct{}),
-		done:     make(chan struct{}),
+		client: client,
+		nodes:  append([]string(nil), nodes...),
+		opt:    opt.withDefaults(),
+		kick:   make(chan string, 2*len(nodes)+4),
+		stopc:  make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	p.mu.Lock()
 	p.status = make(map[string]*nodeStatus, len(nodes))
@@ -205,9 +202,9 @@ func (p *Prober) Kick(url string) {
 	}
 }
 
-// ProbeAll probes every node concurrently, waits for all results, then
-// runs the onChange callback once. ctx bounds the sweep; each probe is
-// additionally bounded by the client's per-attempt timeout.
+// ProbeAll probes every node concurrently and waits for all results.
+// ctx bounds the sweep; each probe is additionally bounded by the
+// client's per-attempt timeout.
 func (p *Prober) ProbeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, url := range p.nodes {
@@ -221,27 +218,13 @@ func (p *Prober) ProbeAll(ctx context.Context) {
 	p.mu.Lock()
 	p.sweeps++
 	p.mu.Unlock()
-	if p.onChange != nil {
-		p.onChange()
-	}
 }
 
-// probeOne re-probes a single known node and runs onChange. Unknown URLs
-// are ignored: the roster is fixed at construction.
+// probeOne re-probes a single known node. Unknown URLs are ignored: the
+// roster is fixed at construction.
 func (p *Prober) probeOne(ctx context.Context, url string) {
-	known := false
-	for _, n := range p.nodes {
-		if n == url {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return
-	}
-	p.probe(ctx, url)
-	if p.onChange != nil {
-		p.onChange()
+	if slices.Contains(p.nodes, url) {
+		p.probe(ctx, url)
 	}
 }
 
@@ -286,28 +269,19 @@ func (p *Prober) probe(ctx context.Context, url string) {
 	}
 }
 
-// Owners maps each requested shard key to the live node URLs reporting
-// it, healthy nodes first, then degraded, each group in roster order —
-// so attempt 0 of every request prefers a node that answered its latest
-// probe. Dead nodes are excluded: their shards have failed over.
-func (p *Prober) Owners(keys []string) map[string][]string {
-	want := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
-	}
-	owners := make(map[string][]string, len(keys))
+// Owners lists the live node URLs reporting the shard key, healthy
+// nodes first, then degraded, each group in roster order — so attempt 0
+// of every request prefers a node that answered its latest probe. Dead
+// nodes are excluded: their shards have failed over. The slice is the
+// caller's.
+func (p *Prober) Owners(key string) []string {
+	var owners []string
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, state := range []NodeState{NodeHealthy, NodeDegraded} {
 		for _, url := range p.nodes {
-			st := p.status[url]
-			if st.state != state {
-				continue
-			}
-			for _, k := range st.shards {
-				if want[k] {
-					owners[k] = append(owners[k], url)
-				}
+			if st := p.status[url]; st.state == state && slices.Contains(st.shards, key) {
+				owners = append(owners, url)
 			}
 		}
 	}

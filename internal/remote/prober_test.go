@@ -66,7 +66,7 @@ func stateOf(t *testing.T, p *Prober, url string) NodeHealth {
 func TestProberStateMachine(t *testing.T) {
 	px := proxiedNode(t, "k0", "k1")
 	c := fastClient(Options{})
-	p := NewProber(c, []string{px.URL()}, ProberOptions{Interval: -1, DeadAfter: 3}, nil)
+	p := NewProber(c, []string{px.URL()}, ProberOptions{Interval: -1, DeadAfter: 3})
 	ctx := context.Background()
 
 	if h := stateOf(t, p, px.URL()); h.State != NodeDegraded {
@@ -114,22 +114,21 @@ func TestProberStateMachine(t *testing.T) {
 // TestProberOwners pins the replica ordering contract: healthy owners
 // first, then degraded, each group in roster order; dead nodes excluded.
 // The ordering is what keeps a freshly constructed coordinator's replica
-// sets identical to the old sequential-probe construction, so the
+// order identical to the old sequential-probe construction, so the
 // conformance guarantee is ordering-stable.
 func TestProberOwners(t *testing.T) {
 	a := proxiedNode(t, "k0", "k1")
 	b := proxiedNode(t, "k0")
 	c := proxiedNode(t, "k1")
 	cl := fastClient(Options{Retries: 0})
-	p := NewProber(cl, []string{a.URL(), b.URL(), c.URL()}, ProberOptions{Interval: -1, DeadAfter: 2}, nil)
+	p := NewProber(cl, []string{a.URL(), b.URL(), c.URL()}, ProberOptions{Interval: -1, DeadAfter: 2})
 	ctx := context.Background()
 
 	p.ProbeAll(ctx)
-	owners := p.Owners([]string{"k0", "k1"})
-	if got, want := owners["k0"], []string{a.URL(), b.URL()}; !equalStrings(got, want) {
+	if got, want := p.Owners("k0"), []string{a.URL(), b.URL()}; !equalStrings(got, want) {
 		t.Fatalf("k0 owners %v, want %v (roster order)", got, want)
 	}
-	if got, want := owners["k1"], []string{a.URL(), c.URL()}; !equalStrings(got, want) {
+	if got, want := p.Owners("k1"), []string{a.URL(), c.URL()}; !equalStrings(got, want) {
 		t.Fatalf("k1 owners %v, want %v (roster order)", got, want)
 	}
 
@@ -137,24 +136,23 @@ func TestProberOwners(t *testing.T) {
 	// routable.
 	a.SetDown(true)
 	p.ProbeAll(ctx)
-	if got, want := p.Owners([]string{"k0"})["k0"], []string{b.URL(), a.URL()}; !equalStrings(got, want) {
+	if got, want := p.Owners("k0"), []string{b.URL(), a.URL()}; !equalStrings(got, want) {
 		t.Fatalf("degraded owners %v, want %v (healthy first)", got, want)
 	}
 
 	// The second failure kills it: its shards fail over entirely.
 	p.ProbeAll(ctx)
-	owners = p.Owners([]string{"k0", "k1"})
-	if got, want := owners["k0"], []string{b.URL()}; !equalStrings(got, want) {
+	if got, want := p.Owners("k0"), []string{b.URL()}; !equalStrings(got, want) {
 		t.Fatalf("post-death k0 owners %v, want %v", got, want)
 	}
-	if got, want := owners["k1"], []string{c.URL()}; !equalStrings(got, want) {
+	if got, want := p.Owners("k1"), []string{c.URL()}; !equalStrings(got, want) {
 		t.Fatalf("post-death k1 owners %v, want %v", got, want)
 	}
 
 	// Recovery readopts it at healthy preference.
 	a.SetDown(false)
 	p.ProbeAll(ctx)
-	if got, want := p.Owners([]string{"k0"})["k0"], []string{a.URL(), b.URL()}; !equalStrings(got, want) {
+	if got, want := p.Owners("k0"), []string{a.URL(), b.URL()}; !equalStrings(got, want) {
 		t.Fatalf("readopted owners %v, want %v", got, want)
 	}
 }
@@ -178,7 +176,7 @@ func TestProberProbeErrors(t *testing.T) {
 	bad := proxiedNode(t, "k1")
 	bad.SetDown(true)
 	cl := fastClient(Options{Retries: 0})
-	p := NewProber(cl, []string{good.URL(), bad.URL()}, ProberOptions{Interval: -1}, nil)
+	p := NewProber(cl, []string{good.URL(), bad.URL()}, ProberOptions{Interval: -1})
 	p.ProbeAll(context.Background())
 
 	errs := p.ProbeErrors()
@@ -190,19 +188,13 @@ func TestProberProbeErrors(t *testing.T) {
 	}
 }
 
-// TestProberOnChange pins that every sweep and every triggered probe runs
-// the onChange callback — the hook the coordinator's replica-set refresh
-// hangs off.
+// TestProberOnChange pins that Sweeps counts every ProbeAll sweep.
 func TestProberOnChange(t *testing.T) {
 	px := proxiedNode(t, "k0")
-	changes := 0
 	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1}, func() { changes++ })
+	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1})
 	p.ProbeAll(context.Background())
 	p.ProbeAll(context.Background())
-	if changes != 2 {
-		t.Fatalf("onChange ran %d times for 2 sweeps, want 2", changes)
-	}
 	if p.Sweeps() != 2 {
 		t.Fatalf("Sweeps() = %d, want 2", p.Sweeps())
 	}
@@ -213,7 +205,7 @@ func TestProberOnChange(t *testing.T) {
 func TestProberQuantilesOrdered(t *testing.T) {
 	px := proxiedNode(t, "k0")
 	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1}, nil)
+	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1})
 	const probes = latencyWindow + 8 // overfill the window to exercise the ring wrap
 	for i := 0; i < probes; i++ {
 		p.ProbeAll(context.Background())
@@ -232,7 +224,7 @@ func TestProberQuantilesOrdered(t *testing.T) {
 func TestProberBackgroundLoop(t *testing.T) {
 	px := proxiedNode(t, "k0")
 	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: 2 * time.Millisecond}, nil)
+	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: 2 * time.Millisecond})
 	p.Start()
 	deadline := time.Now().Add(10 * time.Second)
 	for p.Sweeps() < 2 {
@@ -254,7 +246,7 @@ func TestProberBackgroundLoop(t *testing.T) {
 func TestProberKickWithoutLoop(t *testing.T) {
 	px := proxiedNode(t, "k0")
 	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1}, nil)
+	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1})
 	p.Start() // no-op: interval disabled
 	for i := 0; i < 100; i++ {
 		p.Kick(px.URL()) // must never block, even far past the buffer

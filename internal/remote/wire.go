@@ -1,8 +1,10 @@
 // Package remote implements the distributed search layer's client side: the
 // JSON wire types spoken between a coordinator and swserve shard nodes, the
 // shard manifest that carries the durable checksum identity of each cut, a
-// retrying/hedging HTTP client, and a Backend implementing core.Backend so
-// a remote node slots into the dispatcher exactly like the local host.
+// retrying/hedging HTTP client, the health Prober that records which nodes
+// serve which shard keys, and a Backend implementing core.Backend so a
+// remote shard slots into the dispatcher exactly like the local host,
+// routing each request to the prober's current owners of its key.
 //
 // The protocol is deliberately small — three endpoints on every node:
 //
@@ -104,12 +106,12 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// ErrNoReplicas reports a request against a shard whose replica set is
-// currently empty: every node that served it is dead (or was never
-// probed successfully). It is retryable by classification — the prober
-// readopts a recovering node and refills the set without a coordinator
-// restart — so front ends map it to 503, telling clients to retry
-// exactly as they would against a draining node.
+// ErrNoReplicas reports a request against a shard with no live owner:
+// every node that served it is dead (or was never probed successfully).
+// It is retryable by classification — the prober readopts a recovering
+// node, whose shards route again without a coordinator restart — so front
+// ends map it to 503, telling clients to retry exactly as they would
+// against a draining node.
 var ErrNoReplicas = errors.New("remote: no live replicas")
 
 // StatusError is a non-200 node answer, carrying the HTTP status the
@@ -136,7 +138,7 @@ func (e *StatusError) Error() string {
 // else — 400s, 404 unknown shard, 500 — reports a request that cannot
 // succeed as posed, and retrying would only amplify the failure.
 // ErrNoReplicas is retryable too (no StatusError to classify): the
-// prober refills an emptied replica set when a node recovers.
+// prober readopts a shard's owner when the node recovers.
 func Retryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {

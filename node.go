@@ -93,16 +93,21 @@ func (s *ShardServer) handleShards(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	resp := remote.ShardsResponse{Alphabet: s.shards[s.keys[0]].db.Alphabet()}
-	for _, key := range s.keys {
+	writeJSON(w, http.StatusOK, remote.ShardsResponse{
+		Alphabet: s.shards[s.keys[0]].db.Alphabet(),
+		Shards:   s.shardInfos(),
+	})
+}
+
+// shardInfos is the node's shard inventory in key order, as GET /shards
+// and /healthz both report it.
+func (s *ShardServer) shardInfos() []remote.ShardInfo {
+	out := make([]remote.ShardInfo, len(s.keys))
+	for i, key := range s.keys {
 		cl := s.shards[key]
-		resp.Shards = append(resp.Shards, remote.ShardInfo{
-			Key:       key,
-			Sequences: cl.db.Len(),
-			Residues:  cl.db.Residues(),
-		})
+		out[i] = remote.ShardInfo{Key: key, Sequences: cl.db.Len(), Residues: cl.db.Residues()}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }
 
 // shardQuery resolves the shard and query shared by the search and align
@@ -219,16 +224,11 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	h := shardHealthJSON{Status: "ok", UptimeSeconds: time.Since(s.start).Seconds()}
-	for _, key := range s.keys {
-		cl := s.shards[key]
-		h.Shards = append(h.Shards, remote.ShardInfo{
-			Key:       key,
-			Sequences: cl.db.Len(),
-			Residues:  cl.db.Residues(),
-		})
-	}
-	writeJSON(w, http.StatusOK, h)
+	writeJSON(w, http.StatusOK, shardHealthJSON{
+		Status:        "ok",
+		UptimeSeconds: time.Since(s.start).Seconds(),
+		Shards:        s.shardInfos(),
+	})
 }
 
 // alignIndices is the node-side traceback entry point: align the query

@@ -129,9 +129,6 @@ func TestReportOptionsValidation(t *testing.T) {
 	if _, err := cl.Search(q, ReportOptions{TopK: -1}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("negative TopK: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := cl.Search(q, ReportOptions{EValueTrim: 0.7}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("EValueTrim 0.7: err = %v, want ErrBadRequest", err)
-	}
 	if _, err := cl.Search(q, ReportOptions{}, ReportOptions{}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("two ReportOptions: err = %v, want ErrBadRequest", err)
 	}

@@ -330,7 +330,7 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 // under.
 func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *ClusterResult, winner []int) error {
 	if jb.rep.EValues {
-		sig, err := res.FitSignificance(jb.rep.EValueTrim)
+		sig, err := res.FitSignificance(0)
 		if err != nil {
 			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
 		}
