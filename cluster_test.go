@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"heterosw/internal/core"
 )
 
 func TestClusterMatchesSingleDevice(t *testing.T) {
@@ -62,10 +60,6 @@ func TestClusterMatchesSingleDevice(t *testing.T) {
 // one query profile, one lane partition, one worker sweep.
 func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.001, true)
-	// The whole-database partition a default search packs: byte lanes of
-	// the host register, long subjects routed out.
-	groups, long := db.db.Partition(hostWidth().ByteLanes(), core.DefaultLongSeqThreshold)
-	wantGroups := int64(len(groups) + len(long))
 
 	var first *ClusterResult
 	for _, opt := range []ClusterOptions{
@@ -83,9 +77,10 @@ func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			after := cl.engine().KernelStats()
-			if got := after.Groups - before.Groups; got != wantGroups {
-				t.Fatalf("%v: query %d ran %d work items, want the whole-database partition's %d",
-					opt.Devices, n, got, wantGroups)
+			// Every database residue is searched once per query.
+			if got, want := after.Cells-before.Cells, int64(q.Len())*db.Residues(); got != want {
+				t.Fatalf("%v: query %d counted %d cells, want %d (every residue once)",
+					opt.Devices, n, got, want)
 			}
 			nq, per := cl.Totals()
 			if len(per) != 1 || per[0].Name != "host" || per[0].Device != DeviceHost {

@@ -13,7 +13,8 @@ import (
 
 // TestEngineRoutesLongSequences verifies the end-to-end path: a database
 // containing a sequence beyond the threshold must produce oracle-correct
-// scores and account the work as intra-task cells.
+// scores, route exactly those subjects to the intra-task kernel, and count
+// every residue's cells once.
 func TestEngineRoutesLongSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	random := []*sequence.Sequence{
@@ -45,7 +46,8 @@ func TestEngineRoutesLongSequences(t *testing.T) {
 // routeBothWays searches seqs with the default long-sequence routing, which
 // must send exactly intraResidues subject residues down the intra-task
 // kernel, and with routing disabled, which must reach the oracle's scores
-// through the lane kernels alone (with heavy padding).
+// through the lane kernels alone (with heavy padding). Both searches count
+// every database residue's cells once.
 func routeBothWays(t *testing.T, seqs []*sequence.Sequence, query *sequence.Sequence, intraResidues int) (routed, unrouted *Result) {
 	t.Helper()
 	db := seqdb.New(seqs, true)
@@ -60,11 +62,20 @@ func routeBothWays(t *testing.T, seqs []*sequence.Sequence, query *sequence.Sequ
 			t.Fatalf("seq %d (len %d): score %d, want %d", i, seqs[i].Len(), routed.Scores[i], want[i])
 		}
 	}
-	if wantIntra := int64(query.Len()) * int64(intraResidues); routed.Stats.IntraCells != wantIntra {
-		t.Fatalf("IntraCells = %d, want %d", routed.Stats.IntraCells, wantIntra)
+	long := longRouted(t, e, DefaultLongSeqThreshold)
+	routedResidues := 0
+	for _, n := range long {
+		if n <= DefaultLongSeqThreshold {
+			t.Fatalf("a %d-residue subject routed to the intra-task kernel", n)
+		}
+		routedResidues += n
 	}
-	if routed.Stats.Cells != int64(query.Len())*db.Residues() {
-		t.Fatalf("Cells = %d", routed.Stats.Cells)
+	if routedResidues != intraResidues {
+		t.Fatalf("intra-task kernel got subjects %v (%d residues), want %d residues", long, routedResidues, intraResidues)
+	}
+	wantCells := int64(query.Len()) * db.Residues()
+	if routed.Stats.Cells != wantCells {
+		t.Fatalf("Cells = %d, want %d", routed.Stats.Cells, wantCells)
 	}
 
 	opt := defaultSearchOptions()
@@ -78,10 +89,32 @@ func routeBothWays(t *testing.T, seqs []*sequence.Sequence, query *sequence.Sequ
 			t.Fatalf("routing changed scores at %d: %d vs %d", i, unrouted.Scores[i], routed.Scores[i])
 		}
 	}
-	if unrouted.Stats.IntraCells != 0 {
-		t.Fatalf("routing disabled but IntraCells = %d", unrouted.Stats.IntraCells)
+	if long := longRouted(t, e, 0); len(long) != 0 {
+		t.Fatalf("routing disabled but subjects %v went to the intra-task kernel", long)
+	}
+	if unrouted.Stats.Cells != wantCells {
+		t.Fatalf("unrouted Cells = %d, want %d", unrouted.Stats.Cells, wantCells)
 	}
 	return routed, unrouted
+}
+
+// longRouted returns the lengths of the subjects that the partition a
+// search cached for a long-subject threshold (0: routing disabled) sends to
+// the intra-task kernel. The partition must already be cached, at the
+// engine's byte-lane width.
+func longRouted(t *testing.T, e *Engine, threshold int) []int {
+	t.Helper()
+	e.mu.Lock()
+	p, ok := e.parts[partKey{lanes: e.dev.ByteLanes(), longThreshold: threshold}]
+	e.mu.Unlock()
+	if !ok {
+		t.Fatalf("no partition cached at %d byte lanes, threshold %d", e.dev.ByteLanes(), threshold)
+	}
+	lens := make([]int, len(p.long))
+	for i, idx := range p.long {
+		lens[i] = e.db.Seq(idx).Len()
+	}
+	return lens
 }
 
 func TestPartitionRouting(t *testing.T) {
@@ -133,8 +166,11 @@ func TestEngineLongSubjectsPrec8(t *testing.T) {
 			t.Fatalf("seq %d score %d, want %d", i, res.Scores[i], want[i])
 		}
 	}
-	if res.Stats.IntraCells != int64(query.Len())*3500 {
-		t.Fatalf("IntraCells = %d", res.Stats.IntraCells)
+	if long := longRouted(t, e, DefaultLongSeqThreshold); !reflect.DeepEqual(long, []int{3500}) {
+		t.Fatalf("intra-task kernel got subjects of lengths %v, want [3500]", long)
+	}
+	if want := int64(query.Len()) * db.Residues(); res.Stats.Cells != want {
+		t.Fatalf("Cells = %d, want %d", res.Stats.Cells, want)
 	}
 	if res.Stats.Overflows8 != 0 || res.Stats.Overflows != 0 {
 		t.Fatalf("escalations Overflows8=%d Overflows=%d, want none", res.Stats.Overflows8, res.Stats.Overflows)

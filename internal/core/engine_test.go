@@ -112,3 +112,35 @@ func TestSearchErrors(t *testing.T) {
 		t.Error("nil device accepted")
 	}
 }
+
+// A search packs the database once, at its model's byte-lane width with the
+// default long-subject threshold, whatever planner label the variant
+// carries: the engine caches exactly that one partition.
+func TestSearchCachesOnePartitionAtByteLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(207))
+	db := randDB(rng, 70, 60, true)
+	query := randProtein(rng, 30)
+	for _, dev := range []*device.Model{device.Xeon(), device.Phi()} {
+		e, err := NewEngine(db, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []Variant{IntrinsicSP, NoVecQP} {
+			opt := defaultSearchOptions()
+			opt.Variant = v
+			if _, err := e.Search(query, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.mu.Lock()
+		keys := make([]partKey, 0, len(e.parts))
+		for k := range e.parts {
+			keys = append(keys, k)
+		}
+		e.mu.Unlock()
+		want := partKey{lanes: dev.ByteLanes(), longThreshold: DefaultLongSeqThreshold}
+		if len(keys) != 1 || keys[0] != want {
+			t.Fatalf("%s: cached partitions %+v, want only %+v", dev.Short, keys, want)
+		}
+	}
+}
