@@ -129,6 +129,19 @@ func TestAlignAPI(t *testing.T) {
 	if al.Format(40) == "" {
 		t.Fatal("empty Format")
 	}
+	if got := al.Format(40); !strings.Contains(got, "A: MKWVLA") {
+		t.Fatalf("protein Format lost its letters:\n%s", got)
+	}
+	// A DNA pair renders in nucleotide letters, decoded under the alphabet
+	// of the matrix it was scored with.
+	dna := NewDNASequence("d", "ACGTTGCAACGT")
+	dal, err := Align(dna, dna, AlignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dal.Format(60); !strings.Contains(got, "A: ACGTTGCAACGT\n") || !strings.Contains(got, "B: ACGTTGCAACGT\n") {
+		t.Fatalf("DNA Format:\n%s", got)
+	}
 	banded, err := ScoreBanded(a, b, 2, 3, AlignOptions{})
 	if err != nil {
 		t.Fatal(err)

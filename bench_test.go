@@ -215,7 +215,7 @@ func BenchmarkKernelIntrinsicSPPortable(b *testing.B) {
 // Precision-ladder microbenchmark: the 8-bit first pass vs the 16-bit
 // pass over short-sequence lane groups — the packing the ladder exists
 // for, since a length-sorted protein database is dominated by subjects
-// whose scores provably fit a byte. The lane width picks the rung, as it
+// whose scores fit a byte. The lane width picks the rung, as it
 // does in a search: 32-lane groups start in byte lanes, 16-lane groups at
 // 16 bits. Wall Mcells/s reports the host throughput; sim-GCUPS is the
 // deterministic device-model number the regression gate compares (byte

@@ -159,9 +159,11 @@ func (rep ReportOptions) key() string {
 	return fmt.Sprintf("R:a=%t,e=%t,k=%d|", rep.Alignments, rep.EValues, rep.TopK)
 }
 
-// defaultReportHits bounds the reporting phases when the call sets no
-// top-K: decorating an unbounded hit list would re-align the entire
-// database, defeating the two-phase design.
+// defaultReportHits is the K of a call that sets none where an unbounded
+// hit list has no place: the reporting phases, where decorating every hit
+// would re-align the entire database, defeating the two-phase design, and
+// the HTTP response, where the full score list of a half-million-sequence
+// database would be serialised.
 const defaultReportHits = 10
 
 // checkReport rejects report options this cluster can never satisfy —

@@ -68,6 +68,10 @@ type liveTopology struct {
 	manifestPath string
 	db           *Database
 
+	// reload serialises ReloadManifest from its read to its publish, so
+	// the last reload to read the file is the last to publish.
+	reload sync.Mutex
+
 	mu sync.Mutex
 	//sw:guardedBy(mu)
 	man *remote.Manifest
@@ -274,6 +278,10 @@ func (c *Cluster) ProbeNodes(ctx context.Context) error {
 // engine snapshot they started with, so a reload never tears a response;
 // their shard requests route to the current owners of each shard's key.
 //
+// Concurrent reloads (a SIGHUP racing POST /admin/reload) run one at a
+// time, so a slow reload of an older manifest cannot publish over a later
+// one.
+//
 // The swap resets the per-backend Totals accounting (the new generation
 // has fresh backends); the result cache is kept — the conformance
 // guarantee makes results identical across cuts of the same parent.
@@ -282,6 +290,8 @@ func (c *Cluster) ReloadManifest(ctx context.Context) error {
 	if t == nil {
 		return fmt.Errorf("heterosw: ReloadManifest needs a distributed coordinator")
 	}
+	t.reload.Lock()
+	defer t.reload.Unlock()
 	man, err := remote.ReadManifest(t.manifestPath)
 	if err != nil {
 		t.noteReload(false)

@@ -12,8 +12,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"heterosw/internal/datagen"
+	"heterosw/internal/remote/faultproxy"
 )
 
 // Manifest hot-reload: the coordinator re-reads its manifest (SIGHUP /
@@ -25,10 +27,11 @@ import (
 // tears a response.
 
 // reloadSetup builds a parent database with TWO shard cuts (2-way and
-// 3-way), one node serving every shard file of both cuts, and a
-// coordinator constructed on the 2-way manifest. Reloading is then just
-// overwriting the manifest file in place with either cut's content.
-func reloadSetup(t *testing.T) (coord *Cluster, manifestPath string, cut2, cut3 []byte, queries []Sequence, want [][]byte) {
+// 3-way), one node serving every shard file of both cuts behind a fault
+// proxy (pass-through until a test programs it), and a coordinator
+// constructed on the 2-way manifest. Reloading is then just overwriting
+// the manifest file in place with either cut's content.
+func reloadSetup(t *testing.T) (coord *Cluster, manifestPath string, cut2, cut3 []byte, queries []Sequence, want [][]byte, px *faultproxy.Proxy) {
 	t.Helper()
 	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
 	dir3 := t.TempDir()
@@ -49,13 +52,13 @@ func reloadSetup(t *testing.T) (coord *Cluster, manifestPath string, cut2, cut3 
 		filepath.Join(dir3, "re-01.swdb"),
 		filepath.Join(dir3, "re-02.swdb"),
 	)
-	node, _ := startShardNode(t, allShards, nil)
+	px = proxiedShardNode(t, allShards)
 
 	parentDB, err := OpenIndexFile(parentPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err = NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{node.URL}, liveDistribOptions())
+	coord, err = NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{px.URL()}, liveDistribOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func reloadSetup(t *testing.T) (coord *Cluster, manifestPath string, cut2, cut3 
 
 	rep := ReportOptions{Alignments: true, EValues: true, TopK: 5}
 	want = refCanon(t, parentPath, queries, rep)
-	return coord, manifestPath, cut2, cut3, queries, want
+	return coord, manifestPath, cut2, cut3, queries, want, px
 }
 
 // reloadRep is the report shape every reload test compares under.
@@ -86,7 +89,7 @@ func checkConform(t *testing.T, phase string, coord *Cluster, queries []Sequence
 // of the same parent, then back to the 2-way cut, with results
 // byte-identical to single-node across every generation.
 func TestManifestHotReload(t *testing.T) {
-	coord, manifestPath, cut2, cut3, queries, want := reloadSetup(t)
+	coord, manifestPath, cut2, cut3, queries, want, _ := reloadSetup(t)
 	ctx := context.Background()
 
 	checkConform(t, "generation 1 (2-way)", coord, queries, want)
@@ -123,7 +126,7 @@ func TestManifestHotReload(t *testing.T) {
 // unreadable content: the reload reports the parse failure, the failure
 // counter moves, and the old topology keeps answering byte-identically.
 func TestReloadInvalidManifestKeepsServing(t *testing.T) {
-	coord, manifestPath, _, _, queries, want := reloadSetup(t)
+	coord, manifestPath, _, _, queries, want, _ := reloadSetup(t)
 
 	if err := os.WriteFile(manifestPath, []byte(`{"version": garbage`), 0o644); err != nil {
 		t.Fatal(err)
@@ -144,7 +147,7 @@ func TestReloadInvalidManifestKeepsServing(t *testing.T) {
 // "manifest parent" diagnosis construction gives, and the old topology
 // keeps serving.
 func TestReloadWrongParentRejected(t *testing.T) {
-	coord, manifestPath, _, _, queries, want := reloadSetup(t)
+	coord, manifestPath, _, _, queries, want, _ := reloadSetup(t)
 
 	otherSeqs := wrapSeqs(datagen.Generate(datagen.Config{
 		Sequences: 64, Seed: 99, MeanLen: 80, SigmaLog: 0.4, MaxLen: 2000,
@@ -231,7 +234,7 @@ func TestReloadUnownedShardRejected(t *testing.T) {
 // byte-identically whichever generation it lands on — a reload must
 // never tear a response — and the -race build must stay silent.
 func TestReloadRacesInflightQueries(t *testing.T) {
-	coord, manifestPath, cut2, cut3, queries, want := reloadSetup(t)
+	coord, manifestPath, cut2, cut3, queries, want, _ := reloadSetup(t)
 
 	workers, perWorker, flips := 4, 6, 10
 	if testing.Short() {
@@ -281,12 +284,47 @@ func TestReloadRacesInflightQueries(t *testing.T) {
 	checkConform(t, "after the flip storm", coord, queries, want)
 }
 
+// TestReloadSerializesConcurrentReloads pins that reloads publish in the
+// order they read the manifest. Reload A reads the 3-way cut and stalls on
+// its probe; the file then holds the 2-way cut, and reload B runs while A
+// waits. B must not finish first and be overwritten by A: the coordinator
+// ends on the cut the file holds.
+func TestReloadSerializesConcurrentReloads(t *testing.T) {
+	coord, manifestPath, cut2, cut3, _, _, px := reloadSetup(t)
+	ctx := context.Background()
+	px.Match(func(r *http.Request) bool { return r.URL.Path == "/shards" })
+	px.Program(faultproxy.Step{Act: faultproxy.Delay, Wait: 500 * time.Millisecond})
+
+	if err := os.WriteFile(manifestPath, cut3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errA := make(chan error, 1)
+	go func() { errA <- coord.ReloadManifest(ctx) }()
+	// A has read the 3-way cut once its probe reaches the proxy.
+	for px.Attempts() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := os.WriteFile(manifestPath, cut2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.ReloadManifest(ctx); err != nil {
+		t.Fatalf("reload B: %v", err)
+	}
+	if err := <-errA; err != nil {
+		t.Fatalf("reload A: %v", err)
+	}
+	if topo := coord.Topology(); len(topo.Shards) != 2 || topo.Reloads != 2 {
+		t.Fatalf("after both reloads: %d shards, %d reloads; want the file's 2-way cut after 2 reloads",
+			len(topo.Shards), topo.Reloads)
+	}
+}
+
 // TestAdminEndpoints pins the HTTP face of the live topology: /healthz
 // carries the topology document and degrades when a shard loses its last
 // replica; /admin/reload and /admin/probe answer 200/409/404 per the
 // documented contract.
 func TestAdminEndpoints(t *testing.T) {
-	coord, manifestPath, _, cut3, _, _ := reloadSetup(t)
+	coord, manifestPath, _, cut3, _, _, _ := reloadSetup(t)
 	front := httptest.NewServer(NewHTTPHandler(coord))
 	defer front.Close()
 

@@ -168,29 +168,47 @@ func WriteTSV(w io.Writer, query Sequence, db *Database, res *ClusterResult) err
 // cigarStats counts the aligned (M) columns and gap openings (maximal D/I
 // runs) of a CIGAR path.
 func cigarStats(c string) (matches, gapOpens int, err error) {
+	err = cigarRuns(c, func(run int, op byte) error {
+		if op == 'M' {
+			matches += run
+		} else {
+			gapOpens++
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return matches, gapOpens, nil
+}
+
+// cigarRuns walks a CIGAR path run by run, calling f with each run's
+// length and op (M, D or I) in path order. It stops at the first malformed
+// run, unknown op or error from f, and returns that error.
+func cigarRuns(c string, f func(run int, op byte) error) error {
 	for i := 0; i < len(c); {
 		j := i
 		for j < len(c) && c[j] >= '0' && c[j] <= '9' {
 			j++
 		}
 		if j == i || j >= len(c) {
-			return 0, 0, fmt.Errorf("malformed CIGAR %q", c)
+			return fmt.Errorf("malformed CIGAR %q", c)
 		}
-		run, aerr := strconv.Atoi(c[i:j])
-		if aerr != nil || run <= 0 {
-			return 0, 0, fmt.Errorf("malformed CIGAR %q", c)
+		run, err := strconv.Atoi(c[i:j])
+		if err != nil || run <= 0 {
+			return fmt.Errorf("malformed CIGAR %q", c)
 		}
 		switch c[j] {
-		case 'M':
-			matches += run
-		case 'D', 'I':
-			gapOpens++
+		case 'M', 'D', 'I':
 		default:
-			return 0, 0, fmt.Errorf("unknown CIGAR op %q in %q", c[j], c)
+			return fmt.Errorf("unknown CIGAR op %q in %q", c[j], c)
+		}
+		if err := f(run, c[j]); err != nil {
+			return err
 		}
 		i = j + 1
 	}
-	return matches, gapOpens, nil
+	return nil
 }
 
 // sanitizeField makes an identifier safe for tab-separated formats.

@@ -10,9 +10,9 @@
 // IUPAC nucleotide alphabet (A, C, G, T, the unknown N, and the remaining
 // ambiguity codes).
 //
-// The package-level functions and constants are protein shorthands kept for
-// the protein-only call sites (and the original API); alphabet-generic code
-// should hold an *Alphabet and use its methods.
+// The package-level constants describe the protein alphabet; encoding and
+// decoding go through an *Alphabet's methods, so every call site names the
+// alphabet it means.
 package alphabet
 
 import (
@@ -208,9 +208,8 @@ func validCodes(cs []Code, size int) bool {
 	return true
 }
 
-// Protein shorthands: the original fixed-alphabet API, delegating to the
-// Protein instance. Kernel- and matrix-generic code should use *Alphabet
-// methods instead.
+// Protein constants: the shape of the Protein instance, for tables sized
+// at compile time.
 
 // Size is the number of distinct residue codes in the protein alphabet.
 const Size = 24
@@ -222,35 +221,6 @@ const Letters = "ARNDCQEGHILKMFPSTWYVBZX*"
 // bytes decode to Unknown rather than failing, mirroring common search-tool
 // behaviour for stray characters in FASTA data.
 const Unknown Code = 22
-
-// Encode returns the protein residue code for an ASCII letter and whether
-// the letter is a recognised residue.
-func Encode(b byte) (Code, bool) { return Protein.Encode(b) }
-
-// MustEncode returns the protein residue code for b, mapping any
-// unrecognised byte to Unknown.
-func MustEncode(b byte) Code { return Protein.MustEncode(b) }
-
-// Decode returns the ASCII letter for a protein residue code.
-func Decode(c Code) byte { return Protein.Decode(c) }
-
-// EncodeAll encodes an ASCII residue string under the protein alphabet.
-func EncodeAll(s []byte) []Code { return Protein.EncodeAll(s) }
-
-// DecodeAll renders a protein code slice as an ASCII residue string.
-func DecodeAll(cs []Code) []byte { return Protein.DecodeAll(cs) }
-
-// Valid reports whether every byte of s is a recognised protein residue
-// letter.
-func Valid(s []byte) bool { return Protein.Valid(s) }
-
-// ValidCodes reports whether every element of cs is a valid protein
-// residue code.
-func ValidCodes(cs []Code) bool { return validCodes(cs, Size) }
-
-// IsStandard reports whether c is one of the 20 standard amino acids
-// (i.e. not B, Z, X or *).
-func IsStandard(c Code) bool { return c < 20 }
 
 // CodesView reinterprets a byte slice as a Code slice without copying.
 // Code is a uint8, so the two layouts are identical; the view aliases b,

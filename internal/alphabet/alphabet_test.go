@@ -14,8 +14,8 @@ func TestLettersLength(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for c := Code(0); c < Size; c++ {
-		b := Decode(c)
-		got, ok := Encode(b)
+		b := Protein.Decode(c)
+		got, ok := Protein.Encode(b)
 		if !ok {
 			t.Fatalf("Encode(%q) not recognised", b)
 		}
@@ -27,9 +27,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeLowerCase(t *testing.T) {
 	for c := Code(0); c < 20; c++ {
-		upper := Decode(c)
+		upper := Protein.Decode(c)
 		lower := upper + 'a' - 'A'
-		got, ok := Encode(lower)
+		got, ok := Protein.Encode(lower)
 		if !ok || got != c {
 			t.Fatalf("Encode(%q) = %d,%v; want %d,true", lower, got, ok, c)
 		}
@@ -38,7 +38,7 @@ func TestEncodeLowerCase(t *testing.T) {
 
 func TestEncodeUnknown(t *testing.T) {
 	for _, b := range []byte{'1', ' ', '-', '\n', 0, 255} {
-		c, ok := Encode(b)
+		c, ok := Protein.Encode(b)
 		if ok {
 			t.Errorf("Encode(%q) recognised, want unrecognised", b)
 		}
@@ -50,7 +50,7 @@ func TestEncodeUnknown(t *testing.T) {
 
 func TestNonStandardResiduesMapToX(t *testing.T) {
 	for _, b := range []byte{'U', 'u', 'O', 'o', 'J'} {
-		c, _ := Encode(b)
+		c, _ := Protein.Encode(b)
 		if c != Unknown {
 			t.Errorf("Encode(%q) = %d, want Unknown (X)", b, c)
 		}
@@ -59,21 +59,21 @@ func TestNonStandardResiduesMapToX(t *testing.T) {
 
 func TestEncodeAllDecodeAll(t *testing.T) {
 	in := []byte("MKVLAARNDW")
-	codes := EncodeAll(in)
-	out := DecodeAll(codes)
+	codes := Protein.EncodeAll(in)
+	out := Protein.DecodeAll(codes)
 	if !bytes.Equal(in, out) {
 		t.Fatalf("round trip %q -> %q", in, out)
 	}
 }
 
 func TestValid(t *testing.T) {
-	if !Valid([]byte("ACDEFGHIKLMNPQRSTVWYBZX*")) {
+	if !Protein.Valid([]byte("ACDEFGHIKLMNPQRSTVWYBZX*")) {
 		t.Error("standard residues reported invalid")
 	}
-	if Valid([]byte("ACD EFG")) {
+	if Protein.Valid([]byte("ACD EFG")) {
 		t.Error("space reported valid")
 	}
-	if !Valid(nil) {
+	if !Protein.Valid(nil) {
 		t.Error("empty sequence should be valid")
 	}
 }
@@ -81,7 +81,7 @@ func TestValid(t *testing.T) {
 func TestIsStandard(t *testing.T) {
 	std := 0
 	for c := Code(0); c < Size; c++ {
-		if IsStandard(c) {
+		if Protein.IsStandard(c) {
 			std++
 		}
 	}
@@ -89,8 +89,8 @@ func TestIsStandard(t *testing.T) {
 		t.Fatalf("IsStandard counts %d codes, want 20", std)
 	}
 	for _, b := range []byte{'B', 'Z', 'X', '*'} {
-		c, _ := Encode(b)
-		if IsStandard(c) {
+		c, _ := Protein.Encode(b)
+		if Protein.IsStandard(c) {
 			t.Errorf("IsStandard(%q) = true", b)
 		}
 	}
@@ -102,7 +102,7 @@ func TestDecodePanicsOutOfRange(t *testing.T) {
 			t.Fatal("Decode(Size) did not panic")
 		}
 	}()
-	Decode(Size)
+	Protein.Decode(Size)
 }
 
 // Property: encoding any byte slice yields codes < Size, and decoding those
@@ -110,14 +110,14 @@ func TestDecodePanicsOutOfRange(t *testing.T) {
 // first pass).
 func TestEncodeIdempotentProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		codes := EncodeAll(data)
+		codes := Protein.EncodeAll(data)
 		for _, c := range codes {
 			if int(c) >= Size {
 				return false
 			}
 		}
-		letters := DecodeAll(codes)
-		again := EncodeAll(letters)
+		letters := Protein.DecodeAll(codes)
+		again := Protein.EncodeAll(letters)
 		for i := range codes {
 			if codes[i] != again[i] {
 				return false
@@ -148,10 +148,10 @@ func TestCodesView(t *testing.T) {
 	if v[2] != 7 {
 		t.Fatal("view did not alias the byte slice")
 	}
-	if !ValidCodes(v) {
+	if !Protein.ValidCodes(v) {
 		t.Fatal("ValidCodes rejected in-range codes")
 	}
-	if ValidCodes([]Code{0, Code(Size)}) {
+	if Protein.ValidCodes([]Code{0, Code(Size)}) {
 		t.Fatal("ValidCodes accepted an out-of-range code")
 	}
 }

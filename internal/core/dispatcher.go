@@ -274,10 +274,10 @@ func (d *Dispatcher) Totals() (queries int64, per []BackendTotals) {
 	return d.queries, append([]BackendTotals(nil), d.totals...)
 }
 
-// KernelStats reports the kernel operation counts summed over every search
-// the dispatcher has completed — among them the precision ladder's
-// escalations (Overflows8, Overflows, OverflowCells), where a homolog-rich
-// traffic mix shows before it shows in latency. See Totals for the snapshot
+// KernelStats reports the cells and the precision ladder's escalations
+// (Overflows8, Overflows, OverflowCells) summed over every search the
+// dispatcher has completed; a homolog-rich traffic mix shows in the
+// escalations before it shows in latency. See Totals for the snapshot
 // semantics.
 func (d *Dispatcher) KernelStats() Stats {
 	d.totalsMu.Lock()
@@ -387,9 +387,6 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 		out.Stats.Add(r.Stats)
 	}
 	out.WallSeconds = wall
-	if wall > 0 {
-		out.WallGCUPS = float64(out.Stats.Cells) / wall / 1e9
-	}
 	if wantHits {
 		out.Hits = TopHits(d.db, out.Scores, topK)
 	}

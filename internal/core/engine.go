@@ -229,16 +229,15 @@ type Result struct {
 	// Scores holds the raw score of every database sequence, indexed by
 	// caller order, regardless of TopK.
 	Scores []int32
-	// Stats aggregates kernel operation counts.
+	// Stats counts the cells computed and the ladder's escalations.
 	Stats Stats
-	// WallSeconds and WallGCUPS report the execution on the host.
+	// WallSeconds is the search's wall time on the host.
 	WallSeconds float64
-	WallGCUPS   float64
 }
 
 // Search performs Algorithm 1: alignments of the query against every
 // database sequence in parallel, returning sorted similarity scores, the
-// kernel operation counts and the wall time.
+// cells and ladder escalations counted, and the wall time.
 func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, error) {
 	if query == nil {
 		return nil, fmt.Errorf("core: nil query")
@@ -310,11 +309,7 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 		// Long sequences: intra-task kernel, one chunk per sequence.
 		idx := long[i-len(groups)]
 		subject := e.db.Seq(idx).Residues
-		cells := int64(m) * int64(len(subject))
-		st := Stats{
-			Cells: cells, PaddedCells: cells, IntraCells: cells,
-			Columns: int64(len(subject)), Alignments: 1, Groups: 1,
-		}
+		st := Stats{Cells: int64(m) * int64(len(subject))}
 		scores[idx] = alignPairStriped(qp, subject, opt.Params, buf, &st)
 		statsPer[worker].Add(st)
 	})
@@ -331,9 +326,6 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	res := &Result{Scores: scores, WallSeconds: wall}
 	for i := range statsPer {
 		res.Stats.Add(statsPer[i])
-	}
-	if wall > 0 {
-		res.WallGCUPS = float64(res.Stats.Cells) / wall / 1e9
 	}
 	if !opt.scoresOnly {
 		res.Hits = TopHits(e.db, scores, opt.TopK)

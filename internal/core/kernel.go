@@ -192,7 +192,7 @@ func grow32(p *[]int32, n int) []int32 {
 
 // AlignGroup aligns the query against every lane of group g and returns the
 // per-lane optimal local-alignment scores (padding lanes score 0) plus the
-// structural operation counts. buf must have been created with
+// cells and ladder escalations counted. buf must have been created with
 // NewBuffers(g.Lanes).
 //
 // Every group runs the precision ladder, whatever p.Variant names (the

@@ -28,13 +28,7 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 	M := q.Len()
 	N := g.Width
 	var st Stats
-	st.Groups = 1
-	for lane := 0; lane < L; lane++ {
-		scores[lane] = 0
-		if g.SeqIdx[lane] >= 0 {
-			st.Alignments++
-		}
-	}
+	clear(scores[:L])
 	if M == 0 || N == 0 {
 		return st
 	}
@@ -125,9 +119,5 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 		}
 	}
 	st.Cells = int64(M) * g.Residues
-	st.VecIters = int64(M) * int64(N)
-	st.PaddedCells = st.VecIters * int64(L)
-	st.Columns = int64(N)
-	st.SPBuilds = st.Columns
 	return st
 }

@@ -16,8 +16,7 @@ import (
 // through the 16-bit inter-task kernel (Buffers.escalate), which in turn
 // recomputes what saturates int16 at 32 bits. A search over a database full
 // of the query's homologs thus costs the byte pass plus the saturated share
-// at 16-bit lane speed. Lane groups whose score upper bound provably fits a
-// byte skip saturation detection entirely.
+// at 16-bit lane speed.
 
 // byteRegister is the byte-lane count of one 256-bit register: the byte
 // kernel takes groups that are whole registers wide.
@@ -36,33 +35,10 @@ func byteLanes(viable bool, lanes int) bool {
 // matrix does: internal/submat stores int8 scores.
 func (p Params) byteGaps() bool { return p.GapOpen+p.GapExtend <= vec.MaxI8 }
 
-// scoreBound returns an upper bound on any Smith-Waterman score of the
-// query against a subject of at most n residues: an alignment has at most
-// min(M, n) match columns, each worth at most the matrix maximum, and gap
-// columns never add score. A non-positive matrix maximum bounds every
-// score at zero.
-func scoreBound(q *profile.Query, n int) int64 {
-	if q.MaxScore <= 0 {
-		return 0
-	}
-	m := q.Len()
-	if n < m {
-		m = n
-	}
-	return int64(m) * int64(q.MaxScore)
-}
-
 // byteRail is the cell value of a saturated byte lane, vec.MaxI8 in the
 // offset representation. A lane whose tracked maximum reaches it may have
 // clipped; one below it is exact.
 const byteRail = vec.MaxI8 - vec.MinI8
-
-// ladderSafe8 reports whether every lane of a width-n group provably stays
-// below the byte rail, so the 8-bit pass needs no saturation detection and
-// no lane can ever need escalation.
-func ladderSafe8(q *profile.Query, n int) bool {
-	return scoreBound(q, n) < byteRail
-}
 
 // alignGroupIntrinsic8 is the ladder's first-pass kernel: the intrinsic
 // tile driver of alignGroupIntrinsic run over signed byte lanes. H, E and F
@@ -87,23 +63,13 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 	M := q.Len()
 	N := g.Width
 	var st Stats
-	st.Groups = 1
-	for lane := 0; lane < L; lane++ {
-		scores[lane] = 0
-		if g.SeqIdx[lane] >= 0 {
-			st.Alignments++
-		}
-	}
+	clear(scores[:L])
 	if M == 0 || N == 0 {
 		return st
 	}
 	B := buf.tile(M, L, 1)
 	qr := int8(p.GapOpen + p.GapExtend)
 	r := int8(p.GapExtend)
-	safe := ladderSafe8(q, N)
-	if safe {
-		st.Safe8Groups = 1
-	}
 
 	// H and E share one contiguous slab, mirroring the 16-bit kernel, and
 	// each tile starts them at the floor, vec.MinI8, the cell value zero.
@@ -133,14 +99,13 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 			qr, r, i0 == 0, i0+rows == M)
 	}
 
-	// Score extraction: provably-safe groups skip detection entirely;
-	// otherwise a lane whose tracked maximum reached the rail waits for the
-	// next rung.
+	// Score extraction: a lane whose tracked maximum reached the rail
+	// waits for the next rung.
 	for l := 0; l < L; l++ {
 		if g.SeqIdx[l] < 0 {
 			continue
 		}
-		if safe || maxv[l] < vec.MaxI8 {
+		if maxv[l] < vec.MaxI8 {
 			scores[l] = int32(maxv[l]) - vec.MinI8
 			continue
 		}
@@ -151,10 +116,6 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		buf.npend++
 	}
 	st.Cells = int64(M) * g.Residues
-	st.VecIters = int64(M) * int64(N)
-	st.PaddedCells = st.VecIters * int64(L)
-	st.Columns = int64(N)
-	st.Gathers = st.VecIters
 	return st
 }
 

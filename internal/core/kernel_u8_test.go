@@ -251,8 +251,8 @@ func TestLadderFirstRung(t *testing.T) {
 	}
 	// Penalties a signed byte cannot subtract: 16-bit first.
 	got, st := runVariantQuiet(db, q, Params{GapOpen: 120, GapExtend: 10}, 32)
-	if got[0] != 255 || st.Overflows8 != 0 || st.Safe8Groups != 0 {
-		t.Fatalf("gaps 120/10: score %d Overflows8=%d Safe8Groups=%d", got[0], st.Overflows8, st.Safe8Groups)
+	if got[0] != 255 || st.Overflows8 != 0 {
+		t.Fatalf("gaps 120/10: score %d Overflows8=%d", got[0], st.Overflows8)
 	}
 }
 
@@ -278,9 +278,9 @@ func TestLadderByteRailBoundary(t *testing.T) {
 						t.Fatalf("lanes=%d tile=%d: seq %d scored %d, want %d", lanes, rows, i, got[i], want[i])
 					}
 				}
-				if st.Overflows8 != 1 || st.OverflowCells != int64(q.Len())*24 || st.Safe8Groups != 0 {
-					t.Fatalf("lanes=%d tile=%d: Overflows8=%d OverflowCells=%d Safe8Groups=%d, want only at255 escalated",
-						lanes, rows, st.Overflows8, st.OverflowCells, st.Safe8Groups)
+				if st.Overflows8 != 1 || st.OverflowCells != int64(q.Len())*24 {
+					t.Fatalf("lanes=%d tile=%d: Overflows8=%d OverflowCells=%d, want only at255 escalated",
+						lanes, rows, st.Overflows8, st.OverflowCells)
 				}
 			}
 		}
@@ -314,16 +314,16 @@ func TestLadderWideGaps(t *testing.T) {
 				t.Fatalf("%s: seq %d score %d, want %d", dev.Short, i, res.Scores[i], want)
 			}
 		}
-		if st := res.Stats; st.Overflows8 != 0 || st.Safe8Groups != 0 || st.Overflows != 0 {
-			t.Fatalf("%s: gaps 120/10 counted Overflows8=%d Safe8Groups=%d Overflows=%d, want none",
-				dev.Short, st.Overflows8, st.Safe8Groups, st.Overflows)
+		if st := res.Stats; st.Overflows8 != 0 || st.Overflows != 0 {
+			t.Fatalf("%s: gaps 120/10 counted Overflows8=%d Overflows=%d, want none",
+				dev.Short, st.Overflows8, st.Overflows)
 		}
 	}
 }
 
 // Three subjects pinned to the three rungs of the ladder: a short one that
-// resolves in the provably-safe 8-bit pass, a mid one that saturates the
-// byte rail but fits 16 bits, and a long one that climbs to 32 bits.
+// resolves in the 8-bit pass, a mid one that saturates the byte rail but
+// fits 16 bits, and a long one that climbs to 32 bits.
 // Per-tier overflow counters must record exactly the escalations.
 func TestLadderEscalationTiers(t *testing.T) {
 	w := strings.Repeat("W", 23) + "Y" // 11*23 + 2 = 255 against W: the byte rail, needs 16 bits
@@ -339,8 +339,7 @@ func TestLadderEscalationTiers(t *testing.T) {
 
 	for _, blocked := range []bool{false, true} {
 		p := ladderParams(blocked, 256)
-		// lanes=1: one group per subject, so the short group is provably
-		// byte-safe on its own.
+		// lanes=1: one group per subject.
 		got, st := runRung(db, q, p, 1, true)
 		for i := range want {
 			if int(got[i]) != want[i] {
@@ -352,9 +351,6 @@ func TestLadderEscalationTiers(t *testing.T) {
 		}
 		if st.Overflows != 1 {
 			t.Fatalf("blocked=%v: Overflows = %d, want 1 (long)", blocked, st.Overflows)
-		}
-		if st.Safe8Groups != 1 {
-			t.Fatalf("blocked=%v: Safe8Groups = %d, want 1 (short)", blocked, st.Safe8Groups)
 		}
 		// mid pays one 16-bit recompute; long pays a 16-bit then a 32-bit.
 		if st.OverflowCells != int64(q.Len())*(int64(len(w))+2*int64(len(long))) {
@@ -467,7 +463,7 @@ func TestLadderHomologRich(t *testing.T) {
 
 // A lane that saturates the 16-bit rung inside a re-packed group climbs on
 // alone: its neighbours in the escalation group keep their 16-bit scores,
-// and the operation counts are the same whatever the worker count.
+// and the counts are the same whatever the worker count.
 func TestLadderRepackedRungEscalates(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	long := strings.Repeat("W", 3000)

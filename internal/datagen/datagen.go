@@ -128,7 +128,7 @@ func newResidueSampler() *residueSampler {
 	var frs []fr
 	var total float64
 	for b, f := range swissProtFreq {
-		c, ok := alphabet.Encode(b)
+		c, ok := alphabet.Protein.Encode(b)
 		if !ok {
 			panic("datagen: bad frequency table")
 		}

@@ -83,12 +83,12 @@ func TestGenerateResidueDistribution(t *testing.T) {
 	}
 	// Only standard residues, with Leucine the most common (~9.7%).
 	for c := range counts {
-		if !alphabet.IsStandard(c) {
-			t.Fatalf("non-standard residue %c generated", alphabet.Decode(c))
+		if !alphabet.Protein.IsStandard(c) {
+			t.Fatalf("non-standard residue %c generated", alphabet.Protein.Decode(c))
 		}
 	}
-	leu, _ := alphabet.Encode('L')
-	trp, _ := alphabet.Encode('W')
+	leu, _ := alphabet.Protein.Encode('L')
+	trp, _ := alphabet.Protein.Encode('W')
 	fLeu := float64(counts[leu]) / float64(total)
 	fTrp := float64(counts[trp]) / float64(total)
 	if fLeu < 0.08 || fLeu > 0.12 {

@@ -68,8 +68,6 @@ type Query struct {
 	// Ext[e*Width + d] = V(e, d), with PadScore wherever either index
 	// is the padding pseudo-residue.
 	Ext []int16
-	// MaxScore is Matrix.Max(), cached for overflow thresholds.
-	MaxScore int
 
 	// QP8 is the byte query profile of the ladder's 8-bit first pass,
 	// row-major (M rows x Width columns): QP8[(i-1)*Width + e] = V(q_i, e),
@@ -101,12 +99,11 @@ func NewQuery(seq []alphabet.Code, m *submat.Matrix) *Query {
 	size := m.Size()
 	width := size + 1
 	q := &Query{
-		Seq:      seq,
-		Matrix:   m,
-		Pad:      size,
-		Width:    width,
-		Ext:      padded16(width * width),
-		MaxScore: m.Max(),
+		Seq:    seq,
+		Matrix: m,
+		Pad:    size,
+		Width:  width,
+		Ext:    padded16(width * width),
 	}
 	for e := 0; e < size; e++ {
 		row := m.Row(alphabet.Code(e))

@@ -128,7 +128,7 @@ func TestFASTARoundTripFile(t *testing.T) {
 	path := dir + "/db.fasta"
 	want := []*Sequence{
 		FromString("A1", "ARNDCQEGHILKMFPSTWYV"),
-		{ID: "B2", Desc: "desc here", Residues: alphabet.EncodeAll([]byte("MKV"))},
+		{ID: "B2", Desc: "desc here", Residues: alphabet.Protein.EncodeAll([]byte("MKV"))},
 	}
 	if err := WriteFASTAFile(path, want, 7); err != nil {
 		t.Fatal(err)

@@ -96,12 +96,6 @@ func Parse(name string, r io.Reader, alpha *alphabet.Alphabet) (*Matrix, error) 
 	return New(name, alpha, scores)
 }
 
-// ParseProtein parses matrix text against the protein alphabet — the form
-// the built-in BLOSUM/PAM literals use.
-func ParseProtein(name string, r io.Reader) (*Matrix, error) {
-	return Parse(name, r, alphabet.Protein)
-}
-
 // MustParse is like Parse on a protein-alphabet string but panics on
 // error. It is intended for the built-in matrix literals, where a parse
 // failure is a programming error caught at package initialisation.

@@ -10,7 +10,7 @@ import (
 
 func enc(t *testing.T, b byte) alphabet.Code {
 	t.Helper()
-	c, ok := alphabet.Encode(b)
+	c, ok := alphabet.Protein.Encode(b)
 	if !ok {
 		t.Fatalf("cannot encode %q", b)
 	}
@@ -92,7 +92,7 @@ func TestRowMatchesScore(t *testing.T) {
 		for b := alphabet.Code(0); int(b) < alphabet.Size; b++ {
 			if int(row[b]) != BLOSUM62.Score(a, b) {
 				t.Fatalf("Row(%c)[%c] = %d != Score %d",
-					alphabet.Decode(a), alphabet.Decode(b), row[b], BLOSUM62.Score(a, b))
+					alphabet.Protein.Decode(a), alphabet.Protein.Decode(b), row[b], BLOSUM62.Score(a, b))
 			}
 		}
 	}
@@ -129,11 +129,11 @@ func TestFingerprint(t *testing.T) {
 	if back.Fingerprint() != BLOSUM62.Fingerprint() {
 		t.Fatal("reparsed BLOSUM62 has a different fingerprint")
 	}
-	a, err := ParseProtein("a", strings.NewReader("A R\nA 4 -3\nR -3 5\n"))
+	a, err := Parse("a", strings.NewReader("A R\nA 4 -3\nR -3 5\n"), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParseProtein("a", strings.NewReader("A R\nA 4 -3\nR -3 6\n"))
+	b, err := Parse("a", strings.NewReader("A R\nA 4 -3\nR -3 6\n"), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestParseErrors(t *testing.T) {
 		"overflow":     "A R\nA 1000 0\nR 0 1000\n",
 	}
 	for name, text := range cases {
-		if _, err := ParseProtein("t", strings.NewReader(text)); err == nil {
+		if _, err := Parse("t", strings.NewReader(text), alphabet.Protein); err == nil {
 			t.Errorf("Parse(%s) succeeded, want error", name)
 		}
 	}
@@ -162,7 +162,7 @@ func TestParseErrors(t *testing.T) {
 func TestParsePartialMatrix(t *testing.T) {
 	// A 2-residue matrix: unseen pairs must take the minimum score (-3).
 	text := "   A  R\nA  4 -3\nR -3  5\n"
-	m, err := ParseProtein("mini", strings.NewReader(text))
+	m, err := Parse("mini", strings.NewReader(text), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}

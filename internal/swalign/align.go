@@ -36,6 +36,8 @@ type Alignment struct {
 	Identities int
 
 	a, b []alphabet.Code
+	// alpha is the scoring matrix's alphabet, which Format decodes under.
+	alpha *alphabet.Alphabet
 }
 
 // Direction bytes, one per cell of the rectangle the traceback can visit.
@@ -66,7 +68,7 @@ func Align(a, b []alphabet.Code, sc Scoring) *Alignment {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	out := &Alignment{a: a, b: b}
+	out := &Alignment{a: a, b: b, alpha: sc.Matrix.Alphabet()}
 	n := len(b)
 	rows := make([]int, 2*n)
 	best, bestI, bestJ := scoreEnd(a, b, sc, rows[:n], rows[n:])
@@ -189,7 +191,8 @@ func (al *Alignment) CIGAR() string {
 }
 
 // Format renders a three-line human-readable alignment (query, midline,
-// subject) wrapped at width columns (60 when width <= 0).
+// subject) wrapped at width columns (60 when width <= 0), in the letters of
+// the scoring matrix's alphabet.
 func (al *Alignment) Format(width int) string {
 	if len(al.Ops) == 0 {
 		return "(no alignment)"
@@ -203,8 +206,8 @@ func (al *Alignment) Format(width int) string {
 		switch op {
 		case OpMatch:
 			qa, sb := al.a[i], al.b[j]
-			qRow = append(qRow, alphabet.Decode(qa))
-			sRow = append(sRow, alphabet.Decode(sb))
+			qRow = append(qRow, al.alpha.Decode(qa))
+			sRow = append(sRow, al.alpha.Decode(sb))
 			if qa == sb {
 				mRow = append(mRow, '|')
 			} else {
@@ -213,13 +216,13 @@ func (al *Alignment) Format(width int) string {
 			i++
 			j++
 		case OpInsertA:
-			qRow = append(qRow, alphabet.Decode(al.a[i]))
+			qRow = append(qRow, al.alpha.Decode(al.a[i]))
 			sRow = append(sRow, '-')
 			mRow = append(mRow, ' ')
 			i++
 		case OpDeleteB:
 			qRow = append(qRow, '-')
-			sRow = append(sRow, alphabet.Decode(al.b[j]))
+			sRow = append(sRow, al.alpha.Decode(al.b[j]))
 			mRow = append(mRow, ' ')
 			j++
 		}

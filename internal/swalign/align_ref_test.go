@@ -19,7 +19,7 @@ func alignFullMatrix(a, b []alphabet.Code, sc Scoring) *Alignment {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	out := &Alignment{a: a, b: b}
+	out := &Alignment{a: a, b: b, alpha: sc.Matrix.Alphabet()}
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return out
@@ -251,7 +251,7 @@ func FuzzAlign(f *testing.F) {
 func encodeValid(s []byte) []alphabet.Code {
 	var out []alphabet.Code
 	for _, c := range s {
-		if code, ok := alphabet.Encode(c); ok {
+		if code, ok := alphabet.Protein.Encode(c); ok {
 			out = append(out, code)
 		}
 	}

@@ -65,7 +65,7 @@ func TestScoreMatchesNaive(t *testing.T) {
 		got := Score(a, b, testScoring)
 		if got != want {
 			t.Fatalf("trial %d: Score=%d naive=%d\na=%s\nb=%s", trial, got, want,
-				alphabet.DecodeAll(a), alphabet.DecodeAll(b))
+				alphabet.Protein.DecodeAll(a), alphabet.Protein.DecodeAll(b))
 		}
 	}
 }
@@ -87,7 +87,7 @@ func TestScoreMatchesNaiveOtherPenalties(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s q=%d r=%d: Score=%d naive=%d\na=%s\nb=%s",
 					sc.Matrix.Name(), sc.GapOpen, sc.GapExtend, got, want,
-					alphabet.DecodeAll(a), alphabet.DecodeAll(b))
+					alphabet.Protein.DecodeAll(a), alphabet.Protein.DecodeAll(b))
 			}
 		}
 	}
@@ -102,13 +102,13 @@ func TestScoreEdgeCases(t *testing.T) {
 		t.Errorf("Score(a, nil) = %d", got)
 	}
 	// Single residues: identical residues score the diagonal value.
-	w := []alphabet.Code{alphabet.MustEncode('W')}
+	w := []alphabet.Code{alphabet.Protein.MustEncode('W')}
 	if got := Score(w, w, testScoring); got != 11 {
 		t.Errorf("Score(W,W) = %d, want 11", got)
 	}
 	// All-mismatch input with strongly negative scores gives 0.
-	c := []alphabet.Code{alphabet.MustEncode('C'), alphabet.MustEncode('C')}
-	g := []alphabet.Code{alphabet.MustEncode('G'), alphabet.MustEncode('G')}
+	c := []alphabet.Code{alphabet.Protein.MustEncode('C'), alphabet.Protein.MustEncode('C')}
+	g := []alphabet.Code{alphabet.Protein.MustEncode('G'), alphabet.Protein.MustEncode('G')}
 	if got := Score(c, g, testScoring); got != 0 {
 		t.Errorf("Score(CC,GG) = %d, want 0", got)
 	}
@@ -196,7 +196,7 @@ func TestAlignMatchesScoreAndReplays(t *testing.T) {
 
 func TestAlignKnownExample(t *testing.T) {
 	// Identical sequences align end to end along the diagonal.
-	a := alphabet.EncodeAll([]byte("MKWVLA"))
+	a := alphabet.Protein.EncodeAll([]byte("MKWVLA"))
 	al := Align(a, a, testScoring)
 	wantScore := 0
 	for _, c := range a {
@@ -218,7 +218,7 @@ func TestAlignKnownExample(t *testing.T) {
 
 func TestAlignGapExample(t *testing.T) {
 	// b is a with a 2-residue deletion; high-identity flanks force a gap.
-	a := alphabet.EncodeAll([]byte("MKWVLAHHWWKY"))
+	a := alphabet.Protein.EncodeAll([]byte("MKWVLAHHWWKY"))
 	b := append(append([]alphabet.Code{}, a[:5]...), a[7:]...)
 	al := Align(a, b, testScoring)
 	if al.Score != Score(a, b, testScoring) {
@@ -249,7 +249,7 @@ func TestAlignEmpty(t *testing.T) {
 }
 
 func TestFormatContainsRows(t *testing.T) {
-	a := alphabet.EncodeAll([]byte("MKWVLA"))
+	a := alphabet.Protein.EncodeAll([]byte("MKWVLA"))
 	al := Align(a, a, testScoring)
 	out := al.Format(4)
 	if len(out) == 0 || out[0] != 's' {
@@ -266,7 +266,7 @@ func TestBandedEqualsFullWithWideBand(t *testing.T) {
 		got := ScoreBanded(a, b, testScoring, 0, len(a)+len(b))
 		if got != want {
 			t.Fatalf("wide band %d != full %d\na=%s\nb=%s", got, want,
-				alphabet.DecodeAll(a), alphabet.DecodeAll(b))
+				alphabet.Protein.DecodeAll(a), alphabet.Protein.DecodeAll(b))
 		}
 	}
 }
@@ -289,7 +289,7 @@ func TestBandedIsLowerBound(t *testing.T) {
 
 func TestBandedFindsOnDiagonalMatch(t *testing.T) {
 	// A perfect match on the main diagonal must be found even with band 0.
-	a := alphabet.EncodeAll([]byte("WWWW"))
+	a := alphabet.Protein.EncodeAll([]byte("WWWW"))
 	got := ScoreBanded(a, a, testScoring, 0, 0)
 	if got != 44 {
 		t.Fatalf("band-0 self score %d, want 44", got)

@@ -15,10 +15,10 @@
 // ones.
 // Both produce bit-identical lane results.
 //
-// The lane-count emulation is semantic, not temporal: the cycle cost the
-// device model (internal/device) charges a kernel comes from the structural
-// counts the kernels report, independent of which backend executed the
-// lanes.
+// The lane-count emulation is semantic, not temporal: a backend changes how
+// long a kernel takes, never what it computes. The device model
+// (internal/model) prices a search from the database's shape, not from
+// anything a kernel counts or how fast it ran.
 package vec
 
 import "math"

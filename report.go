@@ -3,7 +3,6 @@ package heterosw
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -95,15 +94,8 @@ func WriteReport(w io.Writer, query Sequence, db *Database, res *ClusterResult, 
 		}
 		// Translated hits expand their CIGAR against the winning frame's
 		// protein, not the DNA query.
-		q := query
-		if h.Frame != 0 {
-			if frames == nil {
-				frames = frameQueries(query)
-			}
-			q = frames[h.Frame]
-		}
 		sb.WriteByte('\n')
-		if err := renderHitAlignment(&sb, q, db.Seq(h.Index), h, width); err != nil {
+		if err := renderHitAlignment(&sb, effectiveQuery(query, h, &frames), db.Seq(h.Index), h, width); err != nil {
 			return err
 		}
 	}
@@ -184,25 +176,12 @@ func renderHitAlignment(sb *strings.Builder, query, subject Sequence, h Hit, wid
 func expandCIGAR(a *HitAlignment, qSeq, sSeq string) (qRow, mRow, sRow []byte, err error) {
 	qi, si := a.QueryStart, a.SubjectStart
 	c := a.CIGAR
-	for i := 0; i < len(c); {
-		j := i
-		for j < len(c) && c[j] >= '0' && c[j] <= '9' {
-			j++
-		}
-		if j == i || j >= len(c) {
-			return nil, nil, nil, fmt.Errorf("malformed CIGAR %q", c)
-		}
-		run, aerr := strconv.Atoi(c[i:j])
-		if aerr != nil || run <= 0 {
-			return nil, nil, nil, fmt.Errorf("malformed CIGAR %q", c)
-		}
-		op := c[j]
-		i = j + 1
+	err = cigarRuns(c, func(run int, op byte) error {
 		for k := 0; k < run; k++ {
 			switch op {
 			case 'M':
 				if qi >= len(qSeq) || si >= len(sSeq) {
-					return nil, nil, nil, fmt.Errorf("CIGAR %q overruns sequences", c)
+					return fmt.Errorf("CIGAR %q overruns sequences", c)
 				}
 				qb, sb := qSeq[qi], sSeq[si]
 				qRow = append(qRow, qb)
@@ -216,7 +195,7 @@ func expandCIGAR(a *HitAlignment, qSeq, sSeq string) (qRow, mRow, sRow []byte, e
 				si++
 			case 'D': // gap in the query, consuming a subject residue
 				if si >= len(sSeq) {
-					return nil, nil, nil, fmt.Errorf("CIGAR %q overruns subject", c)
+					return fmt.Errorf("CIGAR %q overruns subject", c)
 				}
 				qRow = append(qRow, '-')
 				mRow = append(mRow, ' ')
@@ -224,16 +203,18 @@ func expandCIGAR(a *HitAlignment, qSeq, sSeq string) (qRow, mRow, sRow []byte, e
 				si++
 			case 'I': // query residue against a gap in the subject
 				if qi >= len(qSeq) {
-					return nil, nil, nil, fmt.Errorf("CIGAR %q overruns query", c)
+					return fmt.Errorf("CIGAR %q overruns query", c)
 				}
 				qRow = append(qRow, qSeq[qi])
 				mRow = append(mRow, ' ')
 				sRow = append(sRow, '-')
 				qi++
-			default:
-				return nil, nil, nil, fmt.Errorf("unknown CIGAR op %q in %q", op, c)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if qi != a.QueryEnd || si != a.SubjectEnd {
 		return nil, nil, nil, fmt.Errorf("CIGAR %q ends at query %d subject %d, want %d %d",

@@ -402,3 +402,29 @@ func TestAlignmentCapEnforced(t *testing.T) {
 		t.Fatalf("over-database K returned %d hits, want %d", len(res.Hits), db.Len())
 	}
 }
+
+// The report renderer and the tabular formats reject a bad CIGAR with the
+// same texts: both read it through one run walker.
+func TestCIGARErrors(t *testing.T) {
+	for _, c := range []struct{ cigar, err string }{
+		{"5", `malformed CIGAR "5"`},
+		{"M", `malformed CIGAR "M"`},
+		{"0M", `malformed CIGAR "0M"`},
+		{"3M2X", `unknown CIGAR op 'X' in "3M2X"`},
+	} {
+		if _, _, err := cigarStats(c.cigar); err == nil || err.Error() != c.err {
+			t.Errorf("cigarStats(%q) = %v, want %s", c.cigar, err, c.err)
+		}
+		a := &HitAlignment{CIGAR: c.cigar, QueryEnd: 5, SubjectEnd: 5}
+		if _, _, _, err := expandCIGAR(a, "AAAAA", "AAAAA"); err == nil || err.Error() != c.err {
+			t.Errorf("expandCIGAR(%q) = %v, want %s", c.cigar, err, c.err)
+		}
+	}
+	a := &HitAlignment{CIGAR: "2M1D9M", QueryEnd: 5, SubjectEnd: 5}
+	if _, _, _, err := expandCIGAR(a, "AAAAA", "AAAAA"); err == nil || err.Error() != `CIGAR "2M1D9M" overruns sequences` {
+		t.Errorf("overrun: %v", err)
+	}
+	if m, g, err := cigarStats("2M1D3M2I1M"); m != 6 || g != 2 || err != nil {
+		t.Errorf("cigarStats = %d, %d, %v; want 6, 2, nil", m, g, err)
+	}
+}

@@ -305,9 +305,6 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 		best.Stats.Add(r.Stats)
 		best.WallSeconds += r.WallSeconds
 	}
-	if best.WallSeconds > 0 {
-		best.WallGCUPS = float64(best.Stats.Cells) / best.WallSeconds / 1e9
-	}
 	best.Hits = core.TopHits(c.db.db, best.Scores, k)
 	merged := wrapCluster(best)
 	for i := range merged.Hits {

@@ -127,9 +127,9 @@ type Result struct {
 	// Cells is the number of dynamic-programming cell updates (the GCUPS
 	// numerator).
 	Cells int64
-	// WallSeconds and WallGCUPS report the execution on the host. (What
-	// the search would take on the modelled devices is Cluster.Plan's
-	// answer.)
+	// WallSeconds is the search's wall time on the host and WallGCUPS its
+	// rate, Cells over WallSeconds in billions. (What the search would take
+	// on the modelled devices is Cluster.Plan's answer.)
 	WallSeconds float64
 	WallGCUPS   float64
 	// Overflows counts 16-bit lane saturations escalated to 32-bit
@@ -137,8 +137,8 @@ type Result struct {
 	// pass or from an already-escalated 8-bit lane.
 	Overflows int64
 	// Overflows8 counts 8-bit first-pass saturations escalated to the
-	// 16-bit lane pass. Searches start in byte lanes wherever the matrix
-	// allows, so every subject scoring above some 250 counts here.
+	// 16-bit lane pass. Searches start in byte lanes wherever the gap
+	// penalties allow, so every subject scoring 255 or more counts here.
 	Overflows8 int64
 	// OverflowCells counts the cell updates the escalations recomputed,
 	// across both tiers.
@@ -151,10 +151,12 @@ func wrapResult(r *core.Result) *Result {
 		Scores:        r.Scores,
 		Cells:         r.Stats.Cells,
 		WallSeconds:   r.WallSeconds,
-		WallGCUPS:     r.WallGCUPS,
 		Overflows:     r.Stats.Overflows,
 		Overflows8:    r.Stats.Overflows8,
 		OverflowCells: r.Stats.OverflowCells,
+	}
+	if r.WallSeconds > 0 {
+		out.WallGCUPS = float64(r.Stats.Cells) / r.WallSeconds / 1e9
 	}
 	for i, h := range r.Hits {
 		out.Hits[i] = Hit{Index: h.SeqIndex, ID: h.ID, Score: int(h.Score)}

@@ -53,15 +53,6 @@ const maxQueryResidues = 65536
 // says.
 const maxResponseHits = 10000
 
-// maxAlignHits caps top_k when align is requested, mirroring the
-// library-level MaxAlignHits cap every door enforces.
-const maxAlignHits = MaxAlignHits
-
-// defaultResponseHits caps the hits serialised per query when a request
-// does not set top_k; the full score list of a half-million-sequence
-// database has no place in a JSON response.
-const defaultResponseHits = 10
-
 // QueryJSON is one query in a /search or /batch request.
 type QueryJSON struct {
 	// ID labels the query in the response (optional).
@@ -200,7 +191,7 @@ func decodeStatus(err error) int {
 
 // reportFor validates the response-shaping fields shared by /search and
 // /batch and resolves them into the library's ReportOptions. top_k
-// defaults to defaultResponseHits and always travels with the request —
+// defaults to defaultReportHits and always travels with the request —
 // score-only ones too — so the engine selects exactly the hits the response
 // carries; it is therefore part of the cache key.
 func reportFor(topK int, align, evalue bool) (ReportOptions, error) {
@@ -210,10 +201,10 @@ func reportFor(topK int, align, evalue bool) (ReportOptions, error) {
 	case topK > maxResponseHits:
 		return ReportOptions{}, fmt.Errorf("top_k %d exceeds the %d limit", topK, maxResponseHits)
 	case topK == 0:
-		topK = defaultResponseHits
+		topK = defaultReportHits
 	}
-	if align && topK > maxAlignHits {
-		return ReportOptions{}, fmt.Errorf("top_k %d exceeds the %d limit for aligned reports", topK, maxAlignHits)
+	if align && topK > MaxAlignHits {
+		return ReportOptions{}, fmt.Errorf("top_k %d exceeds the %d limit for aligned reports", topK, MaxAlignHits)
 	}
 	return ReportOptions{Alignments: align, EValues: evalue, TopK: topK}, nil
 }

@@ -53,7 +53,7 @@ func FuzzSearchRequest(f *testing.F) {
 		}
 		want := topK
 		if want == 0 {
-			want = defaultResponseHits
+			want = defaultReportHits
 		}
 		if len(sr.Hits) > want {
 			t.Fatalf("%d hits for top_k %d: %s", len(sr.Hits), topK, body)
