@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"heterosw/internal/datagen"
+	"heterosw/internal/remote"
 )
 
 // The distributed conformance and failure-mode harness: a coordinator
@@ -132,10 +133,100 @@ func canonDistrib(t testing.TB, res *ClusterResult) []byte {
 // coordinator over two loopback nodes holding the swindex-split halves
 // of the database answers every query — scores, hits, E-values,
 // alignments, and the rendered report — byte-identically to a
-// single-node search of the unsplit database.
+// single-node search of the unsplit database. The ties corpus holds more
+// equal-scoring subjects than the report keeps, dealt across both
+// shards, so which of them make the top K is the merge's tie rule, and it
+// must be the single-node one.
 func TestCoordinatorConformance(t *testing.T) {
-	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	t.Run("mixed", func(t *testing.T) {
+		parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+		checkCoordinatorConformance(t, parentPath, manifestPath, shardPaths, queries)
+	})
+	t.Run("ties", func(t *testing.T) {
+		parentPath, manifestPath, shardPaths, queries := tieSetup(t)
+		for _, want := range checkCoordinatorConformance(t, parentPath, manifestPath, shardPaths, queries) {
+			kth := want.Hits[len(want.Hits)-1].Score
+			tied, kept := 0, 0
+			for _, s := range want.Scores {
+				if int(s) == kth {
+					tied++
+				}
+			}
+			for _, h := range want.Hits {
+				if h.Score == kth {
+					kept++
+				}
+			}
+			if tied <= kept {
+				t.Errorf("%d subjects score the K-th score %d and the report keeps %d: no tie is cut", tied, kth, kept)
+			}
+		}
+	})
+}
 
+// tieSetup builds a corpus whose top hits tie across the shard cut: two
+// copies of a 60-residue query and ten copies of its first 40 residues
+// among unrelated background sequences. A top-5 report of the query keeps
+// both full copies and three of the ten tied prefixes; one of the prefix
+// keeps three of twelve subjects tied at its own score. The equal-length
+// copies alternate between the shards, which the test checks against the
+// manifest.
+func tieSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []string, queries []Sequence) {
+	t.Helper()
+	dir := t.TempDir()
+	const query = "MKWVTFISLLLLFSSAYSRGVFRRDTHKSEIAHRFKDLGEEHFKGLVLIAFSQYLQQCPF"
+	seqs := wrapSeqs(datagen.Generate(datagen.Config{
+		Sequences: 36, Seed: 77, MeanLen: 90, SigmaLog: 0.5, MaxLen: 400,
+	}))
+	copies := map[string]bool{}
+	for i := 0; i < 12; i++ {
+		id, res := fmt.Sprintf("tie-%02d", i), query[:40]
+		if i < 2 {
+			id, res = fmt.Sprintf("full-%d", i), query
+		}
+		copies[id] = true
+		at := 3 * i
+		seqs = append(seqs[:at], append([]Sequence{NewSequence(id, res)}, seqs[at:]...)...)
+	}
+	db, err := NewDatabase(seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentPath = filepath.Join(dir, "ties.swdb")
+	if err := WriteIndexFile(parentPath, db); err != nil {
+		t.Fatal(err)
+	}
+	manifestPath, err = SplitIndexFile(parentPath, 2, dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := remote.ReadManifest(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range man.Shards {
+		shardPaths = append(shardPaths, filepath.Join(dir, sh.File))
+		ties := 0
+		for _, pi := range sh.ParentIndex {
+			if strings.HasPrefix(seqs[pi].ID(), "tie-") {
+				ties++
+			}
+		}
+		if ties < 2 {
+			t.Fatalf("shard %d holds %d of the tied copies; the cut must split them", i, ties)
+		}
+	}
+	return parentPath, manifestPath, shardPaths, []Sequence{
+		NewSequence("ties-at-k", query),
+		NewSequence("ties-at-top", query[:40]),
+	}
+}
+
+// checkCoordinatorConformance compares a coordinator over one node per
+// shard with a single-node cluster of the parent, query by query, and
+// returns the single-node results.
+func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, shardPaths []string, queries []Sequence) []*ClusterResult {
+	t.Helper()
 	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
 	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
 
@@ -160,11 +251,13 @@ func TestCoordinatorConformance(t *testing.T) {
 	defer ref.CloseNow()
 
 	rep := ReportOptions{Alignments: true, EValues: true, TopK: 5}
+	var wants []*ClusterResult
 	for _, q := range queries {
 		want, err := ref.Search(q, rep)
 		if err != nil {
 			t.Fatalf("reference Search(%s): %v", q.ID(), err)
 		}
+		wants = append(wants, want)
 		got, err := coord.Search(q, rep)
 		if err != nil {
 			t.Fatalf("coordinator Search(%s): %v", q.ID(), err)
@@ -198,6 +291,7 @@ func TestCoordinatorConformance(t *testing.T) {
 			t.Errorf("query %s: cells %d != single-node %d", q.ID(), got.Cells, want.Cells)
 		}
 	}
+	return wants
 }
 
 // TestCoordinatorRejectsRequestMatrix pins the distributed matrix

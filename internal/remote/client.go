@@ -12,8 +12,9 @@ import (
 )
 
 // maxNodeResponseBytes bounds one node response. A full shard score list
-// is ~11 bytes per sequence in JSON; 64 MB covers multi-million-sequence
-// shards with an order of magnitude to spare.
+// packs to at most ~7 bytes per sequence (a five-byte varint in base64),
+// under two for typical scores; 64 MB covers multi-million-sequence shards
+// with room to spare.
 const maxNodeResponseBytes = 64 << 20
 
 // Options tunes a Client. The zero value selects the defaults noted on

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,24 +56,43 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	}
 }
 
-// TestShardSearchAcceptsOlderNodeBody pins the rolling-upgrade direction
-// coordinator first: a node still answering the body that carried the
-// device model's fields (threads, sim_seconds) is decoded, those fields
-// ignored.
+// TestShardSearchAcceptsOlderNodeBody pins the full-body decode of
+// /shard/search answers. The rolling-upgrade direction is coordinator
+// first: a node still answering the number-array scores and the device
+// model's fields (threads, sim_seconds) is decoded, those fields ignored,
+// and equals the packed answer a current node writes. A truncated varint
+// and bad base64 are decode errors, never a short score list.
 func TestShardSearchAcceptsOlderNodeBody(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"scores":[7,8,9],"cells":90,"threads":32,"sim_seconds":0.25,`+
-			`"wall_seconds":0.5,"overflows8":2,"overflow_cells":60}`)
-	}))
-	defer srv.Close()
+	const rest = `"cells":90,"threads":32,"sim_seconds":0.25,"wall_seconds":0.5,"overflows8":2,"overflow_cells":60}`
+	want := ShardSearchResponse{Scores: ScoreList{7, 8, 9}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60}
+	for _, tc := range []struct {
+		name, scores, wantErr string
+	}{
+		{"array", `[7,8,9]`, ""},
+		{"packed", `"BwgJ"`, ""}, // the varint bytes 07 08 09
+		{"truncated varint", `"BwiA"`, "truncated varint"},
+		{"bad base64", `"Bw!J"`, "illegal base64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprint(w, `{"scores":`+tc.scores+`,`+rest)
+			}))
+			defer srv.Close()
 
-	resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq())
-	if err != nil {
-		t.Fatalf("ShardSearch: %v", err)
-	}
-	want := ShardSearchResponse{Scores: []int32{7, 8, 9}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60}
-	if !reflect.DeepEqual(*resp, want) {
-		t.Fatalf("decoded %+v, want %+v", *resp, want)
+			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("ShardSearch = %+v, %v; want a decode error naming %q", resp, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("ShardSearch: %v", err)
+			}
+			if !reflect.DeepEqual(*resp, want) {
+				t.Fatalf("decoded %+v, want %+v", *resp, want)
+			}
+		})
 	}
 }
 
