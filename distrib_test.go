@@ -168,9 +168,9 @@ func TestCoordinatorConformance(t *testing.T) {
 // copies of a 60-residue query and ten copies of its first 40 residues
 // among unrelated background sequences. A top-5 report of the query keeps
 // both full copies and three of the ten tied prefixes; one of the prefix
-// keeps three of twelve subjects tied at its own score. The equal-length
-// copies alternate between the shards, which the test checks against the
-// manifest.
+// keeps five of the twelve subjects that tie at its own score. The
+// equal-length copies alternate between the shards, which the test checks
+// against the manifest.
 func tieSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []string, queries []Sequence) {
 	t.Helper()
 	dir := t.TempDir()
@@ -178,13 +178,11 @@ func tieSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []strin
 	seqs := wrapSeqs(datagen.Generate(datagen.Config{
 		Sequences: 36, Seed: 77, MeanLen: 90, SigmaLog: 0.5, MaxLen: 400,
 	}))
-	copies := map[string]bool{}
 	for i := 0; i < 12; i++ {
 		id, res := fmt.Sprintf("tie-%02d", i), query[:40]
 		if i < 2 {
 			id, res = fmt.Sprintf("full-%d", i), query
 		}
-		copies[id] = true
 		at := 3 * i
 		seqs = append(seqs[:at], append([]Sequence{NewSequence(id, res)}, seqs[at:]...)...)
 	}

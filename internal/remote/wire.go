@@ -72,7 +72,7 @@ type ShardSearchRequest struct {
 // Scores is the full shard-length score list in the shard's caller order —
 // the coordinator owns TopK selection, so nodes never truncate. It travels
 // as a ScoreList: a base64 string of packed varints, which a coordinator
-// decodes in a tenth of the time a JSON number array takes.
+// decodes in under a tenth of the time a JSON number array takes.
 type ShardSearchResponse struct {
 	Scores ScoreList `json:"scores"`
 	// Cells counts useful DP cell updates (query length x shard residues);
