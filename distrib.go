@@ -38,9 +38,9 @@ type DistributedOptions struct {
 	CacheSize   int
 
 	// Timeout bounds each node request attempt; Retries and Backoff shape
-	// the retry policy over retryable (503/transport) failures; HedgeDelay
-	// launches a duplicate request to the next replica of a slow shard.
-	// See remote.Options for defaults.
+	// the retry policy over retryable failures (remote.Retryable);
+	// HedgeDelay launches a duplicate request to the next replica of a
+	// slow shard. See remote.Options for defaults.
 	Timeout    time.Duration
 	Retries    int
 	Backoff    time.Duration
@@ -102,12 +102,6 @@ func (t *liveTopology) noteReload(ok bool) {
 	}
 }
 
-// kick forwards a request failure to the prober for an immediate
-// re-probe of the failing node.
-func (t *liveTopology) kick(url string, err error) {
-	t.prober.Kick(url)
-}
-
 // NewDistributedCluster builds a coordinator: a Cluster whose backends
 // are remote shard nodes instead of the local host. The manifest
 // (written by swindex split) names the shard cut of the parent database;
@@ -122,7 +116,8 @@ func (t *liveTopology) kick(url string, err error) {
 // distribution, and every report is byte-identical to a single-node
 // search of the unsplit database under the same options — a guarantee
 // that holds through node deaths, failovers and manifest reloads as long
-// as at least one live replica serves every shard.
+// as at least one live replica serves every shard (a replica that answers
+// wrongly counts as failed).
 //
 // The topology stays live after construction: a background prober
 // (ProbeInterval) re-probes the node roster, tracks each node through a
@@ -158,14 +153,12 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 	}
 
 	topo := &liveTopology{manifestPath: manifestPath, db: db}
-	client := remote.NewClient(remote.Options{
+	topo.prober = remote.NewProber(nodes, remote.Options{
 		Timeout:    opt.Timeout,
 		Retries:    opt.Retries,
 		Backoff:    opt.Backoff,
 		HedgeDelay: opt.HedgeDelay,
-		OnFailure:  topo.kick,
-	})
-	topo.prober = remote.NewProber(client, nodes, remote.ProberOptions{
+	}, remote.ProberOptions{
 		Interval:  opt.ProbeInterval,
 		DeadAfter: opt.ProbeDeadAfter,
 	})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -274,6 +275,131 @@ func TestCoordinatorScriptedFaultSchedule(t *testing.T) {
 		if counts[act] != n {
 			t.Fatalf("fault log %v: %d x %s, want %d", px.Log(), counts[act], act, n)
 		}
+	}
+}
+
+// frontSearch posts one aligned, E-valued /search of q through
+// NewHTTPHandler(c) and returns the status and the body, re-encoded with
+// wall_seconds zeroed when the status is 200.
+func frontSearch(t *testing.T, c *Cluster, q Sequence) (int, []byte) {
+	t.Helper()
+	ts := httptest.NewServer(NewHTTPHandler(c))
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/search", map[string]any{
+		"residues": q.String(), "top_k": 5, "align": true, "evalue": true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, body
+	}
+	var sr SearchJSON
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatalf("decoding /search: %v: %s", err, body)
+	}
+	sr.WallSeconds = 0
+	out, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return http.StatusOK, out
+}
+
+// badAnswerCoordinator builds a coordinator over two proxied nodes that
+// each serve both shards. Each proxy's script applies to /shard/search
+// only. It also returns the single-node /search answer to queries[0].
+func badAnswerCoordinator(t *testing.T) (coord *Cluster, pxA, pxB *faultproxy.Proxy, want []byte, q Sequence) {
+	t.Helper()
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	refDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCluster(refDB, distribOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.CloseNow()
+	code, want := frontSearch(t, ref, queries[0])
+	if code != http.StatusOK {
+		t.Fatalf("single-node /search: %d %s", code, want)
+	}
+
+	pxA, pxB = proxiedShardNode(t, shardPaths), proxiedShardNode(t, shardPaths)
+	for _, px := range []*faultproxy.Proxy{pxA, pxB} {
+		px.Match(func(r *http.Request) bool { return r.URL.Path == "/shard/search" })
+	}
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err = NewDistributedCluster(context.Background(), parentDB, manifestPath,
+		[]string{pxA.URL(), pxB.URL()}, liveDistribOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.CloseNow)
+	return coord, pxA, pxB, want, queries[0]
+}
+
+// TestCoordinatorBadAnswerFailsOver pins that a replica answering 200
+// with a body that fails to decode, or decodes to the wrong number of
+// scores, is a failed replica: both shards' searches reach node A first,
+// fail over to node B, and /search answers the single-node bytes.
+func TestCoordinatorBadAnswerFailsOver(t *testing.T) {
+	coord, pxA, pxB, want, q := badAnswerCoordinator(t)
+	pxA.Program(
+		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`}, // a truncated varint
+		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"Bwg="}`}, // two scores
+	)
+	code, got := frontSearch(t, coord, q)
+	if code != http.StatusOK {
+		t.Fatalf("/search past a bad replica: %d %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("failed-over answer diverged from single-node:\nwant %s\ngot  %s", want, got)
+	}
+	if a, b := pxA.Attempts(), pxB.Attempts(); a != 2 || b != 2 {
+		t.Fatalf("shard searches: %d to A and %d to B, want one per shard on each", a, b)
+	}
+}
+
+// TestCoordinatorBadAnswerEverywhere pins that a shard whose every
+// replica answers badly through the whole retry budget answers the
+// retryable 503, as a shard with no live replica does.
+func TestCoordinatorBadAnswerEverywhere(t *testing.T) {
+	coord, pxA, pxB, _, q := badAnswerCoordinator(t)
+	bad := make([]faultproxy.Step, 8)
+	for i := range bad {
+		bad[i] = faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`}
+	}
+	pxA.Program(bad...)
+	pxB.Program(bad...)
+	if code, body := frontSearch(t, coord, q); code != http.StatusServiceUnavailable {
+		t.Fatalf("/search with every replica answering badly: %d %s, want 503", code, body)
+	}
+}
+
+// TestCoordinatorRefusedEverywhere pins that a shard whose every replica
+// refuses connections answers 503 once the retry budget is spent.
+func TestCoordinatorRefusedEverywhere(t *testing.T) {
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	nodeA, _ := startShardNode(t, shardPaths, nil)
+	nodeB, _ := startShardNode(t, shardPaths, nil)
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath,
+		[]string{nodeA.URL, nodeB.URL}, liveDistribOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.CloseNow()
+	// Both die after discovery; with the prober's loop off they stay
+	// routed, so every attempt is refused.
+	nodeA.Close()
+	nodeB.Close()
+	if code, body := frontSearch(t, coord, queries[0]); code != http.StatusServiceUnavailable {
+		t.Fatalf("/search with every replica refusing connections: %d %s, want 503", code, body)
 	}
 }
 

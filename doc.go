@@ -87,8 +87,9 @@
 //     an ordinary *Cluster — scores merge back into parent order and
 //     E-values fit over the union distribution, so results are
 //     byte-identical to a single-node search of the unsplit database,
-//     with per-attempt timeouts, 503-only retries with exponential
-//     backoff across replicas, and hedged requests for tail latency —
+//     with per-attempt timeouts, retries with exponential backoff
+//     across replicas over 503s, transport failures and answers that
+//     fail to decode or check, and hedged requests for tail latency —
 //     see NewDistributedCluster, DistributedOptions, NewShardServer and
 //     SplitIndexFile.
 //

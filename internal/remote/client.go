@@ -34,15 +34,9 @@ type Options struct {
 	Backoff time.Duration
 	// HedgeDelay, when positive and the shard has at least two replicas,
 	// launches a duplicate request against the next replica if the
-	// primary has not answered within the delay; the first success wins
-	// and the loser is cancelled. 0 disables hedging.
+	// primary has not answered within the delay; the first valid answer
+	// wins and the other request is cancelled. 0 disables hedging.
 	HedgeDelay time.Duration
-	// OnFailure, when non-nil, is called with the primary URL of every
-	// retryable attempt failure (the caller's context still being live).
-	// The coordinator wires it to the health prober's Kick, so a node
-	// failing real traffic is re-probed immediately instead of at the
-	// next periodic sweep. It must not block.
-	OnFailure func(url string, err error)
 }
 
 func (o Options) withDefaults() Options {
@@ -71,6 +65,10 @@ func (o Options) withDefaults() Options {
 // http.DefaultClient; per-attempt deadlines come from Options.Timeout.
 type Client struct {
 	opt Options
+	// report, when non-nil, hears the URL of every request that failed
+	// retryably while its caller still waited. NewProber sets it to the
+	// prober's Kick, so a node failing real traffic is re-probed at once.
+	report func(url string)
 }
 
 // NewClient builds a client.
@@ -78,59 +76,65 @@ func NewClient(opt Options) *Client {
 	return &Client{opt: opt.withDefaults()}
 }
 
+// bound derives one attempt's context: cancellable, and bounded by
+// Options.Timeout when that is set.
+func (c *Client) bound(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.opt.Timeout > 0 {
+		return context.WithTimeout(ctx, c.opt.Timeout)
+	}
+	return context.WithCancel(ctx)
+}
+
 // Shards fetches one node's shard inventory. Discovery is a single
 // attempt — the coordinator probes every node and tolerates individual
 // failures, so retrying here would only slow startup.
 func (c *Client) Shards(ctx context.Context, node string) (*ShardsResponse, error) {
-	if c.opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opt.Timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/shards", nil)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.read(req, node)
-	if err != nil {
-		return nil, err
-	}
-	var out ShardsResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("remote: %s/shards: %w", node, err)
-	}
-	return &out, nil
+	ctx, cancel := c.bound(ctx)
+	defer cancel()
+	return exchange[ShardsResponse](ctx, http.MethodGet, node+"/shards", nil, nil)
 }
 
-// ShardSearch scores one query over one shard, trying the shard's replica
-// URLs under the client's retry/hedging policy.
-func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest) (*ShardSearchResponse, error) {
-	out := new(ShardSearchResponse)
-	if err := c.do(ctx, urls, "/shard/search", req, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// ShardSearch scores one query over one shard of n sequences, trying the
+// shard's replica URLs under the client's retry/hedging policy. An answer
+// that does not carry exactly n scores fails its replica like a dropped
+// connection does.
+func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int) (*ShardSearchResponse, error) {
+	return call(ctx, c, urls, "/shard/search", req, func(r *ShardSearchResponse) error {
+		if len(r.Scores) != n {
+			return fmt.Errorf("%d scores for the %d-sequence shard %s", len(r.Scores), n, req.Shard)
+		}
+		return nil
+	})
 }
 
 // ShardAlign runs tracebacks for one shard's hits under the same policy.
+// An answer must hold one alignment per requested index, in request
+// order.
 func (c *Client) ShardAlign(ctx context.Context, urls []string, req *ShardAlignRequest) (*ShardAlignResponse, error) {
-	out := new(ShardAlignResponse)
-	if err := c.do(ctx, urls, "/shard/align", req, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call(ctx, c, urls, "/shard/align", req, func(r *ShardAlignResponse) error {
+		if len(r.Alignments) != len(req.Indices) {
+			return fmt.Errorf("%d alignments for %d hits", len(r.Alignments), len(req.Indices))
+		}
+		for i, a := range r.Alignments {
+			if a.SeqIndex != req.Indices[i] {
+				return fmt.Errorf("alignment %d for index %d (want %d)", i, a.SeqIndex, req.Indices[i])
+			}
+		}
+		return nil
+	})
 }
 
-// do is the retry loop: attempt a routes to urls[a mod len(urls)], failed
-// retryable attempts back off exponentially, and non-retryable failures
-// (or a dead caller context) stop immediately.
-func (c *Client) do(ctx context.Context, urls []string, path string, reqBody, respBody any) error {
+// call is the retry loop: attempt a routes to urls[a mod len(urls)],
+// failed retryable attempts back off exponentially, and non-retryable
+// failures (or a dead caller context) stop immediately. A request whose
+// attempts all fail wraps ErrNoReplicas: no replica gave a valid answer.
+func call[T any](ctx context.Context, c *Client, urls []string, path string, reqBody any, check func(*T) error) (*T, error) {
 	if len(urls) == 0 {
-		return fmt.Errorf("%w for %s", ErrNoReplicas, path)
+		return nil, fmt.Errorf("%w for %s", ErrNoReplicas, path)
 	}
 	body, err := json.Marshal(reqBody)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	attempts := c.opt.Retries + 1
 	var lastErr error
@@ -139,61 +143,62 @@ func (c *Client) do(ctx context.Context, urls []string, path string, reqBody, re
 			select {
 			case <-time.After(c.opt.Backoff << (a - 1)):
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
-		raw, err := c.attempt(ctx, urls, a, path, body)
+		out, err := attempt(ctx, c, urls, a, path, body, check)
 		if err == nil {
-			if uerr := json.Unmarshal(raw, respBody); uerr != nil {
-				return fmt.Errorf("remote: %s: %w", path, uerr)
-			}
-			return nil
+			return out, nil
 		}
 		lastErr = err
 		if !Retryable(err) || ctx.Err() != nil {
-			return err
-		}
-		if c.opt.OnFailure != nil {
-			c.opt.OnFailure(urls[a%len(urls)], err)
+			return nil, err
 		}
 	}
-	return fmt.Errorf("remote: %s failed after %d attempts: %w", path, attempts, lastErr)
+	return nil, fmt.Errorf("%w: %s failed after %d attempts: %w", ErrNoReplicas, path, attempts, lastErr)
 }
 
-// postResult is one in-flight POST's outcome.
-type postResult struct {
+// leg is one POST's outcome: a checked answer or the failure of url.
+type leg[T any] struct {
 	url string
-	raw []byte
+	out *T
 	err error
 }
 
 // attempt runs one logical attempt: a POST to the attempt's primary
 // replica, plus — when hedging is enabled and another replica exists — a
 // duplicate launched either after HedgeDelay or immediately once the
-// primary fails. The first success wins and cancels the other request;
-// the attempt fails only when every launched request has failed.
-func (c *Client) attempt(ctx context.Context, urls []string, a int, path string, body []byte) ([]byte, error) {
-	var (
-		actx   context.Context
-		cancel context.CancelFunc
-	)
-	if c.opt.Timeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, c.opt.Timeout)
-	} else {
-		actx, cancel = context.WithCancel(ctx)
-	}
+// primary fails. The first valid answer wins and cancels the other
+// request; the attempt fails only when every launched request has failed.
+// Every leg the attempt waits for that fails retryably is reported
+// against its own URL; a leg still running when the other wins is
+// cancelled, not failed.
+func attempt[T any](ctx context.Context, c *Client, urls []string, a int, path string, body []byte, check func(*T) error) (*T, error) {
+	actx, cancel := c.bound(ctx)
 	defer cancel()
+	post := func(url string) leg[T] {
+		out, err := exchange(actx, http.MethodPost, url+path, body, check)
+		return leg[T]{url: url, out: out, err: err}
+	}
+	// report re-probes the node of a leg the attempt waited for, if the
+	// leg failed retryably while the caller still waits.
+	report := func(r leg[T]) {
+		if r.err != nil && c.report != nil && Retryable(r.err) && ctx.Err() == nil {
+			c.report(r.url)
+		}
+	}
 
 	primary := urls[a%len(urls)]
 	if c.opt.HedgeDelay <= 0 || len(urls) < 2 {
-		r := c.post(actx, primary, path, body)
-		return r.raw, r.err
+		r := post(primary)
+		report(r)
+		return r.out, r.err
 	}
 	hedge := urls[(a+1)%len(urls)]
 
-	ch := make(chan postResult, 2)
+	ch := make(chan leg[T], 2)
 	launch := func(url string) {
-		go func() { ch <- c.post(actx, url, path, body) }()
+		go func() { ch <- post(url) }()
 	}
 	launch(primary)
 	inflight, hedged := 1, false
@@ -208,8 +213,9 @@ func (c *Client) attempt(ctx context.Context, urls []string, a int, path string,
 				// Winner: cancel the in-flight loser (if any) via the
 				// shared attempt context.
 				cancel()
-				return r.raw, nil
+				return r.out, nil
 			}
+			report(r)
 			errs = append(errs, fmt.Errorf("%s: %w", r.url, r.err))
 			if !hedged {
 				// The primary failed before the hedge timer fired: there
@@ -231,20 +237,16 @@ func (c *Client) attempt(ctx context.Context, urls []string, a int, path string,
 	}
 }
 
-// post runs one POST and returns the raw 200 body or a classified error.
-func (c *Client) post(ctx context.Context, base, path string, body []byte) postResult {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+// exchange runs one request against one node and owns its outcome: a 200
+// body decodes into a fresh T that must pass check (nil checks nothing);
+// a non-200 answer is a StatusError; anything else is an error naming
+// the URL.
+func exchange[T any](ctx context.Context, method, url string, body []byte, check func(*T) error) (*T, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
-		return postResult{url: base, err: err}
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	raw, err := c.read(req, base)
-	return postResult{url: base, raw: raw, err: err}
-}
-
-// read executes a prepared request, capping the body and converting
-// non-200 statuses to StatusError.
-func (c *Client) read(req *http.Request, base string) ([]byte, error) {
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
@@ -260,7 +262,16 @@ func (c *Client) read(req *http.Request, base string) ([]byte, error) {
 		return nil, &StatusError{Code: resp.StatusCode, Msg: msg}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("remote: reading %s: %w", base, err)
+		return nil, fmt.Errorf("remote: reading %s: %w", url, err)
 	}
-	return raw, nil
+	out := new(T)
+	if err := json.Unmarshal(raw, out); err != nil {
+		return nil, fmt.Errorf("remote: %s: %w", url, err)
+	}
+	if check != nil {
+		if err := check(out); err != nil {
+			return nil, fmt.Errorf("remote: %s: %w", url, err)
+		}
+	}
+	return out, nil
 }

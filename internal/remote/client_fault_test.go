@@ -4,17 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
 	"heterosw/internal/remote/faultproxy"
 )
 
 // The client half of the fault-injection matrix: every scripted fault
 // class must be classified retryable and survived within the retry
-// budget, and the OnFailure hook must see each retryable failure with
-// the URL it struck.
+// budget, and the prober that built the client must hear of each failed
+// request with the URL it struck.
 
 // searchUpstream answers /shard/search with a fixed score body.
 func searchUpstream(t *testing.T) *httptest.Server {
@@ -53,7 +56,7 @@ func TestClientSurvivesScriptedFaults(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	c := fastClient(Options{Retries: 4})
-	resp, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq())
+	resp, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3)
 	if err != nil {
 		t.Fatalf("ShardSearch through the fault schedule: %v", err)
 	}
@@ -83,7 +86,7 @@ func TestClientFailsUnderBudget(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	c := fastClient(Options{Retries: 1})
-	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq()); err == nil {
+	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3); err == nil {
 		t.Fatal("two scripted faults must exhaust a 1-retry budget")
 	}
 	if got := px.Attempts(); got != 2 {
@@ -91,51 +94,142 @@ func TestClientFailsUnderBudget(t *testing.T) {
 	}
 }
 
-// TestOnFailureHook pins the health-feedback contract: every retryable
-// attempt failure invokes OnFailure with the URL the attempt targeted,
-// terminal failures do not, and the final success never does.
-func TestOnFailureHook(t *testing.T) {
+// reported drains the node URLs p's client has reported since p was
+// built. With the background loop disabled nothing else reads them.
+func reported(p *Prober) []string {
+	var urls []string
+	for {
+		select {
+		case url := <-p.kick:
+			urls = append(urls, url)
+		default:
+			return urls
+		}
+	}
+}
+
+// TestFailedAttemptsReportNode pins the health-feedback contract: every
+// retryable attempt failure is reported to the prober with the URL the
+// attempt targeted, and the final success never is.
+func TestFailedAttemptsReportNode(t *testing.T) {
 	px := faultedClientProxy(t)
 	px.Program(
 		faultproxy.Step{Act: faultproxy.Unavailable},
 		faultproxy.Step{Act: faultproxy.Drop},
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
-	var failed []string
-	c := fastClient(Options{
-		Retries:   2,
-		OnFailure: func(url string, err error) { failed = append(failed, url) },
-	})
-	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq()); err != nil {
+	p := NewProber([]string{px.URL()}, fastOptions(Options{Retries: 2}), ProberOptions{Interval: -1})
+	if _, err := p.client.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3); err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
-	if len(failed) != 2 || failed[0] != px.URL() || failed[1] != px.URL() {
-		t.Fatalf("OnFailure saw %v, want the proxy URL twice", failed)
+	if got := reported(p); !slices.Equal(got, []string{px.URL(), px.URL()}) {
+		t.Fatalf("reported %v, want the proxy URL twice", got)
 	}
 }
 
-// TestOnFailureSkipsTerminal pins the other half: a terminal status (400)
-// aborts the retry loop without notifying OnFailure — the node answered,
-// it is not unhealthy.
-func TestOnFailureSkipsTerminal(t *testing.T) {
+// TestTerminalFailureNotReported pins the other half: a terminal status
+// (400) aborts the retry loop without a report — the node answered, it
+// is not unhealthy.
+func TestTerminalFailureNotReported(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadRequest)
 		fmt.Fprint(w, `{"error":"bad request"}`)
 	}))
 	defer srv.Close()
-	calls := 0
-	c := fastClient(Options{
-		Retries:   3,
-		OnFailure: func(url string, err error) { calls++ },
-	})
-	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+	p := NewProber([]string{srv.URL}, fastOptions(Options{Retries: 3}), ProberOptions{Interval: -1})
+	_, err := p.client.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("want terminal 400, got %v", err)
 	}
-	if calls != 0 {
-		t.Fatalf("OnFailure ran %d times for a terminal failure, want 0", calls)
+	if got := reported(p); len(got) != 0 {
+		t.Fatalf("reported %v for a terminal failure, want nothing", got)
 	}
+}
+
+// TestBadAnswerFailsItsReplica pins that a 200 whose body fails to decode,
+// or decodes to the wrong number of scores, fails the replica that sent
+// it and nothing more: the next replica answers, each replica is asked
+// once, and the bad one is reported to the prober. When every replica
+// answers badly the request wraps ErrNoReplicas. Under hedging a primary
+// that its hedge rescues is reported, and a loser cancelled because the
+// other leg won is not.
+func TestBadAnswerFailsItsReplica(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ name, body string }{
+		{"truncated varint", `{"scores":"BwiA"}`},
+		{"bad base64", `{"scores":"Bw!J"}`},
+		{"one score short", `{"scores":"Bwg="}`},    // 07 08
+		{"one score long", `{"scores":"BwgJCg=="}`}, // 07 08 09 0a
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := faultedClientProxy(t), faultedClientProxy(t)
+			a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: tc.body})
+			p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
+			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3)
+			if err != nil {
+				t.Fatalf("ShardSearch past one bad replica: %v", err)
+			}
+			if !slices.Equal(resp.Scores, ScoreList{7, 8, 9}) {
+				t.Fatalf("scores %v, want the second replica's [7 8 9]", resp.Scores)
+			}
+			if a.Attempts() != 1 || b.Attempts() != 1 {
+				t.Fatalf("replicas asked %d and %d times, want once each", a.Attempts(), b.Attempts())
+			}
+			if got := reported(p); !slices.Equal(got, []string{a.URL()}) {
+				t.Fatalf("reported %v, want only the bad replica %s", got, a.URL())
+			}
+		})
+	}
+
+	t.Run("every replica bad", func(t *testing.T) {
+		a, b := faultedClientProxy(t), faultedClientProxy(t)
+		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`})
+		b.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"Bwg="}`})
+		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: 1}), ProberOptions{Interval: -1})
+		_, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3)
+		if !errors.Is(err, ErrNoReplicas) {
+			t.Fatalf("every replica answering badly: err = %v, want ErrNoReplicas", err)
+		}
+		if got := reported(p); !slices.Equal(got, []string{a.URL(), b.URL()}) {
+			t.Fatalf("reported %v, want both replicas", got)
+		}
+	})
+
+	t.Run("hedge rescues primary", func(t *testing.T) {
+		a, b := faultedClientProxy(t), faultedClientProxy(t)
+		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`})
+		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: -1, HedgeDelay: time.Hour}), ProberOptions{Interval: -1})
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3)
+		if err != nil || !slices.Equal(resp.Scores, ScoreList{7, 8, 9}) {
+			t.Fatalf("hedged ShardSearch = %v, %v; want the hedge's [7 8 9]", resp, err)
+		}
+		if got := reported(p); !slices.Equal(got, []string{a.URL()}) {
+			t.Fatalf("reported %v, want the rescued primary %s", got, a.URL())
+		}
+	})
+
+	t.Run("cancelled loser", func(t *testing.T) {
+		cancelled := make(chan struct{})
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body) // so net/http watches for the disconnect
+			<-r.Context().Done()
+			close(cancelled)
+		}))
+		defer slow.Close()
+		fast := searchUpstream(t)
+		p := NewProber([]string{slow.URL, fast.URL}, fastOptions(Options{Retries: -1, HedgeDelay: 5 * time.Millisecond}), ProberOptions{Interval: -1})
+		if _, err := p.client.ShardSearch(ctx, []string{slow.URL, fast.URL}, searchReq(), 3); err != nil {
+			t.Fatalf("hedged ShardSearch: %v", err)
+		}
+		<-cancelled
+		// The loser's leg ends as its node sees the cancellation; give a
+		// leg that wrongly reports its own cancellation time to do so.
+		time.Sleep(20 * time.Millisecond)
+		if got := reported(p); len(got) != 0 {
+			t.Fatalf("reported %v, want nothing: the loser was cancelled, not failed", got)
+		}
+	})
 }
 
 // TestEmptyReplicasIsTypedRetryable pins the uncovered-shard error: a
@@ -143,7 +237,7 @@ func TestOnFailureSkipsTerminal(t *testing.T) {
 // retryable, so callers keep retrying while the prober refills the set.
 func TestEmptyReplicasIsTypedRetryable(t *testing.T) {
 	c := fastClient(Options{})
-	_, err := c.ShardSearch(context.Background(), nil, searchReq())
+	_, err := c.ShardSearch(context.Background(), nil, searchReq(), 3)
 	if !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("want ErrNoReplicas, got %v", err)
 	}

@@ -15,15 +15,19 @@ import (
 	"time"
 )
 
-func fastClient(opt Options) *Client {
+// fastOptions sets a 5s attempt timeout and a 1ms backoff where opt
+// leaves them unset.
+func fastOptions(opt Options) Options {
 	if opt.Timeout == 0 {
 		opt.Timeout = 5 * time.Second
 	}
 	if opt.Backoff == 0 {
 		opt.Backoff = time.Millisecond
 	}
-	return NewClient(opt)
+	return opt
 }
+
+func fastClient(opt Options) *Client { return NewClient(fastOptions(opt)) }
 
 func searchReq() *ShardSearchRequest {
 	return &ShardSearchRequest{Shard: "swdb:deadbeef-3-10", ID: "q", Codes: []byte{1, 2, 3}}
@@ -44,7 +48,7 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(Options{Retries: 2})
-	resp, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+	resp, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -79,7 +83,7 @@ func TestShardSearchAcceptsOlderNodeBody(t *testing.T) {
 			}))
 			defer srv.Close()
 
-			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("ShardSearch = %+v, %v; want a decode error naming %q", resp, err, tc.wantErr)
@@ -111,7 +115,7 @@ func TestNoRetryOnTerminalStatus(t *testing.T) {
 			defer srv.Close()
 
 			c := fastClient(Options{Retries: 3})
-			_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+			_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
 			if err == nil {
 				t.Fatal("want error")
 			}
@@ -137,7 +141,7 @@ func TestRetriesExhausted(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(Options{Retries: 2})
-	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq())
+	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -162,7 +166,7 @@ func TestRetriesRotateReplicas(t *testing.T) {
 	dead.Close() // connection refused from now on
 
 	c := fastClient(Options{Retries: 1})
-	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, good.URL}, searchReq())
+	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, good.URL}, searchReq(), 1)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -187,7 +191,7 @@ func TestBackoffHonoursContext(t *testing.T) {
 	}()
 	c := fastClient(Options{Retries: 5, Backoff: time.Hour})
 	start := time.Now()
-	_, err := c.ShardSearch(ctx, []string{srv.URL}, searchReq())
+	_, err := c.ShardSearch(ctx, []string{srv.URL}, searchReq(), 3)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -217,7 +221,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 	defer hedge.Close()
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: 5 * time.Millisecond})
-	resp, err := c.ShardSearch(context.Background(), []string{primary.URL, hedge.URL}, searchReq())
+	resp, err := c.ShardSearch(context.Background(), []string{primary.URL, hedge.URL}, searchReq(), 1)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -244,7 +248,7 @@ func TestHedgePromotesOnPrimaryFailure(t *testing.T) {
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: time.Hour})
 	start := time.Now()
-	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, hedge.URL}, searchReq())
+	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, hedge.URL}, searchReq(), 1)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -265,7 +269,7 @@ func TestHedgeBothFail(t *testing.T) {
 	b.Close()
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: time.Millisecond})
-	_, err := c.ShardSearch(context.Background(), []string{a.URL, b.URL}, searchReq())
+	_, err := c.ShardSearch(context.Background(), []string{a.URL, b.URL}, searchReq(), 1)
 	if err == nil {
 		t.Fatal("want error when both replicas are down")
 	}
@@ -297,7 +301,7 @@ func TestRetryableClassification(t *testing.T) {
 // TestNoReplicas pins the degenerate call.
 func TestNoReplicas(t *testing.T) {
 	c := fastClient(Options{})
-	if _, err := c.ShardSearch(context.Background(), nil, searchReq()); err == nil {
+	if _, err := c.ShardSearch(context.Background(), nil, searchReq(), 3); err == nil {
 		t.Fatal("want error for zero replica URLs")
 	}
 }
@@ -357,7 +361,7 @@ func TestAttemptReleasesItsContext(t *testing.T) {
 		c := NewClient(Options{Timeout: timeout})
 		const n = 20
 		for i := 0; i < n; i++ {
-			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq()); err != nil {
+			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq(), 3); err != nil {
 				t.Fatalf("Timeout %v: ShardSearch %d: %v", timeout, i, err)
 			}
 		}

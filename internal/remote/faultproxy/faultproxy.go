@@ -1,10 +1,11 @@
 // Package faultproxy is a deterministic in-process fault-injection HTTP
 // proxy for the distributed layer's tests: it sits between a coordinator
 // (or prober, or bare client) and one shard node, applying a scripted
-// schedule of faults — drop, delay, half-close, 503 burst, byte-truncate
-// — keyed purely on the request attempt number. Nothing is randomised and
-// nothing depends on wall-clock timing, so a schedule replays identically
-// under -race, -count=20 and loaded CI runners.
+// schedule of faults — drop, delay, half-close, 503 burst, byte-truncate,
+// rewritten 200 body — keyed purely on the request attempt number.
+// Nothing is randomised and nothing depends on wall-clock timing, so a
+// schedule replays identically under -race, -count=20 and loaded CI
+// runners.
 //
 // The script is a step list: request n (0-based, counting only requests
 // the filter matches) gets Steps[n]; requests beyond the script pass
@@ -47,10 +48,13 @@ const (
 	Unavailable
 	// Truncate forwards the request, then delivers the response with its
 	// ORIGINAL Content-Length but only Step.Bytes body bytes before
-	// closing. The client's body read fails with unexpected EOF — a
-	// retryable transport error — rather than delivering short JSON that
-	// would fail terminally at the unmarshal layer.
+	// closing. The client's body read fails with unexpected EOF: the body
+	// is cut off in transit, not answered short.
 	Truncate
+	// Rewrite forwards the request — its side effects happen — then
+	// answers 200 with Step.Body in place of the upstream's answer: a
+	// node that answers, but wrongly.
+	Rewrite
 )
 
 // String names the action for schedule logs and test failures.
@@ -68,15 +72,19 @@ func (a Action) String() string {
 		return "503"
 	case Truncate:
 		return "truncate"
+	case Rewrite:
+		return "rewrite"
 	}
 	return fmt.Sprintf("Action(%d)", int(a))
 }
 
-// Step is one scheduled fault. Wait applies to Delay; Bytes to Truncate.
+// Step is one scheduled fault. Wait applies to Delay; Bytes to Truncate;
+// Body to Rewrite.
 type Step struct {
 	Act   Action
 	Wait  time.Duration
 	Bytes int
+	Body  string
 }
 
 // Proxy is one node's fault injector. Zero value is not usable; build
@@ -208,13 +216,18 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		p.forward(w, r)
 	case Pass:
 		p.forward(w, r)
-	case HalfClose:
+	case HalfClose, Rewrite:
 		resp, err := p.roundTrip(r)
 		if err == nil {
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
-		p.abort(w)
+		if err != nil || step.Act == HalfClose {
+			p.abort(w)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, step.Body)
 	case Truncate:
 		resp, err := p.roundTrip(r)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -138,6 +139,31 @@ func TestHalfCloseReachesUpstream(t *testing.T) {
 	}
 	if hits != 1 {
 		t.Fatalf("upstream saw %d requests, want 1 (the side effect happened)", hits)
+	}
+}
+
+// TestRewriteReachesUpstream pins the wrong-answer case: the upstream
+// sees (and completes) the request, and the client gets a clean 200
+// carrying the scripted body instead of the upstream's.
+func TestRewriteReachesUpstream(t *testing.T) {
+	var hits atomic.Int64
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.WriteString(w, `{"ok":true}`)
+	}))
+	defer up.Close()
+	p := startProxy(t, up.URL)
+	p.Program(Step{Act: Rewrite, Body: `{"scores":"BwiA"}`})
+
+	resp, body, err := get(t, p.URL()+"/x")
+	if err != nil {
+		t.Fatalf("Rewrite must answer cleanly, got %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || string(body) != `{"scores":"BwiA"}` {
+		t.Fatalf("Rewrite answered %d %q, want 200 with the scripted body", resp.StatusCode, body)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("upstream saw %d requests, want 1", n)
 	}
 }
 

@@ -123,21 +123,21 @@ type Prober struct {
 	mu sync.Mutex
 	//sw:guardedBy(mu)
 	status map[string]*nodeStatus
-	//sw:guardedBy(mu)
-	sweeps int64
 }
 
-// NewProber builds a prober over the node roster. The prober is inert
-// until ProbeAll or Start is called.
-func NewProber(client *Client, nodes []string, opt ProberOptions) *Prober {
+// NewProber builds a prober over the node roster and the client that it
+// and its Backends share, which Kicks the node of every failed request.
+// The prober is inert until ProbeAll or Start is called.
+func NewProber(nodes []string, copt Options, opt ProberOptions) *Prober {
 	p := &Prober{
-		client: client,
+		client: NewClient(copt),
 		nodes:  append([]string(nil), nodes...),
 		opt:    opt.withDefaults(),
 		kick:   make(chan string, 2*len(nodes)+4),
 		stopc:  make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	p.client.report = p.Kick
 	p.mu.Lock()
 	p.status = make(map[string]*nodeStatus, len(nodes))
 	for _, url := range p.nodes {
@@ -190,11 +190,12 @@ func (p *Prober) Stop() {
 	}
 }
 
-// Kick requests an immediate re-probe of one node — the client's request
-// path calls it on every retryable failure, so a dying node is detected
-// at the next loop iteration instead of the next periodic sweep. The send
-// never blocks; kicks beyond the buffer (or with the loop disabled) are
-// dropped, which keeps deterministic tests free of background probes.
+// Kick requests an immediate re-probe of one node — the prober's client
+// calls it for every request that fails retryably, so a dying node is
+// detected at the next loop iteration instead of the next periodic sweep.
+// The send never blocks; kicks beyond the buffer (or with the loop
+// disabled) are dropped, which keeps deterministic tests free of
+// background probes.
 func (p *Prober) Kick(url string) {
 	select {
 	case p.kick <- url:
@@ -215,9 +216,6 @@ func (p *Prober) ProbeAll(ctx context.Context) {
 		}(url)
 	}
 	wg.Wait()
-	p.mu.Lock()
-	p.sweeps++
-	p.mu.Unlock()
 }
 
 // probeOne re-probes a single known node. Unknown URLs are ignored: the
@@ -331,13 +329,6 @@ func (p *Prober) ProbeErrors() []error {
 		}
 	}
 	return errs
-}
-
-// Sweeps counts completed ProbeAll sweeps.
-func (p *Prober) Sweeps() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sweeps
 }
 
 // quantile reads the nearest-rank q-quantile from an ascending sample.

@@ -65,8 +65,7 @@ func stateOf(t *testing.T, p *Prober, url string) NodeHealth {
 // with the failure streak and last-error fields tracking each move.
 func TestProberStateMachine(t *testing.T) {
 	px := proxiedNode(t, "k0", "k1")
-	c := fastClient(Options{})
-	p := NewProber(c, []string{px.URL()}, ProberOptions{Interval: -1, DeadAfter: 3})
+	p := NewProber([]string{px.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1, DeadAfter: 3})
 	ctx := context.Background()
 
 	if h := stateOf(t, p, px.URL()); h.State != NodeDegraded {
@@ -120,8 +119,7 @@ func TestProberOwners(t *testing.T) {
 	a := proxiedNode(t, "k0", "k1")
 	b := proxiedNode(t, "k0")
 	c := proxiedNode(t, "k1")
-	cl := fastClient(Options{Retries: 0})
-	p := NewProber(cl, []string{a.URL(), b.URL(), c.URL()}, ProberOptions{Interval: -1, DeadAfter: 2})
+	p := NewProber([]string{a.URL(), b.URL(), c.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1, DeadAfter: 2})
 	ctx := context.Background()
 
 	p.ProbeAll(ctx)
@@ -175,8 +173,7 @@ func TestProberProbeErrors(t *testing.T) {
 	good := proxiedNode(t, "k0")
 	bad := proxiedNode(t, "k1")
 	bad.SetDown(true)
-	cl := fastClient(Options{Retries: 0})
-	p := NewProber(cl, []string{good.URL(), bad.URL()}, ProberOptions{Interval: -1})
+	p := NewProber([]string{good.URL(), bad.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 	p.ProbeAll(context.Background())
 
 	errs := p.ProbeErrors()
@@ -188,24 +185,11 @@ func TestProberProbeErrors(t *testing.T) {
 	}
 }
 
-// TestProberOnChange pins that Sweeps counts every ProbeAll sweep.
-func TestProberOnChange(t *testing.T) {
-	px := proxiedNode(t, "k0")
-	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1})
-	p.ProbeAll(context.Background())
-	p.ProbeAll(context.Background())
-	if p.Sweeps() != 2 {
-		t.Fatalf("Sweeps() = %d, want 2", p.Sweeps())
-	}
-}
-
 // TestProberQuantilesOrdered sanity-checks the latency accounting: after
 // a run of successful probes the quantiles are populated and ordered.
 func TestProberQuantilesOrdered(t *testing.T) {
 	px := proxiedNode(t, "k0")
-	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1})
+	p := NewProber([]string{px.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 	const probes = latencyWindow + 8 // overfill the window to exercise the ring wrap
 	for i := 0; i < probes; i++ {
 		p.ProbeAll(context.Background())
@@ -223,11 +207,10 @@ func TestProberQuantilesOrdered(t *testing.T) {
 // loop sweeps on its own, reacts to Kick, and Stop terminates it.
 func TestProberBackgroundLoop(t *testing.T) {
 	px := proxiedNode(t, "k0")
-	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: 2 * time.Millisecond})
+	p := NewProber([]string{px.URL()}, fastOptions(Options{}), ProberOptions{Interval: 2 * time.Millisecond})
 	p.Start()
 	deadline := time.Now().Add(10 * time.Second)
-	for p.Sweeps() < 2 {
+	for p.Health()[0].Probes < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("background loop never swept twice")
 		}
@@ -245,8 +228,7 @@ func TestProberBackgroundLoop(t *testing.T) {
 // dropped no-op — deterministic tests must never get surprise probes.
 func TestProberKickWithoutLoop(t *testing.T) {
 	px := proxiedNode(t, "k0")
-	cl := fastClient(Options{})
-	p := NewProber(cl, []string{px.URL()}, ProberOptions{Interval: -1})
+	p := NewProber([]string{px.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 	p.Start() // no-op: interval disabled
 	for i := 0; i < 100; i++ {
 		p.Kick(px.URL()) // must never block, even far past the buffer

@@ -19,8 +19,9 @@
 //
 // Error contract: a node answers 503 only for retryable conditions (the
 // node is draining or closed); every other failure status is terminal for
-// that request. The client's retry and hedging policy keys off exactly
-// this distinction — see Retryable.
+// that request. A 200 whose body fails to decode or to check is a failed
+// replica, as a dropped connection is. The client's retry and hedging
+// policy keys off exactly these distinctions — see Retryable.
 package remote
 
 import (
@@ -186,12 +187,12 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// ErrNoReplicas reports a request against a shard with no live owner:
-// every node that served it is dead (or was never probed successfully).
-// It is retryable by classification — the prober readopts a recovering
-// node, whose shards route again without a coordinator restart — so front
-// ends map it to 503, telling clients to retry exactly as they would
-// against a draining node.
+// ErrNoReplicas reports a shard request no replica answered validly: the
+// shard has no live owner, or every attempt failed retryably (the error
+// then wraps the last failure too). It is retryable by classification —
+// the prober readopts a recovering node, whose shards route again without
+// a coordinator restart — so front ends map it to 503, telling clients to
+// retry exactly as they would against a draining node.
 var ErrNoReplicas = errors.New("remote: no live replicas")
 
 // StatusError is a non-200 node answer, carrying the HTTP status the
@@ -212,13 +213,14 @@ func (e *StatusError) Error() string {
 // Retryable reports whether a node failure may succeed on retry (against
 // the same node later, or another replica now). Transport-level failures —
 // connection refused or reset, a per-attempt timeout — are retryable: the
-// node may be restarting, and replicas exist exactly for this. Of the HTTP
-// statuses only 503 is: it is the one status nodes reserve for "healthy
-// request, unavailable node" (draining, shard cluster closed). Everything
-// else — 400s, 404 unknown shard, 500 — reports a request that cannot
-// succeed as posed, and retrying would only amplify the failure.
-// ErrNoReplicas is retryable too (no StatusError to classify): the
-// prober readopts a shard's owner when the node recovers.
+// node may be restarting, and replicas exist exactly for this. So is a
+// 200 that fails its decode or check: another replica may answer right.
+// Of the HTTP statuses only 503 is: it is the one status nodes reserve
+// for "healthy request, unavailable node" (draining, shard cluster
+// closed). Everything else — 400s, 404 unknown shard, 500 — reports a
+// request that cannot succeed as posed, and retrying would only amplify
+// the failure. ErrNoReplicas is retryable too: the prober readopts a
+// shard's owner when the node recovers.
 func Retryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {

@@ -433,13 +433,11 @@ func searchStatus(r *http.Request, err error) int {
 	if errors.Is(err, ErrClusterClosed) {
 		return http.StatusServiceUnavailable
 	}
-	// A coordinator whose shard lost every live replica — or whose node
-	// answered its own retryable 503 through the retry budget — passes the
-	// retryable condition to its caller: the prober refills the replica
-	// set when a node recovers, so clients should retry here too.
-	var se *remote.StatusError
-	if errors.Is(err, remote.ErrNoReplicas) ||
-		(errors.As(err, &se) && se.Code == http.StatusServiceUnavailable) {
+	// A coordinator whose shard lost every live replica, or spent its
+	// retry budget without a valid answer, passes the retryable condition
+	// to its caller: the prober refills the replica set when a node
+	// recovers, so clients should retry here too.
+	if errors.Is(err, remote.ErrNoReplicas) {
 		return http.StatusServiceUnavailable
 	}
 	if rerr := r.Context().Err(); rerr != nil && errors.Is(err, rerr) {
