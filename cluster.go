@@ -120,10 +120,10 @@ type ClusterResult struct {
 type ReportOptions struct {
 	// Alignments enables reporting phase two: after the vectorised score
 	// pass selects the top-K hits, the query is re-aligned against just
-	// those K database sequences — on the host's workers, or on the shard
-	// nodes of a coordinator — and each hit gains coordinates, a CIGAR and
-	// identity counts (Hit.Alignment). The traceback phase only ever aligns
-	// K sequences, never the full database.
+	// those K database sequences on the host's workers — a coordinator's
+	// too, over its parent index — and each hit gains coordinates, a CIGAR
+	// and identity counts (Hit.Alignment). The traceback phase only ever
+	// aligns K sequences, never the full database.
 	Alignments bool
 	// EValues fits a Gumbel null model over the full score distribution
 	// (see Result.FitSignificance) and decorates every reported hit with
@@ -226,7 +226,8 @@ type BackendTotals struct {
 	Cells       int64   `json:"cells"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// Tracebacks counts the aligned-hit tracebacks the backend has run in
-	// reporting phase two (ReportOptions.Alignments).
+	// reporting phase two (ReportOptions.Alignments): the host's on a local
+	// cluster, 0 for a coordinator's nodes, which run none.
 	Tracebacks int64 `json:"tracebacks"`
 }
 
@@ -266,9 +267,6 @@ type Cluster struct {
 	sched   *qsched.Scheduler[job, *ClusterResult]
 	cache   *qsched.Cache[*ClusterResult]
 	keyBase string
-	// closed is set by CloseNow: a shard node's tracebacks, which bypass
-	// the scheduler, refuse work from then on too.
-	closed atomic.Bool
 }
 
 // hostWidth is the lane geometry of the host backend, read from the vec
@@ -425,12 +423,14 @@ func wrapCluster(r *core.ClusterResult) *ClusterResult {
 }
 
 // Totals reports the number of completed query searches and cumulative
-// per-backend accounting (searches, residues, cells, wall seconds) across
-// every entry point and concurrent caller: one host backend on a local
-// cluster, one per shard on a coordinator. The swserve /healthz endpoint
+// per-backend accounting (searches, residues, cells, wall seconds,
+// tracebacks) across every entry point and concurrent caller: one host
+// backend on a local cluster, one per shard on a coordinator. A
+// coordinator's tracebacks run on its own host, which no node entry
+// stands for, so those entries count none. The swserve /healthz endpoint
 // serves this snapshot.
 func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
-	q, raw := c.engine().Totals()
+	q, tracebacks, raw := c.engine().Totals()
 	kind, workers := DeviceRemote, 0
 	if c.topo == nil {
 		kind, workers = DeviceHost, runtime.GOMAXPROCS(0)
@@ -445,8 +445,10 @@ func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
 			Residues:    bt.Residues,
 			Cells:       bt.Cells,
 			WallSeconds: bt.WallSeconds,
-			Tracebacks:  bt.Tracebacks,
 		}
+	}
+	if c.topo == nil {
+		per[0].Tracebacks = tracebacks
 	}
 	return q, per
 }
@@ -517,7 +519,6 @@ func (c *Cluster) Close() {
 // every door fails with ErrClusterClosed from then on. It stops a
 // coordinator's prober as Close does. CloseNow is idempotent.
 func (c *Cluster) CloseNow() {
-	c.closed.Store(true)
 	c.sched.CloseNow()
 	if c.topo != nil {
 		c.topo.prober.Stop()

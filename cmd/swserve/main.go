@@ -36,13 +36,14 @@
 //	        -nodes http://localhost:7741,http://localhost:7742
 //
 // A -shards node serves the shard execution protocol (GET /shards, POST
-// /shard/search, POST /shard/align) for the listed shard files; the
-// coordinator (-manifest -nodes) fans each front-door query out to the
-// nodes owning each shard, merges scores into parent order and answers
-// the normal /search, /batch and /healthz API with results byte-identical
-// to a single-node search of the unsplit database. Nodes execute shards
-// under their OWN kernel flags — configure nodes and coordinator
-// identically. -node-timeout, -node-retries, -node-backoff and -hedge
+// /shard/search) for the listed shard files; the coordinator (-manifest
+// -nodes) fans each front-door query out to the nodes owning each shard,
+// merges scores into parent order, traces back the top hits itself over
+// the parent index, and answers the normal /search, /batch and /healthz
+// API with results byte-identical to a single-node search of the unsplit
+// database. Nodes score shards under their OWN kernel flags and the
+// coordinator traces back under its own — configure nodes and
+// coordinator identically. -node-timeout, -node-retries, -node-backoff and -hedge
 // shape the coordinator's tail-latency policy; only 503 answers and
 // transport failures are retried.
 //

@@ -24,12 +24,13 @@ const (
 
 // DistributedOptions configures a coordinator over remote shard nodes.
 type DistributedOptions struct {
-	// Options is validated as a local cluster's is and fingerprints the
-	// coordinator's cache keys. The remote nodes execute shards and
-	// tracebacks under their OWN configured options — the coordinator
-	// ships queries, not search parameters — so operators must configure
-	// nodes and coordinator identically for the merged result to be
-	// meaningful.
+	// Options is validated as a local cluster's is, fingerprints the
+	// coordinator's cache keys and governs the coordinator's own
+	// tracebacks. The remote nodes score their shards under their OWN
+	// configured options — the coordinator ships queries, not search
+	// parameters — so operators must configure nodes and coordinator
+	// identically: a coordinator configured unlike its nodes fails its
+	// aligned requests at the traceback's kernel-score check.
 	Options
 
 	// MaxInFlight and CacheSize tune the coordinator's scheduler
@@ -131,8 +132,10 @@ func (t *liveTopology) noteReload(ok bool) {
 // Every door works unchanged — Do, DoBatch and the HTTP front end
 // schedule, dedup and cache exactly as on a local cluster — except that a
 // request-scoped Request.Matrix fails with ErrBadMatrix: nodes score under
-// their own options. Aligned reports fan tracebacks out to the nodes owning
-// each hit's shard.
+// their own options. The coordinator traces back aligned reports' hits
+// itself, over db, under its own options, and checks every traceback score
+// against the score the nodes sent; an aligned query costs one round trip
+// per shard.
 //
 // ctx bounds the construction-time node probes (which run concurrently):
 // cancelling it aborts the topology discovery (a caller-side startup
@@ -213,7 +216,7 @@ func validateManifestFor(db *Database, man *remote.Manifest) error {
 // owner fails the build — the caller keeps serving the previous
 // generation (hot-reload) or refuses to start (construction).
 func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober) (*core.Dispatcher, error) {
-	backends := make([]core.ShardBackend, len(man.Shards))
+	backends := make([]core.Backend, len(man.Shards))
 	shardDBs := make([]*seqdb.Database, len(man.Shards))
 	shardIdx := make([][]int, len(man.Shards))
 	for i, sh := range man.Shards {

@@ -12,9 +12,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"heterosw/internal/alphabet"
 	"heterosw/internal/remote"
 	"heterosw/internal/remote/faultproxy"
 )
@@ -504,6 +506,113 @@ func TestCoordinatorConstructionProbeFailureText(t *testing.T) {
 	}
 }
 
+// TestCoordinatorTracebacksOnCoordinator pins that a coordinator traces
+// back its hits itself, over the parent index it maps: an aligned,
+// E-valued /search sends each node one /shard/search per shard and
+// nothing else, and answers the single-node bytes. The kernel-score check
+// still guards the tracebacks: a node whose score list puts one score a
+// point above the truth fails the request with 500 naming the
+// disagreement, never a 200 carrying the wrong score.
+func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	q := queries[0]
+	refDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCluster(refDB, distribOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.CloseNow()
+	code, want := frontSearch(t, ref, q)
+	if code != http.StatusOK {
+		t.Fatalf("single-node /search: %d %s", code, want)
+	}
+
+	pxs := []*faultproxy.Proxy{
+		proxiedShardNode(t, shardPaths[:1]),
+		proxiedShardNode(t, shardPaths[1:]),
+	}
+	var routes routeLog
+	for _, px := range pxs {
+		routes.watch(t, px)
+	}
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without a result cache the second search below reaches the nodes.
+	opt := liveDistribOptions()
+	opt.CacheSize = -1
+	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath,
+		[]string{pxs[0].URL(), pxs[1].URL()}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.CloseNow()
+
+	code, got := frontSearch(t, coord, q)
+	if code != http.StatusOK {
+		t.Fatalf("coordinator /search: %d %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator answer diverged from single-node:\nwant %s\ngot  %s", want, got)
+	}
+	searched := map[string]int{}
+	for _, r := range routes.take() {
+		if r.path != "/shard/search" {
+			t.Fatalf("%s sent to %s: tracebacks must run on the coordinator", r.path, r.node)
+		}
+		searched[r.node]++
+	}
+	for _, px := range pxs {
+		if searched[px.URL()] != 1 {
+			t.Fatalf("%d /shard/search requests to %s, want 1", searched[px.URL()], px.URL())
+		}
+	}
+	// The tracebacks ran on the coordinator's host, which no node entry
+	// stands for.
+	_, per := coord.Totals()
+	for _, bt := range per {
+		if bt.Tracebacks != 0 {
+			t.Fatalf("node entry %s counts %d tracebacks it never ran", bt.Name, bt.Tracebacks)
+		}
+	}
+
+	// Ask each node for its shard's true scores, and pick the shard
+	// holding the planted query's best hit: its top score raised by one
+	// is certain to be the top hit the coordinator traces back.
+	best, bestScore := 0, int32(-1)
+	truth := make([]remote.ShardSearchResponse, len(pxs))
+	for i, sh := range coord.Topology().Shards {
+		resp, body := postJSON(t, pxs[i].URL()+"/shard/search", remote.ShardSearchRequest{
+			Shard: sh.Key, ID: q.ID(), Codes: alphabet.BytesView(q.impl.Residues),
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/shard/search on %s: %d %s", pxs[i].URL(), resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &truth[i]); err != nil {
+			t.Fatal(err)
+		}
+		if top := slices.Max(truth[i].Scores); top > bestScore {
+			best, bestScore = i, top
+		}
+	}
+	routes.take()
+	lie := truth[best]
+	lie.Scores[slices.Index(lie.Scores, bestScore)]++
+	body, err := json.Marshal(lie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pxs[best].Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: string(body)})
+	code, got = frontSearch(t, coord, q)
+	if code != http.StatusInternalServerError || !strings.Contains(string(got), "disagrees with kernel score") {
+		t.Fatalf("/search over a score one above the truth: %d %s, want 500 naming the traceback-score disagreement", code, got)
+	}
+}
+
 // routeLog records every shard request a set of fault proxies receives:
 // the node it reached, the endpoint and the shard key from its body.
 type routeLog struct {
@@ -514,14 +623,14 @@ type routeLog struct {
 
 type routedRequest struct{ node, path, shard string }
 
-// watch makes px log each /shard/search and /shard/align request it
-// receives, before the proxy's script acts on it. The body is read for
+// watch makes px log each request under /shard/ it receives, before
+// the proxy's script acts on it. The body is read for
 // its shard key and put back, so the request is forwarded unchanged.
 // Every request, probes included, matches px's script.
 func (l *routeLog) watch(t testing.TB, px *faultproxy.Proxy) {
 	node := px.URL()
 	px.Match(func(r *http.Request) bool {
-		if r.URL.Path != "/shard/search" && r.URL.Path != "/shard/align" {
+		if !strings.HasPrefix(r.URL.Path, "/shard/") {
 			return true
 		}
 		raw, err := io.ReadAll(r.Body)

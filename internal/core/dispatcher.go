@@ -132,7 +132,9 @@ type ClusterResult = Result
 // Dispatcher runs a search over N backends, each owning one shard of the
 // database: every backend searches its shard concurrently and the scores
 // merge into caller order through the shard index maps. The assignment is
-// fixed at construction. A Dispatcher is safe for concurrent searches.
+// fixed at construction. Tracebacks (AlignHits) run on this host over the
+// whole database, whoever scored the hits. A Dispatcher is safe for
+// concurrent searches.
 type Dispatcher struct {
 	db       *seqdb.Database
 	backends []Backend
@@ -142,18 +144,12 @@ type Dispatcher struct {
 	// parent itself: shards[0] == db and idx is nil.
 	shards []*seqdb.Database
 	idx    [][]int
-	// owner maps each parent sequence index to its owning backend and
-	// shard-local index, and aligners holds the backends again as the
-	// ShardBackends that run the tracebacks, for the traceback fan-out of
-	// a pre-cut assignment (NewDispatcherShards); both nil for a local
-	// dispatcher, whose tracebacks run on the host over the parent.
-	owner    []shardRef
-	aligners []ShardBackend
 
-	totalsMu sync.Mutex
-	queries  int64           //sw:guardedBy(totalsMu)
-	totals   []BackendTotals //sw:guardedBy(totalsMu)
-	stats    Stats           //sw:guardedBy(totalsMu)
+	totalsMu   sync.Mutex
+	queries    int64           //sw:guardedBy(totalsMu)
+	tracebacks int64           //sw:guardedBy(totalsMu)
+	totals     []BackendTotals //sw:guardedBy(totalsMu)
+	stats      Stats           //sw:guardedBy(totalsMu)
 }
 
 // NewDispatcher builds a dispatcher over a database and a roster of local
@@ -193,24 +189,15 @@ func newDispatcher(db *seqdb.Database, backends []Backend) (*Dispatcher, error) 
 	return &Dispatcher{db: db, backends: backends, totals: totals}, nil
 }
 
-// shardRef locates one parent sequence within a pre-cut shard assignment.
-type shardRef struct {
-	backend int // roster index of the owning backend
-	local   int // caller index within that backend's shard
-}
-
 // NewDispatcherShards builds a dispatcher over a pre-cut shard assignment:
 // backend i permanently owns shardDBs[i], whose caller-order sequences map
 // back to the parent database through shardIdx[i]. This is the distributed
 // coordinator's construction — the shards were cut ahead of time (swindex
 // split) and each backend is a remote node that can only search the shard
-// it holds, and whose tracebacks run there too. The shards must cover the
-// parent exactly: every parent index appears in exactly one shard.
-func NewDispatcherShards(db *seqdb.Database, aligners []ShardBackend, shardDBs []*seqdb.Database, shardIdx [][]int) (*Dispatcher, error) {
-	backends := make([]Backend, len(aligners))
-	for i, b := range aligners {
-		backends[i] = b
-	}
+// it holds. db is the parent itself, which the tracebacks read. The shards
+// must cover the parent exactly: every parent index appears in exactly one
+// shard.
+func NewDispatcherShards(db *seqdb.Database, backends []Backend, shardDBs []*seqdb.Database, shardIdx [][]int) (*Dispatcher, error) {
 	d, err := newDispatcher(db, backends)
 	if err != nil {
 		return nil, err
@@ -219,7 +206,6 @@ func NewDispatcherShards(db *seqdb.Database, aligners []ShardBackend, shardDBs [
 		return nil, fmt.Errorf("core: %d shards and %d index maps for %d backends",
 			len(shardDBs), len(shardIdx), len(backends))
 	}
-	owner := make([]shardRef, db.Len())
 	seen := make([]bool, db.Len())
 	covered := 0
 	for i, sdb := range shardDBs {
@@ -230,20 +216,19 @@ func NewDispatcherShards(db *seqdb.Database, aligners []ShardBackend, shardDBs [
 			return nil, fmt.Errorf("core: shard %d holds %d sequences but maps %d parent indices",
 				i, sdb.Len(), len(shardIdx[i]))
 		}
-		for j, pi := range shardIdx[i] {
+		for _, pi := range shardIdx[i] {
 			if pi < 0 || pi >= db.Len() || seen[pi] {
 				return nil, fmt.Errorf("core: shard %d maps parent index %d outside a one-to-one cover of [0,%d)",
 					i, pi, db.Len())
 			}
 			seen[pi] = true
 			covered++
-			owner[pi] = shardRef{backend: i, local: j}
 		}
 	}
 	if covered != db.Len() {
 		return nil, fmt.Errorf("core: shards cover %d of %d parent sequences", covered, db.Len())
 	}
-	d.shards, d.idx, d.owner, d.aligners = shardDBs, shardIdx, owner, aligners
+	d.shards, d.idx = shardDBs, shardIdx
 	return d, nil
 }
 
@@ -260,18 +245,17 @@ type BackendTotals struct {
 	// WallSeconds is the backend's accumulated search wall time, so
 	// Cells/WallSeconds is its realised rate.
 	WallSeconds float64
-	// Tracebacks counts the aligned-hit tracebacks the backend has run in
-	// reporting phase two (AlignHits).
-	Tracebacks int64
 }
 
-// Totals reports the number of completed query searches and per-backend
-// cumulative accounting, in roster order. It is safe to call while batches
-// are in flight; the snapshot is internally consistent.
-func (d *Dispatcher) Totals() (queries int64, per []BackendTotals) {
+// Totals reports the number of completed query searches, the number of
+// aligned-hit tracebacks this host has run in reporting phase two
+// (AlignHits), and per-backend cumulative accounting, in roster order. It
+// is safe to call while batches are in flight; the snapshot is internally
+// consistent.
+func (d *Dispatcher) Totals() (queries, tracebacks int64, per []BackendTotals) {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	return d.queries, append([]BackendTotals(nil), d.totals...)
+	return d.queries, d.tracebacks, append([]BackendTotals(nil), d.totals...)
 }
 
 // KernelStats reports the cells and the precision ladder's escalations

@@ -187,7 +187,7 @@ func TestDispatcherTotalsAcrossConcurrentBatches(t *testing.T) {
 				t.Fatalf("%v: %v", dist, err)
 			}
 		}
-		nq, per := disp.Totals()
+		nq, _, per := disp.Totals()
 		if want := int64(batches * len(queries)); nq != want {
 			t.Fatalf("%v: %d queries recorded, want %d", dist, nq, want)
 		}
@@ -237,14 +237,14 @@ func TestSearchContextCancellation(t *testing.T) {
 	if _, err := disp.SearchContext(ctx, query, opt, 0); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if nq, _ := disp.Totals(); nq != 0 {
+	if nq, _, _ := disp.Totals(); nq != 0 {
 		t.Fatalf("%d queries ran under a cancelled context", nq)
 	}
 	res, err := disp.SearchContext(context.Background(), query, opt, 0)
 	if err != nil || len(res.Scores) != db.Len() {
 		t.Fatalf("live context: %v", err)
 	}
-	if nq, _ := disp.Totals(); nq != 1 {
+	if nq, _, _ := disp.Totals(); nq != 1 {
 		t.Fatalf("%d queries recorded, want 1", nq)
 	}
 }

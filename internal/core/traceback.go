@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"heterosw/internal/alphabet"
 	"heterosw/internal/sched"
-	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 	"heterosw/internal/swalign"
 )
@@ -23,39 +21,26 @@ import (
 // O(query x subject) tracebacks are paid for K subjects, never the whole
 // database.
 
-// AlignmentDetail is the traceback decoration of one hit, and the element
-// a shard node's /shard/align answer carries (with a shard-local index).
+// AlignmentDetail is the traceback decoration of one hit.
 type AlignmentDetail struct {
 	// SeqIndex is the subject's database index (caller order), matching
 	// Hit.SeqIndex.
-	SeqIndex int `json:"index"`
+	SeqIndex int
 	// Score is the traceback score; it always equals the kernel score of
 	// the same pair (the executor verifies and fails otherwise).
-	Score int32 `json:"score"`
+	Score int32
 	// QueryStart/QueryEnd and SubjectStart/SubjectEnd delimit the aligned
 	// segments as half-open residue ranges.
-	QueryStart   int `json:"query_start"`
-	QueryEnd     int `json:"query_end"`
-	SubjectStart int `json:"subject_start"`
-	SubjectEnd   int `json:"subject_end"`
+	QueryStart   int
+	QueryEnd     int
+	SubjectStart int
+	SubjectEnd   int
 	// CIGAR is the alignment path in run-length notation ("12M2D5M");
 	// Identities counts exactly-matching columns and Columns the total
 	// alignment length.
-	CIGAR      string `json:"cigar"`
-	Identities int    `json:"identities"`
-	Columns    int    `json:"columns"`
-}
-
-// ShardBackend is a Backend of a pre-cut shard assignment
-// (NewDispatcherShards), which also runs the tracebacks of its shard: given
-// the shard it owns (shardDBs[i]) and hits whose SeqIndex values are
-// shard-local caller indices, AlignShard returns one AlignmentDetail per
-// hit, in hits order, with shard-local SeqIndex. The remote backend
-// implements it by fanning the traceback out to the node that holds the
-// shard.
-type ShardBackend interface {
-	Backend
-	AlignShard(ctx context.Context, query *sequence.Sequence, shard *seqdb.Database, hits []Hit, opt SearchOptions) ([]AlignmentDetail, error)
+	CIGAR      string
+	Identities int
+	Columns    int
 }
 
 // scoringFor derives the reference-alignment scoring from the search
@@ -69,13 +54,14 @@ func scoringFor(opt SearchOptions, alpha *alphabet.Alphabet) swalign.Scoring {
 	}
 }
 
-// AlignHits runs the traceback phase. A local dispatcher re-aligns the K
-// hits on the host, over the parent database, with the search's worker
-// count; a pre-cut shard assignment routes each hit to the backend owning
-// its subject's shard (alignHitsSharded). Results are returned in hits
-// order. ctx is checked before every traceback, a failure aborts the
-// remaining ones, and the traceback counts are folded into the dispatcher's
-// cumulative totals.
+// AlignHits runs the traceback phase: it re-aligns the K hits on this
+// host, over the dispatcher's database with the search's worker count,
+// and checks every traceback score against the hit's kernel score. On a
+// coordinator that database is the parent index, so no hit goes back to
+// the node that scored it. Results are returned in hits order. ctx is
+// checked before every traceback, a failure aborts the remaining ones,
+// and the traceback count is folded into the dispatcher's cumulative
+// totals.
 func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hits []Hit, opt DispatchOptions) ([]AlignmentDetail, error) {
 	if query == nil {
 		return nil, fmt.Errorf("core: nil query")
@@ -85,9 +71,6 @@ func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hi
 	}
 	if len(hits) == 0 {
 		return nil, nil
-	}
-	if d.owner != nil {
-		return d.alignHitsSharded(ctx, query, hits, opt)
 	}
 	sc := scoringFor(opt.Search, d.db.Alphabet())
 	details := make([]AlignmentDetail, len(hits))
@@ -109,9 +92,7 @@ func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hi
 	if err := firstErr(errs...); err != nil {
 		return nil, err
 	}
-	// The host ran them all; with several local backends (tests only) the
-	// first one stands for it.
-	d.commitTracebacks(0, int64(len(hits)))
+	d.commitTracebacks(int64(len(hits)))
 	return details, nil
 }
 
@@ -140,66 +121,10 @@ func (d *Dispatcher) alignOnHost(query *sequence.Sequence, h Hit, pos int, sc sw
 	}, nil
 }
 
-// alignHitsSharded is the traceback phase over a pre-cut shard assignment:
-// each hit is routed to the backend owning its subject's shard, one
-// concurrent launch per backend with work, which runs the tracebacks where
-// the shard lives (the remote node). Results return in hits order with
-// parent SeqIndex values, so callers see exactly AlignHits' contract.
-func (d *Dispatcher) alignHitsSharded(ctx context.Context, query *sequence.Sequence, hits []Hit, opt DispatchOptions) ([]AlignmentDetail, error) {
-	per := make([][]int, len(d.backends)) // positions in hits, per owning backend
-	for pos, h := range hits {
-		if h.SeqIndex < 0 || h.SeqIndex >= d.db.Len() {
-			return nil, fmt.Errorf("core: hit %d references sequence %d outside the %d-sequence database", pos, h.SeqIndex, d.db.Len())
-		}
-		ref := d.owner[h.SeqIndex]
-		per[ref.backend] = append(per[ref.backend], pos)
-	}
-	details := make([]AlignmentDetail, len(hits))
-	errs := make([]error, len(d.backends))
-	var wg sync.WaitGroup
-	for i, b := range d.aligners {
-		if len(per[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b ShardBackend) {
-			defer wg.Done()
-			positions := per[i]
-			local := make([]Hit, len(positions))
-			for k, pos := range positions {
-				h := hits[pos]
-				local[k] = Hit{SeqIndex: d.owner[h.SeqIndex].local, ID: h.ID, Score: h.Score}
-			}
-			ds, err := b.AlignShard(ctx, query, d.shards[i], local, opt.Search)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(ds) != len(positions) {
-				errs[i] = fmt.Errorf("core: backend %s returned %d alignments for %d hits", b.Name(), len(ds), len(positions))
-				return
-			}
-			for k, pos := range positions {
-				det := ds[k]
-				det.SeqIndex = hits[pos].SeqIndex // shard-local -> parent
-				details[pos] = det
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	if err := firstErr(errs...); err != nil {
-		return nil, err
-	}
-	for i := range per {
-		d.commitTracebacks(i, int64(len(per[i])))
-	}
-	return details, nil
-}
-
-// commitTracebacks folds n tracebacks run by one backend into the
+// commitTracebacks folds n tracebacks run on this host into the
 // cumulative totals.
-func (d *Dispatcher) commitTracebacks(backend int, n int64) {
+func (d *Dispatcher) commitTracebacks(n int64) {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	d.totals[backend].Tracebacks += n
+	d.tracebacks += n
 }

@@ -63,13 +63,8 @@ func TestAlignHitsMatchesOracle(t *testing.T) {
 		}
 	}
 	// The traceback phase is accounted: alignments land in the cumulative
-	// totals, distributed over the roster, and only K were ever run.
-	_, per := d.Totals()
-	var tb int64
-	for _, bt := range per {
-		tb += bt.Tracebacks
-	}
-	if tb != int64(len(res.Hits)) {
+	// totals, and only K were ever run.
+	if _, tb, _ := d.Totals(); tb != int64(len(res.Hits)) {
 		t.Fatalf("totals record %d tracebacks, want %d", tb, len(res.Hits))
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // Backend adapts a remote swserve node to core.Backend, so the dispatcher
 // drives it exactly like the local host backend: Search scores the shard
-// it is handed (always its own shard under a sharded dispatcher) and
-// AlignShard fans tracebacks out to the node holding the shard bytes.
+// it is handed (always its own shard under a sharded dispatcher). The
+// coordinator traces back its hits itself, over the parent index.
 type Backend struct {
 	name   string
 	prober *Prober
@@ -61,26 +61,4 @@ func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequenc
 	r.Stats.Overflows8 = resp.Overflows8
 	r.Stats.OverflowCells = resp.OverflowCells
 	return r, nil
-}
-
-// AlignShard implements core.ShardBackend: tracebacks run on the node
-// that holds the shard, and come back as shard-local details the
-// dispatcher remaps to parent indices.
-func (b *Backend) AlignShard(ctx context.Context, query *sequence.Sequence, shard *seqdb.Database, hits []core.Hit, opt core.SearchOptions) ([]core.AlignmentDetail, error) {
-	req := &ShardAlignRequest{
-		Shard:   shard.Key(),
-		ID:      query.ID,
-		Codes:   residueBytes(query.Residues),
-		Indices: make([]int, len(hits)),
-		Scores:  make([]int32, len(hits)),
-	}
-	for i, h := range hits {
-		req.Indices[i] = h.SeqIndex
-		req.Scores[i] = h.Score
-	}
-	resp, err := b.prober.client.ShardAlign(ctx, b.prober.Owners(shard.Key()), req)
-	if err != nil {
-		return nil, fmt.Errorf("remote: backend %s: %w", b.name, err)
-	}
-	return resp.Alignments, nil
 }

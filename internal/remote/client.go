@@ -107,23 +107,6 @@ func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearc
 	})
 }
 
-// ShardAlign runs tracebacks for one shard's hits under the same policy.
-// An answer must hold one alignment per requested index, in request
-// order.
-func (c *Client) ShardAlign(ctx context.Context, urls []string, req *ShardAlignRequest) (*ShardAlignResponse, error) {
-	return call(ctx, c, urls, "/shard/align", req, func(r *ShardAlignResponse) error {
-		if len(r.Alignments) != len(req.Indices) {
-			return fmt.Errorf("%d alignments for %d hits", len(r.Alignments), len(req.Indices))
-		}
-		for i, a := range r.Alignments {
-			if a.SeqIndex != req.Indices[i] {
-				return fmt.Errorf("alignment %d for index %d (want %d)", i, a.SeqIndex, req.Indices[i])
-			}
-		}
-		return nil
-	})
-}
-
 // call is the retry loop: attempt a routes to urls[a mod len(urls)],
 // failed retryable attempts back off exponentially, and non-retryable
 // failures (or a dead caller context) stop immediately. A request whose

@@ -7,11 +7,14 @@
 // remote shard slots into the dispatcher exactly like the local host,
 // routing each request to the prober's current owners of its key.
 //
-// The protocol is deliberately small — three endpoints on every node:
+// The protocol is deliberately small — two endpoints on every node:
 //
 //	GET  /shards        which shard keys this node owns
 //	POST /shard/search  score one query over one shard (full score list, packed)
-//	POST /shard/align   traceback selected hits of one shard
+//
+// Nodes only score. The coordinator selects the top K over the merged
+// score lists and traces those hits back itself, over the parent index it
+// already maps, so an aligned query costs one round trip per shard.
 //
 // Shards are addressed by their .swdb checksum key (index.Key), never by
 // file path: the key is content-derived, so a coordinator and a node that
@@ -33,8 +36,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-
-	"heterosw/internal/core"
 )
 
 // ShardInfo describes one shard a node owns.
@@ -160,26 +161,6 @@ func unpackScores(packed []byte) (ScoreList, error) {
 		out[i], packed = int32(uint32(v)), packed[w:]
 	}
 	return out, nil
-}
-
-// ShardAlignRequest is the POST /shard/align body: traceback the listed
-// subjects of one shard against the query.
-type ShardAlignRequest struct {
-	Shard string `json:"shard"`
-	ID    string `json:"id,omitempty"`
-	Codes []byte `json:"codes"`
-	// Indices lists the subjects to align as shard-local caller indices;
-	// Scores carries the kernel score of each, which the node verifies
-	// against its own traceback (a mismatch is a 500: the shard contents
-	// disagree and no retry can fix that).
-	Indices []int   `json:"indices"`
-	Scores  []int32 `json:"scores"`
-}
-
-// ShardAlignResponse answers /shard/align: one alignment per requested
-// index, in request order, each with its shard-local index.
-type ShardAlignResponse struct {
-	Alignments []core.AlignmentDetail `json:"alignments"`
 }
 
 // errorJSON mirrors the server's error body.

@@ -242,7 +242,7 @@ func (c *Cluster) scheduled(ctx context.Context, jb job) (*ClusterResult, error)
 // job. A direct job is one score pass that selects the K hits its request
 // asked for; a translated job is one score pass per frame, merged before
 // the hits are selected. The result is then decorated. ctx is checked before every score pass and threaded into
-// the traceback fan-out.
+// the traceback phase.
 func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 	disp := c.engine()
 	dopt := c.dopt
@@ -316,15 +316,13 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 
 // decorate runs the reporting phases over a freshly assembled result,
 // whose hit list is already the request's K long: the significance fit,
-// then the traceback fan-out, each hit re-aligned against the query its
+// then the traceback phase, each hit re-aligned against the query its
 // score came from — for a translated job the winning frame's protein
 // (winner maps a database index to its frame; nil for a direct search),
 // with the aligned segment mapped back to nucleotide coordinates. It must
 // only ever see results this call owns: cached results are decorated
 // before they enter the cache, never after. disp must be the engine
-// snapshot that scored the result, so the tracebacks route over the
-// topology generation the scores came from, and dopt the options it scored
-// under.
+// snapshot that scored the result, and dopt the options it scored under.
 func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *ClusterResult, winner []int) error {
 	if jb.rep.EValues {
 		sig, err := res.FitSignificance(0)

@@ -142,8 +142,9 @@ func TestHTTPWireKeys(t *testing.T) {
 }
 
 // TestCoordinatorWireKeys pins the keys of a shard node's /shard/search
-// and /shard/align answers, the two bodies a coordinator decodes, and
-// that /shard/align answers the retryable 503 once the node is closed.
+// answer, the body a coordinator decodes; that /shard/search answers the
+// retryable 503 once the node is closed, even for a request its cache
+// holds; and that the node serves no /shard/align.
 func TestCoordinatorWireKeys(t *testing.T) {
 	_, _, shardPaths, queries := distribSetup(t)
 	node, ss := startShardNode(t, shardPaths, nil)
@@ -160,9 +161,10 @@ func TestCoordinatorWireKeys(t *testing.T) {
 	planted := queries[0]
 	codes := alphabet.BytesView(planted.impl.Residues)
 	escalated := false
-	var align remote.ShardAlignRequest
+	var search remote.ShardSearchRequest
 	for _, sh := range shards.Shards {
-		resp, body := postJSON(t, node.URL+"/shard/search", remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Codes: codes})
+		search = remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Codes: codes}
+		resp, body := postJSON(t, node.URL+"/shard/search", search)
 		if resp.StatusCode != 200 {
 			t.Fatalf("/shard/search: status %d: %s", resp.StatusCode, body)
 		}
@@ -178,34 +180,25 @@ func TestCoordinatorWireKeys(t *testing.T) {
 			want = "$ {scores,cells,wall_seconds,overflows8,overflow_cells}"
 		}
 		checkWireKeys(t, "/shard/search", body, []string{want})
-
-		best := 0
-		for i, s := range sr.Scores {
-			if s > sr.Scores[best] {
-				best = i
-			}
-		}
-		align = remote.ShardAlignRequest{
-			Shard: sh.Key, ID: planted.ID(), Codes: codes,
-			Indices: []int{best}, Scores: []int32{sr.Scores[best]},
-		}
-		resp, body = postJSON(t, node.URL+"/shard/align", align)
-		if resp.StatusCode != 200 {
-			t.Fatalf("/shard/align: status %d: %s", resp.StatusCode, body)
-		}
-		checkWireKeys(t, "/shard/align", body, []string{
-			"$ {alignments}",
-			"$.alignments[] {index,score,query_start,query_end,subject_start,subject_end,cigar,identities,columns}",
-		})
 	}
 	if !escalated {
 		t.Error("no shard escalated a byte lane: the ladder counters went unpinned")
 	}
 
-	// The same traceback request, refused once the node is closed.
+	// Tracebacks run on the coordinator: the node has no endpoint for them.
+	resp, body := postJSON(t, node.URL+"/shard/align", search)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/shard/align: status %d, want 404: %s", resp.StatusCode, body)
+	}
+
+	// The last search again, cached by now, but refused once the node is
+	// closed: the scheduler turns it away before it looks in its cache.
+	if n := ss.shards[search.Shard].CacheStats().Entries; n == 0 {
+		t.Fatal("the node's cache holds no shard search")
+	}
 	ss.CloseNow()
-	resp, body := postJSON(t, node.URL+"/shard/align", align)
+	resp, body = postJSON(t, node.URL+"/shard/search", search)
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), ErrClusterClosed.Error()) {
-		t.Fatalf("/shard/align after CloseNow: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("/shard/search after CloseNow: status %d: %s", resp.StatusCode, body)
 	}
 }
