@@ -25,12 +25,15 @@ var ErrClusterClosed = errors.New("heterosw: cluster closed")
 var ErrNoSignificance = errors.New("heterosw: significance fit unavailable")
 
 // MaxAlignHits caps how many hits one search call may decorate with
-// tracebacks (ReportOptions.Alignments): every aligned hit costs an
-// O(query x subject) re-alignment, so the aligned report is
-// bounded far tighter than the score-only one. The cap is enforced at the
-// library boundary — the HTTP front end merely mirrors it — so an
-// over-eager ReportOptions.TopK fails fast with ErrTooManyAlignments
-// instead of re-aligning an arbitrary slice of the database.
+// tracebacks (ReportOptions.Alignments): every aligned hit costs its lane
+// of an O(query x subject) 16-bit lane pass, 16 hits to a group, plus a
+// walk back over the blocks its path crosses, and the group's checkpoints
+// take up to a byte per query residue and column of its longest subject,
+// so the aligned report is bounded far tighter than the score-only one.
+// The cap is enforced at the library boundary — the HTTP front end merely
+// mirrors it — so an over-eager ReportOptions.TopK fails fast with
+// ErrTooManyAlignments instead of re-aligning an arbitrary slice of the
+// database.
 const MaxAlignHits = 64
 
 // ErrTooManyAlignments is returned when an aligned report would traceback
@@ -225,10 +228,6 @@ type BackendTotals struct {
 	Residues    int64   `json:"residues"`
 	Cells       int64   `json:"cells"`
 	WallSeconds float64 `json:"wall_seconds"`
-	// Tracebacks counts the aligned-hit tracebacks the backend has run in
-	// reporting phase two (ReportOptions.Alignments): the host's on a local
-	// cluster, 0 for a coordinator's nodes, which run none.
-	Tracebacks int64 `json:"tracebacks"`
 }
 
 // Cluster is a search service over a Database. Every search is a Request
@@ -422,14 +421,14 @@ func wrapCluster(r *core.ClusterResult) *ClusterResult {
 	return &ClusterResult{Result: *wrapResult(r)}
 }
 
-// Totals reports the number of completed query searches and cumulative
-// per-backend accounting (searches, residues, cells, wall seconds,
-// tracebacks) across every entry point and concurrent caller: one host
-// backend on a local cluster, one per shard on a coordinator. A
-// coordinator's tracebacks run on its own host, which no node entry
-// stands for, so those entries count none. The swserve /healthz endpoint
-// serves this snapshot.
-func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
+// Totals reports the number of completed query searches, the aligned-hit
+// tracebacks (ReportOptions.Alignments) this host has run, and cumulative
+// per-backend accounting (searches, residues, cells, wall seconds) across
+// every entry point and concurrent caller: one host backend on a local
+// cluster, one per shard on a coordinator. Tracebacks always run on the
+// cluster's own host, a coordinator's included, so they are counted once
+// and not per backend. The swserve /healthz endpoint serves this snapshot.
+func (c *Cluster) Totals() (queries, tracebacks int64, per []BackendTotals) {
 	q, tracebacks, raw := c.engine().Totals()
 	kind, workers := DeviceRemote, 0
 	if c.topo == nil {
@@ -447,10 +446,7 @@ func (c *Cluster) Totals() (queries int64, per []BackendTotals) {
 			WallSeconds: bt.WallSeconds,
 		}
 	}
-	if c.topo == nil {
-		per[0].Tracebacks = tracebacks
-	}
-	return q, per
+	return q, tracebacks, per
 }
 
 // LadderStats is the cumulative precision-ladder accounting of every search

@@ -82,7 +82,7 @@ func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 				t.Fatalf("%v: query %d counted %d cells, want %d (every residue once)",
 					opt.Devices, n, got, want)
 			}
-			nq, per := cl.Totals()
+			nq, _, per := cl.Totals()
 			if len(per) != 1 || per[0].Name != "host" || per[0].Device != DeviceHost {
 				t.Fatalf("%v: backends %+v, want a single host", opt.Devices, per)
 			}

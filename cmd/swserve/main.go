@@ -191,7 +191,7 @@ func main() {
 // logHost says what a local cluster's searches run on: the SIMD tier
 // internal/vec dispatched and the worker goroutines per query.
 func logHost(cl *heterosw.Cluster) {
-	_, per := cl.Totals()
+	_, _, per := cl.Totals()
 	fmt.Printf("swserve: host: %s, %d workers\n", vec.Info(), per[0].Workers)
 }
 

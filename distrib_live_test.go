@@ -509,10 +509,11 @@ func TestCoordinatorConstructionProbeFailureText(t *testing.T) {
 // TestCoordinatorTracebacksOnCoordinator pins that a coordinator traces
 // back its hits itself, over the parent index it maps: an aligned,
 // E-valued /search sends each node one /shard/search per shard and
-// nothing else, and answers the single-node bytes. The kernel-score check
-// still guards the tracebacks: a node whose score list puts one score a
-// point above the truth fails the request with 500 naming the
-// disagreement, never a 200 carrying the wrong score.
+// nothing else, answers the single-node bytes, and counts the tracebacks
+// in its /healthz. The kernel-score check still guards the tracebacks: a
+// node whose score list puts its top score a point above or below the
+// truth fails the request with 500 naming the disagreement, never a 200
+// carrying the wrong score or a path aligned to another cell.
 func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
 	q := queries[0]
@@ -571,13 +572,21 @@ func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 			t.Fatalf("%d /shard/search requests to %s, want 1", searched[px.URL()], px.URL())
 		}
 	}
-	// The tracebacks ran on the coordinator's host, which no node entry
-	// stands for.
-	_, per := coord.Totals()
-	for _, bt := range per {
-		if bt.Tracebacks != 0 {
-			t.Fatalf("node entry %s counts %d tracebacks it never ran", bt.Name, bt.Tracebacks)
-		}
+	// The coordinator's /healthz counts the tracebacks it ran: the top 5.
+	ts := httptest.NewServer(NewHTTPHandler(coord))
+	defer ts.Close()
+	hres, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h HealthJSON
+	err = json.NewDecoder(hres.Body).Decode(&h)
+	hres.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Tracebacks != 5 {
+		t.Fatalf("coordinator /healthz counts %d tracebacks after an aligned top-5 search, want 5", h.Tracebacks)
 	}
 
 	// Ask each node for its shard's true scores, and pick the shard
@@ -600,16 +609,20 @@ func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 		}
 	}
 	routes.take()
-	lie := truth[best]
-	lie.Scores[slices.Index(lie.Scores, bestScore)]++
-	body, err := json.Marshal(lie)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pxs[best].Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: string(body)})
-	code, got = frontSearch(t, coord, q)
-	if code != http.StatusInternalServerError || !strings.Contains(string(got), "disagrees with kernel score") {
-		t.Fatalf("/search over a score one above the truth: %d %s, want 500 naming the traceback-score disagreement", code, got)
+	top := slices.Index(truth[best].Scores, bestScore)
+	for _, delta := range []int32{+1, -1} {
+		lie := truth[best]
+		lie.Scores = slices.Clone(lie.Scores)
+		lie.Scores[top] += delta
+		body, err := json.Marshal(lie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pxs[best].Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: string(body)})
+		code, got = frontSearch(t, coord, q)
+		if code != http.StatusInternalServerError || !strings.Contains(string(got), "disagrees with kernel score") {
+			t.Fatalf("/search over a top score %+d off the truth: %d %s, want 500 naming the traceback-score disagreement", delta, code, got)
+		}
 	}
 }
 

@@ -202,9 +202,13 @@
 //	}
 //
 // The traceback phase only ever aligns K sequences, never the full
-// database, and each traceback holds at most one byte per query × subject
-// cell: a linear-space pass finds the alignment's end cell, and direction
-// bytes over the rectangle up to it record the path. K —
+// database. A lane pass runs the K hits, 16 to a group, through the 16-bit
+// column step once, finding each hit's exact maximum, checking it against
+// the kernel score and locating the alignment's end cell, and keeps an H/E
+// checkpoint every 64 columns, at most one byte per row and column of the
+// group; each hit's path is then walked back one 64-column block of
+// recomputed direction bytes at a time. A hit at the int16 rail is aligned
+// in full by the reference alignment. K —
 // ReportOptions.TopK, else 10 when a reporting phase is on, else 0 for
 // every hit — is
 // resolved before the score pass and travels with the query to the

@@ -193,12 +193,7 @@ func TestGoldenClusterSearch(t *testing.T) {
 
 	// The acceptance pin: phase two aligned exactly K sequences, never
 	// the 48-sequence database.
-	_, per := cl.Totals()
-	var tracebacks int64
-	for _, bt := range per {
-		tracebacks += bt.Tracebacks
-	}
-	if tracebacks != goldenTopK {
+	if _, tracebacks, _ := cl.Totals(); tracebacks != goldenTopK {
 		t.Fatalf("traceback phase aligned %d sequences, want exactly %d", tracebacks, goldenTopK)
 	}
 }

@@ -145,6 +145,12 @@ type Dispatcher struct {
 	shards []*seqdb.Database
 	idx    [][]int
 
+	// pool lends the traceback's groups their Buffers. blockCols, when
+	// positive, replaces checkpointEvery; the traceback tests set it to
+	// make walks cross many blocks.
+	pool      *bufferPool
+	blockCols int
+
 	totalsMu   sync.Mutex
 	queries    int64           //sw:guardedBy(totalsMu)
 	tracebacks int64           //sw:guardedBy(totalsMu)
@@ -186,7 +192,7 @@ func newDispatcher(db *seqdb.Database, backends []Backend) (*Dispatcher, error) 
 		}
 		totals[i].Name = b.Name()
 	}
-	return &Dispatcher{db: db, backends: backends, totals: totals}, nil
+	return &Dispatcher{db: db, backends: backends, pool: newBufferPool(), totals: totals}, nil
 }
 
 // NewDispatcherShards builds a dispatcher over a pre-cut shard assignment:

@@ -6,6 +6,7 @@ import (
 	"heterosw/internal/device"
 	"heterosw/internal/profile"
 	"heterosw/internal/seqdb"
+	"heterosw/internal/swalign"
 	"heterosw/internal/vec"
 )
 
@@ -118,6 +119,15 @@ type Buffers struct {
 
 	// 32-bit state of the ladder's top rung (scalarSeq), per query row.
 	h32, e32 []int32
+
+	// Traceback scratch (traceback.go), on Buffers of escLanes lanes: the
+	// hits' lane group, the lane pass's column maxima, end cells and
+	// checkpoints, and the block walk's scratch.
+	hits     seqdb.LaneGroup
+	colMax16 []int16
+	ends     [escLanes]laneEnd
+	ck16     []int16
+	walker   swalign.Walker
 
 	// sr holds the 16-bit rung's score rows for the current column.
 	sr *profile.ScoreRows

@@ -5,11 +5,14 @@
 // highest-scoring pair of segments.
 //
 // It is the oracle against which every optimised kernel in internal/core is
-// verified, and the engine behind the pairwise-alignment public API and the
-// traceback of reported hits. Score runs in O(len(b)) space; Align keeps
-// one direction byte per cell of the rectangle up to the alignment's end
-// cell, at most len(a)·len(b) bytes plus O(len(b)). The database search
-// path never uses it.
+// verified and the engine behind the pairwise-alignment public API. Score
+// runs in O(len(b)) space; Align keeps one direction byte per cell of the
+// rectangle up to the alignment's end cell, at most len(a)·len(b) bytes
+// plus O(len(b)). The serving traceback of reported hits finds end cells
+// and checkpoint columns in internal/core's 16-bit lanes and walks each
+// path back with this package's Walker, one block of columns at a time;
+// Align is that traceback's oracle and its fallback for a hit at the
+// int16 rail.
 //
 // Gap model: a gap of length x costs g(x) = q + r*x (Eq. 5), with q the
 // open penalty and r the extension penalty, both >= 0. The paper's C

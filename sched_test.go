@@ -206,7 +206,7 @@ func TestDoorsShareOneScheduler(t *testing.T) {
 	if batch[0] != done {
 		t.Error("Do and DoBatch did not share one result")
 	}
-	if n, _ := cl.Totals(); n != 1 {
+	if n, _, _ := cl.Totals(); n != 1 {
 		t.Errorf("one query through three doors executed %d times", n)
 	}
 	if st := cl.SchedulerStats(); st.Submitted != 3 || st.Joined+st.CacheHits != 2 {
@@ -271,14 +271,14 @@ func TestSearchPassesScheduler(t *testing.T) {
 	if cs := cl.CacheStats(); cs != cs0 {
 		t.Fatalf("cache stats %+v after one Search, want %+v unchanged", cs, cs0)
 	}
-	n0, _ := cl.Totals()
+	n0, _, _ := cl.Totals()
 	if _, err := cl.Do(context.Background(), Request{Query: q}); err != nil {
 		t.Fatal(err)
 	}
 	if cs := cl.CacheStats(); cs.Misses != cs0.Misses+1 || cs.Hits != cs0.Hits {
 		t.Fatalf("cache stats %+v after Search then Do, want one miss and no hit over %+v", cs, cs0)
 	}
-	if n, _ := cl.Totals(); n != n0+1 {
+	if n, _, _ := cl.Totals(); n != n0+1 {
 		t.Fatalf("Do after Search ran %d engine searches, want 1", n-n0)
 	}
 	cl.CloseNow()
@@ -369,7 +369,7 @@ func TestClusterTotals(t *testing.T) {
 	if _, err := cl.DoBatch(context.Background(), requests(queries[1:3])); err != nil {
 		t.Fatal(err)
 	}
-	n, per := cl.Totals()
+	n, _, per := cl.Totals()
 	if n != 3 {
 		t.Fatalf("%d queries recorded, want 3", n)
 	}

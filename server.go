@@ -104,13 +104,15 @@ type BatchJSON struct {
 // HealthJSON is the /healthz response. Status is "ok", or "degraded" on
 // a distributed coordinator with at least one shard down to zero live
 // replicas — the signal a load balancer rotates on while the shard still
-// answers retryable 503s.
+// answers retryable 503s. Tracebacks counts the aligned-hit tracebacks the
+// process has run, a coordinator's included: they run on its own host.
 type HealthJSON struct {
 	Status        string          `json:"status"`
 	Sequences     int             `json:"sequences"`
 	Residues      int64           `json:"residues"`
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Queries       int64           `json:"queries"`
+	Tracebacks    int64           `json:"tracebacks"`
 	VecBackend    vec.BackendInfo `json:"vec_backend"`
 	// Backends lists the host of a local cluster, or each shard node of a
 	// coordinator; Cells over WallSeconds is a backend's realised rate.
@@ -468,13 +470,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	queries, per := s.c.Totals()
+	queries, tracebacks, per := s.c.Totals()
 	h := HealthJSON{
 		Status:        "ok",
 		Sequences:     s.c.db.Len(),
 		Residues:      s.c.db.Residues(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Queries:       queries,
+		Tracebacks:    tracebacks,
 		VecBackend:    vec.Info(),
 		Backends:      per,
 		Scheduler:     s.c.SchedulerStats(),

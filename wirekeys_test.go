@@ -132,9 +132,9 @@ func TestHTTPWireKeys(t *testing.T) {
 		t.Fatalf("/healthz: status %d, %v: %s", hr.StatusCode, err, body)
 	}
 	checkWireKeys(t, "/healthz", body, []string{
-		"$ {status,sequences,residues,uptime_seconds,queries,vec_backend,backends,scheduler,cache,ladder}",
+		"$ {status,sequences,residues,uptime_seconds,queries,tracebacks,vec_backend,backends,scheduler,cache,ladder}",
 		"$.vec_backend {backend,avx2,forced,lanes16,lanes8}",
-		"$.backends[] {name,device,workers,grants,residues,cells,wall_seconds,tracebacks}",
+		"$.backends[] {name,device,workers,grants,residues,cells,wall_seconds}",
 		"$.scheduler {submitted,joined,cache_hits}",
 		"$.cache {hits,misses,entries}",
 		"$.ladder {escalated_8to16,escalated_16to32,escalated_cells}",
