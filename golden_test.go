@@ -287,3 +287,20 @@ func TestGoldenReportText(t *testing.T) {
 		t.Fatalf("report diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", path, buf.Bytes(), want)
 	}
 }
+
+// TestGoldenProteinFormats pins the protein sam and tsv renderings of the
+// aligned golden search, byte for byte, through WriteFormat.
+func TestGoldenProteinFormats(t *testing.T) {
+	db, query, cl := goldenSetup(t)
+	res, err := cl.Search(query, ReportOptions{Alignments: true, EValues: true, TopK: goldenTopK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"sam", "tsv"} {
+		var buf bytes.Buffer
+		if err := WriteFormat(&buf, format, query, db, res, 60); err != nil {
+			t.Fatal(err)
+		}
+		checkGoldenText(t, "WriteFormat["+format+"]", buf.Bytes(), "testdata/golden."+format)
+	}
+}
