@@ -96,18 +96,3 @@ func Score(a, b Sequence, opt AlignOptions) (int, error) {
 	}
 	return swalign.Score(a.impl.Residues, b.impl.Residues, sc), nil
 }
-
-// ScoreBanded computes a banded local alignment score around the given
-// diagonal (j - i = diag): the rescoring primitive of seed-and-extend
-// pipelines. The result is a lower bound on Score, equal whenever the
-// optimal alignment stays within the band.
-func ScoreBanded(a, b Sequence, diag, band int, opt AlignOptions) (int, error) {
-	if a.impl == nil || b.impl == nil {
-		return 0, fmt.Errorf("heterosw: zero-value sequence")
-	}
-	sc, err := opt.scoringFor(a.impl.Alphabet())
-	if err != nil {
-		return 0, err
-	}
-	return swalign.ScoreBanded(a.impl.Residues, b.impl.Residues, sc, diag, band), nil
-}

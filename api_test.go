@@ -142,13 +142,6 @@ func TestAlignAPI(t *testing.T) {
 	if got := dal.Format(60); !strings.Contains(got, "A: ACGTTGCAACGT\n") || !strings.Contains(got, "B: ACGTTGCAACGT\n") {
 		t.Fatalf("DNA Format:\n%s", got)
 	}
-	banded, err := ScoreBanded(a, b, 2, 3, AlignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if banded > sc {
-		t.Fatalf("banded %d > full %d", banded, sc)
-	}
 	if _, err := Align(Sequence{}, b, AlignOptions{}); err == nil {
 		t.Error("zero-value sequence accepted")
 	}
@@ -190,30 +183,52 @@ func TestFASTARoundTripAPI(t *testing.T) {
 	if err := WriteFASTAFile(path, seqs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFASTAFile(path)
+	back, err := ReadFASTAFile(path, "protein")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 2 || back[0].String() != "ARND" || back[1].ID() != "b" {
 		t.Fatalf("round trip: %+v", back)
 	}
-	if _, err := ReadFASTA(strings.NewReader(">x\nMKV\n")); err != nil {
+	if _, err := ReadFASTA(strings.NewReader(">x\nMKV\n"), "protein"); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestUnsortedDatabase(t *testing.T) {
-	seqs := []Sequence{NewSequence("a", "AR"), NewSequence("b", "ARNDCQEG")}
-	db, err := NewDatabaseUnsorted(seqs)
+// TestReaderAlphabetNames pins the alphabet argument of the readers and
+// the loader: "protein" and "dna" are the names Sequence.Alphabet returns,
+// and any other name is an error, for a .swdb index too.
+func TestReaderAlphabetNames(t *testing.T) {
+	for _, alpha := range []string{"protein", "dna"} {
+		seqs, err := ReadFASTA(strings.NewReader(">x\nACGT\n"), alpha)
+		if err != nil || len(seqs) != 1 || seqs[0].Alphabet() != alpha {
+			t.Fatalf("ReadFASTA(%q): %v %v", alpha, seqs, err)
+		}
+	}
+	dir := t.TempDir()
+	fasta, swdb := dir+"/x.fasta", dir+"/x.swdb"
+	if err := WriteFASTAFile(fasta, []Sequence{NewDNASequence("a", "ACGT")}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadDatabaseFile(fasta, "dna")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := searchDB(db, NewSequence("q", "ARND"), Options{})
-	if err != nil {
+	if err := WriteIndexFile(swdb, db); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hits) != 2 {
-		t.Fatalf("%d hits", len(res.Hits))
+	for _, alpha := range []string{"rna", "", "DNA", "Protein"} {
+		if _, err := ReadFASTA(strings.NewReader(">x\nACGT\n"), alpha); err == nil {
+			t.Errorf("ReadFASTA(%q) succeeded", alpha)
+		}
+		if _, err := ReadFASTAFile(fasta, alpha); err == nil {
+			t.Errorf("ReadFASTAFile(%q) succeeded", alpha)
+		}
+		for _, path := range []string{fasta, swdb} {
+			if _, err := LoadDatabaseFile(path, alpha); err == nil {
+				t.Errorf("LoadDatabaseFile(%s, %q) succeeded", path, alpha)
+			}
+		}
 	}
 }
 

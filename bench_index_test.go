@@ -47,7 +47,7 @@ func benchLoad(b *testing.B, path string, wantSeqs int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		db, err = LoadDatabaseFile(path)
+		db, err = LoadDatabaseFile(path, "protein")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -502,19 +502,6 @@ func BenchmarkPairwiseAlign(b *testing.B) {
 	}
 }
 
-// BenchmarkPairwiseBanded measures banded rescoring (the seed-and-extend
-// primitive).
-func BenchmarkPairwiseBanded(b *testing.B) {
-	qs := datagen.GenerateQueries(3)
-	a := qs[4].Residues
-	c := qs[9].Residues // 1000
-	sc := swalign.Scoring{Matrix: submat.BLOSUM62, GapOpen: 10, GapExtend: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		swalign.ScoreBanded(a, c, sc, 0, 16)
-	}
-}
-
 // BenchmarkScheduleSimulation measures the deterministic makespan
 // simulator that replays OpenMP policies over half a million chunks.
 func BenchmarkScheduleSimulation(b *testing.B) {

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"heterosw/internal/alphabet"
 	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/device"
@@ -128,7 +129,7 @@ func clusterBench(out io.Writer, roster, only, variant, dbPath string, scale flo
 	if dbPath != "" {
 		// A real database (FASTA or preprocessed .swdb, sniffed by magic);
 		// planning only needs its length distribution.
-		db, _, err := index.LoadDatabase(dbPath)
+		db, _, err := index.LoadDatabase(dbPath, alphabet.Protein)
 		if err != nil {
 			return err
 		}

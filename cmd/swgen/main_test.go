@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"heterosw"
+	"heterosw/internal/seqdb/index"
 )
 
 // TestSmoke runs swgen twice with the same flags into two directories: the
 // database FASTA, the query FASTA and the .swdb index must come out byte
 // for byte the same (the synthetic generator is seeded), the index must be
-// one IsIndexFile accepts, and it must hold the database the FASTA does.
+// one index.SniffFile accepts, and it must hold the database the FASTA does.
 func TestSmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "swgen")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -45,21 +46,21 @@ func TestSmoke(t *testing.T) {
 	}
 
 	ix, fasta := filepath.Join(runs[0], "db.swdb"), filepath.Join(runs[0], "db.fasta")
-	if !heterosw.IsIndexFile(ix) || heterosw.IsIndexFile(fasta) {
-		t.Fatalf("IsIndexFile: index %v, FASTA %v", heterosw.IsIndexFile(ix), heterosw.IsIndexFile(fasta))
+	if !index.SniffFile(ix) || index.SniffFile(fasta) {
+		t.Fatalf("SniffFile: index %v, FASTA %v", index.SniffFile(ix), index.SniffFile(fasta))
 	}
 	fromIndex, err := heterosw.OpenIndexFile(ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFASTA, err := heterosw.LoadDatabaseFile(fasta)
+	fromFASTA, err := heterosw.LoadDatabaseFile(fasta, "protein")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fromIndex.String() != fromFASTA.String() || fromIndex.Key() == "" {
 		t.Errorf("index holds %s (key %q), FASTA %s", fromIndex, fromIndex.Key(), fromFASTA)
 	}
-	queries, err := heterosw.ReadFASTAFile(filepath.Join(runs[0], "q.fasta"))
+	queries, err := heterosw.ReadFASTAFile(filepath.Join(runs[0], "q.fasta"), "protein")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"heterosw/internal/alphabet"
 	"heterosw/internal/remote"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/seqdb/index"
@@ -96,7 +97,7 @@ func build(args []string) {
 		seqs, err = sequence.ReadFASTAFile(in)
 		db, kind = seqdb.New(seqs, false), "fasta"
 	} else {
-		db, kind, err = index.LoadDatabase(in)
+		db, kind, err = index.LoadDatabase(in, alphabet.Protein)
 	}
 	if err != nil {
 		fatal(err)

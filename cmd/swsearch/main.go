@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -52,6 +53,14 @@ func main() {
 		batch      = flag.Bool("batch", false, "search every record of the query FASTA as one batch instead of just -queryindex")
 	)
 	flag.Parse()
+	// A format no writer renders fails before the database loads.
+	if *outfmt != "" && !slices.Contains(heterosw.Formats(), *outfmt) {
+		fatal(fmt.Errorf("unknown -outfmt %q (have %s)", *outfmt, strings.Join(heterosw.Formats(), ", ")))
+	}
+	alpha := "protein"
+	if *dna {
+		alpha = "dna"
+	}
 
 	var (
 		db      *heterosw.Database
@@ -70,11 +79,7 @@ func main() {
 	case *dbPath != "":
 		// FASTA or a preprocessed .swdb index, sniffed by magic; the index
 		// path restores the sorted database without parsing.
-		if *dna {
-			db, err = heterosw.LoadDNADatabaseFile(*dbPath)
-		} else {
-			db, err = heterosw.LoadDatabaseFile(*dbPath)
-		}
+		db, err = heterosw.LoadDatabaseFile(*dbPath, alpha)
 		if err != nil {
 			fatal(err)
 		}
@@ -84,11 +89,10 @@ func main() {
 		// Translated search takes nucleotide queries against a protein
 		// database, so -translate reads the query FASTA as DNA even
 		// without -dna.
-		if *dna || *translated {
-			queries, err = heterosw.ReadDNAFASTAFile(*queryPath)
-		} else {
-			queries, err = heterosw.ReadFASTAFile(*queryPath)
+		if *translated {
+			alpha = "dna"
 		}
+		queries, err = heterosw.ReadFASTAFile(*queryPath, alpha)
 		if err != nil {
 			fatal(err)
 		}

@@ -92,6 +92,22 @@ func TestNegativeTop(t *testing.T) {
 	}
 }
 
+// An -outfmt no writer renders fails before anything loads: against a
+// database file that does not exist, the error names the format, not the
+// file.
+func TestUnknownOutfmtFailsFirst(t *testing.T) {
+	bin := buildSelf(t)
+	missing := filepath.Join(t.TempDir(), "missing.fasta")
+	out, err := exec.Command(bin, "-db", missing, "-query", missing, "-outfmt", "xml").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `"xml"`) || strings.Contains(string(out), "missing.fasta") {
+		t.Fatalf("output should name the format and not the file:\n%s", out)
+	}
+}
+
 // writeFile writes a fixture into dir and returns its path.
 func writeFile(t *testing.T, dir, name, text string) string {
 	t.Helper()

@@ -130,11 +130,11 @@ func main() {
 		// FASTA or a preprocessed .swdb index, sniffed by magic. Serving
 		// restarts over a prebuilt index skip the parse and sort entirely,
 		// so the server is ready near-instantly at any database scale.
+		alpha := "protein"
 		if *dna {
-			db, err = heterosw.LoadDNADatabaseFile(*dbPath)
-		} else {
-			db, err = heterosw.LoadDatabaseFile(*dbPath)
+			alpha = "dna"
 		}
+		db, err = heterosw.LoadDatabaseFile(*dbPath, alpha)
 		if err != nil {
 			fatal(err)
 		}

@@ -347,7 +347,7 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 				{"fasta", fastaPath},
 				{"swdb", swdbPath},
 			} {
-				db, err := LoadDatabaseFile(load.path)
+				db, err := LoadDatabaseFile(load.path, "protein")
 				if err != nil {
 					t.Fatalf("%s: %v", load.kind, err)
 				}
@@ -411,7 +411,7 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 			for _, tr := range tiers {
 				func() {
 					defer vec.CapTier(vec.CapTier(tr))
-					db, err := LoadDatabaseFile(tc.fastaPath)
+					db, err := LoadDatabaseFile(tc.fastaPath, "protein")
 					if err != nil {
 						t.Fatalf("%v: %v", tr, err)
 					}
@@ -520,17 +520,14 @@ func TestConformanceDNAFASTAvsIndex(t *testing.T) {
 				{"fasta", fastaPath},
 				{"swdb", swdbPath},
 			} {
-				// LoadDNADatabaseFile forces the DNA alphabet for the FASTA
-				// text; the .swdb path must recover it from the header alone.
-				var (
-					db  *Database
-					err error
-				)
-				if load.kind == "fasta" {
-					db, err = LoadDNADatabaseFile(load.path)
-				} else {
-					db, err = LoadDatabaseFile(load.path)
+				// The FASTA text is read under "dna"; the .swdb path must
+				// recover the alphabet from its header alone, so it is loaded
+				// under "protein".
+				alpha := "dna"
+				if load.kind == "swdb" {
+					alpha = "protein"
 				}
+				db, err := LoadDatabaseFile(load.path, alpha)
 				if err != nil {
 					t.Fatalf("%s: %v", load.kind, err)
 				}

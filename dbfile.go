@@ -41,31 +41,19 @@ func OpenIndexFile(path string) (*Database, error) {
 }
 
 // LoadDatabaseFile opens either database representation, sniffed by
-// content: a .swdb index (restored zero-copy, no parse or sort) or a
-// FASTA file (parsed, encoded and length-sorted). Every CLI database
-// flag accepts both through this one entry point.
-func LoadDatabaseFile(path string) (*Database, error) {
-	db, _, err := index.LoadDatabase(path)
+// content: a .swdb index (restored zero-copy, no parse or sort, under the
+// alphabet it records) or a FASTA file (parsed under the named alphabet,
+// "protein" or "dna", then encoded and length-sorted). Any other alphabet
+// name is an error, for an index too. Every CLI database flag accepts
+// both formats through this one entry point.
+func LoadDatabaseFile(path, alpha string) (*Database, error) {
+	a, err := alphabet.ByName(alpha)
+	if err != nil {
+		return nil, err
+	}
+	db, _, err := index.LoadDatabase(path, a)
 	if err != nil {
 		return nil, err
 	}
 	return &Database{db: db}, nil
-}
-
-// LoadDNADatabaseFile is LoadDatabaseFile for nucleotide databases: a
-// FASTA file is parsed under the IUPAC DNA alphabet (see NewDNASequence),
-// while a .swdb index — which records its own alphabet — loads exactly as
-// with LoadDatabaseFile.
-func LoadDNADatabaseFile(path string) (*Database, error) {
-	db, _, err := index.LoadDatabaseAlpha(path, alphabet.DNA)
-	if err != nil {
-		return nil, err
-	}
-	return &Database{db: db}, nil
-}
-
-// IsIndexFile reports whether path begins with the .swdb magic. A missing
-// or unreadable file reports false.
-func IsIndexFile(path string) bool {
-	return index.SniffFile(path)
 }

@@ -380,6 +380,72 @@ func TestCoordinatorBadAnswerEverywhere(t *testing.T) {
 	}
 }
 
+// TestCoordinatorOtherShardAnswer pins the shard echo of /shard/search.
+// distribSetup cuts two shards of 48 sequences each, so node A answering
+// a search of shard 0 with shard 1's own valid answer carries the right
+// number of scores. The key it echoes must still fail A's replica, and so
+// must its cell count once the key is stripped the way an older node
+// omits it: the search fails over to node B and answers the single-node
+// bytes.
+func TestCoordinatorOtherShardAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		strip bool
+	}{{"echoed key", false}, {"no key", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, pxA, pxB, want, q := badAnswerCoordinator(t)
+			var inv remote.ShardsResponse
+			hr, err := http.Get(pxA.URL() + "/shards")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(hr.Body).Decode(&inv)
+			hr.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(inv.Shards) != 2 || inv.Shards[0].Sequences != inv.Shards[1].Sequences ||
+				inv.Shards[0].Residues == inv.Shards[1].Residues {
+				t.Fatalf("want two shards of equal length and unequal residues, have %+v", inv.Shards)
+			}
+			key0, key1 := inv.Shards[0].Key, inv.Shards[1].Key
+			resp, other := postJSON(t, pxA.URL()+"/shard/search",
+				remote.ShardSearchRequest{Shard: key1, Codes: alphabet.BytesView(q.impl.Residues)})
+			echo := []byte(`"shard":"` + key1 + `",`)
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(other, echo) {
+				t.Fatalf("shard 1's own answer: %d %s", resp.StatusCode, other)
+			}
+			if tc.strip {
+				other = bytes.Replace(other, echo, nil, 1)
+			}
+
+			// Only searches of shard 0 take the script; the filter puts
+			// back the body it reads.
+			pxA.Match(func(r *http.Request) bool {
+				if r.URL.Path != "/shard/search" {
+					return false
+				}
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				return bytes.Contains(body, []byte(key0))
+			})
+			pxA.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: string(other)})
+			pxB.Program()
+			code, got := frontSearch(t, coord, q)
+			if code != http.StatusOK {
+				t.Fatalf("/search past another shard's answer: %d %s", code, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("failed-over answer diverged from single-node:\nwant %s\ngot  %s", want, got)
+			}
+			// Shard 1 is searched on A; shard 0 fails there and retries on B.
+			if a, b := pxA.Attempts(), pxB.Attempts(); a != 1 || b != 1 {
+				t.Fatalf("A took %d shard-0 searches and B %d searches, want one each", a, b)
+			}
+		})
+	}
+}
+
 // TestCoordinatorRefusedEverywhere pins that a shard whose every replica
 // refuses connections answers 503 once the retry budget is spent.
 func TestCoordinatorRefusedEverywhere(t *testing.T) {

@@ -274,10 +274,10 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 		// The rendered report carries no timing at all, so it must be
 		// byte-identical with no canonicalisation.
 		var wantRep, gotRep bytes.Buffer
-		if err := WriteReport(&wantRep, q, refDB, want, 60); err != nil {
+		if err := WriteFormat(&wantRep, "blast", q, refDB, want, 60); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteReport(&gotRep, q, parentDB, got, 60); err != nil {
+		if err := WriteFormat(&gotRep, "blast", q, parentDB, got, 60); err != nil {
 			t.Fatal(err)
 		}
 		if wantRep.String() != gotRep.String() {

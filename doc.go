@@ -5,7 +5,7 @@
 // The library provides:
 //
 //   - exact local alignment (Smith-Waterman with affine gaps) with
-//     traceback for pairwise use — see Align, Score and ScoreBanded;
+//     traceback for pairwise use — see Align and Score;
 //   - a parallel database-search engine that executes one kernel, an
 //     adaptive precision ladder (an 8-bit signed first pass with twice
 //     the lanes per vector word wherever the gap penalties fit a byte, its
@@ -44,7 +44,7 @@
 //     hit with coordinates, a CIGAR, identity counts and (optionally) a
 //     bit score and E-value from a Gumbel null model fitted over the full
 //     score distribution — see ReportOptions, Hit.Alignment,
-//     Hit.Significance and WriteReport;
+//     Hit.Significance and WriteFormat;
 //   - a native vector backend for the kernels' fused DP loops
 //     (internal/vec), in tiers selected by runtime CPU detection: on
 //     amd64 hosts with AVX2 the inter-task kernels run hand-written
@@ -64,7 +64,8 @@
 //     GCUPS come from it alone, search results report the real wall-clock
 //     throughput of the Go kernels;
 //   - a synthetic Swiss-Prot workload generator matching the statistics of
-//     the paper's benchmark database, plus FASTA I/O for real data;
+//     the paper's benchmark database, plus FASTA I/O for real data
+//     (ReadFASTA and ReadFASTAFile, which name the alphabet);
 //   - a persistent preprocessed database format (.swdb): a versioned,
 //     checksummed binary image of the fully preprocessed database that
 //     loads by mmap and zero-copy slicing — no parse, no sort, no
@@ -72,7 +73,8 @@
 //     LoadDatabaseFile, and the cmd/swindex CLI;
 //   - genomics workloads over a generic alphabet layer: nucleotide
 //     database search under the IUPAC DNA alphabet with match/mismatch
-//     scoring (NewDNASequence, ReadDNAFASTAFile, LoadDNADatabaseFile),
+//     scoring (NewDNASequence, and the "dna" alphabet of ReadFASTAFile
+//     and LoadDatabaseFile),
 //     blastx-style six-frame translated search of DNA queries against
 //     protein databases with per-hit frames and DNA coordinates
 //     (Request.Translate), user-supplied substitution matrices in NCBI
@@ -101,9 +103,11 @@
 // persists the finished product as a .swdb image (internal/seqdb/index
 // documents the exact layout); OpenIndexFile restores it with O(1) work
 // per sequence, and LoadDatabaseFile accepts either representation,
-// sniffed by magic, which is what every -db CLI flag uses:
+// sniffed by magic, which is what every -db CLI flag uses. Its alphabet
+// argument, "protein" or "dna", governs a FASTA file; an index loads under
+// the alphabet it records:
 //
-//	db, err := heterosw.LoadDatabaseFile("swissprot.swdb") // or .fasta
+//	db, err := heterosw.LoadDatabaseFile("swissprot.swdb", "protein") // or .fasta
 //	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{...})
 //
 // A corrupted or truncated index fails to open with an error wrapping
@@ -220,16 +224,18 @@
 // Report options, K included, are part of the scheduler's dedup/cache
 // key, so an aligned result and a score-only result of the same query
 // never alias, nor do two different K; the HTTP front end's top_k is that
-// K, for score-only requests as well. WriteReport renders a decorated result as a BLAST-style text
-// report (swsearch -blast); WriteFormat adds SAM 1.6 and BLAST tabular
-// TSV renderings (swsearch -outfmt sam|tsv); the HTTP front end exposes
-// the same phases as the align, evalue and format request fields.
+// K, for score-only requests as well. WriteFormat renders a decorated
+// result in one of Formats: a BLAST-style text report (swsearch -blast),
+// SAM 1.6 or BLAST tabular TSV (swsearch -outfmt sam|tsv); the HTTP front
+// end exposes the same phases as the align, evalue and format request
+// fields.
 //
 // # Alphabets and translated search
 //
-// Databases and queries carry their alphabet. FASTA parsed through the
-// DNA entry points (ReadDNAFASTAFile, LoadDNADatabaseFile, swsearch
-// -dna) encodes under the 15-letter IUPAC nucleotide alphabet — case
+// Databases and queries carry their alphabet, named "protein" or "dna"
+// (Sequence.Alphabet, Database.Alphabet). FASTA read under "dna"
+// (ReadFASTA, ReadFASTAFile, LoadDatabaseFile, swsearch -dna) encodes
+// under the 15-letter IUPAC nucleotide alphabet — case
 // insensitive, with unrecognised bytes becoming N — and searches default
 // to the blastn-style NUC +2/-3 matrix; .swdb indexes persist the
 // alphabet and restore it on load. Request.Translate searches a DNA query

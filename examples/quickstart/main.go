@@ -60,7 +60,7 @@ func main() {
 
 	// The same decorated result renders as a BLAST-style report.
 	fmt.Println()
-	if err := heterosw.WriteReport(os.Stdout, query, db, res, 60); err != nil {
+	if err := heterosw.WriteFormat(os.Stdout, "blast", query, db, res, 60); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -9,21 +9,40 @@ import (
 	"heterosw/internal/translate"
 )
 
-// Formats lists the supported search output formats: "blast" (the
-// BLAST-style text report of WriteReport), "sam" (SAM 1.6 alignment
-// lines) and "tsv" (BLAST tabular outfmt-6 columns).
+// Formats lists the search output formats WriteFormat renders: "blast"
+// (a BLAST-style text report), "sam" (SAM 1.6 alignment lines) and "tsv"
+// (BLAST tabular outfmt-6 columns).
 func Formats() []string { return []string{"blast", "sam", "tsv"} }
 
-// WriteFormat renders a search result in the named format (see Formats).
-// width only affects the "blast" format's alignment wrap column.
+// WriteFormat renders a search result in the named format (see Formats;
+// "" is "blast"). Any other name is an error.
+//
+//   - "blast" is the output of swsearch -blast: a header naming the query,
+//     database and fitted significance model, a ranked hit table (score,
+//     bit score, E-value, identities, CIGAR, each column present when its
+//     reporting phase ran) and a wrapped three-line alignment block for
+//     every hit with a traceback, at width columns (60 when <= 0). A
+//     result without ReportOptions renders as a plain score table.
+//   - "sam" writes one @SQ header line per hit subject, then one SAM 1.6
+//     line per hit with a traceback. The read is the query (for
+//     translated searches, the winning frame's protein, with the frame in
+//     ZF:i); unaligned query ends are soft clips, the score rides in AS:i
+//     and the E-value in ZE:f.
+//   - "tsv" writes BLAST outfmt-6 columns (qseqid sseqid pident length
+//     mismatch gapopen qstart qend sstart send evalue bitscore), 1-based
+//     inclusive, one line per hit with a traceback. A translated hit's
+//     query range counts nucleotides of the DNA query, qstart > qend on a
+//     reverse frame; missing significance renders as "-".
+//
+// width only affects "blast".
 func WriteFormat(w io.Writer, format string, query Sequence, db *Database, res *ClusterResult, width int) error {
 	switch format {
 	case "", "blast":
-		return WriteReport(w, query, db, res, width)
+		return writeReport(w, query, db, res, width)
 	case "sam":
-		return WriteSAM(w, query, db, res)
+		return writeSAM(w, query, db, res)
 	case "tsv":
-		return WriteTSV(w, query, db, res)
+		return writeTSV(w, query, db, res)
 	}
 	return fmt.Errorf("heterosw: unknown output format %q (have %s)",
 		format, strings.Join(Formats(), ", "))
@@ -56,20 +75,12 @@ func effectiveQuery(query Sequence, h Hit, frames *map[int]Sequence) Sequence {
 	return (*frames)[h.Frame]
 }
 
-// WriteSAM renders the aligned hits of a search as SAM 1.6: one @SQ header
-// line per hit subject, then one alignment line per hit carrying a
-// traceback. The record's read is the search query (for translated
-// searches, the winning frame's protein); unaligned query ends become
-// soft clips, and the Smith-Waterman score rides in the AS:i tag (with
-// ZF:i carrying the frame for translated hits). SEQ and CIGAR are always
-// emitted in alignment orientation — the frame protein is what actually
-// aligned, so FLAG stays 0 and the originating strand travels only in
-// ZF:i. (Setting FLAG 0x10 would assert that SEQ is the reverse
-// complement of the original read, which a frame protein is not: a
-// consumer un-reverse-complementing per the flag would corrupt the
-// record.) Hits without a traceback (no ReportOptions.Alignments, or
-// beyond the aligned top-K) are omitted.
-func WriteSAM(w io.Writer, query Sequence, db *Database, res *ClusterResult) error {
+// writeSAM renders WriteFormat's "sam" format. SEQ and CIGAR are in
+// alignment orientation: a translated hit's frame protein is what aligned,
+// so FLAG stays 0 and the strand travels only in ZF:i. (FLAG 0x10 would
+// claim SEQ is the reverse complement of the read, which a frame protein
+// is not, and a consumer undoing it would corrupt the record.)
+func writeSAM(w io.Writer, query Sequence, db *Database, res *ClusterResult) error {
 	if query.impl == nil {
 		return fmt.Errorf("heterosw: zero-value query")
 	}
@@ -119,14 +130,8 @@ func WriteSAM(w io.Writer, query Sequence, db *Database, res *ClusterResult) err
 	return err
 }
 
-// WriteTSV renders the aligned hits of a search as BLAST tabular output
-// (outfmt 6): qseqid sseqid pident length mismatch gapopen qstart qend
-// sstart send evalue bitscore, tab-separated, one line per hit with a
-// traceback. Coordinates are 1-based inclusive; for translated hits the
-// query range is in nucleotides of the original DNA query, with qstart >
-// qend marking reverse-frame hits as blastx does. Missing significance
-// renders evalue and bitscore as "-".
-func WriteTSV(w io.Writer, query Sequence, db *Database, res *ClusterResult) error {
+// writeTSV renders WriteFormat's "tsv" format.
+func writeTSV(w io.Writer, query Sequence, db *Database, res *ClusterResult) error {
 	if query.impl == nil {
 		return fmt.Errorf("heterosw: zero-value query")
 	}

@@ -20,11 +20,11 @@ const goldenDNATopK = 5
 
 func goldenDNASetup(t *testing.T) (*Database, Sequence, *Cluster) {
 	t.Helper()
-	qs, err := ReadDNAFASTAFile("testdata/golden_dna_query.fasta")
+	qs, err := ReadFASTAFile("testdata/golden_dna_query.fasta", "dna")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs, err := ReadDNAFASTAFile("testdata/golden_dna_db.fasta")
+	seqs, err := ReadFASTAFile("testdata/golden_dna_db.fasta", "dna")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestGoldenDNASearch(t *testing.T) {
 	checkGoldenFileAt(t, "Cluster.Search[dna]", goldenFromResult(t, query, db, res), "testdata/golden_dna.json")
 
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, query, db, res, 60); err != nil {
+	if err := WriteFormat(&buf, "blast", query, db, res, 60); err != nil {
 		t.Fatal(err)
 	}
-	checkGoldenText(t, "WriteReport[dna]", buf.Bytes(), "testdata/golden_dna_report.txt")
+	checkGoldenText(t, "WriteFormat[dna,blast]", buf.Bytes(), "testdata/golden_dna_report.txt")
 
 	buf.Reset()
 	if err := WriteFormat(&buf, "tsv", query, db, res, 60); err != nil {
@@ -78,7 +78,7 @@ func TestGoldenDNASearch(t *testing.T) {
 	if err := WriteIndexFile(swdb, db); err != nil {
 		t.Fatal(err)
 	}
-	idb, err := LoadDatabaseFile(swdb)
+	idb, err := LoadDatabaseFile(swdb, "protein")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"heterosw/internal/seqdb/index"
 )
 
 // The golden end-to-end test pins the full two-phase reporting pipeline —
@@ -16,7 +18,7 @@ import (
 // E-values over a curated testdata query and mini-database — across all
 // three surfaces: the library (Cluster.Search with ReportOptions), the
 // HTTP front end (POST /search with align/evalue) and the swsearch -blast
-// formatted output (WriteReport). Regenerate the expectations with
+// formatted output (WriteFormat "blast"). Regenerate the expectations with
 //
 //	go test -run TestGolden -update .
 //
@@ -57,11 +59,11 @@ func sigDigits(v float64) string { return fmt.Sprintf("%.6g", v) }
 
 func goldenSetup(t *testing.T) (*Database, Sequence, *Cluster) {
 	t.Helper()
-	qs, err := ReadFASTAFile("testdata/golden_query.fasta")
+	qs, err := ReadFASTAFile("testdata/golden_query.fasta", "protein")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs, err := ReadFASTAFile("testdata/golden_db.fasta")
+	seqs, err := ReadFASTAFile("testdata/golden_db.fasta", "protein")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +210,11 @@ func TestGoldenIndexSearch(t *testing.T) {
 	if err := WriteIndexFile(swdb, db); err != nil {
 		t.Fatal(err)
 	}
-	idb, err := LoadDatabaseFile(swdb)
+	idb, err := LoadDatabaseFile(swdb, "protein")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsIndexFile(swdb) || IsIndexFile("testdata/golden_db.fasta") {
+	if !index.SniffFile(swdb) || index.SniffFile("testdata/golden_db.fasta") {
 		t.Fatal("index sniffing misclassified a golden input")
 	}
 	cl, err := NewCluster(idb, ClusterOptions{
@@ -260,47 +262,25 @@ func TestGoldenHTTPSearch(t *testing.T) {
 	checkGoldenFile(t, "HTTP /search", goldenFromJSON(t, query, db, sr))
 }
 
-// TestGoldenReportText pins the swsearch -blast output: WriteReport is
-// exactly what the CLI prints for the aligned search.
+// TestGoldenReportText pins every output format of the aligned golden
+// search byte for byte: "blast" is exactly what swsearch -blast prints,
+// "sam" and "tsv" what swsearch -outfmt prints.
 func TestGoldenReportText(t *testing.T) {
 	db, query, cl := goldenSetup(t)
 	res, err := cl.Search(query, ReportOptions{Alignments: true, EValues: true, TopK: goldenTopK})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, query, db, res, 60); err != nil {
-		t.Fatal(err)
+	golden := map[string]string{
+		"blast": "testdata/golden_report.txt",
+		"sam":   "testdata/golden.sam",
+		"tsv":   "testdata/golden.tsv",
 	}
-	const path = "testdata/golden_report.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run: go test -run TestGolden -update .)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("report diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", path, buf.Bytes(), want)
-	}
-}
-
-// TestGoldenProteinFormats pins the protein sam and tsv renderings of the
-// aligned golden search, byte for byte, through WriteFormat.
-func TestGoldenProteinFormats(t *testing.T) {
-	db, query, cl := goldenSetup(t)
-	res, err := cl.Search(query, ReportOptions{Alignments: true, EValues: true, TopK: goldenTopK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, format := range []string{"sam", "tsv"} {
+	for _, format := range Formats() {
 		var buf bytes.Buffer
 		if err := WriteFormat(&buf, format, query, db, res, 60); err != nil {
 			t.Fatal(err)
 		}
-		checkGoldenText(t, "WriteFormat["+format+"]", buf.Bytes(), "testdata/golden."+format)
+		checkGoldenText(t, "WriteFormat["+format+"]", buf.Bytes(), golden[format])
 	}
 }

@@ -32,7 +32,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loadedSeqs, err := ReadFASTAFile(dbPath)
+	loadedSeqs, err := ReadFASTAFile(dbPath, "protein")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadedQs, err := ReadFASTAFile(qPath)
+	loadedQs, err := ReadFASTAFile(qPath, "protein")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,13 @@ var Protein = newAlphabet("protein", Letters, Unknown, 20,
 var DNA = newAlphabet("dna", "ACGTNRYSWKMBDHV", 4, 4,
 	map[byte]byte{'U': 'T'})
 
-// ByName returns the named alphabet: "protein" or "dna".
+// ByName returns the alphabet whose Name is name: "protein" or "dna".
+// Any other name, the empty one included, is an error.
 func ByName(name string) (*Alphabet, error) {
 	switch name {
-	case "", "protein":
+	case Protein.name:
 		return Protein, nil
-	case "dna", "DNA":
+	case DNA.name:
 		return DNA, nil
 	}
 	return nil, fmt.Errorf("alphabet: unknown alphabet %q (have protein, dna)", name)

@@ -51,7 +51,7 @@ func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequenc
 		Shard: db.Key(),
 		ID:    query.ID,
 		Codes: residueBytes(query.Residues),
-	}, db.Len())
+	}, db.Len(), db.Residues())
 	if err != nil {
 		return nil, fmt.Errorf("remote: backend %s: %w", b.name, err)
 	}

@@ -94,14 +94,23 @@ func (c *Client) Shards(ctx context.Context, node string) (*ShardsResponse, erro
 	return exchange[ShardsResponse](ctx, http.MethodGet, node+"/shards", nil, nil)
 }
 
-// ShardSearch scores one query over one shard of n sequences, trying the
-// shard's replica URLs under the client's retry/hedging policy. An answer
-// that does not carry exactly n scores fails its replica like a dropped
-// connection does.
-func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int) (*ShardSearchResponse, error) {
+// ShardSearch scores one query over one shard of n sequences and residues
+// residues, trying the shard's replica URLs under the client's
+// retry/hedging policy. An answer fails its replica, like a dropped
+// connection does, unless it carries exactly n scores and
+// len(req.Codes) × residues cells and echoes req.Shard. An answer with no
+// shard key, from a node older than the echo, passes that last check.
+func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int, residues int64) (*ShardSearchResponse, error) {
+	cells := int64(len(req.Codes)) * residues
 	return call(ctx, c, urls, "/shard/search", req, func(r *ShardSearchResponse) error {
-		if len(r.Scores) != n {
+		switch {
+		case r.Shard != "" && r.Shard != req.Shard:
+			return fmt.Errorf("answer for shard %s to a search of shard %s", r.Shard, req.Shard)
+		case len(r.Scores) != n:
 			return fmt.Errorf("%d scores for the %d-sequence shard %s", len(r.Scores), n, req.Shard)
+		case r.Cells != cells:
+			return fmt.Errorf("%d cells for %d query residues over the %d-residue shard %s",
+				r.Cells, len(req.Codes), residues, req.Shard)
 		}
 		return nil
 	})

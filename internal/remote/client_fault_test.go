@@ -56,7 +56,7 @@ func TestClientSurvivesScriptedFaults(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	c := fastClient(Options{Retries: 4})
-	resp, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3)
+	resp, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0)
 	if err != nil {
 		t.Fatalf("ShardSearch through the fault schedule: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestClientFailsUnderBudget(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	c := fastClient(Options{Retries: 1})
-	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3); err == nil {
+	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0); err == nil {
 		t.Fatal("two scripted faults must exhaust a 1-retry budget")
 	}
 	if got := px.Attempts(); got != 2 {
@@ -119,7 +119,7 @@ func TestFailedAttemptsReportNode(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	p := NewProber([]string{px.URL()}, fastOptions(Options{Retries: 2}), ProberOptions{Interval: -1})
-	if _, err := p.client.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3); err != nil {
+	if _, err := p.client.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0); err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
 	if got := reported(p); !slices.Equal(got, []string{px.URL(), px.URL()}) {
@@ -137,7 +137,7 @@ func TestTerminalFailureNotReported(t *testing.T) {
 	}))
 	defer srv.Close()
 	p := NewProber([]string{srv.URL}, fastOptions(Options{Retries: 3}), ProberOptions{Interval: -1})
-	_, err := p.client.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
+	_, err := p.client.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("want terminal 400, got %v", err)
@@ -148,8 +148,8 @@ func TestTerminalFailureNotReported(t *testing.T) {
 }
 
 // TestBadAnswerFailsItsReplica pins that a 200 whose body fails to decode,
-// or decodes to the wrong number of scores, fails the replica that sent
-// it and nothing more: the next replica answers, each replica is asked
+// decodes to the wrong number of scores or cells, or names another shard,
+// fails the replica that sent it and nothing more: the next replica answers, each replica is asked
 // once, and the bad one is reported to the prober. When every replica
 // answers badly the request wraps ErrNoReplicas. Under hedging a primary
 // that its hedge rescues is reported, and a loser cancelled because the
@@ -161,12 +161,14 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		{"bad base64", `{"scores":"Bw!J"}`},
 		{"one score short", `{"scores":"Bwg="}`},    // 07 08
 		{"one score long", `{"scores":"BwgJCg=="}`}, // 07 08 09 0a
+		{"another shard", `{"shard":"swdb:feedface-3-10","scores":"BwgJ"}`},
+		{"wrong cells", `{"scores":"BwgJ","cells":3}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := faultedClientProxy(t), faultedClientProxy(t)
 			a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: tc.body})
 			p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
-			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3)
+			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
 			if err != nil {
 				t.Fatalf("ShardSearch past one bad replica: %v", err)
 			}
@@ -182,12 +184,23 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		})
 	}
 
+	t.Run("own shard echoed", func(t *testing.T) {
+		a := faultedClientProxy(t)
+		body := `{"shard":"` + searchReq().Shard + `","scores":"BwgJ","cells":30}`
+		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: body})
+		p := NewProber([]string{a.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, searchReq(), 3, 10)
+		if err != nil || resp.Shard != searchReq().Shard || a.Attempts() != 1 {
+			t.Fatalf("ShardSearch = %+v, %v after %d attempts; want the echoing answer at once", resp, err, a.Attempts())
+		}
+	})
+
 	t.Run("every replica bad", func(t *testing.T) {
 		a, b := faultedClientProxy(t), faultedClientProxy(t)
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`})
 		b.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"Bwg="}`})
 		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: 1}), ProberOptions{Interval: -1})
-		_, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3)
+		_, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
 		if !errors.Is(err, ErrNoReplicas) {
 			t.Fatalf("every replica answering badly: err = %v, want ErrNoReplicas", err)
 		}
@@ -200,7 +213,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		a, b := faultedClientProxy(t), faultedClientProxy(t)
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`})
 		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: -1, HedgeDelay: time.Hour}), ProberOptions{Interval: -1})
-		resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3)
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
 		if err != nil || !slices.Equal(resp.Scores, ScoreList{7, 8, 9}) {
 			t.Fatalf("hedged ShardSearch = %v, %v; want the hedge's [7 8 9]", resp, err)
 		}
@@ -219,7 +232,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		defer slow.Close()
 		fast := searchUpstream(t)
 		p := NewProber([]string{slow.URL, fast.URL}, fastOptions(Options{Retries: -1, HedgeDelay: 5 * time.Millisecond}), ProberOptions{Interval: -1})
-		if _, err := p.client.ShardSearch(ctx, []string{slow.URL, fast.URL}, searchReq(), 3); err != nil {
+		if _, err := p.client.ShardSearch(ctx, []string{slow.URL, fast.URL}, searchReq(), 3, 0); err != nil {
 			t.Fatalf("hedged ShardSearch: %v", err)
 		}
 		<-cancelled
@@ -237,7 +250,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 // retryable, so callers keep retrying while the prober refills the set.
 func TestEmptyReplicasIsTypedRetryable(t *testing.T) {
 	c := fastClient(Options{})
-	_, err := c.ShardSearch(context.Background(), nil, searchReq(), 3)
+	_, err := c.ShardSearch(context.Background(), nil, searchReq(), 3, 0)
 	if !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("want ErrNoReplicas, got %v", err)
 	}

@@ -48,7 +48,7 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(Options{Retries: 2})
-	resp, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
+	resp, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestShardSearchAcceptsOlderNodeBody(t *testing.T) {
 			}))
 			defer srv.Close()
 
-			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
+			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 30)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("ShardSearch = %+v, %v; want a decode error naming %q", resp, err, tc.wantErr)
@@ -115,7 +115,7 @@ func TestNoRetryOnTerminalStatus(t *testing.T) {
 			defer srv.Close()
 
 			c := fastClient(Options{Retries: 3})
-			_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
+			_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
 			if err == nil {
 				t.Fatal("want error")
 			}
@@ -141,7 +141,7 @@ func TestRetriesExhausted(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(Options{Retries: 2})
-	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3)
+	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -166,7 +166,7 @@ func TestRetriesRotateReplicas(t *testing.T) {
 	dead.Close() // connection refused from now on
 
 	c := fastClient(Options{Retries: 1})
-	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, good.URL}, searchReq(), 1)
+	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, good.URL}, searchReq(), 1, 0)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestBackoffHonoursContext(t *testing.T) {
 	}()
 	c := fastClient(Options{Retries: 5, Backoff: time.Hour})
 	start := time.Now()
-	_, err := c.ShardSearch(ctx, []string{srv.URL}, searchReq(), 3)
+	_, err := c.ShardSearch(ctx, []string{srv.URL}, searchReq(), 3, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -221,7 +221,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 	defer hedge.Close()
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: 5 * time.Millisecond})
-	resp, err := c.ShardSearch(context.Background(), []string{primary.URL, hedge.URL}, searchReq(), 1)
+	resp, err := c.ShardSearch(context.Background(), []string{primary.URL, hedge.URL}, searchReq(), 1, 0)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestHedgePromotesOnPrimaryFailure(t *testing.T) {
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: time.Hour})
 	start := time.Now()
-	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, hedge.URL}, searchReq(), 1)
+	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, hedge.URL}, searchReq(), 1, 0)
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestHedgeBothFail(t *testing.T) {
 	b.Close()
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: time.Millisecond})
-	_, err := c.ShardSearch(context.Background(), []string{a.URL, b.URL}, searchReq(), 1)
+	_, err := c.ShardSearch(context.Background(), []string{a.URL, b.URL}, searchReq(), 1, 0)
 	if err == nil {
 		t.Fatal("want error when both replicas are down")
 	}
@@ -301,7 +301,7 @@ func TestRetryableClassification(t *testing.T) {
 // TestNoReplicas pins the degenerate call.
 func TestNoReplicas(t *testing.T) {
 	c := fastClient(Options{})
-	if _, err := c.ShardSearch(context.Background(), nil, searchReq(), 3); err == nil {
+	if _, err := c.ShardSearch(context.Background(), nil, searchReq(), 3, 0); err == nil {
 		t.Fatal("want error for zero replica URLs")
 	}
 }
@@ -361,7 +361,7 @@ func TestAttemptReleasesItsContext(t *testing.T) {
 		c := NewClient(Options{Timeout: timeout})
 		const n = 20
 		for i := 0; i < n; i++ {
-			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq(), 3); err != nil {
+			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq(), 3, 0); err != nil {
 				t.Fatalf("Timeout %v: ShardSearch %d: %v", timeout, i, err)
 			}
 		}

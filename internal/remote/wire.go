@@ -76,6 +76,9 @@ type ShardSearchRequest struct {
 // as a ScoreList: a base64 string of packed varints, which a coordinator
 // decodes about nine times faster than a JSON number array.
 type ShardSearchResponse struct {
+	// Shard echoes the request's shard key, so an answer names the shard
+	// it scored. Nodes older than the echo leave it empty.
+	Shard  string    `json:"shard,omitempty"`
 	Scores ScoreList `json:"scores"`
 	// Cells counts useful DP cell updates (query length x shard residues);
 	// summed across shards it reproduces the single-node cell count

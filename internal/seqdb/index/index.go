@@ -433,17 +433,10 @@ func SniffFile(path string) bool {
 }
 
 // LoadDatabase opens either database representation, sniffed by magic:
-// a .swdb index (mapped zero-copy, carrying its own alphabet) or a FASTA
-// file (parsed under the protein alphabet, encoded and length-sorted). The
-// returned kind is "swdb" or "fasta".
-func LoadDatabase(path string) (*seqdb.Database, string, error) {
-	return LoadDatabaseAlpha(path, alphabet.Protein)
-}
-
-// LoadDatabaseAlpha is LoadDatabase with an explicit alphabet for the
-// FASTA path. A .swdb index always decodes under its persisted alphabet;
-// fastaAlpha only governs how bare FASTA input is encoded.
-func LoadDatabaseAlpha(path string, fastaAlpha *alphabet.Alphabet) (*seqdb.Database, string, error) {
+// a .swdb index (mapped zero-copy, decoded under the alphabet it records)
+// or a FASTA file (parsed under fastaAlpha, encoded and length-sorted).
+// The returned kind is "swdb" or "fasta".
+func LoadDatabase(path string, fastaAlpha *alphabet.Alphabet) (*seqdb.Database, string, error) {
 	if _, err := os.Stat(path); err != nil {
 		return nil, "", err
 	}

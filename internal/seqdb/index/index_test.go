@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"heterosw/internal/alphabet"
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 )
@@ -180,7 +181,7 @@ func TestLoadDatabaseSniffs(t *testing.T) {
 	if err := sequence.WriteFASTAFile(fasta, seqs, 60); err != nil {
 		t.Fatal(err)
 	}
-	fromFasta, kind, err := LoadDatabase(fasta)
+	fromFasta, kind, err := LoadDatabase(fasta, alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestLoadDatabaseSniffs(t *testing.T) {
 	if _, err := WriteFile(swdb, fromFasta); err != nil {
 		t.Fatal(err)
 	}
-	fromIndex, kind, err := LoadDatabase(swdb)
+	fromIndex, kind, err := LoadDatabase(swdb, alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestLoadDatabaseSniffs(t *testing.T) {
 	}
 	checkEqual(t, fromFasta, fromIndex)
 
-	if _, _, err := LoadDatabase(filepath.Join(dir, "missing")); err == nil {
+	if _, _, err := LoadDatabase(filepath.Join(dir, "missing"), alphabet.Protein); err == nil {
 		t.Fatal("missing file did not error")
 	}
 }

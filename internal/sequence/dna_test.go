@@ -14,7 +14,7 @@ import (
 // yields canonical uppercase residues.
 func TestDNAFASTASoftMaskRoundTrip(t *testing.T) {
 	in := ">chr1 masked fragment\nACGTacgtNnRYryEQZ\nuU\n"
-	seqs, err := ReadFASTAAlpha(strings.NewReader(in), alphabet.DNA)
+	seqs, err := ReadFASTA(strings.NewReader(in), alphabet.DNA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDNAFASTASoftMaskRoundTrip(t *testing.T) {
 	if err := WriteFASTA(&buf, seqs, 60); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFASTAAlpha(bytes.NewReader(buf.Bytes()), alphabet.DNA)
+	back, err := ReadFASTA(bytes.NewReader(buf.Bytes()), alphabet.DNA)
 	if err != nil {
 		t.Fatal(err)
 	}

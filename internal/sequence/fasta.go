@@ -11,20 +11,13 @@ import (
 	"heterosw/internal/alphabet"
 )
 
-// ReadFASTA parses all records from a FASTA stream under the protein
-// alphabet. Sequence data may span multiple lines; blank lines and ';'
-// comment lines are ignored. Residue letters outside the alphabet are
-// encoded as X (tolerant mode), matching the behaviour of typical
-// database-search tools on Swiss-Prot dumps.
-func ReadFASTA(r io.Reader) ([]*Sequence, error) {
-	return ReadFASTAAlpha(r, alphabet.Protein)
-}
-
-// ReadFASTAAlpha parses all records from a FASTA stream under an explicit
-// alphabet. Residue letters outside the alphabet encode as its unknown
-// code (X for protein, N for DNA); lowercase soft-masked residues encode
-// case-insensitively.
-func ReadFASTAAlpha(r io.Reader, alpha *alphabet.Alphabet) ([]*Sequence, error) {
+// ReadFASTA parses all records from a FASTA stream under alpha. Sequence
+// data may span multiple lines; blank lines and ';' comment lines are
+// ignored. Residue letters outside the alphabet encode as its unknown code
+// (X for protein, N for DNA), matching the tolerance of typical
+// database-search tools on Swiss-Prot dumps; lowercase soft-masked
+// residues encode case-insensitively.
+func ReadFASTA(r io.Reader, alpha *alphabet.Alphabet) ([]*Sequence, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var (
 		out  []*Sequence
@@ -91,7 +84,7 @@ func ReadFASTAFileAlpha(path string, alpha *alphabet.Alphabet) ([]*Sequence, err
 		return nil, err
 	}
 	defer f.Close()
-	return ReadFASTAAlpha(f, alpha)
+	return ReadFASTA(f, alpha)
 }
 
 // WriteFASTA writes records in FASTA format with lines wrapped at width

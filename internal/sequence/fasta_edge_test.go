@@ -3,13 +3,15 @@ package sequence
 import (
 	"strings"
 	"testing"
+
+	"heterosw/internal/alphabet"
 )
 
 // Windows-produced FASTA uses CRLF line endings; the parser must not leak
 // carriage returns into IDs, descriptions or residues.
 func TestReadFASTACRLF(t *testing.T) {
 	in := ">P1 first protein\r\nARND\r\nCQEG\r\n>P2\r\nMKV\r\n"
-	seqs, err := ReadFASTA(strings.NewReader(in))
+	seqs, err := ReadFASTA(strings.NewReader(in), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestReadFASTACRLF(t *testing.T) {
 // A CRLF file with no trailing newline ends in a bare \r-less fragment;
 // both quirks together must still round the last record off cleanly.
 func TestReadFASTACRLFNoTrailingNewline(t *testing.T) {
-	seqs, err := ReadFASTA(strings.NewReader(">P1\r\nAR\r\nND"))
+	seqs, err := ReadFASTA(strings.NewReader(">P1\r\nAR\r\nND"), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestReadFASTACRLFNoTrailingNewline(t *testing.T) {
 // '*' is the stop/terminator letter of the NCBI alphabet and appears in
 // ORF translations; it must parse as itself, not as unknown.
 func TestReadFASTAStopCodons(t *testing.T) {
-	seqs, err := ReadFASTA(strings.NewReader(">orf1\nMKV*\n>orf2\nAR*ND*\n"))
+	seqs, err := ReadFASTA(strings.NewReader(">orf1\nMKV*\n>orf2\nAR*ND*\n"), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestReadFASTAStopCodons(t *testing.T) {
 // each must yield a zero-length record in order, wherever it sits.
 func TestReadFASTAEmptyBodies(t *testing.T) {
 	in := ">empty1\n>full\nMKV\n>empty2\n\n>last\n"
-	seqs, err := ReadFASTA(strings.NewReader(in))
+	seqs, err := ReadFASTA(strings.NewReader(in), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestReadFASTAEmptyBodies(t *testing.T) {
 // A header as the very last byte of the stream (no newline at all) is the
 // extreme of both edge cases at once.
 func TestReadFASTAHeaderAtEOF(t *testing.T) {
-	seqs, err := ReadFASTA(strings.NewReader(">only"))
+	seqs, err := ReadFASTA(strings.NewReader(">only"), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestFASTARoundTripEmptyBody(t *testing.T) {
 	if err := WriteFASTA(&sb, in, 60); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFASTA(strings.NewReader(sb.String()))
+	back, err := ReadFASTA(strings.NewReader(sb.String()), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ CQEG
 >P2
 wyvx
 `
-	seqs, err := ReadFASTA(strings.NewReader(in))
+	seqs, err := ReadFASTA(strings.NewReader(in), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,23 +83,23 @@ wyvx
 }
 
 func TestReadFASTAErrors(t *testing.T) {
-	if _, err := ReadFASTA(strings.NewReader("ARND\n")); err == nil {
+	if _, err := ReadFASTA(strings.NewReader("ARND\n"), alphabet.Protein); err == nil {
 		t.Error("data before header accepted")
 	}
-	if _, err := ReadFASTA(strings.NewReader(">\nAR\n")); err == nil {
+	if _, err := ReadFASTA(strings.NewReader(">\nAR\n"), alphabet.Protein); err == nil {
 		t.Error("empty header accepted")
 	}
 }
 
 func TestReadFASTAEmpty(t *testing.T) {
-	seqs, err := ReadFASTA(strings.NewReader(""))
+	seqs, err := ReadFASTA(strings.NewReader(""), alphabet.Protein)
 	if err != nil || len(seqs) != 0 {
 		t.Fatalf("empty input: %v, %d records", err, len(seqs))
 	}
 }
 
 func TestReadFASTANoTrailingNewline(t *testing.T) {
-	seqs, err := ReadFASTA(strings.NewReader(">P1\nARND"))
+	seqs, err := ReadFASTA(strings.NewReader(">P1\nARND"), alphabet.Protein)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFASTARoundTripProperty(t *testing.T) {
 		if err := WriteFASTA(&buf, seqs, int(wrap%90)); err != nil {
 			return false
 		}
-		back, err := ReadFASTA(&buf)
+		back, err := ReadFASTA(&buf, alphabet.Protein)
 		if err != nil || len(back) != count {
 			return false
 		}

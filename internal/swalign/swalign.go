@@ -5,8 +5,9 @@
 // highest-scoring pair of segments.
 //
 // It is the oracle against which every optimised kernel in internal/core is
-// verified and the engine behind the pairwise-alignment public API. Score
-// runs in O(len(b)) space; Align keeps one direction byte per cell of the
+// verified and the engine behind the public pairwise Align and Score; the
+// search is exhaustive, so there is no banded rescorer. Score runs in
+// O(len(b)) space; Align keeps one direction byte per cell of the
 // rectangle up to the alignment's end cell, at most len(a)·len(b) bytes
 // plus O(len(b)). The serving traceback of reported hits finds end cells
 // and checkpoint columns in internal/core's 16-bit lanes and walks each

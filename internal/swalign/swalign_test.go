@@ -257,45 +257,6 @@ func TestFormatContainsRows(t *testing.T) {
 	}
 }
 
-func TestBandedEqualsFullWithWideBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 150; trial++ {
-		a := randSeq(rng, rng.Intn(50)+1)
-		b := randSeq(rng, rng.Intn(50)+1)
-		want := Score(a, b, testScoring)
-		got := ScoreBanded(a, b, testScoring, 0, len(a)+len(b))
-		if got != want {
-			t.Fatalf("wide band %d != full %d\na=%s\nb=%s", got, want,
-				alphabet.Protein.DecodeAll(a), alphabet.Protein.DecodeAll(b))
-		}
-	}
-}
-
-func TestBandedIsLowerBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	for trial := 0; trial < 200; trial++ {
-		a := randSeq(rng, rng.Intn(50)+1)
-		b := randSeq(rng, rng.Intn(50)+1)
-		full := Score(a, b, testScoring)
-		for _, band := range []int{0, 1, 3, 8} {
-			diag := rng.Intn(2*len(b)+1) - len(b)
-			got := ScoreBanded(a, b, testScoring, diag, band)
-			if got > full || got < 0 {
-				t.Fatalf("banded score %d out of [0, %d] (diag %d band %d)", got, full, diag, band)
-			}
-		}
-	}
-}
-
-func TestBandedFindsOnDiagonalMatch(t *testing.T) {
-	// A perfect match on the main diagonal must be found even with band 0.
-	a := alphabet.Protein.EncodeAll([]byte("WWWW"))
-	got := ScoreBanded(a, a, testScoring, 0, 0)
-	if got != 44 {
-		t.Fatalf("band-0 self score %d, want 44", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := (Scoring{}).Validate(); err == nil {
 		t.Error("nil matrix accepted")

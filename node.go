@@ -158,6 +158,7 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
+		Shard:         req.Shard,
 		Scores:        res.Scores,
 		Cells:         res.Cells,
 		WallSeconds:   res.WallSeconds,

@@ -6,17 +6,9 @@ import (
 	"strings"
 )
 
-// WriteReport renders an aligned search as a BLAST-style text report: a
-// header describing the query, database and fitted significance model, a
-// ranked hit table (score, bit score, E-value, identities, CIGAR — each
-// column present when the corresponding reporting phase ran), and a
-// wrapped three-line alignment block for every hit that carries a
-// traceback. This is the output format of swsearch -blast; the golden
-// end-to-end test pins it.
-//
-// width sets the alignment wrap column (60 when <= 0). Results produced
-// without ReportOptions render as a plain score table.
-func WriteReport(w io.Writer, query Sequence, db *Database, res *ClusterResult, width int) error {
+// writeReport renders WriteFormat's "blast" format, the output of
+// swsearch -blast.
+func writeReport(w io.Writer, query Sequence, db *Database, res *ClusterResult, width int) error {
 	if query.impl == nil {
 		return fmt.Errorf("heterosw: zero-value query")
 	}

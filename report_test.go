@@ -249,7 +249,7 @@ func TestReportCacheKeysNeverAlias(t *testing.T) {
 	}
 }
 
-// WriteReport renders a plain score-only result as a bare table, and an
+// The "blast" format renders a plain score-only result as a bare table, and an
 // aligned one with the alignment blocks.
 func TestWriteReportShapes(t *testing.T) {
 	db, _ := tinyDB(t)
@@ -263,7 +263,7 @@ func TestWriteReportShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, q, db, plain, 0); err != nil {
+	if err := WriteFormat(&buf, "blast", q, db, plain, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -275,17 +275,17 @@ func TestWriteReportShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteReport(&buf, q, db, aligned, 0); err != nil {
+	if err := WriteFormat(&buf, "blast", q, db, aligned, 0); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()
 	if !strings.Contains(out, "cigar") || !strings.Contains(out, "Query") || !strings.Contains(out, "Sbjct") {
 		t.Fatalf("aligned report missing alignment blocks:\n%s", out)
 	}
-	if err := WriteReport(&buf, Sequence{}, db, aligned, 0); err == nil {
+	if err := WriteFormat(&buf, "blast", Sequence{}, db, aligned, 0); err == nil {
 		t.Error("zero-value query accepted")
 	}
-	if err := WriteReport(&buf, q, nil, aligned, 0); err == nil {
+	if err := WriteFormat(&buf, "blast", q, nil, aligned, 0); err == nil {
 		t.Error("nil database accepted")
 	}
 }
@@ -312,7 +312,7 @@ func TestReportWrappedGapRowCoordinates(t *testing.T) {
 		},
 	}}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, query, db, res, 60); err != nil {
+	if err := WriteFormat(&buf, "blast", query, db, res, 60); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -343,7 +343,7 @@ func TestReportWrappedGapRowCoordinates(t *testing.T) {
 		},
 	}}
 	buf.Reset()
-	if err := WriteReport(&buf, query2, db2, res2, 60); err != nil {
+	if err := WriteFormat(&buf, "blast", query2, db2, res2, 60); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()

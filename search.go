@@ -6,11 +6,12 @@ import (
 )
 
 // Database is an indexed collection of target sequences ready for
-// searching. Build one with NewDatabase, ReadFASTA + NewDatabase, or
-// SyntheticSwissProt, and search it through a Cluster (NewCluster), whose
-// engine caches the lane packings so repeated searches amortise
-// pre-processing exactly as the paper's step 2 does. A Database is
-// immutable and safe for concurrent use.
+// searching, all under one alphabet (Alphabet). Build one with
+// NewDatabase, LoadDatabaseFile (which names the alphabet of a FASTA
+// file), OpenIndexFile or SyntheticSwissProt, and search it through a
+// Cluster (NewCluster), whose engine caches the lane packings so repeated
+// searches amortise pre-processing exactly as the paper's step 2 does. A
+// Database is immutable and safe for concurrent use.
 type Database struct {
 	db *seqdb.Database
 }
@@ -19,22 +20,11 @@ type Database struct {
 // processing order is sorted by length so lane groups pack tightly and
 // scheduling stays balanced.
 func NewDatabase(seqs []Sequence) (*Database, error) {
-	return newDatabase(seqs, true)
-}
-
-// NewDatabaseUnsorted indexes sequences without the length-sorting
-// pre-processing, reproducing the paper's motivation for sorting (padding
-// waste and load imbalance). Intended for ablation studies.
-func NewDatabaseUnsorted(seqs []Sequence) (*Database, error) {
-	return newDatabase(seqs, false)
-}
-
-func newDatabase(seqs []Sequence, sorted bool) (*Database, error) {
 	raw, err := unwrapSeqs(seqs)
 	if err != nil {
 		return nil, err
 	}
-	return &Database{db: seqdb.New(raw, sorted)}, nil
+	return &Database{db: seqdb.New(raw, true)}, nil
 }
 
 // Len returns the number of sequences.

@@ -11,7 +11,8 @@ import (
 
 // Sequence is an immutable biological sequence, protein or DNA. The zero
 // value is an empty protein sequence; construct real ones with
-// NewSequence, NewDNASequence, ReadFASTA or the synthetic generators.
+// NewSequence, NewDNASequence, ReadFASTA (which names the alphabet) or the
+// synthetic generators.
 type Sequence struct {
 	impl *sequence.Sequence
 }
@@ -96,39 +97,30 @@ func unwrapSeqs(in []Sequence) ([]*sequence.Sequence, error) {
 	return out, nil
 }
 
-// ReadFASTA parses all records from a FASTA stream as protein sequences.
-func ReadFASTA(r io.Reader) ([]Sequence, error) {
-	seqs, err := sequence.ReadFASTA(r)
+// ReadFASTA parses all records from a FASTA stream under the named
+// alphabet, "protein" or "dna" (the names Sequence.Alphabet returns); any
+// other name is an error. Letters are handled as NewSequence and
+// NewDNASequence handle them.
+func ReadFASTA(r io.Reader, alpha string) ([]Sequence, error) {
+	a, err := alphabet.ByName(alpha)
+	if err != nil {
+		return nil, err
+	}
+	seqs, err := sequence.ReadFASTA(r, a)
 	if err != nil {
 		return nil, err
 	}
 	return wrapSeqs(seqs), nil
 }
 
-// ReadFASTAFile parses all records from a FASTA file as protein sequences.
-func ReadFASTAFile(path string) ([]Sequence, error) {
-	seqs, err := sequence.ReadFASTAFile(path)
+// ReadFASTAFile parses all records from a FASTA file under the named
+// alphabet, as ReadFASTA does.
+func ReadFASTAFile(path, alpha string) ([]Sequence, error) {
+	a, err := alphabet.ByName(alpha)
 	if err != nil {
 		return nil, err
 	}
-	return wrapSeqs(seqs), nil
-}
-
-// ReadDNAFASTA parses all records from a FASTA stream as nucleotide
-// sequences under the IUPAC DNA alphabet (see NewDNASequence for the
-// letter handling).
-func ReadDNAFASTA(r io.Reader) ([]Sequence, error) {
-	seqs, err := sequence.ReadFASTAAlpha(r, alphabet.DNA)
-	if err != nil {
-		return nil, err
-	}
-	return wrapSeqs(seqs), nil
-}
-
-// ReadDNAFASTAFile parses all records from a FASTA file as nucleotide
-// sequences.
-func ReadDNAFASTAFile(path string) ([]Sequence, error) {
-	seqs, err := sequence.ReadFASTAFileAlpha(path, alphabet.DNA)
+	seqs, err := sequence.ReadFASTAFileAlpha(path, a)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -284,11 +285,9 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "json"
 	}
-	switch format {
-	case "json", "blast", "sam", "tsv":
-	default:
+	if format != "json" && !slices.Contains(Formats(), format) {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown format %q (have json, blast, sam, tsv)", req.Format))
+			fmt.Errorf("unknown format %q (have json, %s)", req.Format, strings.Join(Formats(), ", ")))
 		return
 	}
 	// A translated query is DNA whatever the database holds; otherwise the
@@ -390,15 +389,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // residue letters, so a FASTA batch shares cache entries with the same
 // queries submitted inline.
 func fastaQueries(text, alpha string) ([]QueryJSON, error) {
-	var (
-		seqs []Sequence
-		err  error
-	)
-	if alpha == "dna" {
-		seqs, err = ReadDNAFASTA(strings.NewReader(text))
-	} else {
-		seqs, err = ReadFASTA(strings.NewReader(text))
-	}
+	seqs, err := ReadFASTA(strings.NewReader(text), alpha)
 	if err != nil {
 		return nil, fmt.Errorf("fasta: %w", err)
 	}

@@ -172,12 +172,15 @@ func TestCoordinatorWireKeys(t *testing.T) {
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
+		if sr.Shard != sh.Key {
+			t.Fatalf("answer names shard %q, want the searched %q", sr.Shard, sh.Key)
+		}
 		// The omitempty ladder counters appear only on the shard holding
 		// the planted homolog, whose byte lane saturates.
-		want := "$ {scores,cells,wall_seconds}"
+		want := "$ {shard,scores,cells,wall_seconds}"
 		if sr.Overflows8 > 0 {
 			escalated = true
-			want = "$ {scores,cells,wall_seconds,overflows8,overflow_cells}"
+			want = "$ {shard,scores,cells,wall_seconds,overflows8,overflow_cells}"
 		}
 		checkWireKeys(t, "/shard/search", body, []string{want})
 	}
