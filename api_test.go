@@ -2,10 +2,13 @@ package heterosw
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"strings"
 	"testing"
+
+	"heterosw/internal/stats"
 )
 
 func tinyDB(t testing.TB) (*Database, []Sequence) {
@@ -33,14 +36,45 @@ func searchDB(db *Database, query Sequence, opt Options) (*ClusterResult, error)
 	return cl.Search(query)
 }
 
+// hitScores rebuilds every subject's score, in database order, from an
+// every-hit result (TopK 0 and no reporting phase, as Search(q) and Do
+// with the zero ReportOptions return): each database index must appear
+// exactly once, so the list is db.Len() long.
+func hitScores(db *Database, res *ClusterResult) ([]int32, error) {
+	if len(res.Hits) != db.Len() {
+		return nil, fmt.Errorf("%d hits, want one per database sequence (%d)", len(res.Hits), db.Len())
+	}
+	scores := make([]int32, db.Len())
+	seen := make([]bool, db.Len())
+	for _, h := range res.Hits {
+		if h.Index < 0 || h.Index >= db.Len() || seen[h.Index] {
+			return nil, fmt.Errorf("hit index %d out of range or repeated", h.Index)
+		}
+		seen[h.Index] = true
+		scores[h.Index] = int32(h.Score)
+	}
+	return scores, nil
+}
+
+// scoreList is hitScores for the test goroutine: a malformed hit list
+// fails the test.
+func scoreList(t testing.TB, db *Database, res *ClusterResult) []int32 {
+	t.Helper()
+	scores, err := hitScores(db, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scores
+}
+
 func TestSearchDefaults(t *testing.T) {
 	db, _ := tinyDB(t)
 	res, err := searchDB(db, NewSequence("q", "MKWVLA"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hits) != 4 || len(res.Scores) != 4 {
-		t.Fatalf("hits %d scores %d", len(res.Hits), len(res.Scores))
+	if scores := scoreList(t, db, res); len(scores) != 4 {
+		t.Fatalf("%d scores", len(scores))
 	}
 	// The best hit must be one of the sequences containing MKWVLA.
 	if res.Hits[0].ID != "s1" && res.Hits[0].ID != "s3" {
@@ -61,19 +95,23 @@ func TestSearchDefaults(t *testing.T) {
 func TestSearchAllVariantsAgree(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLARN")
-	var want *ClusterResult
+	var (
+		want       *ClusterResult
+		wantScores []int32
+	)
 	for _, v := range Variants() {
 		res, err := searchDB(db, q, Options{Variant: v})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
+		scores := scoreList(t, db, res)
 		if want == nil {
-			want = res
+			want, wantScores = res, scores
 			continue
 		}
-		for i := range want.Scores {
-			if res.Scores[i] != want.Scores[i] {
-				t.Fatalf("%s: score %d differs: %d vs %d", v, i, res.Scores[i], want.Scores[i])
+		for i := range wantScores {
+			if scores[i] != wantScores[i] {
+				t.Fatalf("%s: score %d differs: %d vs %d", v, i, scores[i], wantScores[i])
 			}
 		}
 		if res.Cells != want.Cells || res.Overflows8 != want.Overflows8 || res.Overflows != want.Overflows {
@@ -99,6 +137,20 @@ func TestSearchOptionErrors(t *testing.T) {
 	}
 	if _, err := NewDatabase([]Sequence{{}}); err == nil {
 		t.Error("zero-value database sequence accepted")
+	}
+}
+
+// A database holds one alphabet: a mix is an error naming the first
+// sequence that differs, not a panic.
+func TestNewDatabaseMixedAlphabets(t *testing.T) {
+	_, err := NewDatabase([]Sequence{
+		NewSequence("a", "MKV"),
+		NewSequence("b", "WYV"),
+		NewDNASequence("c", "ACGT"),
+		NewDNASequence("d", "GGCA"),
+	})
+	if err == nil || !strings.Contains(err.Error(), `"c"`) || strings.Contains(err.Error(), `"d"`) {
+		t.Fatalf("mixed alphabets: err = %v, want one naming sequence \"c\"", err)
 	}
 }
 
@@ -249,20 +301,30 @@ func TestSequenceBasics(t *testing.T) {
 
 func TestSignificanceAPI(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.002, true)
-	res, err := searchDB(db, queries[4], Options{})
+	cl, err := NewCluster(db, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := res.FitSignificance(0)
+	res, err := cl.Search(queries[4], ReportOptions{EValues: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sig := res.Significance
+	// The model is the one fitted over every subject's score.
+	all, err := cl.Search(queries[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := scoreList(t, db, all)
+	if m, err := stats.FitEValues(scores, 0); err != nil || sig == nil || m.String() != sig.String() {
+		t.Fatalf("Significance %v, want the fit over the full score list (%v, %v)", sig, m, err)
 	}
 	// The planted self-hit must be overwhelmingly significant.
 	if e := sig.EValue(res.Hits[0].Score); e > 1e-6 {
 		t.Fatalf("self-hit EValue %v", e)
 	}
 	// A mid-distribution score is unremarkable.
-	mid := int(res.Scores[len(res.Scores)/2])
+	mid := int(scores[len(scores)/2])
 	if e := sig.EValue(mid); e < 1 {
 		t.Fatalf("median score EValue %v, want >> 1", e)
 	}
@@ -369,14 +431,16 @@ func TestLongPathAPIEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refScores := scoreList(t, db, ref)
 	for _, opt := range []Options{{}, {Variant: VariantGuidedQP}, {Variant: VariantIntrinsicQP}} {
 		res, err := searchDB(db, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref.Scores {
-			if res.Scores[i] != ref.Scores[i] {
-				t.Fatalf("%+v: score %d = %d, want %d", opt, i, res.Scores[i], ref.Scores[i])
+		scores := scoreList(t, db, res)
+		for i := range refScores {
+			if scores[i] != refScores[i] {
+				t.Fatalf("%+v: score %d = %d, want %d", opt, i, scores[i], refScores[i])
 			}
 		}
 		if res.Overflows8 != 0 {
@@ -394,14 +458,16 @@ func TestSearchLadderVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refScores := scoreList(t, db, ref)
 	for _, variant := range []string{VariantIntrinsicSP, VariantIntrinsicQP} {
 		got, err := searchDB(db, q, Options{Variant: variant})
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
-		for i := range ref.Scores {
-			if got.Scores[i] != ref.Scores[i] {
-				t.Fatalf("%s: seq %d score %d, want %d", variant, i, got.Scores[i], ref.Scores[i])
+		gotScores := scoreList(t, db, got)
+		for i := range refScores {
+			if gotScores[i] != refScores[i] {
+				t.Fatalf("%s: seq %d score %d, want %d", variant, i, gotScores[i], refScores[i])
 			}
 		}
 		if got.Overflows8 != 0 || got.Overflows != 0 {
@@ -423,8 +489,8 @@ func TestSearchLadderVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scores[0] != 255 {
-		t.Fatalf("saturating subject scored %d, want 255", res.Scores[0])
+	if s := scoreList(t, sat, res)[0]; s != 255 {
+		t.Fatalf("saturating subject scored %d, want 255", s)
 	}
 	if res.Overflows8 != 1 || res.Overflows != 0 {
 		t.Fatalf("escalations %d/%d, want 1/0", res.Overflows8, res.Overflows)

@@ -72,39 +72,16 @@ type ClusterOptions struct {
 	MaxInFlight int
 	// CacheSize is the capacity, in entries, of the cluster's LRU result
 	// cache, shared by every scheduled path so repeated queries are free.
-	// Each cached result holds a database-length score list and the K hits
-	// its request asked for, so the zero-value default is derived from the
-	// database size against a ~512 MB budget (at most 512 entries, at
-	// least 8 — 247 entries on the full 541k-sequence Swiss-Prot).
-	// Negative disables caching.
+	// An entry holds its request's K hits and counters, no score list, so
+	// the zero-value default is 512 whatever the database size (only a
+	// request for every hit caches one per sequence). Negative disables
+	// caching.
 	CacheSize int
 }
 
-// Cache sizing when ClusterOptions.CacheSize is zero: a memory budget
-// divided by the estimated per-entry cost, clamped to [minCacheSize,
-// maxCacheSize]. What grows with the database in an entry is Result.Scores,
-// one int32 (cacheBytesPerSeq) per sequence; the hit list is as long as the
-// request's K, and cacheEntryBytes covers ten hits with their IDs,
-// tracebacks and E-values several times over.
-const (
-	cacheBudgetBytes = 512 << 20
-	cacheBytesPerSeq = 4
-	cacheEntryBytes  = 4096
-	minCacheSize     = 8
-	maxCacheSize     = 512
-)
-
-func defaultCacheSize(dbLen int) int {
-	per := int64(dbLen)*cacheBytesPerSeq + cacheEntryBytes
-	n := int(cacheBudgetBytes / per)
-	if n > maxCacheSize {
-		return maxCacheSize
-	}
-	if n < minCacheSize {
-		return minCacheSize
-	}
-	return n
-}
+// defaultCacheEntries is the cache capacity when ClusterOptions.CacheSize
+// is zero: 512 entries of ten hits stay within a few MiB on any database.
+const defaultCacheEntries = 512
 
 // ClusterResult reports a cluster search.
 type ClusterResult struct {
@@ -113,11 +90,14 @@ type ClusterResult struct {
 	// distribution when the search requested ReportOptions.EValues; nil
 	// otherwise.
 	Significance *Significance
+	// wire is a shard node's score list, which /shard/search sends; nil
+	// on every result a door returns.
+	wire []int32
 }
 
 // ReportOptions selects the optional reporting phases of one search call.
-// The zero value is the plain score pass of the paper's step 4: a
-// descending score list and nothing else. Report options are part of the
+// The zero value is the plain score pass of the paper's step 4: every
+// subject as a hit, by descending score. Report options are part of the
 // scheduler cache key, so an aligned result and a score-only result of the
 // same query never alias in the cluster's LRU cache.
 type ReportOptions struct {
@@ -128,11 +108,11 @@ type ReportOptions struct {
 	// and identity counts (Hit.Alignment). The traceback phase only ever
 	// aligns K sequences, never the full database.
 	Alignments bool
-	// EValues fits a Gumbel null model over the full score distribution
-	// (see Result.FitSignificance) and decorates every reported hit with
-	// its bit score and E-value (Hit.Significance); the fitted model is
-	// returned as ClusterResult.Significance. Fails with ErrNoSignificance
-	// on databases with fewer than a few dozen sequences.
+	// EValues fits a Gumbel null model over the full score distribution,
+	// its top 1% trimmed as suspected homologs, and decorates every
+	// reported hit with its bit score and E-value (Hit.Significance); the
+	// fitted model is returned as ClusterResult.Significance. Fails with
+	// ErrNoSignificance on databases with fewer than a few dozen sequences.
 	EValues bool
 	// TopK is this call's K, the length of its hit list; 0 reports every
 	// hit. It travels with the query to the engine, which selects exactly
@@ -330,13 +310,13 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 
 // startScheduler builds the cluster's one query scheduler and its result
 // cache; both constructors call it once the rest of the cluster is set.
-// cacheSize is ClusterOptions.CacheSize, 0 selecting the default sized
-// from the database. The key prefix fingerprints every option that can
-// change a result; within one cluster the options are fixed, so it is the
-// constant prefix of the scheduler cache keys (see cacheKey).
+// cacheSize is ClusterOptions.CacheSize, 0 selecting defaultCacheEntries.
+// The key prefix fingerprints every option that can change a result;
+// within one cluster the options are fixed, so it is the constant prefix
+// of the scheduler cache keys (see cacheKey).
 func (c *Cluster) startScheduler(maxInFlight, cacheSize int) {
 	if cacheSize == 0 {
-		cacheSize = defaultCacheSize(c.db.Len())
+		cacheSize = defaultCacheEntries
 	}
 	c.cache = qsched.NewCache[*ClusterResult](cacheSize)
 	c.keyBase = fmt.Sprintf("%+v|", c.dopt.Search)
@@ -415,10 +395,6 @@ func (c *Cluster) Plan(queryLen int) (*Plan, error) {
 		}
 	}
 	return out, nil
-}
-
-func wrapCluster(r *core.ClusterResult) *ClusterResult {
-	return &ClusterResult{Result: *wrapResult(r)}
 }
 
 // Totals reports the number of completed query searches, the aligned-hit

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
@@ -17,6 +18,7 @@ func TestClusterMatchesSingleDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	singleScores := scoreList(t, db, single)
 	for _, dist := range []string{"static", "dynamic", "guided"} {
 		cl, err := NewCluster(db, ClusterOptions{
 			Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi},
@@ -29,9 +31,10 @@ func TestClusterMatchesSingleDevice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
-		for i := range single.Scores {
-			if res.Scores[i] != single.Scores[i] {
-				t.Fatalf("%s: score %d: cluster %d != single %d", dist, i, res.Scores[i], single.Scores[i])
+		scores := scoreList(t, db, res)
+		for i := range singleScores {
+			if scores[i] != singleScores[i] {
+				t.Fatalf("%s: score %d: cluster %d != single %d", dist, i, scores[i], singleScores[i])
 			}
 		}
 		// The roster and the distribution are what Plan prices.
@@ -97,7 +100,7 @@ func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 			}
 			if first == nil {
 				first = res
-			} else if !reflect.DeepEqual(res.Hits, first.Hits) || !reflect.DeepEqual(res.Scores, first.Scores) || res.Cells != first.Cells {
+			} else if !reflect.DeepEqual(res.Hits, first.Hits) || !reflect.DeepEqual(scoreList(t, db, res), scoreList(t, db, first)) || res.Cells != first.Cells {
 				t.Fatalf("%v: results differ from the zero ClusterOptions'", opt.Devices)
 			}
 		}
@@ -145,9 +148,10 @@ func TestClusterSearchBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range single.Scores {
-			if results[i].Scores[j] != single.Scores[j] {
-				t.Fatalf("query %d seq %d: batch %d != single %d", i, j, results[i].Scores[j], single.Scores[j])
+		got, want := scoreList(t, db, results[i]), scoreList(t, db, single)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("query %d seq %d: batch %d != single %d", i, j, got[j], want[j])
 			}
 		}
 	}
@@ -228,16 +232,21 @@ func TestClusterConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := searchDB(db, queries[0], Options{})
+	ref, err := searchDB(db, queries[0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := scoreList(t, db, ref)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
-	check := func(scores []int32) error {
-		for i := range want.Scores {
-			if scores[i] != want.Scores[i] {
+	check := func(res *ClusterResult) error {
+		scores, err := hitScores(db, res)
+		if err != nil {
+			return err
+		}
+		for i := range want {
+			if scores[i] != want[i] {
 				return fmt.Errorf("score %d diverged under concurrency", i)
 			}
 		}
@@ -250,7 +259,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 			for k := 0; k < 2; k++ {
 				res, err := static.Search(queries[0])
 				if err == nil {
-					err = check(res.Scores)
+					err = check(res)
 				}
 				if err != nil {
 					errc <- err
@@ -266,7 +275,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 				return
 			}
 			for _, r := range batch {
-				if err := check(r.Scores); err != nil {
+				if err := check(r); err != nil {
 					errc <- err
 					return
 				}
@@ -277,7 +286,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 			for k := 0; k < 2; k++ {
 				res, err := static.Do(context.Background(), Request{Query: queries[k]})
 				if err == nil && k == 0 {
-					err = check(res.Scores)
+					err = check(res)
 				}
 				if err != nil {
 					errc <- err
@@ -293,34 +302,55 @@ func TestClusterConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestDefaultCacheSize pins the derived LRU capacity. An entry costs
-// 4 B per database sequence (Result.Scores, int32) plus 4 KiB for its K
-// hits, and the budget is 512 MiB:
-//
-//	541,561 sequences (Swiss-Prot 2013_11): 541,561 x 4 + 4,096 = 2,170,340 B;
-//	536,870,912 / 2,170,340 = 247.4 -> 247 entries
-//
-// clamped to [8, 512]: 261,000 sequences still get all 512 (1,048,096 B an
-// entry -> 512.2) where 262,000 get 510, and the floor of 8 binds beyond
-// 16.8 million sequences (a hundred million would get 1).
-func TestDefaultCacheSize(t *testing.T) {
-	for _, tc := range []struct{ dbLen, want int }{
-		{0, 512},
-		{261_000, 512},
-		{262_000, 510},
-		{541_561, 247},
-		{100_000_000, 8},
-	} {
-		if got := defaultCacheSize(tc.dbLen); got != tc.want {
-			t.Errorf("defaultCacheSize(%d) = %d, want %d", tc.dbLen, got, tc.want)
+// TestCachedEntryHoldsNoScoreList pins what a cached top-10 answer keeps
+// on the heap: its hits and counters, nothing as long as the database. A
+// database-long score list would keep 4 B a sequence in every entry.
+func TestCachedEntryHoldsNoScoreList(t *testing.T) {
+	const n, entries = 20000, 64
+	db, warm := servingDB(t, n)
+	cl, err := NewCluster(db, ClusterOptions{CacheSize: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.CloseNow()
+	rng := rand.New(rand.NewSource(49))
+	queries := make([]Sequence, entries)
+	for i := range queries {
+		res := make([]byte, 75)
+		for j := range res {
+			res[j] = "ARNDCQEGHILKMFPSTWYV"[rng.Intn(20)]
 		}
+		queries[i] = NewSequence(fmt.Sprintf("q%d", i), string(res))
+	}
+	// The warm query builds the lane packings and worker scratch, which
+	// every later query reuses; its own entry is in the baseline.
+	if _, err := cl.Do(context.Background(), Request{Query: warm, Report: ReportOptions{TopK: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, q := range queries {
+		if _, err := cl.Do(context.Background(), Request{Query: q, Report: ReportOptions{TopK: 10}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := cl.CacheStats().Entries; got != entries {
+		t.Fatalf("cache holds %d entries, want %d", got, entries)
+	}
+	perSeq := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / entries / n
+	t.Logf("%.3f B per database sequence per cached entry", perSeq)
+	if perSeq >= 2 {
+		t.Fatalf("each cached top-10 entry retains %.3f B per database sequence, want under 2", perSeq)
 	}
 }
 
 // TestSearchAllocationIsBounded pins what a serving-shaped search leaves on
 // the heap: the one score list that is as long as the database (the
-// engine's int32 scores, which Result.Scores shares, 4 B a sequence) and
-// nothing else that grows with it. A copy of the scores, an N-long hit
+// engine's int32 scores, 4 B a sequence, which the selection reads and the
+// result drops) and nothing else that grows with it. A copy of the scores, an N-long hit
 // list (32 B a sequence in core, 56 in the public result) or an N-long sort
 // buffer would not fit the bound.
 func TestSearchAllocationIsBounded(t *testing.T) {
@@ -333,8 +363,8 @@ func TestSearchAllocationIsBounded(t *testing.T) {
 	defer cl.CloseNow()
 	search := func() {
 		res, err := cl.Search(q, ReportOptions{TopK: 10})
-		if err != nil || len(res.Hits) != 10 || len(res.Scores) != n {
-			t.Fatalf("search: %v (%d hits, %d scores)", err, len(res.Hits), len(res.Scores))
+		if err != nil || len(res.Hits) != 10 {
+			t.Fatalf("search: %v (%d hits)", err, len(res.Hits))
 		}
 	}
 	search() // lane packings and worker scratch are built once

@@ -87,7 +87,7 @@ func main() {
 		matrix    = flag.String("matrix", "", "substitution matrix (default: BLOSUM62 for protein, NUC for DNA)")
 		dna       = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database under the IUPAC DNA alphabet")
 		inflight  = flag.Int("inflight", 0, "max queries in flight (0 = default)")
-		cacheSize = flag.Int("cache", 0, "LRU result cache entries (0 = default, negative disables)")
+		cacheSize = flag.Int("cache", 0, "LRU result cache entries (0 = 512, negative disables)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 
 		shardsFlag  = flag.String("shards", "", "node mode: comma-separated shard .swdb files to serve the shard protocol for")

@@ -55,13 +55,13 @@ func TestDecorateCancelled(t *testing.T) {
 	jb := prepared(t, cl, Request{Query: q, Report: ReportOptions{Alignments: true}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = cl.decorate(ctx, cl.engine(), cl.dopt, &jb, res, nil)
+	err = cl.decorate(ctx, cl.engine(), cl.dopt, &jb, res, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled decorate: err = %v, want context.Canceled", err)
 	}
 	// The same call with a live context succeeds, so the failure above is
 	// the cancellation, not the inputs.
-	if err := cl.decorate(context.Background(), cl.engine(), cl.dopt, &jb, res, nil); err != nil {
+	if err := cl.decorate(context.Background(), cl.engine(), cl.dopt, &jb, res, nil, nil); err != nil {
 		t.Fatalf("live decorate: %v", err)
 	}
 	for _, h := range res.Hits {
@@ -94,7 +94,7 @@ func TestSearchTranslatedContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scores) != db.Len() || res.Hits[0].Frame == 0 {
+	if _, err := hitScores(db, res); err != nil || res.Hits[0].Frame == 0 {
 		t.Fatalf("translated result: %+v", res)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -144,10 +145,11 @@ func TestCoordinatorConformance(t *testing.T) {
 	})
 	t.Run("ties", func(t *testing.T) {
 		parentPath, manifestPath, shardPaths, queries := tieSetup(t)
-		for _, want := range checkCoordinatorConformance(t, parentPath, manifestPath, shardPaths, queries) {
+		wants, scores := checkCoordinatorConformance(t, parentPath, manifestPath, shardPaths, queries)
+		for i, want := range wants {
 			kth := want.Hits[len(want.Hits)-1].Score
 			tied, kept := 0, 0
-			for _, s := range want.Scores {
+			for _, s := range scores[i] {
 				if int(s) == kth {
 					tied++
 				}
@@ -223,7 +225,7 @@ func tieSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []strin
 // checkCoordinatorConformance compares a coordinator over one node per
 // shard with a single-node cluster of the parent, query by query, and
 // returns the single-node results.
-func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, shardPaths []string, queries []Sequence) []*ClusterResult {
+func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, shardPaths []string, queries []Sequence) (wants []*ClusterResult, scores [][]int32) {
 	t.Helper()
 	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
 	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
@@ -249,8 +251,27 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 	defer ref.CloseNow()
 
 	rep := ReportOptions{Alignments: true, EValues: true, TopK: 5}
-	var wants []*ClusterResult
 	for _, q := range queries {
+		// Every subject's score, read from an every-hit search, merges
+		// into the single-node list on both doors.
+		all, err := ref.Search(q)
+		if err != nil {
+			t.Fatalf("reference every-hit Search(%s): %v", q.ID(), err)
+		}
+		wantScores := scoreList(t, refDB, all)
+		scores = append(scores, wantScores)
+		for door, search := range map[string]func() (*ClusterResult, error){
+			"Search": func() (*ClusterResult, error) { return coord.Search(q) },
+			"Do":     func() (*ClusterResult, error) { return coord.Do(context.Background(), Request{Query: q}) },
+		} {
+			got, err := search()
+			if err != nil {
+				t.Fatalf("coordinator every-hit %s(%s): %v", door, q.ID(), err)
+			}
+			if gotScores := scoreList(t, parentDB, got); !slices.Equal(gotScores, wantScores) {
+				t.Errorf("query %s: coordinator %s score list differs from single-node", q.ID(), door)
+			}
+		}
 		want, err := ref.Search(q, rep)
 		if err != nil {
 			t.Fatalf("reference Search(%s): %v", q.ID(), err)
@@ -289,7 +310,7 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 			t.Errorf("query %s: cells %d != single-node %d", q.ID(), got.Cells, want.Cells)
 		}
 	}
-	return wants
+	return wants, scores
 }
 
 // TestCoordinatorRejectsRequestMatrix pins the distributed matrix

@@ -163,10 +163,11 @@
 // read-only. DoBatch runs a batch one request after another, so it holds
 // one request's working memory at a time, and returns the results in
 // request order; the cmd/swserve HTTP server's /search is one Do and its
-// /batch one DoBatch. ClusterOptions.MaxInFlight and CacheSize tune the
-// scheduler. Search (and SearchScheduled, Do in variadic form) serve direct
-// searches only; Search takes a scheduler slot like every door but is never
-// joined or cached, so every call computes.
+// /batch one DoBatch. ClusterOptions.MaxInFlight and CacheSize (512
+// entries of K hits by default) tune the scheduler. Search (and
+// SearchScheduled, Do in variadic form) serve direct searches only;
+// Search takes a scheduler slot like every door but is never joined or
+// cached, so every call computes.
 //
 // A caller that wants several results in request order issues concurrent
 // Do calls and reads each result from its request's slot; they share the
@@ -219,8 +220,9 @@
 // engine, whose one bounded selection returns exactly K hits in the
 // order of the paper's step 4 (score descending, ties in database
 // order); nothing downstream orders or holds more, so Result.Hits is K
-// long in a cached entry too, while Result.Scores stays database-long: the
-// engine's own []int32, 4 bytes a sequence, shared rather than copied.
+// long in a cached entry too, and no result keeps the engine's score list:
+// a caller that wants every subject's score asks for every hit (TopK 0,
+// no reporting phase).
 // Report options, K included, are part of the scheduler's dedup/cache
 // key, so an aligned result and a score-only result of the same query
 // never alias, nor do two different K; the HTTP front end's top_k is that

@@ -7,22 +7,10 @@ import (
 // Significance is a fitted statistical model of a search's null score
 // distribution, for converting raw Smith-Waterman scores into E-values
 // (the expected number of equal-or-better chance hits in a database of
-// this size) — the significance measure BLAST-style tools report.
+// this size) — the significance measure BLAST-style tools report; see
+// ReportOptions.EValues.
 type Significance struct {
 	impl *stats.EValueModel
-}
-
-// FitSignificance fits an extreme-value (Gumbel) null model to this
-// search's score list. The bulk of any large database is unrelated to the
-// query, so the empirical score distribution estimates the null; the top
-// trimFrac fraction of scores is excluded as suspected homologs (0 selects
-// the 1% default). Requires a few dozen database sequences.
-func (r *Result) FitSignificance(trimFrac float64) (*Significance, error) {
-	m, err := stats.FitEValues(r.Scores, trimFrac)
-	if err != nil {
-		return nil, err
-	}
-	return &Significance{impl: m}, nil
 }
 
 // EValue returns the expected number of database subjects reaching score s

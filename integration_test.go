@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"heterosw/internal/stats"
 )
 
 // TestIntegrationFullPipeline runs the complete user journey: generate ->
@@ -46,7 +48,11 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 	query := loadedQs[3] // 375 aa
 
-	xeon, err := searchDB(db, query, Options{})
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xeon, err := cl.Search(query, ReportOptions{EValues: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +62,13 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if xeon.Hits[0].ID != query.ID() {
 		t.Fatalf("top hit %q, want %q", xeon.Hits[0].ID, query.ID())
 	}
-	sig, err := xeon.FitSignificance(0)
+	all, err := cl.Search(query)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sig := xeon.Significance
+	if m, err := stats.FitEValues(scoreList(t, db, all), 0); err != nil || sig == nil || m.String() != sig.String() {
+		t.Fatalf("Significance %v, want the fit over the full score list (%v, %v)", sig, m, err)
 	}
 	if e := sig.EValue(xeon.Hits[0].Score); e > 1e-9 {
 		t.Fatalf("self-hit EValue %v", e)
@@ -112,13 +122,14 @@ func TestIntegrationConfigurationMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		scores := scoreList(t, db, res)
 		if want == nil {
-			want = res.Scores
+			want = scores
 			return
 		}
 		for i := range want {
-			if res.Scores[i] != want[i] {
-				t.Fatalf("%s: score %d = %d, want %d", label, i, res.Scores[i], want[i])
+			if scores[i] != want[i] {
+				t.Fatalf("%s: score %d = %d, want %d", label, i, scores[i], want[i])
 			}
 		}
 	}

@@ -244,7 +244,7 @@ func exchange[T any](ctx context.Context, method, url string, body []byte, check
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxNodeResponseBytes))
+	raw, err := readBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		msg := ""
 		var ej errorJSON
@@ -266,4 +266,15 @@ func exchange[T any](ctx context.Context, method, url string, body []byte, check
 		}
 	}
 	return out, nil
+}
+
+// readBody reads at most maxNodeResponseBytes of a response body, into one
+// buffer when the body declares its length, else into a growing one.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxNodeResponseBytes {
+		raw := make([]byte, n)
+		got, err := io.ReadFull(resp.Body, raw)
+		return raw[:got], err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxNodeResponseBytes))
 }

@@ -2,12 +2,15 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +60,67 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	}
 	if len(resp.Scores) != 3 || resp.Scores[0] != 7 {
 		t.Fatalf("unexpected scores %v", resp.Scores)
+	}
+}
+
+// TestShardSearchReadsOneBuffer pins what reading a node answer costs when
+// it declares its Content-Length, as every node answer does: one buffer of
+// that size. What one ShardSearch allocates beyond decoding its body and
+// beyond the fixed cost of a round trip (both measured here, the latter
+// with a 3-score answer) is the read, and for an 8,000-score answer it
+// stays under twice the body; io.ReadAll's growing buffer over the same
+// bytes allocates about four times it.
+func TestShardSearchReadsOneBuffer(t *testing.T) {
+	const residues = 1000
+	req := searchReq()
+	allocated := func(f func()) int64 {
+		f() // the connection, and anything else made once
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	// beyondDecode serves an n-score answer with its Content-Length and
+	// returns the body's size and what a ShardSearch of it allocates beyond
+	// decoding the same bytes.
+	beyondDecode := func(n int) (int64, int64) {
+		scores := make(ScoreList, n)
+		for i := range scores {
+			scores[i] = int32(i % 100)
+		}
+		body, err := json.Marshal(ShardSearchResponse{Shard: req.Shard, Scores: scores, Cells: int64(len(req.Codes)) * residues})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			_, _ = w.Write(body)
+		}))
+		defer srv.Close()
+		c := fastClient(Options{})
+		search := allocated(func() {
+			if _, err := c.ShardSearch(context.Background(), []string{srv.URL}, req, n, residues); err != nil {
+				t.Fatal(err)
+			}
+		})
+		decode := allocated(func() {
+			var r ShardSearchResponse
+			if err := json.Unmarshal(body, &r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return int64(len(body)), search - decode
+	}
+	_, fixed := beyondDecode(3)
+	size, total := beyondDecode(8000)
+	read := total - fixed
+	t.Logf("%d B answer: %d B read, %d B a round trip's fixed cost", size, read, fixed)
+	if read >= 2*size {
+		t.Fatalf("reading a %d B answer allocates %d B, want under %d", size, read, 2*size)
 	}
 }
 

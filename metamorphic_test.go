@@ -96,7 +96,7 @@ func TestMetamorphicThroughDo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Scores, cl.LadderStats()
+		return scoreList(t, d, res), cl.LadderStats()
 	}
 	for _, tr := range vec.Tiers() {
 		func() {

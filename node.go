@@ -159,7 +159,7 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
 		Shard:         req.Shard,
-		Scores:        res.Scores,
+		Scores:        res.wire,
 		Cells:         res.Cells,
 		WallSeconds:   res.WallSeconds,
 		Overflows:     res.Overflows,

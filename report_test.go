@@ -5,8 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"heterosw/internal/sequence"
+	"heterosw/internal/stats"
 )
 
 // The direct Search path with ReportOptions must produce decorations that
@@ -68,6 +72,18 @@ func TestReportUnboundedTopKIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", "MKWVLAARNDCCQEGHIL")
+	// A score-only search over the same cluster stays unbounded.
+	plain, err := cl.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.Hits) != db.Len() {
+		t.Fatalf("score-only search returned %d hits, want %d", len(plain.Hits), db.Len())
+	}
+	full, err := stats.FitEValues(scoreList(t, db, plain), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, rep := range []ReportOptions{
 		{Alignments: true},
 		{EValues: true},
@@ -88,17 +104,71 @@ func TestReportUnboundedTopKIsBounded(t *testing.T) {
 				t.Fatalf("%+v: hit %s missing significance", rep, h.ID)
 			}
 		}
-		if len(res.Scores) != db.Len() {
-			t.Fatalf("%+v: score list truncated to %d", rep, len(res.Scores))
+		// The fit reads every subject's score, not the bounded hit list.
+		if rep.EValues && res.Significance.String() != full.String() {
+			t.Fatalf("%+v: significance %v, want the fit over all %d scores %v", rep, res.Significance, db.Len(), full)
 		}
 	}
-	// A score-only search over the same cluster stays unbounded.
-	plain, err := cl.Search(q)
+}
+
+// TestEveryHitContract pins how a caller reads every subject's score: Do
+// with the zero ReportOptions returns one hit per database sequence, each
+// index once, ordered by score descending and then by index, and the hit
+// scores are the dispatcher's own score list — for a direct search, one
+// under a request-scoped matrix and a translated one (each subject's best
+// frame).
+func TestEveryHitContract(t *testing.T) {
+	db, queries := SyntheticSwissProt(0.0003, true)
+	cl, err := NewCluster(db, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Hits) != db.Len() {
-		t.Fatalf("score-only search returned %d hits, want %d", len(plain.Hits), db.Len())
+	defer cl.CloseNow()
+	dna := "ATGAAATGGGTACTGGCTGCACGTAATGATTGCTGTCAGGAAGGCCATATTCTGTGGTATGTT"
+	for name, req := range map[string]Request{
+		"direct":     {Query: queries[1]},
+		"matrix":     {Query: queries[1], Matrix: scaledBLOSUM62(t, 2)},
+		"translated": {Query: NewDNASequence("d", dna), Translate: true},
+	} {
+		res, err := cl.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := scoreList(t, db, res)
+		for i := 1; i < len(res.Hits); i++ {
+			a, b := res.Hits[i-1], res.Hits[i]
+			if a.Score < b.Score || a.Score == b.Score && a.Index > b.Index {
+				t.Fatalf("%s: hit %d (%d, index %d) before hit %d (%d, index %d)", name, i-1, a.Score, a.Index, i, b.Score, b.Index)
+			}
+		}
+		// The dispatcher's list, read under the job's matrix, over the
+		// job's frames.
+		jb := prepared(t, cl, req)
+		dopt := cl.dopt
+		if jb.matrix != nil {
+			dopt.Search.Matrix = jb.matrix
+		}
+		frames := jb.fseqs
+		if jb.frames == nil {
+			frames = []*sequence.Sequence{jb.query.impl}
+		}
+		var want []int32
+		for _, q := range frames {
+			r, err := cl.engine().SearchContext(context.Background(), q, dopt, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = r.Scores
+				continue
+			}
+			for i, v := range r.Scores {
+				want[i] = max(want[i], v)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: hit scores differ from the dispatcher's score list", name)
+		}
 	}
 }
 

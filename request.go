@@ -10,6 +10,7 @@ import (
 	"heterosw/internal/core"
 	"heterosw/internal/qsched"
 	"heterosw/internal/sequence"
+	"heterosw/internal/stats"
 	"heterosw/internal/submat"
 	"heterosw/internal/translate"
 )
@@ -241,8 +242,9 @@ func (c *Cluster) scheduled(ctx context.Context, jb job) (*ClusterResult, error)
 // cluster's scheduler. jb comes from prepare, or is a shard node's wire
 // job. A direct job is one score pass that selects the K hits its request
 // asked for; a translated job is one score pass per frame, merged before
-// the hits are selected. The result is then decorated. ctx is checked before every score pass and threaded into
-// the traceback phase.
+// the hits are selected. The result is then decorated; only a wire job's
+// result keeps the score list. ctx is checked before every score pass and
+// threaded into the traceback phase.
 func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 	disp := c.engine()
 	dopt := c.dopt
@@ -255,10 +257,13 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return wrapCluster(r), nil
+		res := wrapCluster(r)
+		res.wire = r.Scores
+		return res, nil
 	}
 	var (
 		res    *ClusterResult
+		scores []int32
 		winner []int
 	)
 	if jb.frames != nil {
@@ -272,15 +277,15 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 			}
 			per[i] = r
 		}
-		res, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
+		res, scores, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
 	} else {
 		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, topK(jb.rep))
 		if err != nil {
 			return nil, err
 		}
-		res = wrapCluster(r)
+		res, scores = wrapCluster(r), r.Scores
 	}
-	if err := c.decorate(ctx, disp, dopt, &jb, res, winner); err != nil {
+	if err := c.decorate(ctx, disp, dopt, &jb, res, scores, winner); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -290,9 +295,9 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 // subject keeps its best frame score (ties to the earlier frame, in
 // +1..+3, -1..-3 order), cost accounting sums over frames, and the k best
 // hits (all when 0) are selected over the merged scores, each stamped with
-// its winning frame. The second return value maps each database index to
-// the index (into frames) of its winning frame.
-func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Frame, k int) (*ClusterResult, []int) {
+// its winning frame. It also returns the merged scores and a map from each
+// database index to the index (into frames) of its winning frame.
+func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Frame, k int) (*ClusterResult, []int32, []int) {
 	best := res[0]
 	winner := make([]int, len(best.Scores))
 	for i, r := range res[1:] {
@@ -311,24 +316,25 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 		h := &merged.Hits[i]
 		h.Frame = frames[winner[h.Index]].Index
 	}
-	return merged, winner
+	return merged, best.Scores, winner
 }
 
 // decorate runs the reporting phases over a freshly assembled result,
-// whose hit list is already the request's K long: the significance fit,
-// then the traceback phase, each hit re-aligned against the query its
+// whose hit list is already the request's K long: the significance fit
+// over scores, the search's full score list, then the traceback phase, each hit re-aligned against the query its
 // score came from — for a translated job the winning frame's protein
 // (winner maps a database index to its frame; nil for a direct search),
 // with the aligned segment mapped back to nucleotide coordinates. It must
 // only ever see results this call owns: cached results are decorated
 // before they enter the cache, never after. disp must be the engine
 // snapshot that scored the result, and dopt the options it scored under.
-func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *ClusterResult, winner []int) error {
+func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *ClusterResult, scores []int32, winner []int) error {
 	if jb.rep.EValues {
-		sig, err := res.FitSignificance(0)
+		m, err := stats.FitEValues(scores, 0)
 		if err != nil {
 			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
 		}
+		sig := &Significance{impl: m}
 		res.Significance = sig
 		for i := range res.Hits {
 			h := &res.Hits[i]

@@ -235,8 +235,9 @@ func TestSchedulerCacheServesRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range direct.Scores {
-		if first.Scores[i] != direct.Scores[i] || second.Scores[i] != direct.Scores[i] {
+	want, got1, got2 := scoreList(t, db, direct), scoreList(t, db, first), scoreList(t, db, second)
+	for i := range want {
+		if got1[i] != want[i] || got2[i] != want[i] {
 			t.Fatalf("scheduled score %d diverged from direct search", i)
 		}
 	}

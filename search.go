@@ -1,6 +1,8 @@
 package heterosw
 
 import (
+	"fmt"
+
 	"heterosw/internal/core"
 	"heterosw/internal/seqdb"
 )
@@ -18,11 +20,18 @@ type Database struct {
 
 // NewDatabase indexes sequences with the paper's pre-processing: the
 // processing order is sorted by length so lane groups pack tightly and
-// scheduling stays balanced.
+// scheduling stays balanced. Every sequence must share the first one's
+// alphabet.
 func NewDatabase(seqs []Sequence) (*Database, error) {
 	raw, err := unwrapSeqs(seqs)
 	if err != nil {
 		return nil, err
+	}
+	for i, s := range raw {
+		if a := raw[0].Alphabet(); s.Alphabet() != a {
+			return nil, fmt.Errorf("heterosw: sequence %d (%q) holds %s residues in a %s database",
+				i, s.ID, s.Alphabet().Name(), a.Name())
+		}
 	}
 	return &Database{db: seqdb.New(raw, true)}, nil
 }
@@ -97,7 +106,7 @@ type HitAlignment struct {
 }
 
 // HitSignificance is a hit's statistical significance under the fitted
-// Gumbel null model of its search (see Result.FitSignificance).
+// Gumbel null model of its search (ClusterResult.Significance).
 type HitSignificance struct {
 	// BitScore is the raw score on the fitted model's bit scale; EValue
 	// the expected number of equal-or-better chance hits in a database of
@@ -106,14 +115,12 @@ type HitSignificance struct {
 	EValue   float64
 }
 
-// Result reports a database search.
+// Result reports a database search: its hits and counters. Every subject's
+// score is the hit list of a search with TopK 0 and no reporting phase.
 type Result struct {
-	// Hits is sorted by descending score (the paper's step 4), truncated
-	// to TopK when requested.
+	// Hits is sorted by descending score (the paper's step 4), ties by
+	// database order, truncated to TopK when requested.
 	Hits []Hit
-	// Scores holds every subject's score in database order: the list the
-	// engine produced, not a copy.
-	Scores []int32
 	// Cells is the number of dynamic-programming cell updates (the GCUPS
 	// numerator).
 	Cells int64
@@ -135,16 +142,15 @@ type Result struct {
 	OverflowCells int64
 }
 
-func wrapResult(r *core.Result) *Result {
-	out := &Result{
+func wrapCluster(r *core.ClusterResult) *ClusterResult {
+	out := &ClusterResult{Result: Result{
 		Hits:          make([]Hit, len(r.Hits)),
-		Scores:        r.Scores,
 		Cells:         r.Stats.Cells,
 		WallSeconds:   r.WallSeconds,
 		Overflows:     r.Stats.Overflows,
 		Overflows8:    r.Stats.Overflows8,
 		OverflowCells: r.Stats.OverflowCells,
-	}
+	}}
 	if r.WallSeconds > 0 {
 		out.WallGCUPS = float64(r.Stats.Cells) / r.WallSeconds / 1e9
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -157,12 +158,19 @@ func NewHTTPHandler(c *Cluster) http.Handler {
 	return mux
 }
 
+// writeJSON answers v as one JSON line, marshalled first so the answer
+// carries its Content-Length and a coordinator reads a node's score list
+// into one buffer. A value that fails to marshal answers an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err == nil {
+		body = append(body, '\n')
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
 	// The client may be gone; nothing useful to do with the error.
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeError is the central error -> HTTP response mapper: the one place

@@ -142,7 +142,7 @@ func TestHTTPWireKeys(t *testing.T) {
 }
 
 // TestCoordinatorWireKeys pins the keys of a shard node's /shard/search
-// answer, the body a coordinator decodes; that /shard/search answers the
+// answer, the body a coordinator decodes, and its Content-Length; that /shard/search answers the
 // retryable 503 once the node is closed, even for a request its cache
 // holds; and that the node serves no /shard/align.
 func TestCoordinatorWireKeys(t *testing.T) {
@@ -167,6 +167,10 @@ func TestCoordinatorWireKeys(t *testing.T) {
 		resp, body := postJSON(t, node.URL+"/shard/search", search)
 		if resp.StatusCode != 200 {
 			t.Fatalf("/shard/search: status %d: %s", resp.StatusCode, body)
+		}
+		// A sized answer is read into one buffer (remote's readBody).
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("/shard/search: Content-Length %d for a %d B body", resp.ContentLength, len(body))
 		}
 		var sr remote.ShardSearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
