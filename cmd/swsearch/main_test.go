@@ -119,10 +119,11 @@ func writeFile(t *testing.T, dir, name, text string) string {
 }
 
 // The reporting pipeline's shapes — a translated search, a batch rendered
-// as BLAST reports, a custom matrix file rendered as TSV — each print the
-// exact text below, the BLAST report's timing line aside. The texts were
-// captured from the command before its searches moved onto the request
-// doors, which must not have changed a byte.
+// as BLAST reports, a custom matrix file rendered as TSV and as the plain
+// score table — each print the exact text below, the timing and vector
+// tier lines aside. The texts were captured from the command before its
+// searches moved onto the request doors, which must not have changed a
+// byte.
 func TestReportShapes(t *testing.T) {
 	bin := buildSelf(t)
 	dir := t.TempDir()
@@ -141,6 +142,7 @@ func TestReportShapes(t *testing.T) {
 		{"translate", []string{"-db", db, "-query", dna, "-translate", "-top", "3"}, wantTranslate},
 		{"batch-blast", []string{"-db", db, "-query", batch, "-batch", "-blast", "-top", "3"}, wantBatchBlast},
 		{"matrixfile", []string{"-db", db, "-query", query, "-matrixfile", matrix, "-outfmt", "tsv", "-top", "3"}, wantMatrixTSV},
+		{"matrixfile-plain", []string{"-db", db, "-query", query, "-matrixfile", matrix, "-top", "3"}, wantMatrixPlain},
 	} {
 		out, err := exec.Command(bin, tc.args...).Output()
 		if err != nil {
@@ -148,7 +150,7 @@ func TestReportShapes(t *testing.T) {
 		}
 		var kept []string
 		for _, line := range strings.SplitAfter(string(out), "\n") {
-			if !strings.HasPrefix(line, "performance:") {
+			if !strings.HasPrefix(line, "performance:") && !strings.HasPrefix(line, "vec:") {
 				kept = append(kept, line)
 			}
 		}
@@ -243,4 +245,14 @@ database: seqdb: 48 sequences, 5183 residues, max length 175, sorted=true
 const wantMatrixTSV = `G_QUERY	G_HOMOLOG	100.00	3	0	0	4	6	4	6	-	-
 G_QUERY	G_RAND03	100.00	3	0	0	4	6	1	3	-	-
 G_QUERY	G_RAND04	100.00	3	0	0	4	6	89	91	-	-
+`
+
+const wantMatrixPlain = `database: seqdb: 48 sequences, 5183 residues, max length 175, sorted=true
+query:    G_QUERY (100 aa)
+cells: 518300, overflow escalations: 0 to 16-bit, 0 to 32-bit
+
+   # subject            score
+   1 G_HOMOLOG             27
+   2 G_RAND03              27
+   3 G_RAND04              27
 `
