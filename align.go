@@ -3,49 +3,8 @@ package heterosw
 import (
 	"fmt"
 
-	"heterosw/internal/alphabet"
-	"heterosw/internal/submat"
 	"heterosw/internal/swalign"
 )
-
-// AlignOptions configures pairwise alignment. The zero value uses the
-// alphabet's conventional matrix (BLOSUM62 for protein, NUC for DNA) with
-// gap open 10 and extend 2, the paper's parameters.
-type AlignOptions struct {
-	// Matrix is a built-in substitution matrix name (the first sequence's
-	// alphabet default when empty).
-	Matrix string
-	// GapOpen and GapExtend are the affine penalties (10/2 when zero;
-	// set NoGapDefaults for literal zeros).
-	GapOpen, GapExtend int
-	NoGapDefaults      bool
-}
-
-func (o AlignOptions) scoringFor(alpha *alphabet.Alphabet) (swalign.Scoring, error) {
-	name := o.Matrix
-	if name == "" {
-		if alpha == alphabet.DNA {
-			name = "NUC"
-		} else {
-			name = "BLOSUM62"
-		}
-	}
-	m, err := submat.ByName(name)
-	if err != nil {
-		return swalign.Scoring{}, err
-	}
-	gapOpen, gapExtend := o.GapOpen, o.GapExtend
-	if !o.NoGapDefaults {
-		if gapOpen == 0 {
-			gapOpen = 10
-		}
-		if gapExtend == 0 {
-			gapExtend = 2
-		}
-	}
-	sc := swalign.Scoring{Matrix: m, GapOpen: gapOpen, GapExtend: gapExtend}
-	return sc, sc.Validate()
-}
 
 // Alignment is the outcome of a pairwise local alignment with traceback.
 type Alignment struct {
@@ -73,26 +32,39 @@ func (a *Alignment) Format(width int) string { return a.impl.Format(width) }
 
 // Align computes the optimal local alignment between two sequences with
 // the dynamic-programming recurrence and backtracking (Section II of the
-// paper, steps 1-4), holding at most one byte per len(a) × len(b) cell.
-func Align(a, b Sequence, opt AlignOptions) (*Alignment, error) {
-	if a.impl == nil || b.impl == nil {
-		return nil, fmt.Errorf("heterosw: zero-value sequence")
-	}
-	sc, err := opt.scoringFor(a.impl.Alphabet())
+// paper, steps 1-4), holding at most one byte per len(a) × len(b) cell. It
+// scores under opt as a search of a's alphabet does: the zero Options is
+// that alphabet's default matrix with gap open 10 and extend 2.
+func Align(a, b Sequence, opt Options) (*Alignment, error) {
+	sc, err := pairScoring(a, b, opt)
 	if err != nil {
 		return nil, err
 	}
 	return &Alignment{impl: swalign.Align(a.impl.Residues, b.impl.Residues, sc)}, nil
 }
 
-// Score computes only the optimal local alignment score, in linear space.
-func Score(a, b Sequence, opt AlignOptions) (int, error) {
-	if a.impl == nil || b.impl == nil {
-		return 0, fmt.Errorf("heterosw: zero-value sequence")
-	}
-	sc, err := opt.scoringFor(a.impl.Alphabet())
+// Score computes only the optimal local alignment score, in linear space,
+// under opt as Align does.
+func Score(a, b Sequence, opt Options) (int, error) {
+	sc, err := pairScoring(a, b, opt)
 	if err != nil {
 		return 0, err
 	}
 	return swalign.Score(a.impl.Residues, b.impl.Residues, sc), nil
+}
+
+// pairScoring resolves opt against a's alphabet through the search's own
+// resolver, so a pairwise call and a search cannot disagree on the default
+// matrix or the gap defaults. Negative gaps are an error here, where the
+// aligner would panic.
+func pairScoring(a, b Sequence, opt Options) (swalign.Scoring, error) {
+	if a.impl == nil || b.impl == nil {
+		return swalign.Scoring{}, fmt.Errorf("heterosw: zero-value sequence")
+	}
+	so, err := opt.toCore()
+	if err != nil {
+		return swalign.Scoring{}, err
+	}
+	sc := so.Scoring(a.impl.Alphabet())
+	return sc, sc.Validate()
 }

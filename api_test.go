@@ -28,7 +28,7 @@ func tinyDB(t testing.TB) (*Database, []Sequence) {
 
 // searchDB runs one plain search of query over db through a fresh local
 // cluster configured with opt: Cluster.Search, the direct door.
-func searchDB(db *Database, query Sequence, opt Options) (*ClusterResult, error) {
+func searchDB(db *Database, query Sequence, opt Options) (*Result, error) {
 	cl, err := NewCluster(db, ClusterOptions{Options: opt})
 	if err != nil {
 		return nil, err
@@ -40,7 +40,7 @@ func searchDB(db *Database, query Sequence, opt Options) (*ClusterResult, error)
 // every-hit result (TopK 0 and no reporting phase, as Search(q) and Do
 // with the zero ReportOptions return): each database index must appear
 // exactly once, so the list is db.Len() long.
-func hitScores(db *Database, res *ClusterResult) ([]int32, error) {
+func hitScores(db *Database, res *Result) ([]int32, error) {
 	if len(res.Hits) != db.Len() {
 		return nil, fmt.Errorf("%d hits, want one per database sequence (%d)", len(res.Hits), db.Len())
 	}
@@ -58,7 +58,7 @@ func hitScores(db *Database, res *ClusterResult) ([]int32, error) {
 
 // scoreList is hitScores for the test goroutine: a malformed hit list
 // fails the test.
-func scoreList(t testing.TB, db *Database, res *ClusterResult) []int32 {
+func scoreList(t testing.TB, db *Database, res *Result) []int32 {
 	t.Helper()
 	scores, err := hitScores(db, res)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestSearchAllVariantsAgree(t *testing.T) {
 	db, _ := tinyDB(t)
 	q := NewSequence("q", "MKWVLARN")
 	var (
-		want       *ClusterResult
+		want       *Result
 		wantScores []int32
 	)
 	for _, v := range Variants() {
@@ -115,7 +115,8 @@ func TestSearchAllVariantsAgree(t *testing.T) {
 			}
 		}
 		if res.Cells != want.Cells || res.Overflows8 != want.Overflows8 || res.Overflows != want.Overflows {
-			t.Fatalf("%s: accounting %+v, %s %+v", v, res.Result, Variants()[0], want.Result)
+			t.Fatalf("%s: cells %d, overflows %d/%d; %s: %d, %d/%d", v, res.Cells, res.Overflows8, res.Overflows,
+				Variants()[0], want.Cells, want.Overflows8, want.Overflows)
 		}
 	}
 }
@@ -157,11 +158,11 @@ func TestNewDatabaseMixedAlphabets(t *testing.T) {
 func TestAlignAPI(t *testing.T) {
 	a := NewSequence("a", "MKWVLAARND")
 	b := NewSequence("b", "GGMKWVLAGG")
-	al, err := Align(a, b, AlignOptions{})
+	al, err := Align(a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Score(a, b, AlignOptions{})
+	sc, err := Score(a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,18 +188,24 @@ func TestAlignAPI(t *testing.T) {
 	// A DNA pair renders in nucleotide letters, decoded under the alphabet
 	// of the matrix it was scored with.
 	dna := NewDNASequence("d", "ACGTTGCAACGT")
-	dal, err := Align(dna, dna, AlignOptions{})
+	dal, err := Align(dna, dna, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := dal.Format(60); !strings.Contains(got, "A: ACGTTGCAACGT\n") || !strings.Contains(got, "B: ACGTTGCAACGT\n") {
 		t.Fatalf("DNA Format:\n%s", got)
 	}
-	if _, err := Align(Sequence{}, b, AlignOptions{}); err == nil {
+	if _, err := Align(Sequence{}, b, Options{}); err == nil {
 		t.Error("zero-value sequence accepted")
 	}
-	if _, err := Score(a, b, AlignOptions{Matrix: "nope"}); err == nil {
+	if _, err := Score(a, b, Options{Matrix: "nope"}); err == nil {
 		t.Error("bad matrix accepted")
+	}
+	// Negative gaps are an error, not the aligner's panic.
+	for _, opt := range []Options{{GapOpen: -1}, {GapExtend: -2, NoGapDefaults: true}} {
+		if _, err := Align(a, b, opt); err == nil {
+			t.Errorf("%+v accepted", opt)
+		}
 	}
 }
 

@@ -410,7 +410,7 @@ func BenchmarkSearchEndToEnd(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var res *ClusterResult
+	var res *Result
 	for i := 0; i < b.N; i++ {
 		res, err = cl.Search(q)
 		if err != nil {

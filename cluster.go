@@ -83,18 +83,6 @@ type ClusterOptions struct {
 // is zero: 512 entries of ten hits stay within a few MiB on any database.
 const defaultCacheEntries = 512
 
-// ClusterResult reports a cluster search.
-type ClusterResult struct {
-	Result
-	// Significance is the Gumbel null model fitted over the full score
-	// distribution when the search requested ReportOptions.EValues; nil
-	// otherwise.
-	Significance *Significance
-	// wire is a shard node's score list, which /shard/search sends; nil
-	// on every result a door returns.
-	wire []int32
-}
-
 // ReportOptions selects the optional reporting phases of one search call.
 // The zero value is the plain score pass of the paper's step 4: every
 // subject as a hit, by descending score. Report options are part of the
@@ -111,7 +99,7 @@ type ReportOptions struct {
 	// EValues fits a Gumbel null model over the full score distribution,
 	// its top 1% trimmed as suspected homologs, and decorates every
 	// reported hit with its bit score and E-value (Hit.Significance); the
-	// fitted model is returned as ClusterResult.Significance. Fails with
+	// fitted model is returned as Result.Significance. Fails with
 	// ErrNoSignificance on databases with fewer than a few dozen sequences.
 	EValues bool
 	// TopK is this call's K, the length of its hit list; 0 reports every
@@ -243,8 +231,8 @@ type Cluster struct {
 	// sched is the one query scheduler behind every door, built with the
 	// cluster; cache is its result cache and keyBase the constant
 	// prefix of its keys (see startScheduler).
-	sched   *qsched.Scheduler[job, *ClusterResult]
-	cache   *qsched.Cache[*ClusterResult]
+	sched   *qsched.Scheduler[job, *Result]
+	cache   *qsched.Cache[*Result]
 	keyBase string
 }
 
@@ -290,7 +278,7 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("heterosw: %s", err)
 	}
-	search, err := opt.Options.toCore(db.db.Alphabet())
+	search, err := opt.Options.toCore()
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +306,7 @@ func (c *Cluster) startScheduler(maxInFlight, cacheSize int) {
 	if cacheSize == 0 {
 		cacheSize = defaultCacheEntries
 	}
-	c.cache = qsched.NewCache[*ClusterResult](cacheSize)
+	c.cache = qsched.NewCache[*Result](cacheSize)
 	c.keyBase = fmt.Sprintf("%+v|", c.dopt.Search)
 	c.sched = qsched.New(c.execute, c.cacheKey, c.cache, maxInFlight)
 }

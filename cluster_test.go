@@ -64,7 +64,7 @@ func TestClusterMatchesSingleDevice(t *testing.T) {
 func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 	db, queries := SyntheticSwissProt(0.001, true)
 
-	var first *ClusterResult
+	var first *Result
 	for _, opt := range []ClusterOptions{
 		{},
 		{Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}, Dist: "dynamic"},
@@ -240,7 +240,7 @@ func TestClusterConcurrentHammer(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)
-	check := func(res *ClusterResult) error {
+	check := func(res *Result) error {
 		scores, err := hitScores(db, res)
 		if err != nil {
 			return err

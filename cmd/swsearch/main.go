@@ -111,12 +111,14 @@ func main() {
 		GapExtend:     *gapExtend,
 		NoGapDefaults: true,
 	}
+	// A custom matrix travels with every request, replacing -matrix.
+	var matrixText string
 	if *matrixFile != "" {
 		text, rerr := os.ReadFile(*matrixFile)
 		if rerr != nil {
 			fatal(rerr)
 		}
-		opt.MatrixText = string(text)
+		matrixText = string(text)
 	}
 
 	cl, err := heterosw.NewCluster(db, heterosw.ClusterOptions{Options: opt})
@@ -135,7 +137,7 @@ func main() {
 		}
 		reqs := make([]heterosw.Request, len(sel))
 		for i, q := range sel {
-			reqs[i] = heterosw.Request{Query: q, Translate: *translated, Report: rep}
+			reqs[i] = heterosw.Request{Query: q, Matrix: matrixText, Translate: *translated, Report: rep}
 		}
 		start := time.Now()
 		results, err := cl.DoBatch(context.Background(), reqs)
@@ -176,7 +178,11 @@ func main() {
 	fmt.Printf("vec:      %s\n", vec.Info())
 
 	start := time.Now()
-	res, err := cl.Search(query, heterosw.ReportOptions{TopK: *topK})
+	res, err := cl.Do(context.Background(), heterosw.Request{
+		Query:  query,
+		Matrix: matrixText,
+		Report: heterosw.ReportOptions{TopK: *topK},
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -120,7 +120,7 @@ func confSetup(t *testing.T, corpus confCorpus) (fastaPath, swdbPath string, que
 
 // canonResult strips the host wall-clock fields — the only legitimately
 // machine-dependent outputs — and serialises the rest.
-func canonResult(t *testing.T, res *ClusterResult) []byte {
+func canonResult(t *testing.T, res *Result) []byte {
 	t.Helper()
 	c := *res
 	c.WallSeconds, c.WallGCUPS = 0, 0
@@ -222,7 +222,7 @@ func confEntryPoints(t *testing.T, cl *Cluster, reqs []Request) map[string][]byt
 		if resp.StatusCode != 200 {
 			t.Fatalf("POST /search: status %d: %s", resp.StatusCode, body)
 		}
-		var sr SearchJSON
+		var sr searchJSON
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatalf("POST /search body: %v", err)
 		}

@@ -14,8 +14,9 @@ var ErrBadIndex = index.ErrBadIndex
 
 // WriteIndexFile persists a database as a .swdb index: a binary image of
 // the fully preprocessed database (encoded residues in length-sorted
-// order, the sort permutation, header strings and precomputed lane-group
-// shapes) that OpenIndexFile restores without re-parsing or re-sorting.
+// order, the sort permutation and header strings; the section that once
+// held lane-group shapes is empty and reserved) that OpenIndexFile
+// restores without re-parsing or re-sorting.
 // Build once per database release — the swindex CLI wraps exactly this —
 // and every swsearch/swserve/swbench start afterwards is O(1) per
 // sequence instead of a full FASTA parse.

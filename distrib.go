@@ -178,7 +178,7 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 	}
 	topo.install(man)
 
-	search, err := opt.Options.toCore(db.db.Alphabet())
+	search, err := opt.Options.toCore()
 	if err != nil {
 		return nil, err
 	}

@@ -293,7 +293,7 @@ func frontSearch(t *testing.T, c *Cluster, q Sequence) (int, []byte) {
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, body
 	}
-	var sr SearchJSON
+	var sr searchJSON
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("decoding /search: %v: %s", err, body)
 	}
@@ -384,9 +384,9 @@ func TestCoordinatorBadAnswerEverywhere(t *testing.T) {
 // distribSetup cuts two shards of 48 sequences each, so node A answering
 // a search of shard 0 with shard 1's own valid answer carries the right
 // number of scores. The key it echoes must still fail A's replica, and so
-// must its cell count once the key is stripped the way an older node
-// omits it: the search fails over to node B and answers the single-node
-// bytes.
+// must the missing key once it is stripped and the cell count set to
+// shard 0's, as two shards of equal residue counts would answer: the
+// search fails over to node B and answers the single-node bytes.
 func TestCoordinatorOtherShardAnswer(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -416,7 +416,17 @@ func TestCoordinatorOtherShardAnswer(t *testing.T) {
 				t.Fatalf("shard 1's own answer: %d %s", resp.StatusCode, other)
 			}
 			if tc.strip {
+				_, own := postJSON(t, pxA.URL()+"/shard/search",
+					remote.ShardSearchRequest{Shard: key0, Codes: alphabet.BytesView(q.impl.Residues)})
+				var ownAns, otherAns remote.ShardSearchResponse
+				if err := json.Unmarshal(own, &ownAns); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(other, &otherAns); err != nil {
+					t.Fatal(err)
+				}
 				other = bytes.Replace(other, echo, nil, 1)
+				other = bytes.Replace(other, fmt.Appendf(nil, `"cells":%d,`, otherAns.Cells), fmt.Appendf(nil, `"cells":%d,`, ownAns.Cells), 1)
 			}
 
 			// Only searches of shard 0 take the script; the filter puts
@@ -645,7 +655,7 @@ func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h HealthJSON
+	var h healthJSON
 	err = json.NewDecoder(hres.Body).Decode(&h)
 	hres.Body.Close()
 	if err != nil {

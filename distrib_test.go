@@ -119,7 +119,7 @@ func fastDistribOptions() DistributedOptions {
 // canonDistrib canonicalises a result for cross-topology comparison: wall
 // times legitimately differ between one local backend and N remote shards;
 // scores, hits, alignments, significance and cell counts must not.
-func canonDistrib(t testing.TB, res *ClusterResult) []byte {
+func canonDistrib(t testing.TB, res *Result) []byte {
 	t.Helper()
 	c := *res
 	c.WallSeconds, c.WallGCUPS = 0, 0
@@ -225,7 +225,7 @@ func tieSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []strin
 // checkCoordinatorConformance compares a coordinator over one node per
 // shard with a single-node cluster of the parent, query by query, and
 // returns the single-node results.
-func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, shardPaths []string, queries []Sequence) (wants []*ClusterResult, scores [][]int32) {
+func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, shardPaths []string, queries []Sequence) (wants []*Result, scores [][]int32) {
 	t.Helper()
 	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
 	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
@@ -260,9 +260,9 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 		}
 		wantScores := scoreList(t, refDB, all)
 		scores = append(scores, wantScores)
-		for door, search := range map[string]func() (*ClusterResult, error){
-			"Search": func() (*ClusterResult, error) { return coord.Search(q) },
-			"Do":     func() (*ClusterResult, error) { return coord.Do(context.Background(), Request{Query: q}) },
+		for door, search := range map[string]func() (*Result, error){
+			"Search": func() (*Result, error) { return coord.Search(q) },
+			"Do":     func() (*Result, error) { return coord.Do(context.Background(), Request{Query: q}) },
 		} {
 			got, err := search()
 			if err != nil {
@@ -370,7 +370,7 @@ func TestCoordinatorRejectsRequestMatrix(t *testing.T) {
 	}
 	// Without the matrix the coordinator answers as the single node does.
 	resp, body = postJSON(t, ts.URL+"/search", map[string]any{"residues": q.String(), "top_k": 1})
-	var sr SearchJSON
+	var sr searchJSON
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sr) != nil || len(sr.Hits) != 1 || sr.Hits[0].Score != plain.Hits[0].Score {
 		t.Fatalf("coordinator POST /search: status %d: %s, want the single node's top score %d", resp.StatusCode, body, plain.Hits[0].Score)
 	}

@@ -78,8 +78,7 @@
 //     blastx-style six-frame translated search of DNA queries against
 //     protein databases with per-hit frames and DNA coordinates
 //     (Request.Translate), user-supplied substitution matrices in NCBI
-//     textual form (Options.MatrixText, Request.Matrix, the ErrBadMatrix
-//     error family), and SAM 1.6 / BLAST tabular output of
+//     textual form (Request.Matrix, the ErrBadMatrix error family), and SAM 1.6 / BLAST tabular output of
 //     aligned results (WriteFormat, swsearch -outfmt, the format field
 //     on POST /search);
 //   - distributed multi-node serving over .swdb shards: swindex split
@@ -173,7 +172,7 @@
 // Do calls and reads each result from its request's slot; they share the
 // in-flight slots with every other caller:
 //
-//	res := make([]*heterosw.ClusterResult, len(queries))
+//	res := make([]*heterosw.Result, len(queries))
 //	var wg sync.WaitGroup
 //	for i, q := range queries {
 //	    wg.Add(1)
@@ -244,9 +243,11 @@
 // against a protein database in all six reading frames and merges the
 // per-frame results, reporting each hit's winning frame and the aligned
 // region's forward-strand DNA coordinates. Request.Matrix (the HTTP
-// matrix field) scores one request with a user matrix parsed from NCBI
-// textual form, as the MatrixText option and the -matrixfile flag do for a
-// whole cluster; rejected matrix text wraps ErrBadMatrix.
+// matrix field, the swsearch -matrixfile flag) scores a request with a
+// user matrix parsed from NCBI textual form; rejected matrix text wraps
+// ErrBadMatrix. Align and Score take the same Options a cluster does and
+// resolve them as a search does, so a pairwise score and a search's hit
+// score agree.
 //
 // # Tools
 //

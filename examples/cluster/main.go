@@ -74,7 +74,7 @@ func main() {
 	// in-flight slots; each result lands in its request's slot, so they
 	// print in request order whatever order they complete in.
 	concurrent := queries[5:8]
-	answers := make([]*heterosw.ClusterResult, len(concurrent))
+	answers := make([]*heterosw.Result, len(concurrent))
 	errs := make([]error, len(concurrent))
 	var wg sync.WaitGroup
 	for i, q := range concurrent {

@@ -35,7 +35,7 @@ func Formats() []string { return []string{"blast", "sam", "tsv"} }
 //     reverse frame; missing significance renders as "-".
 //
 // width only affects "blast".
-func WriteFormat(w io.Writer, format string, query Sequence, db *Database, res *ClusterResult, width int) error {
+func WriteFormat(w io.Writer, format string, query Sequence, db *Database, res *Result, width int) error {
 	switch format {
 	case "", "blast":
 		return writeReport(w, query, db, res, width)
@@ -80,7 +80,7 @@ func effectiveQuery(query Sequence, h Hit, frames *map[int]Sequence) Sequence {
 // so FLAG stays 0 and the strand travels only in ZF:i. (FLAG 0x10 would
 // claim SEQ is the reverse complement of the read, which a frame protein
 // is not, and a consumer undoing it would corrupt the record.)
-func writeSAM(w io.Writer, query Sequence, db *Database, res *ClusterResult) error {
+func writeSAM(w io.Writer, query Sequence, db *Database, res *Result) error {
 	if query.impl == nil {
 		return fmt.Errorf("heterosw: zero-value query")
 	}
@@ -131,7 +131,7 @@ func writeSAM(w io.Writer, query Sequence, db *Database, res *ClusterResult) err
 }
 
 // writeTSV renders WriteFormat's "tsv" format.
-func writeTSV(w io.Writer, query Sequence, db *Database, res *ClusterResult) error {
+func writeTSV(w io.Writer, query Sequence, db *Database, res *Result) error {
 	if query.impl == nil {
 		return fmt.Errorf("heterosw: zero-value query")
 	}

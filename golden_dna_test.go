@@ -119,7 +119,7 @@ func TestGoldenDNAHTTP(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchJSON
+	var sr searchJSON
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("bad body %s: %v", body, err)
 	}
@@ -282,7 +282,7 @@ func TestGoldenTranslatedHTTP(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchJSON
+	var sr searchJSON
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("bad body %s: %v", body, err)
 	}

@@ -81,7 +81,7 @@ func goldenSetup(t *testing.T) (*Database, Sequence, *Cluster) {
 	return db, qs[0], cl
 }
 
-func goldenFromResult(t *testing.T, query Sequence, db *Database, res *ClusterResult) goldenFile {
+func goldenFromResult(t *testing.T, query Sequence, db *Database, res *Result) goldenFile {
 	t.Helper()
 	if res.Significance == nil {
 		t.Fatal("result carries no significance model")
@@ -110,7 +110,7 @@ func goldenFromResult(t *testing.T, query Sequence, db *Database, res *ClusterRe
 	return out
 }
 
-func goldenFromJSON(t *testing.T, query Sequence, db *Database, sr SearchJSON) goldenFile {
+func goldenFromJSON(t *testing.T, query Sequence, db *Database, sr searchJSON) goldenFile {
 	t.Helper()
 	if sr.Significance == "" {
 		t.Fatal("HTTP response carries no significance model")
@@ -252,7 +252,7 @@ func TestGoldenHTTPSearch(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchJSON
+	var sr searchJSON
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("bad body %s: %v", body, err)
 	}

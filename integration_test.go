@@ -75,7 +75,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 
 	// Pairwise alignment of the top hit is a perfect self-match.
-	al, err := Align(query, db.Seq(xeon.Hits[0].Index), AlignOptions{})
+	al, err := Align(query, db.Seq(xeon.Hits[0].Index), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,14 +50,15 @@ type AlignmentDetail struct {
 	Columns    int
 }
 
-// scoringFor derives the reference-alignment scoring from the search
-// options and the database alphabet, so phase two scores under exactly the
-// matrix and gap penalties phase one searched with.
-func scoringFor(opt SearchOptions, alpha *alphabet.Alphabet) swalign.Scoring {
+// Scoring derives the reference-alignment scoring from the search options
+// and an alphabet, so phase two scores under exactly the matrix and gap
+// penalties phase one searched with, and a pairwise alignment under what a
+// search with the same options would.
+func (o SearchOptions) Scoring(alpha *alphabet.Alphabet) swalign.Scoring {
 	return swalign.Scoring{
-		Matrix:    opt.matrixFor(alpha),
-		GapOpen:   opt.Params.GapOpen,
-		GapExtend: opt.Params.GapExtend,
+		Matrix:    o.matrixFor(alpha),
+		GapOpen:   o.Params.GapOpen,
+		GapExtend: o.Params.GapExtend,
 	}
 }
 
@@ -106,7 +107,7 @@ func (d *Dispatcher) AlignHits(ctx context.Context, query *sequence.Sequence, hi
 		lens[i] = d.db.Seq(h.SeqIndex).Len()
 	}
 	alpha := d.db.Alphabet()
-	sc := scoringFor(opt.Search, alpha)
+	sc := opt.Search.Scoring(alpha)
 	if sc.Matrix.Alphabet() != alpha {
 		return nil, fmt.Errorf("core: %s matrix %s against a %s database",
 			sc.Matrix.Alphabet().Name(), sc.Matrix.Name(), alpha.Name())

@@ -137,7 +137,7 @@ func checkAlignHits(t testing.TB, db *seqdb.Database, query *sequence.Sequence, 
 		t.Fatal(err)
 	}
 	d.blockCols = blockCols
-	sc := scoringFor(opt.Search, db.Alphabet())
+	sc := opt.Search.Scoring(db.Alphabet())
 	n := db.Len()
 	hits := make([]Hit, n)
 	want := make([]AlignmentDetail, n)
@@ -317,7 +317,7 @@ func TestAlignHitsClaimedScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := tracebackOpt(nil, 10, 2)
-	sc := scoringFor(opt.Search, db.Alphabet())
+	sc := opt.Search.Scoring(db.Alphabet())
 	check := func(query *sequence.Sequence, right, wrong int, delta int32) {
 		t.Helper()
 		truth := int32(swalign.Score(query.Residues, db.Seq(wrong).Residues, sc))
@@ -394,7 +394,7 @@ func BenchmarkAlignHits(b *testing.B) {
 	}
 	opt := tracebackOpt(nil, 10, 2)
 	opt.Search.Workers = 1
-	sc := scoringFor(opt.Search, db.Alphabet())
+	sc := opt.Search.Scoring(db.Alphabet())
 	hits := make([]Hit, db.Len())
 	for i := range hits {
 		hits[i] = Hit{SeqIndex: i, Score: int32(swalign.Score(query.Residues, db.Seq(i).Residues, sc))}

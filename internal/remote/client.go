@@ -98,14 +98,14 @@ func (c *Client) Shards(ctx context.Context, node string) (*ShardsResponse, erro
 // residues, trying the shard's replica URLs under the client's
 // retry/hedging policy. An answer fails its replica, like a dropped
 // connection does, unless it carries exactly n scores and
-// len(req.Codes) × residues cells and echoes req.Shard. An answer with no
-// shard key, from a node older than the echo, passes that last check.
+// len(req.Codes) × residues cells and echoes req.Shard: two shards of equal
+// sequence and residue counts differ only in their keys.
 func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int, residues int64) (*ShardSearchResponse, error) {
 	cells := int64(len(req.Codes)) * residues
 	return call(ctx, c, urls, "/shard/search", req, func(r *ShardSearchResponse) error {
 		switch {
-		case r.Shard != "" && r.Shard != req.Shard:
-			return fmt.Errorf("answer for shard %s to a search of shard %s", r.Shard, req.Shard)
+		case r.Shard != req.Shard:
+			return fmt.Errorf("answer for shard %q to a search of shard %s", r.Shard, req.Shard)
 		case len(r.Scores) != n:
 			return fmt.Errorf("%d scores for the %d-sequence shard %s", len(r.Scores), n, req.Shard)
 		case r.Cells != cells:

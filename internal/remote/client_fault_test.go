@@ -24,7 +24,7 @@ func searchUpstream(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"scores":[7,8,9]}`)
+		fmt.Fprint(w, nodeBody(7, 8, 9))
 	}))
 	t.Cleanup(srv.Close)
 	return srv
@@ -148,21 +148,24 @@ func TestTerminalFailureNotReported(t *testing.T) {
 }
 
 // TestBadAnswerFailsItsReplica pins that a 200 whose body fails to decode,
-// decodes to the wrong number of scores or cells, or names another shard,
-// fails the replica that sent it and nothing more: the next replica answers, each replica is asked
-// once, and the bad one is reported to the prober. When every replica
-// answers badly the request wraps ErrNoReplicas. Under hedging a primary
+// decodes to the wrong number of scores or cells, or names another shard
+// or none, fails the replica that sent it and nothing more: the next
+// replica answers, each replica is asked once, and the bad one is
+// reported to the prober. When every replica answers badly the request
+// wraps ErrNoReplicas. Under hedging a primary
 // that its hedge rescues is reported, and a loser cancelled because the
 // other leg won is not.
 func TestBadAnswerFailsItsReplica(t *testing.T) {
 	ctx := context.Background()
+	key := `{"shard":"` + searchReq().Shard + `",`
 	for _, tc := range []struct{ name, body string }{
-		{"truncated varint", `{"scores":"BwiA"}`},
-		{"bad base64", `{"scores":"Bw!J"}`},
-		{"one score short", `{"scores":"Bwg="}`},    // 07 08
-		{"one score long", `{"scores":"BwgJCg=="}`}, // 07 08 09 0a
+		{"truncated varint", key + `"scores":"BwiA"}`},
+		{"bad base64", key + `"scores":"Bw!J"}`},
+		{"one score short", key + `"scores":"Bwg="}`},    // 07 08
+		{"one score long", key + `"scores":"BwgJCg=="}`}, // 07 08 09 0a
 		{"another shard", `{"shard":"swdb:feedface-3-10","scores":"BwgJ"}`},
-		{"wrong cells", `{"scores":"BwgJ","cells":3}`},
+		{"no shard", `{"scores":"BwgJ"}`},
+		{"wrong cells", key + `"scores":"BwgJ","cells":3}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := faultedClientProxy(t), faultedClientProxy(t)
@@ -186,7 +189,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 
 	t.Run("own shard echoed", func(t *testing.T) {
 		a := faultedClientProxy(t)
-		body := `{"shard":"` + searchReq().Shard + `","scores":"BwgJ","cells":30}`
+		body := key + `"scores":"BwgJ","cells":30}`
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: body})
 		p := NewProber([]string{a.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, searchReq(), 3, 10)

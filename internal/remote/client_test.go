@@ -36,6 +36,16 @@ func searchReq() *ShardSearchRequest {
 	return &ShardSearchRequest{Shard: "swdb:deadbeef-3-10", ID: "q", Codes: []byte{1, 2, 3}}
 }
 
+// nodeBody is a node's answer to searchReq over a shard of no residues:
+// the echoed key and the packed scores.
+func nodeBody(scores ...int32) string {
+	body, err := json.Marshal(ShardSearchResponse{Shard: searchReq().Shard, Scores: scores})
+	if err != nil {
+		panic(err)
+	}
+	return string(body)
+}
+
 // TestRetry503ThenSuccess pins the core retry contract: a 503 answer is
 // retried (with backoff) and the eventual success is returned.
 func TestRetry503ThenSuccess(t *testing.T) {
@@ -46,7 +56,7 @@ func TestRetry503ThenSuccess(t *testing.T) {
 			fmt.Fprintf(w, `{"error":"draining"}`)
 			return
 		}
-		fmt.Fprintf(w, `{"scores":[7,8,9]}`)
+		fmt.Fprint(w, nodeBody(7, 8, 9))
 	}))
 	defer srv.Close()
 
@@ -124,33 +134,34 @@ func TestShardSearchReadsOneBuffer(t *testing.T) {
 	}
 }
 
-// TestShardSearchAcceptsOlderNodeBody pins the full-body decode of
-// /shard/search answers. The rolling-upgrade direction is coordinator
-// first: a node still answering the number-array scores and the device
-// model's fields (threads, sim_seconds) is decoded, those fields ignored,
-// and equals the packed answer a current node writes. A truncated varint
-// and bad base64 are decode errors, never a short score list.
-func TestShardSearchAcceptsOlderNodeBody(t *testing.T) {
+// TestShardSearchDecodesAnswer pins the full-body decode of /shard/search
+// answers. A body with the echoed key and packed scores is decoded, fields
+// it does not know (an old node's threads, sim_seconds) ignored. An older
+// node's number-array scores, a body with no shard key, a truncated varint
+// and bad base64 fail the replica, never pass as a score list.
+func TestShardSearchDecodesAnswer(t *testing.T) {
+	key := `"shard":"` + searchReq().Shard + `",`
 	const rest = `"cells":90,"threads":32,"sim_seconds":0.25,"wall_seconds":0.5,"overflows8":2,"overflow_cells":60}`
-	want := ShardSearchResponse{Scores: ScoreList{7, 8, 9}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60}
+	want := ShardSearchResponse{Shard: searchReq().Shard, Scores: ScoreList{7, 8, 9}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60}
 	for _, tc := range []struct {
-		name, scores, wantErr string
+		name, body, wantErr string
 	}{
-		{"array", `[7,8,9]`, ""},
-		{"packed", `"BwgJ"`, ""}, // the varint bytes 07 08 09
-		{"truncated varint", `"BwiA"`, "truncated varint"},
-		{"bad base64", `"Bw!J"`, "illegal base64"},
+		{"packed", key + `"scores":"BwgJ",`, ""}, // the varint bytes 07 08 09
+		{"array", key + `"scores":[7,8,9],`, "not a base64 string"},
+		{"no key", `"scores":"BwgJ",`, `answer for shard ""`},
+		{"truncated varint", key + `"scores":"BwiA",`, "truncated varint"},
+		{"bad base64", key + `"scores":"Bw!J",`, "illegal base64"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				fmt.Fprint(w, `{"scores":`+tc.scores+`,`+rest)
+				fmt.Fprint(w, `{`+tc.body+rest)
 			}))
 			defer srv.Close()
 
 			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 30)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("ShardSearch = %+v, %v; want a decode error naming %q", resp, err, tc.wantErr)
+					t.Fatalf("ShardSearch = %+v, %v; want an error naming %q", resp, err, tc.wantErr)
 				}
 				return
 			}
@@ -223,7 +234,7 @@ func TestRetriesExhausted(t *testing.T) {
 // retry.
 func TestRetriesRotateReplicas(t *testing.T) {
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"scores":[1]}`)
+		fmt.Fprint(w, nodeBody(1))
 	}))
 	defer good.Close()
 	dead := httptest.NewServer(http.HandlerFunc(nil))
@@ -280,7 +291,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 	}))
 	defer primary.Close()
 	hedge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"scores":[42]}`)
+		fmt.Fprint(w, nodeBody(42))
 	}))
 	defer hedge.Close()
 
@@ -306,7 +317,7 @@ func TestHedgePromotesOnPrimaryFailure(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(nil))
 	dead.Close()
 	hedge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"scores":[5]}`)
+		fmt.Fprint(w, nodeBody(5))
 	}))
 	defer hedge.Close()
 
@@ -416,7 +427,7 @@ func (c *afterFuncCtx) Live() int {
 // lives until the cluster closes.
 func TestAttemptReleasesItsContext(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"scores":[7,8,9]}`)
+		fmt.Fprint(w, nodeBody(7, 8, 9))
 	}))
 	defer srv.Close()
 

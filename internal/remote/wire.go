@@ -28,7 +28,6 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -77,8 +76,8 @@ type ShardSearchRequest struct {
 // decodes about nine times faster than a JSON number array.
 type ShardSearchResponse struct {
 	// Shard echoes the request's shard key, so an answer names the shard
-	// it scored. Nodes older than the echo leave it empty.
-	Shard  string    `json:"shard,omitempty"`
+	// it scored.
+	Shard  string    `json:"shard"`
 	Scores ScoreList `json:"scores"`
 	// Cells counts useful DP cell updates (query length x shard residues);
 	// summed across shards it reproduces the single-node cell count
@@ -98,8 +97,6 @@ type ShardSearchResponse struct {
 // string holding the standard base64 of one unsigned LEB128 varint per
 // score, uint32(score), in order: every int32 round-trips exactly, and a
 // Smith-Waterman score below 128 costs one byte, below 16,384 two.
-// UnmarshalJSON also accepts the JSON number array older nodes send, so a
-// coordinator can be upgraded before its nodes.
 type ScoreList []int32
 
 // MarshalJSON implements json.Marshaler.
@@ -114,14 +111,14 @@ func (l ScoreList) MarshalJSON() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler. A truncated or overlong
-// varint, a value beyond 32 bits and bad base64 are errors, never a short
-// list, and the output is sized by counting varint terminal bytes, so a
-// body allocates at most one int32 per byte it carries.
+// UnmarshalJSON implements json.Unmarshaler. Any value but a string (an
+// older node's number array, null), a truncated or overlong varint, a
+// value beyond 32 bits and bad base64 are errors, never a short list, and
+// the output is sized by counting varint terminal bytes, so a body
+// allocates at most one int32 per byte it carries.
 func (l *ScoreList) UnmarshalJSON(data []byte) error {
-	if bytes.HasPrefix(data, []byte("[")) {
-		// An older node's JSON number array.
-		return json.Unmarshal(data, (*[]int32)(l))
+	if len(data) == 0 || data[0] != '"' {
+		return errors.New("remote: scores: not a base64 string")
 	}
 	var packed []byte
 	if err := json.Unmarshal(data, &packed); err != nil {

@@ -20,28 +20,11 @@ func int32Bytes(scores []int32) []byte {
 	return out
 }
 
-// arrayBody is the /shard/search body an older node writes: the same
-// fields, scores as a JSON number array.
-func arrayBody(tb testing.TB, resp ShardSearchResponse) []byte {
-	tb.Helper()
-	type older struct {
-		Scores      []int32 `json:"scores"`
-		Cells       int64   `json:"cells"`
-		WallSeconds float64 `json:"wall_seconds"`
-	}
-	raw, err := json.Marshal(older{Scores: resp.Scores, Cells: resp.Cells, WallSeconds: resp.WallSeconds})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return raw
-}
-
-// FuzzShardScores pins the packed score wire on every input three ways:
+// FuzzShardScores pins the packed score wire on every input two ways:
 //   - the bytes, decoded as a whole /shard/search body and as the packed
 //     varints of one, never panic, and packed varints that decode
 //     re-encode to the same string (only the shortest form is accepted);
-//   - the bytes read as little-endian int32s round-trip exactly;
-//   - that list's older number-array body decodes equal to its packed one.
+//   - the bytes read as little-endian int32s round-trip exactly.
 func FuzzShardScores(f *testing.F) {
 	edges := []int32{0, 127, 128, 16383, 16384, 1 << 24, math.MaxInt32, -1}
 	for _, s := range edges {
@@ -83,21 +66,13 @@ func FuzzShardScores(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v round-tripped through %s to %v", want.Scores, body, got.Scores)
 		}
-		var older ShardSearchResponse
-		if err := json.Unmarshal(arrayBody(t, want), &older); err != nil {
-			t.Fatalf("decoding the array body: %v", err)
-		}
-		if !reflect.DeepEqual(older, got) {
-			t.Fatalf("array body decoded to %+v, packed body to %+v", older, got)
-		}
 	})
 }
 
 // BenchmarkShardSearchResponseDecode times the coordinator's decode of
-// one 8,000-score /shard/search answer, an older node's number array
-// against the packed string current nodes write, and reports each body's
-// size. Scores are those of a short query against unrelated subjects,
-// 15–74, with one homolog in 400 scoring up to 2,000.
+// one 8,000-score /shard/search answer and reports the body's size.
+// Scores are those of a short query against unrelated subjects, 15–74,
+// with one homolog in 400 scoring up to 2,000.
 func BenchmarkShardSearchResponseDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	scores := make(ScoreList, 8000)
@@ -107,27 +82,19 @@ func BenchmarkShardSearchResponseDecode(b *testing.B) {
 			scores[i] = int32(100 + rng.Intn(1900))
 		}
 	}
-	resp := ShardSearchResponse{Scores: scores, Cells: 8000 * 75 * 350, WallSeconds: 0.004}
-	packed, err := json.Marshal(resp)
+	body, err := json.Marshal(ShardSearchResponse{Scores: scores, Cells: 8000 * 75 * 350, WallSeconds: 0.004})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		body []byte
-	}{{"array", arrayBody(b, resp)}, {"packed", packed}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var got ShardSearchResponse
-				if err := json.Unmarshal(bc.body, &got); err != nil {
-					b.Fatal(err)
-				}
-				if len(got.Scores) != len(scores) {
-					b.Fatalf("decoded %d scores, want %d", len(got.Scores), len(scores))
-				}
-			}
-			b.ReportMetric(float64(len(bc.body)), "body_bytes")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var got ShardSearchResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Scores) != len(scores) {
+			b.Fatalf("decoded %d scores, want %d", len(got.Scores), len(scores))
+		}
 	}
+	b.ReportMetric(float64(len(body)), "body_bytes")
 }

@@ -1,10 +1,9 @@
 package heterosw
 
 import (
+	"cmp"
 	"fmt"
-	"strings"
 
-	"heterosw/internal/alphabet"
 	"heterosw/internal/core"
 	"heterosw/internal/device"
 	"heterosw/internal/sched"
@@ -12,8 +11,8 @@ import (
 )
 
 // ErrBadMatrix is the family sentinel wrapped by every rejected
-// user-supplied substitution matrix (Options.MatrixText, Request.Matrix,
-// the swsearch -matrixfile flag, the HTTP "matrix" field): test with
+// user-supplied substitution matrix (Request.Matrix, the swsearch
+// -matrixfile flag, the HTTP "matrix" field): test with
 // errors.Is. The three members name the specific defect — an alphabet line
 // that does not match the target alphabet, a non-square or asymmetric score
 // table, and scores outside the int8 range the 8-bit ladder's signed
@@ -73,9 +72,9 @@ func Variants() []string {
 	return out
 }
 
-// Options configures a database search (the kernel options of a Cluster)
-// and the kernel variant the device model prices (Cluster.Plan). The zero
-// value reproduces the paper's best configuration: intrinsic-SP kernels,
+// Options configures a database search (the kernel options of a Cluster),
+// a pairwise Align or Score, and the kernel variant the device model
+// prices (Cluster.Plan). The zero value reproduces the paper's best configuration: intrinsic-SP kernels,
 // BLOSUM62, gap open 10 / extend 2. The planner prices every device with
 // cache blocking, dynamic scheduling and all its threads; the paper's
 // sweeps over those are swbench's figures.
@@ -87,12 +86,9 @@ type Options struct {
 	// Matrix is a built-in substitution matrix name: BLOSUM45/50/62/80,
 	// PAM250 or NUC (the blastn +2/-3 nucleotide scheme). When empty the
 	// database alphabet's conventional default applies: BLOSUM62 for
-	// protein, NUC for DNA.
+	// protein, NUC for DNA. A custom matrix is a request's own
+	// (Request.Matrix).
 	Matrix string
-	// MatrixText, when non-empty, supplies a custom substitution matrix in
-	// the NCBI textual format, parsed against the database's alphabet. It
-	// overrides Matrix. Parse failures wrap ErrBadMatrix.
-	MatrixText string
 	// GapOpen and GapExtend are the affine gap penalties q and r of the
 	// paper's Eq. 5; a gap of length x costs q + r*x. Both default to the
 	// paper's 10 and 2 when zero. Use NoGapDefaults to pass literal
@@ -102,47 +98,25 @@ type Options struct {
 	NoGapDefaults bool
 }
 
-// toCore resolves the options against the target database's alphabet,
-// which governs the default matrix and the alphabet custom matrix text is
-// parsed under.
-func (o Options) toCore(alpha *alphabet.Alphabet) (core.SearchOptions, error) {
-	out := core.SearchOptions{Schedule: sched.Dynamic}
-	variant := o.Variant
-	if variant == "" {
-		variant = VariantIntrinsicSP
-	}
-	v, err := core.ParseVariant(variant)
+// toCore resolves the options into the engine's, the one place the 10/2
+// gap defaults are applied. The alphabet's default matrix is left to the
+// engine (core.SearchOptions.Scoring).
+func (o Options) toCore() (core.SearchOptions, error) {
+	v, err := core.ParseVariant(cmp.Or(o.Variant, VariantIntrinsicSP))
 	if err != nil {
-		return out, err
+		return core.SearchOptions{}, err
 	}
-	var m *submat.Matrix
-	switch {
-	case o.MatrixText != "":
-		m, err = submat.Parse("custom", strings.NewReader(o.MatrixText), alpha)
-	case o.Matrix != "":
-		m, err = submat.ByName(o.Matrix)
-	default:
-		// Leave nil: the engine applies the alphabet's default
-		// (BLOSUM62 for protein, NUC for DNA).
+	out := core.SearchOptions{
+		Params:   core.Params{Variant: v, GapOpen: o.GapOpen, GapExtend: o.GapExtend, Blocked: true},
+		Schedule: sched.Dynamic,
 	}
-	if err != nil {
-		return out, err
-	}
-	gapOpen, gapExtend := o.GapOpen, o.GapExtend
 	if !o.NoGapDefaults {
-		if gapOpen == 0 {
-			gapOpen = 10
-		}
-		if gapExtend == 0 {
-			gapExtend = 2
-		}
+		out.GapOpen = cmp.Or(out.GapOpen, 10)
+		out.GapExtend = cmp.Or(out.GapExtend, 2)
 	}
-	out.Params = core.Params{
-		Variant:   v,
-		GapOpen:   gapOpen,
-		GapExtend: gapExtend,
-		Blocked:   true,
+	if o.Matrix != "" {
+		// Nil otherwise: the engine applies the alphabet's default.
+		out.Matrix, err = submat.ByName(o.Matrix)
 	}
-	out.Matrix = m
-	return out, nil
+	return out, err
 }

@@ -8,7 +8,7 @@ import (
 
 // writeReport renders WriteFormat's "blast" format, the output of
 // swsearch -blast.
-func writeReport(w io.Writer, query Sequence, db *Database, res *ClusterResult, width int) error {
+func writeReport(w io.Writer, query Sequence, db *Database, res *Result, width int) error {
 	if query.impl == nil {
 		return fmt.Errorf("heterosw: zero-value query")
 	}

@@ -14,41 +14,60 @@ import (
 )
 
 // The direct Search path with ReportOptions must produce decorations that
-// agree with the standalone pairwise Align oracle.
+// agree with the standalone pairwise Align oracle under the same Options:
+// the protein and DNA alphabets' default matrices and a literal gap pair
+// the 10/2 defaults would otherwise replace. Align and the search resolve
+// their scoring through one function, so none of them may differ.
 func TestSearchReportMatchesAlignOracle(t *testing.T) {
 	db, seqs := tinyDB(t)
-	cl, err := NewCluster(db, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dnaDB, dnaQuery, _ := goldenDNASetup(t)
 	q := NewSequence("q", "MKWVLAARND")
-	res, err := cl.Search(q, ReportOptions{Alignments: true, TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 3 {
-		t.Fatalf("%d hits, want 3", len(res.Hits))
-	}
-	for _, h := range res.Hits {
-		if h.Alignment == nil {
-			t.Fatalf("hit %s undecorated", h.ID)
-		}
-		want, err := Align(q, db.Seq(h.Index), AlignOptions{})
+	for _, tc := range []struct {
+		name  string
+		db    *Database
+		query Sequence
+		opt   Options
+	}{
+		{"protein BLOSUM62 default", db, q, Options{}},
+		{"dna NUC default", dnaDB, dnaQuery, Options{}},
+		{"protein gaps 0/3", db, q, Options{GapExtend: 3, NoGapDefaults: true}},
+	} {
+		cl, err := NewCluster(tc.db, ClusterOptions{Options: tc.opt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Score != want.Score() || h.Alignment.CIGAR != want.CIGAR() ||
-			h.Alignment.Identities != want.Identities() {
-			t.Fatalf("hit %s: {score %d, %s, %d ids}, oracle {%d, %s, %d}",
-				h.ID, h.Score, h.Alignment.CIGAR, h.Alignment.Identities,
-				want.Score(), want.CIGAR(), want.Identities())
+		res, err := cl.Search(tc.query, ReportOptions{Alignments: true, TopK: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		qs, qe, ss, se := want.Coordinates()
-		a := h.Alignment
-		if a.QueryStart != qs || a.QueryEnd != qe || a.SubjectStart != ss || a.SubjectEnd != se {
-			t.Fatalf("hit %s coordinates [%d:%d)x[%d:%d), oracle [%d:%d)x[%d:%d)",
-				h.ID, a.QueryStart, a.QueryEnd, a.SubjectStart, a.SubjectEnd, qs, qe, ss, se)
+		if len(res.Hits) != 3 {
+			t.Fatalf("%s: %d hits, want 3", tc.name, len(res.Hits))
 		}
+		for _, h := range res.Hits {
+			if h.Alignment == nil {
+				t.Fatalf("%s: hit %s undecorated", tc.name, h.ID)
+			}
+			want, err := Align(tc.query, tc.db.Seq(h.Index), tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Score != want.Score() || h.Alignment.CIGAR != want.CIGAR() ||
+				h.Alignment.Identities != want.Identities() {
+				t.Fatalf("%s: hit %s: {score %d, %s, %d ids}, oracle {%d, %s, %d}", tc.name,
+					h.ID, h.Score, h.Alignment.CIGAR, h.Alignment.Identities,
+					want.Score(), want.CIGAR(), want.Identities())
+			}
+			qs, qe, ss, se := want.Coordinates()
+			a := h.Alignment
+			if a.QueryStart != qs || a.QueryEnd != qe || a.SubjectStart != ss || a.SubjectEnd != se {
+				t.Fatalf("%s: hit %s coordinates [%d:%d)x[%d:%d), oracle [%d:%d)x[%d:%d)", tc.name,
+					h.ID, a.QueryStart, a.QueryEnd, a.SubjectStart, a.SubjectEnd, qs, qe, ss, se)
+			}
+		}
+	}
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// DoBatch carries each request's report options.
 	batch, err := cl.DoBatch(context.Background(), requests([]Sequence{q, seqs[1]}, ReportOptions{Alignments: true, TopK: 2}))
@@ -274,7 +293,7 @@ func TestReportCacheKeysNeverAlias(t *testing.T) {
 
 	// Each request is asked twice: the first must miss, the second hit
 	// and answer the first's result.
-	twice := func(name string, req, again Request) *ClusterResult {
+	twice := func(name string, req, again Request) *Result {
 		t.Helper()
 		c0 := cl.CacheStats()
 		s0 := cl.SchedulerStats().CacheHits
@@ -373,7 +392,7 @@ func TestReportWrappedGapRowCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &ClusterResult{}
+	res := &Result{}
 	res.Hits = []Hit{{
 		Index: 0, ID: "s", Score: 10,
 		Alignment: &HitAlignment{
@@ -404,7 +423,7 @@ func TestReportWrappedGapRowCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2 := &ClusterResult{}
+	res2 := &Result{}
 	res2.Hits = []Hit{{
 		Index: 0, ID: "s", Score: 10,
 		Alignment: &HitAlignment{

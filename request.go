@@ -156,7 +156,7 @@ func plainRequest(query Sequence, report []ReportOptions) (Request, error) {
 // use Do.
 //
 //sw:ctxroot
-func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*ClusterResult, error) {
+func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*Result, error) {
 	req, err := plainRequest(query, report)
 	if err != nil {
 		return nil, err
@@ -171,7 +171,7 @@ func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*ClusterResul
 
 // SearchScheduled is Do for a direct search of query with an optional
 // ReportOptions.
-func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ...ReportOptions) (*ClusterResult, error) {
+func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ...ReportOptions) (*Result, error) {
 	req, err := plainRequest(query, report)
 	if err != nil {
 		return nil, err
@@ -190,7 +190,7 @@ func (c *Cluster) SearchScheduled(ctx context.Context, query Sequence, report ..
 // next asker. Results may be shared between callers, translated and
 // custom-matrix ones included; treat them as read-only. POST /search is
 // one Do.
-func (c *Cluster) Do(ctx context.Context, req Request) (*ClusterResult, error) {
+func (c *Cluster) Do(ctx context.Context, req Request) (*Result, error) {
 	jb, err := c.prepare(req)
 	if err != nil {
 		return nil, err
@@ -206,7 +206,7 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*ClusterResult, error) {
 // in-flight slots with concurrent callers one query at a time. ctx bounds
 // the wait, as in Do. A failure names the request it came from ("query 2:
 // ...") and wraps its cause. POST /batch is one DoBatch.
-func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult, error) {
+func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*Result, error) {
 	jobs := make([]job, len(reqs))
 	for i, req := range reqs {
 		jb, err := c.prepare(req)
@@ -215,7 +215,7 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 		}
 		jobs[i] = jb
 	}
-	out := make([]*ClusterResult, len(jobs))
+	out := make([]*Result, len(jobs))
 	for i, jb := range jobs {
 		res, err := c.scheduled(ctx, jb)
 		if err != nil {
@@ -230,7 +230,7 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*ClusterResult
 // for its result, the one submission every door makes. The scheduler's
 // teardown — at submission or, after CloseNow, while waiting — maps to
 // ErrClusterClosed, which the HTTP front end answers with the retryable 503.
-func (c *Cluster) scheduled(ctx context.Context, jb job) (*ClusterResult, error) {
+func (c *Cluster) scheduled(ctx context.Context, jb job) (*Result, error) {
 	res, err := c.sched.Do(ctx, jb)
 	if errors.Is(err, qsched.ErrClosed) {
 		return nil, ErrClusterClosed
@@ -245,7 +245,7 @@ func (c *Cluster) scheduled(ctx context.Context, jb job) (*ClusterResult, error)
 // the hits are selected. The result is then decorated; only a wire job's
 // result keeps the score list. ctx is checked before every score pass and
 // threaded into the traceback phase.
-func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
+func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 	disp := c.engine()
 	dopt := c.dopt
 	if jb.matrix != nil {
@@ -257,19 +257,19 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := wrapCluster(r)
+		res := wrapResult(r)
 		res.wire = r.Scores
 		return res, nil
 	}
 	var (
-		res    *ClusterResult
+		res    *Result
 		scores []int32
 		winner []int
 	)
 	if jb.frames != nil {
 		// Scores only per frame: the hits are selected over the merged
 		// frame scores.
-		per := make([]*core.ClusterResult, len(jb.fseqs))
+		per := make([]*core.Result, len(jb.fseqs))
 		for i, q := range jb.fseqs {
 			r, err := disp.SearchContext(ctx, q, dopt, -1)
 			if err != nil {
@@ -283,7 +283,7 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, scores = wrapCluster(r), r.Scores
+		res, scores = wrapResult(r), r.Scores
 	}
 	if err := c.decorate(ctx, disp, dopt, &jb, res, scores, winner); err != nil {
 		return nil, err
@@ -297,7 +297,7 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*ClusterResult, error) {
 // hits (all when 0) are selected over the merged scores, each stamped with
 // its winning frame. It also returns the merged scores and a map from each
 // database index to the index (into frames) of its winning frame.
-func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Frame, k int) (*ClusterResult, []int32, []int) {
+func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k int) (*Result, []int32, []int) {
 	best := res[0]
 	winner := make([]int, len(best.Scores))
 	for i, r := range res[1:] {
@@ -311,7 +311,7 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 		best.WallSeconds += r.WallSeconds
 	}
 	best.Hits = core.TopHits(c.db.db, best.Scores, k)
-	merged := wrapCluster(best)
+	merged := wrapResult(best)
 	for i := range merged.Hits {
 		h := &merged.Hits[i]
 		h.Frame = frames[winner[h.Index]].Index
@@ -328,7 +328,7 @@ func (c *Cluster) mergeFrames(res []*core.ClusterResult, frames []*translate.Fra
 // only ever see results this call owns: cached results are decorated
 // before they enter the cache, never after. disp must be the engine
 // snapshot that scored the result, and dopt the options it scored under.
-func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *ClusterResult, scores []int32, winner []int) error {
+func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *Result, scores []int32, winner []int) error {
 	if jb.rep.EValues {
 		m, err := stats.FitEValues(scores, 0)
 		if err != nil {

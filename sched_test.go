@@ -70,7 +70,7 @@ func TestDoCloseNowLeavesNoGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var res *ClusterResult
+			var res *Result
 			res, errs[i] = cl.Do(context.Background(), Request{Query: q})
 			if errs[i] == nil && res == nil {
 				errs[i] = errors.New("nil result without an error")
@@ -107,7 +107,7 @@ func TestDoMixedReportsNoAliasNoLeak(t *testing.T) {
 	}
 	const n = 24
 	rep := ReportOptions{Alignments: true, EValues: true, TopK: 3}
-	results := make([]*ClusterResult, n)
+	results := make([]*Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -168,8 +168,8 @@ func TestDoorsShareOneScheduler(t *testing.T) {
 	var (
 		wg       sync.WaitGroup
 		start    = make(chan struct{})
-		done     *ClusterResult
-		batch    []*ClusterResult
+		done     *Result
+		batch    []*Result
 		doErr    error
 		batchErr error
 		httpErr  error

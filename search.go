@@ -106,7 +106,7 @@ type HitAlignment struct {
 }
 
 // HitSignificance is a hit's statistical significance under the fitted
-// Gumbel null model of its search (ClusterResult.Significance).
+// Gumbel null model of its search (Result.Significance).
 type HitSignificance struct {
 	// BitScore is the raw score on the fitted model's bit scale; EValue
 	// the expected number of equal-or-better chance hits in a database of
@@ -115,8 +115,10 @@ type HitSignificance struct {
 	EValue   float64
 }
 
-// Result reports a database search: its hits and counters. Every subject's
-// score is the hit list of a search with TopK 0 and no reporting phase.
+// Result reports a database search: its hits, its counters and, when the
+// search asked for E-values, its fitted null model. Every door returns one.
+// Every subject's score is the hit list of a search with TopK 0 and no
+// reporting phase.
 type Result struct {
 	// Hits is sorted by descending score (the paper's step 4), ties by
 	// database order, truncated to TopK when requested.
@@ -140,17 +142,24 @@ type Result struct {
 	// OverflowCells counts the cell updates the escalations recomputed,
 	// across both tiers.
 	OverflowCells int64
+	// Significance is the Gumbel null model fitted over the full score
+	// distribution when the search requested ReportOptions.EValues; nil
+	// otherwise.
+	Significance *Significance
+	// wire is a shard node's score list, which /shard/search sends; nil
+	// on every result a door returns.
+	wire []int32
 }
 
-func wrapCluster(r *core.ClusterResult) *ClusterResult {
-	out := &ClusterResult{Result: Result{
+func wrapResult(r *core.Result) *Result {
+	out := &Result{
 		Hits:          make([]Hit, len(r.Hits)),
 		Cells:         r.Stats.Cells,
 		WallSeconds:   r.WallSeconds,
 		Overflows:     r.Stats.Overflows,
 		Overflows8:    r.Stats.Overflows8,
 		OverflowCells: r.Stats.OverflowCells,
-	}}
+	}
 	if r.WallSeconds > 0 {
 		out.WallGCUPS = float64(r.Stats.Cells) / r.WallSeconds / 1e9
 	}

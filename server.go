@@ -24,9 +24,9 @@ import (
 //	POST /batch    {"fasta": ">q1\nMKWVLA...\n>q2\n...", "top_k": 10}
 //	GET  /healthz
 //
-// /search and /batch answer with SearchJSON (respectively a BatchJSON
-// wrapping one SearchJSON per query, in request order); /healthz serves a
-// HealthJSON snapshot of database, backend, scheduler and cache state.
+// /search and /batch answer with searchJSON (respectively a batchJSON
+// wrapping one searchJSON per query, in request order); /healthz serves a
+// healthJSON snapshot of database, backend, scheduler and cache state.
 // Disconnected clients abandon only their wait: the computation finishes
 // and its result stays in the cluster cache for the next asker.
 //
@@ -55,8 +55,8 @@ const maxQueryResidues = 65536
 // says.
 const maxResponseHits = 10000
 
-// QueryJSON is one query in a /search or /batch request.
-type QueryJSON struct {
+// queryJSON is one query in a /search or /batch request.
+type queryJSON struct {
 	// ID labels the query in the response (optional).
 	ID string `json:"id"`
 	// Residues is the ASCII protein sequence; letters outside the
@@ -64,8 +64,8 @@ type QueryJSON struct {
 	Residues string `json:"residues"`
 }
 
-// HitJSON is one database match in a response.
-type HitJSON struct {
+// hitJSON is one database match in a response.
+type hitJSON struct {
 	// Index is the subject's position in the database; ID its identifier;
 	// Score the optimal Smith-Waterman score.
 	Index int    `json:"index"`
@@ -82,12 +82,12 @@ type HitJSON struct {
 	EValue   *float64 `json:"evalue,omitempty"`
 }
 
-// SearchJSON is the /search response and the per-query element of /batch.
-type SearchJSON struct {
+// searchJSON is the /search response and the per-query element of /batch.
+type searchJSON struct {
 	ID string `json:"id,omitempty"`
 	// Hits is sorted by descending score, truncated to the request's
 	// top_k (10 when unset).
-	Hits []HitJSON `json:"hits"`
+	Hits []hitJSON `json:"hits"`
 	// Significance summarises the fitted Gumbel null model when the
 	// request set evalue.
 	Significance string `json:"significance,omitempty"`
@@ -98,17 +98,17 @@ type SearchJSON struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// BatchJSON is the /batch response.
-type BatchJSON struct {
-	Results []SearchJSON `json:"results"`
+// batchJSON is the /batch response.
+type batchJSON struct {
+	Results []searchJSON `json:"results"`
 }
 
-// HealthJSON is the /healthz response. Status is "ok", or "degraded" on
+// healthJSON is the /healthz response. Status is "ok", or "degraded" on
 // a distributed coordinator with at least one shard down to zero live
 // replicas — the signal a load balancer rotates on while the shard still
 // answers retryable 503s. Tracebacks counts the aligned-hit tracebacks the
 // process has run, a coordinator's included: they run on its own host.
-type HealthJSON struct {
+type healthJSON struct {
 	Status        string          `json:"status"`
 	Sequences     int             `json:"sequences"`
 	Residues      int64           `json:"residues"`
@@ -222,7 +222,7 @@ func reportFor(topK int, align, evalue bool) (ReportOptions, error) {
 
 // toQuery validates one request query, encoding it under the named
 // alphabet ("dna" or protein otherwise).
-func toQuery(q QueryJSON, pos, alpha string) (Sequence, error) {
+func toQuery(q queryJSON, pos, alpha string) (Sequence, error) {
 	if q.Residues == "" {
 		return Sequence{}, fmt.Errorf("%s: empty residues", pos)
 	}
@@ -241,10 +241,10 @@ func toQuery(q QueryJSON, pos, alpha string) (Sequence, error) {
 
 // toSearchJSON renders a result for transport, carrying any phase-two
 // decorations along. The hit list is already the request's top_k long.
-func toSearchJSON(id string, res *ClusterResult) SearchJSON {
-	out := SearchJSON{
+func toSearchJSON(id string, res *Result) searchJSON {
+	out := searchJSON{
 		ID:          id,
-		Hits:        make([]HitJSON, len(res.Hits)),
+		Hits:        make([]hitJSON, len(res.Hits)),
 		Cells:       res.Cells,
 		WallSeconds: res.WallSeconds,
 	}
@@ -252,7 +252,7 @@ func toSearchJSON(id string, res *ClusterResult) SearchJSON {
 		out.Significance = res.Significance.String()
 	}
 	for i, h := range res.Hits {
-		hj := HitJSON{Index: h.Index, ID: h.ID, Score: h.Score, Frame: h.Frame, Alignment: h.Alignment}
+		hj := hitJSON{Index: h.Index, ID: h.ID, Score: h.Score, Frame: h.Frame, Alignment: h.Alignment}
 		if h.Significance != nil {
 			bits, ev := h.Significance.BitScore, h.Significance.EValue
 			hj.BitScore, hj.EValue = &bits, &ev
@@ -270,7 +270,7 @@ func toSearchJSON(id string, res *ClusterResult) SearchJSON {
 // six-frame translated search; matrix supplies request-scoped
 // substitution-matrix text.
 type searchRequest struct {
-	QueryJSON
+	queryJSON
 	TopK      int    `json:"top_k"`
 	Align     bool   `json:"align"`
 	EValue    bool   `json:"evalue"`
@@ -304,7 +304,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Translate {
 		alpha = "dna"
 	}
-	q, err := toQuery(req.QueryJSON, "query", alpha)
+	q, err := toQuery(req.queryJSON, "query", alpha)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -336,7 +336,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // one multi-record FASTA document instead of (or in addition to) the
 // queries array; its records are appended after the explicit queries.
 type batchRequest struct {
-	Queries []QueryJSON `json:"queries"`
+	Queries []queryJSON `json:"queries"`
 	FASTA   string      `json:"fasta"`
 	TopK    int         `json:"top_k"`
 	Align   bool        `json:"align"`
@@ -385,7 +385,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
-	out := BatchJSON{Results: make([]SearchJSON, len(results))}
+	out := batchJSON{Results: make([]searchJSON, len(results))}
 	for i, res := range results {
 		out.Results[i] = toSearchJSON(req.Queries[i].ID, res)
 	}
@@ -396,7 +396,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // queries under the database's alphabet. Records re-render to canonical
 // residue letters, so a FASTA batch shares cache entries with the same
 // queries submitted inline.
-func fastaQueries(text, alpha string) ([]QueryJSON, error) {
+func fastaQueries(text, alpha string) ([]queryJSON, error) {
 	seqs, err := ReadFASTA(strings.NewReader(text), alpha)
 	if err != nil {
 		return nil, fmt.Errorf("fasta: %w", err)
@@ -404,9 +404,9 @@ func fastaQueries(text, alpha string) ([]QueryJSON, error) {
 	if len(seqs) == 0 {
 		return nil, errors.New("fasta: no records")
 	}
-	out := make([]QueryJSON, len(seqs))
+	out := make([]queryJSON, len(seqs))
 	for i, s := range seqs {
-		out[i] = QueryJSON{ID: s.ID(), Residues: s.String()}
+		out[i] = queryJSON{ID: s.ID(), Residues: s.String()}
 	}
 	return out, nil
 }
@@ -470,7 +470,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queries, tracebacks, per := s.c.Totals()
-	h := HealthJSON{
+	h := healthJSON{
 		Status:        "ok",
 		Sequences:     s.c.db.Len(),
 		Residues:      s.c.db.Residues(),

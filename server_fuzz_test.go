@@ -47,7 +47,7 @@ func FuzzSearchRequest(f *testing.F) {
 		if rec.Code != http.StatusOK || (format != "" && format != "json") {
 			return
 		}
-		var sr SearchJSON
+		var sr searchJSON
 		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 			t.Fatalf("200 body for %s does not decode: %v\n%s", body, err, rec.Body)
 		}

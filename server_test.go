@@ -62,7 +62,7 @@ func TestHTTPSearch(t *testing.T) {
 	const topK = 2 // below the database
 	ts := httptest.NewServer(NewHTTPHandler(cl))
 	defer ts.Close()
-	check := func(endpoint string, body []byte, sr SearchJSON) {
+	check := func(endpoint string, body []byte, sr searchJSON) {
 		t.Helper()
 		if sr.ID != "q1" || len(sr.Hits) != topK {
 			t.Fatalf("%s: response %s", endpoint, body)
@@ -79,18 +79,18 @@ func TestHTTPSearch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchJSON
+	var sr searchJSON
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("bad body %s: %v", body, err)
 	}
 	check("/search", body, sr)
 	resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
-		"queries": []QueryJSON{{ID: "q1", Residues: "MKWVLA"}}, "top_k": topK,
+		"queries": []queryJSON{{ID: "q1", Residues: "MKWVLA"}}, "top_k": topK,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchJSON
+	var br batchJSON
 	if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 1 {
 		t.Fatalf("bad batch body %s: %v", body, err)
 	}
@@ -108,7 +108,7 @@ func TestHTTPBatchOrderAndHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchJSON
+	var br batchJSON
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestHTTPBatchOrderAndHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h HealthJSON
+	var h healthJSON
 	if err := json.Unmarshal(raw, &h); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHealthzLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hres.Body.Close()
-	var h HealthJSON
+	var h healthJSON
 	if err := json.NewDecoder(hres.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestHTTPBatchAligned(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchJSON
+	var br batchJSON
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestHTTPBatchAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hres.Body.Close()
-	var h HealthJSON
+	var h healthJSON
 	if err := json.NewDecoder(hres.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var sr SearchJSON
+			var sr searchJSON
 			if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 				errs <- err
 				return
@@ -494,7 +494,7 @@ func TestHTTPMatrixCustom(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchJSON
+	var sr searchJSON
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestHTTPBatchFASTA(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchJSON
+	var br batchJSON
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}

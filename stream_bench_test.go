@@ -74,7 +74,7 @@ func benchDB(b *testing.B) *Database {
 type serialResult struct {
 	index  int
 	query  Sequence
-	result *ClusterResult
+	result *Result
 	err    error
 }
 
@@ -108,7 +108,7 @@ func runSerialWorker(b *testing.B, cl *Cluster, stream []Sequence) {
 // request order.
 func runScheduler(b *testing.B, cl *Cluster, stream []Sequence) {
 	b.Helper()
-	results := make([]*ClusterResult, len(stream))
+	results := make([]*Result, len(stream))
 	errs := make([]error, len(stream))
 	var wg sync.WaitGroup
 	for i, q := range stream {

@@ -146,8 +146,7 @@ func checkAnchorPath(t *testing.T, db *Database, query, subject, id string, opt 
 		t.Errorf("swalign.Align = %+v, want %+v", got, want)
 	}
 
-	pub, err := Align(NewSequence("q", query), NewSequence("s", subject),
-		AlignOptions{Matrix: opt.Matrix, GapOpen: opt.GapOpen, GapExtend: opt.GapExtend, NoGapDefaults: true})
+	pub, err := Align(NewSequence("q", query), NewSequence("s", subject), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
