@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"heterosw/internal/core"
@@ -177,27 +178,6 @@ func topK(rep ReportOptions) int {
 // returned snapshot for the whole operation instead of re-loading.
 func (c *Cluster) engine() *core.Dispatcher { return c.eng.Load() }
 
-// BackendTotals is one backend's cumulative accounting across every search
-// the cluster has completed, whichever door it arrived on; the
-// swserve /healthz endpoint lists one per backend.
-type BackendTotals struct {
-	// Name identifies the backend; Device is DeviceHost for a local
-	// cluster's one backend, DeviceRemote for a coordinator's shard nodes.
-	Name   string     `json:"name"`
-	Device DeviceKind `json:"device"`
-	// Workers is the host backend's goroutine count per search (0 for a
-	// remote node, whose parallelism is its own).
-	Workers int `json:"workers"`
-	// Grants counts the searches the backend has run (one per query);
-	// Residues the database residues and Cells the cell updates they
-	// covered; WallSeconds their accumulated wall time, so
-	// Cells/WallSeconds is the backend's realised rate.
-	Grants      int64   `json:"grants"`
-	Residues    int64   `json:"residues"`
-	Cells       int64   `json:"cells"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
 // Cluster is a search service over a Database. Every search is a Request
 // through one of its doors — Search, SearchScheduled, Do and DoBatch — and
 // every door runs the same validation and enters the cluster's one
@@ -229,10 +209,9 @@ type Cluster struct {
 	topo *liveTopology
 
 	// sched is the one query scheduler behind every door, built with the
-	// cluster; cache is its result cache and keyBase the constant
-	// prefix of its keys (see startScheduler).
+	// cluster with its result cache; keyBase is the constant prefix of its
+	// keys (see startScheduler).
 	sched   *qsched.Scheduler[job, *Result]
-	cache   *qsched.Cache[*Result]
 	keyBase string
 }
 
@@ -306,9 +285,8 @@ func (c *Cluster) startScheduler(maxInFlight, cacheSize int) {
 	if cacheSize == 0 {
 		cacheSize = defaultCacheEntries
 	}
-	c.cache = qsched.NewCache[*Result](cacheSize)
 	c.keyBase = fmt.Sprintf("%+v|", c.dopt.Search)
-	c.sched = qsched.New(c.execute, c.cacheKey, c.cache, maxInFlight)
+	c.sched = qsched.New(c.execute, c.cacheKey, qsched.NewCache[*Result](cacheSize), maxInFlight)
 }
 
 // Devices returns the modelled roster Plan prices (nil on a coordinator).
@@ -385,85 +363,89 @@ func (c *Cluster) Plan(queryLen int) (*Plan, error) {
 	return out, nil
 }
 
-// Totals reports the number of completed query searches, the aligned-hit
-// tracebacks (ReportOptions.Alignments) this host has run, and cumulative
-// per-backend accounting (searches, residues, cells, wall seconds) across
-// every entry point and concurrent caller: one host backend on a local
-// cluster, one per shard on a coordinator. Tracebacks always run on the
-// cluster's own host, a coordinator's included, so they are counted once
-// and not per backend. The swserve /healthz endpoint serves this snapshot.
-func (c *Cluster) Totals() (queries, tracebacks int64, per []BackendTotals) {
-	q, tracebacks, raw := c.engine().Totals()
-	kind, workers := DeviceRemote, 0
+// Stats is one snapshot of a cluster's cumulative accounting across every
+// search it has completed, whichever door it arrived on and whichever
+// caller sent it: what the searches ran on, the cells and seconds each
+// backend spent, and the scheduler's, the result cache's and the precision
+// ladder's counters. The swserve /healthz endpoint serves it.
+type Stats struct {
+	// Queries counts completed query searches; Tracebacks the aligned-hit
+	// tracebacks (ReportOptions.Alignments) this process has run. They
+	// always run on the cluster's own host, a coordinator's included, so
+	// they are counted once and not per backend.
+	Queries    int64 `json:"queries"`
+	Tracebacks int64 `json:"tracebacks"`
+	// VecBackend is the SIMD tier this process's kernels run on.
+	VecBackend vec.BackendInfo `json:"vec_backend"`
+	// Backends has one entry per backend: the one host backend of a local
+	// cluster (Device "host"), or each shard node of a coordinator
+	// ("remote").
+	Backends []struct {
+		Name   string `json:"name"`
+		Device string `json:"device"`
+		// Workers is the host backend's goroutine count per search (0 for
+		// a remote node, whose parallelism is its own).
+		Workers int `json:"workers"`
+		// Grants counts the searches the backend has run (one per query);
+		// Residues the database residues and Cells the cell updates they
+		// covered; WallSeconds their accumulated wall time, so
+		// Cells/WallSeconds is the backend's realised rate.
+		Grants      int64   `json:"grants"`
+		Residues    int64   `json:"residues"`
+		Cells       int64   `json:"cells"`
+		WallSeconds float64 `json:"wall_seconds"`
+	} `json:"backends"`
+	// Scheduler counts submissions through every door, Search included;
+	// Joined those that attached to an identical in-flight query, CacheHits
+	// those answered straight from the cache.
+	Scheduler struct {
+		Submitted int64 `json:"submitted"`
+		Joined    int64 `json:"joined"`
+		CacheHits int64 `json:"cache_hits"`
+	} `json:"scheduler"`
+	// Cache counts the result cache's lookups — Hits is
+	// Scheduler.CacheHits — and holds its current entry count; all zero
+	// when caching is disabled.
+	Cache struct {
+		Hits    int64 `json:"hits"`
+		Misses  int64 `json:"misses"`
+		Entries int   `json:"entries"`
+	} `json:"cache"`
+	// Ladder counts the precision-ladder escalations of the searches
+	// actually computed (cache hits and joined queries count nothing):
+	// lanes whose byte pass saturated and went to 16 bits, those that
+	// saturated 16 bits and were recomputed at 32, and the cell updates
+	// those recomputations cost. Escalated8 per searched subject is the
+	// share of the traffic's subjects that are homologs of their queries.
+	Ladder struct {
+		Escalated8     int64 `json:"escalated_8to16"`
+		Escalated16    int64 `json:"escalated_16to32"`
+		EscalatedCells int64 `json:"escalated_cells"`
+	} `json:"ladder"`
+}
+
+// Stats reports the cluster's cumulative accounting. The engine's counters
+// are read under one lock and the scheduler's under another, so each group
+// agrees with itself: a local cluster's one backend has as many grants as
+// there were queries, and the cache's hits are the scheduler's.
+func (c *Cluster) Stats() Stats {
+	t, s := c.engine().Totals(), c.sched.Stats()
+	st := Stats{Queries: t.Queries, Tracebacks: t.Tracebacks, VecBackend: vec.Info()}
+	device, workers := "remote", 0
 	if c.topo == nil {
-		kind, workers = DeviceHost, runtime.GOMAXPROCS(0)
+		device, workers = "host", runtime.GOMAXPROCS(0)
 	}
-	per = make([]BackendTotals, len(raw))
-	for i, bt := range raw {
-		per[i] = BackendTotals{
-			Name:        bt.Name,
-			Device:      kind,
-			Workers:     workers,
-			Grants:      bt.Grants,
-			Residues:    bt.Residues,
-			Cells:       bt.Cells,
-			WallSeconds: bt.WallSeconds,
-		}
+	// Grow sizes the slice without spelling its unnamed element type.
+	st.Backends = slices.Grow(st.Backends, len(t.Backends))[:len(t.Backends)]
+	for i, bt := range t.Backends {
+		b := &st.Backends[i]
+		b.Name, b.Device, b.Workers = bt.Name, device, workers
+		b.Grants, b.Residues, b.Cells, b.WallSeconds = bt.Grants, bt.Residues, bt.Cells, bt.WallSeconds
 	}
-	return q, tracebacks, per
-}
-
-// LadderStats is the cumulative precision-ladder accounting of every search
-// the cluster has completed (cache hits and joined queries compute
-// nothing and count nothing).
-type LadderStats struct {
-	// Escalated8 counts lanes whose byte pass saturated and went to the
-	// 16-bit lane pass; Escalated16 those that saturated 16 bits and were
-	// recomputed at 32.
-	Escalated8  int64 `json:"escalated_8to16"`
-	Escalated16 int64 `json:"escalated_16to32"`
-	// EscalatedCells counts the cell updates those recomputations cost.
-	EscalatedCells int64 `json:"escalated_cells"`
-}
-
-// LadderStats reports the cumulative escalation counts. Escalated8 per
-// searched subject is the share of the traffic's subjects that are
-// homologs of their queries; the swserve /healthz endpoint serves it.
-func (c *Cluster) LadderStats() LadderStats {
-	st := c.engine().KernelStats()
-	return LadderStats{Escalated8: st.Overflows8, Escalated16: st.Overflows, EscalatedCells: st.OverflowCells}
-}
-
-// CacheStats is a snapshot of the cluster result cache.
-type CacheStats struct {
-	// Hits and Misses count lookups; Entries is the current entry count.
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Entries int   `json:"entries"`
-}
-
-// CacheStats reports the cluster result cache's hit/miss counters and
-// current entry count (all zero when caching is disabled).
-func (c *Cluster) CacheStats() CacheStats {
-	s := c.cache.Stats()
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries}
-}
-
-// SchedulerStats is a snapshot of the cluster scheduler's activity.
-type SchedulerStats struct {
-	// Submitted counts submissions through every door, Search included.
-	Submitted int64 `json:"submitted"`
-	// Joined counts submissions that attached to an identical in-flight
-	// query; CacheHits those answered straight from the cache.
-	Joined    int64 `json:"joined"`
-	CacheHits int64 `json:"cache_hits"`
-}
-
-// SchedulerStats reports the activity of the cluster's scheduler, which
-// every door shares.
-func (c *Cluster) SchedulerStats() SchedulerStats {
-	st := c.sched.Stats()
-	return SchedulerStats{Submitted: st.Submitted, Joined: st.Joined, CacheHits: st.CacheHits}
+	st.Scheduler.Submitted, st.Scheduler.Joined, st.Scheduler.CacheHits = s.Submitted, s.Joined, s.CacheHits
+	st.Cache.Hits, st.Cache.Misses, st.Cache.Entries = s.CacheHits, s.Misses, s.Entries
+	st.Ladder.Escalated8, st.Ladder.Escalated16, st.Ladder.EscalatedCells = t.Kernel.Overflows8, t.Kernel.Overflows, t.Kernel.OverflowCells
+	return st
 }
 
 // Close releases the cluster's background work: a coordinator's health

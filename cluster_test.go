@@ -74,19 +74,20 @@ func TestLocalClusterOneEngineSearchPerQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n, q := range queries[:3] {
-			before := cl.engine().KernelStats()
+			before := cl.engine().Totals().Kernel
 			res, err := cl.Search(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := cl.engine().KernelStats()
+			after := cl.engine().Totals().Kernel
 			// Every database residue is searched once per query.
 			if got, want := after.Cells-before.Cells, int64(q.Len())*db.Residues(); got != want {
 				t.Fatalf("%v: query %d counted %d cells, want %d (every residue once)",
 					opt.Devices, n, got, want)
 			}
-			nq, _, per := cl.Totals()
-			if len(per) != 1 || per[0].Name != "host" || per[0].Device != DeviceHost {
+			st := cl.Stats()
+			nq, per := st.Queries, st.Backends
+			if len(per) != 1 || per[0].Name != "host" || per[0].Device != "host" {
 				t.Fatalf("%v: backends %+v, want a single host", opt.Devices, per)
 			}
 			if want := int64(n + 1); nq != want || per[0].Grants != want {
@@ -337,7 +338,7 @@ func TestCachedEntryHoldsNoScoreList(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if got := cl.CacheStats().Entries; got != entries {
+	if got := cl.Stats().Cache.Entries; got != entries {
 		t.Fatalf("cache holds %d entries, want %d", got, entries)
 	}
 	perSeq := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / entries / n

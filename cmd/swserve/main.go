@@ -71,6 +71,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -168,7 +169,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		logHost(cl)
+		logHost()
 	}
 
 	srv := &http.Server{
@@ -188,11 +189,11 @@ func main() {
 	serve(srv, *drain, cl.Close, cl.CloseNow, reload)
 }
 
-// logHost says what a local cluster's searches run on: the SIMD tier
-// internal/vec dispatched and the worker goroutines per query.
-func logHost(cl *heterosw.Cluster) {
-	_, _, per := cl.Totals()
-	fmt.Printf("swserve: host: %s, %d workers\n", vec.Info(), per[0].Workers)
+// logHost says what a local cluster's or a node's searches run on: the
+// SIMD tier internal/vec dispatched and the worker goroutines per query,
+// one per GOMAXPROCS.
+func logHost() {
+	fmt.Printf("swserve: host: %s, %d workers\n", vec.Info(), runtime.GOMAXPROCS(0))
 }
 
 // runNode serves the shard execution protocol for the listed shard .swdb
@@ -224,7 +225,7 @@ func runNode(listen string, shardFiles []string, opt heterosw.ClusterOptions, dr
 		Handler:           ss.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	logHost(clusters[0])
+	logHost()
 	fmt.Printf("swserve: node serving %d shard(s) on %s\n", len(shardFiles), listen)
 	serve(srv, drain, ss.Close, ss.CloseNow, nil)
 }

@@ -91,7 +91,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 
 	// Let every request reach the scheduler before tearing down.
 	deadline := time.Now().Add(5 * time.Second)
-	for cl.SchedulerStats().Submitted < clients {
+	for cl.Stats().Scheduler.Submitted < clients {
 		if time.Now().After(deadline) {
 			t.Fatal("requests never reached the scheduler")
 		}

@@ -13,15 +13,6 @@ import (
 	"heterosw/internal/seqdb"
 )
 
-// DeviceHost and DeviceRemote label the backends of Cluster.Totals: the
-// host a local cluster runs on, and a remote shard node of a distributed
-// cluster. Neither is a modelled device: they are not constructible through
-// ClusterOptions.Devices.
-const (
-	DeviceHost   = DeviceKind("host")
-	DeviceRemote = DeviceKind("remote")
-)
-
 // DistributedOptions configures a coordinator over remote shard nodes.
 type DistributedOptions struct {
 	// Options is validated as a local cluster's is, fingerprints the
@@ -278,7 +269,7 @@ func (c *Cluster) ProbeNodes(ctx context.Context) error {
 // time, so a slow reload of an older manifest cannot publish over a later
 // one.
 //
-// The swap resets the per-backend Totals accounting (the new generation
+// The swap resets the per-backend Stats accounting (the new generation
 // has fresh backends); the result cache is kept — the conformance
 // guarantee makes results identical across cuts of the same parent.
 func (c *Cluster) ReloadManifest(ctx context.Context) error {

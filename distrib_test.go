@@ -164,6 +164,82 @@ func TestCoordinatorConformance(t *testing.T) {
 			}
 		}
 	})
+	// A translated request searches the six frames of a DNA query on the
+	// nodes and traces back its hits on the coordinator.
+	t.Run("translated", func(t *testing.T) {
+		parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+		coord, parentDB, ref, refDB := coordinatorAndReference(t, parentPath, manifestPath, shardPaths)
+		rep := ReportOptions{Alignments: true, EValues: true, TopK: 5}
+		for _, req := range confRequests(t, queries, rep, "", true) {
+			want, err := ref.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("reference translated Do(%s): %v", req.Query.ID(), err)
+			}
+			if len(want.Hits) == 0 || want.Hits[0].Alignment == nil {
+				t.Fatalf("translated %s: the single node reports no aligned hit; the leg compares nothing", req.Query.ID())
+			}
+			got, err := coord.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("coordinator translated Do(%s): %v", req.Query.ID(), err)
+			}
+			checkSameAnswer(t, req.Query, refDB, want, parentDB, got)
+		}
+	})
+}
+
+// coordinatorAndReference starts one node per shard and returns a
+// coordinator over them with the parent index it reads, and a single-node
+// cluster over its own copy of the parent. Everything is closed when the
+// test ends.
+func coordinatorAndReference(t *testing.T, parentPath, manifestPath string, shardPaths []string) (coord *Cluster, parentDB *Database, ref *Cluster, refDB *Database) {
+	t.Helper()
+	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
+	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err = NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{nodeA.URL, nodeB.URL}, fastDistribOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.CloseNow)
+	refDB, err = OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err = NewCluster(refDB, distribOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ref.CloseNow)
+	return coord, parentDB, ref, refDB
+}
+
+// checkSameAnswer compares a coordinator's answer to query q with the
+// single node's: the canonical result, the rendered report — which carries
+// no timing at all, so it must be byte-identical with no canonicalisation —
+// and the cells, which merge exactly because useful cells are
+// sharding-independent.
+func checkSameAnswer(t *testing.T, q Sequence, refDB *Database, want *Result, parentDB *Database, got *Result) {
+	t.Helper()
+	if w, g := canonDistrib(t, want), canonDistrib(t, got); !bytes.Equal(w, g) {
+		t.Errorf("query %s: coordinator result differs from single-node:\nwant %s\ngot  %s", q.ID(), w, g)
+	}
+	var wantRep, gotRep bytes.Buffer
+	if err := WriteFormat(&wantRep, "blast", q, refDB, want, 60); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFormat(&gotRep, "blast", q, parentDB, got, 60); err != nil {
+		t.Fatal(err)
+	}
+	if wantRep.String() != gotRep.String() {
+		t.Errorf("query %s: rendered reports differ:\n--- single-node\n%s\n--- coordinator\n%s",
+			q.ID(), wantRep.String(), gotRep.String())
+	}
+	if want.Cells != got.Cells {
+		t.Errorf("query %s: cells %d != single-node %d", q.ID(), got.Cells, want.Cells)
+	}
 }
 
 // tieSetup builds a corpus whose top hits tie across the shard cut: two
@@ -227,29 +303,7 @@ func tieSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []strin
 // returns the single-node results.
 func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, shardPaths []string, queries []Sequence) (wants []*Result, scores [][]int32) {
 	t.Helper()
-	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
-	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
-
-	parentDB, err := OpenIndexFile(parentPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{nodeA.URL, nodeB.URL}, fastDistribOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.CloseNow()
-
-	refDB, err := OpenIndexFile(parentPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewCluster(refDB, distribOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.CloseNow()
-
+	coord, parentDB, ref, refDB := coordinatorAndReference(t, parentPath, manifestPath, shardPaths)
 	rep := ReportOptions{Alignments: true, EValues: true, TopK: 5}
 	for _, q := range queries {
 		// Every subject's score, read from an every-hit search, merges
@@ -281,9 +335,7 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 		if err != nil {
 			t.Fatalf("coordinator Search(%s): %v", q.ID(), err)
 		}
-		if w, g := canonDistrib(t, want), canonDistrib(t, got); !bytes.Equal(w, g) {
-			t.Errorf("query %s: coordinator result differs from single-node:\nwant %s\ngot  %s", q.ID(), w, g)
-		}
+		checkSameAnswer(t, q, refDB, want, parentDB, got)
 		// The scheduled path must agree too (it is what swserve serves).
 		sched, err := coord.Do(context.Background(), Request{Query: q, Report: rep})
 		if err != nil {
@@ -291,23 +343,6 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 		}
 		if w, g := canonDistrib(t, want), canonDistrib(t, sched); !bytes.Equal(w, g) {
 			t.Errorf("query %s: scheduled coordinator result differs from single-node", q.ID())
-		}
-		// The rendered report carries no timing at all, so it must be
-		// byte-identical with no canonicalisation.
-		var wantRep, gotRep bytes.Buffer
-		if err := WriteFormat(&wantRep, "blast", q, refDB, want, 60); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFormat(&gotRep, "blast", q, parentDB, got, 60); err != nil {
-			t.Fatal(err)
-		}
-		if wantRep.String() != gotRep.String() {
-			t.Errorf("query %s: rendered reports differ:\n--- single-node\n%s\n--- coordinator\n%s",
-				q.ID(), wantRep.String(), gotRep.String())
-		}
-		// Cells must merge exactly: useful cells are sharding-independent.
-		if want.Cells != got.Cells {
-			t.Errorf("query %s: cells %d != single-node %d", q.ID(), got.Cells, want.Cells)
 		}
 	}
 	return wants, scores
@@ -321,26 +356,7 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 // caller's.
 func TestCoordinatorRejectsRequestMatrix(t *testing.T) {
 	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
-	nodeA, _ := startShardNode(t, shardPaths[:1], nil)
-	nodeB, _ := startShardNode(t, shardPaths[1:], nil)
-	parentDB, err := OpenIndexFile(parentPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{nodeA.URL, nodeB.URL}, fastDistribOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.CloseNow()
-	refDB, err := OpenIndexFile(parentPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewCluster(refDB, distribOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.CloseNow()
+	coord, _, ref, _ := coordinatorAndReference(t, parentPath, manifestPath, shardPaths)
 
 	ctx := context.Background()
 	q := queries[1]

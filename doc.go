@@ -37,7 +37,7 @@
 //     several queries run in flight, each resolving as soon as its
 //     own result is ready, identical requests share one execution and
 //     repeats come from a cluster-wide LRU cache — see Cluster.Do,
-//     Cluster.SchedulerStats and the cmd/swserve HTTP front end;
+//     Cluster.Stats and the cmd/swserve HTTP front end;
 //   - two-phase aligned-hit reporting: after the vectorised score pass
 //     selects the top-K hits, a traceback phase re-aligns the query
 //     against just those K subjects and decorates each

@@ -195,7 +195,7 @@ func TestGoldenClusterSearch(t *testing.T) {
 
 	// The acceptance pin: phase two aligned exactly K sequences, never
 	// the 48-sequence database.
-	if _, tracebacks, _ := cl.Totals(); tracebacks != goldenTopK {
+	if tracebacks := cl.Stats().Tracebacks; tracebacks != goldenTopK {
 		t.Fatalf("traceback phase aligned %d sequences, want exactly %d", tracebacks, goldenTopK)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -151,11 +152,8 @@ type Dispatcher struct {
 	pool      *bufferPool
 	blockCols int
 
-	totalsMu   sync.Mutex
-	queries    int64           //sw:guardedBy(totalsMu)
-	tracebacks int64           //sw:guardedBy(totalsMu)
-	totals     []BackendTotals //sw:guardedBy(totalsMu)
-	stats      Stats           //sw:guardedBy(totalsMu)
+	totalsMu sync.Mutex
+	totals   Totals //sw:guardedBy(totalsMu)
 }
 
 // NewDispatcher builds a dispatcher over a database and a roster of local
@@ -185,14 +183,14 @@ func newDispatcher(db *seqdb.Database, backends []Backend) (*Dispatcher, error) 
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("core: empty backend roster")
 	}
-	totals := make([]BackendTotals, len(backends))
+	per := make([]BackendTotals, len(backends))
 	for i, b := range backends {
 		if b == nil {
 			return nil, fmt.Errorf("core: nil backend %d", i)
 		}
-		totals[i].Name = b.Name()
+		per[i].Name = b.Name()
 	}
-	return &Dispatcher{db: db, backends: backends, pool: newBufferPool(), totals: totals}, nil
+	return &Dispatcher{db: db, backends: backends, pool: newBufferPool(), totals: Totals{Backends: per}}, nil
 }
 
 // NewDispatcherShards builds a dispatcher over a pre-cut shard assignment:
@@ -253,26 +251,31 @@ type BackendTotals struct {
 	WallSeconds float64
 }
 
-// Totals reports the number of completed query searches, the number of
-// aligned-hit tracebacks this host has run in reporting phase two
-// (AlignHits), and per-backend cumulative accounting, in roster order. It
-// is safe to call while batches are in flight; the snapshot is internally
-// consistent.
-func (d *Dispatcher) Totals() (queries, tracebacks int64, per []BackendTotals) {
-	d.totalsMu.Lock()
-	defer d.totalsMu.Unlock()
-	return d.queries, d.tracebacks, append([]BackendTotals(nil), d.totals...)
+// Totals is the dispatcher's cumulative accounting across every search it
+// has completed, whichever concurrent batch it arrived on.
+type Totals struct {
+	// Queries counts completed query searches; Tracebacks the aligned-hit
+	// tracebacks this host has run in reporting phase two (AlignHits).
+	Queries    int64
+	Tracebacks int64
+	// Backends is the per-backend accounting, in roster order.
+	Backends []BackendTotals
+	// Kernel sums the cells and the precision ladder's escalations
+	// (Overflows8, Overflows, OverflowCells) of every search; a
+	// homolog-rich traffic mix shows in the escalations before it shows in
+	// latency.
+	Kernel Stats
 }
 
-// KernelStats reports the cells and the precision ladder's escalations
-// (Overflows8, Overflows, OverflowCells) summed over every search the
-// dispatcher has completed; a homolog-rich traffic mix shows in the
-// escalations before it shows in latency. See Totals for the snapshot
-// semantics.
-func (d *Dispatcher) KernelStats() Stats {
+// Totals reports the dispatcher's cumulative accounting. It is safe to
+// call while batches are in flight; the snapshot is taken under one lock,
+// so its counters agree with each other.
+func (d *Dispatcher) Totals() Totals {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	return d.stats
+	t := d.totals
+	t.Backends = slices.Clone(t.Backends)
+	return t
 }
 
 // commitTotals folds one completed search — its per-backend results —
@@ -280,17 +283,17 @@ func (d *Dispatcher) KernelStats() Stats {
 func (d *Dispatcher) commitTotals(per []*Result) {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	d.queries++
+	d.totals.Queries++
 	for i, r := range per {
 		if r == nil {
 			continue
 		}
-		t := &d.totals[i]
+		t := &d.totals.Backends[i]
 		t.Grants++
 		t.Residues += d.shards[i].Residues()
 		t.Cells += r.Stats.Cells
 		t.WallSeconds += r.WallSeconds
-		d.stats.Add(r.Stats)
+		d.totals.Kernel.Add(r.Stats)
 	}
 }
 

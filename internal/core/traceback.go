@@ -326,5 +326,5 @@ func laneEnds(q *profile.Query, g *seqdb.LaneGroup, p Params, claim []int32, eve
 func (d *Dispatcher) commitTracebacks(n int64) {
 	d.totalsMu.Lock()
 	defer d.totalsMu.Unlock()
-	d.tracebacks += n
+	d.totals.Tracebacks += n
 }

@@ -71,7 +71,7 @@ func TestAlignHitsMatchesOracle(t *testing.T) {
 	}
 	// The traceback phase is accounted: alignments land in the cumulative
 	// totals, and only K were ever run.
-	if _, tb, _ := d.Totals(); tb != int64(len(res.Hits)) {
+	if tb := d.Totals().Tracebacks; tb != int64(len(res.Hits)) {
 		t.Fatalf("totals record %d tracebacks, want %d", tb, len(res.Hits))
 	}
 }

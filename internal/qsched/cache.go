@@ -16,10 +16,6 @@ type Cache[R any] struct {
 	ll *list.List
 	//sw:guardedBy(mu)
 	byKey map[string]*list.Element
-	//sw:guardedBy(mu)
-	hits int64
-	//sw:guardedBy(mu)
-	misses int64
 }
 
 type cacheEntry[R any] struct {
@@ -46,10 +42,8 @@ func (c *Cache[R]) Get(key string) (R, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
 		return el.Value.(*cacheEntry[R]).val, true
 	}
-	c.misses++
 	var zero R
 	return zero, false
 }
@@ -82,21 +76,4 @@ func (c *Cache[R]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// CacheStats is a point-in-time snapshot of cache traffic.
-type CacheStats struct {
-	Hits, Misses int64
-	Entries      int
-}
-
-// Stats returns hit/miss counters and the current entry count. Safe on a
-// nil cache (all zeros).
-func (c *Cache[R]) Stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len()}
 }

@@ -85,8 +85,12 @@ type Stats struct {
 	// Joined counts submissions that attached to an identical in-flight
 	// query instead of queueing their own.
 	Joined int64
-	// CacheHits counts submissions answered directly from the cache.
+	// CacheHits counts submissions answered directly from the cache;
+	// Misses those that looked in it and found nothing (neither counts
+	// without a cache). Entries is the cache's current entry count.
 	CacheHits int64
+	Misses    int64
+	Entries   int
 }
 
 type job[Q, R any] struct {
@@ -149,11 +153,14 @@ func New[Q, R any](
 	}
 }
 
-// Stats returns a snapshot of scheduler activity.
+// Stats returns a snapshot of scheduler activity, its cache's entry
+// count included.
 func (s *Scheduler[Q, R]) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Entries = s.cache.Len()
+	return st
 }
 
 // submit enqueues a query and returns its ticket immediately. Cached
@@ -177,6 +184,7 @@ func (s *Scheduler[Q, R]) submit(q Q) (*ticket[R], error) {
 				s.stats.CacheHits++
 				return resolvedTicket(v), nil
 			}
+			s.stats.Misses++
 		}
 		if t, ok := s.pending[key]; ok {
 			s.stats.Joined++

@@ -188,12 +188,11 @@ func TestInFlightJoinAndCache(t *testing.T) {
 	if v, _ := waitTicket(t, c); v != "R:same" {
 		t.Fatalf("cached value %q", v)
 	}
+	// Both earlier submissions looked in the cache and missed; the join
+	// does not make the second one a hit.
 	st := s.Stats()
-	if st.Joined != 1 || st.CacheHits != 1 {
+	if st.Joined != 1 || st.CacheHits != 1 || st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
-	}
-	if cs := cache.Stats(); cs.Hits != 1 || cs.Entries != 1 {
-		t.Fatalf("cache stats %+v", cs)
 	}
 }
 
@@ -310,7 +309,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatal("size 0 cache should be nil (disabled)")
 	}
 	var nilCache *Cache[int]
-	if nilCache.Len() != 0 || nilCache.Stats().Entries != 0 {
+	if nilCache.Len() != 0 {
 		t.Fatal("nil cache accessors not safe")
 	}
 }

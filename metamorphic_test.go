@@ -81,7 +81,7 @@ func TestMetamorphicThroughDo(t *testing.T) {
 		}
 		return out
 	}
-	do := func(db []Sequence, gapOpen, gapExtend int, req Request) ([]int32, LadderStats) {
+	do := func(db []Sequence, gapOpen, gapExtend int, req Request) ([]int32, Stats) {
 		t.Helper()
 		d, err := NewDatabase(db)
 		if err != nil {
@@ -96,7 +96,7 @@ func TestMetamorphicThroughDo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return scoreList(t, d, res), cl.LadderStats()
+		return scoreList(t, d, res), cl.Stats()
 	}
 	for _, tr := range vec.Tiers() {
 		func() {
@@ -105,8 +105,9 @@ func TestMetamorphicThroughDo(t *testing.T) {
 				q := NewSequence("q", tc.query)
 				base, _ := do(seqs(false), tc.gapOpen, tc.gapExtend, Request{Query: q})
 				rev, _ := do(seqs(true), tc.gapOpen, tc.gapExtend, Request{Query: NewSequence("q", reverseString(tc.query))})
-				up, ladder := do(seqs(false), tc.c*tc.gapOpen, tc.c*tc.gapExtend,
+				up, st := do(seqs(false), tc.c*tc.gapOpen, tc.c*tc.gapExtend,
 					Request{Query: q, Matrix: scaledBLOSUM62(t, tc.c)})
+				ladder := st.Ladder
 				for i := range base {
 					if rev[i] != base[i] {
 						t.Errorf("[%v] %s: subject %d reversed scored %d, forward %d", tr, tc.name, i, rev[i], base[i])

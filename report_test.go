@@ -287,7 +287,7 @@ func TestReportCacheKeysNeverAlias(t *testing.T) {
 	if aligned2.Hits[0].Alignment == nil {
 		t.Fatal("aligned repeat served the score-only result")
 	}
-	if hits := cl.CacheStats().Hits; hits < 2 {
+	if hits := cl.Stats().Cache.Hits; hits < 2 {
 		t.Fatalf("repeats were not cache hits (hits=%d)", hits)
 	}
 
@@ -295,20 +295,20 @@ func TestReportCacheKeysNeverAlias(t *testing.T) {
 	// and answer the first's result.
 	twice := func(name string, req, again Request) *Result {
 		t.Helper()
-		c0 := cl.CacheStats()
-		s0 := cl.SchedulerStats().CacheHits
+		c0 := cl.Stats().Cache
+		s0 := cl.Stats().Scheduler.CacheHits
 		first, err := cl.Do(ctx, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if c1 := cl.CacheStats(); c1.Hits != c0.Hits || c1.Misses != c0.Misses+1 {
+		if c1 := cl.Stats().Cache; c1.Hits != c0.Hits || c1.Misses != c0.Misses+1 {
 			t.Fatalf("%s: first ask was not a cache miss (hits %d -> %d, misses %d -> %d)", name, c0.Hits, c1.Hits, c0.Misses, c1.Misses)
 		}
 		second, err := cl.Do(ctx, again)
 		if err != nil {
 			t.Fatalf("%s repeat: %v", name, err)
 		}
-		if h2 := cl.CacheStats().Hits; h2 != c0.Hits+1 || cl.SchedulerStats().CacheHits != s0+1 || second != first {
+		if h2 := cl.Stats().Cache.Hits; h2 != c0.Hits+1 || cl.Stats().Scheduler.CacheHits != s0+1 || second != first {
 			t.Fatalf("%s: repeat was not served from the cache (hits %d -> %d)", name, c0.Hits, h2)
 		}
 		return first

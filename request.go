@@ -148,7 +148,7 @@ func plainRequest(query Sequence, report []ReportOptions) (Request, error) {
 
 // Search computes one query through the cluster's scheduler: it waits for
 // one of the MaxInFlight slots like every other door and counts in
-// SchedulerStats, but it is never joined to an identical in-flight request
+// Stats().Scheduler, but it is never joined to an identical in-flight request
 // and never answered from or added to the cache, so every call computes —
 // for one-off searches and for timing repeats of one query. An optional
 // ReportOptions enables the reporting phases. It is the context-free

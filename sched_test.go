@@ -151,7 +151,7 @@ func TestDoMixedReportsNoAliasNoLeak(t *testing.T) {
 
 // Every scheduled door shares the cluster's one scheduler: one query
 // arriving concurrently through Do, DoBatch and POST /search executes
-// once, and all three count in SchedulerStats.
+// once, and all three count in Stats' Scheduler.
 func TestDoorsShareOneScheduler(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.0002, false)
 	cl, err := NewCluster(db, ClusterOptions{})
@@ -206,11 +206,79 @@ func TestDoorsShareOneScheduler(t *testing.T) {
 	if batch[0] != done {
 		t.Error("Do and DoBatch did not share one result")
 	}
-	if n, _, _ := cl.Totals(); n != 1 {
+	if n := cl.Stats().Queries; n != 1 {
 		t.Errorf("one query through three doors executed %d times", n)
 	}
-	if st := cl.SchedulerStats(); st.Submitted != 3 || st.Joined+st.CacheHits != 2 {
+	if st := cl.Stats().Scheduler; st.Submitted != 3 || st.Joined+st.CacheHits != 2 {
 		t.Errorf("scheduler stats %+v, want 3 submitted, 2 joined or cached", st)
+	}
+}
+
+// Every Stats snapshot agrees with itself while goroutines re-ask one
+// cached query and another computes fresh searches: the cache's hits are
+// the scheduler's, and a local cluster's one backend has run one search
+// per completed query.
+func TestStatsAgree(t *testing.T) {
+	db, _ := SyntheticSwissProt(0.0002, false)
+	cl, err := NewCluster(db, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.CloseNow()
+	queries := shortQueries(2, 60)
+	ctx := context.Background()
+	hot := Request{Query: queries[0], Report: ReportOptions{TopK: 5}}
+	if _, err := cl.Do(ctx, hot); err != nil {
+		t.Fatal(err)
+	}
+	const askers, asks, searches = 4, 2000, 20
+	errs := make(chan error, askers+1)
+	var wg sync.WaitGroup
+	for range askers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range asks {
+				if _, err := cl.Do(ctx, hot); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range searches {
+			if _, err := cl.Search(queries[1]); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snapshots := 0; ; snapshots++ {
+		st := cl.Stats()
+		if st.Cache.Hits != st.Scheduler.CacheHits {
+			t.Fatalf("snapshot %d: cache hits %d, scheduler cache hits %d", snapshots, st.Cache.Hits, st.Scheduler.CacheHits)
+		}
+		if st.Backends[0].Grants != st.Queries {
+			t.Fatalf("snapshot %d: %d grants for %d queries", snapshots, st.Backends[0].Grants, st.Queries)
+		}
+		select {
+		case <-done:
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if st := cl.Stats(); st.Cache.Hits != askers*asks || st.Queries != 1+searches {
+				t.Fatalf("after the run: %d cache hits, %d queries; want %d and %d", st.Cache.Hits, st.Queries, askers*asks, 1+searches)
+			}
+			t.Logf("%d snapshots", snapshots+1)
+			return
+		default:
+		}
 	}
 }
 
@@ -241,11 +309,11 @@ func TestSchedulerCacheServesRepeats(t *testing.T) {
 			t.Fatalf("scheduled score %d diverged from direct search", i)
 		}
 	}
-	cs := cl.CacheStats()
+	cs := cl.Stats().Cache
 	if cs.Hits < 1 || cs.Entries < 1 {
 		t.Fatalf("cache did not serve the repeat: %+v", cs)
 	}
-	st := cl.SchedulerStats()
+	st := cl.Stats().Scheduler
 	if st.Submitted != 3 || st.CacheHits < 1 {
 		t.Fatalf("scheduler stats %+v", st)
 	}
@@ -262,24 +330,25 @@ func TestSearchPassesScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := shortQueries(1, 80)[0]
-	st0, cs0 := cl.SchedulerStats(), cl.CacheStats()
+	s0 := cl.Stats()
+	st0, cs0 := s0.Scheduler, s0.Cache
 	if _, err := cl.Search(q); err != nil {
 		t.Fatal(err)
 	}
-	if st := cl.SchedulerStats(); st.Submitted != st0.Submitted+1 || st.Joined != st0.Joined || st.CacheHits != st0.CacheHits {
+	if st := cl.Stats().Scheduler; st.Submitted != st0.Submitted+1 || st.Joined != st0.Joined || st.CacheHits != st0.CacheHits {
 		t.Fatalf("scheduler stats %+v after one Search from %+v, want one more submission and nothing joined or cached", st, st0)
 	}
-	if cs := cl.CacheStats(); cs != cs0 {
+	if cs := cl.Stats().Cache; cs != cs0 {
 		t.Fatalf("cache stats %+v after one Search, want %+v unchanged", cs, cs0)
 	}
-	n0, _, _ := cl.Totals()
+	n0 := cl.Stats().Queries
 	if _, err := cl.Do(context.Background(), Request{Query: q}); err != nil {
 		t.Fatal(err)
 	}
-	if cs := cl.CacheStats(); cs.Misses != cs0.Misses+1 || cs.Hits != cs0.Hits {
+	if cs := cl.Stats().Cache; cs.Misses != cs0.Misses+1 || cs.Hits != cs0.Hits {
 		t.Fatalf("cache stats %+v after Search then Do, want one miss and no hit over %+v", cs, cs0)
 	}
-	if n, _, _ := cl.Totals(); n != n0+1 {
+	if n := cl.Stats().Queries; n != n0+1 {
 		t.Fatalf("Do after Search ran %d engine searches, want 1", n-n0)
 	}
 	cl.CloseNow()
@@ -301,7 +370,7 @@ func TestCacheDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cs := cl.CacheStats(); cs.Hits != 0 || cs.Entries != 0 {
+	if cs := cl.Stats().Cache; cs.Hits != 0 || cs.Entries != 0 {
 		t.Fatalf("disabled cache recorded %+v", cs)
 	}
 }
@@ -356,7 +425,7 @@ func TestClusterCloseNow(t *testing.T) {
 	}
 }
 
-// Totals must reflect work arriving over every entry point.
+// Stats must reflect work arriving over every entry point.
 func TestClusterTotals(t *testing.T) {
 	db, _ := SyntheticSwissProt(0.0002, false)
 	queries := shortQueries(3, 60)
@@ -370,11 +439,12 @@ func TestClusterTotals(t *testing.T) {
 	if _, err := cl.DoBatch(context.Background(), requests(queries[1:3])); err != nil {
 		t.Fatal(err)
 	}
-	n, _, per := cl.Totals()
+	st := cl.Stats()
+	n, per := st.Queries, st.Backends
 	if n != 3 {
 		t.Fatalf("%d queries recorded, want 3", n)
 	}
-	if len(per) != 1 || per[0].Device != DeviceHost || per[0].Grants != 3 {
+	if len(per) != 1 || per[0].Device != "host" || per[0].Grants != 3 {
 		t.Fatalf("backend totals %+v", per)
 	}
 	if want := 3 * db.Residues(); per[0].Residues != want {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"heterosw/internal/remote"
-	"heterosw/internal/vec"
 )
 
 // The HTTP front end exposes a Cluster as a JSON search service — the
@@ -106,25 +105,14 @@ type batchJSON struct {
 // healthJSON is the /healthz response. Status is "ok", or "degraded" on
 // a distributed coordinator with at least one shard down to zero live
 // replicas — the signal a load balancer rotates on while the shard still
-// answers retryable 503s. Tracebacks counts the aligned-hit tracebacks the
-// process has run, a coordinator's included: they run on its own host.
+// answers retryable 503s.
 type healthJSON struct {
-	Status        string          `json:"status"`
-	Sequences     int             `json:"sequences"`
-	Residues      int64           `json:"residues"`
-	UptimeSeconds float64         `json:"uptime_seconds"`
-	Queries       int64           `json:"queries"`
-	Tracebacks    int64           `json:"tracebacks"`
-	VecBackend    vec.BackendInfo `json:"vec_backend"`
-	// Backends lists the host of a local cluster, or each shard node of a
-	// coordinator; Cells over WallSeconds is a backend's realised rate.
-	Backends  []BackendTotals `json:"backends"`
-	Scheduler SchedulerStats  `json:"scheduler"`
-	Cache     CacheStats      `json:"cache"`
-	// Ladder is the cumulative precision-ladder escalation count of the
-	// searches actually computed: lanes gone from 8 to 16 bits, from 16 to
-	// 32, and the cells recomputed. A homolog-rich traffic mix shows here.
-	Ladder LadderStats `json:"ladder"`
+	Status        string  `json:"status"`
+	Sequences     int     `json:"sequences"`
+	Residues      int64   `json:"residues"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	// Stats is the cluster's counters, its keys inline.
+	Stats
 	// Topology is the live-topology snapshot of a distributed
 	// coordinator — per-node health states, probe latency quantiles,
 	// failure streaks and per-shard replica routing; absent on a local
@@ -469,19 +457,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	queries, tracebacks, per := s.c.Totals()
 	h := healthJSON{
 		Status:        "ok",
 		Sequences:     s.c.db.Len(),
 		Residues:      s.c.db.Residues(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Queries:       queries,
-		Tracebacks:    tracebacks,
-		VecBackend:    vec.Info(),
-		Backends:      per,
-		Scheduler:     s.c.SchedulerStats(),
-		Cache:         s.c.CacheStats(),
-		Ladder:        s.c.LadderStats(),
+		Stats:         s.c.Stats(),
 	}
 	if topo := s.c.Topology(); topo != nil {
 		h.Topology = topo

@@ -399,8 +399,8 @@ func TestHTTPConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if cl.CacheStats().Hits == 0 {
-		st := cl.SchedulerStats()
+	if cl.Stats().Cache.Hits == 0 {
+		st := cl.Stats().Scheduler
 		if st.Joined == 0 {
 			t.Fatalf("identical concurrent requests neither joined nor hit the cache: %+v", st)
 		}

@@ -200,7 +200,7 @@ func TestCoordinatorWireKeys(t *testing.T) {
 
 	// The last search again, cached by now, but refused once the node is
 	// closed: the scheduler turns it away before it looks in its cache.
-	if n := ss.shards[search.Shard].CacheStats().Entries; n == 0 {
+	if n := ss.shards[search.Shard].Stats().Cache.Entries; n == 0 {
 		t.Fatal("the node's cache holds no shard search")
 	}
 	ss.CloseNow()
