@@ -164,6 +164,38 @@ func TestCoordinatorConformance(t *testing.T) {
 			}
 		}
 	})
+	// Each K cuts the ties corpus at another score: K = 1 keeps one of the
+	// two full copies and K = 10 cuts the tied prefixes, both with
+	// alignments and E-values. K = 0 reports every subject, which the
+	// public options allow only without a reporting phase (a phase bounds
+	// K = 0 at the default ten hits).
+	t.Run("k", func(t *testing.T) {
+		parentPath, manifestPath, shardPaths, queries := tieSetup(t)
+		coord, parentDB, ref, refDB := coordinatorAndReference(t, parentPath, manifestPath, shardPaths)
+		for _, rep := range []ReportOptions{
+			{Alignments: true, EValues: true, TopK: 1},
+			{Alignments: true, EValues: true, TopK: 10},
+			{},
+		} {
+			for _, req := range confRequests(t, queries, rep, "", false) {
+				want, err := ref.Do(context.Background(), req)
+				if err != nil {
+					t.Fatalf("K=%d: reference Do(%s): %v", rep.TopK, req.Query.ID(), err)
+				}
+				if n := len(want.Hits); (rep.TopK > 0 && n != rep.TopK) || (rep.TopK == 0 && n != refDB.Len()) {
+					t.Fatalf("K=%d: the single node reports %d hits", rep.TopK, n)
+				}
+				if rep.EValues && (want.Significance == nil || want.Hits[0].Alignment == nil) {
+					t.Fatalf("K=%d: the single node reports no E-values or alignments; the leg compares nothing", rep.TopK)
+				}
+				got, err := coord.Do(context.Background(), req)
+				if err != nil {
+					t.Fatalf("K=%d: coordinator Do(%s): %v", rep.TopK, req.Query.ID(), err)
+				}
+				checkSameAnswer(t, req.Query, refDB, want, parentDB, got)
+			}
+		}
+	})
 	// A translated request searches the six frames of a DNA query on the
 	// nodes and traces back its hits on the coordinator.
 	t.Run("translated", func(t *testing.T) {
