@@ -1,14 +1,22 @@
 package heterosw
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+
+	"heterosw/internal/alphabet"
+	"heterosw/internal/remote"
 )
 
 func TestClusterMatchesSingleDevice(t *testing.T) {
@@ -345,6 +353,84 @@ func TestCachedEntryHoldsNoScoreList(t *testing.T) {
 	t.Logf("%.3f B per database sequence per cached entry", perSeq)
 	if perSeq >= 2 {
 		t.Fatalf("each cached top-10 entry retains %.3f B per database sequence, want under 2", perSeq)
+	}
+}
+
+// TestShardCachedEntryHoldsNoScoreList is TestCachedEntryHoldsNoScoreList
+// on a shard node: 64 distinct top-10 /shard/search requests over a shard
+// of 2,000 and of 20,000 servingDB sequences. A cached answer holds its K
+// hits and the histogram below them, so what an entry retains must not
+// grow with the shard: under 0.1 B per shard sequence at 20,000, and under
+// 0.1 B per sequence added from 2,000 to 20,000 (a cached score list costs
+// 4). Each top-10 answer is under 1 KB.
+func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
+	const entries = 64
+	perEntry := func(n int) float64 {
+		db, warm := servingDB(t, n)
+		path := filepath.Join(t.TempDir(), "shard.swdb")
+		if err := WriteIndexFile(path, db); err != nil {
+			t.Fatal(err)
+		}
+		sdb, err := OpenIndexFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewCluster(sdb, ClusterOptions{CacheSize: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := NewShardServer([]*Cluster{cl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.CloseNow()
+		h := ss.Handler()
+		search := func(q Sequence) {
+			body, err := json.Marshal(remote.ShardSearchRequest{Shard: sdb.Key(), Codes: alphabet.BytesView(q.impl.Residues), K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/search", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("/shard/search: %d %s", rec.Code, rec.Body)
+			}
+			if rec.Body.Len() >= 1<<10 {
+				t.Fatalf("a top-10 answer over %d sequences is %d B, want under 1 KB", n, rec.Body.Len())
+			}
+		}
+		rng := rand.New(rand.NewSource(52))
+		queries := make([]Sequence, entries)
+		for i := range queries {
+			res := make([]byte, 75)
+			for j := range res {
+				res[j] = "ARNDCQEGHILKMFPSTWYV"[rng.Intn(20)]
+			}
+			queries[i] = NewSequence(fmt.Sprintf("q%d", i), string(res))
+		}
+		// The warm query builds the lane packings and worker scratch, which
+		// every later query reuses; its own entry is in the baseline.
+		search(warm)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, q := range queries {
+			search(q)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if got := cl.Stats().Cache.Entries; got != entries {
+			t.Fatalf("the node's cache holds %d entries, want %d", got, entries)
+		}
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / entries
+	}
+	small, large := perEntry(2000), perEntry(20000)
+	t.Logf("a cached top-10 answer retains %.0f B over 2,000 sequences and %.0f B over 20,000", small, large)
+	if perSeq := large / 20000; perSeq >= 0.1 {
+		t.Errorf("each cached top-10 answer over 20,000 sequences retains %.3f B per shard sequence, want under 0.1", perSeq)
+	}
+	if growth := (large - small) / 18000; growth >= 0.1 {
+		t.Errorf("a cached top-10 answer grows by %.3f B per shard sequence from 2,000 to 20,000, want under 0.1", growth)
 	}
 }
 

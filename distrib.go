@@ -103,13 +103,18 @@ func (t *liveTopology) noteReload(ok bool) {
 // db must be the parent .swdb index the manifest was cut from — the
 // checksum keys must agree — so the coordinator can reconstruct each
 // shard's exact sequence membership locally (seqdb.Select over the
-// manifest's parent-index lists). Scores merge into parent order, the
-// hit list and the Gumbel significance fit run over the union score
-// distribution, and every report is byte-identical to a single-node
-// search of the unsplit database under the same options — a guarantee
-// that holds through node deaths, failovers and manifest reloads as long
-// as at least one live replica serves every shard (a replica that answers
-// wrongly counts as failed).
+// manifest's parent-index lists). Each node answers a request's K with its
+// shard's K best hits, every tie with the K-th kept, and the histogram of
+// every lower score (remote.ShardSearchResponse). The coordinator maps the
+// hits into parent order and selects the K best over their union, by score
+// and then parent index, and fits the Gumbel significance model over the
+// summed histograms, which count every subject once; so every report is
+// byte-identical to a single-node search of the unsplit database under the
+// same options — a guarantee that holds through node deaths, failovers and
+// manifest reloads as long as at least one live replica serves every
+// shard (a replica that answers wrongly counts as failed, and its node is
+// tried after the others until one of its answers passes). Translated and
+// every-hit requests ask each node for every subject's score (K = 0).
 //
 // The topology stays live after construction: a background prober
 // (ProbeInterval) re-probes the node roster, tracks each node through a

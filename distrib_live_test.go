@@ -343,14 +343,14 @@ func badAnswerCoordinator(t *testing.T) (coord *Cluster, pxA, pxB *faultproxy.Pr
 }
 
 // TestCoordinatorBadAnswerFailsOver pins that a replica answering 200
-// with a body that fails to decode, or decodes to the wrong number of
-// scores, is a failed replica: both shards' searches reach node A first,
+// with a body that fails to decode, or decodes to too few hits, is a
+// failed replica: both shards' searches reach node A first,
 // fail over to node B, and /search answers the single-node bytes.
 func TestCoordinatorBadAnswerFailsOver(t *testing.T) {
 	coord, pxA, pxB, want, q := badAnswerCoordinator(t)
 	pxA.Program(
-		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`}, // a truncated varint
-		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"Bwg="}`}, // two scores
+		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcBCAGA"}`}, // a truncated varint
+		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcBCA=="}`}, // two hits
 	)
 	code, got := frontSearch(t, coord, q)
 	if code != http.StatusOK {
@@ -371,12 +371,71 @@ func TestCoordinatorBadAnswerEverywhere(t *testing.T) {
 	coord, pxA, pxB, _, q := badAnswerCoordinator(t)
 	bad := make([]faultproxy.Step, 8)
 	for i := range bad {
-		bad[i] = faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`}
+		bad[i] = faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcBCAGA"}`}
 	}
 	pxA.Program(bad...)
 	pxB.Program(bad...)
 	if code, body := frontSearch(t, coord, q); code != http.StatusServiceUnavailable {
 		t.Fatalf("/search with every replica answering badly: %d %s, want 503", code, body)
+	}
+}
+
+// TestCoordinatorWrongNodeLosesFirst pins that a node whose answer fails
+// its check loses its place at the head of its shards' replicas, and that
+// a passing probe does not give it back: node A answers every search with a
+// truncated body, so the first search fails over to B on both shards, and
+// after a ProbeNodes that A passes, A is listed after B and later searches
+// no longer reach it. The mark clears when one of A's answers passes: once
+// A answers right and B drops both shards' searches, which marks nothing,
+// they retry on A, and A, first in the roster, is first again.
+func TestCoordinatorWrongNodeLosesFirst(t *testing.T) {
+	coord, pxA, pxB, want, q := badAnswerCoordinator(t)
+	bad := make([]faultproxy.Step, 16)
+	for i := range bad {
+		bad[i] = faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcBCAGA"}`}
+	}
+	pxA.Program(bad...)
+	first := func() []string {
+		var heads []string
+		for _, sh := range coord.Topology().Shards {
+			if len(sh.Replicas) != 2 {
+				t.Fatalf("shard %s routes to %v, want both nodes", sh.Key, sh.Replicas)
+			}
+			heads = append(heads, sh.Replicas[0])
+		}
+		return heads
+	}
+	if code, got := frontSearch(t, coord, q); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("/search past a wrong node: %d %s, want the single-node bytes", code, got)
+	}
+	if a := pxA.Attempts(); a != 2 {
+		t.Fatalf("A took %d searches, want one per shard", a)
+	}
+	if err := coord.ProbeNodes(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if heads := first(); !slices.Equal(heads, []string{pxB.URL(), pxB.URL()}) {
+		t.Fatalf("after a failed answer and a passing probe, shards route first to %v, want B on both", heads)
+	}
+	for i, res := range []string{"MKWVLAARNDCQEGHILK", "PSTWYVARNDCQEGHWWK", "GHILKMFPSTWYVARNDC"} {
+		if code, body := frontSearch(t, coord, NewSequence(fmt.Sprintf("q%d", i), res)); code != http.StatusOK {
+			t.Fatalf("search %d: %d %s", i, code, body)
+		}
+	}
+	if a := pxA.Attempts(); a != 2 {
+		t.Fatalf("A took %d searches in all, want its first two alone", a)
+	}
+
+	pxA.Program()
+	pxB.Program(faultproxy.Step{Act: faultproxy.Drop}, faultproxy.Step{Act: faultproxy.Drop})
+	if code, body := frontSearch(t, coord, NewSequence("q3", "WYVARNDCQEGHILKMFP")); code != http.StatusOK {
+		t.Fatalf("search past a dropping B: %d %s", code, body)
+	}
+	if a, b := pxA.Attempts(), pxB.Attempts(); a != 2 || b != 2 {
+		t.Fatalf("A took %d searches and B %d, want B to drop both shards' and A to answer them", a, b)
+	}
+	if heads := first(); !slices.Equal(heads, []string{pxA.URL(), pxA.URL()}) {
+		t.Fatalf("after A answered right, shards route first to %v, want A, first in the roster, on both", heads)
 	}
 }
 
@@ -587,7 +646,7 @@ func TestCoordinatorConstructionProbeFailureText(t *testing.T) {
 // E-valued /search sends each node one /shard/search per shard and
 // nothing else, answers the single-node bytes, and counts the tracebacks
 // in its /healthz. The kernel-score check still guards the tracebacks: a
-// node whose score list puts its top score a point above or below the
+// node whose answer puts its top score a point above or below the
 // truth fails the request with 500 naming the disagreement, never a 200
 // carrying the wrong score or a path aligned to another cell.
 func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
@@ -665,14 +724,14 @@ func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 		t.Fatalf("coordinator /healthz counts %d tracebacks after an aligned top-5 search, want 5", h.Tracebacks)
 	}
 
-	// Ask each node for its shard's true scores, and pick the shard
+	// Ask each node for its shard's true top-5 answer, and pick the shard
 	// holding the planted query's best hit: its top score raised by one
 	// is certain to be the top hit the coordinator traces back.
-	best, bestScore := 0, int32(-1)
+	best, top, bestScore := 0, 0, int32(-1)
 	truth := make([]remote.ShardSearchResponse, len(pxs))
 	for i, sh := range coord.Topology().Shards {
 		resp, body := postJSON(t, pxs[i].URL()+"/shard/search", remote.ShardSearchRequest{
-			Shard: sh.Key, ID: q.ID(), Codes: alphabet.BytesView(q.impl.Residues),
+			Shard: sh.Key, ID: q.ID(), Codes: alphabet.BytesView(q.impl.Residues), K: 5,
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("/shard/search on %s: %d %s", pxs[i].URL(), resp.StatusCode, body)
@@ -680,16 +739,17 @@ func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 		if err := json.Unmarshal(body, &truth[i]); err != nil {
 			t.Fatal(err)
 		}
-		if top := slices.Max(truth[i].Scores); top > bestScore {
-			best, bestScore = i, top
+		for j, h := range truth[i].Hits {
+			if h.Score > bestScore {
+				best, top, bestScore = i, j, h.Score
+			}
 		}
 	}
 	routes.take()
-	top := slices.Index(truth[best].Scores, bestScore)
 	for _, delta := range []int32{+1, -1} {
 		lie := truth[best]
-		lie.Scores = slices.Clone(lie.Scores)
-		lie.Scores[top] += delta
+		lie.Hits = slices.Clone(lie.Hits)
+		lie.Hits[top].Score += delta
 		body, err := json.Marshal(lie)
 		if err != nil {
 			t.Fatal(err)

@@ -85,9 +85,10 @@
 //     cuts a parent index into shard indexes plus a manifest,
 //     NewShardServer serves the shard execution protocol on each node,
 //     and NewDistributedCluster mounts the shards as remote backends on
-//     an ordinary *Cluster — scores merge back into parent order, the
-//     coordinator traces back the top hits over the parent index, and
-//     E-values fit over the union distribution, so results are
+//     an ordinary *Cluster — each node answers its shard's top K hits and
+//     the histogram below them, the coordinator selects the top K over
+//     their union and traces them back over the parent index, and
+//     E-values fit over the summed histograms, so results are
 //     byte-identical to a single-node search of the unsplit database,
 //     with per-attempt timeouts, retries with exponential backoff
 //     across replicas over 503s, transport failures and answers that

@@ -21,11 +21,13 @@ type Backend interface {
 	// Name identifies the backend in totals and diagnostics.
 	Name() string
 	// Search runs Algorithm 1 over db, the shard the dispatcher assigned
-	// the backend at construction. Implementations must be safe for
-	// concurrent calls. ctx is the request's context: remote backends pass
-	// it through to the wire so a cancelled search stops burning node
-	// time; local backends check it before launching kernels (which are
-	// uncancellable mid-column).
+	// the backend at construction, and returns its score list or, under a
+	// sharded dispatcher, its opt.TopK-answer as Result.Top (see
+	// SelectAnswer). Implementations must be safe for concurrent calls.
+	// ctx is the request's context: remote backends pass it through to the
+	// wire so a cancelled search stops burning node time; local backends
+	// check it before launching kernels (which are uncancellable
+	// mid-column).
 	Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt SearchOptions) (*Result, error)
 }
 
@@ -131,9 +133,9 @@ type DispatchOptions struct {
 type ClusterResult = Result
 
 // Dispatcher runs a search over N backends, each owning one shard of the
-// database: every backend searches its shard concurrently and the scores
-// merge into caller order through the shard index maps. The assignment is
-// fixed at construction. Tracebacks (AlignHits) run on this host over the
+// database: every backend searches its shard concurrently and the shards'
+// answers merge into caller order through the shard index maps. The
+// assignment is fixed at construction. Tracebacks (AlignHits) run on this host over the
 // whole database, whoever scored the hits. A Dispatcher is safe for
 // concurrent searches.
 type Dispatcher struct {
@@ -300,8 +302,8 @@ func (d *Dispatcher) commitTotals(per []*Result) {
 // DB returns the dispatcher's database.
 func (d *Dispatcher) DB() *seqdb.Database { return d.db }
 
-// Search distributes one query over the cluster and merges the score
-// lists into caller order, the hit list bounded by opt.Search.TopK. It is
+// Search distributes one query over the cluster and merges the shards'
+// answers into caller order, the hit list bounded by opt.Search.TopK. It is
 // the context-free convenience root; the serving paths run SearchContext.
 //
 //sw:ctxroot
@@ -333,10 +335,14 @@ func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence
 }
 
 // search is the dispatcher's one execution path: every backend with a
-// non-empty shard searches it, concurrently, and the score lists merge by
-// shard index maps, the hit list selected over the merged scores. A lone
-// backend over the parent itself answers directly, hit list included. The
-// per-backend results are returned for the totals.
+// non-empty shard searches it, concurrently, and answers its shard's
+// k-answer (k is opt.TopK, 0 for every subject and for a scores-only
+// search), either as an Answer or as a score list the dispatcher selects
+// one from (SelectAnswer). The answers merge through the shard index maps
+// (MergeAnswers) into the hit list and the score histogram; a k = 0 search
+// also scatters them into the parent's score list. A lone backend over the
+// parent itself answers directly, hit list included. The per-backend
+// results are returned for the totals.
 func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt SearchOptions) (*ClusterResult, []*Result, error) {
 	n := len(d.backends)
 	results := make([]*Result, n)
@@ -348,8 +354,12 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 		results[0] = r
 		return r, results, nil
 	}
-	topK, wantHits := opt.TopK, !opt.scoresOnly
-	opt.scoresOnly = true
+	wantHits := !opt.scoresOnly
+	k := max(opt.TopK, 0)
+	if !wantHits {
+		k = 0
+	}
+	opt.TopK, opt.scoresOnly = k, true
 	errs := make([]error, n)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -368,20 +378,29 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 	if err := firstErr(errs...); err != nil {
 		return nil, nil, err
 	}
-	out := &ClusterResult{}
-	out.Scores = make([]int32, d.db.Len())
+	out := &ClusterResult{WallSeconds: wall}
+	answers := make([]Answer, n)
 	for i, r := range results {
-		if r == nil {
+		switch {
+		case r == nil:
 			continue
-		}
-		for j, s := range r.Scores {
-			out.Scores[d.idx[i][j]] = s
+		case r.Top != nil:
+			answers[i] = *r.Top
+		default:
+			answers[i] = SelectAnswer(r.Scores, k)
 		}
 		out.Stats.Add(r.Stats)
 	}
-	out.WallSeconds = wall
+	if k == 0 {
+		out.Scores = make([]int32, d.db.Len())
+		for i, a := range answers {
+			for _, h := range a.Hits {
+				out.Scores[d.idx[i][h.Index]] = h.Score
+			}
+		}
+	}
 	if wantHits {
-		out.Hits = TopHits(d.db, out.Scores, topK)
+		out.Hits, out.Hist = MergeAnswers(d.db, answers, d.idx, k)
 	}
 	return out, results, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"heterosw/internal/device"
@@ -83,8 +84,9 @@ func TestDispatcherThreeBackendsScores(t *testing.T) {
 
 // A batch of queries run one by one through SearchContext, each with its
 // own hit-list bound, must agree with query-at-a-time Search: the same
-// scores, the bound's prefix of Search's hit list, and no hit list for a
-// negative bound.
+// scores (a bounded search merges its shards' answers, so it carries the
+// histogram of those scores instead), the bound's prefix of Search's hit
+// list, and no hit list for a negative bound.
 func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	db := randDB(rng, 80, 70, true)
@@ -109,7 +111,14 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range single.Scores {
+			if k := bounds[qi]; k > 0 {
+				if want := histogram(single.Scores); !slices.Equal(got.Hist, want) {
+					t.Fatalf("%v: query %d bound %d: histogram %v, want %v", dist, qi, k, got.Hist, want)
+				}
+			} else if len(got.Scores) != len(single.Scores) {
+				t.Fatalf("%v: query %d bound %d: %d scores, want %d", dist, qi, k, len(got.Scores), len(single.Scores))
+			}
+			for i := range got.Scores {
 				if got.Scores[i] != single.Scores[i] {
 					t.Fatalf("%v: query %d seq %d: SearchContext %d != Search %d",
 						dist, qi, i, got.Scores[i], single.Scores[i])

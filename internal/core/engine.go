@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -227,8 +226,16 @@ type Result struct {
 	// TopK long when one was requested (see TopHits).
 	Hits []Hit
 	// Scores holds the raw score of every database sequence, indexed by
-	// caller order, regardless of TopK.
+	// caller order: regardless of TopK on one backend, and only for an
+	// every-hit search (TopK 0) on a sharded dispatcher.
 	Scores []int32
+	// Hist is the score histogram of a sharded dispatcher's search, Hist[s]
+	// sequences scoring s (see MergeAnswers); nil on one backend, whose
+	// Scores hold it.
+	Hist []int
+	// Top is a backend's Answer for its shard when it returns one instead
+	// of Scores, as a remote node does.
+	Top *Answer
 	// Stats counts the cells computed and the ladder's escalations.
 	Stats Stats
 	// WallSeconds is the search's wall time on the host.
@@ -335,8 +342,9 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 
 // TopHits implements step 4 for a caller that wants the k best hits: the
 // similarity scores in descending order, ties in database order, cut at k
-// (every hit when k is 0, or k exceeds the database). It is the one
-// selection every search path shares, so they cannot disagree on tie order.
+// (every hit when k is 0, or k exceeds the database). Its order is the one
+// every search path selects by, MergeAnswers' too, so they cannot disagree
+// on tie order.
 //
 // Each (score, index) pair packs into one uint64 that orders, ascending, as
 // score descending then index ascending, so selecting moves 8-byte words and
@@ -356,7 +364,7 @@ func TopHits(db *seqdb.Database, scores []int32, k int) []Hit {
 	keys := make([]uint64, 0, room)
 	bar := ^uint64(0)
 	for i, s := range scores {
-		key := uint64(uint32(math.MaxInt32-int64(s)))<<32 | uint64(uint32(i))
+		key := hitKey(s, i)
 		if key >= bar {
 			continue
 		}
@@ -371,10 +379,5 @@ func TopHits(db *seqdb.Database, scores []int32, k int) []Hit {
 	if len(keys) > k {
 		keys = keys[:k]
 	}
-	hits := make([]Hit, len(keys))
-	for j, key := range keys {
-		i := int(uint32(key))
-		hits[j] = Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: scores[i]}
-	}
-	return hits
+	return keyHits(db, keys)
 }

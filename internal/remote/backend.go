@@ -41,21 +41,23 @@ func residueBytes(codes []alphabet.Code) []byte {
 	return out
 }
 
-// Search implements core.Backend: one score-only shard execution on the
-// remote node. The node runs the search under its own configured kernel
-// options — the coordinator ships the query, not the search parameters —
-// so operators must configure nodes and coordinator identically (see the
-// README's distributed serving contract).
+// Search implements core.Backend: one shard execution on the remote node,
+// which answers its shard's opt.TopK-answer (0: every subject) as
+// Result.Top. The node runs the search under its own configured kernel
+// options — the coordinator ships the query and its K, not the search
+// parameters — so operators must configure nodes and coordinator
+// identically (see the README's distributed serving contract).
 func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt core.SearchOptions) (*core.Result, error) {
 	resp, err := b.prober.client.ShardSearch(ctx, b.prober.Owners(db.Key()), &ShardSearchRequest{
 		Shard: db.Key(),
 		ID:    query.ID,
 		Codes: residueBytes(query.Residues),
+		K:     opt.TopK,
 	}, db.Len(), db.Residues())
 	if err != nil {
 		return nil, fmt.Errorf("remote: backend %s: %w", b.name, err)
 	}
-	r := &core.Result{Scores: resp.Scores, WallSeconds: resp.WallSeconds}
+	r := &core.Result{Top: &core.Answer{Hits: resp.Hits, Below: resp.Below}, WallSeconds: resp.WallSeconds}
 	r.Stats.Cells = resp.Cells
 	r.Stats.Overflows = resp.Overflows
 	r.Stats.Overflows8 = resp.Overflows8

@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// maxNodeResponseBytes bounds one node response. A full shard score list
-// packs to at most ~7 bytes per sequence (a five-byte varint in base64),
-// under two for typical scores; 64 MB covers multi-million-sequence shards
-// with room to spare.
+// maxNodeResponseBytes bounds one node response. A top-K answer is a few
+// hundred bytes; the every-hit form (K = 0) packs to at most ~14 bytes per
+// sequence (two five-byte varints in base64), under four for typical
+// scores, so 64 MB covers multi-million-sequence shards with room to spare.
 const maxNodeResponseBytes = 64 << 20
 
 // Options tunes a Client. The zero value selects the defaults noted on
@@ -69,6 +69,10 @@ type Client struct {
 	// retryably while its caller still waited. NewProber sets it to the
 	// prober's Kick, so a node failing real traffic is re-probed at once.
 	report func(url string)
+	// mark, when non-nil, hears the URL of every POST answered 200: wrong
+	// when its body failed to decode or to check. NewProber sets it to the
+	// prober's mark, so a node that answers wrongly loses its preference.
+	mark func(url string, wrong bool)
 }
 
 // NewClient builds a client.
@@ -96,23 +100,11 @@ func (c *Client) Shards(ctx context.Context, node string) (*ShardsResponse, erro
 
 // ShardSearch scores one query over one shard of n sequences and residues
 // residues, trying the shard's replica URLs under the client's
-// retry/hedging policy. An answer fails its replica, like a dropped
-// connection does, unless it carries exactly n scores and
-// len(req.Codes) × residues cells and echoes req.Shard: two shards of equal
-// sequence and residue counts differ only in their keys.
+// retry/hedging policy. An answer that fails its check fails its replica,
+// as a dropped connection does (see ShardSearchResponse.check).
 func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int, residues int64) (*ShardSearchResponse, error) {
-	cells := int64(len(req.Codes)) * residues
 	return call(ctx, c, urls, "/shard/search", req, func(r *ShardSearchResponse) error {
-		switch {
-		case r.Shard != req.Shard:
-			return fmt.Errorf("answer for shard %q to a search of shard %s", r.Shard, req.Shard)
-		case len(r.Scores) != n:
-			return fmt.Errorf("%d scores for the %d-sequence shard %s", len(r.Scores), n, req.Shard)
-		case r.Cells != cells:
-			return fmt.Errorf("%d cells for %d query residues over the %d-residue shard %s",
-				r.Cells, len(req.Codes), residues, req.Shard)
-		}
-		return nil
+		return r.check(req, n, residues)
 	})
 }
 
@@ -170,6 +162,10 @@ func attempt[T any](ctx context.Context, c *Client, urls []string, a int, path s
 	defer cancel()
 	post := func(url string) leg[T] {
 		out, err := exchange(actx, http.MethodPost, url+path, body, check)
+		var wrong *answerError
+		if c.mark != nil && (err == nil || errors.As(err, &wrong)) {
+			c.mark(url, err != nil)
+		}
 		return leg[T]{url: url, out: out, err: err}
 	}
 	// report re-probes the node of a leg the attempt waited for, if the
@@ -258,15 +254,22 @@ func exchange[T any](ctx context.Context, method, url string, body []byte, check
 	}
 	out := new(T)
 	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, fmt.Errorf("remote: %s: %w", url, err)
+		return nil, &answerError{fmt.Errorf("remote: %s: %w", url, err)}
 	}
 	if check != nil {
 		if err := check(out); err != nil {
-			return nil, fmt.Errorf("remote: %s: %w", url, err)
+			return nil, &answerError{fmt.Errorf("remote: %s: %w", url, err)}
 		}
 	}
 	return out, nil
 }
+
+// answerError is a 200 answer whose body failed to decode or to check: its
+// node answered, and answered wrongly.
+type answerError struct{ err error }
+
+func (e *answerError) Error() string { return e.err.Error() }
+func (e *answerError) Unwrap() error { return e.err }
 
 // readBody reads at most maxNodeResponseBytes of a response body, into one
 // buffer when the body declares its length, else into a growing one.

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"heterosw/internal/core"
 	"heterosw/internal/remote/faultproxy"
+	"heterosw/internal/stats"
 )
 
 // The client half of the fault-injection matrix: every scripted fault
@@ -60,8 +62,8 @@ func TestClientSurvivesScriptedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardSearch through the fault schedule: %v", err)
 	}
-	if len(resp.Scores) != 3 || resp.Scores[0] != 7 {
-		t.Fatalf("scores %v survived the faults wrong", resp.Scores)
+	if got := hitScores(resp); len(got) != 3 || got[0] != 7 {
+		t.Fatalf("scores %v survived the faults wrong", got)
 	}
 	want := []faultproxy.Action{faultproxy.Unavailable, faultproxy.Drop, faultproxy.Truncate, faultproxy.HalfClose, faultproxy.Pass}
 	log := px.Log()
@@ -147,36 +149,59 @@ func TestTerminalFailureNotReported(t *testing.T) {
 	}
 }
 
-// TestBadAnswerFailsItsReplica pins that a 200 whose body fails to decode,
-// decodes to the wrong number of scores or cells, or names another shard
-// or none, fails the replica that sent it and nothing more: the next
+// TestBadAnswerFailsItsReplica pins that a 200 whose body fails to decode
+// or to check fails the replica that sent it and nothing more: the next
 // replica answers, each replica is asked once, and the bad one is
-// reported to the prober. When every replica answers badly the request
-// wraps ErrNoReplicas. Under hedging a primary
-// that its hedge rescues is reported, and a loser cancelled because the
-// other leg won is not.
+// reported to the prober. The check fails another shard's key or none,
+// wrong cells, a hit index past the shard or not above the one before, a
+// hit score outside [0, stats.MaxScore], fewer than min(K, n) hits, a
+// below bucket at or above the lowest hit score (a dropped tie), and hits
+// and below that do not count the shard's n subjects. A right top-1
+// answer passes at once. When every replica answers badly the request wraps
+// ErrNoReplicas. Under hedging a primary that its hedge rescues is
+// reported, and a loser cancelled because the other leg won is not.
 func TestBadAnswerFailsItsReplica(t *testing.T) {
 	ctx := context.Background()
 	key := `{"shard":"` + searchReq().Shard + `",`
-	for _, tc := range []struct{ name, body string }{
-		{"truncated varint", key + `"scores":"BwiA"}`},
-		{"bad base64", key + `"scores":"Bw!J"}`},
-		{"one score short", key + `"scores":"Bwg="}`},    // 07 08
-		{"one score long", key + `"scores":"BwgJCg=="}`}, // 07 08 09 0a
-		{"another shard", `{"shard":"swdb:feedface-3-10","scores":"BwgJ"}`},
-		{"no shard", `{"scores":"BwgJ"}`},
-		{"wrong cells", key + `"scores":"BwgJ","cells":3}`},
+	hits := func(h ...int32) []core.ShardHit {
+		out := make([]core.ShardHit, len(h)/2)
+		for i := range out {
+			out[i] = core.ShardHit{Index: h[2*i], Score: h[2*i+1]}
+		}
+		return out
+	}
+	// tied counts a 7 and a 9 below the lowest hit, a 9: one of them ties.
+	tied := make([]int, 10)
+	tied[7], tied[9] = 1, 1
+	for _, tc := range []struct {
+		name, body string
+		k          int
+	}{
+		{"truncated varint", key + `"hits":"AAcBCAGA"}`, 0},
+		{"bad base64", key + `"hits":"AA!BCAEJ"}`, 0},
+		{"one score short", answerBody(hits(0, 7, 1, 8), nil, 0), 0},
+		{"one score long", answerBody(hits(0, 7, 1, 8, 2, 9), []int{1}, 0), 0},
+		{"another shard", `{"shard":"swdb:feedface-3-10","hits":"AAcBCAEJ"}`, 0},
+		{"no shard", `{"hits":"AAcBCAEJ"}`, 0},
+		{"wrong cells", key + `"hits":"AAcBCAEJ","cells":3}`, 0},
+		{"index past the shard", answerBody(hits(0, 7, 1, 8, 3, 9), nil, 0), 0},
+		{"indices not increasing", answerBody(hits(0, 7, 1, 8, 1, 9), nil, 0), 0},
+		{"score past the bound", answerBody(hits(0, 7, 1, 8, 2, stats.MaxScore+1), nil, 0), 0},
+		{"dropped tie", answerBody(hits(2, 9), tied, 0), 1},
+		{"too few hits", answerBody(hits(2, 9), []int{7: 1, 8: 1}, 0), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := faultedClientProxy(t), faultedClientProxy(t)
 			a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: tc.body})
 			p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
-			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
+			req := searchReq()
+			req.K = tc.k
+			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, req, 3, 0)
 			if err != nil {
 				t.Fatalf("ShardSearch past one bad replica: %v", err)
 			}
-			if !slices.Equal(resp.Scores, ScoreList{7, 8, 9}) {
-				t.Fatalf("scores %v, want the second replica's [7 8 9]", resp.Scores)
+			if got := hitScores(resp); !slices.Equal(got, []int32{7, 8, 9}) {
+				t.Fatalf("scores %v, want the second replica's [7 8 9]", got)
 			}
 			if a.Attempts() != 1 || b.Attempts() != 1 {
 				t.Fatalf("replicas asked %d and %d times, want once each", a.Attempts(), b.Attempts())
@@ -187,9 +212,21 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		})
 	}
 
+	t.Run("top-1 answer", func(t *testing.T) {
+		a := faultedClientProxy(t)
+		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: answerBody(hits(2, 9), []int{7: 1, 8: 1}, 0)})
+		p := NewProber([]string{a.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
+		req := searchReq()
+		req.K = 1
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, req, 3, 0)
+		if err != nil || len(resp.Hits) != 1 || a.Attempts() != 1 {
+			t.Fatalf("ShardSearch = %+v, %v after %d attempts; want the top-1 answer at once", resp, err, a.Attempts())
+		}
+	})
+
 	t.Run("own shard echoed", func(t *testing.T) {
 		a := faultedClientProxy(t)
-		body := key + `"scores":"BwgJ","cells":30}`
+		body := key + `"hits":"AAcBCAEJ","cells":30}`
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: body})
 		p := NewProber([]string{a.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, searchReq(), 3, 10)
@@ -200,8 +237,8 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 
 	t.Run("every replica bad", func(t *testing.T) {
 		a, b := faultedClientProxy(t), faultedClientProxy(t)
-		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`})
-		b.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"Bwg="}`})
+		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: key + `"hits":"AAcBCAGA"}`})
+		b.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: answerBody(hits(0, 7, 1, 8), nil, 0)})
 		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: 1}), ProberOptions{Interval: -1})
 		_, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
 		if !errors.Is(err, ErrNoReplicas) {
@@ -214,10 +251,10 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 
 	t.Run("hedge rescues primary", func(t *testing.T) {
 		a, b := faultedClientProxy(t), faultedClientProxy(t)
-		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"scores":"BwiA"}`})
+		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: key + `"hits":"AAcBCAGA"}`})
 		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: -1, HedgeDelay: time.Hour}), ProberOptions{Interval: -1})
 		resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
-		if err != nil || !slices.Equal(resp.Scores, ScoreList{7, 8, 9}) {
+		if err != nil || !slices.Equal(hitScores(resp), []int32{7, 8, 9}) {
 			t.Fatalf("hedged ShardSearch = %v, %v; want the hedge's [7 8 9]", resp, err)
 		}
 		if got := reported(p); !slices.Equal(got, []string{a.URL()}) {

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"heterosw/internal/core"
 )
 
 // fastOptions sets a 5s attempt timeout and a 1ms backoff where opt
@@ -36,14 +38,33 @@ func searchReq() *ShardSearchRequest {
 	return &ShardSearchRequest{Shard: "swdb:deadbeef-3-10", ID: "q", Codes: []byte{1, 2, 3}}
 }
 
-// nodeBody is a node's answer to searchReq over a shard of no residues:
-// the echoed key and the packed scores.
-func nodeBody(scores ...int32) string {
-	body, err := json.Marshal(ShardSearchResponse{Shard: searchReq().Shard, Scores: scores})
+// answerBody is a node's answer to searchReq: the echoed key, the packed
+// hits and below counts, and cells.
+func answerBody(hits []core.ShardHit, below []int, cells int64) string {
+	body, err := json.Marshal(ShardSearchResponse{Shard: searchReq().Shard, Hits: hits, Below: below, Cells: cells})
 	if err != nil {
 		panic(err)
 	}
 	return string(body)
+}
+
+// nodeBody is a node's every-hit answer to searchReq over a shard of no
+// residues: every subject a hit, scoring as given.
+func nodeBody(scores ...int32) string {
+	hits := make([]core.ShardHit, len(scores))
+	for i, s := range scores {
+		hits[i] = core.ShardHit{Index: int32(i), Score: s}
+	}
+	return answerBody(hits, nil, 0)
+}
+
+// hitScores lists an answer's hit scores in index order.
+func hitScores(r *ShardSearchResponse) []int32 {
+	out := make([]int32, len(r.Hits))
+	for i, h := range r.Hits {
+		out[i] = h.Score
+	}
+	return out
 }
 
 // TestRetry503ThenSuccess pins the core retry contract: a 503 answer is
@@ -68,8 +89,8 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("server saw %d calls, want 2 (503 then success)", got)
 	}
-	if len(resp.Scores) != 3 || resp.Scores[0] != 7 {
-		t.Fatalf("unexpected scores %v", resp.Scores)
+	if got := hitScores(resp); len(got) != 3 || got[0] != 7 {
+		t.Fatalf("unexpected scores %v", got)
 	}
 }
 
@@ -77,9 +98,10 @@ func TestRetry503ThenSuccess(t *testing.T) {
 // it declares its Content-Length, as every node answer does: one buffer of
 // that size. What one ShardSearch allocates beyond decoding its body and
 // beyond the fixed cost of a round trip (both measured here, the latter
-// with a 3-score answer) is the read, and for an 8,000-score answer it
-// stays under twice the body; io.ReadAll's growing buffer over the same
-// bytes allocates about four times it.
+// with a 3-subject answer) is the read, and for the every-hit answer over
+// 8,000 subjects, the largest a node sends, it stays under twice the body;
+// io.ReadAll's growing buffer over the same bytes allocates about four
+// times it.
 func TestShardSearchReadsOneBuffer(t *testing.T) {
 	const residues = 1000
 	req := searchReq()
@@ -94,15 +116,16 @@ func TestShardSearchReadsOneBuffer(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	// beyondDecode serves an n-score answer with its Content-Length and
-	// returns the body's size and what a ShardSearch of it allocates beyond
-	// decoding the same bytes.
+	// beyondDecode serves an n-subject every-hit answer with its
+	// Content-Length and returns the body's size and what a ShardSearch of
+	// it allocates beyond decoding the same bytes.
 	beyondDecode := func(n int) (int64, int64) {
-		scores := make(ScoreList, n)
+		scores := make([]int32, n)
 		for i := range scores {
 			scores[i] = int32(i % 100)
 		}
-		body, err := json.Marshal(ShardSearchResponse{Shard: req.Shard, Scores: scores, Cells: int64(len(req.Codes)) * residues})
+		ans := core.SelectAnswer(scores, 0)
+		body, err := json.Marshal(ShardSearchResponse{Shard: req.Shard, Hits: ans.Hits, Below: ans.Below, Cells: int64(len(req.Codes)) * residues})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,22 +158,25 @@ func TestShardSearchReadsOneBuffer(t *testing.T) {
 }
 
 // TestShardSearchDecodesAnswer pins the full-body decode of /shard/search
-// answers. A body with the echoed key and packed scores is decoded, fields
-// it does not know (an old node's threads, sim_seconds) ignored. An older
-// node's number-array scores, a body with no shard key, a truncated varint
-// and bad base64 fail the replica, never pass as a score list.
+// answers. A body with the echoed key and packed hits and below counts is
+// decoded, fields it does not know (an old node's scores, threads,
+// sim_seconds) ignored. Number-array hits, a body with no shard key, a
+// truncated varint and bad base64 fail the replica, never pass as hits.
 func TestShardSearchDecodesAnswer(t *testing.T) {
 	key := `"shard":"` + searchReq().Shard + `",`
-	const rest = `"cells":90,"threads":32,"sim_seconds":0.25,"wall_seconds":0.5,"overflows8":2,"overflow_cells":60}`
-	want := ShardSearchResponse{Shard: searchReq().Shard, Scores: ScoreList{7, 8, 9}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60}
+	const rest = `"below":"","cells":90,"scores":"BwgJ","threads":32,"sim_seconds":0.25,"wall_seconds":0.5,"overflows8":2,"overflow_cells":60}`
+	want := ShardSearchResponse{
+		Shard: searchReq().Shard, Hits: HitList{{Index: 0, Score: 7}, {Index: 1, Score: 8}, {Index: 2, Score: 9}},
+		Below: Counts{}, Cells: 90, WallSeconds: 0.5, Overflows8: 2, OverflowCells: 60,
+	}
 	for _, tc := range []struct {
 		name, body, wantErr string
 	}{
-		{"packed", key + `"scores":"BwgJ",`, ""}, // the varint bytes 07 08 09
-		{"array", key + `"scores":[7,8,9],`, "not a base64 string"},
-		{"no key", `"scores":"BwgJ",`, `answer for shard ""`},
-		{"truncated varint", key + `"scores":"BwiA",`, "truncated varint"},
-		{"bad base64", key + `"scores":"Bw!J",`, "illegal base64"},
+		{"packed", key + `"hits":"AAcBCAEJ",`, ""}, // the varint pairs (0,7) (1,8) (1,9)
+		{"array", key + `"hits":[0,7,1,8,1,9],`, "not a base64 string"},
+		{"no key", `"hits":"AAcBCAEJ",`, `answer for shard ""`},
+		{"truncated varint", key + `"hits":"AAcBCAGA",`, "truncated varint"},
+		{"bad base64", key + `"hits":"AA!BCAEJ",`, "illegal base64"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -245,8 +271,8 @@ func TestRetriesRotateReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
-	if len(resp.Scores) != 1 {
-		t.Fatalf("unexpected scores %v", resp.Scores)
+	if got := hitScores(resp); len(got) != 1 {
+		t.Fatalf("unexpected scores %v", got)
 	}
 }
 
@@ -300,8 +326,8 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
-	if len(resp.Scores) != 1 || resp.Scores[0] != 42 {
-		t.Fatalf("want the hedge replica's answer, got %v", resp.Scores)
+	if got := hitScores(resp); len(got) != 1 || got[0] != 42 {
+		t.Fatalf("want the hedge replica's answer, got %v", got)
 	}
 	select {
 	case <-primaryCancelled:
@@ -330,8 +356,8 @@ func TestHedgePromotesOnPrimaryFailure(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("promotion waited %v; should not sit out the hedge delay", elapsed)
 	}
-	if len(resp.Scores) != 1 || resp.Scores[0] != 5 {
-		t.Fatalf("unexpected scores %v", resp.Scores)
+	if got := hitScores(resp); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("unexpected scores %v", got)
 	}
 }
 

@@ -99,6 +99,9 @@ type nodeStatus struct {
 	wnext    int       // next ring slot once the window is full
 	shards   []string  // shard keys from the last successful probe
 	lastErr  error
+	// wrong marks a node whose latest checked answer failed its check; a
+	// probe does not clear it, only an answer that passes.
+	wrong bool
 }
 
 // Prober tracks the health of a fixed node roster by probing GET /shards:
@@ -138,6 +141,7 @@ func NewProber(nodes []string, copt Options, opt ProberOptions) *Prober {
 		done:   make(chan struct{}),
 	}
 	p.client.report = p.Kick
+	p.client.mark = p.mark
 	p.mu.Lock()
 	p.status = make(map[string]*nodeStatus, len(nodes))
 	for _, url := range p.nodes {
@@ -267,18 +271,39 @@ func (p *Prober) probe(ctx context.Context, url string) {
 	}
 }
 
-// Owners lists the live node URLs reporting the shard key, healthy
-// nodes first, then degraded, each group in roster order — so attempt 0
-// of every request prefers a node that answered its latest probe. Dead
-// nodes are excluded: their shards have failed over. The slice is the
-// caller's.
+// mark records the outcome of a shard answer from a node: wrong when it
+// failed its decode or its check. Unknown URLs are ignored.
+func (p *Prober) mark(url string, wrong bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if st := p.status[url]; st != nil {
+		st.wrong = wrong
+	}
+}
+
+// Owners lists the live node URLs reporting the shard key: healthy nodes
+// first, then degraded, then those whose latest answer failed its check
+// however their probes went, each group in roster order — so attempt 0 of
+// every request prefers a node that answered its latest probe and its
+// latest search. Dead nodes are excluded: their shards have failed over.
+// The slice is the caller's.
 func (p *Prober) Owners(key string) []string {
+	// group ranks a live node: 0 healthy, 1 degraded, 2 wrong.
+	group := func(st *nodeStatus) int {
+		switch {
+		case st.state == NodeDead:
+			return -1
+		case st.wrong:
+			return 2
+		}
+		return int(st.state)
+	}
 	var owners []string
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, state := range []NodeState{NodeHealthy, NodeDegraded} {
+	for g := range 3 {
 		for _, url := range p.nodes {
-			if st := p.status[url]; st.state == state && slices.Contains(st.shards, key) {
+			if st := p.status[url]; group(st) == g && slices.Contains(st.shards, key) {
 				owners = append(owners, url)
 			}
 		}

@@ -1,20 +1,23 @@
 // Package remote implements the distributed search layer's client side: the
 // JSON wire types spoken between a coordinator and swserve shard nodes
-// (a shard's score list travels packed, see ScoreList), the
-// shard manifest that carries the durable checksum identity of each cut, a
-// retrying/hedging HTTP client, the health Prober that records which nodes
-// serve which shard keys, and a Backend implementing core.Backend so a
-// remote shard slots into the dispatcher exactly like the local host,
-// routing each request to the prober's current owners of its key.
+// (a shard answers its K best hits and the histogram of every score below
+// them, packed, see ShardSearchResponse), the shard manifest that carries
+// the durable checksum identity of each cut, a retrying/hedging HTTP
+// client, the health Prober that records which nodes serve which shard
+// keys, and a Backend implementing core.Backend so a remote shard slots
+// into the dispatcher exactly like the local host, routing each request to
+// the prober's current owners of its key.
 //
 // The protocol is deliberately small — two endpoints on every node:
 //
 //	GET  /shards        which shard keys this node owns
-//	POST /shard/search  score one query over one shard (full score list, packed)
+//	POST /shard/search  score one query over one shard (top-K hits and the histogram below them, packed)
 //
-// Nodes only score. The coordinator selects the top K over the merged
-// score lists and traces those hits back itself, over the parent index it
-// already maps, so an aligned query costs one round trip per shard.
+// Nodes only score and select. The coordinator selects the top K over the
+// union of the shards' hits, fits E-values over the sum of their
+// histograms, and traces its hits back itself, over the parent index it
+// already maps, so an aligned query costs one round trip per shard. K = 0
+// asks a node for every subject's score.
 //
 // Shards are addressed by their .swdb checksum key (index.Key), never by
 // file path: the key is content-derived, so a coordinator and a node that
@@ -23,8 +26,9 @@
 // Error contract: a node answers 503 only for retryable conditions (the
 // node is draining or closed); every other failure status is terminal for
 // that request. A 200 whose body fails to decode or to check is a failed
-// replica, as a dropped connection is. The client's retry and hedging
-// policy keys off exactly these distinctions — see Retryable.
+// replica, as a dropped connection is, and marks its node (see
+// Prober.Owners). The client's retry and hedging policy keys off exactly
+// these distinctions — see Retryable.
 package remote
 
 import (
@@ -35,6 +39,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+
+	"heterosw/internal/core"
+	"heterosw/internal/stats"
 )
 
 // ShardInfo describes one shard a node owns.
@@ -67,18 +74,27 @@ type ShardSearchRequest struct {
 	// rather than letters makes the round trip loss-free: the encoding is
 	// injective, so the node's cache keys dedup exactly like local ones.
 	Codes []byte `json:"codes"`
+	// K is the coordinator's K, the hits the node answers with (see
+	// ShardSearchResponse); 0 asks for every subject, and a negative K
+	// answers 400. A node caches one answer per query and K.
+	K int `json:"k"`
 }
 
-// ShardSearchResponse is the score-only result of one shard execution.
-// Scores is the full shard-length score list in the shard's caller order —
-// the coordinator owns TopK selection, so nodes never truncate. It travels
-// as a ScoreList: a base64 string of packed varints, which a coordinator
-// decodes about nine times faster than a JSON number array.
+// ShardSearchResponse is a shard's answer to a top-K search, core.Answer
+// on the wire. Hits are every subject scoring at or above the shard's K-th
+// best score, ties with the K-th kept, in increasing shard index; Below is
+// the histogram of every lower score. Together they cover the shard exactly
+// once, so the coordinator selects the top K over the shards' hits and
+// fits its E-values over the summed histogram, both exactly as over the
+// whole score list. With K = 0 every subject is a hit and Below is empty:
+// the every-hit form, which translated and every-hit searches ask for. A
+// top-10 answer over an 8,000-subject shard is a few hundred bytes.
 type ShardSearchResponse struct {
 	// Shard echoes the request's shard key, so an answer names the shard
 	// it scored.
-	Shard  string    `json:"shard"`
-	Scores ScoreList `json:"scores"`
+	Shard string  `json:"shard"`
+	Hits  HitList `json:"hits"`
+	Below Counts  `json:"below"`
 	// Cells counts useful DP cell updates (query length x shard residues);
 	// summed across shards it reproduces the single-node cell count
 	// exactly, whatever the cut.
@@ -93,51 +109,144 @@ type ShardSearchResponse struct {
 	OverflowCells int64 `json:"overflow_cells,omitempty"`
 }
 
-// ScoreList is a shard's score list on the wire. It marshals to a JSON
-// string holding the standard base64 of one unsigned LEB128 varint per
-// score, uint32(score), in order: every int32 round-trips exactly, and a
-// Smith-Waterman score below 128 costs one byte, below 16,384 two.
-type ScoreList []int32
-
-// MarshalJSON implements json.Marshaler.
-func (l ScoreList) MarshalJSON() ([]byte, error) {
-	packed := make([]byte, 0, 2*len(l)) // most scores pack in two bytes
-	for _, s := range l {
-		packed = binary.AppendUvarint(packed, uint64(uint32(s)))
+// check fails an answer that cannot be the shard's answer to req: another
+// shard's key or none, cells other than len(req.Codes) x residues, a hit
+// index at or beyond the shard's n sequences or not above the one before,
+// a hit score outside [0, stats.MaxScore], fewer than min(K, n) hits (n for
+// K = 0), a Below bucket at or above the lowest hit score (a dropped tie),
+// or hits and Below that do not count n subjects. Two shards of equal
+// sequence and residue counts differ only in their keys.
+func (r *ShardSearchResponse) check(req *ShardSearchRequest, n int, residues int64) error {
+	if r.Shard != req.Shard {
+		return fmt.Errorf("answer for shard %q to a search of shard %s", r.Shard, req.Shard)
 	}
-	out := make([]byte, base64.StdEncoding.EncodedLen(len(packed))+2)
-	out[0], out[len(out)-1] = '"', '"'
-	base64.StdEncoding.Encode(out[1:len(out)-1], packed)
-	return out, nil
+	if cells := int64(len(req.Codes)) * residues; r.Cells != cells {
+		return fmt.Errorf("%d cells for %d query residues over the %d-residue shard %s",
+			r.Cells, len(req.Codes), residues, req.Shard)
+	}
+	lowest := int32(stats.MaxScore)
+	for i, h := range r.Hits {
+		switch {
+		case int(h.Index) >= n:
+			return fmt.Errorf("hit index %d in the %d-sequence shard %s", h.Index, n, req.Shard)
+		case i > 0 && h.Index <= r.Hits[i-1].Index:
+			return fmt.Errorf("hit indices %d then %d do not strictly increase", r.Hits[i-1].Index, h.Index)
+		case h.Score < 0 || h.Score > stats.MaxScore:
+			return fmt.Errorf("hit score %d outside [0, %d]", h.Score, stats.MaxScore)
+		}
+		lowest = min(lowest, h.Score)
+	}
+	want := n
+	if req.K > 0 {
+		want = min(req.K, n)
+	}
+	if len(r.Hits) < want {
+		return fmt.Errorf("%d hits for a top-%d search of the %d-sequence shard %s", len(r.Hits), req.K, n, req.Shard)
+	}
+	if len(r.Below) > int(lowest) {
+		return fmt.Errorf("a below bucket at score %d, at or above the lowest hit score %d: a dropped tie", len(r.Below)-1, lowest)
+	}
+	covered := len(r.Hits)
+	for _, c := range r.Below {
+		covered += c
+	}
+	if covered != n {
+		return fmt.Errorf("%d hits and %d below them for the %d-sequence shard %s", len(r.Hits), covered-len(r.Hits), n, req.Shard)
+	}
+	return nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler. Any value but a string (an
-// older node's number array, null), a truncated or overlong varint, a
-// value beyond 32 bits and bad base64 are errors, never a short list, and
-// the output is sized by counting varint terminal bytes, so a body
-// allocates at most one int32 per byte it carries.
-func (l *ScoreList) UnmarshalJSON(data []byte) error {
-	if len(data) == 0 || data[0] != '"' {
-		return errors.New("remote: scores: not a base64 string")
+// HitList is an answer's hits on the wire: a JSON string holding the
+// standard base64 of one unsigned LEB128 varint pair per hit, the index's
+// step from the hit before (from 0 for the first) and uint32(score). A
+// step and a score below 128 cost a byte each.
+type HitList []core.ShardHit
+
+// MarshalJSON implements json.Marshaler.
+func (l HitList) MarshalJSON() ([]byte, error) {
+	packed := make([]byte, 0, 4*len(l)) // most pairs pack in four bytes
+	prev := int32(0)
+	for _, h := range l {
+		packed = binary.AppendUvarint(packed, uint64(uint32(h.Index-prev)))
+		packed = binary.AppendUvarint(packed, uint64(uint32(h.Score)))
+		prev = h.Index
 	}
-	var packed []byte
-	if err := json.Unmarshal(data, &packed); err != nil {
-		return fmt.Errorf("remote: scores: %w", err)
-	}
-	out, err := unpackScores(packed)
+	return base64String(packed), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler. A varint count that is not
+// even, and an index beyond 31 bits, are errors on top of unpack's.
+func (l *HitList) UnmarshalJSON(data []byte) error {
+	v, err := unpack(data, "hits")
 	if err != nil {
 		return err
+	}
+	if len(v)%2 != 0 {
+		return errors.New("remote: hits: a hit index without its score")
+	}
+	out := make(HitList, len(v)/2)
+	index := uint64(0)
+	for i := range out {
+		if index += uint64(v[2*i]); index > math.MaxInt32 {
+			return errors.New("remote: hits: index beyond 31 bits")
+		}
+		out[i] = core.ShardHit{Index: int32(index), Score: int32(v[2*i+1])}
 	}
 	*l = out
 	return nil
 }
 
-// unpackScores decodes packed varints, exactly one score per terminal
-// byte (< 0x80). Only the shortest encoding of each value is accepted, so
-// a list that decodes re-encodes to the same bytes.
-func unpackScores(packed []byte) (ScoreList, error) {
+// Counts is an answer's Below histogram on the wire: a JSON string holding
+// the standard base64 of one unsigned LEB128 varint per bucket.
+type Counts []int
+
+// MarshalJSON implements json.Marshaler.
+func (c Counts) MarshalJSON() ([]byte, error) {
+	packed := make([]byte, 0, 2*len(c))
+	for _, n := range c {
+		packed = binary.AppendUvarint(packed, uint64(uint32(n)))
+	}
+	return base64String(packed), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (c *Counts) UnmarshalJSON(data []byte) error {
+	v, err := unpack(data, "below")
+	if err != nil {
+		return err
+	}
+	out := make(Counts, len(v))
+	for i, n := range v {
+		out[i] = int(n)
+	}
+	*c = out
+	return nil
+}
+
+// base64String is packed as a JSON string of its standard base64.
+func base64String(packed []byte) []byte {
+	out := make([]byte, base64.StdEncoding.EncodedLen(len(packed))+2)
+	out[0], out[len(out)-1] = '"', '"'
+	base64.StdEncoding.Encode(out[1:len(out)-1], packed)
+	return out
+}
+
+// unpack decodes field what of an answer, a JSON string of base64 packed
+// varints, exactly one value per terminal byte (< 0x80), so a body
+// allocates at most one value per byte it carries. Any value but a string
+// (a number array, null), bad base64, a truncated or overlong varint and a
+// value beyond 32 bits are errors. Only the shortest encoding of each value
+// is accepted, so what decodes re-encodes to the same bytes.
+func unpack(data []byte, what string) ([]uint32, error) {
+	if len(data) == 0 || data[0] != '"' {
+		return nil, fmt.Errorf("remote: %s: not a base64 string", what)
+	}
+	var packed []byte
+	if err := json.Unmarshal(data, &packed); err != nil {
+		return nil, fmt.Errorf("remote: %s: %w", what, err)
+	}
 	if len(packed) > 0 && packed[len(packed)-1] >= 0x80 {
-		return nil, errors.New("remote: scores: truncated varint")
+		return nil, fmt.Errorf("remote: %s: truncated varint", what)
 	}
 	n := 0
 	for _, b := range packed {
@@ -145,20 +254,20 @@ func unpackScores(packed []byte) (ScoreList, error) {
 			n++
 		}
 	}
-	out := make(ScoreList, n)
+	out := make([]uint32, n)
 	for i := range out {
 		if b := packed[0]; b < 0x80 {
-			out[i], packed = int32(b), packed[1:]
+			out[i], packed = uint32(b), packed[1:]
 			continue
 		}
 		v, w := binary.Uvarint(packed)
 		switch {
 		case w <= 0 || w > 5 || packed[w-1] == 0:
-			return nil, errors.New("remote: scores: overlong varint")
+			return nil, fmt.Errorf("remote: %s: overlong varint", what)
 		case v > math.MaxUint32:
-			return nil, errors.New("remote: scores: varint exceeds 32 bits")
+			return nil, fmt.Errorf("remote: %s: varint exceeds 32 bits", what)
 		}
-		out[i], packed = int32(uint32(v)), packed[w:]
+		out[i], packed = uint32(v), packed[w:]
 	}
 	return out, nil
 }

@@ -62,21 +62,31 @@ func FitViable(n int, trimFrac float64) error {
 	return err
 }
 
-// maxScore bounds the scores a fit accepts: no alignment this system
+// MaxScore bounds the scores a fit accepts: no alignment this system
 // computes comes near it (a 65,536-residue query at 127 a column scores
 // under 2^23), and a histogram is this long at most.
-const maxScore = 1 << 24
+const MaxScore = 1 << 24
 
 // FitEValues fits a Gumbel null model to a search's score list by the
 // method of moments, after trimming the top trimFrac fraction of scores
 // (suspected homologs; 0 selects the 1% default). At least 30 usable
 // scores are required (see FitViable). Scores are Smith-Waterman scores:
-// non-negative.
+// non-negative. It is FitHistogram over the list's Histogram.
 func FitEValues[S ~int | ~int32](scores []S, trimFrac float64) (*EValueModel, error) {
+	counts, err := Histogram(scores)
+	if err != nil {
+		return nil, err
+	}
+	return FitHistogram(counts, trimFrac)
+}
+
+// Histogram counts a score list: counts[s] scores equal s, up to the
+// largest score. A score outside [0, MaxScore] is an error.
+func Histogram[S ~int | ~int32](scores []S) ([]int, error) {
 	top := 0
 	for _, s := range scores {
-		if s < 0 || s > maxScore {
-			return nil, fmt.Errorf("stats: score %d outside [0, %d]", s, maxScore)
+		if s < 0 || s > MaxScore {
+			return nil, fmt.Errorf("stats: score %d outside [0, %d]", s, MaxScore)
 		}
 		if int(s) > top {
 			top = int(s)
@@ -86,7 +96,7 @@ func FitEValues[S ~int | ~int32](scores []S, trimFrac float64) (*EValueModel, er
 	for _, s := range scores {
 		counts[s]++
 	}
-	return FitHistogram(counts, trimFrac)
+	return counts, nil
 }
 
 // FitHistogram is FitEValues over a score histogram: counts[s] subjects

@@ -16,14 +16,16 @@ import (
 // the remote shard protocol (GET /shards, POST /shard/search; see package
 // heterosw/internal/remote). Shards are addressed by their .swdb checksum
 // key, so a coordinator holding a manifest routes to this node only for
-// bytes both sides agree on. A node only scores: its coordinator traces
-// back the hits itself.
+// bytes both sides agree on. A node scores its shard and answers the
+// request's K best hits and the histogram below them
+// (core.SelectAnswer); its coordinator merges the shards' answers and
+// traces back the hits itself.
 //
 // Every shard search runs through its cluster's scheduler, so concurrent
 // coordinator fan-outs share its in-flight slots, repeated shard queries
-// hit the per-shard LRU cache exactly like front-door /search traffic on
-// a single node, and a closed node refuses them all with the retryable
-// 503.
+// of the same K hit the per-shard LRU cache exactly like front-door
+// /search traffic on a single node, an entry holding its answer and no
+// score list, and a closed node refuses them all with the retryable 503.
 type ShardServer struct {
 	shards map[string]*Cluster
 	keys   []string // shard keys in construction order, for stable listings
@@ -145,21 +147,27 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		}
 		enc[i] = alphabet.Code(b)
 	}
+	if req.K < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("negative k %d", req.K))
+		return
+	}
 	id := req.ID
 	if id == "" {
 		id = "query"
 	}
 	q := Sequence{impl: &sequence.Sequence{ID: id, Residues: enc, Alpha: alpha}}
-	// The coordinator owns the selection: the node computes no hit list and
-	// ships the engine's own score list.
-	res, err := cl.scheduled(r.Context(), job{query: q, wire: true})
+	// The node answers its shard's K best hits, ties with the K-th kept,
+	// and the histogram below them; the coordinator selects over the
+	// shards' answers.
+	res, err := cl.scheduled(r.Context(), job{query: q, wire: true, k: req.K})
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
 		Shard:         req.Shard,
-		Scores:        res.wire,
+		Hits:          res.answer.Hits,
+		Below:         res.answer.Below,
 		Cells:         res.Cells,
 		WallSeconds:   res.WallSeconds,
 		Overflows:     res.Overflows,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"heterosw/internal/alphabet"
@@ -65,9 +66,11 @@ type job struct {
 	// direct search.
 	frames []*translate.Frame
 	fseqs  []*sequence.Sequence
-	// wire marks a shard node's search for its coordinator: the score list
-	// and no hit list.
+	// wire marks a shard node's search for its coordinator, and k is the
+	// coordinator's K: the result carries the shard's k-answer
+	// (core.SelectAnswer) and no hit list.
 	wire bool
+	k    int
 	// fresh marks a Search job: it has no cache key, so the scheduler runs
 	// it in a slot of its own, never joined and never cached.
 	fresh bool
@@ -242,8 +245,8 @@ func (c *Cluster) scheduled(ctx context.Context, jb job) (*Result, error) {
 // cluster's scheduler. jb comes from prepare, or is a shard node's wire
 // job. A direct job is one score pass that selects the K hits its request
 // asked for; a translated job is one score pass per frame, merged before
-// the hits are selected. The result is then decorated; only a wire job's
-// result keeps the score list. ctx is checked before every score pass and
+// the hits are selected. The result is then decorated; a wire job's result
+// is its shard's answer instead. ctx is checked before every score pass and
 // threaded into the traceback phase.
 func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 	disp := c.engine()
@@ -252,18 +255,20 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 		dopt.Search.Matrix = jb.matrix
 	}
 	if jb.wire {
-		// Scores only: the coordinator selects over the merged shard scores.
+		// Scores only: the node's answer is selected from its shard's list.
 		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, -1)
 		if err != nil {
 			return nil, err
 		}
 		res := wrapResult(r)
-		res.wire = r.Scores
+		ans := core.SelectAnswer(r.Scores, jb.k)
+		res.answer = &ans
 		return res, nil
 	}
 	var (
 		res    *Result
 		scores []int32
+		hist   []int
 		winner []int
 	)
 	if jb.frames != nil {
@@ -283,9 +288,18 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, scores = wrapResult(r), r.Scores
+		res, scores, hist = wrapResult(r), r.Scores, r.Hist
 	}
-	if err := c.decorate(ctx, disp, dopt, &jb, res, scores, winner); err != nil {
+	if jb.rep.EValues && hist == nil {
+		// One engine pass: the histogram of its score list. A sharded
+		// search merged its shards' histograms instead.
+		h, err := stats.Histogram(scores)
+		if err != nil {
+			return nil, fmt.Errorf("%w (%v)", ErrNoSignificance, err)
+		}
+		hist = h
+	}
+	if err := c.decorate(ctx, disp, dopt, &jb, res, hist, winner); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -321,16 +335,16 @@ func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k i
 
 // decorate runs the reporting phases over a freshly assembled result,
 // whose hit list is already the request's K long: the significance fit
-// over scores, the search's full score list, then the traceback phase, each hit re-aligned against the query its
-// score came from — for a translated job the winning frame's protein
+// over hist, the histogram of every subject's score, then the traceback
+// phase, each hit re-aligned against the query its score came from — for a translated job the winning frame's protein
 // (winner maps a database index to its frame; nil for a direct search),
 // with the aligned segment mapped back to nucleotide coordinates. It must
 // only ever see results this call owns: cached results are decorated
 // before they enter the cache, never after. disp must be the engine
 // snapshot that scored the result, and dopt the options it scored under.
-func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *Result, scores []int32, winner []int) error {
+func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *Result, hist []int, winner []int) error {
 	if jb.rep.EValues {
-		m, err := stats.FitEValues(scores, 0)
+		m, err := stats.FitHistogram(hist, 0)
 		if err != nil {
 			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
 		}
@@ -396,7 +410,8 @@ func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core
 // option fingerprint, then the content fingerprint of a request-scoped
 // matrix, a translate marker, the report-option fingerprint (its K
 // included, since a cached entry holds K hits; empty for the zero
-// ReportOptions) or a shard node's wire marker, and last the raw encoded
+// ReportOptions) or a shard node's wire marker with its K (a cached answer
+// holds K hits and the histogram below them), and last the raw encoded
 // residues. Residue codes sit below every marker byte, so no two kinds of
 // request share a key, while sequences with equal residues share one result
 // whatever their IDs; the encoding is injective, so no decode pass is
@@ -408,7 +423,7 @@ func (c *Cluster) cacheKey(jb job) (string, bool) {
 	res := jb.query.impl.Residues
 	rk := jb.rep.key()
 	if jb.wire {
-		rk = "W|"
+		rk = "W:k=" + strconv.Itoa(jb.k) + "|"
 	}
 	var b strings.Builder
 	b.Grow(len(c.keyBase) + len("M:|") + len(jb.mkey) + len("T|") + len(rk) + len(res))

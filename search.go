@@ -146,9 +146,9 @@ type Result struct {
 	// distribution when the search requested ReportOptions.EValues; nil
 	// otherwise.
 	Significance *Significance
-	// wire is a shard node's score list, which /shard/search sends; nil
-	// on every result a door returns.
-	wire []int32
+	// answer is a shard node's answer to its coordinator, which
+	// /shard/search sends; nil on every result a door returns.
+	answer *core.Answer
 }
 
 func wrapResult(r *core.Result) *Result {

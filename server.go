@@ -147,8 +147,8 @@ func NewHTTPHandler(c *Cluster) http.Handler {
 }
 
 // writeJSON answers v as one JSON line, marshalled first so the answer
-// carries its Content-Length and a coordinator reads a node's score list
-// into one buffer. A value that fails to marshal answers an empty body.
+// carries its Content-Length and a coordinator reads a node's answer into
+// one buffer. A value that fails to marshal answers an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err == nil {

@@ -142,7 +142,8 @@ func TestHTTPWireKeys(t *testing.T) {
 }
 
 // TestCoordinatorWireKeys pins the keys of a shard node's /shard/search
-// answer, the body a coordinator decodes, and its Content-Length; that /shard/search answers the
+// answer, the body a coordinator decodes, and its Content-Length, in the
+// every-hit form and at K = 10, where the answer is under 1 KB; that /shard/search answers the
 // retryable 503 once the node is closed, even for a request its cache
 // holds; and that the node serves no /shard/align.
 func TestCoordinatorWireKeys(t *testing.T) {
@@ -163,30 +164,35 @@ func TestCoordinatorWireKeys(t *testing.T) {
 	escalated := false
 	var search remote.ShardSearchRequest
 	for _, sh := range shards.Shards {
-		search = remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Codes: codes}
-		resp, body := postJSON(t, node.URL+"/shard/search", search)
-		if resp.StatusCode != 200 {
-			t.Fatalf("/shard/search: status %d: %s", resp.StatusCode, body)
+		for _, k := range []int{0, 10} {
+			search = remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Codes: codes, K: k}
+			resp, body := postJSON(t, node.URL+"/shard/search", search)
+			if resp.StatusCode != 200 {
+				t.Fatalf("/shard/search: status %d: %s", resp.StatusCode, body)
+			}
+			// A sized answer is read into one buffer (remote's readBody).
+			if resp.ContentLength != int64(len(body)) {
+				t.Fatalf("/shard/search: Content-Length %d for a %d B body", resp.ContentLength, len(body))
+			}
+			var sr remote.ShardSearchResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.Shard != sh.Key {
+				t.Fatalf("answer names shard %q, want the searched %q", sr.Shard, sh.Key)
+			}
+			// The omitempty ladder counters appear only on the shard holding
+			// the planted homolog, whose byte lane saturates.
+			want := "$ {shard,hits,below,cells,wall_seconds}"
+			if sr.Overflows8 > 0 {
+				escalated = true
+				want = "$ {shard,hits,below,cells,wall_seconds,overflows8,overflow_cells}"
+			}
+			checkWireKeys(t, "/shard/search", body, []string{want})
+			if k > 0 && len(body) >= 1<<10 {
+				t.Errorf("a top-%d answer over the %d-sequence shard is %d B, want under 1 KB", k, sh.Sequences, len(body))
+			}
 		}
-		// A sized answer is read into one buffer (remote's readBody).
-		if resp.ContentLength != int64(len(body)) {
-			t.Fatalf("/shard/search: Content-Length %d for a %d B body", resp.ContentLength, len(body))
-		}
-		var sr remote.ShardSearchResponse
-		if err := json.Unmarshal(body, &sr); err != nil {
-			t.Fatal(err)
-		}
-		if sr.Shard != sh.Key {
-			t.Fatalf("answer names shard %q, want the searched %q", sr.Shard, sh.Key)
-		}
-		// The omitempty ladder counters appear only on the shard holding
-		// the planted homolog, whose byte lane saturates.
-		want := "$ {shard,scores,cells,wall_seconds}"
-		if sr.Overflows8 > 0 {
-			escalated = true
-			want = "$ {shard,scores,cells,wall_seconds,overflows8,overflow_cells}"
-		}
-		checkWireKeys(t, "/shard/search", body, []string{want})
 	}
 	if !escalated {
 		t.Error("no shard escalated a byte lane: the ladder counters went unpinned")
