@@ -28,10 +28,11 @@ type Answer struct {
 }
 
 // SelectAnswer builds the k-answer (0: every subject) of a shard from its
-// score list, the one selection every shard answer comes from. It reads
-// the scores twice: once for the k-th best score, over a buffer of 2k
-// scores cut back to k whenever it fills, and once to split the subjects
-// into hits and the histogram below them.
+// score list, Smith-Waterman scores and so non-negative, the one selection
+// every shard answer comes from. It reads the scores twice: once for the
+// k-th best score, over a buffer of 2k scores cut back to k whenever it
+// fills, and once to split the subjects into hits and the histogram below
+// them.
 func SelectAnswer(scores []int32, k int) Answer {
 	n := len(scores)
 	if k <= 0 || k >= n {
@@ -61,7 +62,7 @@ func SelectAnswer(scores []int32, k int) Answer {
 	kth := buf[len(buf)-k]
 
 	hits := make([]ShardHit, 0, k)
-	below := make([]int, max(kth, 0))
+	below := make([]int, kth)
 	for i, s := range scores {
 		if s >= kth {
 			hits = append(hits, ShardHit{Index: int32(i), Score: s})

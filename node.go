@@ -130,6 +130,10 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, errors.New("empty query codes"))
 		return
 	}
+	if req.K < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("negative k %d", req.K))
+		return
+	}
 	if len(req.Codes) > maxQueryResidues {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("%d query residues exceeds the %d limit", len(req.Codes), maxQueryResidues))
@@ -146,10 +150,6 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 		enc[i] = alphabet.Code(b)
-	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative k %d", req.K))
-		return
 	}
 	id := req.ID
 	if id == "" {

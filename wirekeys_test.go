@@ -143,7 +143,8 @@ func TestHTTPWireKeys(t *testing.T) {
 
 // TestCoordinatorWireKeys pins the keys of a shard node's /shard/search
 // answer, the body a coordinator decodes, and its Content-Length, in the
-// every-hit form and at K = 10, where the answer is under 1 KB; that /shard/search answers the
+// every-hit form and at K = 10, where the answer is under 1 KB; that a
+// negative K answers 400; that /shard/search answers the
 // retryable 503 once the node is closed, even for a request its cache
 // holds; and that the node serves no /shard/align.
 func TestCoordinatorWireKeys(t *testing.T) {
@@ -196,6 +197,12 @@ func TestCoordinatorWireKeys(t *testing.T) {
 	}
 	if !escalated {
 		t.Error("no shard escalated a byte lane: the ladder counters went unpinned")
+	}
+
+	neg := search
+	neg.K = -1
+	if resp, body := postJSON(t, node.URL+"/shard/search", neg); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/shard/search with k -1: status %d, want 400: %s", resp.StatusCode, body)
 	}
 
 	// Tracebacks run on the coordinator: the node has no endpoint for them.
