@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -134,6 +135,53 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 			if !reflect.DeepEqual(got.Hits, want) {
 				t.Fatalf("%v: query %d bound %d: hits %v, want %v", dist, qi, bounds[qi], got.Hits, want)
 			}
+		}
+	}
+}
+
+// A lone backend and a sharded roster select the same hits from the same
+// scores. The database repeats three subjects, so it holds few distinct
+// scores and every bound cuts inside a run of ties, and it plants a copy of
+// the query, the one top hit. At every bound the two dispatchers must
+// return the same hits, and the sharded histogram must count the lone
+// backend's scores.
+func TestDispatcherLoneMatchesShardedOverTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(306))
+	query := randProtein(rng, 50)
+	pool := []*sequence.Sequence{randProtein(rng, 30), randProtein(rng, 60), randProtein(rng, 90)}
+	seqs := make([]*sequence.Sequence, 0, 76)
+	for i := range 75 {
+		seqs = append(seqs, &sequence.Sequence{ID: fmt.Sprintf("t%d", i), Residues: pool[i%len(pool)].Residues})
+	}
+	seqs = slices.Insert(seqs, 40, &sequence.Sequence{ID: "PLANTED", Residues: query.Residues})
+	db := seqdb.New(seqs, true)
+	lone, err := NewDispatcher(db, []Backend{NewBackend("solo", device.Xeon(), 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewDispatcher(db, threeBackends())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DispatchOptions{Search: defaultSearchOptions()}
+	n := db.Len()
+	for _, k := range []int{0, 1, 5, n, n + 1} {
+		l, err := lone.SearchContext(context.Background(), query, opt, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sharded.SearchContext(context.Background(), query, opt, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Hits[0].ID != "PLANTED" {
+			t.Fatalf("k=%d: top hit %s, want PLANTED", k, l.Hits[0].ID)
+		}
+		if !reflect.DeepEqual(l.Hits, s.Hits) {
+			t.Fatalf("k=%d: lone hits %v, sharded %v", k, l.Hits, s.Hits)
+		}
+		if want := histogram(l.Scores); !slices.Equal(s.Hist, want) {
+			t.Fatalf("k=%d: sharded histogram %v, want %v", k, s.Hist, want)
 		}
 	}
 }
