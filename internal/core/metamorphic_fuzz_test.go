@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"heterosw/internal/alphabet"
@@ -74,7 +75,6 @@ func metamorphicSearch(t testing.TB, db *seqdb.Database, query []alphabet.Code, 
 		Params:           Params{Variant: IntrinsicSP, GapOpen: gapOpen, GapExtend: gapExtend},
 		Matrix:           m,
 		LongSeqThreshold: longThr,
-		scoresOnly:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,16 +82,24 @@ func metamorphicSearch(t testing.TB, db *seqdb.Database, query []alphabet.Code, 
 	return res.Scores, res.Stats
 }
 
-// checkMetamorphic checks two relations that hold for any exact
+// checkMetamorphic checks five relations that hold for any exact
 // Smith-Waterman score, with no oracle to compare against:
 //
 //   - reversal: score(reverse q, reverse s) = score(q, s), since reversing
 //     both sequences reverses every alignment path and keeps its score;
 //   - scaling: multiplying the matrix and both gap penalties by c
-//     multiplies every path's score, and so the best one, by c.
+//     multiplies every path's score, and so the best one, by c;
+//   - symmetry: score(q, s) = score(s, q) under BLOSUM62, a symmetric
+//     matrix, since swapping the sequences transposes every path and keeps
+//     its score (checked on the best-scoring subject, searched as the
+//     query against a database holding q alone);
+//   - extension: appending residues to a subject never lowers its score,
+//     since every path of the subject is a path of the longer one;
+//   - self-hit: q against itself scores at least the ungapped diagonal sum
+//     Σ V(qᵢ, qᵢ), the score of one of its paths.
 //
 // Scaling pushes the same alignments toward the byte and 16-bit rails, so
-// it drives the ladder's 8→16→32 escalation. Both relations are checked on
+// it drives the ladder's 8→16→32 escalation. Every relation is checked on
 // every vec tier the host runs, at both host byte-group widths, and every
 // tier must agree with the first on the scores themselves. It returns the
 // escalation counts of the scaled searches.
@@ -111,6 +119,26 @@ func checkMetamorphic(t *testing.T, qRaw, dbRaw []byte, scaleSel, penSel, longSe
 		longThr = 48 // most subjects take the long-subject kernel
 	}
 	base, scaled := submat.BLOSUM62, scaledMatrix(t, submat.BLOSUM62, c)
+	// edb is db with every subject extended by up to 32 residues of the
+	// next one, then the query itself: the extension and self-hit
+	// relations read one search of it. qdb holds the query alone, for the
+	// symmetry relation.
+	n := db.Len()
+	seqs := make([]*sequence.Sequence, n, n+1)
+	for i := range seqs {
+		next := db.Seq((i + 1) % n).Residues
+		seqs[i] = &sequence.Sequence{ID: db.Seq(i).ID, Residues: slices.Concat(db.Seq(i).Residues, next[:min(len(next), 32)])}
+	}
+	var qdb *seqdb.Database
+	var diag int32
+	if len(query) > 0 {
+		seqs = append(seqs, &sequence.Sequence{ID: "q", Residues: query})
+		qdb = seqdb.New(seqs[n:], sorted)
+		for _, r := range query {
+			diag += int32(base.Score(r, r))
+		}
+	}
+	edb := seqdb.New(seqs, sorted)
 
 	var ref []int32
 	var escalations Stats
@@ -120,6 +148,7 @@ func checkMetamorphic(t *testing.T, qRaw, dbRaw []byte, scaleSel, penSel, longSe
 			got, _ := metamorphicSearch(t, db, query, base, gapOpen, gapExtend, byteLanes, longThr)
 			rev, _ := metamorphicSearch(t, rdb, rquery, base, gapOpen, gapExtend, byteLanes, longThr)
 			up, st := metamorphicSearch(t, db, query, scaled, c*gapOpen, c*gapExtend, byteLanes, longThr)
+			ext, _ := metamorphicSearch(t, edb, query, base, gapOpen, gapExtend, byteLanes, longThr)
 			escalations.Overflows8 += st.Overflows8
 			escalations.Overflows += st.Overflows
 			if ref == nil {
@@ -137,6 +166,22 @@ func checkMetamorphic(t *testing.T, qRaw, dbRaw []byte, scaleSel, penSel, longSe
 					t.Fatalf("[%v, %d byte lanes] seq %d (%daa, q=%daa, gaps %d/%d): x%d scored %d, want %d",
 						tr, byteLanes, i, db.Seq(i).Len(), len(query), gapOpen, gapExtend, c, up[i], want)
 				}
+				if ext[i] < got[i] {
+					t.Fatalf("[%v, %d byte lanes] seq %d (%daa, q=%daa, gaps %d/%d): extended to %daa it scored %d, below %d",
+						tr, byteLanes, i, db.Seq(i).Len(), len(query), gapOpen, gapExtend, edb.Seq(i).Len(), ext[i], got[i])
+				}
+			}
+			if qdb == nil {
+				continue
+			}
+			if ext[n] < diag {
+				t.Fatalf("[%v, %d byte lanes] q=%daa, gaps %d/%d: self-hit scored %d, below the diagonal's %d",
+					tr, byteLanes, len(query), gapOpen, gapExtend, ext[n], diag)
+			}
+			best := slices.Index(got, slices.Max(got))
+			if sym, _ := metamorphicSearch(t, qdb, db.Seq(best).Residues, base, gapOpen, gapExtend, byteLanes, longThr); sym[0] != got[best] {
+				t.Fatalf("[%v, %d byte lanes] seq %d (%daa, q=%daa, gaps %d/%d): swapped pair scored %d, forward %d",
+					tr, byteLanes, best, db.Seq(best).Len(), len(query), gapOpen, gapExtend, sym[0], got[best])
 			}
 		}
 		vec.CapTier(prev)
@@ -144,9 +189,9 @@ func checkMetamorphic(t *testing.T, qRaw, dbRaw []byte, scaleSel, penSel, longSe
 	return escalations
 }
 
-// FuzzMetamorphic fuzzes the reversal and scaling relations (see
-// checkMetamorphic) over random queries, databases, scale factors, gap
-// penalties and long-subject routing.
+// FuzzMetamorphic fuzzes the five relations of checkMetamorphic over
+// random queries, databases, scale factors, gap penalties and long-subject
+// routing.
 func FuzzMetamorphic(f *testing.F) {
 	w := byte(17) // 'W', the highest-scoring self-match in BLOSUM62
 	paperPens := uint8(10 | 2<<4)
@@ -165,6 +210,13 @@ func FuzzMetamorphic(f *testing.F) {
 	gapped = append(append(append(gapped, homolog[:12]...), 'P', 'P', 'P'), homolog[12:40]...)
 	f.Add(homolog[:40], gapped, uint8(1), paperPens, uint8(2))
 	f.Add(homolog[:40], gapped, uint8(3), uint8(0), uint8(3))
+	// Symmetry, extension and the self-hit over the byte rail at the
+	// paper's gaps: the best subject, the whole homolog with a deletion and
+	// an insertion, scores 288 (its swapped pair and its extension score as
+	// much or more), and the query's diagonal sums to 329.
+	near := append(append(append([]byte{}, homolog[:12]...), homolog[15:30]...), 'P', 'P', 'P')
+	near = append(append(append(near, homolog[30:]...), fuzzSeqDelim), homolog[40:]...)
+	f.Add(homolog, near, uint8(0), paperPens, uint8(0))
 
 	f.Fuzz(func(t *testing.T, qRaw, dbRaw []byte, scaleSel, penSel, longSel uint8) {
 		checkMetamorphic(t, qRaw, dbRaw, scaleSel, penSel, longSel)
