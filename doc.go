@@ -217,7 +217,7 @@
 // ReportOptions.TopK, else 10 when a reporting phase is on, else 0 for
 // every hit — is
 // resolved before the score pass and travels with the query to the
-// engine, whose one bounded selection returns exactly K hits in the
+// dispatcher, whose one bounded selection returns exactly K hits in the
 // order of the paper's step 4 (score descending, ties in database
 // order); nothing downstream orders or holds more, so Result.Hits is K
 // long in a cached entry too, and no result keeps the engine's score list:

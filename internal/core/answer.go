@@ -29,7 +29,8 @@ type Answer struct {
 
 // SelectAnswer builds the k-answer (0: every subject) of a shard from its
 // score list, Smith-Waterman scores and so non-negative, the one selection
-// every shard answer comes from. It reads the scores twice: once for the
+// every search's hits come from (a lone search's shard is the whole
+// database). It reads the scores twice: once for the
 // k-th best score, over a buffer of 2k scores cut back to k whenever it
 // fills, and once to split the subjects into hits and the histogram below
 // them.
@@ -78,13 +79,14 @@ func SelectAnswer(scores []int32, k int) Answer {
 
 // MergeAnswers merges the answers of a parent database's shards, each
 // answered for the same k: answers[i] is shard i's (the zero Answer for an
-// empty shard) and idx[i] maps its indices to the parent's. It returns the
-// parent's k best hits (every hit when k is 0) in TopHits' order, score
+// empty shard) and idx[i] maps its indices to the parent's; a nil idx maps
+// each index to itself, the lone answer of a search over the parent. It
+// returns the parent's k best hits (every hit when k is 0), score
 // descending then parent index, and the parent's score histogram, the sum
 // of the Below arrays and the counts of every returned hit. A subject among
-// the parent's k best is among its own shard's k best, so the hits equal
-// TopHits over the parent's score list, and the histogram is the one
-// stats.FitEValues would count from it.
+// the parent's k best is among its own shard's k best, so the hits are the
+// parent's score list stably sorted by descending score and cut at k, and
+// the histogram is the one stats.FitEValues would count from it.
 func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]Hit, []int) {
 	size, top := 0, 0
 	for _, a := range answers {
@@ -102,7 +104,11 @@ func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]H
 		}
 		for _, h := range a.Hits {
 			hist[h.Score]++
-			keys = append(keys, hitKey(h.Score, idx[i][h.Index]))
+			pi := int(h.Index)
+			if idx != nil {
+				pi = idx[i][pi]
+			}
+			keys = append(keys, hitKey(h.Score, pi))
 		}
 	}
 	slices.Sort(keys)
@@ -112,8 +118,8 @@ func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]H
 	return keyHits(db, keys), hist
 }
 
-// hitKey orders hits as TopHits does, score descending then index
-// ascending, in one uint64 compare.
+// hitKey orders hits score descending then index ascending, in one uint64
+// compare.
 func hitKey(s int32, i int) uint64 {
 	return uint64(uint32(math.MaxInt32-int64(s)))<<32 | uint64(uint32(i))
 }

@@ -76,11 +76,13 @@ func TestSelectAnswerKeepsTies(t *testing.T) {
 	}
 }
 
-// FuzzShardTopMerge pins the shard answer end to end: a score list with
+// FuzzShardTopMerge pins the selection end to end: a score list with
 // heavy ties, cut into 1–4 shards by a random one-to-one map that is not
 // monotone, each shard answering SelectAnswer for one k in 0..n+1, must
-// merge (MergeAnswers) into exactly TopHits over the whole list, and into
-// its histogram, so the fit equals stats.FitEValues over the list.
+// merge (MergeAnswers) into exactly the stable sort of the whole list cut
+// at k, and into its histogram, so the fit equals stats.FitEValues over the
+// list. The lone search's leg, the whole list answered as one shard and
+// merged through a nil map, must give the same.
 func FuzzShardTopMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint16(0), int64(1))
 	f.Add([]byte{5, 5, 5, 5, 5}, uint8(2), uint16(2), int64(2))
@@ -94,6 +96,9 @@ func FuzzShardTopMerge(f *testing.F) {
 	// Ties run past the k-th score on every shard.
 	f.Add(slices.Repeat([]byte{3}, 40), uint8(0), uint16(5), int64(6))
 	f.Add(slices.Repeat([]byte{3, 4, 4}, 30), uint8(2), uint16(7), int64(7))
+	// A cut inside a three-way tie, and the top score tied at both ends.
+	f.Add([]byte{7, 7, 7}, uint8(0), uint16(2), int64(8))
+	f.Add([]byte{0xff, 0, 0xff}, uint8(0), uint16(1), int64(9))
 	f.Fuzz(func(t *testing.T, data []byte, nshards uint8, k16 uint16, seed int64) {
 		n := len(data)
 		scores := make([]int32, n)
@@ -125,11 +130,15 @@ func FuzzShardTopMerge(f *testing.F) {
 		}
 		db := idDB(n)
 		hits, hist := MergeAnswers(db, answers, idx, k)
-		if want := TopHits(db, scores, k); !reflect.DeepEqual(hits, want) {
+		if want := stableSortHits(db, scores, k); !reflect.DeepEqual(hits, want) {
 			t.Fatalf("k=%d over %d shards: merged hits %v, want %v", k, shards, hits, want)
 		}
 		if want := histogram(scores); !slices.Equal(hist, want) {
 			t.Fatalf("k=%d over %d shards: merged histogram %v, want %v", k, shards, hist, want)
+		}
+		lone, loneHist := MergeAnswers(db, []Answer{SelectAnswer(scores, k)}, nil, k)
+		if !reflect.DeepEqual(lone, hits) || !slices.Equal(loneHist, hist) {
+			t.Fatalf("k=%d: one shard through a nil map gives hits %v and histogram %v, want %v and %v", k, lone, loneHist, hits, hist)
 		}
 		want, werr := stats.FitEValues(scores, 0)
 		got, gerr := stats.FitHistogram(hist, 0)

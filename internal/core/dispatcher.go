@@ -23,7 +23,7 @@ type Backend interface {
 	// Search runs Algorithm 1 over db, the shard the dispatcher assigned
 	// the backend at construction, and returns its score list or, under a
 	// sharded dispatcher, its opt.TopK-answer as Result.Top (see
-	// SelectAnswer). Implementations must be safe for concurrent calls.
+	// SelectAnswer). It selects no hit list: the dispatcher does. Implementations must be safe for concurrent calls.
 	// ctx is the request's context: remote backends pass it through to the
 	// wire so a cancelled search stops burning node time; local backends
 	// check it before launching kernels (which are uncancellable
@@ -325,7 +325,7 @@ func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence
 		return nil, err
 	}
 	so := opt.Search
-	so.TopK, so.scoresOnly = topK, topK < 0
+	so.TopK = topK
 	r, per, err := d.search(ctx, query, so)
 	if err != nil {
 		return nil, err
@@ -337,13 +337,18 @@ func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence
 // search is the dispatcher's one execution path: every backend with a
 // non-empty shard searches it, concurrently, and answers its shard's
 // k-answer (k is opt.TopK, 0 for every subject and for a scores-only
-// search), either as an Answer or as a score list the dispatcher selects
-// one from (SelectAnswer). The answers merge through the shard index maps
-// (MergeAnswers) into the hit list and the score histogram; a k = 0 search
-// also scatters them into the parent's score list. A lone backend over the
-// parent itself answers directly, hit list included. The per-backend
-// results are returned for the totals.
+// search, whose opt.TopK is negative), either as an Answer or as a score
+// list the dispatcher selects one from (SelectAnswer). The answers merge
+// through the shard index maps (MergeAnswers) into the hit list and the
+// score histogram; a k = 0 search also scatters them into the parent's
+// score list. A lone backend searches the parent itself: its score list is
+// the result's, and one answer over it, merged through the identity, gives
+// the hits and the histogram; a scores-only search returns the list
+// untouched. The per-backend results are returned for the totals.
 func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt SearchOptions) (*ClusterResult, []*Result, error) {
+	wantHits := opt.TopK >= 0
+	k := max(opt.TopK, 0)
+	opt.TopK = k
 	n := len(d.backends)
 	results := make([]*Result, n)
 	if d.idx == nil {
@@ -351,15 +356,12 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 		if err != nil {
 			return nil, nil, err
 		}
+		if wantHits {
+			r.Hits, r.Hist = MergeAnswers(d.db, []Answer{SelectAnswer(r.Scores, k)}, nil, k)
+		}
 		results[0] = r
 		return r, results, nil
 	}
-	wantHits := !opt.scoresOnly
-	k := max(opt.TopK, 0)
-	if !wantHits {
-		k = 0
-	}
-	opt.TopK, opt.scoresOnly = k, true
 	errs := make([]error, n)
 	start := time.Now()
 	var wg sync.WaitGroup

@@ -24,7 +24,8 @@ func threeBackends() []Backend {
 }
 
 // A single-backend dispatcher must reproduce Engine.Search exactly —
-// scores and hits — whatever distribution its options name.
+// its scores, and the hits they sort into — whatever distribution its
+// options name.
 func TestDispatcherSingleBackendMatchesEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(300))
 	db := randDB(rng, 90, 80, true)
@@ -48,8 +49,9 @@ func TestDispatcherSingleBackendMatchesEngine(t *testing.T) {
 				t.Fatalf("%v: score %d: %d != %d", dist, i, res.Scores[i], want.Scores[i])
 			}
 		}
-		for i := range want.Hits {
-			if res.Hits[i].SeqIndex != want.Hits[i].SeqIndex || res.Hits[i].Score != want.Hits[i].Score {
+		wantHits := stableSortHits(db, want.Scores, 0)
+		for i := range wantHits {
+			if res.Hits[i].SeqIndex != wantHits[i].SeqIndex || res.Hits[i].Score != wantHits[i].Score {
 				t.Fatalf("%v: hit %d differs", dist, i)
 			}
 		}
@@ -143,7 +145,7 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 // scores. The database repeats three subjects, so it holds few distinct
 // scores and every bound cuts inside a run of ties, and it plants a copy of
 // the query, the one top hit. At every bound the two dispatchers must
-// return the same hits, and the sharded histogram must count the lone
+// return the same hits and the same histogram, the count of the lone
 // backend's scores.
 func TestDispatcherLoneMatchesShardedOverTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
@@ -182,6 +184,9 @@ func TestDispatcherLoneMatchesShardedOverTies(t *testing.T) {
 		}
 		if want := histogram(l.Scores); !slices.Equal(s.Hist, want) {
 			t.Fatalf("k=%d: sharded histogram %v, want %v", k, s.Hist, want)
+		}
+		if !slices.Equal(l.Hist, s.Hist) {
+			t.Fatalf("k=%d: lone histogram %v, sharded %v", k, l.Hist, s.Hist)
 		}
 	}
 }

@@ -170,14 +170,10 @@ type SearchOptions struct {
 	// intra-task kernel (see DefaultLongSeqThreshold). 0 selects the
 	// default; negative disables routing.
 	LongSeqThreshold int
-	// TopK truncates the hit list (all hits when 0).
+	// TopK is the k of a backend's answer (see SelectAnswer; 0 selects
+	// every subject). Engine.Search returns every score whatever it says:
+	// the dispatcher selects the hits.
 	TopK int
-
-	// scoresOnly is set by the dispatcher when nobody reads this search's
-	// hit list — it merges several backends' scores and selects over the
-	// merged list itself, or its caller asked for no hits: the search
-	// returns Scores and no Hits.
-	scoresOnly bool
 }
 
 // matrixFor resolves the substitution matrix against a database alphabet:
@@ -222,16 +218,18 @@ type Hit struct {
 // Result reports one search: the score list of step 4 and what the host
 // did to compute it.
 type Result struct {
-	// Hits is sorted by descending score (ties by database order) and
-	// TopK long when one was requested (see TopHits).
+	// Hits is a dispatcher search's hit list: sorted by descending score
+	// (ties by database order) and TopK long when one was requested (see
+	// MergeAnswers). Engine.Search and a scores-only search leave it nil.
 	Hits []Hit
 	// Scores holds the raw score of every database sequence, indexed by
-	// caller order: regardless of TopK on one backend, and only for an
-	// every-hit search (TopK 0) on a sharded dispatcher.
+	// caller order: from Engine.Search, from a lone backend's dispatcher
+	// whatever its TopK, and from a sharded dispatcher only for an
+	// every-hit search (TopK 0).
 	Scores []int32
-	// Hist is the score histogram of a sharded dispatcher's search, Hist[s]
-	// sequences scoring s (see MergeAnswers); nil on one backend, whose
-	// Scores hold it.
+	// Hist is the score histogram of a dispatcher search that selects hits,
+	// Hist[s] sequences scoring s (see MergeAnswers); nil on a scores-only
+	// search.
 	Hist []int
 	// Top is a backend's Answer for its shard when it returns one instead
 	// of Scores, as a remote node does.
@@ -243,8 +241,9 @@ type Result struct {
 }
 
 // Search performs Algorithm 1: alignments of the query against every
-// database sequence in parallel, returning sorted similarity scores, the
-// cells and ladder escalations counted, and the wall time.
+// database sequence in parallel, returning every subject's similarity
+// score in caller order, the cells and ladder escalations counted, and the
+// wall time. It selects no hits: the dispatcher does (SelectAnswer).
 func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, error) {
 	if query == nil {
 		return nil, fmt.Errorf("core: nil query")
@@ -334,50 +333,5 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	for i := range statsPer {
 		res.Stats.Add(statsPer[i])
 	}
-	if !opt.scoresOnly {
-		res.Hits = TopHits(e.db, scores, opt.TopK)
-	}
 	return res, nil
-}
-
-// TopHits implements step 4 for a caller that wants the k best hits: the
-// similarity scores in descending order, ties in database order, cut at k
-// (every hit when k is 0, or k exceeds the database). Its order is the one
-// every search path selects by, MergeAnswers' too, so they cannot disagree
-// on tie order.
-//
-// Each (score, index) pair packs into one uint64 that orders, ascending, as
-// score descending then index ascending, so selecting moves 8-byte words and
-// a Hit is built only for a survivor. A bounded k costs one scan of scores
-// against the worst key kept so far, over a buffer of 2k keys that is sorted
-// and cut back to k whenever it fills: O(N + k log k) once the bar has
-// risen, never an N-long sort.
-func TopHits(db *seqdb.Database, scores []int32, k int) []Hit {
-	n := len(scores)
-	if k <= 0 || k > n {
-		k = n
-	}
-	room := 2 * k
-	if room > n {
-		room = n
-	}
-	keys := make([]uint64, 0, room)
-	bar := ^uint64(0)
-	for i, s := range scores {
-		key := hitKey(s, i)
-		if key >= bar {
-			continue
-		}
-		keys = append(keys, key)
-		if len(keys) == room && i+1 < n {
-			slices.Sort(keys)
-			keys = keys[:k]
-			bar = keys[k-1]
-		}
-	}
-	slices.Sort(keys)
-	if len(keys) > k {
-		keys = keys[:k]
-	}
-	return keyHits(db, keys)
 }

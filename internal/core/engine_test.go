@@ -19,6 +19,21 @@ func testEngine(t *testing.T, db *seqdb.Database) *Engine {
 	return e
 }
 
+// loneSearch runs one search of query through a dispatcher whose one
+// backend searches the whole of db, the path a local cluster runs.
+func loneSearch(t *testing.T, db *seqdb.Database, query *sequence.Sequence, opt SearchOptions) *Result {
+	t.Helper()
+	disp, err := NewDispatcher(db, []Backend{NewBackend("solo", device.Xeon(), 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := disp.Search(query, DispatchOptions{Search: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func defaultSearchOptions() SearchOptions {
 	return SearchOptions{
 		Params:   Params{Variant: IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
@@ -60,11 +75,7 @@ func TestSearchHitsSortedAndSelfHitFirst(t *testing.T) {
 	}
 	seqs = append(seqs, &planted)
 	db2 := seqdb.New(seqs, true)
-	e := testEngine(t, db2)
-	res, err := e.Search(query, defaultSearchOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := loneSearch(t, db2, query, defaultSearchOptions())
 	if res.Hits[0].ID != "PLANTED" {
 		t.Fatalf("top hit %q score %d, want PLANTED", res.Hits[0].ID, res.Hits[0].Score)
 	}
@@ -78,13 +89,9 @@ func TestSearchHitsSortedAndSelfHitFirst(t *testing.T) {
 func TestSearchTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	db := randDB(rng, 30, 40, true)
-	e := testEngine(t, db)
 	opt := defaultSearchOptions()
 	opt.TopK = 5
-	res, err := e.Search(randProtein(rng, 30), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := loneSearch(t, db, randProtein(rng, 30), opt)
 	if len(res.Hits) != 5 {
 		t.Fatalf("TopK gave %d hits", len(res.Hits))
 	}

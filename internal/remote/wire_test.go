@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -30,7 +31,8 @@ func int32Bytes(scores []int32) []byte {
 //   - the bytes, decoded as a whole /shard/search body and checked as the
 //     answer to a top-k search, never panic, and an answer over at most 64
 //     subjects that passes the check merges (core.MergeAnswers) into
-//     exactly TopHits and the histogram of the score list it describes;
+//     exactly the sorted hits and the histogram of the score list it
+//     describes;
 //   - the bytes, read as the packed varints of hits and of below counts,
 //     re-encode to the same string when they decode (only the shortest
 //     form is accepted);
@@ -129,7 +131,7 @@ func roundTrip(t *testing.T, want ShardSearchResponse) ShardSearchResponse {
 }
 
 // checkMerge fails unless an answer that passed its check merges, as the
-// one shard of an n-subject database, into TopHits and the histogram of
+// one shard of an n-subject database, into sortedHits and the histogram of
 // the score list it describes: its hits' scores at their indices, and the
 // below counts dealt out over the remaining indices in order.
 func checkMerge(t *testing.T, ans ShardSearchResponse, n, k int) {
@@ -157,7 +159,7 @@ func checkMerge(t *testing.T, ans ShardSearchResponse, n, k int) {
 	}
 	db := seqdb.New(seqs, false)
 	hits, hist := core.MergeAnswers(db, []core.Answer{{Hits: ans.Hits, Below: ans.Below}}, [][]int{idx}, k)
-	if want := core.TopHits(db, scores, k); !reflect.DeepEqual(hits, want) {
+	if want := sortedHits(db, scores, k); !reflect.DeepEqual(hits, want) {
 		t.Fatalf("answer %+v merges to hits %v, want %v", ans, hits, want)
 	}
 	want := make([]int, 0)
@@ -170,6 +172,20 @@ func checkMerge(t *testing.T, ans ShardSearchResponse, n, k int) {
 	if !slices.Equal(hist, want) {
 		t.Fatalf("answer %+v merges to histogram %v, want %v", ans, hist, want)
 	}
+}
+
+// sortedHits is a score list's hits by definition: every subject, stably
+// sorted by descending score, cut at k (every subject when k is 0).
+func sortedHits(db *seqdb.Database, scores []int32, k int) []core.Hit {
+	hits := make([]core.Hit, len(scores))
+	for i, s := range scores {
+		hits[i] = core.Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: s}
+	}
+	slices.SortStableFunc(hits, func(a, b core.Hit) int { return cmp.Compare(b.Score, a.Score) })
+	if k > 0 && k < len(hits) {
+		hits = hits[:k]
+	}
+	return hits
 }
 
 // BenchmarkShardSearchResponseDecode times the coordinator's decode of one

@@ -71,18 +71,9 @@ const MaxScore = 1 << 24
 // method of moments, after trimming the top trimFrac fraction of scores
 // (suspected homologs; 0 selects the 1% default). At least 30 usable
 // scores are required (see FitViable). Scores are Smith-Waterman scores:
-// non-negative. It is FitHistogram over the list's Histogram.
+// non-negative, each at most MaxScore. It is FitHistogram over the list's
+// histogram.
 func FitEValues[S ~int | ~int32](scores []S, trimFrac float64) (*EValueModel, error) {
-	counts, err := Histogram(scores)
-	if err != nil {
-		return nil, err
-	}
-	return FitHistogram(counts, trimFrac)
-}
-
-// Histogram counts a score list: counts[s] scores equal s, up to the
-// largest score. A score outside [0, MaxScore] is an error.
-func Histogram[S ~int | ~int32](scores []S) ([]int, error) {
 	top := 0
 	for _, s := range scores {
 		if s < 0 || s > MaxScore {
@@ -96,7 +87,7 @@ func Histogram[S ~int | ~int32](scores []S) ([]int, error) {
 	for _, s := range scores {
 		counts[s]++
 	}
-	return counts, nil
+	return FitHistogram(counts, trimFrac)
 }
 
 // FitHistogram is FitEValues over a score histogram: counts[s] subjects

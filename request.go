@@ -267,7 +267,6 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 	}
 	var (
 		res    *Result
-		scores []int32
 		hist   []int
 		winner []int
 	)
@@ -282,22 +281,13 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 			}
 			per[i] = r
 		}
-		res, scores, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
+		res, hist, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
 	} else {
 		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, topK(jb.rep))
 		if err != nil {
 			return nil, err
 		}
-		res, scores, hist = wrapResult(r), r.Scores, r.Hist
-	}
-	if jb.rep.EValues && hist == nil {
-		// One engine pass: the histogram of its score list. A sharded
-		// search merged its shards' histograms instead.
-		h, err := stats.Histogram(scores)
-		if err != nil {
-			return nil, fmt.Errorf("%w (%v)", ErrNoSignificance, err)
-		}
-		hist = h
+		res, hist = wrapResult(r), r.Hist
 	}
 	if err := c.decorate(ctx, disp, dopt, &jb, res, hist, winner); err != nil {
 		return nil, err
@@ -308,10 +298,12 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 // mergeFrames folds a translated job's per-frame results into one: each
 // subject keeps its best frame score (ties to the earlier frame, in
 // +1..+3, -1..-3 order), cost accounting sums over frames, and the k best
-// hits (all when 0) are selected over the merged scores, each stamped with
-// its winning frame. It also returns the merged scores and a map from each
-// database index to the index (into frames) of its winning frame.
-func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k int) (*Result, []int32, []int) {
+// hits (all when 0) are selected over the merged scores as a lone search
+// selects them (SelectAnswer, then MergeAnswers through the identity),
+// each stamped with its winning frame. It also returns the histogram of
+// the merged scores and a map from each database index to the index (into
+// frames) of its winning frame.
+func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k int) (*Result, []int, []int) {
 	best := res[0]
 	winner := make([]int, len(best.Scores))
 	for i, r := range res[1:] {
@@ -324,13 +316,13 @@ func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k i
 		best.Stats.Add(r.Stats)
 		best.WallSeconds += r.WallSeconds
 	}
-	best.Hits = core.TopHits(c.db.db, best.Scores, k)
+	best.Hits, best.Hist = core.MergeAnswers(c.db.db, []core.Answer{core.SelectAnswer(best.Scores, k)}, nil, k)
 	merged := wrapResult(best)
 	for i := range merged.Hits {
 		h := &merged.Hits[i]
 		h.Frame = frames[winner[h.Index]].Index
 	}
-	return merged, best.Scores, winner
+	return merged, best.Hist, winner
 }
 
 // decorate runs the reporting phases over a freshly assembled result,

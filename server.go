@@ -191,7 +191,7 @@ func decodeStatus(err error) int {
 // reportFor validates the response-shaping fields shared by /search and
 // /batch and resolves them into the library's ReportOptions. top_k
 // defaults to defaultReportHits and always travels with the request —
-// score-only ones too — so the engine selects exactly the hits the response
+// score-only ones too — so the search selects exactly the hits the response
 // carries; it is therefore part of the cache key.
 func reportFor(topK int, align, evalue bool) (ReportOptions, error) {
 	switch {
