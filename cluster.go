@@ -105,11 +105,12 @@ type ReportOptions struct {
 	EValues bool
 	// TopK is this call's K, the length of its hit list; 0 reports every
 	// hit. It travels with the query to the dispatcher, which selects
-	// exactly K hits — nothing downstream orders or holds more. With Alignments set
-	// it is the number of sequences the traceback phase aligns. When a
-	// reporting phase is requested and TopK is 0, the reported hit list is
-	// bounded at defaultReportHits, so every returned hit is decorated and
-	// an unbounded search never re-aligns the whole database.
+	// exactly K hits — nothing downstream orders or holds more. With
+	// Alignments set it is the number of sequences the traceback phase
+	// aligns. When a reporting phase is requested and TopK is 0, the
+	// reported hit list is bounded at defaultReportHits, so every returned
+	// hit is decorated and an unbounded search never re-aligns the whole
+	// database.
 	TopK int
 }
 

@@ -23,11 +23,11 @@ type Backend interface {
 	// Search runs Algorithm 1 over db, the shard the dispatcher assigned
 	// the backend at construction, and returns its score list or, under a
 	// sharded dispatcher, its opt.TopK-answer as Result.Top (see
-	// SelectAnswer). It selects no hit list: the dispatcher does. Implementations must be safe for concurrent calls.
-	// ctx is the request's context: remote backends pass it through to the
-	// wire so a cancelled search stops burning node time; local backends
-	// check it before launching kernels (which are uncancellable
-	// mid-column).
+	// SelectAnswer). It selects no hit list: the dispatcher does.
+	// Implementations must be safe for concurrent calls. ctx is the
+	// request's context: remote backends pass it through to the wire so a
+	// cancelled search stops burning node time; local backends check it
+	// before launching kernels (which are uncancellable mid-column).
 	Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt SearchOptions) (*Result, error)
 }
 
