@@ -96,9 +96,6 @@ func FuzzShardTopMerge(f *testing.F) {
 	// Ties run past the k-th score on every shard.
 	f.Add(slices.Repeat([]byte{3}, 40), uint8(0), uint16(5), int64(6))
 	f.Add(slices.Repeat([]byte{3, 4, 4}, 30), uint8(2), uint16(7), int64(7))
-	// A cut inside a three-way tie, and the top score tied at both ends.
-	f.Add([]byte{7, 7, 7}, uint8(0), uint16(2), int64(8))
-	f.Add([]byte{0xff, 0, 0xff}, uint8(0), uint16(1), int64(9))
 	f.Fuzz(func(t *testing.T, data []byte, nshards uint8, k16 uint16, seed int64) {
 		n := len(data)
 		scores := make([]int32, n)

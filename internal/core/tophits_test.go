@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -81,4 +82,27 @@ func TestTopHitsMatchesStableSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTopHits holds the lone search's selection (SelectAnswer, then
+// MergeAnswers through a nil map) to the stable sort over arbitrary score
+// vectors and cuts. Each score is four raw bytes cut to 20 bits, the span
+// of TestTopHitsMatchesStableSort's wide draw: the answer's histogram is
+// as long as the top score.
+func FuzzTopHits(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0, 7}, uint16(2))
+	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff}, uint16(1))
+	db := idDB(1 << 10)
+	f.Fuzz(func(t *testing.T, raw []byte, k uint16) {
+		n := min(len(raw)/4, db.Len())
+		scores := make([]int32, n)
+		for i := range scores {
+			scores[i] = int32(binary.BigEndian.Uint32(raw[4*i:]) & (1<<20 - 1))
+		}
+		got, _ := MergeAnswers(db, []Answer{SelectAnswer(scores, int(k))}, nil, int(k))
+		if want := stableSortHits(db, scores, int(k)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d k=%d: got %v, want %v", n, k, got, want)
+		}
+	})
 }
