@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"heterosw/internal/seqdb"
+	"heterosw/internal/stats"
 )
 
 // ShardHit is one hit of an Answer: a subject's index in its shard and its
@@ -19,7 +20,8 @@ type ShardHit struct {
 // so the ties with the k-th are kept; Below is the histogram of every lower
 // score, Below[s] subjects scoring s, for s under the lowest hit score.
 // Together they cover the shard exactly once. With k = 0 every subject is
-// a hit and Below is empty. A shard node caches and sends its Answer, and
+// a hit and Below is empty, and Below is nil too when the lowest hit scores
+// above stats.MaxScore: no fit reads a histogram past that bound. A shard node caches and sends its Answer, and
 // MergeAnswers rebuilds from the shards' answers the hits and the score
 // histogram a search of the unsplit database would have.
 type Answer struct {
@@ -63,11 +65,14 @@ func SelectAnswer(scores []int32, k int) Answer {
 	kth := buf[len(buf)-k]
 
 	hits := make([]ShardHit, 0, k)
-	below := make([]int, kth)
+	var below []int
+	if kth <= stats.MaxScore {
+		below = make([]int, kth)
+	}
 	for i, s := range scores {
 		if s >= kth {
 			hits = append(hits, ShardHit{Index: int32(i), Score: s})
-		} else {
+		} else if below != nil {
 			below[s]++
 		}
 	}
@@ -82,28 +87,19 @@ func SelectAnswer(scores []int32, k int) Answer {
 // empty shard) and idx[i] maps its indices to the parent's; a nil idx maps
 // each index to itself, the lone answer of a search over the parent. It
 // returns the parent's k best hits (every hit when k is 0), score
-// descending then parent index, and the parent's score histogram, the sum
-// of the Below arrays and the counts of every returned hit. A subject among
-// the parent's k best is among its own shard's k best, so the hits are the
-// parent's score list stably sorted by descending score and cut at k, and
-// the histogram is the one stats.FitEValues would count from it.
+// descending then parent index, and the parent's score histogram (see
+// mergeHist). A subject among the parent's k best is among its own shard's
+// k best, so the hits are the parent's score list stably sorted by
+// descending score and cut at k, and the histogram is the one
+// stats.FitEValues would count from it.
 func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]Hit, []int) {
-	size, top := 0, 0
+	size := 0
 	for _, a := range answers {
 		size += len(a.Hits)
-		top = max(top, len(a.Below))
-		for _, h := range a.Hits {
-			top = max(top, int(h.Score)+1)
-		}
 	}
-	hist := make([]int, top)
 	keys := make([]uint64, 0, size)
 	for i, a := range answers {
-		for s, c := range a.Below {
-			hist[s] += c
-		}
 		for _, h := range a.Hits {
-			hist[h.Score]++
 			pi := int(h.Index)
 			if idx != nil {
 				pi = idx[i][pi]
@@ -115,7 +111,33 @@ func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]H
 	if k > 0 && k < len(keys) {
 		keys = keys[:k]
 	}
-	return keyHits(db, keys), hist
+	return keyHits(db, keys), mergeHist(answers)
+}
+
+// mergeHist sums the answers into one score histogram, the Below arrays
+// and a count of every hit. It is nil when a score exceeds stats.MaxScore,
+// which no fit accepts, so the histogram is never longer than that bound.
+func mergeHist(answers []Answer) []int {
+	top := 0
+	for _, a := range answers {
+		top = max(top, len(a.Below))
+		for _, h := range a.Hits {
+			top = max(top, int(h.Score)+1)
+		}
+	}
+	if top > stats.MaxScore+1 {
+		return nil
+	}
+	hist := make([]int, top)
+	for _, a := range answers {
+		for s, c := range a.Below {
+			hist[s] += c
+		}
+		for _, h := range a.Hits {
+			hist[h.Score]++
+		}
+	}
+	return hist
 }
 
 // hitKey orders hits score descending then index ascending, in one uint64

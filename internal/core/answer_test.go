@@ -76,13 +76,36 @@ func TestSelectAnswerKeepsTies(t *testing.T) {
 	}
 }
 
+// A score past stats.MaxScore, which no fit accepts, selects like any
+// other, but no histogram is counted for it: the merged histogram is nil,
+// and so is the Below of an answer whose lowest hit is past the bound.
+func TestSelectionBoundsHistogram(t *testing.T) {
+	scores := []int32{3, stats.MaxScore + 2, 5, stats.MaxScore + 1, 5}
+	db := idDB(len(scores))
+	for _, tc := range []struct {
+		k     int
+		below []int
+	}{{0, nil}, {1, nil}, {2, nil}, {3, []int{0, 0, 0, 1}}, {5, nil}} {
+		a := SelectAnswer(scores, tc.k)
+		if !slices.Equal(a.Below, tc.below) || (a.Below == nil) != (tc.below == nil) {
+			t.Errorf("k=%d: below %v, want %v", tc.k, a.Below, tc.below)
+		}
+		hits, hist := MergeAnswers(db, []Answer{a}, nil, tc.k)
+		if want := stableSortHits(db, scores, tc.k); !reflect.DeepEqual(hits, want) {
+			t.Errorf("k=%d: hits %v, want %v", tc.k, hits, want)
+		}
+		if hist != nil {
+			t.Errorf("k=%d: histogram of %d buckets, want none", tc.k, len(hist))
+		}
+	}
+}
+
 // FuzzShardTopMerge pins the selection end to end: a score list with
 // heavy ties, cut into 1–4 shards by a random one-to-one map that is not
 // monotone, each shard answering SelectAnswer for one k in 0..n+1, must
 // merge (MergeAnswers) into exactly the stable sort of the whole list cut
 // at k, and into its histogram, so the fit equals stats.FitEValues over the
-// list. The lone search's leg, the whole list answered as one shard and
-// merged through a nil map, must give the same.
+// list.
 func FuzzShardTopMerge(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint16(0), int64(1))
 	f.Add([]byte{5, 5, 5, 5, 5}, uint8(2), uint16(2), int64(2))
@@ -132,10 +155,6 @@ func FuzzShardTopMerge(f *testing.F) {
 		}
 		if want := histogram(scores); !slices.Equal(hist, want) {
 			t.Fatalf("k=%d over %d shards: merged histogram %v, want %v", k, shards, hist, want)
-		}
-		lone, loneHist := MergeAnswers(db, []Answer{SelectAnswer(scores, k)}, nil, k)
-		if !reflect.DeepEqual(lone, hits) || !slices.Equal(loneHist, hist) {
-			t.Fatalf("k=%d: one shard through a nil map gives hits %v and histogram %v, want %v and %v", k, lone, loneHist, hits, hist)
 		}
 		want, werr := stats.FitEValues(scores, 0)
 		got, gerr := stats.FitHistogram(hist, 0)

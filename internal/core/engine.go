@@ -229,7 +229,7 @@ type Result struct {
 	Scores []int32
 	// Hist is the score histogram of a dispatcher search that selects hits,
 	// Hist[s] sequences scoring s (see MergeAnswers); nil on a scores-only
-	// search.
+	// search and when a score exceeds stats.MaxScore.
 	Hist []int
 	// Top is a backend's Answer for its shard when it returns one instead
 	// of Scores, as a remote node does.

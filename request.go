@@ -327,7 +327,8 @@ func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k i
 
 // decorate runs the reporting phases over a freshly assembled result,
 // whose hit list is already the request's K long: the significance fit
-// over hist, the histogram of every subject's score, then the traceback
+// over hist, the histogram of every subject's score (nil past
+// stats.MaxScore, which no fit accepts), then the traceback
 // phase, each hit re-aligned against the query its score came from — for a translated job the winning frame's protein
 // (winner maps a database index to its frame; nil for a direct search),
 // with the aligned segment mapped back to nucleotide coordinates. It must
@@ -336,6 +337,9 @@ func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k i
 // snapshot that scored the result, and dopt the options it scored under.
 func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *Result, hist []int, winner []int) error {
 	if jb.rep.EValues {
+		if hist == nil {
+			return fmt.Errorf("%w (a score above %d)", ErrNoSignificance, stats.MaxScore)
+		}
 		m, err := stats.FitHistogram(hist, 0)
 		if err != nil {
 			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
