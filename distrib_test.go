@@ -169,33 +169,10 @@ func TestCoordinatorConformance(t *testing.T) {
 	// alignments and E-values. K = 0 reports every subject, which the
 	// public options allow only without a reporting phase (a phase bounds
 	// K = 0 at the default ten hits).
-	t.Run("k", func(t *testing.T) {
-		parentPath, manifestPath, shardPaths, queries := tieSetup(t)
-		coord, parentDB, ref, refDB := coordinatorAndReference(t, parentPath, manifestPath, shardPaths)
-		for _, rep := range []ReportOptions{
-			{Alignments: true, EValues: true, TopK: 1},
-			{Alignments: true, EValues: true, TopK: 10},
-			{},
-		} {
-			for _, req := range confRequests(t, queries, rep, "", false) {
-				want, err := ref.Do(context.Background(), req)
-				if err != nil {
-					t.Fatalf("K=%d: reference Do(%s): %v", rep.TopK, req.Query.ID(), err)
-				}
-				if n := len(want.Hits); (rep.TopK > 0 && n != rep.TopK) || (rep.TopK == 0 && n != refDB.Len()) {
-					t.Fatalf("K=%d: the single node reports %d hits", rep.TopK, n)
-				}
-				if rep.EValues && (want.Significance == nil || want.Hits[0].Alignment == nil) {
-					t.Fatalf("K=%d: the single node reports no E-values or alignments; the leg compares nothing", rep.TopK)
-				}
-				got, err := coord.Do(context.Background(), req)
-				if err != nil {
-					t.Fatalf("K=%d: coordinator Do(%s): %v", rep.TopK, req.Query.ID(), err)
-				}
-				checkSameAnswer(t, req.Query, refDB, want, parentDB, got)
-			}
-		}
-	})
+	t.Run("k", func(t *testing.T) { checkCoordinatorK(t, false) })
+	// The same cuts of a translated query: each subject's best frame, ties
+	// to the earlier frame, then the cross-shard tie rule over those.
+	t.Run("translated-k", func(t *testing.T) { checkCoordinatorK(t, true) })
 	// A translated request searches the six frames of a DNA query on the
 	// nodes and traces back its hits on the coordinator.
 	t.Run("translated", func(t *testing.T) {
@@ -217,6 +194,37 @@ func TestCoordinatorConformance(t *testing.T) {
 			checkSameAnswer(t, req.Query, refDB, want, parentDB, got)
 		}
 	})
+}
+
+// checkCoordinatorK compares a coordinator over the ties corpus with a
+// single node at K = 1 and K = 10, both with alignments and E-values, and
+// at K = 0, direct or translated.
+func checkCoordinatorK(t *testing.T, translated bool) {
+	parentPath, manifestPath, shardPaths, queries := tieSetup(t)
+	coord, parentDB, ref, refDB := coordinatorAndReference(t, parentPath, manifestPath, shardPaths)
+	for _, rep := range []ReportOptions{
+		{Alignments: true, EValues: true, TopK: 1},
+		{Alignments: true, EValues: true, TopK: 10},
+		{},
+	} {
+		for _, req := range confRequests(t, queries, rep, "", translated) {
+			want, err := ref.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("K=%d: reference Do(%s): %v", rep.TopK, req.Query.ID(), err)
+			}
+			if n := len(want.Hits); (rep.TopK > 0 && n != rep.TopK) || (rep.TopK == 0 && n != refDB.Len()) {
+				t.Fatalf("K=%d: the single node reports %d hits", rep.TopK, n)
+			}
+			if rep.EValues && (want.Significance == nil || want.Hits[0].Alignment == nil) {
+				t.Fatalf("K=%d: the single node reports no E-values or alignments; the leg compares nothing", rep.TopK)
+			}
+			got, err := coord.Do(context.Background(), req)
+			if err != nil {
+				t.Fatalf("K=%d: coordinator Do(%s): %v", rep.TopK, req.Query.ID(), err)
+			}
+			checkSameAnswer(t, req.Query, refDB, want, parentDB, got)
+		}
+	}
 }
 
 // coordinatorAndReference starts one node per shard and returns a
