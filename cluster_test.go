@@ -386,7 +386,7 @@ func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
 		defer ss.CloseNow()
 		h := ss.Handler()
 		search := func(q Sequence) {
-			body, err := json.Marshal(remote.ShardSearchRequest{Shard: sdb.Key(), Codes: alphabet.BytesView(q.impl.Residues), K: 10})
+			body, err := json.Marshal(remote.ShardSearchRequest{Shard: sdb.Key(), Queries: [][]byte{alphabet.BytesView(q.impl.Residues)}, K: 10})
 			if err != nil {
 				t.Fatal(err)
 			}

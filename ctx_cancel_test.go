@@ -48,20 +48,21 @@ func TestDecorateCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", "MKWVLA")
-	res, err := cl.Search(q)
+	jb := prepared(t, cl, Request{Query: q, Report: ReportOptions{Alignments: true}})
+	r, err := cl.engine().SearchContext(context.Background(), jb.queries, cl.dopt, jb.k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb := prepared(t, cl, Request{Query: q, Report: ReportOptions{Alignments: true}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = cl.decorate(ctx, cl.engine(), cl.dopt, &jb, res, nil, nil)
+	_, err = cl.decorate(ctx, cl.engine(), cl.dopt, &jb, r)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled decorate: err = %v, want context.Canceled", err)
 	}
 	// The same call with a live context succeeds, so the failure above is
 	// the cancellation, not the inputs.
-	if err := cl.decorate(context.Background(), cl.engine(), cl.dopt, &jb, res, nil, nil); err != nil {
+	res, err := cl.decorate(context.Background(), cl.engine(), cl.dopt, &jb, r)
+	if err != nil {
 		t.Fatalf("live decorate: %v", err)
 	}
 	for _, h := range res.Hits {
@@ -73,7 +74,7 @@ func TestDecorateCancelled(t *testing.T) {
 
 // TestSearchTranslatedContextCancelled covers the translated path: a
 // translated job's frames are score passes of their own, so cancellation
-// stops the six-frame fan-out at a frame boundary too.
+// stops the six-frame search at a frame boundary too.
 func TestSearchTranslatedContextCancelled(t *testing.T) {
 	db, _ := tinyDB(t)
 	cl, err := NewCluster(db, ClusterOptions{})
@@ -81,8 +82,8 @@ func TestSearchTranslatedContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	jb := prepared(t, cl, Request{Query: NewDNASequence("d", "ATGAAATGGGTACTGGCT"), Translate: true})
-	if len(jb.frames) != 6 {
-		t.Fatalf("%d frames, want 6", len(jb.frames))
+	if len(jb.frames) != 6 || len(jb.queries) != 6 {
+		t.Fatalf("%d frames and %d queries, want 6", len(jb.frames), len(jb.queries))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -20,8 +20,8 @@ type DistributedOptions struct {
 	// tracebacks. The remote nodes score their shards under their OWN
 	// configured options — the coordinator ships queries, not search
 	// parameters — so operators must configure nodes and coordinator
-	// identically: a coordinator configured unlike its nodes fails its
-	// aligned requests at the traceback's kernel-score check.
+	// identically: every answer names the matrix and gap penalties it was
+	// scored under, and the coordinator refuses one unlike its own.
 	Options
 
 	// MaxInFlight and CacheSize tune the coordinator's scheduler
@@ -113,8 +113,9 @@ func (t *liveTopology) noteReload(ok bool) {
 // same options — a guarantee that holds through node deaths, failovers and
 // manifest reloads as long as at least one live replica serves every
 // shard (a replica that answers wrongly counts as failed, and its node is
-// tried after the others until one of its answers passes). Translated and
-// every-hit requests ask each node for every subject's score (K = 0).
+// tried after the others until one of its answers passes). A translated
+// request sends its frames in one request per shard; an every-hit request
+// asks each node for every subject's score (K = 0).
 //
 // The topology stays live after construction: a background prober
 // (ProbeInterval) re-probes the node roster, tracks each node through a

@@ -350,7 +350,7 @@ func TestCoordinatorBadAnswerFailsOver(t *testing.T) {
 	coord, pxA, pxB, want, q := badAnswerCoordinator(t)
 	pxA.Program(
 		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcBCAGA"}`}, // a truncated varint
-		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcBCA=="}`}, // two hits
+		faultproxy.Step{Act: faultproxy.Rewrite, Body: `{"hits":"AAcAAQgA"}`}, // two hits
 	)
 	code, got := frontSearch(t, coord, q)
 	if code != http.StatusOK {
@@ -469,14 +469,14 @@ func TestCoordinatorOtherShardAnswer(t *testing.T) {
 			}
 			key0, key1 := inv.Shards[0].Key, inv.Shards[1].Key
 			resp, other := postJSON(t, pxA.URL()+"/shard/search",
-				remote.ShardSearchRequest{Shard: key1, Codes: alphabet.BytesView(q.impl.Residues)})
+				remote.ShardSearchRequest{Shard: key1, Queries: [][]byte{alphabet.BytesView(q.impl.Residues)}})
 			echo := []byte(`"shard":"` + key1 + `",`)
 			if resp.StatusCode != http.StatusOK || !bytes.Contains(other, echo) {
 				t.Fatalf("shard 1's own answer: %d %s", resp.StatusCode, other)
 			}
 			if tc.strip {
 				_, own := postJSON(t, pxA.URL()+"/shard/search",
-					remote.ShardSearchRequest{Shard: key0, Codes: alphabet.BytesView(q.impl.Residues)})
+					remote.ShardSearchRequest{Shard: key0, Queries: [][]byte{alphabet.BytesView(q.impl.Residues)}})
 				var ownAns, otherAns remote.ShardSearchResponse
 				if err := json.Unmarshal(own, &ownAns); err != nil {
 					t.Fatal(err)
@@ -731,7 +731,7 @@ func TestCoordinatorTracebacksOnCoordinator(t *testing.T) {
 	truth := make([]remote.ShardSearchResponse, len(pxs))
 	for i, sh := range coord.Topology().Shards {
 		resp, body := postJSON(t, pxs[i].URL()+"/shard/search", remote.ShardSearchRequest{
-			Shard: sh.Key, ID: q.ID(), Codes: alphabet.BytesView(q.impl.Residues), K: 5,
+			Shard: sh.Key, ID: q.ID(), Queries: [][]byte{alphabet.BytesView(q.impl.Residues)}, K: 5,
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("/shard/search on %s: %d %s", pxs[i].URL(), resp.StatusCode, body)

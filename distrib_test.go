@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"heterosw/internal/alphabet"
 	"heterosw/internal/datagen"
 	"heterosw/internal/remote"
 )
@@ -78,13 +80,19 @@ func distribSetup(t testing.TB) (parentPath, manifestPath string, shardPaths []s
 // wrap, when non-nil, decorates the node handler (fault injection).
 func startShardNode(t testing.TB, shardPaths []string, wrap func(http.Handler) http.Handler) (*httptest.Server, *ShardServer) {
 	t.Helper()
+	return startShardNodeWith(t, shardPaths, distribOpts(), wrap)
+}
+
+// startShardNodeWith is startShardNode with the node's cluster options.
+func startShardNodeWith(t testing.TB, shardPaths []string, opt ClusterOptions, wrap func(http.Handler) http.Handler) (*httptest.Server, *ShardServer) {
+	t.Helper()
 	clusters := make([]*Cluster, len(shardPaths))
 	for i, p := range shardPaths {
 		sdb, err := OpenIndexFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := NewCluster(sdb, distribOpts())
+		cl, err := NewCluster(sdb, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,6 +394,171 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 		}
 	}
 	return wants, scores
+}
+
+// TestCoordinatorTranslatedRoundTrips pins that a translated query costs
+// what a direct one does: an aligned, E-valued Do through a coordinator
+// over two shard nodes sends each node one /shard/search, whether the
+// query is searched directly or in its six reading frames.
+func TestCoordinatorTranslatedRoundTrips(t *testing.T) {
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	var searches atomic.Int64
+	count := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard/search" {
+				searches.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	nodeA, _ := startShardNode(t, shardPaths[:1], count)
+	nodeB, _ := startShardNode(t, shardPaths[1:], count)
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, []string{nodeA.URL, nodeB.URL}, fastDistribOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.CloseNow()
+	rep := ReportOptions{Alignments: true, EValues: true, TopK: 5}
+	for _, translated := range []bool{false, true} {
+		req := confRequests(t, queries[:1], rep, "", translated)[0]
+		searches.Store(0)
+		res, err := coord.Do(context.Background(), req)
+		if err != nil {
+			t.Fatalf("translated=%t: %v", translated, err)
+		}
+		if translated && res.Hits[0].Frame == 0 {
+			t.Fatalf("a translated hit names no frame: %+v", res.Hits[0])
+		}
+		if n := searches.Load(); n != 2 {
+			t.Fatalf("translated=%t: %d /shard/search requests over two shards, want 2", translated, n)
+		}
+	}
+}
+
+// TestCoordinatorScoringIdentity pins that a coordinator never merges
+// scores computed under another matrix or other gap penalties than its
+// own: each node's answer names its scoring, and a replica scored
+// otherwise fails its check like another shard's answer. A score-only Do,
+// which no traceback would check, fails when the shard's only replica is
+// configured apart, and answers the single-node bytes when a correctly
+// configured replica of the same shard is there to fail over to.
+func TestCoordinatorScoringIdentity(t *testing.T) {
+	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
+	parentDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDB, err := OpenIndexFile(parentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCluster(refDB, distribOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.CloseNow()
+	req := Request{Query: queries[1], Report: ReportOptions{TopK: 5}}
+	want, err := ref.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _ := startShardNode(t, shardPaths, nil)
+	for name, opt := range map[string]Options{
+		"matrix": {Matrix: "BLOSUM80"},
+		"gaps":   {GapOpen: 11, GapExtend: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			apart := distribOpts()
+			apart.Options = opt
+			// The premise: the node's own scores differ from the reference's.
+			other, err := NewCluster(refDB, apart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer other.CloseNow()
+			if got, err := other.Do(context.Background(), req); err != nil || reflect.DeepEqual(got.Hits, want.Hits) {
+				t.Fatalf("%s: the node's scoring leaves the answer as it was (%v); the test proves nothing", name, err)
+			}
+			var asked atomic.Int64
+			wrong, _ := startShardNodeWith(t, shardPaths[:1], apart, func(h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/shard/search" {
+						asked.Add(1)
+					}
+					h.ServeHTTP(w, r)
+				})
+			})
+			for _, tc := range []struct {
+				nodes []string
+				ok    bool
+			}{
+				{[]string{wrong.URL, good.URL}, true},
+				{[]string{wrong.URL, startedNode(t, shardPaths[1:])}, false},
+			} {
+				coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, tc.nodes, fastDistribOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				asked.Store(0)
+				got, err := coord.Do(context.Background(), req)
+				coord.CloseNow()
+				if asked.Load() == 0 {
+					t.Fatal("no search reached the node configured apart")
+				}
+				if !tc.ok {
+					if err == nil || !strings.Contains(err.Error(), "configured apart") {
+						t.Fatalf("a shard whose only replica scores under other options: %v, want its answer refused", err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("with a correctly configured replica: %v", err)
+				}
+				if w, g := canonDistrib(t, want), canonDistrib(t, got); !bytes.Equal(w, g) {
+					t.Fatalf("failed-over answer differs from single-node:\nwant %s\ngot  %s", w, g)
+				}
+			}
+		})
+	}
+}
+
+// startedNode starts a node over shardPaths and returns its URL.
+func startedNode(t *testing.T, shardPaths []string) string {
+	t.Helper()
+	srv, _ := startShardNode(t, shardPaths, nil)
+	return srv.URL
+}
+
+// TestShardSearchRefusesBadQueries pins the node's 400s for a query list
+// no coordinator sends: no query, more than six (one per reading frame),
+// an empty query, and a query over the residue limit.
+func TestShardSearchRefusesBadQueries(t *testing.T) {
+	_, _, shardPaths, queries := distribSetup(t)
+	node, ss := startShardNode(t, shardPaths[:1], nil)
+	codes := alphabet.BytesView(queries[0].impl.Residues)
+	for _, tc := range []struct {
+		name, why string
+		queries   [][]byte
+	}{
+		{"none", "0 queries", [][]byte{}},
+		{"seven", "7 queries", slices.Repeat([][]byte{codes}, 7)},
+		{"empty", "query 1 holds 0 residues", [][]byte{codes, {}}},
+		{"over the limit", "query 1 holds 65537 residues", [][]byte{codes, make([]byte, maxQueryResidues+1)}},
+	} {
+		req := remote.ShardSearchRequest{Shard: ss.keys[0], Queries: tc.queries, K: 10}
+		resp, body := postJSON(t, node.URL+"/shard/search", req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.why) {
+			t.Errorf("%s: status %d, want 400 naming %q: %s", tc.name, resp.StatusCode, tc.why, body)
+		}
+	}
+	six := remote.ShardSearchRequest{Shard: ss.keys[0], Queries: slices.Repeat([][]byte{codes}, 6), K: 10}
+	if resp, body := postJSON(t, node.URL+"/shard/search", six); resp.StatusCode != http.StatusOK {
+		t.Errorf("six queries: status %d, want 200: %s", resp.StatusCode, body)
+	}
 }
 
 // TestCoordinatorRejectsRequestMatrix pins the distributed matrix

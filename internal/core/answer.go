@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -8,11 +9,13 @@ import (
 	"heterosw/internal/stats"
 )
 
-// ShardHit is one hit of an Answer: a subject's index in its shard and its
-// score.
+// ShardHit is one hit of an Answer: a subject's index in its shard, its
+// score, and Query, the index among the search's queries of the one that
+// scored it best (the earliest on a tie; 0 for a one-query search).
 type ShardHit struct {
 	Index int32
 	Score int32
+	Query int32
 }
 
 // Answer is one shard's part of a top-k search. Hits, in increasing
@@ -84,30 +87,24 @@ func SelectAnswer(scores []int32, k int) Answer {
 
 // MergeAnswers merges the answers of a parent database's shards, each
 // answered for the same k: answers[i] is shard i's (the zero Answer for an
-// empty shard) and idx[i] maps its indices to the parent's; a nil idx maps
-// each index to itself, the lone answer of a search over the parent. It
-// returns the parent's k best hits (every hit when k is 0), score
-// descending then parent index, and the parent's score histogram (see
-// mergeHist). A subject among the parent's k best is among its own shard's
-// k best, so the hits are the parent's score list stably sorted by
-// descending score and cut at k, and the histogram is the one
-// stats.FitEValues would count from it.
+// empty shard) and idx[i] maps its indices to the parent's. It returns the parent's k best hits (every hit
+// when k is 0), score descending then parent index, each naming its query,
+// and the parent's score histogram (see mergeHist). A subject among the
+// parent's k best is among its own shard's k best, so the hits are the
+// parent's score list stably sorted by descending score and cut at k, and
+// the histogram is the one stats.FitEValues would count from it.
 func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]Hit, []int) {
 	size := 0
 	for _, a := range answers {
 		size += len(a.Hits)
 	}
-	keys := make([]uint64, 0, size)
+	keys := make([]hitKey, 0, size)
 	for i, a := range answers {
 		for _, h := range a.Hits {
-			pi := int(h.Index)
-			if idx != nil {
-				pi = idx[i][pi]
-			}
-			keys = append(keys, hitKey(h.Score, pi))
+			keys = append(keys, hitKey{rank(h.Score, idx[i][h.Index]), h.Query})
 		}
 	}
-	slices.Sort(keys)
+	slices.SortFunc(keys, func(a, b hitKey) int { return cmp.Compare(a.rank, b.rank) })
 	if k > 0 && k < len(keys) {
 		keys = keys[:k]
 	}
@@ -140,18 +137,24 @@ func mergeHist(answers []Answer) []int {
 	return hist
 }
 
-// hitKey orders hits score descending then index ascending, in one uint64
+// hitKey is one hit as MergeAnswers sorts it: its rank and its query.
+type hitKey struct {
+	rank  uint64
+	query int32
+}
+
+// rank orders hits score descending then index ascending, in one uint64
 // compare.
-func hitKey(s int32, i int) uint64 {
+func rank(s int32, i int) uint64 {
 	return uint64(uint32(math.MaxInt32-int64(s)))<<32 | uint64(uint32(i))
 }
 
 // keyHits builds the hit of each key, in key order.
-func keyHits(db *seqdb.Database, keys []uint64) []Hit {
+func keyHits(db *seqdb.Database, keys []hitKey) []Hit {
 	hits := make([]Hit, len(keys))
 	for j, key := range keys {
-		i := int(uint32(key))
-		hits[j] = Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: int32(math.MaxInt32 - int64(key>>32))}
+		i := int(uint32(key.rank))
+		hits[j] = Hit{SeqIndex: i, ID: db.Seq(i).ID, Score: int32(math.MaxInt32 - int64(key.rank>>32)), Query: int(key.query)}
 	}
 	return hits
 }

@@ -57,11 +57,11 @@ func TestSelectAnswerKeepsTies(t *testing.T) {
 		hits  []ShardHit
 		below []int
 	}{
-		{1, []ShardHit{{1, 9}, {3, 9}}, []int{1, 1, 0, 2, 0, 3}},
-		{2, []ShardHit{{1, 9}, {3, 9}}, []int{1, 1, 0, 2, 0, 3}},
-		{3, []ShardHit{{1, 9}, {2, 5}, {3, 9}, {5, 5}, {6, 5}}, []int{1, 1, 0, 2}},
-		{6, []ShardHit{{0, 3}, {1, 9}, {2, 5}, {3, 9}, {5, 5}, {6, 5}, {8, 3}}, []int{1, 1}},
-		{8, []ShardHit{{0, 3}, {1, 9}, {2, 5}, {3, 9}, {4, 1}, {5, 5}, {6, 5}, {8, 3}}, []int{1}},
+		{1, []ShardHit{{1, 9, 0}, {3, 9, 0}}, []int{1, 1, 0, 2, 0, 3}},
+		{2, []ShardHit{{1, 9, 0}, {3, 9, 0}}, []int{1, 1, 0, 2, 0, 3}},
+		{3, []ShardHit{{1, 9, 0}, {2, 5, 0}, {3, 9, 0}, {5, 5, 0}, {6, 5, 0}}, []int{1, 1, 0, 2}},
+		{6, []ShardHit{{0, 3, 0}, {1, 9, 0}, {2, 5, 0}, {3, 9, 0}, {5, 5, 0}, {6, 5, 0}, {8, 3, 0}}, []int{1, 1}},
+		{8, []ShardHit{{0, 3, 0}, {1, 9, 0}, {2, 5, 0}, {3, 9, 0}, {4, 1, 0}, {5, 5, 0}, {6, 5, 0}, {8, 3, 0}}, []int{1}},
 	} {
 		got := SelectAnswer(scores, tc.k)
 		if !slices.Equal(got.Hits, tc.hits) || !slices.Equal(got.Below, tc.below) {
@@ -90,7 +90,7 @@ func TestSelectionBoundsHistogram(t *testing.T) {
 		if !slices.Equal(a.Below, tc.below) || (a.Below == nil) != (tc.below == nil) {
 			t.Errorf("k=%d: below %v, want %v", tc.k, a.Below, tc.below)
 		}
-		hits, hist := MergeAnswers(db, []Answer{a}, nil, tc.k)
+		hits, hist := MergeAnswers(db, []Answer{a}, identity(db), tc.k)
 		if want := stableSortHits(db, scores, tc.k); !reflect.DeepEqual(hits, want) {
 			t.Errorf("k=%d: hits %v, want %v", tc.k, hits, want)
 		}

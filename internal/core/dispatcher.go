@@ -20,15 +20,14 @@ import (
 type Backend interface {
 	// Name identifies the backend in totals and diagnostics.
 	Name() string
-	// Search runs Algorithm 1 over db, the shard the dispatcher assigned
-	// the backend at construction, and returns its score list or, under a
-	// sharded dispatcher, its opt.TopK-answer as Result.Top (see
-	// SelectAnswer). It selects no hit list: the dispatcher does.
-	// Implementations must be safe for concurrent calls. ctx is the
-	// request's context: remote backends pass it through to the wire so a
-	// cancelled search stops burning node time; local backends check it
-	// before launching kernels (which are uncancellable mid-column).
-	Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt SearchOptions) (*Result, error)
+	// Search runs Algorithm 1 for each query over db, the shard the
+	// dispatcher assigned the backend at construction, and returns the
+	// opt.TopK-answer (see SelectAnswer) over each subject's best score, a
+	// tie going to the earlier query, as Result.Top. Implementations must
+	// be safe for concurrent calls. ctx is the request's context: remote
+	// backends pass it through to the wire; local backends check it before
+	// launching kernels (which are uncancellable mid-column).
+	Search(ctx context.Context, db *seqdb.Database, queries []*sequence.Sequence, opt SearchOptions) (*Result, error)
 }
 
 // EngineBackend is the stock Backend: an Engine on this host, built over
@@ -52,13 +51,10 @@ func NewBackend(name string, model *device.Model, threads int) *EngineBackend {
 // Name implements Backend.
 func (b *EngineBackend) Name() string { return b.name }
 
-// Search implements Backend. The engine computation itself is
-// uncancellable; ctx is honoured at the call boundary so an already-dead
-// request never launches kernels.
-func (b *EngineBackend) Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt SearchOptions) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Search implements Backend: one engine pass per query. The engine
+// computation itself is uncancellable; ctx is honoured before every pass,
+// so an already-dead request launches no more kernels.
+func (b *EngineBackend) Search(ctx context.Context, db *seqdb.Database, queries []*sequence.Sequence, opt SearchOptions) (*Result, error) {
 	b.mu.Lock()
 	if b.eng == nil || b.eng.db != db {
 		eng, err := NewEngine(db, b.model)
@@ -70,7 +66,41 @@ func (b *EngineBackend) Search(ctx context.Context, db *seqdb.Database, query *s
 	}
 	eng := b.eng
 	b.mu.Unlock()
-	return eng.Search(query, opt)
+	var best *Result
+	var from []int32 // the query each subject's best score came from, once a second one runs
+	for qi, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := eng.Search(q, opt)
+		switch {
+		case err != nil:
+			return nil, err
+		case best == nil:
+			best = r
+			continue
+		case from == nil:
+			from = make([]int32, len(best.Scores))
+		}
+		for s, v := range r.Scores {
+			if v > best.Scores[s] {
+				best.Scores[s], from[s] = v, int32(qi)
+			}
+		}
+		best.Stats.Add(r.Stats)
+		best.WallSeconds += r.WallSeconds
+	}
+	if best == nil {
+		return nil, fmt.Errorf("core: no queries")
+	}
+	ans := SelectAnswer(best.Scores, opt.TopK)
+	for i, h := range ans.Hits {
+		if from != nil {
+			ans.Hits[i].Query = from[h.Index]
+		}
+	}
+	best.Scores, best.Top = nil, &ans
+	return best, nil
 }
 
 // Distribution selects the workload-distribution strategy a roster is
@@ -135,7 +165,8 @@ type ClusterResult = Result
 // Dispatcher runs a search over N backends, each owning one shard of the
 // database: every backend searches its shard concurrently and the shards'
 // answers merge into caller order through the shard index maps. The
-// assignment is fixed at construction. Tracebacks (AlignHits) run on this host over the
+// assignment is fixed at construction; a lone backend owns one shard, the
+// database itself, under the identity map. Tracebacks (AlignHits) run on this host over the
 // whole database, whoever scored the hits. A Dispatcher is safe for
 // concurrent searches.
 type Dispatcher struct {
@@ -143,8 +174,7 @@ type Dispatcher struct {
 	backends []Backend
 
 	// shards[i] is the database backend i searches; idx[i] maps its caller
-	// order back to the parent's. A single local backend searches the
-	// parent itself: shards[0] == db and idx is nil.
+	// order back to the parent's.
 	shards []*seqdb.Database
 	idx    [][]int
 
@@ -159,15 +189,19 @@ type Dispatcher struct {
 }
 
 // NewDispatcher builds a dispatcher over a database and a roster of local
-// backends. A single backend is handed the database itself; N > 1 backends
-// each get one of N equal-residue shards, cut once.
+// backends. A single backend is handed the database itself under the
+// identity map; N > 1 backends each get one of N equal-residue shards, cut
+// once.
 func NewDispatcher(db *seqdb.Database, backends []Backend) (*Dispatcher, error) {
 	d, err := newDispatcher(db, backends)
 	if err != nil {
 		return nil, err
 	}
 	if len(backends) == 1 {
-		d.shards = []*seqdb.Database{db}
+		d.shards, d.idx = []*seqdb.Database{db}, [][]int{make([]int, db.Len())}
+		for i := range d.idx[0] {
+			d.idx[0][i] = i
+		}
 		return d, nil
 	}
 	shares := make([]float64, len(backends))
@@ -308,25 +342,28 @@ func (d *Dispatcher) DB() *seqdb.Database { return d.db }
 //
 //sw:ctxroot
 func (d *Dispatcher) Search(query *sequence.Sequence, opt DispatchOptions) (*ClusterResult, error) {
-	return d.SearchContext(context.Background(), query, opt, max(opt.Search.TopK, 0))
+	return d.SearchContext(context.Background(), []*sequence.Sequence{query}, opt, max(opt.Search.TopK, 0))
 }
 
-// SearchContext runs one query over the cluster with topK in place of
-// opt.Search.TopK, so each request pays for the hits it asked for: 0
-// selects every hit, a negative bound no hit list at all (the result
-// carries Scores only). A context already cancelled runs nothing; kernels
-// already launched finish their current query, and nothing is left running
-// after the call returns.
-func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence, opt DispatchOptions, topK int) (*ClusterResult, error) {
-	if query == nil {
-		return nil, fmt.Errorf("core: nil query")
+// SearchContext runs a search of one query, or of a translated query's
+// frames, over the cluster with topK in place of opt.Search.TopK (0
+// selects every hit, and fills Scores too). Each subject keeps its best
+// score over the queries, a tie going to the earlier query (Hit.Query). A
+// context already cancelled runs nothing; kernels already launched finish
+// their current query, and nothing is left running after the call returns.
+func (d *Dispatcher) SearchContext(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions, topK int) (*ClusterResult, error) {
+	if len(queries) == 0 || slices.Contains(queries, nil) {
+		return nil, fmt.Errorf("core: no queries, or a nil one")
+	}
+	if topK < 0 {
+		return nil, fmt.Errorf("core: negative k %d", topK)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	so := opt.Search
 	so.TopK = topK
-	r, per, err := d.search(ctx, query, so)
+	r, per, err := d.search(ctx, queries, so)
 	if err != nil {
 		return nil, err
 	}
@@ -335,46 +372,31 @@ func (d *Dispatcher) SearchContext(ctx context.Context, query *sequence.Sequence
 }
 
 // search is the dispatcher's one execution path: every backend with a
-// non-empty shard searches it, concurrently, and answers its shard's
-// k-answer (k is opt.TopK, 0 for every subject and for a scores-only
-// search, whose opt.TopK is negative), either as an Answer or as a score
-// list the dispatcher selects one from (SelectAnswer). The answers merge
-// through the shard index maps (MergeAnswers) into the hit list and the
-// score histogram; a k = 0 search also scatters them into the parent's
-// score list. A lone backend searches the parent itself: its score list is
-// the result's, and one answer over it, merged through the identity, gives
-// the hits and the histogram; a scores-only search returns the list
-// untouched. The per-backend results are returned for the totals.
-func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt SearchOptions) (*ClusterResult, []*Result, error) {
-	wantHits := opt.TopK >= 0
-	k := max(opt.TopK, 0)
-	opt.TopK = k
+// non-empty shard searches it for the queries and answers its shard's
+// k-answer (k is opt.TopK), the first backend on the caller's goroutine
+// and each other on one of its own. The answers merge through the shard
+// index maps (MergeAnswers) into the hit list and the score histogram; a
+// k = 0 search also scatters them into the parent's score list. The
+// per-backend results are returned for the totals.
+func (d *Dispatcher) search(ctx context.Context, queries []*sequence.Sequence, opt SearchOptions) (*ClusterResult, []*Result, error) {
 	n := len(d.backends)
 	results := make([]*Result, n)
-	if d.idx == nil {
-		r, err := d.backends[0].Search(ctx, d.db, query, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if wantHits {
-			r.Hits, r.Hist = MergeAnswers(d.db, []Answer{SelectAnswer(r.Scores, k)}, nil, k)
-		}
-		results[0] = r
-		return r, results, nil
-	}
 	errs := make([]error, n)
+	run := func(i int) {
+		if d.shards[i].Len() > 0 {
+			results[i], errs[i] = d.backends[i].Search(ctx, d.shards[i], queries, opt)
+		}
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i, b := range d.backends {
-		if d.shards[i].Len() == 0 {
-			continue
-		}
+	for i := 1; i < n; i++ {
 		wg.Add(1)
-		go func(i int, b Backend) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = b.Search(ctx, d.shards[i], query, opt)
-		}(i, b)
+			run(i)
+		}()
 	}
+	run(0)
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 	if err := firstErr(errs...); err != nil {
@@ -383,17 +405,12 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 	out := &ClusterResult{WallSeconds: wall}
 	answers := make([]Answer, n)
 	for i, r := range results {
-		switch {
-		case r == nil:
-			continue
-		case r.Top != nil:
+		if r != nil {
 			answers[i] = *r.Top
-		default:
-			answers[i] = SelectAnswer(r.Scores, k)
+			out.Stats.Add(r.Stats)
 		}
-		out.Stats.Add(r.Stats)
 	}
-	if k == 0 {
+	if opt.TopK == 0 {
 		out.Scores = make([]int32, d.db.Len())
 		for i, a := range answers {
 			for _, h := range a.Hits {
@@ -401,8 +418,9 @@ func (d *Dispatcher) search(ctx context.Context, query *sequence.Sequence, opt S
 			}
 		}
 	}
-	if wantHits {
-		out.Hits, out.Hist = MergeAnswers(d.db, answers, d.idx, k)
+	out.Hits, out.Hist = MergeAnswers(d.db, answers, d.idx, opt.TopK)
+	if n == 1 {
+		out.Top = &answers[0]
 	}
 	return out, results, nil
 }

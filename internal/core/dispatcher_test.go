@@ -88,8 +88,8 @@ func TestDispatcherThreeBackendsScores(t *testing.T) {
 // A batch of queries run one by one through SearchContext, each with its
 // own hit-list bound, must agree with query-at-a-time Search: the same
 // scores (a bounded search merges its shards' answers, so it carries the
-// histogram of those scores instead), the bound's prefix of Search's hit
-// list, and no hit list for a negative bound.
+// histogram of those scores instead) and the bound's prefix of Search's
+// hit list. A negative bound, the scores-only mode of old, is refused.
 func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	db := randDB(rng, 80, 70, true)
@@ -106,7 +106,13 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	for _, dist := range []Distribution{DistStatic, DistDynamic} {
 		opt := DispatchOptions{Search: defaultSearchOptions(), Dist: dist}
 		for qi, q := range queries {
-			got, err := disp.SearchContext(context.Background(), q, opt, bounds[qi])
+			got, err := disp.SearchContext(context.Background(), []*sequence.Sequence{q}, opt, bounds[qi])
+			if bounds[qi] < 0 {
+				if err == nil {
+					t.Fatalf("%v: query %d ran under the negative bound %d", dist, qi, bounds[qi])
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("%v: %v", dist, err)
 			}
@@ -128,10 +134,7 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 				}
 			}
 			want := single.Hits
-			switch k := bounds[qi]; {
-			case k < 0:
-				want = nil
-			case k > 0:
+			if k := bounds[qi]; k > 0 {
 				want = want[:k]
 			}
 			if !reflect.DeepEqual(got.Hits, want) {
@@ -146,7 +149,7 @@ func TestDispatcherBatchMatchesSingle(t *testing.T) {
 // scores and every bound cuts inside a run of ties, and it plants a copy of
 // the query, the one top hit. At every bound the two dispatchers must
 // return the same hits and the same histogram, the count of the lone
-// backend's scores.
+// backend's scores (its every-hit search's).
 func TestDispatcherLoneMatchesShardedOverTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
 	query := randProtein(rng, 50)
@@ -166,13 +169,17 @@ func TestDispatcherLoneMatchesShardedOverTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DispatchOptions{Search: defaultSearchOptions()}
+	all, err := lone.SearchContext(context.Background(), []*sequence.Sequence{query}, opt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := db.Len()
 	for _, k := range []int{0, 1, 5, n, n + 1} {
-		l, err := lone.SearchContext(context.Background(), query, opt, k)
+		l, err := lone.SearchContext(context.Background(), []*sequence.Sequence{query}, opt, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sharded.SearchContext(context.Background(), query, opt, k)
+		s, err := sharded.SearchContext(context.Background(), []*sequence.Sequence{query}, opt, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,11 +189,70 @@ func TestDispatcherLoneMatchesShardedOverTies(t *testing.T) {
 		if !reflect.DeepEqual(l.Hits, s.Hits) {
 			t.Fatalf("k=%d: lone hits %v, sharded %v", k, l.Hits, s.Hits)
 		}
-		if want := histogram(l.Scores); !slices.Equal(s.Hist, want) {
+		if want := histogram(all.Scores); !slices.Equal(s.Hist, want) {
 			t.Fatalf("k=%d: sharded histogram %v, want %v", k, s.Hist, want)
 		}
 		if !slices.Equal(l.Hist, s.Hist) {
 			t.Fatalf("k=%d: lone histogram %v, sharded %v", k, l.Hist, s.Hist)
+		}
+	}
+}
+
+// A search of several queries keeps each subject's best score over them,
+// a tie going to the earlier query, on a lone backend and on a sharded
+// roster alike. The third query repeats the first, so every subject ties
+// between the two and must name the first; the second scores higher on
+// some subjects and lower on others.
+func TestDispatcherQueriesKeepBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(309))
+	db := randDB(rng, 90, 70, true)
+	first := randProtein(rng, 40)
+	queries := []*sequence.Sequence{first, randProtein(rng, 70), first}
+	eng := testEngine(t, db)
+	best := make([]int32, db.Len())
+	winner := make([]int, db.Len())
+	for qi, q := range queries {
+		r, err := eng.Search(q, defaultSearchOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range r.Scores {
+			if qi == 0 || v > best[i] {
+				best[i], winner[i] = v, qi
+			}
+		}
+	}
+	if !slices.Contains(winner, 1) || !slices.Contains(winner, 0) {
+		t.Fatal("one query wins every subject; the test compares nothing")
+	}
+	lone, err := NewDispatcher(db, []Backend{NewBackend("solo", device.Xeon(), 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewDispatcher(db, threeBackends())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DispatchOptions{Search: defaultSearchOptions()}
+	for _, k := range []int{0, 5} {
+		want := stableSortHits(db, best, k)
+		for i := range want {
+			want[i].Query = winner[want[i].SeqIndex]
+		}
+		for name, disp := range map[string]*Dispatcher{"lone": lone, "sharded": sharded} {
+			got, err := disp.SearchContext(context.Background(), queries, opt, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Hits, want) {
+				t.Fatalf("%s k=%d: hits %v, want %v", name, k, got.Hits, want)
+			}
+			if h := histogram(best); !slices.Equal(got.Hist, h) {
+				t.Fatalf("%s k=%d: histogram %v, want %v", name, k, got.Hist, h)
+			}
+			if k == 0 && !slices.Equal(got.Scores, best) {
+				t.Fatalf("%s: every-hit scores differ from each subject's best", name)
+			}
 		}
 	}
 }
@@ -236,7 +302,7 @@ func TestDispatcherTotalsAcrossConcurrentBatches(t *testing.T) {
 		for g := 0; g < batches; g++ {
 			go func() {
 				for _, q := range queries {
-					if _, err := disp.SearchContext(context.Background(), q, opt, 0); err != nil {
+					if _, err := disp.SearchContext(context.Background(), []*sequence.Sequence{q}, opt, 0); err != nil {
 						errc <- err
 						return
 					}
@@ -297,13 +363,13 @@ func TestSearchContextCancellation(t *testing.T) {
 	opt := DispatchOptions{Search: defaultSearchOptions()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := disp.SearchContext(ctx, query, opt, 0); err != context.Canceled {
+	if _, err := disp.SearchContext(ctx, []*sequence.Sequence{query}, opt, 0); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if nq := disp.Totals().Queries; nq != 0 {
 		t.Fatalf("%d queries ran under a cancelled context", nq)
 	}
-	res, err := disp.SearchContext(context.Background(), query, opt, 0)
+	res, err := disp.SearchContext(context.Background(), []*sequence.Sequence{query}, opt, 0)
 	if err != nil || len(res.Scores) != db.Len() {
 		t.Fatalf("live context: %v", err)
 	}
@@ -321,7 +387,7 @@ func TestBackendReusesEngine(t *testing.T) {
 	query := randProtein(rng, 18)
 	search := func(db *seqdb.Database) *Engine {
 		t.Helper()
-		if _, err := b.Search(context.Background(), db, query, defaultSearchOptions()); err != nil {
+		if _, err := b.Search(context.Background(), db, []*sequence.Sequence{query}, defaultSearchOptions()); err != nil {
 			t.Fatal(err)
 		}
 		return b.eng

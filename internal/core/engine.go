@@ -172,7 +172,7 @@ type SearchOptions struct {
 	LongSeqThreshold int
 	// TopK is the k of a backend's answer (see SelectAnswer; 0 selects
 	// every subject). Engine.Search returns every score whatever it says:
-	// the dispatcher selects the hits.
+	// the backend selects its shard's answer from them.
 	TopK int
 }
 
@@ -213,6 +213,10 @@ type Hit struct {
 	ID string
 	// Score is the optimal local alignment score.
 	Score int32
+	// Query is the index, among the search's queries, of the one Score was
+	// found with: a translated search's winning frame, 0 for a one-query
+	// search.
+	Query int
 }
 
 // Result reports one search: the score list of step 4 and what the host
@@ -220,19 +224,18 @@ type Hit struct {
 type Result struct {
 	// Hits is a dispatcher search's hit list: sorted by descending score
 	// (ties by database order) and TopK long when one was requested (see
-	// MergeAnswers). Engine.Search and a scores-only search leave it nil.
+	// MergeAnswers). Engine.Search leaves it nil.
 	Hits []Hit
 	// Scores holds the raw score of every database sequence, indexed by
-	// caller order: from Engine.Search, from a lone backend's dispatcher
-	// whatever its TopK, and from a sharded dispatcher only for an
-	// every-hit search (TopK 0).
+	// caller order: from Engine.Search, and from a dispatcher only for an
+	// every-hit search (TopK 0), each subject's best over the queries.
 	Scores []int32
-	// Hist is the score histogram of a dispatcher search that selects hits,
-	// Hist[s] sequences scoring s (see MergeAnswers); nil on a scores-only
-	// search and when a score exceeds stats.MaxScore.
+	// Hist is the score histogram of a dispatcher search, Hist[s]
+	// sequences scoring s (see MergeAnswers); nil when a score exceeds
+	// stats.MaxScore.
 	Hist []int
-	// Top is a backend's Answer for its shard when it returns one instead
-	// of Scores, as a remote node does.
+	// Top is a backend's Answer for its shard, and a one-backend
+	// dispatcher's lone answer (what a shard node sends).
 	Top *Answer
 	// Stats counts the cells computed and the ladder's escalations.
 	Stats Stats
@@ -243,7 +246,7 @@ type Result struct {
 // Search performs Algorithm 1: alignments of the query against every
 // database sequence in parallel, returning every subject's similarity
 // score in caller order, the cells and ladder escalations counted, and the
-// wall time. It selects no hits: the dispatcher does (SelectAnswer).
+// wall time. It selects no hits: EngineBackend does (SelectAnswer).
 func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, error) {
 	if query == nil {
 		return nil, fmt.Errorf("core: nil query")

@@ -91,9 +91,15 @@ func TestSearchTopK(t *testing.T) {
 	db := randDB(rng, 30, 40, true)
 	opt := defaultSearchOptions()
 	opt.TopK = 5
-	res := loneSearch(t, db, randProtein(rng, 30), opt)
+	query := randProtein(rng, 30)
+	res := loneSearch(t, db, query, opt)
 	if len(res.Hits) != 5 {
 		t.Fatalf("TopK gave %d hits", len(res.Hits))
+	}
+	// The engine scores every subject whatever the K: the backend selects.
+	res, err := testEngine(t, db).Search(query, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(res.Scores) != db.Len() {
 		t.Fatalf("Scores truncated to %d", len(res.Scores))

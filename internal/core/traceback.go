@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync/atomic"
 
@@ -60,6 +62,16 @@ func (o SearchOptions) Scoring(alpha *alphabet.Alphabet) swalign.Scoring {
 		GapOpen:   o.Params.GapOpen,
 		GapExtend: o.Params.GapExtend,
 	}
+}
+
+// ScoringID fingerprints the scores a search of an alpha database under o
+// computes: a short hash of the resolved matrix's Fingerprint and the gap
+// penalties. A shard node sends its own with every answer, and a
+// coordinator refuses an answer that does not carry its own.
+func (o SearchOptions) ScoringID(alpha *alphabet.Alphabet) string {
+	sc := o.Scoring(alpha)
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s|%d|%d", sc.Matrix.Fingerprint(), sc.GapOpen, sc.GapExtend))
+	return hex.EncodeToString(sum[:8])
 }
 
 // checkpointEvery is C, the column spacing of the lane pass's checkpoints

@@ -30,37 +30,26 @@ func NewBackend(name string, prober *Prober) *Backend {
 // Name implements core.Backend.
 func (b *Backend) Name() string { return b.name }
 
-// residueBytes copies encoded residues into wire bytes. alphabet.Code is
-// a uint8, so this is a widening-free copy, not a re-encode — the node
-// rebuilds the exact residue slice and its caches dedup identically.
-func residueBytes(codes []alphabet.Code) []byte {
-	out := make([]byte, len(codes))
-	for i, c := range codes {
-		out[i] = byte(c)
+// Search implements core.Backend: one /shard/search carrying every query,
+// whose answer is the shard's opt.TopK-answer (0: every subject). The node
+// scores under its own configured options — the coordinator ships the
+// queries and their K, not the search parameters — and an answer scored
+// under another matrix or other gap penalties than opt's fails its
+// replica (ShardSearchResponse.check): operators configure nodes and
+// coordinator identically (see the README's distributed serving contract).
+func (b *Backend) Search(ctx context.Context, db *seqdb.Database, queries []*sequence.Sequence, opt core.SearchOptions) (*core.Result, error) {
+	req := &ShardSearchRequest{Shard: db.Key(), ID: queries[0].ID, Queries: make([][]byte, len(queries)), K: opt.TopK}
+	for i, q := range queries {
+		req.Queries[i] = alphabet.BytesView(q.Residues)
 	}
-	return out
-}
-
-// Search implements core.Backend: one shard execution on the remote node,
-// which answers its shard's opt.TopK-answer (0: every subject) as
-// Result.Top. The node runs the search under its own configured kernel
-// options — the coordinator ships the query and its K, not the search
-// parameters — so operators must configure nodes and coordinator
-// identically (see the README's distributed serving contract).
-func (b *Backend) Search(ctx context.Context, db *seqdb.Database, query *sequence.Sequence, opt core.SearchOptions) (*core.Result, error) {
-	resp, err := b.prober.client.ShardSearch(ctx, b.prober.Owners(db.Key()), &ShardSearchRequest{
-		Shard: db.Key(),
-		ID:    query.ID,
-		Codes: residueBytes(query.Residues),
-		K:     opt.TopK,
-	}, db.Len(), db.Residues())
+	resp, err := b.prober.client.ShardSearch(ctx, b.prober.Owners(db.Key()), req,
+		db.Len(), db.Residues(), opt.ScoringID(db.Alphabet()))
 	if err != nil {
 		return nil, fmt.Errorf("remote: backend %s: %w", b.name, err)
 	}
-	r := &core.Result{Top: &core.Answer{Hits: resp.Hits, Below: resp.Below}, WallSeconds: resp.WallSeconds}
-	r.Stats.Cells = resp.Cells
-	r.Stats.Overflows = resp.Overflows
-	r.Stats.Overflows8 = resp.Overflows8
-	r.Stats.OverflowCells = resp.OverflowCells
-	return r, nil
+	return &core.Result{
+		Top:         &core.Answer{Hits: resp.Hits, Below: resp.Below},
+		Stats:       core.Stats{Cells: resp.Cells, Overflows: resp.Overflows, Overflows8: resp.Overflows8, OverflowCells: resp.OverflowCells},
+		WallSeconds: resp.WallSeconds,
+	}, nil
 }

@@ -98,13 +98,14 @@ func (c *Client) Shards(ctx context.Context, node string) (*ShardsResponse, erro
 	return exchange[ShardsResponse](ctx, http.MethodGet, node+"/shards", nil, nil)
 }
 
-// ShardSearch scores one query over one shard of n sequences and residues
-// residues, trying the shard's replica URLs under the client's
-// retry/hedging policy. An answer that fails its check fails its replica,
-// as a dropped connection does (see ShardSearchResponse.check).
-func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int, residues int64) (*ShardSearchResponse, error) {
+// ShardSearch scores a search's queries over one shard of n sequences and
+// residues residues under the scoring with ID scoring, trying the shard's
+// replica URLs under the client's retry/hedging policy. An answer that
+// fails its check fails its replica, as a dropped connection does (see
+// ShardSearchResponse.check).
+func (c *Client) ShardSearch(ctx context.Context, urls []string, req *ShardSearchRequest, n int, residues int64, scoring string) (*ShardSearchResponse, error) {
 	return call(ctx, c, urls, "/shard/search", req, func(r *ShardSearchResponse) error {
-		return r.check(req, n, residues)
+		return r.check(req, n, residues, scoring)
 	})
 }
 

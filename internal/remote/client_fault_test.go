@@ -58,7 +58,7 @@ func TestClientSurvivesScriptedFaults(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	c := fastClient(Options{Retries: 4})
-	resp, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0)
+	resp, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0, "")
 	if err != nil {
 		t.Fatalf("ShardSearch through the fault schedule: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestClientFailsUnderBudget(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	c := fastClient(Options{Retries: 1})
-	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0); err == nil {
+	if _, err := c.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0, ""); err == nil {
 		t.Fatal("two scripted faults must exhaust a 1-retry budget")
 	}
 	if got := px.Attempts(); got != 2 {
@@ -121,7 +121,7 @@ func TestFailedAttemptsReportNode(t *testing.T) {
 		faultproxy.Step{Act: faultproxy.Pass},
 	)
 	p := NewProber([]string{px.URL()}, fastOptions(Options{Retries: 2}), ProberOptions{Interval: -1})
-	if _, err := p.client.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0); err != nil {
+	if _, err := p.client.ShardSearch(context.Background(), []string{px.URL()}, searchReq(), 3, 0, ""); err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
 	if got := reported(p); !slices.Equal(got, []string{px.URL(), px.URL()}) {
@@ -139,7 +139,7 @@ func TestTerminalFailureNotReported(t *testing.T) {
 	}))
 	defer srv.Close()
 	p := NewProber([]string{srv.URL}, fastOptions(Options{Retries: 3}), ProberOptions{Interval: -1})
-	_, err := p.client.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
+	_, err := p.client.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0, "")
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("want terminal 400, got %v", err)
@@ -153,7 +153,8 @@ func TestTerminalFailureNotReported(t *testing.T) {
 // or to check fails the replica that sent it and nothing more: the next
 // replica answers, each replica is asked once, and the bad one is
 // reported to the prober. The check fails another shard's key or none,
-// wrong cells, a hit index past the shard or not above the one before, a
+// another scoring ID, wrong cells, a hit query index past the request's
+// queries, a hit index past the shard or not above the one before, a
 // hit score outside [0, stats.MaxScore], fewer than min(K, n) hits, a
 // below bucket at or above the lowest hit score (a dropped tie), and hits
 // and below that do not count the shard's n subjects. A right top-1
@@ -181,9 +182,11 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		{"bad base64", key + `"hits":"AA!BCAEJ"}`, 0},
 		{"one score short", answerBody(hits(0, 7, 1, 8), nil, 0), 0},
 		{"one score long", answerBody(hits(0, 7, 1, 8, 2, 9), []int{1}, 0), 0},
-		{"another shard", `{"shard":"swdb:feedface-3-10","hits":"AAcBCAEJ"}`, 0},
-		{"no shard", `{"hits":"AAcBCAEJ"}`, 0},
-		{"wrong cells", key + `"hits":"AAcBCAEJ","cells":3}`, 0},
+		{"another shard", `{"shard":"swdb:feedface-3-10","hits":"AAcAAQgAAQkA"}`, 0},
+		{"no shard", `{"hits":"AAcAAQgAAQkA"}`, 0},
+		{"wrong cells", key + `"hits":"AAcAAQgAAQkA","cells":3}`, 0},
+		{"another scoring", key + `"scoring":"0123456789abcdef","hits":"AAcAAQgAAQkA"}`, 0},
+		{"query past the queries", key + `"hits":"AAcAAQgAAQkB"}`, 0},
 		{"index past the shard", answerBody(hits(0, 7, 1, 8, 3, 9), nil, 0), 0},
 		{"indices not increasing", answerBody(hits(0, 7, 1, 8, 1, 9), nil, 0), 0},
 		{"score past the bound", answerBody(hits(0, 7, 1, 8, 2, stats.MaxScore+1), nil, 0), 0},
@@ -196,7 +199,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 			p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 			req := searchReq()
 			req.K = tc.k
-			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, req, 3, 0)
+			resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, req, 3, 0, "")
 			if err != nil {
 				t.Fatalf("ShardSearch past one bad replica: %v", err)
 			}
@@ -218,7 +221,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		p := NewProber([]string{a.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
 		req := searchReq()
 		req.K = 1
-		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, req, 3, 0)
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, req, 3, 0, "")
 		if err != nil || len(resp.Hits) != 1 || a.Attempts() != 1 {
 			t.Fatalf("ShardSearch = %+v, %v after %d attempts; want the top-1 answer at once", resp, err, a.Attempts())
 		}
@@ -226,10 +229,10 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 
 	t.Run("own shard echoed", func(t *testing.T) {
 		a := faultedClientProxy(t)
-		body := key + `"hits":"AAcBCAEJ","cells":30}`
+		body := key + `"hits":"AAcAAQgAAQkA","cells":30}`
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: body})
 		p := NewProber([]string{a.URL()}, fastOptions(Options{}), ProberOptions{Interval: -1})
-		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, searchReq(), 3, 10)
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL()}, searchReq(), 3, 10, "")
 		if err != nil || resp.Shard != searchReq().Shard || a.Attempts() != 1 {
 			t.Fatalf("ShardSearch = %+v, %v after %d attempts; want the echoing answer at once", resp, err, a.Attempts())
 		}
@@ -240,7 +243,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: key + `"hits":"AAcBCAGA"}`})
 		b.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: answerBody(hits(0, 7, 1, 8), nil, 0)})
 		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: 1}), ProberOptions{Interval: -1})
-		_, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
+		_, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0, "")
 		if !errors.Is(err, ErrNoReplicas) {
 			t.Fatalf("every replica answering badly: err = %v, want ErrNoReplicas", err)
 		}
@@ -253,7 +256,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		a, b := faultedClientProxy(t), faultedClientProxy(t)
 		a.Program(faultproxy.Step{Act: faultproxy.Rewrite, Body: key + `"hits":"AAcBCAGA"}`})
 		p := NewProber([]string{a.URL(), b.URL()}, fastOptions(Options{Retries: -1, HedgeDelay: time.Hour}), ProberOptions{Interval: -1})
-		resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0)
+		resp, err := p.client.ShardSearch(ctx, []string{a.URL(), b.URL()}, searchReq(), 3, 0, "")
 		if err != nil || !slices.Equal(hitScores(resp), []int32{7, 8, 9}) {
 			t.Fatalf("hedged ShardSearch = %v, %v; want the hedge's [7 8 9]", resp, err)
 		}
@@ -272,7 +275,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 		defer slow.Close()
 		fast := searchUpstream(t)
 		p := NewProber([]string{slow.URL, fast.URL}, fastOptions(Options{Retries: -1, HedgeDelay: 5 * time.Millisecond}), ProberOptions{Interval: -1})
-		if _, err := p.client.ShardSearch(ctx, []string{slow.URL, fast.URL}, searchReq(), 3, 0); err != nil {
+		if _, err := p.client.ShardSearch(ctx, []string{slow.URL, fast.URL}, searchReq(), 3, 0, ""); err != nil {
 			t.Fatalf("hedged ShardSearch: %v", err)
 		}
 		<-cancelled
@@ -290,7 +293,7 @@ func TestBadAnswerFailsItsReplica(t *testing.T) {
 // retryable, so callers keep retrying while the prober refills the set.
 func TestEmptyReplicasIsTypedRetryable(t *testing.T) {
 	c := fastClient(Options{})
-	_, err := c.ShardSearch(context.Background(), nil, searchReq(), 3, 0)
+	_, err := c.ShardSearch(context.Background(), nil, searchReq(), 3, 0, "")
 	if !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("want ErrNoReplicas, got %v", err)
 	}

@@ -35,7 +35,7 @@ func fastOptions(opt Options) Options {
 func fastClient(opt Options) *Client { return NewClient(fastOptions(opt)) }
 
 func searchReq() *ShardSearchRequest {
-	return &ShardSearchRequest{Shard: "swdb:deadbeef-3-10", ID: "q", Codes: []byte{1, 2, 3}}
+	return &ShardSearchRequest{Shard: "swdb:deadbeef-3-10", ID: "q", Queries: [][]byte{{1, 2, 3}}}
 }
 
 // answerBody is a node's answer to searchReq: the echoed key, the packed
@@ -82,7 +82,7 @@ func TestRetry503ThenSuccess(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(Options{Retries: 2})
-	resp, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
+	resp, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0, "")
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestShardSearchReadsOneBuffer(t *testing.T) {
 			scores[i] = int32(i % 100)
 		}
 		ans := core.SelectAnswer(scores, 0)
-		body, err := json.Marshal(ShardSearchResponse{Shard: req.Shard, Hits: ans.Hits, Below: ans.Below, Cells: int64(len(req.Codes)) * residues})
+		body, err := json.Marshal(ShardSearchResponse{Shard: req.Shard, Hits: ans.Hits, Below: ans.Below, Cells: int64(len(req.Queries[0])) * residues})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestShardSearchReadsOneBuffer(t *testing.T) {
 		defer srv.Close()
 		c := fastClient(Options{})
 		search := allocated(func() {
-			if _, err := c.ShardSearch(context.Background(), []string{srv.URL}, req, n, residues); err != nil {
+			if _, err := c.ShardSearch(context.Background(), []string{srv.URL}, req, n, residues, ""); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -172,9 +172,9 @@ func TestShardSearchDecodesAnswer(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, wantErr string
 	}{
-		{"packed", key + `"hits":"AAcBCAEJ",`, ""}, // the varint pairs (0,7) (1,8) (1,9)
+		{"packed", key + `"hits":"AAcAAQgAAQkA",`, ""}, // the varint triples (0,7,0) (1,8,0) (1,9,0)
 		{"array", key + `"hits":[0,7,1,8,1,9],`, "not a base64 string"},
-		{"no key", `"hits":"AAcBCAEJ",`, `answer for shard ""`},
+		{"no key", `"hits":"AAcAAQgAAQkA",`, `answer for shard ""`},
 		{"truncated varint", key + `"hits":"AAcBCAGA",`, "truncated varint"},
 		{"bad base64", key + `"hits":"AA!BCAEJ",`, "illegal base64"},
 	} {
@@ -184,7 +184,7 @@ func TestShardSearchDecodesAnswer(t *testing.T) {
 			}))
 			defer srv.Close()
 
-			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 30)
+			resp, err := fastClient(Options{}).ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 30, "")
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("ShardSearch = %+v, %v; want an error naming %q", resp, err, tc.wantErr)
@@ -216,7 +216,7 @@ func TestNoRetryOnTerminalStatus(t *testing.T) {
 			defer srv.Close()
 
 			c := fastClient(Options{Retries: 3})
-			_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
+			_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0, "")
 			if err == nil {
 				t.Fatal("want error")
 			}
@@ -242,7 +242,7 @@ func TestRetriesExhausted(t *testing.T) {
 	defer srv.Close()
 
 	c := fastClient(Options{Retries: 2})
-	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0)
+	_, err := c.ShardSearch(context.Background(), []string{srv.URL}, searchReq(), 3, 0, "")
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -267,7 +267,7 @@ func TestRetriesRotateReplicas(t *testing.T) {
 	dead.Close() // connection refused from now on
 
 	c := fastClient(Options{Retries: 1})
-	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, good.URL}, searchReq(), 1, 0)
+	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, good.URL}, searchReq(), 1, 0, "")
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestBackoffHonoursContext(t *testing.T) {
 	}()
 	c := fastClient(Options{Retries: 5, Backoff: time.Hour})
 	start := time.Now()
-	_, err := c.ShardSearch(ctx, []string{srv.URL}, searchReq(), 3, 0)
+	_, err := c.ShardSearch(ctx, []string{srv.URL}, searchReq(), 3, 0, "")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -322,7 +322,7 @@ func TestHedgeWinnerCancelsLoser(t *testing.T) {
 	defer hedge.Close()
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: 5 * time.Millisecond})
-	resp, err := c.ShardSearch(context.Background(), []string{primary.URL, hedge.URL}, searchReq(), 1, 0)
+	resp, err := c.ShardSearch(context.Background(), []string{primary.URL, hedge.URL}, searchReq(), 1, 0, "")
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestHedgePromotesOnPrimaryFailure(t *testing.T) {
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: time.Hour})
 	start := time.Now()
-	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, hedge.URL}, searchReq(), 1, 0)
+	resp, err := c.ShardSearch(context.Background(), []string{dead.URL, hedge.URL}, searchReq(), 1, 0, "")
 	if err != nil {
 		t.Fatalf("ShardSearch: %v", err)
 	}
@@ -370,7 +370,7 @@ func TestHedgeBothFail(t *testing.T) {
 	b.Close()
 
 	c := fastClient(Options{Retries: -1, HedgeDelay: time.Millisecond})
-	_, err := c.ShardSearch(context.Background(), []string{a.URL, b.URL}, searchReq(), 1, 0)
+	_, err := c.ShardSearch(context.Background(), []string{a.URL, b.URL}, searchReq(), 1, 0, "")
 	if err == nil {
 		t.Fatal("want error when both replicas are down")
 	}
@@ -402,7 +402,7 @@ func TestRetryableClassification(t *testing.T) {
 // TestNoReplicas pins the degenerate call.
 func TestNoReplicas(t *testing.T) {
 	c := fastClient(Options{})
-	if _, err := c.ShardSearch(context.Background(), nil, searchReq(), 3, 0); err == nil {
+	if _, err := c.ShardSearch(context.Background(), nil, searchReq(), 3, 0, ""); err == nil {
 		t.Fatal("want error for zero replica URLs")
 	}
 }
@@ -462,7 +462,7 @@ func TestAttemptReleasesItsContext(t *testing.T) {
 		c := NewClient(Options{Timeout: timeout})
 		const n = 20
 		for i := 0; i < n; i++ {
-			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq(), 3, 0); err != nil {
+			if _, err := c.ShardSearch(parent, []string{srv.URL}, searchReq(), 3, 0, ""); err != nil {
 				t.Fatalf("Timeout %v: ShardSearch %d: %v", timeout, i, err)
 			}
 		}

@@ -11,13 +11,13 @@
 // The protocol is deliberately small — two endpoints on every node:
 //
 //	GET  /shards        which shard keys this node owns
-//	POST /shard/search  score one query over one shard (top-K hits and the histogram below them, packed)
+//	POST /shard/search  score a search's queries over one shard (top-K hits and the histogram below them, packed)
 //
-// Nodes only score and select. The coordinator selects the top K over the
-// union of the shards' hits, fits E-values over the sum of their
+// Nodes only score and select, each subject's best score over a search's
+// queries (a translated query's frames). The coordinator selects the top K
+// over the union of the shards' hits, fits E-values over the sum of their
 // histograms, and traces its hits back itself, over the parent index it
-// already maps, so an aligned query costs one round trip per shard. K = 0
-// asks a node for every subject's score.
+// already maps, so a query costs one round trip per shard.
 //
 // Shards are addressed by their .swdb checksum key (index.Key), never by
 // file path: the key is content-derived, so a coordinator and a node that
@@ -62,42 +62,46 @@ type ShardsResponse struct {
 	Shards []ShardInfo `json:"shards"`
 }
 
-// ShardSearchRequest is the POST /shard/search body: one query scored over
-// one shard.
+// ShardSearchRequest is the POST /shard/search body: one search's queries
+// scored over one shard.
 type ShardSearchRequest struct {
 	// Shard is the target shard's checksum key; unknown keys answer 404.
 	Shard string `json:"shard"`
-	// ID labels the query (diagnostics only; it does not affect scores).
+	// ID labels the search (diagnostics only; it does not affect scores).
 	ID string `json:"id,omitempty"`
-	// Codes holds the query residues pre-encoded under the shard's
-	// alphabet (alphabet.Code bytes, base64 in JSON). Shipping codes
+	// Queries holds each query's residues pre-encoded under the shard's
+	// alphabet (alphabet.Code bytes, base64 in JSON): one for a direct
+	// search, the reading frames of a translated one. Shipping codes
 	// rather than letters makes the round trip loss-free: the encoding is
 	// injective, so the node's cache keys dedup exactly like local ones.
-	Codes []byte `json:"codes"`
+	Queries [][]byte `json:"queries"`
 	// K is the coordinator's K, the hits the node answers with (see
 	// ShardSearchResponse); 0 asks for every subject, and a negative K
-	// answers 400. A node caches one answer per query and K.
+	// answers 400. A node caches one answer per query list and K.
 	K int `json:"k"`
 }
 
 // ShardSearchResponse is a shard's answer to a top-K search, core.Answer
-// on the wire. Hits are every subject scoring at or above the shard's K-th
-// best score, ties with the K-th kept, in increasing shard index; Below is
-// the histogram of every lower score. Together they cover the shard exactly
-// once, so the coordinator selects the top K over the shards' hits and
-// fits its E-values over the summed histogram, both exactly as over the
-// whole score list. With K = 0 every subject is a hit and Below is empty:
-// the every-hit form, which translated and every-hit searches ask for. A
-// top-10 answer over an 8,000-subject shard is a few hundred bytes.
+// on the wire, over each subject's best score across the queries. Hits are
+// every subject scoring at or above the shard's K-th best score, ties with
+// the K-th kept, in increasing shard index; Below is the histogram of
+// every lower score. Together they cover the shard exactly once, so the
+// coordinator selects the top K over the shards' hits and fits its
+// E-values over the summed histogram, both exactly as over the whole score
+// list. With K = 0 every subject is a hit and Below is empty. A top-10
+// answer over an 8,000-subject shard is a few hundred bytes.
 type ShardSearchResponse struct {
 	// Shard echoes the request's shard key, so an answer names the shard
 	// it scored.
-	Shard string  `json:"shard"`
-	Hits  HitList `json:"hits"`
-	Below Counts  `json:"below"`
-	// Cells counts useful DP cell updates (query length x shard residues);
-	// summed across shards it reproduces the single-node cell count
-	// exactly, whatever the cut.
+	Shard string `json:"shard"`
+	// Scoring is the node's core.SearchOptions.ScoringID: the matrix and
+	// gap penalties it scored under.
+	Scoring string  `json:"scoring"`
+	Hits    HitList `json:"hits"`
+	Below   Counts  `json:"below"`
+	// Cells counts useful DP cell updates (the queries' summed length x
+	// shard residues); summed across shards it reproduces the single-node
+	// cell count exactly, whatever the cut.
 	Cells int64 `json:"cells"`
 	// WallSeconds is the node-local wall time of the execution that
 	// produced this result (cache hits repeat the original search's).
@@ -109,20 +113,28 @@ type ShardSearchResponse struct {
 	OverflowCells int64 `json:"overflow_cells,omitempty"`
 }
 
-// check fails an answer that cannot be the shard's answer to req: another
-// shard's key or none, cells other than len(req.Codes) x residues, a hit
-// index at or beyond the shard's n sequences or not above the one before,
-// a hit score outside [0, stats.MaxScore], fewer than min(K, n) hits (n for
-// K = 0), a Below bucket at or above the lowest hit score (a dropped tie),
-// or hits and Below that do not count n subjects. Two shards of equal
-// sequence and residue counts differ only in their keys.
-func (r *ShardSearchResponse) check(req *ShardSearchRequest, n int, residues int64) error {
+// check fails an answer that cannot be the shard's answer to req under
+// the coordinator's scoring: another shard's key or none, another scoring
+// ID, cells other than the queries' summed length x residues, a hit index
+// at or beyond the shard's n sequences or not above the one before, a hit
+// query index outside req.Queries, a hit score outside [0,
+// stats.MaxScore], fewer than min(K, n) hits (n for K = 0), a Below bucket
+// at or above the lowest hit score (a dropped tie), or hits and Below that
+// do not count n subjects.
+func (r *ShardSearchResponse) check(req *ShardSearchRequest, n int, residues int64, scoring string) error {
 	if r.Shard != req.Shard {
 		return fmt.Errorf("answer for shard %q to a search of shard %s", r.Shard, req.Shard)
 	}
-	if cells := int64(len(req.Codes)) * residues; r.Cells != cells {
+	if r.Scoring != scoring {
+		return fmt.Errorf("answer scored under %q, not the coordinator's %q: node and coordinator are configured apart", r.Scoring, scoring)
+	}
+	qlen := 0
+	for _, q := range req.Queries {
+		qlen += len(q)
+	}
+	if cells := int64(qlen) * residues; r.Cells != cells {
 		return fmt.Errorf("%d cells for %d query residues over the %d-residue shard %s",
-			r.Cells, len(req.Codes), residues, req.Shard)
+			r.Cells, qlen, residues, req.Shard)
 	}
 	lowest := int32(stats.MaxScore)
 	for i, h := range r.Hits {
@@ -131,6 +143,8 @@ func (r *ShardSearchResponse) check(req *ShardSearchRequest, n int, residues int
 			return fmt.Errorf("hit index %d in the %d-sequence shard %s", h.Index, n, req.Shard)
 		case i > 0 && h.Index <= r.Hits[i-1].Index:
 			return fmt.Errorf("hit indices %d then %d do not strictly increase", r.Hits[i-1].Index, h.Index)
+		case h.Query < 0 || int(h.Query) >= len(req.Queries):
+			return fmt.Errorf("hit query index %d for %d queries", h.Query, len(req.Queries))
 		case h.Score < 0 || h.Score > stats.MaxScore:
 			return fmt.Errorf("hit score %d outside [0, %d]", h.Score, stats.MaxScore)
 		}
@@ -157,40 +171,42 @@ func (r *ShardSearchResponse) check(req *ShardSearchRequest, n int, residues int
 }
 
 // HitList is an answer's hits on the wire: a JSON string holding the
-// standard base64 of one unsigned LEB128 varint pair per hit, the index's
-// step from the hit before (from 0 for the first) and uint32(score). A
-// step and a score below 128 cost a byte each.
+// standard base64 of one unsigned LEB128 varint triple per hit, the
+// index's step from the hit before (from 0 for the first), uint32(score)
+// and uint32(query index). A step and a score below 128 cost a byte each,
+// and a query index one.
 type HitList []core.ShardHit
 
 // MarshalJSON implements json.Marshaler.
 func (l HitList) MarshalJSON() ([]byte, error) {
-	packed := make([]byte, 0, 4*len(l)) // most pairs pack in four bytes
+	packed := make([]byte, 0, 5*len(l)) // most triples pack in five bytes
 	prev := int32(0)
 	for _, h := range l {
 		packed = binary.AppendUvarint(packed, uint64(uint32(h.Index-prev)))
 		packed = binary.AppendUvarint(packed, uint64(uint32(h.Score)))
+		packed = binary.AppendUvarint(packed, uint64(uint32(h.Query)))
 		prev = h.Index
 	}
 	return base64String(packed), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler. A varint count that is not
-// even, and an index beyond 31 bits, are errors on top of unpack's.
+// UnmarshalJSON implements json.Unmarshaler. A partial triple and an
+// index beyond 31 bits are errors on top of unpack's.
 func (l *HitList) UnmarshalJSON(data []byte) error {
 	v, err := unpack(data, "hits")
 	if err != nil {
 		return err
 	}
-	if len(v)%2 != 0 {
-		return errors.New("remote: hits: a hit index without its score")
+	if len(v)%3 != 0 {
+		return errors.New("remote: hits: a hit without its score or query")
 	}
-	out := make(HitList, len(v)/2)
+	out := make(HitList, len(v)/3)
 	index := uint64(0)
 	for i := range out {
-		if index += uint64(v[2*i]); index > math.MaxInt32 {
+		if index += uint64(v[3*i]); index > math.MaxInt32 {
 			return errors.New("remote: hits: index beyond 31 bits")
 		}
-		out[i] = core.ShardHit{Index: int32(index), Score: int32(v[2*i+1])}
+		out[i] = core.ShardHit{Index: int32(index), Score: int32(v[3*i+1]), Query: int32(v[3*i+2])}
 	}
 	*l = out
 	return nil

@@ -29,16 +29,19 @@ func int32Bytes(scores []int32) []byte {
 
 // FuzzShardScores pins the shard answer's wire on every input three ways:
 //   - the bytes, decoded as a whole /shard/search body and checked as the
-//     answer to a top-k search, never panic, and an answer over at most 64
-//     subjects that passes the check merges (core.MergeAnswers) into
-//     exactly the sorted hits and the histogram of the score list it
-//     describes;
+//     answer to a top-k search of 1 + len%3 one-residue queries, never
+//     panic, and an answer over at most 64 subjects that passes the check
+//     merges (core.MergeAnswers) into exactly the sorted hits, each naming
+//     its query, and the histogram of the score list it describes;
 //   - the bytes, read as the packed varints of hits and of below counts,
 //     re-encode to the same string when they decode (only the shortest
 //     form is accepted);
 //   - the bytes read as little-endian int32s round-trip exactly as hit
-//     scores and as below counts, and SelectAnswer's answer over them,
-//     reduced below 4,096, passes the check.
+//     scores, as hit query indices and as below counts, and SelectAnswer's
+//     answer over them, reduced below 4,096 and its hits dealt over
+//     1 + len%3 queries of 1, 2, ... residues, passes the check; the same
+//     answer with a hit's query index at the query count, or with one cell
+//     more than the queries' summed length times the residues, fails it.
 func FuzzShardScores(f *testing.F) {
 	edges := []int32{0, 127, 128, 16383, 16384, 1 << 24, math.MaxInt32, -1}
 	for _, s := range edges {
@@ -51,16 +54,24 @@ func FuzzShardScores(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x00}) // overlong
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x1f})       // 2^37-1: beyond 32 bits
 	f.Add([]byte{0x07, 0x80})                         // truncated
+	// Answers over several queries, each hit naming the one that scored it.
+	f.Add(answerSeed(f, 2, ShardSearchResponse{Shard: "s", Hits: HitList{{Index: 0, Score: 7, Query: 1}, {Index: 1, Score: 8, Query: 0}, {Index: 2, Score: 9, Query: 1}}, Below: Counts{1}, Cells: 90}))
+	f.Add(answerSeed(f, 3, ShardSearchResponse{Shard: "s", Hits: HitList{{Index: 1, Score: 9, Query: 2}, {Index: 3, Score: 9, Query: 0}}, Below: Counts{0, 1, 0, 2}, Cells: 90}))
+	f.Add(answerSeed(f, 3, ShardSearchResponse{Shard: "s", Hits: HitList{{Index: 0, Score: 5, Query: 3}}, Cells: 30}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := len(data) % 5
+		nq := 1 + len(data)%3
 		var whole ShardSearchResponse
 		if json.Unmarshal(data, &whole) == nil {
 			n := len(whole.Hits)
 			for _, c := range whole.Below {
 				n += c
 			}
-			req := &ShardSearchRequest{Shard: whole.Shard, Codes: []byte{1}, K: k}
-			if whole.check(req, n, whole.Cells) == nil && n <= 64 {
+			req := &ShardSearchRequest{Shard: whole.Shard, Queries: make([][]byte, nq), K: k}
+			for i := range req.Queries {
+				req.Queries[i] = []byte{1}
+			}
+			if whole.check(req, n, whole.Cells/int64(nq), whole.Scoring) == nil && n <= 64 {
 				checkMerge(t, whole, n, k)
 			}
 		}
@@ -85,7 +96,7 @@ func FuzzShardScores(f *testing.F) {
 		}
 		want := ShardSearchResponse{Hits: HitList{}, Below: Counts{}, Cells: int64(len(data)), WallSeconds: 0.25}
 		for i, s := range scores {
-			want.Hits = append(want.Hits, core.ShardHit{Index: int32(i), Score: s})
+			want.Hits = append(want.Hits, core.ShardHit{Index: int32(i), Score: s, Query: s})
 			want.Below = append(want.Below, int(uint32(s)))
 		}
 		roundTrip(t, want)
@@ -94,13 +105,48 @@ func FuzzShardScores(f *testing.F) {
 			scores[i] &= 0xfff
 		}
 		ans := core.SelectAnswer(scores, k)
-		sent := ShardSearchResponse{Shard: "s", Hits: ans.Hits, Below: ans.Below, Cells: int64(len(data))}
+		req := &ShardSearchRequest{Shard: "s", Queries: make([][]byte, nq), K: k}
+		qlen := 0
+		for i := range req.Queries {
+			req.Queries[i] = make([]byte, i+1)
+			qlen += i + 1
+		}
+		for i := range ans.Hits {
+			ans.Hits[i].Query = int32(i % nq)
+		}
+		const scoring = "0123456789abcdef"
+		sent := ShardSearchResponse{Shard: "s", Scoring: scoring, Hits: ans.Hits, Below: ans.Below, Cells: int64(qlen * len(data))}
 		got := roundTrip(t, sent)
-		req := &ShardSearchRequest{Shard: "s", Codes: []byte{1}, K: k}
-		if err := got.check(req, len(scores), int64(len(data))); err != nil {
+		if err := got.check(req, len(scores), int64(len(data)), scoring); err != nil {
 			t.Fatalf("the k=%d answer over %v fails its check: %v", k, scores, err)
 		}
+		if len(got.Hits) > 0 {
+			bad := got
+			bad.Hits = slices.Clone(got.Hits)
+			bad.Hits[len(bad.Hits)-1].Query = int32(nq)
+			if bad.check(req, len(scores), int64(len(data)), scoring) == nil {
+				t.Fatalf("a hit naming query %d of %d passes the check", nq, nq)
+			}
+		}
+		bad := got
+		bad.Cells++
+		if bad.check(req, len(scores), int64(len(data)), scoring) == nil {
+			t.Fatalf("%d cells for %d query residues over %d residues pass the check", bad.Cells, qlen, len(data))
+		}
 	})
+}
+
+// answerSeed is an answer's body padded with spaces until FuzzShardScores
+// checks it as the answer to a search of nq queries.
+func answerSeed(f *testing.F, nq int, ans ShardSearchResponse) []byte {
+	body, err := json.Marshal(ans)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for 1+len(body)%3 != nq {
+		body = append(body, ' ')
+	}
+	return body
 }
 
 // roundTrip marshals an answer, decodes it back, and fails unless the two
@@ -132,14 +178,16 @@ func roundTrip(t *testing.T, want ShardSearchResponse) ShardSearchResponse {
 
 // checkMerge fails unless an answer that passed its check merges, as the
 // one shard of an n-subject database, into sortedHits and the histogram of
-// the score list it describes: its hits' scores at their indices, and the
-// below counts dealt out over the remaining indices in order.
+// the score list it describes: its hits' scores and queries at their
+// indices, and the below counts dealt out over the remaining indices in
+// order.
 func checkMerge(t *testing.T, ans ShardSearchResponse, n, k int) {
 	t.Helper()
 	scores := make([]int32, n)
+	queries := make([]int, n)
 	isHit := make([]bool, n)
 	for _, h := range ans.Hits {
-		scores[h.Index], isHit[h.Index] = h.Score, true
+		scores[h.Index], queries[h.Index], isHit[h.Index] = h.Score, int(h.Query), true
 	}
 	next := 0
 	for s, c := range ans.Below {
@@ -159,18 +207,22 @@ func checkMerge(t *testing.T, ans ShardSearchResponse, n, k int) {
 	}
 	db := seqdb.New(seqs, false)
 	hits, hist := core.MergeAnswers(db, []core.Answer{{Hits: ans.Hits, Below: ans.Below}}, [][]int{idx}, k)
-	if want := sortedHits(db, scores, k); !reflect.DeepEqual(hits, want) {
+	want := sortedHits(db, scores, k)
+	for i := range want {
+		want[i].Query = queries[want[i].SeqIndex]
+	}
+	if !reflect.DeepEqual(hits, want) {
 		t.Fatalf("answer %+v merges to hits %v, want %v", ans, hits, want)
 	}
-	want := make([]int, 0)
+	wantHist := make([]int, 0)
 	for _, s := range scores {
-		for int(s) >= len(want) {
-			want = append(want, 0)
+		for int(s) >= len(wantHist) {
+			wantHist = append(wantHist, 0)
 		}
-		want[s]++
+		wantHist[s]++
 	}
-	if !slices.Equal(hist, want) {
-		t.Fatalf("answer %+v merges to histogram %v, want %v", ans, hist, want)
+	if !slices.Equal(hist, wantHist) {
+		t.Fatalf("answer %+v merges to histogram %v, want %v", ans, hist, wantHist)
 	}
 }
 

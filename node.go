@@ -1,6 +1,7 @@
 package heterosw
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,15 +12,19 @@ import (
 	"heterosw/internal/sequence"
 )
 
+// maxShardQueries bounds a shard search's queries: one per reading frame.
+const maxShardQueries = 6
+
 // ShardServer is the node side of distributed search: it serves one or
 // more shard clusters — each a full Cluster over one shard .swdb — under
 // the remote shard protocol (GET /shards, POST /shard/search; see package
 // heterosw/internal/remote). Shards are addressed by their .swdb checksum
 // key, so a coordinator holding a manifest routes to this node only for
-// bytes both sides agree on. A node scores its shard and answers the
-// request's K best hits and the histogram below them
-// (core.SelectAnswer); its coordinator merges the shards' answers and
-// traces back the hits itself.
+// bytes both sides agree on. A node scores the request's queries over its
+// shard, keeps each subject's best score, and answers the request's K best
+// hits, each naming its query, and the histogram below them
+// (core.SelectAnswer), with the ID of the scoring it ran under; its
+// coordinator merges the shards' answers and traces back the hits itself.
 //
 // Every shard search runs through its cluster's scheduler, so concurrent
 // coordinator fan-outs share its in-flight slots, repeated shard queries
@@ -126,46 +131,22 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown shard %q (serving %d shards)", req.Shard, len(s.keys)))
 		return
 	}
-	if len(req.Codes) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty query codes"))
+	queries, err := wireQueries(&req, cl.db.db.Alphabet())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.K < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative k %d", req.K))
-		return
-	}
-	if len(req.Codes) > maxQueryResidues {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%d query residues exceeds the %d limit", len(req.Codes), maxQueryResidues))
-		return
-	}
-	alpha := cl.db.db.Alphabet()
-	enc := make([]alphabet.Code, len(req.Codes))
-	for i, b := range req.Codes {
-		// The padding code (alpha.Size()) is an internal kernel value, not a
-		// residue; accepting it would desync lane packing.
-		if int(b) >= alpha.Size() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("query code %d at position %d outside the %d-letter %s alphabet", b, i, alpha.Size(), alpha.Name()))
-			return
-		}
-		enc[i] = alphabet.Code(b)
-	}
-	id := req.ID
-	if id == "" {
-		id = "query"
-	}
-	q := Sequence{impl: &sequence.Sequence{ID: id, Residues: enc, Alpha: alpha}}
 	// The node answers its shard's K best hits, ties with the K-th kept,
 	// and the histogram below them; the coordinator selects over the
 	// shards' answers.
-	res, err := cl.scheduled(r.Context(), job{query: q, wire: true, k: req.K})
+	res, err := cl.scheduled(r.Context(), job{queries: queries, wire: true, k: req.K})
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
 		Shard:         req.Shard,
+		Scoring:       cl.dopt.Search.ScoringID(cl.db.db.Alphabet()),
 		Hits:          res.answer.Hits,
 		Below:         res.answer.Below,
 		Cells:         res.Cells,
@@ -174,6 +155,34 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 		Overflows8:    res.Overflows8,
 		OverflowCells: res.OverflowCells,
 	})
+}
+
+// wireQueries decodes a shard request's queries, refusing what no
+// coordinator sends: no query or more than maxShardQueries, an empty query
+// or one over maxQueryResidues, a code outside the alphabet, a negative k.
+// The queries alias the request's bytes.
+func wireQueries(req *remote.ShardSearchRequest, alpha *alphabet.Alphabet) ([]*sequence.Sequence, error) {
+	if n := len(req.Queries); n == 0 || n > maxShardQueries {
+		return nil, fmt.Errorf("%d queries, want 1 to %d", n, maxShardQueries)
+	}
+	if req.K < 0 {
+		return nil, fmt.Errorf("negative k %d", req.K)
+	}
+	queries := make([]*sequence.Sequence, len(req.Queries))
+	for qi, codes := range req.Queries {
+		if len(codes) == 0 || len(codes) > maxQueryResidues {
+			return nil, fmt.Errorf("query %d holds %d residues, want 1 to %d", qi, len(codes), maxQueryResidues)
+		}
+		for i, b := range codes {
+			// The padding code (alpha.Size()) is an internal kernel value,
+			// not a residue; accepting it would desync lane packing.
+			if int(b) >= alpha.Size() {
+				return nil, fmt.Errorf("query %d: code %d at position %d outside the %d-letter %s alphabet", qi, b, i, alpha.Size(), alpha.Name())
+			}
+		}
+		queries[qi] = &sequence.Sequence{ID: cmp.Or(req.ID, "query"), Residues: alphabet.CodesView(codes), Alpha: alpha}
+	}
+	return queries, nil
 }
 
 // shardHealthJSON is the node /healthz response.

@@ -167,13 +167,9 @@ func TestEveryHitContract(t *testing.T) {
 		if jb.matrix != nil {
 			dopt.Search.Matrix = jb.matrix
 		}
-		frames := jb.fseqs
-		if jb.frames == nil {
-			frames = []*sequence.Sequence{jb.query.impl}
-		}
 		var want []int32
-		for _, q := range frames {
-			r, err := cl.engine().SearchContext(context.Background(), q, dopt, -1)
+		for _, q := range jb.queries {
+			r, err := cl.engine().SearchContext(context.Background(), []*sequence.Sequence{q}, dopt, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

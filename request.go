@@ -29,11 +29,11 @@ type Request struct {
 	// so does any Matrix sent to a distributed coordinator: its nodes score
 	// under their own configured matrix, which the shard wire cannot change.
 	Matrix string
-	// Translate runs a blastx-style translated search: the DNA query is
-	// translated in all six reading frames, every frame is searched against
-	// the protein database with the unmodified protein kernels, and each
-	// subject keeps its best frame score (ties to the earlier frame, in
-	// +1..+3, -1..-3 order). Hits carry the winning frame (Hit.Frame) and
+	// Translate runs a blastx-style translated search: the DNA query's six
+	// reading frames are the queries of one search of the protein database
+	// with the unmodified protein kernels, and each subject keeps its best
+	// frame score (ties to the earlier frame, in +1..+3, -1..-3 order), one
+	// request per shard on a coordinator. Hits carry the winning frame (Hit.Frame) and
 	// aligned hits the nucleotide range of the query their frame segment
 	// was translated from (HitAlignment.QueryDNAStart/End).
 	Translate bool
@@ -61,16 +61,15 @@ type job struct {
 	// and mkey its content fingerprint, part of the cache key.
 	matrix *submat.Matrix
 	mkey   string
-	// frames are a translated query's reading frames and fseqs their
-	// protein queries, the frames holding at least one codon; both nil for a
-	// direct search.
-	frames []*translate.Frame
-	fseqs  []*sequence.Sequence
-	// wire marks a shard node's search for its coordinator, and k is the
-	// coordinator's K: the result carries the shard's k-answer
-	// (core.SelectAnswer) and no hit list.
-	wire bool
+	// queries are what the search scores: the query, a translated query's
+	// frames holding a codon (frames[i] translated into queries[i]; frames
+	// is nil otherwise), or a wire job's list.
+	queries []*sequence.Sequence
+	frames  []*translate.Frame
+	// k is the K the search selects. wire marks a shard node's search for
+	// its coordinator: the result carries the shard's k-answer, no hits.
 	k    int
+	wire bool
 	// fresh marks a Search job: it has no cache key, so the scheduler runs
 	// it in a slot of its own, never joined and never cached.
 	fresh bool
@@ -90,7 +89,7 @@ func (c *Cluster) prepare(req Request) (job, error) {
 	if q == nil {
 		return job{}, badRequest("zero-value query")
 	}
-	jb := job{query: req.Query, rep: req.Report}
+	jb := job{query: req.Query, rep: req.Report, k: topK(req.Report)}
 	dbAlpha := c.db.db.Alphabet()
 	if req.Matrix != "" {
 		if c.topo != nil {
@@ -106,6 +105,7 @@ func (c *Cluster) prepare(req Request) (job, error) {
 		if q.Alphabet() != dbAlpha {
 			return job{}, badRequest("%s query against a %s database", q.Alphabet().Name(), dbAlpha.Name())
 		}
+		jb.queries = []*sequence.Sequence{q}
 		return jb, nil
 	}
 	if q.Alphabet() != alphabet.DNA {
@@ -117,7 +117,7 @@ func (c *Cluster) prepare(req Request) (job, error) {
 	for _, f := range translate.Frames(q.Residues) {
 		if len(f.Protein) > 0 {
 			jb.frames = append(jb.frames, f)
-			jb.fseqs = append(jb.fseqs, frameSeq(req.Query, f))
+			jb.queries = append(jb.queries, frameSeq(req.Query, f))
 		}
 	}
 	if jb.frames == nil {
@@ -243,106 +243,47 @@ func (c *Cluster) scheduled(ctx context.Context, jb job) (*Result, error) {
 
 // execute is the one executor behind every door, the run function of the
 // cluster's scheduler. jb comes from prepare, or is a shard node's wire
-// job. A direct job is one score pass that selects the K hits its request
-// asked for; a translated job is one score pass per frame, merged before
-// the hits are selected. The result is then decorated; a wire job's result
-// is its shard's answer instead. ctx is checked before every score pass and
-// threaded into the traceback phase.
+// job: one search of its queries that selects the K hits it asked for,
+// then decorated, or for a wire job its shard's answer. ctx is checked
+// before every score pass and threaded into the traceback phase.
 func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 	disp := c.engine()
 	dopt := c.dopt
 	if jb.matrix != nil {
 		dopt.Search.Matrix = jb.matrix
 	}
-	if jb.wire {
-		// Scores only: the node's answer is selected from its shard's list.
-		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, -1)
-		if err != nil {
-			return nil, err
-		}
-		res := wrapResult(r)
-		ans := core.SelectAnswer(r.Scores, jb.k)
-		res.answer = &ans
-		return res, nil
-	}
-	var (
-		res    *Result
-		hist   []int
-		winner []int
-	)
-	if jb.frames != nil {
-		// Scores only per frame: the hits are selected over the merged
-		// frame scores.
-		per := make([]*core.Result, len(jb.fseqs))
-		for i, q := range jb.fseqs {
-			r, err := disp.SearchContext(ctx, q, dopt, -1)
-			if err != nil {
-				return nil, err
-			}
-			per[i] = r
-		}
-		res, hist, winner = c.mergeFrames(per, jb.frames, topK(jb.rep))
-	} else {
-		r, err := disp.SearchContext(ctx, jb.query.impl, dopt, topK(jb.rep))
-		if err != nil {
-			return nil, err
-		}
-		res, hist = wrapResult(r), r.Hist
-	}
-	if err := c.decorate(ctx, disp, dopt, &jb, res, hist, winner); err != nil {
+	r, err := disp.SearchContext(ctx, jb.queries, dopt, jb.k)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	if jb.wire {
+		// The node's lone backend selected the answer; the merged hit list
+		// is dropped so the cached result holds K hits, not a shard's.
+		r.Hits = nil
+		res := wrapResult(r, nil)
+		res.answer = r.Top
+		return res, nil
+	}
+	return c.decorate(ctx, disp, dopt, &jb, r)
 }
 
-// mergeFrames folds a translated job's per-frame results into one: each
-// subject keeps its best frame score (ties to the earlier frame, in
-// +1..+3, -1..-3 order), cost accounting sums over frames, and the k best
-// hits (all when 0) are selected over the merged scores as a lone search
-// selects them (SelectAnswer, then MergeAnswers through the identity),
-// each stamped with its winning frame. It also returns the histogram of
-// the merged scores and a map from each database index to the index (into
-// frames) of its winning frame.
-func (c *Cluster) mergeFrames(res []*core.Result, frames []*translate.Frame, k int) (*Result, []int, []int) {
-	best := res[0]
-	winner := make([]int, len(best.Scores))
-	for i, r := range res[1:] {
-		for s, v := range r.Scores {
-			if v > best.Scores[s] {
-				best.Scores[s] = v
-				winner[s] = i + 1
-			}
-		}
-		best.Stats.Add(r.Stats)
-		best.WallSeconds += r.WallSeconds
-	}
-	best.Hits, best.Hist = core.MergeAnswers(c.db.db, []core.Answer{core.SelectAnswer(best.Scores, k)}, nil, k)
-	merged := wrapResult(best)
-	for i := range merged.Hits {
-		h := &merged.Hits[i]
-		h.Frame = frames[winner[h.Index]].Index
-	}
-	return merged, best.Hist, winner
-}
-
-// decorate runs the reporting phases over a freshly assembled result,
-// whose hit list is already the request's K long: the significance fit
-// over hist, the histogram of every subject's score (nil past
-// stats.MaxScore, which no fit accepts), then the traceback
-// phase, each hit re-aligned against the query its score came from — for a translated job the winning frame's protein
-// (winner maps a database index to its frame; nil for a direct search),
-// with the aligned segment mapped back to nucleotide coordinates. It must
-// only ever see results this call owns: cached results are decorated
-// before they enter the cache, never after. disp must be the engine
-// snapshot that scored the result, and dopt the options it scored under.
-func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, res *Result, hist []int, winner []int) error {
+// decorate builds a job's Result from its search's r, whose hit list is
+// already the request's K long, and runs the reporting phases: the
+// significance fit over r.Hist (nil past stats.MaxScore, which no fit
+// accepts), then the traceback, each hit re-aligned against the query its
+// score came from (core.Hit.Query), a translated job's segment mapped back
+// to nucleotide coordinates. Cached results are decorated before they
+// enter the cache. disp must be the engine snapshot that scored r, and
+// dopt the options it scored under.
+func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core.DispatchOptions, jb *job, r *core.Result) (*Result, error) {
+	res := wrapResult(r, jb.frames)
 	if jb.rep.EValues {
-		if hist == nil {
-			return fmt.Errorf("%w (a score above %d)", ErrNoSignificance, stats.MaxScore)
+		if r.Hist == nil {
+			return nil, fmt.Errorf("%w (a score above %d)", ErrNoSignificance, stats.MaxScore)
 		}
-		m, err := stats.FitHistogram(hist, 0)
+		m, err := stats.FitHistogram(r.Hist, 0)
 		if err != nil {
-			return fmt.Errorf("%w (%v)", ErrNoSignificance, err)
+			return nil, fmt.Errorf("%w (%v)", ErrNoSignificance, err)
 		}
 		sig := &Significance{impl: m}
 		res.Significance = sig
@@ -355,32 +296,21 @@ func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core
 		}
 	}
 	if !jb.rep.Alignments {
-		return nil
+		return res, nil
 	}
-	queries := jb.fseqs
-	if jb.frames == nil {
-		queries = []*sequence.Sequence{jb.query.impl}
+	byQuery := make([][]core.Hit, len(jb.queries))
+	at := make([][]int, len(jb.queries))
+	for i, h := range r.Hits {
+		byQuery[h.Query] = append(byQuery[h.Query], h)
+		at[h.Query] = append(at[h.Query], i)
 	}
-	byQuery := make([][]int, len(queries))
-	for i, h := range res.Hits {
-		qi := 0
-		if winner != nil {
-			qi = winner[h.Index]
-		}
-		byQuery[qi] = append(byQuery[qi], i)
-	}
-	for qi, hitIdx := range byQuery {
-		if len(hitIdx) == 0 {
+	for qi, hits := range byQuery {
+		if len(hits) == 0 {
 			continue
 		}
-		hits := make([]core.Hit, len(hitIdx))
-		for j, i := range hitIdx {
-			h := res.Hits[i]
-			hits[j] = core.Hit{SeqIndex: h.Index, ID: h.ID, Score: int32(h.Score)}
-		}
-		details, err := disp.AlignHits(ctx, queries[qi], hits, dopt)
+		details, err := disp.AlignHits(ctx, jb.queries[qi], hits, dopt)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for j := range details {
 			d := &details[j]
@@ -396,10 +326,10 @@ func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core
 			if jb.frames != nil {
 				a.QueryDNAStart, a.QueryDNAEnd = jb.frames[qi].DNARange(d.QueryStart, d.QueryEnd)
 			}
-			res.Hits[hitIdx[j]].Alignment = a
+			res.Hits[at[qi][j]].Alignment = a
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // cacheKey derives the scheduler dedup/cache key of a job: the cluster's
@@ -408,21 +338,29 @@ func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core
 // included, since a cached entry holds K hits; empty for the zero
 // ReportOptions) or a shard node's wire marker with its K (a cached answer
 // holds K hits and the histogram below them), and last the raw encoded
-// residues. Residue codes sit below every marker byte, so no two kinds of
-// request share a key, while sequences with equal residues share one result
-// whatever their IDs; the encoding is injective, so no decode pass is
-// needed. A fresh job (Search) has no key.
+// residues of every query the job was asked (a translated job's DNA), each
+// followed by 0xff. Residue codes sit below every marker byte and 0xff,
+// so no two kinds of request and no two query lists share a key,
+// while sequences with equal residues share one result whatever their IDs.
+// A fresh job (Search) has no key.
 func (c *Cluster) cacheKey(jb job) (string, bool) {
 	if jb.fresh {
 		return "", false
 	}
-	res := jb.query.impl.Residues
+	asked := jb.queries
+	if jb.frames != nil {
+		asked = []*sequence.Sequence{jb.query.impl}
+	}
 	rk := jb.rep.key()
 	if jb.wire {
 		rk = "W:k=" + strconv.Itoa(jb.k) + "|"
 	}
+	size := len(c.keyBase) + len("M:|") + len(jb.mkey) + len("T|") + len(rk)
+	for _, q := range asked {
+		size += len(q.Residues) + 1
+	}
 	var b strings.Builder
-	b.Grow(len(c.keyBase) + len("M:|") + len(jb.mkey) + len("T|") + len(rk) + len(res))
+	b.Grow(size)
 	b.WriteString(c.keyBase)
 	if jb.matrix != nil {
 		b.WriteString("M:")
@@ -433,8 +371,11 @@ func (c *Cluster) cacheKey(jb job) (string, bool) {
 		b.WriteString("T|")
 	}
 	b.WriteString(rk)
-	for _, code := range res {
-		b.WriteByte(byte(code))
+	for _, q := range asked {
+		for _, code := range q.Residues {
+			b.WriteByte(byte(code))
+		}
+		b.WriteByte(0xff) // above every residue code
 	}
 	return b.String(), true
 }

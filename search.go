@@ -5,6 +5,7 @@ import (
 
 	"heterosw/internal/core"
 	"heterosw/internal/seqdb"
+	"heterosw/internal/translate"
 )
 
 // Database is an indexed collection of target sequences ready for
@@ -151,7 +152,9 @@ type Result struct {
 	answer *core.Answer
 }
 
-func wrapResult(r *core.Result) *Result {
+// wrapResult converts a search's result, each hit naming its frame when
+// frames are a translated job's.
+func wrapResult(r *core.Result, frames []*translate.Frame) *Result {
 	out := &Result{
 		Hits:          make([]Hit, len(r.Hits)),
 		Cells:         r.Stats.Cells,
@@ -165,6 +168,9 @@ func wrapResult(r *core.Result) *Result {
 	}
 	for i, h := range r.Hits {
 		out.Hits[i] = Hit{Index: h.SeqIndex, ID: h.ID, Score: int(h.Score)}
+		if frames != nil {
+			out.Hits[i].Frame = frames[h.Query].Index
+		}
 	}
 	return out
 }

@@ -166,7 +166,7 @@ func TestCoordinatorWireKeys(t *testing.T) {
 	var search remote.ShardSearchRequest
 	for _, sh := range shards.Shards {
 		for _, k := range []int{0, 10} {
-			search = remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Codes: codes, K: k}
+			search = remote.ShardSearchRequest{Shard: sh.Key, ID: planted.ID(), Queries: [][]byte{codes}, K: k}
 			resp, body := postJSON(t, node.URL+"/shard/search", search)
 			if resp.StatusCode != 200 {
 				t.Fatalf("/shard/search: status %d: %s", resp.StatusCode, body)
@@ -184,10 +184,10 @@ func TestCoordinatorWireKeys(t *testing.T) {
 			}
 			// The omitempty ladder counters appear only on the shard holding
 			// the planted homolog, whose byte lane saturates.
-			want := "$ {shard,hits,below,cells,wall_seconds}"
+			want := "$ {shard,scoring,hits,below,cells,wall_seconds}"
 			if sr.Overflows8 > 0 {
 				escalated = true
-				want = "$ {shard,hits,below,cells,wall_seconds,overflows8,overflow_cells}"
+				want = "$ {shard,scoring,hits,below,cells,wall_seconds,overflows8,overflow_cells}"
 			}
 			checkWireKeys(t, "/shard/search", body, []string{want})
 			if k > 0 && len(body) >= 1<<10 {
