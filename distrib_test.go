@@ -561,6 +561,24 @@ func TestShardSearchRefusesBadQueries(t *testing.T) {
 	}
 }
 
+// TestShardSearchQueryListsNeverAlias pins the node's cache key over a
+// query list: two lists whose residues run together alike are two
+// entries, and a repeat of either is a hit.
+func TestShardSearchQueryListsNeverAlias(t *testing.T) {
+	_, _, shardPaths, queries := distribSetup(t)
+	node, ss := startShardNode(t, shardPaths[:1], nil)
+	codes := alphabet.BytesView(queries[1].impl.Residues)
+	for _, qs := range [][][]byte{{codes[:4], codes[4:]}, {codes[:5], codes[5:]}, {codes[:4], codes[4:]}} {
+		req := remote.ShardSearchRequest{Shard: ss.keys[0], Queries: qs, K: 10}
+		if resp, body := postJSON(t, node.URL+"/shard/search", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	if c := ss.shards[ss.keys[0]].Stats().Cache; c.Misses != 2 || c.Hits != 1 {
+		t.Fatalf("cache misses %d and hits %d, want 2 and 1", c.Misses, c.Hits)
+	}
+}
+
 // TestCoordinatorRejectsRequestMatrix pins the distributed matrix
 // contract: the shard wire carries query codes, not options, so nodes score
 // under their own configured matrix and a coordinator cannot honour a

@@ -87,12 +87,13 @@ func SelectAnswer(scores []int32, k int) Answer {
 
 // MergeAnswers merges the answers of a parent database's shards, each
 // answered for the same k: answers[i] is shard i's (the zero Answer for an
-// empty shard) and idx[i] maps its indices to the parent's. It returns the parent's k best hits (every hit
-// when k is 0), score descending then parent index, each naming its query,
-// and the parent's score histogram (see mergeHist). A subject among the
-// parent's k best is among its own shard's k best, so the hits are the
-// parent's score list stably sorted by descending score and cut at k, and
-// the histogram is the one stats.FitEValues would count from it.
+// empty shard) and idx[i] maps its indices to the parent's. It returns the
+// parent's k best hits (every hit when k is 0), score descending then
+// parent index, each naming its query, and the parent's score histogram
+// (see mergeHist). A subject among the parent's k best is among its own
+// shard's k best, so the hits are the parent's score list stably sorted by
+// descending score and cut at k, and the histogram is the one
+// stats.FitEValues would count from it.
 func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]Hit, []int) {
 	size := 0
 	for _, a := range answers {

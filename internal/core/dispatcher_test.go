@@ -89,7 +89,7 @@ func TestDispatcherThreeBackendsScores(t *testing.T) {
 // own hit-list bound, must agree with query-at-a-time Search: the same
 // scores (a bounded search merges its shards' answers, so it carries the
 // histogram of those scores instead) and the bound's prefix of Search's
-// hit list. A negative bound, the scores-only mode of old, is refused.
+// hit list. A negative bound is refused.
 func TestDispatcherBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	db := randDB(rng, 80, 70, true)

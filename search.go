@@ -152,8 +152,7 @@ type Result struct {
 	answer *core.Answer
 }
 
-// wrapResult converts a search's result, each hit naming its frame when
-// frames are a translated job's.
+// wrapResult converts r, naming each hit's frame when frames are set.
 func wrapResult(r *core.Result, frames []*translate.Frame) *Result {
 	out := &Result{
 		Hits:          make([]Hit, len(r.Hits)),
