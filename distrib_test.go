@@ -403,16 +403,8 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 func TestCoordinatorTranslatedRoundTrips(t *testing.T) {
 	parentPath, manifestPath, shardPaths, queries := distribSetup(t)
 	var searches atomic.Int64
-	count := func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/shard/search" {
-				searches.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	nodeA, _ := startShardNode(t, shardPaths[:1], count)
-	nodeB, _ := startShardNode(t, shardPaths[1:], count)
+	nodeA, _ := startShardNode(t, shardPaths[:1], countSearches(&searches))
+	nodeB, _ := startShardNode(t, shardPaths[1:], countSearches(&searches))
 	parentDB, err := OpenIndexFile(parentPath)
 	if err != nil {
 		t.Fatal(err)
@@ -436,6 +428,19 @@ func TestCoordinatorTranslatedRoundTrips(t *testing.T) {
 		if n := searches.Load(); n != 2 {
 			t.Fatalf("translated=%t: %d /shard/search requests over two shards, want 2", translated, n)
 		}
+	}
+}
+
+// countSearches wraps a node handler to count its /shard/search requests
+// in n.
+func countSearches(n *atomic.Int64) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard/search" {
+				n.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
 	}
 }
 
@@ -467,6 +472,7 @@ func TestCoordinatorScoringIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	good, _ := startShardNode(t, shardPaths, nil)
+	onlyB, _ := startShardNode(t, shardPaths[1:], nil)
 	for name, opt := range map[string]Options{
 		"matrix": {Matrix: "BLOSUM80"},
 		"gaps":   {GapOpen: 11, GapExtend: 1},
@@ -484,20 +490,13 @@ func TestCoordinatorScoringIdentity(t *testing.T) {
 				t.Fatalf("%s: the node's scoring leaves the answer as it was (%v); the test proves nothing", name, err)
 			}
 			var asked atomic.Int64
-			wrong, _ := startShardNodeWith(t, shardPaths[:1], apart, func(h http.Handler) http.Handler {
-				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == "/shard/search" {
-						asked.Add(1)
-					}
-					h.ServeHTTP(w, r)
-				})
-			})
+			wrong, _ := startShardNodeWith(t, shardPaths[:1], apart, countSearches(&asked))
 			for _, tc := range []struct {
 				nodes []string
 				ok    bool
 			}{
 				{[]string{wrong.URL, good.URL}, true},
-				{[]string{wrong.URL, startedNode(t, shardPaths[1:])}, false},
+				{[]string{wrong.URL, onlyB.URL}, false},
 			} {
 				coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, tc.nodes, fastDistribOptions())
 				if err != nil {
@@ -524,13 +523,6 @@ func TestCoordinatorScoringIdentity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// startedNode starts a node over shardPaths and returns its URL.
-func startedNode(t *testing.T, shardPaths []string) string {
-	t.Helper()
-	srv, _ := startShardNode(t, shardPaths, nil)
-	return srv.URL
 }
 
 // TestShardSearchRefusesBadQueries pins the node's 400s for a query list

@@ -241,9 +241,9 @@
 // insensitive, with unrecognised bytes becoming N — and searches default
 // to the blastn-style NUC +2/-3 matrix; .swdb indexes persist the
 // alphabet and restore it on load. Request.Translate searches a DNA query
-// against a protein database in all six reading frames and merges the
-// per-frame results, reporting each hit's winning frame and the aligned
-// region's forward-strand DNA coordinates. Request.Matrix (the HTTP
+// against a protein database in all six reading frames as one search, each
+// subject keeping its best frame, reporting each hit's winning frame and
+// the aligned region's forward-strand DNA coordinates. Request.Matrix (the HTTP
 // matrix field, the swsearch -matrixfile flag) scores a request with a
 // user matrix parsed from NCBI textual form; rejected matrix text wraps
 // ErrBadMatrix. Align and Score take the same Options a cluster does and
