@@ -1,6 +1,7 @@
 package heterosw
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -250,11 +251,7 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 		}
 		roster[i] = m
 	}
-	dist := opt.Dist
-	if dist == "" {
-		dist = "static"
-	}
-	d, err := core.ParseDistribution(dist)
+	d, err := core.ParseDistribution(cmp.Or(opt.Dist, "static"))
 	if err != nil {
 		return nil, fmt.Errorf("heterosw: %s", err)
 	}
@@ -283,11 +280,8 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 // within one cluster the options are fixed, so it is the constant prefix
 // of the scheduler cache keys (see cacheKey).
 func (c *Cluster) startScheduler(maxInFlight, cacheSize int) {
-	if cacheSize == 0 {
-		cacheSize = defaultCacheEntries
-	}
 	c.keyBase = fmt.Sprintf("%+v|", c.dopt.Search)
-	c.sched = qsched.New(c.execute, c.cacheKey, qsched.NewCache[*Result](cacheSize), maxInFlight)
+	c.sched = qsched.New(c.execute, c.cacheKey, qsched.NewCache[*Result](cmp.Or(cacheSize, defaultCacheEntries)), maxInFlight)
 }
 
 // Devices returns the modelled roster Plan prices (nil on a coordinator).

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -144,10 +145,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		format := *outfmt
-		if format == "" {
-			format = "blast"
-		}
+		format := cmp.Or(*outfmt, "blast")
 		for i, res := range results {
 			if i > 0 && format == "blast" {
 				fmt.Println(strings.Repeat("=", 70))

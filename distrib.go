@@ -59,6 +59,7 @@ type liveTopology struct {
 	prober       *remote.Prober
 	manifestPath string
 	db           *Database
+	scoring      string // the coordinator's ScoringID, computed once; every answer carries it
 
 	// reload serialises ReloadManifest from its read to its publish, so
 	// the last reload to read the file is the last to publish.
@@ -152,7 +153,11 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 		return nil, err
 	}
 
-	topo := &liveTopology{manifestPath: manifestPath, db: db}
+	search, err := opt.Options.toCore()
+	if err != nil {
+		return nil, err
+	}
+	topo := &liveTopology{manifestPath: manifestPath, db: db, scoring: search.ScoringID(db.db.Alphabet())}
 	topo.prober = remote.NewProber(nodes, remote.Options{
 		Timeout:    opt.Timeout,
 		Retries:    opt.Retries,
@@ -169,16 +174,12 @@ func NewDistributedCluster(ctx context.Context, db *Database, manifestPath strin
 	// shard nobody owns is fatal: the merged result would silently miss
 	// its sequences.
 	topo.prober.ProbeAll(ctx)
-	eng, err := buildShardEngine(db, man, topo.prober)
+	eng, err := topo.buildShardEngine(man)
 	if err != nil {
 		return nil, err
 	}
 	topo.install(man)
 
-	search, err := opt.Options.toCore()
-	if err != nil {
-		return nil, err
-	}
 	c := &Cluster{
 		db:   db,
 		topo: topo,
@@ -212,15 +213,15 @@ func validateManifestFor(db *Database, man *remote.Manifest) error {
 // ownership reports, and the sharded dispatcher. A shard with no live
 // owner fails the build — the caller keeps serving the previous
 // generation (hot-reload) or refuses to start (construction).
-func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober) (*core.Dispatcher, error) {
+func (t *liveTopology) buildShardEngine(man *remote.Manifest) (*core.Dispatcher, error) {
 	backends := make([]core.Backend, len(man.Shards))
 	shardDBs := make([]*seqdb.Database, len(man.Shards))
 	shardIdx := make([][]int, len(man.Shards))
 	for i, sh := range man.Shards {
-		if len(prober.Owners(sh.Key)) == 0 {
-			return nil, fmt.Errorf("heterosw: no node serves shard %d (%s)%s", i, sh.Key, probeSuffix(prober.ProbeErrors()))
+		if len(t.prober.Owners(sh.Key)) == 0 {
+			return nil, fmt.Errorf("heterosw: no node serves shard %d (%s)%s", i, sh.Key, probeSuffix(t.prober.ProbeErrors()))
 		}
-		sdb, err := db.db.Select(sh.ParentIndex, sh.Key)
+		sdb, err := t.db.db.Select(sh.ParentIndex, sh.Key)
 		if err != nil {
 			return nil, fmt.Errorf("heterosw: shard %d (%s): %w", i, sh.Key, err)
 		}
@@ -228,11 +229,11 @@ func buildShardEngine(db *Database, man *remote.Manifest, prober *remote.Prober)
 			return nil, fmt.Errorf("heterosw: shard %d (%s) selects %d residues, manifest declares %d",
 				i, sh.Key, sdb.Residues(), sh.Residues)
 		}
-		backends[i] = remote.NewBackend(fmt.Sprintf("remote#%d", i), prober)
+		backends[i] = remote.NewBackend(fmt.Sprintf("remote#%d", i), t.prober, t.scoring)
 		shardDBs[i] = sdb
 		shardIdx[i] = sh.ParentIndex
 	}
-	return core.NewDispatcherShards(db.db, backends, shardDBs, shardIdx)
+	return core.NewDispatcherShards(t.db.db, backends, shardDBs, shardIdx)
 }
 
 // probeSuffix folds node probe failures into a shard-ownership error, so
@@ -297,7 +298,7 @@ func (c *Cluster) ReloadManifest(ctx context.Context) error {
 	// Re-probe before building so nodes newly serving the incoming cut's
 	// shards are discovered in this very call, not a sweep later.
 	t.prober.ProbeAll(ctx)
-	eng, err := buildShardEngine(t.db, man, t.prober)
+	eng, err := t.buildShardEngine(man)
 	if err != nil {
 		t.noteReload(false)
 		return err

@@ -87,7 +87,8 @@ func SelectAnswer(scores []int32, k int) Answer {
 
 // MergeAnswers merges the answers of a parent database's shards, each
 // answered for the same k: answers[i] is shard i's (the zero Answer for an
-// empty shard) and idx[i] maps its indices to the parent's. It returns the
+// empty shard) and idx[i] maps its indices to the parent's (a nil idx:
+// the identity, one shard that is the parent). It returns the
 // parent's k best hits (every hit when k is 0), score descending then
 // parent index, each naming its query, and the parent's score histogram
 // (see mergeHist). A subject among the parent's k best is among its own
@@ -102,7 +103,7 @@ func MergeAnswers(db *seqdb.Database, answers []Answer, idx [][]int, k int) ([]H
 	keys := make([]hitKey, 0, size)
 	for i, a := range answers {
 		for _, h := range a.Hits {
-			keys = append(keys, hitKey{rank(h.Score, idx[i][h.Index]), h.Query})
+			keys = append(keys, hitKey{rank(h.Score, parent(idx, i, h.Index)), h.Query})
 		}
 	}
 	slices.SortFunc(keys, func(a, b hitKey) int { return cmp.Compare(a.rank, b.rank) })
@@ -136,6 +137,14 @@ func mergeHist(answers []Answer) []int {
 		}
 	}
 	return hist
+}
+
+// parent maps index i of shard s to the parent's, a nil idx being the identity.
+func parent(idx [][]int, s int, i int32) int {
+	if idx == nil {
+		return int(i)
+	}
+	return idx[s][i]
 }
 
 // hitKey is one hit as MergeAnswers sorts it: its rank and its query.

@@ -90,7 +90,7 @@ func TestSelectionBoundsHistogram(t *testing.T) {
 		if !slices.Equal(a.Below, tc.below) || (a.Below == nil) != (tc.below == nil) {
 			t.Errorf("k=%d: below %v, want %v", tc.k, a.Below, tc.below)
 		}
-		hits, hist := MergeAnswers(db, []Answer{a}, identity(db), tc.k)
+		hits, hist := MergeAnswers(db, []Answer{a}, nil, tc.k)
 		if want := stableSortHits(db, scores, tc.k); !reflect.DeepEqual(hits, want) {
 			t.Errorf("k=%d: hits %v, want %v", tc.k, hits, want)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -166,15 +167,16 @@ type ClusterResult = Result
 // database: every backend searches its shard concurrently and the shards'
 // answers merge into caller order through the shard index maps. The
 // assignment is fixed at construction; a lone backend owns one shard, the
-// database itself, under the identity map. Tracebacks (AlignHits) run on this host over the
-// whole database, whoever scored the hits. A Dispatcher is safe for
-// concurrent searches.
+// database itself, under the identity map. Tracebacks (AlignHits) run on
+// this host over the whole database, whoever scored the hits. A Dispatcher
+// is safe for concurrent searches.
 type Dispatcher struct {
 	db       *seqdb.Database
 	backends []Backend
 
 	// shards[i] is the database backend i searches; idx[i] maps its caller
-	// order back to the parent's.
+	// order back to the parent's; idx is nil, the identity, for a lone
+	// backend.
 	shards []*seqdb.Database
 	idx    [][]int
 
@@ -198,10 +200,7 @@ func NewDispatcher(db *seqdb.Database, backends []Backend) (*Dispatcher, error) 
 		return nil, err
 	}
 	if len(backends) == 1 {
-		d.shards, d.idx = []*seqdb.Database{db}, [][]int{make([]int, db.Len())}
-		for i := range d.idx[0] {
-			d.idx[0][i] = i
-		}
+		d.shards = []*seqdb.Database{db}
 		return d, nil
 	}
 	shares := make([]float64, len(backends))
@@ -348,43 +347,72 @@ func (d *Dispatcher) Search(query *sequence.Sequence, opt DispatchOptions) (*Clu
 // SearchContext runs a search of one query, or of a translated query's
 // frames, over the cluster with topK in place of opt.Search.TopK (0
 // selects every hit, and fills Scores too). Each subject keeps its best
-// score over the queries, a tie going to the earlier query (Hit.Query). A
-// context already cancelled runs nothing; kernels already launched finish
-// their current query, and nothing is left running after the call returns.
+// score over the queries, a tie going to the earlier query (Hit.Query), and
+// the shards' answers merge (MergeAnswers). A context already cancelled
+// runs nothing; kernels already launched finish their current query, and
+// nothing is left running after the call returns.
 func (d *Dispatcher) SearchContext(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions, topK int) (*ClusterResult, error) {
-	if len(queries) == 0 || slices.Contains(queries, nil) {
-		return nil, fmt.Errorf("core: no queries, or a nil one")
-	}
-	if topK < 0 {
-		return nil, fmt.Errorf("core: negative k %d", topK)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	so := opt.Search
-	so.TopK = topK
-	r, per, err := d.search(ctx, queries, so)
+	per, wall, err := d.search(ctx, queries, opt, topK)
 	if err != nil {
 		return nil, err
 	}
-	d.commitTotals(per)
-	return r, nil
+	out := &ClusterResult{WallSeconds: wall}
+	answers := make([]Answer, len(per))
+	for i, r := range per {
+		if r != nil {
+			answers[i] = *r.Top
+			out.Stats.Add(r.Stats)
+		}
+	}
+	if topK == 0 {
+		out.Scores = make([]int32, d.db.Len())
+		for i, a := range answers {
+			for _, h := range a.Hits {
+				out.Scores[parent(d.idx, i, h.Index)] = h.Score
+			}
+		}
+	}
+	out.Hits, out.Hist = MergeAnswers(d.db, answers, d.idx, topK)
+	return out, nil
+}
+
+// Answer is SearchContext on a one-backend dispatcher without the merge:
+// the backend's result, its topK-answer in Top. A shard node's wire job
+// runs it, since the answer is all a node sends.
+func (d *Dispatcher) Answer(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions, topK int) (*Result, error) {
+	if len(d.backends) != 1 {
+		return nil, fmt.Errorf("core: Answer needs one backend, not %d", len(d.backends))
+	}
+	per, _, err := d.search(ctx, queries, opt, topK)
+	if err != nil {
+		return nil, err
+	}
+	return cmp.Or(per[0], &Result{Top: &Answer{}}), nil // nil: an empty database
 }
 
 // search is the dispatcher's one execution path: every backend with a
 // non-empty shard searches it for the queries and answers its shard's
-// k-answer (k is opt.TopK), the first backend on the caller's goroutine
-// and each other on one of its own. The answers merge through the shard
-// index maps (MergeAnswers) into the hit list and the score histogram; a
-// k = 0 search also scatters them into the parent's score list. The
-// per-backend results are returned for the totals.
-func (d *Dispatcher) search(ctx context.Context, queries []*sequence.Sequence, opt SearchOptions) (*ClusterResult, []*Result, error) {
+// topK-answer, the first backend on the caller's goroutine and each other
+// on one of its own. It commits the totals and returns each backend's
+// result (nil for an empty shard) and the wall time.
+func (d *Dispatcher) search(ctx context.Context, queries []*sequence.Sequence, opt DispatchOptions, topK int) ([]*Result, float64, error) {
+	if len(queries) == 0 || slices.Contains(queries, nil) {
+		return nil, 0, fmt.Errorf("core: no queries, or a nil one")
+	}
+	if topK < 0 {
+		return nil, 0, fmt.Errorf("core: negative k %d", topK)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	so := opt.Search
+	so.TopK = topK
 	n := len(d.backends)
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	run := func(i int) {
 		if d.shards[i].Len() > 0 {
-			results[i], errs[i] = d.backends[i].Search(ctx, d.shards[i], queries, opt)
+			results[i], errs[i] = d.backends[i].Search(ctx, d.shards[i], queries, so)
 		}
 	}
 	start := time.Now()
@@ -400,29 +428,10 @@ func (d *Dispatcher) search(ctx context.Context, queries []*sequence.Sequence, o
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 	if err := firstErr(errs...); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	out := &ClusterResult{WallSeconds: wall}
-	answers := make([]Answer, n)
-	for i, r := range results {
-		if r != nil {
-			answers[i] = *r.Top
-			out.Stats.Add(r.Stats)
-		}
-	}
-	if opt.TopK == 0 {
-		out.Scores = make([]int32, d.db.Len())
-		for i, a := range answers {
-			for _, h := range a.Hits {
-				out.Scores[d.idx[i][h.Index]] = h.Score
-			}
-		}
-	}
-	out.Hits, out.Hist = MergeAnswers(d.db, answers, d.idx, opt.TopK)
-	if n == 1 {
-		out.Top = &answers[0]
-	}
-	return out, results, nil
+	d.commitTotals(results)
+	return results, wall, nil
 }
 
 func firstErr(errs ...error) error {

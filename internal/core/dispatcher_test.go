@@ -254,6 +254,18 @@ func TestDispatcherQueriesKeepBest(t *testing.T) {
 				t.Fatalf("%s: every-hit scores differ from each subject's best", name)
 			}
 		}
+		// A shard node's answer: the lone backend's, unmerged.
+		ans, err := lone.Answer(context.Background(), queries, opt, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := SelectAnswer(best, k)
+		for i, h := range top.Hits {
+			top.Hits[i].Query = int32(winner[h.Index])
+		}
+		if !reflect.DeepEqual(*ans.Top, top) || ans.Hits != nil || ans.Scores != nil {
+			t.Fatalf("lone k=%d: answer %v (hits %d, scores %d), want %v", k, *ans.Top, len(ans.Hits), len(ans.Scores), top)
+		}
 	}
 }
 
@@ -280,6 +292,9 @@ func TestDispatcherErrors(t *testing.T) {
 	opt.GapOpen = -3
 	if _, err := disp.Search(randProtein(rng, 20), DispatchOptions{Search: opt}); err == nil {
 		t.Error("negative gap accepted")
+	}
+	if _, err := disp.Answer(context.Background(), []*sequence.Sequence{randProtein(rng, 20)}, DispatchOptions{Search: defaultSearchOptions()}, 5); err == nil {
+		t.Error("an answer over three backends accepted")
 	}
 }
 

@@ -234,8 +234,8 @@ type Result struct {
 	// sequences scoring s (see MergeAnswers); nil when a score exceeds
 	// stats.MaxScore.
 	Hist []int
-	// Top is a backend's Answer for its shard, and a one-backend
-	// dispatcher's lone answer (what a shard node sends).
+	// Top is a backend's Answer for its shard (what a shard node sends;
+	// see Dispatcher.Answer).
 	Top *Answer
 	// Stats counts the cells computed and the ladder's escalations.
 	Stats Stats

@@ -29,15 +29,6 @@ func stableSortHits(db *seqdb.Database, scores []int32, topK int) []Hit {
 	return hits
 }
 
-// identity is the index map of a lone shard: the database itself.
-func identity(db *seqdb.Database) [][]int {
-	idx := make([]int, db.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	return [][]int{idx}
-}
-
 // idDB builds an n-sequence database whose IDs name their index, so a hit
 // carrying the wrong ID cannot pass for the right one.
 func idDB(n int) *seqdb.Database {
@@ -82,7 +73,7 @@ func TestTopHitsMatchesStableSort(t *testing.T) {
 				if k < 0 {
 					continue
 				}
-				got, _ := MergeAnswers(db, []Answer{SelectAnswer(scores, k)}, identity(db), k)
+				got, _ := MergeAnswers(db, []Answer{SelectAnswer(scores, k)}, nil, k)
 				if want := stableSortHits(db, scores, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s scores, n=%d k=%d: the selection differs from the stable sort\n got %v\nwant %v",
 						d.name, n, k, got, want)
@@ -106,7 +97,7 @@ func FuzzTopHits(f *testing.F) {
 		for i := range scores {
 			scores[i] = int32(binary.BigEndian.Uint32(raw[4*i:]) &^ (1 << 31))
 		}
-		got, _ := MergeAnswers(db, []Answer{SelectAnswer(scores, int(k))}, identity(db), int(k))
+		got, _ := MergeAnswers(db, []Answer{SelectAnswer(scores, int(k))}, nil, int(k))
 		if want := stableSortHits(db, scores, int(k)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d k=%d: got %v, want %v", n, k, got, want)
 		}

@@ -232,10 +232,7 @@ func PlantQueries(db []*sequence.Sequence, queries []*sequence.Sequence) {
 	if len(db) == 0 {
 		return
 	}
-	stride := len(db) / (len(queries) + 1)
-	if stride == 0 {
-		stride = 1
-	}
+	stride := max(len(db)/(len(queries)+1), 1)
 	for i, q := range queries {
 		pos := (i + 1) * stride % len(db)
 		db[pos] = q

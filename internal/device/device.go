@@ -25,6 +25,7 @@
 package device
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -295,13 +296,7 @@ func (m *Model) workingSet(k KernelClass, M int, lanes int) int64 {
 	}
 	rows := M
 	if k.Blocked {
-		b := k.BlockRows
-		if b == 0 {
-			b = defaultBlockRows
-		}
-		if b < rows {
-			rows = b
-		}
+		rows = min(rows, cmp.Or(k.BlockRows, defaultBlockRows))
 	}
 	elem := int64(2) // int16 intrinsics
 	if k.Guided {
@@ -375,10 +370,7 @@ func (m *Model) Coeffs(k KernelClass, M, lanes, threads int) CostCoeffs {
 	active := m.activeCores(threads)
 	blocks := 1.0
 	if k.Blocked {
-		b := k.BlockRows
-		if b == 0 {
-			b = defaultBlockRows
-		}
+		b := cmp.Or(k.BlockRows, defaultBlockRows)
 		blocks = float64((M + b - 1) / b)
 	}
 	base := m.IntrinsicIterCycles

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,22 +41,19 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Timeout == 0 {
-		o.Timeout = 10 * time.Second
-	} else if o.Timeout < 0 {
-		o.Timeout = 0
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Backoff == 0 {
-		o.Backoff = 100 * time.Millisecond
-	} else if o.Backoff < 0 {
-		o.Backoff = 0
-	}
+	o.Timeout = defaulted(o.Timeout, 10*time.Second)
+	o.Retries = defaulted(o.Retries, 2)
+	o.Backoff = defaulted(o.Backoff, 100*time.Millisecond)
 	return o
+}
+
+// defaulted resolves one option: def when v is 0, and 0 (none) when v is
+// negative.
+func defaulted[T int | time.Duration](v, def T) T {
+	if v < 0 {
+		return 0
+	}
+	return cmp.Or(v, def)
 }
 
 // Client talks to swserve shard nodes with per-attempt timeouts, bounded

@@ -61,11 +61,7 @@ const (
 )
 
 func (o ProberOptions) withDefaults() ProberOptions {
-	if o.Interval == 0 {
-		o.Interval = 15 * time.Second
-	} else if o.Interval < 0 {
-		o.Interval = 0
-	}
+	o.Interval = defaulted(o.Interval, 15*time.Second)
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 3
 	}

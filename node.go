@@ -32,9 +32,10 @@ const maxShardQueries = 6
 // /search traffic on a single node, an entry holding its answer and no
 // score list, and a closed node refuses them all with the retryable 503.
 type ShardServer struct {
-	shards map[string]*Cluster
-	keys   []string // shard keys in construction order, for stable listings
-	start  time.Time
+	shards  map[string]*Cluster
+	scoring map[string]string // each shard's ScoringID, fixed for its cluster's life
+	keys    []string          // shard keys in construction order, for stable listings
+	start   time.Time
 }
 
 // NewShardServer builds a shard node over one cluster per shard. Every
@@ -45,7 +46,7 @@ func NewShardServer(clusters []*Cluster) (*ShardServer, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("heterosw: shard server needs at least one shard cluster")
 	}
-	s := &ShardServer{shards: make(map[string]*Cluster, len(clusters)), start: time.Now()}
+	s := &ShardServer{shards: make(map[string]*Cluster, len(clusters)), scoring: make(map[string]string, len(clusters)), start: time.Now()}
 	var alpha string
 	for i, cl := range clusters {
 		if cl == nil {
@@ -64,6 +65,7 @@ func NewShardServer(clusters []*Cluster) (*ShardServer, error) {
 			return nil, fmt.Errorf("heterosw: shard %d alphabet %s disagrees with %s", i, a, alpha)
 		}
 		s.shards[key] = cl
+		s.scoring[key] = cl.dopt.Search.ScoringID(cl.db.db.Alphabet())
 		s.keys = append(s.keys, key)
 	}
 	return s, nil
@@ -146,7 +148,7 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
 		Shard:         req.Shard,
-		Scoring:       cl.dopt.Search.ScoringID(cl.db.db.Alphabet()),
+		Scoring:       s.scoring[req.Shard],
 		Hits:          res.answer.Hits,
 		Below:         res.answer.Below,
 		Cells:         res.Cells,

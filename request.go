@@ -252,17 +252,19 @@ func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 	if jb.matrix != nil {
 		dopt.Search.Matrix = jb.matrix
 	}
-	r, err := disp.SearchContext(ctx, jb.queries, dopt, jb.k)
-	if err != nil {
-		return nil, err
-	}
 	if jb.wire {
-		// The node's lone backend selected the answer; the merged hit list
-		// is dropped so the cached result holds K hits, not a shard's.
-		r.Hits = nil
+		// The node's lone backend selected the answer, all a node sends.
+		r, err := disp.Answer(ctx, jb.queries, dopt, jb.k)
+		if err != nil {
+			return nil, err
+		}
 		res := wrapResult(r, nil)
 		res.answer = r.Top
 		return res, nil
+	}
+	r, err := disp.SearchContext(ctx, jb.queries, dopt, jb.k)
+	if err != nil {
+		return nil, err
 	}
 	return c.decorate(ctx, disp, dopt, &jb, r)
 }

@@ -1,6 +1,7 @@
 package heterosw
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -217,10 +218,7 @@ func toQuery(q queryJSON, pos, alpha string) (Sequence, error) {
 	if len(q.Residues) > maxQueryResidues {
 		return Sequence{}, fmt.Errorf("%s: %d residues exceeds the %d limit", pos, len(q.Residues), maxQueryResidues)
 	}
-	id := q.ID
-	if id == "" {
-		id = "query"
-	}
+	id := cmp.Or(q.ID, "query")
 	if alpha == "dna" {
 		return NewDNASequence(id, q.Residues), nil
 	}
@@ -277,10 +275,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), fmt.Errorf("invalid request: %w", err))
 		return
 	}
-	format := req.Format
-	if format == "" {
-		format = "json"
-	}
+	format := cmp.Or(req.Format, "json")
 	if format != "json" && !slices.Contains(Formats(), format) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown format %q (have json, %s)", req.Format, strings.Join(Formats(), ", ")))
