@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -394,6 +395,109 @@ func checkCoordinatorConformance(t *testing.T, parentPath, manifestPath string, 
 		}
 	}
 	return wants, scores
+}
+
+// TestCoordinatorAnyCut pins sharded == unsharded under any cut, through
+// the real wire: for each seed it draws a corpus and n in 2–5, cuts the
+// parent into n shards and deals them over in-process nodes at random,
+// every shard covered and at least one node holding two or more, then
+// compares a coordinator over those nodes with a single node of the parent
+// at K 0, 1, 10 and n, direct and translated, with and without alignments
+// and E-values. A failing seed is in the subtest's name.
+func TestCoordinatorAnyCut(t *testing.T) {
+	type corpus struct {
+		name       string
+		parentPath string
+		queries    []Sequence
+		ref        *Cluster
+		refDB      *Database
+	}
+	var corpora []corpus
+	for name, setup := range map[string]func(testing.TB) (string, string, []string, []Sequence){"mixed": distribSetup, "ties": tieSetup} {
+		parentPath, _, _, queries := setup(t)
+		refDB, err := OpenIndexFile(parentPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewCluster(refDB, distribOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ref.CloseNow)
+		corpora = append(corpora, corpus{name, parentPath, queries, ref, refDB})
+	}
+	slices.SortFunc(corpora, func(a, b corpus) int { return strings.Compare(a.name, b.name) })
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			c := corpora[rng.Intn(len(corpora))]
+			n := 2 + rng.Intn(4)
+			dir := t.TempDir()
+			manifestPath, err := SplitIndexFile(c.parentPath, n, dir, "cut")
+			if err != nil {
+				t.Fatal(err)
+			}
+			man, err := remote.ReadManifest(manifestPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each shard goes to one of m nodes, a third of them to a second
+			// node as well; a node left empty is not started.
+			m := 1 + rng.Intn(n)
+			held := make([][]string, m)
+			for _, sh := range man.Shards {
+				owner := rng.Intn(m)
+				held[owner] = append(held[owner], sh.File)
+				if other := rng.Intn(m); rng.Intn(3) == 0 && other != owner {
+					held[other] = append(held[other], sh.File)
+				}
+			}
+			held = slices.DeleteFunc(held, func(files []string) bool { return len(files) == 0 })
+			if !slices.ContainsFunc(held, func(files []string) bool { return len(files) >= 2 }) {
+				file := man.Shards[0].File
+				if held[0][0] == file {
+					file = man.Shards[1].File
+				}
+				held[0] = append(held[0], file)
+			}
+			t.Logf("%s corpus, %d shards over nodes holding %v", c.name, n, held)
+			urls := make([]string, len(held))
+			for i, files := range held {
+				paths := make([]string, len(files))
+				for j, f := range files {
+					paths[j] = filepath.Join(dir, f)
+				}
+				node, _ := startShardNode(t, paths, nil)
+				urls[i] = node.URL
+			}
+			parentDB, err := OpenIndexFile(c.parentPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord, err := NewDistributedCluster(context.Background(), parentDB, manifestPath, urls, fastDistribOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.CloseNow()
+			for _, k := range []int{0, 1, 10, n} {
+				for _, rep := range []ReportOptions{{TopK: k}, {TopK: k, Alignments: true}, {TopK: k, EValues: true}, {TopK: k, Alignments: true, EValues: true}} {
+					for _, translated := range []bool{false, true} {
+						for _, req := range confRequests(t, c.queries, rep, "", translated) {
+							want, err := c.ref.Do(context.Background(), req)
+							if err != nil {
+								t.Fatalf("%+v translated=%t: reference Do(%s): %v", rep, translated, req.Query.ID(), err)
+							}
+							got, err := coord.Do(context.Background(), req)
+							if err != nil {
+								t.Fatalf("%+v translated=%t: coordinator Do(%s): %v", rep, translated, req.Query.ID(), err)
+							}
+							checkSameAnswer(t, req.Query, c.refDB, want, parentDB, got)
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestCoordinatorTranslatedRoundTrips pins that a translated query costs
