@@ -70,20 +70,26 @@ type ClusterOptions struct {
 	// MaxInFlight caps the queries the cluster runs concurrently (default
 	// 4), each over every worker; the rest wait in submission order. More
 	// in flight keeps a multi-core host busy between one query's phases;
-	// 1 runs queries one at a time.
+	// 1 runs queries one at a time. A shard node's shards share one such
+	// bound (NewShardServer).
 	MaxInFlight int
 	// CacheSize is the capacity, in entries, of the cluster's LRU result
 	// cache, shared by every scheduled path so repeated queries are free.
 	// An entry holds its request's K hits and counters, no score list, so
 	// the zero-value default is 512 whatever the database size (only a
 	// request for every hit caches one per sequence). Negative disables
-	// caching.
+	// caching. A shard node keeps no cache: its coordinator's answers the
+	// repeats.
 	CacheSize int
 }
 
 // defaultCacheEntries is the cache capacity when ClusterOptions.CacheSize
 // is zero: 512 entries of ten hits stay within a few MiB on any database.
-const defaultCacheEntries = 512
+// defaultInFlight is the MaxInFlight of a zero one.
+const (
+	defaultCacheEntries = 512
+	defaultInFlight     = 4
+)
 
 // ReportOptions selects the optional reporting phases of one search call.
 // The zero value is the plain score pass of the paper's step 4: every
@@ -212,9 +218,10 @@ type Cluster struct {
 
 	// sched is the one query scheduler behind every door, built with the
 	// cluster with its result cache; keyBase is the constant prefix of its
-	// keys (see startScheduler).
-	sched   *qsched.Scheduler[job, *Result]
-	keyBase string
+	// keys and maxInFlight its resolved bound (see startScheduler).
+	sched       *qsched.Scheduler[job, *Result]
+	keyBase     string
+	maxInFlight int
 }
 
 // hostWidth is the lane geometry of the host backend, read from the vec
@@ -275,13 +282,17 @@ func NewCluster(db *Database, opt ClusterOptions) (*Cluster, error) {
 
 // startScheduler builds the cluster's one query scheduler and its result
 // cache; both constructors call it once the rest of the cluster is set.
-// cacheSize is ClusterOptions.CacheSize, 0 selecting defaultCacheEntries.
-// The key prefix fingerprints every option that can change a result;
-// within one cluster the options are fixed, so it is the constant prefix
-// of the scheduler cache keys (see cacheKey).
+// maxInFlight and cacheSize are ClusterOptions.MaxInFlight and CacheSize,
+// 0 selecting the defaults. The key prefix fingerprints every option that
+// can change a result; within one cluster the options are fixed, so it is
+// the constant prefix of the scheduler cache keys (see cacheKey).
 func (c *Cluster) startScheduler(maxInFlight, cacheSize int) {
 	c.keyBase = fmt.Sprintf("%+v|", c.dopt.Search)
-	c.sched = qsched.New(c.execute, c.cacheKey, qsched.NewCache[*Result](cmp.Or(cacheSize, defaultCacheEntries)), maxInFlight)
+	c.maxInFlight = defaultInFlight
+	if maxInFlight > 0 {
+		c.maxInFlight = maxInFlight
+	}
+	c.sched = qsched.New(c.execute, c.cacheKey, qsched.NewCache[*Result](cmp.Or(cacheSize, defaultCacheEntries)), c.maxInFlight)
 }
 
 // Devices returns the modelled roster Plan prices (nil on a coordinator).

@@ -356,16 +356,16 @@ func TestCachedEntryHoldsNoScoreList(t *testing.T) {
 	}
 }
 
-// TestShardCachedEntryHoldsNoScoreList is TestCachedEntryHoldsNoScoreList
-// on a shard node: 64 distinct top-10 /shard/search requests over a shard
-// of 2,000 and of 20,000 servingDB sequences. A cached answer holds its K
-// hits and the histogram below them, so what an entry retains must not
-// grow with the shard: under 0.1 B per shard sequence at 20,000, and under
-// 0.1 B per sequence added from 2,000 to 20,000 (a cached score list costs
-// 4). Each top-10 answer is under 1 KB.
-func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
-	const entries = 64
-	perEntry := func(n int) float64 {
+// TestShardNodeRetainsNothingPerSearch pins that a shard node keeps
+// nothing of a search it has answered: 64 distinct top-10 /shard/search
+// requests over a shard of 2,000 and of 20,000 servingDB sequences. What
+// the node retains per answered search must not grow with the shard: under
+// 0.1 B per shard sequence at 20,000, and under 0.1 B per sequence added
+// from 2,000 to 20,000 (a retained score list costs 4). Each top-10 answer
+// is under 1 KB.
+func TestShardNodeRetainsNothingPerSearch(t *testing.T) {
+	const searches = 64
+	perSearch := func(n int) float64 {
 		db, warm := servingDB(t, n)
 		path := filepath.Join(t.TempDir(), "shard.swdb")
 		if err := WriteIndexFile(path, db); err != nil {
@@ -375,7 +375,7 @@ func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := NewCluster(sdb, ClusterOptions{CacheSize: entries})
+		cl, err := NewCluster(sdb, ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
 			}
 		}
 		rng := rand.New(rand.NewSource(52))
-		queries := make([]Sequence, entries)
+		queries := make([]Sequence, searches)
 		for i := range queries {
 			res := make([]byte, 75)
 			for j := range res {
@@ -409,7 +409,7 @@ func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
 			queries[i] = NewSequence(fmt.Sprintf("q%d", i), string(res))
 		}
 		// The warm query builds the lane packings and worker scratch, which
-		// every later query reuses; its own entry is in the baseline.
+		// every later query reuses.
 		search(warm)
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -419,18 +419,15 @@ func TestShardCachedEntryHoldsNoScoreList(t *testing.T) {
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		if got := cl.Stats().Cache.Entries; got != entries {
-			t.Fatalf("the node's cache holds %d entries, want %d", got, entries)
-		}
-		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / entries
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / searches
 	}
-	small, large := perEntry(2000), perEntry(20000)
-	t.Logf("a cached top-10 answer retains %.0f B over 2,000 sequences and %.0f B over 20,000", small, large)
+	small, large := perSearch(2000), perSearch(20000)
+	t.Logf("an answered top-10 search retains %.0f B over 2,000 sequences and %.0f B over 20,000", small, large)
 	if perSeq := large / 20000; perSeq >= 0.1 {
-		t.Errorf("each cached top-10 answer over 20,000 sequences retains %.3f B per shard sequence, want under 0.1", perSeq)
+		t.Errorf("each answered top-10 search over 20,000 sequences retains %.3f B per shard sequence, want under 0.1", perSeq)
 	}
 	if growth := (large - small) / 18000; growth >= 0.1 {
-		t.Errorf("a cached top-10 answer grows by %.3f B per shard sequence from 2,000 to 20,000, want under 0.1", growth)
+		t.Errorf("what an answered top-10 search retains grows by %.3f B per shard sequence from 2,000 to 20,000, want under 0.1", growth)
 	}
 }
 

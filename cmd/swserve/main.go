@@ -87,8 +87,8 @@ func main() {
 		synthetic = flag.Float64("synthetic", 0, "use a synthetic Swiss-Prot database at this scale instead of -db")
 		matrix    = flag.String("matrix", "", "substitution matrix (default: BLOSUM62 for protein, NUC for DNA)")
 		dna       = flag.Bool("dna", false, "nucleotide mode: parse the FASTA database under the IUPAC DNA alphabet")
-		inflight  = flag.Int("inflight", 0, "max queries in flight (0 = default)")
-		cacheSize = flag.Int("cache", 0, "LRU result cache entries (0 = 512, negative disables)")
+		inflight  = flag.Int("inflight", 0, "max queries in flight (0 = default 4); a node's shards share it")
+		cacheSize = flag.Int("cache", 0, "LRU result cache entries (0 = 512, negative disables); a node keeps no cache")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 
 		shardsFlag  = flag.String("shards", "", "node mode: comma-separated shard .swdb files to serve the shard protocol for")
@@ -172,11 +172,6 @@ func main() {
 		logHost()
 	}
 
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           heterosw.NewHTTPHandler(cl),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	fmt.Printf("swserve: %s\n", db)
 	fmt.Printf("swserve: listening on %s\n", *listen)
 	var reload func() error
@@ -186,7 +181,7 @@ func main() {
 		// to any request.
 		reload = func() error { return cl.ReloadManifest(context.Background()) }
 	}
-	serve(srv, *drain, cl.Close, cl.CloseNow, reload)
+	serve(*listen, heterosw.NewHTTPHandler(cl), *drain, cl.Close, cl.CloseNow, reload)
 }
 
 // logHost says what a local cluster's or a node's searches run on: the
@@ -197,8 +192,9 @@ func logHost() {
 }
 
 // runNode serves the shard execution protocol for the listed shard .swdb
-// files: one full Cluster per shard (each with its own scheduler and
-// cache), fronted by the heterosw.ShardServer handler.
+// files: one Cluster per shard, fronted by the heterosw.ShardServer
+// handler, whose one scheduler runs every shard's searches under -inflight
+// with no cache.
 func runNode(listen string, shardFiles []string, opt heterosw.ClusterOptions, drain time.Duration) {
 	if len(shardFiles) == 0 {
 		fatal(fmt.Errorf("-shards needs at least one .swdb file"))
@@ -220,21 +216,18 @@ func runNode(listen string, shardFiles []string, opt heterosw.ClusterOptions, dr
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           ss.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	logHost()
 	fmt.Printf("swserve: node serving %d shard(s) on %s\n", len(shardFiles), listen)
-	serve(srv, drain, ss.Close, ss.CloseNow, nil)
+	serve(listen, ss.Handler(), drain, func() {}, ss.CloseNow, nil)
 }
 
-// serve runs the server until SIGINT/SIGTERM, then tears it down with
-// shutdownServer. A non-nil reload runs on every SIGHUP (the coordinator's
-// manifest hot-reload); serving continues either way — a failed reload
-// leaves the old topology up, and the error is logged, not fatal.
-func serve(srv *http.Server, drain time.Duration, closeFn, closeNowFn func(), reload func() error) {
+// serve runs an HTTP server of h on listen until SIGINT/SIGTERM, then tears
+// it down with shutdownServer. A non-nil reload runs on every SIGHUP (the
+// coordinator's manifest hot-reload); serving continues either way — a
+// failed reload leaves the old topology up, and the error is logged, not
+// fatal.
+func serve(listen string, h http.Handler, drain time.Duration, closeFn, closeNowFn func(), reload func() error) {
+	srv := &http.Server{Addr: listen, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	var hup chan os.Signal

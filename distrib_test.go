@@ -19,8 +19,11 @@ import (
 	"time"
 
 	"heterosw/internal/alphabet"
+	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/remote"
+	"heterosw/internal/seqdb"
+	"heterosw/internal/sequence"
 )
 
 // The distributed conformance and failure-mode harness: a coordinator
@@ -657,22 +660,118 @@ func TestShardSearchRefusesBadQueries(t *testing.T) {
 	}
 }
 
-// TestShardSearchQueryListsNeverAlias pins the node's cache key over a
-// query list: two lists whose residues run together alike are two
-// entries, and a repeat of either is a hit.
+// TestShardSearchQueryListsNeverAlias pins the node's scheduler key over a
+// query list: two lists whose residues run together alike get two keys,
+// and a repeat of either shares its key.
 func TestShardSearchQueryListsNeverAlias(t *testing.T) {
 	_, _, shardPaths, queries := distribSetup(t)
-	node, ss := startShardNode(t, shardPaths[:1], nil)
+	_, ss := startShardNode(t, shardPaths[:1], nil)
 	codes := alphabet.BytesView(queries[1].impl.Residues)
+	keys := make(map[string]bool)
 	for _, qs := range [][][]byte{{codes[:4], codes[4:]}, {codes[:5], codes[5:]}, {codes[:4], codes[4:]}} {
 		req := remote.ShardSearchRequest{Shard: ss.keys[0], Queries: qs, K: 10}
-		if resp, body := postJSON(t, node.URL+"/shard/search", req); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		wire, err := wireQueries(&req, alphabet.Protein)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := shardJob{shard: req.Shard, queries: wire, k: req.K}.key()
+		keys[key] = true
+	}
+	if len(keys) != 2 {
+		t.Fatalf("three searches of two query lists got %d node keys, want 2", len(keys))
+	}
+}
+
+// gateBackend is a core.Backend that counts each search entering it on
+// entered, holds it until a value arrives on release, then runs it on a
+// real host backend.
+type gateBackend struct {
+	*core.EngineBackend
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (g gateBackend) Search(ctx context.Context, db *seqdb.Database, queries []*sequence.Sequence, opt core.SearchOptions) (*core.Result, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.EngineBackend.Search(ctx, db, queries, opt)
+}
+
+// TestShardNodeBoundsInFlight pins that a node of two shards runs every
+// shard search under one MaxInFlight: with a bound of 1, searches of the
+// two shards never run together, and two identical searches of one shard
+// run once. Each shard searches behind a gate that counts entries; a
+// second entry is awaited for a bounded time, so a slow host can only let
+// a broken node pass, never fail a correct one.
+func TestShardNodeBoundsInFlight(t *testing.T) {
+	_, _, shardPaths, queries := distribSetup(t)
+	opt := distribOpts()
+	opt.MaxInFlight = 1
+	node, ss := startShardNodeWith(t, shardPaths, opt, nil)
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	defer close(release)
+	for _, key := range ss.keys {
+		cl := ss.shards[key]
+		disp, err := core.NewDispatcher(cl.db.db, []core.Backend{gateBackend{core.NewBackend("gate", hostWidth(), 0), entered, release}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.eng.Store(disp)
+	}
+	codes := alphabet.BytesView(queries[0].impl.Residues)
+	search := func(shard string, done chan<- int) {
+		body, _ := json.Marshal(remote.ShardSearchRequest{Shard: shard, Queries: [][]byte{codes}, K: 10})
+		resp, err := http.Post(node.URL+"/shard/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}
+	enter := func(what string) {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never entered the gate", what)
 		}
 	}
-	if c := ss.shards[ss.keys[0]].Stats().Cache; c.Misses != 2 || c.Hits != 1 {
-		t.Fatalf("cache misses %d and hits %d, want 2 and 1", c.Misses, c.Hits)
+	noSecondEntry := func(what string) {
+		select {
+		case <-entered:
+			t.Fatalf("%s entered the gate while another search was inside", what)
+		case <-time.After(200 * time.Millisecond):
+		}
 	}
+	finish := func(done <-chan int, n int) {
+		for range n {
+			if code := <-done; code != http.StatusOK {
+				t.Fatalf("/shard/search: status %d, want 200", code)
+			}
+		}
+	}
+
+	done := make(chan int, 2)
+	go search(ss.keys[0], done)
+	go search(ss.keys[1], done)
+	enter("a search of either shard")
+	noSecondEntry("a search of the other shard")
+	release <- struct{}{}
+	enter("the other shard's search")
+	release <- struct{}{}
+	finish(done, 2)
+
+	go search(ss.keys[0], done)
+	enter("a search of one shard")
+	go search(ss.keys[0], done)
+	for deadline := time.Now().Add(10 * time.Second); ss.sched.Stats().Joined == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the identical search never joined the one in flight")
+		}
+	}
+	release <- struct{}{}
+	noSecondEntry("the identical search")
+	finish(done, 2)
 }
 
 // TestCoordinatorRejectsRequestMatrix pins the distributed matrix

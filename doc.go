@@ -83,9 +83,10 @@
 //     on POST /search);
 //   - distributed multi-node serving over .swdb shards: swindex split
 //     cuts a parent index into shard indexes plus a manifest,
-//     NewShardServer serves the shard execution protocol on each node,
-//     and NewDistributedCluster mounts the shards as remote backends on
-//     an ordinary *Cluster — each node answers its shard's top K hits and
+//     NewShardServer serves the shard execution protocol on each node
+//     through one scheduler over all its shards and no cache, and
+//     NewDistributedCluster mounts the shards as remote backends on an
+//     ordinary *Cluster — each node answers its shard's top K hits and
 //     the histogram below them, the coordinator selects the top K over
 //     their union and traces them back over the parent index, and
 //     E-values fit over the summed histograms, so results are

@@ -39,9 +39,6 @@ var ErrClosed = errors.New("qsched: scheduler closed")
 // (the mechanism that aborted the work, which callers select on).
 var errClosedNow = fmt.Errorf("%w (%w)", ErrClosed, context.Canceled)
 
-// defaultMaxInFlight is the in-flight bound New uses when given none.
-const defaultMaxInFlight = 4
-
 // ticket is the future of one submitted query. Multiple submissions of the
 // same cache key may share one ticket; treat the resolved value as
 // read-only.
@@ -121,7 +118,7 @@ type Scheduler[Q, R any] struct {
 }
 
 // New builds a scheduler over a run function that runs up to maxInFlight
-// queries at once (defaultMaxInFlight when maxInFlight <= 0). key derives
+// queries at once, at least one. key derives
 // the cache / dedup key of a query (nil, or a false second return,
 // disables caching for that query); cache may be nil (no caching). The
 // scheduler's context is its own lifetime root — it is cancelled by
@@ -135,11 +132,8 @@ func New[Q, R any](
 	cache *Cache[R],
 	maxInFlight int,
 ) *Scheduler[Q, R] {
-	if run == nil {
-		panic("qsched: nil run function")
-	}
-	if maxInFlight <= 0 {
-		maxInFlight = defaultMaxInFlight
+	if run == nil || maxInFlight <= 0 {
+		panic(fmt.Sprintf("qsched: nil run function or %d in flight", maxInFlight))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Scheduler[Q, R]{

@@ -27,7 +27,7 @@ func waitTicket(t *testing.T, tk *ticket[string]) (string, error) {
 }
 
 func TestSubmitResolvesEachQuery(t *testing.T) {
-	s := New(echo, nil, nil, 0)
+	s := New(echo, nil, nil, 4)
 	defer s.CloseNow()
 	var tickets []*ticket[string]
 	for i := 0; i < 10; i++ {
@@ -260,7 +260,7 @@ func TestCloseNowCancelsQueuedAndInFlight(t *testing.T) {
 // exits once the queue drains.
 func TestNoGoroutinesWhileIdle(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s := New(echo, nil, nil, 0)
+	s := New(echo, nil, nil, 4)
 	for round := 0; round < 3; round++ {
 		var tks []*ticket[string]
 		for i := 0; i < 20; i++ {

@@ -2,12 +2,16 @@ package heterosw
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"heterosw/internal/alphabet"
+	"heterosw/internal/core"
+	"heterosw/internal/qsched"
 	"heterosw/internal/remote"
 	"heterosw/internal/sequence"
 )
@@ -26,28 +30,43 @@ const maxShardQueries = 6
 // (core.SelectAnswer), with the ID of the scoring it ran under; its
 // coordinator merges the shards' answers and traces back the hits itself.
 //
-// Every shard search runs through its cluster's scheduler, so concurrent
-// coordinator fan-outs share its in-flight slots, repeated shard queries
-// of the same K hit the per-shard LRU cache exactly like front-door
-// /search traffic on a single node, an entry holding its answer and no
-// score list, and a closed node refuses them all with the retryable 503.
+// Every shard search runs through the node's one scheduler, bounded by its
+// shards' MaxInFlight: concurrent coordinator fan-outs over all its shards
+// share those in-flight slots, an identical in-flight search of one shard
+// runs once, and a closed node refuses them all with the retryable 503.
+// The node keeps no result cache; its coordinator's answers the repeats.
+// The shard clusters' own schedulers stay idle.
 type ShardServer struct {
 	shards  map[string]*Cluster
-	scoring map[string]string // each shard's ScoringID, fixed for its cluster's life
-	keys    []string          // shard keys in construction order, for stable listings
+	keys    []string // shard keys in construction order, for stable listings
+	scoring string   // the shards' ScoringID
+	sched   *qsched.Scheduler[shardJob, *core.Result]
 	start   time.Time
+}
+
+// shardJob is one shard search as the node's scheduler runs it: the
+// shard's key, the queries and the K of the answer.
+type shardJob struct {
+	shard   string
+	queries []*sequence.Sequence
+	k       int
+}
+
+// key is the node scheduler's in-flight dedup key: the shard key, then K,
+// then the queries (see queryKey).
+func (jb shardJob) key() (string, bool) {
+	return queryKey(jb.queries, jb.shard, "|", strconv.Itoa(jb.k), "|"), true
 }
 
 // NewShardServer builds a shard node over one cluster per shard. Every
 // cluster's database must carry a durable content key (a .swdb-loaded
-// database does; an in-memory one does not) and all shards must share one
-// alphabet.
+// database does; an in-memory one does not), and all shards must share one
+// alphabet, one set of options and one MaxInFlight.
 func NewShardServer(clusters []*Cluster) (*ShardServer, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("heterosw: shard server needs at least one shard cluster")
 	}
-	s := &ShardServer{shards: make(map[string]*Cluster, len(clusters)), scoring: make(map[string]string, len(clusters)), start: time.Now()}
-	var alpha string
+	s := &ShardServer{shards: make(map[string]*Cluster, len(clusters)), start: time.Now()}
 	for i, cl := range clusters {
 		if cl == nil {
 			return nil, fmt.Errorf("heterosw: shard cluster %d is nil", i)
@@ -59,15 +78,20 @@ func NewShardServer(clusters []*Cluster) (*ShardServer, error) {
 		if _, dup := s.shards[key]; dup {
 			return nil, fmt.Errorf("heterosw: shard key %s served twice", key)
 		}
-		if a := cl.db.Alphabet(); i == 0 {
-			alpha = a
-		} else if a != alpha {
-			return nil, fmt.Errorf("heterosw: shard %d alphabet %s disagrees with %s", i, a, alpha)
+		if a, a0 := cl.db.Alphabet(), clusters[0].db.Alphabet(); a != a0 {
+			return nil, fmt.Errorf("heterosw: shard %d alphabet %s disagrees with %s", i, a, a0)
+		}
+		if cl.keyBase != clusters[0].keyBase || cl.maxInFlight != clusters[0].maxInFlight {
+			return nil, fmt.Errorf("heterosw: shard %d options or MaxInFlight disagree with shard 0's", i)
 		}
 		s.shards[key] = cl
-		s.scoring[key] = cl.dopt.Search.ScoringID(cl.db.db.Alphabet())
 		s.keys = append(s.keys, key)
 	}
+	dopt := clusters[0].dopt
+	s.scoring = dopt.Search.ScoringID(clusters[0].db.db.Alphabet())
+	s.sched = qsched.New(func(ctx context.Context, jb shardJob) (*core.Result, error) {
+		return s.shards[jb.shard].engine().Answer(ctx, jb.queries, dopt, jb.k)
+	}, shardJob.key, nil, clusters[0].maxInFlight)
 	return s, nil
 }
 
@@ -80,21 +104,9 @@ func (s *ShardServer) Handler() http.Handler {
 	return mux
 }
 
-// Close releases every shard cluster's background work (see
-// Cluster.Close).
-func (s *ShardServer) Close() {
-	for _, key := range s.keys {
-		s.shards[key].Close()
-	}
-}
-
-// CloseNow tears down every shard cluster's scheduled paths; in-flight
-// shard searches resolve ErrClusterClosed and answer the retryable 503.
-func (s *ShardServer) CloseNow() {
-	for _, key := range s.keys {
-		s.shards[key].CloseNow()
-	}
-}
+// CloseNow tears down the node's scheduler; in-flight shard searches
+// resolve ErrClusterClosed and answer the retryable 503.
+func (s *ShardServer) CloseNow() { s.sched.CloseNow() }
 
 func (s *ShardServer) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -141,21 +153,21 @@ func (s *ShardServer) handleShardSearch(w http.ResponseWriter, r *http.Request) 
 	// The node answers its shard's K best hits, ties with the K-th kept,
 	// and the histogram below them; the coordinator selects over the
 	// shards' answers.
-	res, err := cl.scheduled(r.Context(), job{queries: queries, wire: true, k: req.K})
+	res, err := scheduled(r.Context(), s.sched, shardJob{shard: req.Shard, queries: queries, k: req.K})
 	if err != nil {
 		writeError(w, searchStatus(r, err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, remote.ShardSearchResponse{
 		Shard:         req.Shard,
-		Scoring:       s.scoring[req.Shard],
-		Hits:          res.answer.Hits,
-		Below:         res.answer.Below,
-		Cells:         res.Cells,
+		Scoring:       s.scoring,
+		Hits:          res.Top.Hits,
+		Below:         res.Top.Below,
+		Cells:         res.Stats.Cells,
 		WallSeconds:   res.WallSeconds,
-		Overflows:     res.Overflows,
-		Overflows8:    res.Overflows8,
-		OverflowCells: res.OverflowCells,
+		Overflows:     res.Stats.Overflows,
+		Overflows8:    res.Stats.Overflows8,
+		OverflowCells: res.Stats.OverflowCells,
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"heterosw/internal/alphabet"
@@ -61,15 +60,13 @@ type job struct {
 	// and mkey its content fingerprint, part of the cache key.
 	matrix *submat.Matrix
 	mkey   string
-	// queries are what the search scores: the query, a translated query's
-	// frames holding a codon (frames[i] translated into queries[i]; frames
-	// is nil otherwise), or a wire job's list.
+	// queries are what the search scores: the query, or a translated
+	// query's frames holding a codon (frames[i] translated into queries[i];
+	// frames is nil otherwise).
 	queries []*sequence.Sequence
 	frames  []*translate.Frame
-	// k is the K the search selects. wire marks a shard node's search for
-	// its coordinator: the result carries the shard's k-answer, no hits.
-	k    int
-	wire bool
+	// k is the K the search selects.
+	k int
 	// fresh marks a Search job: it has no cache key, so the scheduler runs
 	// it in a slot of its own, never joined and never cached.
 	fresh bool
@@ -169,7 +166,7 @@ func (c *Cluster) Search(query Sequence, report ...ReportOptions) (*Result, erro
 		return nil, err
 	}
 	jb.fresh = true
-	return c.scheduled(context.Background(), jb)
+	return scheduled(context.Background(), c.sched, jb)
 }
 
 // SearchScheduled is Do for a direct search of query with an optional
@@ -198,7 +195,7 @@ func (c *Cluster) Do(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.scheduled(ctx, jb)
+	return scheduled(ctx, c.sched, jb)
 }
 
 // DoBatch runs a batch of requests through the cluster's scheduler in order
@@ -220,7 +217,7 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*Result, error
 	}
 	out := make([]*Result, len(jobs))
 	for i, jb := range jobs {
-		res, err := c.scheduled(ctx, jb)
+		res, err := scheduled(ctx, c.sched, jb)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
@@ -229,38 +226,28 @@ func (c *Cluster) DoBatch(ctx context.Context, reqs []Request) ([]*Result, error
 	return out, nil
 }
 
-// scheduled submits one prepared job to the cluster's scheduler and waits
-// for its result, the one submission every door makes. The scheduler's
-// teardown — at submission or, after CloseNow, while waiting — maps to
-// ErrClusterClosed, which the HTTP front end answers with the retryable 503.
-func (c *Cluster) scheduled(ctx context.Context, jb job) (*Result, error) {
-	res, err := c.sched.Do(ctx, jb)
+// scheduled submits one job to a scheduler and waits for its result, the
+// one submission every door and a shard node's searches make. The
+// scheduler's teardown — at submission or, after CloseNow, while waiting —
+// maps to ErrClusterClosed, which the HTTP front ends answer with the
+// retryable 503.
+func scheduled[Q, R any](ctx context.Context, s *qsched.Scheduler[Q, R], q Q) (R, error) {
+	res, err := s.Do(ctx, q)
 	if errors.Is(err, qsched.ErrClosed) {
-		return nil, ErrClusterClosed
+		return res, ErrClusterClosed
 	}
 	return res, err
 }
 
 // execute is the one executor behind every door, the run function of the
-// cluster's scheduler. jb comes from prepare, or is a shard node's wire
-// job: one search of its queries that selects the K hits it asked for,
-// then decorated, or for a wire job its shard's answer. ctx is checked
-// before every score pass and threaded into the traceback phase.
+// cluster's scheduler: one search of jb's queries that selects the K hits
+// it asked for, then decorated. ctx is checked before every score pass and
+// threaded into the traceback phase.
 func (c *Cluster) execute(ctx context.Context, jb job) (*Result, error) {
 	disp := c.engine()
 	dopt := c.dopt
 	if jb.matrix != nil {
 		dopt.Search.Matrix = jb.matrix
-	}
-	if jb.wire {
-		// The node's lone backend selected the answer, all a node sends.
-		r, err := disp.Answer(ctx, jb.queries, dopt, jb.k)
-		if err != nil {
-			return nil, err
-		}
-		res := wrapResult(r, nil)
-		res.answer = r.Top
-		return res, nil
 	}
 	r, err := disp.SearchContext(ctx, jb.queries, dopt, jb.k)
 	if err != nil {
@@ -334,50 +321,49 @@ func (c *Cluster) decorate(ctx context.Context, disp *core.Dispatcher, dopt core
 	return res, nil
 }
 
-// cacheKey derives the scheduler dedup/cache key of a job: the cluster's
-// option fingerprint, then the content fingerprint of a request-scoped
-// matrix, a translate marker, the report-option fingerprint (its K
-// included, since a cached entry holds K hits; empty for the zero
-// ReportOptions) or a shard node's wire marker with its K (a cached answer
-// holds K hits and the histogram below them), and last the raw encoded
-// residues of every query the job was asked (a translated job's DNA), each
-// followed by 0xff. Residue codes sit below every marker byte and 0xff,
-// so no two kinds of request and no two query lists share a key,
-// while sequences with equal residues share one result whatever their IDs.
-// A fresh job (Search) has no key.
+// cacheKey derives the scheduler dedup/cache key of a job (see queryKey):
+// the cluster's option fingerprint, then the content fingerprint of a
+// request-scoped matrix, a translate marker and the report-option
+// fingerprint (its K included, since a cached entry holds K hits; empty
+// for the zero ReportOptions), then every query the job was asked (a
+// translated job's DNA). Residue codes sit below every marker byte, so no
+// two kinds of request share a key, while sequences with equal residues
+// share one result whatever their IDs. A fresh job (Search) has no key.
 func (c *Cluster) cacheKey(jb job) (string, bool) {
 	if jb.fresh {
 		return "", false
 	}
-	asked := jb.queries
+	asked, translated, matrix := jb.queries, "", ""
 	if jb.frames != nil {
-		asked = []*sequence.Sequence{jb.query.impl}
+		asked, translated = []*sequence.Sequence{jb.query.impl}, "T|"
 	}
-	rk := jb.rep.key()
-	if jb.wire {
-		rk = "W:k=" + strconv.Itoa(jb.k) + "|"
+	if jb.matrix != nil {
+		matrix = "M:" + jb.mkey + "|"
 	}
-	size := len(c.keyBase) + len("M:|") + len(jb.mkey) + len("T|") + len(rk)
-	for _, q := range asked {
+	return queryKey(asked, c.keyBase, matrix, translated, jb.rep.key()), true
+}
+
+// queryKey is a scheduler key: the prefix strings, then the raw encoded
+// residues of each query, each followed by 0xff, above every residue code,
+// so no two query lists share a key.
+func queryKey(queries []*sequence.Sequence, prefix ...string) string {
+	size := 0
+	for _, p := range prefix {
+		size += len(p)
+	}
+	for _, q := range queries {
 		size += len(q.Residues) + 1
 	}
 	var b strings.Builder
 	b.Grow(size)
-	b.WriteString(c.keyBase)
-	if jb.matrix != nil {
-		b.WriteString("M:")
-		b.WriteString(jb.mkey)
-		b.WriteByte('|')
+	for _, p := range prefix {
+		b.WriteString(p)
 	}
-	if jb.frames != nil {
-		b.WriteString("T|")
-	}
-	b.WriteString(rk)
-	for _, q := range asked {
+	for _, q := range queries {
 		for _, code := range q.Residues {
 			b.WriteByte(byte(code))
 		}
-		b.WriteByte(0xff) // above every residue code
+		b.WriteByte(0xff)
 	}
-	return b.String(), true
+	return b.String()
 }

@@ -147,9 +147,6 @@ type Result struct {
 	// distribution when the search requested ReportOptions.EValues; nil
 	// otherwise.
 	Significance *Significance
-	// answer is a shard node's answer to its coordinator, which
-	// /shard/search sends; nil on every result a door returns.
-	answer *core.Answer
 }
 
 // wrapResult converts r, naming each hit's frame when frames are set.
