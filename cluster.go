@@ -78,8 +78,8 @@ type ClusterOptions struct {
 	// An entry holds its request's K hits and counters, no score list, so
 	// the zero-value default is 512 whatever the database size (only a
 	// request for every hit caches one per sequence). Negative disables
-	// caching. A shard node keeps no cache: its coordinator's answers the
-	// repeats.
+	// caching. A shard node keeps no cache: its coordinator's cache answers
+	// the repeats.
 	CacheSize int
 }
 

@@ -34,8 +34,8 @@ const maxShardQueries = 6
 // shards' MaxInFlight: concurrent coordinator fan-outs over all its shards
 // share those in-flight slots, an identical in-flight search of one shard
 // runs once, and a closed node refuses them all with the retryable 503.
-// The node keeps no result cache; its coordinator's answers the repeats.
-// The shard clusters' own schedulers stay idle.
+// The node keeps no result cache: its coordinator's cache answers the
+// repeats. The shard clusters' own schedulers stay idle.
 type ShardServer struct {
 	shards  map[string]*Cluster
 	keys    []string // shard keys in construction order, for stable listings
